@@ -247,3 +247,37 @@ func TestRowClone(t *testing.T) {
 		t.Error("Clone must not alias")
 	}
 }
+
+// TestNewExtendedAliasesOrGrows pins the grow-or-alias step of a lazily
+// filled table: within capacity the successor shares backing arrays with its
+// predecessor (whose shorter view is undisturbed), past it the successor gets
+// fresh storage with headroom for the next extensions.
+func TestNewExtendedAliasesOrGrows(t *testing.T) {
+	fields := []Field{{Name: "k", Kind: KindString}, {Name: "i", Kind: KindInt}, {Name: "f", Kind: KindFloat}}
+	base := NewPresized("t", fields, 100)
+	if base.CapRows() != 100 {
+		t.Fatalf("presized capacity = %d rows, want exactly 100", base.CapRows())
+	}
+	base.Column("i").Ints()[99] = 7
+
+	grown := NewExtended(base, 120, false)
+	if grown.NumRows() != 120 || grown.Column("f").Len() != 120 || grown.CapRows() != 150 {
+		t.Fatalf("grown table: %d rows, capacity %d, want 120 and 150", grown.NumRows(), grown.CapRows())
+	}
+	if grown.Column("i").Ints()[99] != 0 {
+		t.Fatal("fresh storage must start zeroed; copying is the caller's decision")
+	}
+
+	aliased := NewExtended(grown, 150, true)
+	aliased.Column("i").Ints()[130] = 9
+	aliased.Column("k").Codes()[5] = 3
+	if grown.Column("i").Len() != 120 || grown.Column("k").Codes()[5] != 3 {
+		t.Fatal("an aliased successor must share rows with, and leave the length of, its predecessor")
+	}
+	if got := NewExtended(aliased, 150, true).Column("i").Ints()[130]; got != 9 {
+		t.Fatalf("row 130 through a second alias = %d, want 9", got)
+	}
+	if aliased.Column("k").Dict() != nil || aliased.Name != "t" {
+		t.Fatal("NewExtended carries the name and schema, not the dictionaries")
+	}
+}

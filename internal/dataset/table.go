@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -148,6 +149,32 @@ func (c *Column) Presize(n int) {
 	}
 }
 
+// Extend returns the length-n continuation of a presized array, n >=
+// len(prev). With alias set it is a re-slice of prev's backing array (the
+// caller has checked cap(prev) >= n): holders of prev keep their shorter
+// view, and rows past len(prev) are invisible to them. Otherwise it is fresh
+// zeroed storage with a quarter of headroom — grown like append, so a lineage
+// of small extensions reallocates a logarithmic number of times — and the
+// caller copies over whichever rows of prev it may safely read.
+func Extend[T any](prev []T, n int, alias bool) []T {
+	if alias {
+		return prev[:n]
+	}
+	return make([]T, n, n+n/4)
+}
+
+// capRows returns how many rows the column's storage can hold in place.
+func (c *Column) capRows() int {
+	switch c.Field.Kind {
+	case KindString:
+		return cap(c.codes)
+	case KindInt:
+		return cap(c.ints)
+	default:
+		return cap(c.floats)
+	}
+}
+
 // SetDict installs the full dictionary of a categorical column up front
 // (lazy backings persist dictionaries in their metadata footer).
 func (c *Column) SetDict(dict []string) {
@@ -249,6 +276,40 @@ func NewPresized(name string, fields []Field, rows int) *Table {
 	}
 	t.nrows = rows
 	return t
+}
+
+// NewExtended creates the rows-row successor of a presized table over the
+// same schema (rows >= prev's), each column the Extend of prev's: with alias
+// set (the caller has checked prev.CapRows() >= rows) the two tables share
+// backing arrays and differ only in length, otherwise the successor's storage
+// is fresh, with headroom. Dictionaries and hooks are not carried over; the
+// lazy backing installs its own.
+func NewExtended(prev *Table, rows int, alias bool) *Table {
+	t := &Table{Name: prev.Name, byName: make(map[string]*Column, len(prev.cols)), nrows: rows}
+	for _, pc := range prev.cols {
+		c := NewColumn(pc.Field)
+		switch c.Field.Kind {
+		case KindString:
+			c.codes = Extend(pc.codes, rows, alias)
+		case KindInt:
+			c.ints = Extend(pc.ints, rows, alias)
+		default:
+			c.floats = Extend(pc.floats, rows, alias)
+		}
+		t.cols = append(t.cols, c)
+		t.byName[c.Field.Name] = c
+	}
+	return t
+}
+
+// CapRows returns how many rows every column's storage can hold in place —
+// the bound under which NewExtended may alias.
+func (t *Table) CapRows() int {
+	n := math.MaxInt
+	for _, c := range t.cols {
+		n = min(n, c.capRows())
+	}
+	return n
 }
 
 // NumRows returns the row count.

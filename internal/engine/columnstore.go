@@ -148,9 +148,10 @@ func (s *ColumnStore) Counters() Counters { return s.stats.snapshot() }
 // segment empty.
 func (s *ColumnStore) SkipProvenance() map[SkipAttr]int64 { return s.prov.snapshot() }
 
-// SegmentLoads returns how many distinct segments of the named table scans
-// have materialized — for zpack-backed sources, segments actually read from
-// disk. Zone-map-skipped segments never load, so this lags SegmentsScanned's
+// SegmentLoads returns how many distinct segments of the named table this
+// store's scans have materialized — for zpack-backed sources, segments read
+// from disk unless an earlier snapshot of the file had already loaded them.
+// Zone-map-skipped segments never load, so this lags SegmentsScanned's
 // per-scan accounting.
 func (s *ColumnStore) SegmentLoads(table string) int64 {
 	if ct := s.cols[table]; ct != nil {

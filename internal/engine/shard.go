@@ -62,8 +62,8 @@ func (r *rangeSource) Load(seg int) error {
 }
 
 // SegmentLoads returns how many of the view's segments have been materialized
-// through it — for zpack-backed shards, segments actually read from disk for
-// this shard's scans.
+// through it — for zpack-backed shards, segments this shard's scans asked the
+// reader for (read from disk unless an earlier snapshot had loaded them).
 func (r *rangeSource) SegmentLoads() int64 { return r.loads.Load() }
 
 // SplitSource cuts a source's segments into n contiguous range views of as
@@ -248,8 +248,8 @@ type ShardCounters struct {
 	RowsScanned     int64
 	SegmentsSkipped int64
 	// SegmentLoads counts distinct owned segments materialized through the
-	// shard's source — for zpack-backed shards, segments this shard actually
-	// read from disk. Skip-heavy shards stay near zero.
+	// shard's source — for zpack-backed shards, segments this shard asked the
+	// reader for. Skip-heavy shards stay near zero.
 	SegmentLoads int64
 }
 

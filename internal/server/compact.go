@@ -123,7 +123,7 @@ func (r *Registry) Compact(name string, cols []string) (*Dataset, compact.Result
 		d.ctr.compactFails.Add(1)
 		return nil, res, err
 	}
-	nd.packPath, nd.packR, nd.packOwner = d.packPath, fresh, fresh
+	nd.packPath, nd.packR = d.packPath, fresh
 	nd.packW.Store(w)
 	nd.ctr = d.ctr
 	nd.cache.InheritStats(d.cache)
@@ -137,7 +137,7 @@ func (r *Registry) Compact(name string, cols []string) (*Dataset, compact.Result
 	if d.packRetired != nil {
 		d.packRetired.Close()
 	}
-	nd.packRetired = d.packOwner
+	nd.packRetired = d.packR
 	r.mu.Lock()
 	r.datasets[name] = nd
 	r.mu.Unlock()

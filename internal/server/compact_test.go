@@ -56,23 +56,31 @@ func disorderedRow(i int) []any {
 
 func TestCompactEndpointReclusters(t *testing.T) {
 	ts, reg, path := newZpackServer(t, Config{})
+	query := `
+NAME | X      | Y         | Z
+*f1  | 'year' | 'revenue' | 'product'.'aaa_tail_0'`
 	// Dirty the file: 4500 appended rows cross a segment boundary, so at
-	// least one sealed segment holds only out-of-range values.
-	batch := make([][]any, 4500)
-	for i := range batch {
-		batch[i] = disorderedRow(i)
-	}
-	if _, resp, raw := appendRows(t, ts.URL, "sales", batch); resp.StatusCode != http.StatusOK {
-		t.Fatalf("append status %d: %s", resp.StatusCode, raw)
+	// least one sealed segment holds only out-of-range values. They arrive in
+	// three appends with a query behind each, so the snapshot the compaction
+	// replaces is an adopted one with loaded segments to its name.
+	var before queryEnvelope
+	for b := 0; b < 3; b++ {
+		batch := make([][]any, 1500)
+		for i := range batch {
+			batch[i] = disorderedRow(b*1500 + i)
+		}
+		if _, resp, raw := appendRows(t, ts.URL, "sales", batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append status %d: %s", resp.StatusCode, raw)
+		}
+		before = postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: query})
 	}
 	if got := reg.Get("sales").ctr.unsortedSegs.Load(); got == 0 {
 		t.Fatal("append left the unsorted-segments gauge at 0; the fixture no longer disorders the file")
 	}
-
-	query := `
-NAME | X      | Y         | Z
-*f1  | 'year' | 'revenue' | 'product'.'aaa_tail_0'`
-	before := postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: query})
+	adopted := reg.Get("sales").packR
+	if loads := adopted.SegmentLoads(); loads != 1 {
+		t.Fatalf("the third append's snapshot read %d segments from disk, want only its rewritten tail", loads)
+	}
 
 	out, resp, raw := postCompact(t, ts.URL, "sales", CompactRequest{Cols: []string{"product", "year"}})
 	if resp.StatusCode != http.StatusOK {
@@ -83,6 +91,14 @@ NAME | X      | Y         | Z
 	}
 	if strings.Join(out.Cols, ",") != "product,year" {
 		t.Errorf("compact cols = %v, want the pinned [product year]", out.Cols)
+	}
+
+	// The new generation is another inode with the rows in another order:
+	// nothing of the old snapshot may be adopted, so the reader starts cold
+	// and the query below reads its segments from the new file.
+	compacted := reg.Get("sales").packR
+	if compacted == adopted || compacted.SegmentLoads() != 0 {
+		t.Fatalf("post-compaction reader starts with %d segments read, want a cold open", compacted.SegmentLoads())
 	}
 
 	// Results must not move: same bytes as before the rewrite, and same
@@ -101,6 +117,9 @@ NAME | X      | Y         | Z
 	}
 	if wantBytes := encodePayload(t, EncodeResult(want)); !bytes.Equal(after.Result, wantBytes) {
 		t.Errorf("post-compact result differs from fresh session:\nserver: %.200s\nlocal:  %.200s", after.Result, wantBytes)
+	}
+	if compacted.SegmentLoads() == 0 {
+		t.Error("the query over the compacted generation read nothing from it")
 	}
 
 	// The lifecycle is visible on /stats...

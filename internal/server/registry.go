@@ -93,9 +93,12 @@ type Config struct {
 // Dataset is one registered table with its store, cache, coalescer, and
 // session. All fields are fixed at registration; every method is safe for
 // concurrent use. An append does not mutate a Dataset — it builds a
-// successor around the extended zpack snapshot and swaps it into the
-// registry, so requests already executing against this Dataset finish on
-// the view they started with.
+// successor and swaps it into the registry, so requests already executing
+// against this Dataset finish on the view they started with. The successor's
+// zpack snapshot shares the predecessor's column arrays and the load state of
+// every unchanged segment (zpack.Reader.Reopen); the store, result cache,
+// coalescer and session around it are rebuilt, so nothing computed over the
+// shorter table is ever served for the longer one.
 type Dataset struct {
 	name    string
 	backend string
@@ -116,13 +119,11 @@ type Dataset struct {
 	packR    *zpack.Reader
 	packW    atomic.Pointer[zpack.Writer]
 
-	// packOwner is the descriptor-owning Reader of the current generation's
-	// file: Append's Reopen shares its descriptor, so the whole append lineage
-	// of one inode hangs off this one fd. A compaction replaces the inode and
-	// so must open a new owner; the superseded one moves to packRetired and is
-	// closed one compaction later, when every query that could still hold the
-	// old snapshot is long finished (see Registry.Compact).
-	packOwner   *zpack.Reader
+	// The whole append lineage of one inode shares one descriptor, owned by
+	// its newest Reader, packR. A compaction replaces the inode and so opens a
+	// new lineage; the superseded generation's last Reader moves to
+	// packRetired and is closed one compaction later, when every query that
+	// could still hold an old snapshot is long finished (see Registry.Compact).
 	packRetired *zpack.Reader
 
 	// ctr is SHARED across a dataset's generations: an append swaps in a
@@ -180,7 +181,7 @@ func (d *Dataset) recordProcess(s zexec.ProcessStats) {
 // Name returns the registry name of the dataset.
 func (d *Dataset) Name() string { return d.name }
 
-// Backend returns the store kind: "row", "bitmap", or "column".
+// Backend returns the store kind: "row", "bitmap", "column", or "auto".
 func (d *Dataset) Backend() string { return d.backend }
 
 // Table returns the immutable base table.
@@ -222,8 +223,9 @@ type DatasetStats struct {
 	// leave RowsScanned untouched — the visible win of the cache.
 	// SegmentsSkipped is nonzero only on the column backend: segments its
 	// zone maps proved empty and never scanned; SegmentsScanned are the ones
-	// that were actually visited, and SegmentLoads the distinct segments ever
-	// materialized (for zpack, read from disk).
+	// that were actually visited, and SegmentLoads the distinct segments this
+	// store has visited at least once (for zpack, read from disk then, unless
+	// an earlier snapshot of the append lineage had loaded them).
 	Queries         int64         `json:"queries"`
 	RowsScanned     int64         `json:"rowsScanned"`
 	SegmentsScanned int64         `json:"segmentsScanned"`
@@ -314,8 +316,8 @@ type ShardStats struct {
 	RowsScanned     int64 `json:"rowsScanned"`
 	SegmentsSkipped int64 `json:"segmentsSkipped"`
 	// SegmentLoads counts distinct segments the shard has materialized — for
-	// zpack datasets, segments actually read from disk. A shard whose zone
-	// maps keep proving its segments empty stays at zero.
+	// zpack datasets, read from disk unless an earlier snapshot had. A shard
+	// whose zone maps keep proving its segments empty stays at zero.
 	SegmentLoads int64 `json:"segmentLoads"`
 }
 
@@ -546,7 +548,7 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 		reader.Close()
 		return nil, err
 	}
-	d.packPath, d.packR, d.packOwner = path, reader, reader
+	d.packPath, d.packR = path, reader
 	d.packW.Store(writer)
 	d.refreshUnsorted()
 	return r.add(d)
@@ -651,8 +653,9 @@ func (r *Registry) LoadCSV(name, path string, cfg Config) (*Dataset, error) {
 // snapshot-consistent:
 //
 //  1. rows are appended and flushed to the file (durable before visible);
-//  2. the reader reopens over the extended footer (sharing the descriptor —
-//     committed blocks are append-only, so the old reader stays valid);
+//  2. the reader reopens over the extended footer, adopting the old reader's
+//     loaded segments (committed blocks are append-only, so the old reader
+//     stays valid, and the new one only ever writes rows the old cannot see);
 //  3. a fresh stack (store, cache, coalescer, session) is built around the
 //     new snapshot, inheriting the predecessor's cumulative counters, with
 //     the old cache's entries counted as evicted;
@@ -709,8 +712,7 @@ func (r *Registry) Append(name string, rows []dataset.Row) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	nd.packPath, nd.packR = d.packPath, fresh
-	nd.packOwner, nd.packRetired = d.packOwner, d.packRetired
+	nd.packPath, nd.packR, nd.packRetired = d.packPath, fresh, d.packRetired
 	nd.packW.Store(w)
 	// Counter continuity: /stats stays exact and monotonic across the swap.
 	// HTTP and process counters are a shared cell (nd adopts d's), the

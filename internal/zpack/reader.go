@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,28 +22,72 @@ import (
 // time a scan visits the segment. A segment the zone maps prove empty is
 // never read from disk.
 //
+// A Reader produced by Reopen over the same inode adopts its predecessor's
+// materialised state instead of starting cold: see Reopen.
+//
 // All methods are safe for concurrent use.
 type Reader struct {
 	f     *os.File
-	owns  bool // whether Close may close f (Reopen shares the descriptor)
+	owns  atomic.Bool // whether Close closes f: true for the lineage's newest Reader only
 	path  string
 	foot  *footer
+	size  int64 // committed file size this snapshot was read at
 	table *dataset.Table
 
 	zones     map[string]*engine.ZoneData
 	intDicts  map[string]*engine.IntDict
 	intCodeOf map[string]map[int64]int32
 
-	loads       []loadState
+	// loads[s] guards segment s. Snapshots of one append lineage that share
+	// backing arrays point at the SAME state for every segment whose footer
+	// record they agree on, so whichever snapshot's scan gets there first is
+	// the one writer and the others wait on (or observe) its result.
+	loads []*loadState
+	// adopted is set once a successor has taken over this Reader's storage:
+	// the rows past this snapshot's length then belong to that successor, so
+	// a second Reopen from here starts cold rather than write them twice.
+	adopted atomic.Bool
+
 	segLoads    atomic.Int64
 	bytesLoaded atomic.Int64
 	loadAll     sync.Once
 	loadAllErr  error
 }
 
+// loadState is the load-once cell of one segment over one set of backing
+// arrays. Rows [segment start, from) were materialised before the cell was
+// created (by an ancestor snapshot, see adopt); a load fills [from, segment
+// end). state moves pending -> loaded|failed under mu and is read without it.
 type loadState struct {
-	once sync.Once
-	err  error
+	mu    sync.Mutex
+	state atomic.Uint32
+	err   error
+	from  int
+}
+
+const (
+	segPending uint32 = iota
+	segLoaded
+	segFailed
+)
+
+// do runs load unless an earlier call already has, and returns its outcome.
+func (l *loadState) do(load func(from int) error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch l.state.Load() {
+	case segLoaded:
+		return nil
+	case segFailed:
+		return l.err
+	}
+	if err := load(l.from); err != nil {
+		l.err = err
+		l.state.Store(segFailed)
+		return err
+	}
+	l.state.Store(segLoaded)
+	return nil
 }
 
 // Open opens a zpack file, reading its footer and preparing the lazy table.
@@ -51,65 +96,101 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newReader(f, path, true)
+	r, err := newReader(f, path, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	r.owns.Store(true)
 	return r, nil
 }
 
-// Reopen re-reads the footer and returns a fresh Reader over the newly
-// committed snapshot. In the append case the path still names the inode this
-// Reader holds open: committed byte ranges are append-only, so the original
-// Reader keeps working unchanged, the two share the descriptor, and only the
-// Reader created by Open owns it — no file-descriptor-per-generation leak.
-// But after a compaction's atomic-rename cutover the path names a NEW inode;
-// re-reading the shared descriptor there would resurrect the replaced
-// generation's footer (or tear against a concurrent writer), so Reopen
-// detects the generation boundary with os.SameFile and opens a fresh,
-// descriptor-owning Reader instead.
+// Reopen re-reads the footer and returns a Reader over the newly committed
+// snapshot. In the append case the path still names the inode this Reader
+// holds open: committed byte ranges are append-only, so this Reader keeps
+// working unchanged, the two share the descriptor (its ownership moves to the
+// successor, see Close — no file-descriptor-per-snapshot leak), and the
+// successor ADOPTS this Reader's materialised state, so it costs the footer
+// plus the appended rows, not the table:
+//
+//   - its column arrays and IntDict.Codes are longer re-slices of the same
+//     backing arrays (exact size at Open; the first Reopen to outgrow the
+//     capacity reallocates with a quarter of headroom and copies the loaded
+//     segments over);
+//   - every segment whose footer record (rows, block offsets, lengths, CRCs)
+//     is unchanged shares this Reader's load state, loaded or not — one
+//     writer and one happens-before edge, whichever snapshot's scan arrives
+//     first;
+//   - only the rewritten tail segment and brand-new segments are read from
+//     disk, and those loads write only rows past this Reader's row count,
+//     which no older snapshot can see (this Reader's partial tail is loaded
+//     before the hand-over, so the successor never rewrites rows an older
+//     snapshot may be reading).
+//
+// The successor answers exactly as a cold Open of the same file does, and it
+// IS one whenever adoption would not be safe. After a compaction's
+// atomic-rename cutover the path names a NEW inode (re-reading the shared
+// descriptor there would resurrect the replaced generation's footer), so
+// Reopen opens a fresh Reader with a descriptor of its own. Over the same
+// inode the successor starts from empty storage if the schema changed, a
+// block this Reader indexes moved, a dictionary renumbered existing codes (a
+// string dictionary only grows at the end; an int dictionary is sorted, so a
+// new value below its maximum renumbers it, and one past
+// MaxIntDictCardinality drops the encoding), or this Reader already handed
+// its storage to an earlier successor.
 func (r *Reader) Reopen() (*Reader, error) {
 	if st, err := os.Stat(r.path); err == nil {
 		if fst, ferr := r.f.Stat(); ferr == nil && !os.SameFile(st, fst) {
 			return Open(r.path)
 		}
 	}
-	return newReader(r.f, r.path, false)
-}
-
-func newReader(f *os.File, path string, owns bool) (*Reader, error) {
-	foot, _, err := readFooter(f)
+	nr, err := newReader(r.f, r.path, r)
 	if err != nil {
 		return nil, err
 	}
-	t := dataset.NewPresized(foot.name, foot.fields, int(foot.nrows))
+	nr.owns.Store(r.owns.Swap(false))
+	return nr, nil
+}
+
+func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
+	foot, size, err := readFooter(f)
+	if err != nil {
+		return nil, err
+	}
 	r := &Reader{
 		f:         f,
-		owns:      owns,
 		path:      path,
 		foot:      foot,
-		table:     t,
+		size:      size,
 		zones:     foot.zones,
 		intDicts:  make(map[string]*engine.IntDict),
 		intCodeOf: make(map[string]map[int64]int32),
-		loads:     make([]loadState, len(foot.segs)),
+		loads:     make([]*loadState, len(foot.segs)),
 	}
-	for _, c := range t.Columns() {
+	if pred == nil || !r.adopt(pred) {
+		r.table = dataset.NewPresized(foot.name, foot.fields, int(foot.nrows))
+		states := make([]loadState, len(foot.segs))
+		for s := range states {
+			states[s].from = s * engine.SegmentSize
+			r.loads[s] = &states[s]
+		}
+		for name, vals := range foot.intVals {
+			r.intDicts[name] = &engine.IntDict{Vals: vals, Codes: make([]int32, foot.nrows)}
+		}
+	}
+	for _, c := range r.table.Columns() {
 		name := c.Field.Name
 		switch c.Field.Kind {
 		case dataset.KindString:
 			c.SetDict(foot.dicts[name])
 		case dataset.KindInt:
 			if vals, ok := foot.intVals[name]; ok {
-				d := &engine.IntDict{Vals: vals, Codes: make([]int32, foot.nrows)}
 				codeOf := make(map[int64]int32, len(vals))
 				distinct := make([]dataset.Value, len(vals))
 				for i, v := range vals {
 					codeOf[v] = int32(i)
 					distinct[i] = dataset.IV(v)
 				}
-				r.intDicts[name] = d
 				r.intCodeOf[name] = codeOf
 				// Distinct enumeration (axis '*' expansion) answers straight
 				// from the footer; no data load needed.
@@ -122,6 +203,137 @@ func newReader(f *os.File, path string, owns bool) (*Reader, error) {
 		}
 	}
 	return r, nil
+}
+
+// continuedBy reports whether foot describes an append-only continuation of
+// the snapshot pred serves: same schema, every dictionary code pred handed
+// out still meaning the same value, every segment pred indexes still where it
+// was (only a partial tail may have been rewritten, no shorter), and
+// everything else written past pred's end of file.
+func (pred *Reader) continuedBy(foot *footer) bool {
+	old := pred.foot
+	if foot.name != old.name || !slices.Equal(foot.fields, old.fields) ||
+		foot.nrows < old.nrows || len(foot.intVals) != len(old.intVals) {
+		return false
+	}
+	for name, dict := range old.dicts {
+		if now := foot.dicts[name]; len(now) < len(dict) || !slices.Equal(now[:len(dict)], dict) {
+			return false
+		}
+	}
+	for name, vals := range old.intVals {
+		now, ok := foot.intVals[name]
+		if !ok || len(now) < len(vals) || !slices.Equal(now[:len(vals)], vals) {
+			return false
+		}
+	}
+	for s, seg := range foot.segs {
+		if s < len(old.segs) && sameSegment(old.segs[s], seg) {
+			continue
+		}
+		if s < len(old.segs) && (old.segs[s].rows == engine.SegmentSize || seg.rows < old.segs[s].rows) {
+			return false
+		}
+		for _, b := range seg.blocks {
+			if b.off < pred.size {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// adopt makes r the successor of pred over pred's materialised state (see
+// Reopen), reporting false — with r untouched — when r must start cold.
+func (r *Reader) adopt(pred *Reader) bool {
+	if !pred.continuedBy(r.foot) {
+		return false
+	}
+	// Hand-over point of the tail: a partial last segment of pred is
+	// rewritten, longer, by every append. Load pred's copy now, so that what
+	// r still has to fill in starts at pred's row count.
+	if tail := len(pred.loads) - 1; tail >= 0 && !sameSegment(pred.foot.segs[tail], r.foot.segs[tail]) {
+		if err := pred.Load(tail); err != nil {
+			return false
+		}
+	}
+	if !pred.adopted.CompareAndSwap(false, true) {
+		return false
+	}
+	rows := int(r.foot.nrows)
+	alias := rows <= pred.capRows()
+	r.table = dataset.NewExtended(pred.table, rows, alias)
+	r.table.Name = r.foot.name
+	for name, vals := range r.foot.intVals {
+		r.intDicts[name] = &engine.IntDict{Vals: vals, Codes: dataset.Extend(pred.intDicts[name].Codes, rows, alias)}
+	}
+	for s := range r.loads {
+		lo := s * engine.SegmentSize
+		if s >= len(pred.loads) {
+			r.loads[s] = &loadState{from: lo}
+			continue
+		}
+		pl, ps := pred.loads[s], pred.foot.segs[s]
+		state := pl.state.Load()
+		same := sameSegment(ps, r.foot.segs[s])
+		if !alias && state == segLoaded {
+			r.copyRows(pred, lo, lo+ps.rows)
+		}
+		switch {
+		case !same:
+			// The rewritten tail, loaded above: pred's rows are in place,
+			// the rest is new.
+			r.loads[s] = &loadState{from: lo + ps.rows}
+		case alias && state != segFailed:
+			// Same blocks over the same arrays: one state, loaded or not.
+			r.loads[s] = pl
+		case alias:
+			// A failure belongs to the snapshot that met it; r reads again.
+			r.loads[s] = &loadState{from: pl.from}
+		case state == segLoaded:
+			// New arrays, rows copied above.
+			r.loads[s] = &loadState{}
+			r.loads[s].state.Store(segLoaded)
+		default:
+			// New arrays, and pred's load has not completed (a scan of the
+			// old snapshot may be writing the old arrays right now): nothing
+			// to copy, nothing to share.
+			r.loads[s] = &loadState{from: lo}
+		}
+	}
+	return true
+}
+
+// sameSegment reports whether two footer records index the same bytes.
+func sameSegment(a, b segMeta) bool {
+	return a.rows == b.rows && slices.Equal(a.blocks, b.blocks)
+}
+
+// capRows returns how many rows the Reader's arrays can hold in place.
+func (r *Reader) capRows() int {
+	n := r.table.CapRows()
+	for _, d := range r.intDicts {
+		n = min(n, cap(d.Codes))
+	}
+	return n
+}
+
+// copyRows copies rows [lo, hi) of every array of pred into r's.
+func (r *Reader) copyRows(pred *Reader, lo, hi int) {
+	for j, c := range r.table.Columns() {
+		pc := pred.table.Columns()[j]
+		switch c.Field.Kind {
+		case dataset.KindString:
+			copy(c.Codes()[lo:hi], pc.Codes()[lo:hi])
+		case dataset.KindInt:
+			copy(c.Ints()[lo:hi], pc.Ints()[lo:hi])
+		default:
+			copy(c.Floats()[lo:hi], pc.Floats()[lo:hi])
+		}
+	}
+	for name, d := range r.intDicts {
+		copy(d.Codes[lo:hi], pred.intDicts[name].Codes[lo:hi])
+	}
 }
 
 // readFooter validates the header and trailer of an open file and decodes
@@ -206,8 +418,9 @@ func (r *Reader) Zone(col string) *engine.ZoneData { return r.zones[col] }
 // IntDict returns the named integer column's dictionary encoding, or nil.
 func (r *Reader) IntDict(col string) *engine.IntDict { return r.intDicts[col] }
 
-// SegmentLoads returns how many segments have been materialized from disk —
-// the observable that proves zone-map-skipped segments were never read.
+// SegmentLoads returns how many segments this Reader has materialized from
+// disk — the observable that proves zone-map-skipped segments were never
+// read, and that segments adopted from a predecessor were not read again.
 func (r *Reader) SegmentLoads() int64 { return r.segLoads.Load() }
 
 // BytesLoaded returns the total block bytes read and decoded so far.
@@ -215,40 +428,57 @@ func (r *Reader) BytesLoaded() int64 { return r.bytesLoaded.Load() }
 
 // Load materializes segment seg into the table's column storage: each block
 // is read, checksum-verified, and decoded in place. Load is idempotent and
-// safe for concurrent use; the work happens once per segment per Reader.
+// safe for concurrent use; the work happens once per segment, however many
+// snapshots of the lineage share it.
 func (r *Reader) Load(seg int) error {
 	if seg < 0 || seg >= len(r.loads) {
 		return fmt.Errorf("zpack: segment %d out of range (file has %d)", seg, len(r.loads))
 	}
-	l := &r.loads[seg]
-	l.once.Do(func() {
-		l.err = r.loadSegment(seg)
-	})
-	return l.err
+	l := r.loads[seg]
+	if l.state.Load() == segLoaded {
+		return nil
+	}
+	return l.do(func(from int) error { return r.loadSegment(seg, from) })
 }
 
-func (r *Reader) loadSegment(seg int) error {
-	n, err := decodeSegmentBlocks(r.f, r.foot, seg, func(j int, c *dataset.Column, lo int, codes []int32, ints []int64, floats []float64) error {
+// loadSegment decodes rows [from, segment end) of segment seg straight into
+// the column arrays; the rows before from are already there.
+func (r *Reader) loadSegment(seg, from int) error {
+	lo := seg * engine.SegmentSize
+	hi := lo + r.foot.segs[seg].rows
+	skip := from - lo
+	n, err := decodeSegmentBlocks(r.f, r.foot, seg, func(j int, b []byte) error {
+		c := r.table.Columns()[j]
+		name := c.Field.Name
 		switch c.Field.Kind {
 		case dataset.KindString:
-			copy(c.Codes()[lo:], codes)
+			return decodeCodes(b[skip*4:], c.Codes()[from:hi], len(r.foot.dicts[name]), seg, name)
 		case dataset.KindInt:
-			copy(c.Ints()[lo:], ints)
-			if d := r.intDicts[c.Field.Name]; d != nil {
-				codeOf := r.intCodeOf[c.Field.Name]
+			b = b[skip*8:]
+			ints := c.Ints()[from:hi]
+			for i := range ints {
+				ints[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+			}
+			if d := r.intDicts[name]; d != nil {
+				codeOf := r.intCodeOf[name]
+				codes := d.Codes[from:hi]
 				for i, v := range ints {
 					code, ok := codeOf[v]
 					if !ok {
-						return fmt.Errorf("zpack: segment %d column %q: value %d missing from footer dictionary (corrupt data)", seg, c.Field.Name, v)
+						return fmt.Errorf("zpack: segment %d column %q: value %d missing from footer dictionary (corrupt data)", seg, name, v)
 					}
-					d.Codes[lo+i] = code
+					codes[i] = code
 				}
 			}
 		default:
-			copy(c.Floats()[lo:], floats)
+			b = b[skip*8:]
+			floats := c.Floats()[from:hi]
+			for i := range floats {
+				floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+			}
 		}
 		return nil
-	}, r.table)
+	})
 	if err != nil {
 		return err
 	}
@@ -287,17 +517,19 @@ func (r *Reader) LoadAll() error {
 // first corruption found.
 func (r *Reader) Verify() error {
 	for s := range r.foot.segs {
-		if _, err := decodeSegmentBlocks(r.f, r.foot, s, nil, r.table); err != nil {
+		if _, err := decodeSegmentBlocks(r.f, r.foot, s, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close closes the underlying file if this Reader owns it (Readers produced
-// by Reopen share their parent's descriptor and Close is a no-op for them).
+// Close closes the underlying file if this Reader owns it: Reopen over the
+// same inode hands the descriptor on, so Close is a no-op on a superseded
+// Reader (scans still running on it read through the shared descriptor) and
+// closing the lineage's newest Reader closes it for all of them.
 func (r *Reader) Close() error {
-	if !r.owns {
+	if !r.owns.Swap(false) {
 		return nil
 	}
 	return r.f.Close()
@@ -311,92 +543,84 @@ func blockWidth(k dataset.Kind) int {
 	return 8
 }
 
-// decodeSegmentBlocks reads, checks, and decodes every column block of one
-// segment, handing each column's decoded values to sink (nil sink = verify
-// only). It returns the byte count read.
-func decodeSegmentBlocks(f io.ReaderAt, foot *footer, seg int, sink func(j int, c *dataset.Column, lo int, codes []int32, ints []int64, floats []float64) error, t *dataset.Table) (int64, error) {
+// decodeSegmentBlocks reads every column block of one segment through one
+// buffer, checks its length and checksum against the footer index, and hands
+// the verified payload to sink (nil sink = verify only). The payload is only
+// valid during the call. It returns the byte count read.
+func decodeSegmentBlocks(f io.ReaderAt, foot *footer, seg int, sink func(j int, payload []byte) error) (int64, error) {
 	s := foot.segs[seg]
-	lo := seg * engine.SegmentSize
+	buf := make([]byte, s.rows*8)
 	var total int64
 	for j, fd := range foot.fields {
 		ref := s.blocks[j]
 		if want := int64(s.rows * blockWidth(fd.Kind)); ref.len != want {
 			return 0, fmt.Errorf("zpack: segment %d column %q: block length %d, want %d", seg, fd.Name, ref.len, want)
 		}
-		buf := make([]byte, ref.len)
-		if _, err := f.ReadAt(buf, ref.off); err != nil {
+		b := buf[:ref.len]
+		if _, err := f.ReadAt(b, ref.off); err != nil {
 			return 0, fmt.Errorf("zpack: segment %d column %q: %w", seg, fd.Name, err)
 		}
-		if got := crc32.Checksum(buf, castagnoli); got != ref.crc {
+		if got := crc32.Checksum(b, castagnoli); got != ref.crc {
 			return 0, fmt.Errorf("zpack: segment %d column %q: block checksum mismatch (got %08x, want %08x)", seg, fd.Name, got, ref.crc)
 		}
 		total += ref.len
 		if sink == nil {
 			continue
 		}
-		c := t.Columns()[j]
-		var codes []int32
-		var ints []int64
-		var floats []float64
-		switch fd.Kind {
-		case dataset.KindString:
-			codes = make([]int32, s.rows)
-			card := int32(len(foot.dicts[fd.Name]))
-			for i := range codes {
-				code := int32(binary.LittleEndian.Uint32(buf[i*4:]))
-				if code < 0 || code >= card {
-					return 0, fmt.Errorf("zpack: segment %d column %q: dictionary code %d out of range [0,%d)", seg, fd.Name, code, card)
-				}
-				codes[i] = code
-			}
-		case dataset.KindInt:
-			ints = make([]int64, s.rows)
-			for i := range ints {
-				ints[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-		default:
-			floats = make([]float64, s.rows)
-			for i := range floats {
-				floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-		}
-		if err := sink(j, c, lo, codes, ints, floats); err != nil {
+		if err := sink(j, b); err != nil {
 			return 0, err
 		}
 	}
 	return total, nil
 }
 
+// decodeCodes decodes len(dst) dictionary codes, rejecting any outside a
+// dictionary of card entries.
+func decodeCodes(b []byte, dst []int32, card, seg int, col string) error {
+	for i := range dst {
+		code := int32(binary.LittleEndian.Uint32(b[i*4:]))
+		if code < 0 || int(code) >= card {
+			return fmt.Errorf("zpack: segment %d column %q: dictionary code %d out of range [0,%d)", seg, col, code, card)
+		}
+		dst[i] = code
+	}
+	return nil
+}
+
 // decodeSegmentInto appends one segment's decoded rows onto a buffer table
-// (the OpenAppend tail-restore path). extra is unused and reserved.
+// (the OpenAppend tail-restore path).
 func decodeSegmentInto(f io.ReaderAt, foot *footer, seg int, buf *dataset.Table) error {
-	s := foot.segs[seg]
+	rows := foot.segs[seg].rows
 	cols := make([][]dataset.Value, len(foot.fields))
-	_, err := decodeSegmentBlocks(f, foot, seg, func(j int, _ *dataset.Column, _ int, codes []int32, ints []int64, floats []float64) error {
-		vals := make([]dataset.Value, s.rows)
-		switch foot.fields[j].Kind {
+	_, err := decodeSegmentBlocks(f, foot, seg, func(j int, b []byte) error {
+		vals := make([]dataset.Value, rows)
+		switch fd := foot.fields[j]; fd.Kind {
 		case dataset.KindString:
-			dict := foot.dicts[foot.fields[j].Name]
+			dict := foot.dicts[fd.Name]
+			codes := make([]int32, rows)
+			if err := decodeCodes(b, codes, len(dict), seg, fd.Name); err != nil {
+				return err
+			}
 			for i, code := range codes {
 				vals[i] = dataset.SV(dict[code])
 			}
 		case dataset.KindInt:
-			for i, v := range ints {
-				vals[i] = dataset.IV(v)
+			for i := range vals {
+				vals[i] = dataset.IV(int64(binary.LittleEndian.Uint64(b[i*8:])))
 			}
 		default:
-			for i, v := range floats {
-				vals[i] = dataset.FV(v)
+			for i := range vals {
+				vals[i] = dataset.FV(math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:])))
 			}
 		}
 		cols[j] = vals
 		return nil
-	}, buf)
+	})
 	if err != nil {
 		return err
 	}
 	row := make(dataset.Row, len(cols))
-	for i := 0; i < s.rows; i++ {
+	for i := 0; i < rows; i++ {
 		for j := range cols {
 			row[j] = cols[j][i]
 		}

@@ -88,6 +88,7 @@ func TestReopenAcrossGenerationBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r3.Close()
 	if r3.Rows() != 300 {
 		t.Fatalf("post-close Reopen sees %d rows, want 300", r3.Rows())
 	}
@@ -96,9 +97,9 @@ func TestReopenAcrossGenerationBoundary(t *testing.T) {
 	}
 }
 
-// TestReopenSameInodeSharesDescriptor: the append fast path is unchanged —
-// when the path still names the inode the Reader holds, Reopen shares the
-// descriptor rather than opening a new one.
+// TestReopenSameInodeSharesDescriptor: when the path still names the inode
+// the Reader holds, Reopen shares the descriptor rather than opening a new
+// one, and hands its ownership to the successor.
 func TestReopenSameInodeSharesDescriptor(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "app.zpack")
@@ -129,11 +130,21 @@ func TestReopenSameInodeSharesDescriptor(t *testing.T) {
 	if r2.Rows() != 75 {
 		t.Fatalf("Reopen after append sees %d rows, want 75", r2.Rows())
 	}
-	// Shared descriptor: r2.Close is a no-op and r1 keeps working.
+	// Shared descriptor: closing the superseded r1 is a no-op, both snapshots
+	// keep reading, and closing r2 closes it for the lineage.
+	if err := r1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.LoadAll(); err != nil {
+		t.Fatalf("shared descriptor closed by the superseded reader: %v", err)
+	}
+	if err := r1.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
 	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.LoadAll(); err != nil {
-		t.Fatalf("shared descriptor closed by non-owning reader: %v", err)
+	if err := r2.Verify(); err == nil {
+		t.Fatal("descriptor still open after the lineage's newest reader closed")
 	}
 }
