@@ -79,7 +79,10 @@ func cmdBuild(args []string) {
 	if err := zpack.Build(*out, t); err != nil {
 		log.Fatal(err)
 	}
-	st, _ := os.Stat(*out)
+	st, err := os.Stat(*out)
+	if err != nil {
+		log.Fatal(err)
+	}
 	nseg := (t.NumRows() + engine.SegmentSize - 1) / engine.SegmentSize
 	log.Printf("wrote %s: %d rows, %d columns, %d segments, %d bytes", *out, t.NumRows(), t.NumCols(), nseg, st.Size())
 }
@@ -100,7 +103,7 @@ func cmdAppend(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := w.AppendTable(t); err != nil {
+	if err := w.AppendTable(t, nil); err != nil {
 		log.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -212,6 +212,7 @@ func main() {
 // or a bare directory whose *.zpack files are each served under their base
 // name.
 func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
+	t0 := time.Now()
 	name, path, ok := strings.Cut(spec, "=")
 	if !ok {
 		st, err := os.Stat(spec)
@@ -253,15 +254,15 @@ func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
 		if err != nil {
 			return err
 		}
-		log.Printf("loaded %s: %d rows, %d segments, %d shard(s) from %s (column backend, warm, appendable)",
-			d.Name(), d.Table().NumRows(), d.Segments(), max(d.ShardCount(), 1), path)
+		log.Printf("loaded %s: %d rows, %d segments, %d shard(s) from %s (column backend, warm, appendable) in %.2fs",
+			d.Name(), d.Table().NumRows(), d.Segments(), max(d.ShardCount(), 1), path, time.Since(t0).Seconds())
 		return nil
 	}
 	d, err := reg.LoadCSV(name, path, cfg)
 	if err != nil {
 		return err
 	}
-	log.Printf("loaded %s: %d rows from %s (%s backend)", d.Name(), d.Table().NumRows(), path, d.Backend())
+	log.Printf("loaded %s: %d rows from %s (%s backend) in %.2fs", d.Name(), d.Table().NumRows(), path, d.Backend(), time.Since(t0).Seconds())
 	return nil
 }
 

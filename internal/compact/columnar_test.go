@@ -1,0 +1,271 @@
+package compact
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/workload"
+	"repro/internal/zpack"
+)
+
+// refOrder is the Order this package had before keys were packed: every
+// column's ranks densified by a sorted copy and a binary search per row, full
+// 64-level interleave, one multi-word key per row, and sort.Slice through a
+// comparator with the row index as the last word. It is the definition of the
+// permutation; Order must return exactly it.
+func refOrder(t *dataset.Table, cols []string) []int {
+	n := t.NumRows()
+	ranks := make([][]uint64, len(cols))
+	for j, name := range cols {
+		c := t.Column(name)
+		raw := make([]uint64, n)
+		switch c.Field.Kind {
+		case dataset.KindString:
+			dr := DictRanks(c.Dict())
+			for i, code := range c.Codes()[:n] {
+				raw[i] = dr[code]
+			}
+		case dataset.KindInt:
+			for i, v := range c.Ints()[:n] {
+				raw[i] = IntRank(v)
+			}
+		default:
+			for i, v := range c.Floats()[:n] {
+				raw[i] = FloatRank(v)
+			}
+		}
+		u := append([]uint64(nil), raw...)
+		sort.Slice(u, func(i, j int) bool { return u[i] < u[j] })
+		d := u[:0]
+		for i, v := range u {
+			if i == 0 || v != d[len(d)-1] {
+				d = append(d, v)
+			}
+		}
+		if len(d) > 0 {
+			width := max(bits.Len64(uint64(len(d)-1)), 1)
+			for i, v := range raw {
+				raw[i] = uint64(sort.Search(len(d), func(k int) bool { return d[k] >= v })) << uint(64-width)
+			}
+		}
+		ranks[j] = raw
+	}
+	kw := len(cols)
+	keys := make([]uint64, n*kw)
+	dims := make([]uint64, len(cols)-1)
+	for i := 0; i < n; i++ {
+		keys[i*kw] = ranks[0][i]
+		for j := 1; j < len(cols); j++ {
+			dims[j-1] = ranks[j][i]
+		}
+		copy(keys[i*kw+1:(i+1)*kw], Interleave(dims))
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		ka, kb := keys[idx[a]*kw:(idx[a]+1)*kw], keys[idx[b]*kw:(idx[b]+1)*kw]
+		if KeyLess(ka, kb) || KeyLess(kb, ka) {
+			return KeyLess(ka, kb)
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
+// randomKeyTable draws a table whose columns stress the rank functions: few
+// or many distinct values, NaN, both zeros and infinities, the integer
+// extremes, all-equal columns, and dictionary entries no row uses.
+func randomKeyTable(rng *rand.Rand, rows, cols int, allDistinct bool) (*dataset.Table, []string) {
+	fields := make([]dataset.Field, cols)
+	names := make([]string, cols)
+	for j := range fields {
+		names[j] = fmt.Sprintf("c%d", j)
+		fields[j] = dataset.Field{Name: names[j], Kind: dataset.Kind(rng.Intn(3))}
+	}
+	t := dataset.NewTable("keys", fields)
+	card := make([]int, cols)
+	for j := range card {
+		card[j] = []int{1, 2, 7, 300, 1 << 30}[rng.Intn(5)]
+		if allDistinct {
+			card[j] = 1 << 30
+		}
+	}
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, -1.5, math.SmallestNonzeroFloat64}
+	ints := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1}
+	row := make([]dataset.Value, cols)
+	for i := 0; i < rows+3; i++ {
+		for j, fd := range fields {
+			v := rng.Intn(card[j])
+			switch fd.Kind {
+			case dataset.KindString:
+				row[j] = dataset.SV(fmt.Sprintf("s%x", v*2654435761%1000003)) // dictionary order != value order
+			case dataset.KindInt:
+				row[j] = dataset.IV(int64(v) - 3)
+				if card[j] > 2 && rng.Intn(4) == 0 {
+					row[j] = dataset.IV(ints[rng.Intn(len(ints))])
+				}
+			default:
+				row[j] = dataset.FV(float64(v)/3 - 1)
+				if card[j] > 2 && rng.Intn(4) == 0 {
+					row[j] = dataset.FV(floats[rng.Intn(len(floats))])
+				}
+			}
+		}
+		t.AppendRow(row...)
+	}
+	// Three rows more than asked for were drawn: dropping the last three but
+	// keeping t's dictionaries leaves entries no row uses; dropping the first
+	// three into fresh dictionaries leaves none.
+	if rng.Intn(2) == 0 {
+		return subTable(t, rows), names
+	}
+	trimmed := dataset.NewTable("keys", fields)
+	trimmed.AppendRange(t, 3, rows+3, dataset.NewRemap(t))
+	return trimmed, names
+}
+
+// subTable is the first rows rows of t over t's own dictionaries.
+func subTable(t *dataset.Table, rows int) *dataset.Table {
+	out := dataset.NewPresized(t.Name, t.Fields(), rows)
+	for j, c := range out.Columns() {
+		src := t.Columns()[j]
+		switch c.Field.Kind {
+		case dataset.KindString:
+			c.SetDict(src.Dict())
+			copy(c.Codes(), src.Codes())
+		case dataset.KindInt:
+			copy(c.Ints(), src.Ints())
+		default:
+			copy(c.Floats(), src.Floats())
+		}
+	}
+	return out
+}
+
+// TestOrderEqualsComparatorReference: on random tables — one to six cluster
+// columns, so both the one-word keys and the multi-word fallback run — Order
+// is the reference permutation, element for element.
+func TestOrderEqualsComparatorReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	packed, wide := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		rows := []int{0, 1, 2, 50, 700, 5000}[rng.Intn(6)]
+		ncols := 1 + rng.Intn(6)
+		// Every third trial is sized so the key cannot fit one word: many
+		// columns of all-distinct values.
+		wideKey := trial%3 == 0
+		if wideKey {
+			rows, ncols = 700+rng.Intn(3000), 6
+		}
+		tb, names := randomKeyTable(rng, rows, ncols, wideKey)
+		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		cols := names[:1+rng.Intn(len(names))]
+		if wideKey {
+			cols = names
+		}
+		got, err := Order(tb, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refOrder(tb, cols)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d rows ordered, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (%d rows, cols %v): position %d is row %d, reference row %d", trial, rows, cols, i, got[i], want[i])
+			}
+		}
+		if fitsOneWord(tb, cols) {
+			packed++
+		} else {
+			wide++
+		}
+	}
+	if packed < 20 || wide < 20 {
+		t.Errorf("trials ran %d one-word and %d multi-word sorts; want both well covered", packed, wide)
+	}
+}
+
+// fitsOneWord recomputes Order's choice, so the test knows which path ran.
+func fitsOneWord(t *dataset.Table, cols []string) bool {
+	n := t.NumRows()
+	if n == 0 {
+		return true
+	}
+	total, depth := bits.Len64(uint64(n-1)), 0
+	for j, name := range cols {
+		_, width := normalizedRanks(t.Column(name), n)
+		if j == 0 {
+			total += width
+		} else {
+			depth = max(depth, width)
+		}
+	}
+	return total+(len(cols)-1)*depth <= 64
+}
+
+// refFile is compact.File's rewrite on the row path it replaced: the
+// reference permutation, one Row and one Append per row.
+func refFile(t *testing.T, src, dst string, cols []string) {
+	t.Helper()
+	r, err := zpack.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	tb := r.Table()
+	w, err := zpack.Create(dst, r.Name(), tb.Fields())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range refOrder(tb, cols) {
+		if err := w.Append([]dataset.Row{tb.Row(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileWritesTheBytesTheRowPathWrote: the compacted generation is byte
+// for byte the file the row-at-a-time rewrite produced, for one, two and
+// three cluster columns, over a file with a shuffled appended tail.
+func TestFileWritesTheBytesTheRowPathWrote(t *testing.T) {
+	sum := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(b))
+	}
+	for _, cols := range [][]string{{"z"}, {"z", "x"}, {"p1", "y", "z"}} {
+		dir := t.TempDir()
+		path, ref := filepath.Join(dir, "sweep.zpack"), filepath.Join(dir, "ref.zpack")
+		if err := zpack.Build(path, workload.GroupSweepClustered(20000, 16, 8, 7)); err != nil {
+			t.Fatal(err)
+		}
+		appendShuffled(t, path, 9000)
+		refFile(t, path, ref, cols)
+		if _, err := File(path, Options{Cols: cols}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sum(path), sum(ref); got != want {
+			t.Errorf("cols %v: compacted file %s, row-path reference %s", cols, got, want)
+		}
+	}
+}

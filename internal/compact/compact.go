@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -129,11 +130,7 @@ func File(path string, opts Options) (Result, error) {
 	if err := os.Remove(tmp); err != nil && !os.IsNotExist(err) {
 		return Result{}, err
 	}
-	fields := make([]dataset.Field, t.NumCols())
-	for j, c := range t.Columns() {
-		fields[j] = c.Field
-	}
-	w, err := zpack.Create(tmp, r.Name(), fields)
+	w, err := zpack.Create(tmp, r.Name(), t.Fields())
 	if err != nil {
 		return Result{}, err
 	}
@@ -147,26 +144,7 @@ func File(path string, opts Options) (Result, error) {
 		w.Discard()
 		return Result{}, fmt.Errorf("compact: %s: aborted at %s: %w", path, StageTempCreated, err)
 	}
-	buf := make([]dataset.Row, 0, 512)
-	flushBuf := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := w.Append(buf)
-		buf = buf[:0]
-		return err
-	}
-	for _, i := range ord {
-		buf = append(buf, t.Row(i))
-		if len(buf) == cap(buf) {
-			if err := flushBuf(); err != nil {
-				w.Discard()
-				os.Remove(tmp)
-				return Result{}, err
-			}
-		}
-	}
-	if err := flushBuf(); err != nil {
+	if err := w.AppendTable(t, ord); err != nil {
 		w.Discard()
 		os.Remove(tmp)
 		return Result{}, err
@@ -200,100 +178,163 @@ func File(path string, opts Options) (Result, error) {
 // perfectly contiguous runs; the secondaries share the residual bit budget
 // evenly, the z-order compromise. The order is a deterministic total order:
 // the same table and columns always produce the same permutation.
+//
+// Dense ranks are narrow, so the key's significant bits — the primary's rank,
+// the interleave as deep as the widest secondary, the row index — usually fit
+// one word, which sorts in a few linear radix passes; when they do not, the
+// rows sort by comparing their multi-word keys. Both are the same total order.
 func Order(t *dataset.Table, cols []string) ([]int, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("compact: no cluster columns")
 	}
 	n := t.NumRows()
 	ranks := make([][]uint64, len(cols))
+	depth := 0 // bits of the widest secondary rank
+	var width0 int
 	for j, name := range cols {
 		c := t.Column(name)
 		if c == nil {
 			return nil, fmt.Errorf("compact: no column %q in table %q", name, t.Name)
 		}
-		ranks[j] = normalizedRanks(c, n)
-	}
-	// Key layout: word 0 = primary rank; words 1..d-1 = balanced interleave
-	// of the secondary ranks (absent when there is only one column).
-	kw := len(cols) // key words per row
-	keys := make([]uint64, n*kw)
-	if len(cols) > 1 {
-		dims := make([]uint64, len(cols)-1)
-		for i := 0; i < n; i++ {
-			for j := 1; j < len(cols); j++ {
-				dims[j-1] = ranks[j][i]
-			}
-			interleaveInto(dims, keys[i*kw+1:(i+1)*kw])
+		var width int
+		ranks[j], width = normalizedRanks(c, n)
+		if j == 0 {
+			width0 = width
+		} else {
+			depth = max(depth, width)
 		}
-	}
-	for i := 0; i < n; i++ {
-		keys[i*kw] = ranks[0][i]
 	}
 	idx := make([]int, n)
+	if n == 0 {
+		return idx, nil
+	}
+	nsec := len(cols) - 1
+	dims := make([]uint64, nsec)
+	rowBits := bits.Len64(uint64(n - 1))
+	if sig := width0 + nsec*depth; sig+rowBits <= 64 {
+		// One word per row: the significant bits above the row index. Built
+		// in row order, so a stable sort on the bits above it is the sort.
+		keys := make([]uint64, n)
+		inter := make([]uint64, max(nsec, 1)) // the interleave's bits all land in its first word
+		for i := range keys {
+			for j := range dims {
+				dims[j] = ranks[j+1][i]
+			}
+			interleaveInto(dims, inter, depth)
+			keys[i] = (ranks[0][i]|inter[0]>>uint(width0))>>uint(64-sig)<<uint(rowBits) | uint64(i)
+		}
+		keys = radixSort(keys, make([]uint64, n), rowBits, sig)
+		for i, k := range keys {
+			idx[i] = int(k & (1<<uint(rowBits) - 1))
+		}
+		return idx, nil
+	}
+	// Key layout: word 0 = primary rank; words 1..d-1 = balanced interleave
+	// of the secondary ranks.
+	kw := len(cols) // key words per row
+	keys := make([]uint64, n*kw)
 	for i := range idx {
 		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka := keys[idx[a]*kw : (idx[a]+1)*kw]
-		kb := keys[idx[b]*kw : (idx[b]+1)*kw]
-		for w := 0; w < kw; w++ {
-			if ka[w] != kb[w] {
-				return ka[w] < kb[w]
-			}
+		keys[i*kw] = ranks[0][i]
+		for j := range dims {
+			dims[j] = ranks[j+1][i]
 		}
-		return idx[a] < idx[b]
+		interleaveInto(dims, keys[i*kw+1:(i+1)*kw], depth)
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := slices.Compare(keys[a*kw:(a+1)*kw], keys[b*kw:(b+1)*kw]); c != 0 {
+			return c
+		}
+		return a - b
 	})
 	return idx, nil
 }
 
-// normalizedRanks maps one column's rows onto dense, left-aligned u64 ranks:
-// the kind-specific monotone rank (IntRank, FloatRank, DictRanks) is
-// compressed to 0..distinct-1 and shifted so its top bit lands at bit 63.
-// Dense left alignment is what makes a balanced interleave meaningful —
-// every dimension contributes comparable bit significance regardless of its
-// value range.
-func normalizedRanks(c *dataset.Column, n int) []uint64 {
+// radixSort sorts keys by their bits [low, low+width) with stable
+// least-significant-digit passes, leaving keys that agree there in the order
+// they came, and returns whichever of keys and tmp holds the result.
+func radixSort(keys, tmp []uint64, low, width int) []uint64 {
+	const digit = 11
+	var count [1 << digit]int
+	for shift := low; shift < low+width; shift += digit {
+		mask := uint64(1)<<uint(min(digit, low+width-shift)) - 1
+		clear(count[:])
+		for _, k := range keys {
+			count[k>>uint(shift)&mask]++
+		}
+		at := 0
+		for d, c := range count {
+			count[d], at = at, at+c
+		}
+		for _, k := range keys {
+			d := k >> uint(shift) & mask
+			tmp[count[d]] = k
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// normalizedRanks maps one column's rows onto dense, left-aligned u64 ranks
+// and returns them with their width in bits: the kind-specific monotone rank
+// (IntRank, FloatRank, DictRanks) is compressed to 0..distinct-1 and shifted
+// so its top bit lands at bit 63. Dense left alignment is what makes a
+// balanced interleave meaningful — every dimension contributes comparable bit
+// significance regardless of its value range.
+func normalizedRanks(c *dataset.Column, n int) ([]uint64, int) {
 	raw := make([]uint64, n)
+	var dense func(v uint64) uint64 // raw rank (string: code) -> 0..distinct-1
+	var distinct int
 	switch c.Field.Kind {
 	case dataset.KindString:
-		dr := DictRanks(c.Dict())
-		for i, code := range c.Codes()[:n] {
-			raw[i] = dr[code]
+		// Number the codes that occur in dictionary-rank order.
+		codes := c.Codes()[:n]
+		byRank := make([]int32, len(c.Dict()))
+		for code, r := range DictRanks(c.Dict()) {
+			byRank[r] = int32(code)
 		}
-	case dataset.KindInt:
-		for i, v := range c.Ints()[:n] {
-			raw[i] = IntRank(v)
+		occurs := make([]bool, len(byRank))
+		for i, code := range codes {
+			raw[i] = uint64(code)
+			occurs[code] = true
 		}
+		rankOf := make([]uint64, len(byRank))
+		for _, code := range byRank {
+			if occurs[code] {
+				rankOf[code] = uint64(distinct)
+				distinct++
+			}
+		}
+		dense = func(code uint64) uint64 { return rankOf[code] }
 	default:
-		for i, v := range c.Floats()[:n] {
-			raw[i] = FloatRank(v)
+		if c.Field.Kind == dataset.KindInt {
+			for i, v := range c.Ints()[:n] {
+				raw[i] = IntRank(v)
+			}
+		} else {
+			for i, v := range c.Floats()[:n] {
+				raw[i] = FloatRank(v)
+			}
+		}
+		u := slices.Clone(raw)
+		slices.Sort(u)
+		u = slices.Compact(u)
+		distinct = len(u)
+		dense = func(v uint64) uint64 {
+			k, _ := slices.BinarySearch(u, v)
+			return uint64(k)
 		}
 	}
-	u := append([]uint64(nil), raw...)
-	sort.Slice(u, func(i, j int) bool { return u[i] < u[j] })
-	u = dedupSorted(u)
-	if len(u) == 0 {
-		return raw
-	}
-	width := bits.Len64(uint64(len(u) - 1))
-	if width == 0 {
-		width = 1
+	width := 1
+	if distinct > 1 {
+		width = bits.Len64(uint64(distinct - 1))
 	}
 	shift := uint(64 - width)
 	for i, v := range raw {
-		raw[i] = uint64(sort.Search(len(u), func(k int) bool { return u[k] >= v })) << shift
+		raw[i] = dense(v) << shift
 	}
-	return raw
-}
-
-func dedupSorted(u []uint64) []uint64 {
-	out := u[:0]
-	for i, v := range u {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return raw, width
 }
 
 // PickCols chooses cluster columns from the file's metadata: columns ranked

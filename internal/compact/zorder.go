@@ -66,16 +66,18 @@ func DictRanks(dict []string) []uint64 {
 // bit depth.
 func Interleave(dims []uint64) []uint64 {
 	out := make([]uint64, len(dims))
-	interleaveInto(dims, out)
+	interleaveInto(dims, out, 64)
 	return out
 }
 
-func interleaveInto(dims, out []uint64) {
+// interleaveInto interleaves the top depth bits of each dimension (the bits
+// below are zero, or not wanted) into out, zeroing the rest of it.
+func interleaveInto(dims, out []uint64, depth int) {
 	d := len(dims)
 	for i := range out {
 		out[i] = 0
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < depth; i++ {
 		for j, v := range dims {
 			if v&(1<<(63-uint(i))) != 0 {
 				k := i*d + j

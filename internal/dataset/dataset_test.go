@@ -281,3 +281,43 @@ func TestNewExtendedAliasesOrGrows(t *testing.T) {
 		t.Fatal("NewExtended carries the name and schema, not the dictionaries")
 	}
 }
+
+// TestColumnWiseAppendsMatchAppendRow: AppendRange and AppendGather leave the
+// destination — cells, dictionary order, code index — exactly as one
+// AppendRow per row would, including a destination that already has rows and
+// a dictionary in another order, and a Remap carried across calls.
+func TestColumnWiseAppendsMatchAppendRow(t *testing.T) {
+	fields := []Field{{"k", KindString}, {"n", KindInt}, {"f", KindFloat}}
+	src := NewTable("src", fields)
+	for i := 0; i < 500; i++ {
+		src.AppendRow(SV(string(rune('a'+i*7%26))), IV(int64(i*i%97)), FV(float64(i)/8))
+	}
+	seed := func() *Table {
+		dst := NewTable("dst", fields)
+		dst.AppendRow(SV("z"), IV(-1), FV(-1))
+		dst.AppendRow(SV("a"), IV(-2), FV(-2))
+		return dst
+	}
+	rows := make([]int, 0, 300)
+	for i := 0; i < 300; i++ {
+		rows = append(rows, (i*131+17)%500)
+	}
+
+	want, got := seed(), seed()
+	rm := NewRemap(src)
+	for _, r := range rows[:100] {
+		want.AppendRow(src.Row(r)...)
+	}
+	got.AppendGather(src, rows[:100], rm)
+	for r := 40; r < 400; r++ {
+		want.AppendRow(src.Row(r)...)
+	}
+	got.AppendRange(src, 40, 400, rm)
+	for _, r := range rows[100:] {
+		want.AppendRow(src.Row(r)...)
+	}
+	got.AppendGather(src, rows[100:], rm)
+	if err := sameTable(got, want); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -56,14 +57,18 @@ func (c *Column) Len() int {
 }
 
 // AppendString appends a categorical value; panics on non-string columns.
-func (c *Column) AppendString(s string) {
+func (c *Column) AppendString(s string) { c.codes = append(c.codes, c.codeFor(s)) }
+
+// codeFor returns the dictionary code of s, adding s to the dictionary the
+// first time it appears.
+func (c *Column) codeFor(s string) int32 {
 	code, ok := c.dictIx[s]
 	if !ok {
 		code = int32(len(c.dict))
 		c.dict = append(c.dict, s)
 		c.dictIx[s] = code
 	}
-	c.codes = append(c.codes, code)
+	return code
 }
 
 // AppendInt appends an integer value.
@@ -327,6 +332,15 @@ func (t *Table) Column(name string) *Column { return t.byName[name] }
 // HasColumn reports whether the table has a column named name.
 func (t *Table) HasColumn(name string) bool { _, ok := t.byName[name]; return ok }
 
+// Fields returns the schema: each column's field, in order.
+func (t *Table) Fields() []Field {
+	out := make([]Field, len(t.cols))
+	for i, c := range t.cols {
+		out[i] = c.Field
+	}
+	return out
+}
+
 // ColumnNames returns the field names in schema order.
 func (t *Table) ColumnNames() []string {
 	out := make([]string, len(t.cols))
@@ -354,6 +368,110 @@ func (t *Table) Row(i int) Row {
 		r[j] = c.Value(i)
 	}
 	return r
+}
+
+// Truncate drops every row but keeps the dictionaries and the storage: a
+// buffer table that fills and drains over and over neither forgets a code nor
+// allocates again.
+func (t *Table) Truncate() {
+	for _, c := range t.cols {
+		c.codes, c.ints, c.floats = c.codes[:0], c.ints[:0], c.floats[:0]
+	}
+	t.nrows = 0
+}
+
+// Remap translates the dictionary codes of a source table's categorical
+// columns into a destination's, one array per column (nil for numeric
+// columns). Codes resolve on first use, in append order, so the destination's
+// dictionaries grow in first-appearance order exactly as cell-by-cell
+// AppendString would grow them — but with one dictionary lookup per distinct
+// value instead of one per cell. A Remap stays valid for as long as both
+// dictionaries only grow.
+type Remap [][]int32
+
+// NewRemap returns the unresolved Remap out of src.
+func NewRemap(src *Table) Remap {
+	rm := make(Remap, len(src.cols))
+	for j, c := range src.cols {
+		if c.Field.Kind == KindString {
+			rm[j] = make([]int32, len(c.dict))
+			for i := range rm[j] {
+				rm[j][i] = -1
+			}
+		}
+	}
+	return rm
+}
+
+// AppendRange appends rows [lo, hi) of src column by column. src has t's
+// schema (arity and kinds, which the caller has checked) but its own
+// dictionaries; rm, from NewRemap(src), carries the code translation across
+// calls.
+func (t *Table) AppendRange(src *Table, lo, hi int, rm Remap) {
+	for j, c := range t.cols {
+		sc := src.cols[j]
+		switch c.Field.Kind {
+		case KindString:
+			c.appendCodes(sc, sc.codes[lo:hi], nil, rm[j])
+		case KindInt:
+			c.ints = append(c.ints, sc.ints[lo:hi]...)
+		default:
+			c.floats = append(c.floats, sc.floats[lo:hi]...)
+		}
+	}
+	t.nrows += hi - lo
+}
+
+// AppendGather appends the rows of src that rows lists, in that order; it is
+// AppendRange through a row permutation.
+func (t *Table) AppendGather(src *Table, rows []int, rm Remap) {
+	for j, c := range t.cols {
+		sc := src.cols[j]
+		switch c.Field.Kind {
+		case KindString:
+			c.appendCodes(sc, sc.codes, rows, rm[j])
+		case KindInt:
+			c.ints = gather(c.ints, sc.ints, rows)
+		default:
+			c.floats = gather(c.floats, sc.floats, rows)
+		}
+	}
+	t.nrows += len(rows)
+}
+
+func gather[T any](dst, src []T, rows []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	for i, r := range rows {
+		dst[n+i] = src[r]
+	}
+	return dst
+}
+
+// appendCodes appends src's codes — codes[r] for each r of rows, or all of
+// codes when rows is nil — translated through remap, resolving the entries
+// still at -1 against c's dictionary as they come up.
+func (c *Column) appendCodes(src *Column, codes []int32, rows []int, remap []int32) {
+	resolve := func(sc int32) int32 {
+		code := remap[sc]
+		if code < 0 {
+			code = c.codeFor(src.dict[sc])
+			remap[sc] = code
+		}
+		return code
+	}
+	n := len(c.codes)
+	if rows == nil {
+		c.codes = slices.Grow(c.codes, len(codes))[:n+len(codes)]
+		for i, sc := range codes {
+			c.codes[n+i] = resolve(sc)
+		}
+		return
+	}
+	c.codes = slices.Grow(c.codes, len(rows))[:n+len(rows)]
+	for i, r := range rows {
+		c.codes[n+i] = resolve(codes[r])
+	}
 }
 
 // CategoricalColumns returns the names of all string-kinded columns, the set

@@ -326,7 +326,7 @@ func appendRows(t *testing.T, path string, n int, tag string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendTable(genTable("x", n, tag)); err != nil {
+	if err := w.AppendTable(genTable("x", n, tag), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -35,6 +37,7 @@ type Writer struct {
 	// permanently unencoded.
 	intTrack map[string]map[int64]struct{}
 	dirty    bool
+	buf      []byte // one segment's encoded blocks, reused
 }
 
 // sealedSeg is one committed-side segment: its block index plus the zone
@@ -78,6 +81,7 @@ func Create(path, name string, fields []dataset.Field) (*Writer, error) {
 	binary.LittleEndian.PutUint32(hdr[4:8], Version)
 	if _, err := f.WriteAt(hdr[:], 0); err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, err
 	}
 	w := &Writer{
@@ -94,7 +98,7 @@ func Create(path, name string, fields []dataset.Field) (*Writer, error) {
 			w.intTrack[fd.Name] = make(map[int64]struct{})
 		}
 	}
-	w.resetTail(nil)
+	w.newTail(nil)
 	return w, nil
 }
 
@@ -162,7 +166,7 @@ func OpenAppend(path string) (*Writer, error) {
 		w.sealed = append(w.sealed, rec)
 		w.rowsSealed += int64(s.rows)
 	}
-	w.resetTail(foot.dicts)
+	w.newTail(foot.dicts)
 	if tailSeg >= 0 {
 		if err := decodeSegmentInto(f, foot, tailSeg, w.tail); err != nil {
 			f.Close()
@@ -172,20 +176,13 @@ func OpenAppend(path string) (*Writer, error) {
 	return w, nil
 }
 
-// resetTail replaces the tail buffer with an empty table whose categorical
-// columns carry the accumulated global dictionaries, so tail codes stay
-// consistent with every sealed block.
-func (w *Writer) resetTail(dicts map[string][]string) {
-	prev := w.tail
+// newTail opens the tail buffer: an empty table whose categorical columns
+// carry the file's dictionaries so far (none for a new file), so tail codes
+// stay consistent with every sealed block. Sealing truncates it in place.
+func (w *Writer) newTail(dicts map[string][]string) {
 	w.tail = dataset.NewTable(w.name, w.fields)
 	for _, c := range w.tail.Columns() {
-		if c.Field.Kind != dataset.KindString {
-			continue
-		}
-		switch {
-		case prev != nil:
-			c.SetDict(prev.Column(c.Field.Name).Dict())
-		case dicts != nil:
+		if c.Field.Kind == dataset.KindString && dicts != nil {
 			c.SetDict(dicts[c.Field.Name])
 		}
 	}
@@ -220,14 +217,8 @@ func (w *Writer) Append(rows []dataset.Row) error {
 		}
 		w.tail.AppendRow(row...)
 		for j, fd := range w.fields {
-			if fd.Kind != dataset.KindInt {
-				continue
-			}
-			if m := w.intTrack[fd.Name]; m != nil {
-				m[row[j].Int()] = struct{}{}
-				if len(m) > engine.MaxIntDictCardinality {
-					w.intTrack[fd.Name] = nil
-				}
+			if fd.Kind == dataset.KindInt {
+				w.trackInts(fd.Name, []int64{row[j].Int()})
 			}
 		}
 		w.dirty = true
@@ -240,8 +231,13 @@ func (w *Writer) Append(rows []dataset.Row) error {
 	return nil
 }
 
-// AppendTable appends every row of t (schema must match by arity and kind).
-func (w *Writer) AppendTable(t *dataset.Table) error {
+// AppendTable appends the rows of t (schema must match by arity and kind) in
+// the order perm lists them, or all of them in table order when perm is nil.
+// It is Append column-wise: the tail fills by column ranges, string codes
+// translate through one array per column — resolved in row order, so the
+// file's dictionaries grow exactly as Append would grow them — and each
+// integer column's distinct values are collected a segment's worth at a time.
+func (w *Writer) AppendTable(t *dataset.Table, perm []int) error {
 	if t.NumCols() != len(w.fields) {
 		return fmt.Errorf("zpack: table has %d columns, file schema has %d", t.NumCols(), len(w.fields))
 	}
@@ -250,16 +246,81 @@ func (w *Writer) AppendTable(t *dataset.Table) error {
 			return fmt.Errorf("zpack: table schema does not match file schema at column %q", fd.Name)
 		}
 	}
-	for i := 0; i < t.NumRows(); i++ {
-		if err := w.Append([]dataset.Row{t.Row(i)}); err != nil {
-			return err
+	n := t.NumRows()
+	if perm != nil {
+		n = len(perm)
+	}
+	if n == 0 {
+		return nil
+	}
+	w.dirty = true
+	rm := dataset.NewRemap(t)
+	for lo := 0; lo < n; {
+		from := w.tail.NumRows()
+		hi := min(n, lo+engine.SegmentSize-from)
+		if perm == nil {
+			w.tail.AppendRange(t, lo, hi, rm)
+		} else {
+			w.tail.AppendGather(t, perm[lo:hi], rm)
+		}
+		for j, fd := range w.fields {
+			if fd.Kind == dataset.KindInt {
+				w.trackInts(fd.Name, w.tail.Columns()[j].Ints()[from:])
+			}
+		}
+		lo = hi
+		if w.tail.NumRows() == engine.SegmentSize {
+			if err := w.seal(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
+// trackInts adds vals to the distinct values of integer column name, giving
+// the column up for good once they pass engine.MaxIntDictCardinality.
+func (w *Writer) trackInts(name string, vals []int64) {
+	m := w.intTrack[name]
+	if m == nil || len(vals) == 0 {
+		return
+	}
+	add := func(v int64) bool {
+		m[v] = struct{}{}
+		if len(m) > engine.MaxIntDictCardinality {
+			w.intTrack[name] = nil
+			return false
+		}
+		return true
+	}
+	// Values spanning fewer than 64 per row mark a bitset of at most one word
+	// per row first — far cheaper than a map insert each — and only the
+	// distinct ones reach the map.
+	lo, hi := slices.Min(vals), slices.Max(vals)
+	if span := uint64(hi) - uint64(lo); span < 64*uint64(len(vals)) {
+		seen := make([]uint64, span/64+1)
+		for _, v := range vals {
+			d := uint64(v) - uint64(lo)
+			seen[d/64] |= 1 << (d % 64)
+		}
+		for k, word := range seen {
+			for ; word != 0; word &= word - 1 {
+				if !add(lo + int64(k*64+bits.TrailingZeros64(word))) {
+					return
+				}
+			}
+		}
+		return
+	}
+	for _, v := range vals {
+		if !add(v) {
+			return
+		}
+	}
+}
+
 // seal writes the full tail segment's blocks, captures its zone maps, and
-// opens a fresh tail.
+// empties the tail.
 func (w *Writer) seal() error {
 	refs, err := w.writeSegmentBlocks(w.tail)
 	if err != nil {
@@ -274,7 +335,7 @@ func (w *Writer) seal() error {
 	w.captureZones(w.tail, &rec)
 	w.sealed = append(w.sealed, rec)
 	w.rowsSealed += int64(rec.rows)
-	w.resetTail(nil)
+	w.tail.Truncate()
 	return nil
 }
 
@@ -293,22 +354,25 @@ func (w *Writer) captureZones(t *dataset.Table, rec *sealedSeg) {
 	}
 }
 
-// writeSegmentBlocks encodes and writes one block per column at the current
-// end of file, returning their index entries.
+// writeSegmentBlocks encodes one block per column, back to back in the
+// writer's reused buffer, and writes them at the current end of file in one
+// call, returning their index entries.
 func (w *Writer) writeSegmentBlocks(t *dataset.Table) ([]blockRef, error) {
 	refs := make([]blockRef, t.NumCols())
+	w.buf = w.buf[:0]
 	for j, c := range t.Columns() {
-		payload := encodeBlock(c, t.NumRows())
+		from := len(w.buf)
+		w.buf = appendBlock(w.buf, c, t.NumRows())
 		refs[j] = blockRef{
-			off: w.writeOff,
-			len: int64(len(payload)),
-			crc: crc32.Checksum(payload, castagnoli),
+			off: w.writeOff + int64(from),
+			len: int64(len(w.buf) - from),
+			crc: crc32.Checksum(w.buf[from:], castagnoli),
 		}
-		if _, err := w.f.WriteAt(payload, w.writeOff); err != nil {
-			return nil, err
-		}
-		w.writeOff += int64(len(payload))
 	}
+	if _, err := w.f.WriteAt(w.buf, w.writeOff); err != nil {
+		return nil, err
+	}
+	w.writeOff += int64(len(w.buf))
 	return refs, nil
 }
 
@@ -429,45 +493,45 @@ func (w *Writer) Close() error {
 func (w *Writer) Discard() { w.f.Close() }
 
 // Build writes t to a new zpack file at path in one shot: create, append
-// every row, flush, close.
+// every row, flush, close. A failed build removes what it wrote of the file.
 func Build(path string, t *dataset.Table) error {
-	fields := make([]dataset.Field, t.NumCols())
-	for j, c := range t.Columns() {
-		fields[j] = c.Field
-	}
-	w, err := Create(path, t.Name, fields)
+	w, err := Create(path, t.Name, t.Fields())
 	if err != nil {
 		return err
 	}
-	if err := w.AppendTable(t); err != nil {
-		w.f.Close()
+	if err := w.AppendTable(t, nil); err != nil {
+		w.Discard()
+		os.Remove(path)
 		return err
 	}
-	return w.Close()
+	if err := w.Close(); err != nil {
+		os.Remove(path)
+		return err
+	}
+	return nil
 }
 
-// encodeBlock renders the first rows values of a column as its typed block
+// appendBlock appends the first rows values of a column as its typed block
 // payload: u32 dictionary codes for categorical columns, u64 two's-complement
 // or IEEE-754 bits for int and float columns, all little-endian.
-func encodeBlock(c *dataset.Column, rows int) []byte {
+func appendBlock(out []byte, c *dataset.Column, rows int) []byte {
+	n := len(out)
 	switch c.Field.Kind {
 	case dataset.KindString:
-		out := make([]byte, 0, rows*4)
-		for _, code := range c.Codes()[:rows] {
-			out = binary.LittleEndian.AppendUint32(out, uint32(code))
+		out = slices.Grow(out, rows*4)[:n+rows*4]
+		for i, code := range c.Codes()[:rows] {
+			binary.LittleEndian.PutUint32(out[n+i*4:], uint32(code))
 		}
-		return out
 	case dataset.KindInt:
-		out := make([]byte, 0, rows*8)
-		for _, v := range c.Ints()[:rows] {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		out = slices.Grow(out, rows*8)[:n+rows*8]
+		for i, v := range c.Ints()[:rows] {
+			binary.LittleEndian.PutUint64(out[n+i*8:], uint64(v))
 		}
-		return out
 	default:
-		out := make([]byte, 0, rows*8)
-		for _, v := range c.Floats()[:rows] {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		out = slices.Grow(out, rows*8)[:n+rows*8]
+		for i, v := range c.Floats()[:rows] {
+			binary.LittleEndian.PutUint64(out[n+i*8:], math.Float64bits(v))
 		}
-		return out
 	}
+	return out
 }
