@@ -82,7 +82,7 @@ func (t *Tool) Specify(x, y, category string, filters []Filter, agg string) ([]*
 	var out []*vis.Visualization
 	var cur *vis.Visualization
 	var curZ string
-	for _, row := range res.Rows {
+	for _, row := range res.Rows() {
 		zv := row[zi].String()
 		if cur == nil || zv != curZ {
 			cur = &vis.Visualization{XAttr: x, YAttr: y,

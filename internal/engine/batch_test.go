@@ -73,12 +73,12 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 			t.Fatalf("%s: cols %v vs %v", label, got.Cols, want.Cols)
 		}
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: %d rows vs %d", label, len(got.Rows), len(want.Rows))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows vs %d", label, got.Len(), want.Len())
 	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			g, w := got.Rows[i][j], want.Rows[i][j]
+	for i := 0; i < want.Len(); i++ {
+		for j := range want.Cols {
+			g, w := got.Value(i, j), want.Value(i, j)
 			if g.IsNull() != w.IsNull() || (!w.IsNull() && !g.Equal(w)) {
 				t.Fatalf("%s: row %d col %d: %v vs %v", label, i, j, g, w)
 			}
@@ -237,8 +237,8 @@ func TestExecuteBatchMultiTable(t *testing.T) {
 		}
 		assertSameResult(t, sqls[i], batch[i], single)
 	}
-	if batch[1].Rows[0][1].Float() != 3 || batch[1].Rows[1][1].Float() != 5 {
-		t.Errorf("other table sums = %v", batch[1].Rows)
+	if batch[1].Value(0, 1).Float() != 3 || batch[1].Value(1, 1).Float() != 5 {
+		t.Errorf("other table sums = %v", batch[1].Rows())
 	}
 }
 
@@ -252,10 +252,10 @@ func TestEmptyMatchAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("%s: %d rows, want 1", db.Name(), len(res.Rows))
+		if res.Len() != 1 {
+			t.Fatalf("%s: %d rows, want 1", db.Name(), res.Len())
 		}
-		row := res.Rows[0]
+		row := res.Rows()[0]
 		if row[0].Int() != 0 {
 			t.Errorf("%s: COUNT over empty set = %v, want 0", db.Name(), row[0])
 		}

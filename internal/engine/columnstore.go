@@ -317,7 +317,7 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 					return
 				}
 				for k, pi := range shard {
-					results[pi], errs[pi] = sinks[k].finish()
+					results[pi] = sinks[k].finish()
 				}
 			}(shard)
 		}
@@ -327,13 +327,6 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 		return nil, err
 	}
 	return results, nil
-}
-
-// rowSink is the push interface both accumulator kinds implement; matching
-// rows go in, a result relation comes out.
-type rowSink interface {
-	add(i int)
-	finish() (*Result, error)
 }
 
 // colEqGroup folds every shard plan whose whole predicate is one equality
@@ -632,7 +625,7 @@ const maxFlatSlots = 1 << 16
 // encoded integer column and the combined key space is small, the generic
 // hash sink otherwise.
 func newColSink(p *Plan) rowSink {
-	if !p.hasAgg && len(p.q.GroupBy) == 0 {
+	if !p.aggregates() {
 		return p.newSink() // projection: nothing to accumulate
 	}
 	ct := p.vec.ct
@@ -665,83 +658,36 @@ func newColSink(p *Plan) rowSink {
 		}
 		slots *= card[k]
 	}
-	fs := &flatSink{
-		p:     p,
-		slots: make([]int32, slots),
-		codes: codes,
-		card:  card,
-	}
+	fs := &flatSink{groupAcc: newGroupAcc(p), slots: make([]int32, slots), codes: codes, card: card}
+	fs.most = slots
 	for i := range fs.slots {
 		fs.slots[i] = -1
-	}
-	for _, c := range p.aggCol {
-		fs.aggCol = append(fs.aggCol, c)
-		if c == nil { // COUNT(*)
-			fs.aggF = append(fs.aggF, nil)
-			fs.aggI = append(fs.aggI, nil)
-			continue
-		}
-		fs.aggF = append(fs.aggF, floatsOf(c))
-		fs.aggI = append(fs.aggI, intsOf(c))
 	}
 	return fs
 }
 
-// flatSink is the vectorized aggregation accumulator: the combined
-// dictionary code of a row's group keys indexes a flat slot array instead of
-// hashing a key buffer. Groups are still emitted in first-seen order, so
-// results stay byte-identical to the hash sink's.
+// flatSink is the vectorized aggregation sink: the combined dictionary code
+// of a row's group keys indexes a flat slot array instead of hashing a key
+// buffer. Groups are still numbered in first-seen order, so results stay
+// byte-identical to the hash sink's.
 type flatSink struct {
-	p      *Plan
-	slots  []int32 // combined key code -> index into groups, -1 = unseen
-	groups []*group
-	codes  [][]int32
-	card   []int
-	aggCol []*dataset.Column
-	aggF   [][]float64
-	aggI   [][]int64
+	groupAcc
+	slots []int32 // combined key code -> group number, -1 = unseen
+	codes [][]int32
+	card  []int
 }
 
 func (s *flatSink) add(i int) {
-	slot := 0
-	for k, codes := range s.codes {
-		slot = slot*s.card[k] + int(codes[i])
+	slot := s.slotAt(i)
+	if s.slots[slot] < 0 {
+		s.slots[slot] = s.newGroup(i)
 	}
-	gi := s.slots[slot]
-	if gi < 0 {
-		p := s.p
-		g := &group{
-			keyVals:  make([]dataset.Value, len(p.keyCol)),
-			aggs:     make([]aggState, len(p.aggSel)),
-			firstRow: i,
-		}
-		for k, c := range p.keyCol {
-			g.keyVals[k] = c.Value(i)
-		}
-		gi = int32(len(s.groups))
-		s.groups = append(s.groups, g)
-		s.slots[slot] = gi
-	}
-	g := s.groups[gi]
-	for a := range g.aggs {
-		switch {
-		case s.aggCol[a] == nil:
-			g.aggs[a].add(0) // COUNT(*): only count matters
-		case s.aggF[a] != nil:
-			g.aggs[a].add(s.aggF[a][i])
-		case s.aggI[a] != nil:
-			g.aggs[a].add(float64(s.aggI[a][i]))
-		default:
-			g.aggs[a].add(s.aggCol[a].Float(i))
-		}
-	}
+	s.fold(s.slots[slot], i)
 }
 
-func (s *flatSink) finish() (*Result, error) { return s.p.finishGroups(s.groups) }
-
-// slotAt recomputes a row's combined key code. Used at gather time, when the
-// row's segment is guaranteed loaded (the shard that saw the row loaded it,
-// and the scatter barrier orders that load before any merge).
+// slotAt computes a row's combined key code. At gather time the row's
+// segment is guaranteed loaded (the shard that saw the row loaded it, and the
+// scatter barrier orders that load before any merge).
 func (s *flatSink) slotAt(i int) int {
 	slot := 0
 	for k, codes := range s.codes {
@@ -750,19 +696,16 @@ func (s *flatSink) slotAt(i int) int {
 	return slot
 }
 
-// mergeFrom folds a later shard's partial accumulation into s. Shard sinks
-// share the plan's dictionary code slices (globally indexed), so a group's
-// slot is the same in every shard; new groups append in o's order, which is
-// global first-seen order because s covers strictly earlier rows.
-func (s *flatSink) mergeFrom(o *flatSink) {
-	for _, g := range o.groups {
-		slot := o.slotAt(g.firstRow)
-		gi := s.slots[slot]
-		if gi < 0 {
-			s.slots[slot] = int32(len(s.groups))
-			s.groups = append(s.groups, g)
-			continue
+// mergeFrom folds a later shard's partial accumulation into s (the order
+// argument is gatherPartials'). Shard sinks share the plan's globally indexed
+// code slices, so a group's slot is the same in every shard.
+func (s *flatSink) mergeFrom(other rowSink) {
+	o := other.(*flatSink)
+	for og, row := range o.rows {
+		slot := o.slotAt(int(row))
+		if s.slots[slot] < 0 {
+			s.slots[slot] = s.newGroup(int(row))
 		}
-		s.groups[gi].merge(g)
+		s.absorb(s.slots[slot], &o.groupAcc, og)
 	}
 }

@@ -106,7 +106,7 @@ func TestColumnStoreZoneSkipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].Int(); got != 100 {
+	if got := res.Value(0, 0).Int(); got != 100 {
 		t.Fatalf("COUNT = %d, want 100", got)
 	}
 	after := col.Counters()

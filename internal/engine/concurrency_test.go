@@ -106,13 +106,13 @@ func sameResult(got, want *Result) error {
 	if len(got.Cols) != len(want.Cols) {
 		return fmt.Errorf("cols = %v, want %v", got.Cols, want.Cols)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		return fmt.Errorf("%d rows, want %d", len(got.Rows), len(want.Rows))
+	if got.Len() != want.Len() {
+		return fmt.Errorf("%d rows, want %d", got.Len(), want.Len())
 	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if !got.Rows[i][j].Equal(want.Rows[i][j]) {
-				return fmt.Errorf("row %d col %d = %v, want %v", i, j, got.Rows[i][j], want.Rows[i][j])
+	for i := 0; i < got.Len(); i++ {
+		for j := range got.Cols {
+			if !got.Value(i, j).Equal(want.Value(i, j)) {
+				return fmt.Errorf("row %d col %d = %v, want %v", i, j, got.Value(i, j), want.Value(i, j))
 			}
 		}
 	}

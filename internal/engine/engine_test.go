@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/minisql"
 )
 
 func salesTable() *dataset.Table {
@@ -46,8 +47,8 @@ func TestSimpleAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", db.Name(), err)
 		}
-		if len(res.Rows) != 6 {
-			t.Fatalf("%s: %d rows, want 6", db.Name(), len(res.Rows))
+		if res.Len() != 6 {
+			t.Fatalf("%s: %d rows, want 6", db.Name(), res.Len())
 		}
 		// Verify against a manual computation.
 		want := make(map[int64]float64)
@@ -57,21 +58,23 @@ func TestSimpleAggregation(t *testing.T) {
 				want[tb.Column("year").Value(i).I] += tb.Column("sales").Float(i)
 			}
 		}
-		for _, row := range res.Rows {
+		for _, row := range res.Rows() {
 			if got := row[1].Float(); got != want[row[0].Int()] {
 				t.Errorf("%s: year %d sum = %v, want %v", db.Name(), row[0].Int(), got, want[row[0].Int()])
 			}
 		}
 		// Sorted ascending by year.
-		for i := 1; i < len(res.Rows); i++ {
-			if res.Rows[i][0].Int() <= res.Rows[i-1][0].Int() {
+		for i := 1; i < res.Len(); i++ {
+			if res.Value(i, 0).Int() <= res.Value(i-1, 0).Int() {
 				t.Errorf("%s: rows not ordered by year", db.Name())
 			}
 		}
 	}
 }
 
-func TestAllAggregates(t *testing.T) {
+// aggTable, binTable and zipTable are the small tables of the tests below;
+// TestReferenceEngineQueries replays those tests' queries over them.
+func aggTable() *dataset.Table {
 	tb := dataset.NewTable("t", []dataset.Field{
 		{Name: "g", Kind: dataset.KindString},
 		{Name: "v", Kind: dataset.KindFloat},
@@ -83,19 +86,45 @@ func TestAllAggregates(t *testing.T) {
 		}
 		tb.AppendRow(dataset.SV(g), dataset.FV(v))
 	}
+	return tb
+}
+
+func binTable() *dataset.Table {
+	tb := dataset.NewTable("w", []dataset.Field{
+		{Name: "weight", Kind: dataset.KindFloat},
+		{Name: "sales", Kind: dataset.KindFloat},
+	})
+	for i := 0; i < 100; i++ {
+		tb.AppendRow(dataset.FV(float64(i)), dataset.FV(1))
+	}
+	return tb
+}
+
+func zipTable() *dataset.Table {
+	tb := dataset.NewTable("z", []dataset.Field{
+		{Name: "zip", Kind: dataset.KindString},
+	})
+	for _, z := range []string{"02134", "02999", "03000", "12999", "0213"} {
+		tb.AppendRow(dataset.SV(z))
+	}
+	return tb
+}
+
+func TestAllAggregates(t *testing.T) {
+	tb := aggTable()
 	for _, db := range allStores(tb) {
 		res, err := db.ExecuteSQL("SELECT g, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY g ORDER BY g")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 2 {
-			t.Fatalf("%d rows", len(res.Rows))
+		if res.Len() != 2 {
+			t.Fatalf("%d rows", res.Len())
 		}
-		a := res.Rows[0]
+		a := res.Rows()[0]
 		if a[1].Float() != 6 || a[2].Float() != 2 || a[3].Float() != 1 || a[4].Float() != 3 || a[5].Int() != 3 {
 			t.Errorf("%s: group a = %v", db.Name(), a)
 		}
-		b := res.Rows[1]
+		b := res.Rows()[1]
 		if b[1].Float() != 30 || b[2].Float() != 15 || b[3].Float() != 10 || b[4].Float() != 20 || b[5].Int() != 2 {
 			t.Errorf("%s: group b = %v", db.Name(), b)
 		}
@@ -109,11 +138,11 @@ func TestProjectionWithoutAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 5 {
-			t.Fatalf("%s: %d rows", db.Name(), len(res.Rows))
+		if res.Len() != 5 {
+			t.Fatalf("%s: %d rows", db.Name(), res.Len())
 		}
-		for i := 1; i < len(res.Rows); i++ {
-			if res.Rows[i][1].Float() > res.Rows[i-1][1].Float() {
+		for i := 1; i < res.Len(); i++ {
+			if res.Value(i, 1).Float() > res.Value(i-1, 1).Float() {
 				t.Errorf("%s: not descending", db.Name())
 			}
 		}
@@ -121,22 +150,16 @@ func TestProjectionWithoutAggregation(t *testing.T) {
 }
 
 func TestBinning(t *testing.T) {
-	tb := dataset.NewTable("w", []dataset.Field{
-		{Name: "weight", Kind: dataset.KindFloat},
-		{Name: "sales", Kind: dataset.KindFloat},
-	})
-	for i := 0; i < 100; i++ {
-		tb.AppendRow(dataset.FV(float64(i)), dataset.FV(1))
-	}
+	tb := binTable()
 	for _, db := range allStores(tb) {
 		res, err := db.ExecuteSQL("SELECT BIN(weight, 20) AS w, SUM(sales) AS s FROM w GROUP BY BIN(weight, 20) ORDER BY w")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 5 {
-			t.Fatalf("%s: %d bins, want 5", db.Name(), len(res.Rows))
+		if res.Len() != 5 {
+			t.Fatalf("%s: %d bins, want 5", db.Name(), res.Len())
 		}
-		for i, row := range res.Rows {
+		for i, row := range res.Rows() {
 			if row[0].Float() != float64(i*20) || row[1].Float() != 20 {
 				t.Errorf("%s: bin %d = %v", db.Name(), i, row)
 			}
@@ -145,26 +168,21 @@ func TestBinning(t *testing.T) {
 }
 
 func TestLikePredicate(t *testing.T) {
-	tb := dataset.NewTable("z", []dataset.Field{
-		{Name: "zip", Kind: dataset.KindString},
-	})
-	for _, z := range []string{"02134", "02999", "03000", "12999", "0213"} {
-		tb.AppendRow(dataset.SV(z))
-	}
+	tb := zipTable()
 	for _, db := range allStores(tb) {
 		res, err := db.ExecuteSQL("SELECT zip FROM z WHERE zip LIKE '02___'")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 2 {
-			t.Errorf("%s: LIKE '02___' matched %d, want 2", db.Name(), len(res.Rows))
+		if res.Len() != 2 {
+			t.Errorf("%s: LIKE '02___' matched %d, want 2", db.Name(), res.Len())
 		}
 		res, err = db.ExecuteSQL("SELECT zip FROM z WHERE zip LIKE '0%9'")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 1 || res.Rows[0][0].S != "02999" {
-			t.Errorf("%s: LIKE '0%%9' = %v", db.Name(), res.Rows)
+		if res.Len() != 1 || res.Value(0, 0).S != "02999" {
+			t.Errorf("%s: LIKE '0%%9' = %v", db.Name(), res.Rows())
 		}
 	}
 }
@@ -207,8 +225,8 @@ func TestInAndBetween(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 2 || res.Rows[0][0].S != "chair" || res.Rows[1][0].S != "desk" {
-			t.Errorf("%s: rows = %v", db.Name(), res.Rows)
+		if res.Len() != 2 || res.Value(0, 0).S != "chair" || res.Value(1, 0).S != "desk" {
+			t.Errorf("%s: rows = %v", db.Name(), res.Rows())
 		}
 	}
 }
@@ -220,22 +238,22 @@ func TestOrNotPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rows[0][0].Int() != 2*2*6*3 {
-			t.Errorf("%s: OR count = %v", db.Name(), res.Rows[0][0])
+		if res.Value(0, 0).Int() != 2*2*6*3 {
+			t.Errorf("%s: OR count = %v", db.Name(), res.Value(0, 0))
 		}
 		res, err = db.ExecuteSQL("SELECT COUNT(*) FROM sales WHERE NOT (product = 'chair')")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rows[0][0].Int() != 3*2*6*3 {
-			t.Errorf("%s: NOT count = %v", db.Name(), res.Rows[0][0])
+		if res.Value(0, 0).Int() != 3*2*6*3 {
+			t.Errorf("%s: NOT count = %v", db.Name(), res.Value(0, 0))
 		}
 		res, err = db.ExecuteSQL("SELECT COUNT(*) FROM sales WHERE product != 'chair'")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rows[0][0].Int() != 3*2*6*3 {
-			t.Errorf("%s: != count = %v", db.Name(), res.Rows[0][0])
+		if res.Value(0, 0).Int() != 3*2*6*3 {
+			t.Errorf("%s: != count = %v", db.Name(), res.Value(0, 0))
 		}
 	}
 }
@@ -269,8 +287,8 @@ func TestEqualityOnUnseenValue(t *testing.T) {
 			t.Fatal(err)
 		}
 		// COUNT over an empty group set yields no rows.
-		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 0 {
-			t.Errorf("%s: unseen equality = %v", db.Name(), res.Rows)
+		if res.Len() != 1 || res.Value(0, 0).Int() != 0 {
+			t.Errorf("%s: unseen equality = %v", db.Name(), res.Rows())
 		}
 	}
 }
@@ -355,13 +373,18 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		if err1 != nil {
 			continue
 		}
-		if len(r1.Rows) != len(r2.Rows) {
-			t.Fatalf("row count divergence on %q: %d vs %d", q, len(r1.Rows), len(r2.Rows))
+		parsed, err := minisql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range r1.Rows {
-			for j := range r1.Rows[i] {
-				if !r1.Rows[i][j].Equal(r2.Rows[i][j]) {
-					t.Fatalf("value divergence on %q at (%d,%d): %v vs %v", q, i, j, r1.Rows[i][j], r2.Rows[i][j])
+		checkAgainstReference(t, tb, []DB{row, bit}, parsed)
+		if r1.Len() != r2.Len() {
+			t.Fatalf("row count divergence on %q: %d vs %d", q, r1.Len(), r2.Len())
+		}
+		for i := 0; i < r1.Len(); i++ {
+			for j := range r1.Cols {
+				if !r1.Value(i, j).Equal(r2.Value(i, j)) {
+					t.Fatalf("value divergence on %q at (%d,%d): %v vs %v", q, i, j, r1.Value(i, j), r2.Value(i, j))
 				}
 			}
 		}
@@ -383,7 +406,7 @@ func TestNonGroupedPlainColumnTakesRepresentative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range res.Rows {
+		for _, row := range res.Rows() {
 			if row[1].S != "US" {
 				t.Errorf("%s: representative = %v", db.Name(), row[1])
 			}

@@ -2,31 +2,13 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
 )
-
-// Result is the output relation of a query.
-type Result struct {
-	Cols []string
-	Rows []dataset.Row
-}
-
-// ColIndex returns the position of an output column, or -1.
-func (r *Result) ColIndex(name string) int {
-	for i, c := range r.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // DB is a queryable storage back-end. All four stores implement it.
 type DB interface {
@@ -143,14 +125,6 @@ func binValue(v float64, width float64) float64 {
 	return math.Floor(v/width) * width
 }
 
-// cellValue evaluates a non-aggregate select item at row i.
-func cellValue(c *dataset.Column, bin float64, i int) dataset.Value {
-	if bin > 0 {
-		return dataset.FV(binValue(c.Float(i), bin))
-	}
-	return c.Value(i)
-}
-
 // aggState accumulates one aggregate over one group.
 type aggState struct {
 	sum   float64
@@ -202,78 +176,4 @@ func (a *aggState) merge(o *aggState) {
 	}
 	a.sum += o.sum
 	a.count += o.count
-}
-
-// value emits the aggregate. Over an empty match set COUNT is 0 and every
-// other aggregate is NULL (SQL semantics).
-func (a *aggState) value(f minisql.AggFunc) dataset.Value {
-	switch f {
-	case minisql.AggSum:
-		if a.count == 0 {
-			return dataset.NullValue
-		}
-		return dataset.FV(a.sum)
-	case minisql.AggCount:
-		return dataset.IV(a.count)
-	case minisql.AggAvg:
-		if a.count == 0 {
-			return dataset.NullValue
-		}
-		return dataset.FV(a.sum / float64(a.count))
-	case minisql.AggMin:
-		if a.count == 0 {
-			return dataset.NullValue
-		}
-		return dataset.FV(a.min)
-	case minisql.AggMax:
-		if a.count == 0 {
-			return dataset.NullValue
-		}
-		return dataset.FV(a.max)
-	}
-	return dataset.Value{}
-}
-
-type group struct {
-	keyVals  []dataset.Value
-	aggs     []aggState
-	firstRow int
-}
-
-// merge folds a later shard's accumulation of the same group into g, which
-// keeps its keyVals and firstRow: g comes from the earlier shard, so its
-// firstRow is the group's global first-seen representative.
-func (g *group) merge(o *group) {
-	for a := range g.aggs {
-		g.aggs[a].merge(&o.aggs[a])
-	}
-}
-
-func orderResult(res *Result, order []minisql.OrderItem) error {
-	if len(order) == 0 {
-		return nil
-	}
-	idx := make([]int, len(order))
-	for i, o := range order {
-		j := res.ColIndex(o.Col)
-		if j < 0 {
-			return fmt.Errorf("engine: ORDER BY column %q is not in the select list", o.Col)
-		}
-		idx[i] = j
-	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
-		ra, rb := res.Rows[a], res.Rows[b]
-		for i, j := range idx {
-			c := ra[j].Compare(rb[j])
-			if c == 0 {
-				continue
-			}
-			if order[i].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
@@ -39,14 +40,10 @@ type Plan struct {
 	route    string
 	conjInfo []ConjunctInfo
 	cols     []string          // output column names
-	hasAgg   bool              // any aggregate select item
+	orderCol []int             // per ORDER BY item, its select position
 	selCol   []*dataset.Column // per select item; nil for COUNT(*)
 	keyCol   []*dataset.Column // per GROUP BY key
-	aggSel   []int             // select positions that are aggregates
-	aggCol   []*dataset.Column // parallel to aggSel; nil for COUNT(*)
-	// keyOf maps each select position to its GROUP BY key index, or -1 when
-	// the item is an aggregate or a non-grouped plain column.
-	keyOf []int
+	aggCol   []*dataset.Column // per aggregate select item, in order; nil for COUNT(*)
 }
 
 // newPlan binds q against t, validating every column reference.
@@ -57,12 +54,8 @@ func newPlan(db DB, t *dataset.Table, q *minisql.Query) (*Plan, error) {
 	p := &Plan{db: db, q: q, t: t, sql: q.SQL()}
 	p.cols = make([]string, len(q.Select))
 	p.selCol = make([]*dataset.Column, len(q.Select))
-	p.keyOf = make([]int, len(q.Select))
 	for i, s := range q.Select {
 		p.cols[i] = s.OutName()
-		if s.Agg != minisql.AggNone {
-			p.hasAgg = true
-		}
 		if s.Col == "*" {
 			if s.Agg != minisql.AggCount {
 				return nil, fmt.Errorf("engine: '*' is only valid inside COUNT")
@@ -74,9 +67,7 @@ func newPlan(db DB, t *dataset.Table, q *minisql.Query) (*Plan, error) {
 			}
 			p.selCol[i] = c
 		}
-		p.keyOf[i] = -1
 		if s.Agg != minisql.AggNone {
-			p.aggSel = append(p.aggSel, i)
 			p.aggCol = append(p.aggCol, p.selCol[i])
 		}
 	}
@@ -88,28 +79,12 @@ func newPlan(db DB, t *dataset.Table, q *minisql.Query) (*Plan, error) {
 		}
 		p.keyCol[k] = c
 	}
-	for i, s := range q.Select {
-		if s.Agg != minisql.AggNone {
-			continue
-		}
-		for k, g := range q.GroupBy {
-			if g.Col == s.Col && g.Bin == s.Bin {
-				p.keyOf[i] = k
-				break
-			}
-		}
-	}
 	for _, o := range q.OrderBy {
-		found := false
-		for _, c := range p.cols {
-			if c == o.Col {
-				found = true
-				break
-			}
-		}
-		if !found {
+		j := slices.Index(p.cols, o.Col)
+		if j < 0 {
 			return nil, fmt.Errorf("engine: ORDER BY column %q is not in the select list", o.Col)
 		}
+		p.orderCol = append(p.orderCol, j)
 	}
 	pred, err := compilePredicate(t, q.Where)
 	if err != nil {
@@ -198,33 +173,104 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 	return results[0], nil
 }
 
-// run drains the matching-row iterator through a fresh sink. It is the
-// single-plan execution path shared by both back-ends.
+// run drains the matching-row iterator through a fresh sink: the single-plan
+// execution path of the row and bitmap stores.
 func (p *Plan) run(iter rowIter) (*Result, error) {
 	sink := p.newSink()
 	iter(func(i int) { sink.add(i) })
-	return sink.finish()
+	return sink.finish(), nil
 }
 
-// planSink accumulates one plan's output incrementally: matching rows are
-// pushed in (add) and the result relation is emitted at the end (finish).
-// The push interface is what lets a batch executor feed many plans from one
-// shared scan.
-type planSink struct {
-	p *Plan
-	// Projection mode.
-	rows []dataset.Row
-	// Aggregation mode.
-	groups    map[string]*group
-	groupList []*group
-	keyBuf    []byte
+// rowSink is the push interface both sink kinds implement: matching rows go
+// in (add), so a batch executor can feed many plans from one shared scan; a
+// later shard's sink of the same plan folds in; the result relation comes out.
+type rowSink interface {
+	add(i int)
+	mergeFrom(o rowSink)
+	finish() *Result
 }
+
+// groupAcc is what every sink accumulates and finish consumes: table row
+// numbers, never cells — a projection's matching rows in scan order, or each
+// group's first row (in first-seen order) beside a slab of its accumulators.
+type groupAcc struct {
+	p    *Plan
+	rows []int32
+	aggs []aggState  // len(p.aggCol) per group
+	aggF [][]float64 // per aggregate, its column's raw floats or
+	aggI [][]int64   // ints; both nil for COUNT(*) and string columns
+	most int         // bound on the groups there can be, when the sink knows one; else 0
+}
+
+func newGroupAcc(p *Plan) groupAcc {
+	a := groupAcc{p: p, aggF: make([][]float64, len(p.aggCol)), aggI: make([][]int64, len(p.aggCol))}
+	for k, c := range p.aggCol {
+		if c != nil {
+			a.aggF[k], a.aggI[k] = floatsOf(c), intsOf(c)
+		}
+	}
+	return a
+}
+
+// newGroup appends a group first seen at row i, its accumulators empty. The
+// slab doubles when full, up to the sink's bound: append's 1.25x growth of a
+// large slice would copy a 10 000-group slab five times over.
+func (a *groupAcc) newGroup(i int) int32 {
+	a.rows = append(a.rows, int32(i))
+	na := len(a.aggF)
+	if len(a.aggs)+na > cap(a.aggs) {
+		grown := 2*cap(a.aggs) + 16*na
+		if a.most > 0 {
+			grown = min(grown, a.most*na)
+		}
+		a.aggs = append(make([]aggState, 0, grown), a.aggs...)
+	}
+	a.aggs = a.aggs[:len(a.aggs)+na]
+	return int32(len(a.rows) - 1)
+}
+
+// fold adds row i to group g's accumulators.
+func (a *groupAcc) fold(g int32, i int) {
+	aggs := a.aggs[int(g)*len(a.aggF):]
+	for k, c := range a.p.aggCol {
+		switch {
+		case c == nil:
+			aggs[k].add(0) // COUNT(*): only count matters
+		case a.aggF[k] != nil:
+			aggs[k].add(a.aggF[k][i])
+		case a.aggI[k] != nil:
+			aggs[k].add(float64(a.aggI[k][i]))
+		default:
+			aggs[k].add(c.Float(i))
+		}
+	}
+}
+
+// absorb folds group og of a later shard's accumulation into group g, which
+// keeps its first row: the globally earlier representative.
+func (a *groupAcc) absorb(g int32, o *groupAcc, og int) {
+	na := len(a.aggF)
+	for k := 0; k < na; k++ {
+		a.aggs[int(g)*na+k].merge(&o.aggs[og*na+k])
+	}
+}
+
+// planSink is the generic sink: a projection, or an aggregation that finds a
+// row's group by hashing its key bytes.
+type planSink struct {
+	groupAcc
+	groups map[string]int32 // key bytes -> group number; nil for a projection
+	keyBuf []byte
+}
+
+// aggregates reports whether the plan groups rows rather than projecting them.
+func (p *Plan) aggregates() bool { return len(p.aggCol) > 0 || len(p.q.GroupBy) > 0 }
 
 // newSink creates a fresh accumulator for one execution of the plan.
 func (p *Plan) newSink() *planSink {
-	s := &planSink{p: p}
-	if p.hasAgg || len(p.q.GroupBy) > 0 {
-		s.groups = make(map[string]*group)
+	s := &planSink{groupAcc: newGroupAcc(p)}
+	if p.aggregates() {
+		s.groups = make(map[string]int32)
 		s.keyBuf = make([]byte, 0, 64)
 	}
 	return s
@@ -234,11 +280,7 @@ func (p *Plan) newSink() *planSink {
 func (s *planSink) add(i int) {
 	p := s.p
 	if s.groups == nil {
-		row := make(dataset.Row, len(p.q.Select))
-		for j, sel := range p.q.Select {
-			row[j] = cellValue(p.selCol[j], sel.Bin, i)
-		}
-		s.rows = append(s.rows, row)
+		s.rows = append(s.rows, int32(i))
 		return
 	}
 	s.keyBuf = s.keyBuf[:0]
@@ -256,115 +298,119 @@ func (s *planSink) add(i int) {
 	}
 	g, ok := s.groups[string(s.keyBuf)]
 	if !ok {
-		g = &group{
-			keyVals:  make([]dataset.Value, len(p.keyCol)),
-			aggs:     make([]aggState, len(p.aggSel)),
-			firstRow: i,
-		}
-		for k, c := range p.keyCol {
-			g.keyVals[k] = cellValue(c, p.q.GroupBy[k].Bin, i)
-		}
+		g = s.newGroup(i)
 		s.groups[string(s.keyBuf)] = g
-		s.groupList = append(s.groupList, g)
 	}
-	for a, c := range p.aggCol {
-		if c == nil {
-			g.aggs[a].add(0) // COUNT(*): only count matters
-		} else {
-			g.aggs[a].add(c.Float(i))
-		}
-	}
+	s.fold(g, i)
 }
 
-// mergeFrom folds a later shard's partial accumulation into s. Shards cover
-// contiguous ascending row ranges, so appending o's new groups after s's
-// (each list already in first-seen order, keys built from the shared table's
-// global codes) reproduces the global first-seen order, and concatenating
-// projection rows reproduces ascending row order. Matching groups merge
-// accumulator state; s's group keeps its firstRow (the globally earlier
-// representative row).
-func (s *planSink) mergeFrom(o *planSink) {
+// mergeFrom folds a later shard's partial accumulation into s (the order
+// argument is gatherPartials'); key bytes hold the shared table's global codes.
+func (s *planSink) mergeFrom(other rowSink) {
+	o := other.(*planSink)
 	if s.groups == nil {
 		s.rows = append(s.rows, o.rows...)
 		return
 	}
-	keyOf := make(map[*group]string, len(o.groups))
+	keys := make([]string, len(o.rows))
 	for key, g := range o.groups {
-		keyOf[g] = key
+		keys[g] = key
 	}
-	for _, g := range o.groupList {
-		key := keyOf[g]
-		if dst, ok := s.groups[key]; ok {
-			dst.merge(g)
-			continue
+	for og, key := range keys {
+		g, ok := s.groups[key]
+		if !ok {
+			g = s.newGroup(int(o.rows[og]))
+			s.groups[key] = g
 		}
-		s.groups[key] = g
-		s.groupList = append(s.groupList, g)
+		s.absorb(g, &o.groupAcc, og)
 	}
 }
 
-// finish emits the result relation: group rows (or projected rows), ordering,
-// and LIMIT.
-func (s *planSink) finish() (*Result, error) {
-	if s.groups == nil {
-		return s.p.finishRows(s.rows)
-	}
-	return s.p.finishGroups(s.groupList)
-}
-
-// finishRows emits a projection result from the accumulated rows, applying
-// ordering and LIMIT. Shared by every sink implementation.
-func (p *Plan) finishRows(rows []dataset.Row) (*Result, error) {
-	res := &Result{Cols: p.cols, Rows: rows}
-	return p.orderAndLimit(res)
-}
-
-// finishGroups emits an aggregation result from groups in first-seen order,
-// applying ordering and LIMIT. Shared by every sink implementation, which is
-// what keeps the back-ends byte-identical: only the way matching rows are
-// produced differs.
-func (p *Plan) finishGroups(groupList []*group) (*Result, error) {
-	res := &Result{Cols: p.cols}
+// finish emits the result relation, then applies ordering and LIMIT. It is
+// where all sinks meet, which keeps the back-ends byte-identical: only the way
+// matching rows are produced differs. A sink only holds rows a scan fed it,
+// so their segments are loaded.
+func (a *groupAcc) finish() *Result {
+	p, rows, aggs := a.p, a.rows, a.aggs
 	// An aggregate with no GROUP BY always yields exactly one row, even
 	// over an empty match set (SQL semantics).
-	if len(p.q.GroupBy) == 0 && len(groupList) == 0 {
-		groupList = append(groupList, &group{aggs: make([]aggState, len(p.aggSel)), firstRow: -1})
+	if len(p.aggCol) > 0 && len(p.q.GroupBy) == 0 && len(rows) == 0 {
+		rows, aggs = []int32{-1}, make([]aggState, len(p.aggCol))
 	}
-	// One output row per group in first-seen order; orderResult sorts.
-	for _, g := range groupList {
-		row := make(dataset.Row, len(p.q.Select))
-		ai := 0
-		for j, sel := range p.q.Select {
-			if sel.Agg != minisql.AggNone {
-				row[j] = g.aggs[ai].value(sel.Agg)
-				ai++
-				continue
-			}
-			if k := p.keyOf[j]; k >= 0 {
-				row[j] = g.keyVals[k]
-				continue
-			}
-			// Non-grouped plain column: representative value from the
-			// group's first row (the query author asserts dependence).
-			if g.firstRow < 0 {
-				row[j] = dataset.NullValue
-			} else {
-				row[j] = cellValue(p.selCol[j], sel.Bin, g.firstRow)
-			}
+	res := &Result{Cols: p.cols, Vecs: make([]Vector, len(p.q.Select)), n: len(rows)}
+	ai := 0
+	for j, sel := range p.q.Select {
+		if sel.Agg != minisql.AggNone {
+			res.Vecs[j] = aggVector(sel.Agg, aggs, ai, len(p.aggCol))
+			ai++
+			continue
 		}
-		res.Rows = append(res.Rows, row)
+		// A group key, or a non-grouped plain column's representative (the
+		// query author asserts dependence): the cell at the group's first row.
+		res.Vecs[j] = cellVector(p.selCol[j], sel.Bin, rows)
 	}
-	return p.orderAndLimit(res)
+	res.orderAndLimit(p.orderCol, p.q.OrderBy, p.q.Limit)
+	return res
 }
 
-func (p *Plan) orderAndLimit(res *Result) (*Result, error) {
-	if err := orderResult(res, p.q.OrderBy); err != nil {
-		return nil, err
+// cellVector reads a non-aggregate select item at the given table rows. The
+// only negative row is the lone -1 of an aggregate over no rows: a NULL cell.
+func cellVector(c *dataset.Column, bin float64, rows []int32) Vector {
+	v := Vector{Kind: c.Field.Kind}
+	switch {
+	case len(rows) == 1 && rows[0] < 0:
+		return Vector{Kind: dataset.KindFloat, Floats: []float64{0}, null: true}
+	case bin > 0:
+		v.Kind, v.Floats = dataset.KindFloat, make([]float64, len(rows))
+		for g, i := range rows {
+			v.Floats[g] = binValue(c.Float(int(i)), bin)
+		}
+	case v.Kind == dataset.KindString:
+		v.Dict, v.Codes = c, gatherRows(c.Codes(), rows)
+	case v.Kind == dataset.KindInt:
+		v.Ints = gatherRows(c.Ints(), rows)
+	default:
+		v.Floats = gatherRows(c.Floats(), rows)
 	}
-	if p.q.Limit >= 0 && len(res.Rows) > p.q.Limit {
-		res.Rows = res.Rows[:p.q.Limit]
+	return v
+}
+
+func gatherRows[T any](src []T, rows []int32) []T {
+	out := make([]T, len(rows))
+	for g, i := range rows {
+		out[g] = src[i]
 	}
-	return res, nil
+	return out
+}
+
+// aggVector emits aggregate ai of every group (na accumulators per group):
+// COUNT as ints, the others as floats — NULL over no rows (SQL semantics),
+// which only the lone group of an aggregate without GROUP BY can be.
+func aggVector(f minisql.AggFunc, aggs []aggState, ai, na int) Vector {
+	n := len(aggs) / na
+	if f == minisql.AggCount {
+		v := Vector{Kind: dataset.KindInt, Ints: make([]int64, n)}
+		for g := range v.Ints {
+			v.Ints[g] = aggs[g*na+ai].count
+		}
+		return v
+	}
+	v := Vector{Kind: dataset.KindFloat, Floats: make([]float64, n)}
+	for g := range v.Floats {
+		switch a := &aggs[g*na+ai]; {
+		case a.count == 0:
+			v.null = true
+		case f == minisql.AggSum:
+			v.Floats[g] = a.sum
+		case f == minisql.AggAvg:
+			v.Floats[g] = a.sum / float64(a.count)
+		case f == minisql.AggMin:
+			v.Floats[g] = a.min
+		case f == minisql.AggMax:
+			v.Floats[g] = a.max
+		}
+	}
+	return v
 }
 
 // groupPlansByTable partitions batch plan indices by base table, preserving

@@ -143,8 +143,8 @@ func TestPlannerAllNaNZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].Int() != 0 {
-		t.Fatalf("NaN comparisons must match nothing, got %v", res.Rows[0][0])
+	if res.Value(0, 0).Int() != 0 {
+		t.Fatalf("NaN comparisons must match nothing, got %v", res.Value(0, 0))
 	}
 }
 
@@ -168,8 +168,8 @@ func TestPlannerSingleSegmentAndEmpty(t *testing.T) {
 			if rows == 5 {
 				want = 4
 			}
-			if res.Rows[0][0].Int() != want {
-				t.Fatalf("rows=%d %s: count = %v, want %d", rows, db.Name(), res.Rows[0][0], want)
+			if res.Value(0, 0).Int() != want {
+				t.Fatalf("rows=%d %s: count = %v, want %d", rows, db.Name(), res.Value(0, 0), want)
 			}
 		}
 	}
@@ -243,7 +243,7 @@ func TestAutoStoreRouting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		if res == nil || len(res.Rows) == 0 {
+		if res == nil || res.Len() == 0 {
 			t.Fatalf("%s: empty result", tc.sql)
 		}
 		if got := as.RouteCounts()[tc.route]; got != before+1 {
@@ -287,7 +287,7 @@ func TestAutoStoreBatchSplitsAcrossSubStores(t *testing.T) {
 	}
 	want := []int64{10, 3 * SegmentSize, 5, 100}
 	for i, res := range results {
-		if got := res.Rows[0][0].Int(); got != want[i] {
+		if got := res.Value(0, 0).Int(); got != want[i] {
 			t.Fatalf("batch[%d] (%s) = %d, want %d", i, sqls[i], got, want[i])
 		}
 	}
@@ -321,7 +321,7 @@ func TestPlanningToggleNeverChangesResults(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s planning=%v: %v", db.Name(), planning, err)
 				}
-				got := encodeResult(res)
+				got := fmt.Sprint(res.Cols, res.Rows())
 				if i == 0 && planning {
 					want = got
 					continue

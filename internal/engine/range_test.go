@@ -67,13 +67,13 @@ func TestRangePredicatesDifferential(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", q, err1, err2)
 		}
-		if len(r1.Rows) != len(r2.Rows) {
-			t.Fatalf("%s: %d vs %d rows", q, len(r1.Rows), len(r2.Rows))
+		if r1.Len() != r2.Len() {
+			t.Fatalf("%s: %d vs %d rows", q, r1.Len(), r2.Len())
 		}
-		for i := range r1.Rows {
-			for j := range r1.Rows[i] {
-				if !r1.Rows[i][j].Equal(r2.Rows[i][j]) {
-					t.Fatalf("%s: cell (%d,%d) %v vs %v", q, i, j, r1.Rows[i][j], r2.Rows[i][j])
+		for i := 0; i < r1.Len(); i++ {
+			for j := range r1.Cols {
+				if !r1.Value(i, j).Equal(r2.Value(i, j)) {
+					t.Fatalf("%s: cell (%d,%d) %v vs %v", q, i, j, r1.Value(i, j), r2.Value(i, j))
 				}
 			}
 		}
@@ -107,8 +107,8 @@ func TestFractionalRangeBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r1.Rows[0][0].Equal(r2.Rows[0][0]) {
-			t.Errorf("%s: %v vs %v", q, r1.Rows[0][0], r2.Rows[0][0])
+		if !r1.Value(0, 0).Equal(r2.Value(0, 0)) {
+			t.Errorf("%s: %v vs %v", q, r1.Value(0, 0), r2.Value(0, 0))
 		}
 	}
 }
@@ -122,7 +122,7 @@ func TestUnindexedIntStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r1.Rows[0][0].Equal(r2.Rows[0][0]) {
-		t.Errorf("%v vs %v", r1.Rows[0][0], r2.Rows[0][0])
+	if !r1.Value(0, 0).Equal(r2.Value(0, 0)) {
+		t.Errorf("%v vs %v", r1.Value(0, 0), r2.Value(0, 0))
 	}
 }

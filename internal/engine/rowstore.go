@@ -210,7 +210,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 		}
 	}
 	for k, pi := range shard {
-		results[pi], errs[pi] = sinks[k].finish()
+		results[pi] = sinks[k].finish()
 	}
 }
 

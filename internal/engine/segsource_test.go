@@ -69,8 +69,8 @@ func TestLazySourceSkippedSegmentsNotLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(res.Rows))
+	if res.Len() != 10 {
+		t.Fatalf("rows = %d, want 10", res.Len())
 	}
 	for s := range src.loads {
 		want := int64(0)
@@ -141,8 +141,8 @@ func TestMemSourceMatchesEagerStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-			t.Errorf("%s diverged:\n got %v\nwant %v", sql, got, want)
+		if fmt.Sprint(got.Cols, got.Rows()) != fmt.Sprint(want.Cols, want.Rows()) {
+			t.Errorf("%s diverged:\n got %v\nwant %v", sql, got.Rows(), want.Rows())
 		}
 	}
 	if n := eager.NumSegments("clustered"); n != 2 {

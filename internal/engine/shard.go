@@ -426,7 +426,7 @@ func (s *ShardedStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resu
 			for si := range job.parts {
 				parts[si] = job.parts[si][k]
 			}
-			results[pi], errs[pi] = gatherPartials(parts)
+			results[pi] = gatherPartials(parts)
 		}
 	}
 	if err := firstError(plans, errs); err != nil {
@@ -451,26 +451,11 @@ func runShardContained(ctx context.Context, shard *ColumnStore, plans []*Plan) (
 // finishes the first. Shards cover contiguous ascending row ranges, so
 // merging in shard order reproduces the unsharded scan exactly: projection
 // rows concatenate into ascending row order, and a group's global first-seen
-// position is its position in the lowest shard that saw it.
-func gatherPartials(parts []rowSink) (*Result, error) {
-	base := parts[0]
+// position is its position in the lowest shard that saw it. Every shard picks
+// its sink kind from the same plan and global dictionaries, so the kinds agree.
+func gatherPartials(parts []rowSink) *Result {
 	for _, part := range parts[1:] {
-		switch b := base.(type) {
-		case *planSink:
-			o, ok := part.(*planSink)
-			if !ok {
-				return nil, fmt.Errorf("engine: shard sink mismatch: %T vs %T", base, part)
-			}
-			b.mergeFrom(o)
-		case *flatSink:
-			o, ok := part.(*flatSink)
-			if !ok {
-				return nil, fmt.Errorf("engine: shard sink mismatch: %T vs %T", base, part)
-			}
-			b.mergeFrom(o)
-		default:
-			return nil, fmt.Errorf("engine: shard sink %T cannot gather", base)
-		}
+		parts[0].mergeFrom(part)
 	}
-	return base.finish()
+	return parts[0].finish()
 }

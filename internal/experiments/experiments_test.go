@@ -140,34 +140,31 @@ func TestFig75SelectivityCrossover(t *testing.T) {
 }
 
 func TestFig75Census(t *testing.T) {
-	// The census margin is small at test scale, so judge by majority over
-	// three runs rather than a single noisy timing.
-	wins := 0
-	for trial := 0; trial < 3; trial++ {
-		rows, err := Fig75Census(ScaleSmall)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 6 {
-			t.Fatalf("%d rows", len(rows))
-		}
-		var bit10, row10 float64
-		for _, r := range rows {
-			if r.Selectivity == "10%" {
-				switch r.Backend {
-				case "bitmapstore":
-					bit10 = float64(r.Time)
-				case "rowstore":
-					row10 = float64(r.Time)
-				}
+	// Judged on counted work (DB.Counters), which repeats exactly: at 10 %
+	// selectivity the bitmap store visits only the candidate rows of its
+	// intersected index bitmaps, the row store every row. The timings the
+	// figure plots swing with the machine's load and are only logged.
+	rows, err := Fig75Census(ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("%d rows", len(rows))
+	}
+	var bit10, row10 BackendRow
+	for _, r := range rows {
+		t.Logf("%s %s: %v, %d rows scanned", r.Backend, r.Selectivity, r.Time, r.RowsScanned)
+		if r.Selectivity == "10%" {
+			switch r.Backend {
+			case "bitmapstore":
+				bit10 = r
+			case "rowstore":
+				row10 = r
 			}
 		}
-		if bit10 < row10 {
-			wins++
-		}
 	}
-	if wins < 2 {
-		t.Errorf("bitmap store won the selective census query in only %d/3 runs", wins)
+	if bit10.RowsScanned == 0 || bit10.RowsScanned >= row10.RowsScanned {
+		t.Errorf("at 10%% selectivity the bitmap store tested %d rows, the row store %d: want fewer", bit10.RowsScanned, row10.RowsScanned)
 	}
 }
 

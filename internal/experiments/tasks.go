@@ -105,7 +105,7 @@ func splitByZ(res *engine.Result, x, z, yAlias string) []*vis.Visualization {
 	var out []*vis.Visualization
 	var cur *vis.Visualization
 	var curZ string
-	for _, row := range res.Rows {
+	for _, row := range res.Rows() {
 		zv := row[zi].String()
 		if cur == nil || zv != curZ {
 			cur = &vis.Visualization{XAttr: x, YAttr: yAlias, Slices: []vis.Slice{{Attr: z, Value: zv}}}

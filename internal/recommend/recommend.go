@@ -63,7 +63,7 @@ func Diverse(db engine.DB, req Request, m vis.Metric) ([]Recommendation, error) 
 	var viss []*vis.Visualization
 	var cur *vis.Visualization
 	var curZ string
-	for _, row := range res.Rows {
+	for _, row := range res.Rows() {
 		z := row[zi].String()
 		if cur == nil || z != curZ {
 			cur = &vis.Visualization{

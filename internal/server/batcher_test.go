@@ -194,20 +194,20 @@ func TestBatcherContainsEnginePanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy submission after panic: %v", err)
 	}
-	if len(results) != 1 || len(results[0].Rows) != 1 {
+	if len(results) != 1 || results[0].Len() != 1 {
 		t.Fatalf("results = %+v", results)
 	}
 }
 
 // sameResult compares two engine results cell by cell.
 func sameResult(got, want *engine.Result) error {
-	if len(got.Rows) != len(want.Rows) {
-		return fmt.Errorf("%d rows, want %d", len(got.Rows), len(want.Rows))
+	if got.Len() != want.Len() {
+		return fmt.Errorf("%d rows, want %d", got.Len(), want.Len())
 	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if !got.Rows[i][j].Equal(want.Rows[i][j]) {
-				return fmt.Errorf("row %d col %d = %v, want %v", i, j, got.Rows[i][j], want.Rows[i][j])
+	for i := 0; i < got.Len(); i++ {
+		for j := range got.Cols {
+			if !got.Value(i, j).Equal(want.Value(i, j)) {
+				return fmt.Errorf("row %d col %d = %v, want %v", i, j, got.Value(i, j), want.Value(i, j))
 			}
 		}
 	}

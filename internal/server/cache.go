@@ -20,12 +20,12 @@ import (
 // treated as read-only by every consumer; the zexec splitter and the JSON
 // encoders only read them.
 type ResultCache struct {
-	mu        sync.Mutex
-	cap       int
-	rowBudget int64 // total result rows held across entries
-	rows      int64
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
+	mu     sync.Mutex
+	cap    int
+	budget int64 // bytes of results (engine.Result.SizeBytes) held across entries
+	bytes  int64
+	ll     *list.List // front = most recently used
+	items  map[string]*list.Element
 
 	// ctr is a pointer so a successor cache (dataset append swap) can adopt
 	// its predecessor's cell: late increments from requests still running on
@@ -39,30 +39,32 @@ type cacheCounters struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	oversize  atomic.Int64
 }
 
 type cacheEntry struct {
-	key  string
-	res  *engine.Result
-	rows int64
+	key   string
+	res   *engine.Result
+	bytes int64
 }
 
-// cacheRowsPerEntry scales the cache's total row budget: entry count alone is
-// a poor memory bound because a raw (no GROUP BY) result can hold a table's
-// worth of rows, so the cache also evicts by cumulative result rows —
-// capacity entries of this average size.
-const cacheRowsPerEntry = 1024
+// cacheBytesPerEntry scales the cache's byte budget: entry count alone is a
+// poor memory bound because a raw (no GROUP BY) result can hold a table's
+// worth of rows, so the cache also evicts by the bytes its results pin —
+// capacity entries of this average size, which is 1024 rows of a
+// three-column (code, int, float) result with a fifth to spare.
+const cacheBytesPerEntry = 24 << 10
 
 // NewResultCache creates a cache holding up to capacity results totalling at
-// most capacity*cacheRowsPerEntry result rows. A capacity <= 0 disables
-// caching: Get always misses and Put is a no-op.
+// most capacity*cacheBytesPerEntry bytes. A capacity <= 0 disables caching:
+// Get always misses and Put is a no-op.
 func NewResultCache(capacity int) *ResultCache {
 	return &ResultCache{
-		cap:       capacity,
-		rowBudget: int64(capacity) * cacheRowsPerEntry,
-		ll:        list.New(),
-		items:     make(map[string]*list.Element),
-		ctr:       &cacheCounters{},
+		cap:    capacity,
+		budget: int64(capacity) * cacheBytesPerEntry,
+		ll:     list.New(),
+		items:  make(map[string]*list.Element),
+		ctr:    &cacheCounters{},
 	}
 }
 
@@ -80,35 +82,36 @@ func (c *ResultCache) Get(key string) (*engine.Result, bool) {
 }
 
 // Put stores a result under key, evicting least recently used entries while
-// the cache exceeds its entry capacity or its total row budget. A single
-// result bigger than the whole budget is not cached at all — pinning the
-// entire budget for one query would evict everything else for no aggregate
-// gain.
+// the cache exceeds its entry capacity or its byte budget. A single result
+// bigger than the whole budget is counted (oversize) and not cached at all —
+// pinning the entire budget for one query would evict everything else for no
+// aggregate gain.
 func (c *ResultCache) Put(key string, res *engine.Result) {
 	if c.cap <= 0 {
 		return
 	}
-	rows := int64(len(res.Rows))
-	if rows > c.rowBudget {
+	bytes := res.SizeBytes()
+	if bytes > c.budget {
+		c.ctr.oversize.Add(1)
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*cacheEntry)
-		c.rows += rows - e.rows
-		e.res, e.rows = res, rows
+		c.bytes += bytes - e.bytes
+		e.res, e.bytes = res, bytes
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, rows: rows})
-		c.rows += rows
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, bytes: bytes})
+		c.bytes += bytes
 	}
-	for c.ll.Len() > c.cap || c.rows > c.rowBudget {
+	for c.ll.Len() > c.cap || c.bytes > c.budget {
 		oldest := c.ll.Back()
 		e := oldest.Value.(*cacheEntry)
 		c.ll.Remove(oldest)
 		delete(c.items, e.key)
-		c.rows -= e.rows
+		c.bytes -= e.bytes
 		c.ctr.evictions.Add(1)
 	}
 }
@@ -126,15 +129,17 @@ func (c *ResultCache) InheritStats(prev *ResultCache) {
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness. Evictions
-// counts LRU/row-budget displacements plus wholesale invalidations when a
-// dataset is replaced by an append.
+// counts LRU/byte-budget displacements plus wholesale invalidations when a
+// dataset is replaced by an append; Oversize counts results never cached
+// because one alone exceeded the whole byte budget.
 type CacheStats struct {
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
-	Rows      int64 `json:"rows"`
+	Bytes     int64 `json:"bytes"`
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
+	Oversize  int64 `json:"oversize"`
 }
 
 // Stats snapshots the cache counters.
@@ -144,10 +149,11 @@ func (c *ResultCache) Stats() CacheStats {
 	return CacheStats{
 		Entries:   c.ll.Len(),
 		Capacity:  c.cap,
-		Rows:      c.rows,
+		Bytes:     c.bytes,
 		Hits:      c.ctr.hits.Load(),
 		Misses:    c.ctr.misses.Load(),
 		Evictions: c.ctr.evictions.Load(),
+		Oversize:  c.ctr.oversize.Load(),
 	}
 }
 

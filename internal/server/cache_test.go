@@ -47,38 +47,43 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 }
 
-func TestResultCacheRowBudget(t *testing.T) {
-	// Capacity 4 → row budget 4*cacheRowsPerEntry. Entries of half a budget
+func TestResultCacheByteBudget(t *testing.T) {
+	// Capacity 4 → byte budget 4*cacheBytesPerEntry. Entries of half a budget
 	// each: the third must evict the first even though entry count is fine.
 	c := NewResultCache(4)
-	big := func(tag string, rows int64) *engine.Result {
+	big := func(tag string, bytes int64) *engine.Result {
 		r := fakeResult(tag)
-		r.Rows = make([]dataset.Row, rows)
+		r.Vecs = []engine.Vector{{Kind: dataset.KindFloat, Floats: make([]float64, bytes/8)}}
 		return r
 	}
-	half := int64(2 * cacheRowsPerEntry)
+	half := int64(2 * cacheBytesPerEntry)
 	c.Put("a", big("a", half))
 	c.Put("b", big("b", half))
 	c.Put("c", big("c", half))
 	if _, ok := c.Get("a"); ok {
-		t.Error("a should have been evicted by the row budget")
+		t.Error("a should have been evicted by the byte budget")
 	}
 	if _, ok := c.Get("c"); !ok {
 		t.Error("c should be cached")
 	}
-	if s := c.Stats(); s.Rows > 4*cacheRowsPerEntry {
-		t.Errorf("rows = %d over budget", s.Rows)
+	if s := c.Stats(); s.Bytes > 4*cacheBytesPerEntry {
+		t.Errorf("bytes = %d over budget", s.Bytes)
 	}
-	// A single result over the whole budget is not cached at all.
-	c.Put("huge", big("huge", 5*cacheRowsPerEntry))
+	// A single result over the whole budget is counted and not cached at
+	// all: it must not evict what is there on its way to being refused.
+	before := c.Stats()
+	c.Put("huge", big("huge", 5*cacheBytesPerEntry))
 	if _, ok := c.Get("huge"); ok {
 		t.Error("oversized result must not be cached")
 	}
+	if s := c.Stats(); s.Oversize != 1 || s.Entries != before.Entries || s.Evictions != before.Evictions {
+		t.Errorf("after an oversized Put: %+v, before: %+v", s, before)
+	}
 	// Overwriting with a different size keeps the accounting consistent.
-	c.Put("c", big("c2", 1))
-	wantRows := half + 1 // b (half) + c (1)
-	if s := c.Stats(); s.Rows != wantRows {
-		t.Errorf("rows = %d, want %d", s.Rows, wantRows)
+	c.Put("c", big("c2", 8))
+	wantBytes := half + 8 // b (half) + c (8)
+	if s := c.Stats(); s.Bytes != wantBytes {
+		t.Errorf("bytes = %d, want %d", s.Bytes, wantBytes)
 	}
 }
 

@@ -126,6 +126,11 @@ func newMetrics(reg *Registry) *metrics {
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.Cache.Entries))
 		})
+	perDataset("zen_cache_bytes",
+		"Bytes of result vectors the result cache currently pins.", "gauge",
+		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
+			emit(float64(s.Cache.Bytes))
+		})
 	perDataset("zen_coalesce_submissions_total",
 		"Engine submissions admitted through the coalescing queue.", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {

@@ -1,6 +1,8 @@
 package zexec
 
 import (
+	"hash/maphash"
+	"sort"
 	"sync"
 
 	"repro/internal/vis"
@@ -39,6 +41,25 @@ func (e element) key() string {
 	}
 	return e.attr + "\x00" + e.val
 }
+
+// equal reports whether two elements have the same key, without building it.
+func (e element) equal(o element) bool {
+	if e.viz != nil || o.viz != nil {
+		return e.viz != nil && o.viz != nil && e.viz.String() == o.viz.String()
+	}
+	return e.attr == o.attr && e.val == o.val
+}
+
+// hash mixes the element's identity into h; equal elements hash alike.
+func (e element) hash(h uint64) uint64 {
+	mix := func(h uint64, s string) uint64 { return h*0x9e3779b97f4a7c15 ^ maphash.String(findSeed, s) }
+	if e.viz != nil {
+		return mix(h, e.viz.Type)
+	}
+	return mix(mix(h, e.attr), e.val)
+}
+
+var findSeed = maphash.MakeSeed()
 
 // display renders the element for Result.Bindings.
 func (e element) display() string {
@@ -80,16 +101,22 @@ type Collection struct {
 	wildcard bool
 
 	// Lazily computed matching metadata (see ensureMeta). Guarded by a
-	// sync.Once because parallel process workers call matches concurrently.
+	// sync.Once because parallel process workers call find concurrently.
 	metaOnce      sync.Once
 	comboVars     map[string]bool
 	iteratedAttrs map[string]bool
 	iteratedKinds map[elemKind]bool
+	// The find index, for uniform collections (every combo assigns exactly
+	// the variables of comboVars, and there is at least one): the hash of a
+	// combo's elements, taken in indexVars order, to the ascending positions
+	// of the visualizations carrying them. nil otherwise.
+	indexVars []string
+	lookup    map[uint64][]int32
 }
 
-// ensureMeta computes which variables and slots the collection iterates.
-// Combos are immutable after construction, so this runs once; concurrent
-// callers block until the maps are published.
+// ensureMeta computes which variables and slots the collection iterates, and
+// the find index over them. Combos are immutable after construction, so this
+// runs once; concurrent callers block until the maps are published.
 func (c *Collection) ensureMeta() {
 	c.metaOnce.Do(func() {
 		c.comboVars = make(map[string]bool)
@@ -105,7 +132,37 @@ func (c *Collection) ensureMeta() {
 				}
 			}
 		}
+		if len(c.comboVars) == 0 {
+			return
+		}
+		for _, combo := range c.combos {
+			if len(combo) != len(c.comboVars) {
+				return // not uniform: find scans
+			}
+		}
+		for name := range c.comboVars {
+			c.indexVars = append(c.indexVars, name)
+		}
+		sort.Strings(c.indexVars)
+		c.lookup = make(map[uint64][]int32, len(c.combos))
+		for i, combo := range c.combos {
+			h, _ := c.probe(combo)
+			c.lookup[h] = append(c.lookup[h], int32(i))
+		}
 	})
+}
+
+// probe hashes the assignment's elements for the collection's iterated
+// variables; ok is false when the assignment leaves one of them out.
+func (c *Collection) probe(assign map[string]element) (h uint64, ok bool) {
+	for _, name := range c.indexVars {
+		e, ok := assign[name]
+		if !ok {
+			return 0, false
+		}
+		h = e.hash(h)
+	}
+	return h, true
 }
 
 // sameSlot reports whether two elements constrain the same aspect of a
@@ -169,7 +226,7 @@ func (c *Collection) matches(i int, assign map[string]element) bool {
 	v := c.Vis[i]
 	for name, want := range assign {
 		if got, ok := combo[name]; ok {
-			if got.key() != want.key() {
+			if !got.equal(want) {
 				return false
 			}
 			continue
@@ -222,7 +279,23 @@ func structuralMatch(v *vis.Visualization, want element) bool {
 // find returns the first visualization consistent with the assignment, or
 // nil. A single-visualization collection with an empty combo (user input,
 // fixed rows) matches any assignment.
+//
+// When the assignment names every variable a uniform collection iterates,
+// rule 1 of matches admits only the visualizations whose combo carries the
+// same elements, so only those — found by hash, in ascending order — are
+// tested; every other case scans.
 func (c *Collection) find(assign map[string]element) *vis.Visualization {
+	c.ensureMeta()
+	if c.lookup != nil {
+		if h, ok := c.probe(assign); ok {
+			for _, i := range c.lookup[h] {
+				if c.matches(int(i), assign) {
+					return c.Vis[i]
+				}
+			}
+			return nil
+		}
+	}
 	for i := range c.Vis {
 		if c.matches(i, assign) {
 			return c.Vis[i]
@@ -362,7 +435,7 @@ func (c *Collection) matchesElems(i int, assign map[string]element) bool {
 	for _, want := range assign {
 		ok := false
 		for _, got := range combo {
-			if got.key() == want.key() {
+			if got.equal(want) {
 				ok = true
 				break
 			}

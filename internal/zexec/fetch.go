@@ -433,85 +433,175 @@ func annotatePlanSpan(prep *trace.Span, p *engine.Plan) {
 }
 
 // splitJob distributes a job's result rows into its units' visualizations.
+// Column positions are resolved once per job, rows are dealt to units by z
+// group, and the job's points come from one slab sub-sliced per unit; the
+// result's vectors are read in place.
 func splitJob(j *queryJob, res *engine.Result) error {
-	xIdx := make([]int, len(j.xCols))
-	for i, c := range j.xCols {
-		xIdx[i] = res.ColIndex(c)
-		if xIdx[i] < 0 {
-			return fmt.Errorf("zexec: result missing x column %q", c)
+	xIdx, err := resultCols(res, j.xCols, "x")
+	if err != nil {
+		return err
+	}
+	zIdx, err := resultCols(res, j.zCols, "z")
+	if err != nil {
+		return err
+	}
+	unitGroup, rowGroup, ngroups := zGroups(j, res, zIdx)
+	// Counting sort: group g's rows, ascending, are rowsOf[start[g]:start[g+1]].
+	start := make([]int32, ngroups+1)
+	for _, g := range rowGroup {
+		if g >= 0 {
+			start[g+1]++
 		}
 	}
-	zIdx := make([]int, len(j.zCols))
-	for i, c := range j.zCols {
-		zIdx[i] = res.ColIndex(c)
-		if zIdx[i] < 0 {
-			return fmt.Errorf("zexec: result missing z column %q", c)
+	for g := 0; g < ngroups; g++ {
+		start[g+1] += start[g]
+	}
+	rowsOf := make([]int32, start[ngroups])
+	next := append([]int32(nil), start...)
+	for r, g := range rowGroup {
+		if g >= 0 {
+			rowsOf[next[g]] = int32(r)
+			next[g]++
 		}
 	}
-	// Index rows by their z-value signature.
-	rowsByZ := make(map[string][]dataset.Row)
-	var zOrder []string
-	for _, row := range res.Rows {
-		var kb strings.Builder
-		for _, zi := range zIdx {
-			kb.WriteString(row[zi].String())
-			kb.WriteByte('\x00')
+	npoints := 0
+	for _, g := range unitGroup {
+		if g >= 0 {
+			npoints += int(start[g+1] - start[g])
 		}
-		k := kb.String()
-		if _, ok := rowsByZ[k]; !ok {
-			zOrder = append(zOrder, k)
-		}
-		rowsByZ[k] = append(rowsByZ[k], row)
 	}
-	for _, u := range j.units {
-		// z columns in job order correspond to the unit's slices in order.
-		var kb strings.Builder
-		for i := range j.zCols {
-			kb.WriteString(u.slices[i].Value)
-			kb.WriteByte('\x00')
+	points := make([]vis.Point, npoints)
+	out := make([]vis.Visualization, len(j.units))
+	var yIdx []int
+	for ui, u := range j.units {
+		v := &out[ui]
+		v.XAttr, v.YAttr = strings.Join(u.xattrs, "×"), strings.Join(u.yattrs, "+")
+		v.Slices, v.VizType = u.slices, u.vd.Type
+		u.out = v
+		g := unitGroup[ui]
+		if g < 0 || start[g] == start[g+1] {
+			continue // no rows: Points stays nil
 		}
-		rows := rowsByZ[kb.String()]
-		v := &vis.Visualization{
-			XAttr:   strings.Join(u.xattrs, "×"),
-			YAttr:   strings.Join(u.yattrs, "+"),
-			Slices:  u.slices,
-			VizType: u.vd.Type,
+		rows := rowsOf[start[g]:start[g+1]]
+		if yIdx, err = j.yCols(res, u, yIdx[:0]); err != nil {
+			return err
 		}
-		for _, row := range rows {
-			x := composeX(row, xIdx)
+		v.Points, points = points[:len(rows):len(rows)], points[len(rows):]
+		for k, r := range rows {
 			var y float64
 			if j.raw {
-				yi := res.ColIndex(j.rawYCol)
-				if yi < 0 {
-					return fmt.Errorf("zexec: result missing y column %q", j.rawYCol)
-				}
-				y = row[yi].Float()
+				y = res.Value(int(r), yIdx[0]).Float()
 			} else {
-				for _, yattr := range u.yattrs {
-					alias := j.yAlias[yattr]
-					yi := res.ColIndex(alias)
-					if yi < 0 {
-						return fmt.Errorf("zexec: result missing aggregate column %q", alias)
-					}
-					y += row[yi].Float()
+				for _, yi := range yIdx {
+					y += res.Value(int(r), yi).Float()
 				}
 			}
-			v.Points = append(v.Points, vis.Point{X: x, Y: y})
+			v.Points[k] = vis.Point{X: composeX(res, int(r), xIdx), Y: y}
 		}
-		u.out = v
 	}
 	return nil
 }
 
+// resultCols resolves the named result columns.
+func resultCols(res *engine.Result, names []string, axis string) ([]int, error) {
+	idx := make([]int, len(names))
+	for i, c := range names {
+		if idx[i] = res.ColIndex(c); idx[i] < 0 {
+			return nil, fmt.Errorf("zexec: result missing %s column %q", axis, c)
+		}
+	}
+	return idx, nil
+}
+
+// yCols appends the result columns a unit's y value is read from: a
+// scatterplot's raw y column, or the aggregate of each of the unit's y
+// attributes (a composite + axis sums them).
+func (j *queryJob) yCols(res *engine.Result, u *fetchUnit, idx []int) ([]int, error) {
+	if j.raw {
+		yi := res.ColIndex(j.rawYCol)
+		if yi < 0 {
+			return nil, fmt.Errorf("zexec: result missing y column %q", j.rawYCol)
+		}
+		return append(idx, yi), nil
+	}
+	for _, yattr := range u.yattrs {
+		yi := res.ColIndex(j.yAlias[yattr])
+		if yi < 0 {
+			return nil, fmt.Errorf("zexec: result missing aggregate column %q", j.yAlias[yattr])
+		}
+		idx = append(idx, yi)
+	}
+	return idx, nil
+}
+
+// zGroups numbers the distinct z signatures the job's units ask for — a
+// unit's slice values, which line up with the job's z columns — and returns
+// each unit's and each result row's group; -1 marks a row no unit asked for
+// and a unit no row can match. A single dictionary-coded z column (the
+// 'product'.* case) is dealt through an array indexed by dictionary code,
+// with no string built or hashed; anything else through a map keyed by the
+// rendered values. Several units may share a group.
+func zGroups(j *queryJob, res *engine.Result, zIdx []int) (unitGroup, rowGroup []int32, ngroups int) {
+	unitGroup, rowGroup = make([]int32, len(j.units)), make([]int32, res.Len())
+	if len(zIdx) == 1 {
+		// The array is dictionary-sized, so it must not dwarf the job.
+		if z := &res.Vecs[zIdx[0]]; z.Kind == dataset.KindString && z.Dict.Cardinality() <= 4*(len(j.units)+res.Len()) {
+			byCode := make([]int32, z.Dict.Cardinality()) // group + 1; 0 = no unit
+			for ui, u := range j.units {
+				code := z.Dict.CodeOf(u.slices[0].Value)
+				if code < 0 {
+					unitGroup[ui] = -1
+					continue
+				}
+				if byCode[code] == 0 {
+					ngroups++
+					byCode[code] = int32(ngroups)
+				}
+				unitGroup[ui] = byCode[code] - 1
+			}
+			for r, code := range z.Codes {
+				rowGroup[r] = byCode[code] - 1
+			}
+			return unitGroup, rowGroup, ngroups
+		}
+	}
+	byKey := make(map[string]int32, len(j.units))
+	var key []byte
+	for ui, u := range j.units {
+		key = key[:0]
+		for i := range zIdx {
+			key = append(append(key, u.slices[i].Value...), 0)
+		}
+		g, ok := byKey[string(key)]
+		if !ok {
+			g = int32(len(byKey))
+			byKey[string(key)] = g
+		}
+		unitGroup[ui] = g
+	}
+	for r := range rowGroup {
+		key = key[:0]
+		for _, zi := range zIdx {
+			key = append(append(key, res.Value(r, zi).String()...), 0)
+		}
+		if g, ok := byKey[string(key)]; ok {
+			rowGroup[r] = g
+		} else {
+			rowGroup[r] = -1
+		}
+	}
+	return unitGroup, rowGroup, len(byKey)
+}
+
 // composeX renders a result row's x value: the single x column's value, or a
 // composite "a|b" for × axes.
-func composeX(row dataset.Row, xIdx []int) dataset.Value {
+func composeX(res *engine.Result, row int, xIdx []int) dataset.Value {
 	if len(xIdx) == 1 {
-		return row[xIdx[0]]
+		return res.Value(row, xIdx[0])
 	}
 	parts := make([]string, len(xIdx))
 	for i, xi := range xIdx {
-		parts[i] = row[xi].String()
+		parts[i] = res.Value(row, xi).String()
 	}
 	return dataset.SV(strings.Join(parts, "|"))
 }

@@ -175,7 +175,46 @@ func runGoldenCtx(t *testing.T, src string, db engine.DB, gc goldenCase, mutate 
 	if err != nil {
 		t.Fatalf("run %s: %v", gc.file, err)
 	}
+	for _, stmt := range res.SQLLog {
+		goldenSQL[stmt] = true
+	}
 	return encodeResult(res)
+}
+
+// goldenSQL collects every SQL statement the corpus issues, at any level on
+// any back-end. testdata/golden_corpus.sql is its checked-in copy: package
+// engine replays that file against its boxed reference executor (it cannot
+// import this package), so a statement missing from the file is a statement
+// the engine's differential does not cover.
+var goldenSQL = map[string]bool{}
+
+const goldenSQLPath = "testdata/golden_corpus.sql"
+
+func checkGoldenSQL(t *testing.T) {
+	stmts := make([]string, 0, len(goldenSQL))
+	for stmt := range goldenSQL {
+		stmts = append(stmts, stmt)
+	}
+	sort.Strings(stmts)
+	if *updateGolden {
+		if err := os.WriteFile(goldenSQLPath, []byte(strings.Join(stmts, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	file, err := os.ReadFile(goldenSQLPath)
+	if err != nil {
+		t.Fatalf("missing SQL log (run with -update to generate): %v", err)
+	}
+	have := make(map[string]bool)
+	for _, line := range strings.Split(string(file), "\n") {
+		have[line] = true
+	}
+	for _, stmt := range stmts {
+		if !have[stmt] {
+			t.Errorf("%s lacks a statement the corpus issues (run with -update): %s", goldenSQLPath, stmt)
+		}
+	}
 }
 
 func TestGoldenCorpus(t *testing.T) {
@@ -259,6 +298,7 @@ func TestGoldenCorpus(t *testing.T) {
 			}
 		})
 	}
+	checkGoldenSQL(t)
 }
 
 // unevenCuts returns two lopsided interior cut points for a 3-way shard

@@ -282,7 +282,7 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: %s: %v", step, sql, err)
 			}
-			if g, w := fmt.Sprintf("%v", gotRes), fmt.Sprintf("%v", wantRes); g != w {
+			if g, w := fmt.Sprint(gotRes.Cols, gotRes.Rows()), fmt.Sprint(wantRes.Cols, wantRes.Rows()); g != w {
 				t.Fatalf("step %d: %s:\n got %s\nwant %s", step, sql, g, w)
 			}
 		}

@@ -92,8 +92,8 @@ func TestRoundTripQueryIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-			t.Errorf("%s:\n got %v\nwant %v", sql, got, want)
+		if fmt.Sprint(got.Cols, got.Rows()) != fmt.Sprint(want.Cols, want.Rows()) {
+			t.Errorf("%s:\n got %v\nwant %v", sql, got.Rows(), want.Rows())
 		}
 	}
 }
@@ -123,8 +123,8 @@ func TestLazySkippedSegmentsNeverLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Int() != int64(target) {
-		t.Fatalf("unexpected result %+v", res.Rows)
+	if res.Len() != 1 || res.Value(0, 0).Int() != int64(target) {
+		t.Fatalf("unexpected result %+v", res.Rows())
 	}
 	if got := r.SegmentLoads(); got != 1 {
 		t.Errorf("query over one segment loaded %d segments, want 1", got)
@@ -340,8 +340,8 @@ func TestEmptyDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Fatalf("rows = %+v", res.Rows)
+	if res.Len() != 0 {
+		t.Fatalf("rows = %+v", res.Rows())
 	}
 }
 
@@ -399,8 +399,8 @@ func TestShardedReaderRangeViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", want) {
-		t.Errorf("sharded zpack result:\n got %v\nwant %v", got, want)
+	if fmt.Sprint(got.Cols, got.Rows()) != fmt.Sprint(want.Cols, want.Rows()) {
+		t.Errorf("sharded zpack result:\n got %v\nwant %v", got.Rows(), want.Rows())
 	}
 	// The target row lives in segment 2, owned by shard 1: exactly one
 	// segment crosses the disk, through that shard's view.
