@@ -152,11 +152,8 @@ func cmdInspect(args []string) {
 	fmt.Println("columns:")
 	for _, c := range t.Columns() {
 		extra := ""
-		switch {
-		case c.Field.Kind == dataset.KindString:
+		if c.Coded() {
 			extra = fmt.Sprintf(" (dict %d)", c.Cardinality())
-		case r.IntDict(c.Field.Name) != nil:
-			extra = fmt.Sprintf(" (dict %d)", len(r.IntDict(c.Field.Name).Vals))
 		}
 		fmt.Printf("  %-20s %s%s\n", c.Field.Name, c.Field.Kind, extra)
 	}

@@ -254,15 +254,16 @@ func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
 		if err != nil {
 			return err
 		}
-		log.Printf("loaded %s: %d rows, %d segments, %d shard(s) from %s (column backend, warm, appendable) in %.2fs",
-			d.Name(), d.Table().NumRows(), d.Segments(), max(d.ShardCount(), 1), path, time.Since(t0).Seconds())
+		log.Printf("loaded %s: %d rows, %d table bytes, %d segments, %d shard(s) from %s (column backend, warm, appendable) in %.2fs",
+			d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), d.Segments(), max(d.ShardCount(), 1), path, time.Since(t0).Seconds())
 		return nil
 	}
 	d, err := reg.LoadCSV(name, path, cfg)
 	if err != nil {
 		return err
 	}
-	log.Printf("loaded %s: %d rows from %s (%s backend) in %.2fs", d.Name(), d.Table().NumRows(), path, d.Backend(), time.Since(t0).Seconds())
+	log.Printf("loaded %s: %d rows, %d table bytes from %s (%s backend) in %.2fs",
+		d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), path, d.Backend(), time.Since(t0).Seconds())
 	return nil
 }
 

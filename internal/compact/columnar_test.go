@@ -30,12 +30,12 @@ func refOrder(t *dataset.Table, cols []string) []int {
 		switch c.Field.Kind {
 		case dataset.KindString:
 			dr := DictRanks(c.Dict())
-			for i, code := range c.Codes()[:n] {
-				raw[i] = dr[code]
+			for i := range raw {
+				raw[i] = dr[c.Code(i)]
 			}
 		case dataset.KindInt:
-			for i, v := range c.Ints()[:n] {
-				raw[i] = IntRank(v)
+			for i := range raw {
+				raw[i] = IntRank(c.Int(i))
 			}
 		default:
 			for i, v := range c.Floats()[:n] {
@@ -136,19 +136,19 @@ func randomKeyTable(rng *rand.Rand, rows, cols int, allDistinct bool) (*dataset.
 
 // subTable is the first rows rows of t over t's own dictionaries.
 func subTable(t *dataset.Table, rows int) *dataset.Table {
-	out := dataset.NewPresized(t.Name, t.Fields(), rows)
+	out := dataset.NewTable(t.Name, t.Fields())
 	for j, c := range out.Columns() {
-		src := t.Columns()[j]
-		switch c.Field.Kind {
-		case dataset.KindString:
+		switch src := t.Columns()[j]; {
+		case c.Field.Kind == dataset.KindString:
 			c.SetDict(src.Dict())
-			copy(c.Codes(), src.Codes())
-		case dataset.KindInt:
-			copy(c.Ints(), src.Ints())
-		default:
-			copy(c.Floats(), src.Floats())
+		case src.Coded():
+			c.SetIntDict(src.IntDict())
+		case c.Field.Kind == dataset.KindInt:
+			c.SetRawInts()
 		}
 	}
+	out.Presize(rows)
+	out.CopyRows(t, 0, rows)
 	return out
 }
 

@@ -284,18 +284,24 @@ func radixSort(keys, tmp []uint64, low, width int) []uint64 {
 // significance regardless of its value range.
 func normalizedRanks(c *dataset.Column, n int) ([]uint64, int) {
 	raw := make([]uint64, n)
-	var dense func(v uint64) uint64 // raw rank (string: code) -> 0..distinct-1
+	var dense func(v uint64) uint64 // raw rank (Coded column: code) -> 0..distinct-1
 	var distinct int
-	switch c.Field.Kind {
-	case dataset.KindString:
-		// Number the codes that occur in dictionary-rank order.
-		codes := c.Codes()[:n]
-		byRank := make([]int32, len(c.Dict()))
-		for code, r := range DictRanks(c.Dict()) {
+	if c.Coded() {
+		// The dictionary's ranks are the column's: number the codes that occur
+		// in dictionary-rank order, no row sort.
+		var ranks []uint64
+		if c.Field.Kind == dataset.KindString {
+			ranks = DictRanks(c.Dict())
+		} else {
+			ranks = DictRanks(c.IntDict())
+		}
+		byRank := make([]int32, len(ranks))
+		for code, r := range ranks {
 			byRank[r] = int32(code)
 		}
 		occurs := make([]bool, len(byRank))
-		for i, code := range codes {
+		for i := range raw {
+			code := c.Code(i)
 			raw[i] = uint64(code)
 			occurs[code] = true
 		}
@@ -307,7 +313,7 @@ func normalizedRanks(c *dataset.Column, n int) ([]uint64, int) {
 			}
 		}
 		dense = func(code uint64) uint64 { return rankOf[code] }
-	default:
+	} else {
 		if c.Field.Kind == dataset.KindInt {
 			for i, v := range c.Ints()[:n] {
 				raw[i] = IntRank(v)
@@ -364,8 +370,8 @@ func PickCols(r *zpack.Reader, prov map[engine.SkipAttr]int64, max int) []string
 		case dataset.KindString:
 			card = len(c.Dict())
 		case dataset.KindInt:
-			if d := r.IntDict(name); d != nil {
-				card = len(d.Vals)
+			if c.Coded() {
+				card = c.Cardinality()
 			}
 		}
 		if card >= 0 && card < 2 {

@@ -83,11 +83,9 @@ func TestOrderIsDeterministicPermutationWithMonotonePrimary(t *testing.T) {
 	// The primary column is globally sorted: equality predicates on it get
 	// contiguous runs, and Unsorted(primary) is zero after a rewrite.
 	z := tab.Column("z")
-	codes, dict := z.Codes(), z.Dict()
 	for k := 1; k < len(ord); k++ {
-		if dict[codes[ord[k-1]]] > dict[codes[ord[k]]] {
-			t.Fatalf("primary column not monotone at position %d: %q > %q",
-				k, dict[codes[ord[k-1]]], dict[codes[ord[k]]])
+		if prev, cur := z.Value(ord[k-1]).S, z.Value(ord[k]).S; prev > cur {
+			t.Fatalf("primary column not monotone at position %d: %q > %q", k, prev, cur)
 		}
 	}
 	again, err := Order(tab, []string{"z", "x"})
@@ -105,10 +103,10 @@ func TestOrderSingleColumnSortsInts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := tab.Column("x").Ints()
+	x := tab.Column("x")
 	for k := 1; k < len(ord); k++ {
-		if xs[ord[k-1]] > xs[ord[k]] {
-			t.Fatalf("x not sorted at %d: %d > %d", k, xs[ord[k-1]], xs[ord[k]])
+		if prev, cur := x.Int(ord[k-1]), x.Int(ord[k]); prev > cur {
+			t.Fatalf("x not sorted at %d: %d > %d", k, prev, cur)
 		}
 	}
 }

@@ -12,6 +12,7 @@
 package compact
 
 import (
+	"cmp"
 	"math"
 	"sort"
 )
@@ -42,11 +43,12 @@ func FloatRank(f float64) uint64 {
 	return b | (1 << 63)
 }
 
-// DictRanks returns, for each dictionary code of a categorical column, the
-// rank of its string in the sorted dictionary — the monotone u64 map for
-// dictionary-encoded values. Codes are insertion-ordered on disk; ranks give
-// the value order zone-map bitsets are compared against.
-func DictRanks(dict []string) []uint64 {
+// DictRanks returns, for each dictionary code of a dictionary-coded column —
+// categorical, or integer over its value dictionary — the rank of its entry
+// in the sorted dictionary: the monotone u64 map for dictionary-encoded
+// values. Codes are insertion-ordered on disk; ranks give the value order
+// zone maps are compared against.
+func DictRanks[T cmp.Ordered](dict []T) []uint64 {
 	codes := make([]int, len(dict))
 	for i := range codes {
 		codes[i] = i

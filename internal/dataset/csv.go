@@ -166,26 +166,17 @@ type csvChunk struct {
 func newChunk(fields []Field, rows int) *csvChunk {
 	t := NewTable("", fields)
 	for _, c := range t.cols {
-		c.reserve(rows)
+		c.allocate(0, rows)
 	}
 	return &csvChunk{t: t}
 }
 
-// reserve replaces the column's (empty) storage with one of capacity n.
-func (c *Column) reserve(n int) {
-	switch c.Field.Kind {
-	case KindString:
-		c.codes = make([]int32, 0, n)
-	case KindInt:
-		c.ints = make([]int64, 0, n)
-	default:
-		c.floats = make([]float64, 0, n)
-	}
-}
-
-// stitch concatenates the chunks into the finished table: exact-size columns,
-// chunk codes remapped into one dictionary per column in chunk order — which
-// is first-appearance order, because each chunk's dictionary is.
+// stitch concatenates the chunks into the finished table: chunk codes remapped
+// into one dictionary per column in chunk order — which is first-appearance
+// order, because each chunk's dictionary is. The dictionaries are merged
+// first, so every column is allocated once, exact-size, at its final width
+// (or as raw int64s, if an integer column's values turn out too many): no
+// wider intermediate exists.
 func (ld *csvLoad) stitch(name string) *Table {
 	rows := 0
 	for _, ch := range ld.chunks {
@@ -195,11 +186,28 @@ func (ld *csvLoad) stitch(name string) *Table {
 	if rows == 0 {
 		return t
 	}
+	remaps := make([]Remap, len(ld.chunks))
+	for i, ch := range ld.chunks {
+		// A chunk's whole dictionary, in its own order: every entry occurs in
+		// the chunk, first appearances in dictionary order. A raw chunk column
+		// had too many values for the finished one to be anything else.
+		rm := NewRemap(ch.t)
+		for j, c := range t.cols {
+			src := ch.t.cols[j]
+			if c.Field.Kind == KindInt && !src.Coded() {
+				c.SetRawInts()
+			}
+			for sc := range rm.codes[j] {
+				c.resolve(src, int32(sc), rm.codes[j], &rm.left[j])
+			}
+		}
+		remaps[i] = rm
+	}
 	for _, c := range t.cols {
-		c.reserve(rows)
+		c.allocate(0, rows)
 	}
 	for i, ch := range ld.chunks {
-		t.AppendRange(ch.t, 0, ch.t.nrows, NewRemap(ch.t))
+		t.AppendRange(ch.t, 0, ch.t.nrows, remaps[i])
 		ld.chunks[i] = nil
 	}
 	return t
@@ -477,7 +485,7 @@ func (c *Column) appendCell(cell []byte) error {
 		if err != nil {
 			return fmt.Errorf("column %q: %w", c.Field.Name, err)
 		}
-		c.ints = append(c.ints, i)
+		c.AppendInt(i)
 	case KindFloat:
 		f, err := parseFloat(cell)
 		if err != nil {
@@ -489,7 +497,7 @@ func (c *Column) appendCell(cell []byte) error {
 		if !ok {
 			code = c.codeFor(string(cell))
 		}
-		c.codes = append(c.codes, code)
+		c.codes.append(code)
 	}
 	return nil
 }

@@ -254,7 +254,9 @@ func TestRowClone(t *testing.T) {
 // fresh storage with headroom for the next extensions.
 func TestNewExtendedAliasesOrGrows(t *testing.T) {
 	fields := []Field{{Name: "k", Kind: KindString}, {Name: "i", Kind: KindInt}, {Name: "f", Kind: KindFloat}}
-	base := NewPresized("t", fields, 100)
+	base := NewTable("t", fields)
+	base.Column("i").SetRawInts()
+	base.Presize(100)
 	if base.CapRows() != 100 {
 		t.Fatalf("presized capacity = %d rows, want exactly 100", base.CapRows())
 	}
@@ -270,8 +272,8 @@ func TestNewExtendedAliasesOrGrows(t *testing.T) {
 
 	aliased := NewExtended(grown, 150, true)
 	aliased.Column("i").Ints()[130] = 9
-	aliased.Column("k").Codes()[5] = 3
-	if grown.Column("i").Len() != 120 || grown.Column("k").Codes()[5] != 3 {
+	aliased.Column("k").Codes().U8[5] = 3
+	if grown.Column("i").Len() != 120 || grown.Column("k").Code(5) != 3 {
 		t.Fatal("an aliased successor must share rows with, and leave the length of, its predecessor")
 	}
 	if got := NewExtended(aliased, 150, true).Column("i").Ints()[130]; got != 9 {

@@ -13,26 +13,37 @@ type Field struct {
 	Kind Kind
 }
 
-// Column is the physical storage for one field. Categorical columns are
-// dictionary-encoded: codes[i] indexes into dict. Numeric columns use the
-// typed slices directly.
+// Column is the physical storage for one field. A categorical column is
+// dictionary-encoded: codes index into dict. So is an integer column while its
+// distinct values number at most MaxIntDictCardinality: codes index into the
+// value dictionary ivals, in first-appearance order (or whatever order SetIntDict
+// was given), and no int64 per row exists; past the bound the column is raw
+// int64s for good. Floats are raw. Codes are packed, see Codes.
+//
+// Value, Float, Int and Code read any layout. The raw arrays — Codes, Ints,
+// Floats — are for loops that have switched on the layout once.
 //
 // A column normally materializes through Append*; a lazily-backed table
-// (zpack) instead Presizes the storage and fills row ranges in place as
-// segments load, optionally installing a distinct-value cache and an
-// ensure-loaded hook so metadata reads stay correct before the data lands.
+// (zpack) instead installs the dictionaries, Presizes the storage and fills row
+// ranges in place as segments load, optionally installing an ensure-loaded hook
+// so metadata reads stay correct before the data lands.
 type Column struct {
 	Field Field
 
-	codes  []int32
-	dict   []string
-	dictIx map[string]int32
+	codes Codes
+
+	dict      []string
+	dictIx    map[string]int32
+	dictBytes int // string bytes the dictionary holds, for SizeBytes
+
+	ivals   []int64
+	ivalIx  intIndex
+	rawInts bool // an int column past MaxIntDictCardinality: ints holds it
 
 	ints   []int64
 	floats []float64
 
-	distinct []Value // optional precomputed DistinctSorted (lazy backings)
-	ensure   func()  // optional hook: materialize all rows before a raw read
+	ensure func() // optional hook: materialize all rows before a raw read
 }
 
 // NewColumn returns an empty column of the given field.
@@ -44,12 +55,18 @@ func NewColumn(f Field) *Column {
 	return c
 }
 
+// Coded reports whether the column is stored as dictionary codes: every
+// categorical column, and an integer column that has not gone raw.
+func (c *Column) Coded() bool {
+	return c.Field.Kind == KindString || c.Field.Kind == KindInt && !c.rawInts
+}
+
 // Len returns the number of rows stored.
 func (c *Column) Len() int {
-	switch c.Field.Kind {
-	case KindString:
-		return len(c.codes)
-	case KindInt:
+	switch {
+	case c.Coded():
+		return c.codes.Len()
+	case c.Field.Kind == KindInt:
 		return len(c.ints)
 	default:
 		return len(c.floats)
@@ -57,7 +74,7 @@ func (c *Column) Len() int {
 }
 
 // AppendString appends a categorical value; panics on non-string columns.
-func (c *Column) AppendString(s string) { c.codes = append(c.codes, c.codeFor(s)) }
+func (c *Column) AppendString(s string) { c.codes.append(c.codeFor(s)) }
 
 // codeFor returns the dictionary code of s, adding s to the dictionary the
 // first time it appears.
@@ -67,12 +84,54 @@ func (c *Column) codeFor(s string) int32 {
 		code = int32(len(c.dict))
 		c.dict = append(c.dict, s)
 		c.dictIx[s] = code
+		c.dictBytes += len(s)
+		c.codes.fit(len(c.dict))
 	}
 	return code
 }
 
 // AppendInt appends an integer value.
-func (c *Column) AppendInt(i int64) { c.ints = append(c.ints, i) }
+func (c *Column) AppendInt(v int64) {
+	if !c.rawInts {
+		if code, ok := c.codeForInt(v); ok {
+			c.codes.append(code)
+			return
+		}
+	}
+	c.ints = append(c.ints, v)
+}
+
+// codeForInt returns the code of v in the value dictionary, adding v the first
+// time it appears. One distinct value past MaxIntDictCardinality the column
+// goes raw instead and codeForInt reports false.
+func (c *Column) codeForInt(v int64) (int32, bool) {
+	code, ok := c.ivalIx.lookup(v)
+	if !ok {
+		if len(c.ivals) == MaxIntDictCardinality {
+			c.SetRawInts()
+			return 0, false
+		}
+		code = int32(len(c.ivals))
+		c.ivals = append(c.ivals, v)
+		c.ivalIx.add(v, code)
+		c.codes.fit(len(c.ivals))
+	}
+	return code, true
+}
+
+// SetRawInts makes an integer column raw int64s — decoding what it holds, at
+// the same capacity in rows — and drops the value dictionary. A lazy backing
+// whose metadata carries no dictionary for the column calls it up front.
+func (c *Column) SetRawInts() {
+	if c.rawInts {
+		return
+	}
+	c.ints = make([]int64, c.codes.Len(), c.codes.Cap())
+	for i := range c.ints {
+		c.ints[i] = c.ivals[c.codes.At(i)]
+	}
+	c.rawInts, c.codes, c.ivals, c.ivalIx = true, Codes{}, nil, intIndex{}
+}
 
 // AppendFloat appends a float value.
 func (c *Column) AppendFloat(f float64) { c.floats = append(c.floats, f) }
@@ -93,9 +152,9 @@ func (c *Column) Append(v Value) {
 func (c *Column) Value(i int) Value {
 	switch c.Field.Kind {
 	case KindString:
-		return SV(c.dict[c.codes[i]])
+		return SV(c.dict[c.codes.At(i)])
 	case KindInt:
-		return IV(c.ints[i])
+		return IV(c.Int(i))
 	default:
 		return FV(c.floats[i])
 	}
@@ -106,21 +165,29 @@ func (c *Column) Value(i int) Value {
 func (c *Column) Float(i int) float64 {
 	switch c.Field.Kind {
 	case KindInt:
-		return float64(c.ints[i])
+		return float64(c.Int(i))
 	case KindFloat:
 		return c.floats[i]
 	default:
-		return SV(c.dict[c.codes[i]]).Float()
+		return SV(c.dict[c.codes.At(i)]).Float()
 	}
 }
 
-// Code returns the dictionary code at row i; only valid for string columns.
-func (c *Column) Code(i int) int32 { return c.codes[i] }
+// Int returns the cell at row i of an integer column.
+func (c *Column) Int(i int) int64 {
+	if c.rawInts {
+		return c.ints[i]
+	}
+	return c.ivals[c.codes.At(i)]
+}
 
-// Codes exposes the raw code slice of a categorical column for fast scans.
-func (c *Column) Codes() []int32 { return c.codes }
+// Code returns the dictionary code at row i; only valid for Coded columns.
+func (c *Column) Code(i int) int32 { return c.codes.At(i) }
 
-// Ints exposes the raw int slice.
+// Codes exposes the packed code array of a Coded column for fast scans.
+func (c *Column) Codes() Codes { return c.codes }
+
+// Ints exposes the raw int slice: nil unless the column is a raw int one.
 func (c *Column) Ints() []int64 { return c.ints }
 
 // Floats exposes the raw float slice.
@@ -128,6 +195,10 @@ func (c *Column) Floats() []float64 { return c.floats }
 
 // Dict returns the dictionary of a categorical column (code -> value).
 func (c *Column) Dict() []string { return c.dict }
+
+// IntDict returns the value dictionary of a Coded integer column (code ->
+// value), in no particular order.
+func (c *Column) IntDict() []int64 { return c.ivals }
 
 // CodeOf returns the dictionary code for s, or -1 if s never occurs.
 func (c *Column) CodeOf(s string) int32 {
@@ -137,31 +208,44 @@ func (c *Column) CodeOf(s string) int32 {
 	return -1
 }
 
-// Cardinality returns the number of distinct values of a categorical column.
-func (c *Column) Cardinality() int { return len(c.dict) }
+// CodeOfInt returns the code of v in a Coded integer column's value
+// dictionary, or -1 if v never occurs.
+func (c *Column) CodeOfInt(v int64) int32 {
+	if code, ok := c.ivalIx.lookup(v); ok {
+		return code
+	}
+	return -1
+}
 
-// Presize replaces the column's storage with zeroed slices of length n, the
-// layout a lazily-loading backing fills in place: the slice headers never
-// change after this, so readers that captured them observe loaded data.
-func (c *Column) Presize(n int) {
-	switch c.Field.Kind {
-	case KindString:
-		c.codes = make([]int32, n)
-	case KindInt:
-		c.ints = make([]int64, n)
+// Cardinality returns the number of dictionary entries of a Coded column.
+func (c *Column) Cardinality() int {
+	if c.Field.Kind == KindInt {
+		return len(c.ivals)
+	}
+	return len(c.dict)
+}
+
+// allocate replaces the column's storage with n zeroed rows and room for
+// capacity, in the layout and at the width its dictionary asks for so far.
+func (c *Column) allocate(n, capacity int) {
+	switch {
+	case c.Coded():
+		c.codes = makeCodes(CodeWidth(c.Cardinality()), n, capacity)
+	case c.Field.Kind == KindInt:
+		c.ints = make([]int64, n, capacity)
 	default:
-		c.floats = make([]float64, n)
+		c.floats = make([]float64, n, capacity)
 	}
 }
 
-// Extend returns the length-n continuation of a presized array, n >=
+// extend returns the length-n continuation of a presized array, n >=
 // len(prev). With alias set it is a re-slice of prev's backing array (the
 // caller has checked cap(prev) >= n): holders of prev keep their shorter
 // view, and rows past len(prev) are invisible to them. Otherwise it is fresh
 // zeroed storage with a quarter of headroom — grown like append, so a lineage
 // of small extensions reallocates a logarithmic number of times — and the
 // caller copies over whichever rows of prev it may safely read.
-func Extend[T any](prev []T, n int, alias bool) []T {
+func extend[T any](prev []T, n int, alias bool) []T {
 	if alias {
 		return prev[:n]
 	}
@@ -170,10 +254,10 @@ func Extend[T any](prev []T, n int, alias bool) []T {
 
 // capRows returns how many rows the column's storage can hold in place.
 func (c *Column) capRows() int {
-	switch c.Field.Kind {
-	case KindString:
-		return cap(c.codes)
-	case KindInt:
+	switch {
+	case c.Coded():
+		return c.codes.Cap()
+	case c.Field.Kind == KindInt:
 		return cap(c.ints)
 	default:
 		return cap(c.floats)
@@ -181,36 +265,41 @@ func (c *Column) capRows() int {
 }
 
 // SetDict installs the full dictionary of a categorical column up front
-// (lazy backings persist dictionaries in their metadata footer).
+// (lazy backings persist dictionaries in their metadata footer). Storage the
+// column already has is widened if the dictionary asks for it.
 func (c *Column) SetDict(dict []string) {
 	c.dict = append([]string(nil), dict...)
 	c.dictIx = make(map[string]int32, len(dict))
+	c.dictBytes = 0
 	for i, s := range c.dict {
 		c.dictIx[s] = int32(i)
+		c.dictBytes += len(s)
 	}
+	c.codes.fit(len(c.dict))
 }
 
-// SetDistinctSorted installs a precomputed DistinctSorted result, so a
-// lazily-backed numeric column can answer distinct-value enumeration (axis
-// '*' expansion) from metadata without materializing any data.
-func (c *Column) SetDistinctSorted(vals []Value) { c.distinct = vals }
+// SetIntDict installs the full value dictionary (distinct values, at most
+// MaxIntDictCardinality of them) of an integer column up front, as SetDict
+// does a categorical column's.
+func (c *Column) SetIntDict(vals []int64) {
+	c.ivals = append([]int64(nil), vals...)
+	c.ivalIx = intIndex{}
+	for i, v := range c.ivals {
+		c.ivalIx.add(v, int32(i))
+	}
+	c.codes.fit(len(c.ivals))
+}
 
 // SetEnsureLoaded installs a hook DistinctSorted calls before scanning raw
 // numeric data, so a lazily-backed column can materialize itself first.
 func (c *Column) SetEnsureLoaded(f func()) { c.ensure = f }
 
-// DistinctSorted returns the sorted distinct values of the column. For
-// numeric columns this scans (materializing a lazy backing first); for
-// categorical it sorts the dictionary.
+// DistinctSorted returns the sorted distinct values of the column. A Coded
+// column sorts its dictionary; a raw one scans (materializing a lazy backing
+// first).
 func (c *Column) DistinctSorted() []Value {
-	if c.distinct != nil {
-		return append([]Value(nil), c.distinct...)
-	}
-	if c.ensure != nil && c.Field.Kind != KindString {
-		c.ensure()
-	}
-	switch c.Field.Kind {
-	case KindString:
+	switch {
+	case c.Field.Kind == KindString:
 		vals := append([]string(nil), c.dict...)
 		sort.Strings(vals)
 		out := make([]Value, len(vals))
@@ -218,37 +307,36 @@ func (c *Column) DistinctSorted() []Value {
 			out[i] = SV(s)
 		}
 		return out
-	case KindInt:
-		seen := make(map[int64]struct{})
-		for _, v := range c.ints {
-			seen[v] = struct{}{}
-		}
-		keys := make([]int64, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = IV(k)
-		}
-		return out
-	default:
-		seen := make(map[float64]struct{})
-		for _, v := range c.floats {
-			seen[v] = struct{}{}
-		}
-		keys := make([]float64, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Float64s(keys)
-		out := make([]Value, len(keys))
-		for i, k := range keys {
-			out[i] = FV(k)
-		}
-		return out
+	case c.Coded():
+		return distinctValues(slices.Clone(c.ivals), IV)
 	}
+	if c.ensure != nil {
+		c.ensure()
+	}
+	if c.Field.Kind == KindInt {
+		return distinctValues(slices.Clone(c.ints), IV)
+	}
+	// NaN != NaN: Compact keeps every NaN, as the map this replaced did.
+	return distinctValues(slices.Clone(c.floats), FV)
+}
+
+// distinctValues sorts keys in place and boxes each distinct one.
+func distinctValues[T int64 | float64](keys []T, box func(T) Value) []Value {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := make([]Value, len(keys))
+	for i, k := range keys {
+		out[i] = box(k)
+	}
+	return out
+}
+
+// SizeBytes returns the heap the column's arrays and dictionaries hold, by
+// capacity. The value-to-code indexes are not counted.
+func (c *Column) SizeBytes() int64 {
+	const stringHeader = 16
+	return int64(c.codes.Cap()*c.codes.Width() + 8*(cap(c.ints)+cap(c.floats)+cap(c.ivals)) +
+		stringHeader*cap(c.dict) + c.dictBytes)
 }
 
 // Table is an immutable-after-build named relation.
@@ -270,41 +358,59 @@ func NewTable(name string, fields []Field) *Table {
 	return t
 }
 
-// NewPresized creates a table whose columns are zeroed storage of the given
-// row count, ready to be filled in place by a lazy backing (zpack). The
-// table reports rows rows immediately; cells read as zero values until
-// their segment loads.
-func NewPresized(name string, fields []Field, rows int) *Table {
-	t := NewTable(name, fields)
+// Presize gives every column zeroed storage of the given row count, ready to
+// be filled in place by a lazy backing (zpack), which has installed the
+// dictionaries — they decide the code widths — and marked the raw integer
+// columns first. The table reports rows rows immediately; cells read as code
+// zero or zero values until their segment loads. The slice headers never
+// change after this, so readers that captured them observe loaded data.
+func (t *Table) Presize(rows int) {
 	for _, c := range t.cols {
-		c.Presize(rows)
+		c.allocate(rows, rows)
 	}
 	t.nrows = rows
-	return t
 }
 
 // NewExtended creates the rows-row successor of a presized table over the
-// same schema (rows >= prev's), each column the Extend of prev's: with alias
-// set (the caller has checked prev.CapRows() >= rows) the two tables share
-// backing arrays and differ only in length, otherwise the successor's storage
-// is fresh, with headroom. Dictionaries and hooks are not carried over; the
-// lazy backing installs its own.
+// same schema and column layouts (rows >= prev's), each array the extend of
+// prev's: with alias set (the caller has checked prev.CapRows() >= rows) the
+// two tables share backing arrays and differ only in length, otherwise the
+// successor's storage is fresh, with headroom. Dictionaries and hooks are not
+// carried over; the lazy backing installs its own, which must ask for the code
+// widths prev has.
 func NewExtended(prev *Table, rows int, alias bool) *Table {
 	t := &Table{Name: prev.Name, byName: make(map[string]*Column, len(prev.cols)), nrows: rows}
 	for _, pc := range prev.cols {
 		c := NewColumn(pc.Field)
-		switch c.Field.Kind {
-		case KindString:
-			c.codes = Extend(pc.codes, rows, alias)
-		case KindInt:
-			c.ints = Extend(pc.ints, rows, alias)
+		c.rawInts = pc.rawInts
+		switch {
+		case c.Coded():
+			c.codes = pc.codes.extended(rows, alias)
+		case c.Field.Kind == KindInt:
+			c.ints = extend(pc.ints, rows, alias)
 		default:
-			c.floats = Extend(pc.floats, rows, alias)
+			c.floats = extend(pc.floats, rows, alias)
 		}
 		t.cols = append(t.cols, c)
 		t.byName[c.Field.Name] = c
 	}
 	return t
+}
+
+// CopyRows copies rows [lo, hi) of src — a table of t's schema, layouts and
+// code widths — into the same rows of t.
+func (t *Table) CopyRows(src *Table, lo, hi int) {
+	for j, c := range t.cols {
+		sc := src.cols[j]
+		switch {
+		case c.Coded():
+			c.codes.copyRange(sc.codes, lo, hi)
+		case c.Field.Kind == KindInt:
+			copy(c.ints[lo:hi], sc.ints[lo:hi])
+		default:
+			copy(c.floats[lo:hi], sc.floats[lo:hi])
+		}
+	}
 }
 
 // CapRows returns how many rows every column's storage can hold in place —
@@ -315,6 +421,16 @@ func (t *Table) CapRows() int {
 		n = min(n, c.capRows())
 	}
 	return n
+}
+
+// SizeBytes returns the heap the table's column arrays and dictionaries hold
+// (capacity, not length): the one answer to "how big is the table".
+func (t *Table) SizeBytes() int64 {
+	var b int64
+	for _, c := range t.cols {
+		b += c.SizeBytes()
+	}
+	return b
 }
 
 // NumRows returns the row count.
@@ -370,34 +486,37 @@ func (t *Table) Row(i int) Row {
 	return r
 }
 
-// Truncate drops every row but keeps the dictionaries and the storage: a
-// buffer table that fills and drains over and over neither forgets a code nor
-// allocates again.
+// Truncate drops every row but keeps the dictionaries, the layouts and the
+// storage: a buffer table that fills and drains over and over neither forgets a
+// code nor allocates again.
 func (t *Table) Truncate() {
 	for _, c := range t.cols {
-		c.codes, c.ints, c.floats = c.codes[:0], c.ints[:0], c.floats[:0]
+		c.codes, c.ints, c.floats = c.codes.resliced(0), c.ints[:0], c.floats[:0]
 	}
 	t.nrows = 0
 }
 
-// Remap translates the dictionary codes of a source table's categorical
-// columns into a destination's, one array per column (nil for numeric
-// columns). Codes resolve on first use, in append order, so the destination's
-// dictionaries grow in first-appearance order exactly as cell-by-cell
-// AppendString would grow them — but with one dictionary lookup per distinct
-// value instead of one per cell. A Remap stays valid for as long as both
-// dictionaries only grow.
-type Remap [][]int32
+// Remap translates the dictionary codes of a source table's Coded columns
+// into a destination's, one array per column (nil for raw columns). Codes
+// resolve on first use, in append order, so the destination's dictionaries grow
+// in first-appearance order exactly as cell-by-cell appends would grow them —
+// but with one dictionary lookup per distinct value instead of one per cell. A
+// Remap stays valid for as long as both tables' dictionaries only grow.
+type Remap struct {
+	codes [][]int32 // -1: not resolved yet
+	left  []int     // per column, how many entries are still -1
+}
 
 // NewRemap returns the unresolved Remap out of src.
 func NewRemap(src *Table) Remap {
-	rm := make(Remap, len(src.cols))
+	rm := Remap{codes: make([][]int32, len(src.cols)), left: make([]int, len(src.cols))}
 	for j, c := range src.cols {
-		if c.Field.Kind == KindString {
-			rm[j] = make([]int32, len(c.dict))
-			for i := range rm[j] {
-				rm[j][i] = -1
+		if c.Coded() {
+			rm.codes[j] = make([]int32, c.Cardinality())
+			for i := range rm.codes[j] {
+				rm.codes[j][i] = -1
 			}
+			rm.left[j] = len(rm.codes[j])
 		}
 	}
 	return rm
@@ -405,19 +524,11 @@ func NewRemap(src *Table) Remap {
 
 // AppendRange appends rows [lo, hi) of src column by column. src has t's
 // schema (arity and kinds, which the caller has checked) but its own
-// dictionaries; rm, from NewRemap(src), carries the code translation across
-// calls.
+// dictionaries and layouts; rm, from NewRemap(src), carries the code
+// translation across calls.
 func (t *Table) AppendRange(src *Table, lo, hi int, rm Remap) {
 	for j, c := range t.cols {
-		sc := src.cols[j]
-		switch c.Field.Kind {
-		case KindString:
-			c.appendCodes(sc, sc.codes[lo:hi], nil, rm[j])
-		case KindInt:
-			c.ints = append(c.ints, sc.ints[lo:hi]...)
-		default:
-			c.floats = append(c.floats, sc.floats[lo:hi]...)
-		}
+		c.appendFrom(src.cols[j], lo, hi, nil, rm.codes[j], &rm.left[j])
 	}
 	t.nrows += hi - lo
 }
@@ -426,52 +537,75 @@ func (t *Table) AppendRange(src *Table, lo, hi int, rm Remap) {
 // AppendRange through a row permutation.
 func (t *Table) AppendGather(src *Table, rows []int, rm Remap) {
 	for j, c := range t.cols {
-		sc := src.cols[j]
-		switch c.Field.Kind {
-		case KindString:
-			c.appendCodes(sc, sc.codes, rows, rm[j])
-		case KindInt:
-			c.ints = gather(c.ints, sc.ints, rows)
-		default:
-			c.floats = gather(c.floats, sc.floats, rows)
-		}
+		c.appendFrom(src.cols[j], 0, 0, rows, rm.codes[j], &rm.left[j])
 	}
 	t.nrows += len(rows)
 }
 
-func gather[T any](dst, src []T, rows []int) []T {
-	n := len(dst)
-	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
-	for i, r := range rows {
-		dst[n+i] = src[r]
-	}
-	return dst
-}
+// growBy extends dst by n cells for the caller to fill.
+func growBy[T any](dst []T, n int) []T { return slices.Grow(dst, n)[:len(dst)+n] }
 
-// appendCodes appends src's codes — codes[r] for each r of rows, or all of
-// codes when rows is nil — translated through remap, resolving the entries
-// still at -1 against c's dictionary as they come up.
-func (c *Column) appendCodes(src *Column, codes []int32, rows []int, remap []int32) {
-	resolve := func(sc int32) int32 {
-		code := remap[sc]
-		if code < 0 {
-			code = c.codeFor(src.dict[sc])
-			remap[sc] = code
+// appendFrom appends src's cells at rows — or at [lo, hi) when rows is nil —
+// whatever the two columns' layouts. remap and left are the pair's entry of a
+// Remap (nil when src is raw).
+func (c *Column) appendFrom(src *Column, lo, hi int, rows []int, remap []int32, left *int) {
+	each := func(f func(r int)) {
+		if rows == nil {
+			for r := lo; r < hi; r++ {
+				f(r)
+			}
+			return
 		}
-		return code
+		for _, r := range rows {
+			f(r)
+		}
 	}
-	n := len(c.codes)
-	if rows == nil {
-		c.codes = slices.Grow(c.codes, len(codes))[:n+len(codes)]
-		for i, sc := range codes {
-			c.codes[n+i] = resolve(sc)
+	switch {
+	case c.Field.Kind == KindFloat:
+		if rows == nil {
+			c.floats = append(c.floats, src.floats[lo:hi]...)
+		} else {
+			n := len(c.floats)
+			c.floats = growBy(c.floats, len(rows))
+			for i, r := range rows {
+				c.floats[n+i] = src.floats[r]
+			}
 		}
 		return
+	case !src.Coded():
+		// Raw ints: c, Coded or not, takes them a cell at a time.
+		each(func(r int) { c.AppendInt(src.ints[r]) })
+		return
 	}
-	c.codes = slices.Grow(c.codes, len(rows))[:n+len(rows)]
-	for i, r := range rows {
-		c.codes[n+i] = resolve(codes[r])
+	// First the codes of the range that have no translation yet, in row
+	// order: this is where c's dictionary grows — and its array widens, or an
+	// int column goes raw — so the copy below runs at one width.
+	if *left > 0 && !c.rawInts {
+		each(func(r int) { c.resolve(src, src.codes.At(r), remap, left) })
 	}
+	if c.rawInts {
+		each(func(r int) { c.ints = append(c.ints, src.ivals[src.codes.At(r)]) })
+		return
+	}
+	c.codes.appendMapped(src.codes, lo, hi, rows, remap)
+}
+
+// resolve gives src's code sc its translation in remap, if it has none yet:
+// the code of the same entry in c's dictionary, which grows by it if it must.
+// An int column that would outgrow its dictionary goes raw instead, and
+// resolves nothing from then on.
+func (c *Column) resolve(src *Column, sc int32, remap []int32, left *int) {
+	if remap[sc] >= 0 || c.rawInts {
+		return
+	}
+	if c.Field.Kind == KindString {
+		remap[sc] = c.codeFor(src.dict[sc])
+	} else if code, ok := c.codeForInt(src.ivals[sc]); ok {
+		remap[sc] = code
+	} else {
+		return
+	}
+	*left--
 }
 
 // CategoricalColumns returns the names of all string-kinded columns, the set

@@ -74,7 +74,7 @@ func NewAutoStore(nshards int, tables ...*dataset.Table) *AutoStore {
 		s.tables[t.Name] = t
 		ct := colOf(t.Name)
 		ps := newPlannerStats(t)
-		ps.addZones(ct.zones, ct.intCodes)
+		ps.addZones(ct.zones)
 		s.stats[t.Name] = ps
 		s.nseg[t.Name] = (t.NumRows() + SegmentSize - 1) / SegmentSize
 	}

@@ -80,8 +80,8 @@ func buildIntIndexes(t *dataset.Table) map[string]*intIndex {
 			ix.keys = append(ix.keys, v.I)
 			ix.bms[v.I] = roaring.New()
 		}
-		for i, v := range c.Ints() {
-			ix.bms[v].Add(uint32(i))
+		for i, n := 0, c.Len(); i < n; i++ {
+			ix.bms[c.Int(i)].Add(uint32(i))
 		}
 		for _, b := range ix.bms {
 			b.RunOptimize()
@@ -115,8 +115,8 @@ func buildIndex(t *dataset.Table) tableIndex {
 		for i := range bms {
 			bms[i] = roaring.New()
 		}
-		for i, code := range c.Codes() {
-			bms[code].Add(uint32(i))
+		for i, n := 0, c.Len(); i < n; i++ {
+			bms[c.Code(i)].Add(uint32(i))
 		}
 		for _, b := range bms {
 			b.RunOptimize()

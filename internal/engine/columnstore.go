@@ -39,9 +39,9 @@ type ColumnStore struct {
 
 // colTable is the segmented view of one base table. src is the segment
 // source the data materializes through: a no-op memSource for in-memory
-// tables, a lazy reader (zpack) for disk-resident ones. Zone maps and
-// integer dictionaries always come from the source's metadata, so the scan
-// can prove segments empty without ever loading them. [segLo, segHi) is the
+// tables, a lazy reader (zpack) for disk-resident ones. Zone maps always come
+// from the source's metadata, so the scan can prove segments empty without
+// ever loading them. [segLo, segHi) is the
 // global segment range the store scans: the whole table normally, a shard's
 // owned sub-range when the source is a SegmentRanged view — row indices,
 // zone maps, and dictionary codes stay globally indexed either way.
@@ -50,7 +50,6 @@ type colTable struct {
 	src          SegmentSource
 	segLo, segHi int
 	zones        map[string]*ZoneData // by column name
-	intCodes     map[string]*IntDict  // low-cardinality int columns, by name
 	loaded       []atomic.Bool        // owned segments a scan has materialized
 	loads        atomic.Int64         // distinct owned segments materialized
 }
@@ -70,19 +69,15 @@ func newColTable(src SegmentSource) *colTable {
 		lo, hi = r.SegRange()
 	}
 	ct := &colTable{
-		t:        t,
-		src:      src,
-		segLo:    lo,
-		segHi:    hi,
-		zones:    make(map[string]*ZoneData, t.NumCols()),
-		intCodes: make(map[string]*IntDict),
-		loaded:   make([]atomic.Bool, hi-lo),
+		t:      t,
+		src:    src,
+		segLo:  lo,
+		segHi:  hi,
+		zones:  make(map[string]*ZoneData, t.NumCols()),
+		loaded: make([]atomic.Bool, hi-lo),
 	}
 	for _, c := range t.Columns() {
 		ct.zones[c.Field.Name] = src.Zone(c.Field.Name)
-		if d := src.IntDict(c.Field.Name); d != nil {
-			ct.intCodes[c.Field.Name] = d
-		}
 	}
 	return ct
 }
@@ -192,7 +187,7 @@ func (v *vecPlan) skipCause(seg int) (SkipAttr, bool) {
 // plus the store's live skip provenance as the tie-breaking signal.
 func (s *ColumnStore) plannerStats(ct *colTable) *plannerStats {
 	ps := newPlannerStats(ct.t)
-	ps.addZones(ct.zones, ct.intCodes)
+	ps.addZones(ct.zones)
 	return ps.withProv(s.prov.snapshot())
 }
 
@@ -233,13 +228,18 @@ func (s *ColumnStore) prepareOrdered(q *minisql.Query, conjs []minisql.Expr, reo
 // compileVecPlan lowers the plan's conjuncts — already in execution order —
 // to vectorized filters. Each conjunct also keeps its row-at-a-time
 // predicate so the scan can evaluate later conjuncts only on the rows still
-// selected (masked evaluation) when the survivor set is already sparse.
+// selected (masked evaluation) when the survivor set is already sparse. A
+// conjunct that folds to all-true — zexec's z IN (<every slice>) — stays in
+// p.conjs, which is what EXPLAIN lists, and costs the scan nothing.
 func (s *ColumnStore) compileVecPlan(p *Plan, ct *colTable) (*Plan, error) {
 	vp := &vecPlan{ct: ct}
 	for _, c := range p.conjs {
 		f, err := compileVec(ct, p.t, c)
 		if err != nil {
 			return nil, err
+		}
+		if cf, ok := f.(constFilter); ok && cf.match {
+			continue
 		}
 		pred, err := compilePredicate(p.t, c)
 		if err != nil {
@@ -335,10 +335,33 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 // lookup per row feeds every interested plan's sink, and zone maps still
 // skip per plan.
 type colEqGroup struct {
-	codes   []int32
-	route   [][]rowSink    // dictionary code -> sinks that want the row
-	filters []*catEqFilter // one per member plan, for per-plan zone tests
-	attrs   []SkipAttr     // parallel to filters, for skip attribution
+	codes   dataset.Codes
+	route   [][]rowSink   // dictionary code -> sinks that want the row
+	filters []*codeFilter // one per member plan, for per-plan zone tests
+	attrs   []SkipAttr    // parallel to filters, for skip attribution
+}
+
+// routeRows feeds each row of [lo, hi) to the sinks its code routes to; route
+// may stop short of the dictionary's end.
+func routeRows(pc dataset.Codes, lo, hi int, route [][]rowSink) {
+	switch {
+	case pc.U16 != nil:
+		routeCodes(pc.U16, lo, hi, route)
+	case pc.U32 != nil:
+		routeCodes(pc.U32, lo, hi, route)
+	default:
+		routeCodes(pc.U8, lo, hi, route)
+	}
+}
+
+func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
+	for i := lo; i < hi; i++ {
+		if c := int(codes[i]); c < len(route) {
+			for _, sink := range route[c] {
+				sink.add(i)
+			}
+		}
+	}
 }
 
 // scanPartial runs every plan's scan over the store's segment range on the
@@ -377,22 +400,22 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 	// per-column groups, everything else goes through the shared-conjunct
 	// slots.
 	var groups []*colEqGroup
-	groupOf := make(map[*ZoneData]*colEqGroup)
+	groupOf := make(map[*dataset.Column]*colEqGroup)
 	var slotKs []int
 	for k, pi := range shard {
 		vp := plans[pi].vec
 		if len(vp.conjs) == 1 {
-			if f, ok := vp.conjs[0].f.(*catEqFilter); ok && !f.neq {
-				g := groupOf[f.zone]
+			if f, ok := vp.conjs[0].f.(*codeFilter); ok && f.eq >= 0 {
+				g := groupOf[f.col]
 				if g == nil {
-					g = &colEqGroup{codes: f.codes}
-					groupOf[f.zone] = g
+					g = &colEqGroup{codes: f.col.Codes()}
+					groupOf[f.col] = g
 					groups = append(groups, g)
 				}
-				for int(f.code) >= len(g.route) {
+				for int(f.eq) >= len(g.route) {
 					g.route = append(g.route, nil)
 				}
-				g.route[f.code] = append(g.route[f.code], sinks[k])
+				g.route[f.eq] = append(g.route[f.eq], sinks[k])
 				g.filters = append(g.filters, f)
 				g.attrs = append(g.attrs, vp.conjs[0].attr)
 				continue
@@ -484,14 +507,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 			if !visit() {
 				break
 			}
-			codes, route := g.codes, g.route
-			for i := lo; i < hi; i++ {
-				if c := codes[i]; int(c) < len(route) {
-					for _, sink := range route[c] {
-						sink.add(i)
-					}
-				}
-			}
+			routeRows(g.codes, lo, hi, g.route)
 		}
 		for _, k := range slotKs {
 			if loadErr != nil {
@@ -510,12 +526,10 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 			slots := planSlots[k]
 			switch len(slots) {
 			case 0:
-				for i := lo; i < hi; i++ {
-					sink.add(i)
-				}
+				sink.addSel(nil, lo, hi)
 				continue
 			case 1:
-				drainBits(evalSlot(filters, slotBits, slotDone, slots[0], lo, hi), lo, hi, sink)
+				sink.addSel(evalSlot(filters, slotBits, slotDone, slots[0], lo, hi), lo, hi)
 				continue
 			}
 			copy(acc, evalSlot(filters, slotBits, slotDone, slots[0], lo, hi))
@@ -538,7 +552,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 					acc[w] &= bits[w]
 				}
 			}
-			drainBits(acc, lo, hi, sink)
+			sink.addSel(acc, lo, hi)
 		}
 	}
 	s.stats.rowsScanned.Add(scanned)
@@ -600,65 +614,32 @@ func filterBits(sel []uint64, lo, hi int, pred rowPredicate) {
 	}
 }
 
-// drainBits feeds the selected rows of a segment into the sink in ascending
-// row order — the order every back-end produces, which is what keeps group
-// first-seen order and float accumulation identical across stores.
-func drainBits(sel []uint64, lo, hi int, sink rowSink) {
-	words := (hi - lo + 63) / 64
-	for w := 0; w < words; w++ {
-		word := sel[w]
-		base := lo + w<<6
-		for word != 0 {
-			sink.add(base + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
-
 // maxFlatSlots bounds the combined key space (product of the group-key
 // cardinalities) the flat accumulator path will allocate; beyond it the
 // generic hash sink takes over.
 const maxFlatSlots = 1 << 16
 
 // newColSink picks the accumulator for a plan: the flat dictionary-code
-// sink when every GROUP BY key is an unbinned categorical or dictionary-
-// encoded integer column and the combined key space is small, the generic
+// sink when every GROUP BY key is an unbinned dictionary-coded column,
+// categorical or integer, and the combined key space is small, the generic
 // hash sink otherwise.
 func newColSink(p *Plan) rowSink {
 	if !p.aggregates() {
 		return p.newSink() // projection: nothing to accumulate
 	}
-	ct := p.vec.ct
 	slots := 1
-	codes := make([][]int32, len(p.keyCol))
 	card := make([]int, len(p.keyCol))
 	for k, c := range p.keyCol {
-		if p.q.GroupBy[k].Bin != 0 {
+		if p.q.GroupBy[k].Bin != 0 || !c.Coded() {
 			return p.newSink()
 		}
-		switch c.Field.Kind {
-		case dataset.KindString:
-			codes[k] = c.Codes()
-			card[k] = c.Cardinality()
-		case dataset.KindInt:
-			ic := ct.intCodes[c.Field.Name]
-			if ic == nil {
-				return p.newSink()
-			}
-			codes[k] = ic.Codes
-			card[k] = len(ic.Vals)
-		default:
-			return p.newSink()
-		}
-		if card[k] == 0 {
-			card[k] = 1
-		}
+		card[k] = max(c.Cardinality(), 1)
 		if slots > maxFlatSlots/card[k] {
 			return p.newSink()
 		}
 		slots *= card[k]
 	}
-	fs := &flatSink{groupAcc: newGroupAcc(p), slots: make([]int32, slots), codes: codes, card: card}
+	fs := &flatSink{groupAcc: newGroupAcc(p), slots: make([]int32, slots), card: card}
 	fs.most = slots
 	for i := range fs.slots {
 		fs.slots[i] = -1
@@ -667,14 +648,13 @@ func newColSink(p *Plan) rowSink {
 }
 
 // flatSink is the vectorized aggregation sink: the combined dictionary code
-// of a row's group keys indexes a flat slot array instead of hashing a key
-// buffer. Groups are still numbered in first-seen order, so results stay
-// byte-identical to the hash sink's.
+// of a row's group keys (p.keyCol) indexes a flat slot array instead of
+// hashing a key buffer. Groups are still numbered in first-seen order, so
+// results stay byte-identical to the hash sink's.
 type flatSink struct {
 	groupAcc
 	slots []int32 // combined key code -> group number, -1 = unseen
-	codes [][]int32
-	card  []int
+	card  []int   // per key column, its dictionary's size
 }
 
 func (s *flatSink) add(i int) {
@@ -690,15 +670,76 @@ func (s *flatSink) add(i int) {
 // scatter barrier orders that load before any merge).
 func (s *flatSink) slotAt(i int) int {
 	slot := 0
-	for k, codes := range s.codes {
-		slot = slot*s.card[k] + int(codes[i])
+	for k, c := range s.p.keyCol {
+		slot = slot*s.card[k] + int(c.Code(i))
 	}
 	return slot
 }
 
+// selScratch is addSel's working set for one segment: the selected rows,
+// their slots and then groups, and one aggregate's cells.
+type selScratch struct {
+	rows, gids [segmentSize]int32
+	vals       [segmentSize]float64
+}
+
+// selScratchPool recycles it: a batch has a sink per plan per worker, far
+// more than ever run at once.
+var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
+
+// addSel is add for a segment's selection at once, in passes over the
+// selected rows: their combined key codes from the packed key columns, their
+// groups — new ones numbered in row order, as add numbers them — and then the
+// aggregates a column each (foldRows).
+func (s *flatSink) addSel(sel []uint64, lo, hi int) {
+	sc := selScratchPool.Get().(*selScratch)
+	defer selScratchPool.Put(sc)
+	rows := sc.rows[:0]
+	if sel == nil {
+		for i := lo; i < hi; i++ {
+			rows = append(rows, int32(i))
+		}
+	} else {
+		for w := 0; w < (hi-lo+63)/64; w++ {
+			base := int32(lo + w<<6)
+			for word := sel[w]; word != 0; word &= word - 1 {
+				rows = append(rows, base+int32(bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	gids := sc.gids[:len(rows)]
+	clear(gids)
+	for k, c := range s.p.keyCol {
+		switch pc := c.Codes(); {
+		case pc.U16 != nil:
+			combineCodes(pc.U16, rows, gids, int32(s.card[k]))
+		case pc.U32 != nil:
+			combineCodes(pc.U32, rows, gids, int32(s.card[k]))
+		default:
+			combineCodes(pc.U8, rows, gids, int32(s.card[k]))
+		}
+	}
+	for j, slot := range gids {
+		g := s.slots[slot]
+		if g < 0 {
+			g = s.newGroup(int(rows[j]))
+			s.slots[slot] = g
+		}
+		gids[j] = g
+	}
+	s.foldRows(rows, gids, sc.vals[:])
+}
+
+// combineCodes appends one key column to the combined key codes of rows.
+func combineCodes[W dataset.Code](codes []W, rows, slots []int32, card int32) {
+	for j, i := range rows {
+		slots[j] = slots[j]*card + int32(codes[i])
+	}
+}
+
 // mergeFrom folds a later shard's partial accumulation into s (the order
 // argument is gatherPartials'). Shard sinks share the plan's globally indexed
-// code slices, so a group's slot is the same in every shard.
+// code arrays, so a group's slot is the same in every shard.
 func (s *flatSink) mergeFrom(other rowSink) {
 	o := other.(*flatSink)
 	for og, row := range o.rows {

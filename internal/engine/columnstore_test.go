@@ -250,18 +250,18 @@ func TestColumnStoreNaNDoesNotVoidNeSkipProof(t *testing.T) {
 
 // TestColumnStoreHighCardinalityIntKey pins the hash-sink fallback for an
 // integer group key with too many distinct values to dictionary-encode
-// (> MaxIntDictCardinality), which no other fixture reaches.
+// (> dataset.MaxIntDictCardinality), which no other fixture reaches.
 func TestColumnStoreHighCardinalityIntKey(t *testing.T) {
 	tb := dataset.NewTable("ids", []dataset.Field{
 		{Name: "id", Kind: dataset.KindInt},
 		{Name: "v", Kind: dataset.KindFloat},
 	})
-	n := MaxIntDictCardinality + 500
+	n := dataset.MaxIntDictCardinality + 500
 	for i := 0; i < n; i++ {
 		tb.AppendRow(dataset.IV(int64(i*3)), dataset.FV(float64(i%7)))
 	}
 	row, col := NewRowStore(tb), NewColumnStore(tb)
-	if col.cols["ids"].intCodes["id"] != nil {
+	if tb.Column("id").Coded() {
 		t.Fatalf("id column should exceed the int-code cardinality bound")
 	}
 	sql := "SELECT id, SUM(v) AS s FROM ids WHERE id >= 600 GROUP BY id ORDER BY id LIMIT 25"

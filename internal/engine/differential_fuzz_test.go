@@ -22,7 +22,11 @@ import (
 // fuzzTable builds a random table: two categorical columns of random
 // cardinality, an int column, and a float column restricted to quarters
 // (dyadic rationals accumulate exactly, so sharded SUM/AVG stay bit-identical
-// to the sequential fold) with occasional NaN.
+// to the sequential fold) with occasional NaN. The cardinalities fall on both
+// sides of the packed layout's boundaries: c0 around 256 entries (one- and
+// two-byte codes), n below 256, between, and past the 4096 an int dictionary
+// holds (raw int64s), so every width, the raw fallback and — over the small
+// dictionaries — the all-true fold meet the reference.
 func fuzzTable(rng *rand.Rand) *dataset.Table {
 	t := dataset.NewTable("t", []dataset.Field{
 		{Name: "c0", Kind: dataset.KindString},
@@ -32,8 +36,9 @@ func fuzzTable(rng *rand.Rand) *dataset.Table {
 	})
 	rowChoices := []int{0, 3, 100, SegmentSize, SegmentSize + 5, 2*SegmentSize + 123}
 	rows := rowChoices[rng.Intn(len(rowChoices))]
-	card0 := 1 + rng.Intn(12)
+	card0 := []int{1 + rng.Intn(12), 250 + rng.Intn(12)}[rng.Intn(2)]
 	card1 := 1 + rng.Intn(5)
+	cardN := []int{50, 50, 300, 2 * dataset.MaxIntDictCardinality}[rng.Intn(4)]
 	for i := 0; i < rows; i++ {
 		f := float64(rng.Intn(400)-100) / 4
 		if rng.Intn(40) == 0 {
@@ -42,7 +47,7 @@ func fuzzTable(rng *rand.Rand) *dataset.Table {
 		t.AppendRow(
 			dataset.SV(fmt.Sprintf("v%d", rng.Intn(card0))),
 			dataset.SV(fmt.Sprintf("w%d", rng.Intn(card1))),
-			dataset.IV(int64(rng.Intn(50)-10)),
+			dataset.IV(int64(rng.Intn(cardN)-10)),
 			dataset.FV(f),
 		)
 	}
@@ -147,6 +152,9 @@ func fuzzQuery(rng *rand.Rand) *minisql.Query {
 	default: // grouped aggregate, 1-2 keys, occasionally binned
 		nkeys := 1 + rng.Intn(2)
 		cols := []string{"c0", "c1"}
+		if rng.Intn(3) == 0 {
+			cols[rng.Intn(2)] = "n" // a dictionary-coded (or raw) int key
+		}
 		for k := 0; k < nkeys; k++ {
 			gk := minisql.GroupKey{Col: cols[k]}
 			if rng.Intn(6) == 0 {
@@ -224,10 +232,18 @@ func diffOne(t *testing.T, dataSeed, querySeed int64) {
 		queries = append(queries, orderedVariant(q, orng))
 	}
 
-	// The oracle is the boxed row-at-a-time reference executor.
+	// The oracle is the boxed row-at-a-time reference executor, over a copy
+	// of the table whose integers are raw int64s whatever their cardinality:
+	// its row predicates test every cell, where the stores' decide a
+	// dictionary-coded column once per dictionary entry.
+	wide := dataset.NewTable(tb.Name, tb.Fields())
+	wide.Column("n").SetRawInts()
+	for i := 0; i < tb.NumRows(); i++ {
+		wide.AppendRow(tb.Row(i)...)
+	}
 	want := make([][]dataset.Row, len(queries))
 	for i, q := range queries {
-		want[i] = refExecute(t, tb, q)
+		want[i] = refExecute(t, wide, q)
 	}
 
 	for _, v := range fuzzVariants(tb) {

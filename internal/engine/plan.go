@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dataset"
@@ -182,12 +183,77 @@ func (p *Plan) run(iter rowIter) (*Result, error) {
 }
 
 // rowSink is the push interface both sink kinds implement: matching rows go
-// in (add), so a batch executor can feed many plans from one shared scan; a
-// later shard's sink of the same plan folds in; the result relation comes out.
+// in — one at a time (add), or a scanned segment's selection at once (addSel)
+// — so a batch executor can feed many plans from one shared scan; a later
+// shard's sink of the same plan folds in; the result relation comes out.
 type rowSink interface {
 	add(i int)
+	// addSel adds the rows of [lo, hi) whose bit (row - lo) is set in sel,
+	// or all of them when sel is nil, in ascending order.
+	addSel(sel []uint64, lo, hi int)
 	mergeFrom(o rowSink)
 	finish() *Result
+}
+
+// numReader reads a column's cells as the float64s Column.Float returns,
+// whatever the column's layout: a cell at a time (at), or the cells of a list
+// of rows in one typed loop (gather).
+type numReader struct {
+	col    *dataset.Column
+	floats []float64     // raw floats
+	ints   []int64       // raw ints
+	codes  dataset.Codes // Coded ints, with
+	lut    []float64     // each dictionary value as a float64
+}
+
+func newNumReader(c *dataset.Column) numReader {
+	r := numReader{col: c, floats: c.Floats(), ints: c.Ints()}
+	if c.Field.Kind == dataset.KindInt && c.Coded() {
+		r.codes, r.lut = c.Codes(), make([]float64, c.Cardinality())
+		for code, v := range c.IntDict() {
+			r.lut[code] = float64(v)
+		}
+	}
+	return r
+}
+
+func (r *numReader) at(i int) float64 {
+	if r.col.Field.Kind == dataset.KindFloat {
+		return r.floats[i]
+	}
+	return r.col.Float(i)
+}
+
+// gather returns the cells at rows, in buf's storage.
+func (r *numReader) gather(rows []int32, buf []float64) []float64 {
+	buf = buf[:len(rows)]
+	switch {
+	case r.col.Field.Kind == dataset.KindFloat:
+		for j, i := range rows {
+			buf[j] = r.floats[i]
+		}
+	case r.lut != nil && r.codes.U16 != nil:
+		gatherDecoded(r.codes.U16, r.lut, rows, buf)
+	case r.lut != nil && r.codes.U32 != nil:
+		gatherDecoded(r.codes.U32, r.lut, rows, buf)
+	case r.lut != nil:
+		gatherDecoded(r.codes.U8, r.lut, rows, buf)
+	case r.col.Field.Kind == dataset.KindInt:
+		for j, i := range rows {
+			buf[j] = float64(r.ints[i])
+		}
+	default:
+		for j, i := range rows {
+			buf[j] = r.col.Float(int(i))
+		}
+	}
+	return buf
+}
+
+func gatherDecoded[W dataset.Code](codes []W, lut []float64, rows []int32, buf []float64) {
+	for j, i := range rows {
+		buf[j] = lut[codes[i]]
+	}
 }
 
 // groupAcc is what every sink accumulates and finish consumes: table row
@@ -196,17 +262,22 @@ type rowSink interface {
 type groupAcc struct {
 	p    *Plan
 	rows []int32
-	aggs []aggState  // len(p.aggCol) per group
-	aggF [][]float64 // per aggregate, its column's raw floats or
-	aggI [][]int64   // ints; both nil for COUNT(*) and string columns
-	most int         // bound on the groups there can be, when the sink knows one; else 0
+	aggs []aggState        // len(p.aggCol) per group
+	fns  []minisql.AggFunc // per aggregate, its function
+	vals []numReader       // per aggregate, its column's cells; unused for COUNT(*)
+	most int               // bound on the groups there can be, when the sink knows one; else 0
 }
 
 func newGroupAcc(p *Plan) groupAcc {
-	a := groupAcc{p: p, aggF: make([][]float64, len(p.aggCol)), aggI: make([][]int64, len(p.aggCol))}
+	a := groupAcc{p: p, vals: make([]numReader, len(p.aggCol))}
+	for _, sel := range p.q.Select {
+		if sel.Agg != minisql.AggNone {
+			a.fns = append(a.fns, sel.Agg)
+		}
+	}
 	for k, c := range p.aggCol {
 		if c != nil {
-			a.aggF[k], a.aggI[k] = floatsOf(c), intsOf(c)
+			a.vals[k] = newNumReader(c)
 		}
 	}
 	return a
@@ -217,7 +288,7 @@ func newGroupAcc(p *Plan) groupAcc {
 // large slice would copy a 10 000-group slab five times over.
 func (a *groupAcc) newGroup(i int) int32 {
 	a.rows = append(a.rows, int32(i))
-	na := len(a.aggF)
+	na := len(a.vals)
 	if len(a.aggs)+na > cap(a.aggs) {
 		grown := 2*cap(a.aggs) + 16*na
 		if a.most > 0 {
@@ -231,17 +302,58 @@ func (a *groupAcc) newGroup(i int) int32 {
 
 // fold adds row i to group g's accumulators.
 func (a *groupAcc) fold(g int32, i int) {
-	aggs := a.aggs[int(g)*len(a.aggF):]
+	aggs := a.aggs[int(g)*len(a.vals):]
 	for k, c := range a.p.aggCol {
-		switch {
-		case c == nil:
+		if c == nil {
 			aggs[k].add(0) // COUNT(*): only count matters
-		case a.aggF[k] != nil:
-			aggs[k].add(a.aggF[k][i])
-		case a.aggI[k] != nil:
-			aggs[k].add(float64(a.aggI[k][i]))
-		default:
-			aggs[k].add(c.Float(i))
+		} else {
+			aggs[k].add(a.vals[k].at(i))
+		}
+	}
+}
+
+// foldRows is fold for a run of rows at once, rows[j] into group gids[j]:
+// one typed loop per aggregate, over the fields that aggregate's function
+// reads and nothing else. Per accumulator the cells arrive in rows' order and
+// meet the arithmetic of aggState.add, so every result bit is fold's. buf is
+// scratch for len(rows) cells.
+func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
+	na := len(a.vals)
+	if len(rows) == 0 {
+		return
+	}
+	for k, fn := range a.fns {
+		aggs := a.aggs[k:] // aggregate k of group g is aggs[g*na]
+		if fn == minisql.AggCount {
+			for _, g := range gids {
+				aggs[int(g)*na].count++
+			}
+			continue
+		}
+		vals := a.vals[k].gather(rows, buf)
+		switch fn {
+		case minisql.AggSum, minisql.AggAvg:
+			for j, g := range gids {
+				s := &aggs[int(g)*na]
+				s.sum += vals[j]
+				s.count++
+			}
+		case minisql.AggMin:
+			for j, g := range gids {
+				s, v := &aggs[int(g)*na], vals[j]
+				if s.count == 0 || v < s.min || (s.min != s.min && v == v) {
+					s.min = v
+				}
+				s.count++
+			}
+		case minisql.AggMax:
+			for j, g := range gids {
+				s, v := &aggs[int(g)*na], vals[j]
+				if s.count == 0 || v > s.max || (s.max != s.max && v == v) {
+					s.max = v
+				}
+				s.count++
+			}
 		}
 	}
 }
@@ -249,7 +361,7 @@ func (a *groupAcc) fold(g int32, i int) {
 // absorb folds group og of a later shard's accumulation into group g, which
 // keeps its first row: the globally earlier representative.
 func (a *groupAcc) absorb(g int32, o *groupAcc, og int) {
-	na := len(a.aggF)
+	na := len(a.vals)
 	for k := 0; k < na; k++ {
 		a.aggs[int(g)*na+k].merge(&o.aggs[og*na+k])
 	}
@@ -302,6 +414,24 @@ func (s *planSink) add(i int) {
 		s.groups[string(s.keyBuf)] = g
 	}
 	s.fold(g, i)
+}
+
+// addSel feeds the selected rows of a segment into the sink in ascending row
+// order — the order every back-end produces, which is what keeps group
+// first-seen order and float accumulation identical across stores.
+func (s *planSink) addSel(sel []uint64, lo, hi int) {
+	if sel == nil {
+		for i := lo; i < hi; i++ {
+			s.add(i)
+		}
+		return
+	}
+	for w := 0; w < (hi-lo+63)/64; w++ {
+		base := lo + w<<6
+		for word := sel[w]; word != 0; word &= word - 1 {
+			s.add(base + bits.TrailingZeros64(word))
+		}
+	}
 }
 
 // mergeFrom folds a later shard's partial accumulation into s (the order
@@ -366,9 +496,15 @@ func cellVector(c *dataset.Column, bin float64, rows []int32) Vector {
 			v.Floats[g] = binValue(c.Float(int(i)), bin)
 		}
 	case v.Kind == dataset.KindString:
-		v.Dict, v.Codes = c, gatherRows(c.Codes(), rows)
+		v.Dict, v.Codes = c, make([]int32, len(rows))
+		for g, i := range rows {
+			v.Codes[g] = c.Code(int(i))
+		}
 	case v.Kind == dataset.KindInt:
-		v.Ints = gatherRows(c.Ints(), rows)
+		v.Ints = make([]int64, len(rows))
+		for g, i := range rows {
+			v.Ints[g] = c.Int(int(i))
+		}
 	default:
 		v.Floats = gatherRows(c.Floats(), rows)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -96,18 +97,18 @@ func newPlannerStats(t *dataset.Table) *plannerStats {
 	return ps
 }
 
-// addZones folds per-segment zone maps into global numeric envelopes and
-// integer-dictionary cardinalities. Segments with no rows (or all-NaN rows)
+// addZones folds per-segment zone maps into global numeric envelopes, and
+// adds the cardinalities of the integer value dictionaries. Segments with no rows (or all-NaN rows)
 // contribute the +Inf/-Inf identity and fold away; a column whose every
 // segment is empty keeps no envelope, so its predicates score by defaults.
-func (ps *plannerStats) addZones(zones map[string]*ZoneData, dicts map[string]*IntDict) {
+func (ps *plannerStats) addZones(zones map[string]*ZoneData) {
 	for _, c := range ps.t.Columns() {
 		name := c.Field.Name
 		if c.Field.Kind == dataset.KindString {
 			continue
 		}
-		if d := dicts[name]; d != nil {
-			ps.card[name] = len(d.Vals)
+		if c.Coded() {
+			ps.card[name] = c.Cardinality()
 		}
 		z := zones[name]
 		if z == nil || len(z.Min) == 0 {
@@ -167,6 +168,9 @@ const (
 // scoreConjunct estimates a conjunct's selectivity (fraction of rows
 // surviving, in [0, 1] — lower runs earlier) and its evaluation cost tier.
 func scoreConjunct(ps *plannerStats, e minisql.Expr) (sel float64, cost int) {
+	if c := ps.t.Column(leafColumn(e)); c != nil && coversDict(c, e) {
+		return 1, costConst // the column store folds it to all-true
+	}
 	switch x := e.(type) {
 	case *minisql.And:
 		sel = 1
@@ -200,6 +204,20 @@ func scoreConjunct(ps *plannerStats, e minisql.Expr) (sel float64, cost int) {
 		return rangeSel(ps, x.Col, x.Lo.Float(), x.Hi.Float(), 0.25), costNumRange
 	}
 	return 0.5, costFallback
+}
+
+// coversDict reports whether a leaf predicate's code set — an IN list or LIKE
+// pattern over a categorical column, any leaf over a dictionary-coded integer
+// one — holds every entry of a non-empty dictionary: zexec's z IN (<every
+// slice>), or a range past the column's ends.
+func coversDict(c *dataset.Column, e minisql.Expr) bool {
+	var member []uint8
+	if c.Field.Kind == dataset.KindString {
+		member, _ = stringMembers(c, e)
+	} else if c.Coded() {
+		member = numericTest(e).members(c)
+	}
+	return len(member) > 0 && !slices.Contains(member, 0)
 }
 
 func scoreCompare(ps *plannerStats, x *minisql.Compare) (float64, int) {

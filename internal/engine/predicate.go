@@ -76,14 +76,8 @@ func compilePredicate(t *dataset.Table, e minisql.Expr) (rowPredicate, error) {
 			return nil, err
 		}
 		return func(i int) bool { return !p(i) }, nil
-	case *minisql.Compare:
-		return compileCompare(t, x)
-	case *minisql.In:
-		return compileIn(t, x)
-	case *minisql.Like:
-		return compileLike(t, x)
-	case *minisql.Between:
-		return compileBetween(t, x)
+	case *minisql.Compare, *minisql.In, *minisql.Like, *minisql.Between:
+		return compileLeaf(t, e)
 	}
 	return nil, fmt.Errorf("engine: unsupported predicate %T", e)
 }
@@ -96,53 +90,178 @@ func lookupColumn(t *dataset.Table, name string) (*dataset.Column, error) {
 	return c, nil
 }
 
-func compileCompare(t *dataset.Table, x *minisql.Compare) (rowPredicate, error) {
-	c, err := lookupColumn(t, x.Col)
+// leafColumn returns the name of the one column a leaf predicate reads.
+func leafColumn(e minisql.Expr) string {
+	switch x := e.(type) {
+	case *minisql.Compare:
+		return x.Col
+	case *minisql.In:
+		return x.Col
+	case *minisql.Like:
+		return x.Col
+	case *minisql.Between:
+		return x.Col
+	}
+	return ""
+}
+
+// compileLeaf compiles a predicate over one column. Over a dictionary-coded
+// column it is decided once per dictionary entry, by the very test a raw
+// column applies per row, and a row only looks its code up.
+func compileLeaf(t *dataset.Table, e minisql.Expr) (rowPredicate, error) {
+	c, err := lookupColumn(t, leafColumn(e))
 	if err != nil {
 		return nil, err
 	}
-	if c.Field.Kind == dataset.KindString && x.Val.Kind == dataset.KindString {
-		// Dictionary fast path for equality on categorical columns.
-		switch x.Op {
-		case minisql.CmpEq:
-			code := c.CodeOf(x.Val.S)
-			if code < 0 {
-				return func(int) bool { return false }, nil
+	if c.Field.Kind == dataset.KindString {
+		return stringLeaf(c, e), nil
+	}
+	test := numericTest(e)
+	if c.Coded() {
+		member := test.members(c)
+		return func(i int) bool { return member[c.Code(i)] != 0 }, nil
+	}
+	return test.over(c), nil
+}
+
+// stringEq recognises equality or inequality between a categorical column and
+// a string — the leaf that is one dictionary code, -1 for a string the
+// dictionary has never seen.
+func stringEq(c *dataset.Column, e minisql.Expr) (code int32, neq, ok bool) {
+	x, isCmp := e.(*minisql.Compare)
+	if !isCmp || x.Val.Kind != dataset.KindString || (x.Op != minisql.CmpEq && x.Op != minisql.CmpNe) {
+		return 0, false, false
+	}
+	return c.CodeOf(x.Val.S), x.Op == minisql.CmpNe, true
+}
+
+// stringMembers decides an IN list or a LIKE pattern over a categorical
+// column once per dictionary entry: member[code] is 1 where rows carrying the
+// code match.
+func stringMembers(c *dataset.Column, e minisql.Expr) (member []uint8, ok bool) {
+	switch x := e.(type) {
+	case *minisql.In:
+		member = make([]uint8, c.Cardinality())
+		for _, v := range x.Vals {
+			if code := c.CodeOf(v.String()); code >= 0 {
+				member[code] = 1
 			}
-			codes := c.Codes()
-			return func(i int) bool { return codes[i] == code }, nil
-		case minisql.CmpNe:
-			code := c.CodeOf(x.Val.S)
-			codes := c.Codes()
-			return func(i int) bool { return codes[i] != code }, nil
+		}
+		return member, true
+	case *minisql.Like:
+		m := compileLikeMatcher(x.Pattern)
+		member = make([]uint8, c.Cardinality())
+		for code, s := range c.Dict() {
+			if m(s) {
+				member[code] = 1
+			}
+		}
+		return member, true
+	}
+	return nil, false
+}
+
+func stringLeaf(c *dataset.Column, e minisql.Expr) rowPredicate {
+	if code, neq, ok := stringEq(c, e); ok {
+		if neq {
+			return func(i int) bool { return c.Code(i) != code }
+		}
+		return func(i int) bool { return c.Code(i) == code }
+	}
+	if member, ok := stringMembers(c, e); ok {
+		return func(i int) bool { return member[c.Code(i)] != 0 }
+	}
+	test := valueTest(e)
+	return func(i int) bool { return test(c.Value(i)) }
+}
+
+// cellTest is a leaf predicate as a test of one numeric cell: num when the
+// predicate reads the cell as the float64 Column.Float returns, val when it
+// needs the cell's Value.
+type cellTest struct {
+	num func(float64) bool
+	val func(dataset.Value) bool
+}
+
+// numericTest returns the test a leaf applies to the cells of a numeric
+// column.
+func numericTest(e minisql.Expr) cellTest {
+	switch x := e.(type) {
+	case *minisql.Compare:
+		if x.Val.Kind != dataset.KindString {
+			want, op := x.Val.Float(), x.Op
+			return cellTest{num: func(f float64) bool { return cmpFloat(f, want, op) }}
+		}
+	case *minisql.In:
+		want := make(map[float64]bool, len(x.Vals))
+		for _, v := range x.Vals {
+			want[v.Float()] = true
+		}
+		return cellTest{num: func(f float64) bool { return want[f] }}
+	case *minisql.Between:
+		lo, hi := x.Lo.Float(), x.Hi.Float()
+		return cellTest{num: func(f float64) bool { return f >= lo && f <= hi }}
+	}
+	return cellTest{val: valueTest(e)}
+}
+
+// valueTest is the general form of a leaf: a test of the cell's Value.
+func valueTest(e minisql.Expr) func(dataset.Value) bool {
+	switch x := e.(type) {
+	case *minisql.Compare:
+		op, val := x.Op, x.Val
+		return func(v dataset.Value) bool {
+			cmp := v.Compare(val)
+			switch op {
+			case minisql.CmpEq:
+				return cmp == 0 && v.Equal(val)
+			case minisql.CmpNe:
+				return !v.Equal(val)
+			case minisql.CmpLt:
+				return cmp < 0
+			case minisql.CmpLe:
+				return cmp <= 0
+			case minisql.CmpGt:
+				return cmp > 0
+			case minisql.CmpGe:
+				return cmp >= 0
+			}
+			return false
+		}
+	case *minisql.Between:
+		lo, hi := x.Lo, x.Hi
+		return func(v dataset.Value) bool { return v.Compare(lo) >= 0 && v.Compare(hi) <= 0 }
+	case *minisql.Like:
+		m := compileLikeMatcher(x.Pattern)
+		return func(v dataset.Value) bool { return m(v.String()) }
+	}
+	// compileLeaf's callers pass the four leaf shapes, and numericTest and
+	// stringLeaf take IN before it gets here.
+	panic(fmt.Sprintf("engine: no value test for %T", e))
+}
+
+// over returns the test as a row predicate over a raw numeric column.
+func (t cellTest) over(c *dataset.Column) rowPredicate {
+	if t.num == nil {
+		return func(i int) bool { return t.val(c.Value(i)) }
+	}
+	if floats := c.Floats(); c.Field.Kind == dataset.KindFloat {
+		return func(i int) bool { return t.num(floats[i]) }
+	}
+	ints := c.Ints()
+	return func(i int) bool { return t.num(float64(ints[i])) }
+}
+
+// members decides the test once per entry of a Coded integer column's value
+// dictionary: member[code] is 1 where rows carrying the code match.
+func (t cellTest) members(c *dataset.Column) []uint8 {
+	member := make([]uint8, c.Cardinality())
+	for code, v := range c.IntDict() {
+		if t.num != nil && t.num(float64(v)) || t.num == nil && t.val(dataset.IV(v)) {
+			member[code] = 1
 		}
 	}
-	if c.Field.Kind != dataset.KindString && x.Val.Kind != dataset.KindString {
-		want := x.Val.Float()
-		op := x.Op
-		return func(i int) bool { return cmpFloat(c.Float(i), want, op) }, nil
-	}
-	// General path: Value comparison.
-	op := x.Op
-	val := x.Val
-	return func(i int) bool {
-		cmp := c.Value(i).Compare(val)
-		switch op {
-		case minisql.CmpEq:
-			return cmp == 0 && c.Value(i).Equal(val)
-		case minisql.CmpNe:
-			return !c.Value(i).Equal(val)
-		case minisql.CmpLt:
-			return cmp < 0
-		case minisql.CmpLe:
-			return cmp <= 0
-		case minisql.CmpGt:
-			return cmp > 0
-		case minisql.CmpGe:
-			return cmp >= 0
-		}
-		return false
-	}, nil
+	return member
 }
 
 func cmpFloat(a, b float64, op minisql.CmpOp) bool {
@@ -161,66 +280,6 @@ func cmpFloat(a, b float64, op minisql.CmpOp) bool {
 		return a >= b
 	}
 	return false
-}
-
-func compileIn(t *dataset.Table, x *minisql.In) (rowPredicate, error) {
-	c, err := lookupColumn(t, x.Col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Field.Kind == dataset.KindString {
-		want := make(map[int32]bool, len(x.Vals))
-		for _, v := range x.Vals {
-			if code := c.CodeOf(v.String()); code >= 0 {
-				want[code] = true
-			}
-		}
-		codes := c.Codes()
-		return func(i int) bool { return want[codes[i]] }, nil
-	}
-	want := make(map[float64]bool, len(x.Vals))
-	for _, v := range x.Vals {
-		want[v.Float()] = true
-	}
-	return func(i int) bool { return want[c.Float(i)] }, nil
-}
-
-func compileBetween(t *dataset.Table, x *minisql.Between) (rowPredicate, error) {
-	c, err := lookupColumn(t, x.Col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Field.Kind != dataset.KindString {
-		lo, hi := x.Lo.Float(), x.Hi.Float()
-		return func(i int) bool {
-			v := c.Float(i)
-			return v >= lo && v <= hi
-		}, nil
-	}
-	lo, hi := x.Lo, x.Hi
-	return func(i int) bool {
-		v := c.Value(i)
-		return v.Compare(lo) >= 0 && v.Compare(hi) <= 0
-	}, nil
-}
-
-func compileLike(t *dataset.Table, x *minisql.Like) (rowPredicate, error) {
-	c, err := lookupColumn(t, x.Col)
-	if err != nil {
-		return nil, err
-	}
-	m := compileLikeMatcher(x.Pattern)
-	if c.Field.Kind == dataset.KindString {
-		// Evaluate the pattern once per dictionary entry, not per row.
-		dict := c.Dict()
-		match := make([]bool, len(dict))
-		for i, s := range dict {
-			match[i] = m(s)
-		}
-		codes := c.Codes()
-		return func(i int) bool { return match[codes[i]] }, nil
-	}
-	return func(i int) bool { return m(c.Value(i).String()) }, nil
 }
 
 // compileLikeMatcher builds a matcher for a SQL LIKE pattern, where %

@@ -155,9 +155,9 @@ func conjAttr(e minisql.Expr, f vecFilter) SkipAttr {
 	case 1:
 		a.Column = cols[0]
 	}
-	switch f.(type) {
-	case *catEqFilter, *catSetFilter:
-		a.Via = "dict"
+	switch f := f.(type) {
+	case *codeFilter:
+		a.Via = f.via
 	case *numRangeFilter, *numNeFilter, *numSetFilter:
 		a.Via = "zonemap"
 	case constFilter, *constFilter:

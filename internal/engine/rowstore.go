@@ -142,8 +142,8 @@ const scanBlock = 4096
 // to the interested plans' sinks, replacing a predicate call per plan — the
 // dominant case for a batch of per-slice queries (WHERE z = '...').
 type eqDispatch struct {
-	codes []int32
-	route [][]*planSink // dictionary code -> sinks that want the row
+	codes dataset.Codes
+	route [][]rowSink // dictionary code -> sinks that want the row
 }
 
 // scanShard executes one shared scan of t serving every plan in the shard.
@@ -166,7 +166,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 			if c := t.Column(cmp.Col); c != nil && c.Field.Kind == dataset.KindString {
 				d := byCol[cmp.Col]
 				if d == nil {
-					d = &eqDispatch{codes: c.Codes(), route: make([][]*planSink, c.Cardinality())}
+					d = &eqDispatch{codes: c.Codes(), route: make([][]rowSink, c.Cardinality())}
 					byCol[cmp.Col] = d
 					dispatches = append(dispatches, d)
 				}
@@ -193,12 +193,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 			hi = n
 		}
 		for _, d := range dispatches {
-			codes := d.codes
-			for i := lo; i < hi; i++ {
-				for _, sink := range d.route[codes[i]] {
-					sink.add(i)
-				}
-			}
+			routeRows(d.codes, lo, hi, d.route)
 		}
 		for k, pred := range restPreds {
 			sink := restSinks[k]

@@ -12,12 +12,6 @@ import (
 // at 64 words and a segment's worth of one float64 column inside L1/L2.
 const SegmentSize = 4096
 
-// MaxIntDictCardinality bounds the distinct-value count an integer column
-// may have and still get a build-time dictionary encoding (the same 4096 the
-// bitmap store uses for its integer value indexes). Encoded columns let the
-// flat group-by accumulator treat integer keys like categorical ones.
-const MaxIntDictCardinality = 4096
-
 // ZoneData holds one column's per-segment zone maps. Numeric columns carry
 // min/max plus a NaN-presence flag (NaN compares false with everything, so
 // it never lands in min/max — but it still matches != predicates);
@@ -61,19 +55,11 @@ func (z *ZoneData) anyCode(s int, want []uint64) bool {
 	return false
 }
 
-// IntDict is the build-time dictionary encoding of a low-cardinality integer
-// column: Codes[i] indexes into the sorted distinct values Vals. For a lazy
-// SegmentSource, Codes spans the full table and is filled in segment by
-// segment alongside the column data.
-type IntDict struct {
-	Vals  []int64
-	Codes []int32
-}
-
 // SegmentSource supplies a segmented table whose column data materializes
-// lazily: the schema, dictionaries, zone maps, and integer dictionaries are
-// available up front (cheap, footer-sized metadata), while the column data of
-// a segment is decoded only when Load is first called for it. This is the
+// lazily: the schema, dictionaries (categorical and integer, on the table's
+// columns) and zone maps are available up front (cheap, footer-sized
+// metadata), while the column data of a segment is decoded only when Load is
+// first called for it. This is the
 // seam the zpack persistent format plugs into — zone-map skipping works
 // without ever deserializing skipped segments.
 type SegmentSource interface {
@@ -84,11 +70,8 @@ type SegmentSource interface {
 	NumSegments() int
 	// Zone returns the named column's zone maps, or nil if unknown.
 	Zone(col string) *ZoneData
-	// IntDict returns the named integer column's dictionary encoding, or nil
-	// when the column is not dictionary-encoded.
-	IntDict(col string) *IntDict
-	// Load materializes segment seg's rows into the table's column slices
-	// (and into IntDict code slices). Load must be safe for concurrent use
+	// Load materializes segment seg's rows into the table's column arrays.
+	// Load must be safe for concurrent use
 	// and idempotent — the column store calls it for every segment a scan
 	// visits, on every scan; implementations synchronize and load once.
 	Load(seg int) error
@@ -102,33 +85,22 @@ type memSource struct {
 	t     *dataset.Table
 	nseg  int
 	zones map[string]*ZoneData
-	dicts map[string]*IntDict
 }
 
 // NewMemSource builds an eager SegmentSource over an in-memory table,
-// computing its zone maps and integer dictionaries up front.
+// computing its zone maps up front.
 func NewMemSource(t *dataset.Table) SegmentSource {
-	s := &memSource{
+	return &memSource{
 		t:     t,
 		nseg:  (t.NumRows() + SegmentSize - 1) / SegmentSize,
 		zones: ComputeZones(t),
-		dicts: make(map[string]*IntDict),
 	}
-	for _, c := range t.Columns() {
-		if c.Field.Kind == dataset.KindInt {
-			if d := ComputeIntDict(c); d != nil {
-				s.dicts[c.Field.Name] = d
-			}
-		}
-	}
-	return s
 }
 
-func (s *memSource) Table() *dataset.Table       { return s.t }
-func (s *memSource) NumSegments() int            { return s.nseg }
-func (s *memSource) Zone(col string) *ZoneData   { return s.zones[col] }
-func (s *memSource) IntDict(col string) *IntDict { return s.dicts[col] }
-func (s *memSource) Load(int) error              { return nil }
+func (s *memSource) Table() *dataset.Table     { return s.t }
+func (s *memSource) NumSegments() int          { return s.nseg }
+func (s *memSource) Zone(col string) *ZoneData { return s.zones[col] }
+func (s *memSource) Load(int) error            { return nil }
 
 // ComputeZones builds every column's per-segment zone maps over a fully
 // materialized table. It is the single definition of zone semantics: the
@@ -146,37 +118,40 @@ func ComputeZones(t *dataset.Table) map[string]*ZoneData {
 				z.Words = 1
 			}
 			z.Present = make([]uint64, nseg*z.Words)
-			for i, code := range c.Codes() {
-				z.Present[(i/SegmentSize)*z.Words+int(code>>6)] |= 1 << (uint(code) & 63)
+			switch pc := c.Codes(); {
+			case pc.U16 != nil:
+				markPresent(pc.U16, z)
+			case pc.U32 != nil:
+				markPresent(pc.U32, z)
+			default:
+				markPresent(pc.U8, z)
 			}
 		} else {
 			z.Min = make([]float64, nseg)
 			z.Max = make([]float64, nseg)
 			z.NaN = make([]bool, nseg)
+			vals := newNumReader(c)
+			var rows [SegmentSize]int32
+			var buf [SegmentSize]float64
 			for s := 0; s < nseg; s++ {
-				z.Min[s] = math.Inf(1)
-				z.Max[s] = math.Inf(-1)
-			}
-			update := func(i int, v float64) {
-				s := i / SegmentSize
-				if v != v {
-					z.NaN[s] = true
-					return
+				z.Min[s], z.Max[s] = math.Inf(1), math.Inf(-1)
+				seg := rows[:min(n, (s+1)*SegmentSize)-s*SegmentSize]
+				for i := range seg {
+					seg[i] = int32(s*SegmentSize + i)
 				}
-				if v < z.Min[s] {
-					z.Min[s] = v
-				}
-				if v > z.Max[s] {
-					z.Max[s] = v
-				}
-			}
-			if c.Field.Kind == dataset.KindInt {
-				for i, v := range c.Ints() {
-					update(i, float64(v))
-				}
-			} else {
-				for i, v := range c.Floats() {
-					update(i, v)
+				for _, v := range vals.gather(seg, buf[:]) {
+					if v != v {
+						z.NaN[s] = true
+						continue
+					}
+					// Not min/max: the zones go into zpack footers, and those
+					// order -0 below +0 where < does not.
+					if v < z.Min[s] {
+						z.Min[s] = v
+					}
+					if v > z.Max[s] {
+						z.Max[s] = v
+					}
 				}
 			}
 		}
@@ -185,25 +160,11 @@ func ComputeZones(t *dataset.Table) map[string]*ZoneData {
 	return zones
 }
 
-// ComputeIntDict builds the dictionary encoding of an integer column, or nil
-// when the column has too many distinct values to be worth it.
-func ComputeIntDict(c *dataset.Column) *IntDict {
-	distinct := c.DistinctSorted()
-	if len(distinct) > MaxIntDictCardinality {
-		return nil
+// markPresent sets, per segment, the presence bit of every code that occurs.
+func markPresent[W dataset.Code](codes []W, z *ZoneData) {
+	for i, code := range codes {
+		z.Present[(i/SegmentSize)*z.Words+int(code>>6)] |= 1 << (uint(code) & 63)
 	}
-	d := &IntDict{Vals: make([]int64, len(distinct))}
-	codeOf := make(map[int64]int32, len(distinct))
-	for i, v := range distinct {
-		d.Vals[i] = v.I
-		codeOf[v.I] = int32(i)
-	}
-	ints := c.Ints()
-	d.Codes = make([]int32, len(ints))
-	for i, v := range ints {
-		d.Codes[i] = codeOf[v]
-	}
-	return d
 }
 
 // Segmented is implemented by back-ends that partition tables into zone-map

@@ -43,11 +43,10 @@ type rangeSource struct {
 	loads  atomic.Int64
 }
 
-func (r *rangeSource) Table() *dataset.Table       { return r.src.Table() }
-func (r *rangeSource) NumSegments() int            { return r.hi - r.lo }
-func (r *rangeSource) SegRange() (lo, hi int)      { return r.lo, r.hi }
-func (r *rangeSource) Zone(col string) *ZoneData   { return r.src.Zone(col) }
-func (r *rangeSource) IntDict(col string) *IntDict { return r.src.IntDict(col) }
+func (r *rangeSource) Table() *dataset.Table     { return r.src.Table() }
+func (r *rangeSource) NumSegments() int          { return r.hi - r.lo }
+func (r *rangeSource) SegRange() (lo, hi int)    { return r.lo, r.hi }
+func (r *rangeSource) Zone(col string) *ZoneData { return r.src.Zone(col) }
 
 // Load delegates to the parent (which synchronizes and loads once), counting
 // the first successful materialization of each owned segment.
@@ -303,7 +302,7 @@ func (s *ShardedStore) Prepare(q *minisql.Query) (*Plan, error) {
 	if s.planningOn() && len(p.conjs) > 1 && len(shards) > 0 {
 		ct := shards[0].cols[q.From] // zone/dict arrays are global, any shard's view works
 		ps := newPlannerStats(p.t)
-		ps.addZones(ct.zones, ct.intCodes)
+		ps.addZones(ct.zones)
 		if err := p.applyPlanOrder(ps.withProv(s.SkipProvenance())); err != nil {
 			return nil, err
 		}

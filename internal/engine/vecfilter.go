@@ -77,62 +77,127 @@ func (f constFilter) eval(lo, hi int, bits []uint64) {
 	if !f.match {
 		return
 	}
-	for i := 0; i < hi-lo; i++ {
-		setBit(bits, i)
+	n := hi - lo
+	for w := 0; w < n>>6; w++ {
+		bits[w] = ^uint64(0)
+	}
+	if rem := uint(n) & 63; rem != 0 {
+		bits[n>>6] = 1<<rem - 1
 	}
 }
 
-// catEqFilter is code equality (or inequality) on a categorical column.
-type catEqFilter struct {
-	codes []int32
-	zone  *ZoneData
-	code  int32
-	neq   bool
+// codeFilter is a predicate over a dictionary-coded column, categorical or
+// integer, decided per dictionary entry at Prepare: a row matches when its
+// code is in the set. A set that covers no entry or every entry never gets
+// here — it folds to a constFilter.
+type codeFilter struct {
+	// kernel evaluates the set over the column's packed codes: the width was
+	// switched on once, at compile time.
+	kernel func(lo, hi int, bits []uint64)
+	// zone proves segments empty from the column's metadata, the way the
+	// predicate's shape always has: presence bitsets for a categorical
+	// column, the min/max tests of the raw-array filters for an integer one.
+	zone zoneTest
+	via  string // the skip attribution's mechanism: "dict", "zonemap" or "none"
+	// eq is the matching code when the filter is one categorical equality —
+	// what the scan's code-routed pass dispatches on — else -1.
+	eq  int32
+	col *dataset.Column
 }
 
-func (f *catEqFilter) skip(s int) bool {
-	if f.neq {
-		// Skip only if the segment holds nothing but f.code.
-		return f.zone.onlyCode(s, f.code)
+// zoneTest is the skip half of a vecFilter.
+type zoneTest interface{ skip(s int) bool }
+
+func (f *codeFilter) skip(s int) bool                { return f.zone.skip(s) }
+func (f *codeFilter) eval(lo, hi int, bits []uint64) { f.kernel(lo, hi, bits) }
+
+// eqZone is a categorical equality's zone test, or with neq an inequality's: a
+// segment the code is absent from holds no row equal to it, one that holds
+// nothing else no row unequal.
+type eqZone struct {
+	zone *ZoneData
+	code int32
+	neq  bool
+}
+
+func (z eqZone) skip(s int) bool {
+	if z.neq {
+		return z.zone.onlyCode(s, z.code)
 	}
-	return !f.zone.hasCode(s, f.code)
+	return !z.zone.hasCode(s, z.code)
 }
 
-func (f *catEqFilter) eval(lo, hi int, bits []uint64) {
-	codes, code := f.codes, f.code
-	if f.neq {
-		for i := lo; i < hi; i++ {
-			if codes[i] != code {
-				setBit(bits, i-lo)
+// presentZone is a categorical code set's zone test: a segment none of whose
+// present codes is wanted holds no match.
+type presentZone struct {
+	zone *ZoneData
+	want []uint64 // bitset over dictionary codes, zone.Words words
+}
+
+func (z presentZone) skip(s int) bool { return !z.zone.anyCode(s, z.want) }
+
+type neverSkip struct{}
+
+func (neverSkip) skip(int) bool { return false }
+
+// selectMembers is the code-set kernel: bit j of word w says whether
+// member[codes[64w+j]] is set. It builds each word of the selection without a
+// branch per row; bits arrives zeroed and holds at least len(codes) bits.
+func selectMembers[W dataset.Code](codes []W, member []uint8, bits []uint64) {
+	for w := 0; len(codes) > 0; w++ {
+		chunk := codes[:min(64, len(codes))]
+		codes = codes[len(chunk):]
+		var word uint64
+		for j, c := range chunk {
+			word |= uint64(member[c]) << uint(j)
+		}
+		bits[w] = word
+	}
+}
+
+// selectCode is selectMembers for the set {code}, or with neq its complement:
+// a compare in place of the table load, and no table to build for a
+// dictionary of any size.
+func selectCode[W dataset.Code](codes []W, code W, neq bool, bits []uint64) {
+	var flip uint64
+	if neq {
+		flip = 1
+	}
+	for w := 0; len(codes) > 0; w++ {
+		chunk := codes[:min(64, len(codes))]
+		codes = codes[len(chunk):]
+		var word uint64
+		for j, c := range chunk {
+			var hit uint64
+			if c == code {
+				hit = 1
 			}
+			word |= (hit ^ flip) << uint(j)
 		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if codes[i] == code {
-			setBit(bits, i-lo)
-		}
+		bits[w] = word
 	}
 }
 
-// catSetFilter matches rows whose code is in a compiled code set — IN lists
-// and LIKE patterns over categorical columns compile to this.
-type catSetFilter struct {
-	codes []int32
-	zone  *ZoneData
-	want  []uint64 // bitset over dictionary codes
+// memberKernel instantiates selectMembers at the width of pc.
+func memberKernel(pc dataset.Codes, member []uint8) func(lo, hi int, bits []uint64) {
+	switch {
+	case pc.U16 != nil:
+		return func(lo, hi int, bits []uint64) { selectMembers(pc.U16[lo:hi], member, bits) }
+	case pc.U32 != nil:
+		return func(lo, hi int, bits []uint64) { selectMembers(pc.U32[lo:hi], member, bits) }
+	}
+	return func(lo, hi int, bits []uint64) { selectMembers(pc.U8[lo:hi], member, bits) }
 }
 
-func (f *catSetFilter) skip(s int) bool { return !f.zone.anyCode(s, f.want) }
-
-func (f *catSetFilter) eval(lo, hi int, bits []uint64) {
-	codes, want := f.codes, f.want
-	for i := lo; i < hi; i++ {
-		c := codes[i]
-		if want[c>>6]&(1<<(uint(c)&63)) != 0 {
-			setBit(bits, i-lo)
-		}
+// codeKernel instantiates selectCode at the width of pc.
+func codeKernel(pc dataset.Codes, code int32, neq bool) func(lo, hi int, bits []uint64) {
+	switch {
+	case pc.U16 != nil:
+		return func(lo, hi int, bits []uint64) { selectCode(pc.U16[lo:hi], uint16(code), neq, bits) }
+	case pc.U32 != nil:
+		return func(lo, hi int, bits []uint64) { selectCode(pc.U32[lo:hi], uint32(code), neq, bits) }
 	}
+	return func(lo, hi int, bits []uint64) { selectCode(pc.U8[lo:hi], uint8(code), neq, bits) }
 }
 
 // numRangeFilter matches numeric rows inside [lo, hi] (either bound may be
@@ -348,21 +413,8 @@ func compileVec(ct *colTable, t *dataset.Table, e minisql.Expr) (vecFilter, erro
 			return nil, err
 		}
 		return &notFilter{arg: arg}, nil
-	case *minisql.Compare:
-		return compileVecCompare(ct, t, x)
-	case *minisql.In:
-		return compileVecIn(ct, t, x)
-	case *minisql.Like:
-		return compileVecLike(ct, t, x)
-	case *minisql.Between:
-		c, err := lookupColumn(t, x.Col)
-		if err != nil {
-			return nil, err
-		}
-		if c.Field.Kind != dataset.KindString && x.Lo.Kind != dataset.KindString && x.Hi.Kind != dataset.KindString {
-			return numRange(ct, c, x.Lo.Float(), x.Hi.Float()), nil
-		}
-		return fallbackFilter(t, x)
+	case *minisql.Compare, *minisql.In, *minisql.Like, *minisql.Between:
+		return compileVecLeaf(ct, t, e)
 	}
 	return fallbackFilter(t, e)
 }
@@ -388,138 +440,122 @@ func fallbackFilter(t *dataset.Table, e minisql.Expr) (vecFilter, error) {
 	return predFilter{pred: pred}, nil
 }
 
-func numRange(ct *colTable, c *dataset.Column, lo, hi float64) vecFilter {
-	return &numRangeFilter{
-		ints:   intsOf(c),
-		floats: floatsOf(c),
-		zone:   ct.zones[c.Field.Name],
-		lo:     lo,
-		hi:     hi,
-	}
-}
-
-// intsOf / floatsOf return the raw slice only for the matching kind, so the
-// typed filters can branch once instead of per row.
-func intsOf(c *dataset.Column) []int64 {
-	if c.Field.Kind == dataset.KindInt {
-		return c.Ints()
-	}
-	return nil
-}
-
-func floatsOf(c *dataset.Column) []float64 {
-	if c.Field.Kind == dataset.KindFloat {
-		return c.Floats()
-	}
-	return nil
-}
-
-func compileVecCompare(ct *colTable, t *dataset.Table, x *minisql.Compare) (vecFilter, error) {
-	c, err := lookupColumn(t, x.Col)
+// compileVecLeaf lowers a predicate over one column. Over a dictionary-coded
+// column it becomes a code set, decided per dictionary entry by the very
+// tests the row predicate is made of (stringEq, stringMembers, numericTest),
+// so the two agree by construction — float64 coercion of large ints, LIKE, IN
+// and != included. Raw numeric columns keep the typed array filters.
+func compileVecLeaf(ct *colTable, t *dataset.Table, e minisql.Expr) (vecFilter, error) {
+	c, err := lookupColumn(t, leafColumn(e))
 	if err != nil {
 		return nil, err
 	}
-	if c.Field.Kind == dataset.KindString && x.Val.Kind == dataset.KindString {
-		switch x.Op {
-		case minisql.CmpEq:
-			code := c.CodeOf(x.Val.S)
+	zone := ct.zones[c.Field.Name]
+	if c.Field.Kind == dataset.KindString {
+		if code, neq, ok := stringEq(c, e); ok {
 			if code < 0 {
-				return constFilter{match: false}, nil
+				return constFilter{match: neq}, nil
 			}
-			return &catEqFilter{codes: c.Codes(), zone: ct.zones[c.Field.Name], code: code}, nil
-		case minisql.CmpNe:
-			code := c.CodeOf(x.Val.S)
-			if code < 0 {
-				return constFilter{match: true}, nil
+			f := &codeFilter{kernel: codeKernel(c.Codes(), code, neq), zone: eqZone{zone, code, neq}, via: "dict", eq: code, col: c}
+			if neq {
+				f.eq = -1
 			}
-			return &catEqFilter{codes: c.Codes(), zone: ct.zones[c.Field.Name], code: code, neq: true}, nil
+			return f, nil
 		}
-		return fallbackFilter(t, x)
+		if member, ok := stringMembers(c, e); ok {
+			want := make([]uint64, zone.Words)
+			for code, m := range member {
+				want[code>>6] |= uint64(m) << (uint(code) & 63)
+			}
+			return memberFilter(c, member, presentZone{zone: zone, want: want}, "dict"), nil
+		}
+		return fallbackFilter(t, e)
 	}
-	if c.Field.Kind != dataset.KindString && x.Val.Kind != dataset.KindString {
+	// The raw-array filter of the predicate's shape: the filter itself over a
+	// raw column, the zone test of the code set over a Coded one.
+	raw := rawNumFilter(c, zone, e)
+	if !c.Coded() {
+		if raw == nil {
+			return fallbackFilter(t, e)
+		}
+		return raw, nil
+	}
+	test, via := zoneTest(neverSkip{}), "none"
+	if raw != nil {
+		test, via = raw, "zonemap"
+	}
+	return memberFilter(c, numericTest(e).members(c), test, via), nil
+}
+
+// memberFilter returns the filter of a code set, folding the set that covers
+// no dictionary entry, and the one that covers them all, to constants.
+func memberFilter(c *dataset.Column, member []uint8, zone zoneTest, via string) vecFilter {
+	n := 0
+	for _, m := range member {
+		n += int(m)
+	}
+	switch n {
+	case 0:
+		return constFilter{match: false}
+	case len(member):
+		return constFilter{match: true}
+	}
+	return &codeFilter{kernel: memberKernel(c.Codes(), member), zone: zone, via: via, eq: -1, col: c}
+}
+
+// rawNumFilter returns the typed array filter of a predicate over a numeric
+// column, or nil when its shape has none (mixed-kind comparisons, LIKE).
+func rawNumFilter(c *dataset.Column, zone *ZoneData, e minisql.Expr) vecFilter {
+	numRange := func(lo, hi float64) vecFilter {
+		return &numRangeFilter{ints: c.Ints(), floats: c.Floats(), zone: zone, lo: lo, hi: hi}
+	}
+	switch x := e.(type) {
+	case *minisql.Between:
+		if x.Lo.Kind != dataset.KindString && x.Hi.Kind != dataset.KindString {
+			return numRange(x.Lo.Float(), x.Hi.Float())
+		}
+	case *minisql.Compare:
+		if x.Val.Kind == dataset.KindString {
+			return nil
+		}
 		v := x.Val.Float()
 		switch x.Op {
 		case minisql.CmpEq:
-			return numRange(ct, c, v, v), nil
+			return numRange(v, v)
 		case minisql.CmpNe:
-			return &numNeFilter{ints: intsOf(c), floats: floatsOf(c), zone: ct.zones[c.Field.Name], val: v}, nil
+			return &numNeFilter{ints: c.Ints(), floats: c.Floats(), zone: zone, val: v}
 		case minisql.CmpLt:
-			return numRange(ct, c, math.Inf(-1), math.Nextafter(v, math.Inf(-1))), nil
+			return numRange(math.Inf(-1), math.Nextafter(v, math.Inf(-1)))
 		case minisql.CmpLe:
-			return numRange(ct, c, math.Inf(-1), v), nil
+			return numRange(math.Inf(-1), v)
 		case minisql.CmpGt:
-			return numRange(ct, c, math.Nextafter(v, math.Inf(1)), math.Inf(1)), nil
+			return numRange(math.Nextafter(v, math.Inf(1)), math.Inf(1))
 		case minisql.CmpGe:
-			return numRange(ct, c, v, math.Inf(1)), nil
+			return numRange(v, math.Inf(1))
 		}
-	}
-	return fallbackFilter(t, x)
-}
-
-func compileVecIn(ct *colTable, t *dataset.Table, x *minisql.In) (vecFilter, error) {
-	c, err := lookupColumn(t, x.Col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Field.Kind == dataset.KindString {
-		want := make([]uint64, (c.Cardinality()+63)/64)
-		any := false
+	case *minisql.In:
+		f := &numSetFilter{
+			ints:   c.Ints(),
+			floats: c.Floats(),
+			zone:   zone,
+			want:   make(map[float64]bool, len(x.Vals)),
+			wantLo: math.Inf(1),
+			wantHi: math.Inf(-1),
+		}
 		for _, v := range x.Vals {
-			if code := c.CodeOf(v.String()); code >= 0 {
-				want[code>>6] |= 1 << (uint(code) & 63)
-				any = true
+			fv := v.Float()
+			f.want[fv] = true
+			if fv < f.wantLo {
+				f.wantLo = fv
+			}
+			if fv > f.wantHi {
+				f.wantHi = fv
 			}
 		}
-		if !any {
-			return constFilter{match: false}, nil
+		if len(f.want) == 0 {
+			return constFilter{match: false}
 		}
-		return &catSetFilter{codes: c.Codes(), zone: ct.zones[c.Field.Name], want: want}, nil
+		return f
 	}
-	f := &numSetFilter{
-		ints:   intsOf(c),
-		floats: floatsOf(c),
-		zone:   ct.zones[c.Field.Name],
-		want:   make(map[float64]bool, len(x.Vals)),
-		wantLo: math.Inf(1),
-		wantHi: math.Inf(-1),
-	}
-	for _, v := range x.Vals {
-		fv := v.Float()
-		f.want[fv] = true
-		if fv < f.wantLo {
-			f.wantLo = fv
-		}
-		if fv > f.wantHi {
-			f.wantHi = fv
-		}
-	}
-	if len(f.want) == 0 {
-		return constFilter{match: false}, nil
-	}
-	return f, nil
-}
-
-func compileVecLike(ct *colTable, t *dataset.Table, x *minisql.Like) (vecFilter, error) {
-	c, err := lookupColumn(t, x.Col)
-	if err != nil {
-		return nil, err
-	}
-	if c.Field.Kind != dataset.KindString {
-		return fallbackFilter(t, x)
-	}
-	// Evaluate the pattern once per dictionary entry; the row loop and the
-	// zone test then work on the resulting code set, same as IN.
-	m := compileLikeMatcher(x.Pattern)
-	want := make([]uint64, (c.Cardinality()+63)/64)
-	any := false
-	for code, s := range c.Dict() {
-		if m(s) {
-			want[code>>6] |= 1 << (uint(code) & 63)
-			any = true
-		}
-	}
-	if !any {
-		return constFilter{match: false}, nil
-	}
-	return &catSetFilter{codes: c.Codes(), zone: ct.zones[c.Field.Name], want: want}, nil
+	return nil
 }

@@ -274,8 +274,8 @@ func clusteredSales() *dataset.Table {
 	for i := range order {
 		order[i] = i
 	}
-	years := src.Column("year").Ints()
-	sort.SliceStable(order, func(a, b int) bool { return years[order[a]] < years[order[b]] })
+	year := src.Column("year")
+	sort.SliceStable(order, func(a, b int) bool { return year.Int(order[a]) < year.Int(order[b]) })
 	out := dataset.NewTable(src.Name, fieldsOf(src))
 	for _, i := range order {
 		out.AppendRow(src.Row(i)...)

@@ -77,6 +77,11 @@ func newMetrics(reg *Registry) *metrics {
 			}
 		})
 	}
+	perDataset("zen_dataset_table_bytes",
+		"Heap the dataset's column arrays and dictionaries hold (dataset.Table.SizeBytes).", "gauge",
+		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
+			emit(float64(d.Table().SizeBytes()))
+		})
 	perDataset("zen_rows_scanned_total",
 		"Rows the store scanned (cache hits scan nothing).", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {

@@ -454,6 +454,7 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	assertAtLeast(`zen_http_requests_total{endpoint="/query",code="200"}`, 1)
 	assertAtLeast(`zen_query_duration_seconds_count{endpoint="/query",opt="Inter-Task"}`, 1)
 	assertAtLeast(`zen_rows_scanned_total{dataset="sales"}`, 1)
+	assertAtLeast(`zen_dataset_table_bytes{dataset="sales"}`, 1)
 	assertAtLeast(`zen_ready`, 1)
 	assertAtLeast(`zen_queue_depth{dataset="sales"}`, 0)
 	assertAtLeast(`zen_requests_shed_total{dataset="sales"}`, 0)

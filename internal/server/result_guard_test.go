@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/minisql"
 	"repro/internal/workload"
 )
@@ -110,4 +113,45 @@ func TestSpecAllocGuard(t *testing.T) {
 	if bytesPer > 3.6e6 || objsPer > 30000 {
 		t.Errorf("one warm similarity /spec allocates %.0f kB in %.0f objects, want < 3600 kB in < 30000", bytesPer/1000, objsPer)
 	}
+}
+
+// TestTableSizeGuard pins what a loaded dataset costs: the benchmark's sales
+// schema from CSV — four categorical columns, four integer ones with few
+// distinct values, two floats — packs into at most 28 bytes a row (80 when
+// every code was an int32 and every integer an int64 with an int32 copy
+// beside it), and registering it leaves little more than that live: the zone
+// maps, the dictionaries' indexes, the caches' empty shells.
+func TestTableSizeGuard(t *testing.T) {
+	cfg := guardSales()
+	path := filepath.Join(t.TempDir(), "sales.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(workload.Sales(cfg), f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	reg := NewRegistry()
+	ds, err := reg.LoadCSV("sales", path, Config{Backend: "auto", CacheEntries: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	size := ds.Table().SizeBytes()
+	if per := float64(size) / float64(cfg.Rows); per > 28 {
+		t.Errorf("the table holds %.1f B/row, want <= 28", per)
+	}
+	grown := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("table %d bytes (%.1f B/row), heap grew %.0f", size, float64(size)/float64(cfg.Rows), grown)
+	if grown > 1.15*float64(size) {
+		t.Errorf("loading left %.0f bytes live, want <= 1.15x the table's %d", grown, size)
+	}
+	runtime.KeepAlive(reg)
 }

@@ -454,6 +454,7 @@ type DatasetInfo struct {
 	Name       string       `json:"name"`
 	Backend    string       `json:"backend"`
 	Rows       int          `json:"rows"`
+	TableBytes int64        `json:"tableBytes"` // dataset.Table.SizeBytes: column arrays and dictionaries
 	Segments   int          `json:"segments"`
 	Shards     int          `json:"shards,omitempty"`
 	Appendable bool         `json:"appendable"`
@@ -471,6 +472,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 			Name:       d.name,
 			Backend:    d.backend,
 			Rows:       d.table.NumRows(),
+			TableBytes: d.table.SizeBytes(),
 			Segments:   d.Segments(),
 			Shards:     d.ShardCount(),
 			Appendable: d.Appendable(),

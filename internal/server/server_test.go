@@ -326,7 +326,7 @@ NAME | X      | Y         | Z               | CONSTRAINTS | VIZ
 }
 
 func TestDatasetsEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t, Config{Backend: "bitmap"})
+	ts, reg := newTestServer(t, Config{Backend: "bitmap"})
 	resp, err := http.Get(ts.URL + "/datasets")
 	if err != nil {
 		t.Fatal(err)
@@ -344,6 +344,10 @@ func TestDatasetsEndpoint(t *testing.T) {
 	d := out.Datasets[0]
 	if d.Name != "sales" || d.Backend != "bitmap" || d.Rows != 10000 || len(d.Columns) == 0 {
 		t.Errorf("dataset info = %+v", d)
+	}
+	// One source for "how big is the table": what the table itself says.
+	if ds := reg.Get("sales"); d.TableBytes <= 0 || d.TableBytes != ds.Table().SizeBytes() {
+		t.Errorf("tableBytes = %d, want the table's SizeBytes %d", d.TableBytes, ds.Table().SizeBytes())
 	}
 	// Unsegmented back-ends report zero segments and no append support.
 	if d.Segments != 0 || d.Appendable {

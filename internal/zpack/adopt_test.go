@@ -100,12 +100,14 @@ func assertSameStorage(t *testing.T, got, want *Reader) {
 		if !reflect.DeepEqual(got.Zone(name), want.Zone(name)) {
 			t.Fatalf("column %s: zone maps differ", name)
 		}
-		gd, wd := got.IntDict(name), want.IntDict(name)
-		if (gd == nil) != (wd == nil) {
-			t.Fatalf("column %s: int dictionary present %v, want %v", name, gd != nil, wd != nil)
+		if gc.Coded() != wc.Coded() || !slices.Equal(gc.IntDict(), wc.IntDict()) || gc.Codes().Width() != wc.Codes().Width() {
+			t.Fatalf("column %s: coded %v at width %d over %d values, want %v at %d over %d", name,
+				gc.Coded(), gc.Codes().Width(), len(gc.IntDict()), wc.Coded(), wc.Codes().Width(), len(wc.IntDict()))
 		}
-		if gd != nil && (!slices.Equal(gd.Vals, wd.Vals) || !slices.Equal(gd.Codes, wd.Codes)) {
-			t.Fatalf("column %s: int dictionary differs", name)
+		for i := 0; gc.Coded() && i < gc.Len(); i++ {
+			if gc.Code(i) != wc.Code(i) {
+				t.Fatalf("column %s row %d: code %d, want %d", name, i, gc.Code(i), wc.Code(i))
+			}
 		}
 	}
 }
@@ -120,19 +122,11 @@ func assertPrefixEqual(t *testing.T, got, want *dataset.Table) {
 		if gc.Field != wc.Field || gc.Len() != n {
 			t.Fatalf("column %d: field %+v len %d, want %+v len %d", j, gc.Field, gc.Len(), wc.Field, n)
 		}
-		ok := true
-		switch wc.Field.Kind {
-		case dataset.KindString:
-			ok = slices.Equal(gc.Codes(), wc.Codes()[:n])
-		case dataset.KindInt:
-			ok = slices.Equal(gc.Ints(), wc.Ints()[:n])
-		default:
-			ok = slices.EqualFunc(gc.Floats(), wc.Floats()[:n], func(a, b float64) bool {
-				return math.Float64bits(a) == math.Float64bits(b)
-			})
-		}
-		if !ok {
-			t.Fatalf("column %s: cells differ", wc.Field.Name)
+		for i := 0; i < n; i++ {
+			g, w := gc.Value(i), wc.Value(i)
+			if g.S != w.S || g.I != w.I || math.Float64bits(g.F) != math.Float64bits(w.F) {
+				t.Fatalf("column %s row %d: %v, want %v", wc.Field.Name, i, g, w)
+			}
 		}
 	}
 }
@@ -200,10 +194,21 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 		case 37:
 			gen.wides, size = 6000, 5000 // past MaxIntDictCardinality
 			cold = true
+		case 44:
+			gen.cats, size = 256, 600 // fills the one-byte codes exactly: adoption holds
+		case 45:
+			cold = true // step%5 has just added the 257th value: the codes widen
 		}
 		rows := gen.rows(size)
-		if step == 23 { // make sure the renumbering value really lands
+		switch step { // make sure the values really land
+		case 23:
 			rows[0][1] = dataset.IV(5)
+		case 44:
+			for i := 0; i < 256; i++ {
+				rows[i][0] = dataset.SV(fmt.Sprintf("c%d", i))
+			}
+		case 45:
+			rows[0][0] = dataset.SV("c256")
 		}
 		for s := 0; s < 2 && lazy.NumSegments() > 0; s++ {
 			if err := lazy.Load(rng.Intn(lazy.NumSegments())); err != nil {
@@ -246,7 +251,7 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 
 		// The lazily loaded lineage.
 		hadLoaded := loadedSegs(lazy)
-		oldBase := &lazy.table.Columns()[0].Codes()[0]
+		oldBase := &lazy.table.Columns()[4].Floats()[0]
 		next, err = lazy.Reopen()
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +264,7 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 					step, cold, s, was, kept)
 			}
 		}
-		if !cold && &next.table.Columns()[0].Codes()[0] != oldBase {
+		if !cold && &next.table.Columns()[4].Floats()[0] != oldBase {
 			regrown++
 		}
 		if tail := len(lazy.loads) - 1; !cold && !sameSegment(lazy.foot.segs[tail], next.foot.segs[tail]) &&

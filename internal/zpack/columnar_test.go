@@ -17,7 +17,7 @@ import (
 // row-wise one does: strings whose first appearances are spread over the
 // table, NaN, infinities and both zeros among the floats, an integer column
 // of few distinct values and one (wide) that passes
-// engine.MaxIntDictCardinality at row wideAt — mid-table when rows > wideAt.
+// dataset.MaxIntDictCardinality at row wideAt — mid-table when rows > wideAt.
 func mixedTable(rows int, seed int64) *dataset.Table {
 	const wideAt = 5000
 	rng := rand.New(rand.NewSource(seed))
@@ -138,8 +138,8 @@ func TestBuildWritesTheBytesAppendWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.IntDict("year") == nil || r.IntDict("wide") != nil {
-		t.Errorf("int dictionaries: year %v, wide %v; want year kept, wide dropped", r.IntDict("year") != nil, r.IntDict("wide") != nil)
+	if year, wide := r.Table().Column("year").Coded(), r.Table().Column("wide").Coded(); !year || wide {
+		t.Errorf("int dictionaries: year %v, wide %v; want year kept, wide dropped", year, wide)
 	}
 }
 

@@ -155,7 +155,7 @@ func decodeFooter(b []byte) (*footer, error) {
 				continue
 			}
 			n := int(r.u32())
-			if r.err != nil || n > engine.MaxIntDictCardinality {
+			if r.err != nil || n > dataset.MaxIntDictCardinality {
 				r.fail()
 				break
 			}

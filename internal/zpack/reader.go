@@ -34,9 +34,7 @@ type Reader struct {
 	size  int64 // committed file size this snapshot was read at
 	table *dataset.Table
 
-	zones     map[string]*engine.ZoneData
-	intDicts  map[string]*engine.IntDict
-	intCodeOf map[string]map[int64]int32
+	zones map[string]*engine.ZoneData
 
 	// loads[s] guards segment s. Snapshots of one append lineage that share
 	// backing arrays point at the SAME state for every segment whose footer
@@ -113,10 +111,9 @@ func Open(path string) (*Reader, error) {
 // successor ADOPTS this Reader's materialised state, so it costs the footer
 // plus the appended rows, not the table:
 //
-//   - its column arrays and IntDict.Codes are longer re-slices of the same
-//     backing arrays (exact size at Open; the first Reopen to outgrow the
-//     capacity reallocates with a quarter of headroom and copies the loaded
-//     segments over);
+//   - its column arrays are longer re-slices of the same backing arrays (exact
+//     size at Open; the first Reopen to outgrow the capacity reallocates with
+//     a quarter of headroom and copies the loaded segments over);
 //   - every segment whose footer record (rows, block offsets, lengths, CRCs)
 //     is unchanged shares this Reader's load state, loaded or not — one
 //     writer and one happens-before edge, whichever snapshot's scan arrives
@@ -136,8 +133,9 @@ func Open(path string) (*Reader, error) {
 // block this Reader indexes moved, a dictionary renumbered existing codes (a
 // string dictionary only grows at the end; an int dictionary is sorted, so a
 // new value below its maximum renumbers it, and one past
-// MaxIntDictCardinality drops the encoding), or this Reader already handed
-// its storage to an earlier successor.
+// MaxIntDictCardinality drops the encoding), a dictionary outgrew the width
+// its column's codes are packed at (the arrays are the wrong type to extend),
+// or this Reader already handed its storage to an earlier successor.
 func (r *Reader) Reopen() (*Reader, error) {
 	if st, err := os.Stat(r.path); err == nil {
 		if fst, ferr := r.f.Stat(); ferr == nil && !os.SameFile(st, fst) {
@@ -158,58 +156,54 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{
-		f:         f,
-		path:      path,
-		foot:      foot,
-		size:      size,
-		zones:     foot.zones,
-		intDicts:  make(map[string]*engine.IntDict),
-		intCodeOf: make(map[string]map[int64]int32),
-		loads:     make([]*loadState, len(foot.segs)),
+		f:     f,
+		path:  path,
+		foot:  foot,
+		size:  size,
+		zones: foot.zones,
+		loads: make([]*loadState, len(foot.segs)),
 	}
-	if pred == nil || !r.adopt(pred) {
-		r.table = dataset.NewPresized(foot.name, foot.fields, int(foot.nrows))
+	cold := pred == nil || !r.adopt(pred)
+	if cold {
+		r.table = dataset.NewTable(foot.name, foot.fields)
 		states := make([]loadState, len(foot.segs))
 		for s := range states {
 			states[s].from = s * engine.SegmentSize
 			r.loads[s] = &states[s]
 		}
-		for name, vals := range foot.intVals {
-			r.intDicts[name] = &engine.IntDict{Vals: vals, Codes: make([]int32, foot.nrows)}
-		}
 	}
+	// The dictionaries: they decide the widths a cold table is presized at,
+	// and leave the widths of an adopted one alone (continuedBy saw to that).
 	for _, c := range r.table.Columns() {
 		name := c.Field.Name
 		switch c.Field.Kind {
 		case dataset.KindString:
 			c.SetDict(foot.dicts[name])
 		case dataset.KindInt:
+			// A dictionary-coded column answers distinct enumeration (axis '*'
+			// expansion) from the dictionary; no data load needed.
 			if vals, ok := foot.intVals[name]; ok {
-				codeOf := make(map[int64]int32, len(vals))
-				distinct := make([]dataset.Value, len(vals))
-				for i, v := range vals {
-					codeOf[v] = int32(i)
-					distinct[i] = dataset.IV(v)
-				}
-				r.intCodeOf[name] = codeOf
-				// Distinct enumeration (axis '*' expansion) answers straight
-				// from the footer; no data load needed.
-				c.SetDistinctSorted(distinct)
+				c.SetIntDict(vals)
 			} else {
+				c.SetRawInts()
 				c.SetEnsureLoaded(r.ensureAll)
 			}
 		default:
 			c.SetEnsureLoaded(r.ensureAll)
 		}
 	}
+	if cold {
+		r.table.Presize(int(foot.nrows))
+	}
 	return r, nil
 }
 
 // continuedBy reports whether foot describes an append-only continuation of
 // the snapshot pred serves: same schema, every dictionary code pred handed
-// out still meaning the same value, every segment pred indexes still where it
-// was (only a partial tail may have been rewritten, no shorter), and
-// everything else written past pred's end of file.
+// out still meaning the same value and still fitting the width pred's codes
+// are packed at, every segment pred indexes still where it was (only a partial
+// tail may have been rewritten, no shorter), and everything else written past
+// pred's end of file.
 func (pred *Reader) continuedBy(foot *footer) bool {
 	old := pred.foot
 	if foot.name != old.name || !slices.Equal(foot.fields, old.fields) ||
@@ -217,13 +211,14 @@ func (pred *Reader) continuedBy(foot *footer) bool {
 		return false
 	}
 	for name, dict := range old.dicts {
-		if now := foot.dicts[name]; len(now) < len(dict) || !slices.Equal(now[:len(dict)], dict) {
+		now := foot.dicts[name]
+		if len(now) < len(dict) || !slices.Equal(now[:len(dict)], dict) || dataset.CodeWidth(len(now)) != dataset.CodeWidth(len(dict)) {
 			return false
 		}
 	}
 	for name, vals := range old.intVals {
 		now, ok := foot.intVals[name]
-		if !ok || len(now) < len(vals) || !slices.Equal(now[:len(vals)], vals) {
+		if !ok || len(now) < len(vals) || !slices.Equal(now[:len(vals)], vals) || dataset.CodeWidth(len(now)) != dataset.CodeWidth(len(vals)) {
 			return false
 		}
 	}
@@ -261,12 +256,9 @@ func (r *Reader) adopt(pred *Reader) bool {
 		return false
 	}
 	rows := int(r.foot.nrows)
-	alias := rows <= pred.capRows()
+	alias := rows <= pred.table.CapRows()
 	r.table = dataset.NewExtended(pred.table, rows, alias)
 	r.table.Name = r.foot.name
-	for name, vals := range r.foot.intVals {
-		r.intDicts[name] = &engine.IntDict{Vals: vals, Codes: dataset.Extend(pred.intDicts[name].Codes, rows, alias)}
-	}
 	for s := range r.loads {
 		lo := s * engine.SegmentSize
 		if s >= len(pred.loads) {
@@ -277,7 +269,7 @@ func (r *Reader) adopt(pred *Reader) bool {
 		state := pl.state.Load()
 		same := sameSegment(ps, r.foot.segs[s])
 		if !alias && state == segLoaded {
-			r.copyRows(pred, lo, lo+ps.rows)
+			r.table.CopyRows(pred.table, lo, lo+ps.rows)
 		}
 		switch {
 		case !same:
@@ -307,33 +299,6 @@ func (r *Reader) adopt(pred *Reader) bool {
 // sameSegment reports whether two footer records index the same bytes.
 func sameSegment(a, b segMeta) bool {
 	return a.rows == b.rows && slices.Equal(a.blocks, b.blocks)
-}
-
-// capRows returns how many rows the Reader's arrays can hold in place.
-func (r *Reader) capRows() int {
-	n := r.table.CapRows()
-	for _, d := range r.intDicts {
-		n = min(n, cap(d.Codes))
-	}
-	return n
-}
-
-// copyRows copies rows [lo, hi) of every array of pred into r's.
-func (r *Reader) copyRows(pred *Reader, lo, hi int) {
-	for j, c := range r.table.Columns() {
-		pc := pred.table.Columns()[j]
-		switch c.Field.Kind {
-		case dataset.KindString:
-			copy(c.Codes()[lo:hi], pc.Codes()[lo:hi])
-		case dataset.KindInt:
-			copy(c.Ints()[lo:hi], pc.Ints()[lo:hi])
-		default:
-			copy(c.Floats()[lo:hi], pc.Floats()[lo:hi])
-		}
-	}
-	for name, d := range r.intDicts {
-		copy(d.Codes[lo:hi], pred.intDicts[name].Codes[lo:hi])
-	}
 }
 
 // readFooter validates the header and trailer of an open file and decodes
@@ -415,9 +380,6 @@ func (r *Reader) SegmentRows(s int) int { return r.foot.segs[s].rows }
 // Zone returns the named column's zone maps.
 func (r *Reader) Zone(col string) *engine.ZoneData { return r.zones[col] }
 
-// IntDict returns the named integer column's dictionary encoding, or nil.
-func (r *Reader) IntDict(col string) *engine.IntDict { return r.intDicts[col] }
-
 // SegmentLoads returns how many segments this Reader has materialized from
 // disk — the observable that proves zone-map-skipped segments were never
 // read, and that segments adopted from a predecessor were not read again.
@@ -449,35 +411,30 @@ func (r *Reader) loadSegment(seg, from int) error {
 	skip := from - lo
 	n, err := decodeSegmentBlocks(r.f, r.foot, seg, func(j int, b []byte) error {
 		c := r.table.Columns()[j]
-		name := c.Field.Name
-		switch c.Field.Kind {
-		case dataset.KindString:
-			return decodeCodes(b[skip*4:], c.Codes()[from:hi], len(r.foot.dicts[name]), seg, name)
-		case dataset.KindInt:
+		if !c.Coded() {
 			b = b[skip*8:]
-			ints := c.Ints()[from:hi]
-			for i := range ints {
-				ints[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-			}
-			if d := r.intDicts[name]; d != nil {
-				codeOf := r.intCodeOf[name]
-				codes := d.Codes[from:hi]
-				for i, v := range ints {
-					code, ok := codeOf[v]
-					if !ok {
-						return fmt.Errorf("zpack: segment %d column %q: value %d missing from footer dictionary (corrupt data)", seg, name, v)
-					}
-					codes[i] = code
+			if c.Field.Kind == dataset.KindInt {
+				for i, ints := 0, c.Ints()[from:hi]; i < len(ints); i++ {
+					ints[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+				}
+			} else {
+				for i, floats := 0, c.Floats()[from:hi]; i < len(floats); i++ {
+					floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 				}
 			}
-		default:
-			b = b[skip*8:]
-			floats := c.Floats()[from:hi]
-			for i := range floats {
-				floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-			}
+			return nil
 		}
-		return nil
+		// The on-disk block is u32 codes or u64 values whatever the width in
+		// memory: decode straight into the packed array.
+		b = b[skip*blockWidth(c.Field.Kind):]
+		switch pc := c.Codes(); {
+		case pc.U16 != nil:
+			return decodeCodes(b, pc.U16[from:hi], c, seg)
+		case pc.U32 != nil:
+			return decodeCodes(b, pc.U32[from:hi], c, seg)
+		default:
+			return decodeCodes(b, pc.U8[from:hi], c, seg)
+		}
 	})
 	if err != nil {
 		return err
@@ -574,15 +531,29 @@ func decodeSegmentBlocks(f io.ReaderAt, foot *footer, seg int, sink func(j int, 
 	return total, nil
 }
 
-// decodeCodes decodes len(dst) dictionary codes, rejecting any outside a
-// dictionary of card entries.
-func decodeCodes(b []byte, dst []int32, card, seg int, col string) error {
-	for i := range dst {
-		code := int32(binary.LittleEndian.Uint32(b[i*4:]))
-		if code < 0 || int(code) >= card {
-			return fmt.Errorf("zpack: segment %d column %q: dictionary code %d out of range [0,%d)", seg, col, code, card)
+// decodeCodes decodes one block of a dictionary-coded column into len(dst)
+// packed codes: a categorical block holds the codes themselves, which must lie
+// inside the dictionary; an integer block holds the values, which must be in
+// the footer's value dictionary.
+func decodeCodes[W dataset.Code](b []byte, dst []W, c *dataset.Column, seg int) error {
+	if c.Field.Kind == dataset.KindInt {
+		for i := range dst {
+			v := int64(binary.LittleEndian.Uint64(b[i*8:]))
+			code := c.CodeOfInt(v)
+			if code < 0 {
+				return fmt.Errorf("zpack: segment %d column %q: value %d missing from footer dictionary (corrupt data)", seg, c.Field.Name, v)
+			}
+			dst[i] = W(code)
 		}
-		dst[i] = code
+		return nil
+	}
+	card := uint32(c.Cardinality())
+	for i := range dst {
+		code := binary.LittleEndian.Uint32(b[i*4:])
+		if code >= card {
+			return fmt.Errorf("zpack: segment %d column %q: dictionary code %d out of range [0,%d)", seg, c.Field.Name, int32(code), card)
+		}
+		dst[i] = W(code)
 	}
 	return nil
 }
@@ -597,11 +568,11 @@ func decodeSegmentInto(f io.ReaderAt, foot *footer, seg int, buf *dataset.Table)
 		switch fd := foot.fields[j]; fd.Kind {
 		case dataset.KindString:
 			dict := foot.dicts[fd.Name]
-			codes := make([]int32, rows)
-			if err := decodeCodes(b, codes, len(dict), seg, fd.Name); err != nil {
-				return err
-			}
-			for i, code := range codes {
+			for i := range vals {
+				code := binary.LittleEndian.Uint32(b[i*4:])
+				if int(code) >= len(dict) {
+					return fmt.Errorf("zpack: segment %d column %q: dictionary code %d out of range [0,%d)", seg, fd.Name, int32(code), len(dict))
+				}
 				vals[i] = dataset.SV(dict[code])
 			}
 		case dataset.KindInt:

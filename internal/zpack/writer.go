@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/bits"
 	"os"
 	"slices"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -31,13 +29,13 @@ type Writer struct {
 	writeOff   int64
 	rowsSealed int64
 	sealed     []sealedSeg
-	tail       *dataset.Table
-	// intTrack accumulates the distinct values of each integer column; a nil
-	// map marks a column that exceeded engine.MaxIntDictCardinality and is
-	// permanently unencoded.
-	intTrack map[string]map[int64]struct{}
-	dirty    bool
-	buf      []byte // one segment's encoded blocks, reused
+	// tail buffers the open segment. Its columns' dictionaries outlive the
+	// segments (Truncate keeps them) and are the file's: the categorical ones,
+	// and each integer column's distinct values — until they pass
+	// dataset.MaxIntDictCardinality, from when the column is raw for good.
+	tail  *dataset.Table
+	dirty bool
+	buf   []byte // one segment's encoded blocks, reused
 }
 
 // sealedSeg is one committed-side segment: its block index plus the zone
@@ -90,15 +88,9 @@ func Create(path, name string, fields []dataset.Field) (*Writer, error) {
 		name:     name,
 		fields:   append([]dataset.Field(nil), fields...),
 		writeOff: headerSize,
-		intTrack: make(map[string]map[int64]struct{}),
 		dirty:    true, // a fresh file has no committed footer yet
 	}
-	for _, fd := range fields {
-		if fd.Kind == dataset.KindInt {
-			w.intTrack[fd.Name] = make(map[int64]struct{})
-		}
-	}
-	w.newTail(nil)
+	w.tail = dataset.NewTable(name, w.fields)
 	return w, nil
 }
 
@@ -122,22 +114,6 @@ func OpenAppend(path string) (*Writer, error) {
 		name:     foot.name,
 		fields:   foot.fields,
 		writeOff: size,
-		intTrack: make(map[string]map[int64]struct{}),
-	}
-	for _, fd := range w.fields {
-		if fd.Kind != dataset.KindInt {
-			continue
-		}
-		vals, ok := foot.intVals[fd.Name]
-		if !ok {
-			w.intTrack[fd.Name] = nil // exceeded the bound in a prior session
-			continue
-		}
-		m := make(map[int64]struct{}, len(vals))
-		for _, v := range vals {
-			m[v] = struct{}{}
-		}
-		w.intTrack[fd.Name] = m
 	}
 	// Split the footer's segments into sealed ones and the open tail.
 	nseg := len(foot.segs)
@@ -166,7 +142,19 @@ func OpenAppend(path string) (*Writer, error) {
 		w.sealed = append(w.sealed, rec)
 		w.rowsSealed += int64(s.rows)
 	}
-	w.newTail(foot.dicts)
+	// The tail carries the file's dictionaries so far, so its codes stay
+	// consistent with every sealed block.
+	w.tail = dataset.NewTable(w.name, w.fields)
+	for _, c := range w.tail.Columns() {
+		switch vals, ok := foot.intVals[c.Field.Name]; {
+		case c.Field.Kind == dataset.KindString:
+			c.SetDict(foot.dicts[c.Field.Name])
+		case ok:
+			c.SetIntDict(vals)
+		case c.Field.Kind == dataset.KindInt:
+			c.SetRawInts() // exceeded the bound in a prior session
+		}
+	}
 	if tailSeg >= 0 {
 		if err := decodeSegmentInto(f, foot, tailSeg, w.tail); err != nil {
 			f.Close()
@@ -174,18 +162,6 @@ func OpenAppend(path string) (*Writer, error) {
 		}
 	}
 	return w, nil
-}
-
-// newTail opens the tail buffer: an empty table whose categorical columns
-// carry the file's dictionaries so far (none for a new file), so tail codes
-// stay consistent with every sealed block. Sealing truncates it in place.
-func (w *Writer) newTail(dicts map[string][]string) {
-	w.tail = dataset.NewTable(w.name, w.fields)
-	for _, c := range w.tail.Columns() {
-		if c.Field.Kind == dataset.KindString && dicts != nil {
-			c.SetDict(dicts[c.Field.Name])
-		}
-	}
 }
 
 // Name returns the dataset name recorded in the footer.
@@ -216,11 +192,6 @@ func (w *Writer) Append(rows []dataset.Row) error {
 			return fmt.Errorf("zpack: row arity %d does not match schema arity %d", len(row), len(w.fields))
 		}
 		w.tail.AppendRow(row...)
-		for j, fd := range w.fields {
-			if fd.Kind == dataset.KindInt {
-				w.trackInts(fd.Name, []int64{row[j].Int()})
-			}
-		}
 		w.dirty = true
 		if w.tail.NumRows() == engine.SegmentSize {
 			if err := w.seal(); err != nil {
@@ -235,8 +206,7 @@ func (w *Writer) Append(rows []dataset.Row) error {
 // the order perm lists them, or all of them in table order when perm is nil.
 // It is Append column-wise: the tail fills by column ranges, string codes
 // translate through one array per column — resolved in row order, so the
-// file's dictionaries grow exactly as Append would grow them — and each
-// integer column's distinct values are collected a segment's worth at a time.
+// file's dictionaries grow exactly as Append would grow them.
 func (w *Writer) AppendTable(t *dataset.Table, perm []int) error {
 	if t.NumCols() != len(w.fields) {
 		return fmt.Errorf("zpack: table has %d columns, file schema has %d", t.NumCols(), len(w.fields))
@@ -256,17 +226,11 @@ func (w *Writer) AppendTable(t *dataset.Table, perm []int) error {
 	w.dirty = true
 	rm := dataset.NewRemap(t)
 	for lo := 0; lo < n; {
-		from := w.tail.NumRows()
-		hi := min(n, lo+engine.SegmentSize-from)
+		hi := min(n, lo+engine.SegmentSize-w.tail.NumRows())
 		if perm == nil {
 			w.tail.AppendRange(t, lo, hi, rm)
 		} else {
 			w.tail.AppendGather(t, perm[lo:hi], rm)
-		}
-		for j, fd := range w.fields {
-			if fd.Kind == dataset.KindInt {
-				w.trackInts(fd.Name, w.tail.Columns()[j].Ints()[from:])
-			}
 		}
 		lo = hi
 		if w.tail.NumRows() == engine.SegmentSize {
@@ -276,47 +240,6 @@ func (w *Writer) AppendTable(t *dataset.Table, perm []int) error {
 		}
 	}
 	return nil
-}
-
-// trackInts adds vals to the distinct values of integer column name, giving
-// the column up for good once they pass engine.MaxIntDictCardinality.
-func (w *Writer) trackInts(name string, vals []int64) {
-	m := w.intTrack[name]
-	if m == nil || len(vals) == 0 {
-		return
-	}
-	add := func(v int64) bool {
-		m[v] = struct{}{}
-		if len(m) > engine.MaxIntDictCardinality {
-			w.intTrack[name] = nil
-			return false
-		}
-		return true
-	}
-	// Values spanning fewer than 64 per row mark a bitset of at most one word
-	// per row first — far cheaper than a map insert each — and only the
-	// distinct ones reach the map.
-	lo, hi := slices.Min(vals), slices.Max(vals)
-	if span := uint64(hi) - uint64(lo); span < 64*uint64(len(vals)) {
-		seen := make([]uint64, span/64+1)
-		for _, v := range vals {
-			d := uint64(v) - uint64(lo)
-			seen[d/64] |= 1 << (d % 64)
-		}
-		for k, word := range seen {
-			for ; word != 0; word &= word - 1 {
-				if !add(lo + int64(k*64+bits.TrailingZeros64(word))) {
-					return
-				}
-			}
-		}
-		return
-	}
-	for _, v := range vals {
-		if !add(v) {
-			return
-		}
-	}
 }
 
 // seal writes the full tail segment's blocks, captures its zone maps, and
@@ -410,20 +333,14 @@ func (w *Writer) Flush() error {
 		zones:   make(map[string]*engine.ZoneData),
 	}
 	for _, c := range w.tail.Columns() {
-		if c.Field.Kind == dataset.KindString {
+		switch {
+		case c.Field.Kind == dataset.KindString:
 			foot.dicts[c.Field.Name] = c.Dict()
+		case c.Coded():
+			vals := slices.Clone(c.IntDict())
+			slices.Sort(vals)
+			foot.intVals[c.Field.Name] = vals
 		}
-	}
-	for name, m := range w.intTrack {
-		if m == nil {
-			continue
-		}
-		vals := make([]int64, 0, len(m))
-		for v := range m {
-			vals = append(vals, v)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		foot.intVals[name] = vals
 	}
 	w.buildFooterZones(foot, records)
 	payload := foot.encode()
@@ -513,25 +430,42 @@ func Build(path string, t *dataset.Table) error {
 
 // appendBlock appends the first rows values of a column as its typed block
 // payload: u32 dictionary codes for categorical columns, u64 two's-complement
-// or IEEE-754 bits for int and float columns, all little-endian.
+// or IEEE-754 bits for int and float columns, all little-endian — whatever the
+// column's layout in memory.
 func appendBlock(out []byte, c *dataset.Column, rows int) []byte {
 	n := len(out)
-	switch c.Field.Kind {
-	case dataset.KindString:
-		out = slices.Grow(out, rows*4)[:n+rows*4]
-		for i, code := range c.Codes()[:rows] {
-			binary.LittleEndian.PutUint32(out[n+i*4:], uint32(code))
-		}
-	case dataset.KindInt:
-		out = slices.Grow(out, rows*8)[:n+rows*8]
-		for i, v := range c.Ints()[:rows] {
-			binary.LittleEndian.PutUint64(out[n+i*8:], uint64(v))
-		}
-	default:
-		out = slices.Grow(out, rows*8)[:n+rows*8]
+	width := blockWidth(c.Field.Kind)
+	out = slices.Grow(out, rows*width)[:n+rows*width]
+	switch pc := c.Codes(); {
+	case c.Field.Kind == dataset.KindFloat:
 		for i, v := range c.Floats()[:rows] {
 			binary.LittleEndian.PutUint64(out[n+i*8:], math.Float64bits(v))
 		}
+	case !c.Coded():
+		for i, v := range c.Ints()[:rows] {
+			binary.LittleEndian.PutUint64(out[n+i*8:], uint64(v))
+		}
+	case pc.U16 != nil:
+		putCodes(out[n:], pc.U16[:rows], c.IntDict())
+	case pc.U32 != nil:
+		putCodes(out[n:], pc.U32[:rows], c.IntDict())
+	default:
+		putCodes(out[n:], pc.U8[:rows], c.IntDict())
 	}
 	return out
+}
+
+// putCodes encodes a dictionary-coded column's block: the codes themselves as
+// u32s for a categorical column (vals is nil), the values they stand for as
+// u64s for an integer one.
+func putCodes[W dataset.Code](out []byte, codes []W, vals []int64) {
+	if vals == nil {
+		for i, code := range codes {
+			binary.LittleEndian.PutUint32(out[i*4:], uint32(code))
+		}
+		return
+	}
+	for i, code := range codes {
+		binary.LittleEndian.PutUint64(out[i*8:], uint64(vals[code]))
+	}
 }
