@@ -236,9 +236,7 @@ func runPlannerSweep(rep *perfReport, tb *dataset.Table, zvals []string) error {
 			WorkloadNsBest:   times[0].Nanoseconds(),
 			WorkloadNsMedian: times[iters/2].Nanoseconds(),
 			PlansReordered:   c.db.Counters().PlansReordered,
-		}
-		if rc, ok := c.db.(engine.RouteCounted); ok {
-			row.Routes = rc.RouteCounts()
+			Routes:           c.db.Stats(tb.Name).Routes,
 		}
 		rep.Planner = append(rep.Planner, row)
 	}
@@ -401,7 +399,7 @@ func runCompactionSweep(rep *perfReport, zvals []string) error {
 	pc.Appended.Backend = "zpack"
 	// The batch itself generated the skip provenance the compactor picks its
 	// cluster columns from — the same evidence loop the server uses.
-	prov := db1.SkipProvenance()
+	prov := db1.Stats(r1.Table().Name).SkipProvenance
 	r1.Close()
 
 	start := time.Now()

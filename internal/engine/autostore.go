@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -31,7 +32,7 @@ import (
 type AutoStore struct {
 	planToggle
 	row    *RowStore
-	col    DB // *ColumnStore, or *ShardedStore when sharded
+	col    *ColumnStore // sharded when asked
 	tables map[string]*dataset.Table
 	stats  map[string]*plannerStats // per table, for routing estimates
 	nseg   map[string]int
@@ -40,15 +41,8 @@ type AutoStore struct {
 	routes map[string]int64
 }
 
-// RouteCounted is implemented by stores that route plans across sub-stores;
-// the serving layer surfaces the per-route totals on /stats and /metrics.
-type RouteCounted interface {
-	// RouteCounts returns cumulative plans routed, keyed by route name.
-	RouteCounts() map[string]int64
-}
-
 // NewAutoStore builds an auto-routing store over in-memory tables. nshards
-// splits the columnar half into contiguous segment shards (<= 1 means an
+// cuts the columnar half into contiguous segment ranges (<= 1 means an
 // unsharded ColumnStore); the row half is always unsharded.
 func NewAutoStore(nshards int, tables ...*dataset.Table) *AutoStore {
 	s := &AutoStore{
@@ -58,23 +52,15 @@ func NewAutoStore(nshards int, tables ...*dataset.Table) *AutoStore {
 		nseg:   make(map[string]int, len(tables)),
 		routes: make(map[string]int64),
 	}
-	var col DB
-	var colOf func(name string) *colTable
 	if nshards > 1 {
-		sh := NewShardedStore(nshards, tables...)
-		colOf = func(name string) *colTable { return sh.shards[name][0].cols[name] }
-		col = sh
+		s.col = NewShardedStore(nshards, tables...)
 	} else {
-		cs := NewColumnStore(tables...)
-		colOf = func(name string) *colTable { return cs.cols[name] }
-		col = cs
+		s.col = NewColumnStore(tables...)
 	}
-	s.col = col
 	for _, t := range tables {
 		s.tables[t.Name] = t
-		ct := colOf(t.Name)
 		ps := newPlannerStats(t)
-		ps.addZones(ct.zones)
+		ps.addZones(s.col.cols[t.Name].zones)
 		s.stats[t.Name] = ps
 		s.nseg[t.Name] = (t.NumRows() + SegmentSize - 1) / SegmentSize
 	}
@@ -147,17 +133,6 @@ func (s *AutoStore) Prepare(q *minisql.Query) (*Plan, error) {
 	s.routes[route]++
 	s.mu.Unlock()
 	return p, nil
-}
-
-// RouteCounts returns cumulative plans routed, keyed by route name.
-func (s *AutoStore) RouteCounts() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.routes))
-	for k, v := range s.routes {
-		out[k] = v
-	}
-	return out
 }
 
 // SortedRoutes returns route names ordered by count descending then name —
@@ -247,67 +222,29 @@ func (s *AutoStore) Counters() Counters {
 	}
 }
 
+// Stats reports the columnar half's table view, the counters of both
+// halves, and the per-route plan totals.
+func (s *AutoStore) Stats(table string) Stats {
+	st := s.col.Stats(table)
+	st.Counters = s.Counters()
+	s.mu.Lock()
+	st.Routes = maps.Clone(s.routes)
+	s.mu.Unlock()
+	if st.Pool == nil {
+		st.Pool = &PoolStats{} // unsharded: an idle, zero-capacity pool, as /stats has always shown
+	}
+	return st
+}
+
 // SetParallelism bounds scan workers on both sub-stores.
 func (s *AutoStore) SetParallelism(n int) {
 	s.row.SetParallelism(n)
-	s.col.(Parallel).SetParallelism(n)
+	s.col.SetParallelism(n)
 }
 
 // SetPlanning toggles the greedy conjunct planner on both sub-stores.
 func (s *AutoStore) SetPlanning(on bool) {
 	s.planToggle.SetPlanning(on)
 	s.row.SetPlanning(on)
-	s.col.(Planner).SetPlanning(on)
-}
-
-// SkipProvenance returns the columnar half's skip attribution (the row store
-// never skips).
-func (s *AutoStore) SkipProvenance() map[SkipAttr]int64 {
-	if sp, ok := s.col.(SkipAttributed); ok {
-		return sp.SkipProvenance()
-	}
-	return nil
-}
-
-// NumSegments returns the columnar half's segment count for the named table
-// (the Segmented interface).
-func (s *AutoStore) NumSegments(table string) int {
-	if seg, ok := s.col.(Segmented); ok {
-		return seg.NumSegments(table)
-	}
-	return 0
-}
-
-// SegmentLoads returns the columnar half's distinct materialized segments.
-func (s *AutoStore) SegmentLoads(table string) int64 {
-	if sl, ok := s.col.(interface{ SegmentLoads(table string) int64 }); ok {
-		return sl.SegmentLoads(table)
-	}
-	return 0
-}
-
-// NumShards returns the columnar half's shard count, or 0 when unsharded.
-func (s *AutoStore) NumShards(table string) int {
-	if sh, ok := s.col.(interface{ NumShards(table string) int }); ok {
-		return sh.NumShards(table)
-	}
-	return 0
-}
-
-// ShardStats returns the columnar half's per-shard counters, or nil when
-// unsharded (the ShardedDB interface).
-func (s *AutoStore) ShardStats(table string) []ShardCounters {
-	if sh, ok := s.col.(ShardedDB); ok {
-		return sh.ShardStats(table)
-	}
-	return nil
-}
-
-// PoolStats reports the columnar half's scatter pool saturation, or zeros
-// when unsharded.
-func (s *AutoStore) PoolStats() (busy, capacity int) {
-	if ps, ok := s.col.(interface{ PoolStats() (busy, capacity int) }); ok {
-		return ps.PoolStats()
-	}
-	return 0, 0
+	s.col.SetPlanning(on)
 }

@@ -135,6 +135,9 @@ func (s *BitmapStore) Table(name string) *dataset.Table { return s.tables[name] 
 // Counters returns cumulative execution statistics.
 func (s *BitmapStore) Counters() Counters { return s.stats.snapshot() }
 
+// Stats reports the counters; the store has nothing per table to add.
+func (s *BitmapStore) Stats(string) Stats { return Stats{Counters: s.Counters()} }
+
 // IndexSizeBytes reports the total footprint of the bitmap indexes of a
 // table, for diagnostics.
 func (s *BitmapStore) IndexSizeBytes(table string) int {

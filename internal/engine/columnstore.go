@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -27,59 +28,82 @@ const segmentSize = SegmentSize
 // ExecuteBatch mirrors the bitmap store's conjunct factoring: plans sharing
 // top-level WHERE conjuncts (the repeated constraints of a ZQL request
 // batch) have each shared conjunct's per-segment selection computed once per
-// scan worker and intersected per plan.
+// scan job and intersected per plan.
+//
+// A sharded store (NewShardedStore and friends) is the same executor with
+// each table's segments cut into N contiguous ranges: a batch scatters one
+// scan job per range and gathers each plan's partial sinks in range order.
+// Ranges cover ascending row ranges of the same table — rows, dictionaries
+// and zone maps stay globally indexed — so the gathered result is the
+// single-range scan's.
 type ColumnStore struct {
 	parLimit
 	planToggle
-	tables map[string]*dataset.Table
-	cols   map[string]*colTable
-	stats  counters
-	prov   skipProv
+	tables  map[string]*dataset.Table
+	cols    map[string]*colTable
+	sharded bool // built by a sharded constructor: one scan job per range
+	stats   counters
+	prov    skipProv
+	busy    atomic.Int64 // scan jobs currently running
 }
 
 // colTable is the segmented view of one base table. src is the segment
 // source the data materializes through: a no-op memSource for in-memory
 // tables, a lazy reader (zpack) for disk-resident ones. Zone maps always come
 // from the source's metadata, so the scan can prove segments empty without
-// ever loading them. [segLo, segHi) is the
-// global segment range the store scans: the whole table normally, a shard's
-// owned sub-range when the source is a SegmentRanged view — row indices,
-// zone maps, and dictionary codes stay globally indexed either way.
+// ever loading them. ranges cut [0, NumSegments()) into ascending,
+// contiguous scan ranges — one unless the store is sharded.
 type colTable struct {
-	t            *dataset.Table
-	src          SegmentSource
-	segLo, segHi int
-	zones        map[string]*ZoneData // by column name
-	loaded       []atomic.Bool        // owned segments a scan has materialized
-	loads        atomic.Int64         // distinct owned segments materialized
+	t      *dataset.Table
+	src    SegmentSource
+	zones  map[string]*ZoneData // by column name
+	ranges []*segRange
+	loaded []atomic.Bool // per segment: materialized by a scan of this store
 }
 
-// markLoaded counts the first materialization of an owned segment.
-func (ct *colTable) markLoaded(seg int) {
-	if i := seg - ct.segLo; i >= 0 && i < len(ct.loaded) && !ct.loaded[i].Swap(true) {
-		ct.loads.Add(1)
+// segRange is the segment range [lo, hi) one scan job walks, with its share
+// of the scan counters.
+type segRange struct {
+	lo, hi                int
+	rows, skipped, loaded atomic.Int64
+}
+
+// newColumnStore returns an empty store; add registers its tables.
+func newColumnStore(sharded bool) *ColumnStore {
+	return &ColumnStore{
+		tables:  make(map[string]*dataset.Table),
+		cols:    make(map[string]*colTable),
+		sharded: sharded,
 	}
 }
 
-// newColTable builds the segmented view over a source's metadata.
-func newColTable(src SegmentSource) *colTable {
+// add registers a source's table, cut at the given ascending interior
+// segment boundaries: len(cuts)+1 ranges, range i covering
+// [cuts[i-1], cuts[i]). Empty ranges are legal — they scan nothing and merge
+// as identities — which is what lets a fixed shard count serve tables
+// smaller than it. A cut out of order or outside [0, NumSegments()] panics.
+func (s *ColumnStore) add(src SegmentSource, cuts []int) {
 	t := src.Table()
-	lo, hi := 0, src.NumSegments()
-	if r, ok := src.(SegmentRanged); ok {
-		lo, hi = r.SegRange()
-	}
+	nseg := src.NumSegments()
 	ct := &colTable{
 		t:      t,
 		src:    src,
-		segLo:  lo,
-		segHi:  hi,
 		zones:  make(map[string]*ZoneData, t.NumCols()),
-		loaded: make([]atomic.Bool, hi-lo),
+		loaded: make([]atomic.Bool, nseg),
+	}
+	lo := 0
+	for _, c := range append(cuts[:len(cuts):len(cuts)], nseg) {
+		if c < lo || c > nseg {
+			panic(fmt.Sprintf("engine: shard cut %d outside [%d, %d]", c, lo, nseg))
+		}
+		ct.ranges = append(ct.ranges, &segRange{lo: lo, hi: c})
+		lo = c
 	}
 	for _, c := range t.Columns() {
 		ct.zones[c.Field.Name] = src.Zone(c.Field.Name)
 	}
-	return ct
+	s.tables[t.Name] = t
+	s.cols[t.Name] = ct
 }
 
 // segBounds returns the row range [lo, hi) of segment s.
@@ -92,14 +116,18 @@ func (ct *colTable) segBounds(s int) (lo, hi int) {
 	return lo, hi
 }
 
-// NewColumnStore builds a column store over the given in-memory base tables,
-// segmenting each and precomputing its zone maps.
-func NewColumnStore(tables ...*dataset.Table) *ColumnStore {
+func memSources(tables []*dataset.Table) []SegmentSource {
 	srcs := make([]SegmentSource, len(tables))
 	for i, t := range tables {
 		srcs[i] = NewMemSource(t)
 	}
-	return NewColumnStoreFromSource(srcs...)
+	return srcs
+}
+
+// NewColumnStore builds a column store over the given in-memory base tables,
+// segmenting each and precomputing its zone maps.
+func NewColumnStore(tables ...*dataset.Table) *ColumnStore {
+	return NewColumnStoreFromSource(memSources(tables)...)
 }
 
 // NewColumnStoreFromSource builds a column store over segment sources whose
@@ -107,30 +135,55 @@ func NewColumnStore(tables ...*dataset.Table) *ColumnStore {
 // metadata, and a segment's data is loaded only when a scan first visits it —
 // a segment every plan's zone maps prove empty is never loaded at all.
 func NewColumnStoreFromSource(sources ...SegmentSource) *ColumnStore {
-	s := &ColumnStore{
-		tables: make(map[string]*dataset.Table, len(sources)),
-		cols:   make(map[string]*colTable, len(sources)),
-	}
+	s := newColumnStore(false)
 	for _, src := range sources {
-		t := src.Table()
-		s.tables[t.Name] = t
-		s.cols[t.Name] = newColTable(src)
+		s.add(src, nil)
 	}
 	return s
 }
 
-// NumSegments returns the segment count the store scans for the named table
-// (its owned range when the source is sharded), or 0 (the Segmented
-// interface).
-func (s *ColumnStore) NumSegments(table string) int {
-	if ct := s.cols[table]; ct != nil {
-		return ct.segHi - ct.segLo
+// NewShardedStore builds a sharded column store over in-memory tables,
+// cutting each into nshards contiguous segment ranges.
+func NewShardedStore(nshards int, tables ...*dataset.Table) *ColumnStore {
+	return NewShardedStoreFromSource(nshards, memSources(tables)...)
+}
+
+// NewShardedStoreFromSource builds a sharded column store over lazy segment
+// sources, cutting each table into nshards contiguous ranges of as equal
+// size as integer division allows (capped at the segment count; an empty
+// table is one empty range). A zpack Reader shards this way without
+// rewriting a byte, and zone-map-skipped segments are still never read.
+func NewShardedStoreFromSource(nshards int, sources ...SegmentSource) *ColumnStore {
+	s := newColumnStore(true)
+	for _, src := range sources {
+		nseg := src.NumSegments()
+		n := max(min(nshards, nseg), 1)
+		cuts := make([]int, 0, n-1)
+		for i := 1; i < n; i++ {
+			cuts = append(cuts, i*nseg/n)
+		}
+		s.add(src, cuts)
 	}
-	return 0
+	return s
+}
+
+// NewShardedStoreAt builds a sharded column store over one source cut at
+// explicit interior segment boundaries — len(cuts)+1 ranges, ascending
+// within [0, NumSegments()], empty ranges allowed. It is how tests pin
+// uneven splits.
+func NewShardedStoreAt(src SegmentSource, cuts ...int) *ColumnStore {
+	s := newColumnStore(true)
+	s.add(src, cuts)
+	return s
 }
 
 // Name identifies the back-end.
-func (s *ColumnStore) Name() string { return "columnstore" }
+func (s *ColumnStore) Name() string {
+	if s.sharded {
+		return "shardedstore"
+	}
+	return "columnstore"
+}
 
 // Table returns the named base table, or nil.
 func (s *ColumnStore) Table(name string) *dataset.Table { return s.tables[name] }
@@ -138,21 +191,32 @@ func (s *ColumnStore) Table(name string) *dataset.Table { return s.tables[name] 
 // Counters returns cumulative execution statistics.
 func (s *ColumnStore) Counters() Counters { return s.stats.snapshot() }
 
-// SkipProvenance returns cumulative skip counts attributed to the column and
-// metadata kind (zone map / dictionary bitset) that proved each skipped
-// segment empty.
-func (s *ColumnStore) SkipProvenance() map[SkipAttr]int64 { return s.prov.snapshot() }
-
-// SegmentLoads returns how many distinct segments of the named table this
-// store's scans have materialized — for zpack-backed sources, segments read
-// from disk unless an earlier snapshot of the file had already loaded them.
-// Zone-map-skipped segments never load, so this lags SegmentsScanned's
-// per-scan accounting.
-func (s *ColumnStore) SegmentLoads(table string) int64 {
-	if ct := s.cols[table]; ct != nil {
-		return ct.loads.Load()
+// Stats reports the store's counters and skip provenance, the table's
+// segment and load totals, and — when sharded — its per-range counters and
+// the scan pool's saturation.
+func (s *ColumnStore) Stats(table string) Stats {
+	st := Stats{Counters: s.Counters(), SkipProvenance: s.prov.snapshot()}
+	if s.sharded {
+		st.Pool = &PoolStats{Busy: int(s.busy.Load()), Capacity: s.parallelism()}
 	}
-	return 0
+	ct := s.cols[table]
+	if ct == nil {
+		return st
+	}
+	st.Segments = len(ct.loaded)
+	for _, r := range ct.ranges {
+		loads := r.loaded.Load()
+		st.SegmentLoads += loads
+		if s.sharded {
+			st.Ranges = append(st.Ranges, RangeStats{
+				Segments:        r.hi - r.lo,
+				RowsScanned:     r.rows.Load(),
+				SegmentsSkipped: r.skipped.Load(),
+				SegmentLoads:    loads,
+			})
+		}
+	}
+	return st
 }
 
 // vecPlan is the column store's per-plan compilation: the WHERE clause split
@@ -195,7 +259,8 @@ func (s *ColumnStore) plannerStats(ct *colTable) *plannerStats {
 // vectorized compilation (the column store's Plan hook). With planning on,
 // the conjuncts compile in the greedy planner's order, so the per-segment
 // skip test and the selection-bitmap intersection both run cheapest/most-
-// selective-first.
+// selective-first. A plan is compiled once, against the table's global zone
+// maps, whatever the store's range count.
 func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 	p, err := newPlan(s, s.tables[q.From], q)
 	if err != nil {
@@ -209,20 +274,6 @@ func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 		s.stats.notePlanned(p.reordered)
 	}
 	return s.compileVecPlan(p, ct)
-}
-
-// prepareOrdered builds a plan that adopts an externally decided conjunct
-// order instead of planning locally — the sharded store plans once over the
-// global metadata and hands every shard the same order.
-func (s *ColumnStore) prepareOrdered(q *minisql.Query, conjs []minisql.Expr, reordered bool) (*Plan, error) {
-	p, err := newPlan(s, s.tables[q.From], q)
-	if err != nil {
-		return nil, err
-	}
-	if reordered {
-		p.conjs, p.reordered = conjs, true
-	}
-	return s.compileVecPlan(p, s.cols[q.From])
 }
 
 // compileVecPlan lowers the plan's conjuncts — already in execution order —
@@ -270,11 +321,30 @@ func (s *ColumnStore) ExecuteSQL(sql string) (*Result, error) {
 	return s.Execute(q)
 }
 
-// ExecuteBatch runs the plans as one request. Plans are grouped by base
-// table and dealt round-robin across at most Parallelism scan workers; each
-// worker walks the table's segments once for all of its plans, evaluating
-// every distinct predicate conjunct at most once per segment and skipping
-// (plan, segment) pairs the zone maps prove empty.
+// scanJob is one unit of a batch's scatter: a walk of one segment range for
+// a subset of one table's plans, yielding raw, unfinished sinks.
+type scanJob struct {
+	ct    *colTable
+	r     *segRange
+	shard int   // index of r in the table's ranges
+	idx   []int // plan indices
+	sinks []rowSink
+	err   error
+}
+
+// ExecuteBatch runs the plans as one request: a scatter of scan jobs on a
+// worker pool bounded by Parallelism, then a gather. Plans are grouped by
+// base table. A one-range store deals each group's plans round-robin across
+// at most Parallelism jobs; a sharded store runs one job per range for every
+// plan of the group. Each job walks its range once for all of its plans,
+// evaluating every distinct predicate conjunct at most once per segment and
+// skipping (plan, segment) pairs the zone maps prove empty.
+//
+// The gather merges each plan's partial sinks in range order and finishes
+// once (ordering and LIMIT apply there only). Every job runs to completion,
+// a job's panic is contained as its error, and a failed job poisons each of
+// its plans — a plan spanning several ranges takes the lowest failing
+// range's error, deterministically.
 func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -282,54 +352,99 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	if err := checkBatch(s, plans); err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(plans))
-	errs := make([]error, len(plans))
+	var jobs []*scanJob
+	for _, grp := range groupPlansByTable(plans) {
+		ct := s.cols[grp.t.Name]
+		s.stats.queries.Add(int64(len(grp.idx)))
+		if s.sharded {
+			for i, r := range ct.ranges {
+				jobs = append(jobs, &scanJob{ct: ct, r: r, shard: i, idx: grp.idx})
+			}
+			continue
+		}
+		for _, share := range shardIndices(grp.idx, s.parallelism()) {
+			jobs = append(jobs, &scanJob{ct: ct, r: ct.ranges[0], idx: share})
+		}
+	}
 	parent := trace.FromContext(ctx)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, s.parallelism())
-	for _, grp := range groupPlansByTable(plans) {
-		ct := s.cols[grp.t.Name]
-		tname := grp.t.Name
-		shards := shardIndices(grp.idx, s.parallelism())
-		s.stats.queries.Add(int64(len(grp.idx)))
-		for _, shard := range shards {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(shard []int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				sp := parent.StartChild("scan")
-				sp.SetStr("backend", "column")
-				sp.SetStr("table", tname)
-				sp.SetInt("plans", int64(len(shard)))
-				defer sp.End()
-				sinks := make([]rowSink, len(shard))
-				for k, pi := range shard {
-					sinks[k] = newColSink(plans[pi])
-				}
-				if err := s.scanInto(ctx, ct, plans, shard, sinks, sp); err != nil {
-					// A failed segment load poisons every plan in the
-					// worker's share: each may have consumed partial data
-					// from the scan so far.
-					for _, pi := range shard {
-						errs[pi] = err
-					}
-					return
-				}
-				for k, pi := range shard {
-					results[pi] = sinks[k].finish()
-				}
-			}(shard)
-		}
+	for _, j := range jobs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			s.busy.Add(1)
+			defer s.busy.Add(-1)
+			sp := parent.StartChild("scan")
+			backend := "column"
+			if s.sharded {
+				backend = "sharded"
+			}
+			sp.SetStr("backend", backend)
+			sp.SetStr("table", j.ct.t.Name)
+			if s.sharded {
+				sp.SetInt("shard", int64(j.shard))
+			}
+			sp.SetInt("plans", int64(len(j.idx)))
+			j.err = s.runJob(ctx, j, plans, sp)
+			sp.End()
+		}()
 	}
 	wg.Wait()
+	if s.sharded {
+		gsp := parent.StartChild("gather")
+		gsp.SetInt("plans", int64(len(plans)))
+		defer gsp.End()
+	}
+	sinks := make([]rowSink, len(plans))
+	errs := make([]error, len(plans))
+	for _, j := range jobs {
+		for k, pi := range j.idx {
+			switch {
+			case errs[pi] != nil:
+			case j.err != nil:
+				errs[pi] = j.err
+			case sinks[pi] == nil:
+				sinks[pi] = j.sinks[k]
+			default:
+				// Ranges cover ascending row ranges, so merging in range
+				// order reproduces the one-range scan: projection rows
+				// concatenate in row order, and a group's first-seen
+				// position is its position in the lowest range that saw it.
+				sinks[pi].mergeFrom(j.sinks[k])
+			}
+		}
+	}
 	if err := firstError(plans, errs); err != nil {
 		return nil, err
+	}
+	results := make([]*Result, len(plans))
+	for i, sink := range sinks {
+		results[i] = sink.finish()
 	}
 	return results, nil
 }
 
-// colEqGroup folds every shard plan whose whole predicate is one equality
+// runJob scans one job's range into fresh sinks, containing a panic as the
+// job's error: an unrecovered panic on a scan goroutine would kill the whole
+// process (cf. the process pool's runContained and the server batcher's
+// drain).
+func (s *ColumnStore) runJob(ctx context.Context, j *scanJob, plans []*Plan, sp *trace.Span) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: shard panic: %v", r)
+		}
+	}()
+	j.sinks = make([]rowSink, len(j.idx))
+	for k, pi := range j.idx {
+		j.sinks[k] = newColSink(plans[pi])
+	}
+	return s.scanInto(ctx, j, plans, sp)
+}
+
+// colEqGroup folds every job plan whose whole predicate is one equality
 // on the same categorical column into a single code-routed pass per segment
 // (the columnar mirror of the row store's eqDispatch): one dictionary-code
 // lookup per row feeds every interested plan's sink, and zone maps still
@@ -364,45 +479,25 @@ func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
 	}
 }
 
-// scanPartial runs every plan's scan over the store's segment range on the
-// calling goroutine and returns the raw, unfinished sinks, plan-aligned —
-// the scatter half of the sharded store's scatter/gather. All plans must
-// read one table (the sharded store scatters per table group).
-func (s *ColumnStore) scanPartial(ctx context.Context, plans []*Plan) ([]rowSink, error) {
-	ct := s.cols[plans[0].t.Name]
-	shard := make([]int, len(plans))
-	sinks := make([]rowSink, len(plans))
-	for k, p := range plans {
-		shard[k] = k
-		sinks[k] = newColSink(p)
-	}
-	s.stats.queries.Add(int64(len(plans)))
-	// The sharded store put this shard's scan span in ctx (or nothing, when
-	// the request is untraced) — scanInto annotates it either way.
-	if err := s.scanInto(ctx, ct, plans, shard, sinks, trace.FromContext(ctx)); err != nil {
-		return nil, err
-	}
-	return sinks, nil
-}
-
-// scanInto is one worker's shared segment walk over the table's owned range
-// [segLo, segHi), feeding every plan in the shard's sink. Single-equality
-// plans over one column share a code-routed pass; every other distinct
-// conjunct (keyed by canonical SQL) is evaluated at most once per segment
-// and intersected per plan. A segment's data is materialized through the
-// table's segment source the first time any plan actually scans it —
-// zone-map-skipped segments are never loaded. The first failed segment load
-// is returned; sinks may then hold partial data and must be discarded. The
-// context is checked once per segment: a cancelled scan stops at the next
-// segment boundary and returns ctx.Err().
-func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan, shard []int, sinks []rowSink, sp *trace.Span) error {
-	// Partition the shard: dispatchable single-equality plans fold into
+// scanInto is one job's shared segment walk over its range, feeding every
+// plan of the job into its sink. Single-equality plans over one column share
+// a code-routed pass; every other distinct conjunct (keyed by canonical SQL)
+// is evaluated at most once per segment and intersected per plan. A
+// segment's data is materialized through the table's segment source the
+// first time any plan actually scans it — zone-map-skipped segments are
+// never loaded. The first failed segment load is returned; sinks may then
+// hold partial data and must be discarded. The context is checked once per
+// segment: a cancelled scan stops at the next segment boundary and returns
+// ctx.Err().
+func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, sp *trace.Span) error {
+	ct, r, sinks := j.ct, j.r, j.sinks
+	// Partition the job's plans: dispatchable single-equality plans fold into
 	// per-column groups, everything else goes through the shared-conjunct
 	// slots.
 	var groups []*colEqGroup
 	groupOf := make(map[*dataset.Column]*colEqGroup)
 	var slotKs []int
-	for k, pi := range shard {
+	for k, pi := range j.idx {
 		vp := plans[pi].vec
 		if len(vp.conjs) == 1 {
 			if f, ok := vp.conjs[0].f.(*codeFilter); ok && f.eq >= 0 {
@@ -430,7 +525,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 	var slotPreds []rowPredicate
 	planSlots := make(map[int][]int, len(slotKs))
 	for _, k := range slotKs {
-		vp := plans[shard[k]].vec
+		vp := plans[j.idx[k]].vec
 		for _, c := range vp.conjs {
 			slot, ok := slotOf[c.key]
 			if !ok {
@@ -452,7 +547,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 	prov := make(map[SkipAttr]int64)
 	var loadErr error
 	segSpans := 0
-	for seg := ct.segLo; seg < ct.segHi && loadErr == nil; seg++ {
+	for seg := r.lo; seg < r.hi && loadErr == nil; seg++ {
 		// The segment boundary is the scan's cancellation point: a deadline
 		// or client disconnect stops the walk here, never mid-segment.
 		if err := ctx.Err(); err != nil {
@@ -475,7 +570,9 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 				loadErr = err
 				return false
 			}
-			ct.markLoaded(seg)
+			if !ct.loaded[seg].Swap(true) {
+				r.loaded.Add(1)
+			}
 			visited = true
 			segsScanned++
 			scanned += int64(hi - lo)
@@ -513,7 +610,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 			if loadErr != nil {
 				break
 			}
-			vp := plans[shard[k]].vec
+			vp := plans[j.idx[k]].vec
 			if attr, ok := vp.skipCause(seg); ok {
 				skipped++
 				prov[attr]++
@@ -559,6 +656,8 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 	s.stats.segmentsScanned.Add(segsScanned)
 	s.stats.segmentsSkipped.Add(skipped)
 	s.prov.addAll(prov)
+	r.rows.Add(scanned)
+	r.skipped.Add(skipped)
 	if sp != nil {
 		sp.SetInt("rows", scanned)
 		sp.SetInt("segments", segsScanned)
@@ -567,7 +666,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, ct *colTable, plans []*Plan,
 	return loadErr
 }
 
-// segSpanSample is how many scanned segments per worker get a sampled
+// segSpanSample is how many scanned segments per scan job get a sampled
 // per-segment child span.
 const segSpanSample = 8
 
@@ -666,7 +765,7 @@ func (s *flatSink) add(i int) {
 }
 
 // slotAt computes a row's combined key code. At gather time the row's
-// segment is guaranteed loaded (the shard that saw the row loaded it, and the
+// segment is guaranteed loaded (the job that saw the row loaded it, and the
 // scatter barrier orders that load before any merge).
 func (s *flatSink) slotAt(i int) int {
 	slot := 0
@@ -683,7 +782,7 @@ type selScratch struct {
 	vals       [segmentSize]float64
 }
 
-// selScratchPool recycles it: a batch has a sink per plan per worker, far
+// selScratchPool recycles it: a batch has a sink per plan per job, far
 // more than ever run at once.
 var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
 
@@ -737,9 +836,9 @@ func combineCodes[W dataset.Code](codes []W, rows, slots []int32, card int32) {
 	}
 }
 
-// mergeFrom folds a later shard's partial accumulation into s (the order
-// argument is gatherPartials'). Shard sinks share the plan's globally indexed
-// code arrays, so a group's slot is the same in every shard.
+// mergeFrom folds a later range's partial accumulation into s (the order
+// argument is ExecuteBatch's gather). Every range's sink shares the plan's
+// globally indexed code arrays, so a group's slot is the same in each.
 func (s *flatSink) mergeFrom(other rowSink) {
 	o := other.(*flatSink)
 	for og, row := range o.rows {

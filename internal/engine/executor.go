@@ -10,10 +10,11 @@ import (
 	"repro/internal/minisql"
 )
 
-// DB is a queryable storage back-end. All four stores implement it.
+// DB is a queryable storage back-end. The row, bitmap, column and auto
+// stores implement it.
 type DB interface {
-	// Name identifies the back-end ("rowstore", "bitmapstore", "columnstore",
-	// or "shardedstore").
+	// Name identifies the back-end: "rowstore", "bitmapstore", "autostore",
+	// or "columnstore" ("shardedstore" when built by a sharded constructor).
 	Name() string
 	// Table returns the named base table, or nil.
 	Table(name string) *dataset.Table
@@ -28,16 +29,59 @@ type DB interface {
 	// work across plans over the same table: the row store serves every plan
 	// in the batch from shared scans, the bitmap store computes common
 	// predicate conjunct bitmaps once, and the column store evaluates common
-	// predicate conjuncts segment-at-a-time once per scan worker. Results
+	// predicate conjuncts segment-at-a-time once per scan job. Results
 	// align with plans.
 	//
 	// The context bounds the batch: cancellation is observed at store-specific
-	// boundaries (segment boundaries for the column and sharded stores, scan
-	// blocks for the row store, plan drains for the bitmap store) and the
-	// batch returns ctx.Err(). A nil context is treated as context.Background.
+	// boundaries (segment boundaries for the column store, scan blocks for
+	// the row store, plan drains for the bitmap store) and the batch returns
+	// ctx.Err(). A nil context is treated as context.Background.
 	ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error)
 	// Counters returns cumulative execution statistics.
 	Counters() Counters
+	// Stats returns everything the store can report, for the named table.
+	Stats(table string) Stats
+}
+
+// Stats is a store's observability snapshot, read in one call by the serving
+// layer. Counters, SkipProvenance, Routes and Pool are store-wide; the rest
+// describe the named table. Fields a store cannot report stay zero or nil.
+type Stats struct {
+	Counters
+	// Segments is the table's zone-map segment count (column stores only).
+	Segments int
+	// SegmentLoads counts the table's distinct segments this store's scans
+	// have materialized — for zpack-backed sources, read from disk unless an
+	// earlier snapshot of the file had loaded them. Zone-map-skipped
+	// segments never load.
+	SegmentLoads int64
+	// SkipProvenance attributes every zone-map skip to the column and
+	// metadata kind that proved the segment empty (column stores only).
+	SkipProvenance map[SkipAttr]int64
+	// Routes counts prepared plans per routing decision (auto store only).
+	Routes map[string]int64
+	// Ranges is the table's per-range share of the scan work, in segment
+	// order (sharded stores only).
+	Ranges []RangeStats
+	// Pool is the scan pool's saturation (sharded and auto stores only).
+	Pool *PoolStats
+}
+
+// RangeStats is one segment range's share of the scan work: its segment
+// count, the Counters semantics restricted to it, and its distinct
+// segments materialized.
+type RangeStats struct {
+	Segments        int   `json:"segments"`
+	RowsScanned     int64 `json:"rowsScanned"`
+	SegmentsSkipped int64 `json:"segmentsSkipped"`
+	SegmentLoads    int64 `json:"segmentLoads"`
+}
+
+// PoolStats is the scan pool's instantaneous saturation: jobs running
+// against the pool's bound.
+type PoolStats struct {
+	Busy     int `json:"busy"`
+	Capacity int `json:"capacity"`
 }
 
 // Parallel is implemented by back-ends whose ExecuteBatch drains plans
@@ -47,7 +91,7 @@ type Parallel interface {
 	SetParallelism(n int)
 }
 
-// parLimit is the store-level worker bound both back-ends embed. The bound
+// parLimit is the store-level worker bound every back-end embeds. The bound
 // applies to every batch the store executes; concurrent callers see the
 // last value written.
 type parLimit struct {
@@ -76,7 +120,7 @@ func (p *parLimit) parallelism() int {
 // visits the rows of every segment its zone maps could not prove empty.
 // SegmentsSkipped is column-store only: the number of (plan, segment) pairs
 // the zone maps proved empty, each saving a segment's worth of scanning.
-// SegmentsScanned is its complement: the number of (worker, segment) pairs a
+// SegmentsScanned is its complement: the number of (scan job, segment) pairs a
 // scan actually materialized and visited.
 // PlansPlanned counts Prepares where the greedy conjunct planner ran (two or
 // more top-level conjuncts with planning enabled); PlansReordered counts the
@@ -154,10 +198,10 @@ func (a *aggState) add(v float64) {
 }
 
 // merge folds a later partial accumulation into a: a's rows all precede o's
-// (shards cover ascending row ranges), so the fold mirrors add's semantics —
+// (sharded ranges cover ascending rows), so the fold mirrors add's semantics —
 // an empty side is the identity, min/max comparisons match add's (NaN is the
 // MIN/MAX identity in both directions), and sums add. Summation order
-// differs from the sequential fold only at shard boundaries, so SUM/AVG are
+// differs from the sequential fold only at range boundaries, so SUM/AVG are
 // bit-identical whenever the column's values accumulate exactly (integers,
 // quarters — true of every fixture this repo ships); COUNT/MIN/MAX always are.
 func (a *aggState) merge(o *aggState) {

@@ -58,7 +58,7 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 	if tb.Column("iraw").Coded() {
 		t.Fatal("fixture: iraw should be past the int dictionary bound")
 	}
-	ct := newColTable(NewMemSource(tb))
+	ct := NewColumnStore(tb).cols[tb.Name]
 	var conds []string
 	for _, col := range []string{"s8", "s16", "s32"} {
 		p := map[string]string{"s8": "a", "s16": "b", "s32": "c"}[col]
@@ -98,7 +98,7 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cond, err)
 		}
-		for seg := ct.segLo; seg < ct.segHi; seg++ {
+		for seg := range len(ct.loaded) {
 			lo, hi := ct.segBounds(seg)
 			clearBits(bits)
 			f.eval(lo, hi, bits)
@@ -185,7 +185,7 @@ func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 	assertSameResult(t, sql, got, want)
 	// Every segment outside the three 5000-row year bands is skipped by the
 	// i8 conjuncts' zone maps, none by the folded one.
-	for attr, n := range s.SkipProvenance() {
+	for attr, n := range s.Stats(tb.Name).SkipProvenance {
 		if attr.Column != "i8" || attr.Via != "zonemap" || n == 0 {
 			t.Errorf("skip attributed to %+v (%d times), want only i8's zone maps", attr, n)
 		}

@@ -26,7 +26,6 @@ type Plan struct {
 
 	pred rowPredicate // compiled WHERE; always-true when q.Where is nil
 	vec  *vecPlan     // column-store compilation hook; nil elsewhere
-	sub  []*Plan      // sharded-store per-shard plans; nil elsewhere
 	// conjs holds the top-level WHERE conjuncts in execution order: written
 	// order as parsed, or the greedy planner's order when the store reordered
 	// them at Prepare time (reordered is then true). The query AST itself is

@@ -67,7 +67,7 @@ func TestSkipProvenancePostReorder(t *testing.T) {
 		if _, err := cs.ExecuteSQL(sql); err != nil {
 			t.Fatal(err)
 		}
-		return cs.SkipProvenance()
+		return cs.Stats("p").SkipProvenance
 	}
 	off := run(false)
 	if off[SkipAttr{Column: "g", Via: "zonemap"}] != 2 {
@@ -238,7 +238,7 @@ func TestAutoStoreRouting(t *testing.T) {
 		{"SELECT COUNT(*) AS n FROM p WHERE f > 1 AND c != 'a'", "default"},
 	}
 	for _, tc := range cases {
-		before := as.RouteCounts()[tc.route]
+		before := as.Stats("p").Routes[tc.route]
 		res, err := as.ExecuteSQL(tc.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
@@ -246,12 +246,12 @@ func TestAutoStoreRouting(t *testing.T) {
 		if res == nil || res.Len() == 0 {
 			t.Fatalf("%s: empty result", tc.sql)
 		}
-		if got := as.RouteCounts()[tc.route]; got != before+1 {
+		if got := as.Stats("p").Routes[tc.route]; got != before+1 {
 			t.Fatalf("%s: route %q count %d -> %d, want +1 (all routes: %v)",
-				tc.sql, tc.route, before, got, as.RouteCounts())
+				tc.sql, tc.route, before, got, as.Stats("p").Routes)
 		}
 	}
-	if n := len(SortedRoutes(as.RouteCounts())); n != len(cases) {
+	if n := len(SortedRoutes(as.Stats("p").Routes)); n != len(cases) {
 		t.Fatalf("%d distinct routes, want %d", n, len(cases))
 	}
 }

@@ -26,13 +26,6 @@ type SkipAttr struct {
 	Via string
 }
 
-// SkipAttributed is implemented by stores that attribute zone-map skips;
-// the serving layer surfaces the attribution.
-type SkipAttributed interface {
-	// SkipProvenance returns cumulative skip counts by attribution.
-	SkipProvenance() map[SkipAttr]int64
-}
-
 // skipProv is the store-level accumulator. Scan workers batch attributions
 // in a worker-local map and fold them in once per scan, so the hot loop
 // never takes this mutex per segment.
@@ -63,18 +56,6 @@ func (p *skipProv) snapshot() map[SkipAttr]int64 {
 		out[a] = n
 	}
 	return out
-}
-
-// mergeSkipProv folds src into dst (allocating dst on first use) and returns
-// dst — the gather half for sharded stores.
-func mergeSkipProv(dst, src map[SkipAttr]int64) map[SkipAttr]int64 {
-	if dst == nil {
-		dst = make(map[SkipAttr]int64, len(src))
-	}
-	for a, n := range src {
-		dst[a] += n
-	}
-	return dst
 }
 
 // SortedSkipAttrs returns the map's keys ordered by count descending, then

@@ -58,7 +58,7 @@ func TestSkipProvenanceAttribution(t *testing.T) {
 		{Column: "region", Via: "const"}: nseg,
 		{Column: "(multi)", Via: "expr"}: nseg,
 	}
-	got := col.SkipProvenance()
+	got := col.Stats("events").SkipProvenance
 	if len(got) != len(want) {
 		t.Fatalf("provenance = %v, want %v", got, want)
 	}
@@ -86,9 +86,9 @@ func TestSkipProvenanceAttribution(t *testing.T) {
 	}
 }
 
-// TestSkipProvenanceMergesAcrossShards pins that a sharded store's gathered
-// attribution equals the sum of its shards: shard boundaries must not lose
-// or double-count skips.
+// TestSkipProvenanceMergesAcrossShards pins that a sharded store attributes
+// exactly the skips the one-range store does: range boundaries must not lose
+// or double-count any.
 func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 	const nseg = 4
 	tb := provTable(nseg)
@@ -106,7 +106,7 @@ func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, got := col.SkipProvenance(), sh.SkipProvenance()
+	want, got := col.Stats("events").SkipProvenance, sh.Stats("events").SkipProvenance
 	if len(got) != len(want) {
 		t.Fatalf("sharded provenance = %v, want %v", got, want)
 	}

@@ -43,6 +43,9 @@ func (s *RowStore) Table(name string) *dataset.Table { return s.tables[name] }
 // Counters returns cumulative execution statistics.
 func (s *RowStore) Counters() Counters { return s.stats.snapshot() }
 
+// Stats reports the counters; the store has nothing per table to add.
+func (s *RowStore) Stats(string) Stats { return Stats{Counters: s.Counters()} }
+
 // Prepare validates and column-resolves a parsed query into a reusable plan.
 // With planning on, multi-conjunct predicates are recompiled in the greedy
 // planner's order so the short-circuiting AND closure tests the cheapest,

@@ -166,10 +166,3 @@ func markPresent[W dataset.Code](codes []W, z *ZoneData) {
 		z.Present[(i/SegmentSize)*z.Words+int(code>>6)] |= 1 << (uint(code) & 63)
 	}
 }
-
-// Segmented is implemented by back-ends that partition tables into zone-map
-// segments; the serving layer surfaces the count on GET /datasets.
-type Segmented interface {
-	// NumSegments returns the segment count of the named table, or 0.
-	NumSegments(table string) int
-}

@@ -145,10 +145,10 @@ func TestMemSourceMatchesEagerStore(t *testing.T) {
 			t.Errorf("%s diverged:\n got %v\nwant %v", sql, got.Rows(), want.Rows())
 		}
 	}
-	if n := eager.NumSegments("clustered"); n != 2 {
-		t.Errorf("NumSegments = %d, want 2", n)
+	if n := eager.Stats("clustered").Segments; n != 2 {
+		t.Errorf("Segments = %d, want 2", n)
 	}
-	if n := eager.NumSegments("nope"); n != 0 {
-		t.Errorf("NumSegments(unknown) = %d, want 0", n)
+	if n := eager.Stats("nope").Segments; n != 0 {
+		t.Errorf("Segments(unknown) = %d, want 0", n)
 	}
 }

@@ -119,9 +119,9 @@ func TestShardedBatchMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedUnevenSplit pins the SplitSourceAt contract: deliberately
-// lopsided cuts, including an empty middle shard, still gather to the exact
-// unsharded result (an empty shard merges as the identity).
+// TestShardedUnevenSplit pins the NewShardedStoreAt contract: deliberately
+// lopsided cuts, including an empty middle range, still gather to the exact
+// unsharded result (an empty range merges as the identity).
 func TestShardedUnevenSplit(t *testing.T) {
 	tb := shardMetrics(50_000)
 	ref := NewColumnStore(tb)
@@ -133,7 +133,7 @@ func TestShardedUnevenSplit(t *testing.T) {
 		{1, nseg - 1},          // tiny edges, fat middle
 		{nseg / 4, nseg/4 + 1}, // one-segment middle shard
 	} {
-		db := NewShardedStoreFromShards(SplitSourceAt(NewMemSource(tb), cuts))
+		db := NewShardedStoreAt(NewMemSource(tb), cuts...)
 		db.SetParallelism(4)
 		for _, q := range shardQueries {
 			want, err := ref.ExecuteSQL(q)
@@ -181,42 +181,42 @@ func TestShardedEmptyTable(t *testing.T) {
 	}
 }
 
-func TestSplitSourceShapes(t *testing.T) {
+// TestShardedRangeShapes pins how the sharded constructors cut a table:
+// even splits capped at the segment count (an empty or non-positive count is
+// one range), contiguous and covering, and explicit cuts that are out of
+// order or out of bounds panic.
+func TestShardedRangeShapes(t *testing.T) {
 	tb := shardMetrics(50_000)
-	src := NewMemSource(tb)
-	nseg := src.NumSegments()
+	nseg := NewMemSource(tb).NumSegments()
 	if nseg != 13 {
 		t.Fatalf("nseg = %d, want 13", nseg)
 	}
 	for _, c := range []struct{ n, want int }{
 		{1, 1}, {3, 3}, {13, 13}, {64, 13}, {0, 1}, {-2, 1},
 	} {
-		views := SplitSource(NewMemSource(tb), c.n)
-		if len(views) != c.want {
-			t.Fatalf("SplitSource(%d): %d views, want %d", c.n, len(views), c.want)
+		ranges := NewShardedStore(c.n, tb).cols["metrics"].ranges
+		if len(ranges) != c.want {
+			t.Fatalf("NewShardedStore(%d): %d ranges, want %d", c.n, len(ranges), c.want)
 		}
-		covered := 0
 		prevHi := 0
-		for _, v := range views {
-			lo, hi := v.(SegmentRanged).SegRange()
-			if lo != prevHi || hi < lo {
-				t.Fatalf("SplitSource(%d): non-contiguous range [%d,%d) after %d", c.n, lo, hi, prevHi)
+		for _, r := range ranges {
+			if r.lo != prevHi || r.hi < r.lo {
+				t.Fatalf("NewShardedStore(%d): non-contiguous range [%d,%d) after %d", c.n, r.lo, r.hi, prevHi)
 			}
-			covered += hi - lo
-			prevHi = hi
+			prevHi = r.hi
 		}
-		if covered != nseg || prevHi != nseg {
-			t.Fatalf("SplitSource(%d): covered %d of %d segments", c.n, covered, nseg)
+		if prevHi != nseg {
+			t.Fatalf("NewShardedStore(%d): ranges end at %d of %d segments", c.n, prevHi, nseg)
 		}
 	}
 	for _, bad := range [][]int{{-1}, {5, 3}, {nseg + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("SplitSourceAt(%v) should panic", bad)
+					t.Errorf("NewShardedStoreAt(%v) should panic", bad)
 				}
 			}()
-			SplitSourceAt(NewMemSource(tb), bad)
+			NewShardedStoreAt(NewMemSource(tb), bad...)
 		}()
 	}
 }
@@ -250,7 +250,8 @@ func (p *panicSource) Load(seg int) error {
 // TestShardedErrorSelectionDeterministic injects load failures into two
 // different shards and asserts the gather always reports the lowest shard
 // index's error — the scatter-pool mirror of the process pool's
-// lowest-index convention — no matter how the workers race.
+// lowest-index convention — no matter how the workers race. The one-range
+// store's single walk meets the lower segment first and must agree.
 func TestShardedErrorSelectionDeterministic(t *testing.T) {
 	tb := shardMetrics(50_000)
 	errLow := errors.New("disk failure in segment 5")
@@ -260,49 +261,55 @@ func TestShardedErrorSelectionDeterministic(t *testing.T) {
 		failAt:        map[int]error{5: errLow, 9: errHigh},
 	}
 	// Cuts [4, 8]: segment 5 lands in shard 1, segment 9 in shard 2.
-	db := NewShardedStoreFromShards(SplitSourceAt(src, []int{4, 8}))
-	db.SetParallelism(4)
-	p, err := prepareSQL(db, "SELECT COUNT(*) AS n FROM metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 30; trial++ {
-		_, err := db.ExecuteBatch(context.Background(), []*Plan{p})
-		if err == nil {
-			t.Fatal("want error")
+	for _, db := range []*ColumnStore{NewShardedStoreAt(src, 4, 8), NewColumnStoreFromSource(src)} {
+		db.SetParallelism(4)
+		p, err := prepareSQL(db, "SELECT COUNT(*) AS n FROM metrics")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, errLow) {
-			t.Fatalf("trial %d: got %v, want the lowest shard's error", trial, err)
-		}
-		if errors.Is(err, errHigh) {
-			t.Fatalf("trial %d: higher shard's error leaked: %v", trial, err)
+		for trial := 0; trial < 30; trial++ {
+			_, err := db.ExecuteBatch(context.Background(), []*Plan{p})
+			if err == nil {
+				t.Fatalf("%s: want error", db.Name())
+			}
+			if !errors.Is(err, errLow) {
+				t.Fatalf("%s trial %d: got %v, want the lowest shard's error", db.Name(), trial, err)
+			}
+			if errors.Is(err, errHigh) {
+				t.Fatalf("%s trial %d: higher shard's error leaked: %v", db.Name(), trial, err)
+			}
 		}
 	}
 }
 
 // TestShardedPanicContainment injects a panic into one shard's scan: it must
 // surface as that shard's error, not kill the process — and a lower shard's
-// plain error still outranks a higher shard's panic.
+// plain error still outranks a higher shard's panic. The one-range store
+// contains panics the same way: its scan jobs run on the same pool.
 func TestShardedPanicContainment(t *testing.T) {
 	tb := shardMetrics(50_000)
 	src := &panicSource{SegmentSource: NewMemSource(tb), panicAt: 9}
-	db := NewShardedStoreFromShards(SplitSourceAt(src, []int{4, 8}))
-	db.SetParallelism(4)
-	_, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics")
-	if err == nil || !strings.Contains(err.Error(), "shard panic") {
-		t.Fatalf("got %v, want contained shard panic", err)
-	}
-
 	errLow := errors.New("disk failure in segment 5")
 	both := &panicSource{
 		SegmentSource: &failSource{SegmentSource: NewMemSource(tb), failAt: map[int]error{5: errLow}},
 		panicAt:       9,
 	}
-	db = NewShardedStoreFromShards(SplitSourceAt(both, []int{4, 8}))
-	db.SetParallelism(4)
-	_, err = db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics")
-	if err == nil || !errors.Is(err, errLow) {
-		t.Fatalf("got %v, want lower shard's error to outrank the panic", err)
+	stores := func(src SegmentSource) []*ColumnStore {
+		return []*ColumnStore{NewShardedStoreAt(src, 4, 8), NewColumnStoreFromSource(src)}
+	}
+	for _, db := range stores(src) {
+		db.SetParallelism(4)
+		_, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics")
+		if err == nil || !strings.Contains(err.Error(), "shard panic") {
+			t.Fatalf("%s: got %v, want contained shard panic", db.Name(), err)
+		}
+	}
+	for _, db := range stores(both) {
+		db.SetParallelism(4)
+		_, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics")
+		if err == nil || !errors.Is(err, errLow) {
+			t.Fatalf("%s: got %v, want lower shard's error to outrank the panic", db.Name(), err)
+		}
 	}
 }
 
@@ -313,19 +320,17 @@ func TestShardedPerShardCounters(t *testing.T) {
 	tb := shardMetrics(50_000)
 	db := NewShardedStore(3, tb)
 	db.SetParallelism(4)
-	if db.NumShards("metrics") != 3 || db.NumShards("nope") != 0 {
-		t.Fatalf("NumShards = %d", db.NumShards("metrics"))
+	if st := db.Stats("metrics"); len(st.Ranges) != 3 || st.Segments != 13 {
+		t.Fatalf("%d ranges over %d segments, want 3 over 13", len(st.Ranges), st.Segments)
 	}
-	if db.NumSegments("metrics") != 13 {
-		t.Fatalf("NumSegments = %d", db.NumSegments("metrics"))
-	}
-	if db.ShardStats("nope") != nil {
-		t.Fatal("unknown table should report nil shard stats")
+	if db.Stats("nope").Ranges != nil {
+		t.Fatal("unknown table should report nil ranges")
 	}
 	if _, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics"); err != nil {
 		t.Fatal(err)
 	}
-	stats := db.ShardStats("metrics")
+	st := db.Stats("metrics")
+	stats := st.Ranges
 	if len(stats) != 3 {
 		t.Fatalf("%d shard stats", len(stats))
 	}
@@ -344,8 +349,8 @@ func TestShardedPerShardCounters(t *testing.T) {
 	if loads != 13 {
 		t.Fatalf("full scan loaded %d segments, want 13", loads)
 	}
-	if c := db.Counters(); c.RowsScanned != rows {
-		t.Fatalf("store counters %d vs shard sum %d", c.RowsScanned, rows)
+	if st.RowsScanned != rows || st.SegmentLoads != loads {
+		t.Fatalf("store counters %d rows, %d loads vs shard sums %d, %d", st.RowsScanned, st.SegmentLoads, rows, loads)
 	}
 }
 
@@ -359,7 +364,7 @@ func TestShardedSkipKeepsSegmentsUnloaded(t *testing.T) {
 	if _, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics WHERE region = 'north'"); err != nil {
 		t.Fatal(err)
 	}
-	stats := db.ShardStats("metrics")
+	stats := db.Stats("metrics").Ranges
 	var loads, skipped int64
 	for _, sc := range stats {
 		loads += sc.SegmentLoads

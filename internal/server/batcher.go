@@ -301,6 +301,7 @@ type coalescingDB struct {
 func (d *coalescingDB) Name() string                     { return d.store.Name() }
 func (d *coalescingDB) Table(name string) *dataset.Table { return d.store.Table(name) }
 func (d *coalescingDB) Counters() engine.Counters        { return d.store.Counters() }
+func (d *coalescingDB) Stats(table string) engine.Stats  { return d.store.Stats(table) }
 func (d *coalescingDB) Prepare(q *minisql.Query) (*engine.Plan, error) {
 	return d.store.Prepare(q)
 }

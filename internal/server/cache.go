@@ -173,6 +173,7 @@ type cachingDB struct {
 func (d *cachingDB) Name() string                                   { return d.inner.Name() }
 func (d *cachingDB) Table(name string) *dataset.Table               { return d.inner.Table(name) }
 func (d *cachingDB) Counters() engine.Counters                      { return d.inner.Counters() }
+func (d *cachingDB) Stats(table string) engine.Stats                { return d.inner.Stats(table) }
 func (d *cachingDB) Prepare(q *minisql.Query) (*engine.Plan, error) { return d.inner.Prepare(q) }
 
 // Execute runs one query through the cache.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/compact"
-	"repro/internal/engine"
 	"repro/internal/zpack"
 )
 
@@ -32,10 +31,7 @@ func (d *Dataset) refreshUnsorted() {
 	if cols := d.ctr.lastCols.Load(); cols != nil && len(*cols) > 0 {
 		col = (*cols)[0]
 	} else {
-		var prov map[engine.SkipAttr]int64
-		if sp, ok := d.store.(engine.SkipAttributed); ok {
-			prov = sp.SkipProvenance()
-		}
+		prov := d.store.Stats(d.table.Name).SkipProvenance
 		if cols := compact.PickCols(d.packR, prov, 1); len(cols) > 0 {
 			col = cols[0]
 		}
@@ -86,10 +82,7 @@ func (r *Registry) Compact(name string, cols []string) (*Dataset, compact.Result
 	if d.packPath == "" {
 		return nil, compact.Result{}, fmt.Errorf("%w: %q has backend %q", ErrNotCompactable, name, d.backend)
 	}
-	var prov map[engine.SkipAttr]int64
-	if sp, ok := d.store.(engine.SkipAttributed); ok {
-		prov = sp.SkipProvenance()
-	}
+	prov := d.store.Stats(d.table.Name).SkipProvenance
 	start := time.Now()
 	res, err := compact.File(d.packPath, compact.Options{Cols: cols, Provenance: prov})
 	if err != nil {

@@ -195,21 +195,11 @@ func (d *Dataset) Opt() zexec.OptLevel { return d.opt }
 
 // Segments returns the zone-map segment count of the dataset's store, or 0
 // for back-ends that don't segment (row, bitmap).
-func (d *Dataset) Segments() int {
-	if s, ok := d.store.(engine.Segmented); ok {
-		return s.NumSegments(d.table.Name)
-	}
-	return 0
-}
+func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
 
 // ShardCount returns the store's segment shard count for this dataset, or 0
 // when the store is unsharded.
-func (d *Dataset) ShardCount() int {
-	if s, ok := d.store.(interface{ NumShards(table string) int }); ok {
-		return s.NumShards(d.table.Name)
-	}
-	return 0
-}
+func (d *Dataset) ShardCount() int { return len(d.store.Stats(d.table.Name).Ranges) }
 
 // Appendable reports whether POST /datasets/{name}/append can extend this
 // dataset (zpack-backed datasets only).
@@ -244,12 +234,16 @@ type DatasetStats struct {
 	// through scoring, plans whose conjunct order actually changed, and — on
 	// the auto backend only — how prepared plans routed across sub-stores.
 	Planner *PlannerStats `json:"planner,omitempty"`
-	// Pool is present only on sharded datasets: the scatter pool's in-flight
-	// shard scans against its capacity.
-	Pool *PoolStats `json:"pool,omitempty"`
+	// Pool is present only on sharded (and auto) datasets: the scatter
+	// pool's in-flight shard scans against its capacity.
+	Pool *engine.PoolStats `json:"pool,omitempty"`
 	// Shards is present only on sharded datasets: each shard's share of the
 	// scan work, in shard order. The store-wide counters above are the sums.
-	Shards []ShardStats `json:"shards,omitempty"`
+	// A shard's segmentLoads, like the dataset's, counts distinct segments
+	// it has materialized — for zpack, read from disk unless an earlier
+	// snapshot had; a shard whose zone maps keep proving its segments empty
+	// stays at zero.
+	Shards []engine.RangeStats `json:"shards,omitempty"`
 	// Compaction is present only on zpack-backed datasets: the re-clustering
 	// lifecycle counters (docs/OPERATIONS.md, "Compaction").
 	Compaction *CompactionStats `json:"compaction,omitempty"`
@@ -304,23 +298,6 @@ type RouteEntry struct {
 	Count int64  `json:"count"`
 }
 
-// PoolStats is the sharded scatter pool's instantaneous saturation.
-type PoolStats struct {
-	Busy     int `json:"busy"`
-	Capacity int `json:"capacity"`
-}
-
-// ShardStats is one segment shard's share of the scan work.
-type ShardStats struct {
-	Segments        int   `json:"segments"`
-	RowsScanned     int64 `json:"rowsScanned"`
-	SegmentsSkipped int64 `json:"segmentsSkipped"`
-	// SegmentLoads counts distinct segments the shard has materialized — for
-	// zpack datasets, read from disk unless an earlier snapshot had. A shard
-	// whose zone maps keep proving its segments empty stays at zero.
-	SegmentLoads int64 `json:"segmentLoads"`
-}
-
 // ProcessTotals aggregates process-phase work over every query the dataset
 // served: tuples scored, distance calls made, and distance calls the pruning
 // kernels abandoned early (work saved without changing results).
@@ -341,14 +318,9 @@ type HTTPStats struct {
 	Timeouts   int64 `json:"timeouts"`
 }
 
-// skipProvenance snapshots the store's skip attribution in emit order, or
-// nil for back-ends that don't attribute.
-func (d *Dataset) skipProvenance() []SkipProvEntry {
-	sp, ok := d.store.(engine.SkipAttributed)
-	if !ok {
-		return nil
-	}
-	m := sp.SkipProvenance()
+// skipProvenance renders the store's skip attribution in emit order, or nil
+// when nothing was attributed.
+func skipProvenance(m map[engine.SkipAttr]int64) []SkipProvEntry {
 	if len(m) == 0 {
 		return nil
 	}
@@ -359,41 +331,12 @@ func (d *Dataset) skipProvenance() []SkipProvEntry {
 	return out
 }
 
-// plannerStats snapshots the planner counters and, for auto-routing stores,
-// the per-route totals in emit order.
-func (d *Dataset) plannerStats(c engine.Counters) *PlannerStats {
-	ps := &PlannerStats{PlansPlanned: c.PlansPlanned, PlansReordered: c.PlansReordered}
-	if rc, ok := d.store.(engine.RouteCounted); ok {
-		m := rc.RouteCounts()
-		for _, route := range engine.SortedRoutes(m) {
-			ps.Routes = append(ps.Routes, RouteEntry{Route: route, Count: m[route]})
-		}
-	}
-	return ps
-}
-
 // Stats snapshots the dataset's counters.
 func (d *Dataset) Stats() DatasetStats {
-	c := d.store.Counters()
-	var shards []ShardStats
-	if sh, ok := d.store.(engine.ShardedDB); ok {
-		for _, sc := range sh.ShardStats(d.table.Name) {
-			shards = append(shards, ShardStats{
-				Segments:        sc.Segments,
-				RowsScanned:     sc.RowsScanned,
-				SegmentsSkipped: sc.SegmentsSkipped,
-				SegmentLoads:    sc.SegmentLoads,
-			})
-		}
-	}
-	var loads int64
-	if sl, ok := d.store.(interface{ SegmentLoads(table string) int64 }); ok {
-		loads = sl.SegmentLoads(d.table.Name)
-	}
-	var pool *PoolStats
-	if ps, ok := d.store.(interface{ PoolStats() (busy, capacity int) }); ok {
-		busy, capacity := ps.PoolStats()
-		pool = &PoolStats{Busy: busy, Capacity: capacity}
+	st := d.store.Stats(d.table.Name)
+	planner := &PlannerStats{PlansPlanned: st.PlansPlanned, PlansReordered: st.PlansReordered}
+	for _, route := range engine.SortedRoutes(st.Routes) {
+		planner.Routes = append(planner.Routes, RouteEntry{Route: route, Count: st.Routes[route]})
 	}
 	var compaction *CompactionStats
 	if d.packPath != "" {
@@ -413,20 +356,20 @@ func (d *Dataset) Stats() DatasetStats {
 		}
 	}
 	return DatasetStats{
-		Shards:          shards,
+		Shards:          st.Ranges,
 		Compaction:      compaction,
 		Backend:         d.backend,
 		Rows:            d.table.NumRows(),
-		Queries:         c.Queries,
-		RowsScanned:     c.RowsScanned,
-		SegmentsScanned: c.SegmentsScanned,
-		SegmentsSkipped: c.SegmentsSkipped,
-		SegmentLoads:    loads,
+		Queries:         st.Queries,
+		RowsScanned:     st.RowsScanned,
+		SegmentsScanned: st.SegmentsScanned,
+		SegmentsSkipped: st.SegmentsSkipped,
+		SegmentLoads:    st.SegmentLoads,
 		Cache:           d.cache.Stats(),
 		Coalesce:        d.bat.stats(),
-		SkipProvenance:  d.skipProvenance(),
-		Planner:         d.plannerStats(c),
-		Pool:            pool,
+		SkipProvenance:  skipProvenance(st.SkipProvenance),
+		Planner:         planner,
+		Pool:            st.Pool,
 		Process: ProcessTotals{
 			Tuples:        d.ctr.procTuples.Load(),
 			DistCalls:     d.ctr.procDist.Load(),
@@ -555,10 +498,10 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 }
 
 // zpackStore builds the column back-end over a zpack reader, sharded when
-// the config asks for it: shards are range views over the same footer index,
-// so the file is never rewritten and lazily-skipped segments are still never
-// read from disk. Append rebuilds through this same helper, so appended
-// segments land in the re-split tail shard's range.
+// the config asks for it: shards are segment ranges over the same footer
+// index, so the file is never rewritten and lazily-skipped segments are still
+// never read from disk. Append rebuilds through this same helper, so
+// appended segments land in the re-split tail shard's range.
 func zpackStore(r *zpack.Reader, cfg Config) engine.DB {
 	if cfg.Shards > 1 {
 		return engine.NewShardedStoreFromSource(cfg.Shards, r)

@@ -266,14 +266,13 @@ func TestGoldenCorpus(t *testing.T) {
 				"zpack":  engine.NewColumnStoreFromSource(pack),
 				// Same corpus over the re-clustered generation.
 				"zpack-compacted": engine.NewColumnStoreFromSource(cpack),
-				// Sharded variants: 3 deliberately uneven shards (SplitSourceAt
-				// rather than a balanced split) over the in-memory source and
-				// the same zpack reader. Scatter-gather must render the corpus
-				// byte-identically to the single-walk scan at every opt level.
-				"column-shard3": engine.NewShardedStoreFromShards(
-					engine.SplitSourceAt(engine.NewMemSource(tbl), unevenCuts(engine.NewMemSource(tbl).NumSegments()))),
-				"zpack-shard3": engine.NewShardedStoreFromShards(
-					engine.SplitSourceAt(pack, unevenCuts(pack.NumSegments()))),
+				// Sharded variants: 3 deliberately uneven shards (explicit
+				// cuts rather than a balanced split) over the in-memory source
+				// and the same zpack reader. Scatter-gather must render the
+				// corpus byte-identically to the single-walk scan at every opt
+				// level.
+				"column-shard3": engine.NewShardedStoreAt(engine.NewMemSource(tbl), unevenCuts(engine.NewMemSource(tbl).NumSegments())...),
+				"zpack-shard3":  engine.NewShardedStoreAt(pack, unevenCuts(pack.NumSegments())...),
 				// backend=auto routes each prepared plan to a row or column
 				// sub-store by query shape; whichever way a script's queries
 				// route, the rendered bytes must not move.

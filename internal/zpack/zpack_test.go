@@ -368,7 +368,7 @@ func TestGoldenFixtureBackwardReadable(t *testing.T) {
 }
 
 // TestShardedReaderRangeViews pins the footer-index sharding contract: a
-// zpack file shards into contiguous range views of the same reader without
+// zpack file shards into contiguous segment ranges of the same reader without
 // rewriting a byte, zone-map pruning composes with sharding (a pruned
 // shard's segments are never read from disk, visible per shard), and the
 // gathered result equals the in-memory store's.
@@ -403,11 +403,11 @@ func TestShardedReaderRangeViews(t *testing.T) {
 		t.Errorf("sharded zpack result:\n got %v\nwant %v", got.Rows(), want.Rows())
 	}
 	// The target row lives in segment 2, owned by shard 1: exactly one
-	// segment crosses the disk, through that shard's view.
+	// segment crosses the disk, counted against that shard.
 	if loads := r.SegmentLoads(); loads != 1 {
 		t.Errorf("sharded point query loaded %d segments, want 1", loads)
 	}
-	stats := db.ShardStats("clustered")
+	stats := db.Stats("clustered").Ranges
 	if len(stats) != 3 {
 		t.Fatalf("%d shard stats", len(stats))
 	}
