@@ -66,16 +66,12 @@ type config struct {
 
 // WithBackend selects the storage back-end by name: "row" (the default
 // full-scan executor), "bitmap" (roaring-bitmap indexes), "column" (the
-// segmented vectorized executor with zone-map skipping), or "auto" (routes
-// each prepared query to a row or column sub-store by shape).
+// segmented vectorized executor with zone-map skipping), or "auto" (another
+// name for "column"). Open rejects any other name (engine.NewStore).
 func WithBackend(name string) Option {
 	return func(c *config) error {
-		switch name {
-		case "", "row", "bitmap", "column", "auto":
-			c.backend = name
-			return nil
-		}
-		return fmt.Errorf("client: unknown backend %q (want row, bitmap, column, or auto)", name)
+		c.backend = name
+		return nil
 	}
 }
 
@@ -158,16 +154,9 @@ func Open(t *dataset.Table, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	var db engine.DB
-	switch cfg.backend {
-	case "bitmap":
-		db = engine.NewBitmapStore(t)
-	case "column":
-		db = engine.NewColumnStore(t)
-	case "auto":
-		db = engine.NewAutoStore(1, t)
-	default:
-		db = engine.NewRowStore(t)
+	db, err := engine.NewStore(cfg.backend, 1, t)
+	if err != nil {
+		return nil, err
 	}
 	return &Session{db: db, table: t.Name, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers, histLimit: cfg.histLimit}, nil
 }
@@ -201,13 +190,13 @@ func OpenCSV(name, path string, opts ...Option) (*Session, error) {
 // lazily as queries touch them, so opening is cheap regardless of data
 // size. The back-end is always the column store — it is the only executor
 // that drives lazy, zone-map-skipped loading — so WithBackend options other
-// than "column" are rejected.
+// than "column" and "auto" (engine.ColumnBackend) are rejected.
 func OpenZpack(path string, opts ...Option) (*Session, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.backend != "" && cfg.backend != "column" {
+	if cfg.backend != "" && !engine.ColumnBackend(cfg.backend) {
 		return nil, fmt.Errorf("client: zpack sessions require the column backend, not %q", cfg.backend)
 	}
 	r, err := zpack.Open(path)
@@ -249,7 +238,7 @@ func (s *Session) QueryContext(ctx context.Context, src string, inputs map[strin
 
 // PlanContext is QueryContext in EXPLAIN plan mode: the query is parsed,
 // resolved, and prepared — every SQL statement rendered, every plan's
-// conjunct order and route decided, all traced when the context carries a
+// conjunct order decided, all traced when the context carries a
 // span — but nothing executes against the data. The result's outputs are
 // empty visualizations; its SQLLog is the real one.
 func (s *Session) PlanContext(ctx context.Context, src string, inputs map[string][]float64, opt zexec.OptLevel) (*zexec.Result, error) {

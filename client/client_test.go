@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/workload"
 	"repro/internal/zexec"
+	"repro/internal/zpack"
 )
 
 func testTable() *Session {
@@ -94,7 +95,7 @@ func TestBackendOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"row", "bitmap", "column"} {
+	for _, backend := range []string{"row", "bitmap", "column", "auto"} {
 		s, err := Open(tbl, WithBackend(backend), WithSeed(3))
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
@@ -114,6 +115,31 @@ func TestBackendOptions(t *testing.T) {
 	}
 	if _, err := Open(tbl, WithBackend("quantum")); err == nil {
 		t.Error("unknown backend should error")
+	}
+}
+
+// TestOpenZpackBackendNames: a zpack session runs on the column executor, so
+// "column" and its other name "auto" open it and "row"/"bitmap" are refused.
+func TestOpenZpackBackendNames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sales.zpack")
+	tbl := workload.Sales(workload.SalesConfig{Rows: 2000, Products: 4, Years: 5, Cities: 2, Seed: 2})
+	if err := zpack.Build(path, tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"", "column", "auto"} {
+		s, err := OpenZpack(path, WithBackend(backend), WithSeed(3))
+		if err != nil {
+			t.Fatalf("OpenZpack(%q): %v", backend, err)
+		}
+		if _, err := s.Query(risingQuery); err != nil {
+			t.Fatalf("OpenZpack(%q) query: %v", backend, err)
+		}
+	}
+	for _, backend := range []string{"row", "bitmap"} {
+		_, err := OpenZpack(path, WithBackend(backend))
+		if want := fmt.Sprintf("client: zpack sessions require the column backend, not %q", backend); err == nil || err.Error() != want {
+			t.Errorf("OpenZpack(%q) = %v, want %q", backend, err, want)
+		}
 	}
 }
 

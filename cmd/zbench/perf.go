@@ -88,13 +88,12 @@ type perfBatch struct {
 // executed sequentially, as a latency-shaped A/B of the conjunct planner.
 // Results are byte-identical across every cell; only the time moves.
 type perfPlanner struct {
-	Backend          string           `json:"backend"`
-	Planning         bool             `json:"planning"`
-	Iters            int              `json:"iters"`
-	WorkloadNsBest   int64            `json:"workloadNsBest"`
-	WorkloadNsMedian int64            `json:"workloadNsMedian"`
-	PlansReordered   int64            `json:"plansReordered"`
-	Routes           map[string]int64 `json:"routes,omitempty"`
+	Backend          string `json:"backend"`
+	Planning         bool   `json:"planning"`
+	Iters            int    `json:"iters"`
+	WorkloadNsBest   int64  `json:"workloadNsBest"`
+	WorkloadNsMedian int64  `json:"workloadNsMedian"`
+	PlansReordered   int64  `json:"plansReordered"`
 }
 
 // perfProcess is one end-to-end ZQL run (fetch + process phase) over the same
@@ -177,8 +176,7 @@ func plannerWorkloadSQL(zvals []string) []string {
 }
 
 // runPlannerSweep times the mixed workload on each backend with the conjunct
-// planner on and off (plus the auto router, which exists only with planning),
-// appending one perfPlanner row per cell.
+// planner on and off, appending one perfPlanner row per cell.
 func runPlannerSweep(rep *perfReport, tb *dataset.Table, zvals []string) error {
 	const iters = 9
 	sqls := plannerWorkloadSQL(zvals)
@@ -191,7 +189,6 @@ func runPlannerSweep(rep *perfReport, tb *dataset.Table, zvals []string) error {
 		{"row", true, engine.NewRowStore(tb)},
 		{"column", false, engine.NewColumnStore(tb)},
 		{"column", true, engine.NewColumnStore(tb)},
-		{"auto", true, engine.NewAutoStore(1, tb)},
 	}
 	for _, c := range cells {
 		c.db.(engine.Planner).SetPlanning(c.planning)
@@ -236,7 +233,6 @@ func runPlannerSweep(rep *perfReport, tb *dataset.Table, zvals []string) error {
 			WorkloadNsBest:   times[0].Nanoseconds(),
 			WorkloadNsMedian: times[iters/2].Nanoseconds(),
 			PlansReordered:   c.db.Counters().PlansReordered,
-			Routes:           c.db.Stats(tb.Name).Routes,
 		}
 		rep.Planner = append(rep.Planner, row)
 	}

@@ -43,7 +43,7 @@ func main() {
 		tableName = flag.String("table", "data", "table name for -data")
 		demo      = flag.String("demo", "", "built-in demo dataset: sales, airline, census, housing")
 		queryPath = flag.String("query", "", "ZQL query file ('-' for stdin)")
-		backend   = flag.String("backend", "row", "storage back-end: row, bitmap, column, or auto (routes each query by shape)")
+		backend   = flag.String("backend", "row", "storage back-end: row, bitmap, column, or auto (another name for column)")
 		optLevel  = flag.String("opt", "intertask", "optimization level: noopt, intraline, intratask, intertask (or o0..o3)")
 		metric    = flag.String("metric", "euclidean", "distance metric D: euclidean, dtw, kl, emd (raw- prefix skips normalization)")
 		recFlag   = flag.String("recommend", "", "recommendation request x:y:z instead of a query")
@@ -66,18 +66,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var db engine.DB
-	switch *backend {
-	case "row":
-		db = engine.NewRowStore(tbl)
-	case "bitmap":
-		db = engine.NewBitmapStore(tbl)
-	case "column":
-		db = engine.NewColumnStore(tbl)
-	case "auto":
-		db = engine.NewAutoStore(1, tbl)
-	default:
-		log.Fatalf("unknown -backend %q (want row, bitmap, column, or auto)", *backend)
+	db, err := engine.NewStore(*backend, 1, tbl)
+	if err != nil {
+		log.Fatal(err)
 	}
 	m, err := vis.MetricByName(*metric)
 	if err != nil {

@@ -54,7 +54,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8421", "listen address")
 		demos     = flag.String("demo", "", "comma-separated built-in demo datasets: sales, airline, census, housing")
-		backend   = flag.String("backend", "row", "storage back-end for every dataset: row, bitmap, column, or auto (routes each query by shape)")
+		backend   = flag.String("backend", "row", "storage back-end for every dataset: row, bitmap, column, or auto (another name for column)")
 		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget (0 means the default, 1024; negative disables)")
 		workers   = flag.Int("workers", 1, "coalescing workers per dataset (1 maximizes shared scans)")
 		pworkers  = flag.Int("process-workers", 0, "process-phase worker goroutines per query (0 = auto)")
@@ -67,7 +67,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "default per-request execution deadline (0 = none; X-Timeout header overrides per request)")
 		maxQueue  = flag.Int("max-queue", server.DefaultMaxQueue, "admission queue bound per dataset before 429 shedding (negative = unbounded)")
 		accessLog = flag.Bool("access-log", false, "write one JSON access-log line per request to stderr")
-		noPlanner = flag.Bool("no-planner", false, "pin WHERE conjuncts to written order instead of the planner's cheapest-first reorder (A/B baseline; results identical)")
 		slowMs    = flag.Int("slow-query-ms", int(server.DefaultSlowQueryThreshold/time.Millisecond), "capture requests at least this slow into GET /debug/slowlog (negative disables capture; tracing itself stays on)")
 		slowKeep  = flag.Int("slow-query-keep", server.DefaultSlowLogKeep, "slow-query log ring size")
 		debugAddr = flag.String("debug-addr", "", "listen address for the net/http/pprof debug server (empty = disabled); keep it off the public interface")
@@ -103,7 +102,6 @@ func main() {
 		MaxQueue:           *maxQueue,
 		ProcessParallelism: *pworkers,
 		Shards:             *shards,
-		NoPlanner:          *noPlanner,
 	}
 
 	reg := server.NewRegistry()

@@ -245,7 +245,10 @@ func (ix *intIndex) add(v int64, code int32) {
 			ix.dense[uint64(v)-uint64(ix.base)] = code + 1
 			return
 		}
-		ix.m = make(map[int64]int32, 2*len(ix.dense))
+		// Sized by the entries (codes arrive in order), not by the span the
+		// dense table covered: a few far-apart values must not cost a map of
+		// maxDenseSpan slots.
+		ix.m = make(map[int64]int32, 2*int(code+1))
 		for i, c := range ix.dense {
 			if c != 0 {
 				ix.m[ix.base+int64(i)] = c - 1

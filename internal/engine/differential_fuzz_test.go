@@ -14,8 +14,7 @@ import (
 // Differential fuzzer: random queries over random datasets, executed on every
 // store variant with conjunct order shuffled vs. planner-ordered, asserting
 // bit-identical results against the boxed reference executor
-// (reference_test.go). The planner
-// reorders compiled conjuncts, the auto store reroutes whole plans, and the
+// (reference_test.go). The planner reorders compiled conjuncts and the
 // column store masks late conjunct evaluation — none of it may ever change a
 // result byte.
 
@@ -205,8 +204,6 @@ func fuzzVariants(tb *dataset.Table) []fuzzVariant {
 	mk("bitmap", NewBitmapStore(tb))
 	mk("column", NewColumnStore(tb))
 	mk("sharded", NewShardedStore(3, tb))
-	mk("auto", NewAutoStore(1, tb))
-	mk("auto3", NewAutoStore(3, tb))
 	return out
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -10,11 +11,11 @@ import (
 	"repro/internal/minisql"
 )
 
-// DB is a queryable storage back-end. The row, bitmap, column and auto
-// stores implement it.
+// DB is a queryable storage back-end. The row, bitmap and column stores
+// implement it.
 type DB interface {
-	// Name identifies the back-end: "rowstore", "bitmapstore", "autostore",
-	// or "columnstore" ("shardedstore" when built by a sharded constructor).
+	// Name identifies the back-end: "rowstore", "bitmapstore", or
+	// "columnstore" ("shardedstore" when built by a sharded constructor).
 	Name() string
 	// Table returns the named base table, or nil.
 	Table(name string) *dataset.Table
@@ -44,8 +45,8 @@ type DB interface {
 }
 
 // Stats is a store's observability snapshot, read in one call by the serving
-// layer. Counters, SkipProvenance, Routes and Pool are store-wide; the rest
-// describe the named table. Fields a store cannot report stay zero or nil.
+// layer. Counters, SkipProvenance and Pool are store-wide; the rest describe
+// the named table. Fields a store cannot report stay zero or nil.
 type Stats struct {
 	Counters
 	// Segments is the table's zone-map segment count (column stores only).
@@ -58,14 +59,33 @@ type Stats struct {
 	// SkipProvenance attributes every zone-map skip to the column and
 	// metadata kind that proved the segment empty (column stores only).
 	SkipProvenance map[SkipAttr]int64
-	// Routes counts prepared plans per routing decision (auto store only).
-	Routes map[string]int64
 	// Ranges is the table's per-range share of the scan work, in segment
 	// order (sharded stores only).
 	Ranges []RangeStats
-	// Pool is the scan pool's saturation (sharded and auto stores only).
+	// Pool is the scan pool's saturation (sharded stores only).
 	Pool *PoolStats
 }
+
+// NewStore builds the back-end a name selects over one in-memory table:
+// "row" (also ""), "bitmap", or "column" — cut into shards segment ranges
+// when shards > 1 — and "auto", a second name for "column". Row and bitmap
+// ignore shards. It is the one place back-end names resolve.
+func NewStore(backend string, shards int, t *dataset.Table) (DB, error) {
+	switch backend {
+	case "", "row":
+		return NewRowStore(t), nil
+	case "bitmap":
+		return NewBitmapStore(t), nil
+	case "column", "auto":
+		return newColumnBackend(shards, []*dataset.Table{t}), nil
+	}
+	return nil, fmt.Errorf("engine: unknown backend %q (want row, bitmap, column, or auto)", backend)
+}
+
+// ColumnBackend reports whether a back-end name selects the column executor
+// — "column", or "auto", which names it too. Only that executor serves a
+// lazily loaded segment source such as a zpack file.
+func ColumnBackend(name string) bool { return name == "column" || name == "auto" }
 
 // RangeStats is one segment range's share of the scan work: its segment
 // count, the Counters semantics restricted to it, and its distinct

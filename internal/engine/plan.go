@@ -32,12 +32,9 @@ type Plan struct {
 	// never reordered — p.sql must not depend on execution strategy.
 	conjs     []minisql.Expr
 	reordered bool
-	// route is the AutoStore routing decision ("eq-dispatch", "scan-agg",
-	// ...) stamped at Prepare time; empty when the plan was prepared against
-	// a concrete store directly. conjInfo carries the planner's per-conjunct
-	// scores in execution order. Both exist purely for observability
-	// (EXPLAIN / trace attrs) and never influence execution.
-	route    string
+	// conjInfo carries the planner's per-conjunct scores in execution order.
+	// It exists purely for observability (EXPLAIN / trace attrs) and never
+	// influences execution.
 	conjInfo []ConjunctInfo
 	cols     []string          // output column names
 	orderCol []int             // per ORDER BY item, its select position
@@ -111,7 +108,6 @@ type ConjunctInfo struct {
 // PlanInfo is the plan's observability summary — what EXPLAIN shows.
 type PlanInfo struct {
 	SQL       string
-	Route     string // AutoStore route decision, "" when routed directly
 	Reordered bool
 	Conjuncts []ConjunctInfo // execution order
 }
@@ -120,7 +116,7 @@ type PlanInfo struct {
 // scored the plan (planning off, or fewer than two conjuncts) the conjuncts
 // are reported in written order with Sel = -1.
 func (p *Plan) Info() PlanInfo {
-	info := PlanInfo{SQL: p.sql, Route: p.route, Reordered: p.reordered}
+	info := PlanInfo{SQL: p.sql, Reordered: p.reordered}
 	if len(p.conjInfo) > 0 {
 		info.Conjuncts = p.conjInfo
 	} else {
@@ -130,10 +126,6 @@ func (p *Plan) Info() PlanInfo {
 	}
 	return info
 }
-
-// Route returns the AutoStore routing decision stamped at Prepare time, or
-// "" when the plan was prepared against a concrete store directly.
-func (p *Plan) Route() string { return p.route }
 
 // Conjuncts returns the plan's top-level WHERE conjuncts in execution order.
 func (p *Plan) Conjuncts() []minisql.Expr { return p.conjs }

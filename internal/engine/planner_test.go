@@ -159,7 +159,7 @@ func TestPlannerSingleSegmentAndEmpty(t *testing.T) {
 		for i := 0; i < rows; i++ {
 			tb.AppendRow(dataset.SV("x"), dataset.FV(float64(i)))
 		}
-		for _, db := range []DB{NewRowStore(tb), NewColumnStore(tb), NewAutoStore(1, tb)} {
+		for _, db := range []DB{NewRowStore(tb), NewColumnStore(tb)} {
 			res, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM t WHERE f >= 1 AND c = 'x'")
 			if err != nil {
 				t.Fatalf("rows=%d %s: %v", rows, db.Name(), err)
@@ -215,91 +215,6 @@ func TestPlannerConstFoldsFirst(t *testing.T) {
 	sel, cost := scoreConjunct(ps, conjs[1])
 	if sel != 0 || cost != costConst {
 		t.Fatalf("dict-miss equality scored (%v, %d), want (0, %d)", sel, cost, costConst)
-	}
-}
-
-// TestAutoStoreRouting pins the decision table route by route.
-func TestAutoStoreRouting(t *testing.T) {
-	big := twoColTable(3)
-	small := dataset.NewTable("s", []dataset.Field{{Name: "f", Kind: dataset.KindFloat}})
-	for i := 0; i < 10; i++ {
-		small.AppendRow(dataset.FV(float64(i)))
-	}
-	as := NewAutoStore(1, big, small)
-	cases := []struct {
-		sql   string
-		route string
-	}{
-		{"SELECT COUNT(*) AS n FROM s", "tiny"},
-		{"SELECT SUM(f) AS s FROM p", "scan-agg"},
-		{"SELECT COUNT(*) AS n FROM p WHERE c = 'a'", "eq-dispatch"},
-		{"SELECT COUNT(*) AS n FROM p WHERE f < 100 AND c = 'a'", "selective-range"},
-		{"SELECT COUNT(*) AS n FROM p WHERE f LIKE '%1%'", "no-zones"},
-		{"SELECT COUNT(*) AS n FROM p WHERE f > 1 AND c != 'a'", "default"},
-	}
-	for _, tc := range cases {
-		before := as.Stats("p").Routes[tc.route]
-		res, err := as.ExecuteSQL(tc.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.sql, err)
-		}
-		if res == nil || res.Len() == 0 {
-			t.Fatalf("%s: empty result", tc.sql)
-		}
-		if got := as.Stats("p").Routes[tc.route]; got != before+1 {
-			t.Fatalf("%s: route %q count %d -> %d, want +1 (all routes: %v)",
-				tc.sql, tc.route, before, got, as.Stats("p").Routes)
-		}
-	}
-	if n := len(SortedRoutes(as.Stats("p").Routes)); n != len(cases) {
-		t.Fatalf("%d distinct routes, want %d", n, len(cases))
-	}
-}
-
-// TestAutoStoreBatchSplitsAcrossSubStores: a batch holding plans routed to
-// both halves executes each on its own store and realigns results.
-func TestAutoStoreBatchSplitsAcrossSubStores(t *testing.T) {
-	big := twoColTable(3)
-	small := dataset.NewTable("s", []dataset.Field{{Name: "f", Kind: dataset.KindFloat}})
-	for i := 0; i < 10; i++ {
-		small.AppendRow(dataset.FV(float64(i)))
-	}
-	as := NewAutoStore(3, big, small)
-	sqls := []string{
-		"SELECT COUNT(*) AS n FROM s",               // row half
-		"SELECT COUNT(*) AS n FROM p",               // column half
-		"SELECT COUNT(*) AS n FROM s WHERE f < 5",   // row half
-		"SELECT COUNT(*) AS n FROM p WHERE f < 100", // column half
-	}
-	plans := make([]*Plan, len(sqls))
-	for i, sql := range sqls {
-		q, err := minisql.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plans[i], err = as.Prepare(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results, err := as.ExecuteBatch(nil, plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{10, 3 * SegmentSize, 5, 100}
-	for i, res := range results {
-		if got := res.Value(0, 0).Int(); got != want[i] {
-			t.Fatalf("batch[%d] (%s) = %d, want %d", i, sqls[i], got, want[i])
-		}
-	}
-	// A foreign plan is rejected, not silently misrouted.
-	other := NewRowStore(twoColTable(1))
-	q, _ := minisql.Parse("SELECT COUNT(*) AS n FROM p")
-	fp, err := other.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := as.ExecuteBatch(nil, []*Plan{fp}); err == nil {
-		t.Fatal("foreign plan must be rejected")
 	}
 }
 

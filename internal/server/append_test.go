@@ -63,6 +63,32 @@ func TestZpackBackendMatchesSession(t *testing.T) {
 	}
 }
 
+// TestAddZpackBackendNames: a zpack dataset runs on the column executor, so
+// "column" and its other name "auto" register it and "row"/"bitmap" are
+// refused before the file is opened.
+func TestAddZpackBackendNames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sales.zpack")
+	if err := zpack.Build(path, testTable()); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	for _, backend := range []string{"", "column", "auto"} {
+		d, err := reg.AddZpack("sales_"+backend, path, Config{Backend: backend})
+		if err != nil {
+			t.Fatalf("AddZpack(%q): %v", backend, err)
+		}
+		if d.Backend() != "column" || !d.Appendable() {
+			t.Errorf("AddZpack(%q) = backend %q appendable %v", backend, d.Backend(), d.Appendable())
+		}
+	}
+	for _, backend := range []string{"row", "bitmap"} {
+		_, err := reg.AddZpack("sales_"+backend, path, Config{Backend: backend})
+		if want := fmt.Sprintf("server: zpack datasets require the column backend, not %q", backend); err == nil || err.Error() != want {
+			t.Errorf("AddZpack(%q) = %v, want %q", backend, err, want)
+		}
+	}
+}
+
 // salesRow builds one wire-format row for the 10-column sales schema
 // (product, category, city, country, year, month, size, weight, profit,
 // revenue).

@@ -23,7 +23,7 @@ import (
 // The counted-work ledger (ROADMAP 5(d)): a fixed script of /spec and /query
 // requests, served cold then warm over one seeded fixture in three setups,
 // with every counted quantity pinned — /stats engine counters, skip
-// provenance, planner and routes, per-shard totals, pool capacity, cache
+// provenance, planner counters, per-shard totals, pool capacity, cache
 // hits/misses/evictions — and the sha256 of every response body with its two
 // wall-clock fields blanked. Wall clock cannot be gated on a shared box;
 // counted work on an identical request sequence can. A change that moves a
@@ -133,7 +133,8 @@ NAME | X      | Y        | Z              | CONSTRAINTS           | VIZ         
 f1   | 'year' | 'profit' | v1 <- 'city'.* | product LIKE 'product0%' | bar.(y=agg('avg')) | v2 <- argany(v1)[t>0] T(f1)
 *f2  | 'year' | 'profit' | v2             |                       | bar.(y=agg('avg')) |`)
 	// The same scripts below the strongest batching level: one SQL statement
-	// per slice, which is what routes through eq-dispatch.
+	// per slice, a single categorical equality the column store runs as one
+	// code-routed pass.
 	out = append(out,
 		ledgerReq{"/query", QueryRequest{Dataset: "sales", ZQL: risingQuery, Opt: "noopt"}},
 		ledgerReq{"/query", QueryRequest{Dataset: "sales", ZQL: risingQuery, Opt: "intraline"}},

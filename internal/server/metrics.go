@@ -201,16 +201,6 @@ func newMetrics(reg *Registry) *metrics {
 				emit(float64(s.Planner.PlansReordered))
 			}
 		})
-	perDataset("zen_plan_route_total",
-		"Prepared plans per auto-backend routing decision.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Planner == nil {
-				return
-			}
-			for _, e := range s.Planner.Routes {
-				emit(float64(e.Count), obsv.Label{Key: "route", Value: e.Route})
-			}
-		})
 	perDataset("zen_compactions_total",
 		"Successful background/manual compactions (zpack datasets).", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {

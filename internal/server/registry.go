@@ -46,8 +46,7 @@ const DefaultMaxQueue = 256
 // Config tunes one registered dataset.
 type Config struct {
 	// Backend selects the store: "row" (default), "bitmap", "column", or
-	// "auto" (routes each prepared plan to a row or column sub-store by query
-	// shape; docs/ARCHITECTURE.md, "The conjunct planner and auto routing").
+	// "auto", a second name for "column" (engine.NewStore resolves them).
 	Backend string
 	// Opt names the default ZQL batching level for requests that do not
 	// carry one: "noopt", "intraline", "intratask", or "intertask"
@@ -71,10 +70,6 @@ type Config struct {
 	// Parallelism bounds the store's scan workers per batch (<= 0 =
 	// GOMAXPROCS). Applied once at registration; never per request.
 	Parallelism int
-	// NoPlanner pins WHERE conjuncts to their written order instead of the
-	// greedy cheapest-first reorder the planner applies at Prepare time.
-	// Results are identical either way; this is the A/B baseline knob.
-	NoPlanner bool
 	// Shards splits a column or zpack dataset into N contiguous segment
 	// shards whose scans scatter across the worker pool and merge at a
 	// gather point, results unchanged (docs/ARCHITECTURE.md, "Sharded
@@ -231,11 +226,10 @@ type DatasetStats struct {
 	// column backend produces attributions.
 	SkipProvenance []SkipProvEntry `json:"skipProvenance,omitempty"`
 	// Planner reports the conjunct planner's activity: plans that went
-	// through scoring, plans whose conjunct order actually changed, and — on
-	// the auto backend only — how prepared plans routed across sub-stores.
+	// through scoring and plans whose conjunct order actually changed.
 	Planner *PlannerStats `json:"planner,omitempty"`
-	// Pool is present only on sharded (and auto) datasets: the scatter
-	// pool's in-flight shard scans against its capacity.
+	// Pool is present only on sharded datasets: the scatter pool's
+	// in-flight shard scans against its capacity.
 	Pool *engine.PoolStats `json:"pool,omitempty"`
 	// Shards is present only on sharded datasets: each shard's share of the
 	// scan work, in shard order. The store-wide counters above are the sums.
@@ -287,15 +281,6 @@ type PlannerStats struct {
 	// PlansReordered the subset whose evaluation order actually changed.
 	PlansPlanned   int64 `json:"plansPlanned"`
 	PlansReordered int64 `json:"plansReordered"`
-	// Routes is present only on the auto backend: plans routed per decision,
-	// highest count first.
-	Routes []RouteEntry `json:"routes,omitempty"`
-}
-
-// RouteEntry is one auto-backend routing bucket.
-type RouteEntry struct {
-	Route string `json:"route"`
-	Count int64  `json:"count"`
 }
 
 // ProcessTotals aggregates process-phase work over every query the dataset
@@ -334,10 +319,6 @@ func skipProvenance(m map[engine.SkipAttr]int64) []SkipProvEntry {
 // Stats snapshots the dataset's counters.
 func (d *Dataset) Stats() DatasetStats {
 	st := d.store.Stats(d.table.Name)
-	planner := &PlannerStats{PlansPlanned: st.PlansPlanned, PlansReordered: st.PlansReordered}
-	for _, route := range engine.SortedRoutes(st.Routes) {
-		planner.Routes = append(planner.Routes, RouteEntry{Route: route, Count: st.Routes[route]})
-	}
 	var compaction *CompactionStats
 	if d.packPath != "" {
 		compaction = &CompactionStats{
@@ -368,7 +349,7 @@ func (d *Dataset) Stats() DatasetStats {
 		Cache:           d.cache.Stats(),
 		Coalesce:        d.bat.stats(),
 		SkipProvenance:  skipProvenance(st.SkipProvenance),
-		Planner:         planner,
+		Planner:         &PlannerStats{PlansPlanned: st.PlansPlanned, PlansReordered: st.PlansReordered},
 		Pool:            st.Pool,
 		Process: ProcessTotals{
 			Tuples:        d.ctr.procTuples.Load(),
@@ -435,24 +416,13 @@ func (r *Registry) AddTable(t *dataset.Table, cfg Config) (*Dataset, error) {
 	if exists {
 		return nil, fmt.Errorf("server: dataset %q already registered", t.Name)
 	}
-	var store engine.DB
+	store, err := engine.NewStore(cfg.Backend, cfg.Shards, t)
+	if err != nil {
+		return nil, err
+	}
 	backend := cfg.Backend
-	switch backend {
-	case "", "row":
+	if backend == "" {
 		backend = "row"
-		store = engine.NewRowStore(t)
-	case "bitmap":
-		store = engine.NewBitmapStore(t)
-	case "column":
-		if cfg.Shards > 1 {
-			store = engine.NewShardedStore(cfg.Shards, t)
-		} else {
-			store = engine.NewColumnStore(t)
-		}
-	case "auto":
-		store = engine.NewAutoStore(cfg.Shards, t)
-	default:
-		return nil, fmt.Errorf("server: unknown backend %q (want row, bitmap, column, or auto)", cfg.Backend)
 	}
 	d, err := newDataset(t, store, backend, cfg)
 	if err != nil {
@@ -465,13 +435,14 @@ func (r *Registry) AddTable(t *dataset.Table, cfg Config) (*Dataset, error) {
 // footer is read, the table opens lazily, and the store is the column
 // back-end over the reader's segment source — warm start, no CSV parse, no
 // data deserialized until queries touch it. The file also opens for append,
-// backing POST /datasets/{name}/append. cfg.Backend must be empty or
-// "column"; zone-map-driven lazy loading only exists there.
+// backing POST /datasets/{name}/append. cfg.Backend must be empty, "column"
+// or "auto" (engine.ColumnBackend); zone-map-driven lazy loading only exists
+// there.
 func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: dataset needs a name")
 	}
-	if cfg.Backend != "" && cfg.Backend != "column" {
+	if cfg.Backend != "" && !engine.ColumnBackend(cfg.Backend) {
 		return nil, fmt.Errorf("server: zpack datasets require the column backend, not %q", cfg.Backend)
 	}
 	cfg.Backend = "column"
@@ -514,9 +485,6 @@ func zpackStore(r *zpack.Reader, cfg Config) engine.DB {
 func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config) (*Dataset, error) {
 	if cfg.Parallelism > 0 {
 		store.(engine.Parallel).SetParallelism(cfg.Parallelism)
-	}
-	if cfg.NoPlanner {
-		store.(engine.Planner).SetPlanning(false)
 	}
 	opt := zexec.InterTask
 	if cfg.Opt != "" {

@@ -222,7 +222,7 @@ type QueryRequest struct {
 	Inputs  map[string][]float64 `json:"inputs,omitempty"`
 	Opt     string               `json:"opt,omitempty"`
 	// Explain selects EXPLAIN mode: "plan" prepares everything (canonical
-	// SQL, conjunct order, route) but executes nothing and returns the span
+	// SQL, conjunct order) but executes nothing and returns the span
 	// tree with an empty result; "analyze" executes normally and returns the
 	// span tree alongside the result. Empty means a normal query.
 	Explain string `json:"explain,omitempty"`

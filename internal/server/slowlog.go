@@ -16,9 +16,9 @@ const DefaultSlowQueryThreshold = 200 * time.Millisecond
 const DefaultSlowLogKeep = 64
 
 // SlowEntry is one captured slow request: identity (request + trace IDs, the
-// join keys against access-log lines), what ran (canonical SQL and the
-// auto-router's decision, lifted from the span tree's plan spans), and the
-// full span tree for stage-level drill-down.
+// join keys against access-log lines), what ran (canonical SQL, lifted from
+// the span tree's plan spans), and the full span tree for stage-level
+// drill-down.
 type SlowEntry struct {
 	Time       string      `json:"time"`
 	RequestID  string      `json:"requestId"`
@@ -27,7 +27,6 @@ type SlowEntry struct {
 	Status     int         `json:"status"`
 	DurationMs float64     `json:"durationMs"`
 	SQL        []string    `json:"sql,omitempty"`
-	Route      string      `json:"route,omitempty"`
 	Trace      *trace.Tree `json:"trace"`
 }
 
@@ -78,8 +77,7 @@ func (l *slowLog) snapshot() []SlowEntry {
 }
 
 // slowEntryFrom assembles a slow-log entry from a finished request's span
-// tree, lifting each plan span's canonical SQL (bounded) and the first route
-// decision seen.
+// tree, lifting each plan span's canonical SQL (bounded).
 func slowEntryFrom(tree *trace.Tree, path string, status int, start time.Time, elapsed time.Duration) SlowEntry {
 	e := SlowEntry{
 		Time:       start.UTC().Format(time.RFC3339Nano),
@@ -97,9 +95,6 @@ func slowEntryFrom(tree *trace.Tree, path string, status int, start time.Time, e
 		}
 		if sql, ok := n.Attrs["sql"].(string); ok && len(e.SQL) < maxSQL {
 			e.SQL = append(e.SQL, sql)
-		}
-		if route, ok := n.Attrs["route"].(string); ok && e.Route == "" {
-			e.Route = route
 		}
 	})
 	return e

@@ -45,7 +45,7 @@ func collectNodes(tree *trace.Tree, name string) []*trace.Node {
 
 // TestExplainAnalyze runs a process-bearing query on a sharded auto dataset
 // and asserts the span tree carries what EXPLAIN ANALYZE promises: planner
-// attrs (conjunct order, route), per-shard scan spans, and process kernel
+// attrs (conjunct order), per-shard scan spans, and process kernel
 // counts — alongside the normal result payload.
 func TestExplainAnalyze(t *testing.T) {
 	reg := NewRegistry()
@@ -78,20 +78,14 @@ f1   | 'year' | 'revenue' | v1 <- 'product'.* | city='C1'   | v2 <- argmax(v1)[k
 	if len(plans) == 0 {
 		t.Fatal("no plan spans")
 	}
-	sawRoute, sawConjuncts := false, false
+	sawConjuncts := false
 	for _, p := range plans {
 		if _, ok := p.Attrs["sql"].(string); !ok {
 			t.Errorf("plan span without sql attr: %v", p.Attrs)
 		}
-		if r, ok := p.Attrs["route"].(string); ok && r != "" {
-			sawRoute = true
-		}
 		if c, ok := p.Attrs["conjuncts"].(string); ok && strings.Contains(c, "city = 'C1'") {
 			sawConjuncts = true
 		}
-	}
-	if !sawRoute {
-		t.Error("no plan span carries the auto-router's route decision")
 	}
 	if !sawConjuncts {
 		t.Error("no plan span lists the conjunct evaluation order")
@@ -231,9 +225,6 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if len(e.SQL) == 0 || !strings.Contains(e.SQL[0], "SELECT") {
 		t.Errorf("entry sql = %v, want canonical SELECTs", e.SQL)
-	}
-	if e.Route == "" {
-		t.Error("entry route empty on an auto dataset")
 	}
 	if e.Trace == nil || e.Trace.Root == nil {
 		t.Error("entry has no span tree")

@@ -401,9 +401,9 @@ func (ex *executor) executeBatch(jobs []*queryJob) error {
 	return nil
 }
 
-// annotatePlanSpan records one prepared plan's audit trail — canonical SQL,
-// the auto-router's decision, and the greedy planner's chosen conjunct order
-// with the scores that ordered it — as a "plan" child span.
+// annotatePlanSpan records one prepared plan's audit trail — canonical SQL
+// and the greedy planner's chosen conjunct order with the scores that
+// ordered it — as a "plan" child span.
 func annotatePlanSpan(prep *trace.Span, p *engine.Plan) {
 	if prep == nil {
 		return
@@ -411,9 +411,6 @@ func annotatePlanSpan(prep *trace.Span, p *engine.Plan) {
 	info := p.Info()
 	sp := prep.StartChild("plan")
 	sp.SetStr("sql", info.SQL)
-	if info.Route != "" {
-		sp.SetStr("route", info.Route)
-	}
 	sp.SetBool("reordered", info.Reordered)
 	if len(info.Conjuncts) > 0 {
 		var b strings.Builder

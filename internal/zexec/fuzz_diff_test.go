@@ -65,8 +65,6 @@ func TestDifferentialZQLBounded(t *testing.T) {
 		{"bitmap", engine.NewBitmapStore(tbl)},
 		{"column", engine.NewColumnStore(tbl)},
 		{"sharded3", engine.NewShardedStore(3, tbl)},
-		{"auto", engine.NewAutoStore(1, tbl)},
-		{"auto3", engine.NewAutoStore(3, tbl)},
 	}
 	oracle := engine.NewRowStore(tbl)
 	oracle.SetPlanning(false)

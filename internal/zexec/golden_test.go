@@ -273,11 +273,11 @@ func TestGoldenCorpus(t *testing.T) {
 				// level.
 				"column-shard3": engine.NewShardedStoreAt(engine.NewMemSource(tbl), unevenCuts(engine.NewMemSource(tbl).NumSegments())...),
 				"zpack-shard3":  engine.NewShardedStoreAt(pack, unevenCuts(pack.NumSegments())...),
-				// backend=auto routes each prepared plan to a row or column
-				// sub-store by query shape; whichever way a script's queries
-				// route, the rendered bytes must not move.
-				"auto":        engine.NewAutoStore(1, tbl),
-				"auto-shard3": engine.NewAutoStore(3, tbl),
+				// The served name "auto" through the one name resolver, at one
+				// and three (balanced) shards: the column executor, so the
+				// rendered bytes must not move.
+				"auto":        mustStore(t, "auto", 1, tbl),
+				"auto-shard3": mustStore(t, "auto", 3, tbl),
 			}
 			for _, backend := range []string{"row", "bitmap", "column", "zpack", "zpack-compacted", "column-shard3", "zpack-shard3", "auto", "auto-shard3"} {
 				db := backends[backend]
@@ -307,6 +307,16 @@ func TestGoldenCorpus(t *testing.T) {
 // gather's identity-merge must handle.
 func unevenCuts(nseg int) []int {
 	return []int{nseg / 4, nseg / 2}
+}
+
+// mustStore builds the store a back-end name selects (engine.NewStore).
+func mustStore(t *testing.T, backend string, shards int, tbl *dataset.Table) engine.DB {
+	t.Helper()
+	db, err := engine.NewStore(backend, shards, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // clip keeps failure output readable for big results.

@@ -99,9 +99,11 @@ func decodeFooter(b []byte) (*footer, error) {
 		intVals: make(map[string][]int64),
 		zones:   make(map[string]*engine.ZoneData),
 	}
+	// Every count below sizes an allocation, so each is checked against the
+	// bytes left to decode it from before anything is made.
 	f.name = r.str()
 	ncols := int(r.u32())
-	if r.err != nil || ncols > 1<<20 {
+	if r.err != nil || ncols > r.left()/5 { // a field is at least a length and a kind
 		return nil, fmt.Errorf("zpack: corrupt footer: implausible column count %d", ncols)
 	}
 	f.fields = make([]dataset.Field, ncols)
@@ -113,7 +115,7 @@ func decodeFooter(b []byte) (*footer, error) {
 	}
 	f.nrows = r.i64()
 	nseg := int(r.u32())
-	if r.err != nil || f.nrows < 0 || nseg < 0 || nseg > 1<<28 ||
+	if r.err != nil || f.nrows < 0 || nseg > r.left()/(4+20*ncols) ||
 		int64(nseg) != (f.nrows+engine.SegmentSize-1)/engine.SegmentSize {
 		return nil, fmt.Errorf("zpack: corrupt footer: %d segments inconsistent with %d rows", nseg, f.nrows)
 	}
@@ -141,7 +143,7 @@ func decodeFooter(b []byte) (*footer, error) {
 		switch fd.Kind {
 		case dataset.KindString:
 			n := int(r.u32())
-			if r.err != nil || n > 1<<28 {
+			if r.err != nil || n > r.left()/4 {
 				r.fail()
 				break
 			}
@@ -173,6 +175,9 @@ func decodeFooter(b []byte) (*footer, error) {
 			if wantWords := (len(f.dicts[fd.Name]) + 63) / 64; r.err == nil &&
 				(z.Words < 1 || (wantWords > 0 && z.Words < wantWords)) {
 				return nil, fmt.Errorf("zpack: corrupt footer: column %q zone words %d below dictionary need", fd.Name, z.Words)
+			}
+			if nseg > 0 && z.Words > r.left()/(8*nseg) {
+				r.fail()
 			}
 			if r.err == nil {
 				z.Present = make([]uint64, nseg*z.Words)

@@ -82,6 +82,9 @@ func (r *binReader) fail() {
 	}
 }
 
+// left returns the bytes not yet decoded.
+func (r *binReader) left() int { return len(r.b) - r.off }
+
 func (r *binReader) u8() uint8 {
 	if r.err != nil || r.off+1 > len(r.b) {
 		r.fail()

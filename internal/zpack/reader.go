@@ -332,7 +332,7 @@ func readFooter(f *os.File) (*footer, int64, error) {
 	footOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
 	footLen := int64(binary.LittleEndian.Uint64(tr[8:16]))
 	footCRC := binary.LittleEndian.Uint32(tr[16:20])
-	if footOff < headerSize || footLen < 0 || footOff+footLen > size-trailerSize {
+	if footOff < headerSize || footOff > size-trailerSize || footLen < 0 || footLen > size-trailerSize-footOff {
 		return nil, 0, fmt.Errorf("zpack: %s: trailer points outside the file (footer at %d+%d of %d)", f.Name(), footOff, footLen, size)
 	}
 	payload := make([]byte, footLen)
@@ -346,9 +346,19 @@ func readFooter(f *os.File) (*footer, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// The file holds a block of rows × width bytes per (segment, column), no
+	// two overlapping: a row count it cannot hold is corruption, caught here
+	// before it sizes the table.
+	var width int64
+	for _, fd := range foot.fields {
+		width += int64(blockWidth(fd.Kind))
+	}
+	if width > 0 && foot.nrows > (size-headerSize-trailerSize)/width {
+		return nil, 0, fmt.Errorf("zpack: %s: footer claims %d rows, more than the file holds", f.Name(), foot.nrows)
+	}
 	for i, s := range foot.segs {
 		for j, b := range s.blocks {
-			if b.off < headerSize || b.len < 0 || b.off+b.len > size-trailerSize {
+			if b.off < headerSize || b.off > size-trailerSize || b.len < 0 || b.len > size-trailerSize-b.off {
 				return nil, 0, fmt.Errorf("zpack: %s: segment %d column %d block outside the file", f.Name(), i, j)
 			}
 		}
