@@ -128,6 +128,8 @@ func main() {
 	}
 	// Every dataset is loaded; /readyz may pass from here on.
 	reg.SetReady(true)
+	pacer := server.StartGCPacer(reg)
+	defer pacer.Stop()
 
 	if *compactEvery > 0 {
 		var cols []string

@@ -1,26 +1,36 @@
 package server
 
 import (
+	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
+	"sync"
 
 	"repro/internal/obsv"
 	"repro/internal/trace"
 )
 
 // metrics is the server's Prometheus-format instrumentation (GET /metrics),
-// built on the dependency-free internal/obsv library. Two kinds of series
+// built on the dependency-free internal/obsv library. Three kinds of series
 // coexist:
 //
 //   - request-path instruments (the http vec, the latency histogram) updated
 //     inline as requests are served;
 //   - scrape-time collectors that read the per-dataset counters the serving
 //     stack already keeps (store counters, cache stats, coalescer stats, skip
-//     provenance), so /metrics and /stats can never disagree.
+//     provenance), so /metrics and /stats can never disagree;
+//   - the Go runtime's own collector figures (zen_go_*), read from
+//     runtime/metrics once per scrape.
 //
 // Every series carries the zen_ prefix; per-dataset series carry a dataset
 // label, so one scrape covers the whole registry.
 type metrics struct {
 	obsv *obsv.Registry
+
+	// scrape serializes renders, so every zen_go_ series of one render comes
+	// from the one runtime/metrics read into rt that the render starts with.
+	scrape sync.Mutex
+	rt     []rtmetrics.Sample
 
 	// requests counts finished HTTP requests by endpoint and status code.
 	requests *obsv.CounterVec
@@ -253,7 +263,32 @@ func newMetrics(reg *Registry) *metrics {
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.Process.DistAbandoned))
 		})
+	for i, g := range []struct{ name, help, typ, sample string }{
+		{"zen_go_gc_percent", "GC percent in force (GOGC as the pacer sets it; -1 = off).", "gauge", "/gc/gogc:percent"},
+		{"zen_go_heap_live_bytes", "Heap bytes the last GC cycle marked live.", "gauge", "/gc/heap/live:bytes"},
+		{"zen_go_gc_cycles_total", "Completed GC cycles.", "counter", "/gc/cycles/total:gc-cycles"},
+		{"zen_go_gc_cpu_seconds_total", "CPU seconds the collector has spent.", "counter", "/cpu/classes/gc/total:cpu-seconds"},
+	} {
+		m.rt = append(m.rt, rtmetrics.Sample{Name: g.sample})
+		o.NewCollector(g.name, g.help, g.typ, func(emit func(obsv.Sample)) {
+			switch v := m.rt[i].Value; v.Kind() {
+			case rtmetrics.KindUint64:
+				// Signed: the GC percent reads as the runtime's int32, -1 when off.
+				emit(obsv.Sample{Value: float64(int64(v.Uint64()))})
+			case rtmetrics.KindFloat64:
+				emit(obsv.Sample{Value: v.Float64()})
+			}
+		})
+	}
 	return m
+}
+
+// ServeHTTP renders the exposition after reading the runtime's figures.
+func (m *metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	m.scrape.Lock()
+	defer m.scrape.Unlock()
+	rtmetrics.Read(m.rt)
+	m.obsv.ServeHTTP(w, r)
 }
 
 // observeRequest records one finished HTTP request.

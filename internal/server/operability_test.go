@@ -392,6 +392,7 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	ts, reg := newTestServer(t, Config{})
 	reg.SetReady(true)
 	postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: pointQuery})
+	runtime.GC()
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -459,6 +460,14 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	assertAtLeast(`zen_queue_depth{dataset="sales"}`, 0)
 	assertAtLeast(`zen_requests_shed_total{dataset="sales"}`, 0)
 	assertAtLeast(`zen_coalesce_submissions_total{dataset="sales"}`, 1)
+	// The runtime's figures: the test collected before scraping, and no
+	// pacer runs here, so the percent is the process's own GOGC.
+	assertAtLeast(`zen_go_heap_live_bytes`, 1)
+	assertAtLeast(`zen_go_gc_cycles_total`, 1)
+	assertAtLeast(`zen_go_gc_cpu_seconds_total`, 0)
+	if got, want := values[`zen_go_gc_percent`], float64(runtimeInt("/gc/gogc:percent")); got != want {
+		t.Errorf("zen_go_gc_percent = %v, want %v", got, want)
+	}
 }
 
 // opPlan prepares the single SQL used by the direct batcher tests.

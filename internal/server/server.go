@@ -101,7 +101,7 @@ func New(reg *Registry, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /datasets", s.handleDatasets)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
-	s.mux.Handle("GET /metrics", s.metrics.obsv)
+	s.mux.Handle("GET /metrics", s.metrics)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "ok %s\n", Version())
