@@ -370,7 +370,7 @@ func runCompactionSweep(rep *perfReport, zvals []string) error {
 	if err != nil {
 		return err
 	}
-	if err := w.AppendTable(workload.GroupSweep(tailRows, zCard, xCard, 12), nil); err != nil {
+	if err := w.AppendTable(workload.GroupSweep(tailRows, zCard, xCard, 12)); err != nil {
 		return err
 	}
 	if err := w.Close(); err != nil {

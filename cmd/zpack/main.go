@@ -17,6 +17,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/compact"
@@ -103,7 +104,7 @@ func cmdAppend(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := w.AppendTable(t, nil); err != nil {
+	if err := w.AppendTable(t); err != nil {
 		log.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -147,13 +148,22 @@ func cmdInspect(args []string) {
 		log.Fatal(err)
 	}
 	t := r.Table()
-	fmt.Printf("%s: zpack v%d, %d bytes\n", args[0], zpack.Version, st.Size())
+	fmt.Printf("%s: zpack v%d, %d bytes\n", args[0], r.Version(), st.Size())
 	fmt.Printf("dataset %q: %d rows, %d segments\n", r.Name(), r.Rows(), r.NumSegments())
 	fmt.Println("columns:")
-	for _, c := range t.Columns() {
+	for j, c := range t.Columns() {
 		extra := ""
 		if c.Coded() {
 			extra = fmt.Sprintf(" (dict %d)", c.Cardinality())
+		}
+		var encs []string
+		for s := 0; s < r.NumSegments(); s++ {
+			if enc := r.Encoding(s, j); !slices.Contains(encs, enc) {
+				encs = append(encs, enc)
+			}
+		}
+		if len(encs) > 0 {
+			extra += " blocks " + strings.Join(encs, ",")
 		}
 		fmt.Printf("  %-20s %s%s\n", c.Field.Name, c.Field.Kind, extra)
 	}

@@ -8,10 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/workload"
 	"repro/internal/zpack"
 )
@@ -242,17 +245,42 @@ func refFile(t *testing.T, src, dst string, cols []string) {
 	}
 }
 
-// TestFileWritesTheBytesTheRowPathWrote: the compacted generation is byte
-// for byte the file the row-at-a-time rewrite produced, for one, two and
-// three cluster columns, over a file with a shuffled appended tail.
-func TestFileWritesTheBytesTheRowPathWrote(t *testing.T) {
-	sum := func(path string) string {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%x", sha256.Sum256(b))
+// loaded opens a zpack file and loads every segment.
+func loaded(t *testing.T, path string) *zpack.Reader {
+	t.Helper()
+	r, err := zpack.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { r.Close() })
+	if err := r.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// presentValues lists, per segment, the values a categorical zone map says
+// occur — what the map means, whatever codes the file's dictionary gives them.
+func presentValues(z *engine.ZoneData, dict []string, nseg int) [][]string {
+	out := make([][]string, nseg)
+	for s := range out {
+		for code, v := range dict {
+			if z.Present[s*z.Words+code/64]&(1<<(code%64)) != 0 {
+				out[s] = append(out[s], v)
+			}
+		}
+		sort.Strings(out[s])
+	}
+	return out
+}
+
+// TestFileHoldsTheRowPathsRowsAndZones: the compacted generation — gathered
+// whole columns, written in bulk under the source's dictionaries — holds the
+// rows the row-at-a-time rewrite wrote, in the same order, with the same zone
+// maps (categorical ones compared by the values they mark present, since the
+// two files number their dictionaries differently), for one, two and three
+// cluster columns, over a file with a shuffled appended tail.
+func TestFileHoldsTheRowPathsRowsAndZones(t *testing.T) {
 	for _, cols := range [][]string{{"z"}, {"z", "x"}, {"p1", "y", "z"}} {
 		dir := t.TempDir()
 		path, ref := filepath.Join(dir, "sweep.zpack"), filepath.Join(dir, "ref.zpack")
@@ -264,8 +292,103 @@ func TestFileWritesTheBytesTheRowPathWrote(t *testing.T) {
 		if _, err := File(path, Options{Cols: cols}); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := sum(path), sum(ref); got != want {
-			t.Errorf("cols %v: compacted file %s, row-path reference %s", cols, got, want)
+		got, want := loaded(t, path), loaded(t, ref)
+		if got.Rows() != want.Rows() || got.NumSegments() != want.NumSegments() {
+			t.Fatalf("cols %v: %d rows in %d segments, reference %d in %d", cols, got.Rows(), got.NumSegments(), want.Rows(), want.NumSegments())
+		}
+		for j, wc := range want.Table().Columns() {
+			gc, name := got.Table().Columns()[j], wc.Field.Name
+			for i := 0; i < want.Rows(); i++ {
+				if g, w := gc.Value(i), wc.Value(i); g.S != w.S || g.I != w.I || math.Float64bits(g.F) != math.Float64bits(w.F) {
+					t.Fatalf("cols %v: column %s row %d: %v, reference %v", cols, name, i, g, w)
+				}
+			}
+			gz, wz := got.Zone(name), want.Zone(name)
+			if wc.Field.Kind == dataset.KindString {
+				if g, w := presentValues(gz, gc.Dict(), got.NumSegments()), presentValues(wz, wc.Dict(), want.NumSegments()); !reflect.DeepEqual(g, w) {
+					t.Fatalf("cols %v: column %s: segments hold %v, reference %v", cols, name, g, w)
+				}
+			} else if !reflect.DeepEqual(gz, wz) {
+				t.Fatalf("cols %v: column %s: zone maps differ", cols, name)
+			}
 		}
 	}
+}
+
+// TestFileIsTheSameAtEveryGOMAXPROCS: the column gathers, zone maps and
+// checksums run a column per goroutine; the generation they write must not
+// depend on how many run at once.
+func TestFileIsTheSameAtEveryGOMAXPROCS(t *testing.T) {
+	src := buildSweep(t)
+	appendShuffled(t, src, 9000)
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var sums []string
+	for _, procs := range []int{1, 2, 4} {
+		path := filepath.Join(t.TempDir(), "sweep.zpack")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GOMAXPROCS(procs)
+		if _, err := File(path, Options{Cols: []string{"z", "x"}}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, fmt.Sprintf("%x", sha256.Sum256(b)))
+	}
+	if sums[0] != sums[1] || sums[0] != sums[2] {
+		t.Fatalf("GOMAXPROCS 1, 2, 4 compacted to %v", sums)
+	}
+}
+
+// TestFileUpgradesV1: compacting the committed v1 fixture writes the current
+// version, which holds the same rows, verifies, takes appends, and answers
+// as the v1 file did.
+func TestFileUpgradesV1(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "zpack", "testdata", "fixture_v1.zpack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fixture.zpack")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := rowMultiset(t, path)
+	v1 := loaded(t, path)
+	if _, err := File(path, Options{Cols: []string{"year", "region"}}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := loaded(t, path)
+	if v1.Version() != 1 || v2.Version() != zpack.Version {
+		t.Fatalf("versions %d -> %d, want 1 -> %d", v1.Version(), v2.Version(), zpack.Version)
+	}
+	if err := v2.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if !equalMultiset(before, rowMultiset(t, path)) {
+		t.Fatal("the upgrade changed the rows")
+	}
+	sql := "SELECT region, year, SUM(revenue) AS s, COUNT(*) AS n FROM fixture GROUP BY region, year ORDER BY region, year"
+	a, err := engine.NewColumnStoreFromSource(v1).ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.NewColumnStoreFromSource(v2).ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(a.Rows()) != fmt.Sprint(b.Rows()) || a.Len() == 0 {
+		t.Fatalf("v1 answers %v, upgraded %v", a.Rows(), b.Rows())
+	}
+	w, err := zpack.OpenAppend(path)
+	if err != nil {
+		t.Fatalf("the upgraded file refuses appends: %v", err)
+	}
+	w.Discard()
 }

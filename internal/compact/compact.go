@@ -82,7 +82,10 @@ type Result struct {
 }
 
 // File rewrites the zpack file at path re-clustered on the chosen columns and
-// atomically replaces it. The commit protocol, in Stage order:
+// atomically replaces it, in the current format version. Every column is
+// gathered whole through Order's permutation (a second copy of the table while
+// File runs) and written by zpack's bulk AppendTable. The commit protocol, in
+// Stage order:
 //
 //  1. rows are sorted and written to <path>.compact.tmp (any stale temp from
 //     a crashed predecessor is removed first);
@@ -144,7 +147,7 @@ func File(path string, opts Options) (Result, error) {
 		w.Discard()
 		return Result{}, fmt.Errorf("compact: %s: aborted at %s: %w", path, StageTempCreated, err)
 	}
-	if err := w.AppendTable(t, ord); err != nil {
+	if err := w.AppendTable(t.Gather(ord)); err != nil {
 		w.Discard()
 		os.Remove(tmp)
 		return Result{}, err

@@ -32,7 +32,7 @@ func appendShuffled(t *testing.T, path string, rows int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendTable(workload.GroupSweep(rows, 16, 8, 99), nil); err != nil {
+	if err := w.AppendTable(workload.GroupSweep(rows, 16, 8, 99)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -284,10 +284,11 @@ func TestNewExtendedAliasesOrGrows(t *testing.T) {
 	}
 }
 
-// TestColumnWiseAppendsMatchAppendRow: AppendRange and AppendGather leave the
-// destination — cells, dictionary order, code index — exactly as one
-// AppendRow per row would, including a destination that already has rows and
-// a dictionary in another order, and a Remap carried across calls.
+// TestColumnWiseAppendsMatchAppendRow: AppendRange — of src itself and of rows
+// Gather took from it, which share its codes — leaves the destination — cells,
+// dictionary order, code index — exactly as one AppendRow per row would,
+// including a destination that already has rows and a dictionary in another
+// order, and a Remap carried across calls.
 func TestColumnWiseAppendsMatchAppendRow(t *testing.T) {
 	fields := []Field{{"k", KindString}, {"n", KindInt}, {"f", KindFloat}}
 	src := NewTable("src", fields)
@@ -310,7 +311,7 @@ func TestColumnWiseAppendsMatchAppendRow(t *testing.T) {
 	for _, r := range rows[:100] {
 		want.AppendRow(src.Row(r)...)
 	}
-	got.AppendGather(src, rows[:100], rm)
+	got.AppendRange(src.Gather(rows[:100]), 0, 100, rm)
 	for r := 40; r < 400; r++ {
 		want.AppendRow(src.Row(r)...)
 	}
@@ -318,7 +319,7 @@ func TestColumnWiseAppendsMatchAppendRow(t *testing.T) {
 	for _, r := range rows[100:] {
 		want.AppendRow(src.Row(r)...)
 	}
-	got.AppendGather(src, rows[100:], rm)
+	got.AppendRange(src.Gather(rows[100:]), 0, len(rows)-100, rm)
 	if err := sameTable(got, want); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,10 @@
 package dataset
 
+import (
+	"math"
+	"slices"
+)
+
 // The packed physical form of dictionary-coded columns. A categorical column,
 // and an integer column with at most MaxIntDictCardinality distinct values, is
 // stored only as codes into its dictionary, in the narrowest of one, two or
@@ -113,32 +118,53 @@ func (p *Codes) fit(card int) {
 		return
 	}
 	wide := makeCodes(width, p.Len(), p.Cap())
-	switch {
-	case wide.U16 != nil:
-		widen(wide.U16, p.U8)
-	case p.U16 != nil:
-		widen(wide.U32, p.U16)
-	default:
-		widen(wide.U32, p.U8)
-	}
+	wide.Fill(0, *p, math.MaxInt)
 	*p = wide
 }
 
-func widen[D, S Code](dst []D, src []S) {
-	for i, c := range src {
-		dst[i] = D(c)
-	}
-}
-
-// resliced returns the array at length n <= Cap, over the same storage.
-func (p Codes) resliced(n int) Codes {
+// Fill copies the codes of src into p from code at on, converting each to p's
+// width, and reports whether every one lies below card. The check ORs together
+// card-1-code for every code, which wraps to a value with its top bit set when
+// a code is out of range: one test per call, no branch per code.
+func (p Codes) Fill(at int, src Codes, card int) bool {
 	switch {
 	case p.U16 != nil:
-		return Codes{U16: p.U16[:n]}
+		return fillFrom(p.U16[at:], src, card)
 	case p.U32 != nil:
-		return Codes{U32: p.U32[:n]}
+		return fillFrom(p.U32[at:], src, card)
 	}
-	return Codes{U8: p.U8[:n]}
+	return fillFrom(p.U8[at:], src, card)
+}
+
+func fillFrom[D Code](dst []D, src Codes, card int) bool {
+	switch {
+	case src.U16 != nil:
+		return fill(dst, src.U16, card)
+	case src.U32 != nil:
+		return fill(dst, src.U32, card)
+	}
+	return fill(dst, src.U8, card)
+}
+
+func fill[D, S Code](dst []D, src []S, card int) bool {
+	var bad uint64
+	top := uint64(card) - 1
+	for i, c := range src {
+		dst[i] = D(c)
+		bad |= top - uint64(c)
+	}
+	return bad>>63 == 0
+}
+
+// slice returns codes [lo, hi) of the array, hi <= Cap, over the same storage.
+func (p Codes) slice(lo, hi int) Codes {
+	switch {
+	case p.U16 != nil:
+		return Codes{U16: p.U16[lo:hi]}
+	case p.U32 != nil:
+		return Codes{U32: p.U32[lo:hi]}
+	}
+	return Codes{U8: p.U8[lo:hi]}
 }
 
 // extended is extend at the array's own width.
@@ -152,67 +178,54 @@ func (p Codes) extended(n int, alias bool) Codes {
 	return Codes{U8: extend(p.U8, n, alias)}
 }
 
-// copyRange copies codes [lo, hi) of src, an array of p's width, into place.
-func (p Codes) copyRange(src Codes, lo, hi int) {
+// gathered returns a new array of src's codes at rows, in that order.
+func (p Codes) gathered(rows []int) Codes {
 	switch {
 	case p.U16 != nil:
-		copy(p.U16[lo:hi], src.U16[lo:hi])
+		return Codes{U16: gather(p.U16, rows)}
 	case p.U32 != nil:
-		copy(p.U32[lo:hi], src.U32[lo:hi])
+		return Codes{U32: gather(p.U32, rows)}
+	}
+	return Codes{U8: gather(p.U8, rows)}
+}
+
+// appendMapped appends remap[src.At(r)] for each r of [lo, hi). Every code of
+// the range has its translation by now, and the array its final width.
+func (p *Codes) appendMapped(src Codes, lo, hi int, remap []int32) {
+	switch {
+	case p.U16 != nil:
+		p.U16 = appendMapped(p.U16, src, lo, hi, remap)
+	case p.U32 != nil:
+		p.U32 = appendMapped(p.U32, src, lo, hi, remap)
 	default:
-		copy(p.U8[lo:hi], src.U8[lo:hi])
+		p.U8 = appendMapped(p.U8, src, lo, hi, remap)
 	}
 }
 
-// appendMapped appends remap[src.At(r)] for each r of rows, or of [lo, hi)
-// when rows is nil. Every code of the range has its translation by now, and
-// the array its final width.
-func (p *Codes) appendMapped(src Codes, lo, hi int, rows []int, remap []int32) {
-	switch {
-	case p.U16 != nil:
-		p.U16 = appendMapped(p.U16, src, lo, hi, rows, remap)
-	case p.U32 != nil:
-		p.U32 = appendMapped(p.U32, src, lo, hi, rows, remap)
-	default:
-		p.U8 = appendMapped(p.U8, src, lo, hi, rows, remap)
-	}
-}
-
-func appendMapped[D Code](dst []D, src Codes, lo, hi int, rows []int, remap []int32) []D {
+func appendMapped[D Code](dst []D, src Codes, lo, hi int, remap []int32) []D {
 	n := len(dst)
-	if rows == nil {
-		dst = growBy(dst, hi-lo)
-	} else {
-		dst = growBy(dst, len(rows))
-	}
+	dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
 	switch {
 	case src.U16 != nil:
-		mapCodes(dst[n:], src.U16, lo, rows, remap)
+		mapCodes(dst[n:], src.U16[lo:hi], remap)
 	case src.U32 != nil:
-		mapCodes(dst[n:], src.U32, lo, rows, remap)
+		mapCodes(dst[n:], src.U32[lo:hi], remap)
 	default:
-		mapCodes(dst[n:], src.U8, lo, rows, remap)
+		mapCodes(dst[n:], src.U8[lo:hi], remap)
 	}
 	return dst
 }
 
-// mapCodes fills dst with remap[src[r]] for each r of rows, or of the
-// len(dst) rows from lo when rows is nil.
-func mapCodes[D, S Code](dst []D, src []S, lo int, rows []int, remap []int32) {
-	if rows == nil {
-		for i, sc := range src[lo : lo+len(dst)] {
-			dst[i] = D(remap[sc])
-		}
-		return
-	}
-	for i, r := range rows {
-		dst[i] = D(remap[src[r]])
+// mapCodes fills dst with remap[c] for each code c of src.
+func mapCodes[D, S Code](dst []D, src []S, remap []int32) {
+	for i, sc := range src {
+		dst[i] = D(remap[sc])
 	}
 }
 
 // intIndex maps the values of an integer dictionary to their codes: a dense
 // table over [base, base+len(dense)) while the values span little — one load
-// per lookup, which is what CSV decode and zpack segment loads pay per cell —
+// per lookup, which is what CSV decode and v1 zpack loads pay per cell —
 // and a map once they do not.
 type intIndex struct {
 	base  int64

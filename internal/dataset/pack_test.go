@@ -169,8 +169,8 @@ func packValues(rng *rand.Rand, card int) (strs []string, ints []int64) {
 
 // TestPackedColumnsAnswerLikeWideOnes builds a string and an int column at
 // cardinalities on both sides of every width and layout boundary, every way a
-// table is built — Append, AppendRange and AppendGather through a Remap (into
-// an empty table and on top of rows that are there), ReadCSV — with the
+// table is built — Append, AppendRange through a Remap (into an empty table
+// and, from a Gather, on top of rows that are there), Gather, ReadCSV — with the
 // distinct values arriving gradually, so the appends cross the boundaries
 // with rows already in place.
 func TestPackedColumnsAnswerLikeWideOnes(t *testing.T) {
@@ -219,8 +219,14 @@ func TestPackedColumnsAnswerLikeWideOnes(t *testing.T) {
 		for r := half; r < len(rows); r++ {
 			rest = append(rest, r)
 		}
-		mixed.AppendGather(appended, rest, NewRemap(appended))
-		check("AppendRow then AppendGather", mixed)
+		gathered := appended.Gather(rest)
+		mixed.AppendRange(gathered, 0, len(rest), NewRemap(gathered))
+		check("AppendRow then AppendRange of a Gather", mixed)
+		all := make([]int, len(rows))
+		for r := range all {
+			all[r] = r
+		}
+		check("Gather", appended.Gather(all))
 
 		if card == 0 {
 			continue // an empty CSV has no kinds to sniff

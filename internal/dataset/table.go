@@ -3,8 +3,10 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Field describes one column of a table.
@@ -404,7 +406,7 @@ func (t *Table) CopyRows(src *Table, lo, hi int) {
 		sc := src.cols[j]
 		switch {
 		case c.Coded():
-			c.codes.copyRange(sc.codes, lo, hi)
+			c.codes.Fill(lo, sc.codes.slice(lo, hi), math.MaxInt)
 		case c.Field.Kind == KindInt:
 			copy(c.ints[lo:hi], sc.ints[lo:hi])
 		default:
@@ -491,7 +493,7 @@ func (t *Table) Row(i int) Row {
 // code nor allocates again.
 func (t *Table) Truncate() {
 	for _, c := range t.cols {
-		c.codes, c.ints, c.floats = c.codes.resliced(0), c.ints[:0], c.floats[:0]
+		c.codes, c.ints, c.floats = c.codes.slice(0, 0), c.ints[:0], c.floats[:0]
 	}
 	t.nrows = 0
 }
@@ -528,66 +530,82 @@ func NewRemap(src *Table) Remap {
 // translation across calls.
 func (t *Table) AppendRange(src *Table, lo, hi int, rm Remap) {
 	for j, c := range t.cols {
-		c.appendFrom(src.cols[j], lo, hi, nil, rm.codes[j], &rm.left[j])
+		c.appendFrom(src.cols[j], lo, hi, rm.codes[j], &rm.left[j])
 	}
 	t.nrows += hi - lo
 }
 
-// AppendGather appends the rows of src that rows lists, in that order; it is
-// AppendRange through a row permutation.
-func (t *Table) AppendGather(src *Table, rows []int, rm Remap) {
-	for j, c := range t.cols {
-		c.appendFrom(src.cols[j], 0, 0, rows, rm.codes[j], &rm.left[j])
-	}
-	t.nrows += len(rows)
-}
-
-// growBy extends dst by n cells for the caller to fill.
-func growBy[T any](dst []T, n int) []T { return slices.Grow(dst, n)[:len(dst)+n] }
-
-// appendFrom appends src's cells at rows — or at [lo, hi) when rows is nil —
-// whatever the two columns' layouts. remap and left are the pair's entry of a
-// Remap (nil when src is raw).
-func (c *Column) appendFrom(src *Column, lo, hi int, rows []int, remap []int32, left *int) {
-	each := func(f func(r int)) {
-		if rows == nil {
-			for r := lo; r < hi; r++ {
-				f(r)
-			}
-			return
-		}
-		for _, r := range rows {
-			f(r)
-		}
-	}
+// appendFrom appends src's cells [lo, hi), whatever the two columns' layouts.
+// remap and left are the pair's entry of a Remap (nil when src is raw).
+func (c *Column) appendFrom(src *Column, lo, hi int, remap []int32, left *int) {
 	switch {
 	case c.Field.Kind == KindFloat:
-		if rows == nil {
-			c.floats = append(c.floats, src.floats[lo:hi]...)
-		} else {
-			n := len(c.floats)
-			c.floats = growBy(c.floats, len(rows))
-			for i, r := range rows {
-				c.floats[n+i] = src.floats[r]
-			}
-		}
+		c.floats = append(c.floats, src.floats[lo:hi]...)
 		return
 	case !src.Coded():
 		// Raw ints: c, Coded or not, takes them a cell at a time.
-		each(func(r int) { c.AppendInt(src.ints[r]) })
+		for _, v := range src.ints[lo:hi] {
+			c.AppendInt(v)
+		}
 		return
 	}
 	// First the codes of the range that have no translation yet, in row
 	// order: this is where c's dictionary grows — and its array widens, or an
 	// int column goes raw — so the copy below runs at one width.
-	if *left > 0 && !c.rawInts {
-		each(func(r int) { c.resolve(src, src.codes.At(r), remap, left) })
+	for r := lo; r < hi && *left > 0 && !c.rawInts; r++ {
+		c.resolve(src, src.codes.At(r), remap, left)
 	}
 	if c.rawInts {
-		each(func(r int) { c.ints = append(c.ints, src.ivals[src.codes.At(r)]) })
+		for r := lo; r < hi; r++ {
+			c.ints = append(c.ints, src.ivals[src.codes.At(r)])
+		}
 		return
 	}
-	c.codes.appendMapped(src.codes, lo, hi, rows, remap)
+	c.codes.appendMapped(src.codes, lo, hi, remap)
+}
+
+// Gather returns a new table of the rows of t that rows lists, in that order,
+// gathered a whole column per ForEachColumn call. It shares t's dictionaries,
+// so codes mean the same in both and none is translated; neither table may be
+// appended to afterwards.
+func (t *Table) Gather(rows []int) *Table {
+	out := &Table{Name: t.Name, cols: make([]*Column, len(t.cols)), byName: make(map[string]*Column, len(t.cols)), nrows: len(rows)}
+	t.ForEachColumn(func(j int, c *Column) {
+		g := *c
+		g.ensure, g.codes, g.ints, g.floats = nil, c.codes.gathered(rows), gather(c.ints, rows), gather(c.floats, rows)
+		out.cols[j] = &g
+	})
+	for _, c := range out.cols {
+		out.byName[c.Field.Name] = c
+	}
+	return out
+}
+
+func gather[T any](src []T, rows []int) []T {
+	if src == nil {
+		return nil
+	}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = src[r]
+	}
+	return out
+}
+
+// ForEachColumn calls f once for each column, on up to GOMAXPROCS goroutines
+// at a time, and returns when every call has.
+func (t *Table) ForEachColumn(f func(j int, c *Column)) {
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for j, c := range t.cols {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			f(j, c)
+		}()
+	}
+	wg.Wait()
 }
 
 // resolve gives src's code sc its translation in remap, if it has none yet:

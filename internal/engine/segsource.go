@@ -105,13 +105,15 @@ func (s *memSource) Load(int) error            { return nil }
 // ComputeZones builds every column's per-segment zone maps over a fully
 // materialized table. It is the single definition of zone semantics: the
 // in-memory column store uses it at construction and the zpack writer uses
-// it at segment-seal time, so the skipping proofs agree byte for byte.
+// it when it writes segments, so the skipping proofs agree byte for byte.
+// Columns are independent, so they run on t.ForEachColumn's goroutines.
 func ComputeZones(t *dataset.Table) map[string]*ZoneData {
 	n := t.NumRows()
 	nseg := (n + SegmentSize - 1) / SegmentSize
-	zones := make(map[string]*ZoneData, t.NumCols())
-	for _, c := range t.Columns() {
+	byCol := make([]*ZoneData, t.NumCols())
+	t.ForEachColumn(func(j int, c *dataset.Column) {
 		z := &ZoneData{}
+		byCol[j] = z
 		if c.Field.Kind == dataset.KindString {
 			z.Words = (c.Cardinality() + 63) / 64
 			if z.Words == 0 {
@@ -155,7 +157,10 @@ func ComputeZones(t *dataset.Table) map[string]*ZoneData {
 				}
 			}
 		}
-		zones[c.Field.Name] = z
+	})
+	zones := make(map[string]*ZoneData, t.NumCols())
+	for j, c := range t.Columns() {
+		zones[c.Field.Name] = byCol[j]
 	}
 	return zones
 }

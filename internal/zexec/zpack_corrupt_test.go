@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -63,51 +64,95 @@ NAME | X      | Y       | Z
 	}
 }
 
-// TestZpackValueMissingFromFooterDictionary: a dictionary-coded integer
-// column's cells are decoded into codes of the footer's value dictionary, so
-// a value the dictionary lacks — here the footer is rewritten (with a valid
-// checksum) to list 3019 where the blocks hold 2019 — must fail the load with
-// the corruption named, not decode to some other value's code.
-func TestZpackValueMissingFromFooterDictionary(t *testing.T) {
-	tbl := fixtureSales()
-	years := tbl.Column("year").DistinctSorted()
-	last := years[len(years)-1].I
-	path := buildZpack(t, tbl)
+// rewriteFooter replaces the footer of the zpack file at path through edit and
+// points a fresh trailer (docs/FORMAT.md: footer offset, length, CRC-32C,
+// magic) at it, so every checksum holds.
+func rewriteFooter(t *testing.T, path string, edit func(footer []byte) []byte) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// docs/FORMAT.md: the trailer's last 24 bytes are footer offset, footer
-	// length, footer CRC-32C, magic; the footer lists the dictionary's values
-	// sorted, as little-endian i64s.
 	tr := raw[len(raw)-24:]
 	off, n := binary.LittleEndian.Uint64(tr[0:8]), binary.LittleEndian.Uint64(tr[8:16])
-	footer := raw[off : off+n]
-	dict := make([]byte, 0, 8*len(years))
-	for _, y := range years {
-		dict = binary.LittleEndian.AppendUint64(dict, uint64(y.I))
-	}
-	at := bytes.Index(footer, dict)
-	if at < 0 || bytes.Count(footer, dict) != 1 {
-		t.Fatal("fixture: the year dictionary is not where the format says")
-	}
-	binary.LittleEndian.PutUint64(footer[at+len(dict)-8:], uint64(last+1000))
-	binary.LittleEndian.PutUint32(tr[16:20], crc32.Checksum(footer, crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	footer := edit(bytes.Clone(raw[off : off+n]))
+	out := append(raw[:off:off], footer...)
+	out = binary.LittleEndian.AppendUint64(out, off)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(footer)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(footer, crc32.MakeTable(crc32.Castagnoli)))
+	out = append(out, tr[20:24]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := zpack.Open(path) // every checksum holds; the data contradicts the footer
+}
+
+// int64s is the little-endian i64 run a footer lists an int dictionary as.
+func int64s(vals []int64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// TestZpackValueMissingFromFooterDictionary: a footer whose int dictionary
+// contradicts the blocks — every checksum valid — must fail the query with
+// the corruption named, not decode to some other value. A v1 file's blocks
+// hold the values, each looked up in the footer's sorted dictionary: the
+// committed v1 fixture's footer is rewritten to list its last year plus 1000,
+// and the load names the value it misses. A v2 file's blocks hold codes into
+// the dictionary: cut by its last entry, the dictionary no longer reaches a
+// code the blocks hold, and the load says the code is out of range.
+func TestZpackValueMissingFromFooterDictionary(t *testing.T) {
+	run := func(path, table, y, z string) error {
+		r, err := zpack.Open(path) // every checksum holds; the data contradicts the footer
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		src := "\nNAME | X      | Y | Z\n*f1  | 'year' | '" + y + "' | v1 <- '" + z + "'.*"
+		_, err = Run(mustParseZQL(t, src), engine.NewColumnStoreFromSource(r), Options{Table: table, Seed: 1})
+		return err
+	}
+
+	v1, err := os.ReadFile("../zpack/testdata/fixture_v1.zpack")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	db := engine.NewColumnStoreFromSource(r)
-	src := `
-NAME | X      | Y       | Z
-*f1  | 'year' | 'sales' | v1 <- 'product'.*`
-	_, err = Run(mustParseZQL(t, src), db, Options{Table: "sales", Seed: 1})
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("value %d missing from footer dictionary", last)) {
-		t.Fatalf("query over a file whose year block holds a value its footer lacks: %v", err)
+	path := filepath.Join(t.TempDir(), "fixture.zpack")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	years := []int64{2015, 2016, 2017, 2018, 2019, 2020}
+	rewriteFooter(t, path, func(footer []byte) []byte {
+		dict := int64s(years)
+		at := bytes.Index(footer, dict)
+		if at < 0 || bytes.Count(footer, dict) != 1 {
+			t.Fatal("v1 fixture: the year dictionary is not where the format says")
+		}
+		binary.LittleEndian.PutUint64(footer[at+len(dict)-8:], uint64(years[5]+1000))
+		return footer
+	})
+	if err := run(path, "fixture", "revenue", "region"); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("value %d missing from footer dictionary", years[5])) {
+		t.Fatalf("v1: query over a file whose year block holds a value its footer lacks: %v", err)
+	}
+
+	tbl := fixtureSales()
+	vals := tbl.Column("year").IntDict()
+	path = buildZpack(t, tbl)
+	rewriteFooter(t, path, func(footer []byte) []byte {
+		dict := binary.LittleEndian.AppendUint32(nil, uint32(len(vals)))
+		dict = append(dict, int64s(vals)...)
+		at := bytes.Index(footer, dict)
+		if at < 0 || bytes.Count(footer, dict) != 1 {
+			t.Fatal("v2: the year dictionary is not where the format says")
+		}
+		cut := binary.LittleEndian.AppendUint32(nil, uint32(len(vals)-1))
+		cut = append(cut, int64s(vals[:len(vals)-1])...)
+		return append(footer[:at:at], append(cut, footer[at+len(dict):]...)...)
+	})
+	if err := run(path, "sales", "sales", "product"); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("dictionary code out of range [0,%d)", len(vals)-1)) {
+		t.Fatalf("v2: query over a file whose year block holds a code its footer's dictionary lacks: %v", err)
 	}
 }
 

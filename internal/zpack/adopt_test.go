@@ -21,7 +21,7 @@ import (
 
 var lineageFields = []dataset.Field{
 	{Name: "cat", Kind: dataset.KindString}, // dictionary grows at the end
-	{Name: "grp", Kind: dataset.KindInt},    // small sorted int dictionary
+	{Name: "grp", Kind: dataset.KindInt},    // small int dictionary
 	{Name: "wide", Kind: dataset.KindInt},   // int dictionary that overflows
 	{Name: "id", Kind: dataset.KindInt},     // unique, clustered: never encoded
 	{Name: "val", Kind: dataset.KindFloat},
@@ -187,10 +187,9 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 		}
 		switch step {
 		case 12:
-			gen.grps = append(gen.grps, 40) // sorts last: no code moves
+			gen.grps = append(gen.grps, 40) // above every value: adoption holds
 		case 23:
-			gen.grps = append(gen.grps, 5) // sorts first: every code moves
-			cold = true
+			gen.grps = append(gen.grps, 5) // below every value: codes are in appearance order, so adoption still holds
 		case 37:
 			gen.wides, size = 6000, 5000 // past MaxIntDictCardinality
 			cold = true
@@ -331,7 +330,7 @@ func appendRows(t *testing.T, path string, n int, tag string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendTable(genTable("x", n, tag), nil); err != nil {
+	if err := w.AppendTable(genTable("x", n, tag)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -525,4 +524,84 @@ func TestReopenGoesColdWhenAdoptionIsUnsafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTablesEqual(t, rewritten.Table(), genTable("cold", 300, "a"))
+}
+
+// TestLineageAcrossWidthCrossings: dictionaries that outgrow a width mid-file
+// — the categorical one past 256 entries, so one-byte code blocks are followed
+// by two-byte ones, and an int one past MaxIntDictCardinality, so code blocks
+// are followed by raw values decoded through the footer's old dictionary —
+// read the same through a cold Open, a Reopen of a loaded predecessor (cold at
+// each crossing, adopted after) and Verify.
+func TestLineageAcrossWidthCrossings(t *testing.T) {
+	const S = engine.SegmentSize
+	gen := &lineageGen{rng: rand.New(rand.NewSource(3)), cats: 200, grps: []int64{1, 2, 3}, wides: 3000}
+	path := filepath.Join(t.TempDir(), "crossing.zpack")
+	w, err := Create(path, "lineage", lineageFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Discard()
+	commit := func(rows []dataset.Row) {
+		t.Helper()
+		if err := w.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(gen.rows(2*S + 10))
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { r.Close() }()
+	steps := []struct {
+		grow func()
+		rows int
+		cold bool
+	}{
+		{func() { gen.cats = 400 }, S, true},          // cat codes widen to two bytes
+		{func() { gen.wides = 1 << 40 }, 2 * S, true}, // every wide value new: the column goes raw
+		{func() {}, 100, false},                       // no crossing: adoption holds over mixed widths
+	}
+	for i, st := range steps {
+		if err := r.LoadAll(); err != nil {
+			t.Fatal(err)
+		}
+		st.grow()
+		commit(gen.rows(st.rows))
+		next, err := r.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := changedSegs(r, next)
+		if st.cold {
+			want = next.NumSegments()
+		}
+		if err := next.LoadAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got := next.SegmentLoads(); got != int64(want) {
+			t.Fatalf("step %d: successor read %d segments, want %d", i, got, want)
+		}
+		cold, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cold.LoadAll(); err != nil {
+			t.Fatal(err)
+		}
+		assertSameStorage(t, next, cold)
+		if err := cold.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		cold.Close()
+		r = next
+	}
+	for j, want := range map[int][]string{0: {"codes8", "codes16"}, 2: {"codes16", "values64"}} {
+		if got := encodings(r, j); !slices.Equal(got, want) {
+			t.Errorf("column %s: blocks %v, want %v", lineageFields[j].Name, got, want)
+		}
+	}
 }

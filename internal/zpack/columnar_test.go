@@ -7,19 +7,21 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 )
 
-// mixedTable has everything the column-wise append must carry exactly as the
-// row-wise one does: strings whose first appearances are spread over the
-// table, NaN, infinities and both zeros among the floats, an integer column
-// of few distinct values and one (wide) that passes
-// dataset.MaxIntDictCardinality at row wideAt — mid-table when rows > wideAt.
-func mixedTable(rows int, seed int64) *dataset.Table {
-	const wideAt = 5000
+// mixedTable has everything the bulk write must carry exactly as the row-wise
+// one does: strings whose first appearances are spread over the table (past
+// 256 of them before row engine.SegmentSize, so the codes are two bytes wide
+// from the first seal on), NaN, infinities and both zeros among the floats, an
+// integer column of few distinct values and one (wide) of a few thousand,
+// which passes dataset.MaxIntDictCardinality some rows after wideAt (pass
+// math.MaxInt for never).
+func mixedTable(rows int, seed int64, wideAt int) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
 	t := dataset.NewTable("mixed", []dataset.Field{
 		{Name: "k", Kind: dataset.KindString},
@@ -34,7 +36,7 @@ func mixedTable(rows int, seed int64) *dataset.Table {
 		if rng.Intn(10) == 0 {
 			f = specials[rng.Intn(len(specials))]
 		}
-		wide := int64(rng.Intn(50)) - 25
+		wide := int64(rng.Intn(3000)) - 1500
 		if i >= wideAt {
 			wide = rng.Int63() - rng.Int63()
 		}
@@ -49,6 +51,17 @@ func mixedTable(rows int, seed int64) *dataset.Table {
 	return t
 }
 
+// encodings lists column j's block encodings, each once, in file order.
+func encodings(r *Reader, j int) []string {
+	var out []string
+	for s := 0; s < r.NumSegments(); s++ {
+		if enc := r.Encoding(s, j); !slices.Contains(out, enc) {
+			out = append(out, enc)
+		}
+	}
+	return out
+}
+
 func fileSum(t *testing.T, path string) string {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -58,100 +71,71 @@ func fileSum(t *testing.T, path string) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
-// appendRowWise is the reference: the rows perm lists (all when nil), one
-// Append each.
-func appendRowWise(t *testing.T, w *Writer, tb *dataset.Table, perm []int) {
+// appendRowWise is the reference: every row of tb, one Append each.
+func appendRowWise(t *testing.T, w *Writer, tb *dataset.Table) {
 	t.Helper()
-	n := tb.NumRows()
-	if perm != nil {
-		n = len(perm)
-	}
-	for i := 0; i < n; i++ {
-		r := i
-		if perm != nil {
-			r = perm[i]
-		}
-		if err := w.Append([]dataset.Row{tb.Row(r)}); err != nil {
+	for i := 0; i < tb.NumRows(); i++ {
+		if err := w.Append([]dataset.Row{tb.Row(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestAppendTableWritesTheBytesAppendWrites: a file built column-wise is
-// byte for byte the file the same rows build one Append at a time — in table
-// order and through a permutation, at every row count around a seal.
-func TestAppendTableWritesTheBytesAppendWrites(t *testing.T) {
+// TestBuildWritesTheBytesAppendWrites: the bulk Build, which writes blocks
+// straight from the table's arrays under the table's own dictionaries, writes
+// byte for byte the file that the same rows make through Create, one Append
+// each and Close — at every row count around a seal. (An int column that goes
+// raw is the exception by design: the row path can only cross the bound past
+// the first seal, so its first blocks are codes, where Build writes the raw
+// table's values. The lineage tests cover that file.) It also pins the widths
+// the blocks came out at.
+func TestBuildWritesTheBytesAppendWrites(t *testing.T) {
 	const S = engine.SegmentSize
 	for _, rows := range []int{0, 1, S - 1, S, S + 1, 3*S + 7} {
-		tb := mixedTable(rows, int64(rows)+1)
-		perm := rand.New(rand.NewSource(9)).Perm(rows)
-		for name, p := range map[string][]int{"table order": nil, "permuted": perm, "subset": perm[:rows/2]} {
-			dir := t.TempDir()
-			colPath, rowPath := filepath.Join(dir, "col.zpack"), filepath.Join(dir, "row.zpack")
-			cw, err := Create(colPath, tb.Name, tb.Fields())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cw.AppendTable(tb, p); err != nil {
-				t.Fatal(err)
-			}
-			if err := cw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			rw, err := Create(rowPath, tb.Name, tb.Fields())
-			if err != nil {
-				t.Fatal(err)
-			}
-			appendRowWise(t, rw, tb, p)
-			if err := rw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := fileSum(t, colPath), fileSum(t, rowPath); got != want {
-				t.Errorf("%d rows, %s: column-wise file %s, row-wise %s", rows, name, got, want)
+		tb := mixedTable(rows, int64(rows)+1, math.MaxInt)
+		dir := t.TempDir()
+		built, rowPath := filepath.Join(dir, "built.zpack"), filepath.Join(dir, "row.zpack")
+		if err := Build(built, tb); err != nil {
+			t.Fatal(err)
+		}
+		rw, err := Create(rowPath, tb.Name, tb.Fields())
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendRowWise(t, rw, tb)
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fileSum(t, built), fileSum(t, rowPath); got != want {
+			t.Fatalf("%d rows: Build wrote %s, row-wise %s", rows, got, want)
+		}
+		if rows < 3*S {
+			continue
+		}
+		r, err := Open(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for j, want := range []string{"codes16", "codes8", "codes8", "codes16", "values64"} {
+			if got := encodings(r, j); len(got) != 1 || got[0] != want {
+				t.Errorf("column %d: blocks %v, want %s", j, got, want)
 			}
 		}
 	}
 }
 
-// TestBuildWritesTheBytesAppendWrites pins Build itself, and that the wide
-// column really crossed the dictionary bound while the narrow one kept its.
-func TestBuildWritesTheBytesAppendWrites(t *testing.T) {
-	tb := mixedTable(3*engine.SegmentSize+7, 3)
-	dir := t.TempDir()
-	built, rowPath := filepath.Join(dir, "built.zpack"), filepath.Join(dir, "row.zpack")
-	if err := Build(built, tb); err != nil {
-		t.Fatal(err)
-	}
-	rw, err := Create(rowPath, tb.Name, tb.Fields())
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRowWise(t, rw, tb, nil)
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fileSum(t, built), fileSum(t, rowPath); got != want {
-		t.Fatalf("Build wrote %s, row-wise %s", got, want)
-	}
-	r, err := Open(built)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if year, wide := r.Table().Column("year").Coded(), r.Table().Column("wide").Coded(); !year || wide {
-		t.Errorf("int dictionaries: year %v, wide %v; want year kept, wide dropped", year, wide)
-	}
-}
-
 // TestAppendTableIntoReopenedFile: the file already has sealed segments, a
 // partial tail and dictionaries; the appended table's own dictionaries are in
-// another order and hold strings the file has and has not seen, so its codes
-// must translate into the file's — again byte for byte what Append writes.
+// another order and hold strings the file has and has not seen — and, gathered
+// through a permutation, are not even in first-appearance order — so its codes
+// must translate into the file's, and the tail's wide column goes raw over
+// sealed code blocks: again byte for byte what Append writes.
 func TestAppendTableIntoReopenedFile(t *testing.T) {
-	base := mixedTable(engine.SegmentSize+100, 1)
-	extra := mixedTable(2*engine.SegmentSize+50, 2) // "seed2-*" tags are new, "k*" keys mostly old
+	base := mixedTable(engine.SegmentSize+100, 1, 5000)
+	extra := mixedTable(2*engine.SegmentSize+50, 2, 5000) // "seed2-*" tags are new, "k*" keys mostly old, wide goes raw
 	perm := rand.New(rand.NewSource(4)).Perm(extra.NumRows())
-	for name, p := range map[string][]int{"table order": nil, "permuted": perm} {
+	for name, tb := range map[string]*dataset.Table{"table order": extra, "permuted": extra.Gather(perm)} {
 		dir := t.TempDir()
 		paths := []string{filepath.Join(dir, "col.zpack"), filepath.Join(dir, "row.zpack")}
 		for i, path := range paths {
@@ -163,9 +147,9 @@ func TestAppendTableIntoReopenedFile(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i == 0 {
-				err = w.AppendTable(extra, p)
+				err = w.AppendTable(tb)
 			} else {
-				appendRowWise(t, w, extra, p)
+				appendRowWise(t, w, tb)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -177,6 +161,24 @@ func TestAppendTableIntoReopenedFile(t *testing.T) {
 		if got, want := fileSum(t, paths[0]), fileSum(t, paths[1]); got != want {
 			t.Errorf("%s: column-wise file %s, row-wise %s", name, got, want)
 		}
+		r, err := Open(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if err := r.LoadAll(); err != nil {
+			t.Fatal(err)
+		}
+		if encs := encodings(r, 3); !slices.Equal(encs, []string{"codes16", "values64"}) {
+			t.Errorf("%s: wide column blocks %v, want codes then raw values", name, encs)
+		}
+		want := dataset.NewTable(base.Name, base.Fields())
+		for _, src := range []*dataset.Table{base, tb} {
+			for i := 0; i < src.NumRows(); i++ {
+				want.AppendRow(src.Row(i)...)
+			}
+		}
+		assertPrefixEqual(t, r.Table(), want)
 	}
 }
 

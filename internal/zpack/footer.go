@@ -11,12 +11,14 @@ import (
 // needs before touching any data block — schema, dictionaries, the segment
 // block index, and every column's zone maps.
 type footer struct {
+	version int
 	name    string
 	fields  []dataset.Field
 	nrows   int64
 	segs    []segMeta
 	dicts   map[string][]string // categorical column -> dictionary, code order
-	intVals map[string][]int64  // dict-encoded int column -> sorted distinct values
+	intVals map[string][]int64  // coded int column -> value dictionary, code order (v1: sorted)
+	oldInts map[string][]int64  // raw int column -> the dictionary its code blocks from before it went raw index
 	zones   map[string]*engine.ZoneData
 }
 
@@ -42,6 +44,7 @@ func (f *footer) encode() []byte {
 			w.u64(uint64(b.off))
 			w.u64(uint64(b.len))
 			w.u32(b.crc)
+			w.u8(b.enc)
 		}
 	}
 	for _, fd := range f.fields {
@@ -53,12 +56,17 @@ func (f *footer) encode() []byte {
 				w.str(s)
 			}
 		case dataset.KindInt:
-			vals, ok := f.intVals[fd.Name]
-			if !ok {
+			vals, coded := f.intVals[fd.Name]
+			switch {
+			case coded:
+				w.u8(1)
+			case f.oldInts[fd.Name] != nil:
+				w.u8(2)
+				vals = f.oldInts[fd.Name]
+			default:
 				w.u8(0)
 				continue
 			}
-			w.u8(1)
 			w.u32(uint32(len(vals)))
 			for _, v := range vals {
 				w.i64(v)
@@ -92,11 +100,14 @@ func (f *footer) encode() []byte {
 	return w.b
 }
 
-func decodeFooter(b []byte) (*footer, error) {
+// decodeFooter decodes the footer of a file of the given format version.
+func decodeFooter(b []byte, version int) (*footer, error) {
 	r := &binReader{b: b}
 	f := &footer{
+		version: version,
 		dicts:   make(map[string][]string),
 		intVals: make(map[string][]int64),
+		oldInts: make(map[string][]int64),
 		zones:   make(map[string]*engine.ZoneData),
 	}
 	// Every count below sizes an allocation, so each is checked against the
@@ -115,7 +126,7 @@ func decodeFooter(b []byte) (*footer, error) {
 	}
 	f.nrows = r.i64()
 	nseg := int(r.u32())
-	if r.err != nil || f.nrows < 0 || nseg > r.left()/(4+20*ncols) ||
+	if r.err != nil || f.nrows < 0 || nseg > r.left()/(4+(19+version)*ncols) || // a block ref: 20 bytes, + encoding in v2
 		int64(nseg) != (f.nrows+engine.SegmentSize-1)/engine.SegmentSize {
 		return nil, fmt.Errorf("zpack: corrupt footer: %d segments inconsistent with %d rows", nseg, f.nrows)
 	}
@@ -125,8 +136,13 @@ func decodeFooter(b []byte) (*footer, error) {
 		s := &f.segs[i]
 		s.rows = int(r.u32())
 		s.blocks = make([]blockRef, ncols)
-		for j := range s.blocks {
-			s.blocks[j] = blockRef{off: int64(r.u64()), len: int64(r.u64()), crc: r.u32()}
+		for j, fd := range f.fields {
+			s.blocks[j] = blockRef{off: int64(r.u64()), len: int64(r.u64()), crc: r.u32(), enc: encV1Values}
+			if version > 1 {
+				s.blocks[j].enc = r.u8()
+			} else if fd.Kind == dataset.KindString {
+				s.blocks[j].enc = encV1Codes
+			}
 		}
 		if r.err != nil {
 			break
@@ -153,11 +169,12 @@ func decodeFooter(b []byte) (*footer, error) {
 			}
 			f.dicts[fd.Name] = dict
 		case dataset.KindInt:
-			if r.u8() == 0 {
+			mode := r.u8()
+			if mode == 0 {
 				continue
 			}
 			n := int(r.u32())
-			if r.err != nil || n > dataset.MaxIntDictCardinality {
+			if r.err != nil || n > dataset.MaxIntDictCardinality || mode > 2 || mode == 2 && version == 1 {
 				r.fail()
 				break
 			}
@@ -165,7 +182,11 @@ func decodeFooter(b []byte) (*footer, error) {
 			for i := range vals {
 				vals[i] = r.i64()
 			}
-			f.intVals[fd.Name] = vals
+			if mode == 1 {
+				f.intVals[fd.Name] = vals
+			} else {
+				f.oldInts[fd.Name] = vals
+			}
 		}
 	}
 	for _, fd := range f.fields {
@@ -208,4 +229,21 @@ func decodeFooter(b []byte) (*footer, error) {
 		return nil, fmt.Errorf("zpack: corrupt footer: %d trailing bytes", len(b)-r.off)
 	}
 	return f, nil
+}
+
+// fits reports whether a block of column fd may have encoding enc: codes no
+// wider than memory packs its dictionary's at (for a raw int column, the
+// dictionary its older code blocks index), or raw values in a raw column. A v1
+// footer's encodings come from the column kinds and always fit.
+func (f *footer) fits(fd dataset.Field, enc uint8) bool {
+	ints, coded := f.intVals[fd.Name]
+	old, hasOld := f.oldInts[fd.Name]
+	switch enc {
+	case encCode8, encCode16, encCode32:
+		card := len(ints) + len(old) + len(f.dicts[fd.Name])
+		return (fd.Kind == dataset.KindString || coded || hasOld) && encWidth(enc) <= dataset.CodeWidth(card)
+	case encRaw:
+		return fd.Kind == dataset.KindFloat || fd.Kind == dataset.KindInt && !coded
+	}
+	return f.version == 1
 }

@@ -9,9 +9,13 @@
 // spec):
 //
 //	header   16 B   magic "ZPK1", version u32, 8 B reserved
-//	blocks   ...    one block per (segment, column), raw typed payloads
+//	blocks   ...    one block per (segment, column): the column's array as
+//	                memory packs it, encoding (codes or raw) in the footer
 //	footer   ...    schema, dictionaries, segment index, zone maps
 //	trailer  24 B   footer offset u64, length u64, CRC-32C u32, magic "ZPKE"
+//
+// Version 1 files (u32 codes, u64 values) are read, never appended to: their
+// upgrade is a compaction.
 //
 // The file is append-only: committed byte ranges are never rewritten.
 // Writer.Flush appends the open tail segment's blocks and a fresh footer +
@@ -26,11 +30,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
 const (
-	// Version is the on-disk format version this package reads and writes.
-	Version = 1
+	// Version is the on-disk format version this package writes (and reads,
+	// with version 1).
+	Version = 2
 
 	headerSize  = 16
 	trailerSize = 24
@@ -45,11 +51,49 @@ var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
+// Block encodings: the low four bits are the bytes per row. A v2 footer
+// stores one per block: codes (categorical and coded int columns) or raw
+// values (raw int and float columns). A v1 footer stores none; its blocks get
+// the two v1 encodings from their column kinds.
+const (
+	encCode8, encCode16, encCode32, encRaw = 1, 2, 4, 8
+	encV1Codes, encV1Values                = 0x80 | 4, 0x80 | 8 // u32 codes; u64 values a coded int column looks up
+)
+
+var encNames = map[uint8]string{encCode8: "codes8", encCode16: "codes16", encCode32: "codes32",
+	encRaw: "values64", encV1Codes: "v1-codes32", encV1Values: "v1-values64"}
+
+func encWidth(enc uint8) int { return int(enc & 0x0f) }
+
 // blockRef locates one (segment, column) block in the file.
 type blockRef struct {
 	off int64
 	len int64
 	crc uint32
+	enc uint8
+}
+
+// bigEndian is whether this machine's words are big-endian. A block is the
+// column array's bytes, little-endian words: on such a machine every word is
+// swapped after a read and before a write.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// swapWords reverses the bytes of each width-byte word of b in place.
+func swapWords(b []byte, width int) {
+	for i := 0; i+width <= len(b); i += width {
+		for l, r := i, i+width-1; l < r; l, r = l+1, r-1 {
+			b[l], b[r] = b[r], b[l]
+		}
+	}
+}
+
+// asBytes views a slice of fixed-size words as its bytes; asWords the reverse.
+func asBytes[T any](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
+}
+
+func asWords[T any](b []byte) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/int(unsafe.Sizeof(*new(T))))
 }
 
 // binWriter accumulates the footer payload.

@@ -20,17 +20,17 @@ import (
 //
 //	go test ./internal/zpack -run '^$' -fuzz FuzzZpackOpen -fuzztime 30s
 func FuzzZpackOpen(f *testing.F) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "fixture_v1.zpack"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fixture)
+	v1, v2 := readFixture(f, "fixture_v1.zpack"), readFixture(f, "fixture_v2.zpack")
+	f.Add(v1)
 	f.Add([]byte{})
-	f.Add(fixture[:len(fixture)-1]) // torn trailer
-	flipped := bytes.Clone(fixture)
+	f.Add(v1[:len(v1)-1]) // torn trailer
+	flipped := bytes.Clone(v1)
 	flipped[headerSize+3] ^= 0xff // segment 0's first block: a checksum error
 	f.Add(flipped)
-	f.Add(missingDictValue(f, fixture))
+	f.Add(missingDictValue(f, v1))
+	f.Add(v2)
+	f.Add(codeOutOfRange(f, v2))
+	f.Add(overwideBlock(f, v2))
 
 	path := filepath.Join(f.TempDir(), "fuzz.zpack")
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -78,35 +78,92 @@ func resealFooter(raw []byte) []byte {
 	return out
 }
 
-// missingDictValue rewrites the fixture's year dictionary so its largest
-// value is one the blocks never hold, with every checksum valid: the load must
-// name the value missing from the footer dictionary.
-func missingDictValue(tb testing.TB, fixture []byte) []byte {
-	tr := fixture[len(fixture)-trailerSize:]
-	off, n := binary.LittleEndian.Uint64(tr[0:8]), binary.LittleEndian.Uint64(tr[8:16])
-	foot, err := decodeFooter(fixture[off : off+n])
+func readFixture(tb testing.TB, name string) []byte {
+	b, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	years := foot.intVals["year"]
-	years[len(years)-1] += 1000
-	enc := foot.encode()
-	if uint64(len(enc)) != n {
-		tb.Fatalf("re-encoded footer is %d bytes, want %d", len(enc), n)
+	return b
+}
+
+// footerOf returns where a file's footer lies, and the footer decoded.
+func footerOf(tb testing.TB, raw []byte, version int) (off, n uint64, foot *footer) {
+	tr := raw[len(raw)-trailerSize:]
+	off, n = binary.LittleEndian.Uint64(tr[0:8]), binary.LittleEndian.Uint64(tr[8:16])
+	foot, err := decodeFooter(raw[off:off+n], version)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	out := bytes.Clone(fixture)
-	copy(out[off:], enc)
+	return off, n, foot
+}
+
+// missingDictValue rewrites the v1 fixture's year dictionary, in place, so
+// its largest value is one the blocks never hold, with every checksum valid:
+// the load must name the value missing from the footer dictionary.
+func missingDictValue(tb testing.TB, v1 []byte) []byte {
+	off, n, foot := footerOf(tb, v1, 1)
+	var dict []byte
+	for _, y := range foot.intVals["year"] {
+		dict = binary.LittleEndian.AppendUint64(dict, uint64(y))
+	}
+	out := bytes.Clone(v1)
+	at := bytes.Index(out[off:off+n], dict)
+	if at < 0 {
+		tb.Fatal("v1 fixture: year dictionary not found in the footer")
+	}
+	last := out[off+uint64(at+len(dict)-8):]
+	binary.LittleEndian.PutUint64(last, binary.LittleEndian.Uint64(last)+1000)
 	return resealFooter(out)
+}
+
+// relayout lets edit change a one-segment v2 file's footer and blocks, then
+// lays the file out again with every offset and checksum recomputed.
+func relayout(tb testing.TB, v2 []byte, edit func(foot *footer, blocks [][]byte)) []byte {
+	_, _, foot := footerOf(tb, v2, 2)
+	seg := foot.segs[0].blocks
+	blocks := make([][]byte, len(seg))
+	for j, ref := range seg {
+		blocks[j] = bytes.Clone(v2[ref.off : ref.off+ref.len])
+	}
+	edit(foot, blocks)
+	out := bytes.Clone(v2[:headerSize])
+	for j, b := range blocks {
+		seg[j].off, seg[j].len, seg[j].crc = int64(len(out)), int64(len(b)), crc32.Checksum(b, castagnoli)
+		out = append(out, b...)
+	}
+	footOff, payload := len(out), foot.encode()
+	out = append(out, payload...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(footOff))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, trailerMagic[:]...)
+}
+
+// codeOutOfRange puts a region code one past the dictionary into the v2
+// fixture's first block: it opens and verifies, and the load must refuse it.
+func codeOutOfRange(tb testing.TB, v2 []byte) []byte {
+	return relayout(tb, v2, func(foot *footer, blocks [][]byte) {
+		blocks[0][7] = byte(len(foot.dicts["region"]))
+	})
+}
+
+// overwideBlock stores the v2 fixture's region codes as two bytes each, wider
+// than a four-entry dictionary's codes are packed at: Open must refuse it.
+func overwideBlock(tb testing.TB, v2 []byte) []byte {
+	return relayout(tb, v2, func(foot *footer, blocks [][]byte) {
+		wide := make([]byte, 0, 2*len(blocks[0]))
+		for _, code := range blocks[0] {
+			wide = append(wide, code, 0)
+		}
+		blocks[0], foot.segs[0].blocks[0].enc = wide, encCode16
+	})
 }
 
 // TestZpackOpenSeedsFailLoudly pins what the fuzz seeds are for: each
 // corruption ends in its own error at the stage that meets it, and the
 // untouched fixture loads.
 func TestZpackOpenSeedsFailLoudly(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "fixture_v1.zpack"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1, v2 := readFixture(t, "fixture_v1.zpack"), readFixture(t, "fixture_v2.zpack")
 	dir := t.TempDir()
 	stages := func(raw []byte) (open, verify, load error) {
 		path := filepath.Join(dir, "seed.zpack")
@@ -120,18 +177,26 @@ func TestZpackOpenSeedsFailLoudly(t *testing.T) {
 		defer r.Close()
 		return nil, r.Verify(), r.LoadAll()
 	}
-	if o, v, l := stages(fixture); o != nil || v != nil || l != nil {
-		t.Fatalf("fixture: open %v, verify %v, load %v", o, v, l)
+	for name, fixture := range map[string][]byte{"v1": v1, "v2": v2} {
+		if o, v, l := stages(fixture); o != nil || v != nil || l != nil {
+			t.Fatalf("%s fixture: open %v, verify %v, load %v", name, o, v, l)
+		}
 	}
-	if o, _, _ := stages(fixture[:len(fixture)-1]); o == nil {
+	if o, _, _ := stages(v1[:len(v1)-1]); o == nil {
 		t.Error("a torn trailer opened")
 	}
-	flipped := bytes.Clone(fixture)
+	flipped := bytes.Clone(v1)
 	flipped[headerSize+3] ^= 0xff
 	if o, v, l := stages(flipped); o != nil || v == nil || l == nil {
 		t.Errorf("flipped data byte: open %v, verify %v, load %v; want the checksum error from verify and load", o, v, l)
 	}
-	if o, v, l := stages(missingDictValue(t, fixture)); o != nil || v != nil || l == nil || !strings.Contains(l.Error(), "missing from footer dictionary") {
-		t.Errorf("rewritten dictionary: open %v, verify %v, load %v; want the missing-value error from load", o, v, l)
+	if o, v, l := stages(missingDictValue(t, v1)); o != nil || v != nil || l == nil || !strings.Contains(l.Error(), "missing from footer dictionary") {
+		t.Errorf("rewritten v1 dictionary: open %v, verify %v, load %v; want the missing-value error from load", o, v, l)
+	}
+	if o, v, l := stages(codeOutOfRange(t, v2)); o != nil || v != nil || l == nil || !strings.Contains(l.Error(), "dictionary code out of range [0,4)") {
+		t.Errorf("v2 code past the dictionary: open %v, verify %v, load %v; want the out-of-range error from load", o, v, l)
+	}
+	if o, _, _ := stages(overwideBlock(t, v2)); o == nil || !strings.Contains(o.Error(), "in encoding 0x2") {
+		t.Errorf("v2 block wider than its dictionary: open %v; want the footer refused", o)
 	}
 }

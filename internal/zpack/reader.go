@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"sync"
@@ -46,10 +45,9 @@ type Reader struct {
 	// a second Reopen from here starts cold rather than write them twice.
 	adopted atomic.Bool
 
-	segLoads    atomic.Int64
-	bytesLoaded atomic.Int64
-	loadAll     sync.Once
-	loadAllErr  error
+	segLoads   atomic.Int64
+	loadAll    sync.Once
+	loadAllErr error
 }
 
 // loadState is the load-once cell of one segment over one set of backing
@@ -130,12 +128,12 @@ func Open(path string) (*Reader, error) {
 // descriptor there would resurrect the replaced generation's footer), so
 // Reopen opens a fresh Reader with a descriptor of its own. Over the same
 // inode the successor starts from empty storage if the schema changed, a
-// block this Reader indexes moved, a dictionary renumbered existing codes (a
-// string dictionary only grows at the end; an int dictionary is sorted, so a
-// new value below its maximum renumbers it, and one past
-// MaxIntDictCardinality drops the encoding), a dictionary outgrew the width
-// its column's codes are packed at (the arrays are the wrong type to extend),
-// or this Reader already handed its storage to an earlier successor.
+// block this Reader indexes moved, a dictionary no longer starts with the
+// entries this Reader knows (dictionaries are in code order and only grow at
+// the end, so only a rewrite does that), an int column outgrew
+// MaxIntDictCardinality and went raw, a dictionary outgrew the width its
+// column's codes are packed at (the arrays are the wrong type to extend), or
+// this Reader already handed its storage to an earlier successor.
 func (r *Reader) Reopen() (*Reader, error) {
 	if st, err := os.Stat(r.path); err == nil {
 		if fst, ferr := r.f.Stat(); ferr == nil && !os.SameFile(st, fst) {
@@ -319,8 +317,9 @@ func readFooter(f *os.File) (*footer, int64, error) {
 	if [4]byte(hdr[:4]) != headerMagic {
 		return nil, 0, fmt.Errorf("zpack: %s: bad magic %q (not a zpack file)", f.Name(), hdr[:4])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
-		return nil, 0, fmt.Errorf("zpack: %s: unsupported format version %d (this build reads version %d)", f.Name(), v, Version)
+	version := int(binary.LittleEndian.Uint32(hdr[4:8]))
+	if version < 1 || version > Version {
+		return nil, 0, fmt.Errorf("zpack: %s: unsupported format version %d (this build reads versions 1 to %d)", f.Name(), version, Version)
 	}
 	var tr [trailerSize]byte
 	if _, err := f.ReadAt(tr[:], size-trailerSize); err != nil {
@@ -342,22 +341,21 @@ func readFooter(f *os.File) (*footer, int64, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != footCRC {
 		return nil, 0, fmt.Errorf("zpack: %s: footer checksum mismatch (got %08x, want %08x)", f.Name(), got, footCRC)
 	}
-	foot, err := decodeFooter(payload)
+	foot, err := decodeFooter(payload, version)
 	if err != nil {
 		return nil, 0, err
 	}
-	// The file holds a block of rows × width bytes per (segment, column), no
-	// two overlapping: a row count it cannot hold is corruption, caught here
-	// before it sizes the table.
-	var width int64
-	for _, fd := range foot.fields {
-		width += int64(blockWidth(fd.Kind))
-	}
-	if width > 0 && foot.nrows > (size-headerSize-trailerSize)/width {
+	// Every row of every column takes at least a byte of the file, so a row
+	// count it cannot hold is corruption, caught here before it sizes the
+	// table: memory holds at most eight bytes a cell.
+	if width := int64(len(foot.fields)); width > 0 && foot.nrows > (size-headerSize-trailerSize)/width {
 		return nil, 0, fmt.Errorf("zpack: %s: footer claims %d rows, more than the file holds", f.Name(), foot.nrows)
 	}
 	for i, s := range foot.segs {
 		for j, b := range s.blocks {
+			if fd := foot.fields[j]; !foot.fits(fd, b.enc) || b.len != int64(s.rows*encWidth(b.enc)) {
+				return nil, 0, fmt.Errorf("zpack: %s: corrupt footer: segment %d column %q: %d-byte block in encoding %#x", f.Name(), i, fd.Name, b.len, b.enc)
+			}
 			if b.off < headerSize || b.off > size-trailerSize || b.len < 0 || b.len > size-trailerSize-b.off {
 				return nil, 0, fmt.Errorf("zpack: %s: segment %d column %d block outside the file", f.Name(), i, j)
 			}
@@ -378,6 +376,12 @@ func (r *Reader) Name() string { return r.foot.name }
 // Path returns the file path the reader was opened from.
 func (r *Reader) Path() string { return r.path }
 
+// Version returns the format version the file was written in.
+func (r *Reader) Version() int { return r.foot.version }
+
+// Encoding names the encoding of segment seg's block of column col.
+func (r *Reader) Encoding(seg, col int) string { return encNames[r.foot.segs[seg].blocks[col].enc] }
+
 // Rows returns the committed row count.
 func (r *Reader) Rows() int { return int(r.foot.nrows) }
 
@@ -394,9 +398,6 @@ func (r *Reader) Zone(col string) *engine.ZoneData { return r.zones[col] }
 // disk — the observable that proves zone-map-skipped segments were never
 // read, and that segments adopted from a predecessor were not read again.
 func (r *Reader) SegmentLoads() int64 { return r.segLoads.Load() }
-
-// BytesLoaded returns the total block bytes read and decoded so far.
-func (r *Reader) BytesLoaded() int64 { return r.bytesLoaded.Load() }
 
 // Load materializes segment seg into the table's column storage: each block
 // is read, checksum-verified, and decoded in place. Load is idempotent and
@@ -417,40 +418,10 @@ func (r *Reader) Load(seg int) error {
 // the column arrays; the rows before from are already there.
 func (r *Reader) loadSegment(seg, from int) error {
 	lo := seg * engine.SegmentSize
-	hi := lo + r.foot.segs[seg].rows
-	skip := from - lo
-	n, err := decodeSegmentBlocks(r.f, r.foot, seg, func(j int, b []byte) error {
-		c := r.table.Columns()[j]
-		if !c.Coded() {
-			b = b[skip*8:]
-			if c.Field.Kind == dataset.KindInt {
-				for i, ints := 0, c.Ints()[from:hi]; i < len(ints); i++ {
-					ints[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-				}
-			} else {
-				for i, floats := 0, c.Floats()[from:hi]; i < len(floats); i++ {
-					floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-				}
-			}
-			return nil
-		}
-		// The on-disk block is u32 codes or u64 values whatever the width in
-		// memory: decode straight into the packed array.
-		b = b[skip*blockWidth(c.Field.Kind):]
-		switch pc := c.Codes(); {
-		case pc.U16 != nil:
-			return decodeCodes(b, pc.U16[from:hi], c, seg)
-		case pc.U32 != nil:
-			return decodeCodes(b, pc.U32[from:hi], c, seg)
-		default:
-			return decodeCodes(b, pc.U8[from:hi], c, seg)
-		}
-	})
-	if err != nil {
+	if err := readSegment(r.f, r.foot, seg, r.table, lo, from-lo); err != nil {
 		return err
 	}
 	r.segLoads.Add(1)
-	r.bytesLoaded.Add(n)
 	return nil
 }
 
@@ -483,9 +454,13 @@ func (r *Reader) LoadAll() error {
 // against the footer index, without touching the table. It returns the
 // first corruption found.
 func (r *Reader) Verify() error {
-	for s := range r.foot.segs {
-		if _, err := decodeSegmentBlocks(r.f, r.foot, s, nil); err != nil {
-			return err
+	var buf []byte
+	for s, seg := range r.foot.segs {
+		for j, ref := range seg.blocks {
+			buf = slices.Grow(buf[:0], int(ref.len))[:ref.len]
+			if err := readBlock(r.f, r.foot, s, j, buf); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -502,110 +477,108 @@ func (r *Reader) Close() error {
 	return r.f.Close()
 }
 
-// blockWidth returns the on-disk bytes per row of a column kind.
-func blockWidth(k dataset.Kind) int {
-	if k == dataset.KindString {
-		return 4
+// readBlock reads block j of segment seg into b, sized to the block, checks
+// its checksum and puts its words in this machine's byte order.
+func readBlock(f io.ReaderAt, foot *footer, seg, j int, b []byte) error {
+	ref, name := foot.segs[seg].blocks[j], foot.fields[j].Name
+	if _, err := f.ReadAt(b, ref.off); err != nil {
+		return fmt.Errorf("zpack: segment %d column %q: %w", seg, name, err)
 	}
-	return 8
-}
-
-// decodeSegmentBlocks reads every column block of one segment through one
-// buffer, checks its length and checksum against the footer index, and hands
-// the verified payload to sink (nil sink = verify only). The payload is only
-// valid during the call. It returns the byte count read.
-func decodeSegmentBlocks(f io.ReaderAt, foot *footer, seg int, sink func(j int, payload []byte) error) (int64, error) {
-	s := foot.segs[seg]
-	buf := make([]byte, s.rows*8)
-	var total int64
-	for j, fd := range foot.fields {
-		ref := s.blocks[j]
-		if want := int64(s.rows * blockWidth(fd.Kind)); ref.len != want {
-			return 0, fmt.Errorf("zpack: segment %d column %q: block length %d, want %d", seg, fd.Name, ref.len, want)
-		}
-		b := buf[:ref.len]
-		if _, err := f.ReadAt(b, ref.off); err != nil {
-			return 0, fmt.Errorf("zpack: segment %d column %q: %w", seg, fd.Name, err)
-		}
-		if got := crc32.Checksum(b, castagnoli); got != ref.crc {
-			return 0, fmt.Errorf("zpack: segment %d column %q: block checksum mismatch (got %08x, want %08x)", seg, fd.Name, got, ref.crc)
-		}
-		total += ref.len
-		if sink == nil {
-			continue
-		}
-		if err := sink(j, b); err != nil {
-			return 0, err
-		}
+	if got := crc32.Checksum(b, castagnoli); got != ref.crc {
+		return fmt.Errorf("zpack: segment %d column %q: block checksum mismatch (got %08x, want %08x)", seg, name, got, ref.crc)
 	}
-	return total, nil
-}
-
-// decodeCodes decodes one block of a dictionary-coded column into len(dst)
-// packed codes: a categorical block holds the codes themselves, which must lie
-// inside the dictionary; an integer block holds the values, which must be in
-// the footer's value dictionary.
-func decodeCodes[W dataset.Code](b []byte, dst []W, c *dataset.Column, seg int) error {
-	if c.Field.Kind == dataset.KindInt {
-		for i := range dst {
-			v := int64(binary.LittleEndian.Uint64(b[i*8:]))
-			code := c.CodeOfInt(v)
-			if code < 0 {
-				return fmt.Errorf("zpack: segment %d column %q: value %d missing from footer dictionary (corrupt data)", seg, c.Field.Name, v)
-			}
-			dst[i] = W(code)
-		}
-		return nil
-	}
-	card := uint32(c.Cardinality())
-	for i := range dst {
-		code := binary.LittleEndian.Uint32(b[i*4:])
-		if code >= card {
-			return fmt.Errorf("zpack: segment %d column %q: dictionary code %d out of range [0,%d)", seg, c.Field.Name, int32(code), card)
-		}
-		dst[i] = W(code)
+	if bigEndian {
+		swapWords(b, encWidth(ref.enc))
 	}
 	return nil
 }
 
-// decodeSegmentInto appends one segment's decoded rows onto a buffer table
-// (the OpenAppend tail-restore path).
-func decodeSegmentInto(f io.ReaderAt, foot *footer, seg int, buf *dataset.Table) error {
+// readSegment fills rows [at+skip, at+rows) of t from segment seg's blocks,
+// one checksummed read each: straight into the column's array when the block
+// is at the array's width and holds only rows to fill, through one buffer
+// otherwise. The footer has matched every block's encoding to its column
+// (fits), so a block and an array of one width hold the same encoding.
+func readSegment(f io.ReaderAt, foot *footer, seg int, t *dataset.Table, at, skip int) error {
 	rows := foot.segs[seg].rows
-	cols := make([][]dataset.Value, len(foot.fields))
-	_, err := decodeSegmentBlocks(f, foot, seg, func(j int, b []byte) error {
-		vals := make([]dataset.Value, rows)
-		switch fd := foot.fields[j]; fd.Kind {
-		case dataset.KindString:
-			dict := foot.dicts[fd.Name]
-			for i := range vals {
-				code := binary.LittleEndian.Uint32(b[i*4:])
-				if int(code) >= len(dict) {
-					return fmt.Errorf("zpack: segment %d column %q: dictionary code %d out of range [0,%d)", seg, fd.Name, int32(code), len(dict))
-				}
-				vals[i] = dataset.SV(dict[code])
-			}
-		case dataset.KindInt:
-			for i := range vals {
-				vals[i] = dataset.IV(int64(binary.LittleEndian.Uint64(b[i*8:])))
-			}
-		default:
-			for i := range vals {
-				vals[i] = dataset.FV(math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:])))
-			}
+	var buf []byte
+	for j, c := range t.Columns() {
+		ref := foot.segs[seg].blocks[j]
+		dst := rowBytes(c, at, at+rows)
+		b := dst
+		if skip > 0 || int64(len(dst)) != ref.len {
+			buf = slices.Grow(buf[:0], int(ref.len))[:ref.len]
+			b = buf
 		}
-		cols[j] = vals
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	row := make(dataset.Row, len(cols))
-	for i := 0; i < rows; i++ {
-		for j := range cols {
-			row[j] = cols[j][i]
+		if err := readBlock(f, foot, seg, j, b); err != nil {
+			return err
 		}
-		buf.AppendRow(row...)
+		if err := fillRows(c, at+skip, b[skip*encWidth(ref.enc):], ref.enc, foot); err != nil {
+			return fmt.Errorf("zpack: segment %d column %q: %w (corrupt data)", seg, c.Field.Name, err)
+		}
 	}
 	return nil
+}
+
+// fillRows puts the rows of block payload b, in encoding enc, into c from row
+// at on, checking every code against its dictionary. A block read straight
+// into the array is checked in place.
+func fillRows(c *dataset.Column, at int, b []byte, enc uint8, foot *footer) error {
+	n := len(b) / encWidth(enc)
+	if enc == encV1Values && c.Coded() { // values: look up their codes
+		codes := make([]int32, n)
+		for i, v := range asWords[int64](b) {
+			if codes[i] = c.CodeOfInt(v); codes[i] < 0 {
+				return fmt.Errorf("value %d missing from footer dictionary", v)
+			}
+		}
+		b, enc = asBytes(codes), encV1Codes
+	}
+	switch {
+	case enc&encRaw != 0:
+		if dst := rowBytes(c, at, at+n); n > 0 && &dst[0] != &b[0] { // not read in place
+			copy(dst, b)
+		}
+	case c.Coded():
+		if !c.Codes().Fill(at, blockCodes(b, enc), c.Cardinality()) {
+			return fmt.Errorf("dictionary code out of range [0,%d)", c.Cardinality())
+		}
+	default:
+		// A raw int column's blocks from before it went raw.
+		dict, codes, ints := foot.oldInts[c.Field.Name], blockCodes(b, enc), c.Ints()[at:at+n]
+		for i := range ints {
+			code := uint32(codes.At(i))
+			if int(code) >= len(dict) {
+				return fmt.Errorf("dictionary code %d out of range [0,%d)", code, len(dict))
+			}
+			ints[i] = dict[code]
+		}
+	}
+	return nil
+}
+
+// blockCodes views a code block as the codes it holds.
+func blockCodes(b []byte, enc uint8) dataset.Codes {
+	switch encWidth(enc) {
+	case 2:
+		return dataset.Codes{U16: asWords[uint16](b)}
+	case 4:
+		return dataset.Codes{U32: asWords[uint32](b)}
+	}
+	return dataset.Codes{U8: b}
+}
+
+// rowBytes returns the bytes of rows [lo, hi) of c's array.
+func rowBytes(c *dataset.Column, lo, hi int) []byte {
+	pc := c.Codes()
+	switch {
+	case c.Field.Kind == dataset.KindFloat:
+		return asBytes(c.Floats()[lo:hi])
+	case !c.Coded():
+		return asBytes(c.Ints()[lo:hi])
+	case pc.U16 != nil:
+		return asBytes(pc.U16[lo:hi])
+	case pc.U32 != nil:
+		return asBytes(pc.U32[lo:hi])
+	}
+	return pc.U8[lo:hi]
 }

@@ -116,7 +116,7 @@ func TestReopenSameInodeSharesDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendTable(genTable("app", 25, "base"), nil); err != nil {
+	if err := w.AppendTable(genTable("app", 25, "base")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

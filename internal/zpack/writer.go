@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"slices"
 
@@ -18,40 +17,36 @@ import (
 // current state by appending the partial tail's blocks plus a fresh footer
 // and trailer at the end of the file. Committed byte ranges are never
 // rewritten, so readers holding an older footer keep a consistent snapshot.
+// Every block is written at the width the tail's array has when it is written.
 //
 // A Writer is not safe for concurrent use; callers serialize appends.
 type Writer struct {
 	f      *os.File
-	path   string
 	name   string
 	fields []dataset.Field
 
-	writeOff   int64
-	rowsSealed int64
-	sealed     []sealedSeg
+	writeOff int64
+	sealed   []sealedSeg // every one engine.SegmentSize rows
 	// tail buffers the open segment. Its columns' dictionaries outlive the
 	// segments (Truncate keeps them) and are the file's: the categorical ones,
 	// and each integer column's distinct values — until they pass
 	// dataset.MaxIntDictCardinality, from when the column is raw for good.
-	tail  *dataset.Table
-	dirty bool
-	buf   []byte // one segment's encoded blocks, reused
+	tail *dataset.Table
+	// blockDicts[j] is the value dictionary the code blocks of int column j
+	// written so far index; the footer keeps it once the column has gone raw.
+	blockDicts [][]int64
+	dirty      bool
+	buf        []byte // one segment's blocks, reused
 }
 
-// sealedSeg is one committed-side segment: its block index plus the zone
-// data captured when it sealed. Categorical presence bitsets are stored at
-// their seal-time word count and padded to the final dictionary size when
-// the footer is rendered (dictionaries only grow).
+// sealedSeg is one committed-side segment: its block index, and its zone maps
+// as segment at of zones. Categorical presence bitsets are padded to the
+// final dictionary size when the footer is rendered (dictionaries only grow).
 type sealedSeg struct {
-	rows    int
-	blocks  []blockRef
-	num     map[string]numZone
-	present map[string][]uint64
-}
-
-type numZone struct {
-	min, max float64
-	nan      bool
+	rows   int
+	blocks []blockRef
+	zones  map[string]*engine.ZoneData
+	at     int
 }
 
 // Create starts a new zpack file at path for the given schema, truncating
@@ -83,12 +78,12 @@ func Create(path, name string, fields []dataset.Field) (*Writer, error) {
 		return nil, err
 	}
 	w := &Writer{
-		f:        f,
-		path:     path,
-		name:     name,
-		fields:   append([]dataset.Field(nil), fields...),
-		writeOff: headerSize,
-		dirty:    true, // a fresh file has no committed footer yet
+		f:          f,
+		name:       name,
+		fields:     append([]dataset.Field(nil), fields...),
+		writeOff:   headerSize,
+		blockDicts: make([][]int64, len(fields)),
+		dirty:      true, // a fresh file has no committed footer yet
 	}
 	w.tail = dataset.NewTable(name, w.fields)
 	return w, nil
@@ -96,67 +91,55 @@ func Create(path, name string, fields []dataset.Field) (*Writer, error) {
 
 // OpenAppend opens an existing zpack file for appending: the footer is read
 // back, sealed segments and dictionaries are restored, and a trailing
-// partial segment (if any) is decoded into the open tail buffer so new rows
-// keep accreting into it.
+// partial segment (if any) is loaded into the open tail buffer so new rows
+// keep accreting into it. A version 1 file is refused: compacting it
+// rewrites it as the current version.
 func OpenAppend(path string) (*Writer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
 	foot, size, err := readFooter(f)
+	if err == nil && foot.version != Version {
+		err = fmt.Errorf("zpack: %s is format v%d, which this build reads but does not append to: upgrade it with `zpack compact %s`", path, foot.version, path)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	w := &Writer{
-		f:        f,
-		path:     path,
-		name:     foot.name,
-		fields:   foot.fields,
-		writeOff: size,
+		f:          f,
+		name:       foot.name,
+		fields:     foot.fields,
+		writeOff:   size,
+		blockDicts: make([][]int64, len(foot.fields)),
+		tail:       dataset.NewTable(foot.name, foot.fields),
 	}
 	// Split the footer's segments into sealed ones and the open tail.
-	nseg := len(foot.segs)
-	tailSeg := -1
-	if nseg > 0 && foot.segs[nseg-1].rows < engine.SegmentSize {
-		tailSeg = nseg - 1
+	nsealed := len(foot.segs)
+	if nsealed > 0 && foot.segs[nsealed-1].rows < engine.SegmentSize {
+		nsealed--
 	}
-	for i, s := range foot.segs {
-		if i == tailSeg {
-			break
-		}
-		rec := sealedSeg{
-			rows:    s.rows,
-			blocks:  s.blocks,
-			num:     make(map[string]numZone),
-			present: make(map[string][]uint64),
-		}
-		for _, fd := range w.fields {
-			z := foot.zones[fd.Name]
-			if fd.Kind == dataset.KindString {
-				rec.present[fd.Name] = append([]uint64(nil), z.Present[i*z.Words:(i+1)*z.Words]...)
-			} else {
-				rec.num[fd.Name] = numZone{min: z.Min[i], max: z.Max[i], nan: z.NaN[i]}
-			}
-		}
-		w.sealed = append(w.sealed, rec)
-		w.rowsSealed += int64(s.rows)
+	for i, s := range foot.segs[:nsealed] {
+		w.sealed = append(w.sealed, sealedSeg{rows: s.rows, blocks: s.blocks, zones: foot.zones, at: i})
 	}
 	// The tail carries the file's dictionaries so far, so its codes stay
 	// consistent with every sealed block.
-	w.tail = dataset.NewTable(w.name, w.fields)
-	for _, c := range w.tail.Columns() {
+	for j, c := range w.tail.Columns() {
 		switch vals, ok := foot.intVals[c.Field.Name]; {
 		case c.Field.Kind == dataset.KindString:
 			c.SetDict(foot.dicts[c.Field.Name])
 		case ok:
 			c.SetIntDict(vals)
+			w.blockDicts[j] = vals
 		case c.Field.Kind == dataset.KindInt:
 			c.SetRawInts() // exceeded the bound in a prior session
+			w.blockDicts[j] = foot.oldInts[c.Field.Name]
 		}
 	}
-	if tailSeg >= 0 {
-		if err := decodeSegmentInto(f, foot, tailSeg, w.tail); err != nil {
+	if nsealed < len(foot.segs) {
+		w.tail.Presize(foot.segs[nsealed].rows)
+		if err := readSegment(f, foot, nsealed, w.tail, 0, 0); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -164,14 +147,8 @@ func OpenAppend(path string) (*Writer, error) {
 	return w, nil
 }
 
-// Name returns the dataset name recorded in the footer.
-func (w *Writer) Name() string { return w.name }
-
-// Fields returns the schema.
-func (w *Writer) Fields() []dataset.Field { return w.fields }
-
 // Rows returns the total row count, sealed plus buffered tail.
-func (w *Writer) Rows() int64 { return w.rowsSealed + int64(w.tail.NumRows()) }
+func (w *Writer) Rows() int64 { return int64(len(w.sealed)*engine.SegmentSize + w.tail.NumRows()) }
 
 // Segments returns the segment count the next Flush will commit.
 func (w *Writer) Segments() int {
@@ -202,12 +179,13 @@ func (w *Writer) Append(rows []dataset.Row) error {
 	return nil
 }
 
-// AppendTable appends the rows of t (schema must match by arity and kind) in
-// the order perm lists them, or all of them in table order when perm is nil.
-// It is Append column-wise: the tail fills by column ranges, string codes
-// translate through one array per column — resolved in row order, so the
+// AppendTable appends the rows of t (schema must match by arity and kind).
+// Into a file without rows, t's dictionaries become the file's and its full
+// segments are written straight from its arrays — the bulk path Build and
+// compaction take. Other rows fill the tail by column ranges, t's codes
+// translated through one array per column — resolved in row order, so the
 // file's dictionaries grow exactly as Append would grow them.
-func (w *Writer) AppendTable(t *dataset.Table, perm []int) error {
+func (w *Writer) AppendTable(t *dataset.Table) error {
 	if t.NumCols() != len(w.fields) {
 		return fmt.Errorf("zpack: table has %d columns, file schema has %d", t.NumCols(), len(w.fields))
 	}
@@ -216,22 +194,34 @@ func (w *Writer) AppendTable(t *dataset.Table, perm []int) error {
 			return fmt.Errorf("zpack: table schema does not match file schema at column %q", fd.Name)
 		}
 	}
-	n := t.NumRows()
-	if perm != nil {
-		n = len(perm)
-	}
+	n, lo := t.NumRows(), 0
 	if n == 0 {
 		return nil
 	}
 	w.dirty = true
-	rm := dataset.NewRemap(t)
-	for lo := 0; lo < n; {
-		hi := min(n, lo+engine.SegmentSize-w.tail.NumRows())
-		if perm == nil {
-			w.tail.AppendRange(t, lo, hi, rm)
-		} else {
-			w.tail.AppendGather(t, perm[lo:hi], rm)
+	if w.Rows() == 0 {
+		for j, c := range w.tail.Columns() {
+			switch src := t.Columns()[j]; {
+			case c.Field.Kind == dataset.KindString:
+				c.SetDict(src.Dict())
+			case src.Coded():
+				c.SetIntDict(src.IntDict())
+			case c.Field.Kind == dataset.KindInt:
+				c.SetRawInts()
+			}
 		}
+		if lo = n - n%engine.SegmentSize; lo > 0 {
+			recs, err := w.writeSegments(t, lo)
+			if err != nil {
+				return err
+			}
+			w.sealed = append(w.sealed, recs...)
+		}
+	}
+	rm := dataset.NewRemap(t)
+	for lo < n {
+		hi := min(n, lo+engine.SegmentSize-w.tail.NumRows())
+		w.tail.AppendRange(t, lo, hi, rm)
 		lo = hi
 		if w.tail.NumRows() == engine.SegmentSize {
 			if err := w.seal(); err != nil {
@@ -245,58 +235,48 @@ func (w *Writer) AppendTable(t *dataset.Table, perm []int) error {
 // seal writes the full tail segment's blocks, captures its zone maps, and
 // empties the tail.
 func (w *Writer) seal() error {
-	refs, err := w.writeSegmentBlocks(w.tail)
+	recs, err := w.writeSegments(w.tail, w.tail.NumRows())
 	if err != nil {
 		return err
 	}
-	rec := sealedSeg{
-		rows:    w.tail.NumRows(),
-		blocks:  refs,
-		num:     make(map[string]numZone),
-		present: make(map[string][]uint64),
-	}
-	w.captureZones(w.tail, &rec)
-	w.sealed = append(w.sealed, rec)
-	w.rowsSealed += int64(rec.rows)
+	w.sealed = append(w.sealed, recs...)
 	w.tail.Truncate()
 	return nil
 }
 
-// captureZones computes the single-segment zone maps of a (<= SegmentSize
-// rows) buffer table through engine.ComputeZones, the same code the
-// in-memory column store uses, so skipping proofs agree across backends.
-func (w *Writer) captureZones(t *dataset.Table, rec *sealedSeg) {
+// writeSegments writes rows [0, n) of t at the end of the file as segments of
+// engine.SegmentSize rows (the last may be partial), one write each, and
+// returns their records. A block is its column's array as memory holds it.
+// The zone maps are engine.ComputeZones(t), the same code the in-memory
+// column store uses, so skipping proofs agree across back-ends.
+func (w *Writer) writeSegments(t *dataset.Table, n int) ([]sealedSeg, error) {
+	const size = engine.SegmentSize
 	zones := engine.ComputeZones(t)
-	for _, fd := range w.fields {
-		z := zones[fd.Name]
-		if fd.Kind == dataset.KindString {
-			rec.present[fd.Name] = z.Present
-		} else {
-			rec.num[fd.Name] = numZone{min: z.Min[0], max: z.Max[0], nan: z.NaN[0]}
+	recs := make([]sealedSeg, (n+size-1)/size)
+	for s := range recs {
+		rec := sealedSeg{rows: min(size, n-s*size), blocks: make([]blockRef, t.NumCols()), zones: zones, at: s}
+		w.buf = w.buf[:0]
+		for j, c := range t.Columns() {
+			from := len(w.buf)
+			w.buf = append(w.buf, rowBytes(c, s*size, s*size+rec.rows)...)
+			b := w.buf[from:]
+			if bigEndian {
+				swapWords(b, len(b)/rec.rows)
+			}
+			rec.blocks[j] = blockRef{off: w.writeOff + int64(from), len: int64(len(b)), crc: crc32.Checksum(b, castagnoli), enc: uint8(len(b) / rec.rows)}
 		}
+		recs[s] = rec
+		if _, err := w.f.WriteAt(w.buf, w.writeOff); err != nil {
+			return nil, err
+		}
+		w.writeOff += int64(len(w.buf))
 	}
-}
-
-// writeSegmentBlocks encodes one block per column, back to back in the
-// writer's reused buffer, and writes them at the current end of file in one
-// call, returning their index entries.
-func (w *Writer) writeSegmentBlocks(t *dataset.Table) ([]blockRef, error) {
-	refs := make([]blockRef, t.NumCols())
-	w.buf = w.buf[:0]
 	for j, c := range t.Columns() {
-		from := len(w.buf)
-		w.buf = appendBlock(w.buf, c, t.NumRows())
-		refs[j] = blockRef{
-			off: w.writeOff + int64(from),
-			len: int64(len(w.buf) - from),
-			crc: crc32.Checksum(w.buf[from:], castagnoli),
+		if c.Field.Kind == dataset.KindInt && c.Coded() {
+			w.blockDicts[j] = c.IntDict()
 		}
 	}
-	if _, err := w.f.WriteAt(w.buf, w.writeOff); err != nil {
-		return nil, err
-	}
-	w.writeOff += int64(len(w.buf))
-	return refs, nil
+	return recs, nil
 }
 
 // Flush commits the current state: the partial tail segment's blocks (if
@@ -307,39 +287,35 @@ func (w *Writer) Flush() error {
 	if !w.dirty {
 		return nil
 	}
-	segs := make([]segMeta, 0, len(w.sealed)+1)
 	records := w.sealed
-	for _, rec := range w.sealed {
-		segs = append(segs, segMeta{rows: rec.rows, blocks: rec.blocks})
-	}
-	if w.tail.NumRows() > 0 {
-		refs, err := w.writeSegmentBlocks(w.tail)
+	if rows := w.tail.NumRows(); rows > 0 {
+		recs, err := w.writeSegments(w.tail, rows)
 		if err != nil {
 			return err
 		}
-		rec := sealedSeg{rows: w.tail.NumRows(), blocks: refs,
-			num: make(map[string]numZone), present: make(map[string][]uint64)}
-		w.captureZones(w.tail, &rec)
-		segs = append(segs, segMeta{rows: rec.rows, blocks: refs})
-		records = append(append([]sealedSeg(nil), w.sealed...), rec)
+		records = append(slices.Clip(w.sealed), recs...)
 	}
 	foot := &footer{
 		name:    w.name,
 		fields:  w.fields,
 		nrows:   w.Rows(),
-		segs:    segs,
+		segs:    make([]segMeta, len(records)),
 		dicts:   make(map[string][]string),
 		intVals: make(map[string][]int64),
+		oldInts: make(map[string][]int64),
 		zones:   make(map[string]*engine.ZoneData),
 	}
-	for _, c := range w.tail.Columns() {
-		switch {
+	for i, rec := range records {
+		foot.segs[i] = segMeta{rows: rec.rows, blocks: rec.blocks}
+	}
+	for j, c := range w.tail.Columns() {
+		switch name := c.Field.Name; {
 		case c.Field.Kind == dataset.KindString:
-			foot.dicts[c.Field.Name] = c.Dict()
+			foot.dicts[name] = c.Dict()
 		case c.Coded():
-			vals := slices.Clone(c.IntDict())
-			slices.Sort(vals)
-			foot.intVals[c.Field.Name] = vals
+			foot.intVals[name] = c.IntDict()
+		case w.blockDicts[j] != nil:
+			foot.oldInts[name] = w.blockDicts[j]
 		}
 	}
 	w.buildFooterZones(foot, records)
@@ -365,28 +341,26 @@ func (w *Writer) Flush() error {
 }
 
 // buildFooterZones assembles the footer's per-column zone arrays from the
-// per-segment records, padding categorical presence bitsets to the final
+// segment records, padding categorical presence bitsets to the final
 // dictionary word count.
 func (w *Writer) buildFooterZones(foot *footer, records []sealedSeg) {
 	nseg := len(records)
 	for _, fd := range w.fields {
 		z := &engine.ZoneData{}
 		if fd.Kind == dataset.KindString {
-			z.Words = (len(foot.dicts[fd.Name]) + 63) / 64
-			if z.Words == 0 {
-				z.Words = 1
-			}
+			z.Words = max(1, (len(foot.dicts[fd.Name])+63)/64)
 			z.Present = make([]uint64, nseg*z.Words)
 			for i, rec := range records {
-				copy(z.Present[i*z.Words:(i+1)*z.Words], rec.present[fd.Name])
+				rz := rec.zones[fd.Name]
+				copy(z.Present[i*z.Words:(i+1)*z.Words], rz.Present[rec.at*rz.Words:(rec.at+1)*rz.Words])
 			}
 		} else {
 			z.Min = make([]float64, nseg)
 			z.Max = make([]float64, nseg)
 			z.NaN = make([]bool, nseg)
 			for i, rec := range records {
-				nz := rec.num[fd.Name]
-				z.Min[i], z.Max[i], z.NaN[i] = nz.min, nz.max, nz.nan
+				rz := rec.zones[fd.Name]
+				z.Min[i], z.Max[i], z.NaN[i] = rz.Min[rec.at], rz.Max[rec.at], rz.NaN[rec.at]
 			}
 		}
 		foot.zones[fd.Name] = z
@@ -409,14 +383,15 @@ func (w *Writer) Close() error {
 // a failed Append or Flush, then OpenAppend to recover.
 func (w *Writer) Discard() { w.f.Close() }
 
-// Build writes t to a new zpack file at path in one shot: create, append
-// every row, flush, close. A failed build removes what it wrote of the file.
+// Build writes t to a new zpack file at path in one shot — create, the bulk
+// AppendTable, flush, close — with t's dictionaries as the file's. A failed
+// build removes what it wrote of the file.
 func Build(path string, t *dataset.Table) error {
 	w, err := Create(path, t.Name, t.Fields())
 	if err != nil {
 		return err
 	}
-	if err := w.AppendTable(t, nil); err != nil {
+	if err := w.AppendTable(t); err != nil {
 		w.Discard()
 		os.Remove(path)
 		return err
@@ -426,46 +401,4 @@ func Build(path string, t *dataset.Table) error {
 		return err
 	}
 	return nil
-}
-
-// appendBlock appends the first rows values of a column as its typed block
-// payload: u32 dictionary codes for categorical columns, u64 two's-complement
-// or IEEE-754 bits for int and float columns, all little-endian — whatever the
-// column's layout in memory.
-func appendBlock(out []byte, c *dataset.Column, rows int) []byte {
-	n := len(out)
-	width := blockWidth(c.Field.Kind)
-	out = slices.Grow(out, rows*width)[:n+rows*width]
-	switch pc := c.Codes(); {
-	case c.Field.Kind == dataset.KindFloat:
-		for i, v := range c.Floats()[:rows] {
-			binary.LittleEndian.PutUint64(out[n+i*8:], math.Float64bits(v))
-		}
-	case !c.Coded():
-		for i, v := range c.Ints()[:rows] {
-			binary.LittleEndian.PutUint64(out[n+i*8:], uint64(v))
-		}
-	case pc.U16 != nil:
-		putCodes(out[n:], pc.U16[:rows], c.IntDict())
-	case pc.U32 != nil:
-		putCodes(out[n:], pc.U32[:rows], c.IntDict())
-	default:
-		putCodes(out[n:], pc.U8[:rows], c.IntDict())
-	}
-	return out
-}
-
-// putCodes encodes a dictionary-coded column's block: the codes themselves as
-// u32s for a categorical column (vals is nil), the values they stand for as
-// u64s for an integer one.
-func putCodes[W dataset.Code](out []byte, codes []W, vals []int64) {
-	if vals == nil {
-		for i, code := range codes {
-			binary.LittleEndian.PutUint32(out[i*4:], uint32(code))
-		}
-		return
-	}
-	for i, code := range codes {
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(vals[code]))
-	}
 }

@@ -306,7 +306,8 @@ func TestVerifyAndCorruption(t *testing.T) {
 }
 
 // TestDeterministicBytes pins byte-for-byte reproducible output for the same
-// input — the property the committed golden fixture depends on.
+// input — the property the committed golden fixtures depend on — and that the
+// committed v2 fixture is what Build writes from its CSV source.
 func TestDeterministicBytes(t *testing.T) {
 	tb := testTable(9000)
 	a, err := os.ReadFile(buildFile(t, tb))
@@ -319,6 +320,17 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("two builds of the same table produced different bytes")
+	}
+	src, err := dataset.ReadCSVFile("fixture", filepath.Join("testdata", "fixture.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := os.ReadFile(buildFile(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(built) != string(readFixture(t, "fixture_v2.zpack")) {
+		t.Fatal("Build of testdata/fixture.csv no longer writes testdata/fixture_v2.zpack")
 	}
 }
 
@@ -345,11 +357,17 @@ func TestEmptyDataset(t *testing.T) {
 	}
 }
 
-// TestGoldenFixtureBackwardReadable guards format compatibility: the
-// committed v1 fixture must keep opening and matching its committed CSV
-// source byte for byte, in every future build of this package.
+// TestGoldenFixtureBackwardReadable is the upgrade test: the committed v1
+// fixture keeps opening, verifying and matching its committed CSV source in
+// every future build of this package; it refuses appends, naming the upgrade;
+// and its table, written again the way compaction writes it, is a v2 file
+// that holds the same cells and answers the same queries.
 func TestGoldenFixtureBackwardReadable(t *testing.T) {
-	r, err := Open(filepath.Join("testdata", "fixture_v1.zpack"))
+	path := filepath.Join(t.TempDir(), "fixture_v1.zpack")
+	if err := os.WriteFile(path, readFixture(t, "fixture_v1.zpack"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
 	if err != nil {
 		t.Fatalf("committed v1 fixture no longer opens: %v", err)
 	}
@@ -365,6 +383,48 @@ func TestGoldenFixtureBackwardReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertTablesEqual(t, r.Table(), want)
+	if _, err := OpenAppend(path); err == nil || !strings.Contains(err.Error(), "zpack compact "+path) {
+		t.Fatalf("append to a v1 file: %v; want the upgrade named", err)
+	}
+
+	up := filepath.Join(t.TempDir(), "fixture.zpack")
+	all := make([]int, r.Rows())
+	for i := range all {
+		all[i] = i
+	}
+	if err := Build(up, r.Table().Gather(all)); err != nil {
+		t.Fatal(err)
+	}
+	u, err := Open(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	if r.Version() != 1 || u.Version() != Version {
+		t.Fatalf("versions %d -> %d, want 1 -> %d", r.Version(), u.Version(), Version)
+	}
+	if err := u.LoadAll(); err != nil {
+		t.Fatal(err)
+	}
+	assertTablesEqual(t, u.Table(), want)
+	before, after := engine.NewColumnStoreFromSource(r), engine.NewColumnStoreFromSource(u)
+	for _, sql := range []string{
+		"SELECT region, SUM(revenue) AS s FROM fixture GROUP BY region ORDER BY region",
+		"SELECT year, COUNT(*) AS n, MAX(units) AS m FROM fixture WHERE region = 'north' GROUP BY year ORDER BY year",
+		"SELECT units FROM fixture WHERE year >= 2017 AND units < 30 GROUP BY units ORDER BY units",
+	} {
+		b, err := before.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := after.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(a.Cols, a.Rows()) != fmt.Sprint(b.Cols, b.Rows()) || b.Len() == 0 {
+			t.Errorf("%s:\n v2 %v\n v1 %v", sql, a.Rows(), b.Rows())
+		}
+	}
 }
 
 // TestShardedReaderRangeViews pins the footer-index sharding contract: a
