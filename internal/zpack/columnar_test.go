@@ -125,6 +125,57 @@ func TestBuildWritesTheBytesAppendWrites(t *testing.T) {
 	}
 }
 
+// rowsOf is a new table of tb's rows p, appended one at a time, so its
+// dictionaries are in the order those rows first use them.
+func rowsOf(tb *dataset.Table, p []int) *dataset.Table {
+	out := dataset.NewTable(tb.Name, tb.Fields())
+	for _, r := range p {
+		out.AppendRow(tb.Row(r)...)
+	}
+	return out
+}
+
+// TestAppendTableWritesTheBytesAppendWrites: a new file written by one
+// AppendTable is byte for byte the file the same rows write one Append at a
+// time — for the rows in table order, permuted and a subset, at every row
+// count around a seal.
+func TestAppendTableWritesTheBytesAppendWrites(t *testing.T) {
+	const S = engine.SegmentSize
+	for _, rows := range []int{0, 1, S - 1, S, S + 1, 3*S + 7} {
+		tb := mixedTable(rows, int64(rows)+1, math.MaxInt)
+		perm := rand.New(rand.NewSource(9)).Perm(rows)
+		for name, p := range map[string][]int{"table order": nil, "permuted": perm, "subset": perm[:rows/2]} {
+			src := tb
+			if p != nil {
+				src = rowsOf(tb, p)
+			}
+			dir := t.TempDir()
+			colPath, rowPath := filepath.Join(dir, "col.zpack"), filepath.Join(dir, "row.zpack")
+			cw, err := Create(colPath, src.Name, src.Fields())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cw.AppendTable(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := cw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rw, err := Create(rowPath, src.Name, src.Fields())
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRowWise(t, rw, src)
+			if err := rw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fileSum(t, colPath), fileSum(t, rowPath); got != want {
+				t.Errorf("%d rows, %s: column-wise file %s, row-wise %s", rows, name, got, want)
+			}
+		}
+	}
+}
+
 // TestAppendTableIntoReopenedFile: the file already has sealed segments, a
 // partial tail and dictionaries; the appended table's own dictionaries are in
 // another order and hold strings the file has and has not seen — and, gathered
