@@ -55,7 +55,7 @@ func main() {
 		addr      = flag.String("addr", ":8421", "listen address")
 		demos     = flag.String("demo", "", "comma-separated built-in demo datasets: sales, airline, census, housing")
 		backend   = flag.String("backend", "row", "storage back-end for every dataset: row, bitmap, column, or auto (another name for column)")
-		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget (0 means the default, 1024; negative disables)")
+		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget; a tenth of both holds results on probation until their first hit (0 means the default, 1024; negative disables)")
 		workers   = flag.Int("workers", 1, "coalescing workers per dataset (1 maximizes shared scans)")
 		pworkers  = flag.Int("process-workers", 0, "process-phase worker goroutines per query (0 = auto)")
 		optName   = flag.String("opt", "intertask", "default optimization level: noopt, intraline, intratask, intertask (or o0..o3)")

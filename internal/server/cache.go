@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -11,21 +12,38 @@ import (
 	"repro/internal/minisql"
 )
 
-// ResultCache is a bounded LRU cache of engine results keyed by the canonical
+// ResultCache is a bounded cache of engine results keyed by the canonical
 // rendered SQL of a prepared plan (engine.Plan.SQL). The canonical renderer
 // makes the key insensitive to the request that produced the query: two
 // browser sessions asking for the same slice hit the same entry.
+//
+// A result earns its slot (S3-FIFO, Yang et al., SOSP 2023: most keys are
+// asked for once). It enters a probation FIFO of at most a tenth of the
+// entries and a tenth of the byte budget, which always keeps its newest
+// entry, so an immediate repeat of any admitted result hits. A hit moves it
+// to the main LRU. A result that falls out of probation unhit is dropped and
+// its key's hash joins a ghost ring of the last capacity such drops; a later
+// miss whose hash is there goes straight to main. The ghost only ever
+// promotes: Get matches the full key, so a hash collision cannot serve a
+// wrong result.
 //
 // Cached *engine.Result values are shared between requests and MUST be
 // treated as read-only by every consumer; the zexec splitter and the JSON
 // encoders only read them.
 type ResultCache struct {
-	mu     sync.Mutex
-	cap    int
-	budget int64 // bytes of results (engine.Result.SizeBytes) held across entries
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
+	mu        sync.Mutex
+	cap       int
+	budget    int64      // bytes of results (engine.Result.SizeBytes) held across entries
+	bytes     int64      // both queues
+	probBytes int64      // of which on probation
+	probation *list.List // front = newest
+	main      *list.List // front = most recently used
+	items     map[string]*list.Element
+
+	seed      maphash.Seed
+	ghost     []uint64 // ring of the hashes of keys dropped from probation
+	ghostNext int      // the slot the next drop overwrites once the ring is full
+	inGhost   map[uint64]struct{}
 
 	// ctr is a pointer so a successor cache (dataset append swap) can adopt
 	// its predecessor's cell: late increments from requests still running on
@@ -46,6 +64,7 @@ type cacheEntry struct {
 	key   string
 	res   *engine.Result
 	bytes int64
+	main  bool // in the main LRU, not on probation
 }
 
 // cacheBytesPerEntry scales the cache's byte budget: entry count alone is a
@@ -60,32 +79,47 @@ const cacheBytesPerEntry = 24 << 10
 // Get always misses and Put is a no-op.
 func NewResultCache(capacity int) *ResultCache {
 	return &ResultCache{
-		cap:    capacity,
-		budget: int64(capacity) * cacheBytesPerEntry,
-		ll:     list.New(),
-		items:  make(map[string]*list.Element),
-		ctr:    &cacheCounters{},
+		cap:       capacity,
+		budget:    int64(capacity) * cacheBytesPerEntry,
+		probation: list.New(),
+		main:      list.New(),
+		items:     make(map[string]*list.Element),
+		seed:      maphash.MakeSeed(),
+		inGhost:   make(map[uint64]struct{}),
+		ctr:       &cacheCounters{},
 	}
 }
 
-// Get returns the cached result for key, marking it most recently used.
+// Get returns the cached result for key, moving a probation entry to the
+// main LRU and marking it most recently used.
 func (c *ResultCache) Get(key string) (*engine.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.ctr.hits.Add(1)
-		return el.Value.(*cacheEntry).res, true
+	el, ok := c.items[key]
+	if !ok {
+		c.ctr.misses.Add(1)
+		return nil, false
 	}
-	c.ctr.misses.Add(1)
-	return nil, false
+	e := el.Value.(*cacheEntry)
+	if e.main {
+		c.main.MoveToFront(el)
+	} else {
+		c.probation.Remove(el)
+		c.probBytes -= e.bytes
+		e.main = true
+		c.items[key] = c.main.PushFront(e)
+	}
+	c.ctr.hits.Add(1)
+	return e.res, true
 }
 
-// Put stores a result under key, evicting least recently used entries while
-// the cache exceeds its entry capacity or its byte budget. A single result
-// bigger than the whole budget is counted (oversize) and not cached at all —
-// pinning the entire budget for one query would evict everything else for no
-// aggregate gain.
+// Put stores a result under key: on probation, or in main when the ghost
+// remembers the key. It then drops the oldest probation entries past
+// probation's share into the ghost, and evicts least recently used main
+// entries while the cache exceeds its entry capacity or its byte budget. A
+// single result bigger than the whole budget is counted (oversize) and not
+// cached at all — pinning the entire budget for one query would evict
+// everything else for no aggregate gain.
 func (c *ResultCache) Put(key string, res *engine.Result) {
 	if c.cap <= 0 {
 		return
@@ -100,20 +134,63 @@ func (c *ResultCache) Put(key string, res *engine.Result) {
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*cacheEntry)
 		c.bytes += bytes - e.bytes
+		if !e.main {
+			c.probBytes += bytes - e.bytes
+		}
 		e.res, e.bytes = res, bytes
-		c.ll.MoveToFront(el)
+		c.queue(e).MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, bytes: bytes})
+		_, seen := c.inGhost[maphash.String(c.seed, key)]
+		e := &cacheEntry{key: key, res: res, bytes: bytes, main: seen}
+		if !seen {
+			c.probBytes += bytes
+		}
+		c.items[key] = c.queue(e).PushFront(e)
 		c.bytes += bytes
 	}
-	for c.ll.Len() > c.cap || c.bytes > c.budget {
-		oldest := c.ll.Back()
-		e := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
-		c.ctr.evictions.Add(1)
+	probCap, probBudget := (c.cap+9)/10, c.budget/10
+	for c.probation.Len() > 1 && (c.probation.Len() > probCap || c.probBytes > probBudget) {
+		e := c.evict(c.probation.Back())
+		c.remember(maphash.String(c.seed, e.key))
 	}
+	// Probation now fits its share, or holds one result within the budget;
+	// either way, what is over the bounds is in main.
+	for len(c.items) > c.cap || c.bytes > c.budget {
+		c.evict(c.main.Back())
+	}
+}
+
+func (c *ResultCache) queue(e *cacheEntry) *list.List {
+	if e.main {
+		return c.main
+	}
+	return c.probation
+}
+
+// evict removes el's entry from its queue and the cache.
+func (c *ResultCache) evict(el *list.Element) *cacheEntry {
+	e := el.Value.(*cacheEntry)
+	c.queue(e).Remove(el)
+	delete(c.items, e.key)
+	c.bytes -= e.bytes
+	if !e.main {
+		c.probBytes -= e.bytes
+	}
+	c.ctr.evictions.Add(1)
+	return e
+}
+
+// remember adds a dropped key's hash to the ghost ring, forgetting the
+// oldest once the ring holds capacity hashes.
+func (c *ResultCache) remember(h uint64) {
+	if len(c.ghost) < c.cap {
+		c.ghost = append(c.ghost, h)
+	} else {
+		delete(c.inGhost, c.ghost[c.ghostNext])
+		c.ghost[c.ghostNext] = h
+		c.ghostNext = (c.ghostNext + 1) % c.cap
+	}
+	c.inGhost[h] = struct{}{}
 }
 
 // InheritStats adopts a predecessor cache's counter cell and counts every
@@ -128,10 +205,11 @@ func (c *ResultCache) InheritStats(prev *ResultCache) {
 	c.ctr = prev.ctr
 }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness. Evictions
-// counts LRU/byte-budget displacements plus wholesale invalidations when a
-// dataset is replaced by an append; Oversize counts results never cached
-// because one alone exceeded the whole byte budget.
+// CacheStats is a point-in-time snapshot of cache effectiveness. Entries and
+// Bytes span both queues. Evictions counts probation drops, main-queue
+// displacements and wholesale invalidations when a dataset is replaced by an
+// append; Oversize counts results never cached because one alone exceeded
+// the whole byte budget.
 type CacheStats struct {
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
@@ -147,7 +225,7 @@ func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:   c.ll.Len(),
+		Entries:   len(c.items),
 		Capacity:  c.cap,
 		Bytes:     c.bytes,
 		Hits:      c.ctr.hits.Load(),

@@ -12,14 +12,30 @@ func fakeResult(tag string) *engine.Result {
 	return &engine.Result{Cols: []string{tag}}
 }
 
+// sizedResult is a result whose SizeBytes is bytes, rounded down to a float.
+func sizedResult(tag string, bytes int64) *engine.Result {
+	r := fakeResult(tag)
+	r.Vecs = []engine.Vector{{Kind: dataset.KindFloat, Floats: make([]float64, bytes/8)}}
+	return r
+}
+
+// putHit stores a result and hits it once, which moves it to the main LRU.
+func putHit(t *testing.T, c *ResultCache, key string, res *engine.Result) {
+	t.Helper()
+	c.Put(key, res)
+	if _, ok := c.Get(key); !ok {
+		t.Fatalf("%s missed right after its Put", key)
+	}
+}
+
 func TestResultCacheLRU(t *testing.T) {
 	c := NewResultCache(2)
-	c.Put("a", fakeResult("a"))
-	c.Put("b", fakeResult("b"))
+	putHit(t, c, "a", fakeResult("a"))
+	putHit(t, c, "b", fakeResult("b"))
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a should be cached")
 	}
-	// a was just used, so inserting c must evict b.
+	// a was just used, so inserting c must evict b from main.
 	c.Put("c", fakeResult("c"))
 	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted (LRU)")
@@ -34,8 +50,8 @@ func TestResultCacheLRU(t *testing.T) {
 	if s.Entries != 2 || s.Capacity != 2 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.Hits != 3 || s.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 3/1", s.Hits, s.Misses)
+	if s.Hits != 5 || s.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 5/1", s.Hits, s.Misses)
 	}
 	// Overwriting a key updates in place without eviction.
 	c.Put("a", fakeResult("a2"))
@@ -51,15 +67,10 @@ func TestResultCacheByteBudget(t *testing.T) {
 	// Capacity 4 → byte budget 4*cacheBytesPerEntry. Entries of half a budget
 	// each: the third must evict the first even though entry count is fine.
 	c := NewResultCache(4)
-	big := func(tag string, bytes int64) *engine.Result {
-		r := fakeResult(tag)
-		r.Vecs = []engine.Vector{{Kind: dataset.KindFloat, Floats: make([]float64, bytes/8)}}
-		return r
-	}
 	half := int64(2 * cacheBytesPerEntry)
-	c.Put("a", big("a", half))
-	c.Put("b", big("b", half))
-	c.Put("c", big("c", half))
+	putHit(t, c, "a", sizedResult("a", half))
+	putHit(t, c, "b", sizedResult("b", half))
+	c.Put("c", sizedResult("c", half))
 	if _, ok := c.Get("a"); ok {
 		t.Error("a should have been evicted by the byte budget")
 	}
@@ -72,7 +83,7 @@ func TestResultCacheByteBudget(t *testing.T) {
 	// A single result over the whole budget is counted and not cached at
 	// all: it must not evict what is there on its way to being refused.
 	before := c.Stats()
-	c.Put("huge", big("huge", 5*cacheBytesPerEntry))
+	c.Put("huge", sizedResult("huge", 5*cacheBytesPerEntry))
 	if _, ok := c.Get("huge"); ok {
 		t.Error("oversized result must not be cached")
 	}
@@ -80,10 +91,120 @@ func TestResultCacheByteBudget(t *testing.T) {
 		t.Errorf("after an oversized Put: %+v, before: %+v", s, before)
 	}
 	// Overwriting with a different size keeps the accounting consistent.
-	c.Put("c", big("c2", 8))
+	c.Put("c", sizedResult("c2", 8))
 	wantBytes := half + 8 // b (half) + c (8)
 	if s := c.Stats(); s.Bytes != wantBytes {
 		t.Errorf("bytes = %d, want %d", s.Bytes, wantBytes)
+	}
+}
+
+// flood puts n one-off results of 8 to 40 KiB, checking after each Put that
+// the cache holds at most maxEntries results in maxBytes.
+func flood(t *testing.T, c *ResultCache, prefix string, n, maxEntries int, maxBytes int64) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		key := fmt.Sprint(prefix, i)
+		if _, ok := c.Get(key); ok {
+			t.Fatalf("%s hit before its Put", key)
+		}
+		c.Put(key, sizedResult(key, int64(i%5+1)*8<<10))
+		if s := c.Stats(); s.Entries > maxEntries || s.Bytes > maxBytes {
+			t.Fatalf("after %d one-off results: %d entries in %d bytes, want <= %d in <= %d",
+				i+1, s.Entries, s.Bytes, maxEntries, maxBytes)
+		}
+	}
+}
+
+// TestResultCacheProbationBoundsAFlood: results nobody asks for twice never
+// hold more than probation's share — ⌈capacity/10⌉ entries, budget/10 bytes —
+// and every one that leaves is counted as an eviction.
+func TestResultCacheProbationBoundsAFlood(t *testing.T) {
+	const capacity = 64
+	c := NewResultCache(capacity)
+	probCap, probBudget := (capacity+9)/10, int64(capacity*cacheBytesPerEntry/10)
+	flood(t, c, "once", 10*capacity, probCap, probBudget)
+	s := c.Stats()
+	if s.Entries == 0 || s.Evictions != int64(10*capacity-s.Entries) {
+		t.Errorf("after the flood: %+v, want %d evictions", s, 10*capacity-s.Entries)
+	}
+}
+
+// TestResultCacheHitSurvivesAFlood: one hit buys a result a main slot that
+// ten capacities of one-off results do not displace.
+func TestResultCacheHitSurvivesAFlood(t *testing.T) {
+	const capacity = 64
+	c := NewResultCache(capacity)
+	putHit(t, c, "kept", sizedResult("kept", 40<<10))
+	c.Put("unhit", sizedResult("unhit", 40<<10))
+	flood(t, c, "once", 10*capacity, capacity, capacity*cacheBytesPerEntry)
+	if r, ok := c.Get("kept"); !ok || r.Cols[0] != "kept" {
+		t.Error("a result hit once should survive a flood of one-off results")
+	}
+	if _, ok := c.Get("unhit"); ok {
+		t.Error("a result never hit should have been dropped by the flood")
+	}
+}
+
+// TestResultCacheGhostPromotes: a key dropped from probation and asked for
+// again goes straight to main, so it survives the next flood without a hit.
+func TestResultCacheGhostPromotes(t *testing.T) {
+	const capacity = 10 // probation holds one entry
+	c := NewResultCache(capacity)
+	c.Put("again", fakeResult("again"))
+	c.Put("next", fakeResult("next"))
+	if _, ok := c.Get("again"); ok {
+		t.Fatal("again should have been dropped from probation")
+	}
+	c.Put("again", fakeResult("again"))
+	if e := c.items["again"].Value.(*cacheEntry); !e.main {
+		t.Fatal("a key the ghost remembers should go straight to main")
+	}
+	flood(t, c, "once", 10*capacity, capacity, capacity*cacheBytesPerEntry)
+	if _, ok := c.Get("again"); !ok {
+		t.Error("a ghost-promoted result should survive a flood of one-off results")
+	}
+}
+
+// TestResultCacheGhostBounded: the ghost holds at most capacity hashes, the
+// most recent drops: a key dropped longer ago than that goes to probation
+// again.
+func TestResultCacheGhostBounded(t *testing.T) {
+	const capacity = 8
+	c := NewResultCache(capacity)
+	for i := 0; i < 10*capacity; i++ {
+		c.Put(fmt.Sprint("once", i), fakeResult("once"))
+		if len(c.ghost) > capacity || len(c.inGhost) > capacity {
+			t.Fatalf("after %d drops the ghost holds %d hashes (%d distinct), want <= %d",
+				i, len(c.ghost), len(c.inGhost), capacity)
+		}
+	}
+	// Probation holds once79; once71..once78 are the last eight drops. The
+	// remembered keys go first: a key re-Put onto probation drops another.
+	for _, tc := range []struct {
+		key  string
+		main bool
+	}{{"once71", true}, {"once78", true}, {"once70", false}, {"once0", false}} {
+		c.Put(tc.key, fakeResult(tc.key))
+		if e := c.items[tc.key].Value.(*cacheEntry); e.main != tc.main {
+			t.Errorf("%s re-Put: in main %v, want %v", tc.key, e.main, tc.main)
+		}
+	}
+}
+
+// TestResultCacheLargeResultRepeats: a result bigger than probation's byte
+// share but within the budget displaces the rest of probation, and an
+// immediate repeat still hits.
+func TestResultCacheLargeResultRepeats(t *testing.T) {
+	const capacity = 10
+	c := NewResultCache(capacity)
+	c.Put("small", sizedResult("small", 8<<10))
+	large := int64(capacity * cacheBytesPerEntry * 9 / 10)
+	c.Put("large", sizedResult("large", large))
+	if s := c.Stats(); s.Entries != 1 || s.Bytes != large {
+		t.Errorf("after the large Put: %+v, want the large result alone", s)
+	}
+	if r, ok := c.Get("large"); !ok || r.Cols[0] != "large" {
+		t.Error("an immediate repeat of a large result should hit")
 	}
 }
 

@@ -27,6 +27,14 @@ type GCPacer struct {
 
 	mu      sync.Mutex
 	stopped bool
+	last    paced
+}
+
+// paced is what one pace read and set: the n-th since the pacer started.
+type paced struct {
+	n            int
+	live, pinned int64
+	percent      int
 }
 
 // gcSentinel is garbage from the moment it is armed, so its finalizer runs
@@ -42,8 +50,7 @@ func StartGCPacer(reg *Registry) *GCPacer {
 	p := &GCPacer{reg: reg, base: int(runtimeInt("/gc/gogc:percent"))}
 	if p.base > 0 {
 		runtime.GC()
-		p.pace()
-		p.arm()
+		p.onGC()
 	}
 	return p
 }
@@ -74,13 +81,17 @@ func (p *GCPacer) onGC() {
 }
 
 // pace sets the GC percent from the live heap the last cycle marked and the
-// bytes the registry's tables hold now.
+// bytes the registry's tables hold now, and records all three. The caller
+// holds p.mu.
 func (p *GCPacer) pace() {
 	var pinned int64
 	for _, d := range p.reg.List() {
 		pinned += d.Table().SizeBytes()
 	}
-	debug.SetGCPercent(gcPercent(p.base, runtimeInt("/gc/heap/live:bytes"), pinned))
+	live := runtimeInt("/gc/heap/live:bytes")
+	percent := gcPercent(p.base, live, pinned)
+	debug.SetGCPercent(percent)
+	p.last = paced{n: p.last.n + 1, live: live, pinned: pinned, percent: percent}
 }
 
 // runtimeInt reads one integer metric, signed so that the GC percent reads

@@ -42,21 +42,34 @@ func TestGCPercentDerivation(t *testing.T) {
 	}
 }
 
-// awaitPacedPercent collects and waits for the pacer's finalizer to set the
-// derivation over the heap that cycle marked and the tables pinned now. It
-// returns that percent and that live heap.
-func awaitPacedPercent(t *testing.T, base int, pinned int64) (int, int64) {
+// awaitPace collects and waits for the pacer's finalizer to pace again. It
+// checks that pace's record: pinned is the tables' bytes, the percent is the
+// derivation over what it read, and that percent is the one in force — read
+// under the pacer's lock, so no later cycle can have moved it. Any cycle's
+// live heap will do; the test never compares it with a fresh read.
+func awaitPace(t *testing.T, p *GCPacer, base int, pinned int64) paced {
 	t.Helper()
+	p.mu.Lock()
+	before := p.last.n
+	p.mu.Unlock()
 	runtime.GC()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	for {
-		live := runtimeInt("/gc/heap/live:bytes")
-		got := int(runtimeInt("/gc/gogc:percent"))
-		if got == gcPercent(base, live, pinned) {
-			return got, live
+		p.mu.Lock()
+		rec, inForce := p.last, int(runtimeInt("/gc/gogc:percent"))
+		p.mu.Unlock()
+		if rec.n > before {
+			if rec.pinned != pinned {
+				t.Errorf("paced with %d pinned bytes, want the tables' %d", rec.pinned, pinned)
+			}
+			if want := gcPercent(base, rec.live, rec.pinned); rec.percent != want || inForce != want {
+				t.Errorf("paced %+v with GC percent %d in force, want gcPercent(%d, %d, %d) = %d",
+					rec, inForce, base, rec.live, rec.pinned, want)
+			}
+			return rec
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("GC percent %d, want gcPercent(%d, live %d, pinned %d) = %d", got, base, live, pinned, gcPercent(base, live, pinned))
+			t.Fatalf("no pace within a minute of a collection (%d so far)", rec.n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -95,11 +108,11 @@ func TestGCPacerLifecycle(t *testing.T) {
 
 	p := StartGCPacer(reg)
 	t.Cleanup(p.Stop)
-	got, live := awaitPacedPercent(t, base, pinned)
-	if got >= base {
-		t.Errorf("GC percent %d with %d of %d live bytes pinned, want below GOGC %d", got, pinned, live, base)
+	rec := awaitPace(t, p, base, pinned)
+	if rec.percent >= base {
+		t.Errorf("GC percent %d with %d of %d live bytes pinned, want below GOGC %d", rec.percent, pinned, rec.live, base)
 	}
-	t.Logf("table %d bytes, live %d: GC percent %d", pinned, live, got)
+	t.Logf("table %d bytes, live %d: GC percent %d", pinned, rec.live, rec.percent)
 
 	// The first append outgrows the exact-size arrays Open allocated.
 	if _, err := reg.Append("sales", batch); err != nil {
@@ -109,11 +122,8 @@ func TestGCPacerLifecycle(t *testing.T) {
 	if grown <= pinned {
 		t.Fatalf("after the append the table holds %d bytes, want more than %d", grown, pinned)
 	}
-	got, live = awaitPacedPercent(t, base, grown)
-	if stale := gcPercent(base, live, pinned); stale == got {
-		t.Fatalf("live %d: the old table's %d and the new one's %d pinned bytes give the same percent %d", live, pinned, grown, got)
-	}
-	t.Logf("after the swap: table %d bytes, live %d: GC percent %d", grown, live, got)
+	rec = awaitPace(t, p, base, grown)
+	t.Logf("after the swap: table %d bytes, live %d: GC percent %d", grown, rec.live, rec.percent)
 
 	p.Stop()
 	runtime.GC()

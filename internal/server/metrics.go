@@ -132,9 +132,14 @@ func newMetrics(reg *Registry) *metrics {
 			emit(float64(s.Cache.Misses))
 		})
 	perDataset("zen_cache_evictions_total",
-		"Result-cache evictions, including wholesale invalidation on append.", "counter",
+		"Result-cache evictions, including probation drops and wholesale invalidation on append.", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.Cache.Evictions))
+		})
+	perDataset("zen_cache_oversize_total",
+		"Results never cached because one alone exceeded the whole byte budget.", "counter",
+		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
+			emit(float64(s.Cache.Oversize))
 		})
 	perDataset("zen_cache_entries",
 		"Result-cache entries currently held.", "gauge",

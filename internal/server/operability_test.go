@@ -387,11 +387,12 @@ var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (N
 // TestMetricsScrapeFormat pins the /metrics contract with a minimal
 // exposition-format parser: correct content type, every sample preceded by
 // its family's TYPE header, and the key series present with sane values
-// after one query.
+// after one query and one result the cache refused as oversize.
 func TestMetricsScrapeFormat(t *testing.T) {
-	ts, reg := newTestServer(t, Config{})
+	ts, reg := newTestServer(t, Config{CacheEntries: 4})
 	reg.SetReady(true)
 	postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: pointQuery})
+	reg.Get("sales").cache.Put("oversize", sizedResult("oversize", 5*cacheBytesPerEntry))
 	runtime.GC()
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -460,6 +461,8 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	assertAtLeast(`zen_queue_depth{dataset="sales"}`, 0)
 	assertAtLeast(`zen_requests_shed_total{dataset="sales"}`, 0)
 	assertAtLeast(`zen_coalesce_submissions_total{dataset="sales"}`, 1)
+	assertAtLeast(`zen_cache_misses_total{dataset="sales"}`, 1)
+	assertAtLeast(`zen_cache_oversize_total{dataset="sales"}`, 1)
 	// The runtime's figures: the test collected before scraping, and no
 	// pacer runs here, so the percent is the process's own GOGC.
 	assertAtLeast(`zen_go_heap_live_bytes`, 1)

@@ -11,7 +11,7 @@
 //	           optionally sharded)      column/zpack stores can split into
 //	                                    segment shards scanned in parallel
 //	  coalescingDB                      queued submissions fold into one ExecuteBatch
-//	    cachingDB                       LRU results keyed by canonical plan SQL
+//	    cachingDB                       results keyed by canonical plan SQL (probation + LRU)
 //	      client.Session                ZQL parse/execute + bounded history
 //	        HTTP handlers               /query /spec /recommend /datasets /stats
 //

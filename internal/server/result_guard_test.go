@@ -25,8 +25,8 @@ func guardSales() workload.SalesConfig {
 
 // TestResultSizeGuard pins what a cached result costs: a 10 000-group
 // (string, int, SUM) result is at most 32 bytes a row, and a 256-entry cache
-// filled with them keeps at least as many as its row budget did, in at most
-// 7 MB of live heap.
+// whose main queue is filled with them keeps at least as many as its row
+// budget did, in at most 7 MB of live heap.
 func TestResultSizeGuard(t *testing.T) {
 	reg := NewRegistry()
 	ds, err := reg.AddTable(workload.Sales(guardSales()), Config{Backend: "auto", CacheEntries: 256})
@@ -55,7 +55,7 @@ func TestResultSizeGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds.cache.Put(fmt.Sprint("q", i), r)
+		putHit(t, ds.cache, fmt.Sprint("q", i), r) // a hit moves it to main
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
