@@ -151,7 +151,9 @@ func subTable(t *dataset.Table, rows int) *dataset.Table {
 		}
 	}
 	out.Presize(rows)
-	out.CopyRows(t, 0, rows)
+	for j, c := range out.Columns() {
+		c.CopyRows(t.Columns()[j], 0, rows)
+	}
 	return out
 }
 

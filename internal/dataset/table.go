@@ -399,19 +399,16 @@ func NewExtended(prev *Table, rows int, alias bool) *Table {
 	return t
 }
 
-// CopyRows copies rows [lo, hi) of src — a table of t's schema, layouts and
-// code widths — into the same rows of t.
-func (t *Table) CopyRows(src *Table, lo, hi int) {
-	for j, c := range t.cols {
-		sc := src.cols[j]
-		switch {
-		case c.Coded():
-			c.codes.Fill(lo, sc.codes.slice(lo, hi), math.MaxInt)
-		case c.Field.Kind == KindInt:
-			copy(c.ints[lo:hi], sc.ints[lo:hi])
-		default:
-			copy(c.floats[lo:hi], sc.floats[lo:hi])
-		}
+// CopyRows copies rows [lo, hi) of src — a column of c's field, layout and
+// code width — into the same rows of c.
+func (c *Column) CopyRows(src *Column, lo, hi int) {
+	switch {
+	case c.Coded():
+		c.codes.Fill(lo, src.codes.slice(lo, hi), math.MaxInt)
+	case c.Field.Kind == KindInt:
+		copy(c.ints[lo:hi], src.ints[lo:hi])
+	default:
+		copy(c.floats[lo:hi], src.floats[lo:hi])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -236,10 +237,12 @@ func (s *ColumnStore) Stats(table string) Stats {
 
 // vecPlan is the column store's per-plan compilation: the WHERE clause split
 // into top-level conjuncts, each lowered to a vectorized filter and keyed by
-// its canonical SQL so a batch can share evaluations across plans.
+// its canonical SQL so a batch can share evaluations across plans, and the
+// columns a scan of the plan reads.
 type vecPlan struct {
 	ct    *colTable
 	conjs []vecConjunct // empty means "all rows"
+	cols  ColumnSet     // select, group-by and WHERE columns: what Load must bring in
 }
 
 type vecConjunct struct {
@@ -298,7 +301,13 @@ func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 // conjunct that folds to all-true — zexec's z IN (<every slice>) — stays in
 // p.conjs, which is what EXPLAIN lists, and costs the scan nothing.
 func (s *ColumnStore) compileVecPlan(p *Plan, ct *colTable) (*Plan, error) {
-	vp := &vecPlan{ct: ct}
+	vp := &vecPlan{ct: ct, cols: NewColumnSet(p.t.NumCols())}
+	names := p.q.Columns()
+	for j, c := range p.t.Columns() {
+		if slices.Contains(names, c.Field.Name) {
+			vp.cols.Add(j)
+		}
+	}
 	for _, c := range p.conjs {
 		f, err := compileVec(ct, p.t, c)
 		if err != nil {
@@ -500,12 +509,16 @@ func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
 // is evaluated at most once per segment and intersected per plan. A
 // segment's data is materialized through the table's segment source the
 // first time any plan actually scans it — zone-map-skipped segments are
-// never loaded. The first failed segment load is returned; sinks may then
-// hold partial data and must be discarded. The context is checked once per
-// segment: a cancelled scan stops at the next segment boundary and returns
-// ctx.Err().
+// never loaded — and only in the columns the job's plans read. The first
+// failed segment load is returned; sinks may then hold partial data and must
+// be discarded. The context is checked once per segment: a cancelled scan
+// stops at the next segment boundary and returns ctx.Err().
 func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, sp *trace.Span) error {
 	ct, r, sinks := j.ct, j.r, j.sinks
+	cols := NewColumnSet(ct.t.NumCols())
+	for _, pi := range j.idx {
+		cols.Or(plans[pi].vec.cols)
+	}
 	// Partition the job's plans: dispatchable single-equality plans fold into
 	// per-column groups, everything else goes through the shared-conjunct
 	// slots.
@@ -573,15 +586,16 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 		for i := range slotDone {
 			slotDone[i] = false
 		}
-		// visit materializes the segment on first touch; filters and sinks
-		// read the table's raw column slices, so the load must land before
-		// either runs. A segment every plan skips is never visited.
+		// visit materializes the job's columns of the segment on first touch;
+		// filters and sinks read the table's raw column slices, so the load
+		// must land before either runs. A segment every plan skips is never
+		// visited.
 		visited := false
 		visit := func() bool {
 			if visited {
 				return true
 			}
-			if err := ct.src.Load(seg); err != nil {
+			if err := ct.src.Load(seg, cols); err != nil {
 				loadErr = err
 				return false
 			}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/dataset"
 )
@@ -55,13 +56,50 @@ func (z *ZoneData) anyCode(s int, want []uint64) bool {
 	return false
 }
 
+// ColumnSet is a set of a table's columns by ordinal, their position in
+// Table.Columns(): bit j%64 of word j/64 stands for column j.
+type ColumnSet []uint64
+
+// NewColumnSet returns the set of the given ordinals, sized for a table of n
+// columns.
+func NewColumnSet(n int, cols ...int) ColumnSet {
+	s := make(ColumnSet, (n+63)/64)
+	for _, j := range cols {
+		s.Add(j)
+	}
+	return s
+}
+
+// AllColumns returns the set of every column of a table of n columns.
+func AllColumns(n int) ColumnSet {
+	s := NewColumnSet(n)
+	for j := 0; j < n; j++ {
+		s.Add(j)
+	}
+	return s
+}
+
+// Add puts column j into the set, which must be sized for it.
+func (s ColumnSet) Add(j int) { s[j>>6] |= 1 << (uint(j) & 63) }
+
+// Has reports whether column j is in the set.
+func (s ColumnSet) Has(j int) bool { return j>>6 < len(s) && s[j>>6]&(1<<(uint(j)&63)) != 0 }
+
+// Or adds the columns of o to s, which must be at least as long.
+func (s ColumnSet) Or(o ColumnSet) {
+	for w, b := range o {
+		s[w] |= b
+	}
+}
+
 // SegmentSource supplies a segmented table whose column data materializes
 // lazily: the schema, dictionaries (categorical and integer, on the table's
 // columns) and zone maps are available up front (cheap, footer-sized
-// metadata), while the column data of a segment is decoded only when Load is
-// first called for it. This is the
-// seam the zpack persistent format plugs into — zone-map skipping works
-// without ever deserializing skipped segments.
+// metadata), while a column's data in a segment — one block — is decoded only
+// when Load is first asked for it. This is the seam the zpack persistent
+// format plugs into — zone-map skipping works without ever deserializing
+// skipped segments, and a scan never deserializes a column no plan of it
+// reads.
 type SegmentSource interface {
 	// Table returns the base table: full schema, dictionaries, and row count,
 	// with column data slices preallocated but unfilled until Load.
@@ -70,11 +108,12 @@ type SegmentSource interface {
 	NumSegments() int
 	// Zone returns the named column's zone maps, or nil if unknown.
 	Zone(col string) *ZoneData
-	// Load materializes segment seg's rows into the table's column arrays.
-	// Load must be safe for concurrent use
-	// and idempotent — the column store calls it for every segment a scan
-	// visits, on every scan; implementations synchronize and load once.
-	Load(seg int) error
+	// Load materializes segment seg's rows of the columns in cols into the
+	// table's column arrays. Load must be safe for concurrent use and
+	// idempotent — the column store calls it for every segment a scan
+	// visits, on every scan; implementations synchronize and load each
+	// (segment, column) block once.
+	Load(seg int, cols ColumnSet) error
 }
 
 // memSource adapts a fully in-memory table to the SegmentSource interface:
@@ -100,7 +139,7 @@ func NewMemSource(t *dataset.Table) SegmentSource {
 func (s *memSource) Table() *dataset.Table     { return s.t }
 func (s *memSource) NumSegments() int          { return s.nseg }
 func (s *memSource) Zone(col string) *ZoneData { return s.zones[col] }
-func (s *memSource) Load(int) error            { return nil }
+func (s *memSource) Load(int, ColumnSet) error { return nil }
 
 // ComputeZones builds every column's per-segment zone maps over a fully
 // materialized table. It is the single definition of zone semantics: the
@@ -115,46 +154,40 @@ func ComputeZones(t *dataset.Table) map[string]*ZoneData {
 		z := &ZoneData{}
 		byCol[j] = z
 		if c.Field.Kind == dataset.KindString {
-			z.Words = (c.Cardinality() + 63) / 64
-			if z.Words == 0 {
-				z.Words = 1
-			}
-			z.Present = make([]uint64, nseg*z.Words)
-			switch pc := c.Codes(); {
-			case pc.U16 != nil:
-				markPresent(pc.U16, z)
-			case pc.U32 != nil:
-				markPresent(pc.U32, z)
-			default:
-				markPresent(pc.U8, z)
-			}
-		} else {
-			z.Min = make([]float64, nseg)
-			z.Max = make([]float64, nseg)
-			z.NaN = make([]bool, nseg)
-			vals := newNumReader(c)
-			var rows [SegmentSize]int32
-			var buf [SegmentSize]float64
-			for s := 0; s < nseg; s++ {
-				z.Min[s], z.Max[s] = math.Inf(1), math.Inf(-1)
-				seg := rows[:min(n, (s+1)*SegmentSize)-s*SegmentSize]
-				for i := range seg {
-					seg[i] = int32(s*SegmentSize + i)
-				}
-				for _, v := range vals.gather(seg, buf[:]) {
-					if v != v {
-						z.NaN[s] = true
-						continue
-					}
-					// Not min/max: the zones go into zpack footers, and those
-					// order -0 below +0 where < does not.
-					if v < z.Min[s] {
-						z.Min[s] = v
-					}
-					if v > z.Max[s] {
-						z.Max[s] = v
+			markCodes(c, z, nseg)
+			return
+		}
+		z.Min = make([]float64, nseg)
+		z.Max = make([]float64, nseg)
+		z.NaN = make([]bool, nseg)
+		for s := range z.Min {
+			z.Min[s], z.Max[s] = math.Inf(1), math.Inf(-1)
+		}
+		if c.Coded() {
+			// A dictionary-coded int: a segment's extremes are those of the
+			// values of the codes it holds, so no cell is decoded.
+			p := &ZoneData{}
+			markCodes(c, p, nseg)
+			dict := c.IntDict()
+			for s := range z.Min {
+				for w, word := range p.Present[s*p.Words : (s+1)*p.Words] {
+					for ; word != 0; word &= word - 1 {
+						z.note(s, float64(dict[w<<6|bits.TrailingZeros64(word)]))
 					}
 				}
+			}
+			return
+		}
+		vals := newNumReader(c)
+		var rows [SegmentSize]int32
+		var buf [SegmentSize]float64
+		for s := range z.Min {
+			seg := rows[:min(n, (s+1)*SegmentSize)-s*SegmentSize]
+			for i := range seg {
+				seg[i] = int32(s*SegmentSize + i)
+			}
+			for _, v := range vals.gather(seg, buf[:]) {
+				z.note(s, v)
 			}
 		}
 	})
@@ -163,6 +196,37 @@ func ComputeZones(t *dataset.Table) map[string]*ZoneData {
 		zones[c.Field.Name] = byCol[j]
 	}
 	return zones
+}
+
+// note takes cell value v into segment s's numeric zone.
+func (z *ZoneData) note(s int, v float64) {
+	if v != v {
+		z.NaN[s] = true
+		return
+	}
+	// Not min/max: the zones go into zpack footers, and those order -0 below
+	// +0 where < does not.
+	if v < z.Min[s] {
+		z.Min[s] = v
+	}
+	if v > z.Max[s] {
+		z.Max[s] = v
+	}
+}
+
+// markCodes gives z a presence bitset per segment over a Coded column's
+// dictionary codes, and sets the bit of every code each segment holds.
+func markCodes(c *dataset.Column, z *ZoneData, nseg int) {
+	z.Words = max((c.Cardinality()+63)/64, 1)
+	z.Present = make([]uint64, nseg*z.Words)
+	switch pc := c.Codes(); {
+	case pc.U16 != nil:
+		markPresent(pc.U16, z)
+	case pc.U32 != nil:
+		markPresent(pc.U32, z)
+	default:
+		markPresent(pc.U8, z)
+	}
 }
 
 // markPresent sets, per segment, the presence bit of every code that occurs.

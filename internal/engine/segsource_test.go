@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -21,11 +23,14 @@ func mustParse(t *testing.T, sql string) *minisql.Query {
 }
 
 // countingSource wraps the eager in-memory source with per-segment load
-// counters, the oracle for "a zone-map-skipped segment is never touched".
+// counters, the oracle for "a zone-map-skipped segment is never touched", and
+// records the column set of every Load.
 type countingSource struct {
 	SegmentSource
 	loads  []atomic.Int64
 	failAt int // segment whose load errors, -1 for none
+	mu     sync.Mutex
+	sets   []ColumnSet
 }
 
 func newCountingSource(t *dataset.Table) *countingSource {
@@ -37,12 +42,36 @@ func newCountingSource(t *dataset.Table) *countingSource {
 	}
 }
 
-func (s *countingSource) Load(seg int) error {
+func (s *countingSource) Load(seg int, cols ColumnSet) error {
 	s.loads[seg].Add(1)
+	s.mu.Lock()
+	s.sets = append(s.sets, slices.Clone(cols))
+	s.mu.Unlock()
 	if seg == s.failAt {
 		return fmt.Errorf("synthetic load failure on segment %d", seg)
 	}
-	return s.SegmentSource.Load(seg)
+	return s.SegmentSource.Load(seg, cols)
+}
+
+// loadedColumns returns the names of the columns the recorded Loads asked
+// for, one list per distinct set, and forgets the record.
+func (s *countingSource) loadedColumns() [][]string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out [][]string
+	for _, set := range s.sets {
+		var names []string
+		for j, c := range s.Table().Columns() {
+			if set.Has(j) {
+				names = append(names, c.Field.Name)
+			}
+		}
+		if !slices.ContainsFunc(out, func(o []string) bool { return slices.Equal(o, names) }) {
+			out = append(out, names)
+		}
+	}
+	s.sets = nil
+	return out
 }
 
 // clusteredTable maps segment index to value range: segment s holds ids
@@ -93,6 +122,54 @@ func TestLazySourceSkippedSegmentsNotLoaded(t *testing.T) {
 	}
 	if got := src.loads[1].Load(); got != 1 {
 		t.Errorf("segment 1 loads = %d, want 1", got)
+	}
+}
+
+// TestLoadReceivesThePlanColumns: a scan asks its source for exactly the
+// columns its plans read — select, group-by and WHERE — so a lazy source
+// never materializes the others; a batch's scan job asks for the union of its
+// plans'.
+func TestLoadReceivesThePlanColumns(t *testing.T) {
+	tb := dataset.NewTable("wide", []dataset.Field{
+		{Name: "id", Kind: dataset.KindInt},
+		{Name: "tag", Kind: dataset.KindString},
+		{Name: "v", Kind: dataset.KindFloat},
+		{Name: "unread", Kind: dataset.KindFloat},
+	})
+	for i := 0; i < 3*SegmentSize; i++ {
+		tb.AppendRow(dataset.IV(int64(i)), dataset.SV(fmt.Sprintf("seg%d", i/SegmentSize)), dataset.FV(float64(i%50)), dataset.FV(1))
+	}
+	src := newCountingSource(tb)
+	db := NewColumnStoreFromSource(src)
+	db.SetParallelism(1) // one scan job per batch: its set is the union
+	for _, tc := range []struct {
+		sqls []string
+		want []string
+	}{
+		{[]string{"SELECT COUNT(*) AS n FROM wide WHERE tag = 'seg1'"}, []string{"tag"}},
+		{[]string{"SELECT COUNT(*) AS n FROM wide"}, nil},
+		{[]string{"SELECT tag, SUM(v) AS s FROM wide GROUP BY tag"}, []string{"tag", "v"}},
+		{[]string{"SELECT v, COUNT(*) AS n FROM wide WHERE id < 100 GROUP BY v"}, []string{"id", "v"}},
+		{[]string{
+			"SELECT id FROM wide WHERE id < 10",
+			"SELECT COUNT(*) AS n FROM wide WHERE tag = 'seg2'",
+			"SELECT tag, MAX(v) AS m FROM wide GROUP BY tag",
+		}, []string{"id", "tag", "v"}},
+	} {
+		plans := make([]*Plan, len(tc.sqls))
+		for i, sql := range tc.sqls {
+			p, err := db.Prepare(mustParse(t, sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = p
+		}
+		if _, err := db.ExecuteBatch(context.Background(), plans); err != nil {
+			t.Fatal(err)
+		}
+		if got := src.loadedColumns(); len(got) != 1 || !slices.Equal(got[0], tc.want) {
+			t.Errorf("%q: Load asked for %q, want only %q", tc.sqls, got, tc.want)
+		}
 	}
 }
 

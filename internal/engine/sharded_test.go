@@ -227,11 +227,11 @@ type failSource struct {
 	failAt map[int]error
 }
 
-func (f *failSource) Load(seg int) error {
+func (f *failSource) Load(seg int, cols ColumnSet) error {
 	if err := f.failAt[seg]; err != nil {
 		return err
 	}
-	return f.SegmentSource.Load(seg)
+	return f.SegmentSource.Load(seg, cols)
 }
 
 // panicSource panics on Load for chosen segments.
@@ -240,11 +240,11 @@ type panicSource struct {
 	panicAt int
 }
 
-func (p *panicSource) Load(seg int) error {
+func (p *panicSource) Load(seg int, cols ColumnSet) error {
 	if seg == p.panicAt {
 		panic(fmt.Sprintf("injected panic at segment %d", seg))
 	}
-	return p.SegmentSource.Load(seg)
+	return p.SegmentSource.Load(seg, cols)
 }
 
 // TestShardedErrorSelectionDeterministic injects load failures into two

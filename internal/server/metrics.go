@@ -92,6 +92,11 @@ func newMetrics(reg *Registry) *metrics {
 		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(d.Table().SizeBytes()))
 		})
+	perDataset("zen_dataset_resident_bytes",
+		"Heap the dataset's loaded column data holds: zpack, the blocks queries have loaded, at memory width; in-memory, the whole table.", "gauge",
+		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
+			emit(float64(d.ResidentBytes()))
+		})
 	perDataset("zen_rows_scanned_total",
 		"Rows the store scanned (cache hits scan nothing).", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {

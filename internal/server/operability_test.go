@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/minisql"
 	"repro/internal/workload"
+	"repro/internal/zpack"
 )
 
 // pointQuery is the cheapest useful ZQL: one fixed trend, exactly one SQL
@@ -387,11 +389,22 @@ var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (N
 // TestMetricsScrapeFormat pins the /metrics contract with a minimal
 // exposition-format parser: correct content type, every sample preceded by
 // its family's TYPE header, and the key series present with sane values
-// after one query and one result the cache refused as oversize.
+// after one query, one result the cache refused as oversize, and a
+// two-column query on a zpack dataset, whose resident bytes are then those
+// two columns' alone.
 func TestMetricsScrapeFormat(t *testing.T) {
 	ts, reg := newTestServer(t, Config{CacheEntries: 4})
+	path := filepath.Join(t.TempDir(), "packed.zpack")
+	if err := zpack.Build(path, testTable()); err != nil {
+		t.Fatal(err)
+	}
+	packed, err := reg.AddZpack("packed", path, Config{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg.SetReady(true)
 	postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: pointQuery})
+	postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "packed", ZQL: "NAME | X | Y\n*f1 | 'year' | 'revenue'"})
 	reg.Get("sales").cache.Put("oversize", sizedResult("oversize", 5*cacheBytesPerEntry))
 	runtime.GC()
 
@@ -470,6 +483,16 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	assertAtLeast(`zen_go_gc_cpu_seconds_total`, 0)
 	if got, want := values[`zen_go_gc_percent`], float64(runtimeInt("/gc/gogc:percent")); got != want {
 		t.Errorf("zen_go_gc_percent = %v, want %v", got, want)
+	}
+	// An in-memory table is resident whole; a zpack one holds the blocks its
+	// queries read: year codes and revenue floats, every row.
+	if got, want := values[`zen_dataset_resident_bytes{dataset="sales"}`], values[`zen_dataset_table_bytes{dataset="sales"}`]; got != want {
+		t.Errorf("in-memory resident bytes %v, want the table's %v", got, want)
+	}
+	tbl := packed.Table()
+	want := float64(tbl.NumRows() * (tbl.Column("year").Codes().Width() + 8))
+	if got, table := values[`zen_dataset_resident_bytes{dataset="packed"}`], values[`zen_dataset_table_bytes{dataset="packed"}`]; got != want || got >= table {
+		t.Errorf("zpack resident bytes %v after a year/revenue query, want %v (table %v)", got, want, table)
 	}
 }
 

@@ -196,6 +196,17 @@ func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
 // when the store is unsharded.
 func (d *Dataset) ShardCount() int { return len(d.store.Stats(d.table.Name).Ranges) }
 
+// ResidentBytes returns the heap the dataset's loaded column data holds: for
+// a zpack dataset the blocks its reader has loaded, at their width in memory
+// (zpack.Reader.ResidentBytes); for an in-memory one the whole table
+// (dataset.Table.SizeBytes).
+func (d *Dataset) ResidentBytes() int64 {
+	if d.packR != nil {
+		return d.packR.ResidentBytes()
+	}
+	return d.table.SizeBytes()
+}
+
 // Appendable reports whether POST /datasets/{name}/append can extend this
 // dataset (zpack-backed datasets only).
 func (d *Dataset) Appendable() bool { return d.packW.Load() != nil }

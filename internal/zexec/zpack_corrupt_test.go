@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,39 +29,86 @@ func mustParseZQL(t *testing.T, src string) *zql.Query {
 	return q
 }
 
-// TestZpackCorruptEnumerationErrors pins the loud-failure contract for lazy
-// datasets: when a data block is corrupt, a ZQL query whose axis `*`
-// expansion must materialize the column (float values have no footer
-// dictionary) fails with a zpack error instead of silently enumerating over
-// missing values.
-func TestZpackCorruptEnumerationErrors(t *testing.T) {
-	tbl := fixtureSales()
-	path := buildZpack(t, tbl)
-	// Flip one byte in the first data block (directly after the 16-byte
-	// header): segment 0's first column, so any load of segment 0 fails.
+// corruptFloatBlock flips one byte of the block that holds tbl's column col
+// in the one-segment zpack file at path: a float column's block is its values,
+// little-endian, byte for byte.
+func corruptFloatBlock(t *testing.T, path string, tbl *dataset.Table, col string) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[16+3] ^= 0xff
+	var block []byte
+	for _, v := range tbl.Column(col).Floats() {
+		block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
+	}
+	at := bytes.Index(raw, block)
+	if at < 0 || bytes.Count(raw, block) != 1 {
+		t.Fatalf("the %s block is not where the format says", col)
+	}
+	raw[at+3] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// enumerateWeight is a ZQL query whose axis `*` expansion must materialize
+// the weight column (float values have no footer dictionary); its scans read
+// year, sales and weight.
+const enumerateWeight = `
+NAME | X      | Y       | Z
+*f1  | 'year' | 'sales' | v1 <- 'weight'.*`
+
+// TestZpackCorruptEnumerationErrors pins the loud-failure contract for lazy
+// datasets: when a block the query reads is corrupt — here the weight block
+// its enumeration materializes — the query fails with a zpack error instead
+// of silently enumerating over missing values.
+func TestZpackCorruptEnumerationErrors(t *testing.T) {
+	tbl := fixtureSales()
+	path := buildZpack(t, tbl)
+	corruptFloatBlock(t, path, tbl, "weight")
 	r, err := zpack.Open(path) // footer is intact; only data is corrupt
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	db := engine.NewColumnStoreFromSource(r)
-	src := `
-NAME | X      | Y       | Z
-*f1  | 'year' | 'sales' | v1 <- 'weight'.*`
-	_, err = Run(mustParseZQL(t, src), db, Options{Table: "sales", Seed: 1})
+	_, err = Run(mustParseZQL(t, enumerateWeight), db, Options{Table: "sales", Seed: 1})
 	if err == nil {
 		t.Fatal("query over corrupt data succeeded — enumeration silently incomplete")
 	}
 	if !strings.Contains(err.Error(), "zpack") {
 		t.Errorf("error %q does not surface the zpack corruption", err)
+	}
+}
+
+// TestZpackCorruptUnreadBlockLeavesQueriesCorrect is its twin: a corrupt
+// block in a column the query does not read is never read, so the query
+// answers exactly as over the intact table — while Verify, which reads every
+// block (as `zpack verify` does), still fails.
+func TestZpackCorruptUnreadBlockLeavesQueriesCorrect(t *testing.T) {
+	tbl := fixtureSales()
+	path := buildZpack(t, tbl)
+	corruptFloatBlock(t, path, tbl, "size")
+	r, err := zpack.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	q := mustParseZQL(t, enumerateWeight)
+	got, err := Run(q, engine.NewColumnStoreFromSource(r), Options{Table: "sales", Seed: 1})
+	if err != nil {
+		t.Fatalf("a query that never reads the corrupt size block failed: %v", err)
+	}
+	want, err := Run(q, engine.NewColumnStore(tbl), Options{Table: "sales", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := encodeResult(got), encodeResult(want); g != w {
+		t.Fatalf("answer over the zpack file differs:\n got %s\nwant %s", clip(g), clip(w))
+	}
+	if err := r.Verify(); err == nil || !strings.Contains(err.Error(), `column "size": block checksum mismatch`) {
+		t.Fatalf("verify: %v; want the size block's checksum mismatch", err)
 	}
 }
 

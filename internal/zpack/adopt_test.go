@@ -56,13 +56,53 @@ func (g *lineageGen) rows(n int) []dataset.Row {
 	return out
 }
 
-// loadedSegs snapshots which segments of r are materialised.
-func loadedSegs(r *Reader) []bool {
-	out := make([]bool, len(r.loads))
+// loadedCols snapshots which columns of each segment of r are materialised,
+// a bit per column (the test schemas have fewer than 64).
+func loadedCols(r *Reader) []uint64 {
+	out := make([]uint64, len(r.loads))
 	for s, l := range r.loads {
-		out[s] = l.state.Load() == segLoaded
+		out[s] = l.loaded[0].Load()
 	}
 	return out
+}
+
+// allLoaded reports whether every block of segment s of r is in place.
+func allLoaded(r *Reader, s int) bool {
+	return r.loads[s].hasAll(engine.AllColumns(len(r.foot.fields)))
+}
+
+// randomCols draws a non-empty random subset of n columns.
+func randomCols(rng *rand.Rand, n int) engine.ColumnSet {
+	cols := engine.NewColumnSet(n)
+	for cols[0] == 0 {
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				cols.Add(j)
+			}
+		}
+	}
+	return cols
+}
+
+// assertLoadedBlocksEqual checks every block r has in place against the same
+// rows of the fully loaded ref.
+func assertLoadedBlocksEqual(t *testing.T, r, ref *Reader) {
+	t.Helper()
+	for s, l := range r.loads {
+		lo := s * engine.SegmentSize
+		for j, c := range r.table.Columns() {
+			if !l.has(j) {
+				continue
+			}
+			rc := ref.table.Columns()[j]
+			for i := lo; i < lo+r.SegmentRows(s); i++ {
+				g, w := c.Value(i), rc.Value(i)
+				if g.S != w.S || g.I != w.I || math.Float64bits(g.F) != math.Float64bits(w.F) {
+					t.Fatalf("segment %d column %s row %d: %v, want %v", s, c.Field.Name, i, g, w)
+				}
+			}
+		}
+	}
 }
 
 // changedSegs counts the segments of next that pred does not index the same
@@ -175,7 +215,7 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 	}
 
 	const steps = 56
-	regrown := 0
+	regrown, partial := 0, 0
 	for step := 1; step <= steps; step++ {
 		cold := false // whether this append must force the cold path
 		size := 1 + rng.Intn(5000)
@@ -210,7 +250,7 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 			rows[0][0] = dataset.SV("c256")
 		}
 		for s := 0; s < 2 && lazy.NumSegments() > 0; s++ {
-			if err := lazy.Load(rng.Intn(lazy.NumSegments())); err != nil {
+			if err := lazy.Load(rng.Intn(lazy.NumSegments()), randomCols(rng, len(lineageFields))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -248,30 +288,37 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 		}
 		full = next
 
-		// The lazily loaded lineage.
-		hadLoaded := loadedSegs(lazy)
+		// The lazily loaded lineage: random column subsets of random
+		// segments, so both the aliased and the reallocated hand-over meet
+		// segments that are partly in place.
+		hadLoaded := loadedCols(lazy)
 		oldBase := &lazy.table.Columns()[4].Floats()[0]
 		next, err = lazy.Reopen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre := loadedSegs(next)
-		for s, was := range pre {
-			kept := s < len(hadLoaded) && hadLoaded[s] && sameSegment(lazy.foot.segs[s], next.foot.segs[s])
-			if was != (kept && !cold) {
-				t.Fatalf("step %d (cold=%v): segment %d starts loaded=%v, predecessor had it loaded and unchanged=%v",
-					step, cold, s, was, kept)
+		pre := loadedCols(next)
+		for s, bits := range pre {
+			want := uint64(0)
+			if s < len(hadLoaded) && sameSegment(lazy.foot.segs[s], next.foot.segs[s]) && !cold {
+				want = hadLoaded[s]
+			}
+			if bits != want {
+				t.Fatalf("step %d (cold=%v): segment %d starts with columns %05b loaded, want %05b", step, cold, s, bits, want)
+			}
+			if want != 0 && want != 1<<len(lineageFields)-1 {
+				partial++
 			}
 		}
 		if !cold && &next.table.Columns()[4].Floats()[0] != oldBase {
 			regrown++
 		}
-		if tail := len(lazy.loads) - 1; !cold && !sameSegment(lazy.foot.segs[tail], next.foot.segs[tail]) &&
-			lazy.loads[tail].state.Load() != segLoaded {
+		assertLoadedBlocksEqual(t, next, ref)
+		if tail := len(lazy.loads) - 1; !cold && !sameSegment(lazy.foot.segs[tail], next.foot.segs[tail]) && !allLoaded(lazy, tail) {
 			t.Fatalf("step %d: predecessor's tail not loaded before the hand-over", step)
 		}
 		for s := 0; s < 2; s++ {
-			if err := next.Load(rng.Intn(next.NumSegments())); err != nil {
+			if err := next.Load(rng.Intn(next.NumSegments()), randomCols(rng, len(lineageFields))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -291,11 +338,12 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 			}
 		}
 		read := 0
-		for s, is := range loadedSegs(next) {
-			if is && !pre[s] {
+		for s, bits := range loadedCols(next) {
+			if bits != pre[s] {
 				read++
 			}
 		}
+		assertLoadedBlocksEqual(t, next, ref)
 		if got := next.SegmentLoads(); got != int64(read) {
 			t.Fatalf("step %d: lazy successor counts %d disk reads, %d segments became loaded", step, got, read)
 		}
@@ -308,6 +356,9 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 	}
 	if regrown > 20 {
 		t.Fatalf("lineage reallocated %d times in %d appends: headroom is not amortising", regrown, steps)
+	}
+	if partial < steps {
+		t.Fatalf("only %d segments were handed on partly loaded in %d appends", partial, steps)
 	}
 	ref, err := Open(path)
 	if err != nil {
@@ -372,7 +423,7 @@ func TestAdoptedLoadIsSharedAcrossSnapshots(t *testing.T) {
 		go func(r *Reader) {
 			defer wg.Done()
 			for s := 0; s < r.NumSegments(); s++ {
-				if err := r.Load(s); err != nil {
+				if err := r.Load(s, engine.AllColumns(len(r.foot.fields))); err != nil {
 					t.Error(err)
 				}
 			}
@@ -437,20 +488,21 @@ func TestAdoptDoesNotInheritLoadFailure(t *testing.T) {
 	if _, err := f.WriteAt([]byte{b[0] ^ 0xff}, off); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Load(1); err == nil {
+	int1 := engine.NewColumnSet(len(r1.foot.fields), 1)
+	if err := r1.Load(1, int1); err == nil {
 		t.Fatal("load of a damaged block succeeded")
 	}
 	r2, err := r1.Reopen() // nothing appended: same footer, same arrays
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.Load(1); err == nil {
+	if err := r2.Load(1, int1); err == nil {
 		t.Fatal("successor took the damaged segment for loaded")
 	}
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Load(1); err == nil {
+	if err := r1.Load(1, int1); err == nil {
 		t.Fatal("a failed load must stay failed on the snapshot that met it")
 	}
 	r3, err := r2.Reopen()
@@ -517,7 +569,7 @@ func TestReopenGoesColdWhenAdoptionIsUnsafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rewritten.Close()
-	if rewritten.loads[0].state.Load() == segLoaded {
+	if allLoaded(rewritten, 0) {
 		t.Fatal("a file rewritten in place was adopted")
 	}
 	if err := rewritten.LoadAll(); err != nil {

@@ -9,38 +9,42 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
-// FuzzZpackOpen feeds arbitrary files to the reader. Open, Verify and LoadAll
+// FuzzZpackOpen feeds arbitrary files to the reader. Open, a Load of the
+// column subset cols (a bit per column) of segment seg, Verify and LoadAll
 // must each end in an error or success: never a panic, and never an
 // allocation sized by a length the file cannot back — the bytes allocated
 // stay within a fixed multiple of the file's size. Every input runs twice, as
 // given and with its trailer's footer checksum recomputed, so that mutations
 // inside the footer reach the decoder instead of stopping at the CRC.
 //
-//	go test ./internal/zpack -run '^$' -fuzz FuzzZpackOpen -fuzztime 30s
+//	go test ./internal/zpack -run '^$' -fuzz FuzzZpackOpen -fuzztime 60s
 func FuzzZpackOpen(f *testing.F) {
+	const all = ^uint64(0)
 	v1, v2 := readFixture(f, "fixture_v1.zpack"), readFixture(f, "fixture_v2.zpack")
-	f.Add(v1)
-	f.Add([]byte{})
-	f.Add(v1[:len(v1)-1]) // torn trailer
+	f.Add(v1, uint16(0), uint64(0b101))
+	f.Add([]byte{}, uint16(0), all)
+	f.Add(v1[:len(v1)-1], uint16(0), all) // torn trailer
 	flipped := bytes.Clone(v1)
 	flipped[headerSize+3] ^= 0xff // segment 0's first block: a checksum error
-	f.Add(flipped)
-	f.Add(missingDictValue(f, v1))
-	f.Add(v2)
-	f.Add(codeOutOfRange(f, v2))
-	f.Add(overwideBlock(f, v2))
+	f.Add(flipped, uint16(0), all&^1)
+	f.Add(missingDictValue(f, v1), uint16(0), all)
+	f.Add(v2, uint16(1), all)
+	f.Add(codeOutOfRange(f, v2), uint16(0), uint64(1))
+	f.Add(overwideBlock(f, v2), uint16(0), all)
 
 	path := filepath.Join(f.TempDir(), "fuzz.zpack")
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Fuzz(func(t *testing.T, raw []byte, seg uint16, cols uint64) {
 		for _, b := range [][]byte{raw, resealFooter(raw)} {
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			openVerifyLoad(path)
+			openVerifyLoad(path, int(seg), cols)
 			runtime.ReadMemStats(&after)
 			if alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(64*len(b)+1<<20); alloc > budget {
 				t.Fatalf("a %d-byte file allocated %d bytes (budget %d)", len(b), alloc, budget)
@@ -50,16 +54,31 @@ func FuzzZpackOpen(f *testing.F) {
 }
 
 // openVerifyLoad runs the reader's whole surface over one file, continuing
-// past errors so every stage sees every input that opens. Any error is an
+// past errors so every stage sees every input that opens: a Load of the
+// columns whose bits are set in cols in segment seg (one past the last
+// segment is out of range), then Verify and LoadAll. Any error is an
 // acceptable outcome; only a panic or the allocation bound fails an input.
-func openVerifyLoad(path string) {
+func openVerifyLoad(path string, seg int, cols uint64) {
 	r, err := Open(path)
 	if err != nil {
 		return
 	}
 	defer r.Close()
+	_ = r.Load(seg%(r.NumSegments()+1), columnMask(len(r.foot.fields), cols))
 	_ = r.Verify()
 	_ = r.LoadAll()
+}
+
+// columnMask returns the columns of an n-column table whose bits are set in
+// mask.
+func columnMask(n int, mask uint64) engine.ColumnSet {
+	cols := engine.NewColumnSet(n)
+	for j := 0; j < min(n, 64); j++ {
+		if mask&(1<<j) != 0 {
+			cols.Add(j)
+		}
+	}
+	return cols
 }
 
 // resealFooter returns raw with its trailer's footer checksum recomputed, or
@@ -189,6 +208,23 @@ func TestZpackOpenSeedsFailLoudly(t *testing.T) {
 	flipped[headerSize+3] ^= 0xff
 	if o, v, l := stages(flipped); o != nil || v == nil || l == nil {
 		t.Errorf("flipped data byte: open %v, verify %v, load %v; want the checksum error from verify and load", o, v, l)
+	}
+	// Only a load that reads the damaged block fails: segment 0's other
+	// columns load, its first column does not.
+	if err := os.WriteFile(filepath.Join(dir, "seed.zpack"), flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(filepath.Join(dir, "seed.zpack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	n := len(r.foot.fields)
+	if err := r.Load(0, columnMask(n, ^uint64(1))); err != nil {
+		t.Errorf("flipped data byte: a load of the undamaged columns failed: %v", err)
+	}
+	if err := r.Load(0, columnMask(n, 1)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Errorf("flipped data byte: a load of the damaged column: %v; want the checksum error", err)
 	}
 	if o, v, l := stages(missingDictValue(t, v1)); o != nil || v != nil || l == nil || !strings.Contains(l.Error(), "missing from footer dictionary") {
 		t.Errorf("rewritten v1 dictionary: open %v, verify %v, load %v; want the missing-value error from load", o, v, l)

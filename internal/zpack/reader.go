@@ -16,10 +16,11 @@ import (
 
 // Reader serves one committed snapshot of a zpack file as an
 // engine.SegmentSource. Open reads only the header, trailer, and footer —
-// cheap, metadata-sized I/O — and presizes the table's column storage;
-// segment data is read, checksum-verified, and decoded in place the first
-// time a scan visits the segment. A segment the zone maps prove empty is
-// never read from disk.
+// cheap, metadata-sized I/O — and presizes the table's column storage; a
+// (segment, column) block is read, checksum-verified, and decoded in place
+// the first time a scan that reads the column visits the segment. A segment
+// the zone maps prove empty is never read from disk, and neither is a column
+// no query reads.
 //
 // A Reader produced by Reopen over the same inode adopts its predecessor's
 // materialised state instead of starting cold: see Reopen.
@@ -37,53 +38,75 @@ type Reader struct {
 
 	// loads[s] guards segment s. Snapshots of one append lineage that share
 	// backing arrays point at the SAME state for every segment whose footer
-	// record they agree on, so whichever snapshot's scan gets there first is
-	// the one writer and the others wait on (or observe) its result.
+	// record they agree on, so whichever snapshot's scan gets to a block
+	// first is its one writer and the others wait on (or observe) the result.
 	loads []*loadState
 	// adopted is set once a successor has taken over this Reader's storage:
 	// the rows past this snapshot's length then belong to that successor, so
 	// a second Reopen from here starts cold rather than write them twice.
 	adopted atomic.Bool
 
-	segLoads   atomic.Int64
+	// read[s] is set once this Reader has read a block of segment s, and
+	// segLoads counts those segments.
+	read     []atomic.Bool
+	segLoads atomic.Int64
+	// failed holds the blocks whose load failed on this snapshot, by
+	// (segment, column): the failure is this snapshot's for good, while a
+	// successor sharing the segment's load state reads the block afresh.
+	failMu sync.Mutex
+	failed map[[2]int]error
+
 	loadAll    sync.Once
 	loadAllErr error
 }
 
 // loadState is the load-once cell of one segment over one set of backing
-// arrays. Rows [segment start, from) were materialised before the cell was
-// created (by an ancestor snapshot, see adopt); a load fills [from, segment
-// end). state moves pending -> loaded|failed under mu and is read without it.
+// arrays. Rows [segment start, from) of every column were materialised before
+// the cell was created (by an ancestor snapshot, see adopt); loading a column
+// fills its rows [from, segment end). loaded holds a bit per column whose
+// block is in place; bits are set under mu and read without it.
 type loadState struct {
-	mu    sync.Mutex
-	state atomic.Uint32
-	err   error
-	from  int
+	mu     sync.Mutex
+	loaded []atomic.Uint64
+	from   int
 }
 
-const (
-	segPending uint32 = iota
-	segLoaded
-	segFailed
-)
+// newLoadStates returns n load states over ncols columns, from unset.
+func newLoadStates(n, ncols int) []loadState {
+	words := (ncols + 63) / 64
+	bits := make([]atomic.Uint64, n*words)
+	states := make([]loadState, n)
+	for s := range states {
+		states[s].loaded = bits[s*words : (s+1)*words : (s+1)*words]
+	}
+	return states
+}
 
-// do runs load unless an earlier call already has, and returns its outcome.
-func (l *loadState) do(load func(from int) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch l.state.Load() {
-	case segLoaded:
-		return nil
-	case segFailed:
-		return l.err
+// newLoadState returns one load state over ncols columns whose rows from on
+// are still to be read.
+func newLoadState(ncols, from int) *loadState {
+	l := &newLoadStates(1, ncols)[0]
+	l.from = from
+	return l
+}
+
+// has reports whether column j's block is in place.
+func (l *loadState) has(j int) bool { return l.loaded[j>>6].Load()&(1<<(uint(j)&63)) != 0 }
+
+// hasAll reports whether the block of every column of cols is in place.
+func (l *loadState) hasAll(cols engine.ColumnSet) bool {
+	for w, want := range cols[:min(len(cols), len(l.loaded))] {
+		if want&^l.loaded[w].Load() != 0 {
+			return false
+		}
 	}
-	if err := load(l.from); err != nil {
-		l.err = err
-		l.state.Store(segFailed)
-		return err
-	}
-	l.state.Store(segLoaded)
-	return nil
+	return true
+}
+
+// mark records column j's block as in place; the caller holds mu.
+func (l *loadState) mark(j int) {
+	w := &l.loaded[j>>6]
+	w.Store(w.Load() | 1<<(uint(j)&63))
 }
 
 // Open opens a zpack file, reading its footer and preparing the lazy table.
@@ -160,11 +183,12 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 		size:  size,
 		zones: foot.zones,
 		loads: make([]*loadState, len(foot.segs)),
+		read:  make([]atomic.Bool, len(foot.segs)),
 	}
 	cold := pred == nil || !r.adopt(pred)
 	if cold {
 		r.table = dataset.NewTable(foot.name, foot.fields)
-		states := make([]loadState, len(foot.segs))
+		states := newLoadStates(len(foot.segs), len(foot.fields))
 		for s := range states {
 			states[s].from = s * engine.SegmentSize
 			r.loads[s] = &states[s]
@@ -172,7 +196,7 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 	}
 	// The dictionaries: they decide the widths a cold table is presized at,
 	// and leave the widths of an adopted one alone (continuedBy saw to that).
-	for _, c := range r.table.Columns() {
+	for j, c := range r.table.Columns() {
 		name := c.Field.Name
 		switch c.Field.Kind {
 		case dataset.KindString:
@@ -184,10 +208,10 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 				c.SetIntDict(vals)
 			} else {
 				c.SetRawInts()
-				c.SetEnsureLoaded(r.ensureAll)
+				c.SetEnsureLoaded(r.ensureColumn(j))
 			}
 		default:
-			c.SetEnsureLoaded(r.ensureAll)
+			c.SetEnsureLoaded(r.ensureColumn(j))
 		}
 	}
 	if cold {
@@ -243,10 +267,11 @@ func (r *Reader) adopt(pred *Reader) bool {
 		return false
 	}
 	// Hand-over point of the tail: a partial last segment of pred is
-	// rewritten, longer, by every append. Load pred's copy now, so that what
-	// r still has to fill in starts at pred's row count.
+	// rewritten, longer, by every append. Load pred's copy of every column
+	// now, so that what r still has to fill in starts at pred's row count.
+	ncols := len(r.foot.fields)
 	if tail := len(pred.loads) - 1; tail >= 0 && !sameSegment(pred.foot.segs[tail], r.foot.segs[tail]) {
-		if err := pred.Load(tail); err != nil {
+		if err := pred.Load(tail, engine.AllColumns(ncols)); err != nil {
 			return false
 		}
 	}
@@ -260,36 +285,31 @@ func (r *Reader) adopt(pred *Reader) bool {
 	for s := range r.loads {
 		lo := s * engine.SegmentSize
 		if s >= len(pred.loads) {
-			r.loads[s] = &loadState{from: lo}
+			r.loads[s] = newLoadState(ncols, lo)
 			continue
 		}
 		pl, ps := pred.loads[s], pred.foot.segs[s]
-		state := pl.state.Load()
-		same := sameSegment(ps, r.foot.segs[s])
-		if !alias && state == segLoaded {
-			r.table.CopyRows(pred.table, lo, lo+ps.rows)
+		// Same blocks over the same arrays: one state, whatever it holds.
+		l := pl
+		if !alias {
+			// New arrays: copy the blocks pred has in place. A block not yet
+			// in place may be being written into the old arrays by a scan of
+			// the old snapshot right now: nothing to copy, nothing to share,
+			// so r reads its whole segment again.
+			l = newLoadState(ncols, lo)
+			for j, c := range r.table.Columns() {
+				if pl.has(j) {
+					c.CopyRows(pred.table.Columns()[j], lo, lo+ps.rows)
+					l.mark(j)
+				}
+			}
 		}
-		switch {
-		case !same:
-			// The rewritten tail, loaded above: pred's rows are in place,
-			// the rest is new.
-			r.loads[s] = &loadState{from: lo + ps.rows}
-		case alias && state != segFailed:
-			// Same blocks over the same arrays: one state, loaded or not.
-			r.loads[s] = pl
-		case alias:
-			// A failure belongs to the snapshot that met it; r reads again.
-			r.loads[s] = &loadState{from: pl.from}
-		case state == segLoaded:
-			// New arrays, rows copied above.
-			r.loads[s] = &loadState{}
-			r.loads[s].state.Store(segLoaded)
-		default:
-			// New arrays, and pred's load has not completed (a scan of the
-			// old snapshot may be writing the old arrays right now): nothing
-			// to copy, nothing to share.
-			r.loads[s] = &loadState{from: lo}
+		if !sameSegment(ps, r.foot.segs[s]) {
+			// The rewritten tail, loaded above: pred's rows of every column
+			// are in place, the rest is new.
+			l = newLoadState(ncols, lo+ps.rows)
 		}
+		r.loads[s] = l
 	}
 	return true
 }
@@ -394,54 +414,116 @@ func (r *Reader) SegmentRows(s int) int { return r.foot.segs[s].rows }
 // Zone returns the named column's zone maps.
 func (r *Reader) Zone(col string) *engine.ZoneData { return r.zones[col] }
 
-// SegmentLoads returns how many segments this Reader has materialized from
-// disk — the observable that proves zone-map-skipped segments were never
-// read, and that segments adopted from a predecessor were not read again.
+// SegmentLoads returns how many segments this Reader has read at least one
+// block of from disk — the observable that proves zone-map-skipped segments
+// were never read, and that segments adopted from a predecessor were not read
+// again.
 func (r *Reader) SegmentLoads() int64 { return r.segLoads.Load() }
 
-// Load materializes segment seg into the table's column storage: each block
-// is read, checksum-verified, and decoded in place. Load is idempotent and
-// safe for concurrent use; the work happens once per segment, however many
-// snapshots of the lineage share it.
-func (r *Reader) Load(seg int) error {
+// ResidentBytes returns the bytes this snapshot's loaded blocks take in
+// memory: for every (segment, column) block in place, the segment's rows at
+// the column's width in the table. Presized storage no block has been read
+// into is heap the process has not touched.
+func (r *Reader) ResidentBytes() int64 {
+	cols := r.table.Columns()
+	width := make([]int64, len(cols))
+	for j, c := range cols {
+		width[j] = 8
+		if c.Coded() {
+			width[j] = int64(c.Codes().Width())
+		}
+	}
+	var b int64
+	for s, l := range r.loads {
+		for j := range cols {
+			if l.has(j) {
+				b += int64(r.foot.segs[s].rows) * width[j]
+			}
+		}
+	}
+	return b
+}
+
+// Load materializes the blocks of columns cols in segment seg into the
+// table's column storage: each block is read, checksum-verified, and decoded
+// in place. Load is idempotent and safe for concurrent use; the work happens
+// once per block, however many snapshots of the lineage share it. A block
+// that fails to load fails every later Load of it on this Reader; the blocks
+// of other columns still load.
+func (r *Reader) Load(seg int, cols engine.ColumnSet) error {
 	if seg < 0 || seg >= len(r.loads) {
 		return fmt.Errorf("zpack: segment %d out of range (file has %d)", seg, len(r.loads))
 	}
 	l := r.loads[seg]
-	if l.state.Load() == segLoaded {
+	if l.hasAll(cols) {
 		return nil
 	}
-	return l.do(func(from int) error { return r.loadSegment(seg, from) })
-}
-
-// loadSegment decodes rows [from, segment end) of segment seg straight into
-// the column arrays; the rows before from are already there.
-func (r *Reader) loadSegment(seg, from int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	lo := seg * engine.SegmentSize
-	if err := readSegment(r.f, r.foot, seg, r.table, lo, from-lo); err != nil {
-		return err
+	var buf []byte
+	for j, c := range r.table.Columns() {
+		if !cols.Has(j) || l.has(j) {
+			continue
+		}
+		if err := r.failure(seg, j); err != nil {
+			return err
+		}
+		if err := readColumn(r.f, r.foot, seg, j, c, lo, l.from-lo, &buf); err != nil {
+			return r.fail(seg, j, err)
+		}
+		l.mark(j)
+		if !r.read[seg].Swap(true) {
+			r.segLoads.Add(1)
+		}
 	}
-	r.segLoads.Add(1)
 	return nil
 }
 
-// ensureAll is the DistinctSorted hook for numeric columns without a footer
-// dictionary: materialize everything before the raw scan. A load failure
-// must not degrade into silently incomplete enumeration (zeroed segments
-// would just be missing from the distinct set), so it panics with the load
-// error; the ZQL axis-expansion path recovers it into a query error.
-func (r *Reader) ensureAll() {
-	if err := r.LoadAll(); err != nil {
-		panic(err)
+// failure returns the error a load of block (seg, j) met on this Reader, or
+// nil.
+func (r *Reader) failure(seg, j int) error {
+	r.failMu.Lock()
+	defer r.failMu.Unlock()
+	return r.failed[[2]int{seg, j}]
+}
+
+// fail records err as what loading block (seg, j) meets on this Reader, and
+// returns it.
+func (r *Reader) fail(seg, j int, err error) error {
+	r.failMu.Lock()
+	defer r.failMu.Unlock()
+	if r.failed == nil {
+		r.failed = make(map[[2]int]error)
+	}
+	r.failed[[2]int{seg, j}] = err
+	return err
+}
+
+// ensureColumn returns the DistinctSorted hook of numeric column j when it
+// has no footer dictionary: materialize the column in every segment before
+// the raw scan. A load failure must not degrade into silently incomplete
+// enumeration (zeroed segments would just be missing from the distinct set),
+// so it panics with the load error; the ZQL axis-expansion path recovers it
+// into a query error.
+func (r *Reader) ensureColumn(j int) func() {
+	cols := engine.NewColumnSet(len(r.foot.fields), j)
+	return func() {
+		for s := range r.loads {
+			if err := r.Load(s, cols); err != nil {
+				panic(err)
+			}
+		}
 	}
 }
 
-// LoadAll materializes every segment (for use with non-columnar back-ends or
-// full exports), returning the first load error.
+// LoadAll materializes every column of every segment (for use with
+// non-columnar back-ends or full exports), returning the first load error.
 func (r *Reader) LoadAll() error {
 	r.loadAll.Do(func() {
-		for s := 0; s < len(r.loads); s++ {
-			if err := r.Load(s); err != nil {
+		all := engine.AllColumns(len(r.foot.fields))
+		for s := range r.loads {
+			if err := r.Load(s, all); err != nil {
 				r.loadAllErr = err
 				return
 			}
@@ -493,28 +575,36 @@ func readBlock(f io.ReaderAt, foot *footer, seg, j int, b []byte) error {
 	return nil
 }
 
-// readSegment fills rows [at+skip, at+rows) of t from segment seg's blocks,
-// one checksummed read each: straight into the column's array when the block
-// is at the array's width and holds only rows to fill, through one buffer
-// otherwise. The footer has matched every block's encoding to its column
-// (fits), so a block and an array of one width hold the same encoding.
+// readSegment fills rows [at+skip, at+rows) of t from segment seg's blocks
+// (readColumn, one buffer between them).
 func readSegment(f io.ReaderAt, foot *footer, seg int, t *dataset.Table, at, skip int) error {
-	rows := foot.segs[seg].rows
 	var buf []byte
 	for j, c := range t.Columns() {
-		ref := foot.segs[seg].blocks[j]
-		dst := rowBytes(c, at, at+rows)
-		b := dst
-		if skip > 0 || int64(len(dst)) != ref.len {
-			buf = slices.Grow(buf[:0], int(ref.len))[:ref.len]
-			b = buf
-		}
-		if err := readBlock(f, foot, seg, j, b); err != nil {
+		if err := readColumn(f, foot, seg, j, c, at, skip, &buf); err != nil {
 			return err
 		}
-		if err := fillRows(c, at+skip, b[skip*encWidth(ref.enc):], ref.enc, foot); err != nil {
-			return fmt.Errorf("zpack: segment %d column %q: %w (corrupt data)", seg, c.Field.Name, err)
-		}
+	}
+	return nil
+}
+
+// readColumn fills rows [at+skip, at+rows) of c from block j of segment seg,
+// one checksummed read: straight into the column's array when the block is at
+// the array's width and holds only rows to fill, through *buf otherwise. The
+// footer has matched every block's encoding to its column (fits), so a block
+// and an array of one width hold the same encoding.
+func readColumn(f io.ReaderAt, foot *footer, seg, j int, c *dataset.Column, at, skip int, buf *[]byte) error {
+	ref := foot.segs[seg].blocks[j]
+	dst := rowBytes(c, at, at+foot.segs[seg].rows)
+	b := dst
+	if skip > 0 || int64(len(dst)) != ref.len {
+		*buf = slices.Grow((*buf)[:0], int(ref.len))[:ref.len]
+		b = *buf
+	}
+	if err := readBlock(f, foot, seg, j, b); err != nil {
+		return err
+	}
+	if err := fillRows(c, at+skip, b[skip*encWidth(ref.enc):], ref.enc, foot); err != nil {
+		return fmt.Errorf("zpack: segment %d column %q: %w (corrupt data)", seg, c.Field.Name, err)
 	}
 	return nil
 }

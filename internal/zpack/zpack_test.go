@@ -480,9 +480,17 @@ func TestShardedReaderRangeViews(t *testing.T) {
 			t.Errorf("shard %d loads = %d, want %d", i, sc.SegmentLoads, wantLoads)
 		}
 	}
-	// A full scan loads the rest, each segment exactly once despite the
-	// shard fan-out.
+	// COUNT(*) reads no column: its full scan visits every segment and reads
+	// no block.
 	if _, err := db.ExecuteSQL("SELECT COUNT(*) AS c FROM clustered"); err != nil {
+		t.Fatal(err)
+	}
+	if loads := r.SegmentLoads(); loads != 1 {
+		t.Errorf("COUNT(*) loaded %d segments, want still 1", loads)
+	}
+	// A full scan of a column loads the rest, each segment exactly once
+	// despite the shard fan-out.
+	if _, err := db.ExecuteSQL("SELECT SUM(v) AS c FROM clustered"); err != nil {
 		t.Fatal(err)
 	}
 	if loads := r.SegmentLoads(); loads != 5 {
