@@ -262,8 +262,12 @@ func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("loaded %s: %d rows, %d table bytes from %s (%s backend) in %.2fs",
-		d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), path, d.Backend(), time.Since(t0).Seconds())
+	how := d.Backend() + " backend"
+	if d.Spilled() {
+		how += ", spilled"
+	}
+	log.Printf("loaded %s: %d rows, %d table bytes from %s (%s) in %.2fs",
+		d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), path, how, time.Since(t0).Seconds())
 	return nil
 }
 

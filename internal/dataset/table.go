@@ -292,6 +292,15 @@ func (c *Column) SetIntDict(vals []int64) {
 	c.codes.fit(len(c.ivals))
 }
 
+// ShareDicts gives c src's dictionaries themselves, values and indexes, not
+// copies: for a lazily backed copy of src's column, presized at the width
+// src's codes have, that holds src's codes once loaded. Neither column may
+// grow its dictionaries afterwards.
+func (c *Column) ShareDicts(src *Column) {
+	c.dict, c.dictIx, c.dictBytes = src.dict, src.dictIx, src.dictBytes
+	c.ivals, c.ivalIx = src.ivals, src.ivalIx
+}
+
 // SetEnsureLoaded installs a hook DistinctSorted calls before scanning raw
 // numeric data, so a lazily-backed column can materialize itself first.
 func (c *Column) SetEnsureLoaded(f func()) { c.ensure = f }

@@ -107,16 +107,14 @@ func (r *Registry) Compact(name string, cols []string) (*Dataset, compact.Result
 		d.ctr.compactFails.Add(1)
 		return nil, res, err
 	}
-	t := fresh.Table()
-	t.Name = name
-	nd, err := newDataset(t, zpackStore(fresh, d.cfg), "column", d.cfg)
+	nd, err := newZpackDataset(name, fresh, "column", d.cfg)
 	if err != nil {
 		fresh.Close()
 		w.Discard()
 		d.ctr.compactFails.Add(1)
 		return nil, res, err
 	}
-	nd.packPath, nd.packR = d.packPath, fresh
+	nd.packPath = d.packPath
 	nd.packW.Store(w)
 	nd.ctr = d.ctr
 	nd.cache.InheritStats(d.cache)

@@ -157,16 +157,7 @@ func ledgerSetups(t *testing.T) []ledgerSetup {
 	t.Helper()
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "sales.csv")
-	f, err := os.Create(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dataset.WriteCSV(ledgerTable(), f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeCSV(t, csvPath, ledgerTable())
 	packPath := filepath.Join(dir, "sales.zpack")
 	if err := zpack.Build(packPath, ledgerTable()); err != nil {
 		t.Fatal(err)

@@ -22,6 +22,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"log"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -466,17 +468,29 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 		reader.Close()
 		return nil, err
 	}
-	t := reader.Table()
-	t.Name = name
-	d, err := newDataset(t, zpackStore(reader, cfg), "column", cfg)
+	d, err := newZpackDataset(name, reader, "column", cfg)
 	if err != nil {
 		reader.Close()
+		writer.Discard()
 		return nil, err
 	}
-	d.packPath, d.packR = path, reader
+	d.packPath = path
 	d.packW.Store(writer)
 	d.refreshUnsorted()
 	return r.add(d)
+}
+
+// newZpackDataset assembles the serving stack around a zpack reader's table,
+// registered as name: the column back-end over the reader's segments.
+func newZpackDataset(name string, reader *zpack.Reader, backend string, cfg Config) (*Dataset, error) {
+	t := reader.Table()
+	t.Name = name
+	d, err := newDataset(t, zpackStore(reader, cfg), backend, cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.packR = reader
+	return d, nil
 }
 
 // zpackStore builds the column back-end over a zpack reader, sharded when
@@ -561,14 +575,38 @@ func (r *Registry) add(d *Dataset) (*Dataset, error) {
 	return d, nil
 }
 
-// LoadCSV registers a CSV file under name.
+// LoadCSV registers a CSV file under name. Under the column back-end the
+// parsed table is spilled to an unnamed file in the CSV's directory
+// (zpack.Spill) and served from it as a .zpack is, without appends or
+// compaction: only the blocks queries read are resident. Where no spill can
+// be written (a read-only directory, a full disk) the table is served from
+// memory.
 func (r *Registry) LoadCSV(name, path string, cfg Config) (*Dataset, error) {
 	t, err := dataset.ReadCSVFile(name, path)
 	if err != nil {
 		return nil, err
 	}
-	return r.AddTable(t, cfg)
+	if !engine.ColumnBackend(cfg.Backend) {
+		return r.AddTable(t, cfg)
+	}
+	reader, err := zpack.Spill(t, filepath.Dir(path))
+	if err != nil {
+		log.Printf("%s: no spill, serving %s from memory: %v", path, name, err)
+		return r.AddTable(t, cfg)
+	}
+	d, err := newZpackDataset(name, reader, cfg.Backend, cfg)
+	if err == nil {
+		d, err = r.add(d)
+	}
+	if err != nil {
+		reader.Close()
+	}
+	return d, err
 }
+
+// Spilled reports whether the dataset is a CSV served from its spill (see
+// LoadCSV).
+func (d *Dataset) Spilled() bool { return d.packR != nil && d.packPath == "" }
 
 // Append extends a zpack-backed dataset with rows and swaps the successor
 // snapshot into the registry. The commit order is what makes the swap
@@ -628,13 +666,11 @@ func (r *Registry) Append(name string, rows []dataset.Row) (*Dataset, error) {
 		// append API without client-supplied request IDs.
 		return nil, err
 	}
-	t := fresh.Table()
-	t.Name = name
-	nd, err := newDataset(t, zpackStore(fresh, d.cfg), "column", d.cfg)
+	nd, err := newZpackDataset(name, fresh, "column", d.cfg)
 	if err != nil {
 		return nil, err
 	}
-	nd.packPath, nd.packR, nd.packRetired = d.packPath, fresh, d.packRetired
+	nd.packPath, nd.packRetired = d.packPath, d.packRetired
 	nd.packW.Store(w)
 	// Counter continuity: /stats stays exact and monotonic across the swap.
 	// HTTP and process counters are a shared cell (nd adopts d's), the

@@ -105,6 +105,29 @@ func assertLoadedBlocksEqual(t *testing.T, r, ref *Reader) {
 	}
 }
 
+// assertUnloadedZero checks that r's storage no block has been read into
+// reads as zeros: in each segment, the rows a column not in place still has
+// to fill, and every column's headroom past the last row.
+func assertUnloadedZero(t *testing.T, r *Reader) {
+	t.Helper()
+	nonzero := func(b byte) bool { return b != 0 }
+	for j, c := range r.table.Columns() {
+		b, width := arrayBytes(c)
+		for s, l := range r.loads {
+			if l.has(j) {
+				continue
+			}
+			hi := s*engine.SegmentSize + r.SegmentRows(s)
+			if i := slices.IndexFunc(b[l.from*width:hi*width], nonzero); i >= 0 {
+				t.Fatalf("segment %d column %s: unloaded row %d is not zero", s, c.Field.Name, l.from+i/width)
+			}
+		}
+		if slices.ContainsFunc(b[r.Rows()*width:], nonzero) {
+			t.Fatalf("column %s: headroom past row %d is not zero", c.Field.Name, r.Rows())
+		}
+	}
+}
+
 // changedSegs counts the segments of next that pred does not index the same
 // way: the rewritten tail and everything after it.
 func changedSegs(pred, next *Reader) int {
@@ -312,6 +335,7 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 		}
 		if !cold && &next.table.Columns()[4].Floats()[0] != oldBase {
 			regrown++
+			assertUnloadedZero(t, next)
 		}
 		assertLoadedBlocksEqual(t, next, ref)
 		if tail := len(lazy.loads) - 1; !cold && !sameSegment(lazy.foot.segs[tail], next.foot.segs[tail]) && !allLoaded(lazy, tail) {

@@ -216,6 +216,7 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 	}
 	if cold {
 		r.table.Presize(int(foot.nrows))
+		releaseStorage(r.table)
 	}
 	return r, nil
 }
@@ -282,6 +283,9 @@ func (r *Reader) adopt(pred *Reader) bool {
 	alias := rows <= pred.table.CapRows()
 	r.table = dataset.NewExtended(pred.table, rows, alias)
 	r.table.Name = r.foot.name
+	if !alias {
+		releaseStorage(r.table) // before the loaded blocks are copied in
+	}
 	for s := range r.loads {
 		lo := s * engine.SegmentSize
 		if s >= len(pred.loads) {
@@ -423,7 +427,8 @@ func (r *Reader) SegmentLoads() int64 { return r.segLoads.Load() }
 // ResidentBytes returns the bytes this snapshot's loaded blocks take in
 // memory: for every (segment, column) block in place, the segment's rows at
 // the column's width in the table. Presized storage no block has been read
-// into is heap the process has not touched.
+// into is not resident: its pages went back to the OS when it was allocated
+// (releaseStorage, on Linux).
 func (r *Reader) ResidentBytes() int64 {
 	cols := r.table.Columns()
 	width := make([]int64, len(cols))
@@ -659,16 +664,34 @@ func blockCodes(b []byte, enc uint8) dataset.Codes {
 
 // rowBytes returns the bytes of rows [lo, hi) of c's array.
 func rowBytes(c *dataset.Column, lo, hi int) []byte {
+	b, width := arrayBytes(c)
+	return b[lo*width : hi*width]
+}
+
+// arrayBytes returns the bytes of c's whole array, to its capacity, and the
+// bytes a row takes in it.
+func arrayBytes(c *dataset.Column) ([]byte, int) {
 	pc := c.Codes()
 	switch {
 	case c.Field.Kind == dataset.KindFloat:
-		return asBytes(c.Floats()[lo:hi])
+		return asBytes(c.Floats()[:cap(c.Floats())]), 8
 	case !c.Coded():
-		return asBytes(c.Ints()[lo:hi])
+		return asBytes(c.Ints()[:cap(c.Ints())]), 8
 	case pc.U16 != nil:
-		return asBytes(pc.U16[lo:hi])
+		return asBytes(pc.U16[:cap(pc.U16)]), 2
 	case pc.U32 != nil:
-		return asBytes(pc.U32[lo:hi])
+		return asBytes(pc.U32[:cap(pc.U32)]), 4
 	}
-	return pc.U8[lo:hi]
+	return pc.U8[:cap(pc.U8)], 1
+}
+
+// releaseStorage hands the pages of t's freshly allocated column arrays back
+// to the OS before any block is read into them. The allocator may have served
+// them from freed, touched heap and zeroed it, which makes them resident; an
+// array no scan reads should cost no memory, whatever the heap held before.
+func releaseStorage(t *dataset.Table) {
+	for _, c := range t.Columns() {
+		b, _ := arrayBytes(c)
+		releasePages(b)
+	}
 }

@@ -52,29 +52,48 @@ type sealedSeg struct {
 // Create starts a new zpack file at path for the given schema, truncating
 // any existing file. The dataset name is recorded in the footer.
 func Create(path, name string, fields []dataset.Field) (*Writer, error) {
-	if name == "" {
-		return nil, fmt.Errorf("zpack: dataset name must not be empty")
-	}
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("zpack: schema must have at least one column")
-	}
-	seen := make(map[string]bool, len(fields))
-	for _, fd := range fields {
-		if fd.Name == "" || seen[fd.Name] {
-			return nil, fmt.Errorf("zpack: invalid schema: empty or duplicate column %q", fd.Name)
-		}
-		seen[fd.Name] = true
+	if err := checkSchema(name, fields); err != nil {
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	w, err := newWriter(f, name, fields)
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return w, nil
+}
+
+// checkSchema rejects what a footer cannot name: an empty dataset name, no
+// columns, an empty or duplicate column name.
+func checkSchema(name string, fields []dataset.Field) error {
+	if name == "" {
+		return fmt.Errorf("zpack: dataset name must not be empty")
+	}
+	if len(fields) == 0 {
+		return fmt.Errorf("zpack: schema must have at least one column")
+	}
+	seen := make(map[string]bool, len(fields))
+	for _, fd := range fields {
+		if fd.Name == "" || seen[fd.Name] {
+			return fmt.Errorf("zpack: invalid schema: empty or duplicate column %q", fd.Name)
+		}
+		seen[fd.Name] = true
+	}
+	return nil
+}
+
+// newWriter writes the header of a new file into the empty f and returns the
+// Writer that fills it.
+func newWriter(f *os.File, name string, fields []dataset.Field) (*Writer, error) {
 	var hdr [headerSize]byte
 	copy(hdr[:4], headerMagic[:])
 	binary.LittleEndian.PutUint32(hdr[4:8], Version)
 	if _, err := f.WriteAt(hdr[:], 0); err != nil {
-		f.Close()
-		os.Remove(path)
 		return nil, err
 	}
 	w := &Writer{
@@ -401,4 +420,53 @@ func Build(path string, t *dataset.Table) error {
 		return err
 	}
 	return nil
+}
+
+// Spill writes t, as Build would, to a file in dir that is unlinked as soon
+// as it is created, and returns a lazy Reader over it: the blocks a scan does
+// not read stay on disk instead of in memory. Only the Reader's descriptor
+// keeps the file alive, so its space is freed at Close or when the process
+// exits, however it exits. A spilled Reader is read-only: it is never
+// appended to, reopened or compacted.
+func Spill(t *dataset.Table, dir string) (*Reader, error) {
+	if err := checkSchema(t.Name, t.Fields()); err != nil {
+		return nil, err
+	}
+	f, err := os.CreateTemp(dir, ".zpack-spill-*")
+	if err != nil {
+		return nil, err
+	}
+	r, err := spill(f, t)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+func spill(f *os.File, t *dataset.Table) (*Reader, error) {
+	if err := os.Remove(f.Name()); err != nil {
+		return nil, err
+	}
+	w, err := newWriter(f, t.Name, t.Fields())
+	if err != nil {
+		return nil, err
+	}
+	if err := w.AppendTable(t); err != nil {
+		return nil, err
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	r, err := newReader(f, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	// t's own dictionaries rather than the footer's copies of them: the same
+	// values, and a table as big as t whether it spilled or not.
+	for j, c := range r.table.Columns() {
+		c.ShareDicts(t.Columns()[j])
+	}
+	r.owns.Store(true)
+	return r, nil
 }
