@@ -1,10 +1,10 @@
 // Package client is the embedding API of zenvisage — the analog of the
 // paper's client library ("users can easily embed ZQL queries into other
-// computation", Section 3.1). A Session wraps a dataset, a storage back-end,
-// and execution options behind a small surface: Query, QueryWithInputs,
-// Recommend. It also records the Metadata & History component of the
-// architecture diagram (Figure 6.1): every executed query with its
-// statistics.
+// computation", Section 3.1). A Session wraps a dataset, the column executor
+// (or any engine.DB handed to OpenDB), and execution options behind a small
+// surface: Query, QueryWithInputs, Recommend. It also records the Metadata &
+// History component of the architecture diagram (Figure 6.1): every executed
+// query with its statistics.
 package client
 
 import (
@@ -56,35 +56,11 @@ const DefaultHistoryLimit = 256
 type Option func(*config) error
 
 type config struct {
-	backend   string
 	opt       zexec.OptLevel
 	metric    vis.Metric
 	seed      int64
 	pworkers  int
 	histLimit int
-}
-
-// WithBackend selects the storage back-end by name: "row" (the default
-// full-scan executor), "bitmap" (roaring-bitmap indexes), "column" (the
-// segmented vectorized executor with zone-map skipping), or "auto" (another
-// name for "column"). Open rejects any other name (engine.NewStore).
-func WithBackend(name string) Option {
-	return func(c *config) error {
-		c.backend = name
-		return nil
-	}
-}
-
-// WithBitmapBackend selects the roaring-bitmap store instead of the default
-// row store; it is shorthand for WithBackend("bitmap").
-func WithBitmapBackend() Option {
-	return WithBackend("bitmap")
-}
-
-// WithColumnBackend selects the columnar vectorized store instead of the
-// default row store; it is shorthand for WithBackend("column").
-func WithColumnBackend() Option {
-	return WithBackend("column")
 }
 
 // WithOptLevel sets the SQL batching level (default Inter-Task, the
@@ -148,23 +124,20 @@ func newConfig(opts []Option) (config, error) {
 	return cfg, nil
 }
 
-// Open starts a session over an in-memory table.
+// Open starts a session over an in-memory table, served by the column
+// executor. OpenDB takes any other engine.DB, such as the paper's row-store
+// baseline.
 func Open(t *dataset.Table, opts ...Option) (*Session, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	db, err := engine.NewStore(cfg.backend, 1, t)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{db: db, table: t.Name, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers, histLimit: cfg.histLimit}, nil
+	return &Session{db: engine.NewColumnStore(t), table: t.Name, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers, histLimit: cfg.histLimit}, nil
 }
 
 // OpenDB starts a session over an existing back-end — the path the query
 // server uses to share one store (wrapped in its cache and coalescer) across
-// every request. The backend-selection options (WithBackend and friends) are
-// meaningless here: the back-end is already built.
+// every request.
 func OpenDB(db engine.DB, table string, opts ...Option) (*Session, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
@@ -188,16 +161,12 @@ func OpenCSV(name, path string, opts ...Option) (*Session, error) {
 // OpenZpack starts a session over a persistent .zpack dataset (see
 // docs/FORMAT.md). The file opens by its footer alone and segments load
 // lazily as queries touch them, so opening is cheap regardless of data
-// size. The back-end is always the column store — it is the only executor
-// that drives lazy, zone-map-skipped loading — so WithBackend options other
-// than "column" and "auto" (engine.ColumnBackend) are rejected.
+// size. The back-end is the column store, the executor that drives lazy,
+// zone-map-skipped loading.
 func OpenZpack(path string, opts ...Option) (*Session, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.backend != "" && !engine.ColumnBackend(cfg.backend) {
-		return nil, fmt.Errorf("client: zpack sessions require the column backend, not %q", cfg.backend)
 	}
 	r, err := zpack.Open(path)
 	if err != nil {

@@ -66,7 +66,7 @@ f2   | 'year' | 'revenue' | v1 <- 'product'.* | v2 <- argmin(v1)[k=1] D(f1, f2)
 
 func TestOptions(t *testing.T) {
 	tbl := workload.Sales(workload.SalesConfig{Rows: 2000, Products: 4, Years: 5, Cities: 2, Seed: 2})
-	s, err := Open(tbl, WithBitmapBackend(), WithOptLevel(zexec.NoOpt), WithMetric("dtw"), WithSeed(3))
+	s, err := Open(tbl, WithOptLevel(zexec.NoOpt), WithMetric("dtw"), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,12 @@ func TestOptions(t *testing.T) {
 	}
 }
 
-// TestBackendOptions runs the same query through every back-end name and
-// checks the sessions agree; backend selection must never change results.
+// TestBackendOptions runs the same query through Open's column executor, a
+// zpack session, and the paper's row and bitmap baselines opened with OpenDB;
+// the back-end must never change results. The row store is the oracle.
 func TestBackendOptions(t *testing.T) {
 	tbl := workload.Sales(workload.SalesConfig{Rows: 2000, Products: 4, Years: 5, Cities: 2, Seed: 2})
-	ref, err := Open(tbl, WithSeed(3))
+	ref, err := OpenDB(engine.NewRowStore(tbl), "sales", WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,50 +96,31 @@ func TestBackendOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"row", "bitmap", "column", "auto"} {
-		s, err := Open(tbl, WithBackend(backend), WithSeed(3))
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		res, err := s.Query(risingQuery)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if len(res.Outputs) != len(want.Outputs) || res.Outputs[0].Len() != want.Outputs[0].Len() {
-			t.Errorf("%s: outputs differ from row store", backend)
-		}
-		for i, v := range res.Outputs[0].Vis {
-			if v.Label() != want.Outputs[0].Vis[i].Label() {
-				t.Errorf("%s: output %d = %q, want %q", backend, i, v.Label(), want.Outputs[0].Vis[i].Label())
-			}
-		}
-	}
-	if _, err := Open(tbl, WithBackend("quantum")); err == nil {
-		t.Error("unknown backend should error")
-	}
-}
-
-// TestOpenZpackBackendNames: a zpack session runs on the column executor, so
-// "column" and its other name "auto" open it and "row"/"bitmap" are refused.
-func TestOpenZpackBackendNames(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sales.zpack")
-	tbl := workload.Sales(workload.SalesConfig{Rows: 2000, Products: 4, Years: 5, Cities: 2, Seed: 2})
 	if err := zpack.Build(path, tbl); err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"", "column", "auto"} {
-		s, err := OpenZpack(path, WithBackend(backend), WithSeed(3))
-		if err != nil {
-			t.Fatalf("OpenZpack(%q): %v", backend, err)
-		}
-		if _, err := s.Query(risingQuery); err != nil {
-			t.Fatalf("OpenZpack(%q) query: %v", backend, err)
-		}
+	sessions := map[string]func() (*Session, error){
+		"open":   func() (*Session, error) { return Open(tbl, WithSeed(3)) },
+		"zpack":  func() (*Session, error) { return OpenZpack(path, WithSeed(3)) },
+		"bitmap": func() (*Session, error) { return OpenDB(engine.NewBitmapStore(tbl), "sales", WithSeed(3)) },
 	}
-	for _, backend := range []string{"row", "bitmap"} {
-		_, err := OpenZpack(path, WithBackend(backend))
-		if want := fmt.Sprintf("client: zpack sessions require the column backend, not %q", backend); err == nil || err.Error() != want {
-			t.Errorf("OpenZpack(%q) = %v, want %q", backend, err, want)
+	for name, open := range sessions {
+		s, err := open()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := s.Query(risingQuery)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Outputs) != len(want.Outputs) || res.Outputs[0].Len() != want.Outputs[0].Len() {
+			t.Fatalf("%s: outputs differ from row store", name)
+		}
+		for i, v := range res.Outputs[0].Vis {
+			if v.Label() != want.Outputs[0].Vis[i].Label() {
+				t.Errorf("%s: output %d = %q, want %q", name, i, v.Label(), want.Outputs[0].Vis[i].Label())
+			}
 		}
 	}
 }

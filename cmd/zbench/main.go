@@ -25,15 +25,7 @@ func main() {
 	log.SetPrefix("zbench: ")
 	fig := flag.String("fig", "all", "figure to regenerate: 7.1, 7.2, 7.3, 7.4, 7.5, 8.1, 8.2, or all")
 	scaleFlag := flag.String("scale", "small", "dataset scale: small or full")
-	jsonPath := flag.String("json", "", "write a machine-readable perf report (sharded batch sweep + process phase) to this file and exit")
 	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := runPerfJSON(*jsonPath); err != nil {
-			log.Fatalf("-json: %v", err)
-		}
-		return
-	}
 
 	scale := experiments.ScaleSmall
 	switch *scaleFlag {

@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := engine.NewStore(*backend, 1, tbl)
+	db, err := newStore(*backend, tbl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -180,6 +180,23 @@ func loadTable(dataPath, tableName, demo string) (*dataset.Table, error) {
 	default:
 		return nil, fmt.Errorf("provide -data FILE or -demo NAME")
 	}
+}
+
+// newStore builds the store a -backend name selects: the row store (the
+// paper's PostgreSQL stand-in), the roaring-bitmap store (its RoaringDB), or
+// the column executor zserved serves, which "auto" names too. This is the one
+// place the row and bitmap names resolve; the server serves only the column
+// executor.
+func newStore(backend string, t *dataset.Table) (engine.DB, error) {
+	switch backend {
+	case "row":
+		return engine.NewRowStore(t), nil
+	case "bitmap":
+		return engine.NewBitmapStore(t), nil
+	case "column", "auto":
+		return engine.NewColumnStore(t), nil
+	}
+	return nil, fmt.Errorf("unknown -backend %q (want row, bitmap, column, or auto)", backend)
 }
 
 func readQuery(path string) (string, error) {

@@ -168,19 +168,14 @@ func NewShardedStoreFromSource(nshards int, sources ...SegmentSource) *ColumnSto
 	return s
 }
 
-// newColumnBackend builds the store backend "column" names over in-memory
-// tables: nshards segment ranges per table when nshards > 1, one otherwise.
-func newColumnBackend(nshards int, tables []*dataset.Table) *ColumnStore {
+// NewAutoStore builds the column store, cut into nshards segment ranges
+// when nshards > 1. Only the benchmark module still calls it; the next change
+// to the benchmark deletes it.
+func NewAutoStore(nshards int, tables ...*dataset.Table) *ColumnStore {
 	if nshards > 1 {
 		return NewShardedStore(nshards, tables...)
 	}
 	return NewColumnStore(tables...)
-}
-
-// NewAutoStore builds what backend "auto" names: the same column store
-// backend "column" builds.
-func NewAutoStore(nshards int, tables ...*dataset.Table) *ColumnStore {
-	return newColumnBackend(nshards, tables)
 }
 
 // NewShardedStoreAt builds a sharded column store over one source cut at

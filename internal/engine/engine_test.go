@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -39,49 +38,6 @@ func salesTable() *dataset.Table {
 
 func allStores(t *dataset.Table) []DB {
 	return []DB{NewRowStore(t), NewBitmapStore(t), NewColumnStore(t), NewShardedStore(3, t)}
-}
-
-// TestNewStoreResolvesBackendNames pins the one name resolver: what each
-// back-end name builds at one and three shards, "auto" building exactly what
-// "column" does, and an unknown name's error listing the valid set.
-func TestNewStoreResolvesBackendNames(t *testing.T) {
-	tb := twoColTable(3)
-	cases := []struct {
-		backend string
-		shards  int
-		name    string
-		ranges  int
-	}{
-		{"", 1, "rowstore", 0},
-		{"", 3, "rowstore", 0},
-		{"row", 1, "rowstore", 0},
-		{"row", 3, "rowstore", 0},
-		{"bitmap", 1, "bitmapstore", 0},
-		{"bitmap", 3, "bitmapstore", 0},
-		{"column", 1, "columnstore", 0},
-		{"column", 3, "shardedstore", 3},
-		{"auto", 1, "columnstore", 0},
-		{"auto", 3, "shardedstore", 3},
-	}
-	for _, tc := range cases {
-		db, err := NewStore(tc.backend, tc.shards, tb)
-		if err != nil {
-			t.Fatalf("NewStore(%q, %d): %v", tc.backend, tc.shards, err)
-		}
-		if db.Name() != tc.name || len(db.Stats("p").Ranges) != tc.ranges {
-			t.Errorf("NewStore(%q, %d) = %s with %d ranges, want %s with %d",
-				tc.backend, tc.shards, db.Name(), len(db.Stats("p").Ranges), tc.name, tc.ranges)
-		}
-	}
-	for _, shards := range []int{1, 3} {
-		db, err := NewStore("quantum", shards, tb)
-		if db != nil || err == nil || !strings.Contains(err.Error(), `"quantum" (want row, bitmap, column, or auto)`) {
-			t.Errorf("NewStore(quantum, %d) = %v, %v; want an error listing the valid names", shards, db, err)
-		}
-	}
-	if ColumnBackend("") || ColumnBackend("row") || ColumnBackend("bitmap") || !ColumnBackend("column") || !ColumnBackend("auto") {
-		t.Error("ColumnBackend must accept exactly column and auto")
-	}
 }
 
 func TestSimpleAggregation(t *testing.T) {

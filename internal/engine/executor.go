@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -66,27 +65,6 @@ type Stats struct {
 	Pool *PoolStats
 }
 
-// NewStore builds the back-end a name selects over one in-memory table:
-// "row" (also ""), "bitmap", or "column" — cut into shards segment ranges
-// when shards > 1 — and "auto", a second name for "column". Row and bitmap
-// ignore shards. It is the one place back-end names resolve.
-func NewStore(backend string, shards int, t *dataset.Table) (DB, error) {
-	switch backend {
-	case "", "row":
-		return NewRowStore(t), nil
-	case "bitmap":
-		return NewBitmapStore(t), nil
-	case "column", "auto":
-		return newColumnBackend(shards, []*dataset.Table{t}), nil
-	}
-	return nil, fmt.Errorf("engine: unknown backend %q (want row, bitmap, column, or auto)", backend)
-}
-
-// ColumnBackend reports whether a back-end name selects the column executor
-// — "column", or "auto", which names it too. Only that executor serves a
-// lazily loaded segment source such as a zpack file.
-func ColumnBackend(name string) bool { return name == "column" || name == "auto" }
-
 // RangeStats is one segment range's share of the scan work: its segment
 // count, the Counters semantics restricted to it, and its distinct
 // segments materialized.
@@ -102,13 +80,6 @@ type RangeStats struct {
 type PoolStats struct {
 	Busy     int `json:"busy"`
 	Capacity int `json:"capacity"`
-}
-
-// Parallel is implemented by back-ends whose ExecuteBatch drains plans
-// concurrently; n bounds the worker count (n <= 0 restores the default,
-// GOMAXPROCS).
-type Parallel interface {
-	SetParallelism(n int)
 }
 
 // parLimit is the store-level worker bound every back-end embeds. The bound

@@ -17,6 +17,7 @@ import (
 
 	"repro/client"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/workload"
 	"repro/internal/zpack"
 )
@@ -63,28 +64,54 @@ func TestZpackBackendMatchesSession(t *testing.T) {
 	}
 }
 
-// TestAddZpackBackendNames: a zpack dataset runs on the column executor, so
-// "column" and its other name "auto" register it and "row"/"bitmap" are
-// refused before the file is opened.
-func TestAddZpackBackendNames(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sales.zpack")
+// TestRegistryBackendNames pins the name table: "" (reported as "column"),
+// "column" and "auto" name the one served executor on every way in — AddTable,
+// LoadCSV and AddZpack — and the row and bitmap baselines and unknown names
+// are refused with an error pointing at zenvisage.
+func TestRegistryBackendNames(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sales.zpack")
 	if err := zpack.Build(path, testTable()); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
-	for _, backend := range []string{"", "column", "auto"} {
-		d, err := reg.AddZpack("sales_"+backend, path, Config{Backend: backend})
-		if err != nil {
-			t.Fatalf("AddZpack(%q): %v", backend, err)
-		}
-		if d.Backend() != "column" || !d.Appendable() {
-			t.Errorf("AddZpack(%q) = backend %q appendable %v", backend, d.Backend(), d.Appendable())
-		}
+	csvPath := filepath.Join(dir, "sales.csv")
+	writeCSV(t, csvPath, testTable())
+	loads := map[string]func(*Registry, string, Config) (*Dataset, error){
+		"AddTable": func(r *Registry, name string, cfg Config) (*Dataset, error) {
+			tb := testTable()
+			tb.Name = name
+			return r.AddTable(tb, cfg)
+		},
+		"LoadCSV":  func(r *Registry, name string, cfg Config) (*Dataset, error) { return r.LoadCSV(name, csvPath, cfg) },
+		"AddZpack": func(r *Registry, name string, cfg Config) (*Dataset, error) { return r.AddZpack(name, path, cfg) },
 	}
-	for _, backend := range []string{"row", "bitmap"} {
-		_, err := reg.AddZpack("sales_"+backend, path, Config{Backend: backend})
-		if want := fmt.Sprintf("server: zpack datasets require the column backend, not %q", backend); err == nil || err.Error() != want {
-			t.Errorf("AddZpack(%q) = %v, want %q", backend, err, want)
+	for how, load := range loads {
+		reg := NewRegistry()
+		for backend, want := range map[string]string{"": "column", "column": "column", "auto": "auto"} {
+			d, err := load(reg, "sales_"+backend, Config{Backend: backend})
+			if err != nil {
+				t.Fatalf("%s(%q): %v", how, backend, err)
+			}
+			if d.Backend() != want || d.Segments() != 3 {
+				t.Errorf("%s(%q) = backend %q, %d segments; want %q, 3", how, backend, d.Backend(), d.Segments(), want)
+			}
+		}
+		ts := httptest.NewServer(New(reg))
+		_, raw := get(t, ts.URL+"/datasets")
+		ts.Close()
+		for _, want := range []string{`"name":"sales_","backend":"column"`, `"name":"sales_auto","backend":"auto"`, `"name":"sales_column","backend":"column"`} {
+			if !bytes.Contains(raw, []byte(want)) {
+				t.Errorf("%s: /datasets %s lacks %s", how, raw, want)
+			}
+		}
+		for _, backend := range []string{"row", "bitmap", "quantum"} {
+			_, err := load(reg, "sales_"+backend, Config{Backend: backend})
+			if want := fmt.Sprintf("server: backend %q is not served (want column or auto); the paper's row and bitmap baselines run in zenvisage -backend", backend); err == nil || err.Error() != want {
+				t.Errorf("%s(%q) = %v, want %q", how, backend, err, want)
+			}
+		}
+		if got := len(reg.List()); got != 3 {
+			t.Errorf("%s: %d datasets registered, want 3", how, got)
 		}
 	}
 }
@@ -384,7 +411,7 @@ NAME | X       | Y         | Z                 | CONSTRAINTS
 				grown.AppendRow(row...)
 			}
 		}
-		sess, err := client.Open(grown, client.WithSeed(7))
+		sess, err := client.OpenDB(engine.NewRowStore(grown), grown.Name, client.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}

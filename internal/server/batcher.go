@@ -290,9 +290,6 @@ func (b *batcher) stats() BatchStats {
 // cache and over the real store. Prepare goes straight to the store (plans
 // must be bound to the back-end that executes them); every execution path
 // funnels through the coalescing queue.
-//
-// Like cachingDB it does not implement engine.Parallel; the store's bound is
-// fixed server-side.
 type coalescingDB struct {
 	store engine.DB
 	bat   *batcher

@@ -240,9 +240,6 @@ func (c *ResultCache) Stats() CacheStats {
 // misses reach the inner ExecuteBatch (and from there the coalescer and the
 // store's shared scans). It implements engine.DB so the whole client / zexec /
 // recommend stack runs over it unchanged.
-//
-// It deliberately does NOT implement engine.Parallel: the store's scan-worker
-// bound is server configuration, not per-request state.
 type cachingDB struct {
 	inner engine.DB
 	cache *ResultCache

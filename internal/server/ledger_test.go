@@ -165,13 +165,14 @@ func ledgerSetups(t *testing.T) []ledgerSetup {
 	if _, err := compact.File(packPath, compact.Options{Cols: []string{"city"}}); err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Seed: 7, Parallelism: 2, ProcessParallelism: 1}
+	base := Config{Seed: 7, ProcessParallelism: 1}
 	var out []ledgerSetup
 	add := func(name string, load func(*Registry) error) {
 		reg := NewRegistry()
 		if err := load(reg); err != nil {
 			t.Fatal(err)
 		}
+		pinScanWorkers(reg.Get("sales"), 2)
 		out = append(out, ledgerSetup{name, reg})
 	}
 	for _, shards := range []int{1, 3} {
@@ -189,6 +190,13 @@ func ledgerSetups(t *testing.T) []ledgerSetup {
 		return err
 	})
 	return out
+}
+
+// pinScanWorkers bounds the scan workers of d's store to n, so counts that
+// follow the pool's width (the pool capacity, the scan jobs per batch) do not
+// follow the host's core count.
+func pinScanWorkers(d *Dataset, n int) {
+	d.store.(interface{ SetParallelism(int) }).SetParallelism(n)
 }
 
 // timingField matches the two wall-clock members of a response's stats.

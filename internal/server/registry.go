@@ -7,9 +7,9 @@
 //
 // Stacking, per dataset, bottom to top:
 //
-//	engine.DB (row | bitmap | column,   one immutable store, shared read-only;
-//	           optionally sharded)      column/zpack stores can split into
-//	                                    segment shards scanned in parallel
+//	engine.ColumnStore                  one immutable store, shared read-only, over
+//	                                    an in-memory table or a zpack reader; split
+//	                                    into segment shards scanned in parallel
 //	  coalescingDB                      queued submissions fold into one ExecuteBatch
 //	    cachingDB                       results keyed by canonical plan SQL (probation + LRU)
 //	      client.Session                ZQL parse/execute + bounded history
@@ -47,8 +47,12 @@ const DefaultMaxQueue = 256
 
 // Config tunes one registered dataset.
 type Config struct {
-	// Backend selects the store: "row" (default), "bitmap", "column", or
-	// "auto", a second name for "column" (engine.NewStore resolves them).
+	// Backend is the name /datasets reports for the one executor the server
+	// serves, the column store: "column" (also "") or "auto", a second name
+	// for it. Every other name is refused; the row and bitmap stores are the
+	// paper's baselines, reached through zenvisage -backend. Only the
+	// benchmark module still sets it; the next change to the benchmark
+	// deletes it.
 	Backend string
 	// Opt names the default ZQL batching level for requests that do not
 	// carry one: "noopt", "intraline", "intratask", or "intertask"
@@ -69,22 +73,16 @@ type Config struct {
 	// arrivals are shed with 429: 0 means DefaultMaxQueue, negative disables
 	// shedding (unbounded queue).
 	MaxQueue int
-	// Parallelism bounds the store's scan workers per batch (<= 0 =
-	// GOMAXPROCS). Applied once at registration; never per request.
-	Parallelism int
-	// Shards splits a column or zpack dataset into N contiguous segment
-	// shards whose scans scatter across the worker pool and merge at a
-	// gather point, results unchanged (docs/ARCHITECTURE.md, "Sharded
-	// scatter-gather"). <= 1 means unsharded; the row and bitmap back-ends
-	// ignore it. Effective shard count is capped by the segment count.
+	// Shards splits the dataset into N contiguous segment shards whose scans
+	// scatter across the worker pool and merge at a gather point, results
+	// unchanged (docs/ARCHITECTURE.md, "Sharded scatter-gather"). <= 1 means
+	// unsharded. Effective shard count is capped by the segment count.
 	Shards int
 	// ProcessParallelism bounds the process-phase worker goroutines per query
 	// (0 = automatic: GOMAXPROCS at optimized levels). Results are identical
 	// at every setting; a server packing many datasets onto one machine may
 	// want 1 so one request's top-k search doesn't monopolize the cores.
 	ProcessParallelism int
-	// HistoryLimit bounds the session query history (0 = client default).
-	HistoryLimit int
 }
 
 // Dataset is one registered table with its store, cache, coalescer, and
@@ -178,7 +176,8 @@ func (d *Dataset) recordProcess(s zexec.ProcessStats) {
 // Name returns the registry name of the dataset.
 func (d *Dataset) Name() string { return d.name }
 
-// Backend returns the store kind: "row", "bitmap", "column", or "auto".
+// Backend returns the name the dataset's executor was registered under:
+// "column" or "auto".
 func (d *Dataset) Backend() string { return d.backend }
 
 // Table returns the immutable base table.
@@ -190,8 +189,7 @@ func (d *Dataset) Session() *client.Session { return d.session }
 // Opt returns the dataset's default optimization level.
 func (d *Dataset) Opt() zexec.OptLevel { return d.opt }
 
-// Segments returns the zone-map segment count of the dataset's store, or 0
-// for back-ends that don't segment (row, bitmap).
+// Segments returns the zone-map segment count of the dataset's store.
 func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
 
 // ShardCount returns the store's segment shard count for this dataset, or 0
@@ -219,11 +217,11 @@ type DatasetStats struct {
 	Rows    int    `json:"rows"`
 	// Engine counters are cumulative over the real store, so cache hits
 	// leave RowsScanned untouched — the visible win of the cache.
-	// SegmentsSkipped is nonzero only on the column backend: segments its
-	// zone maps proved empty and never scanned; SegmentsScanned are the ones
-	// that were actually visited, and SegmentLoads the distinct segments this
-	// store has visited at least once (for zpack, read from disk then, unless
-	// an earlier snapshot of the append lineage had loaded them).
+	// SegmentsSkipped counts segments the zone maps proved empty and never
+	// scanned; SegmentsScanned are the ones that were actually visited, and
+	// SegmentLoads the distinct segments this store has visited at least once
+	// (for zpack, read from disk then, unless an earlier snapshot of the
+	// append lineage had loaded them).
 	Queries         int64         `json:"queries"`
 	RowsScanned     int64         `json:"rowsScanned"`
 	SegmentsScanned int64         `json:"segmentsScanned"`
@@ -235,8 +233,7 @@ type DatasetStats struct {
 	HTTP            HTTPStats     `json:"http"`
 	History         int           `json:"historyEntries"`
 	// SkipProvenance attributes zone-map skips to the (column, metadata kind)
-	// that proved each skipped segment empty — highest count first. Only the
-	// column backend produces attributions.
+	// that proved each skipped segment empty — highest count first.
 	SkipProvenance []SkipProvEntry `json:"skipProvenance,omitempty"`
 	// Planner reports the conjunct planner's activity: plans that went
 	// through scoring and plans whose conjunct order actually changed.
@@ -420,45 +417,43 @@ func (r *Registry) AddTable(t *dataset.Table, cfg Config) (*Dataset, error) {
 	if t == nil || t.Name == "" {
 		return nil, fmt.Errorf("server: dataset needs a named table")
 	}
-	// Fail on a taken name before building the stack — a bitmap store indexes
-	// the whole table, too expensive to throw away. The authoritative check
-	// below still guards against a racing registration of the same name.
-	r.mu.RLock()
-	_, exists := r.datasets[t.Name]
-	r.mu.RUnlock()
-	if exists {
-		return nil, fmt.Errorf("server: dataset %q already registered", t.Name)
-	}
-	store, err := engine.NewStore(cfg.Backend, cfg.Shards, t)
+	backend, err := backendName(cfg.Backend)
 	if err != nil {
 		return nil, err
 	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = "row"
-	}
-	d, err := newDataset(t, store, backend, cfg)
+	d, err := newDataset(t, columnStore(engine.NewMemSource(t), cfg), backend, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return r.add(d)
 }
 
+// backendName resolves Config.Backend to the name /datasets reports: "" is
+// "column", and "column" and "auto" name the column executor, the only one
+// the server serves. Any other name is refused.
+func backendName(name string) (string, error) {
+	switch name {
+	case "":
+		return "column", nil
+	case "column", "auto":
+		return name, nil
+	}
+	return "", fmt.Errorf("server: backend %q is not served (want column or auto); the paper's row and bitmap baselines run in zenvisage -backend", name)
+}
+
 // AddZpack registers a persistent zpack dataset under name: the file's
 // footer is read, the table opens lazily, and the store is the column
-// back-end over the reader's segment source — warm start, no CSV parse, no
+// executor over the reader's segment source — warm start, no CSV parse, no
 // data deserialized until queries touch it. The file also opens for append,
-// backing POST /datasets/{name}/append. cfg.Backend must be empty, "column"
-// or "auto" (engine.ColumnBackend); zone-map-driven lazy loading only exists
-// there.
+// backing POST /datasets/{name}/append.
 func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: dataset needs a name")
 	}
-	if cfg.Backend != "" && !engine.ColumnBackend(cfg.Backend) {
-		return nil, fmt.Errorf("server: zpack datasets require the column backend, not %q", cfg.Backend)
+	backend, err := backendName(cfg.Backend)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Backend = "column"
 	reader, err := zpack.Open(path)
 	if err != nil {
 		return nil, err
@@ -468,7 +463,7 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 		reader.Close()
 		return nil, err
 	}
-	d, err := newZpackDataset(name, reader, "column", cfg)
+	d, err := newZpackDataset(name, reader, backend, cfg)
 	if err != nil {
 		reader.Close()
 		writer.Discard()
@@ -481,11 +476,11 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 }
 
 // newZpackDataset assembles the serving stack around a zpack reader's table,
-// registered as name: the column back-end over the reader's segments.
+// registered as name: the column executor over the reader's segments.
 func newZpackDataset(name string, reader *zpack.Reader, backend string, cfg Config) (*Dataset, error) {
 	t := reader.Table()
 	t.Name = name
-	d, err := newDataset(t, zpackStore(reader, cfg), backend, cfg)
+	d, err := newDataset(t, columnStore(reader, cfg), backend, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -493,24 +488,22 @@ func newZpackDataset(name string, reader *zpack.Reader, backend string, cfg Conf
 	return d, nil
 }
 
-// zpackStore builds the column back-end over a zpack reader, sharded when
-// the config asks for it: shards are segment ranges over the same footer
-// index, so the file is never rewritten and lazily-skipped segments are still
-// never read from disk. Append rebuilds through this same helper, so
-// appended segments land in the re-split tail shard's range.
-func zpackStore(r *zpack.Reader, cfg Config) engine.DB {
+// columnStore builds the column executor over a segment source — an
+// in-memory table's or a zpack reader's — sharded when the config asks for
+// it: shards are segment ranges over the same source, so a file is never
+// rewritten and lazily-skipped segments are still never read from disk.
+// Append rebuilds through this same helper, so appended segments land in the
+// re-split tail shard's range.
+func columnStore(src engine.SegmentSource, cfg Config) engine.DB {
 	if cfg.Shards > 1 {
-		return engine.NewShardedStoreFromSource(cfg.Shards, r)
+		return engine.NewShardedStoreFromSource(cfg.Shards, src)
 	}
-	return engine.NewColumnStoreFromSource(r)
+	return engine.NewColumnStoreFromSource(src)
 }
 
 // newDataset assembles the serving stack — store, cache, coalescer, session
 // — around a table whose store is already built.
 func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config) (*Dataset, error) {
-	if cfg.Parallelism > 0 {
-		store.(engine.Parallel).SetParallelism(cfg.Parallelism)
-	}
 	opt := zexec.InterTask
 	if cfg.Opt != "" {
 		var err error
@@ -543,9 +536,6 @@ func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config) (
 	if cfg.Metric != "" {
 		sessOpts = append(sessOpts, client.WithMetric(cfg.Metric))
 	}
-	if cfg.HistoryLimit != 0 {
-		sessOpts = append(sessOpts, client.WithHistoryLimit(cfg.HistoryLimit))
-	}
 	sess, err := client.OpenDB(db, t.Name, sessOpts...)
 	if err != nil {
 		return nil, err
@@ -575,26 +565,26 @@ func (r *Registry) add(d *Dataset) (*Dataset, error) {
 	return d, nil
 }
 
-// LoadCSV registers a CSV file under name. Under the column back-end the
-// parsed table is spilled to an unnamed file in the CSV's directory
-// (zpack.Spill) and served from it as a .zpack is, without appends or
-// compaction: only the blocks queries read are resident. Where no spill can
-// be written (a read-only directory, a full disk) the table is served from
-// memory.
+// LoadCSV registers a CSV file under name. The parsed table is spilled to an
+// unnamed file in the CSV's directory (zpack.Spill) and served from it as a
+// .zpack is, without appends or compaction: only the blocks queries read are
+// resident. Where no spill can be written (a read-only directory, a full
+// disk) the table is served from memory.
 func (r *Registry) LoadCSV(name, path string, cfg Config) (*Dataset, error) {
-	t, err := dataset.ReadCSVFile(name, path)
+	backend, err := backendName(cfg.Backend)
 	if err != nil {
 		return nil, err
 	}
-	if !engine.ColumnBackend(cfg.Backend) {
-		return r.AddTable(t, cfg)
+	t, err := dataset.ReadCSVFile(name, path)
+	if err != nil {
+		return nil, err
 	}
 	reader, err := zpack.Spill(t, filepath.Dir(path))
 	if err != nil {
 		log.Printf("%s: no spill, serving %s from memory: %v", path, name, err)
 		return r.AddTable(t, cfg)
 	}
-	d, err := newZpackDataset(name, reader, cfg.Backend, cfg)
+	d, err := newZpackDataset(name, reader, backend, cfg)
 	if err == nil {
 		d, err = r.add(d)
 	}
@@ -666,7 +656,7 @@ func (r *Registry) Append(name string, rows []dataset.Row) (*Dataset, error) {
 		// append API without client-supplied request IDs.
 		return nil, err
 	}
-	nd, err := newZpackDataset(name, fresh, "column", d.cfg)
+	nd, err := newZpackDataset(name, fresh, d.backend, d.cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/client"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/workload"
 	"repro/internal/zexec"
 )
@@ -36,10 +37,11 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Registry) {
 }
 
 // referenceSession is the in-process ground truth the server must match byte
-// for byte.
+// for byte: the paper's row store, an executor independent of the served one.
 func referenceSession(t *testing.T) *client.Session {
 	t.Helper()
-	s, err := client.Open(testTable(), client.WithSeed(7))
+	tb := testTable()
+	s, err := client.OpenDB(engine.NewRowStore(tb), tb.Name, client.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +328,7 @@ NAME | X      | Y         | Z               | CONSTRAINTS | VIZ
 }
 
 func TestDatasetsEndpoint(t *testing.T) {
-	ts, reg := newTestServer(t, Config{Backend: "bitmap"})
+	ts, reg := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/datasets")
 	if err != nil {
 		t.Fatal(err)
@@ -342,16 +344,16 @@ func TestDatasetsEndpoint(t *testing.T) {
 		t.Fatalf("datasets = %+v", out.Datasets)
 	}
 	d := out.Datasets[0]
-	if d.Name != "sales" || d.Backend != "bitmap" || d.Rows != 10000 || len(d.Columns) == 0 {
+	if d.Name != "sales" || d.Backend != "column" || d.Rows != 10000 || len(d.Columns) == 0 {
 		t.Errorf("dataset info = %+v", d)
 	}
 	// One source for "how big is the table": what the table itself says.
 	if ds := reg.Get("sales"); d.TableBytes <= 0 || d.TableBytes != ds.Table().SizeBytes() {
 		t.Errorf("tableBytes = %d, want the table's SizeBytes %d", d.TableBytes, ds.Table().SizeBytes())
 	}
-	// Unsegmented back-ends report zero segments and no append support.
-	if d.Segments != 0 || d.Appendable {
-		t.Errorf("bitmap dataset info = %+v, want segments=0 appendable=false", d)
+	// An in-memory table takes no appends.
+	if d.Appendable {
+		t.Errorf("in-memory dataset info = %+v, want appendable=false", d)
 	}
 }
 

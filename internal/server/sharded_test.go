@@ -120,19 +120,6 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedRowBackendIgnoresShards pins that Shards is a no-op for
-// non-columnar back-ends rather than an error.
-func TestShardedRowBackendIgnoresShards(t *testing.T) {
-	reg := NewRegistry()
-	d, err := reg.AddTable(exactSalesTable(), Config{Backend: "row", Shards: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ShardCount() != 0 {
-		t.Errorf("row backend ShardCount = %d, want 0", d.ShardCount())
-	}
-}
-
 // TestShardedZpackAppend covers the shard-aware snapshot swap: a sharded
 // zpack dataset accepts appends, the successor is re-split (appended
 // segments land in the tail shard's range), and post-append responses match

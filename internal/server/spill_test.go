@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -54,7 +55,7 @@ func TestLoadCSVSpills(t *testing.T) {
 	}
 	script := ledgerScript()
 	for _, shards := range []int{1, 3} {
-		cfg := Config{Backend: "auto", Shards: shards, Seed: 7, Parallelism: 2, ProcessParallelism: 1}
+		cfg := Config{Backend: "auto", Shards: shards, Seed: 7, ProcessParallelism: 1}
 		spilled, inMem := NewRegistry(), NewRegistry()
 		d, err := spilled.LoadCSV("sales", csvPath, cfg)
 		if err != nil {
@@ -108,32 +109,46 @@ func TestLoadCSVSpills(t *testing.T) {
 	}
 }
 
-// TestLoadCSVServesFromMemoryWithoutASpill: a CSV in a directory no spill can
-// be written to is served from memory, as is a CSV under a back-end other
-// than the column one.
+// TestLoadCSVServesFromMemoryWithoutASpill: a CSV whose directory takes no
+// spill is served from memory, with the answers of the spilled dataset. The
+// CSV is read through /proc/self/fd/N, a directory no process can create a
+// file in, not even root.
 func TestLoadCSVServesFromMemoryWithoutASpill(t *testing.T) {
-	dir := t.TempDir()
-	csvPath := filepath.Join(dir, "sales.csv")
-	writeCSV(t, csvPath, testTable())
-	d, err := NewRegistry().LoadCSV("sales", csvPath, Config{Backend: "row"})
+	if runtime.GOOS != "linux" {
+		t.Skip("needs /proc/self/fd")
+	}
+	csvPath := filepath.Join(t.TempDir(), "sales.csv")
+	writeCSV(t, csvPath, ledgerTable())
+	f, err := os.Open(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg := Config{Seed: 7, ProcessParallelism: 1}
+	inMem, spilled := NewRegistry(), NewRegistry()
+	d, err := inMem.LoadCSV("sales", fmt.Sprintf("/proc/self/fd/%d", f.Fd()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Spilled() || d.ResidentBytes() != d.Table().SizeBytes() {
-		t.Fatalf("row back-end: spilled %v, resident %d of %d", d.Spilled(), d.ResidentBytes(), d.Table().SizeBytes())
+		t.Fatalf("no spill directory: spilled %v, resident %d of %d", d.Spilled(), d.ResidentBytes(), d.Table().SizeBytes())
 	}
-	if os.Geteuid() == 0 {
-		t.Skip("root writes to read-only directories")
+	if d, err = spilled.LoadCSV("sales", csvPath, cfg); err != nil || !d.Spilled() {
+		t.Fatalf("spilled %v, %v", d, err)
 	}
-	if err := os.Chmod(dir, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chmod(dir, 0o755)
-	d, err = NewRegistry().LoadCSV("sales", csvPath, Config{Backend: "auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Spilled() || d.ResidentBytes() != d.Table().SizeBytes() || d.Backend() != "auto" {
-		t.Fatalf("read-only directory: spilled %v, resident %d of %d, backend %q", d.Spilled(), d.ResidentBytes(), d.Table().SizeBytes(), d.Backend())
+	mts, sts := httptest.NewServer(New(inMem)), httptest.NewServer(New(spilled))
+	defer mts.Close()
+	defer sts.Close()
+	for i, r := range ledgerScript() {
+		mresp, got := post(t, mts.URL+r.path, r.body)
+		sresp, want := post(t, sts.URL+r.path, r.body)
+		if mresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
+			t.Fatalf("#%d %s: status %d and %d", i, r.path, mresp.StatusCode, sresp.StatusCode)
+		}
+		got = timingField.ReplaceAll(got, []byte(`"$1":0`))
+		want = timingField.ReplaceAll(want, []byte(`"$1":0`))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("#%d %s: in memory answered\n%.300s\nspilled\n%.300s", i, r.path, got, want)
+		}
 	}
 }

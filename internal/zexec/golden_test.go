@@ -273,11 +273,10 @@ func TestGoldenCorpus(t *testing.T) {
 				// level.
 				"column-shard3": engine.NewShardedStoreAt(engine.NewMemSource(tbl), unevenCuts(engine.NewMemSource(tbl).NumSegments())...),
 				"zpack-shard3":  engine.NewShardedStoreAt(pack, unevenCuts(pack.NumSegments())...),
-				// The served name "auto" through the one name resolver, at one
-				// and three (balanced) shards: the column executor, so the
-				// rendered bytes must not move.
-				"auto":        mustStore(t, "auto", 1, tbl),
-				"auto-shard3": mustStore(t, "auto", 3, tbl),
+				// What the server builds for the names "column" and "auto", at
+				// one and three (balanced) shards.
+				"auto":        engine.NewColumnStoreFromSource(engine.NewMemSource(tbl)),
+				"auto-shard3": engine.NewShardedStoreFromSource(3, engine.NewMemSource(tbl)),
 			}
 			for _, backend := range []string{"row", "bitmap", "column", "zpack", "zpack-compacted", "column-shard3", "zpack-shard3", "auto", "auto-shard3"} {
 				db := backends[backend]
@@ -307,16 +306,6 @@ func TestGoldenCorpus(t *testing.T) {
 // gather's identity-merge must handle.
 func unevenCuts(nseg int) []int {
 	return []int{nseg / 4, nseg / 2}
-}
-
-// mustStore builds the store a back-end name selects (engine.NewStore).
-func mustStore(t *testing.T, backend string, shards int, tbl *dataset.Table) engine.DB {
-	t.Helper()
-	db, err := engine.NewStore(backend, shards, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
 }
 
 // clip keeps failure output readable for big results.

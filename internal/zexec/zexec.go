@@ -119,14 +119,6 @@ type Options struct {
 	// DefaultAgg is the rule-of-thumb aggregate when the Viz column is blank
 	// (defaults to "avg", matching trend charts over raw measures).
 	DefaultAgg string
-	// Parallelism bounds the back-end workers draining one request batch.
-	// A positive value is applied to the back-end via engine.Parallel and is
-	// store-level state: it sticks until the next explicit setting, and
-	// concurrent Runs over one store see the last value written. Zero leaves
-	// the store's configured bound untouched (the back-end default is
-	// GOMAXPROCS), so request traffic over a shared store — the query server
-	// — never stomps the server's configuration.
-	Parallelism int
 	// ProcessParallelism bounds the worker goroutines scoring process-phase
 	// tuples (the D()/T() loops of argmin/argmax/argany tasks). Zero is
 	// automatic: sequential at NoOpt — the differential oracle — and
@@ -142,8 +134,7 @@ type Options struct {
 	ProcessNoPrune bool
 	// PlanOnly runs EXPLAIN's plan mode: the full pipeline executes —
 	// resolution, unit building, SQL generation, Prepare (so the planner's
-	// conjunct order and the auto-router's decision are decided and traced) —
-	// but no data moves: ExecuteBatch is never called, fetched
+	// conjunct order is decided and traced) — but no data moves: ExecuteBatch is never called, fetched
 	// visualizations are empty, and process tasks bind empty outputs.
 	PlanOnly bool
 }
@@ -235,11 +226,6 @@ func RunContext(ctx context.Context, q *Query, db engine.DB, opts Options) (*Res
 		ctx = context.Background()
 	}
 	o := opts.withDefaults()
-	if o.Parallelism > 0 {
-		if p, ok := db.(engine.Parallel); ok {
-			p.SetParallelism(o.Parallelism)
-		}
-	}
 	ex := &executor{q: q, db: db, opts: o, ctx: ctx}
 	return ex.run()
 }

@@ -271,11 +271,14 @@ f2=f1.order |       |         | u1 ->             |
 	}
 }
 
+// TestParallelismOption: a store pinned to one scan worker still serves a
+// batched request.
 func TestParallelismOption(t *testing.T) {
 	opts := salesOpts()
 	opts.Opt = IntraTask
-	opts.Parallelism = 1
-	res := runCorpus(t, "5.2", salesDB(), opts)
+	db := engine.NewRowStore(fixtureSales())
+	db.SetParallelism(1)
+	res := runCorpus(t, "5.2", db, opts)
 	if res.Outputs[0].Len() == 0 {
 		t.Error("sequential parallelism must still work")
 	}
