@@ -125,6 +125,39 @@ func TestBackendOptions(t *testing.T) {
 	}
 }
 
+// TestOpenZpackBackendNames: there is no back-end name to pass, so a zpack
+// session and an Open session both run on the column executor, and the zpack
+// session serves the file's table under its stored name.
+func TestOpenZpackBackendNames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sales.zpack")
+	tbl := workload.Sales(workload.SalesConfig{Rows: 2000, Products: 4, Years: 5, Cities: 2, Seed: 2})
+	if err := zpack.Build(path, tbl); err != nil {
+		t.Fatal(err)
+	}
+	zs, err := OpenZpack(path, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := Open(tbl, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Session{"OpenZpack": zs, "Open": ms} {
+		if got := s.db.Name(); got != "columnstore" {
+			t.Errorf("%s back-end = %q, want columnstore", name, got)
+		}
+		if s.Table() != tbl.Name {
+			t.Errorf("%s table = %q, want %q", name, s.Table(), tbl.Name)
+		}
+		if _, err := s.Query(risingQuery); err != nil {
+			t.Fatalf("%s query: %v", name, err)
+		}
+	}
+	if _, err := OpenZpack(filepath.Join(t.TempDir(), "missing.zpack")); err == nil {
+		t.Error("OpenZpack of a missing file should error")
+	}
+}
+
 func TestRecommend(t *testing.T) {
 	s := testTable()
 	recs, err := s.Recommend("year", "revenue", "product", 3)

@@ -40,6 +40,35 @@ func allStores(t *dataset.Table) []DB {
 	return []DB{NewRowStore(t), NewBitmapStore(t), NewColumnStore(t), NewShardedStore(3, t)}
 }
 
+// TestNewStoreResolvesBackendNames pins what each back-end name builds, now
+// that the names resolve outside this package (cmd/zenvisage for all four,
+// the server registry for column and auto): the constructor each name
+// resolves to, at one and three shards, with "auto" building exactly what
+// "column" does and row and bitmap taking no shard count.
+func TestNewStoreResolvesBackendNames(t *testing.T) {
+	tb := twoColTable(3)
+	cases := []struct {
+		backend string
+		shards  int
+		db      DB
+		name    string
+		ranges  int
+	}{
+		{"row", 1, NewRowStore(tb), "rowstore", 0},
+		{"bitmap", 1, NewBitmapStore(tb), "bitmapstore", 0},
+		{"column", 1, NewColumnStore(tb), "columnstore", 0},
+		{"column", 3, NewShardedStore(3, tb), "shardedstore", 3},
+		{"auto", 1, NewAutoStore(1, tb), "columnstore", 0},
+		{"auto", 3, NewAutoStore(3, tb), "shardedstore", 3},
+	}
+	for _, tc := range cases {
+		if tc.db.Name() != tc.name || len(tc.db.Stats("p").Ranges) != tc.ranges {
+			t.Errorf("%s at %d shards = %s with %d ranges, want %s with %d",
+				tc.backend, tc.shards, tc.db.Name(), len(tc.db.Stats("p").Ranges), tc.name, tc.ranges)
+		}
+	}
+}
+
 func TestSimpleAggregation(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {

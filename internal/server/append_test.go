@@ -64,6 +64,34 @@ func TestZpackBackendMatchesSession(t *testing.T) {
 	}
 }
 
+// TestAddZpackBackendNames: a zpack dataset runs on the column executor, so
+// "" and "column" register it as "column" and "auto" as "auto", each
+// appendable, and "row"/"bitmap" are refused before the file is opened.
+func TestAddZpackBackendNames(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sales.zpack")
+	if err := zpack.Build(path, testTable()); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	for backend, want := range map[string]string{"": "column", "column": "column", "auto": "auto"} {
+		d, err := reg.AddZpack("sales_"+backend, path, Config{Backend: backend})
+		if err != nil {
+			t.Fatalf("AddZpack(%q): %v", backend, err)
+		}
+		if d.Backend() != want || !d.Appendable() {
+			t.Errorf("AddZpack(%q) = backend %q appendable %v, want %q appendable", backend, d.Backend(), d.Appendable(), want)
+		}
+	}
+	missing := filepath.Join(dir, "missing.zpack")
+	for _, backend := range []string{"row", "bitmap"} {
+		_, err := reg.AddZpack("sales_"+backend, missing, Config{Backend: backend})
+		if want := fmt.Sprintf("server: backend %q is not served (want column or auto); the paper's row and bitmap baselines run in zenvisage -backend", backend); err == nil || err.Error() != want {
+			t.Errorf("AddZpack(%q) = %v, want %q", backend, err, want)
+		}
+	}
+}
+
 // TestRegistryBackendNames pins the name table: "" (reported as "column"),
 // "column" and "auto" name the one served executor on every way in — AddTable,
 // LoadCSV and AddZpack — and the row and bitmap baselines and unknown names
