@@ -27,15 +27,14 @@ import (
 // use as long as its back-end is; the query server shares one Session per
 // dataset across all requests.
 type Session struct {
-	mu        sync.Mutex
-	db        engine.DB
-	table     string
-	opt       zexec.OptLevel
-	metric    vis.Metric
-	seed      int64
-	pworkers  int
-	histLimit int
-	history   []HistoryEntry
+	mu       sync.Mutex
+	db       engine.DB
+	table    string
+	opt      zexec.OptLevel
+	metric   vis.Metric
+	seed     int64
+	pworkers int
+	history  []HistoryEntry
 }
 
 // HistoryEntry records one executed query.
@@ -47,20 +46,19 @@ type HistoryEntry struct {
 	Outputs int
 }
 
-// DefaultHistoryLimit bounds the recorded query history when no explicit
-// limit is configured. An unbounded history is a slow leak under sustained
-// traffic — a server session sees millions of queries.
+// DefaultHistoryLimit bounds the recorded query history to its most recent
+// entries. An unbounded history is a slow leak under sustained traffic — a
+// server session sees millions of queries.
 const DefaultHistoryLimit = 256
 
 // Option configures a Session.
 type Option func(*config) error
 
 type config struct {
-	opt       zexec.OptLevel
-	metric    vis.Metric
-	seed      int64
-	pworkers  int
-	histLimit int
+	opt      zexec.OptLevel
+	metric   vis.Metric
+	seed     int64
+	pworkers int
 }
 
 // WithOptLevel sets the SQL batching level (default Inter-Task, the
@@ -105,17 +103,8 @@ func WithProcessParallelism(n int) Option {
 	}
 }
 
-// WithHistoryLimit bounds the recorded query history to the most recent n
-// entries (default DefaultHistoryLimit); n < 0 keeps the history unbounded.
-func WithHistoryLimit(n int) Option {
-	return func(c *config) error {
-		c.histLimit = n
-		return nil
-	}
-}
-
 func newConfig(opts []Option) (config, error) {
-	cfg := config{opt: zexec.InterTask, metric: vis.DefaultMetric, seed: 1, histLimit: DefaultHistoryLimit}
+	cfg := config{opt: zexec.InterTask, metric: vis.DefaultMetric, seed: 1}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
 			return cfg, err
@@ -132,7 +121,7 @@ func Open(t *dataset.Table, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{db: engine.NewColumnStore(t), table: t.Name, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers, histLimit: cfg.histLimit}, nil
+	return &Session{db: engine.NewColumnStore(t), table: t.Name, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers}, nil
 }
 
 // OpenDB starts a session over an existing back-end — the path the query
@@ -146,7 +135,7 @@ func OpenDB(db engine.DB, table string, opts ...Option) (*Session, error) {
 	if db.Table(table) == nil {
 		return nil, fmt.Errorf("client: back-end has no table %q", table)
 	}
-	return &Session{db: db, table: table, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers, histLimit: cfg.histLimit}, nil
+	return &Session{db: db, table: table, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers}, nil
 }
 
 // OpenCSV starts a session over a CSV file.
@@ -173,7 +162,7 @@ func OpenZpack(path string, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	db := engine.NewColumnStoreFromSource(r)
-	return &Session{db: db, table: r.Name(), opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers, histLimit: cfg.histLimit}, nil
+	return &Session{db: db, table: r.Name(), opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers}, nil
 }
 
 // Table returns the session's table name.
@@ -252,9 +241,11 @@ func (s *Session) queryContext(ctx context.Context, src string, inputs map[strin
 }
 
 // Recommend returns up to k diverse trend recommendations for the given
-// axes, the recommendation-panel request of the front-end.
-func (s *Session) Recommend(x, y, z string, k int) ([]recommend.Recommendation, error) {
-	return recommend.Diverse(s.db, recommend.Request{
+// axes, the recommendation-panel request of the front-end. A deadline or
+// cancellation on ctx stops the candidate query at the engine's next
+// cancellation point.
+func (s *Session) Recommend(ctx context.Context, x, y, z string, k int) ([]recommend.Recommendation, error) {
+	return recommend.Diverse(ctx, s.db, recommend.Request{
 		Table: s.table, X: x, Y: y, Z: z, K: k, Seed: s.seed,
 	}, s.metric)
 }
@@ -289,8 +280,8 @@ func (s *Session) record(src string, res *zexec.Result, err error) {
 	s.history = append(s.history, e)
 	// Drop the oldest entry when over the limit; the history grows by one per
 	// query, so a single shift keeps it exactly at the cap.
-	if s.histLimit >= 0 && len(s.history) > s.histLimit {
-		n := copy(s.history, s.history[len(s.history)-s.histLimit:])
+	if len(s.history) > DefaultHistoryLimit {
+		n := copy(s.history, s.history[len(s.history)-DefaultHistoryLimit:])
 		for i := n; i < len(s.history); i++ {
 			s.history[i] = HistoryEntry{} // release references in the tail
 		}

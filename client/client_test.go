@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -160,7 +161,7 @@ func TestOpenZpackBackendNames(t *testing.T) {
 
 func TestRecommend(t *testing.T) {
 	s := testTable()
-	recs, err := s.Recommend("year", "revenue", "product", 3)
+	recs, err := s.Recommend(context.Background(), "year", "revenue", "product", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,45 +233,24 @@ func TestDescribe(t *testing.T) {
 
 func TestHistoryCap(t *testing.T) {
 	tbl := workload.Sales(workload.SalesConfig{Rows: 500, Products: 3, Years: 4, Cities: 2, Seed: 2})
-	s, err := Open(tbl, WithHistoryLimit(3))
+	s, err := Open(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Use parse failures as cheap history entries with distinguishable text.
-	for i := 0; i < 10; i++ {
+	const n = DefaultHistoryLimit + 10
+	for i := 0; i < n; i++ {
 		s.Query(fmt.Sprintf("bad query %d ~~~", i))
 	}
 	h := s.History()
-	if len(h) != 3 {
-		t.Fatalf("history = %d entries, want 3", len(h))
+	if len(h) != DefaultHistoryLimit {
+		t.Fatalf("history = %d entries, want %d", len(h), DefaultHistoryLimit)
 	}
-	// The most recent K entries survive, oldest first.
-	for i, want := range []string{"bad query 7 ~~~", "bad query 8 ~~~", "bad query 9 ~~~"} {
-		if h[i].ZQL != want {
-			t.Errorf("h[%d].ZQL = %q, want %q", i, h[i].ZQL, want)
+	// The most recent entries survive, oldest first.
+	for i, e := range h {
+		if want := fmt.Sprintf("bad query %d ~~~", n-DefaultHistoryLimit+i); e.ZQL != want {
+			t.Fatalf("h[%d].ZQL = %q, want %q", i, e.ZQL, want)
 		}
-	}
-	// The default cap applies when no option is given.
-	s2, err := Open(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < DefaultHistoryLimit+10; i++ {
-		s2.Query("nope ~~~")
-	}
-	if got := len(s2.History()); got != DefaultHistoryLimit {
-		t.Errorf("default-capped history = %d entries, want %d", got, DefaultHistoryLimit)
-	}
-	// A negative limit keeps the history unbounded.
-	s3, err := Open(tbl, WithHistoryLimit(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < DefaultHistoryLimit+10; i++ {
-		s3.Query("nope ~~~")
-	}
-	if got := len(s3.History()); got != DefaultHistoryLimit+10 {
-		t.Errorf("unbounded history = %d entries, want %d", got, DefaultHistoryLimit+10)
 	}
 }
 

@@ -218,7 +218,7 @@ func runRecommend(db engine.DB, table, spec string, m vis.Metric, seed int64) er
 		return fmt.Errorf("-recommend wants x:y:z, got %q", spec)
 	}
 	x, y, z = parts[0], parts[1], parts[2]
-	recs, err := recommend.Diverse(db, recommend.Request{Table: table, X: x, Y: y, Z: z, Seed: seed}, m)
+	recs, err := recommend.Diverse(context.Background(), db, recommend.Request{Table: table, X: x, Y: y, Z: z, Seed: seed}, m)
 	if err != nil {
 		return err
 	}

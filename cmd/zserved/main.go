@@ -58,7 +58,6 @@ func main() {
 		// next change to the benchmark deletes it.
 		backend   = flag.String("backend", "column", "name /datasets reports for the one executor served: column, or auto (another name for it); the row and bitmap baselines run in zenvisage -backend")
 		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget; a tenth of both holds results on probation until their first hit (0 means the default, 1024; negative disables)")
-		workers   = flag.Int("workers", 1, "coalescing workers per dataset (1 maximizes shared scans)")
 		pworkers  = flag.Int("process-workers", 0, "process-phase worker goroutines per query (0 = auto)")
 		optName   = flag.String("opt", "intertask", "default optimization level: noopt, intraline, intratask, intertask (or o0..o3)")
 		metric    = flag.String("metric", "euclidean", "distance metric D: euclidean, dtw, kl, emd (raw- prefix skips normalization)")
@@ -100,7 +99,6 @@ func main() {
 		Metric:             *metric,
 		Seed:               *seed,
 		CacheEntries:       *cache,
-		Workers:            *workers,
 		MaxQueue:           *maxQueue,
 		ProcessParallelism: *pworkers,
 		Shards:             *shards,

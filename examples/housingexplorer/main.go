@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func main() {
 	res = run("opposed states", opposedStates)
 	fmt.Printf("states with rising prices but falling turnover: %v\n\n", res.Bindings["v4"])
 
-	recs, err := recommend.Diverse(db, recommend.Request{
+	recs, err := recommend.Diverse(context.Background(), db, recommend.Request{
 		Table: "housing", X: "year", Y: "SoldPrice", Z: "city", K: 3, Seed: 5,
 	}, vis.DefaultMetric)
 	if err != nil {

@@ -15,9 +15,24 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/minisql"
 	"repro/internal/workload"
 	"repro/internal/zpack"
 )
+
+// execSQL parses, prepares and runs one statement as a single plan: the
+// test shorthand for Plan.Execute over SQL text.
+func execSQL(db engine.DB, sql string) (*engine.Result, error) {
+	q, err := minisql.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	p, err := db.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute()
+}
 
 // refOrder is the Order this package had before keys were packed: every
 // column's ranks densified by a sorted copy and a binary search per row, full
@@ -377,11 +392,11 @@ func TestFileUpgradesV1(t *testing.T) {
 		t.Fatal("the upgrade changed the rows")
 	}
 	sql := "SELECT region, year, SUM(revenue) AS s, COUNT(*) AS n FROM fixture GROUP BY region, year ORDER BY region, year"
-	a, err := engine.NewColumnStoreFromSource(v1).ExecuteSQL(sql)
+	a, err := execSQL(engine.NewColumnStoreFromSource(v1), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := engine.NewColumnStoreFromSource(v2).ExecuteSQL(sql)
+	b, err := execSQL(engine.NewColumnStoreFromSource(v2), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

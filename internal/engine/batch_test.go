@@ -248,7 +248,7 @@ func TestExecuteBatchMultiTable(t *testing.T) {
 func TestEmptyMatchAggregates(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT COUNT(*) AS n, SUM(sales) AS s, MIN(sales) AS lo, MAX(sales) AS hi, AVG(sales) AS a FROM sales WHERE product = 'nothing'")
+		res, err := execSQL(db, "SELECT COUNT(*) AS n, SUM(sales) AS s, MIN(sales) AS lo, MAX(sales) AS hi, AVG(sales) AS a FROM sales WHERE product = 'nothing'")
 		if err != nil {
 			t.Fatal(err)
 		}

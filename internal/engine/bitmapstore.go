@@ -305,18 +305,10 @@ func (s *BitmapStore) Prepare(q *minisql.Query) (*Plan, error) {
 	return p, nil
 }
 
-// Execute runs a parsed query. Fully indexable predicates iterate only the
-// bitmap; partially indexable conjunctions intersect the indexable legs and
-// post-filter the rest; everything else falls back to a scan.
-func (s *BitmapStore) Execute(q *minisql.Query) (*Result, error) {
-	p, err := s.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute()
-}
-
-// runPlan executes one prepared plan without cross-plan sharing.
+// runPlan executes one prepared plan without cross-plan sharing. Fully
+// indexable predicates iterate only the bitmap; partially indexable
+// conjunctions intersect the indexable legs and post-filter the rest;
+// everything else falls back to a scan.
 func (s *BitmapStore) runPlan(p *Plan) (*Result, error) {
 	iter, scanned, err := s.planAccess(p, nil)
 	if err != nil {
@@ -471,13 +463,4 @@ func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 		return nil, err
 	}
 	return results, nil
-}
-
-// ExecuteSQL parses and runs SQL text.
-func (s *BitmapStore) ExecuteSQL(sql string) (*Result, error) {
-	q, err := minisql.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.Execute(q)
 }

@@ -321,25 +321,6 @@ func (s *ColumnStore) compileVecPlan(p *Plan, ct *colTable) (*Plan, error) {
 	return p, nil
 }
 
-// Execute runs a parsed query (Prepare + Plan.Execute, which routes through
-// ExecuteBatch — the column store has no separate single-plan path).
-func (s *ColumnStore) Execute(q *minisql.Query) (*Result, error) {
-	p, err := s.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute()
-}
-
-// ExecuteSQL parses and runs SQL text.
-func (s *ColumnStore) ExecuteSQL(sql string) (*Result, error) {
-	q, err := minisql.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.Execute(q)
-}
-
 // scanJob is one unit of a batch's scatter: a walk of one segment range for
 // a subset of one table's plans, yielding raw, unfinished sinks.
 type scanJob struct {

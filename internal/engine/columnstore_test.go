@@ -77,11 +77,11 @@ func TestColumnStoreClusteredDifferential(t *testing.T) {
 		"SELECT COUNT(*) AS n FROM events WHERE day = 99999",
 	}
 	for _, sql := range sqls {
-		want, err := row.ExecuteSQL(sql)
+		want, err := execSQL(row, sql)
 		if err != nil {
 			t.Fatalf("rowstore %q: %v", sql, err)
 		}
-		got, err := col.ExecuteSQL(sql)
+		got, err := execSQL(col, sql)
 		if err != nil {
 			t.Fatalf("columnstore %q: %v", sql, err)
 		}
@@ -102,7 +102,7 @@ func TestColumnStoreZoneSkipping(t *testing.T) {
 
 	// day = 7 lives entirely inside the first segment (100 rows per day).
 	before := col.Counters()
-	res, err := col.ExecuteSQL("SELECT COUNT(*) AS n FROM events WHERE day = 7")
+	res, err := execSQL(col, "SELECT COUNT(*) AS n FROM events WHERE day = 7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestColumnStoreZoneSkipping(t *testing.T) {
 
 	// An impossible predicate skips everything and scans nothing.
 	before = after
-	if _, err := col.ExecuteSQL("SELECT COUNT(*) AS n FROM events WHERE day = -1"); err != nil {
+	if _, err := execSQL(col, "SELECT COUNT(*) AS n FROM events WHERE day = -1"); err != nil {
 		t.Fatal(err)
 	}
 	after = col.Counters()
@@ -133,7 +133,7 @@ func TestColumnStoreZoneSkipping(t *testing.T) {
 	// A categorical value absent from the whole table short-circuits at
 	// compile time; every segment still counts as skipped.
 	before = after
-	if _, err := col.ExecuteSQL("SELECT COUNT(*) AS n FROM events WHERE region = 'mars'"); err != nil {
+	if _, err := execSQL(col, "SELECT COUNT(*) AS n FROM events WHERE region = 'mars'"); err != nil {
 		t.Fatal(err)
 	}
 	after = col.Counters()
@@ -173,7 +173,7 @@ func TestColumnStoreBatchConjunctSharing(t *testing.T) {
 	}
 	row := NewRowStore(tb)
 	for i, sql := range sqls {
-		want, err := row.ExecuteSQL(sql)
+		want, err := execSQL(row, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +203,11 @@ func TestColumnStoreFlatSinkFallback(t *testing.T) {
 		// Projection (no aggregation at all).
 		"SELECT product, sales FROM sales WHERE location = 'UK' ORDER BY sales DESC LIMIT 7",
 	} {
-		want, err := row.ExecuteSQL(sql)
+		want, err := execSQL(row, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := col.ExecuteSQL(sql)
+		got, err := execSQL(col, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,11 +236,11 @@ func TestColumnStoreNaNDoesNotVoidNeSkipProof(t *testing.T) {
 		"SELECT COUNT(*) AS n FROM m WHERE v = 5",
 		"SELECT COUNT(*) AS n FROM m WHERE v > 4",
 	} {
-		want, err := row.ExecuteSQL(sql)
+		want, err := execSQL(row, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := col.ExecuteSQL(sql)
+		got, err := execSQL(col, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +265,11 @@ func TestColumnStoreHighCardinalityIntKey(t *testing.T) {
 		t.Fatalf("id column should exceed the int-code cardinality bound")
 	}
 	sql := "SELECT id, SUM(v) AS s FROM ids WHERE id >= 600 GROUP BY id ORDER BY id LIMIT 25"
-	want, err := row.ExecuteSQL(sql)
+	want, err := execSQL(row, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := col.ExecuteSQL(sql)
+	got, err := execSQL(col, sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestConcurrentReaders(t *testing.T) {
 			// Baseline results computed sequentially before any concurrency.
 			want := make([]*Result, len(concurrencyQueries))
 			for i, sql := range concurrencyQueries {
-				res, err := db.ExecuteSQL(sql)
+				res, err := execSQL(db, sql)
 				if err != nil {
 					t.Fatalf("%s: %v", sql, err)
 				}
@@ -54,7 +54,7 @@ func TestConcurrentReaders(t *testing.T) {
 					for r := 0; r < rounds; r++ {
 						// Single-plan path.
 						qi := (g + r) % len(concurrencyQueries)
-						res, err := db.ExecuteSQL(concurrencyQueries[qi])
+						res, err := execSQL(db, concurrencyQueries[qi])
 						if err != nil {
 							errs <- err
 							return

@@ -249,7 +249,7 @@ func diffOne(t *testing.T, dataSeed, querySeed int64) {
 		}
 		// Single execution, written then shuffled conjunct order.
 		for i, q := range queries {
-			res, err := v.db.Execute(q)
+			res, err := execQuery(v.db, q)
 			if err != nil {
 				t.Fatalf("%s %q: %v", v.name, q.SQL(), err)
 			}
@@ -257,7 +257,7 @@ func diffOne(t *testing.T, dataSeed, querySeed int64) {
 				t.Fatalf("%s mismatch on %q: %v", v.name, q.SQL(), err)
 			}
 			if sq := shuffleWhere(q, qrng); sq != nil {
-				res, err := v.db.Execute(sq)
+				res, err := execQuery(v.db, sq)
 				if err != nil {
 					t.Fatalf("%s shuffled %q: %v", v.name, sq.SQL(), err)
 				}

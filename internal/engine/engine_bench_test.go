@@ -37,7 +37,7 @@ func BenchmarkRowStoreSelectiveAggregate(b *testing.B) {
 	db := NewRowStore(benchTable(100000, 100))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecuteSQL(benchAgg); err != nil {
+		if _, err := execSQL(db, benchAgg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func BenchmarkBitmapStoreSelectiveAggregate(b *testing.B) {
 	db := NewBitmapStore(benchTable(100000, 100))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecuteSQL(benchAgg); err != nil {
+		if _, err := execSQL(db, benchAgg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkBitmapRangePredicate(b *testing.B) {
 	q := "SELECT COUNT(*) FROM b WHERE x BETWEEN 2 AND 4"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecuteSQL(q); err != nil {
+		if _, err := execSQL(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkRowStoreRangePredicate(b *testing.B) {
 	q := "SELECT COUNT(*) FROM b WHERE x BETWEEN 2 AND 4"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecuteSQL(q); err != nil {
+		if _, err := execSQL(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func BenchmarkPredicateCompilation(b *testing.B) {
 	q := "SELECT COUNT(*) FROM b WHERE p = 'yes' AND x > 3 AND z LIKE 'z00%' AND NOT (y BETWEEN 10 AND 20)"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecuteSQL(q); err != nil {
+		if _, err := execSQL(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func BenchmarkGroupByCardinality(b *testing.B) {
 		q := "SELECT x, SUM(y) AS s, z FROM b GROUP BY z, x ORDER BY z, x"
 		b.Run(fmt.Sprintf("groups=%d", zCard*10), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.ExecuteSQL(q); err != nil {
+				if _, err := execSQL(db, q); err != nil {
 					b.Fatal(err)
 				}
 			}

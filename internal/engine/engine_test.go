@@ -9,6 +9,25 @@ import (
 	"repro/internal/minisql"
 )
 
+// execSQL parses, prepares and runs one statement as a single plan: the
+// test shorthand for Plan.Execute over SQL text.
+func execSQL(db DB, sql string) (*Result, error) {
+	q, err := minisql.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return execQuery(db, q)
+}
+
+// execQuery prepares and runs one parsed query as a single plan.
+func execQuery(db DB, q *minisql.Query) (*Result, error) {
+	p, err := db.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute()
+}
+
 func salesTable() *dataset.Table {
 	t := dataset.NewTable("sales", []dataset.Field{
 		{Name: "product", Kind: dataset.KindString},
@@ -72,7 +91,7 @@ func TestNewStoreResolvesBackendNames(t *testing.T) {
 func TestSimpleAggregation(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT year, SUM(sales) FROM sales WHERE product='chair' AND location='US' GROUP BY year ORDER BY year")
+		res, err := execSQL(db, "SELECT year, SUM(sales) FROM sales WHERE product='chair' AND location='US' GROUP BY year ORDER BY year")
 		if err != nil {
 			t.Fatalf("%s: %v", db.Name(), err)
 		}
@@ -142,7 +161,7 @@ func zipTable() *dataset.Table {
 func TestAllAggregates(t *testing.T) {
 	tb := aggTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT g, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY g ORDER BY g")
+		res, err := execSQL(db, "SELECT g, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY g ORDER BY g")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +182,7 @@ func TestAllAggregates(t *testing.T) {
 func TestProjectionWithoutAggregation(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT product, sales FROM sales WHERE year = 2010 AND location = 'UK' ORDER BY sales DESC LIMIT 5")
+		res, err := execSQL(db, "SELECT product, sales FROM sales WHERE year = 2010 AND location = 'UK' ORDER BY sales DESC LIMIT 5")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +200,7 @@ func TestProjectionWithoutAggregation(t *testing.T) {
 func TestBinning(t *testing.T) {
 	tb := binTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT BIN(weight, 20) AS w, SUM(sales) AS s FROM w GROUP BY BIN(weight, 20) ORDER BY w")
+		res, err := execSQL(db, "SELECT BIN(weight, 20) AS w, SUM(sales) AS s FROM w GROUP BY BIN(weight, 20) ORDER BY w")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,14 +218,14 @@ func TestBinning(t *testing.T) {
 func TestLikePredicate(t *testing.T) {
 	tb := zipTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT zip FROM z WHERE zip LIKE '02___'")
+		res, err := execSQL(db, "SELECT zip FROM z WHERE zip LIKE '02___'")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Len() != 2 {
 			t.Errorf("%s: LIKE '02___' matched %d, want 2", db.Name(), res.Len())
 		}
-		res, err = db.ExecuteSQL("SELECT zip FROM z WHERE zip LIKE '0%9'")
+		res, err = execSQL(db, "SELECT zip FROM z WHERE zip LIKE '0%9'")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +269,7 @@ func TestLikeMatcher(t *testing.T) {
 func TestInAndBetween(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT product, SUM(sales) FROM sales WHERE product IN ('chair','desk') AND year BETWEEN 2011 AND 2012 GROUP BY product ORDER BY product")
+		res, err := execSQL(db, "SELECT product, SUM(sales) FROM sales WHERE product IN ('chair','desk') AND year BETWEEN 2011 AND 2012 GROUP BY product ORDER BY product")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,21 +282,21 @@ func TestInAndBetween(t *testing.T) {
 func TestOrNotPredicates(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT COUNT(*) FROM sales WHERE product = 'chair' OR product = 'desk'")
+		res, err := execSQL(db, "SELECT COUNT(*) FROM sales WHERE product = 'chair' OR product = 'desk'")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Value(0, 0).Int() != 2*2*6*3 {
 			t.Errorf("%s: OR count = %v", db.Name(), res.Value(0, 0))
 		}
-		res, err = db.ExecuteSQL("SELECT COUNT(*) FROM sales WHERE NOT (product = 'chair')")
+		res, err = execSQL(db, "SELECT COUNT(*) FROM sales WHERE NOT (product = 'chair')")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Value(0, 0).Int() != 3*2*6*3 {
 			t.Errorf("%s: NOT count = %v", db.Name(), res.Value(0, 0))
 		}
-		res, err = db.ExecuteSQL("SELECT COUNT(*) FROM sales WHERE product != 'chair'")
+		res, err = execSQL(db, "SELECT COUNT(*) FROM sales WHERE product != 'chair'")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,19 +309,19 @@ func TestOrNotPredicates(t *testing.T) {
 func TestMissingTableAndColumn(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		if _, err := db.ExecuteSQL("SELECT a FROM nope"); err == nil {
+		if _, err := execSQL(db, "SELECT a FROM nope"); err == nil {
 			t.Errorf("%s: missing table should error", db.Name())
 		}
-		if _, err := db.ExecuteSQL("SELECT nope FROM sales"); err == nil {
+		if _, err := execSQL(db, "SELECT nope FROM sales"); err == nil {
 			t.Errorf("%s: missing select column should error", db.Name())
 		}
-		if _, err := db.ExecuteSQL("SELECT product FROM sales WHERE nope = 1"); err == nil {
+		if _, err := execSQL(db, "SELECT product FROM sales WHERE nope = 1"); err == nil {
 			t.Errorf("%s: missing predicate column should error", db.Name())
 		}
-		if _, err := db.ExecuteSQL("SELECT product FROM sales GROUP BY nope"); err == nil {
+		if _, err := execSQL(db, "SELECT product FROM sales GROUP BY nope"); err == nil {
 			t.Errorf("%s: missing group column should error", db.Name())
 		}
-		if _, err := db.ExecuteSQL("SELECT product FROM sales ORDER BY other"); err == nil {
+		if _, err := execSQL(db, "SELECT product FROM sales ORDER BY other"); err == nil {
 			t.Errorf("%s: unknown order column should error", db.Name())
 		}
 	}
@@ -311,7 +330,7 @@ func TestMissingTableAndColumn(t *testing.T) {
 func TestEqualityOnUnseenValue(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		res, err := db.ExecuteSQL("SELECT COUNT(*) FROM sales WHERE product = 'widget'")
+		res, err := execSQL(db, "SELECT COUNT(*) FROM sales WHERE product = 'widget'")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +345,7 @@ func TestCountersAdvance(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
 		before := db.Counters()
-		if _, err := db.ExecuteSQL("SELECT COUNT(*) FROM sales"); err != nil {
+		if _, err := execSQL(db, "SELECT COUNT(*) FROM sales"); err != nil {
 			t.Fatal(err)
 		}
 		after := db.Counters()
@@ -343,10 +362,10 @@ func TestBitmapScansFewerRowsOnSelectivePredicates(t *testing.T) {
 	tb := salesTable()
 	row, bit := NewRowStore(tb), NewBitmapStore(tb)
 	q := "SELECT year, SUM(sales) FROM sales WHERE product='chair' AND location='US' GROUP BY year ORDER BY year"
-	if _, err := row.ExecuteSQL(q); err != nil {
+	if _, err := execSQL(row, q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bit.ExecuteSQL(q); err != nil {
+	if _, err := execSQL(bit, q); err != nil {
 		t.Fatal(err)
 	}
 	if bit.Counters().RowsScanned >= row.Counters().RowsScanned {
@@ -394,8 +413,8 @@ func TestDifferentialRandomQueries(t *testing.T) {
 	}
 	for trial := 0; trial < 60; trial++ {
 		q := fmt.Sprintf("SELECT year, SUM(sales) AS s, COUNT(*) AS n FROM sales WHERE %s GROUP BY year ORDER BY year", preds())
-		r1, err1 := row.ExecuteSQL(q)
-		r2, err2 := bit.ExecuteSQL(q)
+		r1, err1 := execSQL(row, q)
+		r2, err2 := execSQL(bit, q)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("error divergence on %q: %v vs %v", q, err1, err2)
 		}
@@ -431,7 +450,7 @@ func TestNonGroupedPlainColumnTakesRepresentative(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
 		// location is not grouped; executor takes the group's first row value.
-		res, err := db.ExecuteSQL("SELECT year, location, SUM(sales) FROM sales WHERE location='US' GROUP BY year ORDER BY year")
+		res, err := execSQL(db, "SELECT year, location, SUM(sales) FROM sales WHERE location='US' GROUP BY year ORDER BY year")
 		if err != nil {
 			t.Fatal(err)
 		}

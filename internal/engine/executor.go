@@ -21,10 +21,6 @@ type DB interface {
 	// Prepare validates and column-resolves a parsed query into a reusable
 	// plan bound to this back-end.
 	Prepare(q *minisql.Query) (*Plan, error)
-	// Execute runs a parsed query (Prepare + Plan.Execute).
-	Execute(q *minisql.Query) (*Result, error)
-	// ExecuteSQL parses and runs SQL text.
-	ExecuteSQL(sql string) (*Result, error)
 	// ExecuteBatch runs a batch of prepared plans as one request, sharing
 	// work across plans over the same table: the row store serves every plan
 	// in the batch from shared scans, the bitmap store computes common

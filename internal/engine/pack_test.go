@@ -178,7 +178,7 @@ func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewRowStore(tb).ExecuteSQL(sql)
+	want, err := execSQL(NewRowStore(tb), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestSkipProvenancePostReorder(t *testing.T) {
 	run := func(planning bool) map[SkipAttr]int64 {
 		cs := NewColumnStore(twoColTable(3))
 		cs.SetPlanning(planning)
-		if _, err := cs.ExecuteSQL(sql); err != nil {
+		if _, err := execSQL(cs, sql); err != nil {
 			t.Fatal(err)
 		}
 		return cs.Stats("p").SkipProvenance
@@ -139,7 +139,7 @@ func TestPlannerAllNaNZones(t *testing.T) {
 	if _, ok := ps.numeric["g"]; !ok {
 		t.Fatal("normal column lost its envelope")
 	}
-	res, err := cs.ExecuteSQL("SELECT COUNT(*) AS n FROM t WHERE f > 0 AND g < 10")
+	res, err := execSQL(cs, "SELECT COUNT(*) AS n FROM t WHERE f > 0 AND g < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPlannerSingleSegmentAndEmpty(t *testing.T) {
 			tb.AppendRow(dataset.SV("x"), dataset.FV(float64(i)))
 		}
 		for _, db := range []DB{NewRowStore(tb), NewColumnStore(tb)} {
-			res, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM t WHERE f >= 1 AND c = 'x'")
+			res, err := execSQL(db, "SELECT COUNT(*) AS n FROM t WHERE f >= 1 AND c = 'x'")
 			if err != nil {
 				t.Fatalf("rows=%d %s: %v", rows, db.Name(), err)
 			}
@@ -193,7 +193,7 @@ func TestPlannerUnknownColumnStats(t *testing.T) {
 		t.Fatal("lost a conjunct")
 	}
 	cs := NewColumnStore(tb)
-	if _, err := cs.ExecuteSQL("SELECT COUNT(*) AS n FROM p WHERE nope = 1 AND f > 0"); err == nil {
+	if _, err := execSQL(cs, "SELECT COUNT(*) AS n FROM p WHERE nope = 1 AND f > 0"); err == nil {
 		t.Fatal("unknown column must fail Prepare")
 	}
 }
@@ -232,7 +232,7 @@ func TestPlanningToggleNeverChangesResults(t *testing.T) {
 		for i, db := range allStores(tb) {
 			for _, planning := range []bool{true, false} {
 				db.(Planner).SetPlanning(planning)
-				res, err := db.ExecuteSQL(sql)
+				res, err := execSQL(db, sql)
 				if err != nil {
 					t.Fatalf("%s planning=%v: %v", db.Name(), planning, err)
 				}

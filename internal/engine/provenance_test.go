@@ -37,7 +37,7 @@ func TestSkipProvenanceAttribution(t *testing.T) {
 	col := NewColumnStore(provTable(nseg))
 	run := func(sql string) {
 		t.Helper()
-		if _, err := col.ExecuteSQL(sql); err != nil {
+		if _, err := execSQL(col, sql); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,10 +99,10 @@ func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 		"SELECT COUNT(*) AS n FROM events WHERE region = 'late'",
 	}
 	for _, sql := range sqls {
-		if _, err := col.ExecuteSQL(sql); err != nil {
+		if _, err := execSQL(col, sql); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sh.ExecuteSQL(sql); err != nil {
+		if _, err := execSQL(sh, sql); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -62,8 +62,8 @@ func TestRangePredicatesDifferential(t *testing.T) {
 		"SELECT year, COUNT(*) AS n FROM r WHERE year >= 2010 GROUP BY year ORDER BY year",
 	}
 	for _, q := range queries {
-		r1, err1 := row.ExecuteSQL(q)
-		r2, err2 := bit.ExecuteSQL(q)
+		r1, err1 := execSQL(row, q)
+		r2, err2 := execSQL(bit, q)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", q, err1, err2)
 		}
@@ -84,7 +84,7 @@ func TestRangePredicateScansLessThanFullTable(t *testing.T) {
 	tb := rangeTable()
 	bit := NewBitmapStore(tb)
 	before := bit.Counters().RowsScanned
-	if _, err := bit.ExecuteSQL("SELECT COUNT(*) FROM r WHERE year < 2002"); err != nil {
+	if _, err := execSQL(bit, "SELECT COUNT(*) FROM r WHERE year < 2002"); err != nil {
 		t.Fatal(err)
 	}
 	scanned := bit.Counters().RowsScanned - before
@@ -102,8 +102,8 @@ func TestFractionalRangeBounds(t *testing.T) {
 		"SELECT COUNT(*) FROM r WHERE year >= 2004.5",
 		"SELECT COUNT(*) FROM r WHERE year = 2005.5",
 	} {
-		r1, _ := row.ExecuteSQL(q)
-		r2, err := bit.ExecuteSQL(q)
+		r1, _ := execSQL(row, q)
+		r2, err := execSQL(bit, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +117,8 @@ func TestUnindexedIntStillCorrect(t *testing.T) {
 	tb := rangeTable()
 	row, bit := NewRowStore(tb), NewBitmapStore(tb)
 	q := "SELECT COUNT(*) FROM r WHERE id < 100 AND cat = 'c1'"
-	r1, _ := row.ExecuteSQL(q)
-	r2, err := bit.ExecuteSQL(q)
+	r1, _ := execSQL(row, q)
+	r2, err := execSQL(bit, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func checkAgainstReference(t *testing.T, tb *dataset.Table, stores []DB, q *mini
 	t.Helper()
 	want := refExecute(t, tb, q)
 	for _, db := range stores {
-		res, err := db.Execute(q)
+		res, err := execQuery(db, q)
 		if err != nil {
 			t.Fatalf("%s: %q: %v", db.Name(), q.SQL(), err)
 		}

@@ -65,15 +65,6 @@ func (s *RowStore) Prepare(q *minisql.Query) (*Plan, error) {
 	return p, nil
 }
 
-// Execute runs a parsed query by scanning the base table.
-func (s *RowStore) Execute(q *minisql.Query) (*Result, error) {
-	p, err := s.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute()
-}
-
 // runPlan executes one prepared plan with a private full scan.
 func (s *RowStore) runPlan(p *Plan) (*Result, error) {
 	t := p.t
@@ -210,13 +201,4 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 	for k, pi := range shard {
 		results[pi] = sinks[k].finish()
 	}
-}
-
-// ExecuteSQL parses and runs SQL text.
-func (s *RowStore) ExecuteSQL(sql string) (*Result, error) {
-	q, err := minisql.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.Execute(q)
 }

@@ -94,7 +94,7 @@ func TestLazySourceSkippedSegmentsNotLoaded(t *testing.T) {
 
 	// A numeric range hitting segment 3 only.
 	lo, hi := 3*SegmentSize+10, 3*SegmentSize+20
-	res, err := db.ExecuteSQL(fmt.Sprintf("SELECT id FROM clustered WHERE id >= %d AND id < %d", lo, hi))
+	res, err := execSQL(db, fmt.Sprintf("SELECT id FROM clustered WHERE id >= %d AND id < %d", lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLazySourceSkippedSegmentsNotLoaded(t *testing.T) {
 	// A categorical equality hitting segment 1 only — and rerunning it must
 	// not reload (idempotent sources do the work once; the engine still calls
 	// Load per visit, so the counting source sees the visits).
-	if _, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM clustered WHERE tag = 'seg1'"); err != nil {
+	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM clustered WHERE tag = 'seg1'"); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.loads[0].Load() + src.loads[2].Load() + src.loads[4].Load() + src.loads[5].Load(); got != 0 {
@@ -179,11 +179,11 @@ func TestLazySourceLoadErrorPropagates(t *testing.T) {
 	db := NewColumnStoreFromSource(src)
 
 	// Prunable query avoiding segment 2: runs clean.
-	if _, err := db.ExecuteSQL(fmt.Sprintf("SELECT v FROM clustered WHERE id < %d", SegmentSize)); err != nil {
+	if _, err := execSQL(db, fmt.Sprintf("SELECT v FROM clustered WHERE id < %d", SegmentSize)); err != nil {
 		t.Fatalf("query avoiding the bad segment failed: %v", err)
 	}
 	// Full scan visits segment 2: the load error must surface, not panic.
-	_, err := db.ExecuteSQL("SELECT tag, SUM(v) AS s FROM clustered GROUP BY tag")
+	_, err := execSQL(db, "SELECT tag, SUM(v) AS s FROM clustered GROUP BY tag")
 	if err == nil || !strings.Contains(err.Error(), "synthetic load failure") {
 		t.Fatalf("err = %v, want the synthetic load failure", err)
 	}
@@ -210,11 +210,11 @@ func TestMemSourceMatchesEagerStore(t *testing.T) {
 		"SELECT tag, COUNT(*) AS n, AVG(v) AS a FROM clustered GROUP BY tag",
 		"SELECT id FROM clustered WHERE v = 7 AND id < 100",
 	} {
-		want, err := eager.ExecuteSQL(sql)
+		want, err := execSQL(eager, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := viaSource.ExecuteSQL(sql)
+		got, err := execSQL(viaSource, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,11 +65,11 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		db := NewShardedStore(n, tb)
 		db.SetParallelism(4)
 		for _, q := range shardQueries {
-			want, err := ref.ExecuteSQL(q)
+			want, err := execSQL(ref, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := db.ExecuteSQL(q)
+			got, err := execSQL(db, q)
 			if err != nil {
 				t.Fatalf("shards=%d %q: %v", n, q, err)
 			}
@@ -102,7 +102,7 @@ func TestShardedBatchMatchesUnsharded(t *testing.T) {
 			t.Fatal(err)
 		}
 		plans = append(plans, p)
-		w, err := ref.ExecuteSQL(q)
+		w, err := execSQL(ref, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +136,11 @@ func TestShardedUnevenSplit(t *testing.T) {
 		db := NewShardedStoreAt(NewMemSource(tb), cuts...)
 		db.SetParallelism(4)
 		for _, q := range shardQueries {
-			want, err := ref.ExecuteSQL(q)
+			want, err := execSQL(ref, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := db.ExecuteSQL(q)
+			got, err := execSQL(db, q)
 			if err != nil {
 				t.Fatalf("cuts=%v %q: %v", cuts, q, err)
 			}
@@ -167,11 +167,11 @@ func TestShardedEmptyTable(t *testing.T) {
 		"SELECT region, SUM(value) AS s FROM metrics GROUP BY region",
 		"SELECT region, value FROM metrics",
 	} {
-		want, err := ref.ExecuteSQL(q)
+		want, err := execSQL(ref, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.ExecuteSQL(q)
+		got, err := execSQL(db, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -299,14 +299,14 @@ func TestShardedPanicContainment(t *testing.T) {
 	}
 	for _, db := range stores(src) {
 		db.SetParallelism(4)
-		_, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics")
+		_, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics")
 		if err == nil || !strings.Contains(err.Error(), "shard panic") {
 			t.Fatalf("%s: got %v, want contained shard panic", db.Name(), err)
 		}
 	}
 	for _, db := range stores(both) {
 		db.SetParallelism(4)
-		_, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics")
+		_, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics")
 		if err == nil || !errors.Is(err, errLow) {
 			t.Fatalf("%s: got %v, want lower shard's error to outrank the panic", db.Name(), err)
 		}
@@ -326,7 +326,7 @@ func TestShardedPerShardCounters(t *testing.T) {
 	if db.Stats("nope").Ranges != nil {
 		t.Fatal("unknown table should report nil ranges")
 	}
-	if _, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics"); err != nil {
+	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics"); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats("metrics")
@@ -361,7 +361,7 @@ func TestShardedSkipKeepsSegmentsUnloaded(t *testing.T) {
 	tb := shardMetrics(50_000)
 	db := NewShardedStore(3, tb)
 	db.SetParallelism(4)
-	if _, err := db.ExecuteSQL("SELECT COUNT(*) AS n FROM metrics WHERE region = 'north'"); err != nil {
+	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics WHERE region = 'north'"); err != nil {
 		t.Fatal(err)
 	}
 	stats := db.Stats("metrics").Ranges

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/minisql"
 	"repro/internal/vis"
 	"repro/internal/workload"
 )
@@ -52,7 +53,7 @@ func RunTask(db engine.DB, table, x, y, z string, task Task, m vis.Metric, seed 
 	sql := fmt.Sprintf("SELECT %s, AVG(%s) AS y, %s FROM %s GROUP BY %s, %s ORDER BY %s, %s",
 		x, y, z, table, z, x, z, x)
 	qStart := time.Now()
-	res, err := db.ExecuteSQL(sql)
+	res, err := execSQL(db, sql)
 	if err != nil {
 		return tt, err
 	}
@@ -220,19 +221,33 @@ func Fig75(s Scale) ([]BackendRow, error) {
 	return out, nil
 }
 
+// execSQL parses and prepares one statement and runs it as a single plan
+// (Plan.Execute): the path every timing in this package measures.
+func execSQL(db engine.DB, sql string) (*engine.Result, error) {
+	q, err := minisql.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	p, err := db.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute()
+}
+
 // bestOf runs the query n times (after one warm-up) and returns the fastest
 // execution, the standard way to suppress allocator and cache noise in
 // micro-comparisons. The per-execution counters are a single run's delta
 // (they are deterministic, unlike the timing).
 func bestOf(n int, db engine.DB, sql string) (BackendRow, error) {
-	if _, err := db.ExecuteSQL(sql); err != nil {
+	if _, err := execSQL(db, sql); err != nil {
 		return BackendRow{}, err
 	}
 	row := BackendRow{Backend: db.Name()}
 	before := db.Counters()
 	for i := 0; i < n; i++ {
 		start := time.Now()
-		if _, err := db.ExecuteSQL(sql); err != nil {
+		if _, err := execSQL(db, sql); err != nil {
 			return BackendRow{}, err
 		}
 		if d := time.Since(start); row.Time == 0 || d < row.Time {

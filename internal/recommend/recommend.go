@@ -6,10 +6,12 @@
 package recommend
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/engine"
+	"repro/internal/minisql"
 	"repro/internal/vis"
 )
 
@@ -36,8 +38,10 @@ type Recommendation struct {
 }
 
 // Diverse returns up to K visualizations representing the most diverse
-// trends among the Z slices of the current view.
-func Diverse(db engine.DB, req Request, m vis.Metric) ([]Recommendation, error) {
+// trends among the Z slices of the current view. The candidates come from one
+// grouped query, run as a one-plan batch under ctx: a deadline or
+// cancellation stops it at the engine's next cancellation point.
+func Diverse(ctx context.Context, db engine.DB, req Request, m vis.Metric) ([]Recommendation, error) {
 	if req.K <= 0 {
 		req.K = 5
 	}
@@ -55,10 +59,19 @@ func Diverse(db engine.DB, req Request, m vis.Metric) ([]Recommendation, error) 
 	}
 	sql := fmt.Sprintf("SELECT %s, %s(%s) AS y, %s FROM %s GROUP BY %s, %s ORDER BY %s, %s",
 		req.X, strings.ToUpper(req.Agg), req.Y, req.Z, req.Table, req.Z, req.X, req.Z, req.X)
-	res, err := db.ExecuteSQL(sql)
+	q, err := minisql.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
+	p, err := db.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	results, err := db.ExecuteBatch(ctx, []*engine.Plan{p})
+	if err != nil {
+		return nil, err
+	}
+	res := results[0]
 	xi, yi, zi := res.ColIndex(req.X), res.ColIndex("y"), res.ColIndex(req.Z)
 	var viss []*vis.Visualization
 	var cur *vis.Visualization

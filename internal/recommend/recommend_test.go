@@ -1,6 +1,7 @@
 package recommend
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,7 +12,7 @@ import (
 func TestDiverseFindsDistinctShapes(t *testing.T) {
 	tb := workload.Sales(workload.SalesConfig{Rows: 20000, Products: 12, Years: 8, Cities: 4, Seed: 5})
 	db := engine.NewRowStore(tb)
-	recs, err := Diverse(db, Request{
+	recs, err := Diverse(context.Background(), db, Request{
 		Table: "sales", X: "year", Y: "revenue", Z: "product", K: 4, Seed: 11,
 	}, vis.DefaultMetric)
 	if err != nil {
@@ -54,7 +55,7 @@ func TestDiverseFindsDistinctShapes(t *testing.T) {
 func TestDiverseDefaults(t *testing.T) {
 	tb := workload.Sales(workload.SalesConfig{Rows: 5000, Products: 8, Years: 6, Cities: 3, Seed: 5})
 	db := engine.NewBitmapStore(tb)
-	recs, err := Diverse(db, Request{Table: "sales", X: "year", Y: "revenue", Z: "product"}, vis.DefaultMetric)
+	recs, err := Diverse(context.Background(), db, Request{Table: "sales", X: "year", Y: "revenue", Z: "product"}, vis.DefaultMetric)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +67,10 @@ func TestDiverseDefaults(t *testing.T) {
 func TestDiverseErrors(t *testing.T) {
 	tb := workload.Sales(workload.SalesConfig{Rows: 100, Products: 4, Years: 3, Cities: 2, Seed: 1})
 	db := engine.NewRowStore(tb)
-	if _, err := Diverse(db, Request{Table: "nope", X: "year", Y: "revenue", Z: "product"}, vis.DefaultMetric); err == nil {
+	if _, err := Diverse(context.Background(), db, Request{Table: "nope", X: "year", Y: "revenue", Z: "product"}, vis.DefaultMetric); err == nil {
 		t.Error("missing table should error")
 	}
-	if _, err := Diverse(db, Request{Table: "sales", X: "bogus", Y: "revenue", Z: "product"}, vis.DefaultMetric); err == nil {
+	if _, err := Diverse(context.Background(), db, Request{Table: "sales", X: "bogus", Y: "revenue", Z: "product"}, vis.DefaultMetric); err == nil {
 		t.Error("missing column should error")
 	}
 }
@@ -79,7 +80,7 @@ func TestAutoKRecommendations(t *testing.T) {
 	// flat, spiked); auto-k should land near that, not at the K=8 cap.
 	tb := workload.Sales(workload.SalesConfig{Rows: 40000, Products: 16, Years: 10, Cities: 4, Seed: 6})
 	db := engine.NewRowStore(tb)
-	recs, err := Diverse(db, Request{
+	recs, err := Diverse(context.Background(), db, Request{
 		Table: "sales", X: "year", Y: "revenue", Z: "product", K: 8, AutoK: true, Seed: 11,
 	}, vis.DefaultMetric)
 	if err != nil {

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/minisql"
 	"repro/internal/trace"
 )
 
@@ -19,26 +17,26 @@ import (
 var ErrOverloaded = errors.New("server: dataset is overloaded (admission queue full)")
 
 // batcher coalesces concurrent ExecuteBatch requests over one dataset into
-// shared engine batches. Each submission parks on a queue; a bounded pool of
-// drain workers repeatedly takes EVERYTHING queued and executes it as one
-// engine.DB.ExecuteBatch call, so N requests arriving while a scan is in
-// flight ride the next scan together instead of triggering N scans. This is
-// the serving-layer analog of the paper's inter-task batching: the batch
-// boundary is "whatever the server has queued right now" instead of one ZQL
-// query.
+// shared engine batches. Each submission parks on a queue; a single drain
+// goroutine repeatedly takes EVERYTHING queued and executes it as one
+// ExecuteBatch call on the store, so N requests arriving while a scan is in
+// flight ride the next scan together instead of triggering N scans. One
+// drain at a time maximizes coalescing; the store still parallelizes inside
+// each batch. This is the serving-layer analog of the paper's inter-task
+// batching: the batch boundary is "whatever the server has queued right now"
+// instead of one ZQL query.
 //
 // The queue doubles as the admission-control point: when more than maxQueue
 // submissions are already parked, new arrivals are shed with ErrOverloaded
 // rather than queued. Shedding here (not at HTTP ingress) means cache hits —
 // which never reach the batcher — are always admitted.
 type batcher struct {
-	db         engine.DB
-	maxWorkers int
-	maxQueue   int // parked-submission bound; <= 0 is unbounded
+	store    engine.DB
+	maxQueue int // parked-submission bound; <= 0 is unbounded
 
-	mu      sync.Mutex
-	pending []*submission
-	workers int
+	mu       sync.Mutex
+	pending  []*submission
+	draining bool // a drain goroutine is running
 
 	// Stats, guarded by mu.
 	submissions int64 // ExecuteBatch calls admitted through the queue
@@ -57,14 +55,10 @@ type submission struct {
 	done    chan struct{}
 }
 
-// newBatcher builds a coalescer over db with at most workers concurrent
-// engine batches in flight (<= 0 means 1) and at most maxQueue submissions
+// newBatcher builds a coalescer over store with at most maxQueue submissions
 // parked (<= 0 means unbounded).
-func newBatcher(db engine.DB, workers, maxQueue int) *batcher {
-	if workers < 1 {
-		workers = 1
-	}
-	return &batcher{db: db, maxWorkers: workers, maxQueue: maxQueue}
+func newBatcher(store engine.DB, maxQueue int) *batcher {
+	return &batcher{store: store, maxQueue: maxQueue}
 }
 
 // submit runs plans through the coalescing queue and blocks until results
@@ -82,7 +76,7 @@ func (b *batcher) submit(ctx context.Context, plans []*engine.Plan) ([]*engine.R
 		return nil, err
 	}
 	s := &submission{ctx: ctx, plans: plans, done: make(chan struct{})}
-	// queue.wait measures park time: from admission until a drain worker takes
+	// queue.wait measures park time: from admission until the drain takes
 	// the submission. The access log subtracts its total from request latency
 	// to split queue wait from execution.
 	s.wait = trace.FromContext(ctx).StartChild("queue.wait")
@@ -96,8 +90,8 @@ func (b *batcher) submit(ctx context.Context, plans []*engine.Plan) ([]*engine.R
 	}
 	b.pending = append(b.pending, s)
 	b.submissions++
-	if b.workers < b.maxWorkers {
-		b.workers++
+	if !b.draining {
+		b.draining = true
 		go b.drain()
 	}
 	b.mu.Unlock()
@@ -130,14 +124,14 @@ func (b *batcher) queueDepth() int {
 }
 
 // drain serves queued submissions until the queue is empty, then exits. The
-// worker count is adjusted under the same lock that guards the queue, so a
-// submission is never left behind: either an active worker sees it, or its
-// submitter sees a free worker slot and spawns one.
+// draining flag is cleared under the same lock that guards the queue, so a
+// submission is never left behind: either the running drain sees it, or its
+// submitter sees no drain and starts one.
 func (b *batcher) drain() {
 	for {
 		b.mu.Lock()
 		if len(b.pending) == 0 {
-			b.workers--
+			b.draining = false
 			b.mu.Unlock()
 			return
 		}
@@ -194,7 +188,7 @@ func (b *batcher) runBatch(subs []*submission) {
 		all = append(all, s.plans...)
 		// The submission stops waiting the moment a drain takes it; how many
 		// neighbors it rode with tells the trace reader whether coalescing
-		// helped or a lone request just queued behind a busy pool.
+		// helped or a lone request just queued behind a busy drain.
 		s.wait.SetInt("riders", int64(len(subs)))
 		s.wait.SetBool("coalesced", len(subs) > 1)
 		s.wait.End()
@@ -249,7 +243,7 @@ func (b *batcher) execute(ctx context.Context, plans []*engine.Plan) (results []
 			err = fmt.Errorf("server: engine panic: %v", r)
 		}
 	}()
-	return b.db.ExecuteBatch(ctx, plans)
+	return b.store.ExecuteBatch(ctx, plans)
 }
 
 // BatchStats is a point-in-time snapshot of coalescing effectiveness and
@@ -284,45 +278,4 @@ func (b *batcher) stats() BatchStats {
 		Shed:        b.shed,
 		QueueDepth:  len(b.pending),
 	}
-}
-
-// coalescingDB adapts a batcher to engine.DB so it can sit under the result
-// cache and over the real store. Prepare goes straight to the store (plans
-// must be bound to the back-end that executes them); every execution path
-// funnels through the coalescing queue.
-type coalescingDB struct {
-	store engine.DB
-	bat   *batcher
-}
-
-func (d *coalescingDB) Name() string                     { return d.store.Name() }
-func (d *coalescingDB) Table(name string) *dataset.Table { return d.store.Table(name) }
-func (d *coalescingDB) Counters() engine.Counters        { return d.store.Counters() }
-func (d *coalescingDB) Stats(table string) engine.Stats  { return d.store.Stats(table) }
-func (d *coalescingDB) Prepare(q *minisql.Query) (*engine.Plan, error) {
-	return d.store.Prepare(q)
-}
-
-func (d *coalescingDB) Execute(q *minisql.Query) (*engine.Result, error) {
-	p, err := d.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	results, err := d.bat.submit(context.Background(), []*engine.Plan{p})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-func (d *coalescingDB) ExecuteSQL(sql string) (*engine.Result, error) {
-	q, err := minisql.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return d.Execute(q)
-}
-
-func (d *coalescingDB) ExecuteBatch(ctx context.Context, plans []*engine.Plan) ([]*engine.Result, error) {
-	return d.bat.submit(ctx, plans)
 }

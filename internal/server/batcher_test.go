@@ -43,7 +43,7 @@ func batcherFixture(t *testing.T, delay time.Duration, poison string) (*slowDB, 
 	t.Helper()
 	tbl := workload.Sales(workload.SalesConfig{Rows: 2000, Products: 4, Years: 5, Cities: 2, Seed: 2})
 	db := &slowDB{DB: engine.NewRowStore(tbl), delay: delay, poison: poison}
-	bat := newBatcher(db, 1, 0)
+	bat := newBatcher(db, 0)
 	sqls := []string{
 		"SELECT year, SUM(revenue) FROM sales GROUP BY year ORDER BY year",
 		"SELECT product, COUNT(*) FROM sales GROUP BY product ORDER BY product",
@@ -108,7 +108,7 @@ func TestBatcherCoalescesConcurrentSubmissions(t *testing.T) {
 
 func TestBatcherIsolatesErrorsToTheFailingSubmission(t *testing.T) {
 	db, bat, plans := batcherFixture(t, 30*time.Millisecond, "product0000")
-	// Occupy the single worker so the next submissions coalesce into one
+	// Occupy the drain so the next submissions coalesce into one
 	// batch containing both the poisoned and a healthy plan.
 	blocker := make(chan error, 1)
 	go func() {
@@ -171,7 +171,7 @@ func (d *panicDB) ExecuteBatch(ctx context.Context, plans []*engine.Plan) ([]*en
 func TestBatcherContainsEnginePanics(t *testing.T) {
 	tbl := workload.Sales(workload.SalesConfig{Rows: 1000, Products: 4, Years: 5, Cities: 2, Seed: 2})
 	db := &panicDB{DB: engine.NewRowStore(tbl), trigger: "product0000"}
-	bat := newBatcher(db, 1, 0)
+	bat := newBatcher(db, 0)
 	prep := func(sql string) *engine.Plan {
 		q, err := minisql.Parse(sql)
 		if err != nil {
@@ -188,7 +188,7 @@ func TestBatcherContainsEnginePanics(t *testing.T) {
 	if _, err := bat.submit(context.Background(), []*engine.Plan{bad}); err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("panicking submission: err = %v, want contained panic", err)
 	}
-	// The batcher (and its worker accounting) must survive to serve the next
+	// The batcher (and its draining flag) must survive to serve the next
 	// submission.
 	results, err := bat.submit(context.Background(), []*engine.Plan{good})
 	if err != nil {

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/minisql"
 )
 
 // ResultCache is a bounded cache of engine results keyed by the canonical
@@ -235,48 +233,21 @@ func (c *ResultCache) Stats() CacheStats {
 	}
 }
 
-// cachingDB interposes the result cache between callers and an inner back-end:
-// every plan of a batch is first looked up by its canonical SQL; only the
-// misses reach the inner ExecuteBatch (and from there the coalescer and the
-// store's shared scans). It implements engine.DB so the whole client / zexec /
-// recommend stack runs over it unchanged.
-type cachingDB struct {
-	inner engine.DB
-	cache *ResultCache
+// servingDB is the one adapter between a dataset's session and its store.
+// Name, Table, Prepare, Counters and Stats are the embedded store's own:
+// plans are bound to the store that executes them. ExecuteBatch looks every
+// plan up by its canonical SQL first and sends only the misses, as one
+// smaller batch, through the coalescer to the store.
+type servingDB struct {
+	engine.DB // the store
+	cache     *ResultCache
+	bat       *batcher
 }
 
-func (d *cachingDB) Name() string                                   { return d.inner.Name() }
-func (d *cachingDB) Table(name string) *dataset.Table               { return d.inner.Table(name) }
-func (d *cachingDB) Counters() engine.Counters                      { return d.inner.Counters() }
-func (d *cachingDB) Stats(table string) engine.Stats                { return d.inner.Stats(table) }
-func (d *cachingDB) Prepare(q *minisql.Query) (*engine.Plan, error) { return d.inner.Prepare(q) }
-
-// Execute runs one query through the cache.
-func (d *cachingDB) Execute(q *minisql.Query) (*engine.Result, error) {
-	p, err := d.Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	results, err := d.ExecuteBatch(context.Background(), []*engine.Plan{p})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// ExecuteSQL parses and runs SQL text through the cache.
-func (d *cachingDB) ExecuteSQL(sql string) (*engine.Result, error) {
-	q, err := minisql.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return d.Execute(q)
-}
-
-// ExecuteBatch serves cache hits immediately and forwards only the missing
-// plans to the inner back-end as one (smaller) batch. Cache hits cost no
-// admission: a fully-hit batch never consults ctx or the coalescer's queue.
-func (d *cachingDB) ExecuteBatch(ctx context.Context, plans []*engine.Plan) ([]*engine.Result, error) {
+// ExecuteBatch serves cache hits immediately and submits only the missing
+// plans to the coalescer. Cache hits cost no admission: a fully-hit batch
+// never consults ctx or the coalescer's queue.
+func (d *servingDB) ExecuteBatch(ctx context.Context, plans []*engine.Plan) ([]*engine.Result, error) {
 	results := make([]*engine.Result, len(plans))
 	var missIdx []int
 	var missPlans []*engine.Plan
@@ -291,7 +262,7 @@ func (d *cachingDB) ExecuteBatch(ctx context.Context, plans []*engine.Plan) ([]*
 	if len(missPlans) == 0 {
 		return results, nil
 	}
-	fetched, err := d.inner.ExecuteBatch(ctx, missPlans)
+	fetched, err := d.bat.submit(ctx, missPlans)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ NAME | X      | Y         | Z
 
 // blockingDB wraps a real store, holding every ExecuteBatch open until
 // release is closed. entered signals (capacity permitting) that a batch has
-// reached the store, so tests can flood the queue while the worker is
+// reached the store, so tests can flood the queue while the drain is
 // provably busy.
 type blockingDB struct {
 	engine.DB
@@ -93,12 +93,12 @@ func newWrappedServer(t *testing.T, store engine.DB, cfg Config, opts ...Option)
 }
 
 // TestAdmissionControlShedsWithBoundedQueue pins the overload contract: with
-// the single worker blocked and the admission queue full, further requests
+// the drain blocked and the admission queue full, further requests
 // are shed immediately with 429 + Retry-After while every admitted request
 // still completes once the store frees up.
 func TestAdmissionControlShedsWithBoundedQueue(t *testing.T) {
 	db := newBlockingDB(engine.NewRowStore(testTable()))
-	ts, _, d := newWrappedServer(t, db, Config{Workers: 1, MaxQueue: 2})
+	ts, _, d := newWrappedServer(t, db, Config{MaxQueue: 2})
 
 	type outcome struct {
 		status     int
@@ -119,7 +119,7 @@ func TestAdmissionControlShedsWithBoundedQueue(t *testing.T) {
 		results <- outcome{resp.StatusCode, resp.Header.Get("Retry-After"), buf.Bytes()}
 	}
 
-	// One request occupies the single drain worker inside the store...
+	// One request occupies the drain inside the store...
 	go do()
 	select {
 	case <-db.entered:
@@ -192,10 +192,10 @@ func TestAdmissionControlShedsWithBoundedQueue(t *testing.T) {
 // no goroutines are left behind.
 func TestRequestDeadlineReturns504WithPartialStats(t *testing.T) {
 	db := &stallDB{DB: engine.NewRowStore(testTable()), delay: 300 * time.Millisecond}
-	ts, _, d := newWrappedServer(t, db, Config{Workers: 1}, WithTimeout(2*time.Second))
+	ts, _, d := newWrappedServer(t, db, Config{}, WithTimeout(2*time.Second))
 
 	// Warm up: establish the keep-alive connection (whose read/write loop
-	// goroutines persist by design) and let the first drain worker retire, so
+	// goroutines persist by design) and let the first drain retire, so
 	// the baseline below counts only steady-state goroutines.
 	postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: pointQuery})
 	baseline := runtime.NumGoroutine()
@@ -237,7 +237,7 @@ func TestRequestDeadlineReturns504WithPartialStats(t *testing.T) {
 	}
 
 	// The store is still stalled for up to delay; wait for every goroutine the
-	// request spawned (handler, drain worker, AfterFunc watchers) to exit.
+	// request spawned (handler, drain goroutine, AfterFunc watchers) to exit.
 	leakDeadline := time.Now().Add(3 * time.Second)
 	for runtime.NumGoroutine() > baseline+2 {
 		if time.Now().After(leakDeadline) {
@@ -250,6 +250,47 @@ func TestRequestDeadlineReturns504WithPartialStats(t *testing.T) {
 	env := postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: pointQuery})
 	if len(env.Result) == 0 {
 		t.Error("query after a timeout returned no result")
+	}
+}
+
+// TestRecommendHonoursTheRequestContext pins /recommend to the deadline
+// contract of /query: a malformed X-Timeout is a 400, a deadline that expires
+// on a cold request is a 504, a client that has gone is a 499, and both cuts
+// count as timeouts.
+func TestRecommendHonoursTheRequestContext(t *testing.T) {
+	db := &stallDB{DB: engine.NewColumnStore(testTable()), delay: 300 * time.Millisecond}
+	_, reg, d := newWrappedServer(t, db, Config{})
+	srv := New(reg)
+	body, err := json.Marshal(RecommendRequest{Dataset: "sales", X: "year", Y: "revenue", Z: "product", K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recommend := func(ctx context.Context, timeout string) (int, string) {
+		req := httptest.NewRequest("POST", "/recommend", bytes.NewReader(body)).WithContext(ctx)
+		req.Header.Set("Content-Type", "application/json")
+		if timeout != "" {
+			req.Header.Set("X-Timeout", timeout)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	if code, body := recommend(context.Background(), "garbage"); code != http.StatusBadRequest {
+		t.Errorf("bad X-Timeout: status = %d, want 400; body %s", code, body)
+	}
+	if code, body := recommend(context.Background(), "30ms"); code != http.StatusGatewayTimeout {
+		t.Errorf("deadline: status = %d, want 504; body %s", code, body)
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if code, body := recommend(gone, ""); code != StatusClientClosedRequest {
+		t.Errorf("client gone: status = %d, want 499; body %s", code, body)
+	}
+	if got := d.Stats().HTTP.Timeouts; got != 2 {
+		t.Errorf("timeout counter = %d, want 2 (one deadline, one disconnect)", got)
+	}
+	if code, body := recommend(context.Background(), ""); code != http.StatusOK {
+		t.Errorf("plain request: status = %d, want 200; body %s", code, body)
 	}
 }
 
@@ -511,12 +552,12 @@ func opPlan(t *testing.T, db engine.DB) *engine.Plan {
 }
 
 // TestBatcherShedsAtQueueBound pins the queue-bound unit behavior, below the
-// HTTP layer: with the worker busy and one submission parked, the next
+// HTTP layer: with the drain busy and one submission parked, the next
 // arrival is shed synchronously.
 func TestBatcherShedsAtQueueBound(t *testing.T) {
 	tbl := workload.Sales(workload.SalesConfig{Rows: 1000, Products: 4, Years: 5, Cities: 2, Seed: 2})
 	db := newBlockingDB(engine.NewRowStore(tbl))
-	bat := newBatcher(db, 1, 1)
+	bat := newBatcher(db, 1)
 	plan := opPlan(t, db)
 
 	blocker := make(chan error, 1)
@@ -554,7 +595,7 @@ func TestBatcherShedsAtQueueBound(t *testing.T) {
 func TestBatcherUnparksAbandonedSubmission(t *testing.T) {
 	tbl := workload.Sales(workload.SalesConfig{Rows: 1000, Products: 4, Years: 5, Cities: 2, Seed: 2})
 	db := newBlockingDB(engine.NewRowStore(tbl))
-	bat := newBatcher(db, 1, 0)
+	bat := newBatcher(db, 0)
 	plan := opPlan(t, db)
 
 	blocker := make(chan error, 1)

@@ -10,8 +10,10 @@
 //	engine.ColumnStore                  one immutable store, shared read-only, over
 //	                                    an in-memory table or a zpack reader; split
 //	                                    into segment shards scanned in parallel
-//	  coalescingDB                      queued submissions fold into one ExecuteBatch
-//	    cachingDB                       results keyed by canonical plan SQL (probation + LRU)
+//	  batcher                           queued submissions fold into one store ExecuteBatch
+//	    servingDB                       the one engine.DB adapter: hits answered from the
+//	                                    ResultCache (canonical plan SQL, probation + LRU),
+//	                                    misses submitted to the batcher
 //	      client.Session                ZQL parse/execute + bounded history
 //	        HTTP handlers               /query /spec /recommend /datasets /stats
 //
@@ -65,10 +67,6 @@ type Config struct {
 	// CacheEntries bounds the result cache: 0 means DefaultCacheEntries,
 	// negative disables caching.
 	CacheEntries int
-	// Workers bounds concurrent engine batches issued by the coalescer
-	// (<= 0 = 1 per dataset, which maximizes coalescing; the engine still
-	// parallelizes inside each batch).
-	Workers int
 	// MaxQueue bounds the submissions parked at the coalescer before new
 	// arrivals are shed with 429: 0 means DefaultMaxQueue, negative disables
 	// shedding (unbounded queue).
@@ -523,8 +521,8 @@ func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config) (
 	if maxQueue == 0 {
 		maxQueue = DefaultMaxQueue
 	}
-	bat := newBatcher(store, cfg.Workers, maxQueue)
-	db := &cachingDB{inner: &coalescingDB{store: store, bat: bat}, cache: cache}
+	bat := newBatcher(store, maxQueue)
+	db := &servingDB{DB: store, cache: cache, bat: bat}
 
 	sessOpts := []client.Option{
 		client.WithOptLevel(opt),

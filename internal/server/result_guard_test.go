@@ -37,7 +37,11 @@ func TestResultSizeGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ds.store.Execute(q)
+	p, err := ds.store.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +55,7 @@ func TestResultSizeGuard(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 256; i++ {
-		r, err := ds.store.Execute(q)
+		r, err := p.Execute()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -345,6 +345,15 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return r.Context(), func() {}, nil
 }
 
+// countFailure counts a failed execution, and one its request context cut
+// short (deadline or disconnect) as a timeout too.
+func (d *Dataset) countFailure(err error) {
+	d.ctr.errors.Add(1)
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		d.ctr.timeouts.Add(1)
+	}
+}
+
 // execute runs ZQL text through the dataset's session under the request's
 // deadline and writes the response; echoZQL, when non-empty, is included so
 // /spec callers can see the translation. A deadline or client disconnect cuts
@@ -378,10 +387,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, d *Dataset, end
 	}
 	s.metrics.observeQuery(endpoint, opt.String(), time.Since(start).Seconds())
 	if err != nil {
-		d.ctr.errors.Add(1)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			d.ctr.timeouts.Add(1)
-		}
+		d.countFailure(err)
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -430,9 +436,16 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.ctr.recommends.Add(1)
-	recs, err := d.session.Recommend(req.X, req.Y, req.Z, req.K)
+	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		d.ctr.errors.Add(1)
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	recs, err := d.session.Recommend(ctx, req.X, req.Y, req.Z, req.K)
+	if err != nil {
+		d.countFailure(err)
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}

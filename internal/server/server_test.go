@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -228,12 +229,42 @@ func TestRecommendMatchesSession(t *testing.T) {
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ref.Recommend("year", "revenue", "product", 3)
+	recs, err := ref.Recommend(context.Background(), "year", "revenue", "product", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := env.Recommendations, encodePayload(t, EncodeRecommendations(recs)); !bytes.Equal(got, want) {
 		t.Errorf("recommendations differ:\nserver: %.200s\nlocal:  %.200s", got, want)
+	}
+}
+
+// TestRepeatedRecommendIsOneCacheHit pins /recommend to the result cache: its
+// candidate query is one plan, so a repeat is exactly one hit, no miss, and
+// no scanned row, with the same bytes.
+func TestRepeatedRecommendIsOneCacheHit(t *testing.T) {
+	ts, reg := newTestServer(t, Config{})
+	req := RecommendRequest{Dataset: "sales", X: "year", Y: "revenue", Z: "product", K: 3}
+	resp, cold := post(t, ts.URL+"/recommend", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, cold)
+	}
+	before := reg.Get("sales").Stats()
+	if before.RowsScanned == 0 {
+		t.Fatal("the cold request should scan rows")
+	}
+	resp, warm := post(t, ts.URL+"/recommend", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, warm)
+	}
+	after := reg.Get("sales").Stats()
+	if !bytes.Equal(cold, warm) {
+		t.Error("the repeat must answer the same bytes")
+	}
+	if hits, misses := after.Cache.Hits-before.Cache.Hits, after.Cache.Misses-before.Cache.Misses; hits != 1 || misses != 0 {
+		t.Errorf("repeat: %d hits, %d misses, want 1 and 0", hits, misses)
+	}
+	if scanned := after.RowsScanned - before.RowsScanned; scanned != 0 {
+		t.Errorf("repeat scanned %d rows, want 0", scanned)
 	}
 }
 

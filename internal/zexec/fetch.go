@@ -77,6 +77,10 @@ type queryJob struct {
 	rawYCol string
 }
 
+// defaultAgg is the rule-of-thumb aggregate when the Viz column is blank,
+// matching trend charts over raw measures.
+const defaultAgg = "avg"
+
 // agg resolution: explicit y=agg('f') wins; scatterplots default to raw
 // points; everything else uses the rule-of-thumb default aggregate.
 func (ex *executor) aggFor(vd zql.VizDef) (agg string, raw bool) {
@@ -86,7 +90,7 @@ func (ex *executor) aggFor(vd zql.VizDef) (agg string, raw bool) {
 	if vd.Type == "scatterplot" {
 		return "", true
 	}
-	return ex.opts.DefaultAgg, false
+	return defaultAgg, false
 }
 
 // unitQuery builds the naive one-query-per-visualization plan of Section 5.1

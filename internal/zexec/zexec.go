@@ -116,9 +116,6 @@ type Options struct {
 	Inputs map[string]*vis.Visualization
 	// UserFuncs registers user-defined process objectives by name.
 	UserFuncs map[string]UserFunc
-	// DefaultAgg is the rule-of-thumb aggregate when the Viz column is blank
-	// (defaults to "avg", matching trend charts over raw measures).
-	DefaultAgg string
 	// ProcessParallelism bounds the worker goroutines scoring process-phase
 	// tuples (the D()/T() loops of argmin/argmax/argany tasks). Zero is
 	// automatic: sequential at NoOpt — the differential oracle — and
@@ -143,9 +140,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Metric.Fn == nil {
 		out.Metric = vis.DefaultMetric
-	}
-	if out.DefaultAgg == "" {
-		out.DefaultAgg = "avg"
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package zexec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,27 +172,29 @@ f2   | 'weight' | 'sales' | s1 <- bar.{(x=bin(10), y=agg('sum')), (x=bin(50), y=
 	}
 }
 
+// TestDefaultAggOption pins the rule-of-thumb aggregate: a blank Viz column
+// aggregates Y with AVG, the same answer as an explicit agg('avg').
 func TestDefaultAggOption(t *testing.T) {
-	src := "NAME | X | Y\n*f1 | 'year' | 'sales'"
-	q, err := zql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
+	run := func(src string) *Result {
+		t.Helper()
+		q, err := zql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(q, salesDB(), salesOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	sumOpts := salesOpts()
-	sumOpts.DefaultAgg = "sum"
-	avgOpts := salesOpts()
-	rSum, err := Run(q, salesDB(), sumOpts)
-	if err != nil {
-		t.Fatal(err)
+	blank := run("NAME | X | Y\n*f1 | 'year' | 'sales'")
+	avg := run("NAME | X | Y | VIZ\n*f1 | 'year' | 'sales' | bar.(y=agg('avg'))")
+	if len(blank.SQLLog) != 1 || !strings.Contains(blank.SQLLog[0], "AVG(sales)") {
+		t.Errorf("blank Viz SQL = %q, want AVG(sales)", blank.SQLLog)
 	}
-	rAvg, err := Run(q, salesDB(), avgOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rSum.Outputs[0].Vis[0].Points[0].Y
-	a := rAvg.Outputs[0].Vis[0].Points[0].Y
-	if s <= a {
-		t.Errorf("sum (%v) should exceed avg (%v) over many rows", s, a)
+	got, want := blank.Outputs[0].Vis[0].Points, avg.Outputs[0].Vis[0].Points
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("blank Viz points = %v, want agg('avg') points %v", got, want)
 	}
 }
 

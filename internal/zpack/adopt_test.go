@@ -349,11 +349,11 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 		adopted := engine.NewShardedStoreFromSource(3, next)
 		fresh := engine.NewShardedStoreFromSource(3, ref)
 		for _, sql := range lineageQueries(rng, gen.next) {
-			wantRes, err := fresh.ExecuteSQL(sql)
+			wantRes, err := execSQL(fresh, sql)
 			if err != nil {
 				t.Fatalf("step %d: %s: %v", step, sql, err)
 			}
-			gotRes, err := adopted.ExecuteSQL(sql)
+			gotRes, err := execSQL(adopted, sql)
 			if err != nil {
 				t.Fatalf("step %d: %s: %v", step, sql, err)
 			}

@@ -45,11 +45,11 @@ func TestScanReadsOnlyItsColumns(t *testing.T) {
 	packed := engine.NewColumnStoreFromSource(r)
 	check := func(sql string) {
 		t.Helper()
-		want, err := mem.ExecuteSQL(sql)
+		want, err := execSQL(mem, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := packed.ExecuteSQL(sql)
+		got, err := execSQL(packed, sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -106,7 +106,7 @@ func TestScanReadsOnlyItsColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if _, err := engine.NewColumnStoreFromSource(fresh).ExecuteSQL("SELECT year, COUNT(*) AS n FROM sales GROUP BY year"); err == nil {
+	if _, err := execSQL(engine.NewColumnStoreFromSource(fresh), "SELECT year, COUNT(*) AS n FROM sales GROUP BY year"); err == nil {
 		t.Fatal("a cold reader scanned the damaged year blocks without error")
 	}
 }

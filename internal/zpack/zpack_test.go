@@ -9,8 +9,23 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/minisql"
 	"repro/internal/workload"
 )
+
+// execSQL parses, prepares and runs one statement as a single plan: the
+// test shorthand for Plan.Execute over SQL text.
+func execSQL(db engine.DB, sql string) (*engine.Result, error) {
+	q, err := minisql.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	p, err := db.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute()
+}
 
 func testTable(rows int) *dataset.Table {
 	return workload.Sales(workload.SalesConfig{Rows: rows, Products: 8, Years: 8, Cities: 4, Seed: 2})
@@ -84,11 +99,11 @@ func TestRoundTripQueryIdentical(t *testing.T) {
 		"SELECT product FROM sales WHERE revenue < 0 GROUP BY product",
 	}
 	for _, sql := range queries {
-		want, err := mem.ExecuteSQL(sql)
+		want, err := execSQL(mem, sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		got, err := packed.ExecuteSQL(sql)
+		got, err := execSQL(packed, sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -119,7 +134,7 @@ func TestLazySkippedSegmentsNeverLoaded(t *testing.T) {
 	db := engine.NewColumnStoreFromSource(r)
 	// k is clustered by construction: segment s holds [s*4096, (s+1)*4096).
 	target := 2*engine.SegmentSize + 17
-	res, err := db.ExecuteSQL(fmt.Sprintf("SELECT k, v FROM clustered WHERE k = %d", target))
+	res, err := execSQL(db, fmt.Sprintf("SELECT k, v FROM clustered WHERE k = %d", target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +149,7 @@ func TestLazySkippedSegmentsNeverLoaded(t *testing.T) {
 		t.Errorf("segments skipped = %d, want 4", c.SegmentsSkipped)
 	}
 	// A second query over an already-loaded segment must not reload it.
-	if _, err := db.ExecuteSQL(fmt.Sprintf("SELECT v FROM clustered WHERE k = %d", target+1)); err != nil {
+	if _, err := execSQL(db, fmt.Sprintf("SELECT v FROM clustered WHERE k = %d", target+1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.SegmentLoads(); got != 1 {
@@ -348,7 +363,7 @@ func TestEmptyDataset(t *testing.T) {
 		t.Fatalf("rows/segments = %d/%d, want 0/0", r.Rows(), r.NumSegments())
 	}
 	db := engine.NewColumnStoreFromSource(r)
-	res, err := db.ExecuteSQL("SELECT a, COUNT(*) AS n FROM empty GROUP BY a")
+	res, err := execSQL(db, "SELECT a, COUNT(*) AS n FROM empty GROUP BY a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,11 +428,11 @@ func TestGoldenFixtureBackwardReadable(t *testing.T) {
 		"SELECT year, COUNT(*) AS n, MAX(units) AS m FROM fixture WHERE region = 'north' GROUP BY year ORDER BY year",
 		"SELECT units FROM fixture WHERE year >= 2017 AND units < 30 GROUP BY units ORDER BY units",
 	} {
-		b, err := before.ExecuteSQL(sql)
+		b, err := execSQL(before, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := after.ExecuteSQL(sql)
+		a, err := execSQL(after, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,11 +466,11 @@ func TestShardedReaderRangeViews(t *testing.T) {
 	mem := engine.NewColumnStore(tb)
 	target := 2*engine.SegmentSize + 17
 	sql := fmt.Sprintf("SELECT k, v FROM clustered WHERE k = %d", target)
-	want, err := mem.ExecuteSQL(sql)
+	want, err := execSQL(mem, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.ExecuteSQL(sql)
+	got, err := execSQL(db, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +497,7 @@ func TestShardedReaderRangeViews(t *testing.T) {
 	}
 	// COUNT(*) reads no column: its full scan visits every segment and reads
 	// no block.
-	if _, err := db.ExecuteSQL("SELECT COUNT(*) AS c FROM clustered"); err != nil {
+	if _, err := execSQL(db, "SELECT COUNT(*) AS c FROM clustered"); err != nil {
 		t.Fatal(err)
 	}
 	if loads := r.SegmentLoads(); loads != 1 {
@@ -490,7 +505,7 @@ func TestShardedReaderRangeViews(t *testing.T) {
 	}
 	// A full scan of a column loads the rest, each segment exactly once
 	// despite the shard fan-out.
-	if _, err := db.ExecuteSQL("SELECT SUM(v) AS c FROM clustered"); err != nil {
+	if _, err := execSQL(db, "SELECT SUM(v) AS c FROM clustered"); err != nil {
 		t.Fatal(err)
 	}
 	if loads := r.SegmentLoads(); loads != 5 {
