@@ -33,38 +33,36 @@ func FixtureSales() *dataset.Table {
 		{Name: "profit", Kind: dataset.KindFloat},
 		{Name: "revenue", Kind: dataset.KindFloat},
 	})
-	salesSlope := map[string]map[string]float64{
-		"stapler": {"US": 1, "UK": 1},
-		"chair":   {"US": 1, "UK": -1},
-		"desk":    {"US": 1, "UK": -1},
-		"table":   {"US": -1, "UK": 1},
-		"printer": {"US": -1, "UK": -1},
-		"lamp":    {"US": 0, "UK": 0},
-	}
-	profitSlope := map[string]map[string]float64{
-		"stapler": {"US": 1, "UK": 1},
-		"chair":   {"US": -1, "UK": -1},
-		"desk":    {"US": 1, "UK": 1},
-		"table":   {"US": -1, "UK": -1},
-		"printer": {"US": -1, "UK": -1},
-		"lamp":    {"US": 0, "UK": 0},
+	// Products in the order the table above lists them: the row order, the
+	// product dictionary and the row-indexed weight and size columns all
+	// follow from it, so every call builds the same bytes.
+	products := []struct {
+		name          string
+		sales, profit map[string]float64
+	}{
+		{"stapler", map[string]float64{"US": 1, "UK": 1}, map[string]float64{"US": 1, "UK": 1}},
+		{"chair", map[string]float64{"US": 1, "UK": -1}, map[string]float64{"US": -1, "UK": -1}},
+		{"desk", map[string]float64{"US": 1, "UK": -1}, map[string]float64{"US": 1, "UK": 1}},
+		{"table", map[string]float64{"US": -1, "UK": 1}, map[string]float64{"US": -1, "UK": -1}},
+		{"printer", map[string]float64{"US": -1, "UK": -1}, map[string]float64{"US": -1, "UK": -1}},
+		{"lamp", map[string]float64{"US": 0, "UK": 0}, map[string]float64{"US": 0, "UK": 0}},
 	}
 	baseLoc := map[string]string{"US": "US", "UK": "UK", "USA": "US", "Canada": "UK"}
 	row := 0
-	for p, slopes := range salesSlope {
+	for _, p := range products {
 		for _, loc := range []string{"US", "UK", "USA", "Canada"} {
 			base := baseLoc[loc]
 			for year := 2010; year <= 2015; year++ {
 				for month := 1; month <= 3; month++ {
 					dy := float64(year - 2010)
-					sales := 500 + slopes[base]*dy*50 + float64(month)
-					profit := 300 + profitSlope[p][base]*dy*30 + float64(month)
+					sales := 500 + p.sales[base]*dy*50 + float64(month)
+					profit := 300 + p.profit[base]*dy*30 + float64(month)
 					zip := "02000"
 					if loc == "UK" {
 						zip = "99000"
 					}
 					t.AppendRow(
-						dataset.SV(p), dataset.SV(loc),
+						dataset.SV(p.name), dataset.SV(loc),
 						dataset.SV(loc+"-county"), dataset.SV(loc+"-state"), dataset.SV(loc+"-country"),
 						dataset.SV(zip),
 						dataset.IV(int64(year)), dataset.IV(int64(month)), dataset.IV(int64(year*100+month)),
@@ -80,7 +78,8 @@ func FixtureSales() *dataset.Table {
 }
 
 // FixtureAirline builds a small airline table whose arrival delays trend by
-// a known per-airport slope and diverge in December.
+// a known per-airport slope (JFK 2, SFO 1, ORD -1, LAX -2, ATL 0, in that row
+// order) and diverge in December.
 func FixtureAirline() *dataset.Table {
 	t := dataset.NewTable("airline", []dataset.Field{
 		{Name: "airport", Kind: dataset.KindString},
@@ -91,9 +90,13 @@ func FixtureAirline() *dataset.Table {
 		{Name: "DepDelay", Kind: dataset.KindFloat},
 		{Name: "WeatherDelay", Kind: dataset.KindFloat},
 	})
-	slope := map[string]float64{"JFK": 2, "SFO": 1, "ORD": -1, "LAX": -2, "ATL": 0}
+	airports := []struct {
+		name  string
+		slope float64
+	}{{"JFK", 2}, {"SFO", 1}, {"ORD", -1}, {"LAX", -2}, {"ATL", 0}}
 	months := []string{"01", "06", "12"}
-	for ap, s := range slope {
+	for _, ap := range airports {
+		s := ap.slope
 		for year := 2010; year <= 2015; year++ {
 			for _, m := range months {
 				for day := 1; day <= 5; day++ {
@@ -103,7 +106,7 @@ func FixtureAirline() *dataset.Table {
 						arr += 20 * s // December diverges per airport slope
 					}
 					t.AppendRow(
-						dataset.SV(ap), dataset.SV(m), dataset.IV(int64(day)), dataset.IV(int64(year)),
+						dataset.SV(ap.name), dataset.SV(m), dataset.IV(int64(day)), dataset.IV(int64(year)),
 						dataset.FV(arr), dataset.FV(25+s*dy*5), dataset.FV(10+s*dy*2),
 					)
 				}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/dataset"
@@ -136,4 +137,28 @@ func TestSalesBadConfigPanics(t *testing.T) {
 		}
 	}()
 	Sales(SalesConfig{Rows: 10})
+}
+
+// The fixtures are documented as deterministic: every call must build the
+// same rows in the same order, down to the row-indexed weight and size
+// columns and the order of the string dictionaries.
+func TestFixturesAreDeterministic(t *testing.T) {
+	for _, fixture := range []func() *dataset.Table{FixtureSales, FixtureAirline} {
+		var a, b bytes.Buffer
+		if err := dataset.WriteCSV(fixture(), &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := dataset.WriteCSV(fixture(), &b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: two calls wrote different CSV bytes", fixture().Name)
+		}
+	}
+	if p := FixtureSales().Row(0)[0].S; p != "stapler" {
+		t.Errorf("first sales row is product %q, want stapler (the documented order)", p)
+	}
+	if ap := FixtureAirline().Row(0)[0].S; ap != "JFK" {
+		t.Errorf("first airline row is airport %q, want JFK (the documented order)", ap)
+	}
 }

@@ -33,6 +33,16 @@ func salesDB() engine.DB { return engine.NewRowStore(fixtureSales()) }
 
 func salesOpts() Options { return Options{Table: "sales", Seed: 42} }
 
+// Paper query 3.10 bins the row-indexed weight column, so it renders the
+// same bytes twice only if the fixture builds its rows in the same order on
+// every call.
+func TestFixtureQuery310RendersTheSameBytesTwice(t *testing.T) {
+	first := encodeResult(runCorpus(t, "3.10", salesDB(), salesOpts()))
+	if second := encodeResult(runCorpus(t, "3.10", salesDB(), salesOpts())); second != first {
+		t.Errorf("query 3.10 rendered differently on a second fixture:\n%s\n---\n%s", first, second)
+	}
+}
+
 func TestTable21CollectionPerProduct(t *testing.T) {
 	res := runCorpus(t, "2.1", salesDB(), salesOpts())
 	if len(res.Outputs) != 1 {
