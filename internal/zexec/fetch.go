@@ -48,7 +48,7 @@ func (ex *executor) buildUnits(rs *rowState) ([]*fetchUnit, error) {
 			}
 		}
 		if len(u.xattrs) == 0 || len(u.yattrs) == 0 {
-			buildErr = fmt.Errorf("zexec: line %d: row needs both X and Y axes", rs.row.Line)
+			buildErr = fmt.Errorf("row needs both X and Y axes")
 			return
 		}
 		units = append(units, u)

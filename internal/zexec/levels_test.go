@@ -52,12 +52,19 @@ func TestLevelsPin(t *testing.T) {
 		}
 		tbl := c.gc.table()
 		db := engine.NewRowStore(tbl)
-		for _, opt := range []OptLevel{NoOpt, IntraLine, IntraTask, InterTask} {
+		prevRequests := -1
+		for _, opt := range allLevels {
 			res, err := Run(q, db, Options{Table: tbl.Name, Seed: 42, Inputs: c.gc.inputs, Opt: opt})
 			if err != nil {
 				fmt.Fprintf(&b, "%s o%d: error: %v\n", c.name, opt, err)
 				continue
 			}
+			// The levels are cumulative: a higher one never needs more
+			// requests.
+			if prevRequests >= 0 && res.Stats.Requests > prevRequests {
+				t.Errorf("%s: %v sends %d requests, more than the level below it (%d)", c.name, opt, res.Stats.Requests, prevRequests)
+			}
+			prevRequests = res.Stats.Requests
 			fmt.Fprintf(&b, "%s o%d: requests=%d queries=%d sql=%x result=%x\n", c.name, opt,
 				res.Stats.Requests, res.Stats.SQLQueries,
 				sha256.Sum256([]byte(strings.Join(res.SQLLog, "\n"))), sha256.Sum256([]byte(encodeResult(res))))

@@ -83,7 +83,7 @@ func (ex *executor) iterateVars(vars []string, base map[string]element, fn func(
 		}
 		b, ok := ex.bindings[g[0]]
 		if !ok {
-			return fmt.Errorf("zexec: process variable %s is not defined", g[0])
+			return fmt.Errorf("process variable %s is not defined", g[0])
 		}
 		tuples := make([][]element, len(b.elems))
 		for i, e := range b.elems {
@@ -133,11 +133,11 @@ func (ex *executor) iterateVars(vars []string, base map[string]element, fn func(
 // oracle), across the worker pool otherwise — and argmin/argmax [k=...]
 // declarations take the pruned top-k path. Every path yields the same kept
 // tuples in the same order.
-func (ex *executor) runProcess(rs *rowState, d *zql.ProcessDecl) error {
+func (ex *executor) runProcess(d *zql.ProcessDecl) error {
 	if ex.opts.PlanOnly {
 		// EXPLAIN plan mode: nothing was fetched, so there is nothing to
-		// score. Output variables still bind (empty) so downstream rows and
-		// the inter-task scheduler's progress check stay satisfied.
+		// score. Output variables still bind (empty) so the rows that read
+		// them become ready.
 		ex.bindOutputs(d.OutVars, nil)
 		return nil
 	}
@@ -155,7 +155,7 @@ func (ex *executor) runProcess(rs *rowState, d *zql.ProcessDecl) error {
 		kept, err = ex.evalRankFilter(d, tuples)
 	}
 	if err != nil {
-		return fmt.Errorf("line %d: %w", rs.row.Line, err)
+		return err
 	}
 	ex.bindOutputs(d.OutVars, kept)
 	return nil

@@ -14,13 +14,11 @@ import (
 // rowState tracks one row through the execution pipeline.
 type rowState struct {
 	row  *zql.Row
-	idx  int
 	dims []dimension // resolved iteration dimensions, column order
 	// orderMarkers lists bindings referenced with `->` for f.order rows.
 	orderMarkers []*binding
-	resolved     bool
-	fetched      bool
-	processed    bool
+	fetched      bool // the row's collection exists
+	processed    bool // the row's tasks have run
 	coll         *Collection
 }
 
@@ -130,7 +128,7 @@ func (ex *executor) expandConstraints(c string) (string, error) {
 	for _, ref := range constraintRangeRefs(c) {
 		b, ok := ex.bindings[ref]
 		if !ok {
-			return "", fmt.Errorf("zexec: constraints reference undefined variable %s", ref)
+			return "", fmt.Errorf("constraints reference undefined variable %s", ref)
 		}
 		var vals []string
 		for _, e := range b.elems {
@@ -150,7 +148,7 @@ func (ex *executor) expandConstraints(c string) (string, error) {
 // sets; derived supplies the derived collection for `_` leaves.
 func (ex *executor) evalSet(s *zql.SetExpr, kind elemKind, attrCtx string, derived *Collection) ([]element, error) {
 	if s == nil {
-		return nil, fmt.Errorf("zexec: nil set expression")
+		return nil, fmt.Errorf("nil set expression")
 	}
 	switch {
 	case s.Op != nil:
@@ -197,16 +195,16 @@ func (ex *executor) evalSet(s *zql.SetExpr, kind elemKind, attrCtx string, deriv
 	case s.RangeVar != "":
 		b, ok := ex.bindings[s.RangeVar]
 		if !ok {
-			return nil, fmt.Errorf("zexec: %s.range references undefined variable", s.RangeVar)
+			return nil, fmt.Errorf("%s.range references undefined variable", s.RangeVar)
 		}
 		return append([]element(nil), b.elems...), nil
 	case s.Derived:
 		if derived == nil {
-			return nil, fmt.Errorf("zexec: '_' used outside a derived visual component row")
+			return nil, fmt.Errorf("'_' used outside a derived visual component row")
 		}
 		return derived.derivedElements(kind, attrCtx), nil
 	}
-	return nil, fmt.Errorf("zexec: empty set expression")
+	return nil, fmt.Errorf("empty set expression")
 }
 
 // starElements expands `*`: all attributes (for attribute positions) or all
@@ -217,7 +215,7 @@ func (ex *executor) evalSet(s *zql.SetExpr, kind elemKind, attrCtx string, deriv
 func (ex *executor) starElements(kind elemKind, attrCtx string) (out []element, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, err = nil, fmt.Errorf("zexec: enumerating values of %q: %v", attrCtx, r)
+			out, err = nil, fmt.Errorf("enumerating values of %q: %v", attrCtx, r)
 		}
 	}()
 	return ex.starElementsInner(kind, attrCtx)
@@ -234,7 +232,7 @@ func (ex *executor) starElementsInner(kind elemKind, attrCtx string) ([]element,
 	}
 	col := ex.table.Column(attrCtx)
 	if col == nil {
-		return nil, fmt.Errorf("zexec: table %q has no attribute %q", ex.table.Name, attrCtx)
+		return nil, fmt.Errorf("table %q has no attribute %q", ex.table.Name, attrCtx)
 	}
 	vals := col.DistinctSorted()
 	out := make([]element, len(vals))
@@ -322,7 +320,6 @@ func (ex *executor) resolveRow(rs *rowState, derived *Collection) error {
 	if dim := ex.resolveViz(r.Viz); dim != nil {
 		rs.dims = append(rs.dims, *dim)
 	}
-	rs.resolved = true
 	return nil
 }
 
@@ -336,7 +333,7 @@ func (ex *executor) resolveAxis(a zql.AxisSpec, kind elemKind, derived *Collecti
 	case zql.AxisVarRef:
 		b, ok := ex.bindings[a.Var]
 		if !ok {
-			return nil, nil, fmt.Errorf("zexec: axis variable %s is not defined", a.Var)
+			return nil, nil, fmt.Errorf("axis variable %s is not defined", a.Var)
 		}
 		if a.Order {
 			return nil, b, nil
@@ -347,7 +344,7 @@ func (ex *executor) resolveAxis(a zql.AxisSpec, kind elemKind, derived *Collecti
 		var err error
 		if a.Set == nil {
 			if derived == nil {
-				return nil, nil, fmt.Errorf("zexec: %s <- _ outside a derived row", a.Var)
+				return nil, nil, fmt.Errorf("%s <- _ outside a derived row", a.Var)
 			}
 			elems = derived.derivedElements(kind, "")
 		} else {
@@ -373,7 +370,7 @@ func (ex *executor) resolveAxis(a zql.AxisSpec, kind elemKind, derived *Collecti
 	case zql.AxisSum, zql.AxisCross:
 		return ex.resolveCompositeAxis(a, kind, derived)
 	}
-	return nil, nil, fmt.Errorf("zexec: unhandled axis kind %v", a.Kind)
+	return nil, nil, fmt.Errorf("unhandled axis kind %v", a.Kind)
 }
 
 // resolveCompositeAxis handles 'a' + 'b' and 'a' × (x1 in {...}) axes. The
@@ -395,7 +392,7 @@ func (ex *executor) resolveCompositeAxis(a zql.AxisSpec, kind elemKind, derived 
 		case zql.AxisVarRef:
 			b, ok := ex.bindings[p.Var]
 			if !ok {
-				return nil, nil, fmt.Errorf("zexec: axis variable %s is not defined", p.Var)
+				return nil, nil, fmt.Errorf("axis variable %s is not defined", p.Var)
 			}
 			lists[i] = b.elems
 		case zql.AxisVarDecl:
@@ -450,7 +447,7 @@ func (ex *executor) resolveZ(z zql.ZSpec, derived *Collection) (*dimension, *bin
 	case zql.ZVarRef:
 		b, ok := ex.bindings[z.Var]
 		if !ok {
-			return nil, nil, fmt.Errorf("zexec: Z variable %s is not defined", z.Var)
+			return nil, nil, fmt.Errorf("Z variable %s is not defined", z.Var)
 		}
 		if z.Order {
 			return nil, b, nil
@@ -517,7 +514,7 @@ func (ex *executor) resolveZ(z zql.ZSpec, derived *Collection) (*dimension, *bin
 		}
 		return &dimension{vars: vars, elems: tuples}, nil, nil
 	}
-	return nil, nil, fmt.Errorf("zexec: unhandled Z kind %v", z.Kind)
+	return nil, nil, fmt.Errorf("unhandled Z kind %v", z.Kind)
 }
 
 func (ex *executor) dimFromBinding(name string, b *binding) *dimension {

@@ -2,6 +2,7 @@ package zexec
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/trace"
@@ -18,18 +19,10 @@ func (ex *executor) run() (*Result, error) {
 	ex.bindings = make(map[string]*binding)
 	ex.groups = make(map[string]*varGroup)
 	ex.colls = make(map[string]*Collection)
-	for i, r := range ex.q.Rows {
-		ex.rows = append(ex.rows, &rowState{row: r, idx: i})
+	for _, r := range ex.q.Rows {
+		ex.rows = append(ex.rows, &rowState{row: r})
 	}
-	var err error
-	switch ex.opts.Opt {
-	case NoOpt, IntraLine:
-		err = ex.runSequential()
-	case IntraTask:
-		err = ex.runIntraTask()
-	default:
-		err = ex.runInterTask()
-	}
+	err := ex.schedule()
 	fillStats := func() {
 		countersAfter := ex.db.Counters()
 		ex.stats.RowsScanned = countersAfter.RowsScanned - countersBefore.RowsScanned
@@ -72,53 +65,164 @@ func (ex *executor) assemble() *Result {
 	return res
 }
 
-// prepareNonSQL handles user-input and derived rows, which fetch nothing.
-// It returns true if the row was one of those.
-func (ex *executor) prepareNonSQL(rs *rowState) (bool, error) {
+// schedule executes the query tree of Section 5.2; every optimization level
+// runs it. Each round admits the ready rows the level allows, fetches the
+// admitted SQL rows as one request, then runs every task whose inputs exist,
+// in row order. A round that makes no progress means some row waits on a
+// variable or collection that nothing left to run will define.
+func (ex *executor) schedule() error {
+	for {
+		batch, progress, err := ex.admit()
+		if err != nil {
+			return err
+		}
+		if len(batch) > 0 {
+			if err := ex.fetchRows(batch); err != nil {
+				return err
+			}
+		}
+		done := true
+		for _, rs := range ex.rows {
+			if rs.fetched && !rs.processed && len(ex.waitsOn(rs)) == 0 {
+				if err := ex.runRowProcesses(rs); err != nil {
+					return err
+				}
+				progress = true
+			}
+			done = done && rs.processed
+		}
+		if done {
+			return nil
+		}
+		if !progress {
+			for _, rs := range ex.rows {
+				if !rs.processed {
+					return fmt.Errorf("zexec: query tree is stuck: line %d waits on %s (circular or undefined dependencies)",
+						rs.row.Line, strings.Join(ex.waitsOn(rs), ", "))
+				}
+			}
+		}
+	}
+}
+
+// admit picks and resolves the rows one round fetches as one request,
+// preparing the ready user-input and derived rows on the way and running
+// their tasks when they can: those rows fetch nothing, but may bind
+// variables that later rows read. A row is ready when
+// waitsOn is empty. The level only restricts what a round admits: o0 and o1
+// the first unfinished row, once every earlier row is done; o2 consecutive
+// rows from there, up to and including the first SQL row that carries a
+// task; o3 every ready row.
+func (ex *executor) admit() (batch []*rowState, progress bool, err error) {
+	inOrder := ex.opts.Opt < InterTask
+	for _, rs := range ex.rows {
+		if rs.fetched {
+			if inOrder && !rs.processed {
+				break
+			}
+			continue
+		}
+		if len(ex.waitsOn(rs)) > 0 {
+			if inOrder {
+				break
+			}
+			continue
+		}
+		sql, err := ex.prepareRow(rs)
+		if err != nil {
+			return nil, false, fmt.Errorf("zexec: line %d: %w", rs.row.Line, err)
+		}
+		progress = true
+		if sql {
+			batch = append(batch, rs)
+		} else if len(ex.waitsOn(rs)) == 0 {
+			// Nothing to fetch: run the row's tasks now, so later rows of
+			// this round can read what they bind.
+			if err := ex.runRowProcesses(rs); err != nil {
+				return nil, false, err
+			}
+		}
+		if ex.opts.Opt <= IntraLine || ex.opts.Opt == IntraTask && sql && len(rs.row.Process) > 0 {
+			break
+		}
+	}
+	return batch, progress, nil
+}
+
+// waitsOn lists what a row still waits on: before it is fetched, the
+// unbound variables its cells read and the missing collections a derived
+// row names; after, the collections and variables its tasks read.
+func (ex *executor) waitsOn(rs *rowState) []string {
+	var missing []string
+	need := func(name string, have bool) {
+		if !have && !contains(missing, name) {
+			missing = append(missing, name)
+		}
+	}
+	hasColl := func(name string) bool {
+		_, ok := ex.colls[name]
+		return ok
+	}
 	r := rs.row
-	if r.Name.UserInput {
+	if !rs.fetched {
+		for _, v := range rowVarRefs(r) {
+			need(v, ex.varDefined(v))
+		}
+		if e := r.Name.Expr; e != nil {
+			need(e.Left, hasColl(e.Left))
+			if e.Right != "" {
+				need(e.Right, hasColl(e.Right))
+			}
+		}
+		return missing
+	}
+	for i := range r.Process {
+		d := &r.Process[i]
+		for _, name := range processRefs(d) {
+			need(name, hasColl(name))
+		}
+		for _, v := range processVarRefs(d) {
+			// Output variables of the row's own declarations are defined
+			// as those declarations run.
+			need(v, ex.varDefined(v) || declaredBySameRow(r, v))
+		}
+	}
+	return missing
+}
+
+// prepareRow resolves an admitted row and reports whether it has SQL to
+// fetch. User-input and derived rows fetch nothing: their collections are
+// built here.
+func (ex *executor) prepareRow(rs *rowState) (bool, error) {
+	r := rs.row
+	switch {
+	case r.Name.UserInput:
 		input, ok := ex.opts.Inputs[r.Name.Var]
 		if !ok {
-			return true, fmt.Errorf("zexec: line %d: no user input provided for -%s", r.Line, r.Name.Var)
+			return false, fmt.Errorf("no user input provided for -%s", r.Name.Var)
 		}
-		rs.coll = &Collection{Vis: []*vis.Visualization{input}, combos: []map[string]element{{}}, wildcard: true}
-		ex.colls[r.Name.Var] = rs.coll
-		rs.fetched = true
-		return true, nil
-	}
-	if r.Name.Expr != nil {
+		ex.setCollection(rs, &Collection{Vis: []*vis.Visualization{input}, combos: []map[string]element{{}}, wildcard: true})
+	case r.Name.Expr != nil:
 		coll, err := ex.deriveCollection(r.Name.Expr, rs)
 		if err != nil {
-			return true, fmt.Errorf("zexec: line %d: %w", r.Line, err)
+			return false, err
 		}
-		rs.coll = coll
 		// Resolve the row's cells against the derived collection so that
 		// `_` bindings (y1 <- _, v2 <- 'product'._) get defined.
 		if err := ex.resolveRow(rs, coll); err != nil {
-			return true, fmt.Errorf("zexec: line %d: %w", r.Line, err)
+			return false, err
 		}
-		if r.Name.Var != "" {
-			ex.colls[r.Name.Var] = coll
-		}
-		rs.fetched = true
-		return true, nil
+		ex.setCollection(rs, coll)
+	default:
+		return true, ex.resolveRow(rs, nil)
 	}
 	return false, nil
 }
 
-// deriveCollection evaluates a Name-column expression.
+// deriveCollection evaluates a Name-column expression over collections that
+// exist (the row was admitted).
 func (ex *executor) deriveCollection(e *zql.NameExpr, rs *rowState) (*Collection, error) {
-	left, ok := ex.colls[e.Left]
-	if !ok {
-		return nil, fmt.Errorf("derived name refers to unfetched %s", e.Left)
-	}
-	var right *Collection
-	if e.Right != "" {
-		right, ok = ex.colls[e.Right]
-		if !ok {
-			return nil, fmt.Errorf("derived name refers to unfetched %s", e.Right)
-		}
-	}
+	left, right := ex.colls[e.Left], ex.colls[e.Right]
 	switch e.Kind {
 	case zql.NamePlus:
 		return left.concat(right), nil
@@ -147,17 +251,17 @@ func (ex *executor) deriveCollection(e *zql.NameExpr, rs *rowState) (*Collection
 	return nil, fmt.Errorf("unhandled name expression")
 }
 
-// fetchRows resolves, compiles, and fetches the given rows as one request,
+// fetchRows compiles and fetches the given resolved rows as one request,
 // then builds their collections and marks them fetched.
 func (ex *executor) fetchRows(states []*rowState) error {
 	var jobs []*queryJob
 	unitsByRow := make(map[*rowState][]*fetchUnit, len(states))
 	for _, rs := range states {
 		units, err := ex.buildUnits(rs)
-		if err != nil {
-			return err
+		var rowJobs []*queryJob
+		if err == nil {
+			rowJobs, err = ex.rowJobs(rs, units)
 		}
-		rowJobs, err := ex.rowJobs(rs, units)
 		if err != nil {
 			return fmt.Errorf("zexec: line %d: %w", rs.row.Line, err)
 		}
@@ -177,17 +281,26 @@ func (ex *executor) fetchRows(states []*rowState) error {
 		}
 	}
 	for _, rs := range states {
-		rs.coll = collectionFromUnits(unitsByRow[rs])
-		if rs.row.Name.Var != "" {
-			ex.colls[rs.row.Name.Var] = rs.coll
-		}
-		rs.fetched = true
+		ex.setCollection(rs, collectionFromUnits(unitsByRow[rs]))
 	}
 	return nil
 }
 
+// setCollection records a row's collection under its name variable and
+// marks the row fetched.
+func (ex *executor) setCollection(rs *rowState, coll *Collection) {
+	rs.coll, rs.fetched = coll, true
+	if rs.row.Name.Var != "" {
+		ex.colls[rs.row.Name.Var] = coll
+	}
+}
+
 // runRowProcesses executes the row's process declarations in order.
 func (ex *executor) runRowProcesses(rs *rowState) error {
+	rs.processed = true
+	if len(rs.row.Process) == 0 {
+		return nil
+	}
 	start := time.Now()
 	sp := trace.FromContext(ex.ctx).StartChild("process")
 	sp.SetInt("line", int64(rs.row.Line))
@@ -201,180 +314,11 @@ func (ex *executor) runRowProcesses(rs *rowState) error {
 		sp.End()
 	}()
 	for i := range rs.row.Process {
-		if err := ex.runProcess(rs, &rs.row.Process[i]); err != nil {
+		if err := ex.runProcess(&rs.row.Process[i]); err != nil {
 			return fmt.Errorf("zexec: line %d: %w", rs.row.Line, err)
 		}
 	}
-	rs.processed = true
 	return nil
-}
-
-// runSequential is NoOpt / IntraLine: rows strictly in order, one (or N)
-// requests per row.
-func (ex *executor) runSequential() error {
-	for _, rs := range ex.rows {
-		handled, err := ex.prepareNonSQL(rs)
-		if err != nil {
-			return err
-		}
-		if !handled {
-			if err := ex.resolveRow(rs, nil); err != nil {
-				return fmt.Errorf("zexec: line %d: %w", rs.row.Line, err)
-			}
-			if err := ex.fetchRows([]*rowState{rs}); err != nil {
-				return err
-			}
-		}
-		if err := ex.runRowProcesses(rs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runIntraTask batches the SQL of consecutive rows up to and including the
-// next row that carries a task, then runs the accumulated tasks in order.
-func (ex *executor) runIntraTask() error {
-	var batch []*rowState
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := ex.fetchRows(batch); err != nil {
-			return err
-		}
-		for _, rs := range batch {
-			if err := ex.runRowProcesses(rs); err != nil {
-				return err
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	for _, rs := range ex.rows {
-		// A row whose variables depend on an unflushed task forces a flush
-		// first; detect by attempting resolution and flushing on failure.
-		handled, err := ex.prepareNonSQL(rs)
-		if handled {
-			if err != nil {
-				// Retry after flushing pending work.
-				if ferr := flush(); ferr != nil {
-					return ferr
-				}
-				if _, err = ex.prepareNonSQL(rs); err != nil {
-					return err
-				}
-			}
-			if err := ex.runRowProcesses(rs); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := ex.resolveRow(rs, nil); err != nil {
-			if ferr := flush(); ferr != nil {
-				return ferr
-			}
-			if err := ex.resolveRow(rs, nil); err != nil {
-				return fmt.Errorf("zexec: line %d: %w", rs.row.Line, err)
-			}
-		}
-		batch = append(batch, rs)
-		if len(rs.row.Process) > 0 {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// runInterTask implements the query-tree execution of Section 5.2: in each
-// round, every row whose dependencies are satisfied is resolved and its SQL
-// batched into a single request; then every task whose inputs are fetched
-// runs. Rounds repeat until all rows complete.
-func (ex *executor) runInterTask() error {
-	for {
-		progress := false
-		var batch []*rowState
-		for _, rs := range ex.rows {
-			if rs.fetched {
-				continue
-			}
-			handled, err := ex.prepareNonSQL(rs)
-			if handled {
-				if err == nil {
-					progress = true
-				}
-				continue
-			}
-			// Check readiness: every referenced variable defined.
-			ready := true
-			for _, ref := range rowVarRefs(rs.row) {
-				if !ex.varDefined(ref) {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			if err := ex.resolveRow(rs, nil); err != nil {
-				continue // a dependency resolved later; retry next round
-			}
-			batch = append(batch, rs)
-		}
-		if len(batch) > 0 {
-			if err := ex.fetchRows(batch); err != nil {
-				return err
-			}
-			progress = true
-		}
-		// Run ready tasks in row order.
-		for _, rs := range ex.rows {
-			if !rs.fetched || rs.processed || len(rs.row.Process) == 0 {
-				continue
-			}
-			ready := true
-			for i := range rs.row.Process {
-				d := &rs.row.Process[i]
-				for _, name := range processRefs(d) {
-					if _, ok := ex.colls[name]; !ok {
-						ready = false
-					}
-				}
-				for _, v := range processVarRefs(d) {
-					// Output vars of earlier decls in the same cell are fine;
-					// they get defined as the decls run.
-					if !ex.varDefined(v) && !contains(d.OutVars, v) && !declaredBySameRow(rs.row, v) {
-						ready = false
-					}
-				}
-			}
-			if !ready {
-				continue
-			}
-			if err := ex.runRowProcesses(rs); err != nil {
-				return err
-			}
-			progress = true
-		}
-		// Mark process-less fetched rows as processed.
-		done := true
-		for _, rs := range ex.rows {
-			if rs.fetched && !rs.processed && len(rs.row.Process) == 0 {
-				rs.processed = true
-			}
-			if !rs.fetched || !rs.processed {
-				done = false
-			}
-		}
-		if done {
-			return nil
-		}
-		if !progress {
-			return fmt.Errorf("zexec: query tree is stuck: circular or undefined variable dependencies")
-		}
-	}
 }
 
 // declaredBySameRow reports whether a variable is declared by one of the

@@ -3,6 +3,17 @@
 // compiler plus the three external optimization levels (intra-line batching,
 // intra-task pipelining, inter-task query-tree batching).
 //
+// Every level runs one query tree. Each round admits the ready rows — every
+// variable a row reads is bound, every collection a derived row names is
+// built — fetches the admitted SQL rows as one request, then runs every task
+// whose inputs exist, in row order; a user-input or derived row fetches
+// nothing, so its tasks run as soon as it is admitted and rows later in the
+// round can read their outputs. The level only decides which ready rows a
+// round admits (see OptLevel). A ready row that fails to resolve fails the
+// query with "zexec: line N: <cause>"; a round that makes no progress fails
+// it with one "query tree is stuck" error naming the first waiting row and
+// what it waits on.
+//
 // Execution model: every ZQL row denotes a visual component — an ordered
 // collection of visualizations generated by iterating its axis variables in
 // column order (X, Y, Z1..Zn, Viz). The compiler turns each collection into
@@ -37,25 +48,29 @@ import (
 )
 
 // OptLevel selects how aggressively SQL queries are batched (Section 5.2).
-// Levels are cumulative: each includes the previous.
+// Levels are cumulative: each includes the previous. Every level runs the
+// same query tree; the level decides which ready rows one round admits, and
+// so which rows' SQL shares a request.
 type OptLevel int
 
 // Optimization levels.
 const (
-	// NoOpt issues one SQL query per visualization, sequentially — the naive
-	// compiler of Section 5.1.
+	// NoOpt issues one SQL query per visualization, each its own request —
+	// the naive compiler of Section 5.1. A round admits the first
+	// unfinished row, once every earlier row is done.
 	NoOpt OptLevel = iota
 	// IntraLine batches each row's visualizations into one SQL query per
 	// distinct (x-attribute, binning) shape, using IN-lists for Z variables
-	// and multi-aggregate selects for Y variables.
+	// and multi-aggregate selects for Y variables. A round admits rows as
+	// at NoOpt.
 	IntraLine
-	// IntraTask additionally pipelines the batched queries of consecutive
-	// rows up to and including the next row carrying a task into one request,
-	// executed concurrently.
+	// IntraTask additionally admits consecutive ready rows from the first
+	// unfinished one, up to and including the first SQL row that carries a
+	// task, and fetches their queries as one request, executed concurrently.
 	IntraTask
-	// InterTask additionally builds the query tree and batches every row
-	// whose visual component is independent of unfinished tasks, regardless
-	// of row order.
+	// InterTask additionally admits every ready row — every row whose
+	// visual component is independent of unfinished tasks — regardless of
+	// row order.
 	InterTask
 )
 
