@@ -108,11 +108,10 @@ func (ex *executor) schedule() error {
 // admit picks and resolves the rows one round fetches as one request,
 // preparing the ready user-input and derived rows on the way and running
 // their tasks when they can: those rows fetch nothing, but may bind
-// variables that later rows read. A row is ready when
-// waitsOn is empty. The level only restricts what a round admits: o0 and o1
-// the first unfinished row, once every earlier row is done; o2 consecutive
-// rows from there, up to and including the first SQL row that carries a
-// task; o3 every ready row.
+// variables that later rows read. A row is ready when waitsOn is empty. The
+// level only restricts what a round admits: o0 and o1 the first unfinished
+// row, once every earlier row is done; o2 consecutive rows from there, up to
+// and including the first SQL row that carries a task; o3 every ready row.
 func (ex *executor) admit() (batch []*rowState, progress bool, err error) {
 	inOrder := ex.opts.Opt < InterTask
 	for _, rs := range ex.rows {
