@@ -474,10 +474,11 @@ func processBenchProbe(ts, points int) float64 {
 
 // BenchmarkProcessParallelVsSequential measures the process-phase executor
 // on a top-k similarity workload: argmin(v1)[k=5] D(f1, f2) over 64
-// DTW-compared series of 512 points, fetched identically (Inter-Task) on
-// both sides so the difference is purely the process phase. "sequential" is
-// the O0-style evaluator (one worker, no pruning); "parallel-pruned" is the
-// worker pool plus the bounded heap feeding the early-abandoning DTW kernel.
+// DTW-compared series of 512 points. "sequential" runs at NoOpt, whose
+// evaluator is one worker with no pruning; "parallel-pruned" runs at
+// Inter-Task: the worker pool plus the bounded heap feeding the
+// early-abandoning DTW kernel. The levels also fetch differently, so
+// process-ns/op, not ns/op, is the process-phase comparison.
 // The abandoned/op metric shows pruning at work; the pruning win holds on a
 // single core, and the pool multiplies it on multicore.
 func BenchmarkProcessParallelVsSequential(b *testing.B) {
@@ -525,7 +526,7 @@ f2   | 't' | 'val' | v1 <- 'g'.* | v2 <- argmin(v1)[k=5] D(f1, f2)
 		b.ReportMetric(float64(abandoned)/float64(b.N), "abandoned/op")
 	}
 	b.Run("sequential", func(b *testing.B) {
-		run(b, func(o *zexec.Options) { o.ProcessParallelism = 1; o.ProcessNoPrune = true })
+		run(b, func(o *zexec.Options) { o.Opt = zexec.NoOpt })
 	})
 	b.Run("parallel-pruned", func(b *testing.B) {
 		run(b, func(o *zexec.Options) {})

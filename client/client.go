@@ -27,14 +27,13 @@ import (
 // use as long as its back-end is; the query server shares one Session per
 // dataset across all requests.
 type Session struct {
-	mu       sync.Mutex
-	db       engine.DB
-	table    string
-	opt      zexec.OptLevel
-	metric   vis.Metric
-	seed     int64
-	pworkers int
-	history  []HistoryEntry
+	mu      sync.Mutex
+	db      engine.DB
+	table   string
+	opt     zexec.OptLevel
+	metric  vis.Metric
+	seed    int64
+	history []HistoryEntry
 }
 
 // HistoryEntry records one executed query.
@@ -55,10 +54,9 @@ const DefaultHistoryLimit = 256
 type Option func(*config) error
 
 type config struct {
-	opt      zexec.OptLevel
-	metric   vis.Metric
-	seed     int64
-	pworkers int
+	opt    zexec.OptLevel
+	metric vis.Metric
+	seed   int64
 }
 
 // WithOptLevel sets the SQL batching level (default Inter-Task, the
@@ -91,18 +89,6 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithProcessParallelism bounds the process-phase worker goroutines per
-// query (0 = automatic: sequential at NoOpt, GOMAXPROCS otherwise; 1 forces
-// sequential scoring). Results are identical at every setting; the knob
-// trades per-query latency against CPU share — a server packing many
-// concurrent sessions onto one machine may want 1.
-func WithProcessParallelism(n int) Option {
-	return func(c *config) error {
-		c.pworkers = n
-		return nil
-	}
-}
-
 func newConfig(opts []Option) (config, error) {
 	cfg := config{opt: zexec.InterTask, metric: vis.DefaultMetric, seed: 1}
 	for _, o := range opts {
@@ -121,7 +107,7 @@ func Open(t *dataset.Table, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{db: engine.NewColumnStore(t), table: t.Name, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers}, nil
+	return &Session{db: engine.NewColumnStore(t), table: t.Name, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed}, nil
 }
 
 // OpenDB starts a session over an existing back-end — the path the query
@@ -135,7 +121,7 @@ func OpenDB(db engine.DB, table string, opts ...Option) (*Session, error) {
 	if db.Table(table) == nil {
 		return nil, fmt.Errorf("client: back-end has no table %q", table)
 	}
-	return &Session{db: db, table: table, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers}, nil
+	return &Session{db: db, table: table, opt: cfg.opt, metric: cfg.metric, seed: cfg.seed}, nil
 }
 
 // OpenCSV starts a session over a CSV file.
@@ -162,7 +148,7 @@ func OpenZpack(path string, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	db := engine.NewColumnStoreFromSource(r)
-	return &Session{db: db, table: r.Name(), opt: cfg.opt, metric: cfg.metric, seed: cfg.seed, pworkers: cfg.pworkers}, nil
+	return &Session{db: db, table: r.Name(), opt: cfg.opt, metric: cfg.metric, seed: cfg.seed}, nil
 }
 
 // Table returns the session's table name.
@@ -228,7 +214,7 @@ func (s *Session) queryContext(ctx context.Context, src string, inputs map[strin
 		s.record(src, nil, err)
 		return nil, err
 	}
-	opts := zexec.Options{Table: s.table, Opt: opt, Metric: s.metric, Seed: s.seed, ProcessParallelism: s.pworkers, PlanOnly: planOnly}
+	opts := zexec.Options{Table: s.table, Opt: opt, Metric: s.metric, Seed: s.seed, PlanOnly: planOnly}
 	if len(inputs) > 0 {
 		opts.Inputs = make(map[string]*vis.Visualization, len(inputs))
 		for name, ys := range inputs {

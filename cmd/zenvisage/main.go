@@ -55,8 +55,6 @@ func main() {
 		kFlag     = flag.Int("k", 5, "top-k for -task")
 		maxCharts = flag.Int("charts", 8, "maximum charts rendered per output collection")
 		seed      = flag.Int64("seed", 42, "seed for R (k-means) determinism")
-		pworkers  = flag.Int("process-workers", 0, "process-phase worker goroutines (0 = auto: sequential at -opt noopt, GOMAXPROCS otherwise)")
-		noPrune   = flag.Bool("no-prune", false, "disable top-k pruning in the process phase (results are identical either way)")
 		showStats = flag.Bool("stats", true, "print execution statistics")
 		explain   = flag.String("explain", "", "print the query's span tree: 'plan' (plan only, no execution) or 'analyze' (execute, then show stage timings)")
 	)
@@ -118,14 +116,12 @@ func main() {
 		ctx = trace.WithSpan(ctx, tr.Root)
 	}
 	res, err := zexec.RunContext(ctx, q, db, zexec.Options{
-		Table:              tbl.Name,
-		Opt:                opt,
-		Metric:             m,
-		Seed:               *seed,
-		Inputs:             inputs,
-		ProcessParallelism: *pworkers,
-		ProcessNoPrune:     *noPrune,
-		PlanOnly:           *explain == "plan",
+		Table:    tbl.Name,
+		Opt:      opt,
+		Metric:   m,
+		Seed:     *seed,
+		Inputs:   inputs,
+		PlanOnly: *explain == "plan",
 	})
 	if err != nil {
 		log.Fatal(err)

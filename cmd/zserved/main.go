@@ -58,7 +58,6 @@ func main() {
 		// next change to the benchmark deletes it.
 		backend   = flag.String("backend", "column", "name /datasets reports for the one executor served: column, or auto (another name for it); the row and bitmap baselines run in zenvisage -backend")
 		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget; a tenth of both holds results on probation until their first hit (0 means the default, 1024; negative disables)")
-		pworkers  = flag.Int("process-workers", 0, "process-phase worker goroutines per query (0 = auto)")
 		optName   = flag.String("opt", "intertask", "default optimization level: noopt, intraline, intratask, intertask (or o0..o3)")
 		metric    = flag.String("metric", "euclidean", "distance metric D: euclidean, dtw, kl, emd (raw- prefix skips normalization)")
 		shards    = flag.Int("shards", 0, "segment shards per dataset, scanned in parallel (0 = one per CPU core, 1 = unsharded)")
@@ -94,14 +93,13 @@ func main() {
 		*shards = runtime.GOMAXPROCS(0)
 	}
 	cfg := server.Config{
-		Backend:            *backend,
-		Opt:                *optName,
-		Metric:             *metric,
-		Seed:               *seed,
-		CacheEntries:       *cache,
-		MaxQueue:           *maxQueue,
-		ProcessParallelism: *pworkers,
-		Shards:             *shards,
+		Backend:      *backend,
+		Opt:          *optName,
+		Metric:       *metric,
+		Seed:         *seed,
+		CacheEntries: *cache,
+		MaxQueue:     *maxQueue,
+		Shards:       *shards,
 	}
 
 	reg := server.NewRegistry()

@@ -28,7 +28,7 @@ import (
 
 // Planner is implemented by stores whose Prepare runs the greedy conjunct
 // planner. SetPlanning(false) pins written conjunct order — the differential
-// baseline, also exposed as zserved's -no-planner flag.
+// baseline.
 type Planner interface {
 	SetPlanning(on bool)
 }

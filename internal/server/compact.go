@@ -107,31 +107,23 @@ func (r *Registry) Compact(name string, cols []string) (*Dataset, compact.Result
 		d.ctr.compactFails.Add(1)
 		return nil, res, err
 	}
-	nd, err := newZpackDataset(name, fresh, "column", d.cfg)
+	nd, err := r.swapSuccessor(d, fresh, w, d.packR, func(c *dsCounters) {
+		c.compactions.Add(1)
+		c.generation.Add(1)
+		c.rowsRewritten.Add(int64(res.Rows))
+		c.lastCompactNs.Store(time.Since(start).Nanoseconds())
+		resCols := append([]string(nil), res.Cols...)
+		c.lastCols.Store(&resCols)
+	})
 	if err != nil {
 		fresh.Close()
 		w.Discard()
 		d.ctr.compactFails.Add(1)
 		return nil, res, err
 	}
-	nd.packPath = d.packPath
-	nd.packW.Store(w)
-	nd.ctr = d.ctr
-	nd.cache.InheritStats(d.cache)
-	nd.ctr.compactions.Add(1)
-	nd.ctr.generation.Add(1)
-	nd.ctr.rowsRewritten.Add(int64(res.Rows))
-	nd.ctr.lastCompactNs.Store(time.Since(start).Nanoseconds())
-	resCols := append([]string(nil), res.Cols...)
-	nd.ctr.lastCols.Store(&resCols)
-	nd.refreshUnsorted()
 	if d.packRetired != nil {
 		d.packRetired.Close()
 	}
-	nd.packRetired = d.packR
-	r.mu.Lock()
-	r.datasets[name] = nd
-	r.mu.Unlock()
 	return nd, res, nil
 }
 

@@ -213,6 +213,29 @@ func TestCompactEndpointErrors(t *testing.T) {
 	})
 }
 
+// TestCompactKeepsBackendName: the successor a compaction swaps in keeps the
+// name the dataset was registered under, as an append's does, on /datasets
+// and on /stats.
+func TestCompactKeepsBackendName(t *testing.T) {
+	ts, reg, _ := newZpackServer(t, Config{Backend: "auto"})
+	if _, resp, raw := postCompact(t, ts.URL, "sales", CompactRequest{Cols: []string{"product"}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compact status %d: %s", resp.StatusCode, raw)
+	}
+	if _, resp, raw := appendRows(t, ts.URL, "sales", [][]any{disorderedRow(0)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append status %d: %s", resp.StatusCode, raw)
+	}
+	if _, _, err := reg.Compact("sales", nil); err != nil {
+		t.Fatal(err)
+	}
+	_, raw := get(t, ts.URL+"/datasets")
+	if want := `"name":"sales","backend":"auto"`; !bytes.Contains(raw, []byte(want)) {
+		t.Errorf("/datasets after compaction = %s, want %s", raw, want)
+	}
+	if got := reg.Get("sales").Stats().Backend; got != "auto" {
+		t.Errorf("Stats().Backend after compaction = %q, want auto", got)
+	}
+}
+
 // TestCompactorSweepPolicy drives the background policy without the ticker:
 // threshold gating, the pause-during-append quiesce, and convergence (a
 // compacted dataset stops triggering).

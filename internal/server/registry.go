@@ -76,11 +76,6 @@ type Config struct {
 	// unchanged (docs/ARCHITECTURE.md, "Sharded scatter-gather"). <= 1 means
 	// unsharded. Effective shard count is capped by the segment count.
 	Shards int
-	// ProcessParallelism bounds the process-phase worker goroutines per query
-	// (0 = automatic: GOMAXPROCS at optimized levels). Results are identical
-	// at every setting; a server packing many datasets onto one machine may
-	// want 1 so one request's top-k search doesn't monopolize the cores.
-	ProcessParallelism int
 }
 
 // Dataset is one registered table with its store, cache, coalescer, and
@@ -528,9 +523,6 @@ func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config) (
 		client.WithOptLevel(opt),
 		client.WithSeed(cfg.Seed),
 	}
-	if cfg.ProcessParallelism != 0 {
-		sessOpts = append(sessOpts, client.WithProcessParallelism(cfg.ProcessParallelism))
-	}
 	if cfg.Metric != "" {
 		sessOpts = append(sessOpts, client.WithMetric(cfg.Metric))
 	}
@@ -654,23 +646,35 @@ func (r *Registry) Append(name string, rows []dataset.Row) (*Dataset, error) {
 		// append API without client-supplied request IDs.
 		return nil, err
 	}
-	nd, err := newZpackDataset(name, fresh, d.backend, d.cfg)
+	return r.swapSuccessor(d, fresh, w, d.packRetired, func(c *dsCounters) {
+		c.lastAppendNano.Store(nowNano())
+	})
+}
+
+// swapSuccessor builds d's successor around a reopened reader and its
+// writer, under d's name, backend, config and file, and swaps it into the
+// registry. retired becomes the successor's packRetired. note records the
+// caller's counters before the unsorted-segments gauge, which reads them, is
+// refreshed. Callers hold appendMu.
+//
+// Counter continuity: /stats stays exact and monotonic across the swap.
+// HTTP, process and compaction counters are a shared cell (the successor
+// adopts d's), the cache counters are inherited with the dropped entries
+// counted as evictions, and engine counters live in the store and restart
+// with it (documented in OPERATIONS.md).
+func (r *Registry) swapSuccessor(d *Dataset, fresh *zpack.Reader, w *zpack.Writer, retired *zpack.Reader, note func(*dsCounters)) (*Dataset, error) {
+	nd, err := newZpackDataset(d.name, fresh, d.backend, d.cfg)
 	if err != nil {
 		return nil, err
 	}
-	nd.packPath, nd.packRetired = d.packPath, d.packRetired
+	nd.packPath, nd.packRetired = d.packPath, retired
 	nd.packW.Store(w)
-	// Counter continuity: /stats stays exact and monotonic across the swap.
-	// HTTP and process counters are a shared cell (nd adopts d's), the
-	// cache counters are inherited with the dropped entries counted as
-	// evictions, and engine counters live in the store and restart with it
-	// (documented in OPERATIONS.md).
 	nd.ctr = d.ctr
 	nd.cache.InheritStats(d.cache)
-	nd.ctr.lastAppendNano.Store(nowNano())
+	note(nd.ctr)
 	nd.refreshUnsorted()
 	r.mu.Lock()
-	r.datasets[name] = nd
+	r.datasets[d.name] = nd
 	r.mu.Unlock()
 	return nd, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -531,7 +532,8 @@ func TestProcessStatsFlowThroughServer(t *testing.T) {
 	// One process worker keeps the abandoned count deterministic (with a
 	// pool, how many calls abandon depends on how fast the bound tightens
 	// across workers); pruning itself is orthogonal to parallelism.
-	ts, reg := newTestServer(t, Config{ProcessParallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ts, reg := newTestServer(t, Config{})
 	req := QueryRequest{
 		Dataset: "sales",
 		ZQL: `

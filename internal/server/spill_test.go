@@ -46,6 +46,7 @@ func assertOnlyFile(t *testing.T, dir, name string) {
 // directory while it serves or after, and only the columns queries read
 // resident.
 func TestLoadCSVSpills(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "sales.csv")
 	writeCSV(t, csvPath, ledgerTable())
@@ -55,7 +56,7 @@ func TestLoadCSVSpills(t *testing.T) {
 	}
 	script := ledgerScript()
 	for _, shards := range []int{1, 3} {
-		cfg := Config{Backend: "auto", Shards: shards, Seed: 7, ProcessParallelism: 1}
+		cfg := Config{Backend: "auto", Shards: shards, Seed: 7}
 		spilled, inMem := NewRegistry(), NewRegistry()
 		d, err := spilled.LoadCSV("sales", csvPath, cfg)
 		if err != nil {
@@ -114,6 +115,7 @@ func TestLoadCSVSpills(t *testing.T) {
 // CSV is read through /proc/self/fd/N, a directory no process can create a
 // file in, not even root.
 func TestLoadCSVServesFromMemoryWithoutASpill(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
 	if runtime.GOOS != "linux" {
 		t.Skip("needs /proc/self/fd")
 	}
@@ -124,7 +126,7 @@ func TestLoadCSVServesFromMemoryWithoutASpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cfg := Config{Seed: 7, ProcessParallelism: 1}
+	cfg := Config{Seed: 7}
 	inMem, spilled := NewRegistry(), NewRegistry()
 	d, err := inMem.LoadCSV("sales", fmt.Sprintf("/proc/self/fd/%d", f.Fd()), cfg)
 	if err != nil {

@@ -175,9 +175,6 @@ type CensusConfig struct {
 	Seed int64
 }
 
-// DefaultCensus is a laptop-scale stand-in for the 300k-row census data.
-func DefaultCensus() CensusConfig { return CensusConfig{Rows: 100000, Seed: 3} }
-
 // Census generates the census-like table.
 func Census(cfg CensusConfig) *dataset.Table {
 	fields := []dataset.Field{
@@ -246,11 +243,6 @@ type HousingConfig struct {
 	States int
 	Years  int
 	Seed   int64
-}
-
-// DefaultHousing approximates the study's 245k-row table at laptop scale.
-func DefaultHousing() HousingConfig {
-	return HousingConfig{Cities: 200, States: 20, Years: 12, Seed: 4}
 }
 
 // Housing generates the housing table: one row per city per month.

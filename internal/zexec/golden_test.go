@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,6 +82,7 @@ func goldenCases() []goldenCase {
 type goldenVariant struct {
 	name   string
 	opts   func(o *Options)
+	procs  int  // GOMAXPROCS for the run when > 0: the process worker count
 	noPlan bool // pin written conjunct order: the planner-off baseline
 	traced bool // run under a live span tree: tracing must not move a byte
 }
@@ -93,12 +95,11 @@ func goldenVariants() []goldenVariant {
 		{name: "intertask", opts: func(o *Options) { o.Opt = InterTask }},
 		// Force the worker pool on even on one core, and exercise the
 		// pruned/unpruned pair explicitly.
-		{name: "intertask-par4", opts: func(o *Options) { o.Opt = InterTask; o.ProcessParallelism = 4 }},
+		{name: "intertask-par4", opts: func(o *Options) { o.Opt = InterTask }, procs: 4},
 		{name: "intertask-par4-noprune", opts: func(o *Options) {
 			o.Opt = InterTask
-			o.ProcessParallelism = 4
 			o.ProcessNoPrune = true
-		}},
+		}, procs: 4},
 		// The conjunct planner reorders compiled WHERE legs at Prepare time;
 		// running the corpus with it pinned off must still render the same
 		// bytes at both ends of the optimization ladder.
@@ -282,6 +283,9 @@ func TestGoldenCorpus(t *testing.T) {
 				db := backends[backend]
 				for _, gv := range goldenVariants() {
 					t.Run(backend+"/"+gv.name, func(t *testing.T) {
+						if gv.procs > 0 {
+							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gv.procs))
+						}
 						if gv.noPlan {
 							p := db.(engine.Planner)
 							p.SetPlanning(false)

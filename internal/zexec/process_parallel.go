@@ -28,24 +28,12 @@ func (c *processCounters) snapshot() ProcessStats {
 }
 
 // processWorkers is the worker count for one fan-out of n tuples:
-// Options.ProcessParallelism when set, otherwise sequential at NoOpt (the
-// differential oracle) and GOMAXPROCS at every optimized level.
+// sequential at NoOpt (the differential oracle), otherwise up to GOMAXPROCS.
 func (ex *executor) processWorkers(n int) int {
-	w := ex.opts.ProcessParallelism
-	if w <= 0 {
-		if ex.opts.Opt == NoOpt {
-			w = 1
-		} else {
-			w = runtime.GOMAXPROCS(0)
-		}
+	if ex.opts.Opt == NoOpt {
+		return 1
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(n, runtime.GOMAXPROCS(0)))
 }
 
 // topKPrunable reports whether the declaration is an argmin/argmax [k=...]

@@ -2,9 +2,12 @@ package zexec
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/vis"
@@ -25,6 +28,7 @@ f2   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=3] D(f1, f2)
 // checks every result against the sequential oracle. Run under -race (CI
 // does) this is the data-race audit for the parallel tuple evaluator.
 func TestProcessParallelConcurrentRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	db := engine.NewRowStore(fixtureSales())
 	q, err := zql.Parse(similarityTopKSrc)
 	if err != nil {
@@ -52,7 +56,6 @@ func TestProcessParallelConcurrentRuns(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				opts := base
 				opts.Opt = InterTask
-				opts.ProcessParallelism = 4
 				res, err := Run(q, db, opts)
 				if err != nil {
 					t.Errorf("parallel run: %v", err)
@@ -73,6 +76,7 @@ func TestProcessParallelConcurrentRuns(t *testing.T) {
 // recover out there), so the pool must convert it into an error on the Run
 // that owns it.
 func TestProcessWorkerPanicContained(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	db := engine.NewRowStore(fixtureSales())
 	src := `
 NAME | X      | Y       | Z                 | PROCESS
@@ -83,9 +87,8 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=2] boom(f1)
 		t.Fatal(err)
 	}
 	_, err = Run(q, db, Options{
-		Table:              "sales",
-		Opt:                InterTask,
-		ProcessParallelism: 4,
+		Table: "sales",
+		Opt:   InterTask,
 		UserFuncs: map[string]UserFunc{
 			"boom": func([]*vis.Visualization) float64 { panic("kaboom") },
 		},
@@ -102,6 +105,7 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=2] boom(f1)
 // whatever the interleaving, the reported failure is the one at the lowest
 // tuple index — the error the sequential loop surfaces.
 func TestProcessParallelErrorIsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	db := engine.NewRowStore(fixtureSales())
 	src := `
 NAME | X      | Y       | Z                 | PROCESS
@@ -117,9 +121,8 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=2] pick(f1)
 	var mu sync.Mutex
 	calls := 0
 	opts := Options{
-		Table:              "sales",
-		Opt:                InterTask,
-		ProcessParallelism: 4,
+		Table: "sales",
+		Opt:   InterTask,
 		UserFuncs: map[string]UserFunc{
 			"pick": func([]*vis.Visualization) float64 {
 				mu.Lock()
@@ -149,6 +152,7 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=2] pick(f1)
 // must not skip scoring, or errors the sequential oracle surfaces would
 // vanish at optimized levels.
 func TestTopKZeroKeepsOracleErrorBehavior(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	db := engine.NewRowStore(fixtureSales())
 	src := `
 NAME | X      | Y       | Z                 | PROCESS
@@ -171,6 +175,7 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=0] nosuch(f1)
 // selection depend on worker scheduling nor diverge from the sequential
 // oracle — scoreBetter ranks NaN after every number on both paths.
 func TestTopKNaNScoresDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	db := engine.NewRowStore(fixtureSales())
 	src := `
 NAME | X      | Y       | Z                 | PROCESS
@@ -182,9 +187,8 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=3] wobbly(f1)
 	}
 	nan := math.NaN()
 	opts := Options{
-		Table:              "sales",
-		Opt:                InterTask,
-		ProcessParallelism: 4,
+		Table: "sales",
+		Opt:   InterTask,
 		UserFuncs: map[string]UserFunc{
 			"wobbly": func(args []*vis.Visualization) float64 {
 				// NaN for every product whose series is flat, a real score
@@ -199,7 +203,6 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=3] wobbly(f1)
 	}
 	oracleOpts := opts
 	oracleOpts.Opt = NoOpt
-	oracleOpts.ProcessParallelism = 0
 	oracle, err := Run(q, db, oracleOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +215,51 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=3] wobbly(f1)
 		}
 		if got := encodeResult(res); got != want {
 			t.Fatalf("trial %d: NaN-scored top-k diverged from the oracle\n got: %q\nwant: %q", trial, got, want)
+		}
+	}
+}
+
+// TestProcessWorkersFollowLevelAndGOMAXPROCS pins the derived worker count by
+// the user-function calls in flight at once: one at NoOpt whatever the
+// cores, one at Inter-Task on one core, and never more than GOMAXPROCS.
+func TestProcessWorkersFollowLevelAndGOMAXPROCS(t *testing.T) {
+	db := engine.NewRowStore(fixtureSales())
+	q, err := zql.Parse(`
+NAME | X      | Y       | Z                 | PROCESS
+f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmax(v1)[k=2] busy(f1)
+*f2  | 'year' | 'sales' | v2                |`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxInFlight := func(opt OptLevel, procs int) int64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var inFlight, peak atomic.Int64
+		busy := func(args []*vis.Visualization) float64 {
+			n := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond) // let other workers start
+			inFlight.Add(-1)
+			return args[0].Ys()[0]
+		}
+		if _, err := Run(q, db, Options{Table: "sales", Opt: opt, UserFuncs: map[string]UserFunc{"busy": busy}}); err != nil {
+			t.Fatal(err)
+		}
+		return peak.Load()
+	}
+	if got := maxInFlight(NoOpt, 4); got != 1 {
+		t.Errorf("NoOpt at GOMAXPROCS 4: %d calls in flight, want 1", got)
+	}
+	if got := maxInFlight(InterTask, 1); got != 1 {
+		t.Errorf("InterTask at GOMAXPROCS 1: %d calls in flight, want 1", got)
+	}
+	for _, procs := range []int{2, 4} {
+		if got := maxInFlight(InterTask, procs); got < 1 || got > int64(procs) {
+			t.Errorf("InterTask at GOMAXPROCS %d: %d calls in flight, want 1..%d", procs, got, procs)
 		}
 	}
 }

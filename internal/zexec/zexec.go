@@ -93,8 +93,8 @@ func (o OptLevel) String() string {
 // "intraline", "intratask", "intertask", or the short forms "o0".."o3".
 // The level also gates the process phase: O0 keeps tuple evaluation
 // sequential and unpruned — the differential oracle the parallel executor is
-// tested against — while every higher level fans tuples across workers and
-// prunes top-k searches (see Options.ProcessParallelism / ProcessNoPrune).
+// tested against — while every higher level fans tuples across up to
+// GOMAXPROCS workers and prunes top-k searches (see Options.ProcessNoPrune).
 func OptLevelByName(name string) (OptLevel, error) {
 	switch name {
 	case "noopt", "o0":
@@ -129,16 +129,10 @@ type Options struct {
 	// Inputs provides the user-drawn visualizations for -f rows, keyed by
 	// name variable.
 	Inputs map[string]*vis.Visualization
-	// UserFuncs registers user-defined process objectives by name.
+	// UserFuncs registers user-defined process objectives by name. They may
+	// be called from several workers at once and must be safe for
+	// concurrent use (pure functions are).
 	UserFuncs map[string]UserFunc
-	// ProcessParallelism bounds the worker goroutines scoring process-phase
-	// tuples (the D()/T() loops of argmin/argmax/argany tasks). Zero is
-	// automatic: sequential at NoOpt — the differential oracle — and
-	// GOMAXPROCS at every other level. One forces sequential evaluation at
-	// any level. Results are deterministic at every setting. UserFuncs may be
-	// called from several workers at once and must be safe for concurrent
-	// use (pure functions are).
-	ProcessParallelism int
 	// ProcessNoPrune disables the top-k bounded heap and early-abandoning
 	// distance kernels at optimized levels. Pruning never changes results
 	// (the golden corpus pins byte-identical output across levels); the
