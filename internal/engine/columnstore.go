@@ -60,6 +60,7 @@ type colTable struct {
 	zones  map[string]*ZoneData // by column name
 	ranges []*segRange
 	loaded []atomic.Bool // per segment: materialized by a scan of this store
+	gate   ScanGate      // src's, when its loaded blocks can be released; or nil
 }
 
 // segRange is the segment range [lo, hi) one scan job walks, with its share
@@ -92,6 +93,7 @@ func (s *ColumnStore) add(src SegmentSource, cuts []int) {
 		zones:  make(map[string]*ZoneData, t.NumCols()),
 		loaded: make([]atomic.Bool, nseg),
 	}
+	ct.gate, _ = src.(ScanGate)
 	lo := 0
 	for _, c := range append(cuts[:len(cuts):len(cuts)], nseg) {
 		if c < lo || c > nseg {
@@ -344,7 +346,8 @@ type scanJob struct {
 // once (ordering and LIMIT apply there only). Every job runs to completion,
 // a job's panic is contained as its error, and a failed job poisons each of
 // its plans — a plan spanning several ranges takes the lowest failing
-// range's error, deterministically.
+// range's error, deterministically. The batch holds the ScanGate of every
+// table it reads from before the scatter to after the gather.
 func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -355,6 +358,10 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	var jobs []*scanJob
 	for _, grp := range groupPlansByTable(plans) {
 		ct := s.cols[grp.t.Name]
+		if ct.gate != nil {
+			ct.gate.BeginScan()
+			defer ct.gate.EndScan()
+		}
 		s.stats.queries.Add(int64(len(grp.idx)))
 		if s.sharded {
 			for i, r := range ct.ranges {

@@ -13,6 +13,15 @@ import (
 // path allocates little does not collect after every few requests.
 const minChurnBytes = 4 << 20
 
+// idleSweeps is how many consecutive GC cycles a file-backed dataset must go
+// without starting a scan before its loaded blocks go back to the file
+// (zpack.Reader.Sweep). Every request that misses the result cache starts a
+// scan, and the heaviest such request, a task_cold one, allocates about 2.4
+// cycles' worth: a dataset in use never passes 4 cycles without a scan, while
+// one answered from the cache alone (explore_hot, about 1.2 cycles a
+// request) gives its blocks back a few requests in.
+const idleSweeps = 4
+
 // A GCPacer keeps the collector from reserving headroom for the tables a
 // Registry pins. Go grows the heap by GOGC percent of everything live, but a
 // served table is immutable, pointer-free and never becomes garbage; so after
@@ -21,6 +30,11 @@ const minChurnBytes = 4 << 20
 // only what churns. With nothing registered it leaves GOGC as it found it,
 // with GOGC=off or 0 it does nothing at all, and it never touches
 // GOMEMLIMIT. Only a server process starts one: the setting is process-wide.
+//
+// After every cycle it also runs the idle sweep of each dataset served from
+// a file (see idleSweeps). The bytes it counts as pinned stay the tables'
+// whole size whatever is resident: a released block's array stays allocated,
+// so the live heap does not shrink when its pages go back.
 type GCPacer struct {
 	reg  *Registry
 	base int // the process's GOGC when the pacer started
@@ -77,7 +91,18 @@ func (p *GCPacer) onGC() {
 		return
 	}
 	p.pace()
+	p.reg.sweepIdle()
 	p.arm()
+}
+
+// sweepIdle runs one idle sweep of every dataset served from a file and
+// counts the blocks it releases.
+func (r *Registry) sweepIdle() {
+	for _, d := range r.List() {
+		if d.packR != nil {
+			d.ctr.released.Add(int64(d.packR.Sweep(idleSweeps)))
+		}
+	}
 }
 
 // pace sets the GC percent from the live heap the last cycle marked and the

@@ -93,7 +93,7 @@ func newMetrics(reg *Registry) *metrics {
 			emit(float64(d.Table().SizeBytes()))
 		})
 	perDataset("zen_dataset_resident_bytes",
-		"Heap the dataset's loaded column data holds: zpack, the blocks queries have loaded, at memory width; in-memory, the whole table.", "gauge",
+		"Heap the dataset's loaded column data holds: zpack, the blocks in place now, at memory width; in-memory, the whole table.", "gauge",
 		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(d.ResidentBytes()))
 		})
@@ -116,6 +116,11 @@ func newMetrics(reg *Registry) *metrics {
 		"Distinct segments ever materialized (zpack: read from disk).", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.SegmentLoads))
+		})
+	perDataset("zen_blocks_released_total",
+		"Blocks idle sweeps handed back to the file (zpack), read again by the next scan that needs them.", "counter",
+		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
+			emit(float64(s.BlocksReleased))
 		})
 	perDataset("zen_segment_skip_provenance_total",
 		"Segment skips attributed to the (column, metadata kind) that proved them empty.", "counter",

@@ -156,6 +156,10 @@ type dsCounters struct {
 	clusterCol     atomic.Pointer[string]
 	unsortedSegs   atomic.Int64
 	lastAppendNano atomic.Int64
+
+	// released counts the blocks the GC pacer's idle sweeps handed back to
+	// the file, over every generation.
+	released atomic.Int64
 }
 
 // recordProcess folds one execution's process-phase counters into the
@@ -190,8 +194,8 @@ func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
 func (d *Dataset) ShardCount() int { return len(d.store.Stats(d.table.Name).Ranges) }
 
 // ResidentBytes returns the heap the dataset's loaded column data holds: for
-// a zpack dataset the blocks its reader has loaded, at their width in memory
-// (zpack.Reader.ResidentBytes); for an in-memory one the whole table
+// a zpack dataset the blocks its reader has in place now, at their width in
+// memory (zpack.Reader.ResidentBytes); for an in-memory one the whole table
 // (dataset.Table.SizeBytes).
 func (d *Dataset) ResidentBytes() int64 {
 	if d.packR != nil {
@@ -214,12 +218,15 @@ type DatasetStats struct {
 	// scanned; SegmentsScanned are the ones that were actually visited, and
 	// SegmentLoads the distinct segments this store has visited at least once
 	// (for zpack, read from disk then, unless an earlier snapshot of the
-	// append lineage had loaded them).
+	// append lineage had loaded them). BlocksReleased counts the (segment,
+	// column) blocks idle sweeps handed back to the file, to be read again by
+	// the next scan that needs them.
 	Queries         int64         `json:"queries"`
 	RowsScanned     int64         `json:"rowsScanned"`
 	SegmentsScanned int64         `json:"segmentsScanned"`
 	SegmentsSkipped int64         `json:"segmentsSkipped"`
 	SegmentLoads    int64         `json:"segmentLoads,omitempty"`
+	BlocksReleased  int64         `json:"blocksReleased,omitempty"`
 	Cache           CacheStats    `json:"cache"`
 	Coalesce        BatchStats    `json:"coalesce"`
 	Process         ProcessTotals `json:"process"`
@@ -349,6 +356,7 @@ func (d *Dataset) Stats() DatasetStats {
 		SegmentsScanned: st.SegmentsScanned,
 		SegmentsSkipped: st.SegmentsSkipped,
 		SegmentLoads:    st.SegmentLoads,
+		BlocksReleased:  d.ctr.released.Load(),
 		Cache:           d.cache.Stats(),
 		Coalesce:        d.bat.stats(),
 		SkipProvenance:  skipProvenance(st.SkipProvenance),

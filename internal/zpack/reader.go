@@ -45,6 +45,9 @@ type Reader struct {
 	// the rows past this snapshot's length then belong to that successor, so
 	// a second Reopen from here starts cold rather than write them twice.
 	adopted atomic.Bool
+	// gate is the lineage's: shared with every successor that adopts this
+	// Reader's storage (see Release).
+	gate *scanGate
 
 	// read[s] is set once this Reader has read a block of segment s, and
 	// segLoads counts those segments.
@@ -107,6 +110,12 @@ func (l *loadState) hasAll(cols engine.ColumnSet) bool {
 func (l *loadState) mark(j int) {
 	w := &l.loaded[j>>6]
 	w.Store(w.Load() | 1<<(uint(j)&63))
+}
+
+// unmark records column j's block as unloaded again; the caller holds mu.
+func (l *loadState) unmark(j int) {
+	w := &l.loaded[j>>6]
+	w.Store(w.Load() &^ (1 << (uint(j) & 63)))
 }
 
 // Open opens a zpack file, reading its footer and preparing the lazy table.
@@ -187,6 +196,7 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 	}
 	cold := pred == nil || !r.adopt(pred)
 	if cold {
+		r.gate = newScanGate(len(foot.fields))
 		r.table = dataset.NewTable(foot.name, foot.fields)
 		states := newLoadStates(len(foot.segs), len(foot.fields))
 		for s := range states {
@@ -262,8 +272,12 @@ func (pred *Reader) continuedBy(foot *footer) bool {
 }
 
 // adopt makes r the successor of pred over pred's materialised state (see
-// Reopen), reporting false — with r untouched — when r must start cold.
+// Reopen), reporting false — with r untouched — when r must start cold. It
+// holds pred's gate throughout: no block it shares or copies goes back to
+// the file under it.
 func (r *Reader) adopt(pred *Reader) bool {
+	pred.gate.hold()
+	defer pred.gate.mu.RUnlock()
 	if !pred.continuedBy(r.foot) {
 		return false
 	}
@@ -279,6 +293,7 @@ func (r *Reader) adopt(pred *Reader) bool {
 	if !pred.adopted.CompareAndSwap(false, true) {
 		return false
 	}
+	r.gate = pred.gate
 	rows := int(r.foot.nrows)
 	alias := rows <= pred.table.CapRows()
 	r.table = dataset.NewExtended(pred.table, rows, alias)
@@ -421,14 +436,15 @@ func (r *Reader) Zone(col string) *engine.ZoneData { return r.zones[col] }
 // SegmentLoads returns how many segments this Reader has read at least one
 // block of from disk — the observable that proves zone-map-skipped segments
 // were never read, and that segments adopted from a predecessor were not read
-// again.
+// again. A segment counts once: reading its blocks again after a Release
+// does not count.
 func (r *Reader) SegmentLoads() int64 { return r.segLoads.Load() }
 
 // ResidentBytes returns the bytes this snapshot's loaded blocks take in
-// memory: for every (segment, column) block in place, the segment's rows at
-// the column's width in the table. Presized storage no block has been read
+// memory: for every (segment, column) block in place now, the segment's rows
+// at the column's width in the table. Presized storage no block has been read
 // into is not resident: its pages went back to the OS when it was allocated
-// (releaseStorage, on Linux).
+// (releaseStorage, on Linux), or when its block was released (Release).
 func (r *Reader) ResidentBytes() int64 {
 	cols := r.table.Columns()
 	width := make([]int64, len(cols))
@@ -452,9 +468,11 @@ func (r *Reader) ResidentBytes() int64 {
 // Load materializes the blocks of columns cols in segment seg into the
 // table's column storage: each block is read, checksum-verified, and decoded
 // in place. Load is idempotent and safe for concurrent use; the work happens
-// once per block, however many snapshots of the lineage share it. A block
-// that fails to load fails every later Load of it on this Reader; the blocks
-// of other columns still load.
+// once per block in place, however many snapshots of the lineage share it —
+// and once more after each Release that handed the block back. A block that
+// fails to load fails every later Load of it on this Reader; the blocks of
+// other columns still load. What Load brings in stays in place while the
+// caller holds the lineage's gate (BeginScan).
 func (r *Reader) Load(seg int, cols engine.ColumnSet) error {
 	if seg < 0 || seg >= len(r.loads) {
 		return fmt.Errorf("zpack: segment %d out of range (file has %d)", seg, len(r.loads))
@@ -510,10 +528,14 @@ func (r *Reader) fail(seg, j int, err error) error {
 // the raw scan. A load failure must not degrade into silently incomplete
 // enumeration (zeroed segments would just be missing from the distinct set),
 // so it panics with the load error; the ZQL axis-expansion path recovers it
-// into a query error.
+// into a query error. The raw scan reads the column after the hook returns,
+// outside any hold of the gate, so the column is pinned: never released.
 func (r *Reader) ensureColumn(j int) func() {
 	cols := engine.NewColumnSet(len(r.foot.fields), j)
 	return func() {
+		r.gate.hold()
+		defer r.gate.mu.RUnlock()
+		r.gate.pinned[j].Store(true)
 		for s := range r.loads {
 			if err := r.Load(s, cols); err != nil {
 				panic(err)
@@ -524,8 +546,15 @@ func (r *Reader) ensureColumn(j int) func() {
 
 // LoadAll materializes every column of every segment (for use with
 // non-columnar back-ends or full exports), returning the first load error.
+// Its callers read the table outside any scan, so every column is pinned:
+// nothing of the lineage is released after it.
 func (r *Reader) LoadAll() error {
 	r.loadAll.Do(func() {
+		r.gate.hold()
+		defer r.gate.mu.RUnlock()
+		for j := range r.gate.pinned {
+			r.gate.pinned[j].Store(true)
+		}
 		all := engine.AllColumns(len(r.foot.fields))
 		for s := range r.loads {
 			if err := r.Load(s, all); err != nil {

@@ -8,6 +8,10 @@ import (
 
 var pageSize = uintptr(os.Getpagesize())
 
+// canRelease reports whether releasePages gives memory back: a block is
+// only ever released where it does.
+const canRelease = true
+
 // releasePages gives the whole pages inside b back to the OS
 // (madvise(MADV_DONTNEED)): they take no memory until written again, and read
 // as zeros until then. b must be pointer-free storage that holds only zeros,

@@ -37,6 +37,9 @@ type Writer struct {
 	blockDicts [][]int64
 	dirty      bool
 	buf        []byte // one segment's blocks, reused
+	// unnamed is set for a spill, a file unlinked before its first byte:
+	// nothing can read it after a crash, so Flush does not sync it.
+	unnamed bool
 }
 
 // sealedSeg is one committed-side segment: its block index, and its zone maps
@@ -300,7 +303,7 @@ func (w *Writer) writeSegments(t *dataset.Table, n int) ([]sealedSeg, error) {
 
 // Flush commits the current state: the partial tail segment's blocks (if
 // any), then a fresh footer and trailer, are appended at the end of the
-// file and synced. A reader that opened before the flush keeps resolving
+// file and synced (a spill's are not: see unnamed). A reader that opened before the flush keeps resolving
 // its old footer's offsets — nothing it references is overwritten.
 func (w *Writer) Flush() error {
 	if !w.dirty {
@@ -352,8 +355,10 @@ func (w *Writer) Flush() error {
 		return err
 	}
 	w.writeOff = footerOff + int64(len(payload)) + trailerSize
-	if err := w.f.Sync(); err != nil {
-		return err
+	if !w.unnamed {
+		if err := w.f.Sync(); err != nil {
+			return err
+		}
 	}
 	w.dirty = false
 	return nil
@@ -426,8 +431,9 @@ func Build(path string, t *dataset.Table) error {
 // as it is created, and returns a lazy Reader over it: the blocks a scan does
 // not read stay on disk instead of in memory. Only the Reader's descriptor
 // keeps the file alive, so its space is freed at Close or when the process
-// exits, however it exits. A spilled Reader is read-only: it is never
-// appended to, reopened or compacted.
+// exits, however it exits, and it is not synced: nothing can read it after a
+// crash. A spilled Reader is read-only: it is never appended to, reopened or
+// compacted.
 func Spill(t *dataset.Table, dir string) (*Reader, error) {
 	if err := checkSchema(t.Name, t.Fields()); err != nil {
 		return nil, err
@@ -452,6 +458,7 @@ func spill(f *os.File, t *dataset.Table) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.unnamed = true
 	if err := w.AppendTable(t); err != nil {
 		return nil, err
 	}
