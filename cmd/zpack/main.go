@@ -73,19 +73,20 @@ func cmdBuild(args []string) {
 	if *name == "" {
 		*name = strings.TrimSuffix(filepath.Base(*out), ".zpack")
 	}
-	t, err := dataset.ReadCSVFile(*name, fs.Arg(0))
+	// The decoded chunks go to the file as they are: no table is stitched.
+	ch, err := dataset.DecodeCSVFile(*name, fs.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := zpack.Build(*out, t); err != nil {
+	if err := zpack.Build(*out, ch); err != nil {
 		log.Fatal(err)
 	}
 	st, err := os.Stat(*out)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nseg := (t.NumRows() + engine.SegmentSize - 1) / engine.SegmentSize
-	log.Printf("wrote %s: %d rows, %d columns, %d segments, %d bytes", *out, t.NumRows(), t.NumCols(), nseg, st.Size())
+	nseg := (ch.NumRows() + engine.SegmentSize - 1) / engine.SegmentSize
+	log.Printf("wrote %s: %d rows, %d columns, %d segments, %d bytes", *out, ch.NumRows(), len(ch.Fields()), nseg, st.Size())
 }
 
 func cmdAppend(args []string) {

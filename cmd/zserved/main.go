@@ -80,6 +80,11 @@ func main() {
 		return nil
 	})
 	flag.Parse()
+	if *debugAddr == "" {
+		// The pprof handlers are the only reader of heap-profile samples:
+		// without them, sampling would cost memory and time for nothing.
+		runtime.MemProfileRate = 0
+	}
 
 	// Validate the level up front so a typo fails at startup, not at the
 	// first registration.

@@ -10,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -31,19 +30,36 @@ const (
 // ReadCSV loads a table from CSV with a header row. Column kinds are inferred
 // from the first maxSniff data rows: a column is int if every sampled cell
 // parses as int, float if every cell parses as a number, otherwise string.
-//
-// The input streams through in blocks cut at record boundaries, GOMAXPROCS of
-// them decoding at a time, each straight from bytes into typed column chunks
-// with a block-local dictionary; the chunks are then stitched in file order
-// into exact-size columns, so dictionaries come out in first-appearance order
-// whatever the worker count. A newline ends a record only while no quote is
-// open, so from the first block that contains a '"' the rest of the input is
-// decoded sequentially by encoding/csv into chunks of the same kind.
+// It is DecodeCSV's chunks stitched into one table, each column allocated
+// once, exact-size.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	return readCSV(name, r, csvBlockSize)
 }
 
+// DecodeCSV decodes CSV as ReadCSV does and returns the decoded chunks, their
+// dictionaries merged, for a caller that writes the rows somewhere rather
+// than keep them as a table (zpack.Build, zpack.Spill).
+//
+// The input streams through in blocks cut at record boundaries, GOMAXPROCS
+// workers decoding one block each at a time, straight from bytes into typed
+// column chunks with a chunk-local dictionary. The chunks' dictionaries are
+// then merged in file order, so dictionaries come out in first-appearance
+// order whatever the worker count. A newline ends a record only while no
+// quote is open, so from the first block that contains a '"' the rest of the
+// input is decoded sequentially by encoding/csv into chunks of the same kind.
+func DecodeCSV(name string, r io.Reader) (*Chunks, error) {
+	return decodeCSV(name, r, csvBlockSize)
+}
+
 func readCSV(name string, r io.Reader, blockSize int) (*Table, error) {
+	c, err := decodeCSV(name, r, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	return c.Table(), nil
+}
+
+func decodeCSV(name string, r io.Reader, blockSize int) (*Chunks, error) {
 	br := &blockReader{r: r, size: blockSize}
 	ld := &csvLoad{}
 
@@ -66,7 +82,7 @@ func readCSV(name string, r io.Reader, blockSize int) (*Table, error) {
 			if err := ld.sequential(io.MultiReader(bytes.NewReader(head), br.rest())); err != nil {
 				return nil, err
 			}
-			return ld.stitch(name), nil
+			return ld.merge(name), nil
 		}
 		for rest := b; len(rest) > 0; {
 			var line []byte
@@ -80,31 +96,44 @@ func readCSV(name string, r io.Reader, blockSize int) (*Table, error) {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", io.EOF)
 	}
 
-	// A decode task holds one block buffer from start to finish, so the
-	// buffers in circulation bound both the tasks in flight and the memory.
-	bufs := make(chan []byte, runtime.GOMAXPROCS(0))
-	for i := 0; i < cap(bufs); i++ {
+	// A decode job holds one block buffer from start to finish, so the
+	// buffers in circulation bound both the blocks in flight and the memory.
+	procs := runtime.GOMAXPROCS(0)
+	bufs := make(chan []byte, procs)
+	for i := 0; i < procs; i++ {
 		bufs <- nil
 	}
+	type job struct {
+		ch         *csvChunk
+		block, buf []byte
+		rows       int // an upper bound on the block's records
+	}
+	jobs := make(chan job)
 	var (
 		wg     sync.WaitGroup
 		failed atomic.Bool
 		tail   io.Reader // what the sequential decode takes over, if anything
 		rerr   error
 	)
-	decode := func(block, buf []byte) {
-		ch := newChunk(ld.fields, bytes.Count(block, []byte{'\n'})+1)
-		ld.chunks = append(ld.chunks, ch)
+	for i := 0; i < procs; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if ch.decode(block); ch.err != nil {
-				failed.Store(true)
+			d := &csvDecoder{cols: make([]decodedColumn, len(ld.fields))}
+			for jb := range jobs {
+				if jb.ch.decode(d, jb.block, jb.rows); jb.ch.err != nil {
+					failed.Store(true)
+				}
+				bufs <- jb.buf
 			}
-			bufs <- buf
 		}()
 	}
-	decode(body, <-bufs)
+	submit := func(block, buf []byte) {
+		ch := &csvChunk{t: NewTable("", ld.fields)}
+		ld.chunks = append(ld.chunks, ch)
+		jobs <- job{ch, block, buf, bytes.Count(block, []byte{'\n'}) + 1}
+	}
+	submit(body, <-bufs)
 	for !failed.Load() {
 		b, err := br.next(<-bufs)
 		if err != nil {
@@ -117,8 +146,9 @@ func readCSV(name string, r io.Reader, blockSize int) (*Table, error) {
 			tail = io.MultiReader(bytes.NewReader(b), br.rest())
 			break
 		}
-		decode(b, b[:0])
+		submit(b, b[:0])
 	}
+	close(jobs)
 	wg.Wait()
 	// Chunks are in file order and each stops at its first bad row, so the
 	// first failed chunk holds the lowest failing row of the input.
@@ -137,7 +167,7 @@ func readCSV(name string, r io.Reader, blockSize int) (*Table, error) {
 			return nil, err
 		}
 	}
-	return ld.stitch(name), nil
+	return ld.merge(name), nil
 }
 
 // rowError names the 1-based data row a failure belongs to; row counts the
@@ -171,46 +201,13 @@ func newChunk(fields []Field, rows int) *csvChunk {
 	return &csvChunk{t: t}
 }
 
-// stitch concatenates the chunks into the finished table: chunk codes remapped
-// into one dictionary per column in chunk order — which is first-appearance
-// order, because each chunk's dictionary is. The dictionaries are merged
-// first, so every column is allocated once, exact-size, at its final width
-// (or as raw int64s, if an integer column's values turn out too many): no
-// wider intermediate exists.
-func (ld *csvLoad) stitch(name string) *Table {
-	rows := 0
-	for _, ch := range ld.chunks {
-		rows += ch.t.nrows
-	}
-	t := NewTable(name, ld.fields)
-	if rows == 0 {
-		return t
-	}
-	remaps := make([]Remap, len(ld.chunks))
+// merge hands the decoded chunks over, their dictionaries merged.
+func (ld *csvLoad) merge(name string) *Chunks {
+	parts := make([]*Table, len(ld.chunks))
 	for i, ch := range ld.chunks {
-		// A chunk's whole dictionary, in its own order: every entry occurs in
-		// the chunk, first appearances in dictionary order. A raw chunk column
-		// had too many values for the finished one to be anything else.
-		rm := NewRemap(ch.t)
-		for j, c := range t.cols {
-			src := ch.t.cols[j]
-			if c.Field.Kind == KindInt && !src.Coded() {
-				c.SetRawInts()
-			}
-			for sc := range rm.codes[j] {
-				c.resolve(src, int32(sc), rm.codes[j], &rm.left[j])
-			}
-		}
-		remaps[i] = rm
+		parts[i] = ch.t
 	}
-	for _, c := range t.cols {
-		c.allocate(0, rows)
-	}
-	for i, ch := range ld.chunks {
-		t.AppendRange(ch.t, 0, ch.t.nrows, remaps[i])
-		ld.chunks[i] = nil
-	}
-	return t
+	return mergeChunks(name, ld.fields, parts)
 }
 
 // blockReader cuts a stream into blocks that end at a newline.
@@ -228,6 +225,11 @@ type blockReader struct {
 func (br *blockReader) next(buf []byte) ([]byte, error) {
 	if br.eof {
 		return nil, io.EOF
+	}
+	// Room for a carry of a sixteenth of a block besides the read, so that a
+	// recycled buffer is not reallocated for a carry a few bytes longer.
+	if cap(buf) < len(br.carry)+br.size {
+		buf = make([]byte, 0, len(br.carry)+br.size+br.size/16)
 	}
 	buf = append(buf[:0], br.carry...)
 	for {
@@ -298,8 +300,14 @@ func (ld *csvLoad) sniffHead(head []byte) (body []byte) {
 			continue
 		}
 		sn.records++
-		for j, cell := range bytes.Split(line, []byte{','}) {
-			sn.observe(j, string(cell))
+		for j := 0; ; j++ {
+			i := bytes.IndexByte(line, ',')
+			if i < 0 {
+				sn.observe(j, line)
+				break
+			}
+			sn.observe(j, line[:i])
+			line = line[i+1:]
 		}
 	}
 	ld.fields = sn.fields(names)
@@ -317,16 +325,21 @@ func newSniffer(cols int) *sniffer {
 }
 
 // observe takes one cell of the window; cells of an over-long row, which
-// fails the load anyway, are ignored.
-func (sn *sniffer) observe(col int, cell string) {
+// fails the load anyway, are ignored, and so are the tests a column has
+// failed already.
+func (sn *sniffer) observe(col int, cell []byte) {
 	if col >= len(sn.notInt) {
 		return
 	}
-	if _, err := strconv.ParseInt(cell, 10, 64); err != nil {
-		sn.notInt[col] = true
+	if !sn.notInt[col] {
+		if _, err := parseInt(cell); err != nil {
+			sn.notInt[col] = true
+		}
 	}
-	if _, err := strconv.ParseFloat(cell, 64); err != nil {
-		sn.notNum[col] = true
+	if !sn.notNum[col] {
+		if _, err := parseFloat(cell); err != nil {
+			sn.notNum[col] = true
+		}
 	}
 }
 
@@ -345,46 +358,158 @@ func (sn *sniffer) fields(names []string) []Field {
 	return fields
 }
 
-// decode parses a quote-free block of whole records into the chunk, stopping
-// at the first bad row.
-func (ch *csvChunk) decode(block []byte) {
+// csvDecoder is one decode worker's state, kept across the chunks it
+// decodes: per column, what the worker's last chunk ended with.
+type csvDecoder struct {
+	cols []decodedColumn
+}
+
+type decodedColumn struct {
+	short       shortStrings // string columns: the short-value table
+	width, card int          // coded columns: code width and dictionary size
+	// Integer columns: where the dense value index began and how far it
+	// reached, when it stayed dense.
+	base int64
+	span int
+}
+
+// decode parses a quote-free block of at most rows records into the chunk,
+// stopping at the first bad row. Each cell is parsed where it lies, the
+// parse finding its end; only a bad row has its commas counted, so that a
+// record of the wrong arity is reported as such before any cell of it.
+//
+// The chunk's storage starts at the code widths and dictionary sizes the
+// worker's last chunk ended with, so that a chunk seldom widens or regrows.
+// Its string columns' dictionaries are indexed by the worker's short-string
+// tables as well as by their maps: nothing but this decode looks up a value
+// in a chunk.
+func (ch *csvChunk) decode(d *csvDecoder, block []byte, rows int) {
 	cols := ch.t.cols
-	ends := make([]int, 0, len(cols)) // where each cell of the line ends
-	for len(block) > 0 {
-		var line []byte
-		if line, block = nextLine(block); len(line) == 0 {
+	d.allocate(ch.t, rows)
+	for j, c := range cols {
+		dc := &d.cols[j]
+		if c.Field.Kind == KindString {
+			dc.short.reset()
+			c.dict = make([]string, 0, dc.card)
+		} else if c.Coded() {
+			c.ivals = make([]int64, 0, dc.card)
+			if dc.span > 0 {
+				c.ivalIx = intIndex{base: dc.base, dense: make([]int32, dc.span)}
+			}
+		}
+	}
+	defer func() {
+		for j, c := range cols {
+			if dc := &d.cols[j]; c.Coded() {
+				dc.width, dc.card, dc.span = c.codes.Width(), c.Cardinality(), 0
+				if c.Field.Kind == KindString {
+					dc.short.prev = c.dict
+				}
+				if c.Field.Kind == KindInt && c.ivalIx.m == nil {
+					dc.base, dc.span = c.ivalIx.base, len(c.ivalIx.dense)
+				}
+			}
+		}
+	}()
+	last := len(cols) - 1
+	for pos := 0; pos < len(block); {
+		// An empty line is no record.
+		switch {
+		case block[pos] == '\n':
+			pos++
+			continue
+		case block[pos] == '\r' && (pos+1 == len(block) || block[pos+1] == '\n'):
+			pos += 2
 			continue
 		}
-		ends = append(commas(ends[:0], line), len(line))
-		if len(ends) != len(cols) {
-			ch.err = arityError(len(ends), ch.t)
-			return
-		}
-		start := 0
+		start := pos
 		for j, c := range cols {
-			if err := c.appendCell(line[start:ends[j]]); err != nil {
+			// The short cuts inline; anything else is a whole cell for strconv.
+			var (
+				term int
+				err  error
+				ok   bool
+			)
+			switch c.Field.Kind {
+			case KindInt:
+				var v int64
+				if v, term, ok = scanInt(block, pos); ok {
+					if term, ok = numberEnd(block, term); ok {
+						if code, seen := c.ivalIx.lookup(v); seen && !c.rawInts {
+							c.codes.append(code)
+						} else {
+							c.AppendInt(v)
+						}
+					}
+				}
+			case KindFloat:
+				var f float64
+				if f, term, ok = scanFloat(block, pos); ok {
+					if term, ok = numberEnd(block, term); ok {
+						c.floats = append(c.floats, f)
+					}
+				}
+			default:
+				term, ok = d.cols[j].short.appendString(c, block, pos), true
+			}
+			if !ok {
+				var end int
+				end, term = cellEnd(block, pos)
+				err = c.appendCell(block[pos:end])
+			}
+			if lineEnds := term == len(block) || block[term] == '\n'; err != nil || lineEnds != (j == last) {
+				line, _ := nextLine(block[start:])
+				if n := len(commas(nil, line)) + 1; n != len(cols) {
+					err = arityError(n, ch.t)
+				}
 				ch.err = err
 				return
 			}
-			start = ends[j] + 1
+			pos = term + 1
 		}
 		ch.t.nrows++
 	}
 }
 
-// commas appends the offsets of line's commas to ends. Cells are a few bytes
-// long, too short for a vectorised search per cell to pay, so it tests eight
-// bytes at a time: x has a zero byte where line has a comma, and m the top bit
-// of exactly those bytes (the sum cannot carry from one byte into the next).
+// allocate gives t's columns room for rows rows, the coded ones at the code
+// widths the worker's last chunk ended with. The columns of one element type
+// share one allocation: fewer, larger arrays round up less.
+func (d *csvDecoder) allocate(t *Table, rows int) {
+	var n [4]int // one-, two- and four-byte codes; floats
+	for j, c := range t.cols {
+		if c.Coded() {
+			n[max(1, d.cols[j].width)/2]++
+		} else {
+			n[3]++
+		}
+	}
+	u8s, u16s, u32s, floats := make([]uint8, n[0]*rows), make([]uint16, n[1]*rows), make([]uint32, n[2]*rows), make([]float64, n[3]*rows)
+	for j, c := range t.cols {
+		switch {
+		case !c.Coded():
+			c.floats = carve(&floats, rows)
+		case d.cols[j].width == 2:
+			c.codes = Codes{U16: carve(&u16s, rows)}
+		case d.cols[j].width == 4:
+			c.codes = Codes{U32: carve(&u32s, rows)}
+		default:
+			c.codes = Codes{U8: carve(&u8s, rows)}
+		}
+	}
+}
+
+// carve takes an empty slice with room for n off the front of slab.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// commas appends the offsets of line's commas to ends, eight bytes at a time.
 func commas(ends []int, line []byte) []int {
-	const (
-		every = 0x0101010101010101
-		low7  = 0x7f * every
-	)
 	i := 0
 	for ; i+8 <= len(line); i += 8 {
-		x := binary.LittleEndian.Uint64(line[i:]) ^ (',' * every)
-		for m := ^((x&low7 + low7) | x | low7); m != 0; m &= m - 1 {
+		for m := zeroBytes(binary.LittleEndian.Uint64(line[i:]) ^ ','*every); m != 0; m &= m - 1 {
 			ends = append(ends, i+bits.TrailingZeros64(m)/8)
 		}
 	}
@@ -443,7 +568,7 @@ func (ld *csvLoad) sequential(r io.Reader) error {
 			}
 			window = append(window, append([]string(nil), rec...))
 			for j, cell := range rec {
-				sn.observe(j, cell)
+				sn.observe(j, []byte(cell))
 			}
 		}
 		sn.records = len(window)
@@ -493,88 +618,28 @@ func (c *Column) appendCell(cell []byte) error {
 		}
 		c.floats = append(c.floats, f)
 	default:
-		code, ok := c.dictIx[string(cell)] // no allocation: a lookup key only
-		if !ok {
-			code = c.codeFor(string(cell))
-		}
-		c.codes.append(code)
+		c.codes.append(c.codeOf(cell))
 	}
 	return nil
 }
 
-// parseInt is strconv.ParseInt(cell, 10, 64) with a short cut for the cells
-// that cannot overflow: an optional sign and up to 18 digits.
-func parseInt(cell []byte) (int64, error) {
-	digits := cell
-	neg := false
-	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
-		neg, digits = digits[0] == '-', digits[1:]
-	}
-	if len(digits) == 0 || len(digits) > 18 {
-		return strconv.ParseInt(string(cell), 10, 64)
-	}
-	var v int64
-	for _, d := range digits {
-		if d -= '0'; d > 9 {
-			return strconv.ParseInt(string(cell), 10, 64)
-		}
-		v = v*10 + int64(d)
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
-// parseFloat is strconv.ParseFloat(cell, 64) with a short cut for the plain
-// decimals [+-]digits[.digits] whose digits make an integer below 2^53 with
-// at most 22 of them after the point: both that integer and the power of ten
-// are exact float64s, so one IEEE division rounds correctly, which is the
-// value ParseFloat returns too.
-func parseFloat(cell []byte) (float64, error) {
-	digits := cell
-	neg := false
-	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
-		neg, digits = digits[0] == '-', digits[1:]
-	}
-	var mant uint64
-	n, point := 0, -1 // digits seen; how many of them came before the point
-	for _, d := range digits {
-		switch {
-		case d-'0' <= 9:
-			mant = mant*10 + uint64(d-'0')
-			n++
-		case d == '.' && point < 0:
-			point = n
-		default:
-			return strconv.ParseFloat(string(cell), 64)
-		}
-	}
-	if point < 0 {
-		point = n
-	}
-	if n == 0 || n > 19 || mant >= 1<<53 || n-point >= len(pow10) {
-		return strconv.ParseFloat(string(cell), 64)
-	}
-	f := float64(mant) / pow10[n-point]
-	if neg {
-		f = -f
-	}
-	return f, nil
-}
-
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
 // ReadCSVFile loads a table named name from a CSV file on disk.
 func ReadCSVFile(name, path string) (*Table, error) {
+	c, err := DecodeCSVFile(name, path)
+	if err != nil {
+		return nil, err
+	}
+	return c.Table(), nil
+}
+
+// DecodeCSVFile decodes a CSV file on disk into chunks (DecodeCSV).
+func DecodeCSVFile(name, path string) (*Chunks, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadCSV(name, f)
+	return DecodeCSV(name, f)
 }
 
 // WriteCSV serializes the table with a header row.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -320,14 +321,33 @@ func TestParseCellsMatchStrconv(t *testing.T) {
 		"9007199254740991", "9007199254740992", "9007199254740993", "0.9007199254740993",
 		"123456789012345678", "1234567890123456789", "12345678901234567890", "-9223372036854775808",
 		"0.0000000000000000000001", "0.00000000000000000000001", "1e3", "1E3", "0x1p3", "inf", "nan", "1_0",
-		"68.93633004691726", "199.3771418718698", "4.35", "0.1", "0.3", "2.675", "１"}
+		"68.93633004691726", "199.3771418718698", "4.35", "0.1", "0.3", "2.675", "１",
+		// Eisel–Lemire: mantissas from 2^53 to 19 digits, its halfway ties
+		// (2^54+2 lies between 2^54 and 2^54+4) and the exponents it reaches.
+		"9007199254740994", "9007199254740995", "18014398509481986", "18014398509481990", "-18014398509481986",
+		"9223372036854775808", "9999999999999999999", "1000000000000000000", "0.1000000000000000055511151231257827",
+		"0.30000000000000004", "1.7976931348623157", "0.0000000000000000001", "9.999999999999999999",
+		"+.9007199254740993", "-0.000009007199254740993", "99999999999999999.99", "72.95634128475821"}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		switch i % 3 {
+	for i := 0; i < 30000; i++ {
+		switch i % 5 {
 		case 0:
 			cells = append(cells, strconv.FormatFloat(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(30)-15)), 'g', -1, 64))
 		case 1:
 			cells = append(cells, strconv.FormatFloat(float64(rng.Int63n(1<<54))/math.Pow(10, float64(rng.Intn(25))), 'f', -1, 64))
+		case 2:
+			// The benchmark's cells: %.17g of a value in the hundreds.
+			cells = append(cells, strconv.FormatFloat(rng.Float64()*300, 'g', 17, 64))
+		case 3:
+			// A halfway tie between two float64s of 2^e, e in [53, 63), as an
+			// integer of at most 19 digits, with its point put anywhere.
+			e := 53 + rng.Intn(10)
+			tie := uint64(1)<<e + uint64(rng.Int63n(1<<52))<<(e-52) | 1<<(e-53)
+			cell := strconv.FormatUint(tie, 10)
+			if at := rng.Intn(len(cell) + 1); at < len(cell) {
+				cell = cell[:at] + "." + cell[at:]
+			}
+			cells = append(cells, cell)
 		default:
 			cells = append(cells, strconv.FormatInt(rng.Int63()>>uint(rng.Intn(64))*int64(1-2*rng.Intn(2)), 10))
 		}
@@ -398,5 +418,142 @@ func TestReadCSVAllocatesTheTableTwice(t *testing.T) {
 	t.Logf("%d-byte CSV, %d-byte table, %d bytes allocated (limit %d)", buf.Len(), tableBytes, alloc, limit)
 	if alloc >= limit {
 		t.Errorf("loading allocated %d bytes, want under %d: three times the table's %d plus eight blocks", alloc, limit, tableBytes)
+	}
+}
+
+// FuzzParseFloat: arbitrary bytes through parseFloat give strconv.ParseFloat's
+// outcome, the same error text or the same bits.
+func FuzzParseFloat(f *testing.F) {
+	for _, cell := range []string{"68.93633004691726", "199.3771418718698", "248.13639960990096",
+		"9007199254740991", "9007199254740992", "9007199254740993", "1234567890123456789", "12345678901234567890",
+		"9999999999999999999", "10000000000000000000", "18014398509481986", "0.18014398509481986",
+		"-0", "+.5", "5.", ".", "1e3", "0x1p3", "inf", ""} {
+		f.Add([]byte(cell))
+	}
+	f.Fuzz(func(t *testing.T, cell []byte) {
+		g, gerr := parseFloat(cell)
+		w, werr := strconv.ParseFloat(string(cell), 64)
+		if math.Float64bits(g) != math.Float64bits(w) || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("parseFloat(%q) = %v, %v; strconv says %v, %v", cell, g, gerr, w, werr)
+		}
+	})
+}
+
+// TestEiselLemirePowers derives the 128-bit powers of ten from their exact
+// values: each is 10^e scaled by a power of two into [2^127, 2^128), rounded
+// down.
+func TestEiselLemirePowers(t *testing.T) {
+	two127 := new(big.Int).Lsh(big.NewInt(1), 127)
+	for i, got := range pow10Wide {
+		den := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(19-i)), nil)
+		v := new(big.Int)
+		for k := uint(127); v.Quo(new(big.Int).Lsh(big.NewInt(1), k), den).Cmp(two127) < 0; k++ {
+		}
+		lo := new(big.Int).And(v, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+		if hi := new(big.Int).Rsh(v, 64).Uint64(); got != [2]uint64{lo, hi} {
+			t.Errorf("1e-%d: %#x, want %#x", 19-i, got, [2]uint64{lo, hi})
+		}
+	}
+}
+
+// TestDigitRuns pins the eight-at-a-time digit reader to a byte loop, over
+// runs of every length at every offset, stopped by every kind of byte.
+func TestDigitRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(40))
+		for k := range b {
+			if rng.Intn(8) == 0 {
+				b[k] = byte(rng.Intn(256))
+			} else {
+				b[k] = byte('0' + rng.Intn(10))
+			}
+		}
+		start := rng.Intn(len(b) + 1)
+		end, mant, n := digits(b, start, 0, 0)
+		var want uint64
+		k := start
+		for ; k < len(b) && b[k] >= '0' && b[k] <= '9'; k++ {
+			want = want*10 + uint64(b[k]-'0')
+		}
+		if end != k || n != k-start || mant != want {
+			t.Fatalf("digits(%q, %d) = %d, %d, %d; want %d, %d, %d", b, start, end, mant, n, k, want, k-start)
+		}
+	}
+}
+
+// TestDecodeMatchesReferenceOnLongCells holds the block decode to the
+// reference on the cells its short cuts treat specially: %.17g floats (the
+// Eisel–Lemire path), strings either side of 8 and 16 bytes (the short-string
+// table's two words), more distinct strings than the table takes, values that
+// share their first word and length but not their second (a slot of the
+// previous chunk must not lend its string to a different value), and each of
+// them last on a CRLF line.
+func TestDecodeMatchesReferenceOnLongCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	data := rowsCSV("s,f,k", 5000, func(i int) string {
+		s := strings.Repeat("abcdefghij", 2)[:i%19]
+		if i >= 1500 {
+			s = fmt.Sprintf("w%d", i) // 3500 new strings: past a full table
+		}
+		k := fmt.Sprintf("product%04d", rng.Intn(500))
+		row := fmt.Sprintf("%s,%s,%s", s, strconv.FormatFloat(rng.Float64()*300, 'g', 17, 64), k)
+		if i%7 == 0 {
+			row += "\r"
+		}
+		return row
+	})
+	for _, procs := range []int{1, 2} {
+		for _, blockSize := range []int{1, 64, 1000, csvBlockSize} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				if err := checkAgainstReference([]byte(data), blockSize); err != nil {
+					t.Errorf("procs=%d block=%d: %v", procs, blockSize, err)
+				}
+			}()
+		}
+	}
+}
+
+// TestChunkSegmentsMatchTheStitchedTable: every row range Segment returns
+// holds the stitched table's rows at its layouts, over its dictionaries —
+// across chunk edges, a code-width crossing and an integer column going raw
+// between chunks.
+func TestChunkSegmentsMatchTheStitchedTable(t *testing.T) {
+	data := []byte(rowsCSV("s,k,f,r", 6000, func(i int) string {
+		return fmt.Sprintf("s%d,%d,%v,%d", i*7%300, i%9, float64(i)/3, i)
+	}))
+	want, err := readCSV("t", bytes.NewReader(data), csvBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.cols[0].codes.Width() != 2 || !want.cols[3].rawInts || want.cols[1].rawInts {
+		t.Fatalf("the input does not cross a width and go raw")
+	}
+	for _, blockSize := range []int{64, 1000, 20000} {
+		ch, err := decodeCSV("t", bytes.NewReader(data), blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ch.parts) < 2 {
+			t.Fatalf("block %d: %d chunk", blockSize, len(ch.parts))
+		}
+		for _, size := range []int{1, 7, 4096, 6000} {
+			var seg *Table
+			for lo := 0; lo < ch.NumRows(); lo += size {
+				hi := min(lo+size, ch.NumRows())
+				seg = ch.Segment(lo, hi, seg)
+				rows := make([]int, hi-lo)
+				for i := range rows {
+					rows[i] = lo + i
+				}
+				if err := sameTable(seg, want.Gather(rows)); err != nil {
+					t.Fatalf("block %d, rows [%d, %d): %v", blockSize, lo, hi, err)
+				}
+			}
+		}
+		if err := sameTable(ch.Table(), want); err != nil {
+			t.Fatalf("block %d stitched: %v", blockSize, err)
+		}
 	}
 }

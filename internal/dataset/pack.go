@@ -192,28 +192,39 @@ func (p Codes) gathered(rows []int) Codes {
 // appendMapped appends remap[src.At(r)] for each r of [lo, hi). Every code of
 // the range has its translation by now, and the array its final width.
 func (p *Codes) appendMapped(src Codes, lo, hi int, remap []int32) {
+	n := p.Len()
 	switch {
 	case p.U16 != nil:
-		p.U16 = appendMapped(p.U16, src, lo, hi, remap)
+		p.U16 = slices.Grow(p.U16, hi-lo)[:n+hi-lo]
 	case p.U32 != nil:
-		p.U32 = appendMapped(p.U32, src, lo, hi, remap)
+		p.U32 = slices.Grow(p.U32, hi-lo)[:n+hi-lo]
 	default:
-		p.U8 = appendMapped(p.U8, src, lo, hi, remap)
+		p.U8 = slices.Grow(p.U8, hi-lo)[:n+hi-lo]
+	}
+	p.fillMapped(n, src.slice(lo, hi), remap)
+}
+
+// fillMapped writes remap[c] for each code c of src over p's codes from at on.
+func (p Codes) fillMapped(at int, src Codes, remap []int32) {
+	switch {
+	case p.U16 != nil:
+		fillMapped(p.U16[at:], src, remap)
+	case p.U32 != nil:
+		fillMapped(p.U32[at:], src, remap)
+	default:
+		fillMapped(p.U8[at:], src, remap)
 	}
 }
 
-func appendMapped[D Code](dst []D, src Codes, lo, hi int, remap []int32) []D {
-	n := len(dst)
-	dst = slices.Grow(dst, hi-lo)[:n+hi-lo]
+func fillMapped[D Code](dst []D, src Codes, remap []int32) {
 	switch {
 	case src.U16 != nil:
-		mapCodes(dst[n:], src.U16[lo:hi], remap)
+		mapCodes(dst, src.U16, remap)
 	case src.U32 != nil:
-		mapCodes(dst[n:], src.U32[lo:hi], remap)
+		mapCodes(dst, src.U32, remap)
 	default:
-		mapCodes(dst[n:], src.U8[lo:hi], remap)
+		mapCodes(dst, src.U8, remap)
 	}
-	return dst
 }
 
 // mapCodes fills dst with remap[c] for each code c of src.

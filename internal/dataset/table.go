@@ -83,13 +83,19 @@ func (c *Column) AppendString(s string) { c.codes.append(c.codeFor(s)) }
 func (c *Column) codeFor(s string) int32 {
 	code, ok := c.dictIx[s]
 	if !ok {
-		code = int32(len(c.dict))
-		c.dict = append(c.dict, s)
+		code = c.addEntry(s)
 		c.dictIx[s] = code
-		c.dictBytes += len(s)
-		c.codes.fit(len(c.dict))
 	}
 	return code
+}
+
+// addEntry appends s, a value new to the dictionary, and returns its code;
+// indexing it is the caller's business.
+func (c *Column) addEntry(s string) int32 {
+	c.dict = append(c.dict, s)
+	c.dictBytes += len(s)
+	c.codes.fit(len(c.dict))
+	return int32(len(c.dict) - 1)
 }
 
 // AppendInt appends an integer value.

@@ -152,60 +152,66 @@ func (s *memSource) Zone(col string) *ZoneData { return s.zones[col] }
 func (s *memSource) Load(int, ColumnSet) error { return nil }
 
 // ComputeZones builds every column's per-segment zone maps over a fully
-// materialized table. It is the single definition of zone semantics: the
-// in-memory column store uses it at construction and the zpack writer uses
-// it when it writes segments, so the skipping proofs agree byte for byte.
-// Columns are independent, so they run on t.ForEachColumn's goroutines.
+// materialized table, one ColumnZones per column on t.ForEachColumn's
+// goroutines.
 func ComputeZones(t *dataset.Table) map[string]*ZoneData {
-	n := t.NumRows()
-	nseg := (n + SegmentSize - 1) / SegmentSize
 	byCol := make([]*ZoneData, t.NumCols())
-	t.ForEachColumn(func(j int, c *dataset.Column) {
-		z := &ZoneData{}
-		byCol[j] = z
-		if c.Field.Kind == dataset.KindString {
-			markCodes(c, z, nseg)
-			return
-		}
-		z.Min = make([]float64, nseg)
-		z.Max = make([]float64, nseg)
-		z.NaN = make([]bool, nseg)
-		for s := range z.Min {
-			z.Min[s], z.Max[s] = math.Inf(1), math.Inf(-1)
-		}
-		if c.Coded() {
-			// A dictionary-coded int: a segment's extremes are those of the
-			// values of the codes it holds, so no cell is decoded.
-			p := &ZoneData{}
-			markCodes(c, p, nseg)
-			dict := c.IntDict()
-			for s := range z.Min {
-				for w, word := range p.Present[s*p.Words : (s+1)*p.Words] {
-					for ; word != 0; word &= word - 1 {
-						z.note(s, float64(dict[w<<6|bits.TrailingZeros64(word)]))
-					}
-				}
-			}
-			return
-		}
-		vals := newNumReader(c)
-		var rows [SegmentSize]int32
-		var buf [SegmentSize]float64
-		for s := range z.Min {
-			seg := rows[:min(n, (s+1)*SegmentSize)-s*SegmentSize]
-			for i := range seg {
-				seg[i] = int32(s*SegmentSize + i)
-			}
-			for _, v := range vals.gather(seg, buf[:]) {
-				z.note(s, v)
-			}
-		}
-	})
+	t.ForEachColumn(func(j int, c *dataset.Column) { byCol[j] = ColumnZones(c, t.NumRows()) })
 	zones := make(map[string]*ZoneData, t.NumCols())
 	for j, c := range t.Columns() {
 		zones[c.Field.Name] = byCol[j]
 	}
 	return zones
+}
+
+// ColumnZones builds the zone maps of the first n rows of c, one per
+// SegmentSize rows. It is the single definition of zone semantics: the
+// in-memory column store uses it at construction and the zpack writer as it
+// seals each segment, so the skipping proofs agree byte for byte.
+func ColumnZones(c *dataset.Column, n int) *ZoneData {
+	nseg := (n + SegmentSize - 1) / SegmentSize
+	z := &ZoneData{}
+	if c.Field.Kind == dataset.KindString {
+		markCodes(c, z, nseg)
+		return z
+	}
+	z.Min = make([]float64, nseg)
+	z.Max = make([]float64, nseg)
+	z.NaN = make([]bool, nseg)
+	for s := range z.Min {
+		z.Min[s], z.Max[s] = math.Inf(1), math.Inf(-1)
+	}
+	if c.Coded() {
+		// A dictionary-coded int: a segment's extremes are those of the
+		// values of the codes it holds, so no cell is decoded.
+		p := &ZoneData{}
+		markCodes(c, p, nseg)
+		dict := c.IntDict()
+		for s := range z.Min {
+			for w, word := range p.Present[s*p.Words : (s+1)*p.Words] {
+				for ; word != 0; word &= word - 1 {
+					z.note(s, float64(dict[w<<6|bits.TrailingZeros64(word)]))
+				}
+			}
+		}
+		return z
+	}
+	for s := range z.Min {
+		lo, hi := s*SegmentSize, min(n, (s+1)*SegmentSize)
+		if c.Field.Kind == dataset.KindFloat {
+			noteAll(z, s, c.Floats()[lo:hi])
+		} else {
+			noteAll(z, s, c.Ints()[lo:hi])
+		}
+	}
+	return z
+}
+
+// noteAll takes the cells of vals into segment s's numeric zone.
+func noteAll[T int64 | float64](z *ZoneData, s int, vals []T) {
+	for _, v := range vals {
+		z.note(s, float64(v))
+	}
 }
 
 // note takes cell value v into segment s's numeric zone.
@@ -240,8 +246,21 @@ func markCodes(c *dataset.Column, z *ZoneData, nseg int) {
 }
 
 // markPresent sets, per segment, the presence bit of every code that occurs.
+// A dictionary of one word is marked in a register.
 func markPresent[W dataset.Code](codes []W, z *ZoneData) {
-	for i, code := range codes {
-		z.Present[(i/SegmentSize)*z.Words+int(code>>6)] |= 1 << (uint(code) & 63)
+	for s := 0; s*SegmentSize < len(codes); s++ {
+		seg := codes[s*SegmentSize : min(len(codes), (s+1)*SegmentSize)]
+		words := z.Present[s*z.Words : (s+1)*z.Words]
+		if len(words) == 1 {
+			var w uint64
+			for _, code := range seg {
+				w |= 1 << (uint(code) & 63)
+			}
+			words[0] |= w
+			continue
+		}
+		for _, code := range seg {
+			words[code>>6] |= 1 << (uint(code) & 63)
+		}
 	}
 }

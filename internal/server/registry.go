@@ -563,24 +563,25 @@ func (r *Registry) add(d *Dataset) (*Dataset, error) {
 	return d, nil
 }
 
-// LoadCSV registers a CSV file under name. The parsed table is spilled to an
-// unnamed file in the CSV's directory (zpack.Spill) and served from it as a
-// .zpack is, without appends or compaction: only the blocks queries read are
-// resident. Where no spill can be written (a read-only directory, a full
-// disk) the table is served from memory.
+// LoadCSV registers a CSV file under name. The decoded chunks are spilled to
+// an unnamed file in the CSV's directory (zpack.Spill) and served from it as
+// a .zpack is, without appends or compaction: only the blocks queries read
+// are resident, and no table is stitched. Where no spill can be written (a
+// read-only directory, a full disk) the chunks are stitched into a table
+// served from memory.
 func (r *Registry) LoadCSV(name, path string, cfg Config) (*Dataset, error) {
 	backend, err := backendName(cfg.Backend)
 	if err != nil {
 		return nil, err
 	}
-	t, err := dataset.ReadCSVFile(name, path)
+	ch, err := dataset.DecodeCSVFile(name, path)
 	if err != nil {
 		return nil, err
 	}
-	reader, err := zpack.Spill(t, filepath.Dir(path))
+	reader, err := zpack.Spill(ch, filepath.Dir(path))
 	if err != nil {
 		log.Printf("%s: no spill, serving %s from memory: %v", path, name, err)
-		return r.AddTable(t, cfg)
+		return r.AddTable(ch.Table(), cfg)
 	}
 	d, err := newZpackDataset(name, reader, backend, cfg)
 	if err == nil {

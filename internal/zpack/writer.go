@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -36,19 +39,19 @@ type Writer struct {
 	// written so far index; the footer keeps it once the column has gone raw.
 	blockDicts [][]int64
 	dirty      bool
-	buf        []byte // one segment's blocks, reused
 	// unnamed is set for a spill, a file unlinked before its first byte:
 	// nothing can read it after a crash, so Flush does not sync it.
 	unnamed bool
 }
 
 // sealedSeg is one committed-side segment: its block index, and its zone maps
-// as segment at of zones. Categorical presence bitsets are padded to the
-// final dictionary size when the footer is rendered (dictionaries only grow).
+// as segment at of zones, one per column in schema order. Categorical
+// presence bitsets are padded to the final dictionary size when the footer is
+// rendered (dictionaries only grow).
 type sealedSeg struct {
 	rows   int
 	blocks []blockRef
-	zones  map[string]*engine.ZoneData
+	zones  []*engine.ZoneData
 	at     int
 }
 
@@ -142,8 +145,12 @@ func OpenAppend(path string) (*Writer, error) {
 	if nsealed > 0 && foot.segs[nsealed-1].rows < engine.SegmentSize {
 		nsealed--
 	}
+	zones := make([]*engine.ZoneData, len(foot.fields))
+	for j, fd := range foot.fields {
+		zones[j] = foot.zones[fd.Name]
+	}
 	for i, s := range foot.segs[:nsealed] {
-		w.sealed = append(w.sealed, sealedSeg{rows: s.rows, blocks: s.blocks, zones: foot.zones, at: i})
+		w.sealed = append(w.sealed, sealedSeg{rows: s.rows, blocks: s.blocks, zones: zones, at: i})
 	}
 	// The tail carries the file's dictionaries so far, so its codes stay
 	// consistent with every sealed block.
@@ -202,9 +209,8 @@ func (w *Writer) Append(rows []dataset.Row) error {
 }
 
 // AppendTable appends the rows of t (schema must match by arity and kind).
-// Into a file without rows, t's dictionaries become the file's and its full
-// segments are written straight from its arrays — the bulk path Build and
-// compaction take. Other rows fill the tail by column ranges, t's codes
+// Into a file without rows it is the bulk path Build takes, with t as its
+// own one chunk. Other rows fill the tail by column ranges, t's codes
 // translated through one array per column — resolved in row order, so the
 // file's dictionaries grow exactly as Append would grow them.
 func (w *Writer) AppendTable(t *dataset.Table) error {
@@ -216,32 +222,12 @@ func (w *Writer) AppendTable(t *dataset.Table) error {
 			return fmt.Errorf("zpack: table schema does not match file schema at column %q", fd.Name)
 		}
 	}
-	n, lo := t.NumRows(), 0
-	if n == 0 {
-		return nil
-	}
-	w.dirty = true
 	if w.Rows() == 0 {
-		for j, c := range w.tail.Columns() {
-			switch src := t.Columns()[j]; {
-			case c.Field.Kind == dataset.KindString:
-				c.SetDict(src.Dict())
-			case src.Coded():
-				c.SetIntDict(src.IntDict())
-			case c.Field.Kind == dataset.KindInt:
-				c.SetRawInts()
-			}
-		}
-		if lo = n - n%engine.SegmentSize; lo > 0 {
-			recs, err := w.writeSegments(t, lo)
-			if err != nil {
-				return err
-			}
-			w.sealed = append(w.sealed, recs...)
-		}
+		return w.appendChunks(t.Chunks())
 	}
+	w.dirty = w.dirty || t.NumRows() > 0
 	rm := dataset.NewRemap(t)
-	for lo < n {
+	for lo, n := 0, t.NumRows(); lo < n; {
 		hi := min(n, lo+engine.SegmentSize-w.tail.NumRows())
 		w.tail.AppendRange(t, lo, hi, rm)
 		lo = hi
@@ -254,10 +240,44 @@ func (w *Writer) AppendTable(t *dataset.Table) error {
 	return nil
 }
 
+// appendChunks is the bulk path into a file without rows: the chunks' merged
+// dictionaries become the file's, their full segments are sealed straight
+// from them, and the rows past the last full segment fill the tail.
+func (w *Writer) appendChunks(src *dataset.Chunks) error {
+	n := src.NumRows()
+	if n == 0 {
+		return nil
+	}
+	w.dirty = true
+	for j, c := range w.tail.Columns() {
+		switch d := src.Dicts().Columns()[j]; {
+		case c.Field.Kind == dataset.KindString:
+			c.SetDict(d.Dict())
+		case d.Coded():
+			c.SetIntDict(d.IntDict())
+		case c.Field.Kind == dataset.KindInt:
+			c.SetRawInts()
+		}
+	}
+	full := n - n%engine.SegmentSize
+	if full > 0 {
+		recs, err := w.writeSegments(src, full)
+		if err != nil {
+			return err
+		}
+		w.sealed = append(w.sealed, recs...)
+	}
+	if full < n {
+		w.tail.Presize(n - full)
+		src.CopyRows(w.tail, 0, full, n)
+	}
+	return nil
+}
+
 // seal writes the full tail segment's blocks, captures its zone maps, and
 // empties the tail.
 func (w *Writer) seal() error {
-	recs, err := w.writeSegments(w.tail, w.tail.NumRows())
+	recs, err := w.writeSegments(w.tail.Chunks(), w.tail.NumRows())
 	if err != nil {
 		return err
 	}
@@ -266,39 +286,91 @@ func (w *Writer) seal() error {
 	return nil
 }
 
-// writeSegments writes rows [0, n) of t at the end of the file as segments of
-// engine.SegmentSize rows (the last may be partial), one write each, and
-// returns their records. A block is its column's array as memory holds it.
-// The zone maps are engine.ComputeZones(t), the same code the in-memory
-// column store uses, so skipping proofs agree across back-ends.
-func (w *Writer) writeSegments(t *dataset.Table, n int) ([]sealedSeg, error) {
+// writeSegments writes rows [0, n) of src at the end of the file as segments
+// of engine.SegmentSize rows (the last may be partial) and returns their
+// records. Every block's width is known from src's layouts, so so is every
+// segment's offset, and the segments are sealed — their rows remapped into a
+// segment buffer, their zone maps computed, their blocks checksummed and
+// written — on up to GOMAXPROCS workers, in any order.
+func (w *Writer) writeSegments(src *dataset.Chunks, n int) ([]sealedSeg, error) {
 	const size = engine.SegmentSize
-	zones := engine.ComputeZones(t)
+	rowBytes := 0
+	for _, c := range src.Dicts().Columns() {
+		rowBytes += blockWidth(c)
+	}
 	recs := make([]sealedSeg, (n+size-1)/size)
-	for s := range recs {
-		rec := sealedSeg{rows: min(size, n-s*size), blocks: make([]blockRef, t.NumCols()), zones: zones, at: s}
-		w.buf = w.buf[:0]
-		for j, c := range t.Columns() {
-			from := len(w.buf)
-			w.buf = append(w.buf, rowBytes(c, s*size, s*size+rec.rows)...)
-			b := w.buf[from:]
-			if bigEndian {
-				swapWords(b, len(b)/rec.rows)
+	workers := min(runtime.GOMAXPROCS(0), len(recs))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		errs   = make([]error, workers)
+		wg     sync.WaitGroup
+	)
+	for k := 0; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var seg *dataset.Table
+			for s := int(next.Add(1) - 1); s < len(recs) && !failed.Load(); s = int(next.Add(1) - 1) {
+				lo, hi := s*size, min(n, (s+1)*size)
+				seg = src.Segment(lo, hi, seg)
+				off := w.writeOff + int64(lo*rowBytes)
+				end, err := w.sealSegment(seg, off, &recs[s])
+				if err == nil && end != off+int64((hi-lo)*rowBytes) {
+					err = fmt.Errorf("zpack: segment %d is %d bytes, its columns' widths say %d", s, end-off, (hi-lo)*rowBytes)
+				}
+				if err != nil {
+					errs[k] = err
+					failed.Store(true)
+				}
 			}
-			rec.blocks[j] = blockRef{off: w.writeOff + int64(from), len: int64(len(b)), crc: crc32.Checksum(b, castagnoli), enc: uint8(len(b) / rec.rows)}
-		}
-		recs[s] = rec
-		if _, err := w.f.WriteAt(w.buf, w.writeOff); err != nil {
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		w.writeOff += int64(len(w.buf))
 	}
-	for j, c := range t.Columns() {
+	w.writeOff += int64(n * rowBytes)
+	for j, c := range src.Dicts().Columns() {
 		if c.Field.Kind == dataset.KindInt && c.Coded() {
 			w.blockDicts[j] = c.IntDict()
 		}
 	}
 	return recs, nil
+}
+
+// sealSegment writes the blocks of seg, one segment's rows, at off, one after
+// another in column order, fills in its record and returns where its blocks
+// end. A block is its column's array as memory holds it. The zone maps are
+// engine.ColumnZones, the same code the in-memory column store uses, so
+// skipping proofs agree across back-ends.
+func (w *Writer) sealSegment(seg *dataset.Table, off int64, rec *sealedSeg) (int64, error) {
+	rows := seg.NumRows()
+	*rec = sealedSeg{rows: rows, blocks: make([]blockRef, seg.NumCols()), zones: make([]*engine.ZoneData, seg.NumCols())}
+	for j, c := range seg.Columns() {
+		rec.zones[j] = engine.ColumnZones(c, rows)
+		b := rowBytes(c, 0, rows)
+		if bigEndian {
+			b = slices.Clone(b)
+			swapWords(b, len(b)/rows)
+		}
+		rec.blocks[j] = blockRef{off: off, len: int64(len(b)), crc: crc32.Checksum(b, castagnoli), enc: uint8(len(b) / rows)}
+		if _, err := w.f.WriteAt(b, off); err != nil {
+			return off, err
+		}
+		off += int64(len(b))
+	}
+	return off, nil
+}
+
+// blockWidth is the bytes a row of c takes in a block: its array's width.
+func blockWidth(c *dataset.Column) int {
+	if c.Coded() {
+		return c.Codes().Width()
+	}
+	return 8
 }
 
 // Flush commits the current state: the partial tail segment's blocks (if
@@ -311,7 +383,7 @@ func (w *Writer) Flush() error {
 	}
 	records := w.sealed
 	if rows := w.tail.NumRows(); rows > 0 {
-		recs, err := w.writeSegments(w.tail, rows)
+		recs, err := w.writeSegments(w.tail.Chunks(), rows)
 		if err != nil {
 			return err
 		}
@@ -369,13 +441,13 @@ func (w *Writer) Flush() error {
 // dictionary word count.
 func (w *Writer) buildFooterZones(foot *footer, records []sealedSeg) {
 	nseg := len(records)
-	for _, fd := range w.fields {
+	for j, fd := range w.fields {
 		z := &engine.ZoneData{}
 		if fd.Kind == dataset.KindString {
 			z.Words = max(1, (len(foot.dicts[fd.Name])+63)/64)
 			z.Present = make([]uint64, nseg*z.Words)
 			for i, rec := range records {
-				rz := rec.zones[fd.Name]
+				rz := rec.zones[j]
 				copy(z.Present[i*z.Words:(i+1)*z.Words], rz.Present[rec.at*rz.Words:(rec.at+1)*rz.Words])
 			}
 		} else {
@@ -383,7 +455,7 @@ func (w *Writer) buildFooterZones(foot *footer, records []sealedSeg) {
 			z.Max = make([]float64, nseg)
 			z.NaN = make([]bool, nseg)
 			for i, rec := range records {
-				rz := rec.zones[fd.Name]
+				rz := rec.zones[j]
 				z.Min[i], z.Max[i], z.NaN[i] = rz.Min[rec.at], rz.Max[rec.at], rz.NaN[rec.at]
 			}
 		}
@@ -407,15 +479,22 @@ func (w *Writer) Close() error {
 // a failed Append or Flush, then OpenAppend to recover.
 func (w *Writer) Discard() { w.f.Close() }
 
-// Build writes t to a new zpack file at path in one shot — create, the bulk
-// AppendTable, flush, close — with t's dictionaries as the file's. A failed
+// Source is what Build and Spill write: a *dataset.Table, or the chunks a CSV
+// decodes into (dataset.DecodeCSV), which are never stitched into a table.
+type Source interface {
+	Chunks() *dataset.Chunks
+}
+
+// Build writes src to a new zpack file at path in one shot — create, the bulk
+// path, flush, close — with src's merged dictionaries as the file's. A failed
 // build removes what it wrote of the file.
-func Build(path string, t *dataset.Table) error {
-	w, err := Create(path, t.Name, t.Fields())
+func Build(path string, src Source) error {
+	ch := src.Chunks()
+	w, err := Create(path, ch.Name, ch.Fields())
 	if err != nil {
 		return err
 	}
-	if err := w.AppendTable(t); err != nil {
+	if err := w.appendChunks(ch); err != nil {
 		w.Discard()
 		os.Remove(path)
 		return err
@@ -427,22 +506,23 @@ func Build(path string, t *dataset.Table) error {
 	return nil
 }
 
-// Spill writes t, as Build would, to a file in dir that is unlinked as soon
+// Spill writes src, as Build would, to a file in dir that is unlinked as soon
 // as it is created, and returns a lazy Reader over it: the blocks a scan does
 // not read stay on disk instead of in memory. Only the Reader's descriptor
 // keeps the file alive, so its space is freed at Close or when the process
 // exits, however it exits, and it is not synced: nothing can read it after a
 // crash. A spilled Reader is read-only: it is never appended to, reopened or
 // compacted.
-func Spill(t *dataset.Table, dir string) (*Reader, error) {
-	if err := checkSchema(t.Name, t.Fields()); err != nil {
+func Spill(src Source, dir string) (*Reader, error) {
+	ch := src.Chunks()
+	if err := checkSchema(ch.Name, ch.Fields()); err != nil {
 		return nil, err
 	}
 	f, err := os.CreateTemp(dir, ".zpack-spill-*")
 	if err != nil {
 		return nil, err
 	}
-	r, err := spill(f, t)
+	r, err := spill(f, ch)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -450,16 +530,16 @@ func Spill(t *dataset.Table, dir string) (*Reader, error) {
 	return r, nil
 }
 
-func spill(f *os.File, t *dataset.Table) (*Reader, error) {
+func spill(f *os.File, ch *dataset.Chunks) (*Reader, error) {
 	if err := os.Remove(f.Name()); err != nil {
 		return nil, err
 	}
-	w, err := newWriter(f, t.Name, t.Fields())
+	w, err := newWriter(f, ch.Name, ch.Fields())
 	if err != nil {
 		return nil, err
 	}
 	w.unnamed = true
-	if err := w.AppendTable(t); err != nil {
+	if err := w.appendChunks(ch); err != nil {
 		return nil, err
 	}
 	if err := w.Flush(); err != nil {
@@ -469,10 +549,11 @@ func spill(f *os.File, t *dataset.Table) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	// t's own dictionaries rather than the footer's copies of them: the same
-	// values, and a table as big as t whether it spilled or not.
+	// The merged dictionaries rather than the footer's copies of them: the
+	// same values, and a table as big as the stitched one whether it spilled
+	// or not.
 	for j, c := range r.table.Columns() {
-		c.ShareDicts(t.Columns()[j])
+		c.ShareDicts(ch.Dicts().Columns()[j])
 	}
 	r.owns.Store(true)
 	return r, nil
