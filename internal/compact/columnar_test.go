@@ -47,7 +47,7 @@ func refOrder(t *dataset.Table, cols []string) []int {
 		raw := make([]uint64, n)
 		switch c.Field.Kind {
 		case dataset.KindString:
-			dr := DictRanks(c.Dict())
+			dr := dataset.DictRanks(c.Dict())
 			for i := range raw {
 				raw[i] = dr[c.Code(i)]
 			}

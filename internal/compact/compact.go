@@ -294,9 +294,9 @@ func normalizedRanks(c *dataset.Column, n int) ([]uint64, int) {
 		// in dictionary-rank order, no row sort.
 		var ranks []uint64
 		if c.Field.Kind == dataset.KindString {
-			ranks = DictRanks(c.Dict())
+			ranks = dataset.DictRanks(c.Dict())
 		} else {
-			ranks = DictRanks(c.IntDict())
+			ranks = dataset.DictRanks(c.IntDict())
 		}
 		byRank := make([]int32, len(ranks))
 		for code, r := range ranks {
@@ -432,7 +432,7 @@ func Unsorted(r *zpack.Reader, col string) (int, error) {
 	nseg := r.NumSegments()
 	var lohi func(s int) (uint64, uint64)
 	if c.Field.Kind == dataset.KindString {
-		dr := DictRanks(c.Dict())
+		dr := dataset.DictRanks(c.Dict())
 		lohi = func(s int) (uint64, uint64) {
 			lo, hi := uint64(math.MaxUint64), uint64(0)
 			base := s * z.Words

@@ -11,11 +11,7 @@
 // warm restart loads from.
 package compact
 
-import (
-	"cmp"
-	"math"
-	"sort"
-)
+import "math"
 
 // The z-order key encoder. Every column kind maps onto the unsigned 64-bit
 // scale by a monotone rank function; the per-dimension ranks interleave
@@ -41,24 +37,6 @@ func FloatRank(f float64) uint64 {
 		return ^b
 	}
 	return b | (1 << 63)
-}
-
-// DictRanks returns, for each dictionary code of a dictionary-coded column —
-// categorical, or integer over its value dictionary — the rank of its entry
-// in the sorted dictionary: the monotone u64 map for dictionary-encoded
-// values. Codes are insertion-ordered on disk; ranks give the value order
-// zone maps are compared against.
-func DictRanks[T cmp.Ordered](dict []T) []uint64 {
-	codes := make([]int, len(dict))
-	for i := range codes {
-		codes[i] = i
-	}
-	sort.Slice(codes, func(i, j int) bool { return dict[codes[i]] < dict[codes[j]] })
-	ranks := make([]uint64, len(dict))
-	for rank, code := range codes {
-		ranks[code] = uint64(rank)
-	}
-	return ranks
 }
 
 // Interleave packs per-dimension ranks into one z-order key of len(dims)

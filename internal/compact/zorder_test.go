@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestIntRankMonotone: the int64 -> u64 map preserves order over random pairs
@@ -67,7 +69,7 @@ func TestFloatRankMonotone(t *testing.T) {
 // TestDictRanks: ranks are the permutation induced by sorting the dictionary.
 func TestDictRanks(t *testing.T) {
 	dict := []string{"pear", "apple", "zebra", "mango", "apricot"}
-	ranks := DictRanks(dict)
+	ranks := dataset.DictRanks(dict)
 	// Every rank 0..n-1 exactly once.
 	seen := make([]bool, len(dict))
 	for _, r := range ranks {

@@ -472,37 +472,15 @@ func (ch *csvChunk) decode(d *csvDecoder, block []byte, rows int) {
 }
 
 // allocate gives t's columns room for rows rows, the coded ones at the code
-// widths the worker's last chunk ended with. The columns of one element type
-// share one allocation: fewer, larger arrays round up less.
+// widths the worker's last chunk ended with.
 func (d *csvDecoder) allocate(t *Table, rows int) {
-	var n [4]int // one-, two- and four-byte codes; floats
 	for j, c := range t.cols {
 		if c.Coded() {
-			n[max(1, d.cols[j].width)/2]++
+			c.codes = makeCodes(d.cols[j].width, 0, rows)
 		} else {
-			n[3]++
+			c.floats = make([]float64, 0, rows)
 		}
 	}
-	u8s, u16s, u32s, floats := make([]uint8, n[0]*rows), make([]uint16, n[1]*rows), make([]uint32, n[2]*rows), make([]float64, n[3]*rows)
-	for j, c := range t.cols {
-		switch {
-		case !c.Coded():
-			c.floats = carve(&floats, rows)
-		case d.cols[j].width == 2:
-			c.codes = Codes{U16: carve(&u16s, rows)}
-		case d.cols[j].width == 4:
-			c.codes = Codes{U32: carve(&u32s, rows)}
-		default:
-			c.codes = Codes{U8: carve(&u8s, rows)}
-		}
-	}
-}
-
-// carve takes an empty slice with room for n off the front of slab.
-func carve[T any](slab *[]T, n int) []T {
-	s := (*slab)[:0:n]
-	*slab = (*slab)[n:]
-	return s
 }
 
 // commas appends the offsets of line's commas to ends, eight bytes at a time.

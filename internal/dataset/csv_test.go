@@ -329,28 +329,34 @@ func TestParseCellsMatchStrconv(t *testing.T) {
 		"0.30000000000000004", "1.7976931348623157", "0.0000000000000000001", "9.999999999999999999",
 		"+.9007199254740993", "-0.000009007199254740993", "99999999999999999.99", "72.95634128475821"}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 30000; i++ {
-		switch i % 5 {
+	for i := 0; i < 20000; i++ {
+		switch i % 3 {
 		case 0:
 			cells = append(cells, strconv.FormatFloat(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(30)-15)), 'g', -1, 64))
 		case 1:
 			cells = append(cells, strconv.FormatFloat(float64(rng.Int63n(1<<54))/math.Pow(10, float64(rng.Intn(25))), 'f', -1, 64))
-		case 2:
-			// The benchmark's cells: %.17g of a value in the hundreds.
-			cells = append(cells, strconv.FormatFloat(rng.Float64()*300, 'g', 17, 64))
-		case 3:
-			// A halfway tie between two float64s of 2^e, e in [53, 63), as an
-			// integer of at most 19 digits, with its point put anywhere.
-			e := 53 + rng.Intn(10)
-			tie := uint64(1)<<e + uint64(rng.Int63n(1<<52))<<(e-52) | 1<<(e-53)
-			cell := strconv.FormatUint(tie, 10)
-			if at := rng.Intn(len(cell) + 1); at < len(cell) {
-				cell = cell[:at] + "." + cell[at:]
-			}
-			cells = append(cells, cell)
 		default:
 			cells = append(cells, strconv.FormatInt(rng.Int63()>>uint(rng.Intn(64))*int64(1-2*rng.Intn(2)), 10))
 		}
+	}
+	// The Eisel–Lemire path's cells, from a second source so the cells above
+	// stay as they were.
+	rng = rand.New(rand.NewSource(2))
+	for i := 0; i < 20000; i++ {
+		if i%2 == 0 {
+			// The benchmark's cells: %.17g of a value in the hundreds.
+			cells = append(cells, strconv.FormatFloat(rng.Float64()*300, 'g', 17, 64))
+			continue
+		}
+		// A halfway tie between two float64s of 2^e, e in [53, 63), as an
+		// integer of at most 19 digits, with its point put anywhere.
+		e := 53 + rng.Intn(10)
+		tie := uint64(1)<<e + uint64(rng.Int63n(1<<52))<<(e-52) | 1<<(e-53)
+		cell := strconv.FormatUint(tie, 10)
+		if at := rng.Intn(len(cell) + 1); at < len(cell) {
+			cell = cell[:at] + "." + cell[at:]
+		}
+		cells = append(cells, cell)
 	}
 	for _, cell := range cells {
 		gi, gerr := parseInt([]byte(cell))
@@ -512,6 +518,47 @@ func TestDecodeMatchesReferenceOnLongCells(t *testing.T) {
 				}
 			}()
 		}
+	}
+}
+
+// TestShortStringsAcrossTheGenerationWrap: one decode worker's short-string
+// table stays right over chunks whose generation wraps. The first chunk's
+// entries carry the generation the wrap restarts at, so the table must be
+// cleared then. Each chunk shares some values with the one before it, some
+// 16 bytes long with a common first word.
+func TestShortStringsAcrossTheGenerationWrap(t *testing.T) {
+	fields := []Field{{Name: "s", Kind: KindString}}
+	d := &csvDecoder{cols: make([]decodedColumn, 1)}
+	for k := 0; k < 6; k++ {
+		if k == 1 {
+			d.cols[0].short.gen = 1<<27 - 3 // two chunks short of the wrap
+		}
+		var block strings.Builder
+		var want []string
+		for i := 0; i < 60; i++ {
+			v := fmt.Sprintf("v%d", (i*7+k*5)%25)
+			if i%3 == 0 {
+				v = fmt.Sprintf("abcdefgh%08d", (i+k)%9)
+			}
+			want = append(want, v)
+			block.WriteString(v + "\n")
+		}
+		ch := &csvChunk{t: NewTable("", fields)}
+		if ch.decode(d, []byte(block.String()), len(want)); ch.err != nil {
+			t.Fatalf("chunk %d: %v", k, ch.err)
+		}
+		c := ch.t.Columns()[0]
+		if ch.t.NumRows() != len(want) {
+			t.Fatalf("chunk %d: %d rows, want %d", k, ch.t.NumRows(), len(want))
+		}
+		for i, w := range want {
+			if got := c.Value(i).String(); got != w {
+				t.Fatalf("chunk %d (generation %d) row %d: %q, want %q", k, d.cols[0].short.gen, i, got, w)
+			}
+		}
+	}
+	if g := d.cols[0].short.gen; g >= 1<<27-3 {
+		t.Fatalf("generation %d: the table never wrapped", g)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -207,6 +208,22 @@ func (c *Column) Dict() []string { return c.dict }
 // IntDict returns the value dictionary of a Coded integer column (code ->
 // value), in no particular order.
 func (c *Column) IntDict() []int64 { return c.ivals }
+
+// DictRanks returns, for each code of a dictionary whose entries are unique
+// (Dict, IntDict), the rank of its entry in the sorted dictionary: codes
+// compare as their values do when they compare as their ranks.
+func DictRanks[T cmp.Ordered](dict []T) []uint64 {
+	codes := make([]int32, len(dict))
+	for i := range codes {
+		codes[i] = int32(i)
+	}
+	slices.SortFunc(codes, func(a, b int32) int { return cmp.Compare(dict[a], dict[b]) })
+	ranks := make([]uint64, len(dict))
+	for rank, code := range codes {
+		ranks[code] = uint64(rank)
+	}
+	return ranks
+}
 
 // CodeOf returns the dictionary code for s, or -1 if s never occurs.
 func (c *Column) CodeOf(s string) int32 {

@@ -13,10 +13,9 @@ import (
 )
 
 // TestOrderByRanksMatchesStrings: ORDER BY over a categorical column compares
-// dictionary ranks when the dictionary is no larger than the result, and must
-// give the permutation the string comparator gives — on random results with
-// duplicate keys, NaN, DESC and several sort columns, over dictionaries
-// smaller and larger than the result.
+// dictionary ranks, and must give the permutation the string comparator
+// gives — on random results with duplicate keys, NaN, DESC and several sort
+// columns, over dictionaries smaller and larger than the result.
 func TestOrderByRanksMatchesStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 300; iter++ {

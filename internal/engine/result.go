@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"slices"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
@@ -89,7 +88,7 @@ func (r *Result) orderAndLimit(cols []int, order []minisql.OrderItem, limit int)
 	if len(cols) > 0 && r.n > 1 { // so no comparator ever meets the NULL cell
 		cmps := make([]func(a, b int32) int, len(cols))
 		for k, j := range cols {
-			cmps[k] = r.Vecs[j].comparator(r.n)
+			cmps[k] = r.Vecs[j].comparator()
 		}
 		perm = make([]int32, r.n)
 		for i := range perm {
@@ -127,18 +126,15 @@ func pick[T any](src []T, perm []int32, keep int) []T {
 	return gatherRows(src, perm[:keep])
 }
 
-// comparator orders two of n cells the way dataset.Value.Compare does:
-// numerics as float64 (NaN ties with everything), strings lexically. A
-// dictionary no larger than the rows is ranked once, in string order, and
-// cells compare by rank: its entries are unique, so the order is the same.
-func (v *Vector) comparator(n int) func(a, b int32) int {
+// comparator orders two cells the way dataset.Value.Compare does: numerics
+// as float64 (NaN ties with everything), strings lexically. A dictionary is
+// ranked once, in string order, and cells compare by rank: its entries are
+// unique, so the order is the same.
+func (v *Vector) comparator() func(a, b int32) int {
 	switch v.Kind {
 	case dataset.KindString:
 		codes, dict := v.Codes, v.Dict.Dict()
-		if len(dict) > n {
-			return func(a, b int32) int { return strings.Compare(dict[codes[a]], dict[codes[b]]) }
-		}
-		rank := dictRanks(dict)
+		rank := dataset.DictRanks(dict)
 		return func(a, b int32) int { return cmp.Compare(rank[codes[a]], rank[codes[b]]) }
 	case dataset.KindInt:
 		ints := v.Ints
@@ -146,20 +142,6 @@ func (v *Vector) comparator(n int) func(a, b int32) int {
 	}
 	floats := v.Floats
 	return func(a, b int32) int { return orderFloat(floats[a], floats[b]) }
-}
-
-// dictRanks returns each code's position in dict sorted.
-func dictRanks(dict []string) []int32 {
-	order := make([]int32, len(dict))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(dict[a], dict[b]) })
-	rank := make([]int32, len(dict))
-	for r, code := range order {
-		rank[code] = int32(r)
-	}
-	return rank
 }
 
 func orderFloat(a, b float64) int {

@@ -246,21 +246,8 @@ func markCodes(c *dataset.Column, z *ZoneData, nseg int) {
 }
 
 // markPresent sets, per segment, the presence bit of every code that occurs.
-// A dictionary of one word is marked in a register.
 func markPresent[W dataset.Code](codes []W, z *ZoneData) {
-	for s := 0; s*SegmentSize < len(codes); s++ {
-		seg := codes[s*SegmentSize : min(len(codes), (s+1)*SegmentSize)]
-		words := z.Present[s*z.Words : (s+1)*z.Words]
-		if len(words) == 1 {
-			var w uint64
-			for _, code := range seg {
-				w |= 1 << (uint(code) & 63)
-			}
-			words[0] |= w
-			continue
-		}
-		for _, code := range seg {
-			words[code>>6] |= 1 << (uint(code) & 63)
-		}
+	for i, code := range codes {
+		z.Present[(i/SegmentSize)*z.Words+int(code>>6)] |= 1 << (uint(code) & 63)
 	}
 }

@@ -28,8 +28,17 @@ type segMeta struct {
 	blocks []blockRef // schema order, one per column
 }
 
+// encode returns the footer payload, allocated once at its size: a first
+// pass only counts the bytes.
 func (f *footer) encode() []byte {
-	w := &binWriter{b: make([]byte, 0, f.size())}
+	size := &binWriter{}
+	f.write(size)
+	w := &binWriter{b: make([]byte, 0, size.n)}
+	f.write(w)
+	return w.b
+}
+
+func (f *footer) write(w *binWriter) {
 	w.str(f.name)
 	w.u32(uint32(len(f.fields)))
 	for _, fd := range f.fields {
@@ -97,39 +106,6 @@ func (f *footer) encode() []byte {
 			}
 		}
 	}
-	return w.b
-}
-
-// size returns the length of encode's payload, so it is allocated once.
-func (f *footer) size() int {
-	n := 4 + len(f.name) + 4 + 8 + 4
-	for _, fd := range f.fields {
-		n += 4 + len(fd.Name) + 1
-	}
-	for _, s := range f.segs {
-		n += 4 + 21*len(s.blocks)
-	}
-	for _, fd := range f.fields {
-		switch z := f.zones[fd.Name]; fd.Kind {
-		case dataset.KindString:
-			n += 4 + 4 + 8*len(z.Present)
-			for _, s := range f.dicts[fd.Name] {
-				n += 4 + len(s)
-			}
-		case dataset.KindInt:
-			vals, coded := f.intVals[fd.Name]
-			if !coded {
-				vals = f.oldInts[fd.Name]
-			}
-			n += 1 + 17*len(f.segs)
-			if coded || vals != nil {
-				n += 4 + 8*len(vals)
-			}
-		default:
-			n += 17 * len(f.segs)
-		}
-	}
-	return n
 }
 
 // decodeFooter decodes the footer of a file of the given format version.

@@ -96,19 +96,38 @@ func asWords[T any](b []byte) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/int(unsafe.Sizeof(*new(T))))
 }
 
-// binWriter accumulates the footer payload.
-type binWriter struct{ b []byte }
+// binWriter accumulates the footer payload. One without a buffer only
+// counts the bytes in n, so that the payload can be sized by the code that
+// fills it.
+type binWriter struct {
+	b []byte
+	n int
+}
 
-func (w *binWriter) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *binWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *binWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *binWriter) i64(v int64)  { w.u64(uint64(v)) }
+func (w *binWriter) u8(v uint8) {
+	if w.n++; w.b != nil {
+		w.b = append(w.b, v)
+	}
+}
+func (w *binWriter) u32(v uint32) {
+	if w.n += 4; w.b != nil {
+		w.b = binary.LittleEndian.AppendUint32(w.b, v)
+	}
+}
+func (w *binWriter) u64(v uint64) {
+	if w.n += 8; w.b != nil {
+		w.b = binary.LittleEndian.AppendUint64(w.b, v)
+	}
+}
+func (w *binWriter) i64(v int64) { w.u64(uint64(v)) }
 func (w *binWriter) f64(v float64) {
 	w.u64(math.Float64bits(v))
 }
 func (w *binWriter) str(s string) {
 	w.u32(uint32(len(s)))
-	w.b = append(w.b, s...)
+	if w.n += len(s); w.b != nil {
+		w.b = append(w.b, s...)
+	}
 }
 
 // binReader decodes the footer payload with bounds checking; the first

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -77,30 +76,5 @@ func TestBuildFromCSVHoldsTheTableOnce(t *testing.T) {
 	}
 	if got, want := fileSum(t, filepath.Join(dir, "chunks.zpack")), fileSum(t, filepath.Join(dir, "stitched.zpack")); got != want {
 		t.Errorf("the build from chunks is %s, from the stitched table %s", got, want)
-	}
-}
-
-// TestFooterSizeIsExact: the footer payload is allocated once, at the size
-// it encodes to, for files with coded, raw and formerly coded integer
-// columns.
-func TestFooterSizeIsExact(t *testing.T) {
-	const S = 4096
-	for _, tc := range []struct{ rows, wideAt int }{{1, 1 << 30}, {3*S + 7, 1 << 30}, {3*S + 7, S}} {
-		path := filepath.Join(t.TempDir(), "f.zpack")
-		if err := Build(path, mixedTable(tc.rows, int64(tc.rows), tc.wideAt)); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		foot, _, err := readFooter(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b := foot.encode(); len(b) != foot.size() || cap(b) != foot.size() {
-			t.Errorf("%d rows: footer of %d bytes (capacity %d), size says %d", tc.rows, len(b), cap(b), foot.size())
-		}
 	}
 }
