@@ -131,8 +131,8 @@ func main() {
 	}
 	// Every dataset is loaded; /readyz may pass from here on.
 	reg.SetReady(true)
-	pacer := server.StartGCPacer(reg)
-	defer pacer.Stop()
+	sweeper := server.StartIdleSweeper(reg)
+	defer sweeper.Stop()
 
 	if *compactEvery > 0 {
 		var cols []string

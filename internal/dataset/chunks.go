@@ -106,14 +106,15 @@ func (c *Chunks) CopyRows(dst *Table, at, lo, hi int) {
 }
 
 // Table stitches the chunks into one table, every column allocated once,
-// exact-size, at its final layout. From then on c is that table's one chunk.
+// exact-size, at its final layout and off the Go heap. From then on c is that
+// table's one chunk.
 func (c *Chunks) Table() *Table {
 	t := c.dicts
 	if c.remaps == nil || c.rows == 0 {
 		return t
 	}
 	for _, dc := range t.cols {
-		dc.allocate(c.rows, c.rows)
+		dc.allocate(c.rows, c.rows, true)
 	}
 	t.nrows = c.rows
 	c.CopyRows(t, 0, 0, c.rows)
@@ -128,7 +129,7 @@ func (c *Chunks) empty(rows int) *Table {
 	for j, col := range t.cols {
 		col.ShareDicts(c.dicts.cols[j])
 		col.rawInts = c.dicts.cols[j].rawInts
-		col.allocate(rows, rows)
+		col.allocate(rows, rows, false)
 	}
 	t.nrows = rows
 	return t

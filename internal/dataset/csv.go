@@ -196,7 +196,7 @@ type csvChunk struct {
 func newChunk(fields []Field, rows int) *csvChunk {
 	t := NewTable("", fields)
 	for _, c := range t.cols {
-		c.allocate(0, rows)
+		c.allocate(0, rows, false)
 	}
 	return &csvChunk{t: t}
 }
@@ -476,7 +476,7 @@ func (ch *csvChunk) decode(d *csvDecoder, block []byte, rows int) {
 func (d *csvDecoder) allocate(t *Table, rows int) {
 	for j, c := range t.cols {
 		if c.Coded() {
-			c.codes = makeCodes(d.cols[j].width, 0, rows)
+			c.codes, _ = makeCodes(d.cols[j].width, 0, rows, false)
 		} else {
 			c.floats = make([]float64, 0, rows)
 		}

@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // The packed physical form of dictionary-coded columns. A categorical column,
 // and an integer column with at most MaxIntDictCardinality distinct values, is
@@ -86,15 +83,18 @@ func (p Codes) At(i int) int32 {
 }
 
 // makeCodes returns a zeroed array of n codes, width bytes each, with room
-// for capacity.
-func makeCodes(width, n, capacity int) Codes {
+// for capacity, off the Go heap when offHeap is set (newArray).
+func makeCodes(width, n, capacity int, offHeap bool) (Codes, *mapping) {
 	switch width {
 	case 2:
-		return Codes{U16: make([]uint16, n, capacity)}
+		a, m := newArray[uint16](n, capacity, offHeap)
+		return Codes{U16: a}, m
 	case 4:
-		return Codes{U32: make([]uint32, n, capacity)}
+		a, m := newArray[uint32](n, capacity, offHeap)
+		return Codes{U32: a}, m
 	}
-	return Codes{U8: make([]uint8, n, capacity)}
+	a, m := newArray[uint8](n, capacity, offHeap)
+	return Codes{U8: a}, m
 }
 
 func (p *Codes) append(code int32) {
@@ -106,20 +106,6 @@ func (p *Codes) append(code int32) {
 	default:
 		p.U8 = append(p.U8, uint8(code))
 	}
-}
-
-// fit widens the array, if it must, to hold the codes of a dictionary of card
-// entries. Length and capacity in codes carry over, so an append that crosses
-// a width boundary costs one conversion of what is there and appending stays
-// amortised O(1) per cell.
-func (p *Codes) fit(card int) {
-	width := CodeWidth(card)
-	if width <= p.Width() {
-		return
-	}
-	wide := makeCodes(width, p.Len(), p.Cap())
-	wide.Fill(0, *p, math.MaxInt)
-	*p = wide
 }
 
 // Fill copies the codes of src into p from code at on, converting each to p's
@@ -168,14 +154,31 @@ func (p Codes) slice(lo, hi int) Codes {
 }
 
 // extended is extend at the array's own width.
-func (p Codes) extended(n int, alias bool) Codes {
+func (p Codes) extended(n int, alias bool) (Codes, *mapping) {
 	switch {
 	case p.U16 != nil:
-		return Codes{U16: extend(p.U16, n, alias)}
+		a, m := extend(p.U16, n, alias)
+		return Codes{U16: a}, m
 	case p.U32 != nil:
-		return Codes{U32: extend(p.U32, n, alias)}
+		a, m := extend(p.U32, n, alias)
+		return Codes{U32: a}, m
 	}
-	return Codes{U8: extend(p.U8, n, alias)}
+	a, m := extend(p.U8, n, alias)
+	return Codes{U8: a}, m
+}
+
+// movedOffHeap is movedOffHeap at the array's own width.
+func (p Codes) movedOffHeap() (Codes, *mapping) {
+	switch {
+	case p.U16 != nil:
+		a, m := movedOffHeap(p.U16)
+		return Codes{U16: a}, m
+	case p.U32 != nil:
+		a, m := movedOffHeap(p.U32)
+		return Codes{U32: a}, m
+	}
+	a, m := movedOffHeap(p.U8)
+	return Codes{U8: a}, m
 }
 
 // gathered returns a new array of src's codes at rows, in that order.

@@ -30,10 +30,15 @@ type Field struct {
 // (zpack) instead installs the dictionaries, Presizes the storage and fills row
 // ranges in place as segments load, optionally installing an ensure-loaded hook
 // so metadata reads stay correct before the data lands.
+//
+// A served column's array lives off the Go heap (see mem.go): Presize,
+// NewExtended, Chunks.Table and OffHeap put it there, and widening it keeps
+// it there.
 type Column struct {
 	Field Field
 
 	codes Codes
+	mem   *mapping // owns the array when it lives off the Go heap; nil otherwise
 
 	dict      []string
 	dictIx    map[string]int32
@@ -95,7 +100,7 @@ func (c *Column) codeFor(s string) int32 {
 func (c *Column) addEntry(s string) int32 {
 	c.dict = append(c.dict, s)
 	c.dictBytes += len(s)
-	c.codes.fit(len(c.dict))
+	c.fit(len(c.dict))
 	return int32(len(c.dict) - 1)
 }
 
@@ -123,23 +128,39 @@ func (c *Column) codeForInt(v int64) (int32, bool) {
 		code = int32(len(c.ivals))
 		c.ivals = append(c.ivals, v)
 		c.ivalIx.add(v, code)
-		c.codes.fit(len(c.ivals))
+		c.fit(len(c.ivals))
 	}
 	return code, true
 }
 
+// fit widens the column's codes, if it must, to hold the codes of a
+// dictionary of card entries, off the Go heap if they were. Length and
+// capacity in codes carry over, so an append that crosses a width boundary
+// costs one conversion of what is there and appending stays amortised O(1)
+// per cell.
+func (c *Column) fit(card int) {
+	width := CodeWidth(card)
+	if width <= c.codes.Width() {
+		return
+	}
+	wide, m := makeCodes(width, c.codes.Len(), c.codes.Cap(), c.mem != nil)
+	wide.Fill(0, c.codes, math.MaxInt)
+	c.codes, c.mem = wide, m
+}
+
 // SetRawInts makes an integer column raw int64s — decoding what it holds, at
-// the same capacity in rows — and drops the value dictionary. A lazy backing
-// whose metadata carries no dictionary for the column calls it up front.
+// the same capacity in rows and off the Go heap if its codes were — and drops
+// the value dictionary. A lazy backing whose metadata carries no dictionary
+// for the column calls it up front.
 func (c *Column) SetRawInts() {
 	if c.rawInts {
 		return
 	}
-	c.ints = make([]int64, c.codes.Len(), c.codes.Cap())
-	for i := range c.ints {
-		c.ints[i] = c.ivals[c.codes.At(i)]
+	ints, m := newArray[int64](c.codes.Len(), c.codes.Cap(), c.mem != nil)
+	for i := range ints {
+		ints[i] = c.ivals[c.codes.At(i)]
 	}
-	c.rawInts, c.codes, c.ivals, c.ivalIx = true, Codes{}, nil, intIndex{}
+	c.ints, c.mem, c.rawInts, c.codes, c.ivals, c.ivalIx = ints, m, true, Codes{}, nil, intIndex{}
 }
 
 // AppendFloat appends a float value.
@@ -251,30 +272,32 @@ func (c *Column) Cardinality() int {
 }
 
 // allocate replaces the column's storage with n zeroed rows and room for
-// capacity, in the layout and at the width its dictionary asks for so far.
-func (c *Column) allocate(n, capacity int) {
+// capacity, in the layout and at the width its dictionary asks for so far,
+// off the Go heap when offHeap is set.
+func (c *Column) allocate(n, capacity int, offHeap bool) {
 	switch {
 	case c.Coded():
-		c.codes = makeCodes(CodeWidth(c.Cardinality()), n, capacity)
+		c.codes, c.mem = makeCodes(CodeWidth(c.Cardinality()), n, capacity, offHeap)
 	case c.Field.Kind == KindInt:
-		c.ints = make([]int64, n, capacity)
+		c.ints, c.mem = newArray[int64](n, capacity, offHeap)
 	default:
-		c.floats = make([]float64, n, capacity)
+		c.floats, c.mem = newArray[float64](n, capacity, offHeap)
 	}
 }
 
 // extend returns the length-n continuation of a presized array, n >=
 // len(prev). With alias set it is a re-slice of prev's backing array (the
-// caller has checked cap(prev) >= n): holders of prev keep their shorter
-// view, and rows past len(prev) are invisible to them. Otherwise it is fresh
-// zeroed storage with a quarter of headroom — grown like append, so a lineage
+// caller has checked cap(prev) >= n, and shares prev's mapping): holders of
+// prev keep their shorter view, and rows past len(prev) are invisible to
+// them. Otherwise it is fresh zeroed storage off the Go heap, returned with
+// its mapping, with a quarter of headroom — grown like append, so a lineage
 // of small extensions reallocates a logarithmic number of times — and the
 // caller copies over whichever rows of prev it may safely read.
-func extend[T any](prev []T, n int, alias bool) []T {
+func extend[T element](prev []T, n int, alias bool) ([]T, *mapping) {
 	if alias {
-		return prev[:n]
+		return prev[:n], nil
 	}
-	return make([]T, n, n+n/4)
+	return newArray[T](n, n+n/4, true)
 }
 
 // capRows returns how many rows the column's storage can hold in place.
@@ -300,7 +323,7 @@ func (c *Column) SetDict(dict []string) {
 		c.dictIx[s] = int32(i)
 		c.dictBytes += len(s)
 	}
-	c.codes.fit(len(c.dict))
+	c.fit(len(c.dict))
 }
 
 // SetIntDict installs the full value dictionary (distinct values, at most
@@ -312,7 +335,7 @@ func (c *Column) SetIntDict(vals []int64) {
 	for i, v := range c.ivals {
 		c.ivalIx.add(v, int32(i))
 	}
-	c.codes.fit(len(c.ivals))
+	c.fit(len(c.ivals))
 }
 
 // ShareDicts gives c src's dictionaries themselves, values and indexes, not
@@ -365,8 +388,9 @@ func distinctValues[T int64 | float64](keys []T, box func(T) Value) []Value {
 	return out
 }
 
-// SizeBytes returns the heap the column's arrays and dictionaries hold, by
-// capacity. The value-to-code indexes are not counted.
+// SizeBytes returns the memory the column's arrays and dictionaries hold, by
+// capacity, on the Go heap or off it. The value-to-code indexes are not
+// counted.
 func (c *Column) SizeBytes() int64 {
 	const stringHeader = 16
 	return int64(c.codes.Cap()*c.codes.Width() + 8*(cap(c.ints)+cap(c.floats)+cap(c.ivals)) +
@@ -392,15 +416,16 @@ func NewTable(name string, fields []Field) *Table {
 	return t
 }
 
-// Presize gives every column zeroed storage of the given row count, ready to
-// be filled in place by a lazy backing (zpack), which has installed the
-// dictionaries — they decide the code widths — and marked the raw integer
-// columns first. The table reports rows rows immediately; cells read as code
-// zero or zero values until their segment loads. The slice headers never
-// change after this, so readers that captured them observe loaded data.
+// Presize gives every column zeroed storage of the given row count off the
+// Go heap, ready to be filled in place by a lazy backing (zpack), which has
+// installed the dictionaries — they decide the code widths — and marked the
+// raw integer columns first. The table reports rows rows immediately; cells
+// read as code zero or zero values until their segment loads, and a page no
+// segment has been read into takes no memory. The slice headers never change
+// after this, so readers that captured them observe loaded data.
 func (t *Table) Presize(rows int) {
 	for _, c := range t.cols {
-		c.allocate(rows, rows)
+		c.allocate(rows, rows, true)
 	}
 	t.nrows = rows
 }
@@ -408,10 +433,10 @@ func (t *Table) Presize(rows int) {
 // NewExtended creates the rows-row successor of a presized table over the
 // same schema and column layouts (rows >= prev's), each array the extend of
 // prev's: with alias set (the caller has checked prev.CapRows() >= rows) the
-// two tables share backing arrays and differ only in length, otherwise the
-// successor's storage is fresh, with headroom. Dictionaries and hooks are not
-// carried over; the lazy backing installs its own, which must ask for the code
-// widths prev has.
+// two tables share backing arrays and their mappings and differ only in
+// length, otherwise the successor's storage is fresh, off the Go heap, with
+// headroom. Dictionaries and hooks are not carried over; the lazy backing
+// installs its own, which must ask for the code widths prev has.
 func NewExtended(prev *Table, rows int, alias bool) *Table {
 	t := &Table{Name: prev.Name, byName: make(map[string]*Column, len(prev.cols)), nrows: rows}
 	for _, pc := range prev.cols {
@@ -419,11 +444,14 @@ func NewExtended(prev *Table, rows int, alias bool) *Table {
 		c.rawInts = pc.rawInts
 		switch {
 		case c.Coded():
-			c.codes = pc.codes.extended(rows, alias)
+			c.codes, c.mem = pc.codes.extended(rows, alias)
 		case c.Field.Kind == KindInt:
-			c.ints = extend(pc.ints, rows, alias)
+			c.ints, c.mem = extend(pc.ints, rows, alias)
 		default:
-			c.floats = extend(pc.floats, rows, alias)
+			c.floats, c.mem = extend(pc.floats, rows, alias)
+		}
+		if alias {
+			c.mem = pc.mem
 		}
 		t.cols = append(t.cols, c)
 		t.byName[c.Field.Name] = c
@@ -454,14 +482,33 @@ func (t *Table) CapRows() int {
 	return n
 }
 
-// SizeBytes returns the heap the table's column arrays and dictionaries hold
-// (capacity, not length): the one answer to "how big is the table".
+// SizeBytes returns the memory the table's column arrays and dictionaries
+// hold (capacity, not length), on the Go heap or off it: the one answer to
+// "how big is the table".
 func (t *Table) SizeBytes() int64 {
 	var b int64
 	for _, c := range t.cols {
 		b += c.SizeBytes()
 	}
 	return b
+}
+
+// OffHeap moves every column array still on the Go heap into a mapping of
+// its own, at the same length and capacity: what a table built on the heap
+// (a demo dataset, a test's) goes through once before it is served. Nothing
+// may read or write the table meanwhile.
+func (t *Table) OffHeap() {
+	for _, c := range t.cols {
+		switch {
+		case c.mem != nil:
+		case c.Coded():
+			c.codes, c.mem = c.codes.movedOffHeap()
+		case c.Field.Kind == KindInt:
+			c.ints, c.mem = movedOffHeap(c.ints)
+		default:
+			c.floats, c.mem = movedOffHeap(c.floats)
+		}
+	}
 }
 
 // NumRows returns the row count.
@@ -601,7 +648,7 @@ func (t *Table) Gather(rows []int) *Table {
 	out := &Table{Name: t.Name, cols: make([]*Column, len(t.cols)), byName: make(map[string]*Column, len(t.cols)), nrows: len(rows)}
 	t.ForEachColumn(func(j int, c *Column) {
 		g := *c
-		g.ensure, g.codes, g.ints, g.floats = nil, c.codes.gathered(rows), gather(c.ints, rows), gather(c.floats, rows)
+		g.ensure, g.mem, g.codes, g.ints, g.floats = nil, nil, c.codes.gathered(rows), gather(c.ints, rows), gather(c.floats, rows)
 		out.cols[j] = &g
 	})
 	for _, c := range out.cols {

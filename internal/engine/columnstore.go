@@ -458,9 +458,10 @@ func (s *ColumnStore) runJob(ctx context.Context, j *scanJob, plans []*Plan, sp 
 // skip per plan.
 type colEqGroup struct {
 	codes   dataset.Codes
-	route   [][]rowSink   // dictionary code -> sinks that want the row
-	filters []*codeFilter // one per member plan, for per-plan zone tests
-	attrs   []SkipAttr    // parallel to filters, for skip attribution
+	col     *dataset.Column // owns codes: keeps their mapping alive
+	route   [][]rowSink     // dictionary code -> sinks that want the row
+	filters []*codeFilter   // one per member plan, for per-plan zone tests
+	attrs   []SkipAttr      // parallel to filters, for skip attribution
 }
 
 // routeRows feeds each row of [lo, hi) to the sinks its code routes to; route
@@ -514,7 +515,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 			if f, ok := vp.conjs[0].f.(*codeFilter); ok && f.eq >= 0 {
 				g := groupOf[f.col]
 				if g == nil {
-					g = &colEqGroup{codes: f.col.Codes()}
+					g = &colEqGroup{codes: f.col.Codes(), col: f.col}
 					groupOf[f.col] = g
 					groups = append(groups, g)
 				}

@@ -32,15 +32,15 @@ type Plan struct {
 	// never reordered — p.sql must not depend on execution strategy.
 	conjs     []minisql.Expr
 	reordered bool
-	// conjInfo carries the planner's per-conjunct scores in execution order.
-	// It exists purely for observability (EXPLAIN / trace attrs) and never
-	// influences execution.
-	conjInfo []ConjunctInfo
-	cols     []string          // output column names
-	orderCol []int             // per ORDER BY item, its select position
-	selCol   []*dataset.Column // per select item; nil for COUNT(*)
-	keyCol   []*dataset.Column // per GROUP BY key
-	aggCol   []*dataset.Column // per aggregate select item, in order; nil for COUNT(*)
+	// conjScores carries the planner's per-conjunct scores, parallel to
+	// conjs. It exists purely for observability (EXPLAIN / trace attrs) and
+	// never influences execution.
+	conjScores []conjScore
+	cols       []string          // output column names
+	orderCol   []int             // per ORDER BY item, its select position
+	selCol     []*dataset.Column // per select item; nil for COUNT(*)
+	keyCol     []*dataset.Column // per GROUP BY key
+	aggCol     []*dataset.Column // per aggregate select item, in order; nil for COUNT(*)
 }
 
 // newPlan binds q against t, validating every column reference.
@@ -117,12 +117,12 @@ type PlanInfo struct {
 // are reported in written order with Sel = -1.
 func (p *Plan) Info() PlanInfo {
 	info := PlanInfo{SQL: p.sql, Reordered: p.reordered}
-	if len(p.conjInfo) > 0 {
-		info.Conjuncts = p.conjInfo
-	} else {
-		for _, e := range p.conjs {
-			info.Conjuncts = append(info.Conjuncts, ConjunctInfo{SQL: e.SQL(), Sel: -1, Cost: -1})
+	for k, e := range p.conjs {
+		c := ConjunctInfo{SQL: e.SQL(), Sel: -1, Cost: -1}
+		if len(p.conjScores) > 0 {
+			c.Sel, c.Cost = p.conjScores[k].sel, p.conjScores[k].cost
 		}
+		info.Conjuncts = append(info.Conjuncts, c)
 	}
 	return info
 }

@@ -82,7 +82,7 @@ type plannerStats struct {
 }
 
 // newPlannerStats seeds the snapshot with what every store knows for free:
-// the categorical dictionary cardinalities.
+// the cardinality of every dictionary-coded column, categorical or integer.
 func newPlannerStats(t *dataset.Table) *plannerStats {
 	ps := &plannerStats{
 		t:       t,
@@ -90,25 +90,22 @@ func newPlannerStats(t *dataset.Table) *plannerStats {
 		numeric: make(map[string]numStat),
 	}
 	for _, c := range t.Columns() {
-		if c.Field.Kind == dataset.KindString {
+		if c.Coded() {
 			ps.card[c.Field.Name] = c.Cardinality()
 		}
 	}
 	return ps
 }
 
-// addZones folds per-segment zone maps into global numeric envelopes, and
-// adds the cardinalities of the integer value dictionaries. Segments with no rows (or all-NaN rows)
-// contribute the +Inf/-Inf identity and fold away; a column whose every
-// segment is empty keeps no envelope, so its predicates score by defaults.
+// addZones folds per-segment zone maps into global numeric envelopes.
+// Segments with no rows (or all-NaN rows) contribute the +Inf/-Inf identity
+// and fold away; a column whose every segment is empty keeps no envelope, so
+// its predicates score by defaults.
 func (ps *plannerStats) addZones(zones map[string]*ZoneData) {
 	for _, c := range ps.t.Columns() {
 		name := c.Field.Name
 		if c.Field.Kind == dataset.KindString {
 			continue
-		}
-		if c.Coded() {
-			ps.card[name] = c.Cardinality()
 		}
 		z := zones[name]
 		if z == nil || len(z.Min) == 0 {
@@ -363,11 +360,17 @@ func orderConjuncts(ps *plannerStats, conjs []minisql.Expr) (ordered []minisql.E
 	return ordered, changed
 }
 
+// conjScore is what the planner ordered one conjunct by.
+type conjScore struct {
+	sel  float64
+	cost int
+}
+
 // orderConjunctsScored is orderConjuncts plus the per-conjunct audit trail:
 // the selectivity and cost tier each conjunct was ordered by, in the chosen
 // execution order. The scores exist anyway — keeping them is what lets
 // EXPLAIN show why the planner picked the order it picked.
-func orderConjunctsScored(ps *plannerStats, conjs []minisql.Expr) (ordered []minisql.Expr, info []ConjunctInfo, changed bool) {
+func orderConjunctsScored(ps *plannerStats, conjs []minisql.Expr) (ordered []minisql.Expr, scores []conjScore, changed bool) {
 	type scored struct {
 		e    minisql.Expr
 		sel  float64
@@ -396,15 +399,15 @@ func orderConjunctsScored(ps *plannerStats, conjs []minisql.Expr) (ordered []min
 		return ss[i].idx < ss[j].idx
 	})
 	ordered = make([]minisql.Expr, len(ss))
-	info = make([]ConjunctInfo, len(ss))
+	scores = make([]conjScore, len(ss))
 	for k, s := range ss {
 		ordered[k] = s.e
-		info[k] = ConjunctInfo{SQL: s.e.SQL(), Sel: s.sel, Cost: s.cost}
+		scores[k] = conjScore{sel: s.sel, cost: s.cost}
 		if s.idx != k {
 			changed = true
 		}
 	}
-	return ordered, info, changed
+	return ordered, scores, changed
 }
 
 // applyPlanOrder reorders the plan's conjuncts by the greedy score and
@@ -412,8 +415,8 @@ func orderConjunctsScored(ps *plannerStats, conjs []minisql.Expr) (ordered []min
 // tests the cheapest, most selective leg first. The query AST — and with it
 // Plan.SQL(), the result-cache key — is never touched.
 func (p *Plan) applyPlanOrder(ps *plannerStats) error {
-	ordered, info, changed := orderConjunctsScored(ps, p.conjs)
-	p.conjInfo = info
+	ordered, scores, changed := orderConjunctsScored(ps, p.conjs)
+	p.conjScores = scores
 	if !changed {
 		return nil
 	}

@@ -82,6 +82,46 @@ func TestSkipProvenancePostReorder(t *testing.T) {
 	}
 }
 
+// TestPlannerRowStoreRanksCodedInts: the row store has no zone maps, but it
+// knows an integer column's value dictionary: an equality on a column of
+// 1000 distinct values (1/1000) outranks one on a column of 40 (1/40), though
+// it is written second. Without the cardinalities both score the 1/20
+// default and the written order stands.
+func TestPlannerRowStoreRanksCodedInts(t *testing.T) {
+	tb := dataset.NewTable("p", []dataset.Field{
+		{Name: "a", Kind: dataset.KindInt},
+		{Name: "b", Kind: dataset.KindInt},
+	})
+	for i := 0; i < 4000; i++ {
+		tb.AppendRow(dataset.IV(int64(i%40)), dataset.IV(int64(i%1000)))
+	}
+	if !tb.Column("a").Coded() || !tb.Column("b").Coded() {
+		t.Fatal("both integer columns should be dictionary-coded")
+	}
+	q, err := minisql.Parse("SELECT COUNT(*) AS n FROM p WHERE a = 7 AND b = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewRowStore(tb).Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := p.Info()
+	if !info.Reordered || len(info.Conjuncts) != 2 || info.Conjuncts[0].SQL != "b = 7" {
+		t.Fatalf("conjunct order %+v (reordered %v), want b = 7 first", info.Conjuncts, info.Reordered)
+	}
+	if got, want := info.Conjuncts[0].Sel, 1.0/1000; got != want {
+		t.Errorf("b = 7 scored selectivity %v, want 1/1000", got)
+	}
+	res, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Value(0, 0).Int(); got != 4 {
+		t.Errorf("count = %d, want 4", got)
+	}
+}
+
 // TestPlannerTieKeepsWrittenOrder: fully tied conjuncts (same selectivity,
 // cost, provenance) keep written order — the determinism guarantee.
 func TestPlannerTieKeepsWrittenOrder(t *testing.T) {

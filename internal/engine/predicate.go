@@ -20,6 +20,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/dataset"
@@ -240,16 +241,18 @@ func valueTest(e minisql.Expr) func(dataset.Value) bool {
 	panic(fmt.Sprintf("engine: no value test for %T", e))
 }
 
-// over returns the test as a row predicate over a raw numeric column.
+// over returns the test as a row predicate over a raw numeric column. A
+// predicate that reads the column's array keeps the column, and with it the
+// array's mapping, alive.
 func (t cellTest) over(c *dataset.Column) rowPredicate {
 	if t.num == nil {
 		return func(i int) bool { return t.val(c.Value(i)) }
 	}
 	if floats := c.Floats(); c.Field.Kind == dataset.KindFloat {
-		return func(i int) bool { return t.num(floats[i]) }
+		return func(i int) bool { runtime.KeepAlive(c); return t.num(floats[i]) }
 	}
 	ints := c.Ints()
-	return func(i int) bool { return t.num(float64(ints[i])) }
+	return func(i int) bool { runtime.KeepAlive(c); return t.num(float64(ints[i])) }
 }
 
 // members decides the test once per entry of a Coded integer column's value

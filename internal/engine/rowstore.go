@@ -137,7 +137,8 @@ const scanBlock = 4096
 // dominant case for a batch of per-slice queries (WHERE z = '...').
 type eqDispatch struct {
 	codes dataset.Codes
-	route [][]rowSink // dictionary code -> sinks that want the row
+	col   *dataset.Column // owns codes: keeps their mapping alive
+	route [][]rowSink     // dictionary code -> sinks that want the row
 }
 
 // scanShard executes one shared scan of t serving every plan in the shard.
@@ -160,7 +161,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 			if c := t.Column(cmp.Col); c != nil && c.Field.Kind == dataset.KindString {
 				d := byCol[cmp.Col]
 				if d == nil {
-					d = &eqDispatch{codes: c.Codes(), route: make([][]rowSink, c.Cardinality())}
+					d = &eqDispatch{codes: c.Codes(), col: c, route: make([][]rowSink, c.Cardinality())}
 					byCol[cmp.Col] = d
 					dispatches = append(dispatches, d)
 				}

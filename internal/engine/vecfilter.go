@@ -205,6 +205,7 @@ func codeKernel(pc dataset.Codes, code int32, neq bool) func(lo, hi int, bits []
 type numRangeFilter struct {
 	ints   []int64
 	floats []float64
+	col    *dataset.Column // owns ints or floats: keeps their mapping alive
 	zone   *ZoneData
 	lo, hi float64
 }
@@ -237,6 +238,7 @@ func (f *numRangeFilter) eval(lo, hi int, bits []uint64) {
 type numNeFilter struct {
 	ints   []int64
 	floats []float64
+	col    *dataset.Column // owns ints or floats: keeps their mapping alive
 	zone   *ZoneData
 	val    float64
 }
@@ -273,6 +275,7 @@ func (f *numNeFilter) eval(lo, hi int, bits []uint64) {
 type numSetFilter struct {
 	ints           []int64
 	floats         []float64
+	col            *dataset.Column // owns ints or floats: keeps their mapping alive
 	zone           *ZoneData
 	want           map[float64]bool
 	wantLo, wantHi float64
@@ -507,7 +510,7 @@ func memberFilter(c *dataset.Column, member []uint8, zone zoneTest, via string) 
 // column, or nil when its shape has none (mixed-kind comparisons, LIKE).
 func rawNumFilter(c *dataset.Column, zone *ZoneData, e minisql.Expr) vecFilter {
 	numRange := func(lo, hi float64) vecFilter {
-		return &numRangeFilter{ints: c.Ints(), floats: c.Floats(), zone: zone, lo: lo, hi: hi}
+		return &numRangeFilter{ints: c.Ints(), floats: c.Floats(), col: c, zone: zone, lo: lo, hi: hi}
 	}
 	switch x := e.(type) {
 	case *minisql.Between:
@@ -523,7 +526,7 @@ func rawNumFilter(c *dataset.Column, zone *ZoneData, e minisql.Expr) vecFilter {
 		case minisql.CmpEq:
 			return numRange(v, v)
 		case minisql.CmpNe:
-			return &numNeFilter{ints: c.Ints(), floats: c.Floats(), zone: zone, val: v}
+			return &numNeFilter{ints: c.Ints(), floats: c.Floats(), col: c, zone: zone, val: v}
 		case minisql.CmpLt:
 			return numRange(math.Inf(-1), math.Nextafter(v, math.Inf(-1)))
 		case minisql.CmpLe:
@@ -537,6 +540,7 @@ func rawNumFilter(c *dataset.Column, zone *ZoneData, e minisql.Expr) vecFilter {
 		f := &numSetFilter{
 			ints:   c.Ints(),
 			floats: c.Floats(),
+			col:    c,
 			zone:   zone,
 			want:   make(map[float64]bool, len(x.Vals)),
 			wantLo: math.Inf(1),

@@ -186,10 +186,20 @@ func (*Like) isExpr()    {}
 func (*Between) isExpr() {}
 
 func quoteVal(v dataset.Value) string {
-	if v.Kind == dataset.KindString {
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+	var b strings.Builder
+	writeVal(&b, v)
+	return b.String()
+}
+
+// writeVal writes v as a SQL literal: a string quoted, its quotes doubled.
+func writeVal(b *strings.Builder, v dataset.Value) {
+	if v.Kind != dataset.KindString {
+		b.WriteString(v.String())
+		return
 	}
-	return v.String()
+	b.WriteByte('\'')
+	b.WriteString(strings.ReplaceAll(v.S, "'", "''"))
+	b.WriteByte('\'')
 }
 
 // SQL renders the conjunction.
@@ -221,11 +231,17 @@ func (e *Compare) SQL() string {
 
 // SQL renders the IN list.
 func (e *In) SQL() string {
-	parts := make([]string, len(e.Vals))
+	var b strings.Builder
+	b.WriteString(e.Col)
+	b.WriteString(" IN (")
 	for i, v := range e.Vals {
-		parts[i] = quoteVal(v)
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeVal(&b, v)
 	}
-	return fmt.Sprintf("%s IN (%s)", e.Col, strings.Join(parts, ", "))
+	b.WriteByte(')')
+	return b.String()
 }
 
 // SQL renders the LIKE.

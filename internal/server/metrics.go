@@ -88,12 +88,12 @@ func newMetrics(reg *Registry) *metrics {
 		})
 	}
 	perDataset("zen_dataset_table_bytes",
-		"Heap the dataset's column arrays and dictionaries hold (dataset.Table.SizeBytes).", "gauge",
+		"Memory the dataset's column arrays (off the Go heap) and dictionaries (on it) hold (dataset.Table.SizeBytes).", "gauge",
 		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(d.Table().SizeBytes()))
 		})
 	perDataset("zen_dataset_resident_bytes",
-		"Heap the dataset's loaded column data holds: zpack, the blocks in place now, at memory width; in-memory, the whole table.", "gauge",
+		"Memory the dataset's loaded column data holds: zpack, the blocks in place now, at memory width; in-memory, the whole table.", "gauge",
 		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(d.ResidentBytes()))
 		})
@@ -279,8 +279,10 @@ func newMetrics(reg *Registry) *metrics {
 			emit(float64(s.Process.DistAbandoned))
 		})
 	for i, g := range []struct{ name, help, typ, sample string }{
-		{"zen_go_gc_percent", "GC percent in force (GOGC as the pacer sets it; -1 = off).", "gauge", "/gc/gogc:percent"},
+		{"zen_go_gc_percent", "GC percent in force (the process's GOGC; -1 = off).", "gauge", "/gc/gogc:percent"},
 		{"zen_go_heap_live_bytes", "Heap bytes the last GC cycle marked live.", "gauge", "/gc/heap/live:bytes"},
+		{"zen_go_heap_allocs_bytes_total", "Heap bytes allocated since the process started.", "counter", "/gc/heap/allocs:bytes"},
+		{"zen_go_heap_allocs_objects_total", "Heap objects allocated since the process started.", "counter", "/gc/heap/allocs:objects"},
 		{"zen_go_gc_cycles_total", "Completed GC cycles.", "counter", "/gc/cycles/total:gc-cycles"},
 		{"zen_go_gc_cpu_seconds_total", "CPU seconds the collector has spent.", "counter", "/cpu/classes/gc/total:cpu-seconds"},
 	} {

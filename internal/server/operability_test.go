@@ -517,11 +517,15 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	assertAtLeast(`zen_coalesce_submissions_total{dataset="sales"}`, 1)
 	assertAtLeast(`zen_cache_misses_total{dataset="sales"}`, 1)
 	assertAtLeast(`zen_cache_oversize_total{dataset="sales"}`, 1)
-	// The runtime's figures: the test collected before scraping, and no
-	// pacer runs here, so the percent is the process's own GOGC.
+	// The runtime's figures: the test collected before scraping, and
+	// nothing sets the percent, so it is the process's own GOGC. Every live
+	// byte was allocated once, and every object takes a byte at least.
 	assertAtLeast(`zen_go_heap_live_bytes`, 1)
 	assertAtLeast(`zen_go_gc_cycles_total`, 1)
 	assertAtLeast(`zen_go_gc_cpu_seconds_total`, 0)
+	assertAtLeast(`zen_go_heap_allocs_objects_total`, 1)
+	assertAtLeast(`zen_go_heap_allocs_bytes_total`, values[`zen_go_heap_live_bytes`])
+	assertAtLeast(`zen_go_heap_allocs_bytes_total`, values[`zen_go_heap_allocs_objects_total`])
 	if got, want := values[`zen_go_gc_percent`], float64(runtimeInt("/gc/gogc:percent")); got != want {
 		t.Errorf("zen_go_gc_percent = %v, want %v", got, want)
 	}

@@ -157,7 +157,7 @@ type dsCounters struct {
 	unsortedSegs   atomic.Int64
 	lastAppendNano atomic.Int64
 
-	// released counts the blocks the GC pacer's idle sweeps handed back to
+	// released counts the blocks the idle sweeps (IdleSweeper) handed back to
 	// the file, over every generation.
 	released atomic.Int64
 }
@@ -413,7 +413,9 @@ func NewRegistry() *Registry {
 }
 
 // AddTable registers an in-memory table under its own name, building the
-// store, cache, coalescer, and session stack around it.
+// store, cache, coalescer, and session stack around it. The table's arrays
+// move off the Go heap first (dataset.Table.OffHeap), once: the caller hands
+// the table over and builds on it no further.
 func (r *Registry) AddTable(t *dataset.Table, cfg Config) (*Dataset, error) {
 	if t == nil || t.Name == "" {
 		return nil, fmt.Errorf("server: dataset needs a named table")
@@ -422,6 +424,7 @@ func (r *Registry) AddTable(t *dataset.Table, cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.OffHeap()
 	d, err := newDataset(t, columnStore(engine.NewMemSource(t), cfg), backend, cfg)
 	if err != nil {
 		return nil, err
@@ -567,8 +570,8 @@ func (r *Registry) add(d *Dataset) (*Dataset, error) {
 // an unnamed file in the CSV's directory (zpack.Spill) and served from it as
 // a .zpack is, without appends or compaction: only the blocks queries read
 // are resident, and no table is stitched. Where no spill can be written (a
-// read-only directory, a full disk) the chunks are stitched into a table
-// served from memory.
+// read-only directory, a full disk) the chunks are stitched straight into
+// off-heap arrays (dataset.Chunks.Table) and served from memory.
 func (r *Registry) LoadCSV(name, path string, cfg Config) (*Dataset, error) {
 	backend, err := backendName(cfg.Backend)
 	if err != nil {

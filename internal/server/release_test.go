@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -83,43 +82,5 @@ func TestReleaseAtTheFourthIdleSweep(t *testing.T) {
 	}
 	if d.ResidentBytes() != resident {
 		t.Errorf("after reading the blocks again %d bytes resident, want %d", d.ResidentBytes(), resident)
-	}
-}
-
-// TestReleaseLeavesPacerPinned: a release hands pages back but leaves the
-// arrays allocated, so the pacer still pins the table's whole size and sets
-// the percent it set before.
-func TestReleaseLeavesPacerPinned(t *testing.T) {
-	base := int(runtimeInt("/gc/gogc:percent"))
-	if base <= 0 {
-		t.Skipf("GOGC is %d in this process: the pacer leaves it alone", base)
-	}
-	t.Cleanup(func() { debug.SetGCPercent(base) })
-	ts, reg, _ := newZpackServer(t, Config{})
-	d := reg.Get("sales")
-	postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: yearRevenue})
-
-	p := &GCPacer{reg: reg, base: base}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pace()
-	before := p.last
-	if n, ok := d.packR.Release(); !ok || n == 0 {
-		t.Fatalf("Release() = %d, %v", n, ok)
-	}
-	if d.ResidentBytes() != 0 {
-		t.Fatalf("%d bytes resident after the release", d.ResidentBytes())
-	}
-	p.pace()
-	after := p.last
-	table := d.Table().SizeBytes()
-	if before.pinned != table || after.pinned != table {
-		t.Errorf("pinned %d before and %d after the release, want the table's %d both times", before.pinned, after.pinned, table)
-	}
-	if want := gcPercent(base, after.live, table); after.percent != want {
-		t.Errorf("GC percent %d after the release, want gcPercent(%d, %d, %d) = %d", after.percent, base, after.live, table, want)
-	}
-	if after.live == before.live && after.percent != before.percent {
-		t.Errorf("GC percent %d after the release, %d before, over the same live heap", after.percent, before.percent)
 	}
 }

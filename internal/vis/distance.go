@@ -3,7 +3,10 @@ package vis
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+
+	"repro/internal/dataset"
 )
 
 // DistanceFunc measures dissimilarity between two equal-length series.
@@ -205,7 +208,12 @@ func toDistribution(xs []float64) []float64 {
 // a constant series normalizes to all zeros. zenvisage normalizes before
 // comparing so that shape, not magnitude, drives similarity.
 func ZNormalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
+	return zNormalizeInto(make([]float64, len(xs)), xs)
+}
+
+// zNormalizeInto is ZNormalize writing into out, len(out) == len(xs), which
+// may be xs itself.
+func zNormalizeInto(out, xs []float64) []float64 {
 	if len(xs) == 0 {
 		return out
 	}
@@ -221,6 +229,7 @@ func ZNormalize(xs []float64) []float64 {
 	variance /= float64(len(xs))
 	sd := math.Sqrt(variance)
 	if sd < distEps {
+		clear(out)
 		return out
 	}
 	for i, x := range xs {
@@ -232,7 +241,12 @@ func ZNormalize(xs []float64) []float64 {
 // MinMaxNormalize scales the series into [0, 1]; a constant series maps to
 // all 0.5.
 func MinMaxNormalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
+	return minMaxNormalizeInto(make([]float64, len(xs)), xs)
+}
+
+// minMaxNormalizeInto is MinMaxNormalize writing into out, len(out) ==
+// len(xs), which may be xs itself.
+func minMaxNormalizeInto(out, xs []float64) []float64 {
 	if len(xs) == 0 {
 		return out
 	}
@@ -348,7 +362,20 @@ func cutPrefix(s, prefix string) (string, bool) {
 // positionally, resampling the shorter to the longer — the way the
 // front-end's drawing box maps a sketched polyline onto the chart's x-axis.
 func Distance(a, b *Visualization, m Metric) float64 {
-	va, vb := alignedVectors(a, b, m)
+	return new(Scratch).Distance(a, b, m)
+}
+
+// Scratch is the working memory of Distance, DistanceBounded and Trend: the
+// vectors visualizations are aligned and normalized into, kept for the next
+// call. A zero Scratch is ready to use; one serves one goroutine at a time.
+// Its Distance and Trend compute exactly what the package functions do.
+type Scratch struct {
+	ya, yb, ra, rb []float64
+}
+
+// Distance is the package Distance over s's vectors.
+func (s *Scratch) Distance(a, b *Visualization, m Metric) float64 {
+	va, vb := s.alignedVectors(a, b, m)
 	return m.Fn(va, vb)
 }
 
@@ -358,17 +385,23 @@ func Distance(a, b *Visualization, m Metric) float64 {
 // exactly the bits Distance would — the guarantee that lets the top-k
 // process executor prune without changing results. Metrics without a bounded
 // kernel fall back to the full computation.
-func DistanceBounded(a, b *Visualization, m Metric, bound float64) (float64, bool) {
-	va, vb := alignedVectors(a, b, m)
+func (s *Scratch) DistanceBounded(a, b *Visualization, m Metric, bound float64) (float64, bool) {
+	va, vb := s.alignedVectors(a, b, m)
 	if m.Bounded == nil || math.IsInf(bound, 1) {
 		return m.Fn(va, vb), false
 	}
 	return m.Bounded(va, vb, bound)
 }
 
+// Trend is the package Trend over s's vectors.
+func (s *Scratch) Trend(v *Visualization) float64 {
+	s.ya = v.appendYs(s.ya[:0])
+	return trendOf(minMaxNormalizeInto(s.ya, s.ya))
+}
+
 // alignedVectors aligns and normalizes the two visualizations the way
-// Distance documents.
-func alignedVectors(a, b *Visualization, m Metric) ([]float64, []float64) {
+// Distance documents, into s's vectors.
+func (s *Scratch) alignedVectors(a, b *Visualization, m Metric) ([]float64, []float64) {
 	var va, vb []float64
 	if sameSortedDomain(a, b) {
 		// Identical ordered x sequences — the overwhelmingly common case for
@@ -376,20 +409,19 @@ func alignedVectors(a, b *Visualization, m Metric) ([]float64, []float64) {
 		// same group-by domain. Their y series already are the vectors the
 		// map-based union below would produce, at a fraction of the cost;
 		// this is the alignment half of the distance hot path.
-		va, vb = a.Ys(), b.Ys()
+		s.ya, s.yb = a.appendYs(s.ya[:0]), b.appendYs(s.yb[:0])
+		va, vb = s.ya, s.yb
 	} else if disjointDomains(a, b) {
-		va, vb = a.Ys(), b.Ys()
-		n := len(va)
-		if len(vb) > n {
-			n = len(vb)
-		}
-		va, vb = Resample(va, n), Resample(vb, n)
+		s.ya, s.yb = a.appendYs(s.ya[:0]), b.appendYs(s.yb[:0])
+		n := max(len(s.ya), len(s.yb))
+		s.ra, s.rb = resampleInto(s.ra[:0], s.ya, n), resampleInto(s.rb[:0], s.yb, n)
+		va, vb = s.ra, s.rb
 	} else {
 		domain := Domain([]*Visualization{a, b})
 		va, vb = a.Vector(domain), b.Vector(domain)
 	}
 	if m.Normalize {
-		va, vb = ZNormalize(va), ZNormalize(vb)
+		va, vb = zNormalizeInto(va, va), zNormalizeInto(vb, vb)
 	}
 	return va, vb
 }
@@ -416,9 +448,16 @@ func sameSortedDomain(a, b *Visualization) bool {
 }
 
 // disjointDomains reports whether the two visualizations share no x value.
+// Integer x values whose ranges do not overlap — a drawn trend at 0..n
+// against years — answer without building the set of renderings.
 func disjointDomains(a, b *Visualization) bool {
 	if len(a.Points) == 0 || len(b.Points) == 0 {
 		return false
+	}
+	if alo, ahi, ok := intRange(a); ok {
+		if blo, bhi, ok := intRange(b); ok && (ahi < blo || bhi < alo) {
+			return true
+		}
 	}
 	seen := make(map[string]bool, len(a.Points))
 	for _, p := range a.Points {
@@ -432,13 +471,32 @@ func disjointDomains(a, b *Visualization) bool {
 	return true
 }
 
+// intRange returns the least and greatest x value of v, when every one is an
+// integer.
+func intRange(v *Visualization) (lo, hi int64, ok bool) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, p := range v.Points {
+		if p.X.Kind != dataset.KindInt {
+			return 0, 0, false
+		}
+		lo, hi = min(lo, p.X.I), max(hi, p.X.I)
+	}
+	return lo, hi, true
+}
+
 // Resample linearly interpolates the series to n points, preserving its
 // endpoints and shape.
 func Resample(ys []float64, n int) []float64 {
+	return resampleInto(nil, ys, n)
+}
+
+// resampleInto is Resample into dst's storage, grown to n; dst does not
+// overlap ys.
+func resampleInto(dst, ys []float64, n int) []float64 {
 	if n <= 0 || len(ys) == 0 {
 		return nil
 	}
-	out := make([]float64, n)
+	out := slices.Grow(dst, n)[:n]
 	if len(ys) == 1 || n == 1 {
 		for i := range out {
 			out[i] = ys[0]
@@ -462,7 +520,11 @@ func Resample(ys []float64, n int) []float64 {
 // Trend is T(f): the slope of the least-squares line fit to the normalized
 // series against equally spaced x positions. Positive means "growth".
 func Trend(v *Visualization) float64 {
-	ys := MinMaxNormalize(v.Ys())
+	return trendOf(MinMaxNormalize(v.Ys()))
+}
+
+// trendOf is Trend over the normalized series.
+func trendOf(ys []float64) float64 {
 	n := len(ys)
 	if n < 2 {
 		return 0

@@ -8,7 +8,6 @@
 package vis
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -57,15 +56,24 @@ func (v *Visualization) Key() string {
 
 // Label renders a short human-readable title like "sales vs year [product=chair]".
 func (v *Visualization) Label() string {
+	n := len(v.YAttr) + len(" vs ") + len(v.XAttr) + len(" []")
+	for _, s := range v.Slices {
+		n += len(s.Attr) + len("=, ") + len(s.Value)
+	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s vs %s", v.YAttr, v.XAttr)
+	sb.Grow(n)
+	sb.WriteString(v.YAttr)
+	sb.WriteString(" vs ")
+	sb.WriteString(v.XAttr)
 	if len(v.Slices) > 0 {
 		sb.WriteString(" [")
 		for i, s := range v.Slices {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			fmt.Fprintf(&sb, "%s=%s", s.Attr, s.Value)
+			sb.WriteString(s.Attr)
+			sb.WriteByte('=')
+			sb.WriteString(s.Value)
 		}
 		sb.WriteString("]")
 	}
@@ -82,11 +90,15 @@ func (v *Visualization) SortPoints() {
 
 // Ys returns the y series in x order.
 func (v *Visualization) Ys() []float64 {
-	out := make([]float64, len(v.Points))
-	for i, p := range v.Points {
-		out[i] = p.Y
+	return v.appendYs(make([]float64, 0, len(v.Points)))
+}
+
+// appendYs appends the y series to dst.
+func (v *Visualization) appendYs(dst []float64) []float64 {
+	for _, p := range v.Points {
+		dst = append(dst, p.Y)
 	}
-	return out
+	return dst
 }
 
 // FromSeries builds a visualization from parallel x/y slices.
@@ -112,6 +124,15 @@ func FromFloats(ys []float64) *Visualization {
 // rendered as strings; it is the shared coordinate system used when
 // vectorizing visualizations for distance computation and clustering.
 func Domain(vs []*Visualization) []dataset.Value {
+	if sharedSortedDomain(vs) {
+		// One strictly ascending x sequence, shared by all: its keys are
+		// distinct and already in order, so it is the union.
+		out := make([]dataset.Value, len(vs[0].Points))
+		for i, p := range vs[0].Points {
+			out[i] = p.X
+		}
+		return out
+	}
 	seen := make(map[string]dataset.Value)
 	for _, v := range vs {
 		for _, p := range v.Points {
@@ -130,6 +151,9 @@ func Domain(vs []*Visualization) []dataset.Value {
 // x positions by linear interpolation between neighbours (the paper's future
 // work names interpolation for missing points; endpoints clamp).
 func (v *Visualization) Vector(domain []dataset.Value) []float64 {
+	if onDomain(v, domain) {
+		return v.Ys()
+	}
 	byX := make(map[string]float64, len(v.Points))
 	for _, p := range v.Points {
 		byX[p.X.String()] = p.Y
@@ -145,6 +169,32 @@ func (v *Visualization) Vector(domain []dataset.Value) []float64 {
 	}
 	fillMissing(out, missing)
 	return out
+}
+
+// onDomain reports whether v's x values are domain itself, in order, and
+// domain is strictly ascending: its keys are then distinct, so v has a value
+// at every position and no duplicate to overwrite one.
+func onDomain(v *Visualization, domain []dataset.Value) bool {
+	if len(v.Points) != len(domain) {
+		return false
+	}
+	for i, x := range domain {
+		if v.Points[i].X != x || i > 0 && domain[i-1].Compare(x) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// sharedSortedDomain reports whether every visualization carries the first
+// one's x values, a strictly ascending sequence (sameSortedDomain).
+func sharedSortedDomain(vs []*Visualization) bool {
+	for _, v := range vs {
+		if !sameSortedDomain(vs[0], v) {
+			return false
+		}
+	}
+	return len(vs) > 0
 }
 
 // fillMissing linearly interpolates runs of missing values; leading and

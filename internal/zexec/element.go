@@ -2,6 +2,7 @@ package zexec
 
 import (
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 
@@ -84,18 +85,151 @@ type varGroup struct {
 	tuples [][]element // tuples[i][j] = value of vars[j] at position i
 }
 
-// dimension is one iteration axis of a row's visual component.
+// dimension is one iteration axis of a row's visual component, or one
+// lockstep group a process declaration iterates.
 type dimension struct {
 	vars  []string    // 0 (anonymous set), 1, or 2 (z-pair) variables
 	elems [][]element // elems[i] is the tuple for position i (len == len(vars), or 1 for anonymous)
 	ref   bool        // true when this dimension reuses an existing binding
 }
 
+// singletons returns elems as one-element tuples, each a view of elems.
+func singletons(elems []element) [][]element {
+	tuples := make([][]element, len(elems))
+	for i := range elems {
+		tuples[i] = elems[i : i+1 : i+1]
+	}
+	return tuples
+}
+
+// A space is the Cartesian product of dimensions — a row's visual-component
+// dimensions, or the lockstep groups a process declaration iterates — and the
+// variables its points assign. A point is an index tuple, one tuple index per
+// dimension: an assignment costs no map and no copy of an element.
+type space struct {
+	dims  [][][]element // dims[d][k]: the k-th tuple of dimension d
+	vars  []string      // the named variables, each once
+	slots []slot        // where vars[i]'s element sits in a point's tuples
+}
+
+// slot places a variable: column col of dimension dim's tuples.
+type slot struct{ dim, col int }
+
+// newSpace returns the space of base's dimensions (none when base is nil)
+// followed by dims. A variable of a later dimension shadows one of the same
+// name before it; an unnamed one assigns nothing.
+func newSpace(base *space, dims []dimension) *space {
+	sp := &space{}
+	if base != nil {
+		sp.dims = append(sp.dims, base.dims...)
+		sp.vars = append(sp.vars, base.vars...)
+		sp.slots = append(sp.slots, base.slots...)
+	}
+	for _, d := range dims {
+		for col, name := range d.vars {
+			if name == "" {
+				continue
+			}
+			s := slot{len(sp.dims), col}
+			if i := slices.Index(sp.vars, name); i >= 0 {
+				sp.slots[i] = s
+			} else {
+				sp.vars, sp.slots = append(sp.vars, name), append(sp.slots, s)
+			}
+		}
+		sp.dims = append(sp.dims, d.elems)
+	}
+	return sp
+}
+
+// eachExtension calls fn with every point of sp that extends base — base's
+// tuple indexes in sp's leading dimensions, every combination of the rest in
+// odometer order, the last dimension fastest — until fn fails. There is none
+// when a dimension past base's is empty. The points share one index tuple,
+// so fn must not keep one.
+func (sp *space) eachExtension(base point, fn func(point) error) error {
+	at := make([]int32, len(sp.dims))
+	first := copy(at, base.at)
+	for _, d := range sp.dims[first:] {
+		if len(d) == 0 {
+			return nil
+		}
+	}
+	for {
+		if err := fn(point{sp, at}); err != nil {
+			return err
+		}
+		d := len(at) - 1
+		for ; d >= first; d-- {
+			if at[d]++; int(at[d]) < len(sp.dims[d]) {
+				break
+			}
+			at[d] = 0
+		}
+		if d < first {
+			return nil
+		}
+	}
+}
+
+// points returns every point of sp in eachExtension's order, their index
+// tuples carved from one array.
+func (sp *space) points() []point {
+	n := 1
+	for _, d := range sp.dims {
+		n *= len(d)
+	}
+	nd := len(sp.dims)
+	slab, pts := make([]int32, n*nd), make([]point, 0, n)
+	sp.eachExtension(point{}, func(p point) error {
+		at := slab[len(pts)*nd : (len(pts)+1)*nd : (len(pts)+1)*nd]
+		copy(at, p.at)
+		pts = append(pts, point{sp, at})
+		return nil
+	})
+	return pts
+}
+
+// A point assigns a space's variables: the zero point assigns none.
+type point struct {
+	sp *space
+	at []int32 // the tuple index in each dimension
+}
+
+// len returns how many variables the point's space names.
+func (p point) len() int {
+	if p.sp == nil {
+		return 0
+	}
+	return len(p.sp.vars)
+}
+
+// elem returns variable i's name and element; ok is false when its tuple is
+// too short to assign it.
+func (p point) elem(i int) (name string, e element, ok bool) {
+	s := p.sp.slots[i]
+	if t := p.sp.dims[s.dim][p.at[s.dim]]; s.col < len(t) {
+		return p.sp.vars[i], t[s.col], true
+	}
+	return p.sp.vars[i], element{}, false
+}
+
+// get returns the element the point assigns the named variable.
+func (p point) get(name string) (element, bool) {
+	for i := 0; i < p.len(); i++ {
+		if p.sp.vars[i] == name {
+			_, e, ok := p.elem(i)
+			return e, ok
+		}
+	}
+	return element{}, false
+}
+
 // Collection is the materialized visual component of a row: an ordered list
 // of visualizations plus, for each, the variable assignment that produced it.
 type Collection struct {
 	Vis    []*vis.Visualization
-	combos []map[string]element
+	combos []point
 	// wildcard marks user-drawn collections, which compare against every
 	// loop assignment (the -f1 rows of Tables 2.2, 3.14, 3.21).
 	wildcard bool
@@ -108,10 +242,12 @@ type Collection struct {
 	iteratedKinds map[elemKind]bool
 	// The find index, for uniform collections (every combo assigns exactly
 	// the variables of comboVars, and there is at least one): the hash of a
-	// combo's elements, taken in indexVars order, to the ascending positions
-	// of the visualizations carrying them. nil otherwise.
+	// combo's elements, taken in indexVars order, to the first position of
+	// the visualizations carrying them, and from each position the next one
+	// with the same hash (-1 at the end). lookup is nil otherwise.
 	indexVars []string
-	lookup    map[uint64][]int32
+	lookup    map[uint64]int32
+	chain     []int32
 }
 
 // ensureMeta computes which variables and slots the collection iterates, and
@@ -122,8 +258,14 @@ func (c *Collection) ensureMeta() {
 		c.comboVars = make(map[string]bool)
 		c.iteratedAttrs = make(map[string]bool)
 		c.iteratedKinds = make(map[elemKind]bool)
-		for _, combo := range c.combos {
-			for name, e := range combo {
+		assigned := make([]int, len(c.combos))
+		for ci, combo := range c.combos {
+			for i := 0; i < combo.len(); i++ {
+				name, e, ok := combo.elem(i)
+				if !ok {
+					continue
+				}
+				assigned[ci]++
 				c.comboVars[name] = true
 				if e.kind == elemZ {
 					c.iteratedAttrs[e.attr] = true
@@ -135,8 +277,8 @@ func (c *Collection) ensureMeta() {
 		if len(c.comboVars) == 0 {
 			return
 		}
-		for _, combo := range c.combos {
-			if len(combo) != len(c.comboVars) {
+		for _, n := range assigned {
+			if n != len(c.comboVars) {
 				return // not uniform: find scans
 			}
 		}
@@ -144,19 +286,24 @@ func (c *Collection) ensureMeta() {
 			c.indexVars = append(c.indexVars, name)
 		}
 		sort.Strings(c.indexVars)
-		c.lookup = make(map[uint64][]int32, len(c.combos))
-		for i, combo := range c.combos {
-			h, _ := c.probe(combo)
-			c.lookup[h] = append(c.lookup[h], int32(i))
+		c.lookup = make(map[uint64]int32, len(c.combos))
+		c.chain = make([]int32, len(c.combos))
+		for i := len(c.combos) - 1; i >= 0; i-- {
+			h, _ := c.probe(c.combos[i])
+			c.chain[i] = -1
+			if next, ok := c.lookup[h]; ok {
+				c.chain[i] = next
+			}
+			c.lookup[h] = int32(i)
 		}
 	})
 }
 
 // probe hashes the assignment's elements for the collection's iterated
 // variables; ok is false when the assignment leaves one of them out.
-func (c *Collection) probe(assign map[string]element) (h uint64, ok bool) {
+func (c *Collection) probe(assign point) (h uint64, ok bool) {
 	for _, name := range c.indexVars {
-		e, ok := assign[name]
+		e, ok := assign.get(name)
 		if !ok {
 			return 0, false
 		}
@@ -192,9 +339,11 @@ func (c *Collection) Len() int { return len(c.Vis) }
 func (c *Collection) Combos() []map[string]string {
 	out := make([]map[string]string, len(c.combos))
 	for i, cb := range c.combos {
-		m := make(map[string]string, len(cb))
-		for k, e := range cb {
-			m[k] = e.display()
+		m := make(map[string]string, cb.len())
+		for k := 0; k < cb.len(); k++ {
+			if name, e, ok := cb.elem(k); ok {
+				m[name] = e.display()
+			}
 		}
 		out[i] = m
 	}
@@ -217,15 +366,19 @@ func (c *Collection) Combos() []map[string]string {
 //  4. variables over slots the collection never varies are unconstrained —
 //     a fixed 'product'.'stapler' row matches every product assignment
 //     (Table 3.13).
-func (c *Collection) matches(i int, assign map[string]element) bool {
+func (c *Collection) matches(i int, assign point) bool {
 	if c.wildcard {
 		return true
 	}
 	c.ensureMeta()
 	combo := c.combos[i]
 	v := c.Vis[i]
-	for name, want := range assign {
-		if got, ok := combo[name]; ok {
+	for k := 0; k < assign.len(); k++ {
+		name, want, ok := assign.elem(k)
+		if !ok {
+			continue
+		}
+		if got, ok := combo.get(name); ok {
 			if !got.equal(want) {
 				return false
 			}
@@ -237,11 +390,9 @@ func (c *Collection) matches(i int, assign map[string]element) bool {
 			return false
 		}
 		covered := false
-		for other, oe := range assign {
-			if other != name && c.comboVars[other] && sameSlot(oe, want) {
-				covered = true
-				break
-			}
+		for o := 0; o < assign.len() && !covered; o++ {
+			other, oe, ok := assign.elem(o)
+			covered = ok && o != k && c.comboVars[other] && sameSlot(oe, want)
 		}
 		if covered {
 			continue
@@ -284,11 +435,12 @@ func structuralMatch(v *vis.Visualization, want element) bool {
 // rule 1 of matches admits only the visualizations whose combo carries the
 // same elements, so only those — found by hash, in ascending order — are
 // tested; every other case scans.
-func (c *Collection) find(assign map[string]element) *vis.Visualization {
+func (c *Collection) find(assign point) *vis.Visualization {
 	c.ensureMeta()
 	if c.lookup != nil {
 		if h, ok := c.probe(assign); ok {
-			for _, i := range c.lookup[h] {
+			i, ok := c.lookup[h]
+			for ; ok && i >= 0; i = c.chain[i] {
 				if c.matches(int(i), assign) {
 					return c.Vis[i]
 				}
@@ -308,7 +460,7 @@ func (c *Collection) find(assign map[string]element) *vis.Visualization {
 func (c *Collection) concat(o *Collection) *Collection {
 	out := &Collection{}
 	out.Vis = append(append([]*vis.Visualization{}, c.Vis...), o.Vis...)
-	out.combos = append(append([]map[string]element{}, c.combos...), o.combos...)
+	out.combos = append(append([]point{}, c.combos...), o.combos...)
 	return out
 }
 
@@ -396,18 +548,19 @@ func (c *Collection) reorder(orderVars []*binding) *Collection {
 	taken := make([]bool, len(c.Vis))
 	out := &Collection{}
 	if len(orderVars) > 0 {
+		wants := make([]element, 0, len(orderVars))
 		for pos := range orderVars[0].elems {
-			assign := make(map[string]element, len(orderVars))
-			for vi, b := range orderVars {
+			wants = wants[:0]
+			for _, b := range orderVars {
 				if pos < len(b.elems) {
-					assign[orderKeyVar(vi)] = b.elems[pos]
+					wants = append(wants, b.elems[pos])
 				}
 			}
 			for i := range c.Vis {
 				if taken[i] {
 					continue
 				}
-				if c.matchesElems(i, assign) {
+				if c.matchesElems(i, wants) {
 					taken[i] = true
 					out.Vis = append(out.Vis, c.Vis[i])
 					out.combos = append(out.combos, c.combos[i])
@@ -425,20 +578,16 @@ func (c *Collection) reorder(orderVars []*binding) *Collection {
 	return out
 }
 
-func orderKeyVar(i int) string { return "\x00order" + string(rune('0'+i)) }
-
 // matchesElems is like matches but ignores variable names entirely, matching
-// each element structurally.
-func (c *Collection) matchesElems(i int, assign map[string]element) bool {
+// each wanted element structurally.
+func (c *Collection) matchesElems(i int, wants []element) bool {
 	v := c.Vis[i]
 	combo := c.combos[i]
-	for _, want := range assign {
+	for _, want := range wants {
 		ok := false
-		for _, got := range combo {
-			if got.equal(want) {
-				ok = true
-				break
-			}
+		for k := 0; k < combo.len() && !ok; k++ {
+			_, got, in := combo.elem(k)
+			ok = in && got.equal(want)
 		}
 		if !ok && !structuralMatch(v, want) {
 			return false

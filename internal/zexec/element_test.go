@@ -33,7 +33,7 @@ func refMatches(c *Collection, i int, assign map[string]element) bool {
 	c.ensureMeta()
 	combo := c.combos[i]
 	for name, want := range assign {
-		if got, ok := combo[name]; ok {
+		if got, ok := combo.get(name); ok {
 			if got.key() != want.key() {
 				return false
 			}
@@ -59,12 +59,38 @@ func refMatches(c *Collection, i int, assign map[string]element) bool {
 	return true
 }
 
+// pointOf returns the point assigning m's variables, through a space of one
+// dimension with one tuple.
+func pointOf(m map[string]element) point {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	tuple := make([]element, len(names))
+	for i, name := range names {
+		tuple[i] = m[name]
+	}
+	return newSpace(nil, []dimension{{vars: names, elems: [][]element{tuple}}}).points()[0]
+}
+
+// assignMap returns the variables p assigns as a map.
+func assignMap(p point) map[string]element {
+	m := make(map[string]element, p.len())
+	for i := 0; i < p.len(); i++ {
+		if name, e, ok := p.elem(i); ok {
+			m[name] = e
+		}
+	}
+	return m
+}
+
 // sameFind requires the indexed find to return the very visualization (or the
 // same nil) the linear scan does.
-func sameFind(t *testing.T, where string, c *Collection, assign map[string]element) {
+func sameFind(t *testing.T, where string, c *Collection, assign point) {
 	t.Helper()
-	if got, want := c.find(assign), refFind(c, assign); got != want {
-		t.Fatalf("%s: find(%v) = %p, linear scan finds %p", where, assign, got, want)
+	if got, want := c.find(assign), refFind(c, assignMap(assign)); got != want {
+		t.Fatalf("%s: find(%v) = %p, linear scan finds %p", where, assignMap(assign), got, want)
 	}
 }
 
@@ -83,10 +109,20 @@ func checkFinds(t *testing.T, where string, ex *executor) int {
 			if d.Mech == zql.MechR {
 				vars = d.RVars
 			}
-			var walk func(level int, assign map[string]element) error
-			walk = func(level int, assign map[string]element) error {
+			spaces := make([]*space, 1+len(d.Inner))
+			var err error
+			if spaces[0], err = ex.loopSpace(nil, vars); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			for level, ia := range d.Inner {
+				if spaces[level+1], err = ex.loopSpace(spaces[level], ia.Vars); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+			}
+			var walk func(level int, assign point) error
+			walk = func(level int, assign point) error {
 				if level < len(d.Inner) {
-					return ex.iterateVars(d.Inner[level].Vars, assign, func(inner map[string]element, _ []element) error {
+					return spaces[level+1].eachExtension(assign, func(inner point) error {
 						return walk(level+1, inner)
 					})
 				}
@@ -98,10 +134,10 @@ func checkFinds(t *testing.T, where string, ex *executor) int {
 				}
 				return nil
 			}
-			if err := ex.iterateVars(vars, nil, func(assign map[string]element, _ []element) error {
-				return walk(0, assign)
-			}); err != nil {
-				t.Fatalf("%s: %v", where, err)
+			for _, p := range spaces[0].points() {
+				if err := walk(0, p); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
 			}
 		}
 	}
@@ -193,10 +229,10 @@ func randomCollection(rng *rand.Rand, depth int) *Collection {
 	input := &vis.Visualization{XAttr: "year", YAttr: "sales"}
 	switch rng.Intn(5) {
 	case 0: // user input
-		return &Collection{Vis: []*vis.Visualization{input}, combos: []map[string]element{{}}, wildcard: true}
+		return &Collection{Vis: []*vis.Visualization{input}, combos: []point{{}}, wildcard: true}
 	case 1: // a fixed row
 		input.Slices = []vis.Slice{{Attr: "product", Value: products[rng.Intn(len(products))]}}
-		return &Collection{Vis: []*vis.Visualization{input}, combos: []map[string]element{{}}}
+		return &Collection{Vis: []*vis.Visualization{input}, combos: []point{{}}}
 	}
 	vars := []struct {
 		name string
@@ -220,7 +256,7 @@ func randomCollection(rng *rand.Rand, depth int) *Collection {
 				v.YAttr = e.val
 			}
 		}
-		c.Vis, c.combos = append(c.Vis, v), append(c.combos, combo)
+		c.Vis, c.combos = append(c.Vis, v), append(c.combos, pointOf(combo))
 	}
 	return c
 }
@@ -263,7 +299,7 @@ func TestFindProperty(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(assigns); i += 4 {
-					got[i] = c.find(assigns[i])
+					got[i] = c.find(pointOf(assigns[i]))
 				}
 			}(w)
 		}
@@ -287,7 +323,7 @@ func TestFindProperty(t *testing.T) {
 func describe(c *Collection) string {
 	s := fmt.Sprintf("wildcard=%v", c.wildcard)
 	for i, combo := range c.combos {
-		s += fmt.Sprintf("\n  %d %p %v", i, c.Vis[i], combo)
+		s += fmt.Sprintf("\n  %d %p %v", i, c.Vis[i], assignMap(combo))
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package zexec
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 type fetchUnit struct {
 	rs     *rowState
 	order  int // position within the row's combo iteration
-	assign map[string]element
+	assign point
 	xattrs []string // ≥2 for composite × axes
 	yattrs []string // ≥2 for composite + axes
 	slices []vis.Slice
@@ -26,34 +27,49 @@ type fetchUnit struct {
 	out    *vis.Visualization // filled by the splitter
 }
 
-// buildUnits enumerates a resolved row's visualizations.
+// buildUnits enumerates a resolved row's visualizations, one per point of
+// its dimensions' space. The units are carved from one array and their
+// slices from a shared, growing one; consecutive units naming the same X or
+// Y attribute share its split (nothing writes one).
 func (ex *executor) buildUnits(rs *rowState) ([]*fetchUnit, error) {
-	var units []*fetchUnit
-	var buildErr error
-	forEachCombo(rs.dims, func(assign map[string]element, tuple []element) {
-		if buildErr != nil {
-			return
-		}
-		u := &fetchUnit{rs: rs, order: len(units), assign: assign}
-		for _, e := range tuple {
-			switch e.kind {
-			case elemX:
-				u.xattrs = splitComposite(e.val)
-			case elemY:
-				u.yattrs = strings.Split(e.val, "+")
-			case elemZ:
-				u.slices = append(u.slices, vis.Slice{Attr: e.attr, Value: e.val})
-			case elemViz:
-				u.vd = *e.viz
+	pts := newSpace(nil, rs.dims).points()
+	units, out := make([]fetchUnit, len(pts)), make([]*fetchUnit, len(pts))
+	var slab []vis.Slice
+	var xval, yval string
+	var xattrs, yattrs []string
+	for i, p := range pts {
+		u := &units[i]
+		u.rs, u.order, u.assign = rs, i, p
+		start := len(slab)
+		for d, tuples := range p.sp.dims {
+			for _, e := range tuples[p.at[d]] {
+				switch e.kind {
+				case elemX:
+					if xattrs == nil || e.val != xval {
+						xval, xattrs = e.val, splitComposite(e.val)
+					}
+					u.xattrs = xattrs
+				case elemY:
+					if yattrs == nil || e.val != yval {
+						yval, yattrs = e.val, strings.Split(e.val, "+")
+					}
+					u.yattrs = yattrs
+				case elemZ:
+					slab = append(slab, vis.Slice{Attr: e.attr, Value: e.val})
+				case elemViz:
+					u.vd = *e.viz
+				}
 			}
 		}
-		if len(u.xattrs) == 0 || len(u.yattrs) == 0 {
-			buildErr = fmt.Errorf("row needs both X and Y axes")
-			return
+		if len(slab) > start {
+			u.slices = slab[start:len(slab):len(slab)]
 		}
-		units = append(units, u)
-	})
-	return units, buildErr
+		if len(u.xattrs) == 0 || len(u.yattrs) == 0 {
+			return nil, fmt.Errorf("row needs both X and Y axes")
+		}
+		out[i] = u
+	}
+	return out, nil
 }
 
 func splitComposite(attr string) []string {
@@ -180,15 +196,24 @@ func andOf(parts []minisql.Expr) minisql.Expr {
 	return &minisql.And{Args: parts}
 }
 
-// batchKey groups units that one SQL query can serve: same x shape, same
-// aggregation, same z attribute signature, same rawness.
-func batchKey(u *fetchUnit, agg string, raw bool) string {
-	zattrs := make([]string, len(u.slices))
-	for i, s := range u.slices {
-		zattrs[i] = s.Attr
+// appendBatchKey appends the key that groups units one SQL query can serve:
+// same x shape, same aggregation, same z attribute signature, same rawness.
+func appendBatchKey(dst []byte, u *fetchUnit, agg string, raw bool) []byte {
+	for i, x := range u.xattrs {
+		if i > 0 {
+			dst = append(dst, "×"...)
+		}
+		dst = append(dst, x...)
 	}
-	return strings.Join(u.xattrs, "×") + "|" + fmt.Sprint(u.vd.XBin) + "|" + agg + "|" +
-		fmt.Sprint(raw) + "|" + strings.Join(zattrs, ",")
+	dst = append(strconv.AppendFloat(append(dst, '|'), u.vd.XBin, 'g', -1, 64), '|')
+	dst = append(strconv.AppendBool(append(append(dst, agg...), '|'), raw), '|')
+	for i, s := range u.slices {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, s.Attr...)
+	}
+	return dst
 }
 
 // batchQuery builds the intra-line batched query of Section 5.2 as a minisql
@@ -203,11 +228,12 @@ func (ex *executor) batchQuery(units []*fetchUnit, constraints minisql.Expr) (*q
 	var yattrs []string
 	ySeen := make(map[string]bool)
 	zattrs := make([]string, len(u0.slices))
-	zvals := make([]map[string]bool, len(u0.slices))
-	zlists := make([][]string, len(u0.slices))
+	zseen := make([]map[string]bool, len(u0.slices))
+	zvals := make([][]dataset.Value, len(u0.slices))
 	for i, s := range u0.slices {
 		zattrs[i] = s.Attr
-		zvals[i] = make(map[string]bool)
+		zseen[i] = make(map[string]bool, len(units))
+		zvals[i] = make([]dataset.Value, 0, len(units))
 	}
 	for _, u := range units {
 		for _, y := range u.yattrs {
@@ -217,9 +243,9 @@ func (ex *executor) batchQuery(units []*fetchUnit, constraints minisql.Expr) (*q
 			}
 		}
 		for i, s := range u.slices {
-			if !zvals[i][s.Value] {
-				zvals[i][s.Value] = true
-				zlists[i] = append(zlists[i], s.Value)
+			if !zseen[i][s.Value] {
+				zseen[i][s.Value] = true
+				zvals[i] = append(zvals[i], dataset.SV(s.Value))
 			}
 		}
 	}
@@ -246,11 +272,7 @@ func (ex *executor) batchQuery(units []*fetchUnit, constraints minisql.Expr) (*q
 	}
 	var where []minisql.Expr
 	for i, z := range zattrs {
-		vals := make([]dataset.Value, len(zlists[i]))
-		for j, v := range zlists[i] {
-			vals[j] = dataset.SV(v)
-		}
-		where = append(where, &minisql.In{Col: z, Vals: vals})
+		where = append(where, &minisql.In{Col: z, Vals: zvals[i]})
 	}
 	if constraints != nil {
 		where = append(where, constraints)
@@ -317,21 +339,32 @@ func (ex *executor) rowJobs(rs *rowState, units []*fetchUnit) ([]*queryJob, erro
 		}
 		return jobs, nil
 	}
-	// Intra-line batching: group compatible units into one query each.
-	groups := make(map[string][]*fetchUnit)
+	// Intra-line batching: group compatible units into one query each, in
+	// key order.
+	groupOf := make(map[string]int)
 	var keys []string
+	var groups [][]*fetchUnit
+	var key []byte
 	for _, u := range units {
 		agg, raw := ex.aggFor(u.vd)
-		k := batchKey(u, agg, raw)
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
+		key = appendBatchKey(key[:0], u, agg, raw)
+		g, ok := groupOf[string(key)]
+		if !ok {
+			k := string(key)
+			g = len(keys)
+			groupOf[k] = g
+			keys, groups = append(keys, k), append(groups, nil)
 		}
-		groups[k] = append(groups[k], u)
+		groups[g] = append(groups[g], u)
 	}
-	sort.Strings(keys)
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 	var jobs []*queryJob
-	for _, k := range keys {
-		j, err := ex.batchQuery(groups[k], constraints)
+	for _, g := range order {
+		j, err := ex.batchQuery(groups[g], constraints)
 		if err != nil {
 			return nil, err
 		}
@@ -613,9 +646,12 @@ func collectionFromUnits(units []*fetchUnit) *Collection {
 	sorted := append([]*fetchUnit(nil), units...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].order < sorted[j].order })
 	c := &Collection{}
-	for _, u := range sorted {
-		c.Vis = append(c.Vis, u.out)
-		c.combos = append(c.combos, u.assign)
+	if len(sorted) == 0 {
+		return c
+	}
+	c.Vis, c.combos = make([]*vis.Visualization, len(sorted)), make([]point, len(sorted))
+	for i, u := range sorted {
+		c.Vis[i], c.combos[i] = u.out, u.assign
 	}
 	return c
 }

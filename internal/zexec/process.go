@@ -10,8 +10,7 @@ import (
 
 // loopTuple is one assignment of the loop variables of a task.
 type loopTuple struct {
-	assign map[string]element
-	elems  []element // per loop var, in declaration order
+	assign point
 	score  float64
 }
 
@@ -62,70 +61,27 @@ func contains(xs []string, x string) bool {
 	return false
 }
 
-// iterateVars yields every assignment of the given variables, respecting
-// lockstep groups, calling fn with the per-variable elements in vars order.
-func (ex *executor) iterateVars(vars []string, base map[string]element, fn func(assign map[string]element, elems []element) error) error {
+// loopSpace returns the space of base's dimensions followed by one per
+// lockstep group of vars: the assignments of vars under each of base's, in
+// vars order with groups zipped.
+func (ex *executor) loopSpace(base *space, vars []string) (*space, error) {
 	groups, err := ex.loopGroups(vars)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Build per-group tuple lists.
-	type groupTuples struct {
-		vars   []string
-		tuples [][]element
-	}
-	var gts []groupTuples
-	for _, g := range groups {
+	dims := make([]dimension, len(groups))
+	for i, g := range groups {
 		if len(g) > 1 {
-			grp := ex.groups[g[0]]
-			gts = append(gts, groupTuples{vars: g, tuples: grp.tuples})
+			dims[i] = dimension{vars: g, elems: ex.groups[g[0]].tuples}
 			continue
 		}
 		b, ok := ex.bindings[g[0]]
 		if !ok {
-			return fmt.Errorf("process variable %s is not defined", g[0])
+			return nil, fmt.Errorf("process variable %s is not defined", g[0])
 		}
-		tuples := make([][]element, len(b.elems))
-		for i, e := range b.elems {
-			tuples[i] = []element{e}
-		}
-		gts = append(gts, groupTuples{vars: g, tuples: tuples})
+		dims[i] = dimension{vars: g, elems: singletons(b.elems)}
 	}
-	idx := make([]int, len(gts))
-	for {
-		assign := make(map[string]element, len(vars)+len(base))
-		for k, v := range base {
-			assign[k] = v
-		}
-		for gi, gt := range gts {
-			if len(gt.tuples) == 0 {
-				return nil
-			}
-			t := gt.tuples[idx[gi]]
-			for vi, v := range gt.vars {
-				assign[v] = t[vi]
-			}
-		}
-		elems := make([]element, len(vars))
-		for i, v := range vars {
-			elems[i] = assign[v]
-		}
-		if err := fn(assign, elems); err != nil {
-			return err
-		}
-		gi := len(gts) - 1
-		for gi >= 0 {
-			idx[gi]++
-			if idx[gi] < len(gts[gi].tuples) {
-				break
-			}
-			idx[gi] = 0
-			gi--
-		}
-		if gi < 0 {
-			return nil
-		}
-	}
+	return newSpace(base, dims), nil
 }
 
 // runProcess executes one process declaration of a row. Tuples are
@@ -138,48 +94,62 @@ func (ex *executor) runProcess(d *zql.ProcessDecl) error {
 		// EXPLAIN plan mode: nothing was fetched, so there is nothing to
 		// score. Output variables still bind (empty) so the rows that read
 		// them become ready.
-		ex.bindOutputs(d.OutVars, nil)
+		ex.bindOutputs(d.OutVars, nil, nil)
 		return nil
 	}
 	if d.Mech == zql.MechR {
 		return ex.runR(d)
 	}
-	tuples, err := ex.collectTuples(d)
+	tuples, inner, err := ex.collectTuples(d)
 	if err != nil {
 		return err
 	}
 	var kept []loopTuple
 	if k, ok := ex.topKPrunable(d, len(tuples)); ok {
-		kept, err = ex.evalTopK(d, tuples, k)
+		kept, err = ex.evalTopK(d, inner, tuples, k)
 	} else {
-		kept, err = ex.evalRankFilter(d, tuples)
+		kept, err = ex.evalRankFilter(d, inner, tuples)
 	}
 	if err != nil {
 		return err
 	}
-	ex.bindOutputs(d.OutVars, kept)
+	ex.bindOutputs(d.OutVars, d.LoopVars, kept)
 	return nil
 }
 
 // collectTuples materializes the declaration's loop assignments in iteration
-// order; scoring happens separately so it can fan across workers.
-func (ex *executor) collectTuples(d *zql.ProcessDecl) ([]loopTuple, error) {
-	var tuples []loopTuple
-	err := ex.iterateVars(d.LoopVars, nil, func(assign map[string]element, elems []element) error {
-		tuples = append(tuples, loopTuple{assign: assign, elems: elems})
-		return nil
-	})
-	return tuples, err
+// order; scoring happens separately so it can fan across workers. It also
+// returns, per inner aggregation, the space of the loop variables followed
+// by that level's and every shallower level's variables, built only when
+// there is a tuple to score.
+func (ex *executor) collectTuples(d *zql.ProcessDecl) ([]loopTuple, []*space, error) {
+	sp, err := ex.loopSpace(nil, d.LoopVars)
+	if err != nil {
+		return nil, nil, err
+	}
+	pts := sp.points()
+	tuples := make([]loopTuple, len(pts))
+	for i, p := range pts {
+		tuples[i].assign = p
+	}
+	var inner []*space
+	for level := 0; level < len(d.Inner) && len(tuples) > 0; level++ {
+		if sp, err = ex.loopSpace(sp, d.Inner[level].Vars); err != nil {
+			return nil, nil, err
+		}
+		inner = append(inner, sp)
+	}
+	return tuples, inner, nil
 }
 
 // evalRankFilter scores every tuple, then applies the declaration's sort and
 // filter exactly the way the sequential executor always has: argmin
 // ascending, argmax descending (both stable), argany in input order; [k=...]
 // truncates, [t...] thresholds.
-func (ex *executor) evalRankFilter(d *zql.ProcessDecl, tuples []loopTuple) ([]loopTuple, error) {
-	err := ex.forEachTuple(len(tuples), func(i int) error {
+func (ex *executor) evalRankFilter(d *zql.ProcessDecl, inner []*space, tuples []loopTuple) ([]loopTuple, error) {
+	err := ex.forEachTuple(len(tuples), func(sc *vis.Scratch, i int) error {
 		ex.proc.tuples.Add(1)
-		score, err := ex.evalInner(d, 0, tuples[i].assign)
+		score, err := ex.evalInner(d, inner, 0, tuples[i].assign, sc)
 		if err != nil {
 			return err
 		}
@@ -230,12 +200,17 @@ func thresholdOK(score float64, op string, val float64) bool {
 	return false
 }
 
-// bindOutputs declares the task's output variables from the kept tuples,
+// bindOutputs declares the task's output variables from the kept tuples —
+// output variable i takes the element each tuple assigns loop variable i —
 // registering them as a lockstep group when there are several.
-func (ex *executor) bindOutputs(outVars []string, kept []loopTuple) {
+func (ex *executor) bindOutputs(outVars, loopVars []string, kept []loopTuple) {
 	outTuples := make([][]element, len(kept))
+	slab := make([]element, len(kept)*len(loopVars))
 	for i, t := range kept {
-		outTuples[i] = t.elems
+		outTuples[i] = slab[i*len(loopVars) : (i+1)*len(loopVars) : (i+1)*len(loopVars)]
+		for vi, v := range loopVars {
+			outTuples[i][vi], _ = t.assign.get(v)
+		}
 	}
 	for vi, name := range outVars {
 		b := &binding{}
@@ -252,16 +227,17 @@ func (ex *executor) bindOutputs(outVars []string, kept []loopTuple) {
 	}
 }
 
-// evalInner evaluates the nested inner aggregations then the leaf objective.
-func (ex *executor) evalInner(d *zql.ProcessDecl, level int, assign map[string]element) (float64, error) {
+// evalInner evaluates the nested inner aggregations, over their spaces
+// (collectTuples), then the leaf objective, measuring with sc.
+func (ex *executor) evalInner(d *zql.ProcessDecl, inner []*space, level int, assign point, sc *vis.Scratch) (float64, error) {
 	if level == len(d.Inner) {
-		return ex.evalLeaf(d.Expr, assign)
+		return ex.evalLeaf(d.Expr, assign, sc)
 	}
 	ia := d.Inner[level]
 	first := true
 	var acc float64
-	err := ex.iterateVars(ia.Vars, assign, func(inner map[string]element, _ []element) error {
-		v, err := ex.evalInner(d, level+1, inner)
+	err := inner[level].eachExtension(assign, func(p point) error {
+		v, err := ex.evalInner(d, inner, level+1, p, sc)
 		if err != nil {
 			return err
 		}
@@ -289,7 +265,7 @@ func (ex *executor) evalInner(d *zql.ProcessDecl, level int, assign map[string]e
 
 // lookupVis resolves a name variable to the visualization selected by the
 // current assignment.
-func (ex *executor) lookupVis(name string, assign map[string]element) (*vis.Visualization, error) {
+func (ex *executor) lookupVis(name string, assign point) (*vis.Visualization, error) {
 	c, ok := ex.colls[name]
 	if !ok {
 		return nil, fmt.Errorf("name variable %s has no collection", name)
@@ -301,14 +277,14 @@ func (ex *executor) lookupVis(name string, assign map[string]element) (*vis.Visu
 	return v, nil
 }
 
-func (ex *executor) evalLeaf(e *zql.ObjExpr, assign map[string]element) (float64, error) {
+func (ex *executor) evalLeaf(e *zql.ObjExpr, assign point, sc *vis.Scratch) (float64, error) {
 	switch e.Kind {
 	case zql.ObjT:
 		v, err := ex.lookupVis(e.F1, assign)
 		if err != nil {
 			return 0, err
 		}
-		return vis.Trend(v), nil
+		return sc.Trend(v), nil
 	case zql.ObjD:
 		v1, err := ex.lookupVis(e.F1, assign)
 		if err != nil {
@@ -319,7 +295,7 @@ func (ex *executor) evalLeaf(e *zql.ObjExpr, assign map[string]element) (float64
 			return 0, err
 		}
 		ex.proc.distCalls.Add(1)
-		return vis.Distance(v1, v2, ex.opts.Metric), nil
+		return sc.Distance(v1, v2, ex.opts.Metric), nil
 	case zql.ObjU:
 		fn, ok := ex.opts.UserFuncs[e.User]
 		if !ok {
@@ -340,26 +316,23 @@ func (ex *executor) evalLeaf(e *zql.ObjExpr, assign map[string]element) (float64
 
 // runR executes an R(k, vars, f) representative-selection task.
 func (ex *executor) runR(d *zql.ProcessDecl) error {
-	var tuples []loopTuple
-	var viss []*vis.Visualization
-	err := ex.iterateVars(d.RVars, nil, func(assign map[string]element, elems []element) error {
-		v, err := ex.lookupVis(d.RName, assign)
-		if err != nil {
-			return err
-		}
-		tuples = append(tuples, loopTuple{assign: assign, elems: elems})
-		viss = append(viss, v)
-		return nil
-	})
+	sp, err := ex.loopSpace(nil, d.RVars)
 	if err != nil {
 		return err
+	}
+	pts := sp.points()
+	viss := make([]*vis.Visualization, len(pts))
+	for i, p := range pts {
+		if viss[i], err = ex.lookupVis(d.RName, p); err != nil {
+			return err
+		}
 	}
 	picked := vis.Representative(viss, d.RK, ex.opts.Metric, ex.opts.Seed)
 	kept := make([]loopTuple, 0, len(picked))
 	for _, i := range picked {
-		kept = append(kept, tuples[i])
+		kept = append(kept, loopTuple{assign: pts[i]})
 	}
-	ex.bindOutputs(d.OutVars, kept)
+	ex.bindOutputs(d.OutVars, d.RVars, kept)
 	return nil
 }
 

@@ -74,9 +74,12 @@ func (ex *executor) abandonableD(d *zql.ProcessDecl) bool {
 // goroutine would kill the whole process — cf. the server batcher's drain),
 // and the reported error is the one at the lowest failing index: the error
 // the sequential loop would have surfaced.
-func (ex *executor) forEachTuple(n int, fn func(i int) error) error {
+//
+// Each worker hands fn its own distance scratch (vis.Scratch).
+func (ex *executor) forEachTuple(n int, fn func(sc *vis.Scratch, i int) error) error {
 	workers := ex.processWorkers(n)
 	if workers <= 1 {
+		var sc vis.Scratch
 		for i := 0; i < n; i++ {
 			// Cancellation point: a cancelled run stops between tuples.
 			if ex.ctx != nil {
@@ -84,7 +87,7 @@ func (ex *executor) forEachTuple(n int, fn func(i int) error) error {
 					return err
 				}
 			}
-			if err := fn(i); err != nil {
+			if err := fn(&sc, i); err != nil {
 				return err
 			}
 		}
@@ -111,6 +114,7 @@ func (ex *executor) forEachTuple(n int, fn func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			var sc vis.Scratch
 			for {
 				// The stop check must precede the draw: a drawn index is
 				// always evaluated, so every index below a recorded failure
@@ -132,7 +136,7 @@ func (ex *executor) forEachTuple(n int, fn func(i int) error) error {
 						return
 					}
 				}
-				if err := runContained(fn, i); err != nil {
+				if err := runContained(fn, &sc, i); err != nil {
 					record(i, err)
 					return
 				}
@@ -146,14 +150,14 @@ func (ex *executor) forEachTuple(n int, fn func(i int) error) error {
 	return firstErr
 }
 
-// runContained invokes fn(i), converting a panic into an error.
-func runContained(fn func(int) error, i int) (err error) {
+// runContained invokes fn(sc, i), converting a panic into an error.
+func runContained(fn func(*vis.Scratch, int) error, sc *vis.Scratch, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("process worker panic: %v", r)
 		}
 	}()
-	return fn(i)
+	return fn(sc, i)
 }
 
 // scoredTuple orders top-k candidates: the tuple's score plus its iteration
@@ -273,17 +277,17 @@ func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load
 // only tightens, so the kept set and order equal the sequential
 // stable-sort-then-truncate: the k best (score, index) pairs under the
 // mechanism's ordering, ties broken by iteration order.
-func (ex *executor) evalTopK(d *zql.ProcessDecl, tuples []loopTuple, k int) ([]loopTuple, error) {
+func (ex *executor) evalTopK(d *zql.ProcessDecl, inner []*space, tuples []loopTuple, k int) ([]loopTuple, error) {
 	h := &boundHeap{argmax: d.Mech == zql.MechArgmax, cap: k}
 	var hmu sync.Mutex
 	var bound atomicFloat
 	bound.store(math.Inf(1))
 	abandonable := ex.abandonableD(d)
-	err := ex.forEachTuple(len(tuples), func(i int) error {
+	err := ex.forEachTuple(len(tuples), func(sc *vis.Scratch, i int) error {
 		ex.proc.tuples.Add(1)
 		var score float64
 		if abandonable {
-			s, abandoned, err := ex.evalDistBounded(d.Expr, tuples[i].assign, bound.load())
+			s, abandoned, err := ex.evalDistBounded(d.Expr, tuples[i].assign, bound.load(), sc)
 			if err != nil {
 				return err
 			}
@@ -292,7 +296,7 @@ func (ex *executor) evalTopK(d *zql.ProcessDecl, tuples []loopTuple, k int) ([]l
 			}
 			score = s
 		} else {
-			s, err := ex.evalInner(d, 0, tuples[i].assign)
+			s, err := ex.evalInner(d, inner, 0, tuples[i].assign, sc)
 			if err != nil {
 				return err
 			}
@@ -319,8 +323,8 @@ func (ex *executor) evalTopK(d *zql.ProcessDecl, tuples []loopTuple, k int) ([]l
 }
 
 // evalDistBounded scores a plain D(f1, f2) objective with an abandoning
-// cutoff.
-func (ex *executor) evalDistBounded(e *zql.ObjExpr, assign map[string]element, bound float64) (float64, bool, error) {
+// cutoff, measuring with sc.
+func (ex *executor) evalDistBounded(e *zql.ObjExpr, assign point, bound float64, sc *vis.Scratch) (float64, bool, error) {
 	v1, err := ex.lookupVis(e.F1, assign)
 	if err != nil {
 		return 0, false, err
@@ -330,7 +334,7 @@ func (ex *executor) evalDistBounded(e *zql.ObjExpr, assign map[string]element, b
 		return 0, false, err
 	}
 	ex.proc.distCalls.Add(1)
-	dist, abandoned := vis.DistanceBounded(v1, v2, ex.opts.Metric, bound)
+	dist, abandoned := sc.DistanceBounded(v1, v2, ex.opts.Metric, bound)
 	if abandoned {
 		ex.proc.distAbandoned.Add(1)
 	}

@@ -362,11 +362,7 @@ func (ex *executor) resolveAxis(a zql.AxisSpec, kind elemKind, derived *Collecti
 			}
 		}
 		ex.bindings[a.Var] = &binding{elems: elems}
-		tuples := make([][]element, len(elems))
-		for i, e := range elems {
-			tuples[i] = []element{e}
-		}
-		return &dimension{vars: []string{a.Var}, elems: tuples}, nil, nil
+		return &dimension{vars: []string{a.Var}, elems: singletons(elems)}, nil, nil
 	case zql.AxisSum, zql.AxisCross:
 		return ex.resolveCompositeAxis(a, kind, derived)
 	}
@@ -467,15 +463,11 @@ func (ex *executor) resolveZ(z zql.ZSpec, derived *Collection) (*dimension, *bin
 		if z.Var != "" {
 			ex.bindings[z.Var] = &binding{elems: elems}
 		}
-		tuples := make([][]element, len(elems))
-		for i, e := range elems {
-			tuples[i] = []element{e}
-		}
 		var vars []string
 		if z.Var != "" {
 			vars = []string{z.Var}
 		}
-		return &dimension{vars: vars, elems: tuples}, nil, nil
+		return &dimension{vars: vars, elems: singletons(elems)}, nil, nil
 	case zql.ZPairs:
 		elems, err := ex.evalSet(z.Set, elemZ, "", derived)
 		if err != nil {
@@ -504,15 +496,11 @@ func (ex *executor) resolveZ(z zql.ZSpec, derived *Collection) (*dimension, *bin
 		if z.Var != "" {
 			ex.bindings[z.Var] = &binding{elems: elems}
 		}
-		tuples := make([][]element, len(elems))
-		for i, e := range elems {
-			tuples[i] = []element{e}
-		}
 		var vars []string
 		if z.Var != "" {
 			vars = []string{z.Var}
 		}
-		return &dimension{vars: vars, elems: tuples}, nil, nil
+		return &dimension{vars: vars, elems: singletons(elems)}, nil, nil
 	}
 	return nil, nil, fmt.Errorf("unhandled Z kind %v", z.Kind)
 }
@@ -522,11 +510,7 @@ func (ex *executor) dimFromBinding(name string, b *binding) *dimension {
 	if g, ok := ex.groups[name]; ok {
 		return &dimension{vars: g.vars, elems: g.tuples, ref: true}
 	}
-	tuples := make([][]element, len(b.elems))
-	for i, e := range b.elems {
-		tuples[i] = []element{e}
-	}
-	return &dimension{vars: []string{name}, elems: tuples, ref: true}
+	return &dimension{vars: []string{name}, elems: singletons(b.elems), ref: true}
 }
 
 func (ex *executor) resolveViz(v zql.VizSpec) *dimension {
@@ -539,52 +523,14 @@ func (ex *executor) resolveViz(v zql.VizSpec) *dimension {
 		return &dimension{elems: [][]element{{e}}}
 	case zql.VizVarDecl:
 		elems := make([]element, len(v.Defs))
-		tuples := make([][]element, len(v.Defs))
 		for i := range v.Defs {
 			d := v.Defs[i]
 			elems[i] = element{kind: elemViz, viz: &d}
-			tuples[i] = []element{elems[i]}
 		}
 		ex.bindings[v.Var] = &binding{elems: elems}
-		return &dimension{vars: []string{v.Var}, elems: tuples}
+		return &dimension{vars: []string{v.Var}, elems: singletons(elems)}
 	}
 	return nil
-}
-
-// forEachCombo iterates the Cartesian product of the dimensions in column
-// order (left-most slowest), calling fn with the flat assignment.
-func forEachCombo(dims []dimension, fn func(assign map[string]element, tuple []element)) {
-	idx := make([]int, len(dims))
-	for {
-		assign := make(map[string]element)
-		var tuple []element
-		for di, d := range dims {
-			if len(d.elems) == 0 {
-				return // empty dimension: no combos at all
-			}
-			t := d.elems[idx[di]]
-			tuple = append(tuple, t...)
-			for vi, v := range d.vars {
-				if v != "" && vi < len(t) {
-					assign[v] = t[vi]
-				}
-			}
-		}
-		fn(assign, tuple)
-		// Advance odometer, right-most fastest.
-		di := len(dims) - 1
-		for di >= 0 {
-			idx[di]++
-			if idx[di] < len(dims[di].elems) {
-				break
-			}
-			idx[di] = 0
-			di--
-		}
-		if di < 0 {
-			return
-		}
-	}
 }
 
 // sortedVarNames is a test helper exported via Bindings.

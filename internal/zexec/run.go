@@ -200,7 +200,7 @@ func (ex *executor) prepareRow(rs *rowState) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("no user input provided for -%s", r.Name.Var)
 		}
-		ex.setCollection(rs, &Collection{Vis: []*vis.Visualization{input}, combos: []map[string]element{{}}, wildcard: true})
+		ex.setCollection(rs, &Collection{Vis: []*vis.Visualization{input}, combos: []point{{}}, wildcard: true})
 	case r.Name.Expr != nil:
 		coll, err := ex.deriveCollection(r.Name.Expr, rs)
 		if err != nil {

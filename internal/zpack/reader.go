@@ -226,7 +226,6 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 	}
 	if cold {
 		r.table.Presize(int(foot.nrows))
-		releaseStorage(r.table)
 	}
 	return r, nil
 }
@@ -298,9 +297,6 @@ func (r *Reader) adopt(pred *Reader) bool {
 	alias := rows <= pred.table.CapRows()
 	r.table = dataset.NewExtended(pred.table, rows, alias)
 	r.table.Name = r.foot.name
-	if !alias {
-		releaseStorage(r.table) // before the loaded blocks are copied in
-	}
 	for s := range r.loads {
 		lo := s * engine.SegmentSize
 		if s >= len(pred.loads) {
@@ -443,8 +439,8 @@ func (r *Reader) SegmentLoads() int64 { return r.segLoads.Load() }
 // ResidentBytes returns the bytes this snapshot's loaded blocks take in
 // memory: for every (segment, column) block in place now, the segment's rows
 // at the column's width in the table. Presized storage no block has been read
-// into is not resident: its pages went back to the OS when it was allocated
-// (releaseStorage, on Linux), or when its block was released (Release).
+// into is not resident: it is an anonymous mapping nothing has written
+// (dataset.Table.Presize), or its block was released (Release).
 func (r *Reader) ResidentBytes() int64 {
 	cols := r.table.Columns()
 	width := make([]int64, len(cols))
@@ -712,15 +708,4 @@ func arrayBytes(c *dataset.Column) ([]byte, int) {
 		return asBytes(pc.U32[:cap(pc.U32)]), 4
 	}
 	return pc.U8[:cap(pc.U8)], 1
-}
-
-// releaseStorage hands the pages of t's freshly allocated column arrays back
-// to the OS before any block is read into them. The allocator may have served
-// them from freed, touched heap and zeroed it, which makes them resident; an
-// array no scan reads should cost no memory, whatever the heap held before.
-func releaseStorage(t *dataset.Table) {
-	for _, c := range t.Columns() {
-		b, _ := arrayBytes(c)
-		releasePages(b)
-	}
 }

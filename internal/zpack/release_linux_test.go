@@ -10,9 +10,6 @@ import (
 	"repro/internal/dataset"
 )
 
-// raceEnabled is set in race builds (race_test.go).
-var raceEnabled bool
-
 // rssBytes reads this process's resident set from /proc/self/statm.
 func rssBytes(t *testing.T) int64 {
 	t.Helper()
@@ -43,28 +40,23 @@ func touchGarbage(n int) {
 }
 
 // TestPresizedStorageIsNotResident: storage presized for a lazy table takes
-// no resident memory until a block is read into it, even when the allocator
-// serves it from freed heap the process had touched and zeroes it; and it
-// reads as zeros.
+// no resident memory until a block is read into it, even right after the
+// process freed heap it had touched: it is a fresh mapping, not recycled
+// heap. And it reads as zeros.
 func TestPresizedStorageIsNotResident(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's shadow of the garbage stays resident")
-	}
 	const garbage = 64 << 20
-	runtime.GC()
-	before := rssBytes(t)
 	touchGarbage(garbage)
 	runtime.GC()
 	runtime.GC()
+	before := rssBytes(t)
 	tb := dataset.NewTable("g", []dataset.Field{{Name: "v", Kind: dataset.KindFloat}})
 	tb.Presize(garbage / 8)
-	releaseStorage(tb)
 	if grew := rssBytes(t) - before; grew > 8<<20 {
 		t.Fatalf("presizing %d MB over freed garbage grew the resident set by %.1f MB", garbage>>20, float64(grew)/(1<<20))
 	}
 	for i, v := range tb.Columns()[0].Floats() {
 		if v != 0 {
-			t.Fatalf("row %d of released storage reads %v", i, v)
+			t.Fatalf("row %d of presized storage reads %v", i, v)
 		}
 	}
 }
