@@ -11,7 +11,7 @@
 // Usage:
 //
 //	zserved -demo sales
-//	zserved -data flights=flights.csv -data sales=sales.csv -shards 4
+//	zserved -data flights=flights.csv -data sales=sales.csv
 //	zserved -data warehouse/            # every *.zpack in the directory
 //	zserved -data sales=sales.zpack -cache 4096
 //
@@ -60,7 +60,6 @@ func main() {
 		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget; a tenth of both holds results on probation until their first hit (0 means the default, 1024; negative disables)")
 		optName   = flag.String("opt", "intertask", "default optimization level: noopt, intraline, intratask, intertask (or o0..o3)")
 		metric    = flag.String("metric", "euclidean", "distance metric D: euclidean, dtw, kl, emd (raw- prefix skips normalization)")
-		shards    = flag.Int("shards", 0, "segment shards per dataset, scanned in parallel (0 = one per CPU core, 1 = unsharded)")
 		seed      = flag.Int64("seed", 42, "seed for R (k-means) determinism")
 		demoRows  = flag.Int("demo-rows", 50000, "row count for the demo generators")
 		grace     = flag.Duration("grace", 10*time.Second, "graceful shutdown drain window for in-flight queries")
@@ -91,12 +90,9 @@ func main() {
 	if _, err := zexec.OptLevelByName(*optName); err != nil {
 		log.Fatal(err)
 	}
-	if *shards == 0 {
-		// One shard per core keeps a single dataset's batch able to use the
-		// whole machine; the engine caps the effective count at the segment
-		// count, so small tables aren't over-split.
-		*shards = runtime.GOMAXPROCS(0)
-	}
+	// One segment shard per core keeps a single dataset's batch able to use
+	// the whole machine; the engine caps the effective count at the segment
+	// count, so small tables aren't over-split.
 	cfg := server.Config{
 		Backend:      *backend,
 		Opt:          *optName,
@@ -104,7 +100,7 @@ func main() {
 		Seed:         *seed,
 		CacheEntries: *cache,
 		MaxQueue:     *maxQueue,
-		Shards:       *shards,
+		Shards:       runtime.GOMAXPROCS(0),
 	}
 
 	reg := server.NewRegistry()

@@ -283,7 +283,7 @@ func TestFilePreservesRowsAndVerifies(t *testing.T) {
 func TestFileUnknownColumn(t *testing.T) {
 	path := buildSweep(t)
 	if _, err := File(path, Options{Cols: []string{"nope"}}); err == nil {
-		t.Fatal("want error for unknown pinned column")
+		t.Fatal("want error for unknown cluster column")
 	}
 }
 

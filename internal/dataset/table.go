@@ -226,6 +226,32 @@ func (c *Column) Floats() []float64 { return c.floats }
 // Dict returns the dictionary of a categorical column (code -> value).
 func (c *Column) Dict() []string { return c.dict }
 
+// Dictionary is a categorical column's dictionary as a result keeps it: the
+// entries, code -> value, and their index, shared with the column. Both live
+// on the Go heap, so a result that decodes its codes through one keeps no
+// column array mapped (see mem.go).
+type Dictionary struct {
+	entries []string
+	ix      map[string]int32
+}
+
+// Dictionary returns the column's dictionary as it stands.
+func (c *Column) Dictionary() Dictionary { return Dictionary{c.dict, c.dictIx} }
+
+// Entries returns the values, code -> value.
+func (d Dictionary) Entries() []string { return d.entries }
+
+// Cardinality returns the number of entries.
+func (d Dictionary) Cardinality() int { return len(d.entries) }
+
+// CodeOf returns the code of s, or -1 if s is no entry.
+func (d Dictionary) CodeOf(s string) int32 {
+	if code, ok := d.ix[s]; ok {
+		return code
+	}
+	return -1
+}
+
 // IntDict returns the value dictionary of a Coded integer column (code ->
 // value), in no particular order.
 func (c *Column) IntDict() []int64 { return c.ivals }
@@ -247,12 +273,7 @@ func DictRanks[T cmp.Ordered](dict []T) []uint64 {
 }
 
 // CodeOf returns the dictionary code for s, or -1 if s never occurs.
-func (c *Column) CodeOf(s string) int32 {
-	if code, ok := c.dictIx[s]; ok {
-		return code
-	}
-	return -1
-}
+func (c *Column) CodeOf(s string) int32 { return c.Dictionary().CodeOf(s) }
 
 // CodeOfInt returns the code of v in a Coded integer column's value
 // dictionary, or -1 if v never occurs.
@@ -370,6 +391,8 @@ func (c *Column) DistinctSorted() []Value {
 	if c.ensure != nil {
 		c.ensure()
 	}
+	// c owns the array's mapping: it must outlive the copy.
+	defer runtime.KeepAlive(c)
 	if c.Field.Kind == KindInt {
 		return distinctValues(slices.Clone(c.ints), IV)
 	}
@@ -428,6 +451,22 @@ func (t *Table) Presize(rows int) {
 		c.allocate(rows, rows, true)
 	}
 	t.nrows = rows
+}
+
+// Unloaded returns t's twin before any block was read into it: the same
+// name, schema, layouts and dictionaries — the dictionaries themselves,
+// shared (ShareDicts), neither table may grow them afterwards — over fresh
+// storage presized to t's row count (Presize). Hooks are not carried over.
+func (t *Table) Unloaded() *Table {
+	u := &Table{Name: t.Name, byName: make(map[string]*Column, len(t.cols))}
+	for _, pc := range t.cols {
+		c := &Column{Field: pc.Field, rawInts: pc.rawInts}
+		c.ShareDicts(pc)
+		u.cols = append(u.cols, c)
+		u.byName[c.Field.Name] = c
+	}
+	u.Presize(t.nrows)
+	return u
 }
 
 // NewExtended creates the rows-row successor of a presized table over the

@@ -43,8 +43,8 @@ type ColumnStore struct {
 	tables  map[string]*dataset.Table
 	cols    map[string]*colTable
 	sharded bool // built by a sharded constructor: one scan job per range
-	stats   counters
-	prov    skipProv
+	stats   *counters
+	prov    *skipProv
 	busy    atomic.Int64 // scan jobs currently running
 }
 
@@ -60,13 +60,17 @@ type colTable struct {
 	zones  map[string]*ZoneData // by column name
 	ranges []*segRange
 	loaded []atomic.Bool // per segment: materialized by a scan of this store
-	gate   ScanGate      // src's, when its loaded blocks can be released; or nil
 }
 
 // segRange is the segment range [lo, hi) one scan job walks, with its share
 // of the scan counters.
 type segRange struct {
-	lo, hi                int
+	lo, hi int
+	*rangeCounters
+}
+
+// rangeCounters are one range's share of the scan counters.
+type rangeCounters struct {
 	rows, skipped, loaded atomic.Int64
 }
 
@@ -76,6 +80,24 @@ func newColumnStore(sharded bool) *ColumnStore {
 		tables:  make(map[string]*dataset.Table),
 		cols:    make(map[string]*colTable),
 		sharded: sharded,
+		stats:   &counters{},
+		prov:    &skipProv{},
+	}
+}
+
+// ShareCounters makes s count into prev's counter cells — the store-wide
+// counters, the skip provenance, and, range by range, each table's per-range
+// counters — so that the store over a new snapshot of prev's tables goes on
+// from prev's totals, and what scans still running on prev add lands in them
+// too. Call it before s serves.
+func (s *ColumnStore) ShareCounters(prev *ColumnStore) {
+	s.stats, s.prov = prev.stats, prev.prov
+	for name, ct := range s.cols {
+		if pt := prev.cols[name]; pt != nil {
+			for i := range min(len(ct.ranges), len(pt.ranges)) {
+				ct.ranges[i].rangeCounters = pt.ranges[i].rangeCounters
+			}
+		}
 	}
 }
 
@@ -93,13 +115,12 @@ func (s *ColumnStore) add(src SegmentSource, cuts []int) {
 		zones:  make(map[string]*ZoneData, t.NumCols()),
 		loaded: make([]atomic.Bool, nseg),
 	}
-	ct.gate, _ = src.(ScanGate)
 	lo := 0
 	for _, c := range append(cuts[:len(cuts):len(cuts)], nseg) {
 		if c < lo || c > nseg {
 			panic(fmt.Sprintf("engine: shard cut %d outside [%d, %d]", c, lo, nseg))
 		}
-		ct.ranges = append(ct.ranges, &segRange{lo: lo, hi: c})
+		ct.ranges = append(ct.ranges, &segRange{lo: lo, hi: c, rangeCounters: &rangeCounters{}})
 		lo = c
 	}
 	for _, c := range t.Columns() {
@@ -346,8 +367,7 @@ type scanJob struct {
 // once (ordering and LIMIT apply there only). Every job runs to completion,
 // a job's panic is contained as its error, and a failed job poisons each of
 // its plans — a plan spanning several ranges takes the lowest failing
-// range's error, deterministically. The batch holds the ScanGate of every
-// table it reads from before the scatter to after the gather.
+// range's error, deterministically.
 func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -358,10 +378,6 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	var jobs []*scanJob
 	for _, grp := range groupPlansByTable(plans) {
 		ct := s.cols[grp.t.Name]
-		if ct.gate != nil {
-			ct.gate.BeginScan()
-			defer ct.gate.EndScan()
-		}
 		s.stats.queries.Add(int64(len(grp.idx)))
 		if s.sharded {
 			for i, r := range ct.ranges {

@@ -24,7 +24,7 @@ func TestOrderByRanksMatchesStrings(t *testing.T) {
 		for i, card := 0, 1+rng.Intn(2*n); i < card; i++ {
 			col.AppendString(fmt.Sprintf("v%x", rng.Intn(1000))) // duplicates fold: no entry repeats
 		}
-		s := Vector{Kind: dataset.KindString, Dict: col, Codes: make([]int32, n)}
+		s := Vector{Kind: dataset.KindString, Dict: col.Dictionary(), Codes: make([]int32, n)}
 		i := Vector{Kind: dataset.KindInt, Ints: make([]int64, n)}
 		f := Vector{Kind: dataset.KindFloat, Floats: make([]float64, n)}
 		for r := 0; r < n; r++ {
@@ -52,7 +52,7 @@ func TestOrderByRanksMatchesStrings(t *testing.T) {
 				var d int
 				switch v := vecs[j]; v.Kind {
 				case dataset.KindString:
-					d = strings.Compare(v.Dict.Dict()[v.Codes[a]], v.Dict.Dict()[v.Codes[b]])
+					d = strings.Compare(v.Dict.Entries()[v.Codes[a]], v.Dict.Entries()[v.Codes[b]])
 				case dataset.KindInt:
 					d = orderFloat(float64(v.Ints[a]), float64(v.Ints[b]))
 				default:
@@ -75,7 +75,7 @@ func TestOrderByRanksMatchesStrings(t *testing.T) {
 			tag.Ints[r] = int64(r)
 		}
 		res := &Result{Cols: []string{"s", "i", "f", "row"}, Vecs: []Vector{
-			{Kind: dataset.KindString, Dict: col, Codes: slices.Clone(s.Codes)},
+			{Kind: dataset.KindString, Dict: col.Dictionary(), Codes: slices.Clone(s.Codes)},
 			{Kind: dataset.KindInt, Ints: slices.Clone(i.Ints)},
 			{Kind: dataset.KindFloat, Floats: slices.Clone(f.Floats)}, tag}, n: n}
 		res.orderAndLimit(cols, order, -1)

@@ -487,7 +487,7 @@ func cellVector(c *dataset.Column, bin float64, rows []int32) Vector {
 			v.Floats[g] = binValue(c.Float(int(i)), bin)
 		}
 	case v.Kind == dataset.KindString:
-		v.Dict, v.Codes = c, make([]int32, len(rows))
+		v.Dict, v.Codes = c.Dictionary(), make([]int32, len(rows))
 		for g, i := range rows {
 			v.Codes[g] = c.Code(int(i))
 		}

@@ -25,10 +25,10 @@ type Result struct {
 // dictionary codes, so no string is copied or compared until someone asks.
 type Vector struct {
 	Kind   dataset.Kind
-	Codes  []int32         // KindString: codes into Dict's dictionary
-	Dict   *dataset.Column // KindString: the base column the codes belong to
-	Ints   []int64         // KindInt
-	Floats []float64       // KindFloat
+	Codes  []int32            // KindString: codes into Dict
+	Dict   dataset.Dictionary // KindString: the base column's dictionary
+	Ints   []int64            // KindInt
+	Floats []float64          // KindFloat
 	// null: the only cell is dataset.NullValue — a non-COUNT item of an
 	// aggregate without GROUP BY over no rows, the one NULL this SQL has.
 	null bool
@@ -49,7 +49,7 @@ func (v *Vector) Value(i int) dataset.Value {
 	case v.null:
 		return dataset.NullValue
 	case v.Kind == dataset.KindString:
-		return dataset.SV(v.Dict.Dict()[v.Codes[i]])
+		return dataset.SV(v.Dict.Entries()[v.Codes[i]])
 	case v.Kind == dataset.KindInt:
 		return dataset.IV(v.Ints[i])
 	}
@@ -133,7 +133,7 @@ func pick[T any](src []T, perm []int32, keep int) []T {
 func (v *Vector) comparator() func(a, b int32) int {
 	switch v.Kind {
 	case dataset.KindString:
-		codes, dict := v.Codes, v.Dict.Dict()
+		codes, dict := v.Codes, v.Dict.Entries()
 		rank := dataset.DictRanks(dict)
 		return func(a, b int32) int { return cmp.Compare(rank[codes[a]], rank[codes[b]]) }
 	case dataset.KindInt:

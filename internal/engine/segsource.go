@@ -116,16 +116,6 @@ type SegmentSource interface {
 	Load(seg int, cols ColumnSet) error
 }
 
-// ScanGate is the optional interface, beside SegmentSource, of a source
-// whose loaded blocks may go back to unloaded while nothing reads them
-// (zpack.Reader): BeginScan holds them in place until the matching EndScan.
-// The column store holds the gate of every source a batch reads, from before
-// its first Load to after its results are finished.
-type ScanGate interface {
-	BeginScan()
-	EndScan()
-}
-
 // memSource adapts a fully in-memory table to the SegmentSource interface:
 // everything is already materialized, so Load is a no-op. It is what
 // NewColumnStore wraps its tables in, keeping one construction path for the

@@ -229,62 +229,3 @@ func TestMemSourceMatchesEagerStore(t *testing.T) {
 		t.Errorf("Segments(unknown) = %d, want 0", n)
 	}
 }
-
-// gatedSource wraps the eager in-memory source in a ScanGate that counts its
-// holds and the Loads made while nothing holds it.
-type gatedSource struct {
-	SegmentSource
-	held, begun atomic.Int64
-	unheldLoads atomic.Int64
-}
-
-func (s *gatedSource) BeginScan() { s.begun.Add(1); s.held.Add(1) }
-func (s *gatedSource) EndScan()   { s.held.Add(-1) }
-
-func (s *gatedSource) Load(seg int, cols ColumnSet) error {
-	if s.held.Load() <= 0 {
-		s.unheldLoads.Add(1)
-	}
-	return s.SegmentSource.Load(seg, cols)
-}
-
-// TestReleaseGateHeldAcrossBatch: a batch holds the ScanGate of the source it
-// reads once, over every Load of every scan job (one per range of a sharded
-// store), and lets go of it by the time ExecuteBatch returns.
-func TestReleaseGateHeldAcrossBatch(t *testing.T) {
-	tb := dataset.NewTable("g", []dataset.Field{
-		{Name: "id", Kind: dataset.KindInt},
-		{Name: "tag", Kind: dataset.KindString},
-	})
-	for i := 0; i < 5*SegmentSize+7; i++ {
-		tb.AppendRow(dataset.IV(int64(i)), dataset.SV(fmt.Sprintf("t%d", i%3)))
-	}
-	for _, shards := range []int{1, 3} {
-		src := &gatedSource{SegmentSource: NewMemSource(tb)}
-		db := NewShardedStoreFromSource(shards, src)
-		var plans []*Plan
-		for _, sql := range []string{
-			"SELECT tag, COUNT(*) AS n FROM g GROUP BY tag",
-			"SELECT id FROM g WHERE id > 20000",
-			"SELECT MAX(id) AS m FROM g WHERE tag = 't1'",
-		} {
-			p, err := db.Prepare(mustParse(t, sql))
-			if err != nil {
-				t.Fatal(err)
-			}
-			plans = append(plans, p)
-		}
-		if _, err := db.ExecuteBatch(context.Background(), plans); err != nil {
-			t.Fatal(err)
-		}
-		if got := src.begun.Load(); got != 1 {
-			t.Errorf("%d shards: one batch took the gate %d times, want 1", shards, got)
-		}
-		if got := src.held.Load(); got != 0 {
-			t.Errorf("%d shards: the gate is held %d times after the batch returned", shards, got)
-		}
-		if got := src.unheldLoads.Load(); got != 0 {
-			t.Errorf("%d shards: %d loads ran without the gate", shards, got)
-		}
-	}
-}

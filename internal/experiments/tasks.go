@@ -35,12 +35,13 @@ func (t Task) String() string {
 
 // TaskTiming is one bar of Figures 7.3 / 7.4.
 type TaskTiming struct {
-	Task    Task
-	Dataset string
-	Groups  int
-	Total   time.Duration
-	Query   time.Duration // SQL execution time
-	Compute time.Duration // task-processor computation time
+	Task        Task
+	Dataset     string
+	Groups      int
+	RowsScanned int64 // rows the SQL query scanned (engine.Counters)
+	Total       time.Duration
+	Query       time.Duration // SQL execution time
+	Compute     time.Duration // task-processor computation time
 }
 
 // RunTask executes one task processor end to end: fetch every Z-slice
@@ -52,12 +53,13 @@ func RunTask(db engine.DB, table, x, y, z string, task Task, m vis.Metric, seed 
 	start := time.Now()
 	sql := fmt.Sprintf("SELECT %s, AVG(%s) AS y, %s FROM %s GROUP BY %s, %s ORDER BY %s, %s",
 		x, y, z, table, z, x, z, x)
-	qStart := time.Now()
+	qStart, before := time.Now(), db.Counters().RowsScanned
 	res, err := execSQL(db, sql)
 	if err != nil {
 		return tt, err
 	}
 	tt.Query = time.Since(qStart)
+	tt.RowsScanned = db.Counters().RowsScanned - before
 
 	cStart := time.Now()
 	viss := splitByZ(res, x, z, "y")

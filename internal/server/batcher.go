@@ -38,11 +38,17 @@ type batcher struct {
 	pending  []*submission
 	draining bool // a drain goroutine is running
 
-	// Stats, guarded by mu.
-	submissions int64 // ExecuteBatch calls admitted through the queue
-	batches     int64 // engine batches actually issued
-	coalesced   int64 // submissions that shared an engine batch with another
-	shed        int64 // submissions rejected because the queue was full
+	// ctr is shared with the batchers of the dataset's successors, as the
+	// result cache's counters are (ResultCache.InheritStats).
+	ctr *batchCounters
+}
+
+// batchCounters are a batcher's cumulative counters.
+type batchCounters struct {
+	submissions atomic.Int64 // ExecuteBatch calls admitted through the queue
+	batches     atomic.Int64 // engine batches actually issued
+	coalesced   atomic.Int64 // submissions that shared an engine batch with another
+	shed        atomic.Int64 // submissions rejected because the queue was full
 }
 
 // submission is one caller's batch waiting to be folded into an engine batch.
@@ -58,7 +64,7 @@ type submission struct {
 // newBatcher builds a coalescer over store with at most maxQueue submissions
 // parked (<= 0 means unbounded).
 func newBatcher(store engine.DB, maxQueue int) *batcher {
-	return &batcher{store: store, maxQueue: maxQueue}
+	return &batcher{store: store, maxQueue: maxQueue, ctr: &batchCounters{}}
 }
 
 // submit runs plans through the coalescing queue and blocks until results
@@ -82,14 +88,14 @@ func (b *batcher) submit(ctx context.Context, plans []*engine.Plan) ([]*engine.R
 	s.wait = trace.FromContext(ctx).StartChild("queue.wait")
 	b.mu.Lock()
 	if b.maxQueue > 0 && len(b.pending) >= b.maxQueue {
-		b.shed++
+		b.ctr.shed.Add(1)
 		b.mu.Unlock()
 		s.wait.SetBool("shed", true)
 		s.wait.End()
 		return nil, ErrOverloaded
 	}
 	b.pending = append(b.pending, s)
-	b.submissions++
+	b.ctr.submissions.Add(1)
 	if !b.draining {
 		b.draining = true
 		go b.drain()
@@ -206,21 +212,17 @@ func (b *batcher) runBatch(subs []*submission) {
 	if err != nil && len(subs) > 1 {
 		// Accounting: the failed shared attempt saved nothing; what the
 		// engine effectively served is one batch per submission.
-		b.mu.Lock()
-		b.batches += int64(len(subs))
-		b.mu.Unlock()
+		b.ctr.batches.Add(int64(len(subs)))
 		for _, s := range subs {
 			s.results, s.err = b.execute(s.ctx, s.plans)
 			close(s.done)
 		}
 		return
 	}
-	b.mu.Lock()
-	b.batches++
+	b.ctr.batches.Add(1)
 	if len(subs) > 1 {
-		b.coalesced += int64(len(subs))
+		b.ctr.coalesced.Add(int64(len(subs)))
 	}
-	b.mu.Unlock()
 	off := 0
 	for _, s := range subs {
 		if err != nil {
@@ -269,13 +271,9 @@ type BatchStats struct {
 
 // stats snapshots the coalescing counters.
 func (b *batcher) stats() BatchStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BatchStats{
-		Submissions: b.submissions,
-		Batches:     b.batches,
-		Coalesced:   b.coalesced,
-		Shed:        b.shed,
-		QueueDepth:  len(b.pending),
-	}
+	// Batches and Coalesced first: a submission is counted before its batch,
+	// so Submissions read after them is never the smaller.
+	st := BatchStats{Batches: b.ctr.batches.Load(), Coalesced: b.ctr.coalesced.Load()}
+	st.Submissions, st.Shed, st.QueueDepth = b.ctr.submissions.Load(), b.ctr.shed.Load(), b.queueDepth()
+	return st
 }

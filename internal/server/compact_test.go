@@ -90,7 +90,7 @@ NAME | X      | Y         | Z
 		t.Errorf("compact response = %+v, want 14500 rows, generation 1, unsorted > 0", out)
 	}
 	if strings.Join(out.Cols, ",") != "product,year" {
-		t.Errorf("compact cols = %v, want the pinned [product year]", out.Cols)
+		t.Errorf("compact cols = %v, want the requested [product year]", out.Cols)
 	}
 
 	// The new generation is another inode with the rows in another order:

@@ -7,13 +7,13 @@ import (
 )
 
 // idleSweeps is how many consecutive GC cycles a file-backed dataset must go
-// without starting a scan before its loaded blocks go back to the file
-// (zpack.Reader.Sweep). Every request that misses the result cache starts a
-// scan, and the heaviest such request, a task_cold one, allocates about 2.8
-// cycles' worth on average: a dataset in use does not pass 4 cycles without a
-// scan (the benchmark's cache-missing workloads release no block), while one
-// answered from the cache alone (explore_hot) gives its blocks back a few
-// requests in.
+// without starting a query on its store before it is released: swapped for
+// its snapshot with no block loaded (Registry.release). Every request that
+// misses the result cache starts one, and the heaviest such request, a
+// task_cold one, allocates about 2.8 cycles' worth on average: a dataset in
+// use does not pass 4 cycles without a query (the benchmark's cache-missing
+// workloads release no block), while one answered from the cache alone
+// (explore_hot) gives its blocks back a few requests in.
 const idleSweeps = 4
 
 // An IdleSweeper runs the idle sweep of every dataset served from a file
@@ -66,12 +66,25 @@ func (s *IdleSweeper) onGC() {
 	s.arm()
 }
 
-// sweepIdle runs one idle sweep of every dataset served from a file and
-// counts the blocks it releases.
+// sweepIdle runs one idle sweep of every dataset served from a file. A
+// dataset is idle at it when its store's cumulative query count, which
+// carries over every swap, has not moved since the previous sweep; at the
+// idleSweeps-th idle sweep in a row, and every one after, it is released
+// if it has blocks in place (Registry.release).
 func (r *Registry) sweepIdle() {
+	r.sweepMu.Lock()
+	defer r.sweepMu.Unlock()
 	for _, d := range r.List() {
-		if d.packR != nil {
-			d.ctr.released.Add(int64(d.packR.Sweep(idleSweeps)))
+		if d.packR == nil {
+			continue
+		}
+		c := d.ctr
+		if q := d.store.Counters().Queries; q != c.sweepQueries {
+			c.sweepQueries, c.idleRuns = q, 0
+			continue
+		}
+		if c.idleRuns++; c.idleRuns >= idleSweeps {
+			r.release(d.name)
 		}
 	}
 }

@@ -19,22 +19,22 @@ func runtimeInt(name string) int64 {
 }
 
 // TestIdleSweeperLifecycle: once started, the sweeper runs an idle sweep
-// after every GC cycle, so a file-backed dataset nobody queries hands its
-// blocks back within a few collections; it never changes the GC percent; and
-// after Stop no collection sweeps again.
+// after every GC cycle, so a file-backed dataset nobody queries is released
+// within a few collections; it never changes the GC percent; and after Stop
+// no collection sweeps again.
 func TestIdleSweeperLifecycle(t *testing.T) {
 	base := runtimeInt("/gc/gogc:percent")
 	ts, reg, _ := newZpackServer(t, Config{CacheEntries: -1}) // every query scans
-	d := reg.Get("sales")
+	d := func() *Dataset { return reg.Get("sales") }
 	first := postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: yearRevenue})
-	if d.ResidentBytes() == 0 {
+	if d().ResidentBytes() == 0 {
 		t.Fatal("nothing resident after a query")
 	}
 
 	s := StartIdleSweeper(reg)
 	t.Cleanup(s.Stop)
 	deadline := time.Now().Add(60 * time.Second)
-	for d.Stats().BlocksReleased == 0 {
+	for d().Stats().BlocksReleased == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no block released within a minute of collections")
 		}
@@ -44,21 +44,21 @@ func TestIdleSweeperLifecycle(t *testing.T) {
 	if got := runtimeInt("/gc/gogc:percent"); got != base {
 		t.Errorf("GC percent %d while sweeping, want the process's %d", got, base)
 	}
-	waitFor(t, func() bool { return d.ResidentBytes() == 0 })
+	waitFor(t, func() bool { return d().ResidentBytes() == 0 })
 
 	s.Stop()
 	again := postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: yearRevenue})
 	if string(again.Result) != string(first.Result) {
 		t.Errorf("after the release the query answers\n%.200s\nwant\n%.200s", again.Result, first.Result)
 	}
-	resident, released := d.ResidentBytes(), d.Stats().BlocksReleased
+	resident, released := d().ResidentBytes(), d().Stats().BlocksReleased
 	for i := 0; i < 3*idleSweeps; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if d.ResidentBytes() != resident || d.Stats().BlocksReleased != released {
+	if d().ResidentBytes() != resident || d().Stats().BlocksReleased != released {
 		t.Errorf("after Stop: %d bytes resident and %d blocks released, want %d and %d",
-			d.ResidentBytes(), d.Stats().BlocksReleased, resident, released)
+			d().ResidentBytes(), d().Stats().BlocksReleased, resident, released)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 
 // The counted-work ledger (ROADMAP 5(d)): a fixed script of /spec and /query
 // requests, served cold then warm over one seeded fixture in three setups,
-// with every counted quantity pinned — /stats engine counters, skip
+// with every counted quantity fixed — /stats engine counters, skip
 // provenance, planner counters, per-shard totals, pool capacity, cache
 // hits/misses/evictions — and the sha256 of every response body with its two
 // wall-clock fields blanked. Wall clock cannot be gated on a shared box;
@@ -152,7 +152,7 @@ type ledgerSetup struct {
 
 // ledgerSetups registers the fixture three ways: CSV under the auto backend
 // unsharded and with three shards, and a city-compacted .zpack with three
-// shards. Scan and process parallelism are pinned so counts don't follow the
+// shards. Scan and process parallelism are fixed so counts don't follow the
 // host's core count.
 func ledgerSetups(t *testing.T) []ledgerSetup {
 	t.Helper()

@@ -113,12 +113,12 @@ func newMetrics(reg *Registry) *metrics {
 			emit(float64(s.SegmentsSkipped))
 		})
 	perDataset("zen_segments_loaded_total",
-		"Distinct segments ever materialized (zpack: read from disk).", "counter",
+		"Distinct segments each snapshot of the dataset materialized, summed (zpack: read from disk).", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.SegmentLoads))
 		})
 	perDataset("zen_blocks_released_total",
-		"Blocks idle sweeps handed back to the file (zpack), read again by the next scan that needs them.", "counter",
+		"Blocks in place in the snapshots idle sweeps released (zpack), read again by the next scan that needs them.", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.BlocksReleased))
 		})

@@ -38,10 +38,10 @@ func TestOffHeapAddTable(t *testing.T) {
 	runtime.KeepAlive(reg)
 }
 
-// TestOffHeapReleaseMovesNoGoHeap replaces the pacer's pinned-bytes rule: a
-// zpack dataset's blocks load into mappings, so neither loading them nor
-// releasing them moves the live Go heap by a tenth of the table; a release
-// gives back resident memory only, and the next query reads the same answer.
+// TestOffHeapReleaseMovesNoGoHeap: a zpack dataset's blocks load into
+// mappings, so neither loading them nor releasing them moves the live Go heap
+// by a tenth of the table; a release gives back resident memory only, and the
+// next query reads the same answer.
 func TestOffHeapReleaseMovesNoGoHeap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sales.zpack")
 	if err := zpack.Build(path, workload.Sales(guardSales())); err != nil {
@@ -60,9 +60,11 @@ func TestOffHeapReleaseMovesNoGoHeap(t *testing.T) {
 	if d.ResidentBytes() == 0 {
 		t.Fatal("nothing resident after a query")
 	}
-	if n, ok := d.packR.Release(); !ok || n == 0 {
-		t.Fatalf("Release() = %d, %v", n, ok)
+	reg.release("sales")
+	if reg.Get("sales") == d {
+		t.Fatal("the release swapped nothing in")
 	}
+	d = reg.Get("sales")
 	if d.ResidentBytes() != 0 || d.Table().SizeBytes() != size {
 		t.Fatalf("after the release %d bytes resident of a %d-byte table, want 0 of %d", d.ResidentBytes(), d.Table().SizeBytes(), size)
 	}

@@ -78,7 +78,7 @@ func newWrappedServer(t *testing.T, store engine.DB, cfg Config, opts ...Option)
 	t.Helper()
 	cfg.Seed = 7
 	cfg.CacheEntries = -1
-	d, err := newDataset(testTable(), store, "column", cfg)
+	d, err := newDataset(testTable(), store, "column", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"path/filepath"
 	"sort"
@@ -86,7 +87,9 @@ type Config struct {
 // zpack snapshot shares the predecessor's column arrays and the load state of
 // every unchanged segment (zpack.Reader.Reopen); the store, result cache,
 // coalescer and session around it are rebuilt, so nothing computed over the
-// shorter table is ever served for the longer one.
+// shorter table is ever served for the longer one. An idle dataset is
+// released the same way (Registry.release): its successor is the same
+// snapshot with nothing loaded, and keeps its result cache.
 type Dataset struct {
 	name    string
 	backend string
@@ -109,10 +112,11 @@ type Dataset struct {
 
 	// The whole append lineage of one inode shares one descriptor, owned by
 	// its newest Reader, packR. A compaction replaces the inode and so opens a
-	// new lineage; the superseded generation's last Reader moves to
-	// packRetired and is closed one compaction later, when every query that
-	// could still hold an old snapshot is long finished (see Registry.Compact).
-	packRetired *zpack.Reader
+	// new lineage; the superseded generation's descriptor, and nothing else of
+	// it, moves to packRetired and is closed one compaction later, when every
+	// query that could still hold an old snapshot is long finished (see
+	// Registry.Compact).
+	packRetired io.Closer
 
 	// ctr is SHARED across a dataset's generations: an append swaps in a
 	// successor Dataset that points at the same counter cell, so increments
@@ -157,9 +161,15 @@ type dsCounters struct {
 	unsortedSegs   atomic.Int64
 	lastAppendNano atomic.Int64
 
-	// released counts the blocks the idle sweeps (IdleSweeper) handed back to
-	// the file, over every generation.
+	// released counts the blocks the snapshots that idle sweeps dropped had
+	// in place (Registry.release), over every generation.
 	released atomic.Int64
+
+	// The idle sweep's view of the dataset (Registry.sweepIdle), under the
+	// registry's sweepMu: the store's query count at the previous sweep, and
+	// how many sweeps in a row have found it unchanged.
+	sweepQueries int64
+	idleRuns     int
 }
 
 // recordProcess folds one execution's process-phase counters into the
@@ -193,10 +203,10 @@ func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
 // when the store is unsharded.
 func (d *Dataset) ShardCount() int { return len(d.store.Stats(d.table.Name).Ranges) }
 
-// ResidentBytes returns the heap the dataset's loaded column data holds: for
-// a zpack dataset the blocks its reader has in place now, at their width in
-// memory (zpack.Reader.ResidentBytes); for an in-memory one the whole table
-// (dataset.Table.SizeBytes).
+// ResidentBytes returns the memory the dataset's loaded column data holds:
+// for a zpack dataset the blocks its reader has in place now, at their width
+// in memory (zpack.Reader.ResidentBytes); for an in-memory one the whole
+// table (dataset.Table.SizeBytes).
 func (d *Dataset) ResidentBytes() int64 {
 	if d.packR != nil {
 		return d.packR.ResidentBytes()
@@ -216,11 +226,12 @@ type DatasetStats struct {
 	// leave RowsScanned untouched — the visible win of the cache.
 	// SegmentsSkipped counts segments the zone maps proved empty and never
 	// scanned; SegmentsScanned are the ones that were actually visited, and
-	// SegmentLoads the distinct segments this store has visited at least once
-	// (for zpack, read from disk then, unless an earlier snapshot of the
-	// append lineage had loaded them). BlocksReleased counts the (segment,
-	// column) blocks idle sweeps handed back to the file, to be read again by
-	// the next scan that needs them.
+	// SegmentLoads, summed over the dataset's snapshots, the distinct segments
+	// each snapshot's store has visited at least once (for zpack, read from
+	// disk then, unless an earlier snapshot of the append lineage had loaded
+	// them). BlocksReleased counts the (segment, column) blocks that the
+	// snapshots idle sweeps dropped had in place, to be read again by the
+	// next scan that needs them.
 	Queries         int64         `json:"queries"`
 	RowsScanned     int64         `json:"rowsScanned"`
 	SegmentsScanned int64         `json:"segmentsScanned"`
@@ -393,6 +404,9 @@ type Registry struct {
 	// and probes don't route traffic into the swap.
 	ready atomic.Bool
 	swaps atomic.Int64
+
+	// sweepMu serializes idle sweeps (sweepIdle).
+	sweepMu sync.Mutex
 }
 
 // SetReady marks the registry ready (or not) for /readyz. Call with true
@@ -425,7 +439,7 @@ func (r *Registry) AddTable(t *dataset.Table, cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	t.OffHeap()
-	d, err := newDataset(t, columnStore(engine.NewMemSource(t), cfg), backend, cfg)
+	d, err := newDataset(t, columnStore(engine.NewMemSource(t), cfg), backend, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -467,7 +481,7 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 		reader.Close()
 		return nil, err
 	}
-	d, err := newZpackDataset(name, reader, backend, cfg)
+	d, err := newZpackDataset(name, reader, backend, cfg, nil)
 	if err != nil {
 		reader.Close()
 		writer.Discard()
@@ -480,11 +494,12 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 }
 
 // newZpackDataset assembles the serving stack around a zpack reader's table,
-// registered as name: the column executor over the reader's segments.
-func newZpackDataset(name string, reader *zpack.Reader, backend string, cfg Config) (*Dataset, error) {
+// registered as name: the column executor over the reader's segments,
+// answering from cache (nil: a new one).
+func newZpackDataset(name string, reader *zpack.Reader, backend string, cfg Config, cache *ResultCache) (*Dataset, error) {
 	t := reader.Table()
 	t.Name = name
-	d, err := newDataset(t, columnStore(reader, cfg), backend, cfg)
+	d, err := newDataset(t, columnStore(reader, cfg), backend, cfg, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -506,8 +521,9 @@ func columnStore(src engine.SegmentSource, cfg Config) engine.DB {
 }
 
 // newDataset assembles the serving stack — store, cache, coalescer, session
-// — around a table whose store is already built.
-func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config) (*Dataset, error) {
+// — around a table whose store is already built, answering from cache, or
+// from a new cache when it is nil.
+func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config, cache *ResultCache) (*Dataset, error) {
 	opt := zexec.InterTask
 	if cfg.Opt != "" {
 		var err error
@@ -518,11 +534,13 @@ func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config) (
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	entries := cfg.CacheEntries
-	if entries == 0 {
-		entries = DefaultCacheEntries
+	if cache == nil {
+		entries := cfg.CacheEntries
+		if entries == 0 {
+			entries = DefaultCacheEntries
+		}
+		cache = NewResultCache(entries)
 	}
-	cache := NewResultCache(entries)
 	maxQueue := cfg.MaxQueue
 	if maxQueue == 0 {
 		maxQueue = DefaultMaxQueue
@@ -586,7 +604,7 @@ func (r *Registry) LoadCSV(name, path string, cfg Config) (*Dataset, error) {
 		log.Printf("%s: no spill, serving %s from memory: %v", path, name, err)
 		return r.AddTable(ch.Table(), cfg)
 	}
-	d, err := newZpackDataset(name, reader, backend, cfg)
+	d, err := newZpackDataset(name, reader, backend, cfg, nil)
 	if err == nil {
 		d, err = r.add(d)
 	}
@@ -658,31 +676,64 @@ func (r *Registry) Append(name string, rows []dataset.Row) (*Dataset, error) {
 		// append API without client-supplied request IDs.
 		return nil, err
 	}
-	return r.swapSuccessor(d, fresh, w, d.packRetired, func(c *dsCounters) {
+	return r.swapSuccessor(d, fresh, w, d.packRetired, nil, func(c *dsCounters) {
 		c.lastAppendNano.Store(nowNano())
 	})
 }
 
-// swapSuccessor builds d's successor around a reopened reader and its
-// writer, under d's name, backend, config and file, and swaps it into the
-// registry. retired becomes the successor's packRetired. note records the
+// release swaps the named dataset's successor over the unloaded twin of its
+// snapshot (zpack.Reader.Unloaded) into the registry, if it still has
+// blocks in place. The successor answers from the same result cache: same
+// data, same keys. Scans still running on the old snapshot, and results
+// still cached from it, keep what they read; once nothing reaches the old
+// snapshot's arrays the collector unmaps them. release takes appendMu only if
+// it is free, so the GC hook that runs it never waits behind an append or a
+// compaction: a busy lock skips the release.
+func (r *Registry) release(name string) {
+	if !r.appendMu.TryLock() {
+		return
+	}
+	defer r.appendMu.Unlock()
+	d := r.Get(name)
+	if d == nil || d.packR == nil || d.ResidentBytes() == 0 {
+		return
+	}
+	twin, blocks := d.packR.Unloaded()
+	// The twin owns the descriptor from here on. Should the swap fail, d
+	// serves on through it, and the os.File closes once unreachable.
+	r.swapSuccessor(d, twin, d.packW.Load(), d.packRetired, d.cache, func(c *dsCounters) {
+		c.released.Add(int64(blocks))
+	})
+}
+
+// swapSuccessor builds d's successor around a reader of d's file (reopened,
+// or d's unloaded twin) and its writer, under d's name, backend and config,
+// and swaps it into the registry. retired becomes the successor's
+// packRetired. The successor answers from cache when it is not nil (a
+// release: the data is d's), from a fresh cache otherwise. note records the
 // caller's counters before the unsorted-segments gauge, which reads them, is
 // refreshed. Callers hold appendMu.
 //
-// Counter continuity: /stats stays exact and monotonic across the swap.
-// HTTP, process and compaction counters are a shared cell (the successor
-// adopts d's), the cache counters are inherited with the dropped entries
-// counted as evictions, and engine counters live in the store and restart
-// with it (documented in OPERATIONS.md).
-func (r *Registry) swapSuccessor(d *Dataset, fresh *zpack.Reader, w *zpack.Writer, retired *zpack.Reader, note func(*dsCounters)) (*Dataset, error) {
-	nd, err := newZpackDataset(d.name, fresh, d.backend, d.cfg)
+// Counter continuity: every /stats and /metrics counter stays exact and
+// monotonic across the swap. HTTP, process and compaction counters, the
+// engine counters (rows and segments scanned, skipped and loaded, plans,
+// skip provenance, per shard as well) and the coalescer counters are shared
+// cells the successor adopts from d, so what queries still running on d add
+// lands in them too; a fresh cache inherits d's counters, with d's entries
+// counted as evictions. Only the session's history restarts.
+func (r *Registry) swapSuccessor(d *Dataset, fresh *zpack.Reader, w *zpack.Writer, retired io.Closer, cache *ResultCache, note func(*dsCounters)) (*Dataset, error) {
+	nd, err := newZpackDataset(d.name, fresh, d.backend, d.cfg, cache)
 	if err != nil {
 		return nil, err
 	}
+	nd.store.(*engine.ColumnStore).ShareCounters(d.store.(*engine.ColumnStore))
 	nd.packPath, nd.packRetired = d.packPath, retired
 	nd.packW.Store(w)
 	nd.ctr = d.ctr
-	nd.cache.InheritStats(d.cache)
+	nd.bat.ctr = d.bat.ctr
+	if cache == nil {
+		nd.cache.InheritStats(d.cache)
+	}
 	note(nd.ctr)
 	nd.refreshUnsorted()
 	r.mu.Lock()

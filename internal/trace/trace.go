@@ -6,7 +6,7 @@
 // The design optimizes for the common case — tracing OFF — being free. A nil
 // *Span is a fully valid no-op recorder: every method has a nil receiver
 // fast path, so an uninstrumented request pays one nil-check per span site
-// and zero allocations (pinned by TestNoopZeroAlloc). Instrumented requests
+// and zero allocations (checked by TestNoopZeroAlloc). Instrumented requests
 // pay a mutex and a few small allocations per span, which is noise next to
 // the work the span measures.
 //

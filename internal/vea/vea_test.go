@@ -56,8 +56,8 @@ func universe(t *testing.T) *Group {
 	return Universe(fixture(), xyAttrs, measures)
 }
 
-// starExcept builds the σv predicate of Table 4.3: X/Y pinned, one attribute
-// != *, one attribute pinned to a value, the rest = *.
+// starExcept builds the σv predicate of Table 4.3: X/Y fixed, one attribute
+// != *, one attribute fixed to a value, the rest = *.
 func starExcept(g *Group, x, y string, free string, fixed map[string]string) Pred {
 	p := And{Cmp{Field: "X", Eq: true, Val: x}, Cmp{Field: "Y", Eq: true, Val: y}}
 	for _, a := range g.Attrs {
@@ -103,7 +103,7 @@ func TestSelectTable43(t *testing.T) {
 
 // TestSelectViaIntersection verifies the Lemma 2 identity the completeness
 // proof uses: σv_{X=B}(V) = V ∩v U where U is the filtering visual group
-// with X pinned to B and everything else free.
+// with X fixed to B and everything else free.
 func TestSelectViaIntersection(t *testing.T) {
 	g := universe(t)
 	v := Select(g, starExcept(g, "year", "sales", "product", map[string]string{"location": "US"}))

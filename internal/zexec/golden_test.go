@@ -101,7 +101,7 @@ func goldenVariants() []goldenVariant {
 			o.ProcessNoPrune = true
 		}, procs: 4},
 		// The conjunct planner reorders compiled WHERE legs at Prepare time;
-		// running the corpus with it pinned off must still render the same
+		// running the corpus with it switched off must still render the same
 		// bytes at both ends of the optimization ladder.
 		{name: "noopt-noplan", opts: func(o *Options) { o.Opt = NoOpt }, noPlan: true},
 		{name: "intertask-noplan", opts: func(o *Options) { o.Opt = InterTask }, noPlan: true},

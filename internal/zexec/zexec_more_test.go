@@ -274,7 +274,7 @@ f2=f1.order |       |         | u1 ->             |
 	}
 }
 
-// TestParallelismOption: a store pinned to one scan worker still serves a
+// TestParallelismOption: a store limited to one scan worker still serves a
 // batched request.
 func TestParallelismOption(t *testing.T) {
 	opts := salesOpts()

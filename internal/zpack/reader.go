@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"slices"
 	"sync"
@@ -23,7 +24,8 @@ import (
 // no query reads.
 //
 // A Reader produced by Reopen over the same inode adopts its predecessor's
-// materialised state instead of starting cold: see Reopen.
+// materialised state instead of starting cold: see Reopen. One produced by
+// Unloaded is the same snapshot with nothing in place: see Unloaded.
 //
 // All methods are safe for concurrent use.
 type Reader struct {
@@ -34,8 +36,6 @@ type Reader struct {
 	size  int64 // committed file size this snapshot was read at
 	table *dataset.Table
 
-	zones map[string]*engine.ZoneData
-
 	// loads[s] guards segment s. Snapshots of one append lineage that share
 	// backing arrays point at the SAME state for every segment whose footer
 	// record they agree on, so whichever snapshot's scan gets to a block
@@ -45,9 +45,6 @@ type Reader struct {
 	// the rows past this snapshot's length then belong to that successor, so
 	// a second Reopen from here starts cold rather than write them twice.
 	adopted atomic.Bool
-	// gate is the lineage's: shared with every successor that adopts this
-	// Reader's storage (see Release).
-	gate *scanGate
 
 	// read[s] is set once this Reader has read a block of segment s, and
 	// segLoads counts those segments.
@@ -112,10 +109,13 @@ func (l *loadState) mark(j int) {
 	w.Store(w.Load() | 1<<(uint(j)&63))
 }
 
-// unmark records column j's block as unloaded again; the caller holds mu.
-func (l *loadState) unmark(j int) {
-	w := &l.loaded[j>>6]
-	w.Store(w.Load() &^ (1 << (uint(j) & 63)))
+// coldLoads gives r a load state per segment with nothing in place.
+func (r *Reader) coldLoads() {
+	states := newLoadStates(len(r.foot.segs), len(r.foot.fields))
+	for s := range states {
+		states[s].from = s * engine.SegmentSize
+		r.loads[s] = &states[s]
+	}
 }
 
 // Open opens a zpack file, reading its footer and preparing the lazy table.
@@ -190,44 +190,69 @@ func newReader(f *os.File, path string, pred *Reader) (*Reader, error) {
 		path:  path,
 		foot:  foot,
 		size:  size,
-		zones: foot.zones,
 		loads: make([]*loadState, len(foot.segs)),
 		read:  make([]atomic.Bool, len(foot.segs)),
 	}
 	cold := pred == nil || !r.adopt(pred)
 	if cold {
-		r.gate = newScanGate(len(foot.fields))
 		r.table = dataset.NewTable(foot.name, foot.fields)
-		states := newLoadStates(len(foot.segs), len(foot.fields))
-		for s := range states {
-			states[s].from = s * engine.SegmentSize
-			r.loads[s] = &states[s]
-		}
+		r.coldLoads()
 	}
 	// The dictionaries: they decide the widths a cold table is presized at,
 	// and leave the widths of an adopted one alone (continuedBy saw to that).
-	for j, c := range r.table.Columns() {
+	// A dictionary-coded column answers distinct enumeration (axis '*'
+	// expansion) from the dictionary; no data load needed.
+	for _, c := range r.table.Columns() {
 		name := c.Field.Name
 		switch c.Field.Kind {
 		case dataset.KindString:
 			c.SetDict(foot.dicts[name])
 		case dataset.KindInt:
-			// A dictionary-coded column answers distinct enumeration (axis '*'
-			// expansion) from the dictionary; no data load needed.
 			if vals, ok := foot.intVals[name]; ok {
 				c.SetIntDict(vals)
 			} else {
 				c.SetRawInts()
-				c.SetEnsureLoaded(r.ensureColumn(j))
 			}
-		default:
-			c.SetEnsureLoaded(r.ensureColumn(j))
 		}
 	}
+	r.hookRaw()
 	if cold {
 		r.table.Presize(int(foot.nrows))
 	}
 	return r, nil
+}
+
+// hookRaw installs the DistinctSorted hook (ensureColumn) of every column
+// that has no dictionary.
+func (r *Reader) hookRaw() {
+	for j, c := range r.table.Columns() {
+		if !c.Coded() {
+			c.SetEnsureLoaded(r.ensureColumn(j))
+		}
+	}
+}
+
+// Unloaded returns r's unloaded twin: a Reader over the same committed
+// snapshot — the same parsed footer, zone maps and dictionaries, shared, so
+// making it reads nothing from disk and copies no dictionary — over fresh
+// presized storage with no block in place. The descriptor's ownership moves
+// to the twin as it does in Reopen. r answers on, from the blocks it has in
+// place, for whatever still holds it; once nothing does, the collector
+// unmaps its arrays (dataset.Table). Unloaded also returns how many blocks r
+// has in place, which the twin does not.
+func (r *Reader) Unloaded() (*Reader, int) {
+	u := &Reader{f: r.f, path: r.path, foot: r.foot, size: r.size, table: r.table.Unloaded(),
+		loads: make([]*loadState, len(r.loads)), read: make([]atomic.Bool, len(r.loads))}
+	u.coldLoads()
+	u.hookRaw()
+	u.owns.Store(r.owns.Swap(false))
+	n := 0
+	for _, l := range r.loads {
+		for w := range l.loaded {
+			n += bits.OnesCount64(l.loaded[w].Load())
+		}
+	}
+	return u, n
 }
 
 // continuedBy reports whether foot describes an append-only continuation of
@@ -271,12 +296,8 @@ func (pred *Reader) continuedBy(foot *footer) bool {
 }
 
 // adopt makes r the successor of pred over pred's materialised state (see
-// Reopen), reporting false — with r untouched — when r must start cold. It
-// holds pred's gate throughout: no block it shares or copies goes back to
-// the file under it.
+// Reopen), reporting false — with r untouched — when r must start cold.
 func (r *Reader) adopt(pred *Reader) bool {
-	pred.gate.hold()
-	defer pred.gate.mu.RUnlock()
 	if !pred.continuedBy(r.foot) {
 		return false
 	}
@@ -292,7 +313,6 @@ func (r *Reader) adopt(pred *Reader) bool {
 	if !pred.adopted.CompareAndSwap(false, true) {
 		return false
 	}
-	r.gate = pred.gate
 	rows := int(r.foot.nrows)
 	alias := rows <= pred.table.CapRows()
 	r.table = dataset.NewExtended(pred.table, rows, alias)
@@ -427,20 +447,19 @@ func (r *Reader) NumSegments() int { return len(r.foot.segs) }
 func (r *Reader) SegmentRows(s int) int { return r.foot.segs[s].rows }
 
 // Zone returns the named column's zone maps.
-func (r *Reader) Zone(col string) *engine.ZoneData { return r.zones[col] }
+func (r *Reader) Zone(col string) *engine.ZoneData { return r.foot.zones[col] }
 
 // SegmentLoads returns how many segments this Reader has read at least one
 // block of from disk — the observable that proves zone-map-skipped segments
 // were never read, and that segments adopted from a predecessor were not read
-// again. A segment counts once: reading its blocks again after a Release
-// does not count.
+// again. A segment counts once.
 func (r *Reader) SegmentLoads() int64 { return r.segLoads.Load() }
 
 // ResidentBytes returns the bytes this snapshot's loaded blocks take in
 // memory: for every (segment, column) block in place now, the segment's rows
 // at the column's width in the table. Presized storage no block has been read
 // into is not resident: it is an anonymous mapping nothing has written
-// (dataset.Table.Presize), or its block was released (Release).
+// (dataset.Table.Presize).
 func (r *Reader) ResidentBytes() int64 {
 	cols := r.table.Columns()
 	width := make([]int64, len(cols))
@@ -464,11 +483,10 @@ func (r *Reader) ResidentBytes() int64 {
 // Load materializes the blocks of columns cols in segment seg into the
 // table's column storage: each block is read, checksum-verified, and decoded
 // in place. Load is idempotent and safe for concurrent use; the work happens
-// once per block in place, however many snapshots of the lineage share it —
-// and once more after each Release that handed the block back. A block that
-// fails to load fails every later Load of it on this Reader; the blocks of
-// other columns still load. What Load brings in stays in place while the
-// caller holds the lineage's gate (BeginScan).
+// once per block in place, however many snapshots of the lineage share it. A
+// block that fails to load fails every later Load of it on this Reader; the
+// blocks of other columns still load. What Load brings in stays in place for
+// as long as the Reader's table is reachable.
 func (r *Reader) Load(seg int, cols engine.ColumnSet) error {
 	if seg < 0 || seg >= len(r.loads) {
 		return fmt.Errorf("zpack: segment %d out of range (file has %d)", seg, len(r.loads))
@@ -524,14 +542,10 @@ func (r *Reader) fail(seg, j int, err error) error {
 // the raw scan. A load failure must not degrade into silently incomplete
 // enumeration (zeroed segments would just be missing from the distinct set),
 // so it panics with the load error; the ZQL axis-expansion path recovers it
-// into a query error. The raw scan reads the column after the hook returns,
-// outside any hold of the gate, so the column is pinned: never released.
+// into a query error.
 func (r *Reader) ensureColumn(j int) func() {
 	cols := engine.NewColumnSet(len(r.foot.fields), j)
 	return func() {
-		r.gate.hold()
-		defer r.gate.mu.RUnlock()
-		r.gate.pinned[j].Store(true)
 		for s := range r.loads {
 			if err := r.Load(s, cols); err != nil {
 				panic(err)
@@ -542,15 +556,8 @@ func (r *Reader) ensureColumn(j int) func() {
 
 // LoadAll materializes every column of every segment (for use with
 // non-columnar back-ends or full exports), returning the first load error.
-// Its callers read the table outside any scan, so every column is pinned:
-// nothing of the lineage is released after it.
 func (r *Reader) LoadAll() error {
 	r.loadAll.Do(func() {
-		r.gate.hold()
-		defer r.gate.mu.RUnlock()
-		for j := range r.gate.pinned {
-			r.gate.pinned[j].Store(true)
-		}
 		all := engine.AllColumns(len(r.foot.fields))
 		for s := range r.loads {
 			if err := r.Load(s, all); err != nil {
@@ -579,14 +586,26 @@ func (r *Reader) Verify() error {
 }
 
 // Close closes the underlying file if this Reader owns it: Reopen over the
-// same inode hands the descriptor on, so Close is a no-op on a superseded
-// Reader (scans still running on it read through the shared descriptor) and
-// closing the lineage's newest Reader closes it for all of them.
+// same inode, and Unloaded, hand the descriptor on, so Close is a no-op on a
+// superseded Reader (scans still running on it read through the shared
+// descriptor) and closing the lineage's newest Reader closes it for all of
+// them.
 func (r *Reader) Close() error {
+	if c := r.Detach(); c != nil {
+		return c.Close()
+	}
+	return nil
+}
+
+// Detach moves the descriptor r owns out of r: the returned Closer closes
+// it, and closing r no longer does. Scans still running on r read through it
+// until then, while r itself, and its arrays, may be collected. It returns
+// nil when r owns no descriptor.
+func (r *Reader) Detach() io.Closer {
 	if !r.owns.Swap(false) {
 		return nil
 	}
-	return r.f.Close()
+	return r.f
 }
 
 // readBlock reads block j of segment seg into b, sized to the block, checks

@@ -3,12 +3,15 @@ package zpack
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,17 +109,10 @@ func assertAnswers(t *testing.T, what string, got, want []string) {
 	}
 }
 
-func skipWithoutRelease(t *testing.T) {
-	if !canRelease {
-		t.Skip("releasePages gives no memory back on this platform: nothing is released")
-	}
-}
-
-// TestReleaseThenRescanIsBitIdentical: a release leaves nothing resident, and
-// the scans after it read the blocks again and answer bit for bit as before.
-// Reading a block again does not count as another segment load.
+// TestReleaseThenRescanIsBitIdentical: the unloaded twin of a loaded reader
+// has nothing in place and answers bit for bit as the reader did, reading
+// the blocks again; the reader itself answers on from the blocks it has.
 func TestReleaseThenRescanIsBitIdentical(t *testing.T) {
-	skipWithoutRelease(t)
 	const rows = 3*engine.SegmentSize + 500
 	path, _ := lineageFile(t, rows, 21)
 	queries := releaseQueries(rows)
@@ -125,28 +121,33 @@ func TestReleaseThenRescanIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer func() { r.Close() }()
 	for _, shards := range []int{1, 3} {
 		db := engine.NewShardedStoreFromSource(shards, r)
 		assertAnswers(t, "before the release", answers(db, queries), want)
-		if r.ResidentBytes() == 0 {
+		resident := r.ResidentBytes()
+		if resident == 0 {
 			t.Fatal("the scans loaded nothing")
 		}
-		n, ok := r.Release()
-		if !ok || n == 0 {
-			t.Fatalf("Release() = %d, %v on an idle reader with loaded blocks", n, ok)
+		u, n := r.Unloaded()
+		if n == 0 {
+			t.Fatal("Unloaded() counted no block in place on a loaded reader")
 		}
-		if got := r.ResidentBytes(); got != 0 {
-			t.Fatalf("%d bytes resident after a release", got)
+		if got := u.ResidentBytes(); got != 0 {
+			t.Fatalf("%d bytes resident in the twin", got)
 		}
-		if slices.ContainsFunc(loadedCols(r), func(w uint64) bool { return w != 0 }) {
-			t.Fatalf("load bits %b after a release", loadedCols(r))
+		if slices.ContainsFunc(loadedCols(u), func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("load bits %b in the twin", loadedCols(u))
 		}
-		loads := r.SegmentLoads()
-		assertAnswers(t, "after the release", answers(db, queries), want)
-		if got := r.SegmentLoads(); got != loads {
-			t.Errorf("segment loads went %d -> %d reading released blocks again", loads, got)
+		if u.SegmentLoads() != 0 || u.Rows() != r.Rows() || u.NumSegments() != r.NumSegments() {
+			t.Fatalf("twin: %d segment loads, %d rows in %d segments; want 0, %d in %d", u.SegmentLoads(), u.Rows(), u.NumSegments(), r.Rows(), r.NumSegments())
 		}
+		assertAnswers(t, "the twin", answers(engine.NewShardedStoreFromSource(shards, u), queries), want)
+		assertAnswers(t, "the reader after the release", answers(db, queries), want)
+		if got := r.ResidentBytes(); got != resident {
+			t.Errorf("the reader has %d bytes in place after the release, want its %d", got, resident)
+		}
+		r = u
 	}
 }
 
@@ -167,50 +168,62 @@ func (s *stalledSource) Load(seg int, cols engine.ColumnSet) error {
 	return s.Reader.Load(seg, cols)
 }
 
-// TestReleaseFailsWhileAScanHoldsTheGate: neither Release nor an idle sweep
-// gets the lineage while a scan of it is in flight, or while a caller holds
-// BeginScan; both get it once the hold ends.
-func TestReleaseFailsWhileAScanHoldsTheGate(t *testing.T) {
-	skipWithoutRelease(t)
-	const rows = 2*engine.SegmentSize + 9
-	path, _ := lineageFile(t, rows, 22)
-	queries := releaseQueries(rows)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+// stalledScan starts the queries on a store over a stalled r and returns once
+// the scan is in flight, with the channel its answers arrive on and the one
+// that lets it go on. Nothing it returns reaches r.
+//
+//go:noinline
+func stalledScan(r *Reader, queries []string) (<-chan []string, chan<- struct{}) {
 	src := &stalledSource{Reader: r, entered: make(chan struct{}), proceed: make(chan struct{})}
 	db := engine.NewColumnStoreFromSource(src)
 	done := make(chan []string)
 	go func() { done <- answers(db, queries) }()
 	<-src.entered
-	if n, ok := r.Release(); ok || n != 0 {
-		t.Fatalf("Release() = %d, %v while a scan is in flight", n, ok)
-	}
-	for i := 0; i < 5; i++ {
-		if n := r.Sweep(1); n != 0 {
-			t.Fatalf("an idle sweep released %d blocks while a scan is in flight", n)
-		}
-	}
-	close(src.proceed)
-	assertAnswers(t, "the stalled scan", <-done, coldAnswers(t, path, queries))
-
-	r.BeginScan()
-	if _, ok := r.Release(); ok {
-		t.Fatal("Release got the gate while BeginScan holds it")
-	}
-	r.EndScan()
-	if n, ok := r.Release(); !ok || n == 0 {
-		t.Fatalf("Release() = %d, %v once the hold ended", n, ok)
-	}
+	return done, src.proceed
 }
 
-// TestReleaseConcurrentScans races scanners of one reader, through a
-// one-range and a sharded store, against a loop of releases: every answer is
-// the one a store that never releases gives.
+// TestReleaseLeavesAScanItsArrays: a release in the middle of a scan takes
+// nothing from it. The scan in flight is all that still reaches the old
+// reader, and collections meanwhile leave its arrays mapped: it answers as a
+// cold Open does, and so does the twin.
+func TestReleaseLeavesAScanItsArrays(t *testing.T) {
+	const rows = 2*engine.SegmentSize + 9
+	path, _ := lineageFile(t, rows, 22)
+	queries := releaseQueries(rows)
+	want := coldAnswers(t, path, queries)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers(engine.NewColumnStoreFromSource(r), queries) // blocks in place
+	done, proceed := stalledScan(r, queries)
+	u, _ := r.Unloaded()
+	defer u.Close()
+	r = nil
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	close(proceed)
+	assertAnswers(t, "the scan in flight across the release", <-done, want)
+	assertAnswers(t, "the twin", answers(engine.NewColumnStoreFromSource(u), queries), want)
+}
+
+// generation is one snapshot a releasing reader serves from: the reader and
+// the stores over it.
+type generation struct {
+	r   *Reader
+	dbs []engine.DB
+}
+
+func newGeneration(r *Reader) *generation {
+	return &generation{r, []engine.DB{engine.NewColumnStoreFromSource(r), engine.NewShardedStoreFromSource(3, r)}}
+}
+
+// TestReleaseConcurrentScans races scanners, through a one-range and a
+// sharded store, against a loop of releases that swap the stores over the
+// current reader's unloaded twin and collect now and then: every answer is
+// the one a reader that never releases gives.
 func TestReleaseConcurrentScans(t *testing.T) {
-	skipWithoutRelease(t)
 	const rows = 4*engine.SegmentSize + 77
 	path, _ := lineageFile(t, rows, 23)
 	queries := releaseQueries(rows)
@@ -219,26 +232,29 @@ func TestReleaseConcurrentScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	dbs := []engine.DB{engine.NewColumnStoreFromSource(r), engine.NewShardedStoreFromSource(3, r)}
+	var cur atomic.Pointer[generation]
+	cur.Store(newGeneration(r))
+	defer func() { cur.Load().r.Close() }()
 
 	const scanners, rounds = 4, 12
 	stop := make(chan struct{})
-	var released, sweeps int
-	var sweeper sync.WaitGroup
-	sweeper.Add(1)
+	var released, swaps int
+	var releaser sync.WaitGroup
+	releaser.Add(1)
 	go func() {
-		defer sweeper.Done()
+		defer releaser.Done()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if n, ok := r.Release(); ok {
-				sweeps++
-				released += n
+			u, n := cur.Load().r.Unloaded()
+			cur.Store(newGeneration(u))
+			if swaps++; swaps%8 == 0 {
+				runtime.GC()
 			}
+			released += n
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
@@ -251,6 +267,7 @@ func TestReleaseConcurrentScans(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < rounds; i++ {
 				k := rng.Intn(len(queries))
+				dbs := cur.Load().dbs
 				got := answers(dbs[rng.Intn(len(dbs))], queries[k:k+1])[0]
 				if got != want[k] {
 					errs <- fmt.Sprintf("scanner %d round %d query %d:\n%.300s\nwant\n%.300s", g, i, k, got, want[k])
@@ -262,22 +279,22 @@ func TestReleaseConcurrentScans(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	sweeper.Wait()
+	releaser.Wait()
 	close(errs)
 	for e := range errs {
 		t.Error(e)
 	}
 	if released == 0 {
-		t.Errorf("the sweeper released nothing in %d releases", sweeps)
+		t.Errorf("%d releases dropped no block", swaps)
 	}
-	t.Logf("%d releases handed back %d blocks", sweeps, released)
+	t.Logf("%d releases dropped %d blocks", swaps, released)
 }
 
-// TestReleaseKeepsAdoptedTail: a successor's partial tail starts with rows a
-// predecessor's block filled, which the successor cannot read again, so its
-// blocks stay; the superseded predecessor releases nothing at all.
-func TestReleaseKeepsAdoptedTail(t *testing.T) {
-	skipWithoutRelease(t)
+// TestReleaseDropsAdoptedTail: the twin holds no block of a partial tail
+// adopted from a predecessor — not even the rows the predecessor's block
+// filled — and reads the whole tail again from its own footer, as a cold
+// Open does.
+func TestReleaseDropsAdoptedTail(t *testing.T) {
 	const rows = 2*engine.SegmentSize + 100
 	path, gen := lineageFile(t, rows, 24)
 	r1, err := Open(path)
@@ -304,65 +321,19 @@ func TestReleaseKeepsAdoptedTail(t *testing.T) {
 	if err := r2.Load(tail, all); err != nil {
 		t.Fatal(err)
 	}
-	if n, ok := r1.Release(); !ok || n != 0 {
-		t.Fatalf("the superseded reader: Release() = %d, %v, want 0, true", n, ok)
-	}
-	if n, ok := r2.Release(); !ok || n != len(lineageFields)*tail {
-		t.Fatalf("Release() = %d, %v, want every block but the tail's %d", n, ok, len(lineageFields)*tail)
-	}
-	if !allLoaded(r2, tail) {
-		t.Fatalf("the adopted tail's blocks were released: %b", loadedCols(r2)[tail])
-	}
-	var tailBytes int64
-	for _, c := range r2.Table().Columns() {
-		_, width := arrayBytes(c)
-		tailBytes += int64(r2.SegmentRows(tail) * width)
-	}
-	if got := r2.ResidentBytes(); got != tailBytes {
-		t.Errorf("resident %d bytes after the release, want the tail's %d", got, tailBytes)
+	u, n := r2.Unloaded()
+	defer u.Close()
+	if want := len(lineageFields) * r2.NumSegments(); n != want || u.ResidentBytes() != 0 {
+		t.Fatalf("Unloaded() counted %d blocks and left %d bytes resident, want every block, %d, and none", n, u.ResidentBytes(), want)
 	}
 	queries := releaseQueries(rows + 50)
-	assertAnswers(t, "the successor after a release", answers(engine.NewColumnStoreFromSource(r2), queries), coldAnswers(t, path, queries))
+	assertAnswers(t, "the twin of a reader with an adopted tail", answers(engine.NewColumnStoreFromSource(u), queries), coldAnswers(t, path, queries))
 }
 
-// TestReleaseThenAppendAdoptsUnloaded: appends after a release adopt the
-// unloaded state — over fresh arrays (the first append outgrows Open's exact
-// size) and over the same ones — and answer as a cold Open does.
-func TestReleaseThenAppendAdoptsUnloaded(t *testing.T) {
-	skipWithoutRelease(t)
-	rows := 3*engine.SegmentSize + 100
-	path, gen := lineageFile(t, rows, 25)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { r.Close() }()
-	for step, n := range []int{300, 40, engine.SegmentSize} {
-		queries := releaseQueries(int64(rows))
-		assertAnswers(t, fmt.Sprintf("step %d before the release", step), answers(engine.NewColumnStoreFromSource(r), queries), coldAnswers(t, path, queries))
-		if n, ok := r.Release(); !ok || n == 0 {
-			t.Fatalf("step %d: Release() = %d, %v", step, n, ok)
-		}
-		appendLineage(t, path, gen, n)
-		rows += n
-		next, err := r.Reopen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next.gate != r.gate {
-			t.Fatalf("step %d: the successor did not adopt", step)
-		}
-		r = next
-		queries = releaseQueries(int64(rows))
-		assertAnswers(t, fmt.Sprintf("step %d after the append", step), answers(engine.NewColumnStoreFromSource(r), queries), coldAnswers(t, path, queries))
-	}
-}
-
-// TestReleaseKeepsEnsuredColumns: a raw column the DistinctSorted hook loaded
-// is read outside any scan, so it stays; a scan's blocks of the other columns
-// go.
-func TestReleaseKeepsEnsuredColumns(t *testing.T) {
-	skipWithoutRelease(t)
+// TestReleaseDropsEnsuredColumns: a raw column the DistinctSorted hook loaded
+// is dropped with a scan's blocks of the other columns; the hook on the twin
+// loads it again and enumerates the same values.
+func TestReleaseDropsEnsuredColumns(t *testing.T) {
 	const rows = 2*engine.SegmentSize + 3
 	path, _ := lineageFile(t, rows, 26)
 	r, err := Open(path)
@@ -374,34 +345,77 @@ func TestReleaseKeepsEnsuredColumns(t *testing.T) {
 	if id.Coded() {
 		t.Fatal("id is dictionary-coded; the test wants a raw column")
 	}
-	if got := len(id.DistinctSorted()); got != rows {
-		t.Fatalf("%d distinct ids, want %d", got, rows)
+	distinct := id.DistinctSorted()
+	if len(distinct) != rows {
+		t.Fatalf("%d distinct ids, want %d", len(distinct), rows)
 	}
-	answers(engine.NewColumnStoreFromSource(r), releaseQueries(rows))
-	if _, ok := r.Release(); !ok {
-		t.Fatal("Release did not get an idle reader")
-	}
+	queries := releaseQueries(rows)
+	answers(engine.NewColumnStoreFromSource(r), queries)
 	j := slices.IndexFunc(lineageFields, func(f dataset.Field) bool { return f.Name == "id" })
+	loaded := 0
 	for s, w := range loadedCols(r) {
-		if w != 1<<j {
-			t.Fatalf("segment %d: load bits %b after the release, want only id's %b", s, w, 1<<j)
+		if w&(1<<j) == 0 {
+			t.Fatalf("segment %d: load bits %b, want id's %b among them", s, w, 1<<j)
 		}
+		loaded += bits.OnesCount64(w)
+	}
+	u, n := r.Unloaded()
+	defer u.Close()
+	if n != loaded || u.ResidentBytes() != 0 {
+		t.Fatalf("Unloaded() counted %d blocks and left %d bytes resident, want every loaded block, %d, and none", n, u.ResidentBytes(), loaded)
+	}
+	if got := u.Table().Column("id").DistinctSorted(); !slices.Equal(got, distinct) {
+		t.Errorf("the hook on the twin enumerates %d ids, want the %d it did before", len(got), len(distinct))
+	}
+	assertAnswers(t, "the twin of a reader whose id column the hook loaded", answers(engine.NewColumnStoreFromSource(u), queries), coldAnswers(t, path, queries))
+}
+
+// TestReleaseThenAppendAdoptsUnloaded: appends after a release adopt the
+// twin's unloaded state — over fresh arrays (the first append outgrows the
+// exact size the twin was presized at) and over the same ones — and answer
+// as a cold Open does.
+func TestReleaseThenAppendAdoptsUnloaded(t *testing.T) {
+	rows := 3*engine.SegmentSize + 100
+	path, gen := lineageFile(t, rows, 25)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { r.Close() }()
+	for step, n := range []int{300, 40, engine.SegmentSize} {
+		queries := releaseQueries(int64(rows))
+		assertAnswers(t, fmt.Sprintf("step %d before the release", step), answers(engine.NewColumnStoreFromSource(r), queries), coldAnswers(t, path, queries))
+		u, blocks := r.Unloaded()
+		if blocks == 0 {
+			t.Fatalf("step %d: the release dropped no block", step)
+		}
+		r = u
+		appendLineage(t, path, gen, n)
+		rows += n
+		next, err := r.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.adopted.Load() {
+			t.Fatalf("step %d: the successor did not adopt the twin", step)
+		}
+		r = next
+		queries = releaseQueries(int64(rows))
+		assertAnswers(t, fmt.Sprintf("step %d after the append", step), answers(engine.NewColumnStoreFromSource(r), queries), coldAnswers(t, path, queries))
 	}
 }
 
 // TestReleaseReloadMeetsCorruption: the corruption contract holds for blocks
 // read again. A block loaded and then corrupted on disk still answers from
-// memory; once released, the next query that reads it fails with the
-// checksum error, and a query that does not read it answers correctly.
+// memory; the twin's query that reads it fails with the checksum error, and
+// one that does not read it answers correctly.
 func TestReleaseReloadMeetsCorruption(t *testing.T) {
-	skipWithoutRelease(t)
 	tb := testTable(2*engine.SegmentSize + 10)
 	path := buildFile(t, tb)
 	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	db := engine.NewColumnStoreFromSource(r)
 	queries := []string{
 		"SELECT year, SUM(profit) AS p FROM sales GROUP BY year ORDER BY year",
@@ -431,14 +445,17 @@ func TestReleaseReloadMeetsCorruption(t *testing.T) {
 	f.Close()
 
 	assertAnswers(t, "corrupted on disk, before the release", answers(db, queries), want)
-	if n, ok := r.Release(); !ok || n == 0 {
-		t.Fatalf("Release() = %d, %v", n, ok)
+	u, n := r.Unloaded()
+	defer u.Close()
+	if n == 0 {
+		t.Fatal("the release dropped no block")
 	}
-	got := answers(db, queries)
+	got := answers(engine.NewColumnStoreFromSource(u), queries)
 	if !strings.Contains(got[0], "segment 1") || !strings.Contains(got[0], `"profit"`) || !strings.Contains(got[0], "checksum mismatch") {
 		t.Errorf("reading the corrupted block again: %.300s, want its checksum error", got[0])
 	}
 	if got[1] != want[1] {
 		t.Errorf("a query that does not read the block: %.300s, want %.300s", got[1], want[1])
 	}
+	assertAnswers(t, "the released reader, from memory", answers(db, queries), want)
 }
