@@ -172,6 +172,40 @@ func subTable(t *dataset.Table, rows int) *dataset.Table {
 	return out
 }
 
+// TestCodeOrderEqualsKeyOrder: for one coded cluster column — categorical
+// or a coded int, with duplicates, a single distinct value, dictionary
+// entries no row uses — Order's counting sort returns the permutation the
+// general path's keys give, and the reference's.
+func TestCodeOrderEqualsKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	kinds := map[dataset.Kind]int{}
+	single := 0
+	for trial := 0; trial < 300; trial++ {
+		rows := []int{0, 1, 2, 50, 700, 5000}[rng.Intn(6)]
+		tb, names := randomKeyTable(rng, rows, 3, false)
+		for _, name := range names {
+			c := tb.Column(name)
+			if !c.Coded() {
+				continue
+			}
+			got := codeOrder(c, rows)
+			if want := keyOrder([]*dataset.Column{c}, rows); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%d rows, %s %v): counting sort %v, keys %v", trial, rows, name, c.Field.Kind, got, want)
+			}
+			if want := refOrder(tb, []string{name}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%d rows, %s %v): counting sort %v, reference %v", trial, rows, name, c.Field.Kind, got, want)
+			}
+			kinds[c.Field.Kind]++
+			if c.Cardinality() == 1 {
+				single++
+			}
+		}
+	}
+	if kinds[dataset.KindString] < 50 || kinds[dataset.KindInt] < 50 || single < 20 {
+		t.Errorf("covered %d categorical and %d coded-int columns, %d with one value: want more", kinds[dataset.KindString], kinds[dataset.KindInt], single)
+	}
+}
+
 // TestOrderEqualsComparatorReference: on random tables — one to six cluster
 // columns, so both the one-word keys and the multi-word fallback run — Order
 // is the reference permutation, element for element.

@@ -182,23 +182,65 @@ func File(path string, opts Options) (Result, error) {
 // evenly, the z-order compromise. The order is a deterministic total order:
 // the same table and columns always produce the same permutation.
 //
-// Dense ranks are narrow, so the key's significant bits — the primary's rank,
-// the interleave as deep as the widest secondary, the row index — usually fit
-// one word, which sorts in a few linear radix passes; when they do not, the
-// rows sort by comparing their multi-word keys. Both are the same total order.
+// One coded column needs no key: its rows sort by counting codes in
+// dictionary-rank order (codeOrder). Otherwise dense ranks are narrow, so
+// the key's significant bits — the primary's rank, the interleave as deep as
+// the widest secondary, the row index — usually fit one word, which sorts in
+// a few linear radix passes; when they do not, the rows sort by comparing
+// their multi-word keys. All three are the same total order.
 func Order(t *dataset.Table, cols []string) ([]int, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("compact: no cluster columns")
 	}
-	n := t.NumRows()
-	ranks := make([][]uint64, len(cols))
-	depth := 0 // bits of the widest secondary rank
-	var width0 int
+	cs := make([]*dataset.Column, len(cols))
 	for j, name := range cols {
-		c := t.Column(name)
-		if c == nil {
+		if cs[j] = t.Column(name); cs[j] == nil {
 			return nil, fmt.Errorf("compact: no column %q in table %q", name, t.Name)
 		}
+	}
+	if len(cs) == 1 && cs[0].Coded() {
+		return codeOrder(cs[0], t.NumRows()), nil
+	}
+	return keyOrder(cs, t.NumRows()), nil
+}
+
+// codeOrder is Order for one coded column: a counting sort of the first n
+// rows by their code's dictionary rank, each code's rows in row order — the
+// total order keyOrder's (rank, row) keys give, without building them.
+func codeOrder(c *dataset.Column, n int) []int {
+	var ranks []uint64
+	if c.Field.Kind == dataset.KindString {
+		ranks = dataset.DictRanks(c.Dict())
+	} else {
+		ranks = dataset.DictRanks(c.IntDict())
+	}
+	next := make([]int, len(ranks)) // per code: its rows' count, then its next position
+	for i := 0; i < n; i++ {
+		next[c.Code(i)]++
+	}
+	byRank := make([]int32, len(ranks))
+	for code, r := range ranks {
+		byRank[r] = int32(code)
+	}
+	at := 0
+	for _, code := range byRank {
+		next[code], at = at, at+next[code]
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		code := c.Code(i)
+		idx[next[code]] = i
+		next[code]++
+	}
+	return idx
+}
+
+// keyOrder is Order for any columns, the first n rows of each.
+func keyOrder(cs []*dataset.Column, n int) []int {
+	ranks := make([][]uint64, len(cs))
+	depth := 0 // bits of the widest secondary rank
+	var width0 int
+	for j, c := range cs {
 		var width int
 		ranks[j], width = normalizedRanks(c, n)
 		if j == 0 {
@@ -209,9 +251,9 @@ func Order(t *dataset.Table, cols []string) ([]int, error) {
 	}
 	idx := make([]int, n)
 	if n == 0 {
-		return idx, nil
+		return idx
 	}
-	nsec := len(cols) - 1
+	nsec := len(cs) - 1
 	dims := make([]uint64, nsec)
 	rowBits := bits.Len64(uint64(n - 1))
 	if sig := width0 + nsec*depth; sig+rowBits <= 64 {
@@ -230,11 +272,11 @@ func Order(t *dataset.Table, cols []string) ([]int, error) {
 		for i, k := range keys {
 			idx[i] = int(k & (1<<uint(rowBits) - 1))
 		}
-		return idx, nil
+		return idx
 	}
 	// Key layout: word 0 = primary rank; words 1..d-1 = balanced interleave
 	// of the secondary ranks.
-	kw := len(cols) // key words per row
+	kw := len(cs) // key words per row
 	keys := make([]uint64, n*kw)
 	for i := range idx {
 		idx[i] = i
@@ -250,7 +292,7 @@ func Order(t *dataset.Table, cols []string) ([]int, error) {
 		}
 		return a - b
 	})
-	return idx, nil
+	return idx
 }
 
 // radixSort sorts keys by their bits [low, low+width) with stable

@@ -772,6 +772,10 @@ func newColSink(p *Plan) rowSink {
 	for i := range fs.slots {
 		fs.slots[i] = -1
 	}
+	if c := p.aggCol; len(c) == 1 && c[0] != nil && c[0].Field.Kind == dataset.KindFloat &&
+		(fs.fns[0] == minisql.AggSum || fs.fns[0] == minisql.AggAvg) && (len(card) == 1 || len(card) == 2) {
+		fs.sum = c[0].Floats()
+	}
 	return fs
 }
 
@@ -783,6 +787,10 @@ type flatSink struct {
 	groupAcc
 	slots []int32 // combined key code -> group number, -1 = unseen
 	card  []int   // per key column, its dictionary's size
+	// sum is the raw float column of a plan grouped by one or two keys
+	// whose one aggregate is its SUM or AVG, which addSel folds as it meets
+	// each row; else nil.
+	sum []float64
 }
 
 func (s *flatSink) add(i int) {
@@ -815,11 +823,27 @@ type selScratch struct {
 // more than ever run at once.
 var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
 
-// addSel is add for a segment's selection at once, in passes over the
-// selected rows: their combined key codes from the packed key columns, their
-// groups — new ones numbered in row order, as add numbers them — and then the
-// aggregates a column each (foldRows).
+// addSel is add for a segment's selection at once. A plan whose one
+// aggregate is a SUM or AVG of a raw float column, grouped by one or two
+// keys — the series every task and drill-down asks for — takes one pass
+// over the selected rows (foldPass). Any other goes in passes: the selected
+// rows, their combined key codes from the packed key columns, their groups,
+// and then the aggregates a column each (foldRows). Either way new groups
+// are numbered in row order, as add numbers them, and every accumulator
+// meets its cells in row order with add's arithmetic, so every result bit
+// is add's.
 func (s *flatSink) addSel(sel []uint64, lo, hi int) {
+	if s.sum != nil {
+		kc := s.p.keyCol
+		if len(kc) == 1 {
+			// One key: the pass's second key is the first again with a
+			// cardinality of 0, so the combined code is the first's.
+			foldPassFirst(s, kc[0].Codes(), kc[0].Codes(), 0, sel, lo, hi)
+		} else {
+			foldPassFirst(s, kc[0].Codes(), kc[1].Codes(), s.card[1], sel, lo, hi)
+		}
+		return
+	}
 	sc := selScratchPool.Get().(*selScratch)
 	defer selScratchPool.Put(sc)
 	rows := sc.rows[:0]
@@ -863,6 +887,68 @@ func combineCodes[W dataset.Code](codes []W, rows, slots []int32, card int32) {
 	for j, i := range rows {
 		slots[j] = slots[j]*card + int32(codes[i])
 	}
+}
+
+// foldPassFirst picks the pass for the first key's code width.
+func foldPassFirst(s *flatSink, a, b dataset.Codes, cardB int, sel []uint64, lo, hi int) {
+	switch {
+	case a.U16 != nil:
+		foldPassSecond(s, a.U16, b, cardB, sel, lo, hi)
+	case a.U32 != nil:
+		foldPassSecond(s, a.U32, b, cardB, sel, lo, hi)
+	default:
+		foldPassSecond(s, a.U8, b, cardB, sel, lo, hi)
+	}
+}
+
+// foldPassSecond picks the pass for the second key's code width.
+func foldPassSecond[A dataset.Code](s *flatSink, a []A, b dataset.Codes, cardB int, sel []uint64, lo, hi int) {
+	switch {
+	case b.U16 != nil:
+		foldPass(s, a, b.U16, cardB, sel, lo, hi)
+	case b.U32 != nil:
+		foldPass(s, a, b.U32, cardB, sel, lo, hi)
+	default:
+		foldPass(s, a, b.U8, cardB, sel, lo, hi)
+	}
+}
+
+// foldPass is addSel's one pass: row i's slot is a[i]*cardB + b[i], its
+// group the slot's, and its cell of s.sum goes into the group's one
+// accumulator.
+func foldPass[A, B dataset.Code](s *flatSink, a []A, b []B, cardB int, sel []uint64, lo, hi int) {
+	slots, sum := s.slots, s.sum
+	for w := 0; w < (hi-lo+63)/64; w++ {
+		word := ^uint64(0) // no selection: every row
+		if sel != nil {
+			word = sel[w]
+		} else if left := hi - lo - w<<6; left < 64 {
+			word = 1<<uint(left) - 1
+		}
+		base := lo + w<<6
+		for ; word != 0; word &= word - 1 {
+			i := base + bits.TrailingZeros64(word)
+			slot := int(a[i])*cardB + int(b[i])
+			g := slots[slot]
+			if g < 0 {
+				g = s.firstSeen(slot, i)
+			}
+			acc := &s.aggs[g]
+			acc.sum += sum[i]
+			acc.count++
+		}
+	}
+}
+
+// firstSeen numbers the group of a slot first met at row i. It is kept out
+// of foldPass's loop: inlined there, the rare path's registers spill the
+// common path's on every row.
+//
+//go:noinline
+func (s *flatSink) firstSeen(slot, i int) int32 {
+	g := s.newGroup(i)
+	s.slots[slot] = g
+	return g
 }
 
 // mergeFrom folds a later range's partial accumulation into s (the order

@@ -86,3 +86,104 @@ func TestOrderByRanksMatchesStrings(t *testing.T) {
 		}
 	}
 }
+
+// orderCase draws a result of n rows and an ORDER BY over one to three of
+// its columns, each ASC or DESC: categorical keys over dictionaries smaller
+// than, near and far larger than the result, ints of a narrow span, of a
+// span too wide to bucket and beyond ±2^53 (where the comparator's float64
+// ties neighbours), and floats with NaN. A last column tags each row with
+// its index.
+func orderCase(rng *rand.Rand, n int) (*Result, []int, []minisql.OrderItem) {
+	col := dataset.NewColumn(dataset.Field{Name: "s", Kind: dataset.KindString})
+	for i, card := 0, 1+rng.Intn([]int{8, n, 40 * n}[rng.Intn(3)]); i < card; i++ {
+		col.AppendString(fmt.Sprintf("v%x", rng.Intn(1<<20)))
+	}
+	const exact = 1 << 53
+	res := &Result{Cols: []string{"s", "i", "f", "row"}, n: n, Vecs: []Vector{
+		{Kind: dataset.KindString, Dict: col.Dictionary(), Codes: make([]int32, n)},
+		{Kind: dataset.KindInt, Ints: make([]int64, n)},
+		{Kind: dataset.KindFloat, Floats: make([]float64, n)},
+		{Kind: dataset.KindInt, Ints: make([]int64, n)},
+	}}
+	ints := rng.Intn(4)
+	for r := 0; r < n; r++ {
+		res.Vecs[0].Codes[r] = int32(rng.Intn(col.Cardinality()))
+		switch ints {
+		case 0: // narrow: buckets
+			res.Vecs[1].Ints[r] = int64(2006 + rng.Intn(20))
+		case 1: // negative, still narrow
+			res.Vecs[1].Ints[r] = int64(rng.Intn(3*n)) - exact
+		case 2: // too wide a span for buckets
+			res.Vecs[1].Ints[r] = rng.Int63n(1 << 40)
+		default: // past 2^53: 2^53+1 compares equal to 2^53
+			res.Vecs[1].Ints[r] = exact + int64(rng.Intn(4))
+		}
+		res.Vecs[2].Floats[r] = float64(rng.Intn(3))
+		if rng.Intn(5) == 0 {
+			res.Vecs[2].Floats[r] = math.NaN()
+		}
+		res.Vecs[3].Ints[r] = int64(r)
+	}
+	cols := rng.Perm(3)[:1+rng.Intn(3)]
+	order := make([]minisql.OrderItem, len(cols))
+	for k := range order {
+		order[k].Desc = rng.Intn(2) == 0
+	}
+	return res, cols, order
+}
+
+// checkOrderCase sorts res in place and fails unless its rows come out in
+// the permutation compareSort, the comparator path, gives; it reports
+// whether the rank buckets sorted them.
+func checkOrderCase(t *testing.T, res *Result, cols []int, order []minisql.OrderItem) bool {
+	t.Helper()
+	want := make([]int32, res.n)
+	for r := range want {
+		want[r] = int32(r)
+	}
+	res.compareSort(want, cols, order)
+	probe := slices.Clone(want)
+	bucketed := res.bucketSort(probe, cols, order)
+	res.orderAndLimit(cols, order, -1)
+	for r, w := range want {
+		if got := res.Vecs[3].Ints[r]; got != int64(w) {
+			t.Fatalf("rows %d, keys %v, order %v, buckets %v: row %d is %d, want %d", res.n, cols, order, bucketed, r, got, w)
+		}
+	}
+	return bucketed
+}
+
+// TestOrderByBucketsMatchComparator: above bucketSortMin rows, ORDER BY
+// over rank-bucketed keys gives exactly the comparator's permutation — on
+// every key, ASC and DESC, over dictionaries far larger than the result —
+// and keys the buckets cannot hold (floats, ints past ±2^53, ints spanning
+// too much) keep the comparator.
+func TestOrderByBucketsMatchComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ran := map[bool]int{}
+	for iter := 0; iter < 400; iter++ {
+		res, cols, order := orderCase(rng, bucketSortMin+rng.Intn(3000))
+		beyond := slices.Contains(cols, 1) && slices.Max(res.Vecs[1].Ints) > 1<<53
+		bucketed := checkOrderCase(t, res, cols, order)
+		if bucketed && (beyond || slices.Contains(cols, 2)) {
+			t.Fatalf("keys %v: a float or an int past 2^53 took the bucket path", cols)
+		}
+		ran[bucketed]++
+	}
+	if ran[true] < 50 || ran[false] < 50 {
+		t.Errorf("%d bucket and %d comparator sorts: want both well covered", ran[true], ran[false])
+	}
+}
+
+// FuzzOrderBy compares the bucket path with the comparator on results
+// drawn from a fuzzed seed and size.
+func FuzzOrderBy(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 64, 513} {
+		f.Add(seed, uint16(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		res, cols, order := orderCase(rng, 2+int(n)%4000)
+		checkOrderCase(t, res, cols, order)
+	})
+}

@@ -222,7 +222,8 @@ func sameVectorBits(a, b *Result) error {
 // bit for bit, what feeding it the same rows one at a time gives — group
 // order, COUNT, SUM, AVG, MIN and MAX over float, raw int, coded int and
 // string cells, with NaN and both zeros among them, first in their group and
-// not — for the flat sink, and the flat sink agrees with the hash sink.
+// not; over no, one, two and three keys, and a lone float SUM or AVG — for
+// the flat sink, and the flat sink agrees with the hash sink.
 func TestAddSelEqualsAddLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tb := dataset.NewTable("t", []dataset.Field{
@@ -243,6 +244,11 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 		"SELECT k16, SUM(m) AS sm, MIN(m) AS lm, MAX(raw) AS hr, AVG(raw) AS ar, SUM(num) AS sn, MAX(k16) AS hk FROM t GROUP BY k16",
 		"SELECT MIN(v) AS lo, MAX(v) AS hi, SUM(v) AS sv, COUNT(*) AS n FROM t",
 		"SELECT k8, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY k8",
+		// One SUM or AVG of a raw float: addSel folds it as it meets each row.
+		"SELECT k16, k8, AVG(v) AS av FROM t GROUP BY k16, k8",
+		"SELECT k8, SUM(v) AS sv FROM t GROUP BY k8",
+		// Three keys: in passes.
+		"SELECT k8, num, m, SUM(v) AS sv, COUNT(*) AS n FROM t GROUP BY k8, m, num",
 	} {
 		q, err := minisql.Parse(sql)
 		if err != nil {

@@ -60,11 +60,12 @@ func (s Scale) sweepRows() int {
 // OptRow is one bar of Figures 7.1 / 7.2: a query executed at one
 // optimization level.
 type OptRow struct {
-	Query    string
-	Level    zexec.OptLevel
-	Time     time.Duration
-	Requests int
-	Queries  int
+	Query       string
+	Level       zexec.OptLevel
+	Time        time.Duration
+	Requests    int
+	Queries     int
+	RowsScanned int64 // table rows the back-end visited for the query
 }
 
 // SalesDataset builds the synthetic sales table once per scale.
@@ -168,11 +169,12 @@ func runAtLevels(name, src string, t *dataset.Table, table string, levels []zexe
 			return nil, fmt.Errorf("experiments: running %s at %v: %w", name, level, err)
 		}
 		out = append(out, OptRow{
-			Query:    name,
-			Level:    level,
-			Time:     time.Since(start),
-			Requests: res.Stats.Requests,
-			Queries:  res.Stats.SQLQueries,
+			Query:       name,
+			Level:       level,
+			Time:        time.Since(start),
+			Requests:    res.Stats.Requests,
+			Queries:     res.Stats.SQLQueries,
+			RowsScanned: res.Stats.RowsScanned,
 		})
 	}
 	return out, nil

@@ -24,15 +24,20 @@ func TestFig71ShapesHold(t *testing.T) {
 	}
 	for q, m := range byLevel {
 		// Paper shape: requests decrease monotonically with optimization
-		// level, and NoOpt is slowest by a wide margin.
+		// level, and NoOpt does the most work by a wide margin. Work is
+		// judged on rows scanned, which repeats exactly (wall time on a
+		// shared machine does not): the row store scans the table once per
+		// request, and NoOpt sends one request per visualization.
 		if !(m[zexec.NoOpt].Requests > m[zexec.IntraLine].Requests &&
 			m[zexec.IntraLine].Requests >= m[zexec.IntraTask].Requests &&
 			m[zexec.IntraTask].Requests >= m[zexec.InterTask].Requests) {
 			t.Errorf("%s: requests not decreasing: %+v", q, m)
 		}
-		if m[zexec.NoOpt].Time <= m[zexec.IntraLine].Time {
-			t.Errorf("%s: NoOpt (%v) should be slower than Intra-Line (%v)",
-				q, m[zexec.NoOpt].Time, m[zexec.IntraLine].Time)
+		t.Logf("%s: NoOpt %v (%d rows scanned), Intra-Line %v (%d rows scanned)", q,
+			m[zexec.NoOpt].Time, m[zexec.NoOpt].RowsScanned, m[zexec.IntraLine].Time, m[zexec.IntraLine].RowsScanned)
+		if m[zexec.NoOpt].RowsScanned <= 2*m[zexec.IntraLine].RowsScanned {
+			t.Errorf("%s: NoOpt scanned %d rows, want well over Intra-Line's %d",
+				q, m[zexec.NoOpt].RowsScanned, m[zexec.IntraLine].RowsScanned)
 		}
 	}
 	// Table 5.1 with 20 products: NoOpt requests = 20 + 20 + |union| >= 40.
@@ -94,16 +99,21 @@ func TestFig74GroupScaling(t *testing.T) {
 	if len(rows) != len(Fig74Groups)*3 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	// Representative compute time must grow with group count (paper: the
-	// computation cost increases much faster than query time).
-	var repTimes []float64
+	// Representative computation must grow with group count (paper: the
+	// computation cost increases much faster than query time). Judged on
+	// the points the processor clusters, which repeat exactly; the compute
+	// times are only logged.
+	var repPoints []int
 	for _, r := range rows {
 		if r.Task == TaskRepresentative {
-			repTimes = append(repTimes, float64(r.Compute))
+			t.Logf("representative over %d groups: %d points, compute %v, query %v", r.Groups, r.Points, r.Compute, r.Query)
+			repPoints = append(repPoints, r.Points)
 		}
 	}
-	if repTimes[len(repTimes)-1] <= repTimes[0] {
-		t.Errorf("representative compute should grow with groups: %v", repTimes)
+	for i := 1; i < len(repPoints); i++ {
+		if repPoints[i] <= repPoints[i-1] {
+			t.Errorf("representative work should grow with groups: %v points", repPoints)
+		}
 	}
 }
 

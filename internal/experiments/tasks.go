@@ -39,6 +39,7 @@ type TaskTiming struct {
 	Dataset     string
 	Groups      int
 	RowsScanned int64 // rows the SQL query scanned (engine.Counters)
+	Points      int   // points the task processor was handed: groups × x values
 	Total       time.Duration
 	Query       time.Duration // SQL execution time
 	Compute     time.Duration // task-processor computation time
@@ -64,6 +65,9 @@ func RunTask(db engine.DB, table, x, y, z string, task Task, m vis.Metric, seed 
 	cStart := time.Now()
 	viss := splitByZ(res, x, z, "y")
 	tt.Groups = len(viss) * groupsPerVis(viss)
+	for _, v := range viss {
+		tt.Points += len(v.Points)
+	}
 	switch task {
 	case TaskSimilarity:
 		// Find the visualization most similar to the first one (the "user

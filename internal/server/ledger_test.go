@@ -214,7 +214,7 @@ func TestCountedWorkLedger(t *testing.T) {
 	// counts follow how fast the bound tightens across workers.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	script := ledgerScript()
-	var b strings.Builder
+	var b, answers strings.Builder
 	for _, setup := range ledgerSetups(t) {
 		ts := httptest.NewServer(New(setup.reg))
 		_, raw := get(t, ts.URL+"/datasets")
@@ -227,6 +227,7 @@ func TestCountedWorkLedger(t *testing.T) {
 				}
 				sum := sha256.Sum256(timingField.ReplaceAll(raw, []byte(`"$1":0`)))
 				fmt.Fprintf(&b, "%s %s %02d %s %x\n", setup.name, pass, i, r.path, sum)
+				fmt.Fprintf(&answers, "%s %s %02d %s %x\n", setup.name, pass, i, r.path, answerHash(t, raw))
 			}
 			_, raw := get(t, ts.URL+"/stats")
 			var st struct {
@@ -252,8 +253,15 @@ func TestCountedWorkLedger(t *testing.T) {
 		}
 		ts.Close()
 	}
-	got := b.String()
-	golden := filepath.Join("testdata", "ledger.golden")
+	checkLedgerFile(t, "ledger.golden", b.String())
+	checkLedgerFile(t, "ledger_answers.golden", answers.String())
+}
+
+// checkLedgerFile compares got with testdata/name line by line, or rewrites
+// the file under -update-ledger.
+func checkLedgerFile(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateLedger {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -278,8 +286,43 @@ func TestCountedWorkLedger(t *testing.T) {
 				w = wl[i]
 			}
 			if g != w {
-				t.Errorf("ledger line %d moved:\n got: %s\nwant: %s", i+1, g, w)
+				t.Errorf("%s line %d moved:\n got: %s\nwant: %s", name, i+1, g, w)
 			}
 		}
 	}
+}
+
+// answerHash is the sha256 of a response with every "sqlLog" and "stats"
+// member removed — what a request answered, not what answering it cost —
+// re-encoded with sorted keys and its numbers as they were written.
+func answerHash(t *testing.T, raw []byte) [32]byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	var strip func(v any)
+	strip = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			delete(v, "sqlLog")
+			delete(v, "stats")
+			for _, e := range v {
+				strip(e)
+			}
+		case []any:
+			for _, e := range v {
+				strip(e)
+			}
+		}
+	}
+	strip(v)
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sha256.Sum256(out)
+
 }

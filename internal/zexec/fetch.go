@@ -85,6 +85,7 @@ func splitComposite(attr string) []string {
 type queryJob struct {
 	q     *minisql.Query
 	units []*fetchUnit
+	cons  string // the row's expanded constraint text
 	// Splitting metadata:
 	xCols   []string
 	zCols   []string
@@ -305,26 +306,26 @@ func (ex *executor) batchQuery(units []*fetchUnit, constraints minisql.Expr) (*q
 }
 
 // rowConstraints expands and parses the row's raw constraint text into a
-// predicate AST, once per row.
-func (ex *executor) rowConstraints(raw string) (minisql.Expr, error) {
+// predicate AST, once per row; it returns the expanded text too.
+func (ex *executor) rowConstraints(raw string) (string, minisql.Expr, error) {
 	expanded, err := ex.expandConstraints(raw)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if strings.TrimSpace(expanded) == "" {
-		return nil, nil
+		return expanded, nil, nil
 	}
 	e, err := minisql.ParseExpr(expanded)
 	if err != nil {
-		return nil, fmt.Errorf("constraints %q: %w", raw, err)
+		return "", nil, fmt.Errorf("constraints %q: %w", raw, err)
 	}
-	return e, nil
+	return expanded, e, nil
 }
 
 // rowJobs compiles a resolved row into query jobs under the current
 // optimization level.
 func (ex *executor) rowJobs(rs *rowState, units []*fetchUnit) ([]*queryJob, error) {
-	constraints, err := ex.rowConstraints(rs.row.Constraints)
+	cons, constraints, err := ex.rowConstraints(rs.row.Constraints)
 	if err != nil {
 		return nil, err
 	}
@@ -335,6 +336,7 @@ func (ex *executor) rowJobs(rs *rowState, units []*fetchUnit) ([]*queryJob, erro
 			if err != nil {
 				return nil, err
 			}
+			j.cons = cons
 			jobs = append(jobs, j)
 		}
 		return jobs, nil
@@ -368,6 +370,7 @@ func (ex *executor) rowJobs(rs *rowState, units []*fetchUnit) ([]*queryJob, erro
 		if err != nil {
 			return nil, err
 		}
+		j.cons = cons
 		jobs = append(jobs, j)
 	}
 	return jobs, nil

@@ -34,6 +34,7 @@ type executor struct {
 	bindings map[string]*binding  // axis variable -> ordered elements
 	groups   map[string]*varGroup // variable -> lockstep group
 	colls    map[string]*Collection
+	fetched  fetched // visualizations fetched so far, when rows may reuse them (reuse.go)
 	sqlLog   []string
 	stats    Stats
 	proc     processCounters // process-phase work; atomic: workers share it

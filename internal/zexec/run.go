@@ -19,6 +19,7 @@ func (ex *executor) run() (*Result, error) {
 	ex.bindings = make(map[string]*binding)
 	ex.groups = make(map[string]*varGroup)
 	ex.colls = make(map[string]*Collection)
+	ex.fetched = ex.newFetched()
 	for _, r := range ex.q.Rows {
 		ex.rows = append(ex.rows, &rowState{row: r})
 	}
@@ -251,7 +252,8 @@ func (ex *executor) deriveCollection(e *zql.NameExpr, rs *rowState) (*Collection
 }
 
 // fetchRows compiles and fetches the given resolved rows as one request,
-// then builds their collections and marks them fetched.
+// then builds their collections and marks them fetched. A row whose every
+// visualization an earlier request fetched takes those instead (reuse.go).
 func (ex *executor) fetchRows(states []*rowState) error {
 	var jobs []*queryJob
 	unitsByRow := make(map[*rowState][]*fetchUnit, len(states))
@@ -265,7 +267,9 @@ func (ex *executor) fetchRows(states []*rowState) error {
 			return fmt.Errorf("zexec: line %d: %w", rs.row.Line, err)
 		}
 		unitsByRow[rs] = units
-		jobs = append(jobs, rowJobs...)
+		if !ex.fetched.reuse(rowJobs) {
+			jobs = append(jobs, rowJobs...)
+		}
 	}
 	if ex.opts.Opt == NoOpt {
 		// The naive compiler issues every query as its own request.
@@ -279,6 +283,7 @@ func (ex *executor) fetchRows(states []*rowState) error {
 			return err
 		}
 	}
+	ex.fetched.remember(jobs)
 	for _, rs := range states {
 		ex.setCollection(rs, collectionFromUnits(unitsByRow[rs]))
 	}
