@@ -4,8 +4,10 @@
 // .zpack files, CSV files, or built-in demo generators — and serves
 // concurrent /query, /spec, and /recommend requests over them, coalescing
 // concurrent work into shared-scan batches and caching results keyed by
-// canonical plan SQL. Datasets served from .zpack files start warm (footer
-// only, no CSV parse, segments load lazily) and accept
+// canonical plan SQL. Every dataset is served from a zpack file, its
+// segments loaded lazily: a .zpack as it is, a CSV or a demo table from a
+// spill, an unnamed file in the CSV's directory or in os.TempDir(). Datasets
+// served from .zpack files start warm (footer only, no CSV parse) and accept
 // POST /datasets/{name}/append.
 //
 // Usage:
@@ -259,12 +261,8 @@ func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
 	if err != nil {
 		return err
 	}
-	how := d.Backend() + " backend"
-	if d.Spilled() {
-		how += ", spilled"
-	}
-	log.Printf("loaded %s: %d rows, %d table bytes from %s (%s) in %.2fs",
-		d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), path, how, time.Since(t0).Seconds())
+	log.Printf("loaded %s: %d rows, %d table bytes from %s (%s backend, spilled) in %.2fs",
+		d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), path, d.Backend(), time.Since(t0).Seconds())
 	return nil
 }
 

@@ -37,10 +37,3 @@ func newArray[T element](n, capacity int, offHeap bool) ([]T, *mapping) {
 	}
 	return make([]T, n, capacity), nil
 }
-
-// movedOffHeap returns a copy of s, to its capacity, in a mapping of its own.
-func movedOffHeap[T element](s []T) ([]T, *mapping) {
-	out, m := newArray[T](len(s), cap(s), true)
-	copy(out, s)
-	return out, m
-}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -9,11 +10,15 @@ import (
 // or an integer column that goes raw, moves to a new mapping with every row
 // intact, never to the Go heap.
 func TestOffHeapColumnsStayOffHeap(t *testing.T) {
-	tb := NewTable("t", []Field{{"s", KindString}, {"i", KindInt}})
+	var csv strings.Builder
+	csv.WriteString("s,i\n")
 	for i := 0; i < 256; i++ {
-		tb.AppendRow(SV(fmt.Sprint("s", i)), IV(int64(i)))
+		fmt.Fprintf(&csv, "s%d,%d\n", i, i)
 	}
-	tb.OffHeap()
+	tb, err := ReadCSV("t", strings.NewReader(csv.String())) // stitched into mappings
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, i := tb.Column("s"), tb.Column("i")
 	if s.mem == nil || i.mem == nil {
 		t.Skip("this platform keeps served arrays on the Go heap")

@@ -167,20 +167,6 @@ func (p Codes) extended(n int, alias bool) (Codes, *mapping) {
 	return Codes{U8: a}, m
 }
 
-// movedOffHeap is movedOffHeap at the array's own width.
-func (p Codes) movedOffHeap() (Codes, *mapping) {
-	switch {
-	case p.U16 != nil:
-		a, m := movedOffHeap(p.U16)
-		return Codes{U16: a}, m
-	case p.U32 != nil:
-		a, m := movedOffHeap(p.U32)
-		return Codes{U32: a}, m
-	}
-	a, m := movedOffHeap(p.U8)
-	return Codes{U8: a}, m
-}
-
 // gathered returns a new array of src's codes at rows, in that order.
 func (p Codes) gathered(rows []int) Codes {
 	switch {

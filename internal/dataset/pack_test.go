@@ -170,10 +170,9 @@ func packValues(rng *rand.Rand, card int) (strs []string, ints []int64) {
 // TestPackedColumnsAnswerLikeWideOnes builds a string and an int column at
 // cardinalities on both sides of every width and layout boundary, every way a
 // table is built — Append, AppendRange through a Remap (into an empty table
-// and, from a Gather, on top of rows that are there), Gather, OffHeap,
-// ReadCSV — with the
-// distinct values arriving gradually, so the appends cross the boundaries
-// with rows already in place.
+// and, from a Gather, on top of rows that are there), Gather, ReadCSV (off
+// the Go heap, through Chunks.Table) — with the distinct values arriving
+// gradually, so the appends cross the boundaries with rows already in place.
 func TestPackedColumnsAnswerLikeWideOnes(t *testing.T) {
 	fields := []Field{{"s", KindString}, {"i", KindInt}}
 	for _, card := range []int{0, 1, 255, 256, 257, 4095, 4096, 4097, 65535, 65536, 65537} {
@@ -228,12 +227,6 @@ func TestPackedColumnsAnswerLikeWideOnes(t *testing.T) {
 			all[r] = r
 		}
 		check("Gather", appended.Gather(all))
-		size := appended.SizeBytes()
-		appended.OffHeap()
-		check("OffHeap", appended)
-		if got := appended.SizeBytes(); got != size {
-			t.Fatalf("cardinality %d: OffHeap changed the table's size from %d to %d bytes", card, size, got)
-		}
 
 		if card == 0 {
 			continue // an empty CSV has no kinds to sniff

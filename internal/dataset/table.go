@@ -32,8 +32,7 @@ type Field struct {
 // so metadata reads stay correct before the data lands.
 //
 // A served column's array lives off the Go heap (see mem.go): Presize,
-// NewExtended, Chunks.Table and OffHeap put it there, and widening it keeps
-// it there.
+// NewExtended and Chunks.Table put it there, and widening it keeps it there.
 type Column struct {
 	Field Field
 
@@ -530,24 +529,6 @@ func (t *Table) SizeBytes() int64 {
 		b += c.SizeBytes()
 	}
 	return b
-}
-
-// OffHeap moves every column array still on the Go heap into a mapping of
-// its own, at the same length and capacity: what a table built on the heap
-// (a demo dataset, a test's) goes through once before it is served. Nothing
-// may read or write the table meanwhile.
-func (t *Table) OffHeap() {
-	for _, c := range t.cols {
-		switch {
-		case c.mem != nil:
-		case c.Coded():
-			c.codes, c.mem = c.codes.movedOffHeap()
-		case c.Field.Kind == KindInt:
-			c.ints, c.mem = movedOffHeap(c.ints)
-		default:
-			c.floats, c.mem = movedOffHeap(c.floats)
-		}
-	}
 }
 
 // NumRows returns the row count.

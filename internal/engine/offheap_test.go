@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -18,8 +19,14 @@ import (
 //
 //go:noinline
 func offHeapPlan(t *testing.T, store func(*dataset.Table) DB, sql string) (*Plan, string) {
-	tb := workload.Sales(workload.SalesConfig{Rows: 20000, Products: 20, Years: 8, Cities: 10, Seed: 5})
-	tb.OffHeap()
+	var csv bytes.Buffer
+	if err := dataset.WriteCSV(workload.Sales(workload.SalesConfig{Rows: 20000, Products: 20, Years: 8, Cities: 10, Seed: 5}), &csv); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := dataset.ReadCSV("sales", &csv) // stitched into mappings (Chunks.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q, err := minisql.Parse(sql)
 	if err != nil {
 		t.Fatal(err)

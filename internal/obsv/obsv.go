@@ -1,9 +1,9 @@
 // Package obsv is a dependency-free metrics library exposing the Prometheus
-// text exposition format (version 0.0.4). It provides the three primitive
-// instrument kinds — monotonically increasing counters, set-anywhere gauges,
-// and fixed-bucket histograms — plus labelled "vec" variants and scrape-time
-// collectors for values that already live elsewhere (store counters, queue
-// depths). The registry renders everything with WriteTo / ServeHTTP.
+// text exposition format (version 0.0.4). It provides labelled monotonically
+// increasing counters and fixed-bucket histograms ("vecs"), plus scrape-time
+// gauges and collectors for values that already live elsewhere (store
+// counters, queue depths). The registry renders everything with WriteTo /
+// ServeHTTP.
 //
 // The package deliberately implements only what the serving layer needs:
 // no push gateways, no summaries, no exemplars. Instruments are safe for
@@ -123,49 +123,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// NewCounter registers and returns an unlabelled counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", func(emit func(Sample)) {
-		emit(Sample{Value: float64(c.Value())})
-	})
-	return c
-}
-
-// ---------------------------------------------------------------------------
-// Gauge
-
-// A Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// NewGauge registers and returns an unlabelled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", func(emit func(Sample)) {
-		emit(Sample{Value: g.Value()})
-	})
-	return g
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 
@@ -232,16 +189,6 @@ func (h *Histogram) emitWith(base []Label, emit func(Sample)) {
 	})
 	emit(Sample{Suffix: "_sum", Labels: base, Value: h.Sum()})
 	emit(Sample{Suffix: "_count", Labels: base, Value: float64(h.Count())})
-}
-
-// NewHistogram registers and returns an unlabelled histogram. A nil bucket
-// slice selects DefBuckets.
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(buckets)
-	r.register(name, help, "histogram", func(emit func(Sample)) {
-		h.emitWith(nil, emit)
-	})
-	return h
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ func render(t *testing.T, r *Registry) string {
 
 func TestCounterExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("reqs_total", "total requests")
+	c := r.NewCounterVec("reqs_total", "total requests", []string{"code"}).With("200")
 	c.Inc()
 	c.Add(4)
 	c.Add(-7) // ignored: counters are monotone
@@ -27,25 +27,11 @@ func TestCounterExposition(t *testing.T) {
 	for _, want := range []string{
 		"# HELP reqs_total total requests\n",
 		"# TYPE reqs_total counter\n",
-		"reqs_total 5\n",
+		`reqs_total{code="200"} 5` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.NewGauge("depth", "queue depth")
-	g.Set(3)
-	g.Add(2)
-	g.Add(-4)
-	if got := g.Value(); got != 1 {
-		t.Fatalf("gauge = %v, want 1", got)
-	}
-	if out := render(t, r); !strings.Contains(out, "depth 1\n") {
-		t.Errorf("missing gauge sample:\n%s", out)
 	}
 }
 
@@ -56,7 +42,7 @@ func TestGaugeFuncAndCollector(t *testing.T) {
 		emit(Sample{Labels: []Label{{"dataset", "sales"}}, Value: 7})
 	})
 	out := render(t, r)
-	if !strings.Contains(out, "ready 1\n") {
+	if !strings.Contains(out, "# TYPE ready gauge\nready 1\n") {
 		t.Errorf("missing gauge func:\n%s", out)
 	}
 	if !strings.Contains(out, `per_ds{dataset="sales"} 7`+"\n") {
@@ -66,18 +52,19 @@ func TestGaugeFuncAndCollector(t *testing.T) {
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := r.NewHistogramVec("lat_seconds", "latency", []string{"op"}, []float64{0.1, 1, 10}).With("scan")
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 100} {
 		h.Observe(v)
 	}
 	out := render(t, r)
 	for _, want := range []string{
-		`lat_seconds_bucket{le="0.1"} 1`,
-		`lat_seconds_bucket{le="1"} 3`,
-		`lat_seconds_bucket{le="10"} 4`,
-		`lat_seconds_bucket{le="+Inf"} 5`,
-		`lat_seconds_count 5`,
-		`lat_seconds_sum 106.05`,
+		`# TYPE lat_seconds histogram`,
+		`lat_seconds_bucket{op="scan",le="0.1"} 1`,
+		`lat_seconds_bucket{op="scan",le="1"} 3`,
+		`lat_seconds_bucket{op="scan",le="10"} 4`,
+		`lat_seconds_bucket{op="scan",le="+Inf"} 5`,
+		`lat_seconds_count{op="scan"} 5`,
+		`lat_seconds_sum{op="scan"} 106.05`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -137,11 +124,11 @@ func TestVecLabelArityPanics(t *testing.T) {
 
 func TestDuplicateAndInvalidNamesPanic(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("x_total", "")
+	r.NewCounterVec("x_total", "", nil)
 	for name, f := range map[string]func(){
-		"duplicate": func() { r.NewCounter("x_total", "") },
-		"invalid":   func() { r.NewCounter("9starts_with_digit", "") },
-		"empty":     func() { r.NewCounter("", "") },
+		"duplicate": func() { r.NewGaugeFunc("x_total", "", func() float64 { return 0 }) },
+		"invalid":   func() { r.NewCounterVec("9starts_with_digit", "", nil) },
+		"empty":     func() { r.NewHistogramVec("", "", nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -169,7 +156,7 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestServeHTTP(t *testing.T) {
 	r := NewRegistry()
-	r.NewCounter("hits_total", "hits").Inc()
+	r.NewCounterVec("hits_total", "hits", []string{"path"}).With("/").Inc()
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {
@@ -178,7 +165,7 @@ func TestServeHTTP(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain; version=0.0.4") {
 		t.Errorf("content type = %q", ct)
 	}
-	if !strings.Contains(rec.Body.String(), "hits_total 1\n") {
+	if !strings.Contains(rec.Body.String(), `hits_total{path="/"} 1`+"\n") {
 		t.Errorf("body missing counter:\n%s", rec.Body.String())
 	}
 	rec = httptest.NewRecorder()
@@ -190,18 +177,16 @@ func TestServeHTTP(t *testing.T) {
 
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("c_total", "")
-	h := r.NewHistogram("h_seconds", "", []float64{1})
-	g := r.NewGauge("g", "")
+	cv := r.NewCounterVec("c_total", "", []string{"k"})
+	hv := r.NewHistogramVec("h_seconds", "", []string{"k"}, []float64{1})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc()
-				h.Observe(0.5)
-				g.Add(1)
+				cv.With("a").Inc()
+				hv.With("a").Observe(0.5)
 			}
 		}()
 	}
@@ -214,8 +199,9 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 || g.Value() != 8000 {
-		t.Fatalf("lost updates: c=%d h=%d g=%v", c.Value(), h.Count(), g.Value())
+	c, h := cv.With("a"), hv.With("a")
+	if c.Value() != 8000 || h.Count() != 8000 {
+		t.Fatalf("lost updates: c=%d h=%d", c.Value(), h.Count())
 	}
 	if math.Abs(h.Sum()-4000) > 1e-6 {
 		t.Fatalf("histogram sum = %v, want 4000", h.Sum())

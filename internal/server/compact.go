@@ -10,9 +10,9 @@ import (
 	"repro/internal/zpack"
 )
 
-// ErrNotCompactable marks a compaction request against a dataset without a
-// zpack backing; the HTTP layer maps it to 409 Conflict.
-var ErrNotCompactable = errors.New("server: dataset is not compactable (only zpack-backed datasets can be re-clustered)")
+// ErrNotCompactable marks a compaction request against a dataset not served
+// from a .zpack file; the HTTP layer maps it to 409 Conflict.
+var ErrNotCompactable = errors.New("server: dataset is not compactable (only datasets served from a .zpack file can be re-clustered)")
 
 func nowNano() int64 { return time.Now().UnixNano() }
 
@@ -24,9 +24,6 @@ func nowNano() int64 { return time.Now().UnixNano() }
 // Metadata-only: zone maps and dictionaries live in the footer, no segment is
 // read from disk.
 func (d *Dataset) refreshUnsorted() {
-	if d.packR == nil {
-		return
-	}
 	var col string
 	if cols := d.ctr.lastCols.Load(); cols != nil && len(*cols) > 0 {
 		col = (*cols)[0]

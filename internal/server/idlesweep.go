@@ -6,9 +6,9 @@ import (
 	"sync"
 )
 
-// idleSweeps is how many consecutive GC cycles a file-backed dataset must go
-// without starting a query on its store before it is released: swapped for
-// its snapshot with no block loaded (Registry.release). Every request that
+// idleSweeps is how many consecutive GC cycles a dataset must go without
+// starting a query on its store before it is released: swapped for its
+// snapshot with no block loaded (Registry.release). Every request that
 // misses the result cache starts one, and the heaviest such request, a
 // task_cold one, allocates about 2.8 cycles' worth on average: a dataset in
 // use does not pass 4 cycles without a query (the benchmark's cache-missing
@@ -16,11 +16,11 @@ import (
 // (explore_hot) gives its blocks back a few requests in.
 const idleSweeps = 4
 
-// An IdleSweeper runs the idle sweep of every dataset served from a file
-// (see idleSweeps) once after each completed GC cycle, until Stop. It leaves
-// the collector's settings alone: the tables live off the Go heap, so the
-// process's own GOGC already paces a heap of what requests churn. Only a
-// server process starts one.
+// An IdleSweeper runs the idle sweep of every dataset (see idleSweeps) once
+// after each completed GC cycle, until Stop. It leaves the collector's
+// settings alone: the tables live off the Go heap, so the process's own GOGC
+// already paces a heap of what requests churn. Only a server process starts
+// one.
 type IdleSweeper struct {
 	reg *Registry
 
@@ -66,18 +66,15 @@ func (s *IdleSweeper) onGC() {
 	s.arm()
 }
 
-// sweepIdle runs one idle sweep of every dataset served from a file. A
-// dataset is idle at it when its store's cumulative query count, which
-// carries over every swap, has not moved since the previous sweep; at the
-// idleSweeps-th idle sweep in a row, and every one after, it is released
-// if it has blocks in place (Registry.release).
+// sweepIdle runs one idle sweep of every dataset. A dataset is idle at it
+// when its store's cumulative query count, which carries over every swap,
+// has not moved since the previous sweep; at the idleSweeps-th idle sweep in
+// a row, and every one after, it is released if it has blocks in place
+// (Registry.release).
 func (r *Registry) sweepIdle() {
 	r.sweepMu.Lock()
 	defer r.sweepMu.Unlock()
 	for _, d := range r.List() {
-		if d.packR == nil {
-			continue
-		}
 		c := d.ctr
 		if q := d.store.Counters().Queries; q != c.sweepQueries {
 			c.sweepQueries, c.idleRuns = q, 0

@@ -93,7 +93,7 @@ func newMetrics(reg *Registry) *metrics {
 			emit(float64(d.Table().SizeBytes()))
 		})
 	perDataset("zen_dataset_resident_bytes",
-		"Memory the dataset's loaded column data holds: zpack, the blocks in place now, at memory width; in-memory, the whole table.", "gauge",
+		"Memory the dataset's loaded column data holds: the blocks in place now, at memory width.", "gauge",
 		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(d.ResidentBytes()))
 		})

@@ -19,10 +19,10 @@ func heapLive() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// TestOffHeapAddTable: registering a table built on the heap moves its
-// arrays off it, so building and registering it leaves the live Go heap
-// less than a tenth of the table's bytes larger: the dictionaries, the zone
-// maps, the serving stack.
+// TestOffHeapAddTable: registering a table built on the heap spills it and
+// serves the spill, whose arrays are mappings, so building and registering
+// it leaves the live Go heap less than a tenth of the table's bytes larger:
+// the dictionaries, the zone maps, the serving stack.
 func TestOffHeapAddTable(t *testing.T) {
 	before := heapLive()
 	reg := NewRegistry()

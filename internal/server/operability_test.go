@@ -62,6 +62,9 @@ type stallDB struct {
 	delay time.Duration
 }
 
+// stall wraps s in a stallDB of 300 ms.
+func stall(s engine.DB) engine.DB { return &stallDB{DB: s, delay: 300 * time.Millisecond} }
+
 func (d *stallDB) ExecuteBatch(ctx context.Context, plans []*engine.Plan) ([]*engine.Result, error) {
 	select {
 	case <-time.After(d.delay):
@@ -71,21 +74,20 @@ func (d *stallDB) ExecuteBatch(ctx context.Context, plans []*engine.Plan) ([]*en
 	return d.DB.ExecuteBatch(ctx, plans)
 }
 
-// newWrappedServer builds a registry+server whose single "sales" dataset runs
-// over the given store wrapper, bypassing AddTable so the test controls the
-// engine.DB. The cache is disabled so every request reaches the coalescer.
-func newWrappedServer(t *testing.T, store engine.DB, cfg Config, opts ...Option) (*httptest.Server, *Registry, *Dataset) {
+// newWrappedServer builds a registry+server whose single "sales" dataset
+// (testTable, through AddTable) runs its coalesced batches on wrap of its own
+// store, so the test controls ExecuteBatch. The cache is disabled so every
+// request reaches the coalescer.
+func newWrappedServer(t *testing.T, cfg Config, wrap func(engine.DB) engine.DB, opts ...Option) (*httptest.Server, *Registry, *Dataset) {
 	t.Helper()
 	cfg.Seed = 7
 	cfg.CacheEntries = -1
-	d, err := newDataset(testTable(), store, "column", cfg, nil)
+	reg := NewRegistry()
+	d, err := reg.AddTable(testTable(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
-	if _, err := reg.add(d); err != nil {
-		t.Fatal(err)
-	}
+	d.bat.store = wrap(d.bat.store)
 	reg.SetReady(true)
 	ts := httptest.NewServer(New(reg, opts...))
 	t.Cleanup(ts.Close)
@@ -97,8 +99,8 @@ func newWrappedServer(t *testing.T, store engine.DB, cfg Config, opts ...Option)
 // are shed immediately with 429 + Retry-After while every admitted request
 // still completes once the store frees up.
 func TestAdmissionControlShedsWithBoundedQueue(t *testing.T) {
-	db := newBlockingDB(engine.NewRowStore(testTable()))
-	ts, _, d := newWrappedServer(t, db, Config{MaxQueue: 2})
+	var db *blockingDB
+	ts, _, d := newWrappedServer(t, Config{MaxQueue: 2}, func(s engine.DB) engine.DB { db = newBlockingDB(s); return db })
 
 	type outcome struct {
 		status     int
@@ -191,8 +193,7 @@ func TestAdmissionControlShedsWithBoundedQueue(t *testing.T) {
 // whole request path, including the coalescer's merged-context machinery —
 // no goroutines are left behind.
 func TestRequestDeadlineReturns504WithPartialStats(t *testing.T) {
-	db := &stallDB{DB: engine.NewRowStore(testTable()), delay: 300 * time.Millisecond}
-	ts, _, d := newWrappedServer(t, db, Config{}, WithTimeout(2*time.Second))
+	ts, _, d := newWrappedServer(t, Config{}, stall, WithTimeout(2*time.Second))
 
 	// Warm up: establish the keep-alive connection (whose read/write loop
 	// goroutines persist by design) and let the first drain retire, so
@@ -258,8 +259,7 @@ func TestRequestDeadlineReturns504WithPartialStats(t *testing.T) {
 // on a cold request is a 504, a client that has gone is a 499, and both cuts
 // count as timeouts.
 func TestRecommendHonoursTheRequestContext(t *testing.T) {
-	db := &stallDB{DB: engine.NewColumnStore(testTable()), delay: 300 * time.Millisecond}
-	_, reg, d := newWrappedServer(t, db, Config{})
+	_, reg, d := newWrappedServer(t, Config{}, stall)
 	srv := New(reg)
 	body, err := json.Marshal(RecommendRequest{Dataset: "sales", X: "year", Y: "revenue", Z: "product", K: 3})
 	if err != nil {
@@ -529,10 +529,11 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	if got, want := values[`zen_go_gc_percent`], float64(runtimeInt("/gc/gogc:percent")); got != want {
 		t.Errorf("zen_go_gc_percent = %v, want %v", got, want)
 	}
-	// An in-memory table is resident whole; a zpack one holds the blocks its
-	// queries read: year codes and revenue floats, every row.
-	if got, want := values[`zen_dataset_resident_bytes{dataset="sales"}`], values[`zen_dataset_table_bytes{dataset="sales"}`]; got != want {
-		t.Errorf("in-memory resident bytes %v, want the table's %v", got, want)
+	// Every dataset holds the blocks its queries read: for the point query,
+	// some of the table; for the packed one, year codes and revenue floats,
+	// every row.
+	if got, table := values[`zen_dataset_resident_bytes{dataset="sales"}`], values[`zen_dataset_table_bytes{dataset="sales"}`]; got <= 0 || got >= table {
+		t.Errorf("resident bytes %v after a point query, want some of the table's %v", got, table)
 	}
 	tbl := packed.Table()
 	want := float64(tbl.NumRows() * (tbl.Column("year").Codes().Width() + 8))

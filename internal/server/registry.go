@@ -1,15 +1,17 @@
 // Package server is the serving layer of zenvisage: the HTTP JSON API the
 // paper's architecture diagram (Figure 6.1) puts between the browser
-// front-end and the ZQL engine. It holds a registry of named, CSV- or
-// generator-backed datasets, each wrapped in a per-dataset result cache and a
-// request coalescer so that concurrent interactive traffic over one dataset
-// shares scans and reuses prior work instead of multiplying cold scans.
+// front-end and the ZQL engine. It holds a registry of named datasets, each
+// wrapped in a per-dataset result cache and a request coalescer so that
+// concurrent interactive traffic over one dataset shares scans and reuses
+// prior work instead of multiplying cold scans. Every dataset is served from
+// a zpack file through a lazy zpack.Reader: a .zpack as it is, a CSV or a
+// generated table from its spill, an unnamed file holding the same bytes.
 //
 // Stacking, per dataset, bottom to top:
 //
 //	engine.ColumnStore                  one immutable store, shared read-only, over
-//	                                    an in-memory table or a zpack reader; split
-//	                                    into segment shards scanned in parallel
+//	                                    a zpack reader; split into segment shards
+//	                                    scanned in parallel
 //	  batcher                           queued submissions fold into one store ExecuteBatch
 //	    servingDB                       the one engine.DB adapter: hits answered from the
 //	                                    ResultCache (canonical plan SQL, probation + LRU),
@@ -26,8 +28,10 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -102,10 +106,10 @@ type Dataset struct {
 	bat     *batcher
 	session *client.Session
 
-	// zpack backing; nil for in-memory datasets. packW is atomic because
-	// Appendable() reads it from request handlers while recoverWriter may
-	// replace it on a failed append; all writer USE is serialized by the
-	// registry's appendMu.
+	// zpack backing. packPath is empty, and packW nil, for a spill (see
+	// Spilled). packW is atomic because Appendable() reads it from request
+	// handlers while recoverWriter may replace it on a failed append; all
+	// writer USE is serialized by the registry's appendMu.
 	packPath string
 	packR    *zpack.Reader
 	packW    atomic.Pointer[zpack.Writer]
@@ -204,18 +208,12 @@ func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
 func (d *Dataset) ShardCount() int { return len(d.store.Stats(d.table.Name).Ranges) }
 
 // ResidentBytes returns the memory the dataset's loaded column data holds:
-// for a zpack dataset the blocks its reader has in place now, at their width
-// in memory (zpack.Reader.ResidentBytes); for an in-memory one the whole
-// table (dataset.Table.SizeBytes).
-func (d *Dataset) ResidentBytes() int64 {
-	if d.packR != nil {
-		return d.packR.ResidentBytes()
-	}
-	return d.table.SizeBytes()
-}
+// the blocks its reader has in place now, at their width in memory
+// (zpack.Reader.ResidentBytes).
+func (d *Dataset) ResidentBytes() int64 { return d.packR.ResidentBytes() }
 
 // Appendable reports whether POST /datasets/{name}/append can extend this
-// dataset (zpack-backed datasets only).
+// dataset (datasets served from a .zpack file only).
 func (d *Dataset) Appendable() bool { return d.packW.Load() != nil }
 
 // DatasetStats aggregates every per-dataset counter for /stats.
@@ -417,33 +415,24 @@ func (r *Registry) SetReady(ready bool) { r.ready.Store(ready) }
 // ready and no dataset snapshot swap in flight.
 func (r *Registry) Ready() bool { return r.ready.Load() && r.swaps.Load() == 0 }
 
-// ErrNotAppendable marks an append against a dataset without a zpack
-// backing; the HTTP layer maps it to 409 Conflict.
-var ErrNotAppendable = errors.New("server: dataset is not appendable (only zpack-backed datasets accept appends)")
+// ErrNotAppendable marks an append against a dataset not served from a
+// .zpack file; the HTTP layer maps it to 409 Conflict.
+var ErrNotAppendable = errors.New("server: dataset is not appendable (only datasets served from a .zpack file accept appends)")
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{datasets: make(map[string]*Dataset)}
 }
 
-// AddTable registers an in-memory table under its own name, building the
-// store, cache, coalescer, and session stack around it. The table's arrays
-// move off the Go heap first (dataset.Table.OffHeap), once: the caller hands
-// the table over and builds on it no further.
+// AddTable registers t under its own name, spilled to an unnamed file in
+// os.TempDir() (zpack.Spill) and served from it as a spilled CSV is (see
+// LoadCSV). The spill shares t's dictionaries: the caller hands the table
+// over and builds on it no further.
 func (r *Registry) AddTable(t *dataset.Table, cfg Config) (*Dataset, error) {
 	if t == nil || t.Name == "" {
 		return nil, fmt.Errorf("server: dataset needs a named table")
 	}
-	backend, err := backendName(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
-	t.OffHeap()
-	d, err := newDataset(t, columnStore(engine.NewMemSource(t), cfg), backend, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return r.add(d)
+	return r.addSpill(t.Name, t, cfg, os.TempDir())
 }
 
 // backendName resolves Config.Backend to the name /datasets reports: "" is
@@ -481,7 +470,7 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 		reader.Close()
 		return nil, err
 	}
-	d, err := newZpackDataset(name, reader, backend, cfg, nil)
+	d, err := newDataset(name, reader, backend, cfg, nil)
 	if err != nil {
 		reader.Close()
 		writer.Discard()
@@ -493,37 +482,23 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 	return r.add(d)
 }
 
-// newZpackDataset assembles the serving stack around a zpack reader's table,
-// registered as name: the column executor over the reader's segments,
-// answering from cache (nil: a new one).
-func newZpackDataset(name string, reader *zpack.Reader, backend string, cfg Config, cache *ResultCache) (*Dataset, error) {
+// newDataset assembles the serving stack — store, cache, coalescer, session
+// — around a zpack reader's table, registered as name, answering from cache,
+// or from a new cache when it is nil. The store is the column executor over
+// the reader's segments, sharded when the config asks for it: shards are
+// segment ranges over the same reader, so a file is never rewritten and
+// lazily-skipped segments are still never read from disk. Every swap
+// rebuilds through this constructor, so appended segments land in the
+// re-split tail shard's range.
+func newDataset(name string, reader *zpack.Reader, backend string, cfg Config, cache *ResultCache) (*Dataset, error) {
 	t := reader.Table()
 	t.Name = name
-	d, err := newDataset(t, columnStore(reader, cfg), backend, cfg, cache)
-	if err != nil {
-		return nil, err
-	}
-	d.packR = reader
-	return d, nil
-}
-
-// columnStore builds the column executor over a segment source — an
-// in-memory table's or a zpack reader's — sharded when the config asks for
-// it: shards are segment ranges over the same source, so a file is never
-// rewritten and lazily-skipped segments are still never read from disk.
-// Append rebuilds through this same helper, so appended segments land in the
-// re-split tail shard's range.
-func columnStore(src engine.SegmentSource, cfg Config) engine.DB {
+	var store engine.DB
 	if cfg.Shards > 1 {
-		return engine.NewShardedStoreFromSource(cfg.Shards, src)
+		store = engine.NewShardedStoreFromSource(cfg.Shards, reader)
+	} else {
+		store = engine.NewColumnStoreFromSource(reader)
 	}
-	return engine.NewColumnStoreFromSource(src)
-}
-
-// newDataset assembles the serving stack — store, cache, coalescer, session
-// — around a table whose store is already built, answering from cache, or
-// from a new cache when it is nil.
-func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config, cache *ResultCache) (*Dataset, error) {
 	opt := zexec.InterTask
 	if cfg.Opt != "" {
 		var err error
@@ -555,12 +530,12 @@ func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config, c
 	if cfg.Metric != "" {
 		sessOpts = append(sessOpts, client.WithMetric(cfg.Metric))
 	}
-	sess, err := client.OpenDB(db, t.Name, sessOpts...)
+	sess, err := client.OpenDB(db, name, sessOpts...)
 	if err != nil {
 		return nil, err
 	}
 	return &Dataset{
-		name:    t.Name,
+		name:    name,
 		backend: backend,
 		table:   t,
 		cfg:     cfg,
@@ -569,6 +544,7 @@ func newDataset(t *dataset.Table, store engine.DB, backend string, cfg Config, c
 		cache:   cache,
 		bat:     bat,
 		session: sess,
+		packR:   reader,
 		ctr:     &dsCounters{},
 	}, nil
 }
@@ -585,38 +561,51 @@ func (r *Registry) add(d *Dataset) (*Dataset, error) {
 }
 
 // LoadCSV registers a CSV file under name. The decoded chunks are spilled to
-// an unnamed file in the CSV's directory (zpack.Spill) and served from it as
-// a .zpack is, without appends or compaction: only the blocks queries read
-// are resident, and no table is stitched. Where no spill can be written (a
-// read-only directory, a full disk) the chunks are stitched straight into
-// off-heap arrays (dataset.Chunks.Table) and served from memory.
+// an unnamed file (zpack.Spill) and served from it as a .zpack is, without
+// appends or compaction: only the blocks queries read are resident, and no
+// table is stitched. The spill goes to the CSV's directory, or, where that
+// takes none (read-only, full), to os.TempDir(); where neither does, LoadCSV
+// fails.
 func (r *Registry) LoadCSV(name, path string, cfg Config) (*Dataset, error) {
-	backend, err := backendName(cfg.Backend)
-	if err != nil {
-		return nil, err
-	}
 	ch, err := dataset.DecodeCSVFile(name, path)
 	if err != nil {
 		return nil, err
 	}
-	reader, err := zpack.Spill(ch, filepath.Dir(path))
-	if err != nil {
-		log.Printf("%s: no spill, serving %s from memory: %v", path, name, err)
-		return r.AddTable(ch.Table(), cfg)
-	}
-	d, err := newZpackDataset(name, reader, backend, cfg, nil)
-	if err == nil {
-		d, err = r.add(d)
-	}
-	if err != nil {
-		reader.Close()
-	}
-	return d, err
+	return r.addSpill(name, ch, cfg, filepath.Dir(path), os.TempDir())
 }
 
-// Spilled reports whether the dataset is a CSV served from its spill (see
-// LoadCSV).
-func (d *Dataset) Spilled() bool { return d.packR != nil && d.packPath == "" }
+// addSpill registers src as name, served from its spill in the first of dirs
+// that takes one.
+func (r *Registry) addSpill(name string, src zpack.Source, cfg Config, dirs ...string) (*Dataset, error) {
+	backend, err := backendName(cfg.Backend)
+	if err != nil {
+		return nil, err
+	}
+	var failed []string
+	for _, dir := range dirs {
+		reader, err := zpack.Spill(src, dir)
+		if err != nil {
+			failed = append(failed, dir+": "+err.Error())
+			continue
+		}
+		if len(failed) > 0 {
+			log.Printf("%s: spilled to %s (%s)", name, dir, strings.Join(failed, "; "))
+		}
+		d, err := newDataset(name, reader, backend, cfg, nil)
+		if err == nil {
+			d, err = r.add(d)
+		}
+		if err != nil {
+			reader.Close()
+		}
+		return d, err
+	}
+	return nil, fmt.Errorf("server: no directory takes the spill of %s: %s", name, strings.Join(failed, "; "))
+}
+
+// Spilled reports whether the dataset is served from a spill (see LoadCSV
+// and AddTable) rather than from a .zpack file.
+func (d *Dataset) Spilled() bool { return d.packPath == "" }
 
 // Append extends a zpack-backed dataset with rows and swaps the successor
 // snapshot into the registry. The commit order is what makes the swap
@@ -695,7 +684,7 @@ func (r *Registry) release(name string) {
 	}
 	defer r.appendMu.Unlock()
 	d := r.Get(name)
-	if d == nil || d.packR == nil || d.ResidentBytes() == 0 {
+	if d == nil || d.ResidentBytes() == 0 {
 		return
 	}
 	twin, blocks := d.packR.Unloaded()
@@ -722,7 +711,7 @@ func (r *Registry) release(name string) {
 // lands in them too; a fresh cache inherits d's counters, with d's entries
 // counted as evictions. Only the session's history restarts.
 func (r *Registry) swapSuccessor(d *Dataset, fresh *zpack.Reader, w *zpack.Writer, retired io.Closer, cache *ResultCache, note func(*dsCounters)) (*Dataset, error) {
-	nd, err := newZpackDataset(d.name, fresh, d.backend, d.cfg, cache)
+	nd, err := newDataset(d.name, fresh, d.backend, d.cfg, cache)
 	if err != nil {
 		return nil, err
 	}

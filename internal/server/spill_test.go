@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -40,24 +41,19 @@ func assertOnlyFile(t *testing.T, dir, name string) {
 	}
 }
 
-// TestLoadCSVSpills: under the column back-end a CSV is served from its
-// spill — every ledger request answered with the bytes the in-memory table
-// answers, unsharded and over three shards, nothing left in the CSV's
-// directory while it serves or after, and only the columns queries read
-// resident.
+// TestLoadCSVSpills: a CSV is served from its spill beside it — every
+// ledger request answered with the bytes the same table registered through
+// AddTable answers, unsharded and over three shards, nothing left in the
+// CSV's directory while it serves or after, and only the columns queries
+// read resident.
 func TestLoadCSVSpills(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "sales.csv")
 	writeCSV(t, csvPath, ledgerTable())
-	mem, err := dataset.ReadCSVFile("sales", csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	script := ledgerScript()
 	for _, shards := range []int{1, 3} {
 		cfg := Config{Backend: "auto", Shards: shards, Seed: 7}
-		spilled, inMem := NewRegistry(), NewRegistry()
+		spilled, added := NewRegistry(), NewRegistry()
 		d, err := spilled.LoadCSV("sales", csvPath, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -65,30 +61,15 @@ func TestLoadCSVSpills(t *testing.T) {
 		if !d.Spilled() || d.Appendable() || d.Backend() != "auto" {
 			t.Fatalf("shards %d: spilled %v, appendable %v, backend %q", shards, d.Spilled(), d.Appendable(), d.Backend())
 		}
-		if _, err := inMem.AddTable(mem, cfg); err != nil {
+		mem, err := dataset.ReadCSVFile("sales", csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := added.AddTable(mem, cfg); err != nil {
 			t.Fatal(err)
 		}
 		assertOnlyFile(t, dir, "sales.csv")
-		sts, mts := httptest.NewServer(New(spilled)), httptest.NewServer(New(inMem))
-		for i, r := range script {
-			sresp, got := post(t, sts.URL+r.path, r.body)
-			mresp, want := post(t, mts.URL+r.path, r.body)
-			if sresp.StatusCode != http.StatusOK || mresp.StatusCode != http.StatusOK {
-				t.Fatalf("shards %d #%d %s: status %d and %d", shards, i, r.path, sresp.StatusCode, mresp.StatusCode)
-			}
-			got = timingField.ReplaceAll(got, []byte(`"$1":0`))
-			want = timingField.ReplaceAll(want, []byte(`"$1":0`))
-			if !bytes.Equal(got, want) {
-				t.Fatalf("shards %d #%d %s: spilled answered\n%.300s\nin memory\n%.300s", shards, i, r.path, got, want)
-			}
-		}
-		_, sds := get(t, sts.URL+"/datasets")
-		_, mds := get(t, mts.URL+"/datasets")
-		if !bytes.Equal(sds, mds) {
-			t.Fatalf("shards %d: /datasets\n%s\nwant\n%s", shards, sds, mds)
-		}
-		sts.Close()
-		mts.Close()
+		compareScripts(t, spilled, added)
 	}
 	runtime.GC() // the registries above are garbage: their spills' descriptors close
 	assertOnlyFile(t, dir, "sales.csv")
@@ -110,11 +91,12 @@ func TestLoadCSVSpills(t *testing.T) {
 	}
 }
 
-// TestLoadCSVServesFromMemoryWithoutASpill: a CSV whose directory takes no
-// spill is served from memory, with the answers of the spilled dataset. The
-// CSV is read through /proc/self/fd/N, a directory no process can create a
-// file in, not even root.
-func TestLoadCSVServesFromMemoryWithoutASpill(t *testing.T) {
+// TestLoadCSVSpillsToTheTempDir: a CSV whose directory takes no spill is
+// served from a spill in os.TempDir(), with the answers of the one spilled
+// beside it; where TMPDIR takes none either, LoadCSV fails naming both
+// directories. The CSV is read through /proc/self/fd/N, a directory no
+// process can create a file in, not even root.
+func TestLoadCSVSpillsToTheTempDir(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
 	if runtime.GOOS != "linux" {
 		t.Skip("needs /proc/self/fd")
@@ -126,31 +108,101 @@ func TestLoadCSVServesFromMemoryWithoutASpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	fdPath := fmt.Sprintf("/proc/self/fd/%d", f.Fd())
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	cfg := Config{Seed: 7}
-	inMem, spilled := NewRegistry(), NewRegistry()
-	d, err := inMem.LoadCSV("sales", fmt.Sprintf("/proc/self/fd/%d", f.Fd()), cfg)
+	inTmp, beside := NewRegistry(), NewRegistry()
+	d, err := inTmp.LoadCSV("sales", fdPath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Spilled() || d.ResidentBytes() != d.Table().SizeBytes() {
-		t.Fatalf("no spill directory: spilled %v, resident %d of %d", d.Spilled(), d.ResidentBytes(), d.Table().SizeBytes())
+	if !d.Spilled() || d.ResidentBytes() != 0 {
+		t.Fatalf("spilled to TMPDIR: spilled %v, resident %d", d.Spilled(), d.ResidentBytes())
 	}
-	if d, err = spilled.LoadCSV("sales", csvPath, cfg); err != nil || !d.Spilled() {
+	assertNoFile(t, tmp)
+	if d, err = beside.LoadCSV("sales", csvPath, cfg); err != nil || !d.Spilled() {
 		t.Fatalf("spilled %v, %v", d, err)
 	}
-	mts, sts := httptest.NewServer(New(inMem)), httptest.NewServer(New(spilled))
-	defer mts.Close()
-	defer sts.Close()
+	compareScripts(t, inTmp, beside)
+
+	missing := filepath.Join(tmp, "missing")
+	t.Setenv("TMPDIR", missing)
+	_, err = NewRegistry().LoadCSV("sales", fdPath, cfg)
+	if err == nil || !strings.Contains(err.Error(), "/proc/self/fd:") || !strings.Contains(err.Error(), missing+":") {
+		t.Fatalf("no directory takes the spill: err %v, want one naming /proc/self/fd and %s", err, missing)
+	}
+}
+
+// TestAddTableServesASpill: a table registered through AddTable is served
+// from a spill in os.TempDir(), as a CSV is: nothing resident before its
+// first query, every ledger request answered with the bytes LoadCSV of the
+// same table answers, and its blocks released at the fourth idle sweep.
+func TestAddTableServesASpill(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
+	csvPath := filepath.Join(t.TempDir(), "sales.csv")
+	writeCSV(t, csvPath, ledgerTable())
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	cfg := Config{Seed: 7}
+	added, loaded := NewRegistry(), NewRegistry()
+	d, err := added.AddTable(ledgerTable(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Spilled() || d.Appendable() || d.ResidentBytes() != 0 {
+		t.Fatalf("spilled %v, appendable %v, %d bytes resident before any query", d.Spilled(), d.Appendable(), d.ResidentBytes())
+	}
+	assertNoFile(t, tmp)
+	if _, err := loaded.LoadCSV("sales", csvPath, cfg); err != nil {
+		t.Fatal(err)
+	}
+	compareScripts(t, added, loaded)
+
+	if added.Get("sales").ResidentBytes() == 0 {
+		t.Fatal("nothing resident after the ledger script")
+	}
+	added.sweepIdle() // the script's scans: not idle
+	for i := 1; i <= idleSweeps; i++ {
+		added.sweepIdle()
+		d := added.Get("sales")
+		if released := d.Stats().BlocksReleased; (released > 0) != (i == idleSweeps) || (d.ResidentBytes() == 0) != (i == idleSweeps) {
+			t.Fatalf("idle sweep %d: %d blocks released, %d bytes resident", i, released, d.ResidentBytes())
+		}
+	}
+}
+
+// assertNoFile fails unless dir is empty.
+func assertNoFile(t *testing.T, dir string) {
+	t.Helper()
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("%s holds %v (%v), want nothing", dir, ents, err)
+	}
+}
+
+// compareScripts posts the ledger script to servers over a and b, then gets
+// /datasets, and fails on the first request they answer with different
+// bytes, timings blanked.
+func compareScripts(t *testing.T, a, b *Registry) {
+	t.Helper()
+	ats, bts := httptest.NewServer(New(a)), httptest.NewServer(New(b))
+	defer ats.Close()
+	defer bts.Close()
 	for i, r := range ledgerScript() {
-		mresp, got := post(t, mts.URL+r.path, r.body)
-		sresp, want := post(t, sts.URL+r.path, r.body)
-		if mresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
-			t.Fatalf("#%d %s: status %d and %d", i, r.path, mresp.StatusCode, sresp.StatusCode)
+		aresp, got := post(t, ats.URL+r.path, r.body)
+		bresp, want := post(t, bts.URL+r.path, r.body)
+		if aresp.StatusCode != http.StatusOK || bresp.StatusCode != http.StatusOK {
+			t.Fatalf("#%d %s: status %d and %d", i, r.path, aresp.StatusCode, bresp.StatusCode)
 		}
 		got = timingField.ReplaceAll(got, []byte(`"$1":0`))
 		want = timingField.ReplaceAll(want, []byte(`"$1":0`))
 		if !bytes.Equal(got, want) {
-			t.Fatalf("#%d %s: in memory answered\n%.300s\nspilled\n%.300s", i, r.path, got, want)
+			t.Fatalf("#%d %s: answered\n%.300s\nwant\n%.300s", i, r.path, got, want)
 		}
+	}
+	_, got := get(t, ats.URL+"/datasets")
+	_, want := get(t, bts.URL+"/datasets")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("/datasets answered\n%s\nwant\n%s", got, want)
 	}
 }

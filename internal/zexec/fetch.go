@@ -87,11 +87,10 @@ type queryJob struct {
 	units []*fetchUnit
 	cons  string // the row's expanded constraint text
 	// Splitting metadata:
-	xCols   []string
-	zCols   []string
-	yAlias  map[string]string // y attribute -> result column alias
-	raw     bool              // scatter: no aggregation
-	rawYCol string
+	xCols  []string
+	zCols  []string
+	yAlias map[string]string // y attribute -> result column alias
+	raw    bool              // scatter: no aggregation, one raw y column: its units' first y attribute
 }
 
 // defaultAgg is the rule-of-thumb aggregate when the Viz column is blank,
@@ -139,11 +138,7 @@ func (ex *executor) unitQuery(u *fetchUnit, constraints minisql.Expr) (*queryJob
 	for _, c := range xOutNames(u.xattrs, u.vd.XBin) {
 		q.OrderBy = append(q.OrderBy, minisql.OrderItem{Col: c})
 	}
-	job := &queryJob{q: q, units: []*fetchUnit{u}, xCols: xOutNames(u.xattrs, u.vd.XBin), yAlias: yAlias, raw: raw}
-	if raw {
-		job.rawYCol = u.yattrs[0]
-	}
-	return job, nil
+	return &queryJob{q: q, units: []*fetchUnit{u}, xCols: xOutNames(u.xattrs, u.vd.XBin), yAlias: yAlias, raw: raw}, nil
 }
 
 // xSelectItem is an x-axis select item; the first x attribute carries the
@@ -198,7 +193,8 @@ func andOf(parts []minisql.Expr) minisql.Expr {
 }
 
 // appendBatchKey appends the key that groups units one SQL query can serve:
-// same x shape, same aggregation, same z attribute signature, same rawness.
+// same x shape, same aggregation, same z attribute signature, same rawness,
+// and for raw points the same y column.
 func appendBatchKey(dst []byte, u *fetchUnit, agg string, raw bool) []byte {
 	for i, x := range u.xattrs {
 		if i > 0 {
@@ -208,6 +204,9 @@ func appendBatchKey(dst []byte, u *fetchUnit, agg string, raw bool) []byte {
 	}
 	dst = append(strconv.AppendFloat(append(dst, '|'), u.vd.XBin, 'g', -1, 64), '|')
 	dst = append(strconv.AppendBool(append(append(dst, agg...), '|'), raw), '|')
+	if raw {
+		dst = append(append(dst, u.yattrs[0]...), '|')
+	}
 	for i, s := range u.slices {
 		if i > 0 {
 			dst = append(dst, ',')
@@ -256,7 +255,7 @@ func (ex *executor) batchQuery(units []*fetchUnit, constraints minisql.Expr) (*q
 	}
 	yAlias := make(map[string]string, len(yattrs))
 	if raw {
-		q.Select = append(q.Select, minisql.SelectItem{Col: yattrs[0]})
+		q.Select = append(q.Select, minisql.SelectItem{Col: u0.yattrs[0]})
 	} else {
 		fn, err := minisql.ParseAgg(agg)
 		if err != nil {
@@ -291,18 +290,14 @@ func (ex *executor) batchQuery(units []*fetchUnit, constraints minisql.Expr) (*q
 	for _, c := range orderCols {
 		q.OrderBy = append(q.OrderBy, minisql.OrderItem{Col: c})
 	}
-	job := &queryJob{
+	return &queryJob{
 		q:      q,
 		units:  units,
 		xCols:  xOutNames(u0.xattrs, u0.vd.XBin),
 		zCols:  zattrs,
 		yAlias: yAlias,
 		raw:    raw,
-	}
-	if raw {
-		job.rawYCol = yattrs[0]
-	}
-	return job, nil
+	}, nil
 }
 
 // rowConstraints expands and parses the row's raw constraint text into a
@@ -555,9 +550,9 @@ func resultCols(res *engine.Result, names []string, axis string) ([]int, error) 
 // attributes (a composite + axis sums them).
 func (j *queryJob) yCols(res *engine.Result, u *fetchUnit, idx []int) ([]int, error) {
 	if j.raw {
-		yi := res.ColIndex(j.rawYCol)
+		yi := res.ColIndex(u.yattrs[0])
 		if yi < 0 {
-			return nil, fmt.Errorf("zexec: result missing y column %q", j.rawYCol)
+			return nil, fmt.Errorf("zexec: result missing y column %q", u.yattrs[0])
 		}
 		return append(idx, yi), nil
 	}

@@ -83,8 +83,7 @@ func (f fetched) remember(jobs []*queryJob) {
 }
 
 // appendUnitKey appends what a unit's visualization depends on: the row's
-// expanded constraints, the X attributes and binning, the Y attributes (and
-// a scatterplot's raw Y column, which its whole job shares), the
+// expanded constraints, the X attributes and binning, the Y attributes, the
 // aggregate, the visualization type, and the Z attribute-value pairs. The
 // table is the run's. Every field is length-prefixed, so no two keys
 // collide.
@@ -103,7 +102,6 @@ func appendUnitKey(dst []byte, j *queryJob, u *fetchUnit) []byte {
 	for _, y := range u.yattrs {
 		field(y)
 	}
-	field(j.rawYCol)
 	field(u.vd.YAgg)
 	field(u.vd.Type)
 	dst = strconv.AppendInt(dst, int64(len(u.slices)), 10)

@@ -83,13 +83,13 @@ func TestFetchOnceNeedsTheSameVisualization(t *testing.T) {
 			}
 		})
 	}
-	// A scatterplot's batch reads one raw Y column for every unit in it, so
-	// f1's profit slices carry sales points: f2's own profit slices differ.
+	// A scatterplot batch reads one raw Y column, so f1's Y set takes two
+	// statements, one a column; f2's profit slices are among f1's: elided.
 	src := `NAME | X | Y | Z | CONSTRAINTS | VIZ | PROCESS
 f1  | 'year' | y1 <- {'sales', 'profit'} | v1 <- 'product'.* | location='US' | scatterplot | v2 <- argmax(v1)[k=2] T(f1)
 *f2 | 'year' | 'profit' | v2 | location='US' | scatterplot |`
-	if res := reuseRun(t, src, nil); res.Stats.SQLQueries != 2 {
-		t.Errorf("raw Y column: %d statements, want 2:\n%s", res.Stats.SQLQueries, strings.Join(res.SQLLog, "\n"))
+	if res := reuseRun(t, src, nil); res.Stats.SQLQueries != 2 || res.Stats.Requests != 1 {
+		t.Errorf("raw Y column: %d statements in %d requests, want 2 in 1:\n%s", res.Stats.SQLQueries, res.Stats.Requests, strings.Join(res.SQLLog, "\n"))
 	}
 	// A Z value outside the earlier collection: f0 picks lamp or table, but
 	// fetched them under other constraints, and f1 fetched only three

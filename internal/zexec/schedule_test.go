@@ -145,3 +145,23 @@ f1   | 'year' | 'sales' | v1 <- 'product'.* | v2 <- argmin(v1)[k=1] nosuch(f1)
 		}
 	}
 }
+
+// A scatterplot batch reads each unit's own raw Y column: with a Y set, the
+// profit slices carry profit points at every level, as at NoOpt, where each
+// unit is its own statement.
+func TestScatterplotBatchReadsEachUnitsY(t *testing.T) {
+	src := `NAME | X | Y | Z | CONSTRAINTS | VIZ
+*f1 | 'year' | y1 <- {'sales', 'profit'} | v1 <- 'product'.* | location='US' | scatterplot`
+	results, errs := runLevels(t, src, fixtureSales())
+	want := ""
+	for _, opt := range allLevels {
+		if errs[opt] != nil {
+			t.Fatalf("%v: %v", opt, errs[opt])
+		}
+		if got := encodeResult(results[opt]); opt == NoOpt {
+			want = got
+		} else if got != want {
+			t.Errorf("%v answers\n%.400s\nwant (NoOpt)\n%.400s", opt, got, want)
+		}
+	}
+}
