@@ -158,9 +158,6 @@ func TestCategoricalAndMeasureColumns(t *testing.T) {
 	if got := tb.CategoricalColumns(); len(got) != 1 || got[0] != "product" {
 		t.Errorf("categorical = %v", got)
 	}
-	if got := tb.MeasureColumns(); len(got) != 2 {
-		t.Errorf("measures = %v", got)
-	}
 }
 
 func TestColumnFloatAccess(t *testing.T) {

@@ -7,7 +7,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Field describes one column of a table.
@@ -689,19 +690,16 @@ func gather[T any](src []T, rows []int) []T {
 }
 
 // ForEachColumn calls f once for each column, on up to GOMAXPROCS goroutines
-// at a time, and returns when every call has.
+// at a time (par.Do), and returns when every call has. A panic in f stops
+// the calls not yet begun and is raised again on the caller's goroutine.
 func (t *Table) ForEachColumn(f func(j int, c *Column)) {
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for j, c := range t.cols {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			f(j, c)
-		}()
+	err := par.Do(len(t.cols), runtime.GOMAXPROCS(0), func(_, j int) error {
+		f(j, t.cols[j])
+		return nil
+	})
+	if err != nil {
+		panic(err.(*par.Panic).Value)
 	}
-	wg.Wait()
 }
 
 // resolve gives src's code sc its translation in remap, if it has none yet:
@@ -728,17 +726,6 @@ func (t *Table) CategoricalColumns() []string {
 	var out []string
 	for _, c := range t.cols {
 		if c.Field.Kind == KindString {
-			out = append(out, c.Field.Name)
-		}
-	}
-	return out
-}
-
-// MeasureColumns returns the names of all numeric columns.
-func (t *Table) MeasureColumns() []string {
-	var out []string
-	for _, c := range t.cols {
-		if c.Field.Kind != KindString {
 			out = append(out, c.Field.Name)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -286,6 +287,29 @@ func TestPrepareValidation(t *testing.T) {
 			if _, err := db.Prepare(q); err == nil {
 				t.Errorf("%s: Prepare(%q) should fail", db.Name(), bad)
 			}
+		}
+	}
+}
+
+// TestExecuteBatchContainsPredicatePanic: a plan whose compiled predicate
+// panics, batched with a healthy plan on two workers, fails the batch with an
+// error on the row store and on the bitmap store (whose WHERE on a measure
+// is not indexable, so the drain calls the predicate) instead of killing the
+// process.
+func TestExecuteBatchContainsPredicatePanic(t *testing.T) {
+	for _, db := range []interface {
+		DB
+		SetParallelism(int)
+	}{NewRowStore(salesTable()), NewBitmapStore(salesTable())} {
+		db.SetParallelism(2)
+		plans := mustPrepareAll(t, db, []string{
+			"SELECT year, SUM(sales) AS s FROM sales WHERE profit > 0 GROUP BY year",
+			"SELECT year, COUNT(*) AS n FROM sales WHERE sales > 500 GROUP BY year",
+		})
+		plans[1].pred = func(int) bool { panic("predicate kaboom") }
+		_, err := db.ExecuteBatch(context.Background(), plans)
+		if err == nil || !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "predicate kaboom") {
+			t.Errorf("%s: got %v, want the contained predicate panic", db.Name(), err)
 		}
 	}
 }

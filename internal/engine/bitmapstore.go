@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
+	"repro/internal/par"
 	"repro/internal/roaring"
 	"repro/internal/trace"
 )
@@ -305,20 +305,6 @@ func (s *BitmapStore) Prepare(q *minisql.Query) (*Plan, error) {
 	return p, nil
 }
 
-// runPlan executes one prepared plan without cross-plan sharing. Fully
-// indexable predicates iterate only the bitmap; partially indexable
-// conjunctions intersect the indexable legs and post-filter the rest;
-// everything else falls back to a scan.
-func (s *BitmapStore) runPlan(p *Plan) (*Result, error) {
-	iter, scanned, err := s.planAccess(p, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.queries.Add(1)
-	s.stats.rowsScanned.Add(scanned)
-	return p.run(iter)
-}
-
 // bitmapCache memoizes conjunct bitmaps within one batch, keyed by table and
 // canonical predicate SQL, so that plans sharing predicate conjuncts (the
 // common case for a request batch sliced from one ZQL row) compute each
@@ -333,9 +319,6 @@ type cachedBitmap struct {
 
 // cachedBitmap answers a predicate from the index through the batch cache.
 func (s *BitmapStore) cachedBitmap(cache bitmapCache, t *dataset.Table, ix tableIndex, e minisql.Expr, total int) (*roaring.Bitmap, bool) {
-	if cache == nil {
-		return s.planBitmap(t, ix, e, total)
-	}
 	key := t.Name + "\x00" + e.SQL()
 	if c, hit := cache[key]; hit {
 		return c.bm, c.ok
@@ -348,7 +331,7 @@ func (s *BitmapStore) cachedBitmap(cache bitmapCache, t *dataset.Table, ix table
 // planAccess produces the matching-row iterator for a plan and the number of
 // rows the drain will visit. The WHERE clause is split into top-level
 // conjuncts; each conjunct is answered from the index (through the batch
-// cache when given) or deferred to a compiled residual predicate evaluated
+// cache) or deferred to a compiled residual predicate evaluated
 // inside the candidate set. With no indexable conjunct the plan falls back
 // to a full scan, same as RowStore.
 func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (rowIter, int64, error) {
@@ -410,7 +393,9 @@ func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (rowIter, int64, er
 // batch happens first, serially, through a shared conjunct cache — predicate
 // legs common across plans (constraints repeated on every query of a request
 // batch, shared slice attributes) hit the index once. The surviving per-plan
-// drains then run concurrently, bounded by Parallelism.
+// drains then run on par.Do, bounded by Parallelism: a drain's panic is
+// contained as its error, no drain starts after a failure, and the batch
+// reports the lowest failing plan's error.
 func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -440,27 +425,19 @@ func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	}
 	sp.SetInt("rows", planned)
 	results := make([]*Result, len(plans))
-	errs := make([]error, len(plans))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, s.parallelism())
-	for i, p := range plans {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p *Plan) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Cancellation point: a plan drain is all-or-nothing, so a
-			// cancelled batch skips plans not yet drained.
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			results[i], errs[i] = p.run(iters[i])
-		}(i, p)
-	}
-	wg.Wait()
-	if err := firstError(plans, errs); err != nil {
-		return nil, err
+	err := par.Do(len(plans), s.parallelism(), func(_, i int) error {
+		// Cancellation point: a plan drain is all-or-nothing, so a
+		// cancelled batch skips plans not yet drained.
+		if err := ctx.Err(); err != nil {
+			return planError(plans[i], err)
+		}
+		sink := plans[i].newSink()
+		iters[i](func(r int) { sink.add(r) })
+		results[i] = sink.finish()
+		return nil
+	})
+	if err != nil {
+		return nil, batchError(err)
 	}
 	return results, nil
 }

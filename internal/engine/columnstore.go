@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -352,7 +353,6 @@ type scanJob struct {
 	shard int   // index of r in the table's ranges
 	idx   []int // plan indices
 	sinks []rowSink
-	err   error
 }
 
 // ExecuteBatch runs the plans as one request: a scatter of scan jobs on a
@@ -364,10 +364,10 @@ type scanJob struct {
 // skipping (plan, segment) pairs the zone maps prove empty.
 //
 // The gather merges each plan's partial sinks in range order and finishes
-// once (ordering and LIMIT apply there only). Every job runs to completion,
-// a job's panic is contained as its error, and a failed job poisons each of
-// its plans — a plan spanning several ranges takes the lowest failing
-// range's error, deterministically.
+// once (ordering and LIMIT apply there only). Jobs run on par.Do: a job's
+// panic is contained as its error, no job is drawn after a failure, and the
+// batch reports the lowest failing job's error — for a plan spanning several
+// ranges, the lowest failing range's, deterministically.
 func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -390,81 +390,55 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 		}
 	}
 	parent := trace.FromContext(ctx)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, s.parallelism())
-	for _, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			s.busy.Add(1)
-			defer s.busy.Add(-1)
-			sp := parent.StartChild("scan")
-			backend := "column"
-			if s.sharded {
-				backend = "sharded"
-			}
-			sp.SetStr("backend", backend)
-			sp.SetStr("table", j.ct.t.Name)
-			if s.sharded {
-				sp.SetInt("shard", int64(j.shard))
-			}
-			sp.SetInt("plans", int64(len(j.idx)))
-			j.err = s.runJob(ctx, j, plans, sp)
-			sp.End()
-		}()
+	backend := "column"
+	if s.sharded {
+		backend = "sharded"
 	}
-	wg.Wait()
+	err := par.Do(len(jobs), s.parallelism(), func(_, ji int) error {
+		j := jobs[ji]
+		s.busy.Add(1)
+		defer s.busy.Add(-1)
+		sp := parent.StartChild("scan")
+		defer sp.End()
+		sp.SetStr("backend", backend)
+		sp.SetStr("table", j.ct.t.Name)
+		if s.sharded {
+			sp.SetInt("shard", int64(j.shard))
+		}
+		sp.SetInt("plans", int64(len(j.idx)))
+		j.sinks = make([]rowSink, len(j.idx))
+		for k, pi := range j.idx {
+			j.sinks[k] = newColSink(plans[pi])
+		}
+		return planError(plans[j.idx[0]], s.scanInto(ctx, j, plans, sp))
+	})
+	if err != nil {
+		return nil, batchError(err)
+	}
 	if s.sharded {
 		gsp := parent.StartChild("gather")
 		gsp.SetInt("plans", int64(len(plans)))
 		defer gsp.End()
 	}
 	sinks := make([]rowSink, len(plans))
-	errs := make([]error, len(plans))
 	for _, j := range jobs {
 		for k, pi := range j.idx {
-			switch {
-			case errs[pi] != nil:
-			case j.err != nil:
-				errs[pi] = j.err
-			case sinks[pi] == nil:
+			if sinks[pi] == nil {
 				sinks[pi] = j.sinks[k]
-			default:
-				// Ranges cover ascending row ranges, so merging in range
-				// order reproduces the one-range scan: projection rows
-				// concatenate in row order, and a group's first-seen
-				// position is its position in the lowest range that saw it.
-				sinks[pi].mergeFrom(j.sinks[k])
+				continue
 			}
+			// Ranges cover ascending row ranges, so merging in range order
+			// reproduces the one-range scan: projection rows concatenate in
+			// row order, and a group's first-seen position is its position
+			// in the lowest range that saw it.
+			sinks[pi].mergeFrom(j.sinks[k])
 		}
-	}
-	if err := firstError(plans, errs); err != nil {
-		return nil, err
 	}
 	results := make([]*Result, len(plans))
 	for i, sink := range sinks {
 		results[i] = sink.finish()
 	}
 	return results, nil
-}
-
-// runJob scans one job's range into fresh sinks, containing a panic as the
-// job's error: an unrecovered panic on a scan goroutine would kill the whole
-// process (cf. the process pool's runContained and the server batcher's
-// drain).
-func (s *ColumnStore) runJob(ctx context.Context, j *scanJob, plans []*Plan, sp *trace.Span) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: shard panic: %v", r)
-		}
-	}()
-	j.sinks = make([]rowSink, len(j.idx))
-	for k, pi := range j.idx {
-		j.sinks[k] = newColSink(plans[pi])
-	}
-	return s.scanInto(ctx, j, plans, sp)
 }
 
 // colEqGroup folds every job plan whose whole predicate is one equality

@@ -31,7 +31,8 @@ type DB interface {
 	// The context bounds the batch: cancellation is observed at store-specific
 	// boundaries (segment boundaries for the column store, scan blocks for
 	// the row store, plan drains for the bitmap store) and the batch returns
-	// ctx.Err(). A nil context is treated as context.Background.
+	// ctx.Err(). A nil context is treated as context.Background. Jobs run on
+	// par.Do: a panic is an error, and the lowest failing job's is reported.
 	ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error)
 	// Counters returns cumulative execution statistics.
 	Counters() Counters

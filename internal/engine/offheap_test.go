@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -42,37 +41,12 @@ func offHeapPlan(t *testing.T, store func(*dataset.Table) DB, sql string) (*Plan
 	return p, fmt.Sprint(res.Rows())
 }
 
-// executeHere runs p's scan on the calling goroutine, so that its
-// SetPanicOnFault covers every read of the table, and returns a fault as an
-// error. The row store scans a single plan on its caller's goroutine; a
-// column-store plan's one scan job is run here directly (runJob contains its
-// panics) instead of on the store's worker pool.
-func executeHere(p *Plan) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fault: %v", r)
-		}
-	}()
-	cs, ok := p.db.(*ColumnStore)
-	if !ok {
-		return p.Execute()
-	}
-	ct := cs.cols[p.t.Name]
-	if len(ct.ranges) != 1 {
-		return nil, fmt.Errorf("%d ranges, want 1", len(ct.ranges))
-	}
-	j := &scanJob{ct: ct, r: ct.ranges[0], idx: []int{0}}
-	if err := cs.runJob(context.Background(), j, []*Plan{p}, nil); err != nil {
-		return nil, err
-	}
-	return j.sinks[0].finish(), nil
-}
-
 // TestOffHeapPlanKeepsItsTable: a prepared plan is all it takes to keep its
 // table's mappings: with every other reference dropped and three collections
 // run, the plan answers as before, on either store. The scan runs under
 // SetPanicOnFault, so a read of an unmapped array fails the test rather than
-// the process.
+// the process: a plan runs as a batch of one, whose lone scan job par.Do
+// runs on the calling goroutine and whose fault it returns as an error.
 func TestOffHeapPlanKeepsItsTable(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	for _, st := range []struct {
@@ -92,7 +66,7 @@ func TestOffHeapPlanKeepsItsTable(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				runtime.GC()
 			}
-			res, err := executeHere(p)
+			res, err := p.Execute()
 			if err != nil {
 				t.Fatalf("%s store, %s: %v", name, sql, err)
 			}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
+	"repro/internal/par"
 )
 
 // Plan is a validated, column-resolved logical plan for one query: the table
@@ -141,36 +142,20 @@ func (p *Plan) Query() *minisql.Query { return p.q }
 // depend on anything but the query.
 func (p *Plan) SQL() string { return p.sql }
 
-// planRunner is the store-side single-plan entry point; both back-ends
-// implement it.
-type planRunner interface {
-	runPlan(p *Plan) (*Result, error)
-}
-
 // Execute runs the plan against the back-end that prepared it.
 func (p *Plan) Execute() (*Result, error) {
 	return p.ExecuteContext(context.Background())
 }
 
-// ExecuteContext runs the plan under a context; cancellation is observed at
-// the back-end's batch cancellation points.
+// ExecuteContext runs the plan under a context as a batch of one, so it is
+// counted, cancelled and contained as any batch is; par.Do runs a lone job
+// on the calling goroutine.
 func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
-	if r, ok := p.db.(planRunner); ok {
-		return r.runPlan(p)
-	}
 	results, err := p.db.ExecuteBatch(ctx, []*Plan{p})
 	if err != nil {
 		return nil, err
 	}
 	return results[0], nil
-}
-
-// run drains the matching-row iterator through a fresh sink: the single-plan
-// execution path of the row and bitmap stores.
-func (p *Plan) run(iter rowIter) (*Result, error) {
-	sink := p.newSink()
-	iter(func(i int) { sink.add(i) })
-	return sink.finish(), nil
 }
 
 // rowSink is the push interface both sink kinds implement: matching rows go
@@ -592,12 +577,19 @@ func checkBatch(db DB, plans []*Plan) error {
 	return nil
 }
 
-// firstError returns the first non-nil error, annotated with its plan's SQL.
-func firstError(plans []*Plan, errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("engine: batch plan %q: %w", plans[i].SQL(), err)
-		}
+// planError annotates a failed scan's error with the SQL of its plan.
+func planError(p *Plan, err error) error {
+	if err == nil {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("engine: batch plan %q: %w", p.SQL(), err)
+}
+
+// batchError is the error a batch whose jobs ran on par.Do reports: a
+// contained panic reads as a shard panic.
+func batchError(err error) error {
+	if p, ok := err.(*par.Panic); ok {
+		return fmt.Errorf("engine: shard panic: %v", p.Value)
+	}
+	return err
 }

@@ -118,8 +118,9 @@ func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 }
 
 // TestExecuteBatchHonorsCanceledContext pins the cancellation boundary for
-// every back-end: a canceled context fails the batch with an error that
-// still satisfies errors.Is(context.Canceled) after wrapping.
+// every back-end: a canceled context fails the batch, and a single plan's
+// ExecuteContext (a batch of one), with an error that still satisfies
+// errors.Is(context.Canceled) after wrapping.
 func TestExecuteBatchHonorsCanceledContext(t *testing.T) {
 	tb := provTable(2)
 	stores := map[string]DB{
@@ -134,6 +135,9 @@ func TestExecuteBatchHonorsCanceledContext(t *testing.T) {
 		plans := mustPrepareAll(t, db, []string{"SELECT COUNT(*) AS n FROM events WHERE day = 7"})
 		if _, err := db.ExecuteBatch(ctx, plans); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want errors.Is(context.Canceled)", name, err)
+		}
+		if _, err := plans[0].ExecuteContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: ExecuteContext err = %v, want errors.Is(context.Canceled)", name, err)
 		}
 		// The store must remain serviceable after a canceled batch.
 		if _, err := db.ExecuteBatch(context.Background(), plans); err != nil {

@@ -2,10 +2,10 @@ package engine
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -65,25 +65,13 @@ func (s *RowStore) Prepare(q *minisql.Query) (*Plan, error) {
 	return p, nil
 }
 
-// runPlan executes one prepared plan with a private full scan.
-func (s *RowStore) runPlan(p *Plan) (*Result, error) {
-	t := p.t
-	s.stats.queries.Add(1)
-	s.stats.rowsScanned.Add(int64(t.NumRows()))
-	return p.run(func(yield func(int)) {
-		for i, n := 0, t.NumRows(); i < n; i++ {
-			if p.pred(i) {
-				yield(i)
-			}
-		}
-	})
-}
-
 // ExecuteBatch runs the plans as one request. Plans are grouped by base
 // table; each group is dealt round-robin across at most Parallelism workers,
 // and every worker performs ONE scan of the table for all of its plans: each
 // row visits every plan's predicate and aggregation state. For a batch of n
-// plans this performs min(n, Parallelism) scans instead of n.
+// plans this performs min(n, Parallelism) scans instead of n. The scans run
+// on par.Do: a scan's panic is contained as its error, no scan starts after
+// a failure, and the batch reports the lowest failing scan's error.
 func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -91,37 +79,30 @@ func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, 
 	if err := checkBatch(s, plans); err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(plans))
-	errs := make([]error, len(plans))
-	parent := trace.FromContext(ctx)
-	var wg sync.WaitGroup
-	// The semaphore bounds workers across the whole batch, so a multi-table
-	// batch still respects the Parallelism contract.
-	sem := make(chan struct{}, s.parallelism())
+	var shards [][]int // each a subset of one table's plans
 	for _, grp := range groupPlansByTable(plans) {
-		t := grp.t
-		shards := shardIndices(grp.idx, s.parallelism())
+		gs := shardIndices(grp.idx, s.parallelism())
 		s.stats.queries.Add(int64(len(grp.idx)))
-		s.stats.rowsScanned.Add(int64(len(shards)) * int64(t.NumRows()))
-		for _, shard := range shards {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(shard []int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				sp := parent.StartChild("scan")
-				sp.SetStr("backend", "row")
-				sp.SetStr("table", t.Name)
-				sp.SetInt("plans", int64(len(shard)))
-				sp.SetInt("rows", int64(t.NumRows()))
-				scanShard(ctx, t, plans, shard, results, errs)
-				sp.End()
-			}(shard)
-		}
+		s.stats.rowsScanned.Add(int64(len(gs)) * int64(grp.t.NumRows()))
+		shards = append(shards, gs...)
 	}
-	wg.Wait()
-	if err := firstError(plans, errs); err != nil {
-		return nil, err
+	results := make([]*Result, len(plans))
+	parent := trace.FromContext(ctx)
+	// One pool bounds workers across the whole batch, so a multi-table batch
+	// still respects the Parallelism contract.
+	err := par.Do(len(shards), s.parallelism(), func(_, k int) error {
+		shard := shards[k]
+		t := plans[shard[0]].t
+		sp := parent.StartChild("scan")
+		defer sp.End()
+		sp.SetStr("backend", "row")
+		sp.SetStr("table", t.Name)
+		sp.SetInt("plans", int64(len(shard)))
+		sp.SetInt("rows", int64(t.NumRows()))
+		return planError(plans[shard[0]], scanShard(ctx, t, plans, shard, results))
+	})
+	if err != nil {
+		return nil, batchError(err)
 	}
 	return results, nil
 }
@@ -143,8 +124,8 @@ type eqDispatch struct {
 
 // scanShard executes one shared scan of t serving every plan in the shard.
 // The context is checked once per scan block: a cancelled scan stops at the
-// next block boundary and poisons every plan in the shard with ctx.Err().
-func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int, results []*Result, errs []error) {
+// next block boundary and returns ctx.Err().
+func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int, results []*Result) error {
 	sinks := make([]*planSink, len(shard))
 	for k, pi := range shard {
 		sinks[k] = plans[pi].newSink()
@@ -178,10 +159,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 	n := t.NumRows()
 	for lo := 0; lo < n; lo += scanBlock {
 		if err := ctx.Err(); err != nil {
-			for _, pi := range shard {
-				errs[pi] = err
-			}
-			return
+			return err
 		}
 		hi := lo + scanBlock
 		if hi > n {
@@ -202,4 +180,5 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 	for k, pi := range shard {
 		results[pi] = sinks[k].finish()
 	}
+	return nil
 }

@@ -28,9 +28,12 @@ type metrics struct {
 	obsv *obsv.Registry
 
 	// scrape serializes renders, so every zen_go_ series of one render comes
-	// from the one runtime/metrics read into rt that the render starts with.
+	// from the one runtime/metrics read into rt, and every per-dataset series
+	// from the one snapshot per dataset in ds, that the render starts with.
 	scrape sync.Mutex
 	rt     []rtmetrics.Sample
+	reg    *Registry
+	ds     []datasetSnap
 
 	// requests counts finished HTTP requests by endpoint and status code.
 	requests *obsv.CounterVec
@@ -44,6 +47,12 @@ type metrics struct {
 	stages *obsv.HistogramVec
 }
 
+// datasetSnap is one dataset's figures as a scrape reads them.
+type datasetSnap struct {
+	d *Dataset
+	s DatasetStats
+}
+
 // newMetrics builds the registry's metric families over reg. reg's dataset
 // list is consulted at scrape time, so datasets registered (or swapped by an
 // append) after startup are covered automatically.
@@ -51,6 +60,7 @@ func newMetrics(reg *Registry) *metrics {
 	o := obsv.NewRegistry()
 	m := &metrics{
 		obsv: o,
+		reg:  reg,
 		requests: o.NewCounterVec("zen_http_requests_total",
 			"HTTP requests finished, by endpoint and status code.",
 			[]string{"endpoint", "code"}),
@@ -79,9 +89,9 @@ func newMetrics(reg *Registry) *metrics {
 		})
 	perDataset := func(name, help, typ string, fn func(d *Dataset, s DatasetStats, emit func(v float64, labels ...obsv.Label))) {
 		o.NewCollector(name, help, typ, func(emit func(obsv.Sample)) {
-			for _, d := range reg.List() {
-				base := obsv.Label{Key: "dataset", Value: d.Name()}
-				fn(d, d.Stats(), func(v float64, labels ...obsv.Label) {
+			for _, ds := range m.ds {
+				base := obsv.Label{Key: "dataset", Value: ds.d.Name()}
+				fn(ds.d, ds.s, func(v float64, labels ...obsv.Label) {
 					emit(obsv.Sample{Labels: append([]obsv.Label{base}, labels...), Value: v})
 				})
 			}
@@ -300,12 +310,17 @@ func newMetrics(reg *Registry) *metrics {
 	return m
 }
 
-// ServeHTTP renders the exposition after reading the runtime's figures.
+// ServeHTTP renders the exposition after reading the runtime's figures and
+// taking one snapshot of each dataset's.
 func (m *metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.scrape.Lock()
 	defer m.scrape.Unlock()
 	rtmetrics.Read(m.rt)
+	for _, d := range m.reg.List() {
+		m.ds = append(m.ds, datasetSnap{d, d.Stats()})
+	}
 	m.obsv.ServeHTTP(w, r)
+	m.ds = nil // hold no dataset past its scrape
 }
 
 // observeRequest records one finished HTTP request.

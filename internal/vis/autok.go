@@ -42,9 +42,3 @@ func AutoK(vs []*Visualization, kMax int, m Metric, seed int64) int {
 	}
 	return bestK
 }
-
-// AutoRepresentative is Representative with AutoK choosing the count.
-func AutoRepresentative(vs []*Visualization, kMax int, m Metric, seed int64) []int {
-	k := AutoK(vs, kMax, m, seed)
-	return Representative(vs, k, m, seed)
-}

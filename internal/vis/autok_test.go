@@ -47,22 +47,9 @@ func TestAutoKDegenerate(t *testing.T) {
 	}
 }
 
-func TestAutoRepresentative(t *testing.T) {
-	vs := clusterData()
-	reps := AutoRepresentative(vs, 8, DefaultMetric, 42)
-	if len(reps) != 3 {
-		t.Fatalf("auto representatives = %v, want one per planted cluster", reps)
-	}
-	groups := map[int]bool{}
-	for _, r := range reps {
-		groups[r/5] = true
-	}
-	if len(groups) != 3 {
-		t.Errorf("representatives should span the clusters: %v", reps)
-	}
-}
-
+// TestResample pins resampleInto into fresh storage.
 func TestResample(t *testing.T) {
+	Resample := func(ys []float64, n int) []float64 { return resampleInto(nil, ys, n) }
 	got := Resample([]float64{0, 10}, 5)
 	want := []float64{0, 2.5, 5, 7.5, 10}
 	for i := range want {

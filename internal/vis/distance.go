@@ -484,14 +484,9 @@ func intRange(v *Visualization) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// Resample linearly interpolates the series to n points, preserving its
-// endpoints and shape.
-func Resample(ys []float64, n int) []float64 {
-	return resampleInto(nil, ys, n)
-}
-
-// resampleInto is Resample into dst's storage, grown to n; dst does not
-// overlap ys.
+// resampleInto linearly interpolates ys to n points, preserving its
+// endpoints and shape, into dst's storage grown to n; dst does not overlap
+// ys.
 func resampleInto(dst, ys []float64, n int) []float64 {
 	if n <= 0 || len(ys) == 0 {
 		return nil

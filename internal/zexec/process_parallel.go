@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/vis"
 	"repro/internal/zql"
 )
@@ -25,15 +26,6 @@ func (c *processCounters) snapshot() ProcessStats {
 		DistCalls:     c.distCalls.Load(),
 		DistAbandoned: c.distAbandoned.Load(),
 	}
-}
-
-// processWorkers is the worker count for one fan-out of n tuples:
-// sequential at NoOpt (the differential oracle), otherwise up to GOMAXPROCS.
-func (ex *executor) processWorkers(n int) int {
-	if ex.opts.Opt == NoOpt {
-		return 1
-	}
-	return max(1, min(n, runtime.GOMAXPROCS(0)))
 }
 
 // topKPrunable reports whether the declaration is an argmin/argmax [k=...]
@@ -66,98 +58,30 @@ func (ex *executor) abandonableD(d *zql.ProcessDecl) bool {
 		d.Expr != nil && d.Expr.Kind == zql.ObjD && ex.opts.Metric.Bounded != nil
 }
 
-// forEachTuple runs fn(i) for every i in [0, n) across the process worker
-// pool. With one worker it degenerates to the plain sequential loop — in
-// order, first error stops, panics propagate — keeping the O0 oracle exactly
-// what it always was. With more workers, indices are dealt through an atomic
-// cursor, panics are contained as errors (an unrecovered panic on a worker
-// goroutine would kill the whole process — cf. the server batcher's drain),
-// and the reported error is the one at the lowest failing index: the error
-// the sequential loop would have surfaced.
-//
-// Each worker hands fn its own distance scratch (vis.Scratch).
+// forEachTuple runs fn(sc, i) for every i in [0, n) on the process worker
+// pool (par.Do): one worker at NoOpt, keeping the O0 oracle the plain
+// sequential loop, otherwise up to GOMAXPROCS. Each worker hands fn its own
+// distance scratch. A cancelled run stops between tuples with ctx.Err(), a
+// panic is contained as an error, and the error reported is the one at the
+// lowest failing index: the one the sequential loop would have surfaced.
 func (ex *executor) forEachTuple(n int, fn func(sc *vis.Scratch, i int) error) error {
-	workers := ex.processWorkers(n)
-	if workers <= 1 {
-		var sc vis.Scratch
-		for i := 0; i < n; i++ {
-			// Cancellation point: a cancelled run stops between tuples.
-			if ex.ctx != nil {
-				if err := ex.ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if err := fn(&sc, i); err != nil {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if ex.opts.Opt == NoOpt {
+		workers = 1
+	}
+	scratch := make([]vis.Scratch, workers)
+	err := par.Do(n, workers, func(w, i int) error {
+		if ex.ctx != nil {
+			if err := ex.ctx.Err(); err != nil {
 				return err
 			}
 		}
-		return nil
+		return fn(&scratch[w], i)
+	})
+	if p, ok := err.(*par.Panic); ok {
+		return fmt.Errorf("process worker panic: %v", p.Value)
 	}
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-
-		mu       sync.Mutex
-		errIdx   = n
-		firstErr error
-	)
-	record := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		mu.Unlock()
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			var sc vis.Scratch
-			for {
-				// The stop check must precede the draw: a drawn index is
-				// always evaluated, so every index below a recorded failure
-				// has run — abandoning an index after drawing it could let a
-				// lower failing index go unreported.
-				if failed.Load() {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Cancellation point: a drawn index must still be accounted
-				// for, so a cancelled worker records ctx.Err() at its index
-				// (the lowest-index rule keeps the reported error stable).
-				if ex.ctx != nil {
-					if err := ex.ctx.Err(); err != nil {
-						record(i, err)
-						return
-					}
-				}
-				if err := runContained(fn, &sc, i); err != nil {
-					record(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// The cursor hands indices out in order and drawn indices always run, so
-	// every index below the lowest recorded failure completed cleanly — the
-	// recorded error is deterministic even though workers race.
-	return firstErr
-}
-
-// runContained invokes fn(sc, i), converting a panic into an error.
-func runContained(fn func(*vis.Scratch, int) error, sc *vis.Scratch, i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("process worker panic: %v", r)
-		}
-	}()
-	return fn(sc, i)
+	return err
 }
 
 // scoredTuple orders top-k candidates: the tuple's score plus its iteration

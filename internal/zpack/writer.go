@@ -7,11 +7,10 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/par"
 )
 
 // Writer builds or extends a zpack file. Rows appended through it buffer
@@ -291,7 +290,8 @@ func (w *Writer) seal() error {
 // records. Every block's width is known from src's layouts, so so is every
 // segment's offset, and the segments are sealed — their rows remapped into a
 // segment buffer, their zone maps computed, their blocks checksummed and
-// written — on up to GOMAXPROCS workers, in any order.
+// written — on up to GOMAXPROCS workers (par.Do), in any order. A failure
+// stops the sealing; the error reported is the lowest failing segment's.
 func (w *Writer) writeSegments(src *dataset.Chunks, n int) ([]sealedSeg, error) {
 	const size = engine.SegmentSize
 	rowBytes := 0
@@ -299,38 +299,20 @@ func (w *Writer) writeSegments(src *dataset.Chunks, n int) ([]sealedSeg, error) 
 		rowBytes += blockWidth(c)
 	}
 	recs := make([]sealedSeg, (n+size-1)/size)
-	workers := min(runtime.GOMAXPROCS(0), len(recs))
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		errs   = make([]error, workers)
-		wg     sync.WaitGroup
-	)
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var seg *dataset.Table
-			for s := int(next.Add(1) - 1); s < len(recs) && !failed.Load(); s = int(next.Add(1) - 1) {
-				lo, hi := s*size, min(n, (s+1)*size)
-				seg = src.Segment(lo, hi, seg)
-				off := w.writeOff + int64(lo*rowBytes)
-				end, err := w.sealSegment(seg, off, &recs[s])
-				if err == nil && end != off+int64((hi-lo)*rowBytes) {
-					err = fmt.Errorf("zpack: segment %d is %d bytes, its columns' widths say %d", s, end-off, (hi-lo)*rowBytes)
-				}
-				if err != nil {
-					errs[k] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	workers := runtime.GOMAXPROCS(0)
+	segs := make([]*dataset.Table, min(workers, len(recs))) // one scratch segment a worker
+	err := par.Do(len(recs), workers, func(k, s int) error {
+		lo, hi := s*size, min(n, (s+1)*size)
+		segs[k] = src.Segment(lo, hi, segs[k])
+		off := w.writeOff + int64(lo*rowBytes)
+		end, err := w.sealSegment(segs[k], off, &recs[s])
+		if err == nil && end != off+int64((hi-lo)*rowBytes) {
+			err = fmt.Errorf("zpack: segment %d is %d bytes, its columns' widths say %d", s, end-off, (hi-lo)*rowBytes)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	w.writeOff += int64(n * rowBytes)
 	for j, c := range src.Dicts().Columns() {

@@ -256,25 +256,3 @@ type ObjExpr struct {
 	User string // user-defined function name for ObjU
 	Args []string
 }
-
-// NumZ returns how many Z columns the query uses (max across rows).
-func (q *Query) NumZ() int {
-	n := 0
-	for _, r := range q.Rows {
-		if len(r.Z) > n {
-			n = len(r.Z)
-		}
-	}
-	return n
-}
-
-// OutputRows returns the rows flagged with *.
-func (q *Query) OutputRows() []*Row {
-	var out []*Row
-	for _, r := range q.Rows {
-		if r.Name.Output {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -309,17 +309,6 @@ func TestSplitCellsRespectsNesting(t *testing.T) {
 	}
 }
 
-func TestNumZAndOutputRows(t *testing.T) {
-	q := mustParse(t, Corpus["3.8"])
-	if q.NumZ() != 2 {
-		t.Errorf("NumZ = %d", q.NumZ())
-	}
-	q = mustParse(t, Corpus["3.17"])
-	if len(q.OutputRows()) != 2 {
-		t.Errorf("outputs = %d", len(q.OutputRows()))
-	}
-}
-
 func TestVizDefString(t *testing.T) {
 	d := VizDef{Type: "bar", XBin: 20, YAgg: "sum"}
 	if d.String() != "bar.(x=bin(20), y=agg('sum'))" {
