@@ -409,28 +409,30 @@ func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	defer sp.End()
 	cache := make(bitmapCache)
 	iters := make([]rowIter, len(plans))
+	scanned := make([]int64, len(plans))
 	var planned int64
 	for i, p := range plans {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		iter, scanned, err := s.planAccess(p, cache)
+		iter, n, err := s.planAccess(p, cache)
 		if err != nil {
 			return nil, fmt.Errorf("engine: batch plan %q: %w", p.SQL(), err)
 		}
-		iters[i] = iter
-		planned += scanned
+		iters[i], scanned[i] = iter, n
+		planned += n
 		s.stats.queries.Add(1)
-		s.stats.rowsScanned.Add(scanned)
 	}
 	sp.SetInt("rows", planned)
 	results := make([]*Result, len(plans))
 	err := par.Do(len(plans), s.parallelism(), func(_, i int) error {
 		// Cancellation point: a plan drain is all-or-nothing, so a
-		// cancelled batch skips plans not yet drained.
+		// cancelled batch skips plans not yet drained, and counts only the
+		// rows of the drains it runs.
 		if err := ctx.Err(); err != nil {
 			return planError(plans[i], err)
 		}
+		s.stats.rowsScanned.Add(scanned[i])
 		sink := plans[i].newSink()
 		iters[i](func(r int) { sink.add(r) })
 		results[i] = sink.finish()

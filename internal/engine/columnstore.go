@@ -441,46 +441,9 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	return results, nil
 }
 
-// colEqGroup folds every job plan whose whole predicate is one equality
-// on the same categorical column into a single code-routed pass per segment
-// (the columnar mirror of the row store's eqDispatch): one dictionary-code
-// lookup per row feeds every interested plan's sink, and zone maps still
-// skip per plan.
-type colEqGroup struct {
-	codes   dataset.Codes
-	col     *dataset.Column // owns codes: keeps their mapping alive
-	route   [][]rowSink     // dictionary code -> sinks that want the row
-	filters []*codeFilter   // one per member plan, for per-plan zone tests
-	attrs   []SkipAttr      // parallel to filters, for skip attribution
-}
-
-// routeRows feeds each row of [lo, hi) to the sinks its code routes to; route
-// may stop short of the dictionary's end.
-func routeRows(pc dataset.Codes, lo, hi int, route [][]rowSink) {
-	switch {
-	case pc.U16 != nil:
-		routeCodes(pc.U16, lo, hi, route)
-	case pc.U32 != nil:
-		routeCodes(pc.U32, lo, hi, route)
-	default:
-		routeCodes(pc.U8, lo, hi, route)
-	}
-}
-
-func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
-	for i := lo; i < hi; i++ {
-		if c := int(codes[i]); c < len(route) {
-			for _, sink := range route[c] {
-				sink.add(i)
-			}
-		}
-	}
-}
-
 // scanInto is one job's shared segment walk over its range, feeding every
-// plan of the job into its sink. Single-equality plans over one column share
-// a code-routed pass; every other distinct conjunct (keyed by canonical SQL)
-// is evaluated at most once per segment and intersected per plan. A
+// plan of the job into its sink. Each distinct conjunct (keyed by canonical
+// SQL) is evaluated at most once per segment and intersected per plan. A
 // segment's data is materialized through the table's segment source the
 // first time any plan actually scans it — zone-map-skipped segments are
 // never loaded — and only in the columns the job's plans read. The first
@@ -493,42 +456,14 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 	for _, pi := range j.idx {
 		cols.Or(plans[pi].vec.cols)
 	}
-	// Partition the job's plans: dispatchable single-equality plans fold into
-	// per-column groups, everything else goes through the shared-conjunct
-	// slots.
-	var groups []*colEqGroup
-	groupOf := make(map[*dataset.Column]*colEqGroup)
-	var slotKs []int
-	for k, pi := range j.idx {
-		vp := plans[pi].vec
-		if len(vp.conjs) == 1 {
-			if f, ok := vp.conjs[0].f.(*codeFilter); ok && f.eq >= 0 {
-				g := groupOf[f.col]
-				if g == nil {
-					g = &colEqGroup{codes: f.col.Codes(), col: f.col}
-					groupOf[f.col] = g
-					groups = append(groups, g)
-				}
-				for int(f.eq) >= len(g.route) {
-					g.route = append(g.route, nil)
-				}
-				g.route[f.eq] = append(g.route[f.eq], sinks[k])
-				g.filters = append(g.filters, f)
-				g.attrs = append(g.attrs, vp.conjs[0].attr)
-				continue
-			}
-		}
-		slotKs = append(slotKs, k)
-	}
-	// Assign each distinct remaining conjunct one slot; plans refer to
-	// slots so a shared conjunct is evaluated once per segment.
+	// Assign each distinct conjunct one slot; plans refer to slots so a
+	// shared conjunct is evaluated once per segment.
 	slotOf := make(map[string]int)
 	var filters []vecFilter
 	var slotPreds []rowPredicate
-	planSlots := make(map[int][]int, len(slotKs))
-	for _, k := range slotKs {
-		vp := plans[j.idx[k]].vec
-		for _, c := range vp.conjs {
+	planSlots := make([][]int, len(j.idx))
+	for k, pi := range j.idx {
+		for _, c := range plans[pi].vec.conjs {
 			slot, ok := slotOf[c.key]
 			if !ok {
 				slot = len(filters)
@@ -591,30 +526,8 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 			}
 			return true
 		}
-		for _, g := range groups {
-			live := false
-			for gi, f := range g.filters {
-				if f.skip(seg) {
-					skipped++
-					prov[g.attrs[gi]]++
-				} else {
-					live = true
-				}
-			}
-			if !live {
-				continue
-			}
-			if !visit() {
-				break
-			}
-			routeRows(g.codes, lo, hi, g.route)
-		}
-		for _, k := range slotKs {
-			if loadErr != nil {
-				break
-			}
-			vp := plans[j.idx[k]].vec
-			if attr, ok := vp.skipCause(seg); ok {
+		for k, pi := range j.idx {
+			if attr, ok := plans[pi].vec.skipCause(seg); ok {
 				skipped++
 				prov[attr]++
 				continue

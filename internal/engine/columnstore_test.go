@@ -144,7 +144,8 @@ func TestColumnStoreZoneSkipping(t *testing.T) {
 
 // TestColumnStoreBatchConjunctSharing checks that a single-worker batch of
 // plans sharing a selective conjunct scans each needed segment once, not
-// once per plan, and that zone skipping still applies per plan.
+// once per plan, and that zone skipping still applies per plan — also for a
+// batch of single-equality plans, one range or sharded.
 func TestColumnStoreBatchConjunctSharing(t *testing.T) {
 	const nseg = 4
 	tb := clusteredTable(nseg * segmentSize)
@@ -178,6 +179,64 @@ func TestColumnStoreBatchConjunctSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameResult(t, sql, batch[i], want)
+	}
+
+	// Single-equality plans take the same conjunct slots. region is clustered
+	// two segments per value (us, us, eu, eu, ap, ap): each plan skips the
+	// segments its dictionary bitset rules out, an unseen value folds to a
+	// constant, and no plan reads segments 4 and 5.
+	const rseg = 6
+	rt := dataset.NewTable("events", []dataset.Field{
+		{Name: "region", Kind: dataset.KindString},
+		{Name: "day", Kind: dataset.KindInt},
+		{Name: "value", Kind: dataset.KindFloat},
+	})
+	for i := 0; i < rseg*segmentSize; i++ {
+		rt.AppendRow(dataset.SV([]string{"us", "eu", "ap"}[i/(2*segmentSize)]),
+			dataset.IV(int64(i/100)), dataset.FV(float64(i%977)))
+	}
+	eqSQLs := []string{
+		"SELECT day, SUM(value) AS s FROM events WHERE region = 'us' GROUP BY day ORDER BY day",
+		"SELECT COUNT(*) AS n FROM events WHERE region = 'eu'",
+		"SELECT day, COUNT(*) AS n FROM events WHERE region = 'us' GROUP BY day ORDER BY day",
+		"SELECT COUNT(*) AS n FROM events WHERE region = 'mars'",
+		"SELECT region, COUNT(*) AS n FROM events WHERE region != 'ap' GROUP BY region ORDER BY region",
+	}
+	one := NewColumnStore(rt)
+	one.SetParallelism(1)
+	wantProv := map[SkipAttr]int64{
+		{Column: "region", Via: "dict"}:  4 + 4 + 4 + 2,
+		{Column: "region", Via: "const"}: rseg,
+	}
+	rowRT := NewRowStore(rt)
+	for name, db := range map[string]*ColumnStore{"one range": one, "sharded": NewShardedStore(3, rt)} {
+		batch, err := db.ExecuteBatch(context.Background(), mustPrepareAll(t, db, eqSQLs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sql := range eqSQLs {
+			want, err := execSQL(rowRT, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, name+": "+sql, batch[i], want)
+		}
+		c := db.Counters()
+		if c.RowsScanned != 4*segmentSize {
+			t.Errorf("%s: scanned %d rows, want segments 0-3 once (%d)", name, c.RowsScanned, 4*segmentSize)
+		}
+		if want := int64(4 + 4 + 4 + rseg + 2); c.SegmentsSkipped != want {
+			t.Errorf("%s: SegmentsSkipped = %d, want %d", name, c.SegmentsSkipped, want)
+		}
+		got := db.Stats("events").SkipProvenance
+		if len(got) != len(wantProv) {
+			t.Errorf("%s: provenance = %v, want %v", name, got, wantProv)
+		}
+		for a, n := range wantProv {
+			if got[a] != n {
+				t.Errorf("%s: provenance[%+v] = %d, want %d", name, a, got[a], n)
+			}
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 // TestExecuteBatchHonorsCanceledContext pins the cancellation boundary for
 // every back-end: a canceled context fails the batch, and a single plan's
 // ExecuteContext (a batch of one), with an error that still satisfies
-// errors.Is(context.Canceled) after wrapping.
+// errors.Is(context.Canceled) after wrapping, and leaves RowsScanned alone.
 func TestExecuteBatchHonorsCanceledContext(t *testing.T) {
 	tb := provTable(2)
 	stores := map[string]DB{
@@ -133,11 +133,16 @@ func TestExecuteBatchHonorsCanceledContext(t *testing.T) {
 	cancel()
 	for name, db := range stores {
 		plans := mustPrepareAll(t, db, []string{"SELECT COUNT(*) AS n FROM events WHERE day = 7"})
+		before := db.Counters().RowsScanned
 		if _, err := db.ExecuteBatch(ctx, plans); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want errors.Is(context.Canceled)", name, err)
 		}
 		if _, err := plans[0].ExecuteContext(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: ExecuteContext err = %v, want errors.Is(context.Canceled)", name, err)
+		}
+		// A canceled batch scans nothing, so it counts no rows.
+		if got := db.Counters().RowsScanned; got != before {
+			t.Errorf("%s: RowsScanned moved %d -> %d over canceled batches", name, before, got)
 		}
 		// The store must remain serviceable after a canceled batch.
 		if _, err := db.ExecuteBatch(context.Background(), plans); err != nil {

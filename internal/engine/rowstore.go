@@ -83,7 +83,6 @@ func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, 
 	for _, grp := range groupPlansByTable(plans) {
 		gs := shardIndices(grp.idx, s.parallelism())
 		s.stats.queries.Add(int64(len(grp.idx)))
-		s.stats.rowsScanned.Add(int64(len(gs)) * int64(grp.t.NumRows()))
 		shards = append(shards, gs...)
 	}
 	results := make([]*Result, len(plans))
@@ -99,7 +98,7 @@ func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, 
 		sp.SetStr("table", t.Name)
 		sp.SetInt("plans", int64(len(shard)))
 		sp.SetInt("rows", int64(t.NumRows()))
-		return planError(plans[shard[0]], scanShard(ctx, t, plans, shard, results))
+		return planError(plans[shard[0]], scanShard(ctx, t, plans, shard, results, &s.stats))
 	})
 	if err != nil {
 		return nil, batchError(err)
@@ -122,10 +121,32 @@ type eqDispatch struct {
 	route [][]rowSink     // dictionary code -> sinks that want the row
 }
 
-// scanShard executes one shared scan of t serving every plan in the shard.
-// The context is checked once per scan block: a cancelled scan stops at the
-// next block boundary and returns ctx.Err().
-func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int, results []*Result) error {
+// routeRows feeds each row of [lo, hi) to the sinks its code routes to; route
+// has one entry per dictionary code.
+func routeRows(pc dataset.Codes, lo, hi int, route [][]rowSink) {
+	switch {
+	case pc.U16 != nil:
+		routeCodes(pc.U16, lo, hi, route)
+	case pc.U32 != nil:
+		routeCodes(pc.U32, lo, hi, route)
+	default:
+		routeCodes(pc.U8, lo, hi, route)
+	}
+}
+
+func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
+	for i := lo; i < hi; i++ {
+		for _, sink := range route[codes[i]] {
+			sink.add(i)
+		}
+	}
+}
+
+// scanShard executes one shared scan of t serving every plan in the shard,
+// adding each block's rows to stats as it scans them. The context is checked
+// once per scan block: a cancelled scan stops at the next block boundary and
+// returns ctx.Err().
+func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int, results []*Result, stats *counters) error {
 	sinks := make([]*planSink, len(shard))
 	for k, pi := range shard {
 		sinks[k] = plans[pi].newSink()
@@ -165,6 +186,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 		if hi > n {
 			hi = n
 		}
+		stats.rowsScanned.Add(int64(hi - lo))
 		for _, d := range dispatches {
 			routeRows(d.codes, lo, hi, d.route)
 		}

@@ -99,9 +99,9 @@ type codeFilter struct {
 	// column, the min/max tests of the raw-array filters for an integer one.
 	zone zoneTest
 	via  string // the skip attribution's mechanism: "dict", "zonemap" or "none"
-	// eq is the matching code when the filter is one categorical equality —
-	// what the scan's code-routed pass dispatches on — else -1.
-	eq  int32
+	// col is never read: the kernel closes over the column's code array, and
+	// holding the Column keeps that array's off-heap mapping alive for as
+	// long as the plan can scan it (ARCHITECTURE.md, "Lifetime").
 	col *dataset.Column
 }
 
@@ -459,11 +459,7 @@ func compileVecLeaf(ct *colTable, t *dataset.Table, e minisql.Expr) (vecFilter, 
 			if code < 0 {
 				return constFilter{match: neq}, nil
 			}
-			f := &codeFilter{kernel: codeKernel(c.Codes(), code, neq), zone: eqZone{zone, code, neq}, via: "dict", eq: code, col: c}
-			if neq {
-				f.eq = -1
-			}
-			return f, nil
+			return &codeFilter{kernel: codeKernel(c.Codes(), code, neq), zone: eqZone{zone, code, neq}, via: "dict", col: c}, nil
 		}
 		if member, ok := stringMembers(c, e); ok {
 			want := make([]uint64, zone.Words)
@@ -503,7 +499,7 @@ func memberFilter(c *dataset.Column, member []uint8, zone zoneTest, via string) 
 	case len(member):
 		return constFilter{match: true}
 	}
-	return &codeFilter{kernel: memberKernel(c.Codes(), member), zone: zone, via: via, eq: -1, col: c}
+	return &codeFilter{kernel: memberKernel(c.Codes(), member), zone: zone, via: via, col: c}
 }
 
 // rawNumFilter returns the typed array filter of a predicate over a numeric

@@ -22,11 +22,6 @@ type Request struct {
 	Z     string // the attribute to slice by (one visualization per value)
 	Agg   string // aggregate for Y; default "avg"
 	K     int    // number of recommendations; default 5
-	// AutoK chooses the number of recommendations from the data via elbow
-	// detection instead of the fixed K — the paper's future-work item
-	// "automatically figure out the right number of representative trends
-	// based on data characteristics" (Section 10.1). K then caps the count.
-	AutoK bool
 	Seed  int64
 }
 
@@ -92,13 +87,7 @@ func Diverse(ctx context.Context, db engine.DB, req Request, m vis.Metric) ([]Re
 	if len(viss) == 0 {
 		return nil, nil
 	}
-	k := req.K
-	if req.AutoK {
-		if auto := vis.AutoK(viss, req.K*2, m, req.Seed); auto < k {
-			k = auto
-		}
-	}
-	picked := vis.Representative(viss, k, m, req.Seed)
+	picked := vis.Representative(viss, req.K, m, req.Seed)
 	// Cluster sizes: rerun the clustering to attribute sizes. Representative
 	// orders by descending cluster size; approximate sizes by re-assigning
 	// every candidate to its nearest pick.

@@ -74,19 +74,3 @@ func TestDiverseErrors(t *testing.T) {
 		t.Error("missing column should error")
 	}
 }
-
-func TestAutoKRecommendations(t *testing.T) {
-	// The sales generator plants exactly four trend shapes (rising, falling,
-	// flat, spiked); auto-k should land near that, not at the K=8 cap.
-	tb := workload.Sales(workload.SalesConfig{Rows: 40000, Products: 16, Years: 10, Cities: 4, Seed: 6})
-	db := engine.NewRowStore(tb)
-	recs, err := Diverse(context.Background(), db, Request{
-		Table: "sales", X: "year", Y: "revenue", Z: "product", K: 8, AutoK: true, Seed: 11,
-	}, vis.DefaultMetric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) < 2 || len(recs) >= 8 {
-		t.Errorf("auto-k picked %d recommendations, want a handful under the cap", len(recs))
-	}
-}

@@ -134,8 +134,7 @@ NAME | X      | Y        | Z              | CONSTRAINTS           | VIZ         
 f1   | 'year' | 'profit' | v1 <- 'city'.* | product LIKE 'product0%' | bar.(y=agg('avg')) | v2 <- argany(v1)[t>0] T(f1)
 *f2  | 'year' | 'profit' | v2             |                       | bar.(y=agg('avg')) |`)
 	// The same scripts below the strongest batching level: one SQL statement
-	// per slice, a single categorical equality the column store runs as one
-	// code-routed pass.
+	// per slice, each a single categorical equality.
 	out = append(out,
 		ledgerReq{"/query", QueryRequest{Dataset: "sales", ZQL: risingQuery, Opt: "noopt"}},
 		ledgerReq{"/query", QueryRequest{Dataset: "sales", ZQL: risingQuery, Opt: "intraline"}},

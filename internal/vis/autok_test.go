@@ -6,47 +6,6 @@ import (
 	"repro/internal/dataset"
 )
 
-func TestAutoKFindsPlantedClusterCount(t *testing.T) {
-	vs := clusterData() // three well-separated shape clusters
-	got := AutoK(vs, 8, DefaultMetric, 42)
-	if got != 3 {
-		t.Errorf("AutoK = %d, want 3", got)
-	}
-}
-
-func TestAutoKTwoClusters(t *testing.T) {
-	var vs []*Visualization
-	for i := 0; i < 6; i++ {
-		o := float64(i) * 0.02
-		vs = append(vs, FromFloats([]float64{0, 1, 2, 3, 4 + o}))
-	}
-	for i := 0; i < 6; i++ {
-		o := float64(i) * 0.02
-		vs = append(vs, FromFloats([]float64{4, 3, 2, 1, 0 - o}))
-	}
-	if got := AutoK(vs, 6, DefaultMetric, 42); got != 2 {
-		t.Errorf("AutoK = %d, want 2", got)
-	}
-}
-
-func TestAutoKDegenerate(t *testing.T) {
-	if AutoK(nil, 5, DefaultMetric, 1) != 0 {
-		t.Error("empty input should give 0")
-	}
-	// Identical shapes: one trend.
-	var vs []*Visualization
-	for i := 0; i < 8; i++ {
-		vs = append(vs, FromFloats([]float64{1, 2, 3}))
-	}
-	if got := AutoK(vs, 5, DefaultMetric, 1); got != 1 {
-		t.Errorf("identical shapes AutoK = %d, want 1", got)
-	}
-	// Fewer items than kMax.
-	if got := AutoK(vs[:2], 10, DefaultMetric, 1); got < 1 || got > 2 {
-		t.Errorf("tiny input AutoK = %d", got)
-	}
-}
-
 // TestResample pins resampleInto into fresh storage.
 func TestResample(t *testing.T) {
 	Resample := func(ys []float64, n int) []float64 { return resampleInto(nil, ys, n) }
