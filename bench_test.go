@@ -385,21 +385,21 @@ func BenchmarkColumnVsRowClusteredBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedBatchSweep measures scatter-gather scaling: the same
-// clustered 32-query batch as BenchmarkColumnVsRowClusteredBatch on a
-// sharded column store at N ∈ {1, 2, 4, 8} shards. Each shard scans its
-// segment range on its own worker, so on an M-core machine batch latency
-// should drop roughly min(N, M)-fold until shards outnumber the segments a
-// plan actually touches; on one core the sweep instead pins that the
-// scatter-gather overhead is small. segskip/op and rows/op must match the
-// unsharded column store — sharding redistributes the scan, it never adds
-// work.
-func BenchmarkShardedBatchSweep(b *testing.B) {
+// BenchmarkFragmentSweep measures what fragments cost: the same clustered
+// 32-query batch as BenchmarkColumnVsRowClusteredBatch on column stores whose
+// fragments hold F ∈ {1, 4, 8, 64} segments (the 100 000-row table is 25
+// segments: 25, 7, 4 and 1 fragments). Each fragment is a scan job per share
+// of the plans, merged at the gather, so on one core the sweep pins that the
+// gather's overhead is small. segskip/op and rows/op must not move with F:
+// fragments redistribute the scan, they never add work.
+func BenchmarkFragmentSweep(b *testing.B) {
 	tb := workload.GroupSweepClustered(100000, 64, 10, 11)
-	for _, n := range []int{1, 2, 4, 8} {
-		db := engine.NewShardedStore(n, tb)
+	for _, f := range []int{1, 4, 8, 64} {
+		prev := engine.SetFragmentSegments(f)
+		db := engine.NewColumnStore(tb)
+		engine.SetFragmentSegments(prev)
 		plans := batchPlans(b, db, tb, 32)
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("segments=%d", f), func(b *testing.B) {
 			before := db.Counters()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -92,9 +92,6 @@ func main() {
 	if _, err := zexec.OptLevelByName(*optName); err != nil {
 		log.Fatal(err)
 	}
-	// One segment shard per core keeps a single dataset's batch able to use
-	// the whole machine; the engine caps the effective count at the segment
-	// count, so small tables aren't over-split.
 	cfg := server.Config{
 		Backend:      *backend,
 		Opt:          *optName,
@@ -102,7 +99,6 @@ func main() {
 		Seed:         *seed,
 		CacheEntries: *cache,
 		MaxQueue:     *maxQueue,
-		Shards:       runtime.GOMAXPROCS(0),
 	}
 
 	reg := server.NewRegistry()
@@ -253,8 +249,8 @@ func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
 		if err != nil {
 			return err
 		}
-		log.Printf("loaded %s: %d rows, %d table bytes, %d segments, %d shard(s) from %s (%s backend, warm, appendable) in %.2fs",
-			d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), d.Segments(), max(d.ShardCount(), 1), path, d.Backend(), time.Since(t0).Seconds())
+		log.Printf("loaded %s: %d rows, %d table bytes, %d segments from %s (%s backend, warm, appendable) in %.2fs",
+			d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), d.Segments(), path, d.Backend(), time.Since(t0).Seconds())
 		return nil
 	}
 	d, err := reg.LoadCSV(name, path, cfg)

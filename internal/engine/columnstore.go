@@ -32,81 +32,93 @@ const segmentSize = SegmentSize
 // batch) have each shared conjunct's per-segment selection computed once per
 // scan job and intersected per plan.
 //
-// A sharded store (NewShardedStore and friends) is the same executor with
-// each table's segments cut into N contiguous ranges: a batch scatters one
-// scan job per range and gathers each plan's partial sinks in range order.
-// Ranges cover ascending row ranges of the same table — rows, dictionaries
-// and zone maps stay globally indexed — so the gathered result is the
-// single-range scan's.
+// Every table is cut into fragments of FragmentSegments segments (the last
+// one shorter). A fragment is the unit of scheduling and merging: a scan job
+// is one fragment for a share of a table's plans, and the gather merges each
+// plan's fragment sinks in fragment order. The fragment boundaries depend on
+// the table alone, so every answer's bits do too — never on the worker count
+// or the machine.
 type ColumnStore struct {
 	parLimit
 	planToggle
-	tables  map[string]*dataset.Table
-	cols    map[string]*colTable
-	sharded bool // built by a sharded constructor: one scan job per range
-	stats   *counters
-	prov    *skipProv
-	busy    atomic.Int64 // scan jobs currently running
+	tables map[string]*dataset.Table
+	cols   map[string]*colTable
+	stats  *counters
+	prov   *skipProv
+	busy   atomic.Int64 // scan jobs currently running
 }
 
 // colTable is the segmented view of one base table. src is the segment
 // source the data materializes through: a no-op memSource for in-memory
 // tables, a lazy reader (zpack) for disk-resident ones. Zone maps always come
 // from the source's metadata, so the scan can prove segments empty without
-// ever loading them. ranges cut [0, NumSegments()) into ascending,
-// contiguous scan ranges — one unless the store is sharded.
+// ever loading them. frags cut [0, NumSegments()) into ascending, contiguous
+// fragments.
 type colTable struct {
 	t      *dataset.Table
 	src    SegmentSource
 	zones  map[string]*ZoneData // by column name
-	ranges []*segRange
+	frags  []fragment
 	loaded []atomic.Bool // per segment: materialized by a scan of this store
+	loads  *atomic.Int64 // segments loaded set, plus the counts of the snapshots before (ShareCounters)
 }
 
-// segRange is the segment range [lo, hi) one scan job walks, with its share
-// of the scan counters.
-type segRange struct {
-	lo, hi int
-	*rangeCounters
-}
+// fragment is the segment range [lo, hi) one scan job walks.
+type fragment struct{ lo, hi int }
 
-// rangeCounters are one range's share of the scan counters.
-type rangeCounters struct {
-	rows, skipped, loaded atomic.Int64
+// FragmentSegments is the production fragment size in segments: 128
+// segments are 524 288 rows. It is the smallest power of two whose gather —
+// merging each plan's fragment sinks — costs under 5 % of a task scan over
+// 10 M rows at one worker: 3.4 % (64 segments cost 6.4 %; docs/ARCHITECTURE.md,
+// "Fragments").
+const FragmentSegments = 128
+
+// fragmentSegments is the size the constructors cut at: FragmentSegments,
+// unless a test lowered it (SetFragmentSegments).
+var fragmentSegments atomic.Int64
+
+func init() { fragmentSegments.Store(FragmentSegments) }
+
+// SetFragmentSegments sets the fragment size of the stores built after the
+// call, and returns the size it replaced. It exists for tests, which need
+// tables of a few segments cut into several fragments; n < 1 restores
+// FragmentSegments.
+func SetFragmentSegments(n int) int {
+	if n < 1 {
+		n = FragmentSegments
+	}
+	return int(fragmentSegments.Swap(int64(n)))
 }
 
 // newColumnStore returns an empty store; add registers its tables.
-func newColumnStore(sharded bool) *ColumnStore {
+func newColumnStore() *ColumnStore {
 	return &ColumnStore{
-		tables:  make(map[string]*dataset.Table),
-		cols:    make(map[string]*colTable),
-		sharded: sharded,
-		stats:   &counters{},
-		prov:    &skipProv{},
+		tables: make(map[string]*dataset.Table),
+		cols:   make(map[string]*colTable),
+		stats:  &counters{},
+		prov:   &skipProv{},
 	}
 }
 
 // ShareCounters makes s count into prev's counter cells — the store-wide
-// counters, the skip provenance, and, range by range, each table's per-range
-// counters — so that the store over a new snapshot of prev's tables goes on
-// from prev's totals, and what scans still running on prev add lands in them
-// too. Call it before s serves.
+// counters, the skip provenance, and each table's segment loads — so that the
+// store over a new snapshot of prev's tables goes on from prev's totals, and
+// what scans still running on prev add lands in them too. Call it before s
+// serves.
 func (s *ColumnStore) ShareCounters(prev *ColumnStore) {
 	s.stats, s.prov = prev.stats, prev.prov
 	for name, ct := range s.cols {
 		if pt := prev.cols[name]; pt != nil {
-			for i := range min(len(ct.ranges), len(pt.ranges)) {
-				ct.ranges[i].rangeCounters = pt.ranges[i].rangeCounters
-			}
+			ct.loads = pt.loads
 		}
 	}
 }
 
 // add registers a source's table, cut at the given ascending interior
-// segment boundaries: len(cuts)+1 ranges, range i covering
-// [cuts[i-1], cuts[i]). Empty ranges are legal — they scan nothing and merge
-// as identities — which is what lets a fixed shard count serve tables
-// smaller than it. A cut out of order or outside [0, NumSegments()] panics.
+// segment boundaries: len(cuts)+1 fragments, fragment i covering
+// [cuts[i-1], cuts[i]). Empty fragments are legal — they scan nothing and
+// merge as identities. A cut out of order or outside [0, NumSegments()]
+// panics.
 func (s *ColumnStore) add(src SegmentSource, cuts []int) {
 	t := src.Table()
 	nseg := src.NumSegments()
@@ -115,13 +127,14 @@ func (s *ColumnStore) add(src SegmentSource, cuts []int) {
 		src:    src,
 		zones:  make(map[string]*ZoneData, t.NumCols()),
 		loaded: make([]atomic.Bool, nseg),
+		loads:  new(atomic.Int64),
 	}
 	lo := 0
 	for _, c := range append(cuts[:len(cuts):len(cuts)], nseg) {
 		if c < lo || c > nseg {
-			panic(fmt.Sprintf("engine: shard cut %d outside [%d, %d]", c, lo, nseg))
+			panic(fmt.Sprintf("engine: fragment cut %d outside [%d, %d]", c, lo, nseg))
 		}
-		ct.ranges = append(ct.ranges, &segRange{lo: lo, hi: c, rangeCounters: &rangeCounters{}})
+		ct.frags = append(ct.frags, fragment{lo, c})
 		lo = c
 	}
 	for _, c := range t.Columns() {
@@ -158,67 +171,48 @@ func NewColumnStore(tables ...*dataset.Table) *ColumnStore {
 // NewColumnStoreFromSource builds a column store over segment sources whose
 // column data may materialize lazily: zone maps come from the sources'
 // metadata, and a segment's data is loaded only when a scan first visits it —
-// a segment every plan's zone maps prove empty is never loaded at all.
+// a segment every plan's zone maps prove empty is never loaded at all. Each
+// table is cut into fragments of the fixed size; a zpack Reader is cut this
+// way without rewriting a byte.
 func NewColumnStoreFromSource(sources ...SegmentSource) *ColumnStore {
-	s := newColumnStore(false)
+	s := newColumnStore()
+	size := int(fragmentSegments.Load())
 	for _, src := range sources {
-		s.add(src, nil)
-	}
-	return s
-}
-
-// NewShardedStore builds a sharded column store over in-memory tables,
-// cutting each into nshards contiguous segment ranges.
-func NewShardedStore(nshards int, tables ...*dataset.Table) *ColumnStore {
-	return NewShardedStoreFromSource(nshards, memSources(tables)...)
-}
-
-// NewShardedStoreFromSource builds a sharded column store over lazy segment
-// sources, cutting each table into nshards contiguous ranges of as equal
-// size as integer division allows (capped at the segment count; an empty
-// table is one empty range). A zpack Reader shards this way without
-// rewriting a byte, and zone-map-skipped segments are still never read.
-func NewShardedStoreFromSource(nshards int, sources ...SegmentSource) *ColumnStore {
-	s := newColumnStore(true)
-	for _, src := range sources {
-		nseg := src.NumSegments()
-		n := max(min(nshards, nseg), 1)
-		cuts := make([]int, 0, n-1)
-		for i := 1; i < n; i++ {
-			cuts = append(cuts, i*nseg/n)
+		var cuts []int
+		for c := size; c < src.NumSegments(); c += size {
+			cuts = append(cuts, c)
 		}
 		s.add(src, cuts)
 	}
 	return s
 }
 
-// NewAutoStore builds the column store, cut into nshards segment ranges
-// when nshards > 1. Only the benchmark module still calls it; the next change
-// to the benchmark deletes it.
-func NewAutoStore(nshards int, tables ...*dataset.Table) *ColumnStore {
-	if nshards > 1 {
-		return NewShardedStore(nshards, tables...)
-	}
-	return NewColumnStore(tables...)
-}
-
-// NewShardedStoreAt builds a sharded column store over one source cut at
-// explicit interior segment boundaries — len(cuts)+1 ranges, ascending
-// within [0, NumSegments()], empty ranges allowed. It is how tests pin
-// uneven splits.
-func NewShardedStoreAt(src SegmentSource, cuts ...int) *ColumnStore {
-	s := newColumnStore(true)
+// NewColumnStoreAt builds a column store over one source cut at explicit
+// interior segment boundaries — len(cuts)+1 fragments, ascending within
+// [0, NumSegments()], empty fragments allowed. It is how tests pin uneven
+// fragments.
+func NewColumnStoreAt(src SegmentSource, cuts ...int) *ColumnStore {
+	s := newColumnStore()
 	s.add(src, cuts)
 	return s
 }
 
-// Name identifies the back-end.
-func (s *ColumnStore) Name() string {
-	if s.sharded {
-		return "shardedstore"
-	}
-	return "columnstore"
+// NewShardedStoreFromSource is NewColumnStoreFromSource: the shard count is
+// ignored, since fragments are cut by the data. Only the benchmark module
+// still calls it; the benchmark's catch-up (ROADMAP item 4) deletes it.
+func NewShardedStoreFromSource(_ int, sources ...SegmentSource) *ColumnStore {
+	return NewColumnStoreFromSource(sources...)
 }
+
+// NewAutoStore is NewColumnStore: the shard count is ignored, since
+// fragments are cut by the data. Only the benchmark module still calls it;
+// the benchmark's catch-up (ROADMAP item 4) deletes it.
+func NewAutoStore(_ int, tables ...*dataset.Table) *ColumnStore {
+	return NewColumnStore(tables...)
+}
+
+// Name identifies the back-end.
+func (s *ColumnStore) Name() string { return "columnstore" }
 
 // Table returns the named base table, or nil.
 func (s *ColumnStore) Table(name string) *dataset.Table { return s.tables[name] }
@@ -226,30 +220,17 @@ func (s *ColumnStore) Table(name string) *dataset.Table { return s.tables[name] 
 // Counters returns cumulative execution statistics.
 func (s *ColumnStore) Counters() Counters { return s.stats.snapshot() }
 
-// Stats reports the store's counters and skip provenance, the table's
-// segment and load totals, and — when sharded — its per-range counters and
-// the scan pool's saturation.
+// Stats reports the store's counters, skip provenance and scan-pool
+// saturation, and the table's segment and load totals.
 func (s *ColumnStore) Stats(table string) Stats {
-	st := Stats{Counters: s.Counters(), SkipProvenance: s.prov.snapshot()}
-	if s.sharded {
-		st.Pool = &PoolStats{Busy: int(s.busy.Load()), Capacity: s.parallelism()}
+	st := Stats{
+		Counters:       s.Counters(),
+		SkipProvenance: s.prov.snapshot(),
+		Pool:           &PoolStats{Busy: int(s.busy.Load()), Capacity: s.parallelism()},
 	}
-	ct := s.cols[table]
-	if ct == nil {
-		return st
-	}
-	st.Segments = len(ct.loaded)
-	for _, r := range ct.ranges {
-		loads := r.loaded.Load()
-		st.SegmentLoads += loads
-		if s.sharded {
-			st.Ranges = append(st.Ranges, RangeStats{
-				Segments:        r.hi - r.lo,
-				RowsScanned:     r.rows.Load(),
-				SegmentsSkipped: r.skipped.Load(),
-				SegmentLoads:    loads,
-			})
-		}
+	if ct := s.cols[table]; ct != nil {
+		st.Segments = len(ct.loaded)
+		st.SegmentLoads = ct.loads.Load()
 	}
 	return st
 }
@@ -345,29 +326,33 @@ func (s *ColumnStore) compileVecPlan(p *Plan, ct *colTable) (*Plan, error) {
 	return p, nil
 }
 
-// scanJob is one unit of a batch's scatter: a walk of one segment range for
-// a subset of one table's plans, yielding raw, unfinished sinks.
+// scanJob is one unit of a batch's scatter: a walk of one fragment for a
+// share of one table's plans, yielding raw, unfinished sinks.
 type scanJob struct {
 	ct    *colTable
-	r     *segRange
-	shard int   // index of r in the table's ranges
+	frag  int   // index of the fragment in the table's frags
 	idx   []int // plan indices
 	sinks []rowSink
 }
 
 // ExecuteBatch runs the plans as one request: a scatter of scan jobs on a
 // worker pool bounded by Parallelism, then a gather. Plans are grouped by
-// base table. A one-range store deals each group's plans round-robin across
-// at most Parallelism jobs; a sharded store runs one job per range for every
-// plan of the group. Each job walks its range once for all of its plans,
-// evaluating every distinct predicate conjunct at most once per segment and
-// skipping (plan, segment) pairs the zone maps prove empty.
+// base table, and a job is one share of a group's plans times one fragment
+// of the table. A group's plans are dealt round-robin into as few shares as
+// give Parallelism jobs — Parallelism shares over a one-fragment table, one
+// share over a table of Parallelism fragments or more — never splitting a
+// plan. Each job walks its fragment once for all of its plans, evaluating
+// every distinct predicate conjunct at most once per segment and skipping
+// (plan, segment) pairs the zone maps prove empty.
 //
-// The gather merges each plan's partial sinks in range order and finishes
-// once (ordering and LIMIT apply there only). Jobs run on par.Do: a job's
-// panic is contained as its error, no job is drawn after a failure, and the
-// batch reports the lowest failing job's error — for a plan spanning several
-// ranges, the lowest failing range's, deterministically.
+// The gather merges each plan's fragment sinks in fragment order and
+// finishes once (ordering and LIMIT apply there only). What a plan's sinks
+// hold depends on the fragment boundaries alone, not on how plans were dealt
+// or how many workers ran, so neither is visible in any answer. Jobs run on
+// par.Do: a job's panic is contained as its error, no job is drawn after a
+// failure, and the batch reports the lowest failing job's error — for a plan
+// spanning several fragments, the lowest failing fragment's,
+// deterministically.
 func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -379,32 +364,24 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	for _, grp := range groupPlansByTable(plans) {
 		ct := s.cols[grp.t.Name]
 		s.stats.queries.Add(int64(len(grp.idx)))
-		if s.sharded {
-			for i, r := range ct.ranges {
-				jobs = append(jobs, &scanJob{ct: ct, r: r, shard: i, idx: grp.idx})
+		nf := len(ct.frags)
+		shares := dealIndices(grp.idx, (s.parallelism()+nf-1)/nf)
+		for f := range ct.frags {
+			for _, share := range shares {
+				jobs = append(jobs, &scanJob{ct: ct, frag: f, idx: share})
 			}
-			continue
-		}
-		for _, share := range shardIndices(grp.idx, s.parallelism()) {
-			jobs = append(jobs, &scanJob{ct: ct, r: ct.ranges[0], idx: share})
 		}
 	}
 	parent := trace.FromContext(ctx)
-	backend := "column"
-	if s.sharded {
-		backend = "sharded"
-	}
 	err := par.Do(len(jobs), s.parallelism(), func(_, ji int) error {
 		j := jobs[ji]
 		s.busy.Add(1)
 		defer s.busy.Add(-1)
 		sp := parent.StartChild("scan")
 		defer sp.End()
-		sp.SetStr("backend", backend)
+		sp.SetStr("backend", "column")
 		sp.SetStr("table", j.ct.t.Name)
-		if s.sharded {
-			sp.SetInt("shard", int64(j.shard))
-		}
+		sp.SetInt("fragment", int64(j.frag))
 		sp.SetInt("plans", int64(len(j.idx)))
 		j.sinks = make([]rowSink, len(j.idx))
 		for k, pi := range j.idx {
@@ -415,11 +392,9 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	if err != nil {
 		return nil, batchError(err)
 	}
-	if s.sharded {
-		gsp := parent.StartChild("gather")
-		gsp.SetInt("plans", int64(len(plans)))
-		defer gsp.End()
-	}
+	gsp := parent.StartChild("gather")
+	gsp.SetInt("plans", int64(len(plans)))
+	defer gsp.End()
 	sinks := make([]rowSink, len(plans))
 	for _, j := range jobs {
 		for k, pi := range j.idx {
@@ -427,10 +402,12 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 				sinks[pi] = j.sinks[k]
 				continue
 			}
-			// Ranges cover ascending row ranges, so merging in range order
-			// reproduces the one-range scan: projection rows concatenate in
-			// row order, and a group's first-seen position is its position
-			// in the lowest range that saw it.
+			// Jobs are in fragment order, and fragments cover ascending row
+			// ranges, so merging in job order reproduces one walk of the
+			// table that restarts each accumulator's partial at every
+			// fragment boundary: projection rows concatenate in row order,
+			// and a group's first-seen position is its position in the
+			// lowest fragment that saw it.
 			sinks[pi].mergeFrom(j.sinks[k])
 		}
 	}
@@ -441,7 +418,7 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	return results, nil
 }
 
-// scanInto is one job's shared segment walk over its range, feeding every
+// scanInto is one job's shared segment walk over its fragment, feeding every
 // plan of the job into its sink. Each distinct conjunct (keyed by canonical
 // SQL) is evaluated at most once per segment and intersected per plan. A
 // segment's data is materialized through the table's segment source the
@@ -451,7 +428,7 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 // be discarded. The context is checked once per segment: a cancelled scan
 // stops at the next segment boundary and returns ctx.Err().
 func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, sp *trace.Span) error {
-	ct, r, sinks := j.ct, j.r, j.sinks
+	ct, f, sinks := j.ct, j.ct.frags[j.frag], j.sinks
 	cols := NewColumnSet(ct.t.NumCols())
 	for _, pi := range j.idx {
 		cols.Or(plans[pi].vec.cols)
@@ -484,7 +461,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 	prov := make(map[SkipAttr]int64)
 	var loadErr error
 	segSpans := 0
-	for seg := r.lo; seg < r.hi && loadErr == nil; seg++ {
+	for seg := f.lo; seg < f.hi && loadErr == nil; seg++ {
 		// The segment boundary is the scan's cancellation point: a deadline
 		// or client disconnect stops the walk here, never mid-segment.
 		if err := ctx.Err(); err != nil {
@@ -509,7 +486,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 				return false
 			}
 			if !ct.loaded[seg].Swap(true) {
-				r.loaded.Add(1)
+				ct.loads.Add(1)
 			}
 			visited = true
 			segsScanned++
@@ -572,8 +549,6 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 	s.stats.segmentsScanned.Add(segsScanned)
 	s.stats.segmentsSkipped.Add(skipped)
 	s.prov.addAll(prov)
-	r.rows.Add(scanned)
-	r.skipped.Add(skipped)
 	if sp != nil {
 		sp.SetInt("rows", scanned)
 		sp.SetInt("segments", segsScanned)
@@ -820,7 +795,9 @@ func foldPass[A, B dataset.Code](s *flatSink, a []A, b []B, cardB int, sel []uin
 			if g < 0 {
 				g = s.firstSeen(slot, i)
 			}
-			acc := &s.aggs[g]
+			// The one aggregate of group g: acc(g, 0), spelled out for the
+			// hot loop.
+			acc := &s.groups[g>>groupChunkBits].aggs[g&groupChunkMask]
 			acc.sum += sum[i]
 			acc.count++
 		}
@@ -838,12 +815,13 @@ func (s *flatSink) firstSeen(slot, i int) int32 {
 	return g
 }
 
-// mergeFrom folds a later range's partial accumulation into s (the order
-// argument is ExecuteBatch's gather). Every range's sink shares the plan's
+// mergeFrom folds a later fragment's partial accumulation into s (the order
+// argument is ExecuteBatch's gather). Every fragment's sink shares the plan's
 // globally indexed code arrays, so a group's slot is the same in each.
 func (s *flatSink) mergeFrom(other rowSink) {
 	o := other.(*flatSink)
-	for og, row := range o.rows {
+	for og := range o.n {
+		row := o.firstRow(og)
 		slot := o.slotAt(int(row))
 		if s.slots[slot] < 0 {
 			s.slots[slot] = s.newGroup(int(row))

@@ -145,7 +145,7 @@ func TestColumnStoreZoneSkipping(t *testing.T) {
 // TestColumnStoreBatchConjunctSharing checks that a single-worker batch of
 // plans sharing a selective conjunct scans each needed segment once, not
 // once per plan, and that zone skipping still applies per plan — also for a
-// batch of single-equality plans, one range or sharded.
+// batch of single-equality plans, one fragment or several.
 func TestColumnStoreBatchConjunctSharing(t *testing.T) {
 	const nseg = 4
 	tb := clusteredTable(nseg * segmentSize)
@@ -209,7 +209,9 @@ func TestColumnStoreBatchConjunctSharing(t *testing.T) {
 		{Column: "region", Via: "const"}: rseg,
 	}
 	rowRT := NewRowStore(rt)
-	for name, db := range map[string]*ColumnStore{"one range": one, "sharded": NewShardedStore(3, rt)} {
+	three := evenStore(3, rt)
+	three.SetParallelism(1)
+	for name, db := range map[string]*ColumnStore{"one fragment": one, "fragmented": three} {
 		batch, err := db.ExecuteBatch(context.Background(), mustPrepareAll(t, db, eqSQLs))
 		if err != nil {
 			t.Fatal(err)

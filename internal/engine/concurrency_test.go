@@ -33,7 +33,11 @@ var concurrencyQueries = []string{
 func TestConcurrentReaders(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
-		t.Run(db.Name(), func(t *testing.T) {
+		name := db.Name()
+		if cs, ok := db.(*ColumnStore); ok && len(cs.cols["sales"].frags) > 1 {
+			name = "fragmented"
+		}
+		t.Run(name, func(t *testing.T) {
 			// Baseline results computed sequentially before any concurrency.
 			want := make([]*Result, len(concurrencyQueries))
 			for i, sql := range concurrencyQueries {

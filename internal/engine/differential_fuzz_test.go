@@ -20,7 +20,7 @@ import (
 
 // fuzzTable builds a random table: two categorical columns of random
 // cardinality, an int column, and a float column restricted to quarters
-// (dyadic rationals accumulate exactly, so sharded SUM/AVG stay bit-identical
+// (dyadic rationals accumulate exactly, so fragmented SUM/AVG stay bit-identical
 // to the sequential fold) with occasional NaN. The cardinalities fall on both
 // sides of the packed layout's boundaries: c0 around 256 entries (one- and
 // two-byte codes), n below 256, between, and past the 4096 an int dictionary
@@ -203,7 +203,7 @@ func fuzzVariants(tb *dataset.Table) []fuzzVariant {
 	mk("row", NewRowStore(tb))
 	mk("bitmap", NewBitmapStore(tb))
 	mk("column", NewColumnStore(tb))
-	mk("sharded", NewShardedStore(3, tb))
+	mk("fragmented", evenStore(3, tb))
 	return out
 }
 

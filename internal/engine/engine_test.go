@@ -56,36 +56,56 @@ func salesTable() *dataset.Table {
 }
 
 func allStores(t *dataset.Table) []DB {
-	return []DB{NewRowStore(t), NewBitmapStore(t), NewColumnStore(t), NewShardedStore(3, t)}
+	return []DB{NewRowStore(t), NewBitmapStore(t), NewColumnStore(t), evenStore(3, t)}
 }
 
 // TestNewStoreResolvesBackendNames pins what each back-end name builds, now
 // that the names resolve outside this package (cmd/zenvisage for all four,
 // the server registry for column and auto): the constructor each name
-// resolves to, at one and three shards, with "auto" building exactly what
-// "column" does and row and bitmap taking no shard count.
+// resolves to, with "auto" building exactly what "column" does, and the
+// benchmark's shims ignoring their shard count — a table is cut by its data.
 func TestNewStoreResolvesBackendNames(t *testing.T) {
 	tb := twoColTable(3)
 	cases := []struct {
 		backend string
-		shards  int
 		db      DB
 		name    string
-		ranges  int
 	}{
-		{"row", 1, NewRowStore(tb), "rowstore", 0},
-		{"bitmap", 1, NewBitmapStore(tb), "bitmapstore", 0},
-		{"column", 1, NewColumnStore(tb), "columnstore", 0},
-		{"column", 3, NewShardedStore(3, tb), "shardedstore", 3},
-		{"auto", 1, NewAutoStore(1, tb), "columnstore", 0},
-		{"auto", 3, NewAutoStore(3, tb), "shardedstore", 3},
+		{"row", NewRowStore(tb), "rowstore"},
+		{"bitmap", NewBitmapStore(tb), "bitmapstore"},
+		{"column", NewColumnStore(tb), "columnstore"},
+		{"auto", NewAutoStore(3, tb), "columnstore"},
+		{"sharded shim", NewShardedStoreFromSource(3, NewMemSource(tb)), "columnstore"},
 	}
 	for _, tc := range cases {
-		if tc.db.Name() != tc.name || len(tc.db.Stats("p").Ranges) != tc.ranges {
-			t.Errorf("%s at %d shards = %s with %d ranges, want %s with %d",
-				tc.backend, tc.shards, tc.db.Name(), len(tc.db.Stats("p").Ranges), tc.name, tc.ranges)
+		if tc.db.Name() != tc.name {
+			t.Errorf("%s = %s, want %s", tc.backend, tc.db.Name(), tc.name)
+		}
+		if cs, ok := tc.db.(*ColumnStore); ok && len(cs.cols["p"].frags) != 1 {
+			t.Errorf("%s: %d fragments over a one-segment table, want 1", tc.backend, len(cs.cols["p"].frags))
 		}
 	}
+}
+
+// evenStore is the column store with each table cut into n fragments of as
+// equal size as integer division allows — some of them empty when n exceeds
+// the segment count: the layouts the merge tests sweep.
+func evenStore(n int, tables ...*dataset.Table) *ColumnStore {
+	s := newColumnStore()
+	for _, src := range memSources(tables) {
+		s.add(src, evenCuts(src.NumSegments(), n))
+	}
+	return s
+}
+
+// evenCuts returns the interior boundaries of n even fragments over nseg
+// segments.
+func evenCuts(nseg, n int) []int {
+	var cuts []int
+	for i := 1; i < n; i++ {
+		cuts = append(cuts, i*nseg/n)
+	}
+	return cuts
 }
 
 func TestSimpleAggregation(t *testing.T) {

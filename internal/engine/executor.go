@@ -14,7 +14,7 @@ import (
 // implement it.
 type DB interface {
 	// Name identifies the back-end: "rowstore", "bitmapstore", or
-	// "columnstore" ("shardedstore" when built by a sharded constructor).
+	// "columnstore".
 	Name() string
 	// Table returns the named base table, or nil.
 	Table(name string) *dataset.Table
@@ -55,21 +55,8 @@ type Stats struct {
 	// SkipProvenance attributes every zone-map skip to the column and
 	// metadata kind that proved the segment empty (column stores only).
 	SkipProvenance map[SkipAttr]int64
-	// Ranges is the table's per-range share of the scan work, in segment
-	// order (sharded stores only).
-	Ranges []RangeStats
-	// Pool is the scan pool's saturation (sharded stores only).
+	// Pool is the scan pool's saturation (column stores only).
 	Pool *PoolStats
-}
-
-// RangeStats is one segment range's share of the scan work: its segment
-// count, the Counters semantics restricted to it, and its distinct
-// segments materialized.
-type RangeStats struct {
-	Segments        int   `json:"segments"`
-	RowsScanned     int64 `json:"rowsScanned"`
-	SegmentsSkipped int64 `json:"segmentsSkipped"`
-	SegmentLoads    int64 `json:"segmentLoads"`
 }
 
 // PoolStats is the scan pool's instantaneous saturation: jobs running
@@ -171,7 +158,7 @@ func (a *aggState) add(v float64) {
 	} else {
 		// NaN is the identity for MIN/MAX: a NaN cell never displaces a real
 		// bound AND a real value always displaces a NaN seed. Both directions
-		// are needed to keep the fold associative — otherwise a shard whose
+		// are needed to keep the fold associative — otherwise a fragment whose
 		// first matching cell is NaN would swallow its later real values,
 		// diverging from the sequential fold.
 		if v < a.min || (math.IsNaN(a.min) && !math.IsNaN(v)) {
@@ -186,12 +173,14 @@ func (a *aggState) add(v float64) {
 }
 
 // merge folds a later partial accumulation into a: a's rows all precede o's
-// (sharded ranges cover ascending rows), so the fold mirrors add's semantics —
-// an empty side is the identity, min/max comparisons match add's (NaN is the
+// (fragments cover ascending rows), so the fold mirrors add's semantics — an
+// empty side is the identity, min/max comparisons match add's (NaN is the
 // MIN/MAX identity in both directions), and sums add. Summation order
-// differs from the sequential fold only at range boundaries, so SUM/AVG are
-// bit-identical whenever the column's values accumulate exactly (integers,
-// quarters — true of every fixture this repo ships); COUNT/MIN/MAX always are.
+// differs from one sequential fold only at fragment boundaries, which the
+// table fixes: a sum's bits depend on where those lie, never on the workers.
+// Across different boundaries SUM/AVG agree bit for bit only when the
+// column's values accumulate exactly (integers, quarters); COUNT/MIN/MAX
+// always do.
 func (a *aggState) merge(o *aggState) {
 	if o.count == 0 {
 		return

@@ -161,7 +161,7 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 // rowSink is the push interface both sink kinds implement: matching rows go
 // in — one at a time (add), or a scanned segment's selection at once (addSel)
 // — so a batch executor can feed many plans from one shared scan; a later
-// shard's sink of the same plan folds in; the result relation comes out.
+// fragment's sink of the same plan folds in; the result relation comes out.
 type rowSink interface {
 	add(i int)
 	// addSel adds the rows of [lo, hi) whose bit (row - lo) is set in sel,
@@ -232,16 +232,33 @@ func gatherDecoded[W dataset.Code](codes []W, lut []float64, rows []int32, buf [
 	}
 }
 
+// groupChunkBits sets the groups one chunk of accumulators holds:
+// 1<<groupChunkBits.
+const (
+	groupChunkBits = 8
+	groupChunkMask = 1<<groupChunkBits - 1
+)
+
+// groupChunk is a run of up to 256 consecutive groups: each one's first
+// table row, and its accumulators, len(groupAcc.vals) per group. A chunk is
+// allocated at its full size and never grows, so no accumulator is ever
+// copied however many groups follow.
+type groupChunk struct {
+	rows []int32
+	aggs []aggState
+}
+
 // groupAcc is what every sink accumulates and finish consumes: table row
 // numbers, never cells — a projection's matching rows in scan order, or each
-// group's first row (in first-seen order) beside a slab of its accumulators.
+// group's first row (in first-seen order) beside its accumulators.
 type groupAcc struct {
-	p    *Plan
-	rows []int32
-	aggs []aggState        // len(p.aggCol) per group
-	fns  []minisql.AggFunc // per aggregate, its function
-	vals []numReader       // per aggregate, its column's cells; unused for COUNT(*)
-	most int               // bound on the groups there can be, when the sink knows one; else 0
+	p      *Plan
+	rows   []int32           // a projection's matching rows
+	groups []groupChunk      // an aggregation's groups, group g in chunk g>>groupChunkBits
+	n      int               // groups
+	fns    []minisql.AggFunc // per aggregate, its function
+	vals   []numReader       // per aggregate, its column's cells; unused for COUNT(*)
+	most   int               // bound on the groups there can be, when the sink knows one; else 0
 }
 
 func newGroupAcc(p *Plan) groupAcc {
@@ -259,31 +276,45 @@ func newGroupAcc(p *Plan) groupAcc {
 	return a
 }
 
-// newGroup appends a group first seen at row i, its accumulators empty. The
-// slab doubles when full, up to the sink's bound: append's 1.25x growth of a
-// large slice would copy a 10 000-group slab five times over.
+// newGroup appends a group first seen at row i, its accumulators empty. A
+// full chunk is followed by a new one of 256 groups, or of as many as the
+// sink's bound leaves: never presized past the groups that can still come.
 func (a *groupAcc) newGroup(i int) int32 {
-	a.rows = append(a.rows, int32(i))
-	na := len(a.vals)
-	if len(a.aggs)+na > cap(a.aggs) {
-		grown := 2*cap(a.aggs) + 16*na
+	g := a.n
+	if g&groupChunkMask == 0 {
+		size := 1 << groupChunkBits
 		if a.most > 0 {
-			grown = min(grown, a.most*na)
+			size = min(size, a.most-g)
 		}
-		a.aggs = append(make([]aggState, 0, grown), a.aggs...)
+		a.groups = append(a.groups, groupChunk{
+			rows: make([]int32, 0, size),
+			aggs: make([]aggState, 0, size*len(a.vals)),
+		})
 	}
-	a.aggs = a.aggs[:len(a.aggs)+na]
-	return int32(len(a.rows) - 1)
+	ch := &a.groups[len(a.groups)-1]
+	ch.rows = append(ch.rows, int32(i))
+	ch.aggs = ch.aggs[:len(ch.aggs)+len(a.vals)]
+	a.n++
+	return int32(g)
+}
+
+// acc returns aggregate k of group g.
+func (a *groupAcc) acc(g int32, k int) *aggState {
+	return &a.groups[g>>groupChunkBits].aggs[int(g&groupChunkMask)*len(a.vals)+k]
+}
+
+// firstRow returns the table row group g was first seen at.
+func (a *groupAcc) firstRow(g int) int32 {
+	return a.groups[g>>groupChunkBits].rows[g&groupChunkMask]
 }
 
 // fold adds row i to group g's accumulators.
 func (a *groupAcc) fold(g int32, i int) {
-	aggs := a.aggs[int(g)*len(a.vals):]
 	for k, c := range a.p.aggCol {
 		if c == nil {
-			aggs[k].add(0) // COUNT(*): only count matters
+			a.acc(g, k).add(0) // COUNT(*): only count matters
 		} else {
-			aggs[k].add(a.vals[k].at(i))
+			a.acc(g, k).add(a.vals[k].at(i))
 		}
 	}
 }
@@ -294,15 +325,13 @@ func (a *groupAcc) fold(g int32, i int) {
 // meet the arithmetic of aggState.add, so every result bit is fold's. buf is
 // scratch for len(rows) cells.
 func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
-	na := len(a.vals)
 	if len(rows) == 0 {
 		return
 	}
 	for k, fn := range a.fns {
-		aggs := a.aggs[k:] // aggregate k of group g is aggs[g*na]
 		if fn == minisql.AggCount {
 			for _, g := range gids {
-				aggs[int(g)*na].count++
+				a.acc(g, k).count++
 			}
 			continue
 		}
@@ -310,13 +339,13 @@ func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
 		switch fn {
 		case minisql.AggSum, minisql.AggAvg:
 			for j, g := range gids {
-				s := &aggs[int(g)*na]
+				s := a.acc(g, k)
 				s.sum += vals[j]
 				s.count++
 			}
 		case minisql.AggMin:
 			for j, g := range gids {
-				s, v := &aggs[int(g)*na], vals[j]
+				s, v := a.acc(g, k), vals[j]
 				if s.count == 0 || v < s.min || (s.min != s.min && v == v) {
 					s.min = v
 				}
@@ -324,7 +353,7 @@ func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
 			}
 		case minisql.AggMax:
 			for j, g := range gids {
-				s, v := &aggs[int(g)*na], vals[j]
+				s, v := a.acc(g, k), vals[j]
 				if s.count == 0 || v > s.max || (s.max != s.max && v == v) {
 					s.max = v
 				}
@@ -334,12 +363,11 @@ func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
 	}
 }
 
-// absorb folds group og of a later shard's accumulation into group g, which
-// keeps its first row: the globally earlier representative.
+// absorb folds group og of a later fragment's accumulation into group g,
+// which keeps its first row: the globally earlier representative.
 func (a *groupAcc) absorb(g int32, o *groupAcc, og int) {
-	na := len(a.vals)
-	for k := 0; k < na; k++ {
-		a.aggs[int(g)*na+k].merge(&o.aggs[og*na+k])
+	for k := range a.vals {
+		a.acc(g, k).merge(o.acc(int32(og), k))
 	}
 }
 
@@ -347,7 +375,7 @@ func (a *groupAcc) absorb(g int32, o *groupAcc, og int) {
 // row's group by hashing its key bytes.
 type planSink struct {
 	groupAcc
-	groups map[string]int32 // key bytes -> group number; nil for a projection
+	byKey  map[string]int32 // key bytes -> group number; nil for a projection
 	keyBuf []byte
 }
 
@@ -358,7 +386,7 @@ func (p *Plan) aggregates() bool { return len(p.aggCol) > 0 || len(p.q.GroupBy) 
 func (p *Plan) newSink() *planSink {
 	s := &planSink{groupAcc: newGroupAcc(p)}
 	if p.aggregates() {
-		s.groups = make(map[string]int32)
+		s.byKey = make(map[string]int32)
 		s.keyBuf = make([]byte, 0, 64)
 	}
 	return s
@@ -367,7 +395,7 @@ func (p *Plan) newSink() *planSink {
 // add feeds one matching row index into the sink.
 func (s *planSink) add(i int) {
 	p := s.p
-	if s.groups == nil {
+	if s.byKey == nil {
 		s.rows = append(s.rows, int32(i))
 		return
 	}
@@ -384,10 +412,10 @@ func (s *planSink) add(i int) {
 		}
 		s.keyBuf = append(s.keyBuf, 0xff)
 	}
-	g, ok := s.groups[string(s.keyBuf)]
+	g, ok := s.byKey[string(s.keyBuf)]
 	if !ok {
 		g = s.newGroup(i)
-		s.groups[string(s.keyBuf)] = g
+		s.byKey[string(s.keyBuf)] = g
 	}
 	s.fold(g, i)
 }
@@ -410,23 +438,24 @@ func (s *planSink) addSel(sel []uint64, lo, hi int) {
 	}
 }
 
-// mergeFrom folds a later shard's partial accumulation into s (the order
-// argument is gatherPartials'); key bytes hold the shared table's global codes.
+// mergeFrom folds a later fragment's partial accumulation into s (the order
+// argument is ExecuteBatch's gather); key bytes hold the shared table's global
+// codes.
 func (s *planSink) mergeFrom(other rowSink) {
 	o := other.(*planSink)
-	if s.groups == nil {
+	if s.byKey == nil {
 		s.rows = append(s.rows, o.rows...)
 		return
 	}
-	keys := make([]string, len(o.rows))
-	for key, g := range o.groups {
+	keys := make([]string, o.n)
+	for key, g := range o.byKey {
 		keys[g] = key
 	}
 	for og, key := range keys {
-		g, ok := s.groups[key]
+		g, ok := s.byKey[key]
 		if !ok {
-			g = s.newGroup(int(o.rows[og]))
-			s.groups[key] = g
+			g = s.newGroup(int(o.firstRow(og)))
+			s.byKey[key] = g
 		}
 		s.absorb(g, &o.groupAcc, og)
 	}
@@ -437,17 +466,23 @@ func (s *planSink) mergeFrom(other rowSink) {
 // matching rows are produced differs. A sink only holds rows a scan fed it,
 // so their segments are loaded.
 func (a *groupAcc) finish() *Result {
-	p, rows, aggs := a.p, a.rows, a.aggs
-	// An aggregate with no GROUP BY always yields exactly one row, even
-	// over an empty match set (SQL semantics).
-	if len(p.aggCol) > 0 && len(p.q.GroupBy) == 0 && len(rows) == 0 {
-		rows, aggs = []int32{-1}, make([]aggState, len(p.aggCol))
+	p, rows := a.p, a.rows
+	if p.aggregates() {
+		// An aggregate with no GROUP BY always yields exactly one row, even
+		// over an empty match set (SQL semantics).
+		if len(p.aggCol) > 0 && len(p.q.GroupBy) == 0 && a.n == 0 {
+			a.newGroup(-1)
+		}
+		rows = make([]int32, 0, a.n)
+		for _, ch := range a.groups {
+			rows = append(rows, ch.rows...)
+		}
 	}
 	res := &Result{Cols: p.cols, Vecs: make([]Vector, len(p.q.Select)), n: len(rows)}
 	ai := 0
 	for j, sel := range p.q.Select {
 		if sel.Agg != minisql.AggNone {
-			res.Vecs[j] = aggVector(sel.Agg, aggs, ai, len(p.aggCol))
+			res.Vecs[j] = a.aggVector(sel.Agg, ai)
 			ai++
 			continue
 		}
@@ -495,31 +530,30 @@ func gatherRows[T any](src []T, rows []int32) []T {
 	return out
 }
 
-// aggVector emits aggregate ai of every group (na accumulators per group):
-// COUNT as ints, the others as floats — NULL over no rows (SQL semantics),
-// which only the lone group of an aggregate without GROUP BY can be.
-func aggVector(f minisql.AggFunc, aggs []aggState, ai, na int) Vector {
-	n := len(aggs) / na
+// aggVector emits aggregate ai of every group: COUNT as ints, the others as
+// floats — NULL over no rows (SQL semantics), which only the lone group of an
+// aggregate without GROUP BY can be.
+func (a *groupAcc) aggVector(f minisql.AggFunc, ai int) Vector {
 	if f == minisql.AggCount {
-		v := Vector{Kind: dataset.KindInt, Ints: make([]int64, n)}
+		v := Vector{Kind: dataset.KindInt, Ints: make([]int64, a.n)}
 		for g := range v.Ints {
-			v.Ints[g] = aggs[g*na+ai].count
+			v.Ints[g] = a.acc(int32(g), ai).count
 		}
 		return v
 	}
-	v := Vector{Kind: dataset.KindFloat, Floats: make([]float64, n)}
+	v := Vector{Kind: dataset.KindFloat, Floats: make([]float64, a.n)}
 	for g := range v.Floats {
-		switch a := &aggs[g*na+ai]; {
-		case a.count == 0:
+		switch s := a.acc(int32(g), ai); {
+		case s.count == 0:
 			v.null = true
 		case f == minisql.AggSum:
-			v.Floats[g] = a.sum
+			v.Floats[g] = s.sum
 		case f == minisql.AggAvg:
-			v.Floats[g] = a.sum / float64(a.count)
+			v.Floats[g] = s.sum / float64(s.count)
 		case f == minisql.AggMin:
-			v.Floats[g] = a.min
+			v.Floats[g] = s.min
 		case f == minisql.AggMax:
-			v.Floats[g] = a.max
+			v.Floats[g] = s.max
 		}
 	}
 	return v
@@ -547,21 +581,21 @@ func groupPlansByTable(plans []*Plan) []*planGroup {
 	return out
 }
 
-// shardIndices deals the indices round-robin into at most par shards, so a
+// dealIndices deals the indices round-robin into at most par shares, so a
 // batch executor can bound its concurrency while heterogeneous plans stay
 // balanced.
-func shardIndices(idx []int, par int) [][]int {
+func dealIndices(idx []int, par int) [][]int {
 	if par < 1 {
 		par = 1
 	}
 	if par > len(idx) {
 		par = len(idx)
 	}
-	shards := make([][]int, par)
+	shares := make([][]int, par)
 	for k, i := range idx {
-		shards[k%par] = append(shards[k%par], i)
+		shares[k%par] = append(shares[k%par], i)
 	}
-	return shards
+	return shares
 }
 
 // checkBatch validates that every plan in a batch was prepared by db.

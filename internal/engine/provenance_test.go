@@ -86,14 +86,14 @@ func TestSkipProvenanceAttribution(t *testing.T) {
 	}
 }
 
-// TestSkipProvenanceMergesAcrossShards pins that a sharded store attributes
-// exactly the skips the one-range store does: range boundaries must not lose
-// or double-count any.
+// TestSkipProvenanceMergesAcrossShards pins that a fragmented store
+// attributes exactly the skips the one-fragment store does: fragment
+// boundaries must not lose or double-count any.
 func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 	const nseg = 4
 	tb := provTable(nseg)
 	col := NewColumnStore(tb)
-	sh := NewShardedStore(2, tb)
+	sh := evenStore(2, tb)
 	sqls := []string{
 		"SELECT COUNT(*) AS n FROM events WHERE day = 7",
 		"SELECT COUNT(*) AS n FROM events WHERE region = 'late'",
@@ -108,11 +108,11 @@ func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 	}
 	want, got := col.Stats("events").SkipProvenance, sh.Stats("events").SkipProvenance
 	if len(got) != len(want) {
-		t.Fatalf("sharded provenance = %v, want %v", got, want)
+		t.Fatalf("fragmented provenance = %v, want %v", got, want)
 	}
 	for a, n := range want {
 		if got[a] != n {
-			t.Errorf("sharded provenance[%+v] = %d, want %d", a, got[a], n)
+			t.Errorf("fragmented provenance[%+v] = %d, want %d", a, got[a], n)
 		}
 	}
 }
@@ -124,10 +124,10 @@ func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 func TestExecuteBatchHonorsCanceledContext(t *testing.T) {
 	tb := provTable(2)
 	stores := map[string]DB{
-		"row":     NewRowStore(tb),
-		"bitmap":  NewBitmapStore(tb),
-		"column":  NewColumnStore(tb),
-		"sharded": NewShardedStore(2, tb),
+		"row":        NewRowStore(tb),
+		"bitmap":     NewBitmapStore(tb),
+		"column":     NewColumnStore(tb),
+		"fragmented": evenStore(2, tb),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

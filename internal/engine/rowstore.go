@@ -81,7 +81,7 @@ func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, 
 	}
 	var shards [][]int // each a subset of one table's plans
 	for _, grp := range groupPlansByTable(plans) {
-		gs := shardIndices(grp.idx, s.parallelism())
+		gs := dealIndices(grp.idx, s.parallelism())
 		s.stats.queries.Add(int64(len(grp.idx)))
 		shards = append(shards, gs...)
 	}

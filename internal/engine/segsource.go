@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 
@@ -236,7 +237,38 @@ func markCodes(c *dataset.Column, z *ZoneData, nseg int) {
 }
 
 // markPresent sets, per segment, the presence bit of every code that occurs.
+// It marks a byte per code in a segment's scratch, then folds the bytes into
+// bits eight at a time: a store per row that depends on no earlier one,
+// where OR-ing into a bitset word makes each row wait on the last store to
+// that word. A dictionary wider than a segment keeps markEach, whose
+// scratch would outweigh the segment.
 func markPresent[W dataset.Code](codes []W, z *ZoneData) {
+	if z.Words*64 > SegmentSize {
+		markEach(codes, z)
+		return
+	}
+	seen := make([]byte, z.Words*64)
+	for lo := 0; lo < len(codes); lo += SegmentSize {
+		for _, code := range codes[lo:min(lo+SegmentSize, len(codes))] {
+			seen[code] = 1
+		}
+		words := z.Present[lo/SegmentSize*z.Words:][:z.Words]
+		for w := range words {
+			var word uint64
+			for k := 0; k < 8; k++ {
+				// Eight 0/1 bytes, byte i at bit 8i: the product puts byte
+				// i at bit 56+i, and no two partial products collide.
+				x := binary.LittleEndian.Uint64(seen[w*64+k*8:])
+				word |= (x * 0x0102040810204080 >> 56) << (8 * k)
+			}
+			words[w] = word
+		}
+		clear(seen)
+	}
+}
+
+// markEach is markPresent a row at a time.
+func markEach[W dataset.Code](codes []W, z *ZoneData) {
 	for i, code := range codes {
 		z.Present[(i/SegmentSize)*z.Words+int(code>>6)] |= 1 << (uint(code) & 63)
 	}

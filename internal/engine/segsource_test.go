@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -228,4 +229,53 @@ func TestMemSourceMatchesEagerStore(t *testing.T) {
 	if n := eager.Stats("nope").Segments; n != 0 {
 		t.Errorf("Segments(unknown) = %d, want 0", n)
 	}
+}
+
+// TestMarkPresentMatchesMarkEach pins markPresent's byte scratch against the
+// row-at-a-time markEach it replaces: random codes at every code width, over
+// dictionary sizes around each bitset word and the segment bound, in tables
+// that end mid-segment, give the same presence bitsets bit for bit.
+func TestMarkPresentMatchesMarkEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, card := range []int{1, 2, 63, 64, 65, 255, 256, 257, 4095, 4096, 4097, 70000} {
+		for _, rows := range []int{0, 1, 3*SegmentSize + 17} {
+			codes := make([]uint32, rows)
+			for i := range codes {
+				// Runs and gaps, so some codes are missing from a segment.
+				codes[i] = uint32(rng.Intn(card))
+				if i%5 != 0 && card > 8 {
+					codes[i] %= uint32(card / 8)
+				}
+			}
+			nseg := (rows + SegmentSize - 1) / SegmentSize
+			check := func(width string, mark, ref func(*ZoneData)) {
+				got := &ZoneData{Words: max((card+63)/64, 1)}
+				want := &ZoneData{Words: got.Words}
+				got.Present = make([]uint64, nseg*got.Words)
+				want.Present = make([]uint64, nseg*want.Words)
+				mark(got)
+				ref(want)
+				if !slices.Equal(got.Present, want.Present) {
+					t.Errorf("card %d, %d rows, %s codes: presence bitsets differ", card, rows, width)
+				}
+			}
+			if card <= 1<<8 {
+				c8 := narrow[uint8](codes)
+				check("U8", func(z *ZoneData) { markPresent(c8, z) }, func(z *ZoneData) { markEach(c8, z) })
+			}
+			if card <= 1<<16 {
+				c16 := narrow[uint16](codes)
+				check("U16", func(z *ZoneData) { markPresent(c16, z) }, func(z *ZoneData) { markEach(c16, z) })
+			}
+			check("U32", func(z *ZoneData) { markPresent(codes, z) }, func(z *ZoneData) { markEach(codes, z) })
+		}
+	}
+}
+
+func narrow[W uint8 | uint16](codes []uint32) []W {
+	out := make([]W, len(codes))
+	for i, c := range codes {
+		out[i] = W(c)
+	}
+	return out
 }

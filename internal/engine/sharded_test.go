@@ -12,11 +12,11 @@ import (
 	"repro/internal/minisql"
 )
 
-// shardMetrics builds a multi-segment table for sharding differentials:
-// region is clustered (contiguous runs, so zone maps prove shards empty for
-// equality predicates) and every measure is integer-valued, so SUM/AVG
-// accumulate exactly and sharded results must be byte-identical to the
-// unsharded scan. 50_000 rows = 13 segments.
+// shardMetrics builds a multi-segment table for fragment differentials:
+// region is clustered (contiguous runs, so zone maps prove fragments empty
+// for equality predicates) and every measure is integer-valued, so SUM/AVG
+// accumulate exactly and every fragment layout's results must be
+// byte-identical to one fragment's. 50_000 rows = 13 segments.
 func shardMetrics(rows int) *dataset.Table {
 	t := dataset.NewTable("metrics", []dataset.Field{
 		{Name: "region", Kind: dataset.KindString},
@@ -55,14 +55,14 @@ var shardQueries = []string{
 	"SELECT region, weight, SUM(value) AS s FROM metrics GROUP BY region ORDER BY region",
 }
 
-// TestShardedMatchesUnsharded is the core differential: for every shard
-// count, every query's sharded result must be identical — group order, row
-// order, every byte — to the unsharded column store's.
+// TestShardedMatchesUnsharded is the core merge differential: for every
+// fragment count, every query's result must be identical — group order, row
+// order, every byte — to the one-fragment column store's.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	tb := shardMetrics(50_000)
 	ref := NewColumnStore(tb)
 	for _, n := range []int{1, 2, 3, 4, 8, 64} {
-		db := NewShardedStore(n, tb)
+		db := evenStore(n, tb)
 		db.SetParallelism(4)
 		for _, q := range shardQueries {
 			want, err := execSQL(ref, q)
@@ -71,23 +71,24 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			}
 			got, err := execSQL(db, q)
 			if err != nil {
-				t.Fatalf("shards=%d %q: %v", n, q, err)
+				t.Fatalf("fragments=%d %q: %v", n, q, err)
 			}
 			if err := sameResult(got, want); err != nil {
-				t.Fatalf("shards=%d %q: %v", n, q, err)
+				t.Fatalf("fragments=%d %q: %v", n, q, err)
 			}
 		}
 	}
 }
 
 // TestShardedBatchMatchesUnsharded scatters the whole query set as one
-// batch — the path the serving coalescer takes — and spans two tables so the
-// scatter covers multiple table groups in one call.
+// batch — the path the serving coalescer takes — over fragmented tables,
+// and spans two tables so the scatter covers multiple table groups in one
+// call.
 func TestShardedBatchMatchesUnsharded(t *testing.T) {
 	tb := shardMetrics(50_000)
 	other := salesTable()
 	ref := NewColumnStore(tb, other)
-	db := NewShardedStore(3, tb, other)
+	db := evenStore(3, tb, other)
 	db.SetParallelism(4)
 	queries := append([]string{}, shardQueries...)
 	queries = append(queries,
@@ -119,21 +120,21 @@ func TestShardedBatchMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedUnevenSplit pins the NewShardedStoreAt contract: deliberately
-// lopsided cuts, including an empty middle range, still gather to the exact
-// unsharded result (an empty range merges as the identity).
+// TestShardedUnevenSplit pins the NewColumnStoreAt contract: deliberately
+// lopsided cuts, including an empty middle fragment, still gather to the
+// exact one-fragment result (an empty fragment merges as the identity).
 func TestShardedUnevenSplit(t *testing.T) {
 	tb := shardMetrics(50_000)
 	ref := NewColumnStore(tb)
 	src := NewMemSource(tb)
 	nseg := src.NumSegments()
 	for _, cuts := range [][]int{
-		{1, 1},                 // empty middle shard
-		{0, nseg},              // empty first and last shards
+		{1, 1},                 // empty middle fragment
+		{0, nseg},              // empty first and last fragments
 		{1, nseg - 1},          // tiny edges, fat middle
-		{nseg / 4, nseg/4 + 1}, // one-segment middle shard
+		{nseg / 4, nseg/4 + 1}, // one-segment middle fragment
 	} {
-		db := NewShardedStoreAt(NewMemSource(tb), cuts...)
+		db := NewColumnStoreAt(NewMemSource(tb), cuts...)
 		db.SetParallelism(4)
 		for _, q := range shardQueries {
 			want, err := execSQL(ref, q)
@@ -151,8 +152,8 @@ func TestShardedUnevenSplit(t *testing.T) {
 	}
 }
 
-// TestShardedEmptyTable covers the degenerate split: zero segments yield one
-// empty shard, and aggregate semantics (COUNT 0, NULL elsewhere) survive the
+// TestShardedEmptyTable covers the degenerate split: zero segments in empty
+// fragments, and aggregate semantics (COUNT 0, NULL elsewhere) survive the
 // gather.
 func TestShardedEmptyTable(t *testing.T) {
 	tb := dataset.NewTable("metrics", []dataset.Field{
@@ -160,7 +161,7 @@ func TestShardedEmptyTable(t *testing.T) {
 		{Name: "value", Kind: dataset.KindFloat},
 	})
 	ref := NewColumnStore(tb)
-	db := NewShardedStore(4, tb)
+	db := evenStore(4, tb)
 	for _, q := range []string{
 		"SELECT COUNT(*) AS n FROM metrics",
 		"SELECT SUM(value) AS s FROM metrics",
@@ -181,42 +182,51 @@ func TestShardedEmptyTable(t *testing.T) {
 	}
 }
 
-// TestShardedRangeShapes pins how the sharded constructors cut a table:
-// even splits capped at the segment count (an empty or non-positive count is
-// one range), contiguous and covering, and explicit cuts that are out of
-// order or out of bounds panic.
+// TestShardedRangeShapes pins how a table is cut: fragments of the fixed
+// size from segment 0, the last one shorter, contiguous and covering; one
+// fragment when the table fits in one (an empty table's is empty); and
+// explicit cuts that are out of order or out of bounds panic.
 func TestShardedRangeShapes(t *testing.T) {
 	tb := shardMetrics(50_000)
 	nseg := NewMemSource(tb).NumSegments()
 	if nseg != 13 {
 		t.Fatalf("nseg = %d, want 13", nseg)
 	}
-	for _, c := range []struct{ n, want int }{
-		{1, 1}, {3, 3}, {13, 13}, {64, 13}, {0, 1}, {-2, 1},
+	empty := dataset.NewTable("metrics", []dataset.Field{{Name: "v", Kind: dataset.KindFloat}})
+	for _, c := range []struct {
+		size int
+		tb   *dataset.Table
+		want []fragment
+	}{
+		{FragmentSegments, tb, []fragment{{0, 13}}},
+		{5, tb, []fragment{{0, 5}, {5, 10}, {10, 13}}},
+		{13, tb, []fragment{{0, 13}}},
+		{1, tb, nil},
+		{5, empty, []fragment{{0, 0}}},
 	} {
-		ranges := NewShardedStore(c.n, tb).cols["metrics"].ranges
-		if len(ranges) != c.want {
-			t.Fatalf("NewShardedStore(%d): %d ranges, want %d", c.n, len(ranges), c.want)
-		}
-		prevHi := 0
-		for _, r := range ranges {
-			if r.lo != prevHi || r.hi < r.lo {
-				t.Fatalf("NewShardedStore(%d): non-contiguous range [%d,%d) after %d", c.n, r.lo, r.hi, prevHi)
+		prev := SetFragmentSegments(c.size)
+		frags := NewColumnStore(c.tb).cols["metrics"].frags
+		SetFragmentSegments(prev)
+		if c.want == nil {
+			for i := range nseg {
+				c.want = append(c.want, fragment{i, i + 1})
 			}
-			prevHi = r.hi
 		}
-		if prevHi != nseg {
-			t.Fatalf("NewShardedStore(%d): ranges end at %d of %d segments", c.n, prevHi, nseg)
+		if fmt.Sprint(frags) != fmt.Sprint(c.want) {
+			t.Errorf("fragments of %d segments over %d rows = %v, want %v", c.size, c.tb.NumRows(), frags, c.want)
 		}
+	}
+	if got := SetFragmentSegments(0); got != FragmentSegments {
+		t.Errorf("fragment size left at %d, want %d", got, FragmentSegments)
 	}
 	for _, bad := range [][]int{{-1}, {5, 3}, {nseg + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewShardedStoreAt(%v) should panic", bad)
+					t.Errorf("NewColumnStoreAt(%v) should panic", bad)
 				}
 			}()
-			NewShardedStoreAt(NewMemSource(tb), bad...)
+			NewColumnStoreAt(NewMemSource(tb), bad...)
 		}()
 	}
 }
@@ -248,10 +258,11 @@ func (p *panicSource) Load(seg int, cols ColumnSet) error {
 }
 
 // TestShardedErrorSelectionDeterministic injects load failures into two
-// different shards and asserts the gather always reports the lowest shard
-// index's error — the scatter-pool mirror of the process pool's
-// lowest-index convention — no matter how the workers race. The one-range
-// store's single walk meets the lower segment first and must agree.
+// different fragments and asserts the gather always reports the lowest
+// fragment's error — the scatter-pool mirror of the process pool's
+// lowest-index convention — no matter how the workers race. The
+// one-fragment store's single walk meets the lower segment first and must
+// agree.
 func TestShardedErrorSelectionDeterministic(t *testing.T) {
 	tb := shardMetrics(50_000)
 	errLow := errors.New("disk failure in segment 5")
@@ -260,8 +271,8 @@ func TestShardedErrorSelectionDeterministic(t *testing.T) {
 		SegmentSource: NewMemSource(tb),
 		failAt:        map[int]error{5: errLow, 9: errHigh},
 	}
-	// Cuts [4, 8]: segment 5 lands in shard 1, segment 9 in shard 2.
-	for _, db := range []*ColumnStore{NewShardedStoreAt(src, 4, 8), NewColumnStoreFromSource(src)} {
+	// Cuts [4, 8]: segment 5 lands in fragment 1, segment 9 in fragment 2.
+	for _, db := range []*ColumnStore{NewColumnStoreAt(src, 4, 8), NewColumnStoreFromSource(src)} {
 		db.SetParallelism(4)
 		p, err := prepareSQL(db, "SELECT COUNT(*) AS n FROM metrics")
 		if err != nil {
@@ -273,19 +284,20 @@ func TestShardedErrorSelectionDeterministic(t *testing.T) {
 				t.Fatalf("%s: want error", db.Name())
 			}
 			if !errors.Is(err, errLow) {
-				t.Fatalf("%s trial %d: got %v, want the lowest shard's error", db.Name(), trial, err)
+				t.Fatalf("%s trial %d: got %v, want the lowest fragment's error", db.Name(), trial, err)
 			}
 			if errors.Is(err, errHigh) {
-				t.Fatalf("%s trial %d: higher shard's error leaked: %v", db.Name(), trial, err)
+				t.Fatalf("%s trial %d: higher fragment's error leaked: %v", db.Name(), trial, err)
 			}
 		}
 	}
 }
 
-// TestShardedPanicContainment injects a panic into one shard's scan: it must
-// surface as that shard's error, not kill the process — and a lower shard's
-// plain error still outranks a higher shard's panic. The one-range store
-// contains panics the same way: its scan jobs run on the same pool.
+// TestShardedPanicContainment injects a panic into one fragment's scan: it
+// must surface as that job's error, not kill the process — and a lower
+// fragment's plain error still outranks a higher fragment's panic. The
+// one-fragment store contains panics the same way: its scan jobs run on the
+// same pool.
 func TestShardedPanicContainment(t *testing.T) {
 	tb := shardMetrics(50_000)
 	src := &panicSource{SegmentSource: NewMemSource(tb), panicAt: 9}
@@ -295,7 +307,7 @@ func TestShardedPanicContainment(t *testing.T) {
 		panicAt:       9,
 	}
 	stores := func(src SegmentSource) []*ColumnStore {
-		return []*ColumnStore{NewShardedStoreAt(src, 4, 8), NewColumnStoreFromSource(src)}
+		return []*ColumnStore{NewColumnStoreAt(src, 4, 8), NewColumnStoreFromSource(src)}
 	}
 	for _, db := range stores(src) {
 		db.SetParallelism(4)
@@ -308,76 +320,35 @@ func TestShardedPanicContainment(t *testing.T) {
 		db.SetParallelism(4)
 		_, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics")
 		if err == nil || !errors.Is(err, errLow) {
-			t.Fatalf("%s: got %v, want lower shard's error to outrank the panic", db.Name(), err)
+			t.Fatalf("%s: got %v, want lower fragment's error to outrank the panic", db.Name(), err)
 		}
 	}
 }
 
-// TestShardedPerShardCounters checks the per-shard observability: segment
-// ownership, scan/skip/load totals per shard, and their consistency with the
-// store-wide counters.
-func TestShardedPerShardCounters(t *testing.T) {
-	tb := shardMetrics(50_000)
-	db := NewShardedStore(3, tb)
-	db.SetParallelism(4)
-	if st := db.Stats("metrics"); len(st.Ranges) != 3 || st.Segments != 13 {
-		t.Fatalf("%d ranges over %d segments, want 3 over 13", len(st.Ranges), st.Segments)
-	}
-	if db.Stats("nope").Ranges != nil {
-		t.Fatal("unknown table should report nil ranges")
-	}
-	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics"); err != nil {
-		t.Fatal(err)
-	}
-	st := db.Stats("metrics")
-	stats := st.Ranges
-	if len(stats) != 3 {
-		t.Fatalf("%d shard stats", len(stats))
-	}
-	var segs, rows, loads int64
-	for _, sc := range stats {
-		segs += int64(sc.Segments)
-		rows += sc.RowsScanned
-		loads += sc.SegmentLoads
-	}
-	if segs != 13 {
-		t.Fatalf("shard segments sum to %d, want 13", segs)
-	}
-	if rows != 50_000 {
-		t.Fatalf("shard rows scanned sum to %d, want 50000", rows)
-	}
-	if loads != 13 {
-		t.Fatalf("full scan loaded %d segments, want 13", loads)
-	}
-	if st.RowsScanned != rows || st.SegmentLoads != loads {
-		t.Fatalf("store counters %d rows, %d loads vs shard sums %d, %d", st.RowsScanned, st.SegmentLoads, rows, loads)
-	}
-}
-
 // TestShardedSkipKeepsSegmentsUnloaded proves pruning composes with
-// sharding: a clustered equality touches only the early shards, the tail
-// shard's zone maps prove every segment empty, and its loads stay at zero.
+// fragments: a clustered equality touches only the early fragments, the tail
+// fragment's zone maps prove every segment empty, and none of its segments
+// loads.
 func TestShardedSkipKeepsSegmentsUnloaded(t *testing.T) {
 	tb := shardMetrics(50_000)
-	db := NewShardedStore(3, tb)
+	db := evenStore(3, tb)
 	db.SetParallelism(4)
 	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics WHERE region = 'north'"); err != nil {
 		t.Fatal(err)
 	}
-	stats := db.Stats("metrics").Ranges
-	var loads, skipped int64
-	for _, sc := range stats {
-		loads += sc.SegmentLoads
-		skipped += sc.SegmentsSkipped
+	st := db.Stats("metrics")
+	if st.SegmentLoads >= 13 {
+		t.Fatalf("clustered equality loaded all %d segments", st.SegmentLoads)
 	}
-	if loads >= 13 {
-		t.Fatalf("clustered equality loaded all %d segments", loads)
-	}
-	if skipped == 0 {
+	if st.SegmentsSkipped == 0 {
 		t.Fatal("no segments skipped")
 	}
-	if tail := stats[2]; tail.SegmentLoads != 0 || tail.RowsScanned != 0 {
-		t.Fatalf("tail shard should be fully pruned, got %+v", tail)
+	ct := db.cols["metrics"]
+	tail := ct.frags[2]
+	for seg := tail.lo; seg < tail.hi; seg++ {
+		if ct.loaded[seg].Load() {
+			t.Fatalf("tail fragment %v should be fully pruned, segment %d loaded", tail, seg)
+		}
 	}
 }
 

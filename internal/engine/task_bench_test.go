@@ -13,7 +13,7 @@ import (
 
 // BenchmarkTaskScan is the query a front-end task compiles to — every
 // product's (year, AVG(revenue)) series under two range filters — over a
-// one-shard column store: the fold and the (product, year) ORDER BY of a
+// one-fragment column store: the fold and the (product, year) ORDER BY of a
 // 10 000-group result dominate it.
 func BenchmarkTaskScan(b *testing.B) {
 	const products = 500

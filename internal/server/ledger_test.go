@@ -22,11 +22,11 @@ import (
 )
 
 // The counted-work ledger (ROADMAP 5(d)): a fixed script of /spec and /query
-// requests, served cold then warm over one seeded fixture in three setups,
+// requests, served cold then warm over one seeded fixture in two setups,
 // with every counted quantity fixed — /stats engine counters, skip
-// provenance, planner counters, per-shard totals, pool capacity, cache
-// hits/misses/evictions — and the sha256 of every response body with its two
-// wall-clock fields blanked. Wall clock cannot be gated on a shared box;
+// provenance, planner counters, pool capacity, cache hits/misses/evictions —
+// and the sha256 of every response body with its two wall-clock fields
+// blanked. Wall clock cannot be gated on a shared box;
 // counted work on an identical request sequence can. A change that moves a
 // number rewrites testdata/ledger.golden and says why:
 //
@@ -38,7 +38,7 @@ var updateLedger = flag.Bool("update-ledger", false, "rewrite testdata/ledger.go
 // contiguous runs so zone maps prove segments empty on the CSV setups, city
 // random so the compacted file (clustered on city) skips on a different
 // column. Revenue is fractional on purpose: the pins hold float summation
-// order fixed, shard boundaries included.
+// order fixed, fragment boundaries included.
 func ledgerTable() *dataset.Table {
 	t := dataset.NewTable("sales", []dataset.Field{
 		{Name: "product", Kind: dataset.KindString},
@@ -147,12 +147,17 @@ f1   | 'year' | 'profit' | v1 <- 'city'.* | product LIKE 'product0%' | bar.(y=ag
 type ledgerSetup struct {
 	name string
 	reg  *Registry
+	// twin names the setup whose answers this one must give, hash for hash;
+	// a twin's lines are checked, not written.
+	twin string
 }
 
-// ledgerSetups registers the fixture three ways: CSV under the auto backend
-// unsharded and with three shards, and a city-compacted .zpack with three
-// shards. Scan and process parallelism are fixed so counts don't follow the
-// host's core count.
+// ledgerSetups registers the fixture two ways, CSV under the auto backend
+// and a city-compacted .zpack, plus the CSV at one scan worker and at
+// Config.Shards 3 as a twin of the CSV: a served answer depends on the file
+// alone. Scan and process parallelism are fixed so counts don't follow the
+// host's core count. The compacted file keeps answers of its own: its rows
+// are in another order, so its float sums are too (ROADMAP item 8).
 func ledgerSetups(t *testing.T) []ledgerSetup {
 	t.Helper()
 	dir := t.TempDir()
@@ -165,28 +170,25 @@ func ledgerSetups(t *testing.T) []ledgerSetup {
 	if _, err := compact.File(packPath, compact.Options{Cols: []string{"city"}}); err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Seed: 7}
 	var out []ledgerSetup
-	add := func(name string, load func(*Registry) error) {
+	add := func(name, twin string, workers int, load func(*Registry) error) {
 		reg := NewRegistry()
 		if err := load(reg); err != nil {
 			t.Fatal(err)
 		}
-		pinScanWorkers(reg.Get("sales"), 2)
-		out = append(out, ledgerSetup{name, reg})
+		pinScanWorkers(reg.Get("sales"), workers)
+		out = append(out, ledgerSetup{name, reg, twin})
 	}
-	for _, shards := range []int{1, 3} {
-		cfg := base
-		cfg.Backend, cfg.Shards = "auto", shards
-		add(fmt.Sprintf("csv-auto-shards%d", shards), func(r *Registry) error {
+	csv := func(cfg Config) func(*Registry) error {
+		return func(r *Registry) error {
 			_, err := r.LoadCSV("sales", csvPath, cfg)
 			return err
-		})
+		}
 	}
-	add("zpack-shards3", func(r *Registry) error {
-		cfg := base
-		cfg.Shards = 3
-		_, err := r.AddZpack("sales", packPath, cfg)
+	add("csv", "", 2, csv(Config{Backend: "auto", Seed: 7}))
+	add("csv-width1-shards3", "csv", 1, csv(Config{Backend: "auto", Seed: 7, Shards: 3}))
+	add("zpack-city", "", 2, func(r *Registry) error {
+		_, err := r.AddZpack("sales", packPath, Config{Seed: 7})
 		return err
 	})
 	return out
@@ -205,7 +207,7 @@ var timingField = regexp.MustCompile(`"(queryTimeMs|processTimeMs)":[^,}]*`)
 // ledgerStatsKeys are the /stats members the ledger pins, in output order.
 var ledgerStatsKeys = []string{
 	"queries", "rowsScanned", "segmentsScanned", "segmentsSkipped", "segmentLoads",
-	"skipProvenance", "planner", "shards", "pool",
+	"skipProvenance", "planner", "pool",
 }
 
 func TestCountedWorkLedger(t *testing.T) {
@@ -213,20 +215,29 @@ func TestCountedWorkLedger(t *testing.T) {
 	// counts follow how fast the bound tightens across workers.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	script := ledgerScript()
-	var b, answers strings.Builder
+	var ledger, answers strings.Builder
+	answerOf := map[string][32]byte{} // by setup, pass and request
 	for _, setup := range ledgerSetups(t) {
+		b, ans := &ledger, &answers
+		if setup.twin != "" {
+			b, ans = new(strings.Builder), new(strings.Builder) // checked, not written
+		}
 		ts := httptest.NewServer(New(setup.reg))
 		_, raw := get(t, ts.URL+"/datasets")
-		fmt.Fprintf(&b, "%s datasets %s\n", setup.name, bytes.TrimSpace(raw))
+		fmt.Fprintf(b, "%s datasets %s\n", setup.name, bytes.TrimSpace(raw))
 		for _, pass := range []string{"cold", "warm"} {
 			for i, r := range script {
 				resp, raw := post(t, ts.URL+r.path, r.body)
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("%s %s #%d %s: status %d: %s", setup.name, pass, i, r.path, resp.StatusCode, raw)
 				}
-				sum := sha256.Sum256(timingField.ReplaceAll(raw, []byte(`"$1":0`)))
-				fmt.Fprintf(&b, "%s %s %02d %s %x\n", setup.name, pass, i, r.path, sum)
-				fmt.Fprintf(&answers, "%s %s %02d %s %x\n", setup.name, pass, i, r.path, answerHash(t, raw))
+				sum, answer := sha256.Sum256(timingField.ReplaceAll(raw, []byte(`"$1":0`))), answerHash(t, raw)
+				answerOf[fmt.Sprint(setup.name, pass, i)] = answer
+				if setup.twin != "" && answer != answerOf[fmt.Sprint(setup.twin, pass, i)] {
+					t.Errorf("%s %s #%d %s: answer differs from %s's", setup.name, pass, i, r.path, setup.twin)
+				}
+				fmt.Fprintf(b, "%s %s %02d %s %x\n", setup.name, pass, i, r.path, sum)
+				fmt.Fprintf(ans, "%s %s %02d %s %x\n", setup.name, pass, i, r.path, answer)
 			}
 			_, raw := get(t, ts.URL+"/stats")
 			var st struct {
@@ -241,18 +252,18 @@ func TestCountedWorkLedger(t *testing.T) {
 				if v == nil {
 					v = json.RawMessage("-")
 				}
-				fmt.Fprintf(&b, "%s %s %s %s\n", setup.name, pass, k, v)
+				fmt.Fprintf(b, "%s %s %s %s\n", setup.name, pass, k, v)
 			}
 			var cache CacheStats
 			if err := json.Unmarshal(ds["cache"], &cache); err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, "%s %s cache hits=%d misses=%d evictions=%d\n",
+			fmt.Fprintf(b, "%s %s cache hits=%d misses=%d evictions=%d\n",
 				setup.name, pass, cache.Hits, cache.Misses, cache.Evictions)
 		}
 		ts.Close()
 	}
-	checkLedgerFile(t, "ledger.golden", b.String())
+	checkLedgerFile(t, "ledger.golden", ledger.String())
 	checkLedgerFile(t, "ledger_answers.golden", answers.String())
 }
 

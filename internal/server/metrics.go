@@ -201,26 +201,15 @@ func newMetrics(reg *Registry) *metrics {
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.HTTP.Timeouts))
 		})
-	perDataset("zen_shard_pool_busy",
-		"Shard scans in flight on the scatter pool (sharded datasets).", "gauge",
+	perDataset("zen_scan_pool_busy",
+		"Scan jobs (a fragment for a share of a batch's plans) running now.", "gauge",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Pool != nil {
-				emit(float64(s.Pool.Busy))
-			}
+			emit(float64(s.Pool.Busy))
 		})
-	perDataset("zen_shard_pool_capacity",
-		"Scatter pool capacity (sharded datasets).", "gauge",
+	perDataset("zen_scan_pool_capacity",
+		"The scan workers one batch may use.", "gauge",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Pool != nil {
-				emit(float64(s.Pool.Capacity))
-			}
-		})
-	perDataset("zen_shard_rows_scanned_total",
-		"Rows scanned per segment shard (sharded datasets).", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			for i, sh := range s.Shards {
-				emit(float64(sh.RowsScanned), obsv.Label{Key: "shard", Value: strconv.Itoa(i)})
-			}
+			emit(float64(s.Pool.Capacity))
 		})
 	perDataset("zen_plans_planned_total",
 		"Multi-conjunct plans the greedy conjunct planner scored.", "counter",

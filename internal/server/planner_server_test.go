@@ -22,10 +22,10 @@ NAME | X      | Y         | Z                 | CONSTRAINTS
 // reference session, planner counters on /stats, and the two planner series
 // on /metrics.
 func TestAutoBackendThroughServer(t *testing.T) {
-	// Unsharded: workload.Sales has fractional measures, and byte-identity
-	// across shard merges holds only for exact (integer/dyadic) sums — see
-	// exactSalesTable. The engine-level differential fuzzer covers the
-	// sharded column store on exact data.
+	// One fragment, as the row store walks it: workload.Sales has fractional
+	// measures, and byte-identity across fragment merges holds only for
+	// exact (integer/dyadic) sums — see exactSalesTable. The engine-level
+	// differential fuzzer covers fragmented column stores on exact data.
 	ts, reg := newTestServer(t, Config{Backend: "auto"})
 	ref := referenceSession(t)
 

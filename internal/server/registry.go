@@ -10,7 +10,7 @@
 // Stacking, per dataset, bottom to top:
 //
 //	engine.ColumnStore                  one immutable store, shared read-only, over
-//	                                    a zpack reader; split into segment shards
+//	                                    a zpack reader; cut into fixed-size fragments
 //	                                    scanned in parallel
 //	  batcher                           queued submissions fold into one store ExecuteBatch
 //	    servingDB                       the one engine.DB adapter: hits answered from the
@@ -76,10 +76,10 @@ type Config struct {
 	// arrivals are shed with 429: 0 means DefaultMaxQueue, negative disables
 	// shedding (unbounded queue).
 	MaxQueue int
-	// Shards splits the dataset into N contiguous segment shards whose scans
-	// scatter across the worker pool and merge at a gather point, results
-	// unchanged (docs/ARCHITECTURE.md, "Sharded scatter-gather"). <= 1 means
-	// unsharded. Effective shard count is capped by the segment count.
+	// Shards is ignored: the column store cuts every table into fragments
+	// whose size the data fixes (docs/ARCHITECTURE.md, "Fragments"). Only the
+	// benchmark module still sets it; the benchmark's catch-up (ROADMAP item
+	// 4) deletes it.
 	Shards int
 }
 
@@ -203,10 +203,6 @@ func (d *Dataset) Opt() zexec.OptLevel { return d.opt }
 // Segments returns the zone-map segment count of the dataset's store.
 func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
 
-// ShardCount returns the store's segment shard count for this dataset, or 0
-// when the store is unsharded.
-func (d *Dataset) ShardCount() int { return len(d.store.Stats(d.table.Name).Ranges) }
-
 // ResidentBytes returns the memory the dataset's loaded column data holds:
 // the blocks its reader has in place now, at their width in memory
 // (zpack.Reader.ResidentBytes).
@@ -247,16 +243,9 @@ type DatasetStats struct {
 	// Planner reports the conjunct planner's activity: plans that went
 	// through scoring and plans whose conjunct order actually changed.
 	Planner *PlannerStats `json:"planner,omitempty"`
-	// Pool is present only on sharded datasets: the scatter pool's
-	// in-flight shard scans against its capacity.
+	// Pool is the scan pool: the scan jobs in flight against the worker
+	// bound of one batch.
 	Pool *engine.PoolStats `json:"pool,omitempty"`
-	// Shards is present only on sharded datasets: each shard's share of the
-	// scan work, in shard order. The store-wide counters above are the sums.
-	// A shard's segmentLoads, like the dataset's, counts distinct segments
-	// it has materialized — for zpack, read from disk unless an earlier
-	// snapshot had; a shard whose zone maps keep proving its segments empty
-	// stays at zero.
-	Shards []engine.RangeStats `json:"shards,omitempty"`
 	// Compaction is present only on zpack-backed datasets: the re-clustering
 	// lifecycle counters (docs/OPERATIONS.md, "Compaction").
 	Compaction *CompactionStats `json:"compaction,omitempty"`
@@ -356,7 +345,6 @@ func (d *Dataset) Stats() DatasetStats {
 		}
 	}
 	return DatasetStats{
-		Shards:          st.Ranges,
 		Compaction:      compaction,
 		Backend:         d.backend,
 		Rows:            d.table.NumRows(),
@@ -485,20 +473,14 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 // newDataset assembles the serving stack — store, cache, coalescer, session
 // — around a zpack reader's table, registered as name, answering from cache,
 // or from a new cache when it is nil. The store is the column executor over
-// the reader's segments, sharded when the config asks for it: shards are
-// segment ranges over the same reader, so a file is never rewritten and
-// lazily-skipped segments are still never read from disk. Every swap
-// rebuilds through this constructor, so appended segments land in the
-// re-split tail shard's range.
+// the reader's segments, cut into fragments over the same reader, so a file
+// is never rewritten and lazily-skipped segments are still never read from
+// disk. Every swap rebuilds through this constructor, so appended segments
+// land in the tail fragment or in new ones after it.
 func newDataset(name string, reader *zpack.Reader, backend string, cfg Config, cache *ResultCache) (*Dataset, error) {
 	t := reader.Table()
 	t.Name = name
-	var store engine.DB
-	if cfg.Shards > 1 {
-		store = engine.NewShardedStoreFromSource(cfg.Shards, reader)
-	} else {
-		store = engine.NewColumnStoreFromSource(reader)
-	}
+	store := engine.NewColumnStoreFromSource(reader)
 	opt := zexec.InterTask
 	if cfg.Opt != "" {
 		var err error
@@ -706,7 +688,7 @@ func (r *Registry) release(name string) {
 // Counter continuity: every /stats and /metrics counter stays exact and
 // monotonic across the swap. HTTP, process and compaction counters, the
 // engine counters (rows and segments scanned, skipped and loaded, plans,
-// skip provenance, per shard as well) and the coalescer counters are shared
+// skip provenance) and the coalescer counters are shared
 // cells the successor adopts from d, so what queries still running on d add
 // lands in them too; a fresh cache inherits d's counters, with d's entries
 // counted as evictions. Only the session's history restarts.

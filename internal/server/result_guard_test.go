@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -75,7 +76,9 @@ func TestResultSizeGuard(t *testing.T) {
 // warmSpecAllocs registers the guard's sales table, posts spec twice — the
 // second time its statements are all cache hits — and returns what one more
 // post allocates, in bytes and objects: the mean over 20 posts, so an
-// allocation that only some posts make still counts.
+// allocation that only some posts make still counts, and of 5 such means the
+// median, since where one garbage collection falls moves a mean in ~20 kB
+// steps between runs of the same code.
 func warmSpecAllocs(t *testing.T, spec SpecJSON) (bytesPer, objsPer float64) {
 	t.Helper()
 	reg := NewRegistry()
@@ -97,14 +100,21 @@ func warmSpecAllocs(t *testing.T, spec SpecJSON) (bytesPer, objsPer float64) {
 	}
 	post() // fills the cache
 	post()
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		post()
+	const posts, means = 20, 5
+	var bytesMeans, objsMeans []float64
+	for range means {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range posts {
+			post()
+		}
+		runtime.ReadMemStats(&after)
+		bytesMeans = append(bytesMeans, float64(after.TotalAlloc-before.TotalAlloc)/posts)
+		objsMeans = append(objsMeans, float64(after.Mallocs-before.Mallocs)/posts)
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+	slices.Sort(bytesMeans)
+	slices.Sort(objsMeans)
+	return bytesMeans[means/2], objsMeans[means/2]
 }
 
 // raceEnabled is set in race builds (race_test.go).

@@ -469,7 +469,6 @@ type DatasetInfo struct {
 	Rows       int          `json:"rows"`
 	TableBytes int64        `json:"tableBytes"` // dataset.Table.SizeBytes: column arrays and dictionaries
 	Segments   int          `json:"segments"`
-	Shards     int          `json:"shards,omitempty"`
 	Appendable bool         `json:"appendable"`
 	Opt        string       `json:"opt"`
 	Columns    []ColumnInfo `json:"columns"`
@@ -487,7 +486,6 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 			Rows:       d.table.NumRows(),
 			TableBytes: d.table.SizeBytes(),
 			Segments:   d.Segments(),
-			Shards:     d.ShardCount(),
 			Appendable: d.Appendable(),
 			Opt:        d.Opt().String(),
 		}

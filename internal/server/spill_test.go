@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 )
 
 // writeCSV writes tb as the CSV file path.
@@ -43,23 +44,24 @@ func assertOnlyFile(t *testing.T, dir, name string) {
 
 // TestLoadCSVSpills: a CSV is served from its spill beside it — every
 // ledger request answered with the bytes the same table registered through
-// AddTable answers, unsharded and over three shards, nothing left in the
-// CSV's directory while it serves or after, and only the columns queries
-// read resident.
+// AddTable answers, in one fragment and in three, nothing left in the CSV's
+// directory while it serves or after, and only the columns queries read
+// resident.
 func TestLoadCSVSpills(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "sales.csv")
 	writeCSV(t, csvPath, ledgerTable())
-	for _, shards := range []int{1, 3} {
-		cfg := Config{Backend: "auto", Shards: shards, Seed: 7}
+	for _, size := range []int{engine.FragmentSegments, 2} { // 6 segments: 1 and 3 fragments
+		prev := engine.SetFragmentSegments(size)
+		cfg := Config{Backend: "auto", Seed: 7}
 		spilled, added := NewRegistry(), NewRegistry()
 		d, err := spilled.LoadCSV("sales", csvPath, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !d.Spilled() || d.Appendable() || d.Backend() != "auto" {
-			t.Fatalf("shards %d: spilled %v, appendable %v, backend %q", shards, d.Spilled(), d.Appendable(), d.Backend())
+			t.Fatalf("fragments of %d: spilled %v, appendable %v, backend %q", size, d.Spilled(), d.Appendable(), d.Backend())
 		}
 		mem, err := dataset.ReadCSVFile("sales", csvPath)
 		if err != nil {
@@ -70,6 +72,7 @@ func TestLoadCSVSpills(t *testing.T) {
 		}
 		assertOnlyFile(t, dir, "sales.csv")
 		compareScripts(t, spilled, added)
+		engine.SetFragmentSegments(prev)
 	}
 	runtime.GC() // the registries above are garbage: their spills' descriptors close
 	assertOnlyFile(t, dir, "sales.csv")

@@ -31,12 +31,13 @@ func answer(t *testing.T, reg *Registry, zql string) ([]byte, error) {
 	return encodePayload(t, EncodeResult(res)), nil
 }
 
-// TestReleaseSwapsUnderConcurrentScans races scanners of a sharded zpack
-// dataset, every query a scan, against a loop of releases that swap it for
-// its unloaded twin and collect now and then: every answer is the one the
-// dataset gave before any release.
+// TestReleaseSwapsUnderConcurrentScans races scanners of a zpack dataset
+// cut into several fragments, every query a scan, against a loop of releases
+// that swap it for its unloaded twin and collect now and then: every answer
+// is the one the dataset gave before any release.
 func TestReleaseSwapsUnderConcurrentScans(t *testing.T) {
-	_, reg, _ := newZpackServer(t, Config{CacheEntries: -1, Shards: 2})
+	smallFragments(t, 1)
+	_, reg, _ := newZpackServer(t, Config{CacheEntries: -1})
 	want := make([][]byte, len(swapQueries))
 	for i, q := range swapQueries {
 		b, err := answer(t, reg, q)
@@ -197,11 +198,6 @@ func statsCounters(t *testing.T, url string) map[string]int64 {
 	for _, p := range s.SkipProvenance {
 		out["skip."+p.Column+"."+p.Via] = p.Count
 	}
-	for i, sh := range s.Shards {
-		out[fmt.Sprintf("shard%d.rowsScanned", i)] = sh.RowsScanned
-		out[fmt.Sprintf("shard%d.segmentsSkipped", i)] = sh.SegmentsSkipped
-		out[fmt.Sprintf("shard%d.segmentLoads", i)] = sh.SegmentLoads
-	}
 	return out
 }
 
@@ -210,7 +206,8 @@ func statsCounters(t *testing.T, url string) map[string]int64 {
 // /stats counter and no /metrics counter series ever goes down across them,
 // and the engine counters keep counting from where they were.
 func TestCountersSurviveEverySwap(t *testing.T) {
-	ts, reg, _ := newZpackServer(t, Config{Shards: 2})
+	smallFragments(t, 1)
+	ts, reg, _ := newZpackServer(t, Config{})
 	work := func() {
 		for _, q := range append(swapQueries, plannerQuery) {
 			if _, err := answer(t, reg, q); err != nil {

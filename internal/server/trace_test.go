@@ -43,13 +43,15 @@ func collectNodes(tree *trace.Tree, name string) []*trace.Node {
 	return out
 }
 
-// TestExplainAnalyze runs a process-bearing query on a sharded auto dataset
-// and asserts the span tree carries what EXPLAIN ANALYZE promises: planner
-// attrs (conjunct order), per-shard scan spans, and process kernel
-// counts — alongside the normal result payload.
+// TestExplainAnalyze runs a process-bearing query on an auto dataset cut
+// into three fragments and asserts the span tree carries what EXPLAIN
+// ANALYZE promises: planner attrs (conjunct order), per-fragment scan spans,
+// the gather, and process kernel counts — alongside the normal result
+// payload.
 func TestExplainAnalyze(t *testing.T) {
+	smallFragments(t, 1) // testTable's 3 segments: 3 fragments
 	reg := NewRegistry()
-	if _, err := reg.AddTable(testTable(), Config{Backend: "auto", Shards: 3, Seed: 7}); err != nil {
+	if _, err := reg.AddTable(testTable(), Config{Backend: "auto", Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(reg))
@@ -93,18 +95,21 @@ f1   | 'year' | 'revenue' | v1 <- 'product'.* | city='C1'   | v2 <- argmax(v1)[k
 
 	scans := collectNodes(tree, "scan")
 	if len(scans) < 3 {
-		t.Fatalf("got %d scan spans, want >= 3 (one per shard)", len(scans))
+		t.Fatalf("got %d scan spans, want >= 3 (one per fragment)", len(scans))
 	}
-	shardSeen := map[string]bool{}
+	fragSeen := map[string]bool{}
 	for _, s := range scans {
-		if b, _ := s.Attrs["backend"].(string); b == "sharded" {
-			if sh, ok := s.Attrs["shard"]; ok {
-				shardSeen[jsonNum(sh)] = true
+		if b, _ := s.Attrs["backend"].(string); b == "column" {
+			if f, ok := s.Attrs["fragment"]; ok {
+				fragSeen[jsonNum(f)] = true
 			}
 		}
 	}
-	if len(shardSeen) < 3 {
-		t.Errorf("per-shard scan spans cover %d shards, want 3 (%v)", len(shardSeen), shardSeen)
+	if len(fragSeen) < 3 {
+		t.Errorf("per-fragment scan spans cover %d fragments, want 3 (%v)", len(fragSeen), fragSeen)
+	}
+	if len(collectNodes(tree, "gather")) == 0 {
+		t.Error("no gather span")
 	}
 
 	procs := collectNodes(tree, "process")

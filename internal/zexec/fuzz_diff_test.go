@@ -64,7 +64,7 @@ func TestDifferentialZQLBounded(t *testing.T) {
 		{"row", engine.NewRowStore(tbl)},
 		{"bitmap", engine.NewBitmapStore(tbl)},
 		{"column", engine.NewColumnStore(tbl)},
-		{"sharded3", engine.NewShardedStore(3, tbl)},
+		{"fragmented3", engine.NewColumnStoreAt(engine.NewMemSource(tbl), evenCuts(engine.NewMemSource(tbl).NumSegments())...)},
 	}
 	oracle := engine.NewRowStore(tbl)
 	oracle.SetPlanning(false)

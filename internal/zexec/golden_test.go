@@ -267,17 +267,17 @@ func TestGoldenCorpus(t *testing.T) {
 				"zpack":  engine.NewColumnStoreFromSource(pack),
 				// Same corpus over the re-clustered generation.
 				"zpack-compacted": engine.NewColumnStoreFromSource(cpack),
-				// Sharded variants: 3 deliberately uneven shards (explicit
-				// cuts rather than a balanced split) over the in-memory source
-				// and the same zpack reader. Scatter-gather must render the
-				// corpus byte-identically to the single-walk scan at every opt
-				// level.
-				"column-shard3": engine.NewShardedStoreAt(engine.NewMemSource(tbl), unevenCuts(engine.NewMemSource(tbl).NumSegments())...),
-				"zpack-shard3":  engine.NewShardedStoreAt(pack, unevenCuts(pack.NumSegments())...),
-				// What the server builds for the names "column" and "auto", at
-				// one and three (balanced) shards.
+				// Fragmented variants: 3 deliberately uneven fragments
+				// (explicit cuts rather than fixed-size ones) over the
+				// in-memory source and the same zpack reader. Scatter-gather
+				// must render the corpus byte-identically to the one-fragment
+				// scan at every opt level.
+				"column-shard3": engine.NewColumnStoreAt(engine.NewMemSource(tbl), unevenCuts(engine.NewMemSource(tbl).NumSegments())...),
+				"zpack-shard3":  engine.NewColumnStoreAt(pack, unevenCuts(pack.NumSegments())...),
+				// What the server builds for the names "column" and "auto",
+				// and the auto store cut into three even fragments.
 				"auto":        engine.NewColumnStoreFromSource(engine.NewMemSource(tbl)),
-				"auto-shard3": engine.NewShardedStoreFromSource(3, engine.NewMemSource(tbl)),
+				"auto-shard3": engine.NewColumnStoreAt(engine.NewMemSource(tbl), evenCuts(engine.NewMemSource(tbl).NumSegments())...),
 			}
 			for _, backend := range []string{"row", "bitmap", "column", "zpack", "zpack-compacted", "column-shard3", "zpack-shard3", "auto", "auto-shard3"} {
 				db := backends[backend]
@@ -303,13 +303,19 @@ func TestGoldenCorpus(t *testing.T) {
 	checkGoldenSQL(t)
 }
 
-// unevenCuts returns two lopsided interior cut points for a 3-way shard
-// split: the first quarter, then the half, leaving the last shard twice the
-// size of the middle one. On the single-segment fixtures this degenerates to
-// [0, 0] — two empty shards plus one full one — which is exactly the edge the
-// gather's identity-merge must handle.
+// unevenCuts returns two lopsided interior cut points for three fragments:
+// the first quarter, then the half, leaving the last fragment twice the size
+// of the middle one. On the single-segment fixtures this degenerates to
+// [0, 0] — two empty fragments plus one full one — which is exactly the edge
+// the gather's identity-merge must handle.
 func unevenCuts(nseg int) []int {
 	return []int{nseg / 4, nseg / 2}
+}
+
+// evenCuts cuts nseg segments into three fragments as equal as integer
+// division allows.
+func evenCuts(nseg int) []int {
+	return []int{nseg / 3, 2 * nseg / 3}
 }
 
 // clip keeps failure output readable for big results.

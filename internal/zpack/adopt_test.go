@@ -346,8 +346,8 @@ func TestAdoptedLineageMatchesColdOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		adopted := engine.NewShardedStoreFromSource(3, next)
-		fresh := engine.NewShardedStoreFromSource(3, ref)
+		adopted := fragmentStore(next, 3)
+		fresh := fragmentStore(ref, 3)
 		for _, sql := range lineageQueries(rng, gen.next) {
 			wantRes, err := execSQL(fresh, sql)
 			if err != nil {

@@ -122,8 +122,8 @@ func TestReleaseThenRescanIsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { r.Close() }()
-	for _, shards := range []int{1, 3} {
-		db := engine.NewShardedStoreFromSource(shards, r)
+	for _, frags := range []int{1, 3} {
+		db := fragmentStore(r, frags)
 		assertAnswers(t, "before the release", answers(db, queries), want)
 		resident := r.ResidentBytes()
 		if resident == 0 {
@@ -142,7 +142,7 @@ func TestReleaseThenRescanIsBitIdentical(t *testing.T) {
 		if u.SegmentLoads() != 0 || u.Rows() != r.Rows() || u.NumSegments() != r.NumSegments() {
 			t.Fatalf("twin: %d segment loads, %d rows in %d segments; want 0, %d in %d", u.SegmentLoads(), u.Rows(), u.NumSegments(), r.Rows(), r.NumSegments())
 		}
-		assertAnswers(t, "the twin", answers(engine.NewShardedStoreFromSource(shards, u), queries), want)
+		assertAnswers(t, "the twin", answers(fragmentStore(u, frags), queries), want)
 		assertAnswers(t, "the reader after the release", answers(db, queries), want)
 		if got := r.ResidentBytes(); got != resident {
 			t.Errorf("the reader has %d bytes in place after the release, want its %d", got, resident)
@@ -216,11 +216,11 @@ type generation struct {
 }
 
 func newGeneration(r *Reader) *generation {
-	return &generation{r, []engine.DB{engine.NewColumnStoreFromSource(r), engine.NewShardedStoreFromSource(3, r)}}
+	return &generation{r, []engine.DB{engine.NewColumnStoreFromSource(r), fragmentStore(r, 3)}}
 }
 
-// TestReleaseConcurrentScans races scanners, through a one-range and a
-// sharded store, against a loop of releases that swap the stores over the
+// TestReleaseConcurrentScans races scanners, through a one-fragment and a
+// three-fragment store, against a loop of releases that swap the stores over the
 // current reader's unloaded twin and collect now and then: every answer is
 // the one a reader that never releases gives.
 func TestReleaseConcurrentScans(t *testing.T) {

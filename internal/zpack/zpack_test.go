@@ -442,11 +442,20 @@ func TestGoldenFixtureBackwardReadable(t *testing.T) {
 	}
 }
 
-// TestShardedReaderRangeViews pins the footer-index sharding contract: a
-// zpack file shards into contiguous segment ranges of the same reader without
-// rewriting a byte, zone-map pruning composes with sharding (a pruned
-// shard's segments are never read from disk, visible per shard), and the
-// gathered result equals the in-memory store's.
+// fragmentStore is the column store over r cut into n even fragments.
+func fragmentStore(r *Reader, n int) *engine.ColumnStore {
+	var cuts []int
+	for i := 1; i < n; i++ {
+		cuts = append(cuts, i*r.NumSegments()/n)
+	}
+	return engine.NewColumnStoreAt(r, cuts...)
+}
+
+// TestShardedReaderRangeViews pins the footer-index fragment contract: a
+// zpack file is cut into contiguous fragments of the same reader without
+// rewriting a byte, zone-map pruning composes with fragments (a pruned
+// fragment's segments are never read from disk), and the gathered result
+// equals the in-memory store's.
 func TestShardedReaderRangeViews(t *testing.T) {
 	tb := dataset.NewTable("clustered", []dataset.Field{
 		{Name: "k", Kind: dataset.KindInt},
@@ -461,8 +470,8 @@ func TestShardedReaderRangeViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	// 5 segments over 3 shards: [0,1), [1,3), [3,5).
-	db := engine.NewShardedStoreFromSource(3, r)
+	// 5 segments in 3 fragments: [0,1), [1,3), [3,5).
+	db := fragmentStore(r, 3)
 	mem := engine.NewColumnStore(tb)
 	target := 2*engine.SegmentSize + 17
 	sql := fmt.Sprintf("SELECT k, v FROM clustered WHERE k = %d", target)
@@ -475,25 +484,15 @@ func TestShardedReaderRangeViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.Cols, got.Rows()) != fmt.Sprint(want.Cols, want.Rows()) {
-		t.Errorf("sharded zpack result:\n got %v\nwant %v", got.Rows(), want.Rows())
+		t.Errorf("fragmented zpack result:\n got %v\nwant %v", got.Rows(), want.Rows())
 	}
-	// The target row lives in segment 2, owned by shard 1: exactly one
-	// segment crosses the disk, counted against that shard.
+	// The target row lives in segment 2, in fragment 1: exactly one segment
+	// crosses the disk.
 	if loads := r.SegmentLoads(); loads != 1 {
-		t.Errorf("sharded point query loaded %d segments, want 1", loads)
+		t.Errorf("fragmented point query loaded %d segments, want 1", loads)
 	}
-	stats := db.Stats("clustered").Ranges
-	if len(stats) != 3 {
-		t.Fatalf("%d shard stats", len(stats))
-	}
-	for i, sc := range stats {
-		wantLoads := int64(0)
-		if i == 1 {
-			wantLoads = 1
-		}
-		if sc.SegmentLoads != wantLoads {
-			t.Errorf("shard %d loads = %d, want %d", i, sc.SegmentLoads, wantLoads)
-		}
+	if loads := db.Stats("clustered").SegmentLoads; loads != 1 {
+		t.Errorf("the store counts %d segment loads, want 1", loads)
 	}
 	// COUNT(*) reads no column: its full scan visits every segment and reads
 	// no block.
@@ -504,7 +503,7 @@ func TestShardedReaderRangeViews(t *testing.T) {
 		t.Errorf("COUNT(*) loaded %d segments, want still 1", loads)
 	}
 	// A full scan of a column loads the rest, each segment exactly once
-	// despite the shard fan-out.
+	// despite the fragment fan-out.
 	if _, err := execSQL(db, "SELECT SUM(v) AS c FROM clustered"); err != nil {
 		t.Fatal(err)
 	}
