@@ -25,7 +25,6 @@ import (
 // named in the paper's future work (Section 10.1).
 type BitmapStore struct {
 	parLimit
-	planToggle
 	tables     map[string]*dataset.Table
 	indexes    map[string]tableIndex
 	intIndexes map[string]map[string]*intIndex
@@ -273,36 +272,9 @@ func planIntCompare(ii *intIndex, x *minisql.Compare, total int) *roaring.Bitmap
 	return nil
 }
 
-// plannerStats builds the scoring snapshot from the store's own metadata:
-// categorical dictionary cardinalities plus the integer value indexes, whose
-// sorted keys give both cardinality and the column's global envelope.
-func (s *BitmapStore) plannerStats(t *dataset.Table) *plannerStats {
-	ps := newPlannerStats(t)
-	for col, ii := range s.intIndexes[t.Name] {
-		if len(ii.keys) == 0 {
-			continue
-		}
-		ps.card[col] = len(ii.keys)
-		ps.numeric[col] = numStat{lo: float64(ii.keys[0]), hi: float64(ii.keys[len(ii.keys)-1])}
-	}
-	return ps
-}
-
 // Prepare validates and column-resolves a parsed query into a reusable plan.
-// With planning on, the conjuncts planAccess walks (index probes first, then
-// the residual) run in the greedy planner's order.
 func (s *BitmapStore) Prepare(q *minisql.Query) (*Plan, error) {
-	p, err := newPlan(s, s.tables[q.From], q)
-	if err != nil {
-		return nil, err
-	}
-	if s.planningOn() && len(p.conjs) > 1 {
-		if err := p.applyPlanOrder(s.plannerStats(p.t)); err != nil {
-			return nil, err
-		}
-		s.stats.notePlanned(p.reordered)
-	}
-	return p, nil
+	return newPlan(s, s.tables[q.From], q)
 }
 
 // bitmapCache memoizes conjunct bitmaps within one batch, keyed by table and
@@ -347,8 +319,7 @@ func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (rowIter, int64, er
 		}, int64(total), nil
 	}
 
-	// p.conjs carries the top-level conjuncts in execution order — the
-	// planner's order when the store reordered them at Prepare time.
+	// p.conjs carries the top-level conjuncts in written order.
 	var parts []*roaring.Bitmap
 	var residual []minisql.Expr
 	for _, c := range p.conjs {

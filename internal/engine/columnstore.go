@@ -40,7 +40,6 @@ const segmentSize = SegmentSize
 // or the machine.
 type ColumnStore struct {
 	parLimit
-	planToggle
 	tables map[string]*dataset.Table
 	cols   map[string]*colTable
 	stats  *counters
@@ -253,8 +252,8 @@ type vecConjunct struct {
 }
 
 // skipCause reports whether the zone maps prove segment seg holds no row
-// matching ALL conjuncts, and if so which conjunct proved it (the first
-// proving conjunct wins, matching evaluation order).
+// matching ALL conjuncts, and if so which conjunct proved it: the first
+// proving conjunct in written order.
 func (v *vecPlan) skipCause(seg int) (SkipAttr, bool) {
 	for _, c := range v.conjs {
 		if c.f.skip(seg) {
@@ -264,43 +263,21 @@ func (v *vecPlan) skipCause(seg int) (SkipAttr, bool) {
 	return SkipAttr{}, false
 }
 
-// plannerStats builds the scoring snapshot from the table's build-time
-// metadata — zone maps folded to global envelopes, integer dictionaries —
-// plus the store's live skip provenance as the tie-breaking signal.
-func (s *ColumnStore) plannerStats(ct *colTable) *plannerStats {
-	ps := newPlannerStats(ct.t)
-	ps.addZones(ct.zones)
-	return ps.withProv(s.prov.snapshot())
-}
-
 // Prepare validates and column-resolves a parsed query, then attaches the
-// vectorized compilation (the column store's Plan hook). With planning on,
-// the conjuncts compile in the greedy planner's order, so the per-segment
-// skip test and the selection-bitmap intersection both run cheapest/most-
-// selective-first. A plan is compiled once, against the table's global zone
-// maps, whatever the store's range count.
+// vectorized compilation (the column store's Plan hook): the conjuncts, in
+// written order, lowered to vectorized filters against the table's global
+// zone maps, once, whatever its fragments. Each conjunct also keeps its
+// row-at-a-time predicate so the scan can evaluate later conjuncts only on
+// the rows still selected (masked evaluation) when the survivor set is
+// already sparse. A conjunct that folds to all-true — zexec's z IN (<every
+// slice>) — stays in p.conjs, which is what EXPLAIN lists, and costs the
+// scan nothing.
 func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 	p, err := newPlan(s, s.tables[q.From], q)
 	if err != nil {
 		return nil, err
 	}
 	ct := s.cols[q.From]
-	if s.planningOn() && len(p.conjs) > 1 {
-		if err := p.applyPlanOrder(s.plannerStats(ct)); err != nil {
-			return nil, err
-		}
-		s.stats.notePlanned(p.reordered)
-	}
-	return s.compileVecPlan(p, ct)
-}
-
-// compileVecPlan lowers the plan's conjuncts — already in execution order —
-// to vectorized filters. Each conjunct also keeps its row-at-a-time
-// predicate so the scan can evaluate later conjuncts only on the rows still
-// selected (masked evaluation) when the survivor set is already sparse. A
-// conjunct that folds to all-true — zexec's z IN (<every slice>) — stays in
-// p.conjs, which is what EXPLAIN lists, and costs the scan nothing.
-func (s *ColumnStore) compileVecPlan(p *Plan, ct *colTable) (*Plan, error) {
 	vp := &vecPlan{ct: ct, cols: NewColumnSet(p.t.NumCols())}
 	names := p.q.Columns()
 	for j, c := range p.t.Columns() {

@@ -12,11 +12,10 @@ import (
 )
 
 // Differential fuzzer: random queries over random datasets, executed on every
-// store variant with conjunct order shuffled vs. planner-ordered, asserting
+// store with conjuncts in written and in shuffled order, asserting
 // bit-identical results against the boxed reference executor
-// (reference_test.go). The planner reorders compiled conjuncts and the
-// column store masks late conjunct evaluation — none of it may ever change a
-// result byte.
+// (reference_test.go). Conjunct order and the column store's masked
+// evaluation of later conjuncts must never change a result byte.
 
 // fuzzTable builds a random table: two categorical columns of random
 // cardinality, an int column, and a float column restricted to quarters
@@ -189,22 +188,17 @@ func shuffleWhere(q *minisql.Query, rng *rand.Rand) *minisql.Query {
 }
 
 type fuzzVariant struct {
-	name     string
-	db       DB
-	planning bool
+	name string
+	db   DB
 }
 
 func fuzzVariants(tb *dataset.Table) []fuzzVariant {
-	var out []fuzzVariant
-	mk := func(name string, db DB) {
-		out = append(out, fuzzVariant{name + "/plan", db, true})
-		out = append(out, fuzzVariant{name + "/noplan", db, false})
+	return []fuzzVariant{
+		{"row", NewRowStore(tb)},
+		{"bitmap", NewBitmapStore(tb)},
+		{"column", NewColumnStore(tb)},
+		{"fragmented", evenStore(3, tb)},
 	}
-	mk("row", NewRowStore(tb))
-	mk("bitmap", NewBitmapStore(tb))
-	mk("column", NewColumnStore(tb))
-	mk("fragmented", evenStore(3, tb))
-	return out
 }
 
 // diffOne runs one differential round: one random dataset, a handful of
@@ -244,9 +238,6 @@ func diffOne(t *testing.T, dataSeed, querySeed int64) {
 	}
 
 	for _, v := range fuzzVariants(tb) {
-		if p, ok := v.db.(Planner); ok {
-			p.SetPlanning(v.planning)
-		}
 		// Single execution, written then shuffled conjunct order.
 		for i, q := range queries {
 			res, err := execQuery(v.db, q)

@@ -97,16 +97,11 @@ func (p *parLimit) parallelism() int {
 // the zone maps proved empty, each saving a segment's worth of scanning.
 // SegmentsScanned is its complement: the number of (scan job, segment) pairs a
 // scan actually materialized and visited.
-// PlansPlanned counts Prepares where the greedy conjunct planner ran (two or
-// more top-level conjuncts with planning enabled); PlansReordered counts the
-// subset whose execution order actually changed away from written order.
 type Counters struct {
 	Queries         int64
 	RowsScanned     int64
 	SegmentsScanned int64
 	SegmentsSkipped int64
-	PlansPlanned    int64
-	PlansReordered  int64
 }
 
 type counters struct {
@@ -114,8 +109,6 @@ type counters struct {
 	rowsScanned     atomic.Int64
 	segmentsScanned atomic.Int64
 	segmentsSkipped atomic.Int64
-	plansPlanned    atomic.Int64
-	plansReordered  atomic.Int64
 }
 
 func (c *counters) snapshot() Counters {
@@ -124,16 +117,6 @@ func (c *counters) snapshot() Counters {
 		RowsScanned:     c.rowsScanned.Load(),
 		SegmentsScanned: c.segmentsScanned.Load(),
 		SegmentsSkipped: c.segmentsSkipped.Load(),
-		PlansPlanned:    c.plansPlanned.Load(),
-		PlansReordered:  c.plansReordered.Load(),
-	}
-}
-
-// notePlanned records one planner run and whether it changed the order.
-func (c *counters) notePlanned(reordered bool) {
-	c.plansPlanned.Add(1)
-	if reordered {
-		c.plansReordered.Add(1)
 	}
 }
 

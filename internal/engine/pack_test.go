@@ -125,7 +125,7 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 // every value matches, a range past an int column's ends — compiles to the
 // all-true filter and leaves the scan; one over no entry to the all-false
 // one. What is reported does not change: the SQL (the cache key), the conjunct
-// list, and skip provenance, and the planner scores it selectivity 1, cost 0.
+// list, and skip provenance.
 func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 	tb := widthsTable(rand.New(rand.NewSource(23)))
 	s := NewColumnStore(tb)
@@ -155,9 +155,6 @@ func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 		if f != (constFilter{match: match}) {
 			t.Errorf("%s compiles to %#v, want constFilter{%v}", cond, f, match)
 		}
-		if sel, cost := scoreConjunct(s.plannerStats(ct), q.Where); match && (sel != 1 || cost != costConst) {
-			t.Errorf("%s scores selectivity %v cost %d, want 1 and %d", cond, sel, cost, costConst)
-		}
 	}
 
 	// In a plan: same SQL, same conjunct list, the row store's result, and
@@ -171,8 +168,8 @@ func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.SQL() != q.SQL() || len(p.Info().Conjuncts) != 3 || len(p.vec.conjs) != 2 {
-		t.Fatalf("plan keeps %d conjuncts for EXPLAIN and %d for the scan, want 3 and 2; SQL %q", len(p.Info().Conjuncts), len(p.vec.conjs), p.SQL())
+	if p.SQL() != q.SQL() || len(p.Conjuncts()) != 3 || len(p.vec.conjs) != 2 {
+		t.Fatalf("plan keeps %d conjuncts for EXPLAIN and %d for the scan, want 3 and 2; SQL %q", len(p.Conjuncts()), len(p.vec.conjs), p.SQL())
 	}
 	got, err := p.Execute()
 	if err != nil {

@@ -27,21 +27,14 @@ type Plan struct {
 
 	pred rowPredicate // compiled WHERE; always-true when q.Where is nil
 	vec  *vecPlan     // column-store compilation hook; nil elsewhere
-	// conjs holds the top-level WHERE conjuncts in execution order: written
-	// order as parsed, or the greedy planner's order when the store reordered
-	// them at Prepare time (reordered is then true). The query AST itself is
-	// never reordered — p.sql must not depend on execution strategy.
-	conjs     []minisql.Expr
-	reordered bool
-	// conjScores carries the planner's per-conjunct scores, parallel to
-	// conjs. It exists purely for observability (EXPLAIN / trace attrs) and
-	// never influences execution.
-	conjScores []conjScore
-	cols       []string          // output column names
-	orderCol   []int             // per ORDER BY item, its select position
-	selCol     []*dataset.Column // per select item; nil for COUNT(*)
-	keyCol     []*dataset.Column // per GROUP BY key
-	aggCol     []*dataset.Column // per aggregate select item, in order; nil for COUNT(*)
+	// conjs holds the top-level WHERE conjuncts in written order, the order
+	// every store compiles and evaluates them in.
+	conjs    []minisql.Expr
+	cols     []string          // output column names
+	orderCol []int             // per ORDER BY item, its select position
+	selCol   []*dataset.Column // per select item; nil for COUNT(*)
+	keyCol   []*dataset.Column // per GROUP BY key
+	aggCol   []*dataset.Column // per aggregate select item, in order; nil for COUNT(*)
 }
 
 // newPlan binds q against t, validating every column reference.
@@ -93,42 +86,28 @@ func newPlan(db DB, t *dataset.Table, q *minisql.Query) (*Plan, error) {
 	return p, nil
 }
 
-// Reordered reports whether the planner changed the plan's conjunct
-// execution order away from written order.
-func (p *Plan) Reordered() bool { return p.reordered }
-
-// ConjunctInfo is one conjunct's planner audit record: its canonical SQL,
-// the estimated selectivity used to order it (NaN-free; -1 when the planner
-// did not score the plan), and its evaluation-cost tier.
-type ConjunctInfo struct {
-	SQL  string  `json:"sql"`
-	Sel  float64 `json:"sel"`
-	Cost int     `json:"cost"`
-}
-
-// PlanInfo is the plan's observability summary — what EXPLAIN shows.
-type PlanInfo struct {
-	SQL       string
-	Reordered bool
-	Conjuncts []ConjunctInfo // execution order
-}
-
-// Info returns the plan's observability summary. When the planner never
-// scored the plan (planning off, or fewer than two conjuncts) the conjuncts
-// are reported in written order with Sel = -1.
-func (p *Plan) Info() PlanInfo {
-	info := PlanInfo{SQL: p.sql, Reordered: p.reordered}
-	for k, e := range p.conjs {
-		c := ConjunctInfo{SQL: e.SQL(), Sel: -1, Cost: -1}
-		if len(p.conjScores) > 0 {
-			c.Sel, c.Cost = p.conjScores[k].sel, p.conjScores[k].cost
-		}
-		info.Conjuncts = append(info.Conjuncts, c)
+// splitConjuncts returns the AND legs of a predicate in written order,
+// flattening nested ANDs (a non-AND predicate is one conjunct; nil means
+// none). Flattening matters for generated SQL: the ZQL fetch phase emits
+// WHERE z IN (...) AND (<user constraints>), and each user conjunct is then
+// a leg of its own — shared across a batch, skip-tested, listed by EXPLAIN.
+// AND associativity makes the flattened compile result-identical.
+func splitConjuncts(e minisql.Expr) []minisql.Expr {
+	if e == nil {
+		return nil
 	}
-	return info
+	if and, ok := e.(*minisql.And); ok {
+		var legs []minisql.Expr
+		for _, a := range and.Args {
+			legs = append(legs, splitConjuncts(a)...)
+		}
+		return legs
+	}
+	return []minisql.Expr{e}
 }
 
-// Conjuncts returns the plan's top-level WHERE conjuncts in execution order.
+// Conjuncts returns the plan's top-level WHERE conjuncts in written order —
+// what EXPLAIN lists.
 func (p *Plan) Conjuncts() []minisql.Expr { return p.conjs }
 
 // Table returns the base table the plan reads.

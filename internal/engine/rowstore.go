@@ -20,7 +20,6 @@ import (
 // concurrent scan workers.
 type RowStore struct {
 	parLimit
-	planToggle
 	tables map[string]*dataset.Table
 	stats  counters
 }
@@ -47,23 +46,14 @@ func (s *RowStore) Counters() Counters { return s.stats.snapshot() }
 func (s *RowStore) Stats(string) Stats { return Stats{Counters: s.Counters()} }
 
 // Prepare validates and column-resolves a parsed query into a reusable plan.
-// With planning on, multi-conjunct predicates are recompiled in the greedy
-// planner's order so the short-circuiting AND closure tests the cheapest,
-// most selective leg first. The row store has no zone maps, so scoring uses
-// dictionary cardinalities and shape defaults only.
 func (s *RowStore) Prepare(q *minisql.Query) (*Plan, error) {
-	p, err := newPlan(s, s.tables[q.From], q)
-	if err != nil {
-		return nil, err
-	}
-	if s.planningOn() && len(p.conjs) > 1 {
-		if err := p.applyPlanOrder(newPlannerStats(p.t)); err != nil {
-			return nil, err
-		}
-		s.stats.notePlanned(p.reordered)
-	}
-	return p, nil
+	return newPlan(s, s.tables[q.From], q)
 }
+
+// SetPlanning does nothing: every store evaluates a plan's conjuncts in
+// written order. It remains because the benchmark's oracle
+// (bench/oracle.go) still calls it.
+func (s *RowStore) SetPlanning(bool) {}
 
 // ExecuteBatch runs the plans as one request. Plans are grouped by base
 // table; each group is dealt round-robin across at most Parallelism workers,

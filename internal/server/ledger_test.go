@@ -24,7 +24,7 @@ import (
 // The counted-work ledger (ROADMAP 5(d)): a fixed script of /spec and /query
 // requests, served cold then warm over one seeded fixture in two setups,
 // with every counted quantity fixed — /stats engine counters, skip
-// provenance, planner counters, pool capacity, cache hits/misses/evictions —
+// provenance, pool capacity, cache hits/misses/evictions —
 // and the sha256 of every response body with its two wall-clock fields
 // blanked. Wall clock cannot be gated on a shared box;
 // counted work on an identical request sequence can. A change that moves a
@@ -207,7 +207,7 @@ var timingField = regexp.MustCompile(`"(queryTimeMs|processTimeMs)":[^,}]*`)
 // ledgerStatsKeys are the /stats members the ledger pins, in output order.
 var ledgerStatsKeys = []string{
 	"queries", "rowsScanned", "segmentsScanned", "segmentsSkipped", "segmentLoads",
-	"skipProvenance", "planner", "pool",
+	"skipProvenance", "pool",
 }
 
 func TestCountedWorkLedger(t *testing.T) {

@@ -211,20 +211,6 @@ func newMetrics(reg *Registry) *metrics {
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
 			emit(float64(s.Pool.Capacity))
 		})
-	perDataset("zen_plans_planned_total",
-		"Multi-conjunct plans the greedy conjunct planner scored.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Planner != nil {
-				emit(float64(s.Planner.PlansPlanned))
-			}
-		})
-	perDataset("zen_plans_reordered_total",
-		"Planned plans whose conjunct evaluation order actually changed.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Planner != nil {
-				emit(float64(s.Planner.PlansReordered))
-			}
-		})
 	perDataset("zen_compactions_total",
 		"Successful background/manual compactions (zpack datasets).", "counter",
 		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {

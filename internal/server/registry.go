@@ -240,9 +240,6 @@ type DatasetStats struct {
 	// SkipProvenance attributes zone-map skips to the (column, metadata kind)
 	// that proved each skipped segment empty — highest count first.
 	SkipProvenance []SkipProvEntry `json:"skipProvenance,omitempty"`
-	// Planner reports the conjunct planner's activity: plans that went
-	// through scoring and plans whose conjunct order actually changed.
-	Planner *PlannerStats `json:"planner,omitempty"`
 	// Pool is the scan pool: the scan jobs in flight against the worker
 	// bound of one batch.
 	Pool *engine.PoolStats `json:"pool,omitempty"`
@@ -281,14 +278,6 @@ type SkipProvEntry struct {
 	Column string `json:"column"`
 	Via    string `json:"via"`
 	Count  int64  `json:"count"`
-}
-
-// PlannerStats is the conjunct planner's activity for one dataset.
-type PlannerStats struct {
-	// PlansPlanned counts multi-conjunct plans the greedy scorer examined;
-	// PlansReordered the subset whose evaluation order actually changed.
-	PlansPlanned   int64 `json:"plansPlanned"`
-	PlansReordered int64 `json:"plansReordered"`
 }
 
 // ProcessTotals aggregates process-phase work over every query the dataset
@@ -357,7 +346,6 @@ func (d *Dataset) Stats() DatasetStats {
 		Cache:           d.cache.Stats(),
 		Coalesce:        d.bat.stats(),
 		SkipProvenance:  skipProvenance(st.SkipProvenance),
-		Planner:         &PlannerStats{PlansPlanned: st.PlansPlanned, PlansReordered: st.PlansReordered},
 		Pool:            st.Pool,
 		Process: ProcessTotals{
 			Tuples:        d.ctr.procTuples.Load(),

@@ -192,8 +192,7 @@ func statsCounters(t *testing.T, url string) map[string]int64 {
 		"segmentsSkipped": s.SegmentsSkipped, "segmentLoads": s.SegmentLoads, "blocksReleased": s.BlocksReleased,
 		"cache.hits": s.Cache.Hits, "cache.misses": s.Cache.Misses, "cache.evictions": s.Cache.Evictions,
 		"coalesce.submissions": s.Coalesce.Submissions, "coalesce.batches": s.Coalesce.Batches,
-		"coalesce.coalesced": s.Coalesce.Coalesced, "plansPlanned": s.Planner.PlansPlanned,
-		"plansReordered": s.Planner.PlansReordered,
+		"coalesce.coalesced": s.Coalesce.Coalesced,
 	}
 	for _, p := range s.SkipProvenance {
 		out["skip."+p.Column+"."+p.Via] = p.Count
@@ -209,7 +208,7 @@ func TestCountersSurviveEverySwap(t *testing.T) {
 	smallFragments(t, 1)
 	ts, reg, _ := newZpackServer(t, Config{})
 	work := func() {
-		for _, q := range append(swapQueries, plannerQuery) {
+		for _, q := range append(swapQueries, conjunctsQuery) {
 			if _, err := answer(t, reg, q); err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,7 @@ func collectNodes(tree *trace.Tree, name string) []*trace.Node {
 
 // TestExplainAnalyze runs a process-bearing query on an auto dataset cut
 // into three fragments and asserts the span tree carries what EXPLAIN
-// ANALYZE promises: planner attrs (conjunct order), per-fragment scan spans,
+// ANALYZE promises: plan attrs (SQL, conjuncts), per-fragment scan spans,
 // the gather, and process kernel counts — alongside the normal result
 // payload.
 func TestExplainAnalyze(t *testing.T) {
@@ -87,10 +87,16 @@ f1   | 'year' | 'revenue' | v1 <- 'product'.* | city='C1'   | v2 <- argmax(v1)[k
 		}
 		if c, ok := p.Attrs["conjuncts"].(string); ok && strings.Contains(c, "city = 'C1'") {
 			sawConjuncts = true
+			if strings.Contains(c, "sel=") {
+				t.Errorf("conjuncts carry planner scores: %q", c)
+			}
+		}
+		if _, ok := p.Attrs["reordered"]; ok {
+			t.Errorf("plan span carries a reordered attr: %v", p.Attrs)
 		}
 	}
 	if !sawConjuncts {
-		t.Error("no plan span lists the conjunct evaluation order")
+		t.Error("no plan span lists the conjuncts")
 	}
 
 	scans := collectNodes(tree, "scan")
@@ -142,7 +148,7 @@ func jsonNum(v any) string {
 	return string(b)
 }
 
-// TestExplainPlanSkipsExecution asserts explain=plan returns planner spans
+// TestExplainPlanSkipsExecution asserts explain=plan returns plan spans
 // but no scan work, with empty visualizations standing in for results.
 func TestExplainPlanSkipsExecution(t *testing.T) {
 	ts, reg := newTestServer(t, Config{Backend: "column"})

@@ -398,9 +398,9 @@ func (ex *executor) executeBatch(jobs []*queryJob) error {
 	}
 	prep.End()
 	if ex.opts.PlanOnly {
-		// EXPLAIN (plan mode): planning ran — canonical SQL, routes, and
-		// conjunct orders are all decided — but nothing executes. Every unit
-		// gets an empty visualization so downstream shaping stays total.
+		// EXPLAIN (plan mode): planning ran — canonical SQL and conjuncts
+		// are decided — but nothing executes. Every unit gets an empty
+		// visualization so downstream shaping stays total.
 		for _, j := range jobs {
 			for _, u := range j.units {
 				u.out = &vis.Visualization{
@@ -437,29 +437,20 @@ func (ex *executor) executeBatch(jobs []*queryJob) error {
 }
 
 // annotatePlanSpan records one prepared plan's audit trail — canonical SQL
-// and the greedy planner's chosen conjunct order with the scores that
-// ordered it — as a "plan" child span.
+// and its top-level conjuncts in written order, the order every store
+// evaluates them in — as a "plan" child span.
 func annotatePlanSpan(prep *trace.Span, p *engine.Plan) {
 	if prep == nil {
 		return
 	}
-	info := p.Info()
 	sp := prep.StartChild("plan")
-	sp.SetStr("sql", info.SQL)
-	sp.SetBool("reordered", info.Reordered)
-	if len(info.Conjuncts) > 0 {
-		var b strings.Builder
-		for i, c := range info.Conjuncts {
-			if i > 0 {
-				b.WriteString("; ")
-			}
-			if c.Sel >= 0 {
-				fmt.Fprintf(&b, "%s (sel=%.3g cost=%d)", c.SQL, c.Sel, c.Cost)
-			} else {
-				b.WriteString(c.SQL)
-			}
+	sp.SetStr("sql", p.SQL())
+	if conjs := p.Conjuncts(); len(conjs) > 0 {
+		legs := make([]string, len(conjs))
+		for i, c := range conjs {
+			legs[i] = c.SQL()
 		}
-		sp.SetStr("conjuncts", b.String())
+		sp.SetStr("conjuncts", strings.Join(legs, "; "))
 	}
 	sp.End()
 }

@@ -13,9 +13,9 @@ import (
 // Differential fuzz at the ZQL layer: random constraint conjunctions —
 // deliberately including mis-ordered shapes like an expensive LIKE-over-float
 // written first and a selective range last — injected into a Z-iterating
-// script, executed across back-ends, optimization levels, and the conjunct
-// planner toggle. Every configuration must render byte-identically to the
-// sequential row-store reference with planning off.
+// script, executed across back-ends and optimization levels. Every
+// configuration must render byte-identically to the row-store reference at
+// NoOpt.
 
 // fuzzConstraintPool holds conjunct fragments over the sales fixture, from
 // cheap categorical equalities to the fallback-shaped worst case.
@@ -67,7 +67,6 @@ func TestDifferentialZQLBounded(t *testing.T) {
 		{"fragmented3", engine.NewColumnStoreAt(engine.NewMemSource(tbl), evenCuts(engine.NewMemSource(tbl).NumSegments())...)},
 	}
 	oracle := engine.NewRowStore(tbl)
-	oracle.SetPlanning(false)
 	for i := 0; i < iters; i++ {
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		src := fuzzZQLScript(rng)
@@ -84,13 +83,10 @@ func TestDifferentialZQLBounded(t *testing.T) {
 		}
 		want := run(oracle, NoOpt)
 		for _, v := range variants {
-			for _, planning := range []bool{true, false} {
-				v.db.(engine.Planner).SetPlanning(planning)
-				for _, opt := range []OptLevel{NoOpt, IntraLine, IntraTask, InterTask} {
-					if got := run(v.db, opt); got != want {
-						t.Fatalf("seed %d: %s planning=%v opt=%d diverged\n%s\n--- got ---\n%s\n--- want ---\n%s",
-							i, v.name, planning, opt, src, clip(got), clip(want))
-					}
+			for _, opt := range []OptLevel{NoOpt, IntraLine, IntraTask, InterTask} {
+				if got := run(v.db, opt); got != want {
+					t.Fatalf("seed %d: %s opt=%d diverged\n%s\n--- got ---\n%s\n--- want ---\n%s",
+						i, v.name, opt, src, clip(got), clip(want))
 				}
 			}
 		}

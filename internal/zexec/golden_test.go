@@ -83,7 +83,6 @@ type goldenVariant struct {
 	name   string
 	opts   func(o *Options)
 	procs  int  // GOMAXPROCS for the run when > 0: the process worker count
-	noPlan bool // pin written conjunct order: the planner-off baseline
 	traced bool // run under a live span tree: tracing must not move a byte
 }
 
@@ -100,11 +99,12 @@ func goldenVariants() []goldenVariant {
 			o.Opt = InterTask
 			o.ProcessNoPrune = true
 		}, procs: 4},
-		// The conjunct planner reorders compiled WHERE legs at Prepare time;
-		// running the corpus with it switched off must still render the same
-		// bytes at both ends of the optimization ladder.
-		{name: "noopt-noplan", opts: func(o *Options) { o.Opt = NoOpt }, noPlan: true},
-		{name: "intertask-noplan", opts: func(o *Options) { o.Opt = InterTask }, noPlan: true},
+		// These two once ran the corpus with a conjunct planner switched
+		// off. Every store now evaluates conjuncts in written order, so they
+		// repeat noopt and intertask; they keep their names until the
+		// variant list is next cut.
+		{name: "noopt-noplan", opts: func(o *Options) { o.Opt = NoOpt }},
+		{name: "intertask-noplan", opts: func(o *Options) { o.Opt = InterTask }},
 		// Tracing threads spans through the whole execution path; it is
 		// observation only and must never change a rendered byte.
 		{name: "intertask-traced", opts: func(o *Options) { o.Opt = InterTask }, traced: true},
@@ -285,11 +285,6 @@ func TestGoldenCorpus(t *testing.T) {
 					t.Run(backend+"/"+gv.name, func(t *testing.T) {
 						if gv.procs > 0 {
 							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gv.procs))
-						}
-						if gv.noPlan {
-							p := db.(engine.Planner)
-							p.SetPlanning(false)
-							defer p.SetPlanning(true)
 						}
 						got := runGoldenCtx(t, src, db, gc, gv.opts, gv.traced)
 						if got != string(want) {

@@ -139,9 +139,10 @@ type Options struct {
 	// switch exists to measure its effect. At NoOpt pruning is always off.
 	ProcessNoPrune bool
 	// PlanOnly runs EXPLAIN's plan mode: the full pipeline executes —
-	// resolution, unit building, SQL generation, Prepare (so the planner's
-	// conjunct order is decided and traced) — but no data moves: ExecuteBatch is never called, fetched
-	// visualizations are empty, and process tasks bind empty outputs.
+	// resolution, unit building, SQL generation, Prepare (so each plan's
+	// SQL and conjuncts are traced) — but no data moves: ExecuteBatch is
+	// never called, fetched visualizations are empty, and process tasks bind
+	// empty outputs.
 	PlanOnly bool
 }
 
