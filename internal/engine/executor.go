@@ -60,10 +60,11 @@ type Stats struct {
 }
 
 // PoolStats is the scan pool's instantaneous saturation: jobs running
-// against the pool's bound.
+// against the pool's bound. The metric tags name the server's per-dataset
+// /metrics series (server.DatasetStats).
 type PoolStats struct {
-	Busy     int `json:"busy"`
-	Capacity int `json:"capacity"`
+	Busy     int `json:"busy" metric:"zen_scan_pool_busy,gauge" help:"Scan jobs (a fragment for a share of a batch's plans) running now."`
+	Capacity int `json:"capacity" metric:"zen_scan_pool_capacity,gauge" help:"The scan workers one batch may use."`
 }
 
 // parLimit is the store-level worker bound every back-end embeds. The bound

@@ -253,20 +253,20 @@ func (b *batcher) execute(ctx context.Context, plans []*engine.Plan) (results []
 type BatchStats struct {
 	// Submissions is the number of ExecuteBatch calls admitted through the
 	// queue.
-	Submissions int64 `json:"submissions"`
+	Submissions int64 `json:"submissions" metric:"zen_coalesce_submissions_total,counter" help:"Engine submissions admitted through the coalescing queue."`
 	// Batches is the number of engine batches that effectively served the
 	// submissions (a failed shared attempt counts as its per-submission
 	// fallback executions); Submissions - Batches is scans saved by
 	// coalescing, and is never negative.
-	Batches int64 `json:"batches"`
+	Batches int64 `json:"batches" metric:"zen_coalesce_batches_total,counter" help:"Engine batches that served the submissions."`
 	// Coalesced is the number of submissions that successfully shared an
 	// engine batch with at least one other submission.
-	Coalesced int64 `json:"coalesced"`
+	Coalesced int64 `json:"coalesced" metric:"zen_coalesce_coalesced_total,counter" help:"Submissions that shared an engine batch with at least one other."`
 	// Shed is the number of submissions rejected with ErrOverloaded because
 	// the admission queue was at its bound.
-	Shed int64 `json:"shed"`
+	Shed int64 `json:"shed" metric:"zen_requests_shed_total,counter" help:"Submissions rejected with 429 because the admission queue was full."`
 	// QueueDepth is the number of submissions parked right now.
-	QueueDepth int `json:"queueDepth"`
+	QueueDepth int `json:"queueDepth" metric:"zen_queue_depth,gauge" help:"Submissions parked at the admission queue right now."`
 }
 
 // stats snapshots the coalescing counters.

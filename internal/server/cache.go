@@ -209,13 +209,13 @@ func (c *ResultCache) InheritStats(prev *ResultCache) {
 // append; Oversize counts results never cached because one alone exceeded
 // the whole byte budget.
 type CacheStats struct {
-	Entries   int   `json:"entries"`
+	Entries   int   `json:"entries" metric:"zen_cache_entries,gauge" help:"Result-cache entries currently held."`
 	Capacity  int   `json:"capacity"`
-	Bytes     int64 `json:"bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Oversize  int64 `json:"oversize"`
+	Bytes     int64 `json:"bytes" metric:"zen_cache_bytes,gauge" help:"Bytes of result vectors the result cache currently pins."`
+	Hits      int64 `json:"hits" metric:"zen_cache_hits_total,counter" help:"Result-cache hits."`
+	Misses    int64 `json:"misses" metric:"zen_cache_misses_total,counter" help:"Result-cache misses."`
+	Evictions int64 `json:"evictions" metric:"zen_cache_evictions_total,counter" help:"Result-cache evictions, including probation drops and wholesale invalidation on append."`
+	Oversize  int64 `json:"oversize" metric:"zen_cache_oversize_total,counter" help:"Results never cached because one alone exceeded the whole byte budget."`
 }
 
 // Stats snapshots the cache counters.

@@ -2,8 +2,11 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	rtmetrics "runtime/metrics"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/obsv"
@@ -16,9 +19,9 @@ import (
 //
 //   - request-path instruments (the http vec, the latency histogram) updated
 //     inline as requests are served;
-//   - scrape-time collectors that read the per-dataset counters the serving
-//     stack already keeps (store counters, cache stats, coalescer stats, skip
-//     provenance), so /metrics and /stats can never disagree;
+//   - per-dataset series, one per tagged field of DatasetStats and the
+//     structs nested in it, emitted from the snapshot /stats serves, so
+//     /metrics and /stats can never disagree;
 //   - the Go runtime's own collector figures (zen_go_*), read from
 //     runtime/metrics once per scrape.
 //
@@ -49,8 +52,8 @@ type metrics struct {
 
 // datasetSnap is one dataset's figures as a scrape reads them.
 type datasetSnap struct {
-	d *Dataset
-	s DatasetStats
+	name  string
+	stats reflect.Value // a DatasetStats
 }
 
 // newMetrics builds the registry's metric families over reg. reg's dataset
@@ -87,182 +90,13 @@ func newMetrics(reg *Registry) *metrics {
 			}
 			return 0
 		})
-	perDataset := func(name, help, typ string, fn func(d *Dataset, s DatasetStats, emit func(v float64, labels ...obsv.Label))) {
-		o.NewCollector(name, help, typ, func(emit func(obsv.Sample)) {
+	for _, f := range datasetSeries(reflect.TypeFor[DatasetStats](), nil) {
+		o.NewCollector(f.name, f.help, f.typ, func(emit func(obsv.Sample)) {
 			for _, ds := range m.ds {
-				base := obsv.Label{Key: "dataset", Value: ds.d.Name()}
-				fn(ds.d, ds.s, func(v float64, labels ...obsv.Label) {
-					emit(obsv.Sample{Labels: append([]obsv.Label{base}, labels...), Value: v})
-				})
+				f.collect(ds, emit)
 			}
 		})
 	}
-	perDataset("zen_dataset_table_bytes",
-		"Memory the dataset's column arrays (off the Go heap) and dictionaries (on it) hold (dataset.Table.SizeBytes).", "gauge",
-		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(d.Table().SizeBytes()))
-		})
-	perDataset("zen_dataset_resident_bytes",
-		"Memory the dataset's loaded column data holds: the blocks in place now, at memory width.", "gauge",
-		func(d *Dataset, _ DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(d.ResidentBytes()))
-		})
-	perDataset("zen_rows_scanned_total",
-		"Rows the store scanned (cache hits scan nothing).", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.RowsScanned))
-		})
-	perDataset("zen_segments_scanned_total",
-		"Zone-map segments the column store visited.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.SegmentsScanned))
-		})
-	perDataset("zen_segments_skipped_total",
-		"Zone-map segments proved empty and never scanned.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.SegmentsSkipped))
-		})
-	perDataset("zen_segments_loaded_total",
-		"Distinct segments each snapshot of the dataset materialized, summed (zpack: read from disk).", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.SegmentLoads))
-		})
-	perDataset("zen_blocks_released_total",
-		"Blocks in place in the snapshots idle sweeps released (zpack), read again by the next scan that needs them.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.BlocksReleased))
-		})
-	perDataset("zen_segment_skip_provenance_total",
-		"Segment skips attributed to the (column, metadata kind) that proved them empty.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			for _, e := range s.SkipProvenance {
-				emit(float64(e.Count),
-					obsv.Label{Key: "column", Value: e.Column},
-					obsv.Label{Key: "via", Value: e.Via})
-			}
-		})
-	perDataset("zen_cache_hits_total",
-		"Result-cache hits.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Cache.Hits))
-		})
-	perDataset("zen_cache_misses_total",
-		"Result-cache misses.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Cache.Misses))
-		})
-	perDataset("zen_cache_evictions_total",
-		"Result-cache evictions, including probation drops and wholesale invalidation on append.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Cache.Evictions))
-		})
-	perDataset("zen_cache_oversize_total",
-		"Results never cached because one alone exceeded the whole byte budget.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Cache.Oversize))
-		})
-	perDataset("zen_cache_entries",
-		"Result-cache entries currently held.", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Cache.Entries))
-		})
-	perDataset("zen_cache_bytes",
-		"Bytes of result vectors the result cache currently pins.", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Cache.Bytes))
-		})
-	perDataset("zen_coalesce_submissions_total",
-		"Engine submissions admitted through the coalescing queue.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Coalesce.Submissions))
-		})
-	perDataset("zen_coalesce_batches_total",
-		"Engine batches that served the submissions.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Coalesce.Batches))
-		})
-	perDataset("zen_coalesce_coalesced_total",
-		"Submissions that shared an engine batch with at least one other.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Coalesce.Coalesced))
-		})
-	perDataset("zen_queue_depth",
-		"Submissions parked at the admission queue right now.", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Coalesce.QueueDepth))
-		})
-	perDataset("zen_requests_shed_total",
-		"Submissions rejected with 429 because the admission queue was full.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Coalesce.Shed))
-		})
-	perDataset("zen_request_timeouts_total",
-		"Executions cut short by their request context (504 or 499).", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.HTTP.Timeouts))
-		})
-	perDataset("zen_scan_pool_busy",
-		"Scan jobs (a fragment for a share of a batch's plans) running now.", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Pool.Busy))
-		})
-	perDataset("zen_scan_pool_capacity",
-		"The scan workers one batch may use.", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Pool.Capacity))
-		})
-	perDataset("zen_compactions_total",
-		"Successful background/manual compactions (zpack datasets).", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Compaction != nil {
-				emit(float64(s.Compaction.Compactions))
-			}
-		})
-	perDataset("zen_compaction_failures_total",
-		"Compactions that failed; the old generation kept serving.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Compaction != nil {
-				emit(float64(s.Compaction.Failures))
-			}
-		})
-	perDataset("zen_compaction_rows_rewritten_total",
-		"Rows rewritten into re-clustered generations.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Compaction != nil {
-				emit(float64(s.Compaction.RowsRewritten))
-			}
-		})
-	perDataset("zen_compaction_generation",
-		"Compacted generation serving now (0 = file as loaded).", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Compaction != nil {
-				emit(float64(s.Compaction.Generation))
-			}
-		})
-	perDataset("zen_compaction_unsorted_segments",
-		"Segments out of primary-cluster-column order (what the compactor thresholds on).", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Compaction != nil {
-				emit(float64(s.Compaction.UnsortedSegments))
-			}
-		})
-	perDataset("zen_compaction_last_duration_seconds",
-		"Wall time of the most recent successful compaction.", "gauge",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			if s.Compaction != nil {
-				emit(float64(s.Compaction.LastDurationMs) / 1e3)
-			}
-		})
-	perDataset("zen_process_tuples_total",
-		"Process-phase tuples scored.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Process.Tuples))
-		})
-	perDataset("zen_process_dist_abandoned_total",
-		"Distance calls the pruning kernels abandoned early.", "counter",
-		func(_ *Dataset, s DatasetStats, emit func(float64, ...obsv.Label)) {
-			emit(float64(s.Process.DistAbandoned))
-		})
 	for i, g := range []struct{ name, help, typ, sample string }{
 		{"zen_go_gc_percent", "GC percent in force (the process's GOGC; -1 = off).", "gauge", "/gc/gogc:percent"},
 		{"zen_go_heap_live_bytes", "Heap bytes the last GC cycle marked live.", "gauge", "/gc/heap/live:bytes"},
@@ -285,6 +119,68 @@ func newMetrics(reg *Registry) *metrics {
 	return m
 }
 
+// statSeries is one per-dataset family, declared by a tagged field of
+// DatasetStats or of a struct nested in it (see DatasetStats).
+type statSeries struct {
+	name, help, typ string
+	index           []int   // the field, from DatasetStats
+	div             float64 // 1e3 for a field in ms served in seconds, else 1
+}
+
+// datasetSeries walks t, DatasetStats or a struct nested in it at index,
+// and returns the series its tagged fields declare, in field order.
+func datasetSeries(t reflect.Type, index []int) []statSeries {
+	var out []statSeries
+	for i := range t.NumField() {
+		f := t.Field(i)
+		at := append(slices.Clip(index), i)
+		if tag, ok := f.Tag.Lookup("metric"); ok {
+			name, typ, _ := strings.Cut(tag, ",")
+			typ, unit, _ := strings.Cut(typ, ",")
+			div := 1.0
+			if unit == "ms" {
+				div = 1e3
+			}
+			out = append(out, statSeries{name, f.Tag.Get("help"), typ, at, div})
+			continue
+		}
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			out = append(out, datasetSeries(ft, at)...)
+		}
+	}
+	return out
+}
+
+// collect emits the series' samples for one dataset's snapshot: none when
+// a nil pointer lies on the way to the field, one per element of a slice.
+func (f statSeries) collect(ds datasetSnap, emit func(obsv.Sample)) {
+	v, err := ds.stats.FieldByIndexErr(f.index)
+	if err != nil {
+		return
+	}
+	base := obsv.Label{Key: "dataset", Value: ds.name}
+	if v.Kind() != reflect.Slice {
+		emit(obsv.Sample{Labels: []obsv.Label{base}, Value: float64(v.Int()) / f.div})
+		return
+	}
+	for i := range v.Len() {
+		e := v.Index(i)
+		s := obsv.Sample{Labels: []obsv.Label{base}}
+		for j := range e.NumField() {
+			if key, ok := e.Type().Field(j).Tag.Lookup("label"); ok {
+				s.Labels = append(s.Labels, obsv.Label{Key: key, Value: e.Field(j).String()})
+			} else {
+				s.Value = float64(e.Field(j).Int()) / f.div
+			}
+		}
+		emit(s)
+	}
+}
+
 // ServeHTTP renders the exposition after reading the runtime's figures and
 // taking one snapshot of each dataset's.
 func (m *metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -292,7 +188,7 @@ func (m *metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer m.scrape.Unlock()
 	rtmetrics.Read(m.rt)
 	for _, d := range m.reg.List() {
-		m.ds = append(m.ds, datasetSnap{d, d.Stats()})
+		m.ds = append(m.ds, datasetSnap{d.Name(), reflect.ValueOf(d.Stats())})
 	}
 	m.obsv.ServeHTTP(w, r)
 	m.ds = nil // hold no dataset past its scrape

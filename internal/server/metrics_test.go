@@ -1,14 +1,18 @@
 package server
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,7 +126,8 @@ func TestMetricsGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ts, _ := metricsGoldenServer(t)
 	_, raw := get(t, ts.URL+"/metrics")
-	got := strings.Join(datasetFamilies(string(raw)), "")
+	scrape := string(raw)
+	got := strings.Join(datasetFamilies(scrape), "")
 
 	path := filepath.Join("testdata", "metrics.golden")
 	if *updateMetrics {
@@ -146,6 +151,139 @@ func TestMetricsGolden(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("metrics.golden line %d:\n got %q\nwant %q", i+1, g, w)
+		}
+	}
+
+	// Every tagged field on /stats is its sample on /metrics.
+	_, raw = get(t, ts.URL+"/stats")
+	var st struct {
+		Datasets map[string]DatasetStats `json:"datasets"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]bool{}
+	for _, line := range strings.Split(scrape, "\n") {
+		lines[line] = true
+	}
+	// A series in seconds serves a field in milliseconds.
+	sample := func(name string, v int64, labels ...string) string {
+		x := float64(v)
+		if strings.HasSuffix(name, "_seconds") {
+			x /= 1e3
+		}
+		return fmt.Sprintf("%s{%s} %s", name, strings.Join(labels, ","), strconv.FormatFloat(x, 'g', -1, 64))
+	}
+	checked := 0
+	for ds, stats := range st.Datasets {
+		for _, f := range datasetSeries(reflect.TypeFor[DatasetStats](), nil) {
+			v, err := reflect.ValueOf(stats).FieldByIndexErr(f.index)
+			if err != nil {
+				continue
+			}
+			label := fmt.Sprintf("dataset=%q", ds)
+			var want []string
+			if v.Kind() == reflect.Slice {
+				for i := range v.Len() {
+					e := v.Index(i).Interface().(SkipProvEntry)
+					want = append(want, sample(f.name, e.Count,
+						label, fmt.Sprintf("column=%q", e.Column), fmt.Sprintf("via=%q", e.Via)))
+				}
+			} else {
+				want = append(want, sample(f.name, v.Int(), label))
+			}
+			for _, w := range want {
+				checked++
+				if !lines[w] {
+					t.Errorf("/stats has %q, /metrics does not", w)
+				}
+			}
+		}
+	}
+	if samples := strings.Count(got, "\n") - 2*strings.Count(got, "# HELP "); checked != samples {
+		t.Errorf("%d /stats figures checked against %d per-dataset samples on /metrics", checked, samples)
+	}
+}
+
+// catalogueNames returns the backquoted names, matching name, in the first
+// cell of each row of the table under heading in docs/OPERATIONS.md.
+func catalogueNames(t *testing.T, heading string, name *regexp.Regexp) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n"+heading+"\n")
+	if !ok {
+		t.Fatalf("docs/OPERATIONS.md has no %q", heading)
+	}
+	out := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, m := range regexp.MustCompile("`([^`]*)`").FindAllStringSubmatch(cells[1], -1) {
+			if n := name.FindString(m[1]); n != "" {
+				out[n] = true
+			}
+		}
+	}
+	return out
+}
+
+// jsonNames returns the /stats member names of t, nested structs' members
+// as "outer.inner".
+func jsonNames(t reflect.Type, prefix string, out map[string]bool) {
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			jsonNames(ft, prefix+name+".", out)
+		} else {
+			out[prefix+name] = true
+		}
+	}
+}
+
+// TestMetricsCatalogue holds the docs to the code both ways: the /metrics
+// table in docs/OPERATIONS.md lists exactly the registered families, and
+// the /stats glossary exactly the members of DatasetStats.
+func TestMetricsCatalogue(t *testing.T) {
+	ts, _ := newTestServer(t, Config{})
+	_, raw := get(t, ts.URL+"/metrics")
+	families := map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			families[name] = true
+		}
+	}
+	fields := map[string]bool{}
+	jsonNames(reflect.TypeFor[DatasetStats](), "", fields)
+	for _, c := range []struct {
+		what       string
+		code, docs map[string]bool
+	}{
+		{"/metrics family", families, catalogueNames(t, "### The /metrics catalog", regexp.MustCompile(`^zen_[a-z0-9_]+`))},
+		{"/stats member", fields, catalogueNames(t, "## /stats counter glossary", regexp.MustCompile(`^[a-zA-Z.]+$`))},
+	} {
+		for n := range c.code {
+			if !c.docs[n] {
+				t.Errorf("%s %s is not in docs/OPERATIONS.md", c.what, n)
+			}
+		}
+		for n := range c.docs {
+			if !c.code[n] {
+				t.Errorf("docs/OPERATIONS.md names %s %s, which does not exist", c.what, n)
+			}
 		}
 	}
 }

@@ -153,7 +153,7 @@ type dsCounters struct {
 	// struct. generation counts successful compactions (0 = as loaded);
 	// unsortedSegs is a gauge over the current file, refreshed at registration,
 	// after every append, and after every compaction — not at scrape time,
-	// because /metrics reads Stats() once per series. lastAppendNano is what
+	// because every /stats and /metrics snapshot reads it. lastAppendNano is what
 	// the background compactor's pause-during-append debounce checks.
 	compactions    atomic.Int64
 	compactFails   atomic.Int64
@@ -212,10 +212,22 @@ func (d *Dataset) ResidentBytes() int64 { return d.packR.ResidentBytes() }
 // dataset (datasets served from a .zpack file only).
 func (d *Dataset) Appendable() bool { return d.packW.Load() != nil }
 
-// DatasetStats aggregates every per-dataset counter for /stats.
+// DatasetStats aggregates every per-dataset counter for /stats, and it and
+// the structs nested in it declare the per-dataset /metrics series: a field
+// tagged `metric:"name,type"` is the series name (counter or gauge) with a
+// dataset label, and its `help` tag the HELP text (see newMetrics). A
+// `metric:"name,type,ms"` field holds milliseconds and is served in seconds.
+// A tagged slice is one sample per element: the element's fields tagged
+// `label:"key"` are its labels, its other field the value. A nil pointer on
+// the way to a field (Compaction on a CSV dataset) emits no sample.
 type DatasetStats struct {
 	Backend string `json:"backend"`
 	Rows    int    `json:"rows"`
+	// TableBytes is what the column arrays (off the Go heap) and the
+	// dictionaries (on it) hold; ResidentBytes is the part of it in place now,
+	// the blocks the dataset's reader has loaded, at memory width.
+	TableBytes    int64 `json:"tableBytes" metric:"zen_dataset_table_bytes,gauge" help:"Memory the dataset's column arrays (off the Go heap) and dictionaries (on it) hold (dataset.Table.SizeBytes)."`
+	ResidentBytes int64 `json:"residentBytes" metric:"zen_dataset_resident_bytes,gauge" help:"Memory the dataset's loaded column data holds: the blocks in place now, at memory width."`
 	// Engine counters are cumulative over the real store, so cache hits
 	// leave RowsScanned untouched — the visible win of the cache.
 	// SegmentsSkipped counts segments the zone maps proved empty and never
@@ -227,11 +239,11 @@ type DatasetStats struct {
 	// snapshots idle sweeps dropped had in place, to be read again by the
 	// next scan that needs them.
 	Queries         int64         `json:"queries"`
-	RowsScanned     int64         `json:"rowsScanned"`
-	SegmentsScanned int64         `json:"segmentsScanned"`
-	SegmentsSkipped int64         `json:"segmentsSkipped"`
-	SegmentLoads    int64         `json:"segmentLoads,omitempty"`
-	BlocksReleased  int64         `json:"blocksReleased,omitempty"`
+	RowsScanned     int64         `json:"rowsScanned" metric:"zen_rows_scanned_total,counter" help:"Rows the store scanned (cache hits scan nothing)."`
+	SegmentsScanned int64         `json:"segmentsScanned" metric:"zen_segments_scanned_total,counter" help:"Zone-map segments the column store visited."`
+	SegmentsSkipped int64         `json:"segmentsSkipped" metric:"zen_segments_skipped_total,counter" help:"Zone-map segments proved empty and never scanned."`
+	SegmentLoads    int64         `json:"segmentLoads,omitempty" metric:"zen_segments_loaded_total,counter" help:"Distinct segments each snapshot of the dataset materialized, summed (zpack: read from disk)."`
+	BlocksReleased  int64         `json:"blocksReleased,omitempty" metric:"zen_blocks_released_total,counter" help:"Blocks in place in the snapshots idle sweeps released (zpack), read again by the next scan that needs them."`
 	Cache           CacheStats    `json:"cache"`
 	Coalesce        BatchStats    `json:"coalesce"`
 	Process         ProcessTotals `json:"process"`
@@ -239,7 +251,7 @@ type DatasetStats struct {
 	History         int           `json:"historyEntries"`
 	// SkipProvenance attributes zone-map skips to the (column, metadata kind)
 	// that proved each skipped segment empty — highest count first.
-	SkipProvenance []SkipProvEntry `json:"skipProvenance,omitempty"`
+	SkipProvenance []SkipProvEntry `json:"skipProvenance,omitempty" metric:"zen_segment_skip_provenance_total,counter" help:"Segment skips attributed to the (column, metadata kind) that proved them empty."`
 	// Pool is the scan pool: the scan jobs in flight against the worker
 	// bound of one batch.
 	Pool *engine.PoolStats `json:"pool,omitempty"`
@@ -252,22 +264,22 @@ type DatasetStats struct {
 type CompactionStats struct {
 	// Generation counts successful compactions since the dataset registered
 	// (0 = serving the file as loaded).
-	Generation int64 `json:"generation"`
+	Generation int64 `json:"generation" metric:"zen_compaction_generation,gauge" help:"Compacted generation serving now (0 = file as loaded)."`
 	// Compactions / Failures / RowsRewritten are cumulative across
 	// generations; a failure leaves the old generation serving.
-	Compactions   int64 `json:"compactions"`
-	Failures      int64 `json:"failures"`
-	RowsRewritten int64 `json:"rowsRewritten"`
+	Compactions   int64 `json:"compactions" metric:"zen_compactions_total,counter" help:"Successful background/manual compactions (zpack datasets)."`
+	Failures      int64 `json:"failures" metric:"zen_compaction_failures_total,counter" help:"Compactions that failed; the old generation kept serving."`
+	RowsRewritten int64 `json:"rowsRewritten" metric:"zen_compaction_rows_rewritten_total,counter" help:"Rows rewritten into re-clustered generations."`
 	// LastDurationMs and LastCols describe the most recent successful
 	// compaction: wall time and the cluster columns used.
-	LastDurationMs int64    `json:"lastDurationMs,omitempty"`
+	LastDurationMs int64    `json:"lastDurationMs,omitempty" metric:"zen_compaction_last_duration_seconds,gauge,ms" help:"Wall time of the most recent successful compaction."`
 	LastCols       []string `json:"lastCols,omitempty"`
 	// ClusterCol is the primary cluster column the UnsortedSegments gauge is
 	// measured against; UnsortedSegments counts segments out of order on it —
 	// the disorder appends accumulate and the background compactor thresholds
 	// on. Zero right after a compaction, by construction.
 	ClusterCol       string `json:"clusterCol,omitempty"`
-	UnsortedSegments int64  `json:"unsortedSegments"`
+	UnsortedSegments int64  `json:"unsortedSegments" metric:"zen_compaction_unsorted_segments,gauge" help:"Segments out of primary-cluster-column order (what the compactor thresholds on)."`
 }
 
 // SkipProvEntry is one skip-attribution bucket: segments proved empty for
@@ -275,8 +287,8 @@ type CompactionStats struct {
 // dictionary bitset), "zonemap" (numeric min/max), "const" (constant-false
 // predicate), or "expr" (composite AND/OR proof).
 type SkipProvEntry struct {
-	Column string `json:"column"`
-	Via    string `json:"via"`
+	Column string `json:"column" label:"column"`
+	Via    string `json:"via" label:"via"`
 	Count  int64  `json:"count"`
 }
 
@@ -284,9 +296,9 @@ type SkipProvEntry struct {
 // served: tuples scored, distance calls made, and distance calls the pruning
 // kernels abandoned early (work saved without changing results).
 type ProcessTotals struct {
-	Tuples        int64 `json:"tuples"`
+	Tuples        int64 `json:"tuples" metric:"zen_process_tuples_total,counter" help:"Process-phase tuples scored."`
 	DistCalls     int64 `json:"distCalls"`
-	DistAbandoned int64 `json:"distAbandoned"`
+	DistAbandoned int64 `json:"distAbandoned" metric:"zen_process_dist_abandoned_total,counter" help:"Distance calls the pruning kernels abandoned early."`
 }
 
 // HTTPStats counts requests served per endpoint kind. Timeouts counts
@@ -297,7 +309,7 @@ type HTTPStats struct {
 	Specs      int64 `json:"specs"`
 	Recommends int64 `json:"recommends"`
 	Errors     int64 `json:"errors"`
-	Timeouts   int64 `json:"timeouts"`
+	Timeouts   int64 `json:"timeouts" metric:"zen_request_timeouts_total,counter" help:"Executions cut short by their request context (504 or 499)."`
 }
 
 // skipProvenance renders the store's skip attribution in emit order, or nil
@@ -337,6 +349,8 @@ func (d *Dataset) Stats() DatasetStats {
 		Compaction:      compaction,
 		Backend:         d.backend,
 		Rows:            d.table.NumRows(),
+		TableBytes:      d.table.SizeBytes(),
+		ResidentBytes:   d.ResidentBytes(),
 		Queries:         st.Queries,
 		RowsScanned:     st.RowsScanned,
 		SegmentsScanned: st.SegmentsScanned,
