@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/minisql"
 )
 
@@ -207,39 +206,6 @@ func TestPrepareRejectsForeignPlan(t *testing.T) {
 	}
 	if _, err := row.ExecuteBatch(context.Background(), []*Plan{nil}); err == nil {
 		t.Error("nil plan accepted")
-	}
-}
-
-// TestExecuteBatchMultiTable checks a batch spanning two base tables.
-func TestExecuteBatchMultiTable(t *testing.T) {
-	a := salesTable()
-	b := dataset.NewTable("other", []dataset.Field{
-		{Name: "k", Kind: dataset.KindString},
-		{Name: "v", Kind: dataset.KindFloat},
-	})
-	b.AppendRow(dataset.SV("x"), dataset.FV(1))
-	b.AppendRow(dataset.SV("x"), dataset.FV(2))
-	b.AppendRow(dataset.SV("y"), dataset.FV(5))
-	db := NewRowStore(a, b)
-	sqls := []string{
-		"SELECT COUNT(*) AS n FROM sales",
-		"SELECT k, SUM(v) AS s FROM other GROUP BY k ORDER BY k",
-		"SELECT COUNT(*) AS n FROM sales WHERE product = 'chair'",
-	}
-	plans := mustPrepareAll(t, db, sqls)
-	batch, err := db.ExecuteBatch(context.Background(), plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range plans {
-		single, err := p.Execute()
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, sqls[i], batch[i], single)
-	}
-	if batch[1].Value(0, 1).Float() != 3 || batch[1].Value(1, 1).Float() != 5 {
-		t.Errorf("other table sums = %v", batch[1].Rows())
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 )
 
 // BitmapStore is the in-memory "Roaring Bitmap Database" of the paper: a
-// column-oriented store where every distinct value of every indexed
-// categorical column has a roaring bitmap of the rows holding it. Conjunctive
-// equality / IN predicates are answered with bitmap intersections; predicates
-// the index cannot answer are post-filtered inside the candidate set.
+// column-oriented store over one table where every distinct value of every
+// indexed categorical column has a roaring bitmap of the rows holding it.
+// Conjunctive equality / IN predicates are answered with bitmap
+// intersections; predicates the index cannot answer are post-filtered inside
+// the candidate set.
 //
 // Beyond the paper's prototype, integer columns with at most
 // maxIntIndexCardinality distinct values are also bitmap-indexed, which
@@ -25,9 +26,9 @@ import (
 // named in the paper's future work (Section 10.1).
 type BitmapStore struct {
 	parLimit
-	tables     map[string]*dataset.Table
-	indexes    map[string]tableIndex
-	intIndexes map[string]map[string]*intIndex
+	t          *dataset.Table
+	index      tableIndex
+	intIndexes map[string]*intIndex // by column name
 	stats      counters
 }
 
@@ -46,22 +47,12 @@ type intIndex struct {
 // for the array/bitmap container boundary).
 const maxIntIndexCardinality = 4096
 
-// NewBitmapStore builds a bitmap store, indexing all categorical columns of
-// every table (the paper's default policy: index categoricals, leave
+// NewBitmapStore builds a bitmap store over a base table, indexing all its
+// categorical columns (the paper's default policy: index categoricals, leave
 // measures unindexed) plus low-cardinality integer columns for range
 // predicates.
-func NewBitmapStore(tables ...*dataset.Table) *BitmapStore {
-	s := &BitmapStore{
-		tables:     make(map[string]*dataset.Table, len(tables)),
-		indexes:    make(map[string]tableIndex, len(tables)),
-		intIndexes: make(map[string]map[string]*intIndex, len(tables)),
-	}
-	for _, t := range tables {
-		s.tables[t.Name] = t
-		s.indexes[t.Name] = buildIndex(t)
-		s.intIndexes[t.Name] = buildIntIndexes(t)
-	}
-	return s
+func NewBitmapStore(t *dataset.Table) *BitmapStore {
+	return &BitmapStore{t: t, index: buildIndex(t), intIndexes: buildIntIndexes(t)}
 }
 
 func buildIntIndexes(t *dataset.Table) map[string]*intIndex {
@@ -128,20 +119,20 @@ func buildIndex(t *dataset.Table) tableIndex {
 // Name identifies the back-end.
 func (s *BitmapStore) Name() string { return "bitmapstore" }
 
-// Table returns the named base table, or nil.
-func (s *BitmapStore) Table(name string) *dataset.Table { return s.tables[name] }
+// Table returns the store's table if it is the named one, or nil.
+func (s *BitmapStore) Table(name string) *dataset.Table { return tableNamed(s.t, name) }
 
 // Counters returns cumulative execution statistics.
 func (s *BitmapStore) Counters() Counters { return s.stats.snapshot() }
 
-// Stats reports the counters; the store has nothing per table to add.
-func (s *BitmapStore) Stats(string) Stats { return Stats{Counters: s.Counters()} }
+// Stats reports the counters; the store has nothing else to add.
+func (s *BitmapStore) Stats() Stats { return Stats{Counters: s.Counters()} }
 
-// IndexSizeBytes reports the total footprint of the bitmap indexes of a
-// table, for diagnostics.
-func (s *BitmapStore) IndexSizeBytes(table string) int {
+// IndexSizeBytes reports the total footprint of the categorical bitmap
+// indexes, for diagnostics.
+func (s *BitmapStore) IndexSizeBytes() int {
 	n := 0
-	for _, bms := range s.indexes[table] {
+	for _, bms := range s.index {
 		for _, b := range bms {
 			n += b.SizeBytes()
 		}
@@ -152,12 +143,13 @@ func (s *BitmapStore) IndexSizeBytes(table string) int {
 // planBitmap tries to answer a predicate entirely from the index. It returns
 // (bitmap, true) on success. total is the number of rows in the table,
 // needed to complement for NOT / !=.
-func (s *BitmapStore) planBitmap(t *dataset.Table, ix tableIndex, e minisql.Expr, total int) (*roaring.Bitmap, bool) {
+func (s *BitmapStore) planBitmap(e minisql.Expr, total int) (*roaring.Bitmap, bool) {
+	t, ix := s.t, s.index
 	switch x := e.(type) {
 	case *minisql.And:
 		parts := make([]*roaring.Bitmap, 0, len(x.Args))
 		for _, a := range x.Args {
-			b, ok := s.planBitmap(t, ix, a, total)
+			b, ok := s.planBitmap(a, total)
 			if !ok {
 				return nil, false
 			}
@@ -167,7 +159,7 @@ func (s *BitmapStore) planBitmap(t *dataset.Table, ix tableIndex, e minisql.Expr
 	case *minisql.Or:
 		res := roaring.New()
 		for _, a := range x.Args {
-			b, ok := s.planBitmap(t, ix, a, total)
+			b, ok := s.planBitmap(a, total)
 			if !ok {
 				return nil, false
 			}
@@ -175,7 +167,7 @@ func (s *BitmapStore) planBitmap(t *dataset.Table, ix tableIndex, e minisql.Expr
 		}
 		return res, true
 	case *minisql.Not:
-		b, ok := s.planBitmap(t, ix, x.Arg, total)
+		b, ok := s.planBitmap(x.Arg, total)
 		if !ok {
 			return nil, false
 		}
@@ -199,7 +191,7 @@ func (s *BitmapStore) planBitmap(t *dataset.Table, ix tableIndex, e minisql.Expr
 			}
 			return nil, false
 		}
-		if ii, ok := s.intIndexes[t.Name][x.Col]; ok && x.Val.Kind != dataset.KindString {
+		if ii, ok := s.intIndexes[x.Col]; ok && x.Val.Kind != dataset.KindString {
 			return planIntCompare(ii, x, total), true
 		}
 		return nil, false
@@ -213,7 +205,7 @@ func (s *BitmapStore) planBitmap(t *dataset.Table, ix tableIndex, e minisql.Expr
 			}
 			return res, true
 		}
-		if ii, ok := s.intIndexes[t.Name][x.Col]; ok {
+		if ii, ok := s.intIndexes[x.Col]; ok {
 			res := roaring.New()
 			for _, v := range x.Vals {
 				// Fractional values can never equal an integer cell; probing
@@ -230,7 +222,7 @@ func (s *BitmapStore) planBitmap(t *dataset.Table, ix tableIndex, e minisql.Expr
 		}
 		return nil, false
 	case *minisql.Between:
-		ii, ok := s.intIndexes[t.Name][x.Col]
+		ii, ok := s.intIndexes[x.Col]
 		if !ok || x.Lo.Kind == dataset.KindString || x.Hi.Kind == dataset.KindString {
 			return nil, false
 		}
@@ -274,14 +266,14 @@ func planIntCompare(ii *intIndex, x *minisql.Compare, total int) *roaring.Bitmap
 
 // Prepare validates and column-resolves a parsed query into a reusable plan.
 func (s *BitmapStore) Prepare(q *minisql.Query) (*Plan, error) {
-	return newPlan(s, s.tables[q.From], q)
+	return newPlan(s, s.Table(q.From), q)
 }
 
-// bitmapCache memoizes conjunct bitmaps within one batch, keyed by table and
-// canonical predicate SQL, so that plans sharing predicate conjuncts (the
-// common case for a request batch sliced from one ZQL row) compute each
-// shared bitmap intersection exactly once. Entries with ok=false record that
-// the index cannot answer the conjunct.
+// bitmapCache memoizes conjunct bitmaps within one batch, keyed by canonical
+// predicate SQL, so that plans sharing predicate conjuncts (the common case
+// for a request batch sliced from one ZQL row) compute each shared bitmap
+// intersection exactly once. Entries with ok=false record that the index
+// cannot answer the conjunct.
 type bitmapCache map[string]cachedBitmap
 
 type cachedBitmap struct {
@@ -290,12 +282,12 @@ type cachedBitmap struct {
 }
 
 // cachedBitmap answers a predicate from the index through the batch cache.
-func (s *BitmapStore) cachedBitmap(cache bitmapCache, t *dataset.Table, ix tableIndex, e minisql.Expr, total int) (*roaring.Bitmap, bool) {
-	key := t.Name + "\x00" + e.SQL()
+func (s *BitmapStore) cachedBitmap(cache bitmapCache, e minisql.Expr, total int) (*roaring.Bitmap, bool) {
+	key := e.SQL()
 	if c, hit := cache[key]; hit {
 		return c.bm, c.ok
 	}
-	bm, ok := s.planBitmap(t, ix, e, total)
+	bm, ok := s.planBitmap(e, total)
 	cache[key] = cachedBitmap{bm: bm, ok: ok}
 	return bm, ok
 }
@@ -308,7 +300,6 @@ func (s *BitmapStore) cachedBitmap(cache bitmapCache, t *dataset.Table, ix table
 // to a full scan, same as RowStore.
 func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (rowIter, int64, error) {
 	t, q := p.t, p.q
-	ix := s.indexes[t.Name]
 	total := t.NumRows()
 
 	if q.Where == nil {
@@ -323,7 +314,7 @@ func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (rowIter, int64, er
 	var parts []*roaring.Bitmap
 	var residual []minisql.Expr
 	for _, c := range p.conjs {
-		if b, ok := s.cachedBitmap(cache, t, ix, c, total); ok {
+		if b, ok := s.cachedBitmap(cache, c, total); ok {
 			parts = append(parts, b)
 		} else {
 			residual = append(residual, c)

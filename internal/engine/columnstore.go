@@ -17,49 +17,42 @@ import (
 // segmentSize is the internal alias of SegmentSize (see segsource.go).
 const segmentSize = SegmentSize
 
-// ColumnStore is a columnar vectorized executor over internal/dataset's
-// native layout (dictionary codes plus raw measure slices). Each table is
-// partitioned into fixed-size segments with precomputed zone maps — min/max
-// per numeric column and a dictionary-code presence bitset per categorical
-// column. Predicates are compiled (at Prepare time) into vecFilters that
-// evaluate a whole segment into a selection bitmap, skipping segments the
-// zone maps prove empty, and group-by aggregation over categorical keys runs
-// through flat per-group accumulator arrays indexed by dictionary code
-// instead of a hash map.
+// ColumnStore is a columnar vectorized executor over one table in
+// internal/dataset's native layout (dictionary codes plus raw measure
+// slices). The table is partitioned into fixed-size segments with
+// precomputed zone maps — min/max per numeric column and a dictionary-code
+// presence bitset per categorical column. Predicates are compiled (at
+// Prepare time) into vecFilters that evaluate a whole segment into a
+// selection bitmap, skipping segments the zone maps prove empty, and
+// group-by aggregation over categorical keys runs through flat per-group
+// accumulator arrays indexed by dictionary code instead of a hash map.
 //
 // ExecuteBatch mirrors the bitmap store's conjunct factoring: plans sharing
 // top-level WHERE conjuncts (the repeated constraints of a ZQL request
 // batch) have each shared conjunct's per-segment selection computed once per
 // scan job and intersected per plan.
 //
-// Every table is cut into fragments of FragmentSegments segments (the last
+// The table is cut into fragments of FragmentSegments segments (the last
 // one shorter). A fragment is the unit of scheduling and merging: a scan job
-// is one fragment for a share of a table's plans, and the gather merges each
-// plan's fragment sinks in fragment order. The fragment boundaries depend on
-// the table alone, so every answer's bits do too — never on the worker count
-// or the machine.
+// is one fragment for a share of the batch's plans, and the gather merges
+// each plan's fragment sinks in fragment order. The fragment boundaries
+// depend on the table alone, so every answer's bits do too — never on the
+// worker count or the machine.
+//
+// src is the segment source the data materializes through: a no-op
+// memSource for an in-memory table, a lazy reader (zpack) for a
+// disk-resident one. Zone maps always come from the source's metadata, so
+// the scan can prove segments empty without ever loading them.
 type ColumnStore struct {
 	parLimit
-	tables map[string]*dataset.Table
-	cols   map[string]*colTable
-	stats  *counters
-	prov   *skipProv
-	busy   atomic.Int64 // scan jobs currently running
-}
-
-// colTable is the segmented view of one base table. src is the segment
-// source the data materializes through: a no-op memSource for in-memory
-// tables, a lazy reader (zpack) for disk-resident ones. Zone maps always come
-// from the source's metadata, so the scan can prove segments empty without
-// ever loading them. frags cut [0, NumSegments()) into ascending, contiguous
-// fragments.
-type colTable struct {
 	t      *dataset.Table
 	src    SegmentSource
 	zones  map[string]*ZoneData // by column name
-	frags  []fragment
-	loaded []atomic.Bool // per segment: materialized by a scan of this store
-	loads  *atomic.Int64 // segments loaded set, plus the counts of the snapshots before (ShareCounters)
+	frags  []fragment           // ascending, contiguous, covering [0, NumSegments())
+	loaded []atomic.Bool        // per segment: materialized by a scan of this store
+	stats  *counters
+	prov   *skipProv
+	busy   atomic.Int64 // scan jobs currently running
 }
 
 // fragment is the segment range [lo, hi) one scan job walks.
@@ -89,149 +82,105 @@ func SetFragmentSegments(n int) int {
 	return int(fragmentSegments.Swap(int64(n)))
 }
 
-// newColumnStore returns an empty store; add registers its tables.
-func newColumnStore() *ColumnStore {
-	return &ColumnStore{
-		tables: make(map[string]*dataset.Table),
-		cols:   make(map[string]*colTable),
-		stats:  &counters{},
-		prov:   &skipProv{},
-	}
-}
-
 // ShareCounters makes s count into prev's counter cells — the store-wide
-// counters, the skip provenance, and each table's segment loads — so that the
-// store over a new snapshot of prev's tables goes on from prev's totals, and
+// counters with the segment loads, and the skip provenance — so that the
+// store over a new snapshot of prev's table goes on from prev's totals, and
 // what scans still running on prev add lands in them too. Call it before s
 // serves.
 func (s *ColumnStore) ShareCounters(prev *ColumnStore) {
 	s.stats, s.prov = prev.stats, prev.prov
-	for name, ct := range s.cols {
-		if pt := prev.cols[name]; pt != nil {
-			ct.loads = pt.loads
-		}
-	}
 }
 
-// add registers a source's table, cut at the given ascending interior
-// segment boundaries: len(cuts)+1 fragments, fragment i covering
+// segBounds returns the row range [lo, hi) of segment seg.
+func (s *ColumnStore) segBounds(seg int) (lo, hi int) {
+	lo = seg * segmentSize
+	return lo, min(lo+segmentSize, s.t.NumRows())
+}
+
+// NewColumnStore builds a column store over an in-memory base table,
+// segmenting it and precomputing its zone maps.
+func NewColumnStore(t *dataset.Table) *ColumnStore {
+	return NewColumnStoreFromSource(NewMemSource(t))
+}
+
+// NewColumnStoreFromSource builds a column store over a segment source whose
+// column data may materialize lazily: zone maps come from the source's
+// metadata, and a segment's data is loaded only when a scan first visits it —
+// a segment every plan's zone maps prove empty is never loaded at all. The
+// table is cut into fragments of the fixed size; a zpack Reader is cut this
+// way without rewriting a byte.
+func NewColumnStoreFromSource(src SegmentSource) *ColumnStore {
+	size := int(fragmentSegments.Load())
+	var cuts []int
+	for c := size; c < src.NumSegments(); c += size {
+		cuts = append(cuts, c)
+	}
+	return NewColumnStoreAt(src, cuts...)
+}
+
+// NewColumnStoreAt builds a column store over a source cut at explicit
+// interior segment boundaries: len(cuts)+1 fragments, fragment i covering
 // [cuts[i-1], cuts[i]). Empty fragments are legal — they scan nothing and
 // merge as identities. A cut out of order or outside [0, NumSegments()]
-// panics.
-func (s *ColumnStore) add(src SegmentSource, cuts []int) {
+// panics. It is how tests pin uneven fragments.
+func NewColumnStoreAt(src SegmentSource, cuts ...int) *ColumnStore {
 	t := src.Table()
 	nseg := src.NumSegments()
-	ct := &colTable{
+	s := &ColumnStore{
 		t:      t,
 		src:    src,
 		zones:  make(map[string]*ZoneData, t.NumCols()),
 		loaded: make([]atomic.Bool, nseg),
-		loads:  new(atomic.Int64),
+		stats:  &counters{},
+		prov:   &skipProv{},
 	}
 	lo := 0
 	for _, c := range append(cuts[:len(cuts):len(cuts)], nseg) {
 		if c < lo || c > nseg {
 			panic(fmt.Sprintf("engine: fragment cut %d outside [%d, %d]", c, lo, nseg))
 		}
-		ct.frags = append(ct.frags, fragment{lo, c})
+		s.frags = append(s.frags, fragment{lo, c})
 		lo = c
 	}
 	for _, c := range t.Columns() {
-		ct.zones[c.Field.Name] = src.Zone(c.Field.Name)
+		s.zones[c.Field.Name] = src.Zone(c.Field.Name)
 	}
-	s.tables[t.Name] = t
-	s.cols[t.Name] = ct
-}
-
-// segBounds returns the row range [lo, hi) of segment s.
-func (ct *colTable) segBounds(s int) (lo, hi int) {
-	lo = s * segmentSize
-	hi = lo + segmentSize
-	if n := ct.t.NumRows(); hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-func memSources(tables []*dataset.Table) []SegmentSource {
-	srcs := make([]SegmentSource, len(tables))
-	for i, t := range tables {
-		srcs[i] = NewMemSource(t)
-	}
-	return srcs
-}
-
-// NewColumnStore builds a column store over the given in-memory base tables,
-// segmenting each and precomputing its zone maps.
-func NewColumnStore(tables ...*dataset.Table) *ColumnStore {
-	return NewColumnStoreFromSource(memSources(tables)...)
-}
-
-// NewColumnStoreFromSource builds a column store over segment sources whose
-// column data may materialize lazily: zone maps come from the sources'
-// metadata, and a segment's data is loaded only when a scan first visits it —
-// a segment every plan's zone maps prove empty is never loaded at all. Each
-// table is cut into fragments of the fixed size; a zpack Reader is cut this
-// way without rewriting a byte.
-func NewColumnStoreFromSource(sources ...SegmentSource) *ColumnStore {
-	s := newColumnStore()
-	size := int(fragmentSegments.Load())
-	for _, src := range sources {
-		var cuts []int
-		for c := size; c < src.NumSegments(); c += size {
-			cuts = append(cuts, c)
-		}
-		s.add(src, cuts)
-	}
-	return s
-}
-
-// NewColumnStoreAt builds a column store over one source cut at explicit
-// interior segment boundaries — len(cuts)+1 fragments, ascending within
-// [0, NumSegments()], empty fragments allowed. It is how tests pin uneven
-// fragments.
-func NewColumnStoreAt(src SegmentSource, cuts ...int) *ColumnStore {
-	s := newColumnStore()
-	s.add(src, cuts)
 	return s
 }
 
 // NewShardedStoreFromSource is NewColumnStoreFromSource: the shard count is
 // ignored, since fragments are cut by the data. Only the benchmark module
 // still calls it; the benchmark's catch-up (ROADMAP item 4) deletes it.
-func NewShardedStoreFromSource(_ int, sources ...SegmentSource) *ColumnStore {
-	return NewColumnStoreFromSource(sources...)
+func NewShardedStoreFromSource(_ int, src SegmentSource) *ColumnStore {
+	return NewColumnStoreFromSource(src)
 }
 
 // NewAutoStore is NewColumnStore: the shard count is ignored, since
 // fragments are cut by the data. Only the benchmark module still calls it;
 // the benchmark's catch-up (ROADMAP item 4) deletes it.
-func NewAutoStore(_ int, tables ...*dataset.Table) *ColumnStore {
-	return NewColumnStore(tables...)
+func NewAutoStore(_ int, t *dataset.Table) *ColumnStore {
+	return NewColumnStore(t)
 }
 
 // Name identifies the back-end.
 func (s *ColumnStore) Name() string { return "columnstore" }
 
-// Table returns the named base table, or nil.
-func (s *ColumnStore) Table(name string) *dataset.Table { return s.tables[name] }
+// Table returns the store's table if it is the named one, or nil.
+func (s *ColumnStore) Table(name string) *dataset.Table { return tableNamed(s.t, name) }
 
 // Counters returns cumulative execution statistics.
 func (s *ColumnStore) Counters() Counters { return s.stats.snapshot() }
 
-// Stats reports the store's counters, skip provenance and scan-pool
-// saturation, and the table's segment and load totals.
-func (s *ColumnStore) Stats(table string) Stats {
-	st := Stats{
+// Stats reports the store's counters, segment and load totals, skip
+// provenance and scan-pool saturation.
+func (s *ColumnStore) Stats() Stats {
+	return Stats{
 		Counters:       s.Counters(),
+		Segments:       len(s.loaded),
+		SegmentLoads:   s.stats.segmentLoads.Load(),
 		SkipProvenance: s.prov.snapshot(),
 		Pool:           &PoolStats{Busy: int(s.busy.Load()), Capacity: s.parallelism()},
 	}
-	if ct := s.cols[table]; ct != nil {
-		st.Segments = len(ct.loaded)
-		st.SegmentLoads = ct.loads.Load()
-	}
-	return st
 }
 
 // vecPlan is the column store's per-plan compilation: the WHERE clause split
@@ -239,7 +188,6 @@ func (s *ColumnStore) Stats(table string) Stats {
 // its canonical SQL so a batch can share evaluations across plans, and the
 // columns a scan of the plan reads.
 type vecPlan struct {
-	ct    *colTable
 	conjs []vecConjunct // empty means "all rows"
 	cols  ColumnSet     // select, group-by and WHERE columns: what Load must bring in
 }
@@ -273,12 +221,11 @@ func (v *vecPlan) skipCause(seg int) (SkipAttr, bool) {
 // slice>) — stays in p.conjs, which is what EXPLAIN lists, and costs the
 // scan nothing.
 func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
-	p, err := newPlan(s, s.tables[q.From], q)
+	p, err := newPlan(s, s.Table(q.From), q)
 	if err != nil {
 		return nil, err
 	}
-	ct := s.cols[q.From]
-	vp := &vecPlan{ct: ct, cols: NewColumnSet(p.t.NumCols())}
+	vp := &vecPlan{cols: NewColumnSet(p.t.NumCols())}
 	names := p.q.Columns()
 	for j, c := range p.t.Columns() {
 		if slices.Contains(names, c.Field.Name) {
@@ -286,7 +233,7 @@ func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 		}
 	}
 	for _, c := range p.conjs {
-		f, err := compileVec(ct, p.t, c)
+		f, err := compileVec(s.zones, p.t, c)
 		if err != nil {
 			return nil, err
 		}
@@ -304,23 +251,21 @@ func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 }
 
 // scanJob is one unit of a batch's scatter: a walk of one fragment for a
-// share of one table's plans, yielding raw, unfinished sinks.
+// share of the batch's plans, yielding raw, unfinished sinks.
 type scanJob struct {
-	ct    *colTable
-	frag  int   // index of the fragment in the table's frags
+	frag  int   // index of the fragment in s.frags
 	idx   []int // plan indices
 	sinks []rowSink
 }
 
 // ExecuteBatch runs the plans as one request: a scatter of scan jobs on a
-// worker pool bounded by Parallelism, then a gather. Plans are grouped by
-// base table, and a job is one share of a group's plans times one fragment
-// of the table. A group's plans are dealt round-robin into as few shares as
-// give Parallelism jobs — Parallelism shares over a one-fragment table, one
-// share over a table of Parallelism fragments or more — never splitting a
-// plan. Each job walks its fragment once for all of its plans, evaluating
-// every distinct predicate conjunct at most once per segment and skipping
-// (plan, segment) pairs the zone maps prove empty.
+// worker pool bounded by Parallelism, then a gather. A job is one share of
+// the plans times one fragment of the table. The plans are dealt round-robin
+// into as few shares as give Parallelism jobs — Parallelism shares over a
+// one-fragment table, one share over a table of Parallelism fragments or
+// more — never splitting a plan. Each job walks its fragment once for all
+// of its plans, evaluating every distinct predicate conjunct at most once
+// per segment and skipping (plan, segment) pairs the zone maps prove empty.
 //
 // The gather merges each plan's fragment sinks in fragment order and
 // finishes once (ordering and LIMIT apply there only). What a plan's sinks
@@ -337,16 +282,13 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 	if err := checkBatch(s, plans); err != nil {
 		return nil, err
 	}
+	s.stats.queries.Add(int64(len(plans)))
+	nf := len(s.frags)
+	shares := dealIndices(len(plans), (s.parallelism()+nf-1)/nf)
 	var jobs []*scanJob
-	for _, grp := range groupPlansByTable(plans) {
-		ct := s.cols[grp.t.Name]
-		s.stats.queries.Add(int64(len(grp.idx)))
-		nf := len(ct.frags)
-		shares := dealIndices(grp.idx, (s.parallelism()+nf-1)/nf)
-		for f := range ct.frags {
-			for _, share := range shares {
-				jobs = append(jobs, &scanJob{ct: ct, frag: f, idx: share})
-			}
+	for f := range s.frags {
+		for _, share := range shares {
+			jobs = append(jobs, &scanJob{frag: f, idx: share})
 		}
 	}
 	parent := trace.FromContext(ctx)
@@ -357,7 +299,7 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 		sp := parent.StartChild("scan")
 		defer sp.End()
 		sp.SetStr("backend", "column")
-		sp.SetStr("table", j.ct.t.Name)
+		sp.SetStr("table", s.t.Name)
 		sp.SetInt("fragment", int64(j.frag))
 		sp.SetInt("plans", int64(len(j.idx)))
 		j.sinks = make([]rowSink, len(j.idx))
@@ -405,8 +347,8 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 // be discarded. The context is checked once per segment: a cancelled scan
 // stops at the next segment boundary and returns ctx.Err().
 func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, sp *trace.Span) error {
-	ct, f, sinks := j.ct, j.ct.frags[j.frag], j.sinks
-	cols := NewColumnSet(ct.t.NumCols())
+	f, sinks := s.frags[j.frag], j.sinks
+	cols := NewColumnSet(s.t.NumCols())
 	for _, pi := range j.idx {
 		cols.Or(plans[pi].vec.cols)
 	}
@@ -445,7 +387,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 			loadErr = err
 			break
 		}
-		lo, hi := ct.segBounds(seg)
+		lo, hi := s.segBounds(seg)
 		for i := range slotDone {
 			slotDone[i] = false
 		}
@@ -458,12 +400,12 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 			if visited {
 				return true
 			}
-			if err := ct.src.Load(seg, cols); err != nil {
+			if err := s.src.Load(seg, cols); err != nil {
 				loadErr = err
 				return false
 			}
-			if !ct.loaded[seg].Swap(true) {
-				ct.loads.Add(1)
+			if !s.loaded[seg].Swap(true) {
+				s.stats.segmentLoads.Add(1)
 			}
 			visited = true
 			segsScanned++

@@ -230,7 +230,7 @@ func TestColumnStoreBatchConjunctSharing(t *testing.T) {
 		if want := int64(4 + 4 + 4 + rseg + 2); c.SegmentsSkipped != want {
 			t.Errorf("%s: SegmentsSkipped = %d, want %d", name, c.SegmentsSkipped, want)
 		}
-		got := db.Stats("events").SkipProvenance
+		got := db.Stats().SkipProvenance
 		if len(got) != len(wantProv) {
 			t.Errorf("%s: provenance = %v, want %v", name, got, wantProv)
 		}

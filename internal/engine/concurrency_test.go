@@ -34,7 +34,7 @@ func TestConcurrentReaders(t *testing.T) {
 	tb := salesTable()
 	for _, db := range allStores(tb) {
 		name := db.Name()
-		if cs, ok := db.(*ColumnStore); ok && len(cs.cols["sales"].frags) > 1 {
+		if cs, ok := db.(*ColumnStore); ok && len(cs.frags) > 1 {
 			name = "fragmented"
 		}
 		t.Run(name, func(t *testing.T) {

@@ -40,7 +40,7 @@ func TestSkipProvenancePostReorder(t *testing.T) {
 		if _, err := execSQL(cs, "SELECT COUNT(*) AS n FROM p WHERE "+tc.where); err != nil {
 			t.Fatal(err)
 		}
-		prov := cs.Stats("p").SkipProvenance
+		prov := cs.Stats().SkipProvenance
 		if prov[SkipAttr{Column: tc.first, Via: "zonemap"}] != 2 {
 			t.Errorf("%s: want 2 skips credited to written-first %s, got %v", tc.where, tc.first, prov)
 		}
@@ -62,7 +62,7 @@ func TestDictMissSkipsInEveryPosition(t *testing.T) {
 		conjs := append(append(append([]string(nil), legs[:pos]...), miss), legs[pos:]...)
 		sql := "SELECT COUNT(*) AS n FROM p WHERE " + strings.Join(conjs, " AND ")
 		for _, cs := range []*ColumnStore{NewColumnStore(twoColTable(nseg)), evenStore(3, twoColTable(nseg))} {
-			name := fmt.Sprintf("%d fragment(s), %q", len(cs.cols["p"].frags), sql)
+			name := fmt.Sprintf("%d fragment(s), %q", len(cs.frags), sql)
 			res, err := execSQL(cs, sql)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -70,7 +70,7 @@ func TestDictMissSkipsInEveryPosition(t *testing.T) {
 			if got := res.Value(0, 0).Int(); got != 0 {
 				t.Errorf("%s: count = %d, want 0", name, got)
 			}
-			st := cs.Stats("p")
+			st := cs.Stats()
 			if st.RowsScanned != 0 || st.SegmentsSkipped != nseg {
 				t.Errorf("%s: %d rows scanned, %d segments skipped, want 0 and %d",
 					name, st.RowsScanned, st.SegmentsSkipped, nseg)

@@ -81,21 +81,18 @@ func TestNewStoreResolvesBackendNames(t *testing.T) {
 		if tc.db.Name() != tc.name {
 			t.Errorf("%s = %s, want %s", tc.backend, tc.db.Name(), tc.name)
 		}
-		if cs, ok := tc.db.(*ColumnStore); ok && len(cs.cols["p"].frags) != 1 {
-			t.Errorf("%s: %d fragments over a one-segment table, want 1", tc.backend, len(cs.cols["p"].frags))
+		if cs, ok := tc.db.(*ColumnStore); ok && len(cs.frags) != 1 {
+			t.Errorf("%s: %d fragments over a one-segment table, want 1", tc.backend, len(cs.frags))
 		}
 	}
 }
 
-// evenStore is the column store with each table cut into n fragments of as
+// evenStore is the column store with the table cut into n fragments of as
 // equal size as integer division allows — some of them empty when n exceeds
 // the segment count: the layouts the merge tests sweep.
-func evenStore(n int, tables ...*dataset.Table) *ColumnStore {
-	s := newColumnStore()
-	for _, src := range memSources(tables) {
-		s.add(src, evenCuts(src.NumSegments(), n))
-	}
-	return s
+func evenStore(n int, t *dataset.Table) *ColumnStore {
+	src := NewMemSource(t)
+	return NewColumnStoreAt(src, evenCuts(src.NumSegments(), n)...)
 }
 
 // evenCuts returns the interior boundaries of n even fragments over nseg
@@ -397,11 +394,8 @@ func TestBitmapScansFewerRowsOnSelectivePredicates(t *testing.T) {
 func TestIndexSizeReporting(t *testing.T) {
 	tb := salesTable()
 	s := NewBitmapStore(tb)
-	if s.IndexSizeBytes("sales") <= 0 {
+	if s.IndexSizeBytes() <= 0 {
 		t.Error("index size should be positive")
-	}
-	if s.IndexSizeBytes("nope") != 0 {
-		t.Error("unknown table index size should be zero")
 	}
 }
 

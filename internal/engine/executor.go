@@ -10,23 +10,24 @@ import (
 	"repro/internal/minisql"
 )
 
-// DB is a queryable storage back-end. The row, bitmap and column stores
-// implement it.
+// DB is a queryable storage back-end over one base table. The row, bitmap
+// and column stores implement it.
 type DB interface {
 	// Name identifies the back-end: "rowstore", "bitmapstore", or
 	// "columnstore".
 	Name() string
-	// Table returns the named base table, or nil.
+	// Table returns the store's table if name is its name, or nil: the check
+	// a query's FROM passes at Prepare.
 	Table(name string) *dataset.Table
 	// Prepare validates and column-resolves a parsed query into a reusable
 	// plan bound to this back-end.
 	Prepare(q *minisql.Query) (*Plan, error)
 	// ExecuteBatch runs a batch of prepared plans as one request, sharing
-	// work across plans over the same table: the row store serves every plan
-	// in the batch from shared scans, the bitmap store computes common
-	// predicate conjunct bitmaps once, and the column store evaluates common
-	// predicate conjuncts segment-at-a-time once per scan job. Results
-	// align with plans.
+	// work across the plans: the row store serves every plan in the batch
+	// from shared scans, the bitmap store computes common predicate
+	// conjunct bitmaps once, and the column store evaluates common predicate
+	// conjuncts segment-at-a-time once per scan job. Results align with
+	// plans.
 	//
 	// The context bounds the batch: cancellation is observed at store-specific
 	// boundaries (segment boundaries for the column store, scan blocks for
@@ -36,13 +37,20 @@ type DB interface {
 	ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error)
 	// Counters returns cumulative execution statistics.
 	Counters() Counters
-	// Stats returns everything the store can report, for the named table.
-	Stats(table string) Stats
+	// Stats returns everything the store can report.
+	Stats() Stats
+}
+
+// tableNamed returns t if name is its name, or nil: every store's Table.
+func tableNamed(t *dataset.Table, name string) *dataset.Table {
+	if t.Name != name {
+		return nil
+	}
+	return t
 }
 
 // Stats is a store's observability snapshot, read in one call by the serving
-// layer. Counters, SkipProvenance and Pool are store-wide; the rest describe
-// the named table. Fields a store cannot report stay zero or nil.
+// layer. Fields a store cannot report stay zero or nil.
 type Stats struct {
 	Counters
 	// Segments is the table's zone-map segment count (column stores only).
@@ -110,6 +118,7 @@ type counters struct {
 	rowsScanned     atomic.Int64
 	segmentsScanned atomic.Int64
 	segmentsSkipped atomic.Int64
+	segmentLoads    atomic.Int64 // column stores: Stats.SegmentLoads
 }
 
 func (c *counters) snapshot() Counters {

@@ -58,7 +58,7 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 	if tb.Column("iraw").Coded() {
 		t.Fatal("fixture: iraw should be past the int dictionary bound")
 	}
-	ct := NewColumnStore(tb).cols[tb.Name]
+	cs := NewColumnStore(tb)
 	var conds []string
 	for _, col := range []string{"s8", "s16", "s32"} {
 		p := map[string]string{"s8": "a", "s16": "b", "s32": "c"}[col]
@@ -90,7 +90,7 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cond, err)
 		}
-		f, err := compileVec(ct, tb, q.Where)
+		f, err := compileVec(cs.zones, tb, q.Where)
 		if err != nil {
 			t.Fatalf("%s: %v", cond, err)
 		}
@@ -98,8 +98,8 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cond, err)
 		}
-		for seg := range len(ct.loaded) {
-			lo, hi := ct.segBounds(seg)
+		for seg := range len(cs.loaded) {
+			lo, hi := cs.segBounds(seg)
 			clearBits(bits)
 			f.eval(lo, hi, bits)
 			matches := 0
@@ -129,7 +129,6 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 	tb := widthsTable(rand.New(rand.NewSource(23)))
 	s := NewColumnStore(tb)
-	ct := s.cols["t"]
 	all := make([]string, 300)
 	for i := range all {
 		all[i] = fmt.Sprintf("'b%d'", i)
@@ -148,7 +147,7 @@ func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := compileVec(ct, tb, q.Where)
+		f, err := compileVec(s.zones, tb, q.Where)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +181,7 @@ func TestCoveringCodeSetFoldsToAllTrue(t *testing.T) {
 	assertSameResult(t, sql, got, want)
 	// Every segment outside the three 5000-row year bands is skipped by the
 	// i8 conjuncts' zone maps, none by the folded one.
-	for attr, n := range s.Stats(tb.Name).SkipProvenance {
+	for attr, n := range s.Stats().SkipProvenance {
 		if attr.Column != "i8" || attr.Via != "zonemap" || n == 0 {
 			t.Errorf("skip attributed to %+v (%d times), want only i8's zone maps", attr, n)
 		}

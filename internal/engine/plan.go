@@ -538,41 +538,13 @@ func (a *groupAcc) aggVector(f minisql.AggFunc, ai int) Vector {
 	return v
 }
 
-// groupPlansByTable partitions batch plan indices by base table, preserving
-// first-seen order.
-type planGroup struct {
-	t   *dataset.Table
-	idx []int
-}
-
-func groupPlansByTable(plans []*Plan) []*planGroup {
-	byTable := make(map[*dataset.Table]*planGroup)
-	var out []*planGroup
-	for i, p := range plans {
-		g, ok := byTable[p.t]
-		if !ok {
-			g = &planGroup{t: p.t}
-			byTable[p.t] = g
-			out = append(out, g)
-		}
-		g.idx = append(g.idx, i)
-	}
-	return out
-}
-
-// dealIndices deals the indices round-robin into at most par shares, so a
-// batch executor can bound its concurrency while heterogeneous plans stay
-// balanced.
-func dealIndices(idx []int, par int) [][]int {
-	if par < 1 {
-		par = 1
-	}
-	if par > len(idx) {
-		par = len(idx)
-	}
-	shares := make([][]int, par)
-	for k, i := range idx {
-		shares[k%par] = append(shares[k%par], i)
+// dealIndices deals the indices 0..n-1 round-robin into at most par shares,
+// so a batch executor can bound its concurrency while heterogeneous plans
+// stay balanced.
+func dealIndices(n, par int) [][]int {
+	shares := make([][]int, min(max(par, 1), n))
+	for i := range n {
+		shares[i%len(shares)] = append(shares[i%len(shares)], i)
 	}
 	return shares
 }
@@ -599,10 +571,10 @@ func planError(p *Plan, err error) error {
 }
 
 // batchError is the error a batch whose jobs ran on par.Do reports: a
-// contained panic reads as a shard panic.
+// contained panic reads as a scan panic.
 func batchError(err error) error {
 	if p, ok := err.(*par.Panic); ok {
-		return fmt.Errorf("engine: shard panic: %v", p.Value)
+		return fmt.Errorf("engine: scan panic: %v", p.Value)
 	}
 	return err
 }

@@ -1,5 +1,6 @@
 // Package engine executes minisql queries against dataset tables. It
-// provides three storage back-ends behind one DB interface:
+// provides three storage back-ends behind one DB interface, each the
+// executor of one table:
 //
 //   - RowStore: a full-scan executor with hash aggregation, standing in for
 //     the PostgreSQL back-end of the paper,

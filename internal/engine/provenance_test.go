@@ -58,7 +58,7 @@ func TestSkipProvenanceAttribution(t *testing.T) {
 		{Column: "region", Via: "const"}: nseg,
 		{Column: "(multi)", Via: "expr"}: nseg,
 	}
-	got := col.Stats("events").SkipProvenance
+	got := col.Stats().SkipProvenance
 	if len(got) != len(want) {
 		t.Fatalf("provenance = %v, want %v", got, want)
 	}
@@ -106,7 +106,7 @@ func TestSkipProvenanceMergesAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, got := col.Stats("events").SkipProvenance, sh.Stats("events").SkipProvenance
+	want, got := col.Stats().SkipProvenance, sh.Stats().SkipProvenance
 	if len(got) != len(want) {
 		t.Fatalf("fragmented provenance = %v, want %v", got, want)
 	}

@@ -31,10 +31,10 @@ func rangeTable() *dataset.Table {
 
 func TestIntIndexBuiltSelectively(t *testing.T) {
 	s := NewBitmapStore(rangeTable())
-	if _, ok := s.intIndexes["r"]["year"]; !ok {
+	if _, ok := s.intIndexes["year"]; !ok {
 		t.Error("year (20 distinct) should be int-indexed")
 	}
-	if _, ok := s.intIndexes["r"]["id"]; ok {
+	if _, ok := s.intIndexes["id"]; ok {
 		t.Error("id (20000 distinct) should not be int-indexed")
 	}
 }

@@ -9,45 +9,39 @@ import (
 	"repro/internal/trace"
 )
 
-// RowStore is a full-scan executor: every query visits every row and
-// evaluates the compiled predicate. It models the behaviour of the paper's
-// PostgreSQL back-end at the granularity the experiments care about (a fixed
-// per-query cost plus a per-row scan cost, unaffected by selectivity).
+// RowStore is a full-scan executor over one table: every query visits every
+// row and evaluates the compiled predicate. It models the behaviour of the
+// paper's PostgreSQL back-end at the granularity the experiments care about (a
+// fixed per-query cost plus a per-row scan cost, unaffected by selectivity).
 //
-// ExecuteBatch amortizes that scan cost: plans over the same table are
-// served from shared scans — each scanned row visits every plan's predicate
-// and aggregation state — with the plans dealt across at most Parallelism
-// concurrent scan workers.
+// ExecuteBatch amortizes that scan cost: the plans are served from shared
+// scans — each scanned row visits every plan's predicate and aggregation
+// state — with the plans dealt across at most Parallelism concurrent scan
+// workers.
 type RowStore struct {
 	parLimit
-	tables map[string]*dataset.Table
-	stats  counters
+	t     *dataset.Table
+	stats counters
 }
 
-// NewRowStore builds a row store over the given base tables.
-func NewRowStore(tables ...*dataset.Table) *RowStore {
-	s := &RowStore{tables: make(map[string]*dataset.Table, len(tables))}
-	for _, t := range tables {
-		s.tables[t.Name] = t
-	}
-	return s
-}
+// NewRowStore builds a row store over a base table.
+func NewRowStore(t *dataset.Table) *RowStore { return &RowStore{t: t} }
 
 // Name identifies the back-end.
 func (s *RowStore) Name() string { return "rowstore" }
 
-// Table returns the named base table, or nil.
-func (s *RowStore) Table(name string) *dataset.Table { return s.tables[name] }
+// Table returns the store's table if it is the named one, or nil.
+func (s *RowStore) Table(name string) *dataset.Table { return tableNamed(s.t, name) }
 
 // Counters returns cumulative execution statistics.
 func (s *RowStore) Counters() Counters { return s.stats.snapshot() }
 
-// Stats reports the counters; the store has nothing per table to add.
-func (s *RowStore) Stats(string) Stats { return Stats{Counters: s.Counters()} }
+// Stats reports the counters; the store has nothing else to add.
+func (s *RowStore) Stats() Stats { return Stats{Counters: s.Counters()} }
 
 // Prepare validates and column-resolves a parsed query into a reusable plan.
 func (s *RowStore) Prepare(q *minisql.Query) (*Plan, error) {
-	return newPlan(s, s.tables[q.From], q)
+	return newPlan(s, s.Table(q.From), q)
 }
 
 // SetPlanning does nothing: every store evaluates a plan's conjuncts in
@@ -55,13 +49,13 @@ func (s *RowStore) Prepare(q *minisql.Query) (*Plan, error) {
 // (bench/oracle.go) still calls it.
 func (s *RowStore) SetPlanning(bool) {}
 
-// ExecuteBatch runs the plans as one request. Plans are grouped by base
-// table; each group is dealt round-robin across at most Parallelism workers,
-// and every worker performs ONE scan of the table for all of its plans: each
-// row visits every plan's predicate and aggregation state. For a batch of n
-// plans this performs min(n, Parallelism) scans instead of n. The scans run
-// on par.Do: a scan's panic is contained as its error, no scan starts after
-// a failure, and the batch reports the lowest failing scan's error.
+// ExecuteBatch runs the plans as one request. The plans are dealt
+// round-robin across at most Parallelism shares, and every share performs
+// ONE scan of the table for all of its plans: each row visits every plan's
+// predicate and aggregation state. For a batch of n plans this performs
+// min(n, Parallelism) scans instead of n. The scans run on par.Do: a scan's
+// panic is contained as its error, no scan starts after a failure, and the
+// batch reports the lowest failing scan's error.
 func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -69,26 +63,19 @@ func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, 
 	if err := checkBatch(s, plans); err != nil {
 		return nil, err
 	}
-	var shards [][]int // each a subset of one table's plans
-	for _, grp := range groupPlansByTable(plans) {
-		gs := dealIndices(grp.idx, s.parallelism())
-		s.stats.queries.Add(int64(len(grp.idx)))
-		shards = append(shards, gs...)
-	}
+	s.stats.queries.Add(int64(len(plans)))
+	shares := dealIndices(len(plans), s.parallelism())
 	results := make([]*Result, len(plans))
 	parent := trace.FromContext(ctx)
-	// One pool bounds workers across the whole batch, so a multi-table batch
-	// still respects the Parallelism contract.
-	err := par.Do(len(shards), s.parallelism(), func(_, k int) error {
-		shard := shards[k]
-		t := plans[shard[0]].t
+	err := par.Do(len(shares), s.parallelism(), func(_, k int) error {
+		share := shares[k]
 		sp := parent.StartChild("scan")
 		defer sp.End()
 		sp.SetStr("backend", "row")
-		sp.SetStr("table", t.Name)
-		sp.SetInt("plans", int64(len(shard)))
-		sp.SetInt("rows", int64(t.NumRows()))
-		return planError(plans[shard[0]], scanShard(ctx, t, plans, shard, results, &s.stats))
+		sp.SetStr("table", s.t.Name)
+		sp.SetInt("plans", int64(len(share)))
+		sp.SetInt("rows", int64(s.t.NumRows()))
+		return planError(plans[share[0]], scanShare(ctx, s.t, plans, share, results, &s.stats))
 	})
 	if err != nil {
 		return nil, batchError(err)
@@ -101,7 +88,7 @@ func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, 
 // block's column data stays cache-resident while every plan visits it.
 const scanBlock = 4096
 
-// eqDispatch serves all plans of a shard whose whole predicate is a single
+// eqDispatch serves all plans of a share whose whole predicate is a single
 // equality on one categorical column. One code lookup per row routes the row
 // to the interested plans' sinks, replacing a predicate call per plan — the
 // dominant case for a batch of per-slice queries (WHERE z = '...').
@@ -132,13 +119,13 @@ func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
 	}
 }
 
-// scanShard executes one shared scan of t serving every plan in the shard,
+// scanShare executes one shared scan of t serving every plan in the share,
 // adding each block's rows to stats as it scans them. The context is checked
 // once per scan block: a cancelled scan stops at the next block boundary and
 // returns ctx.Err().
-func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int, results []*Result, stats *counters) error {
-	sinks := make([]*planSink, len(shard))
-	for k, pi := range shard {
+func scanShare(ctx context.Context, t *dataset.Table, plans []*Plan, share []int, results []*Result, stats *counters) error {
+	sinks := make([]*planSink, len(share))
+	for k, pi := range share {
 		sinks[k] = plans[pi].newSink()
 	}
 	// Factor single-equality plans into per-column dispatch tables; the rest
@@ -147,7 +134,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 	byCol := make(map[string]*eqDispatch)
 	var restPreds []rowPredicate
 	var restSinks []*planSink
-	for k, pi := range shard {
+	for k, pi := range share {
 		p := plans[pi]
 		if cmp, ok := p.q.Where.(*minisql.Compare); ok && cmp.Op == minisql.CmpEq && cmp.Val.Kind == dataset.KindString {
 			if c := t.Column(cmp.Col); c != nil && c.Field.Kind == dataset.KindString {
@@ -189,7 +176,7 @@ func scanShard(ctx context.Context, t *dataset.Table, plans []*Plan, shard []int
 			}
 		}
 	}
-	for k, pi := range shard {
+	for k, pi := range share {
 		results[pi] = sinks[k].finish()
 	}
 	return nil

@@ -119,7 +119,7 @@ type SegmentSource interface {
 
 // memSource adapts a fully in-memory table to the SegmentSource interface:
 // everything is already materialized, so Load is a no-op. It is what
-// NewColumnStore wraps its tables in, keeping one construction path for the
+// NewColumnStore wraps its table in, keeping one construction path for the
 // eager and lazy cases.
 type memSource struct {
 	t     *dataset.Table

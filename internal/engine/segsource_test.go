@@ -223,11 +223,8 @@ func TestMemSourceMatchesEagerStore(t *testing.T) {
 			t.Errorf("%s diverged:\n got %v\nwant %v", sql, got.Rows(), want.Rows())
 		}
 	}
-	if n := eager.Stats("clustered").Segments; n != 2 {
+	if n := eager.Stats().Segments; n != 2 {
 		t.Errorf("Segments = %d, want 2", n)
-	}
-	if n := eager.Stats("nope").Segments; n != 0 {
-		t.Errorf("Segments(unknown) = %d, want 0", n)
 	}
 }
 

@@ -81,19 +81,17 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedBatchMatchesUnsharded scatters the whole query set as one
-// batch — the path the serving coalescer takes — over fragmented tables,
-// and spans two tables so the scatter covers multiple table groups in one
-// call.
+// batch — the path the serving coalescer takes — over a fragmented table,
+// with two more queries that share their conjuncts with the set's.
 func TestShardedBatchMatchesUnsharded(t *testing.T) {
 	tb := shardMetrics(50_000)
-	other := salesTable()
-	ref := NewColumnStore(tb, other)
-	db := evenStore(3, tb, other)
+	ref := NewColumnStore(tb)
+	db := evenStore(3, tb)
 	db.SetParallelism(4)
 	queries := append([]string{}, shardQueries...)
 	queries = append(queries,
-		"SELECT year, SUM(sales) AS s FROM sales WHERE product = 'chair' GROUP BY year ORDER BY year",
-		"SELECT COUNT(*) AS n FROM sales WHERE location = 'UK'",
+		"SELECT bucket, SUM(weight) AS s FROM metrics WHERE region = 'north' GROUP BY bucket ORDER BY bucket",
+		"SELECT COUNT(*) AS n FROM metrics WHERE bucket IN (1, 2, 3)",
 	)
 	var plans []*Plan
 	var want []*Result
@@ -205,7 +203,7 @@ func TestShardedRangeShapes(t *testing.T) {
 		{5, empty, []fragment{{0, 0}}},
 	} {
 		prev := SetFragmentSegments(c.size)
-		frags := NewColumnStore(c.tb).cols["metrics"].frags
+		frags := NewColumnStore(c.tb).frags
 		SetFragmentSegments(prev)
 		if c.want == nil {
 			for i := range nseg {
@@ -312,8 +310,8 @@ func TestShardedPanicContainment(t *testing.T) {
 	for _, db := range stores(src) {
 		db.SetParallelism(4)
 		_, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics")
-		if err == nil || !strings.Contains(err.Error(), "shard panic") {
-			t.Fatalf("%s: got %v, want contained shard panic", db.Name(), err)
+		if err == nil || !strings.Contains(err.Error(), "scan panic") {
+			t.Fatalf("%s: got %v, want contained scan panic", db.Name(), err)
 		}
 	}
 	for _, db := range stores(both) {
@@ -336,17 +334,16 @@ func TestShardedSkipKeepsSegmentsUnloaded(t *testing.T) {
 	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics WHERE region = 'north'"); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats("metrics")
+	st := db.Stats()
 	if st.SegmentLoads >= 13 {
 		t.Fatalf("clustered equality loaded all %d segments", st.SegmentLoads)
 	}
 	if st.SegmentsSkipped == 0 {
 		t.Fatal("no segments skipped")
 	}
-	ct := db.cols["metrics"]
-	tail := ct.frags[2]
+	tail := db.frags[2]
 	for seg := tail.lo; seg < tail.hi; seg++ {
-		if ct.loaded[seg].Load() {
+		if db.loaded[seg].Load() {
 			t.Fatalf("tail fragment %v should be fully pruned, segment %d loaded", tail, seg)
 		}
 	}

@@ -389,43 +389,44 @@ func (f *notFilter) eval(lo, hi int, bits []uint64) {
 
 // --- compilation ----------------------------------------------------------
 
-// compileVec lowers a predicate to a vectorized filter over ct. A nil expr
-// matches every row. Compilation cannot fail where compilePredicate
-// succeeded: any shape without a typed vectorized form falls back to a
-// predFilter around the row-at-a-time closure.
-func compileVec(ct *colTable, t *dataset.Table, e minisql.Expr) (vecFilter, error) {
+// compileVec lowers a predicate to a vectorized filter over t, whose zone
+// maps by column name are zones. A nil expr matches every row. Compilation
+// cannot fail where compilePredicate succeeded: any shape without a typed
+// vectorized form falls back to a predFilter around the row-at-a-time
+// closure.
+func compileVec(zones map[string]*ZoneData, t *dataset.Table, e minisql.Expr) (vecFilter, error) {
 	if e == nil {
 		return constFilter{match: true}, nil
 	}
 	switch x := e.(type) {
 	case *minisql.And:
-		args, err := compileVecList(ct, t, x.Args)
+		args, err := compileVecList(zones, t, x.Args)
 		if err != nil {
 			return nil, err
 		}
 		return &andFilter{args: args}, nil
 	case *minisql.Or:
-		args, err := compileVecList(ct, t, x.Args)
+		args, err := compileVecList(zones, t, x.Args)
 		if err != nil {
 			return nil, err
 		}
 		return &orFilter{args: args}, nil
 	case *minisql.Not:
-		arg, err := compileVec(ct, t, x.Arg)
+		arg, err := compileVec(zones, t, x.Arg)
 		if err != nil {
 			return nil, err
 		}
 		return &notFilter{arg: arg}, nil
 	case *minisql.Compare, *minisql.In, *minisql.Like, *minisql.Between:
-		return compileVecLeaf(ct, t, e)
+		return compileVecLeaf(zones, t, e)
 	}
 	return fallbackFilter(t, e)
 }
 
-func compileVecList(ct *colTable, t *dataset.Table, exprs []minisql.Expr) ([]vecFilter, error) {
+func compileVecList(zones map[string]*ZoneData, t *dataset.Table, exprs []minisql.Expr) ([]vecFilter, error) {
 	out := make([]vecFilter, len(exprs))
 	for i, e := range exprs {
-		f, err := compileVec(ct, t, e)
+		f, err := compileVec(zones, t, e)
 		if err != nil {
 			return nil, err
 		}
@@ -448,12 +449,12 @@ func fallbackFilter(t *dataset.Table, e minisql.Expr) (vecFilter, error) {
 // tests the row predicate is made of (stringEq, stringMembers, numericTest),
 // so the two agree by construction — float64 coercion of large ints, LIKE, IN
 // and != included. Raw numeric columns keep the typed array filters.
-func compileVecLeaf(ct *colTable, t *dataset.Table, e minisql.Expr) (vecFilter, error) {
+func compileVecLeaf(zones map[string]*ZoneData, t *dataset.Table, e minisql.Expr) (vecFilter, error) {
 	c, err := lookupColumn(t, leafColumn(e))
 	if err != nil {
 		return nil, err
 	}
-	zone := ct.zones[c.Field.Name]
+	zone := zones[c.Field.Name]
 	if c.Field.Kind == dataset.KindString {
 		if code, neq, ok := stringEq(c, e); ok {
 			if code < 0 {

@@ -28,7 +28,7 @@ func (d *Dataset) refreshUnsorted() {
 	if cols := d.ctr.lastCols.Load(); cols != nil && len(*cols) > 0 {
 		col = (*cols)[0]
 	} else {
-		prov := d.store.Stats(d.table.Name).SkipProvenance
+		prov := d.store.Stats().SkipProvenance
 		if cols := compact.PickCols(d.packR, prov, 1); len(cols) > 0 {
 			col = cols[0]
 		}
@@ -81,7 +81,7 @@ func (r *Registry) Compact(name string, cols []string) (*Dataset, compact.Result
 	if d.packPath == "" {
 		return nil, compact.Result{}, fmt.Errorf("%w: %q has backend %q", ErrNotCompactable, name, d.backend)
 	}
-	prov := d.store.Stats(d.table.Name).SkipProvenance
+	prov := d.store.Stats().SkipProvenance
 	start := time.Now()
 	res, err := compact.File(d.packPath, compact.Options{Cols: cols, Provenance: prov})
 	if err != nil {

@@ -201,7 +201,7 @@ func (d *Dataset) Session() *client.Session { return d.session }
 func (d *Dataset) Opt() zexec.OptLevel { return d.opt }
 
 // Segments returns the zone-map segment count of the dataset's store.
-func (d *Dataset) Segments() int { return d.store.Stats(d.table.Name).Segments }
+func (d *Dataset) Segments() int { return d.store.Stats().Segments }
 
 // ResidentBytes returns the memory the dataset's loaded column data holds:
 // the blocks its reader has in place now, at their width in memory
@@ -327,7 +327,7 @@ func skipProvenance(m map[engine.SkipAttr]int64) []SkipProvEntry {
 
 // Stats snapshots the dataset's counters.
 func (d *Dataset) Stats() DatasetStats {
-	st := d.store.Stats(d.table.Name)
+	st := d.store.Stats()
 	var compaction *CompactionStats
 	if d.packPath != "" {
 		compaction = &CompactionStats{

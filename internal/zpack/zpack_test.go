@@ -491,7 +491,7 @@ func TestShardedReaderRangeViews(t *testing.T) {
 	if loads := r.SegmentLoads(); loads != 1 {
 		t.Errorf("fragmented point query loaded %d segments, want 1", loads)
 	}
-	if loads := db.Stats("clustered").SegmentLoads; loads != 1 {
+	if loads := db.Stats().SegmentLoads; loads != 1 {
 		t.Errorf("the store counts %d segment loads, want 1", loads)
 	}
 	// COUNT(*) reads no column: its full scan visits every segment and reads
