@@ -57,10 +57,8 @@ func (s Stage) String() string {
 // Options tunes one compaction.
 type Options struct {
 	// Cols pins the cluster columns in significance order. Empty means pick
-	// automatically from Provenance and dictionary statistics.
+	// DefaultMaxCols automatically from Provenance and dictionary statistics.
 	Cols []string
-	// MaxCols bounds an automatic pick (0 = DefaultMaxCols).
-	MaxCols int
 	// Provenance is the store's cumulative skip attribution, the live
 	// evidence of which columns' metadata actually proves segments empty.
 	Provenance map[engine.SkipAttr]int64
@@ -106,7 +104,7 @@ func File(path string, opts Options) (Result, error) {
 
 	cols := opts.Cols
 	if len(cols) == 0 {
-		cols = PickCols(r, opts.Provenance, opts.MaxCols)
+		cols = PickCols(r, opts.Provenance, DefaultMaxCols)
 		if len(cols) == 0 {
 			return Result{}, fmt.Errorf("compact: %s: no usable cluster column (need a column with more than one distinct value)", path)
 		}

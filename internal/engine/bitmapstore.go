@@ -2,12 +2,10 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
-	"repro/internal/par"
 	"repro/internal/roaring"
 	"repro/internal/trace"
 )
@@ -26,7 +24,7 @@ import (
 // named in the paper's future work (Section 10.1).
 type BitmapStore struct {
 	parLimit
-	t          *dataset.Table
+	rowFragments
 	index      tableIndex
 	intIndexes map[string]*intIndex // by column name
 	stats      counters
@@ -52,7 +50,7 @@ const maxIntIndexCardinality = 4096
 // measures unindexed) plus low-cardinality integer columns for range
 // predicates.
 func NewBitmapStore(t *dataset.Table) *BitmapStore {
-	return &BitmapStore{t: t, index: buildIndex(t), intIndexes: buildIntIndexes(t)}
+	return &BitmapStore{rowFragments: newRowFragments(t), index: buildIndex(t), intIndexes: buildIntIndexes(t)}
 }
 
 func buildIntIndexes(t *dataset.Table) map[string]*intIndex {
@@ -292,116 +290,104 @@ func (s *BitmapStore) cachedBitmap(cache bitmapCache, e minisql.Expr, total int)
 	return bm, ok
 }
 
-// planAccess produces the matching-row iterator for a plan and the number of
-// rows the drain will visit. The WHERE clause is split into top-level
-// conjuncts; each conjunct is answered from the index (through the batch
-// cache) or deferred to a compiled residual predicate evaluated
-// inside the candidate set. With no indexable conjunct the plan falls back
-// to a full scan, same as RowStore.
-func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (rowIter, int64, error) {
-	t, q := p.t, p.q
-	total := t.NumRows()
+// access is how a plan's matching rows are found: the candidate rows of the
+// intersected index bitmaps (nil: every row), each kept if it passes the
+// residual predicate (nil: every candidate).
+type access struct {
+	bm   *roaring.Bitmap
+	pred rowPredicate
+}
 
-	if q.Where == nil {
-		return func(yield func(int)) {
-			for i := 0; i < total; i++ {
-				yield(i)
-			}
-		}, int64(total), nil
+// planAccess produces the access of a plan. The WHERE clause is split into
+// top-level conjuncts; each conjunct is answered from the index (through the
+// batch cache) or deferred to a compiled residual predicate evaluated inside
+// the candidate set. With no indexable conjunct the plan falls back to a full
+// scan with its compiled predicate, same as RowStore.
+func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (access, error) {
+	if p.q.Where == nil {
+		return access{}, nil
 	}
-
 	// p.conjs carries the top-level conjuncts in written order.
 	var parts []*roaring.Bitmap
 	var residual []minisql.Expr
 	for _, c := range p.conjs {
-		if b, ok := s.cachedBitmap(cache, c, total); ok {
+		if b, ok := s.cachedBitmap(cache, c, p.t.NumRows()); ok {
 			parts = append(parts, b)
 		} else {
 			residual = append(residual, c)
 		}
 	}
-
 	if len(parts) == 0 {
-		// Fallback: full scan with the plan's compiled predicate.
-		return func(yield func(int)) {
-			for i := 0; i < total; i++ {
-				if p.pred(i) {
-					yield(i)
-				}
-			}
-		}, int64(total), nil
+		return access{pred: p.pred}, nil
 	}
+	a := access{bm: roaring.AndAll(parts...)}
+	if len(residual) > 0 {
+		pred, err := compilePredicate(p.t, &minisql.And{Args: residual})
+		if err != nil {
+			return access{}, err
+		}
+		a.pred = pred
+	}
+	return a, nil
+}
 
-	bm := roaring.AndAll(parts...)
-	if len(residual) == 0 {
-		return func(yield func(int)) {
-			bm.Iterate(func(v uint32) { yield(int(v)) })
-		}, int64(bm.Cardinality()), nil
+// drain feeds the plan's matching rows of [lo, hi) into sink in ascending
+// order, and returns how many rows it visited: the candidates in the range,
+// or the whole range when there is no bitmap.
+func (a access) drain(lo, hi int, sink rowSink) (n int64) {
+	visit := func(v uint32) {
+		if n++; a.pred == nil || a.pred(int(v)) {
+			sink.add(int(v))
+		}
 	}
-	pred, err := compilePredicate(t, &minisql.And{Args: residual})
-	if err != nil {
-		return nil, 0, err
+	if a.bm != nil {
+		a.bm.IterateRange(uint32(lo), uint32(hi), visit)
+		return n
 	}
-	return func(yield func(int)) {
-		bm.Iterate(func(v uint32) {
-			if pred(int(v)) {
-				yield(int(v))
-			}
-		})
-	}, int64(bm.Cardinality()), nil
+	for i := lo; i < hi; i++ {
+		visit(uint32(i))
+	}
+	return n
 }
 
 // ExecuteBatch runs the plans as one request. Bitmap planning for the whole
 // batch happens first, serially, through a shared conjunct cache — predicate
 // legs common across plans (constraints repeated on every query of a request
-// batch, shared slice attributes) hit the index once. The surviving per-plan
-// drains then run on par.Do, bounded by Parallelism: a drain's panic is
-// contained as its error, no drain starts after a failure, and the batch
-// reports the lowest failing plan's error.
+// batch, shared slice attributes) hit the index once. Then, on
+// executeFragments' schedule, a scan job drains each plan of its share over
+// its fragment.
 func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := checkBatch(s, plans); err != nil {
 		return nil, err
 	}
-	sp := trace.FromContext(ctx).StartChild("scan")
-	sp.SetStr("backend", "bitmap")
-	sp.SetInt("plans", int64(len(plans)))
-	defer sp.End()
 	cache := make(bitmapCache)
-	iters := make([]rowIter, len(plans))
-	scanned := make([]int64, len(plans))
-	var planned int64
+	acc := make([]access, len(plans))
 	for i, p := range plans {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		iter, n, err := s.planAccess(p, cache)
+		a, err := s.planAccess(p, cache)
 		if err != nil {
-			return nil, fmt.Errorf("engine: batch plan %q: %w", p.SQL(), err)
+			return nil, planError(p, err)
 		}
-		iters[i], scanned[i] = iter, n
-		planned += n
-		s.stats.queries.Add(1)
+		acc[i] = a
 	}
-	sp.SetInt("rows", planned)
-	results := make([]*Result, len(plans))
-	err := par.Do(len(plans), s.parallelism(), func(_, i int) error {
-		// Cancellation point: a plan drain is all-or-nothing, so a
-		// cancelled batch skips plans not yet drained, and counts only the
-		// rows of the drains it runs.
-		if err := ctx.Err(); err != nil {
-			return planError(plans[i], err)
+	scan := func(ctx context.Context, plans []*Plan, f int, idx []int, sp *trace.Span) ([]rowSink, error) {
+		lo, hi := s.bounds(f)
+		sinks := make([]rowSink, len(idx))
+		var visited int64
+		for k, pi := range idx {
+			// Cancellation point: a plan's drain over the fragment is
+			// all-or-nothing, and counts only the rows it visits.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			sinks[k] = plans[pi].newSink()
+			n := acc[pi].drain(lo, hi, sinks[k])
+			s.stats.rowsScanned.Add(n)
+			visited += n
 		}
-		s.stats.rowsScanned.Add(scanned[i])
-		sink := plans[i].newSink()
-		iters[i](func(r int) { sink.add(r) })
-		results[i] = sink.finish()
-		return nil
+		sp.SetInt("rows", visited)
+		return sinks, nil
+	}
+	return executeFragments(ctx, plans, batchScan{
+		db: s, backend: "bitmap", frags: s.count(), workers: s.parallelism(), stats: &s.stats, scan: scan, apart: true,
 	})
-	if err != nil {
-		return nil, batchError(err)
-	}
-	return results, nil
 }

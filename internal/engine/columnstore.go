@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -33,11 +32,12 @@ const segmentSize = SegmentSize
 // scan job and intersected per plan.
 //
 // The table is cut into fragments of FragmentSegments segments (the last
-// one shorter). A fragment is the unit of scheduling and merging: a scan job
-// is one fragment for a share of the batch's plans, and the gather merges
-// each plan's fragment sinks in fragment order. The fragment boundaries
-// depend on the table alone, so every answer's bits do too — never on the
-// worker count or the machine.
+// one shorter), the row and bitmap stores' fragments too. A fragment is the
+// unit of scheduling and merging (executeFragments): a scan job is one
+// fragment for a share of the batch's plans, and the gather merges each
+// plan's fragment sinks in fragment order. The fragment boundaries depend on
+// the table alone, so every answer's bits do too — never on the worker count,
+// the machine or the store.
 //
 // src is the segment source the data materializes through: a no-op
 // memSource for an in-memory table, a lazy reader (zpack) for a
@@ -57,30 +57,6 @@ type ColumnStore struct {
 
 // fragment is the segment range [lo, hi) one scan job walks.
 type fragment struct{ lo, hi int }
-
-// FragmentSegments is the production fragment size in segments: 128
-// segments are 524 288 rows. It is the smallest power of two whose gather —
-// merging each plan's fragment sinks — costs under 5 % of a task scan over
-// 10 M rows at one worker: 3.4 % (64 segments cost 6.4 %; docs/ARCHITECTURE.md,
-// "Fragments").
-const FragmentSegments = 128
-
-// fragmentSegments is the size the constructors cut at: FragmentSegments,
-// unless a test lowered it (SetFragmentSegments).
-var fragmentSegments atomic.Int64
-
-func init() { fragmentSegments.Store(FragmentSegments) }
-
-// SetFragmentSegments sets the fragment size of the stores built after the
-// call, and returns the size it replaced. It exists for tests, which need
-// tables of a few segments cut into several fragments; n < 1 restores
-// FragmentSegments.
-func SetFragmentSegments(n int) int {
-	if n < 1 {
-		n = FragmentSegments
-	}
-	return int(fragmentSegments.Swap(int64(n)))
-}
 
 // ShareCounters makes s count into prev's counter cells — the store-wide
 // counters with the segment loads, and the skip provenance — so that the
@@ -250,94 +226,15 @@ func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 	return p, nil
 }
 
-// scanJob is one unit of a batch's scatter: a walk of one fragment for a
-// share of the batch's plans, yielding raw, unfinished sinks.
-type scanJob struct {
-	frag  int   // index of the fragment in s.frags
-	idx   []int // plan indices
-	sinks []rowSink
-}
-
-// ExecuteBatch runs the plans as one request: a scatter of scan jobs on a
-// worker pool bounded by Parallelism, then a gather. A job is one share of
-// the plans times one fragment of the table. The plans are dealt round-robin
-// into as few shares as give Parallelism jobs — Parallelism shares over a
-// one-fragment table, one share over a table of Parallelism fragments or
-// more — never splitting a plan. Each job walks its fragment once for all
-// of its plans, evaluating every distinct predicate conjunct at most once
-// per segment and skipping (plan, segment) pairs the zone maps prove empty.
-//
-// The gather merges each plan's fragment sinks in fragment order and
-// finishes once (ordering and LIMIT apply there only). What a plan's sinks
-// hold depends on the fragment boundaries alone, not on how plans were dealt
-// or how many workers ran, so neither is visible in any answer. Jobs run on
-// par.Do: a job's panic is contained as its error, no job is drawn after a
-// failure, and the batch reports the lowest failing job's error — for a plan
-// spanning several fragments, the lowest failing fragment's,
-// deterministically.
+// ExecuteBatch runs the plans as one request on executeFragments' schedule:
+// a scan job walks its fragment once for a share of the plans (scanInto).
 func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := checkBatch(s, plans); err != nil {
-		return nil, err
-	}
-	s.stats.queries.Add(int64(len(plans)))
-	nf := len(s.frags)
-	shares := dealIndices(len(plans), (s.parallelism()+nf-1)/nf)
-	var jobs []*scanJob
-	for f := range s.frags {
-		for _, share := range shares {
-			jobs = append(jobs, &scanJob{frag: f, idx: share})
-		}
-	}
-	parent := trace.FromContext(ctx)
-	err := par.Do(len(jobs), s.parallelism(), func(_, ji int) error {
-		j := jobs[ji]
-		s.busy.Add(1)
-		defer s.busy.Add(-1)
-		sp := parent.StartChild("scan")
-		defer sp.End()
-		sp.SetStr("backend", "column")
-		sp.SetStr("table", s.t.Name)
-		sp.SetInt("fragment", int64(j.frag))
-		sp.SetInt("plans", int64(len(j.idx)))
-		j.sinks = make([]rowSink, len(j.idx))
-		for k, pi := range j.idx {
-			j.sinks[k] = newColSink(plans[pi])
-		}
-		return planError(plans[j.idx[0]], s.scanInto(ctx, j, plans, sp))
+	return executeFragments(ctx, plans, batchScan{
+		db: s, backend: "column", frags: len(s.frags), workers: s.parallelism(), stats: s.stats, scan: s.scanInto,
 	})
-	if err != nil {
-		return nil, batchError(err)
-	}
-	gsp := parent.StartChild("gather")
-	gsp.SetInt("plans", int64(len(plans)))
-	defer gsp.End()
-	sinks := make([]rowSink, len(plans))
-	for _, j := range jobs {
-		for k, pi := range j.idx {
-			if sinks[pi] == nil {
-				sinks[pi] = j.sinks[k]
-				continue
-			}
-			// Jobs are in fragment order, and fragments cover ascending row
-			// ranges, so merging in job order reproduces one walk of the
-			// table that restarts each accumulator's partial at every
-			// fragment boundary: projection rows concatenate in row order,
-			// and a group's first-seen position is its position in the
-			// lowest fragment that saw it.
-			sinks[pi].mergeFrom(j.sinks[k])
-		}
-	}
-	results := make([]*Result, len(plans))
-	for i, sink := range sinks {
-		results[i] = sink.finish()
-	}
-	return results, nil
 }
 
-// scanInto is one job's shared segment walk over its fragment, feeding every
+// scanInto is one job's shared segment walk over fragment fi, feeding every
 // plan of the job into its sink. Each distinct conjunct (keyed by canonical
 // SQL) is evaluated at most once per segment and intersected per plan. A
 // segment's data is materialized through the table's segment source the
@@ -346,10 +243,14 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 // failed segment load is returned; sinks may then hold partial data and must
 // be discarded. The context is checked once per segment: a cancelled scan
 // stops at the next segment boundary and returns ctx.Err().
-func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, sp *trace.Span) error {
-	f, sinks := s.frags[j.frag], j.sinks
+func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx []int, sp *trace.Span) ([]rowSink, error) {
+	s.busy.Add(1)
+	defer s.busy.Add(-1)
+	f := s.frags[fi]
+	sinks := make([]rowSink, len(idx))
 	cols := NewColumnSet(s.t.NumCols())
-	for _, pi := range j.idx {
+	for k, pi := range idx {
+		sinks[k] = newColSink(plans[pi])
 		cols.Or(plans[pi].vec.cols)
 	}
 	// Assign each distinct conjunct one slot; plans refer to slots so a
@@ -357,8 +258,8 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 	slotOf := make(map[string]int)
 	var filters []vecFilter
 	var slotPreds []rowPredicate
-	planSlots := make([][]int, len(j.idx))
-	for k, pi := range j.idx {
+	planSlots := make([][]int, len(idx))
+	for k, pi := range idx {
 		for _, c := range plans[pi].vec.conjs {
 			slot, ok := slotOf[c.key]
 			if !ok {
@@ -422,7 +323,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 			}
 			return true
 		}
-		for k, pi := range j.idx {
+		for k, pi := range idx {
 			if attr, ok := plans[pi].vec.skipCause(seg); ok {
 				skipped++
 				prov[attr]++
@@ -473,7 +374,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, j *scanJob, plans []*Plan, s
 		sp.SetInt("segments", segsScanned)
 		sp.SetInt("segmentsSkipped", skipped)
 	}
-	return loadErr
+	return sinks, loadErr
 }
 
 // segSpanSample is how many scanned segments per scan job get a sampled
@@ -735,8 +636,8 @@ func (s *flatSink) firstSeen(slot, i int) int32 {
 }
 
 // mergeFrom folds a later fragment's partial accumulation into s (the order
-// argument is ExecuteBatch's gather). Every fragment's sink shares the plan's
-// globally indexed code arrays, so a group's slot is the same in each.
+// argument is executeFragments' gather). Every fragment's sink shares the
+// plan's globally indexed code arrays, so a group's slot is the same in each.
 func (s *flatSink) mergeFrom(other rowSink) {
 	o := other.(*flatSink)
 	for og := range o.n {

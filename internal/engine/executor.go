@@ -26,14 +26,17 @@ type DB interface {
 	// work across the plans: the row store serves every plan in the batch
 	// from shared scans, the bitmap store computes common predicate
 	// conjunct bitmaps once, and the column store evaluates common predicate
-	// conjuncts segment-at-a-time once per scan job. Results align with
-	// plans.
+	// conjuncts segment-at-a-time once per scan job. Every store schedules
+	// the batch one way (executeFragments): a scan job is a share of the
+	// plans times a fragment of the table, and each plan's fragment sinks
+	// merge in fragment order. Results align with plans.
 	//
 	// The context bounds the batch: cancellation is observed at store-specific
 	// boundaries (segment boundaries for the column store, scan blocks for
-	// the row store, plan drains for the bitmap store) and the batch returns
-	// ctx.Err(). A nil context is treated as context.Background. Jobs run on
-	// par.Do: a panic is an error, and the lowest failing job's is reported.
+	// the row store, a plan's drain over a fragment for the bitmap store) and
+	// the batch returns ctx.Err(). A nil context is treated as
+	// context.Background. Jobs run on par.Do: a panic is an error, and the
+	// lowest failing job's is reported.
 	ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error)
 	// Counters returns cumulative execution statistics.
 	Counters() Counters
@@ -98,7 +101,7 @@ func (p *parLimit) parallelism() int {
 // RowsScanned counts the rows an executor actually visits to produce a
 // plan's matching set, so the number is comparable across back-ends even
 // though each produces matches differently: the row store visits every row
-// of each shared scan (one table length per scan worker), the bitmap store
+// of each shared scan (one fragment length per scan job), the bitmap store
 // visits the candidate rows of the intersected index bitmaps (plus full
 // table lengths when a plan falls back to scanning), and the column store
 // visits the rows of every segment its zone maps could not prove empty.
@@ -129,9 +132,6 @@ func (c *counters) snapshot() Counters {
 		SegmentsSkipped: c.segmentsSkipped.Load(),
 	}
 }
-
-// rowIter produces the matching row indices in ascending order.
-type rowIter func(yield func(i int))
 
 func binValue(v float64, width float64) float64 {
 	return math.Floor(v/width) * width
@@ -170,7 +170,8 @@ func (a *aggState) add(v float64) {
 // empty side is the identity, min/max comparisons match add's (NaN is the
 // MIN/MAX identity in both directions), and sums add. Summation order
 // differs from one sequential fold only at fragment boundaries, which the
-// table fixes: a sum's bits depend on where those lie, never on the workers.
+// table fixes: a sum's bits depend on where those lie, never on the workers
+// or the store.
 // Across different boundaries SUM/AVG agree bit for bit only when the
 // column's values accumulate exactly (integers, quarters); COUNT/MIN/MAX
 // always do.

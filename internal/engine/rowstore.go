@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -16,16 +15,18 @@ import (
 //
 // ExecuteBatch amortizes that scan cost: the plans are served from shared
 // scans — each scanned row visits every plan's predicate and aggregation
-// state — with the plans dealt across at most Parallelism concurrent scan
-// workers.
+// state — on executeFragments' schedule, over the column store's fragments.
+// It shares only those fragment bounds and the merge order with the other
+// stores, never their filtering, grouping or aggregation, which is what keeps
+// it an independent reference for them.
 type RowStore struct {
 	parLimit
-	t     *dataset.Table
+	rowFragments
 	stats counters
 }
 
 // NewRowStore builds a row store over a base table.
-func NewRowStore(t *dataset.Table) *RowStore { return &RowStore{t: t} }
+func NewRowStore(t *dataset.Table) *RowStore { return &RowStore{rowFragments: newRowFragments(t)} }
 
 // Name identifies the back-end.
 func (s *RowStore) Name() string { return "rowstore" }
@@ -49,38 +50,13 @@ func (s *RowStore) Prepare(q *minisql.Query) (*Plan, error) {
 // (bench/oracle.go) still calls it.
 func (s *RowStore) SetPlanning(bool) {}
 
-// ExecuteBatch runs the plans as one request. The plans are dealt
-// round-robin across at most Parallelism shares, and every share performs
-// ONE scan of the table for all of its plans: each row visits every plan's
-// predicate and aggregation state. For a batch of n plans this performs
-// min(n, Parallelism) scans instead of n. The scans run on par.Do: a scan's
-// panic is contained as its error, no scan starts after a failure, and the
-// batch reports the lowest failing scan's error.
+// ExecuteBatch runs the plans as one request on executeFragments' schedule:
+// a scan job performs ONE scan of its fragment for every plan of its share,
+// so a batch of n plans over one fragment costs min(n, Parallelism) scans.
 func (s *RowStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := checkBatch(s, plans); err != nil {
-		return nil, err
-	}
-	s.stats.queries.Add(int64(len(plans)))
-	shares := dealIndices(len(plans), s.parallelism())
-	results := make([]*Result, len(plans))
-	parent := trace.FromContext(ctx)
-	err := par.Do(len(shares), s.parallelism(), func(_, k int) error {
-		share := shares[k]
-		sp := parent.StartChild("scan")
-		defer sp.End()
-		sp.SetStr("backend", "row")
-		sp.SetStr("table", s.t.Name)
-		sp.SetInt("plans", int64(len(share)))
-		sp.SetInt("rows", int64(s.t.NumRows()))
-		return planError(plans[share[0]], scanShare(ctx, s.t, plans, share, results, &s.stats))
+	return executeFragments(ctx, plans, batchScan{
+		db: s, backend: "row", frags: s.count(), workers: s.parallelism(), stats: &s.stats, scan: s.scanFragment,
 	})
-	if err != nil {
-		return nil, batchError(err)
-	}
-	return results, nil
 }
 
 // scanBlock is the number of rows a shared scan processes per plan before
@@ -119,13 +95,15 @@ func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
 	}
 }
 
-// scanShare executes one shared scan of t serving every plan in the share,
-// adding each block's rows to stats as it scans them. The context is checked
-// once per scan block: a cancelled scan stops at the next block boundary and
-// returns ctx.Err().
-func scanShare(ctx context.Context, t *dataset.Table, plans []*Plan, share []int, results []*Result, stats *counters) error {
-	sinks := make([]*planSink, len(share))
-	for k, pi := range share {
+// scanFragment executes one shared scan of fragment f's rows serving the
+// plans plans[idx[k]], the k-th into the k-th sink it returns, counting each
+// block's rows as it scans them. The context is checked once per scan block:
+// a cancelled scan stops at the next block boundary and returns ctx.Err().
+func (s *RowStore) scanFragment(ctx context.Context, plans []*Plan, f int, idx []int, sp *trace.Span) ([]rowSink, error) {
+	lo, hi := s.bounds(f)
+	sp.SetInt("rows", int64(hi-lo))
+	sinks := make([]rowSink, len(idx))
+	for k, pi := range idx {
 		sinks[k] = plans[pi].newSink()
 	}
 	// Factor single-equality plans into per-column dispatch tables; the rest
@@ -133,11 +111,11 @@ func scanShare(ctx context.Context, t *dataset.Table, plans []*Plan, share []int
 	var dispatches []*eqDispatch
 	byCol := make(map[string]*eqDispatch)
 	var restPreds []rowPredicate
-	var restSinks []*planSink
-	for k, pi := range share {
+	var restSinks []rowSink
+	for k, pi := range idx {
 		p := plans[pi]
 		if cmp, ok := p.q.Where.(*minisql.Compare); ok && cmp.Op == minisql.CmpEq && cmp.Val.Kind == dataset.KindString {
-			if c := t.Column(cmp.Col); c != nil && c.Field.Kind == dataset.KindString {
+			if c := s.t.Column(cmp.Col); c != nil && c.Field.Kind == dataset.KindString {
 				d := byCol[cmp.Col]
 				if d == nil {
 					d = &eqDispatch{codes: c.Codes(), col: c, route: make([][]rowSink, c.Cardinality())}
@@ -154,30 +132,23 @@ func scanShare(ctx context.Context, t *dataset.Table, plans []*Plan, share []int
 		restPreds = append(restPreds, p.pred)
 		restSinks = append(restSinks, sinks[k])
 	}
-	n := t.NumRows()
-	for lo := 0; lo < n; lo += scanBlock {
+	for blo := lo; blo < hi; blo += scanBlock {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		hi := lo + scanBlock
-		if hi > n {
-			hi = n
-		}
-		stats.rowsScanned.Add(int64(hi - lo))
+		bhi := min(blo+scanBlock, hi)
+		s.stats.rowsScanned.Add(int64(bhi - blo))
 		for _, d := range dispatches {
-			routeRows(d.codes, lo, hi, d.route)
+			routeRows(d.codes, blo, bhi, d.route)
 		}
 		for k, pred := range restPreds {
 			sink := restSinks[k]
-			for i := lo; i < hi; i++ {
+			for i := blo; i < bhi; i++ {
 				if pred(i) {
 					sink.add(i)
 				}
 			}
 		}
 	}
-	for k, pi := range share {
-		results[pi] = sinks[k].finish()
-	}
-	return nil
+	return sinks, nil
 }

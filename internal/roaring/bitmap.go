@@ -204,6 +204,23 @@ func (b *Bitmap) Iterate(fn func(uint32)) {
 	}
 }
 
+// IterateRange calls fn for every value in [lo, hi) in ascending order,
+// visiting only the containers whose chunks meet the range.
+func (b *Bitmap) IterateRange(lo, hi uint32, fn func(uint32)) {
+	if lo >= hi {
+		return
+	}
+	i, _ := b.findKey(uint16(lo >> 16))
+	for ; i < len(b.keys) && b.keys[i] <= uint16((hi-1)>>16); i++ {
+		base := uint32(b.keys[i]) << 16
+		b.containers[i].iterate(func(low uint16) {
+			if v := base | uint32(low); v >= lo && v < hi {
+				fn(v)
+			}
+		})
+	}
+}
+
 // ToSlice materializes the set as a sorted slice.
 func (b *Bitmap) ToSlice() []uint32 {
 	out := make([]uint32, 0, b.Cardinality())

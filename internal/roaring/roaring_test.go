@@ -166,6 +166,51 @@ func TestIterateAscending(t *testing.T) {
 	}
 }
 
+// TestIterateRange pins IterateRange(lo, hi) to Iterate filtered to
+// [lo, hi), over an array, a bitmap and a run container (with an empty chunk
+// between the run and a last array): ranges inside each container, across
+// container boundaries, empty, and covering the whole set.
+func TestIterateRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := FromSlice(randVals(rng, 1000, 1<<16))
+	for _, v := range randVals(rng, 20000, 1<<16) {
+		b.Add(1<<16 | v)
+	}
+	b = b.Or(FromRange(2<<16+100, 2<<16+30000)).Or(FromRange(2<<16+40000, 2<<16+40100))
+	for _, v := range randVals(rng, 50, 1<<16) {
+		b.Add(4<<16 | v)
+	}
+	b.RunOptimize()
+	if a, bm, r := b.ContainerKinds(); a != 2 || bm != 1 || r != 1 {
+		t.Fatalf("containers: %d array, %d bitmap, %d run; want 2, 1, 1", a, bm, r)
+	}
+	all := b.ToSlice()
+	for _, c := range []struct{ lo, hi uint32 }{
+		{100, 20000}, {1<<16 + 7, 1<<16 + 9000}, {2<<16 + 50, 2<<16 + 40050}, {2<<16 + 200, 2<<16 + 300},
+		{60000, 70000}, {1<<16 + 60000, 2<<16 + 500}, {30000, 4<<16 + 30000}, {2<<16 + 29999, 4<<16 + 1},
+		{0, 0}, {500, 500}, {900, 10}, {3 << 16, 4 << 16}, {5 << 16, 1 << 31},
+		{0, all[len(all)-1] + 1}, {0, 1<<32 - 1}, {all[0], all[len(all)-1]},
+	} {
+		var want, got []uint32
+		for _, v := range all {
+			if v >= c.lo && v < c.hi {
+				want = append(want, v)
+			}
+		}
+		b.IterateRange(c.lo, c.hi, func(v uint32) { got = append(got, v) })
+		if len(got) != len(want) {
+			t.Errorf("IterateRange(%d, %d): %d values, want %d", c.lo, c.hi, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("IterateRange(%d, %d)[%d] = %d, want %d", c.lo, c.hi, i, got[i], want[i])
+				break
+			}
+		}
+	}
+}
+
 func TestFromRangeAndRunOptimize(t *testing.T) {
 	b := FromRange(10, 100010)
 	if b.Cardinality() != 100000 {
