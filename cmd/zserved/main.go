@@ -38,6 +38,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -125,8 +126,9 @@ func main() {
 	}
 	// Every dataset is loaded; /readyz may pass from here on.
 	reg.SetReady(true)
-	sweeper := server.StartIdleSweeper(reg)
-	defer sweeper.Stop()
+	// Hand what loading freed (decoded CSV chunks, spill buffers) back to the
+	// OS: it collects first, so an idle server holds only what it serves.
+	debug.FreeOSMemory()
 
 	if *compactEvery > 0 {
 		var cols []string
@@ -250,7 +252,7 @@ func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
 			return err
 		}
 		log.Printf("loaded %s: %d rows, %d table bytes, %d segments from %s (%s backend, warm, appendable) in %.2fs",
-			d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), d.Segments(), path, d.Backend(), time.Since(t0).Seconds())
+			d.Name(), d.Table().NumRows(), d.TableBytes(), d.Segments(), path, d.Backend(), time.Since(t0).Seconds())
 		return nil
 	}
 	d, err := reg.LoadCSV(name, path, cfg)
@@ -258,7 +260,7 @@ func loadDataSpec(reg *server.Registry, spec string, cfg server.Config) error {
 		return err
 	}
 	log.Printf("loaded %s: %d rows, %d table bytes from %s (%s backend, spilled) in %.2fs",
-		d.Name(), d.Table().NumRows(), d.Table().SizeBytes(), path, d.Backend(), time.Since(t0).Seconds())
+		d.Name(), d.Table().NumRows(), d.TableBytes(), path, d.Backend(), time.Since(t0).Seconds())
 	return nil
 }
 

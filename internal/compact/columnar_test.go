@@ -152,25 +152,9 @@ func randomKeyTable(rng *rand.Rand, rows, cols int, allDistinct bool) (*dataset.
 	return trimmed, names
 }
 
-// subTable is the first rows rows of t over t's own dictionaries.
-func subTable(t *dataset.Table, rows int) *dataset.Table {
-	out := dataset.NewTable(t.Name, t.Fields())
-	for j, c := range out.Columns() {
-		switch src := t.Columns()[j]; {
-		case c.Field.Kind == dataset.KindString:
-			c.SetDict(src.Dict())
-		case src.Coded():
-			c.SetIntDict(src.IntDict())
-		case c.Field.Kind == dataset.KindInt:
-			c.SetRawInts()
-		}
-	}
-	out.Presize(rows)
-	for j, c := range out.Columns() {
-		c.CopyRows(t.Columns()[j], 0, rows)
-	}
-	return out
-}
+// subTable is the first rows rows of t over t's own storage and
+// dictionaries.
+func subTable(t *dataset.Table, rows int) *dataset.Table { return t.Slice(0, rows, nil) }
 
 // TestCodeOrderEqualsKeyOrder: for one coded cluster column — categorical
 // or a coded int, with duplicates, a single distinct value, dictionary

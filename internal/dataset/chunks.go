@@ -78,13 +78,13 @@ func (c *Chunks) Dicts() *Table { return c.dicts }
 // result is valid until the next call given it.
 func (c *Chunks) Segment(lo, hi int, scratch *Table) *Table {
 	if c.remaps == nil {
-		return c.parts[0].slice(lo, hi)
+		return c.parts[0].Slice(lo, hi, nil)
 	}
 	seg := scratch
 	if seg == nil || seg.CapRows() < hi-lo {
-		seg = c.empty(hi - lo)
+		seg = c.dicts.Scratch(hi - lo)
 	}
-	seg.resize(hi - lo)
+	seg.Resize(hi - lo)
 	c.CopyRows(seg, 0, lo, hi)
 	return seg
 }
@@ -122,26 +122,22 @@ func (c *Chunks) Table() *Table {
 	return t
 }
 
-// empty returns a table of the merged layouts and dictionaries with storage
-// for rows rows.
-func (c *Chunks) empty(rows int) *Table {
-	t := NewTable(c.Name, c.dicts.Fields())
-	for j, col := range t.cols {
-		col.ShareDicts(c.dicts.cols[j])
-		col.rawInts = c.dicts.cols[j].rawInts
-		col.allocate(rows, rows, false)
+// Slice returns rows [lo, hi) of t as a table over the same storage and
+// dictionaries. view is nil or what an earlier Slice of t returned, whose
+// columns it then re-points and returns: a scan walks a table a segment at a
+// time through one view.
+func (t *Table) Slice(lo, hi int, view *Table) *Table {
+	if view == nil {
+		view = &Table{Name: t.Name, cols: make([]*Column, len(t.cols)), byName: make(map[string]*Column, len(t.cols))}
+		for j, c := range t.cols {
+			view.cols[j] = new(Column)
+			view.byName[c.Field.Name] = view.cols[j]
+		}
 	}
-	t.nrows = rows
-	return t
-}
-
-// slice returns rows [lo, hi) of t as a table over the same storage and
-// dictionaries.
-func (t *Table) slice(lo, hi int) *Table {
-	out := &Table{Name: t.Name, cols: make([]*Column, len(t.cols)), byName: make(map[string]*Column, len(t.cols)), nrows: hi - lo}
 	for j, c := range t.cols {
-		s := *c
-		s.ensure = nil
+		s := view.cols[j]
+		*s = *c
+		s.distinct = nil
 		switch {
 		case c.Coded():
 			s.codes = c.codes.slice(lo, hi)
@@ -150,14 +146,14 @@ func (t *Table) slice(lo, hi int) *Table {
 		default:
 			s.floats = c.floats[lo:hi]
 		}
-		out.cols[j] = &s
-		out.byName[s.Field.Name] = &s
 	}
-	return out
+	view.nrows = hi - lo
+	return view
 }
 
-// resize sets every column, and the table, to n rows within capacity.
-func (t *Table) resize(n int) {
+// Resize sets every column, and the table, to n rows within their capacity
+// (CapRows): a Scratch table takes each segment read into it at its length.
+func (t *Table) Resize(n int) {
 	for _, c := range t.cols {
 		switch {
 		case c.Coded():

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -245,39 +246,39 @@ func TestRowClone(t *testing.T) {
 	}
 }
 
-// TestNewExtendedAliasesOrGrows pins the grow-or-alias step of a lazily
-// filled table: within capacity the successor shares backing arrays with its
-// predecessor (whose shorter view is undisturbed), past it the successor gets
-// fresh storage with headroom for the next extensions.
-func TestNewExtendedAliasesOrGrows(t *testing.T) {
+// TestScratchSegmentsShareDictionaries pins the two ways a scan holds a
+// segment: a Scratch table — the schema, layouts and dictionaries
+// themselves, storage for a segment, Resize within it — and a Slice view,
+// whose columns a second Slice re-points in place.
+func TestScratchSegmentsShareDictionaries(t *testing.T) {
 	fields := []Field{{Name: "k", Kind: KindString}, {Name: "i", Kind: KindInt}, {Name: "f", Kind: KindFloat}}
 	base := NewTable("t", fields)
 	base.Column("i").SetRawInts()
-	base.Presize(100)
-	if base.CapRows() != 100 {
-		t.Fatalf("presized capacity = %d rows, want exactly 100", base.CapRows())
+	for r := 0; r < 300; r++ {
+		base.AppendRow(SV("k"+strconv.Itoa(r)), IV(int64(r)), FV(float64(r)/4))
 	}
-	base.Column("i").Ints()[99] = 7
+	s := base.Scratch(100)
+	if s.NumRows() != 100 || s.CapRows() != 100 || s.Name != "t" {
+		t.Fatalf("scratch: %d rows, capacity %d, name %q", s.NumRows(), s.CapRows(), s.Name)
+	}
+	if k := s.Column("k"); k.Codes().Width() != 2 || k.CodeOf("k299") != 299 || s.Column("i").Ints() == nil {
+		t.Fatal("a scratch table has its table's layouts and dictionaries")
+	}
+	s.Resize(40)
+	if s.NumRows() != 40 || s.Column("f").Len() != 40 || s.CapRows() != 100 {
+		t.Fatalf("resized: %d rows, %d floats, capacity %d", s.NumRows(), s.Column("f").Len(), s.CapRows())
+	}
+	if empty := base.Scratch(0); empty.CapRows() != 0 || empty.Column("k").Cardinality() != 300 {
+		t.Fatal("a scratch of no rows holds the dictionaries and no storage")
+	}
 
-	grown := NewExtended(base, 120, false)
-	if grown.NumRows() != 120 || grown.Column("f").Len() != 120 || grown.CapRows() != 150 {
-		t.Fatalf("grown table: %d rows, capacity %d, want 120 and 150", grown.NumRows(), grown.CapRows())
+	v := base.Slice(10, 20, nil)
+	k := v.Column("k")
+	if v.NumRows() != 10 || k.Value(0).S != "k10" || v.Column("i").Int(9) != 19 {
+		t.Fatalf("view of rows [10, 20): %d rows, first %v", v.NumRows(), k.Value(0))
 	}
-	if grown.Column("i").Ints()[99] != 0 {
-		t.Fatal("fresh storage must start zeroed; copying is the caller's decision")
-	}
-
-	aliased := NewExtended(grown, 150, true)
-	aliased.Column("i").Ints()[130] = 9
-	aliased.Column("k").Codes().U8[5] = 3
-	if grown.Column("i").Len() != 120 || grown.Column("k").Code(5) != 3 {
-		t.Fatal("an aliased successor must share rows with, and leave the length of, its predecessor")
-	}
-	if got := NewExtended(aliased, 150, true).Column("i").Ints()[130]; got != 9 {
-		t.Fatalf("row 130 through a second alias = %d, want 9", got)
-	}
-	if aliased.Column("k").Dict() != nil || aliased.Name != "t" {
-		t.Fatal("NewExtended carries the name and schema, not the dictionaries")
+	if again := base.Slice(200, 203, v); again != v || v.Column("k") != k || k.Value(2).S != "k202" || v.Column("f").Floats()[0] != 50 {
+		t.Fatal("a second Slice into a view re-points the same columns")
 	}
 }
 

@@ -142,6 +142,30 @@ func fill[D, S Code](dst []D, src []S, card int) bool {
 	return bad>>63 == 0
 }
 
+// Below reports whether every code lies below card, by Fill's test, without
+// copying a code: what a block read straight into its array is checked with.
+func (p Codes) Below(card int) bool {
+	switch {
+	case p.U16 != nil:
+		return below(p.U16, card)
+	case p.U32 != nil:
+		return below(p.U32, card)
+	}
+	return below(p.U8, card)
+}
+
+func below[W Code](codes []W, card int) bool {
+	if uint64(card) > uint64(^W(0)) { // every code of the width is below card
+		return true
+	}
+	var bad uint64
+	top := uint64(card) - 1
+	for _, c := range codes {
+		bad |= top - uint64(c)
+	}
+	return bad>>63 == 0
+}
+
 // slice returns codes [lo, hi) of the array, hi <= Cap, over the same storage.
 func (p Codes) slice(lo, hi int) Codes {
 	switch {
@@ -151,20 +175,6 @@ func (p Codes) slice(lo, hi int) Codes {
 		return Codes{U32: p.U32[lo:hi]}
 	}
 	return Codes{U8: p.U8[lo:hi]}
-}
-
-// extended is extend at the array's own width.
-func (p Codes) extended(n int, alias bool) (Codes, *mapping) {
-	switch {
-	case p.U16 != nil:
-		a, m := extend(p.U16, n, alias)
-		return Codes{U16: a}, m
-	case p.U32 != nil:
-		a, m := extend(p.U32, n, alias)
-		return Codes{U32: a}, m
-	}
-	a, m := extend(p.U8, n, alias)
-	return Codes{U8: a}, m
 }
 
 // gathered returns a new array of src's codes at rows, in that order.

@@ -27,13 +27,13 @@ type Field struct {
 // Value, Float, Int and Code read any layout. The raw arrays — Codes, Ints,
 // Floats — are for loops that have switched on the layout once.
 //
-// A column normally materializes through Append*; a lazily-backed table
-// (zpack) instead installs the dictionaries, Presizes the storage and fills row
-// ranges in place as segments load, optionally installing an ensure-loaded hook
-// so metadata reads stay correct before the data lands.
+// A column normally materializes through Append*. A file-backed table (zpack)
+// holds only the schema, the dictionaries and the row count: its cells are
+// read a segment at a time into a scratch table (Scratch), and a raw column
+// answers DistinctSorted through a hook that reads the file.
 //
-// A served column's array lives off the Go heap (see mem.go): Presize,
-// NewExtended and Chunks.Table put it there, and widening it keeps it there.
+// A whole table's arrays may live off the Go heap (see mem.go): Presize and
+// Chunks.Table put them there, and widening keeps them there.
 type Column struct {
 	Field Field
 
@@ -51,7 +51,7 @@ type Column struct {
 	ints   []int64
 	floats []float64
 
-	ensure func() // optional hook: materialize all rows before a raw read
+	distinct func() []Value // optional: DistinctSorted of a raw column whose cells live elsewhere
 }
 
 // NewColumn returns an empty column of the given field.
@@ -368,13 +368,14 @@ func (c *Column) ShareDicts(src *Column) {
 	c.ivals, c.ivalIx = src.ivals, src.ivalIx
 }
 
-// SetEnsureLoaded installs a hook DistinctSorted calls before scanning raw
-// numeric data, so a lazily-backed column can materialize itself first.
-func (c *Column) SetEnsureLoaded(f func()) { c.ensure = f }
+// SetDistinct installs what DistinctSorted returns for a raw numeric column
+// whose cells the table does not hold: a file-backed table reads the column
+// there and keeps only its distinct values.
+func (c *Column) SetDistinct(f func() []Value) { c.distinct = f }
 
 // DistinctSorted returns the sorted distinct values of the column. A Coded
-// column sorts its dictionary; a raw one scans (materializing a lazy backing
-// first).
+// column sorts its dictionary; a raw one scans its cells (or asks the hook
+// SetDistinct installed).
 func (c *Column) DistinctSorted() []Value {
 	switch {
 	case c.Field.Kind == KindString:
@@ -388,22 +389,19 @@ func (c *Column) DistinctSorted() []Value {
 	case c.Coded():
 		return distinctValues(slices.Clone(c.ivals), IV)
 	}
-	if c.ensure != nil {
-		c.ensure()
+	if c.distinct != nil {
+		return c.distinct()
 	}
 	// c owns the array's mapping: it must outlive the copy.
 	defer runtime.KeepAlive(c)
-	if c.Field.Kind == KindInt {
-		return distinctValues(slices.Clone(c.ints), IV)
-	}
-	// NaN != NaN: Compact keeps every NaN, as the map this replaced did.
-	return distinctValues(slices.Clone(c.floats), FV)
+	var d Distinct
+	d.Add(c)
+	return d.Values()
 }
 
 // distinctValues sorts keys in place and boxes each distinct one.
 func distinctValues[T int64 | float64](keys []T, box func(T) Value) []Value {
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+	keys = compactSorted(keys)
 	out := make([]Value, len(keys))
 	for i, k := range keys {
 		out[i] = box(k)
@@ -411,13 +409,66 @@ func distinctValues[T int64 | float64](keys []T, box func(T) Value) []Value {
 	return out
 }
 
+// compactSorted sorts keys in place and drops repeats. NaN != NaN: every NaN
+// stays, as the map this replaced kept them.
+func compactSorted[T int64 | float64](keys []T) []T {
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// Distinct gathers the distinct cells of a raw numeric column a run of rows
+// at a time, holding little more than the distinct values however many runs
+// it is given: DistinctSorted of a column read a segment at a time.
+type Distinct struct {
+	ints   []int64
+	floats []float64
+	kept   int // distinct cells at the last compaction
+}
+
+// Add takes the cells of raw numeric column c.
+func (d *Distinct) Add(c *Column) {
+	if c.Field.Kind == KindInt {
+		d.ints = append(d.ints, c.ints...)
+		if len(d.ints) > 2*d.kept+len(c.ints) {
+			d.ints = compactSorted(d.ints)
+			d.kept = len(d.ints)
+		}
+		return
+	}
+	d.floats = append(d.floats, c.floats...)
+	if len(d.floats) > 2*d.kept+len(c.floats) {
+		d.floats = compactSorted(d.floats)
+		d.kept = len(d.floats)
+	}
+}
+
+// Values returns the distinct cells taken, sorted, as DistinctSorted does.
+func (d *Distinct) Values() []Value {
+	if d.ints != nil {
+		return distinctValues(d.ints, IV)
+	}
+	return distinctValues(d.floats, FV)
+}
+
 // SizeBytes returns the memory the column's arrays and dictionaries hold, by
 // capacity, on the Go heap or off it. The value-to-code indexes are not
 // counted.
 func (c *Column) SizeBytes() int64 {
+	return int64(c.codes.Cap()*c.codes.Width()+8*(cap(c.ints)+cap(c.floats))) + c.dictSize()
+}
+
+// dictSize returns the memory the column's dictionaries hold.
+func (c *Column) dictSize() int64 {
 	const stringHeader = 16
-	return int64(c.codes.Cap()*c.codes.Width() + 8*(cap(c.ints)+cap(c.floats)+cap(c.ivals)) +
-		stringHeader*cap(c.dict) + c.dictBytes)
+	return int64(8*cap(c.ivals) + stringHeader*cap(c.dict) + c.dictBytes)
+}
+
+// width returns the bytes a row of the column takes in memory.
+func (c *Column) width() int {
+	if c.Coded() {
+		return CodeWidth(c.Cardinality())
+	}
+	return 8
 }
 
 // Table is an immutable-after-build named relation.
@@ -440,12 +491,9 @@ func NewTable(name string, fields []Field) *Table {
 }
 
 // Presize gives every column zeroed storage of the given row count off the
-// Go heap, ready to be filled in place by a lazy backing (zpack), which has
-// installed the dictionaries — they decide the code widths — and marked the
-// raw integer columns first. The table reports rows rows immediately; cells
-// read as code zero or zero values until their segment loads, and a page no
-// segment has been read into takes no memory. The slice headers never change
-// after this, so readers that captured them observe loaded data.
+// Go heap, to be filled in place (zpack's LoadAll, the writer's tail), with
+// the dictionaries installed and the raw integer columns marked first — they
+// decide the layouts. A page no row has been written into takes no memory.
 func (t *Table) Presize(rows int) {
 	for _, c := range t.cols {
 		c.allocate(rows, rows, true)
@@ -453,66 +501,31 @@ func (t *Table) Presize(rows int) {
 	t.nrows = rows
 }
 
-// Unloaded returns t's twin before any block was read into it: the same
-// name, schema, layouts and dictionaries — the dictionaries themselves,
-// shared (ShareDicts), neither table may grow them afterwards — over fresh
-// storage presized to t's row count (Presize). Hooks are not carried over.
-func (t *Table) Unloaded() *Table {
-	u := &Table{Name: t.Name, byName: make(map[string]*Column, len(t.cols))}
+// SetRows sets the row count of a table that holds the schema and the
+// dictionaries but no cells: a file-backed table, whose rows are read a
+// segment at a time into a Scratch table.
+func (t *Table) SetRows(rows int) { t.nrows = rows }
+
+// Scratch returns a table of t's name, schema and layouts with storage on the
+// Go heap for rows rows (none when rows is 0), sharing t's dictionaries
+// themselves (ShareDicts): neither table may grow them afterwards. A
+// file-backed table's segments are read into it (Resize sets each one's
+// length).
+func (t *Table) Scratch(rows int) *Table {
+	s := &Table{Name: t.Name, byName: make(map[string]*Column, len(t.cols)), nrows: rows}
 	for _, pc := range t.cols {
 		c := &Column{Field: pc.Field, rawInts: pc.rawInts}
 		c.ShareDicts(pc)
-		u.cols = append(u.cols, c)
-		u.byName[c.Field.Name] = c
-	}
-	u.Presize(t.nrows)
-	return u
-}
-
-// NewExtended creates the rows-row successor of a presized table over the
-// same schema and column layouts (rows >= prev's), each array the extend of
-// prev's: with alias set (the caller has checked prev.CapRows() >= rows) the
-// two tables share backing arrays and their mappings and differ only in
-// length, otherwise the successor's storage is fresh, off the Go heap, with
-// headroom. Dictionaries and hooks are not carried over; the lazy backing
-// installs its own, which must ask for the code widths prev has.
-func NewExtended(prev *Table, rows int, alias bool) *Table {
-	t := &Table{Name: prev.Name, byName: make(map[string]*Column, len(prev.cols)), nrows: rows}
-	for _, pc := range prev.cols {
-		c := NewColumn(pc.Field)
-		c.rawInts = pc.rawInts
-		switch {
-		case c.Coded():
-			c.codes, c.mem = pc.codes.extended(rows, alias)
-		case c.Field.Kind == KindInt:
-			c.ints, c.mem = extend(pc.ints, rows, alias)
-		default:
-			c.floats, c.mem = extend(pc.floats, rows, alias)
+		if rows > 0 {
+			c.allocate(rows, rows, false)
 		}
-		if alias {
-			c.mem = pc.mem
-		}
-		t.cols = append(t.cols, c)
-		t.byName[c.Field.Name] = c
+		s.cols = append(s.cols, c)
+		s.byName[c.Field.Name] = c
 	}
-	return t
+	return s
 }
 
-// CopyRows copies rows [lo, hi) of src — a column of c's field, layout and
-// code width — into the same rows of c.
-func (c *Column) CopyRows(src *Column, lo, hi int) {
-	switch {
-	case c.Coded():
-		c.codes.Fill(lo, src.codes.slice(lo, hi), math.MaxInt)
-	case c.Field.Kind == KindInt:
-		copy(c.ints[lo:hi], src.ints[lo:hi])
-	default:
-		copy(c.floats[lo:hi], src.floats[lo:hi])
-	}
-}
-
-// CapRows returns how many rows every column's storage can hold in place —
-// the bound under which NewExtended may alias.
+// CapRows returns how many rows every column's storage can hold in place.
 func (t *Table) CapRows() int {
 	n := math.MaxInt
 	for _, c := range t.cols {
@@ -528,6 +541,18 @@ func (t *Table) SizeBytes() int64 {
 	var b int64
 	for _, c := range t.cols {
 		b += c.SizeBytes()
+	}
+	return b
+}
+
+// SizeAt returns the memory the table takes holding rows rows, every column
+// at its width in memory, beside its dictionaries: what a file-backed table,
+// which holds only the dictionaries, takes loaded (SizeBytes after
+// Presize(rows)).
+func (t *Table) SizeAt(rows int) int64 {
+	var b int64
+	for _, c := range t.cols {
+		b += int64(rows*c.width()) + c.dictSize()
 	}
 	return b
 }
@@ -669,7 +694,7 @@ func (t *Table) Gather(rows []int) *Table {
 	out := &Table{Name: t.Name, cols: make([]*Column, len(t.cols)), byName: make(map[string]*Column, len(t.cols)), nrows: len(rows)}
 	t.ForEachColumn(func(j int, c *Column) {
 		g := *c
-		g.ensure, g.mem, g.codes, g.ints, g.floats = nil, nil, c.codes.gathered(rows), gather(c.ints, rows), gather(c.floats, rows)
+		g.distinct, g.mem, g.codes, g.ints, g.floats = nil, nil, c.codes.gathered(rows), gather(c.ints, rows), gather(c.floats, rows)
 		out.cols[j] = &g
 	})
 	for _, c := range out.cols {

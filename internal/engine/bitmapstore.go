@@ -379,7 +379,7 @@ func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			sinks[k] = plans[pi].newSink()
+			sinks[k] = plans[pi].newSink(s.t)
 			n := acc[pi].drain(lo, hi, sinks[k])
 			s.stats.rowsScanned.Add(n)
 			visited += n

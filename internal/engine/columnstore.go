@@ -39,30 +39,34 @@ const segmentSize = SegmentSize
 // the table alone, so every answer's bits do too — never on the worker count,
 // the machine or the store.
 //
-// src is the segment source the data materializes through: a no-op
-// memSource for an in-memory table, a lazy reader (zpack) for a
-// disk-resident one. Zone maps always come from the source's metadata, so
-// the scan can prove segments empty without ever loading them.
+// src is the segment source a scan job reads each segment it visits
+// through, into a scratch segment the job owns: a view of the table for an
+// in-memory one (memSource), the segment's blocks read from the file for a
+// zpack Reader. Zone maps always come from the source's metadata, so the
+// scan can prove segments empty without ever reading them, and no segment
+// outlives the job that read it.
 type ColumnStore struct {
 	parLimit
-	t      *dataset.Table
-	src    SegmentSource
-	zones  map[string]*ZoneData // by column name
-	frags  []fragment           // ascending, contiguous, covering [0, NumSegments())
-	loaded []atomic.Bool        // per segment: materialized by a scan of this store
-	stats  *counters
-	prov   *skipProv
-	busy   atomic.Int64 // scan jobs currently running
+	t     *dataset.Table
+	src   SegmentSource
+	zones map[string]*ZoneData // by column name
+	frags []fragment           // ascending, contiguous, covering [0, NumSegments())
+	nseg  int
+	stats *counters
+	prov  *skipProv
+	busy  atomic.Int64 // scan jobs currently running
+	// scratch recycles the jobs' scratch segments (Load's), at most one per
+	// job running.
+	scratch sync.Pool
 }
 
 // fragment is the segment range [lo, hi) one scan job walks.
 type fragment struct{ lo, hi int }
 
 // ShareCounters makes s count into prev's counter cells — the store-wide
-// counters with the segment loads, and the skip provenance — so that the
-// store over a new snapshot of prev's table goes on from prev's totals, and
-// what scans still running on prev add lands in them too. Call it before s
-// serves.
+// counters and the skip provenance — so that the store over a new snapshot
+// of prev's table goes on from prev's totals, and what scans still running
+// on prev add lands in them too. Call it before s serves.
 func (s *ColumnStore) ShareCounters(prev *ColumnStore) {
 	s.stats, s.prov = prev.stats, prev.prov
 }
@@ -80,11 +84,11 @@ func NewColumnStore(t *dataset.Table) *ColumnStore {
 }
 
 // NewColumnStoreFromSource builds a column store over a segment source whose
-// column data may materialize lazily: zone maps come from the source's
-// metadata, and a segment's data is loaded only when a scan first visits it —
-// a segment every plan's zone maps prove empty is never loaded at all. The
-// table is cut into fragments of the fixed size; a zpack Reader is cut this
-// way without rewriting a byte.
+// column data may live elsewhere: zone maps come from the source's metadata,
+// and a segment's data is read each time a scan visits it — a segment every
+// plan's zone maps prove empty is never read at all. The table is cut into
+// fragments of the fixed size; a zpack Reader is cut this way without
+// rewriting a byte.
 func NewColumnStoreFromSource(src SegmentSource) *ColumnStore {
 	size := int(fragmentSegments.Load())
 	var cuts []int
@@ -103,12 +107,12 @@ func NewColumnStoreAt(src SegmentSource, cuts ...int) *ColumnStore {
 	t := src.Table()
 	nseg := src.NumSegments()
 	s := &ColumnStore{
-		t:      t,
-		src:    src,
-		zones:  make(map[string]*ZoneData, t.NumCols()),
-		loaded: make([]atomic.Bool, nseg),
-		stats:  &counters{},
-		prov:   &skipProv{},
+		t:     t,
+		src:   src,
+		zones: make(map[string]*ZoneData, t.NumCols()),
+		nseg:  nseg,
+		stats: &counters{},
+		prov:  &skipProv{},
 	}
 	lo := 0
 	for _, c := range append(cuts[:len(cuts):len(cuts)], nseg) {
@@ -147,32 +151,32 @@ func (s *ColumnStore) Table(name string) *dataset.Table { return tableNamed(s.t,
 // Counters returns cumulative execution statistics.
 func (s *ColumnStore) Counters() Counters { return s.stats.snapshot() }
 
-// Stats reports the store's counters, segment and load totals, skip
-// provenance and scan-pool saturation.
+// Stats reports the store's counters, segment total, skip provenance and
+// scan-pool saturation.
 func (s *ColumnStore) Stats() Stats {
 	return Stats{
 		Counters:       s.Counters(),
-		Segments:       len(s.loaded),
-		SegmentLoads:   s.stats.segmentLoads.Load(),
+		Segments:       s.nseg,
 		SkipProvenance: s.prov.snapshot(),
 		Pool:           &PoolStats{Busy: int(s.busy.Load()), Capacity: s.parallelism()},
 	}
 }
 
 // vecPlan is the column store's per-plan compilation: the WHERE clause split
-// into top-level conjuncts, each lowered to a vectorized filter and keyed by
-// its canonical SQL so a batch can share evaluations across plans, and the
-// columns a scan of the plan reads.
+// into top-level conjuncts, each lowered to a vectorized filter over the
+// plan's table for its zone test and keyed by its canonical SQL so a batch
+// can share evaluations across plans, and the columns a scan of the plan
+// reads.
 type vecPlan struct {
 	conjs []vecConjunct // empty means "all rows"
-	cols  ColumnSet     // select, group-by and WHERE columns: what Load must bring in
+	cols  ColumnSet     // select, group-by and WHERE columns: what Load must read
 }
 
 type vecConjunct struct {
 	key  string // canonical SQL of the conjunct, the sharing key
-	f    vecFilter
-	attr SkipAttr     // which column/metadata a skip by this conjunct credits
-	pred rowPredicate // row-at-a-time form, for masked evaluation
+	expr minisql.Expr
+	f    vecFilter // over the plan's table: its zone test (skip) only
+	attr SkipAttr  // which column/metadata a skip by this conjunct credits
 }
 
 // skipCause reports whether the zone maps prove segment seg holds no row
@@ -190,10 +194,9 @@ func (v *vecPlan) skipCause(seg int) (SkipAttr, bool) {
 // Prepare validates and column-resolves a parsed query, then attaches the
 // vectorized compilation (the column store's Plan hook): the conjuncts, in
 // written order, lowered to vectorized filters against the table's global
-// zone maps, once, whatever its fragments. Each conjunct also keeps its
-// row-at-a-time predicate so the scan can evaluate later conjuncts only on
-// the rows still selected (masked evaluation) when the survivor set is
-// already sparse. A conjunct that folds to all-true — zexec's z IN (<every
+// zone maps, once, whatever its fragments. A scan job compiles them again,
+// with their row-at-a-time predicates, against the segment it reads
+// (scanJob). A conjunct that folds to all-true — zexec's z IN (<every
 // slice>) — stays in p.conjs, which is what EXPLAIN lists, and costs the
 // scan nothing.
 func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
@@ -216,11 +219,7 @@ func (s *ColumnStore) Prepare(q *minisql.Query) (*Plan, error) {
 		if cf, ok := f.(constFilter); ok && cf.match {
 			continue
 		}
-		pred, err := compilePredicate(p.t, c)
-		if err != nil {
-			return nil, err
-		}
-		vp.conjs = append(vp.conjs, vecConjunct{key: c.SQL(), f: f, attr: conjAttr(c, f), pred: pred})
+		vp.conjs = append(vp.conjs, vecConjunct{key: c.SQL(), expr: c, f: f, attr: conjAttr(c, f)})
 	}
 	p.vec = vp
 	return p, nil
@@ -236,51 +235,50 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 
 // scanInto is one job's shared segment walk over fragment fi, feeding every
 // plan of the job into its sink. Each distinct conjunct (keyed by canonical
-// SQL) is evaluated at most once per segment and intersected per plan. A
-// segment's data is materialized through the table's segment source the
-// first time any plan actually scans it — zone-map-skipped segments are
-// never loaded — and only in the columns the job's plans read. The first
-// failed segment load is returned; sinks may then hold partial data and must
-// be discarded. The context is checked once per segment: a cancelled scan
-// stops at the next segment boundary and returns ctx.Err().
+// SQL) is evaluated at most once per segment and intersected per plan. Each
+// segment some plan does not skip is read through the table's segment source
+// into the job's scratch segment, in the columns the job's plans read, and
+// refills the same scratch for the next one: zone-map-skipped segments are
+// never read, and no segment outlives the job. The first failed segment read
+// is returned; sinks may then hold partial data and must be discarded. The
+// context is checked once per segment: a cancelled scan stops at the next
+// segment boundary and returns ctx.Err().
 func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx []int, sp *trace.Span) ([]rowSink, error) {
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 	f := s.frags[fi]
-	sinks := make([]rowSink, len(idx))
 	cols := NewColumnSet(s.t.NumCols())
-	for k, pi := range idx {
-		sinks[k] = newColSink(plans[pi])
+	for _, pi := range idx {
 		cols.Or(plans[pi].vec.cols)
 	}
 	// Assign each distinct conjunct one slot; plans refer to slots so a
 	// shared conjunct is evaluated once per segment.
 	slotOf := make(map[string]int)
-	var filters []vecFilter
-	var slotPreds []rowPredicate
+	var exprs []minisql.Expr
 	planSlots := make([][]int, len(idx))
 	for k, pi := range idx {
 		for _, c := range plans[pi].vec.conjs {
 			slot, ok := slotOf[c.key]
 			if !ok {
-				slot = len(filters)
+				slot = len(exprs)
 				slotOf[c.key] = slot
-				filters = append(filters, c.f)
-				slotPreds = append(slotPreds, c.pred)
+				exprs = append(exprs, c.expr)
 			}
 			planSlots[k] = append(planSlots[k], slot)
 		}
 	}
-	slotBits := make([][]uint64, len(filters))
+	slotBits := make([][]uint64, len(exprs))
 	for i := range slotBits {
 		slotBits[i] = newSegBits()
 	}
-	slotDone := make([]bool, len(filters))
+	slotDone := make([]bool, len(exprs))
 	acc := newSegBits()
 	var scanned, skipped, segsScanned int64
 	prov := make(map[SkipAttr]int64)
 	var loadErr error
 	segSpans := 0
+	scratch, _ := s.scratch.Get().(*dataset.Table)
+	var job *scanJob // compiled against scratch at the first segment read
 	for seg := f.lo; seg < f.hi && loadErr == nil; seg++ {
 		// The segment boundary is the scan's cancellation point: a deadline
 		// or client disconnect stops the walk here, never mid-segment.
@@ -289,28 +287,29 @@ func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx [
 			break
 		}
 		lo, hi := s.segBounds(seg)
+		n := hi - lo
 		for i := range slotDone {
 			slotDone[i] = false
 		}
-		// visit materializes the job's columns of the segment on first touch;
-		// filters and sinks read the table's raw column slices, so the load
-		// must land before either runs. A segment every plan skips is never
-		// visited.
+		// visit reads the job's columns of the segment into the scratch;
+		// filters and sinks read the scratch, so the read must land before
+		// either runs. A segment every plan skips is never visited.
 		visited := false
 		visit := func() bool {
 			if visited {
 				return true
 			}
-			if err := s.src.Load(seg, cols); err != nil {
+			t, err := s.src.Load(seg, cols, scratch)
+			if err == nil && job == nil {
+				job, err = newScanJob(s, plans, idx, exprs, t)
+			}
+			if err != nil {
 				loadErr = err
 				return false
 			}
-			if !s.loaded[seg].Swap(true) {
-				s.stats.segmentLoads.Add(1)
-			}
-			visited = true
+			scratch, visited = t, true
 			segsScanned++
-			scanned += int64(hi - lo)
+			scanned += int64(n)
 			// Sampled per-segment spans: the first few scanned segments get
 			// a marker child each, enough to see which part of the table a
 			// slow scan actually touched without a span per segment.
@@ -318,7 +317,7 @@ func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx [
 				segSpans++
 				c := sp.StartChild("segment")
 				c.SetInt("seg", int64(seg))
-				c.SetInt("rows", int64(hi-lo))
+				c.SetInt("rows", int64(n))
 				c.End()
 			}
 			return true
@@ -332,19 +331,19 @@ func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx [
 			if !visit() {
 				break
 			}
-			sink := sinks[k]
+			sink := job.sinks[k]
 			slots := planSlots[k]
 			switch len(slots) {
 			case 0:
-				sink.addSel(nil, lo, hi)
+				sink.addSel(nil, 0, n)
 				continue
 			case 1:
-				sink.addSel(evalSlot(filters, slotBits, slotDone, slots[0], lo, hi), lo, hi)
+				sink.addSel(job.evalSlot(slotBits, slotDone, slots[0], seg, n), 0, n)
 				continue
 			}
-			copy(acc, evalSlot(filters, slotBits, slotDone, slots[0], lo, hi))
+			copy(acc, job.evalSlot(slotBits, slotDone, slots[0], seg, n))
 			for _, slot := range slots[1:] {
-				live := popCount(acc, hi-lo)
+				live := popCount(acc, n)
 				if live == 0 {
 					break // intersection already empty; later conjuncts can't revive it
 				}
@@ -353,17 +352,20 @@ func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx [
 				// surviving rows with the row predicate beats a full
 				// vectorized pass over the segment. Result-identical — the
 				// differential fuzzer pins the predicate/filter equivalence.
-				if !slotDone[slot] && live <= (hi-lo)/maskedEvalDiv {
-					filterBits(acc, lo, hi, slotPreds[slot])
+				if !slotDone[slot] && live <= n/maskedEvalDiv {
+					filterBits(acc, n, job.preds[slot])
 					continue
 				}
-				bits := evalSlot(filters, slotBits, slotDone, slot, lo, hi)
+				bits := job.evalSlot(slotBits, slotDone, slot, seg, n)
 				for w := range acc {
 					acc[w] &= bits[w]
 				}
 			}
-			sink.addSel(acc, lo, hi)
+			sink.addSel(acc, 0, n)
 		}
+	}
+	if scratch != nil {
+		s.scratch.Put(scratch)
 	}
 	s.stats.rowsScanned.Add(scanned)
 	s.stats.segmentsScanned.Add(segsScanned)
@@ -374,23 +376,58 @@ func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx [
 		sp.SetInt("segments", segsScanned)
 		sp.SetInt("segmentsSkipped", skipped)
 	}
+	sinks := make([]rowSink, len(idx))
+	for k, pi := range idx {
+		if job != nil {
+			sinks[k] = job.sinks[k]
+		} else {
+			sinks[k] = newColSink(plans[pi], nil) // the job read no segment
+		}
+	}
 	return sinks, loadErr
+}
+
+// scanJob is a scan job's compilation against the scratch segment it reads
+// each segment into: every distinct conjunct's filter and row predicate, by
+// slot, and a sink per plan. All of them read the scratch's arrays at each
+// call, so one compilation serves every segment of the job.
+type scanJob struct {
+	filters []vecFilter
+	preds   []rowPredicate
+	sinks   []rowSink
+}
+
+func newScanJob(s *ColumnStore, plans []*Plan, idx []int, exprs []minisql.Expr, seg *dataset.Table) (*scanJob, error) {
+	j := &scanJob{filters: make([]vecFilter, len(exprs)), preds: make([]rowPredicate, len(exprs)), sinks: make([]rowSink, len(idx))}
+	for i, e := range exprs {
+		var err error
+		if j.filters[i], err = compileVec(s.zones, seg, e); err != nil {
+			return nil, err
+		}
+		if j.preds[i], err = compilePredicate(seg, e); err != nil {
+			return nil, err
+		}
+	}
+	for k, pi := range idx {
+		j.sinks[k] = newColSink(plans[pi], seg)
+	}
+	return j, nil
+}
+
+// evalSlot returns the selection bitmap of one conjunct for segment seg, of
+// n rows, evaluating it on first use.
+func (j *scanJob) evalSlot(slotBits [][]uint64, slotDone []bool, slot, seg, n int) []uint64 {
+	if !slotDone[slot] {
+		clearBits(slotBits[slot])
+		j.filters[slot].eval(seg, n, slotBits[slot])
+		slotDone[slot] = true
+	}
+	return slotBits[slot]
 }
 
 // segSpanSample is how many scanned segments per scan job get a sampled
 // per-segment child span.
 const segSpanSample = 8
-
-// evalSlot returns the selection bitmap of one conjunct for the current
-// segment, evaluating it on first use.
-func evalSlot(filters []vecFilter, slotBits [][]uint64, slotDone []bool, slot, lo, hi int) []uint64 {
-	if !slotDone[slot] {
-		clearBits(slotBits[slot])
-		filters[slot].eval(lo, hi, slotBits[slot])
-		slotDone[slot] = true
-	}
-	return slotBits[slot]
-}
 
 // maskedEvalDiv sets the masked-evaluation threshold: a later conjunct is
 // tested row-at-a-time on the surviving rows (instead of a full vectorized
@@ -407,13 +444,14 @@ func popCount(sel []uint64, n int) int {
 	return total
 }
 
-// filterBits clears every selected bit whose row fails pred — the masked
-// (row-at-a-time) evaluation of one conjunct over a sparse survivor set.
-func filterBits(sel []uint64, lo, hi int, pred rowPredicate) {
-	words := (hi - lo + 63) / 64
+// filterBits clears every selected bit of rows [0, n) whose row fails pred —
+// the masked (row-at-a-time) evaluation of one conjunct over a sparse
+// survivor set.
+func filterBits(sel []uint64, n int, pred rowPredicate) {
+	words := (n + 63) / 64
 	for w := 0; w < words; w++ {
 		word := sel[w]
-		base := lo + w<<6
+		base := w << 6
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			if !pred(base + b) {
@@ -429,66 +467,70 @@ func filterBits(sel []uint64, lo, hi int, pred rowPredicate) {
 // generic hash sink takes over.
 const maxFlatSlots = 1 << 16
 
-// newColSink picks the accumulator for a plan: the flat dictionary-code
-// sink when every GROUP BY key is an unbinned dictionary-coded column,
-// categorical or integer, and the combined key space is small, the generic
-// hash sink otherwise.
-func newColSink(p *Plan) rowSink {
+// newColSink picks the accumulator for a plan over the rows of seg (nil for
+// a sink that meets no row): the flat dictionary-code sink when every GROUP
+// BY key is an unbinned dictionary-coded column, categorical or integer, and
+// the combined key space is small, the generic hash sink otherwise.
+func newColSink(p *Plan, seg *dataset.Table) rowSink {
 	if !p.aggregates() {
-		return p.newSink() // projection: nothing to accumulate
+		return p.newSink(seg) // projection: nothing to accumulate
 	}
 	slots := 1
 	card := make([]int, len(p.keyCol))
 	for k, c := range p.keyCol {
 		if p.q.GroupBy[k].Bin != 0 || !c.Coded() {
-			return p.newSink()
+			return p.newSink(seg)
 		}
 		card[k] = max(c.Cardinality(), 1)
 		if slots > maxFlatSlots/card[k] {
-			return p.newSink()
+			return p.newSink(seg)
 		}
 		slots *= card[k]
 	}
-	fs := &flatSink{groupAcc: newGroupAcc(p), slots: make([]int32, slots), card: card}
+	fs := &flatSink{groupAcc: newGroupAcc(p, seg), slots: make([]int32, slots), card: card, keys: make([]*dataset.Column, len(p.keyCol))}
 	fs.most = slots
 	for i := range fs.slots {
 		fs.slots[i] = -1
 	}
+	for k, c := range p.keyCol {
+		fs.keys[k] = p.column(seg, c)
+	}
 	if c := p.aggCol; len(c) == 1 && c[0] != nil && c[0].Field.Kind == dataset.KindFloat &&
 		(fs.fns[0] == minisql.AggSum || fs.fns[0] == minisql.AggAvg) && (len(card) == 1 || len(card) == 2) {
-		fs.sum = c[0].Floats()
+		fs.sum = p.column(seg, c[0])
 	}
 	return fs
 }
 
 // flatSink is the vectorized aggregation sink: the combined dictionary code
-// of a row's group keys (p.keyCol) indexes a flat slot array instead of
-// hashing a key buffer. Groups are still numbered in first-seen order, so
-// results stay byte-identical to the hash sink's.
+// of a row's group keys (keys) indexes a flat slot array instead of hashing a
+// key buffer. Groups are still numbered in first-seen order, so results stay
+// byte-identical to the hash sink's.
 type flatSink struct {
 	groupAcc
-	slots []int32 // combined key code -> group number, -1 = unseen
-	card  []int   // per key column, its dictionary's size
-	// sum is the raw float column of a plan grouped by one or two keys
-	// whose one aggregate is its SUM or AVG, which addSel folds as it meets
-	// each row; else nil.
-	sum []float64
+	slots []int32           // combined key code -> group number, -1 = unseen
+	slot  []int32           // group number -> its combined key code
+	card  []int             // per key column, its dictionary's size
+	keys  []*dataset.Column // per GROUP BY key, its column in the sink's table
+	// sum is the raw float column of a plan grouped by one or two keys whose
+	// one aggregate is its SUM or AVG, which addSel folds as it meets each
+	// row; else nil.
+	sum *dataset.Column
 }
 
 func (s *flatSink) add(i int) {
 	slot := s.slotAt(i)
-	if s.slots[slot] < 0 {
-		s.slots[slot] = s.newGroup(i)
+	g := s.slots[slot]
+	if g < 0 {
+		g = s.firstSeen(slot, i)
 	}
-	s.fold(s.slots[slot], i)
+	s.fold(g, i)
 }
 
-// slotAt computes a row's combined key code. At gather time the row's
-// segment is guaranteed loaded (the job that saw the row loaded it, and the
-// scatter barrier orders that load before any merge).
+// slotAt computes a row's combined key code.
 func (s *flatSink) slotAt(i int) int {
 	slot := 0
-	for k, c := range s.p.keyCol {
+	for k, c := range s.keys {
 		slot = slot*s.card[k] + int(c.Code(i))
 	}
 	return slot
@@ -516,7 +558,7 @@ var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
 // is add's.
 func (s *flatSink) addSel(sel []uint64, lo, hi int) {
 	if s.sum != nil {
-		kc := s.p.keyCol
+		kc := s.keys
 		if len(kc) == 1 {
 			// One key: the pass's second key is the first again with a
 			// cardinality of 0, so the combined code is the first's.
@@ -543,7 +585,7 @@ func (s *flatSink) addSel(sel []uint64, lo, hi int) {
 	}
 	gids := sc.gids[:len(rows)]
 	clear(gids)
-	for k, c := range s.p.keyCol {
+	for k, c := range s.keys {
 		switch pc := c.Codes(); {
 		case pc.U16 != nil:
 			combineCodes(pc.U16, rows, gids, int32(s.card[k]))
@@ -556,8 +598,7 @@ func (s *flatSink) addSel(sel []uint64, lo, hi int) {
 	for j, slot := range gids {
 		g := s.slots[slot]
 		if g < 0 {
-			g = s.newGroup(int(rows[j]))
-			s.slots[slot] = g
+			g = s.firstSeen(int(slot), int(rows[j]))
 		}
 		gids[j] = g
 	}
@@ -599,7 +640,7 @@ func foldPassSecond[A dataset.Code](s *flatSink, a []A, b dataset.Codes, cardB i
 // group the slot's, and its cell of s.sum goes into the group's one
 // accumulator.
 func foldPass[A, B dataset.Code](s *flatSink, a []A, b []B, cardB int, sel []uint64, lo, hi int) {
-	slots, sum := s.slots, s.sum
+	slots, sum := s.slots, s.sum.Floats()
 	for w := 0; w < (hi-lo+63)/64; w++ {
 		word := ^uint64(0) // no selection: every row
 		if sel != nil {
@@ -632,20 +673,22 @@ func foldPass[A, B dataset.Code](s *flatSink, a []A, b []B, cardB int, sel []uin
 func (s *flatSink) firstSeen(slot, i int) int32 {
 	g := s.newGroup(i)
 	s.slots[slot] = g
+	s.slot = append(s.slot, int32(slot))
 	return g
 }
 
 // mergeFrom folds a later fragment's partial accumulation into s (the order
-// argument is executeFragments' gather). Every fragment's sink shares the
-// plan's globally indexed code arrays, so a group's slot is the same in each.
+// argument is executeFragments' gather). Every segment shares the table's
+// dictionaries, so a group's slot is the same in each fragment's sink.
 func (s *flatSink) mergeFrom(other rowSink) {
 	o := other.(*flatSink)
-	for og := range o.n {
-		row := o.firstRow(og)
-		slot := o.slotAt(int(row))
-		if s.slots[slot] < 0 {
-			s.slots[slot] = s.newGroup(int(row))
+	for og, slot := range o.slot {
+		g := s.slots[slot]
+		if g < 0 {
+			g = s.newGroupFrom(&o.groupAcc, og)
+			s.slots[slot] = g
+			s.slot = append(s.slot, slot)
 		}
-		s.absorb(s.slots[slot], &o.groupAcc, og)
+		s.absorb(g, &o.groupAcc, og)
 	}
 }

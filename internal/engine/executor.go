@@ -58,11 +58,6 @@ type Stats struct {
 	Counters
 	// Segments is the table's zone-map segment count (column stores only).
 	Segments int
-	// SegmentLoads counts the table's distinct segments this store's scans
-	// have materialized — for zpack-backed sources, read from disk unless an
-	// earlier snapshot of the file had loaded them. Zone-map-skipped
-	// segments never load.
-	SegmentLoads int64
 	// SkipProvenance attributes every zone-map skip to the column and
 	// metadata kind that proved the segment empty (column stores only).
 	SkipProvenance map[SkipAttr]int64
@@ -108,7 +103,7 @@ func (p *parLimit) parallelism() int {
 // SegmentsSkipped is column-store only: the number of (plan, segment) pairs
 // the zone maps proved empty, each saving a segment's worth of scanning.
 // SegmentsScanned is its complement: the number of (scan job, segment) pairs a
-// scan actually materialized and visited.
+// scan actually read and visited.
 type Counters struct {
 	Queries         int64
 	RowsScanned     int64
@@ -121,7 +116,6 @@ type counters struct {
 	rowsScanned     atomic.Int64
 	segmentsScanned atomic.Int64
 	segmentsSkipped atomic.Int64
-	segmentLoads    atomic.Int64 // column stores: Stats.SegmentLoads
 }
 
 func (c *counters) snapshot() Counters {

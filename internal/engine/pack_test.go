@@ -90,6 +90,9 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cond, err)
 		}
+		// Filter over the segment a scan job reads, row predicate over the
+		// whole table.
+		var view *dataset.Table
 		f, err := compileVec(cs.zones, tb, q.Where)
 		if err != nil {
 			t.Fatalf("%s: %v", cond, err)
@@ -98,10 +101,15 @@ func TestCodeKernelsEqualRowPredicates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cond, err)
 		}
-		for seg := range len(cs.loaded) {
+		for seg := range cs.nseg {
 			lo, hi := cs.segBounds(seg)
+			view = tb.Slice(lo, hi, view)
+			sf, err := compileVec(cs.zones, view, q.Where)
+			if err != nil {
+				t.Fatalf("%s: %v", cond, err)
+			}
 			clearBits(bits)
-			f.eval(lo, hi, bits)
+			sf.eval(seg, hi-lo, bits)
 			matches := 0
 			for i := 0; i < segmentSize; i++ {
 				got := bits[i>>6]&(1<<(uint(i)&63)) != 0
@@ -254,7 +262,7 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bySel, byAdd, hashed := newColSink(p), newColSink(p), rowSink(p.newSink())
+		bySel, byAdd, hashed := newColSink(p, tb), newColSink(p, tb), rowSink(p.newSink(tb))
 		if _, flat := bySel.(*flatSink); !flat {
 			t.Fatalf("%s: not a flat-sink plan", sql)
 		}

@@ -143,6 +143,11 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 // in — one at a time (add), or a scanned segment's selection at once (addSel)
 // — so a batch executor can feed many plans from one shared scan; a later
 // fragment's sink of the same plan folds in; the result relation comes out.
+// Rows are row numbers of the table the sink was made over (newSink): the
+// store's table, or the segment a column-store scan job has read. A sink
+// takes what it keeps of a row — a group's key and representative cells, a
+// projection's cells — when it meets the row, so mergeFrom and finish read no
+// table, and no row number outlives its segment.
 type rowSink interface {
 	add(i int)
 	// addSel adds the rows of [lo, hi) whose bit (row - lo) is set in sel,
@@ -154,19 +159,17 @@ type rowSink interface {
 
 // numReader reads a column's cells as the float64s Column.Float returns,
 // whatever the column's layout: a cell at a time (at), or the cells of a list
-// of rows in one typed loop (gather).
+// of rows in one typed loop (gather). It reads the column's arrays at each
+// call, so it follows a scan job's segment as the job refills it.
 type numReader struct {
-	col    *dataset.Column
-	floats []float64     // raw floats
-	ints   []int64       // raw ints
-	codes  dataset.Codes // Coded ints, with
-	lut    []float64     // each dictionary value as a float64
+	col *dataset.Column
+	lut []float64 // a Coded int column: each dictionary value as a float64
 }
 
 func newNumReader(c *dataset.Column) numReader {
-	r := numReader{col: c, floats: c.Floats(), ints: c.Ints()}
+	r := numReader{col: c}
 	if c.Field.Kind == dataset.KindInt && c.Coded() {
-		r.codes, r.lut = c.Codes(), make([]float64, c.Cardinality())
+		r.lut = make([]float64, c.Cardinality())
 		for code, v := range c.IntDict() {
 			r.lut[code] = float64(v)
 		}
@@ -176,7 +179,7 @@ func newNumReader(c *dataset.Column) numReader {
 
 func (r *numReader) at(i int) float64 {
 	if r.col.Field.Kind == dataset.KindFloat {
-		return r.floats[i]
+		return r.col.Floats()[i]
 	}
 	return r.col.Float(i)
 }
@@ -184,20 +187,22 @@ func (r *numReader) at(i int) float64 {
 // gather returns the cells at rows, in buf's storage.
 func (r *numReader) gather(rows []int32, buf []float64) []float64 {
 	buf = buf[:len(rows)]
-	switch {
+	switch codes := r.col.Codes(); {
 	case r.col.Field.Kind == dataset.KindFloat:
+		floats := r.col.Floats()
 		for j, i := range rows {
-			buf[j] = r.floats[i]
+			buf[j] = floats[i]
 		}
-	case r.lut != nil && r.codes.U16 != nil:
-		gatherDecoded(r.codes.U16, r.lut, rows, buf)
-	case r.lut != nil && r.codes.U32 != nil:
-		gatherDecoded(r.codes.U32, r.lut, rows, buf)
+	case r.lut != nil && codes.U16 != nil:
+		gatherDecoded(codes.U16, r.lut, rows, buf)
+	case r.lut != nil && codes.U32 != nil:
+		gatherDecoded(codes.U32, r.lut, rows, buf)
 	case r.lut != nil:
-		gatherDecoded(r.codes.U8, r.lut, rows, buf)
+		gatherDecoded(codes.U8, r.lut, rows, buf)
 	case r.col.Field.Kind == dataset.KindInt:
+		ints := r.col.Ints()
 		for j, i := range rows {
-			buf[j] = float64(r.ints[i])
+			buf[j] = float64(ints[i])
 		}
 	default:
 		for j, i := range rows {
@@ -220,47 +225,123 @@ const (
 	groupChunkMask = 1<<groupChunkBits - 1
 )
 
-// groupChunk is a run of up to 256 consecutive groups: each one's first
-// table row, and its accumulators, len(groupAcc.vals) per group. A chunk is
-// allocated at its full size and never grows, so no accumulator is ever
-// copied however many groups follow.
+// groupChunk is a run of up to 256 consecutive groups: each one's cells of
+// the non-aggregate items, len(groupAcc.cells) per group, and its
+// accumulators, len(groupAcc.vals) per group. A chunk is allocated at its
+// full size and never grows, so no cell or accumulator is ever copied however
+// many groups follow.
 type groupChunk struct {
-	rows []int32
-	aggs []aggState
+	cells []uint64
+	aggs  []aggState
 }
 
-// groupAcc is what every sink accumulates and finish consumes: table row
-// numbers, never cells — a projection's matching rows in scan order, or each
-// group's first row (in first-seen order) beside its accumulators.
+// cellCol is one select item that is no aggregate: its cell at a group's
+// first row (the group's key, or its representative), or at a projection's
+// row, is taken from col as the sink meets the row, as 64 bits (bits).
+type cellCol struct {
+	col  *dataset.Column // in the sink's table; nil when the sink meets no row
+	bin  float64
+	kind dataset.Kind // of the output: a binned item is a float
+	dict dataset.Dictionary
+}
+
+// bits returns the item's cell at row i: a dictionary code, an int, or a
+// float's bits.
+func (c *cellCol) bits(i int) uint64 {
+	switch {
+	case c.bin > 0:
+		return math.Float64bits(binValue(c.col.Float(i), c.bin))
+	case c.kind == dataset.KindString:
+		return uint64(uint32(c.col.Code(i)))
+	case c.kind == dataset.KindInt:
+		return uint64(c.col.Int(i))
+	}
+	return math.Float64bits(c.col.Floats()[i])
+}
+
+// groupAcc is what every sink accumulates and finish consumes: the cells of
+// the plan's non-aggregate items — a projection's for every matching row in
+// scan order (a group of no accumulators per row), an aggregation's for each
+// group in first-seen order — beside each group's accumulators.
 type groupAcc struct {
 	p      *Plan
-	rows   []int32           // a projection's matching rows
-	groups []groupChunk      // an aggregation's groups, group g in chunk g>>groupChunkBits
-	n      int               // groups
+	cells  []cellCol         // per non-aggregate select item, in select order
+	groups []groupChunk      // group g in chunk g>>groupChunkBits
+	n      int               // groups, or a projection's rows
 	fns    []minisql.AggFunc // per aggregate, its function
 	vals   []numReader       // per aggregate, its column's cells; unused for COUNT(*)
 	most   int               // bound on the groups there can be, when the sink knows one; else 0
+	// empty: the lone group of an aggregate without GROUP BY over no rows,
+	// whose non-aggregate cells are the one NULL.
+	empty bool
 }
 
-func newGroupAcc(p *Plan) groupAcc {
+// column returns the column of t that c, a column of the plan's table, is;
+// nil when t is nil.
+func (p *Plan) column(t *dataset.Table, c *dataset.Column) *dataset.Column {
+	if t == p.t || c == nil {
+		return c
+	}
+	if t == nil {
+		return nil
+	}
+	return t.Column(c.Field.Name)
+}
+
+// newGroupAcc returns the empty accumulation of p over the rows of t (nil for
+// a sink that meets no row).
+func newGroupAcc(p *Plan, t *dataset.Table) groupAcc {
 	a := groupAcc{p: p, vals: make([]numReader, len(p.aggCol))}
-	for _, sel := range p.q.Select {
+	for j, sel := range p.q.Select {
 		if sel.Agg != minisql.AggNone {
 			a.fns = append(a.fns, sel.Agg)
+			continue
 		}
+		c := p.selCol[j]
+		cc := cellCol{col: p.column(t, c), bin: sel.Bin, kind: c.Field.Kind}
+		switch {
+		case sel.Bin > 0:
+			cc.kind = dataset.KindFloat
+		case c.Field.Kind == dataset.KindString:
+			cc.dict = c.Dictionary()
+		}
+		a.cells = append(a.cells, cc)
 	}
-	for k, c := range p.aggCol {
-		if c != nil {
-			a.vals[k] = newNumReader(c)
+	if t != nil {
+		for k, c := range p.aggCol {
+			if c != nil {
+				a.vals[k] = newNumReader(p.column(t, c))
+			}
 		}
 	}
 	return a
 }
 
-// newGroup appends a group first seen at row i, its accumulators empty. A
-// full chunk is followed by a new one of 256 groups, or of as many as the
-// sink's bound leaves: never presized past the groups that can still come.
+// newGroup appends a group first seen at row i, its accumulators empty: for
+// a projection, row i itself.
 func (a *groupAcc) newGroup(i int) int32 {
+	g := a.addGroup()
+	ch := &a.groups[len(a.groups)-1]
+	for k := range a.cells {
+		ch.cells = append(ch.cells, a.cells[k].bits(i))
+	}
+	return g
+}
+
+// newGroupFrom appends group og of a later fragment's accumulation, its
+// accumulators empty: the group's first row lies in that fragment.
+func (a *groupAcc) newGroupFrom(o *groupAcc, og int) int32 {
+	g := a.addGroup()
+	ch, nc := &a.groups[len(a.groups)-1], len(a.cells)
+	at := (og & groupChunkMask) * nc
+	ch.cells = append(ch.cells, o.groups[og>>groupChunkBits].cells[at:at+nc]...)
+	return g
+}
+
+// addGroup appends a group with no cells and empty accumulators. A full
+// chunk is followed by a new one of 256 groups, or of as many as the sink's
+// bound leaves: never presized past the groups that can still come.
+func (a *groupAcc) addGroup() int32 {
 	g := a.n
 	if g&groupChunkMask == 0 {
 		size := 1 << groupChunkBits
@@ -268,12 +349,11 @@ func (a *groupAcc) newGroup(i int) int32 {
 			size = min(size, a.most-g)
 		}
 		a.groups = append(a.groups, groupChunk{
-			rows: make([]int32, 0, size),
-			aggs: make([]aggState, 0, size*len(a.vals)),
+			cells: make([]uint64, 0, size*len(a.cells)),
+			aggs:  make([]aggState, 0, size*len(a.vals)),
 		})
 	}
 	ch := &a.groups[len(a.groups)-1]
-	ch.rows = append(ch.rows, int32(i))
 	ch.aggs = ch.aggs[:len(ch.aggs)+len(a.vals)]
 	a.n++
 	return int32(g)
@@ -282,11 +362,6 @@ func (a *groupAcc) newGroup(i int) int32 {
 // acc returns aggregate k of group g.
 func (a *groupAcc) acc(g int32, k int) *aggState {
 	return &a.groups[g>>groupChunkBits].aggs[int(g&groupChunkMask)*len(a.vals)+k]
-}
-
-// firstRow returns the table row group g was first seen at.
-func (a *groupAcc) firstRow(g int) int32 {
-	return a.groups[g>>groupChunkBits].rows[g&groupChunkMask]
 }
 
 // fold adds row i to group g's accumulators.
@@ -345,7 +420,7 @@ func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
 }
 
 // absorb folds group og of a later fragment's accumulation into group g,
-// which keeps its first row: the globally earlier representative.
+// which keeps its cells: the globally earlier representative.
 func (a *groupAcc) absorb(g int32, o *groupAcc, og int) {
 	for k := range a.vals {
 		a.acc(g, k).merge(o.acc(int32(og), k))
@@ -356,19 +431,25 @@ func (a *groupAcc) absorb(g int32, o *groupAcc, og int) {
 // row's group by hashing its key bytes.
 type planSink struct {
 	groupAcc
-	byKey  map[string]int32 // key bytes -> group number; nil for a projection
+	keys   []*dataset.Column // per GROUP BY key, its column in the sink's table
+	byKey  map[string]int32  // key bytes -> group number; nil for a projection
 	keyBuf []byte
 }
 
 // aggregates reports whether the plan groups rows rather than projecting them.
 func (p *Plan) aggregates() bool { return len(p.aggCol) > 0 || len(p.q.GroupBy) > 0 }
 
-// newSink creates a fresh accumulator for one execution of the plan.
-func (p *Plan) newSink() *planSink {
-	s := &planSink{groupAcc: newGroupAcc(p)}
+// newSink creates a fresh accumulator for one execution of the plan over the
+// rows of t (nil for a sink that meets no row).
+func (p *Plan) newSink(t *dataset.Table) *planSink {
+	s := &planSink{groupAcc: newGroupAcc(p, t)}
 	if p.aggregates() {
 		s.byKey = make(map[string]int32)
 		s.keyBuf = make([]byte, 0, 64)
+		s.keys = make([]*dataset.Column, len(p.keyCol))
+		for k, c := range p.keyCol {
+			s.keys[k] = p.column(t, c)
+		}
 	}
 	return s
 }
@@ -377,11 +458,11 @@ func (p *Plan) newSink() *planSink {
 func (s *planSink) add(i int) {
 	p := s.p
 	if s.byKey == nil {
-		s.rows = append(s.rows, int32(i))
+		s.newGroup(i)
 		return
 	}
 	s.keyBuf = s.keyBuf[:0]
-	for k, c := range p.keyCol {
+	for k, c := range s.keys {
 		if c.Field.Kind == dataset.KindString && p.q.GroupBy[k].Bin == 0 {
 			s.keyBuf = binary.AppendVarint(s.keyBuf, int64(c.Code(i)))
 		} else {
@@ -420,12 +501,14 @@ func (s *planSink) addSel(sel []uint64, lo, hi int) {
 }
 
 // mergeFrom folds a later fragment's partial accumulation into s (the order
-// argument is executeFragments' gather); key bytes hold the shared table's
-// global codes.
+// argument is executeFragments' gather); key bytes hold the table's global
+// codes, which every segment of it shares.
 func (s *planSink) mergeFrom(other rowSink) {
 	o := other.(*planSink)
 	if s.byKey == nil {
-		s.rows = append(s.rows, o.rows...)
+		for r := range o.n {
+			s.newGroupFrom(&o.groupAcc, r)
+		}
 		return
 	}
 	keys := make([]string, o.n)
@@ -435,7 +518,7 @@ func (s *planSink) mergeFrom(other rowSink) {
 	for og, key := range keys {
 		g, ok := s.byKey[key]
 		if !ok {
-			g = s.newGroup(int(o.firstRow(og)))
+			g = s.newGroupFrom(&o.groupAcc, og)
 			s.byKey[key] = g
 		}
 		s.absorb(g, &o.groupAcc, og)
@@ -444,23 +527,18 @@ func (s *planSink) mergeFrom(other rowSink) {
 
 // finish emits the result relation, then applies ordering and LIMIT. It is
 // where all sinks meet, which keeps the back-ends byte-identical: only the way
-// matching rows are produced differs. A sink only holds rows a scan fed it,
-// so their segments are loaded.
+// matching rows are produced differs. It reads no table: every cell it emits
+// was taken when the sink met its row.
 func (a *groupAcc) finish() *Result {
-	p, rows := a.p, a.rows
-	if p.aggregates() {
-		// An aggregate with no GROUP BY always yields exactly one row, even
-		// over an empty match set (SQL semantics).
-		if len(p.aggCol) > 0 && len(p.q.GroupBy) == 0 && a.n == 0 {
-			a.newGroup(-1)
-		}
-		rows = make([]int32, 0, a.n)
-		for _, ch := range a.groups {
-			rows = append(rows, ch.rows...)
-		}
+	p := a.p
+	// An aggregate with no GROUP BY always yields exactly one row, even over
+	// an empty match set (SQL semantics).
+	if len(p.aggCol) > 0 && len(p.q.GroupBy) == 0 && a.n == 0 {
+		a.addGroup()
+		a.empty = true
 	}
-	res := &Result{Cols: p.cols, Vecs: make([]Vector, len(p.q.Select)), n: len(rows)}
-	ai := 0
+	res := &Result{Cols: p.cols, Vecs: make([]Vector, len(p.q.Select)), n: a.n}
+	ai, ci := 0, 0
 	for j, sel := range p.q.Select {
 		if sel.Agg != minisql.AggNone {
 			res.Vecs[j] = a.aggVector(sel.Agg, ai)
@@ -469,36 +547,40 @@ func (a *groupAcc) finish() *Result {
 		}
 		// A group key, or a non-grouped plain column's representative (the
 		// query author asserts dependence): the cell at the group's first row.
-		res.Vecs[j] = cellVector(p.selCol[j], sel.Bin, rows)
+		res.Vecs[j] = a.cellVector(ci)
+		ci++
 	}
 	res.orderAndLimit(p.orderCol, p.q.OrderBy, p.q.Limit)
 	return res
 }
 
-// cellVector reads a non-aggregate select item at the given table rows. The
-// only negative row is the lone -1 of an aggregate over no rows: a NULL cell.
-func cellVector(c *dataset.Column, bin float64, rows []int32) Vector {
-	v := Vector{Kind: c.Field.Kind}
-	switch {
-	case len(rows) == 1 && rows[0] < 0:
+// cellVector emits non-aggregate item k of every group (or projected row),
+// or the one NULL cell of an aggregate over no rows.
+func (a *groupAcc) cellVector(k int) Vector {
+	c := &a.cells[k]
+	if a.empty {
 		return Vector{Kind: dataset.KindFloat, Floats: []float64{0}, null: true}
-	case bin > 0:
-		v.Kind, v.Floats = dataset.KindFloat, make([]float64, len(rows))
-		for g, i := range rows {
-			v.Floats[g] = binValue(c.Float(int(i)), bin)
-		}
-	case v.Kind == dataset.KindString:
-		v.Dict, v.Codes = c.Dictionary(), make([]int32, len(rows))
-		for g, i := range rows {
-			v.Codes[g] = c.Code(int(i))
-		}
-	case v.Kind == dataset.KindInt:
-		v.Ints = make([]int64, len(rows))
-		for g, i := range rows {
-			v.Ints[g] = c.Int(int(i))
-		}
+	}
+	v := Vector{Kind: c.kind, Dict: c.dict}
+	switch c.kind {
+	case dataset.KindString:
+		v.Codes = make([]int32, a.n)
+	case dataset.KindInt:
+		v.Ints = make([]int64, a.n)
 	default:
-		v.Floats = gatherRows(c.Floats(), rows)
+		v.Floats = make([]float64, a.n)
+	}
+	nc := len(a.cells)
+	for g := range a.n {
+		b := a.groups[g>>groupChunkBits].cells[(g&groupChunkMask)*nc+k]
+		switch c.kind {
+		case dataset.KindString:
+			v.Codes[g] = int32(uint32(b))
+		case dataset.KindInt:
+			v.Ints[g] = int64(b)
+		default:
+			v.Floats[g] = math.Float64frombits(b)
+		}
 	}
 	return v
 }

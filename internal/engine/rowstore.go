@@ -104,7 +104,7 @@ func (s *RowStore) scanFragment(ctx context.Context, plans []*Plan, f int, idx [
 	sp.SetInt("rows", int64(hi-lo))
 	sinks := make([]rowSink, len(idx))
 	for k, pi := range idx {
-		sinks[k] = plans[pi].newSink()
+		sinks[k] = plans[pi].newSink(s.t)
 	}
 	// Factor single-equality plans into per-column dispatch tables; the rest
 	// keep their compiled predicates.

@@ -93,34 +93,36 @@ func (s ColumnSet) Or(o ColumnSet) {
 	}
 }
 
-// SegmentSource supplies a segmented table whose column data materializes
-// lazily: the schema, dictionaries (categorical and integer, on the table's
-// columns) and zone maps are available up front (cheap, footer-sized
-// metadata), while a column's data in a segment — one block — is decoded only
-// when Load is first asked for it. This is the seam the zpack persistent
-// format plugs into — zone-map skipping works without ever deserializing
-// skipped segments, and a scan never deserializes a column no plan of it
-// reads.
+// SegmentSource supplies a segmented table whose column data a scan reads a
+// segment at a time: the schema, dictionaries (categorical and integer, on
+// the table's columns) and zone maps are available up front (cheap,
+// footer-sized metadata), while a segment's cells are read into a scratch
+// segment each time a scan visits it (Load). This is the seam the zpack
+// persistent format plugs into — zone-map skipping works without ever reading
+// skipped segments, a scan never reads a column no plan of it reads, and no
+// segment outlives the scan job that read it.
 type SegmentSource interface {
-	// Table returns the base table: full schema, dictionaries, and row count,
-	// with column data slices preallocated but unfilled until Load.
+	// Table returns the base table: full schema, dictionaries, and row count.
+	// Its cells, if it holds any, are read through Load.
 	Table() *dataset.Table
 	// NumSegments returns the segment count, ceil(rows / SegmentSize).
 	NumSegments() int
 	// Zone returns the named column's zone maps, or nil if unknown.
 	Zone(col string) *ZoneData
-	// Load materializes segment seg's rows of the columns in cols into the
-	// table's column arrays. Load must be safe for concurrent use and
-	// idempotent — the column store calls it for every segment a scan
-	// visits, on every scan; implementations synchronize and load each
-	// (segment, column) block once.
-	Load(seg int, cols ColumnSet) error
+	// Load fills scratch with segment seg's rows of the columns in cols, at
+	// rows [0, rows of the segment), and returns it: a table of Table()'s
+	// schema, layouts and dictionaries whose other columns hold nothing
+	// meaningful. scratch is nil — Load then makes one — or what an earlier
+	// Load of the same source returned, which Load refills in place, the
+	// same table and columns, whatever segment it held. Load must be safe for
+	// concurrent use over distinct scratch tables: every scan job has its own.
+	Load(seg int, cols ColumnSet, scratch *dataset.Table) (*dataset.Table, error)
 }
 
-// memSource adapts a fully in-memory table to the SegmentSource interface:
-// everything is already materialized, so Load is a no-op. It is what
-// NewColumnStore wraps its table in, keeping one construction path for the
-// eager and lazy cases.
+// memSource adapts a fully in-memory table to the SegmentSource interface: a
+// segment is a view of the table's rows (dataset.Table.Slice), read nothing.
+// It is what NewColumnStore wraps its table in, keeping one construction
+// path for the eager and file-backed cases.
 type memSource struct {
 	t     *dataset.Table
 	nseg  int
@@ -140,11 +142,15 @@ func NewMemSource(t *dataset.Table) SegmentSource {
 func (s *memSource) Table() *dataset.Table     { return s.t }
 func (s *memSource) NumSegments() int          { return s.nseg }
 func (s *memSource) Zone(col string) *ZoneData { return s.zones[col] }
-func (s *memSource) Load(int, ColumnSet) error { return nil }
 
-// ComputeZones builds every column's per-segment zone maps over a fully
-// materialized table, one ColumnZones per column on t.ForEachColumn's
-// goroutines.
+// Load points scratch's columns at segment seg's rows of the table.
+func (s *memSource) Load(seg int, _ ColumnSet, scratch *dataset.Table) (*dataset.Table, error) {
+	lo := seg * SegmentSize
+	return s.t.Slice(lo, min(lo+SegmentSize, s.t.NumRows()), scratch), nil
+}
+
+// ComputeZones builds every column's per-segment zone maps over an in-memory
+// table, one ColumnZones per column on t.ForEachColumn's goroutines.
 func ComputeZones(t *dataset.Table) map[string]*ZoneData {
 	byCol := make([]*ZoneData, t.NumCols())
 	t.ForEachColumn(func(j int, c *dataset.Column) { byCol[j] = ColumnZones(c, t.NumRows()) })

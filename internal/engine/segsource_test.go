@@ -43,15 +43,15 @@ func newCountingSource(t *dataset.Table) *countingSource {
 	}
 }
 
-func (s *countingSource) Load(seg int, cols ColumnSet) error {
+func (s *countingSource) Load(seg int, cols ColumnSet, scratch *dataset.Table) (*dataset.Table, error) {
 	s.loads[seg].Add(1)
 	s.mu.Lock()
 	s.sets = append(s.sets, slices.Clone(cols))
 	s.mu.Unlock()
 	if seg == s.failAt {
-		return fmt.Errorf("synthetic load failure on segment %d", seg)
+		return scratch, fmt.Errorf("synthetic load failure on segment %d", seg)
 	}
-	return s.SegmentSource.Load(seg, cols)
+	return s.SegmentSource.Load(seg, cols, scratch)
 }
 
 // loadedColumns returns the names of the columns the recorded Loads asked
@@ -112,9 +112,8 @@ func TestLazySourceSkippedSegmentsNotLoaded(t *testing.T) {
 		}
 	}
 
-	// A categorical equality hitting segment 1 only — and rerunning it must
-	// not reload (idempotent sources do the work once; the engine still calls
-	// Load per visit, so the counting source sees the visits).
+	// A categorical equality hitting segment 1 only: one read of it, none of
+	// the segments it skips.
 	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM clustered WHERE tag = 'seg1'"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +126,8 @@ func TestLazySourceSkippedSegmentsNotLoaded(t *testing.T) {
 }
 
 // TestLoadReceivesThePlanColumns: a scan asks its source for exactly the
-// columns its plans read — select, group-by and WHERE — so a lazy source
-// never materializes the others; a batch's scan job asks for the union of its
+// columns its plans read — select, group-by and WHERE — so a file-backed
+// source never reads the others; a batch's scan job asks for the union of its
 // plans'.
 func TestLoadReceivesThePlanColumns(t *testing.T) {
 	tb := dataset.NewTable("wide", []dataset.Field{

@@ -235,11 +235,11 @@ type failSource struct {
 	failAt map[int]error
 }
 
-func (f *failSource) Load(seg int, cols ColumnSet) error {
+func (f *failSource) Load(seg int, cols ColumnSet, scratch *dataset.Table) (*dataset.Table, error) {
 	if err := f.failAt[seg]; err != nil {
-		return err
+		return scratch, err
 	}
-	return f.SegmentSource.Load(seg, cols)
+	return f.SegmentSource.Load(seg, cols, scratch)
 }
 
 // panicSource panics on Load for chosen segments.
@@ -248,11 +248,11 @@ type panicSource struct {
 	panicAt int
 }
 
-func (p *panicSource) Load(seg int, cols ColumnSet) error {
+func (p *panicSource) Load(seg int, cols ColumnSet, scratch *dataset.Table) (*dataset.Table, error) {
 	if seg == p.panicAt {
 		panic(fmt.Sprintf("injected panic at segment %d", seg))
 	}
-	return p.SegmentSource.Load(seg, cols)
+	return p.SegmentSource.Load(seg, cols, scratch)
 }
 
 // TestShardedErrorSelectionDeterministic injects load failures into two
@@ -329,22 +329,23 @@ func TestShardedPanicContainment(t *testing.T) {
 // loads.
 func TestShardedSkipKeepsSegmentsUnloaded(t *testing.T) {
 	tb := shardMetrics(50_000)
-	db := evenStore(3, tb)
+	src := newCountingSource(tb)
+	db := NewColumnStoreAt(src, evenCuts(src.NumSegments(), 3)...)
 	db.SetParallelism(4)
 	if _, err := execSQL(db, "SELECT COUNT(*) AS n FROM metrics WHERE region = 'north'"); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Stats()
-	if st.SegmentLoads >= 13 {
-		t.Fatalf("clustered equality loaded all %d segments", st.SegmentLoads)
+	if st.SegmentsScanned >= 13 {
+		t.Fatalf("clustered equality read all %d segments", st.SegmentsScanned)
 	}
 	if st.SegmentsSkipped == 0 {
 		t.Fatal("no segments skipped")
 	}
 	tail := db.frags[2]
 	for seg := tail.lo; seg < tail.hi; seg++ {
-		if db.loaded[seg].Load() {
-			t.Fatalf("tail fragment %v should be fully pruned, segment %d loaded", tail, seg)
+		if n := src.loads[seg].Load(); n != 0 {
+			t.Fatalf("tail fragment %v should be fully pruned, segment %d read %d times", tail, seg, n)
 		}
 	}
 }

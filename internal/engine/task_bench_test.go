@@ -3,43 +3,12 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/minisql"
 	"repro/internal/workload"
 )
-
-// BenchmarkTaskScan is the query a front-end task compiles to — every
-// product's (year, AVG(revenue)) series under two range filters — over a
-// one-fragment column store: the fold and the (product, year) ORDER BY of a
-// 10 000-group result dominate it.
-func BenchmarkTaskScan(b *testing.B) {
-	const products = 500
-	tb := workload.Sales(workload.SalesConfig{Rows: 200_000, Products: products, Years: 20, Cities: 50, Seed: 1})
-	db := NewColumnStore(tb)
-	in := make([]string, products)
-	for p := range in {
-		in[p] = fmt.Sprintf("'product%04d'", p)
-	}
-	q, err := minisql.Parse("SELECT year, AVG(revenue) AS a0, product FROM sales WHERE product IN (" +
-		strings.Join(in, ", ") + ") AND weight >= 10 AND size < 80 GROUP BY product, year ORDER BY product, year")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := db.Prepare(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Execute(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkOrderBy sorts a (product, year) result — a 500-entry dictionary
 // and 20 ints — of each size by counting rank buckets and by comparing rows:
@@ -106,7 +75,7 @@ func BenchmarkAddSel(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("aggs=%d", len(p.aggCol)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink := newColSink(p)
+				sink := newColSink(p, tb)
 				for lo := 0; lo < tb.NumRows(); lo += segmentSize {
 					sink.addSel(sel, lo, min(lo+segmentSize, tb.NumRows()))
 				}

@@ -9,29 +9,31 @@ import (
 )
 
 // The vectorized predicate layer of the column store. A minisql.Expr is
-// compiled once, at Prepare time, into a tree of vecFilters; at execution
-// each filter evaluates one segment at a time into a selection bitmap
-// (one bit per row of the segment) instead of being interpreted per row.
-// Every filter also answers a zone-map question — "can this segment possibly
-// contain a matching row?" — so segments the zone maps prove empty are
-// skipped without touching their data.
+// compiled into a tree of vecFilters: at Prepare against the plan's table,
+// for the zone-map question every filter answers — "can this segment
+// possibly contain a matching row?" — so segments the zone maps prove empty
+// are skipped without touching their data; and once per scan job against the
+// segment the job reads, which the filters evaluate into a selection bitmap
+// (one bit per row of the segment) instead of interpreting it per row.
 
 // segWords is the bitmap length of one full segment's selection vector.
 const segWords = segmentSize / 64
 
 // vecFilter evaluates a predicate over one segment of a table.
 //
-// Implementations hold only immutable compile-time state (column slices,
-// zone maps, constants), so one vecFilter may be evaluated by any number of
-// goroutines at once — the same contract plan predicates already obey.
+// Implementations hold only immutable compile-time state (columns, zone
+// maps, constants) and read a column's arrays at each eval, so one vecFilter
+// may be evaluated by any number of goroutines at once, and follows a scan
+// job's segment as the job refills it.
 type vecFilter interface {
 	// skip reports whether the zone maps PROVE segment s holds no matching
 	// row. False means "maybe"; skip is always allowed to give up and return
 	// false.
 	skip(s int) bool
-	// eval sets bit i-lo of bits for every matching row i in [lo, hi).
+	// eval sets bit i of bits for every matching row i in [0, n) of the
+	// table the filter was compiled against, which holds segment s's rows.
 	// bits has segWords words and arrives zeroed.
-	eval(lo, hi int, bits []uint64)
+	eval(s, n int, bits []uint64)
 }
 
 func setBit(bits []uint64, i int) { bits[i>>6] |= 1 << (uint(i) & 63) }
@@ -73,11 +75,10 @@ func maskTail(bits []uint64, n int) {
 type constFilter struct{ match bool }
 
 func (f constFilter) skip(int) bool { return !f.match }
-func (f constFilter) eval(lo, hi int, bits []uint64) {
+func (f constFilter) eval(_, n int, bits []uint64) {
 	if !f.match {
 		return
 	}
-	n := hi - lo
 	for w := 0; w < n>>6; w++ {
 		bits[w] = ^uint64(0)
 	}
@@ -91,25 +92,20 @@ func (f constFilter) eval(lo, hi int, bits []uint64) {
 // code is in the set. A set that covers no entry or every entry never gets
 // here — it folds to a constFilter.
 type codeFilter struct {
-	// kernel evaluates the set over the column's packed codes: the width was
-	// switched on once, at compile time.
-	kernel func(lo, hi int, bits []uint64)
+	// kernel evaluates the set over the column's first n packed codes.
+	kernel func(n int, bits []uint64)
 	// zone proves segments empty from the column's metadata, the way the
 	// predicate's shape always has: presence bitsets for a categorical
 	// column, the min/max tests of the raw-array filters for an integer one.
 	zone zoneTest
 	via  string // the skip attribution's mechanism: "dict", "zonemap" or "none"
-	// col is never read: the kernel closes over the column's code array, and
-	// holding the Column keeps that array's off-heap mapping alive for as
-	// long as the plan can scan it (ARCHITECTURE.md, "Lifetime").
-	col *dataset.Column
 }
 
 // zoneTest is the skip half of a vecFilter.
 type zoneTest interface{ skip(s int) bool }
 
-func (f *codeFilter) skip(s int) bool                { return f.zone.skip(s) }
-func (f *codeFilter) eval(lo, hi int, bits []uint64) { f.kernel(lo, hi, bits) }
+func (f *codeFilter) skip(s int) bool              { return f.zone.skip(s) }
+func (f *codeFilter) eval(_, n int, bits []uint64) { f.kernel(n, bits) }
 
 // eqZone is a categorical equality's zone test, or with neq an inequality's: a
 // segment the code is absent from holds no row equal to it, one that holds
@@ -178,34 +174,38 @@ func selectCode[W dataset.Code](codes []W, code W, neq bool, bits []uint64) {
 	}
 }
 
-// memberKernel instantiates selectMembers at the width of pc.
-func memberKernel(pc dataset.Codes, member []uint8) func(lo, hi int, bits []uint64) {
-	switch {
-	case pc.U16 != nil:
-		return func(lo, hi int, bits []uint64) { selectMembers(pc.U16[lo:hi], member, bits) }
-	case pc.U32 != nil:
-		return func(lo, hi int, bits []uint64) { selectMembers(pc.U32[lo:hi], member, bits) }
+// memberKernel runs selectMembers over c's codes at their width.
+func memberKernel(c *dataset.Column, member []uint8) func(n int, bits []uint64) {
+	return func(n int, bits []uint64) {
+		switch pc := c.Codes(); {
+		case pc.U16 != nil:
+			selectMembers(pc.U16[:n], member, bits)
+		case pc.U32 != nil:
+			selectMembers(pc.U32[:n], member, bits)
+		default:
+			selectMembers(pc.U8[:n], member, bits)
+		}
 	}
-	return func(lo, hi int, bits []uint64) { selectMembers(pc.U8[lo:hi], member, bits) }
 }
 
-// codeKernel instantiates selectCode at the width of pc.
-func codeKernel(pc dataset.Codes, code int32, neq bool) func(lo, hi int, bits []uint64) {
-	switch {
-	case pc.U16 != nil:
-		return func(lo, hi int, bits []uint64) { selectCode(pc.U16[lo:hi], uint16(code), neq, bits) }
-	case pc.U32 != nil:
-		return func(lo, hi int, bits []uint64) { selectCode(pc.U32[lo:hi], uint32(code), neq, bits) }
+// codeKernel runs selectCode over c's codes at their width.
+func codeKernel(c *dataset.Column, code int32, neq bool) func(n int, bits []uint64) {
+	return func(n int, bits []uint64) {
+		switch pc := c.Codes(); {
+		case pc.U16 != nil:
+			selectCode(pc.U16[:n], uint16(code), neq, bits)
+		case pc.U32 != nil:
+			selectCode(pc.U32[:n], uint32(code), neq, bits)
+		default:
+			selectCode(pc.U8[:n], uint8(code), neq, bits)
+		}
 	}
-	return func(lo, hi int, bits []uint64) { selectCode(pc.U8[lo:hi], uint8(code), neq, bits) }
 }
 
 // numRangeFilter matches numeric rows inside [lo, hi] (either bound may be
 // infinite) — comparisons and BETWEEN both compile to this.
 type numRangeFilter struct {
-	ints   []int64
-	floats []float64
-	col    *dataset.Column // owns ints or floats: keeps their mapping alive
+	col    *dataset.Column // raw ints or floats
 	zone   *ZoneData
 	lo, hi float64
 }
@@ -214,33 +214,29 @@ func (f *numRangeFilter) skip(s int) bool {
 	return f.zone.Max[s] < f.lo || f.zone.Min[s] > f.hi
 }
 
-func (f *numRangeFilter) eval(lo, hi int, bits []uint64) {
+func (f *numRangeFilter) eval(_, n int, bits []uint64) {
 	a, b := f.lo, f.hi
-	if f.ints != nil {
-		vals := f.ints
-		for i := lo; i < hi; i++ {
-			v := float64(vals[i])
-			if v >= a && v <= b {
-				setBit(bits, i-lo)
+	if f.col.Field.Kind == dataset.KindInt {
+		vals := f.col.Ints()
+		for i, x := range vals[:n] {
+			if v := float64(x); v >= a && v <= b {
+				setBit(bits, i)
 			}
 		}
 		return
 	}
-	vals := f.floats
-	for i := lo; i < hi; i++ {
-		if vals[i] >= a && vals[i] <= b {
-			setBit(bits, i-lo)
+	for i, v := range f.col.Floats()[:n] {
+		if v >= a && v <= b {
+			setBit(bits, i)
 		}
 	}
 }
 
 // numNeFilter is numeric !=, the one comparison a single range can't express.
 type numNeFilter struct {
-	ints   []int64
-	floats []float64
-	col    *dataset.Column // owns ints or floats: keeps their mapping alive
-	zone   *ZoneData
-	val    float64
+	col  *dataset.Column // raw ints or floats
+	zone *ZoneData
+	val  float64
 }
 
 func (f *numNeFilter) skip(s int) bool {
@@ -250,21 +246,20 @@ func (f *numNeFilter) skip(s int) bool {
 	return f.zone.Min[s] == f.val && f.zone.Max[s] == f.val && !f.zone.NaN[s]
 }
 
-func (f *numNeFilter) eval(lo, hi int, bits []uint64) {
+func (f *numNeFilter) eval(_, n int, bits []uint64) {
 	v := f.val
-	if f.ints != nil {
-		vals := f.ints
-		for i := lo; i < hi; i++ {
-			if float64(vals[i]) != v {
-				setBit(bits, i-lo)
+	if f.col.Field.Kind == dataset.KindInt {
+		vals := f.col.Ints()
+		for i, x := range vals[:n] {
+			if float64(x) != v {
+				setBit(bits, i)
 			}
 		}
 		return
 	}
-	vals := f.floats
-	for i := lo; i < hi; i++ {
-		if vals[i] != v {
-			setBit(bits, i-lo)
+	for i, x := range f.col.Floats()[:n] {
+		if x != v {
+			setBit(bits, i)
 		}
 	}
 }
@@ -273,9 +268,7 @@ func (f *numNeFilter) eval(lo, hi int, bits []uint64) {
 // min/max envelope: if every wanted value lies outside the segment's range,
 // no row can match.
 type numSetFilter struct {
-	ints           []int64
-	floats         []float64
-	col            *dataset.Column // owns ints or floats: keeps their mapping alive
+	col            *dataset.Column // raw ints or floats
 	zone           *ZoneData
 	want           map[float64]bool
 	wantLo, wantHi float64
@@ -285,20 +278,19 @@ func (f *numSetFilter) skip(s int) bool {
 	return f.wantHi < f.zone.Min[s] || f.wantLo > f.zone.Max[s]
 }
 
-func (f *numSetFilter) eval(lo, hi int, bits []uint64) {
-	if f.ints != nil {
-		vals := f.ints
-		for i := lo; i < hi; i++ {
-			if f.want[float64(vals[i])] {
-				setBit(bits, i-lo)
+func (f *numSetFilter) eval(_, n int, bits []uint64) {
+	if f.col.Field.Kind == dataset.KindInt {
+		vals := f.col.Ints()
+		for i, x := range vals[:n] {
+			if f.want[float64(x)] {
+				setBit(bits, i)
 			}
 		}
 		return
 	}
-	vals := f.floats
-	for i := lo; i < hi; i++ {
-		if f.want[vals[i]] {
-			setBit(bits, i-lo)
+	for i, x := range f.col.Floats()[:n] {
+		if f.want[x] {
+			setBit(bits, i)
 		}
 	}
 }
@@ -309,10 +301,10 @@ func (f *numSetFilter) eval(lo, hi int, bits []uint64) {
 type predFilter struct{ pred rowPredicate }
 
 func (f predFilter) skip(int) bool { return false }
-func (f predFilter) eval(lo, hi int, bits []uint64) {
-	for i := lo; i < hi; i++ {
+func (f predFilter) eval(_, n int, bits []uint64) {
+	for i := 0; i < n; i++ {
 		if f.pred(i) {
-			setBit(bits, i-lo)
+			setBit(bits, i)
 		}
 	}
 }
@@ -331,14 +323,14 @@ func (f *andFilter) skip(s int) bool {
 	return false
 }
 
-func (f *andFilter) eval(lo, hi int, bits []uint64) {
-	f.args[0].eval(lo, hi, bits)
+func (f *andFilter) eval(s, n int, bits []uint64) {
+	f.args[0].eval(s, n, bits)
 	sp := getSegBits()
 	defer putSegBits(sp)
 	scratch := *sp
 	for _, a := range f.args[1:] {
 		clearBits(scratch)
-		a.eval(lo, hi, scratch)
+		a.eval(s, n, scratch)
 		for w := range bits {
 			bits[w] &= scratch[w]
 		}
@@ -358,8 +350,7 @@ func (f *orFilter) skip(s int) bool {
 	return true
 }
 
-func (f *orFilter) eval(lo, hi int, bits []uint64) {
-	s := lo / segmentSize
+func (f *orFilter) eval(s, n int, bits []uint64) {
 	sp := getSegBits()
 	defer putSegBits(sp)
 	scratch := *sp
@@ -368,7 +359,7 @@ func (f *orFilter) eval(lo, hi int, bits []uint64) {
 			continue
 		}
 		clearBits(scratch)
-		a.eval(lo, hi, scratch)
+		a.eval(s, n, scratch)
 		for w := range bits {
 			bits[w] |= scratch[w]
 		}
@@ -379,12 +370,12 @@ func (f *orFilter) eval(lo, hi int, bits []uint64) {
 type notFilter struct{ arg vecFilter }
 
 func (f *notFilter) skip(int) bool { return false }
-func (f *notFilter) eval(lo, hi int, bits []uint64) {
-	f.arg.eval(lo, hi, bits)
+func (f *notFilter) eval(s, n int, bits []uint64) {
+	f.arg.eval(s, n, bits)
 	for w := range bits {
 		bits[w] = ^bits[w]
 	}
-	maskTail(bits, hi-lo)
+	maskTail(bits, n)
 }
 
 // --- compilation ----------------------------------------------------------
@@ -460,7 +451,7 @@ func compileVecLeaf(zones map[string]*ZoneData, t *dataset.Table, e minisql.Expr
 			if code < 0 {
 				return constFilter{match: neq}, nil
 			}
-			return &codeFilter{kernel: codeKernel(c.Codes(), code, neq), zone: eqZone{zone, code, neq}, via: "dict", col: c}, nil
+			return &codeFilter{kernel: codeKernel(c, code, neq), zone: eqZone{zone, code, neq}, via: "dict"}, nil
 		}
 		if member, ok := stringMembers(c, e); ok {
 			want := make([]uint64, zone.Words)
@@ -500,14 +491,14 @@ func memberFilter(c *dataset.Column, member []uint8, zone zoneTest, via string) 
 	case len(member):
 		return constFilter{match: true}
 	}
-	return &codeFilter{kernel: memberKernel(c.Codes(), member), zone: zone, via: via, col: c}
+	return &codeFilter{kernel: memberKernel(c, member), zone: zone, via: via}
 }
 
 // rawNumFilter returns the typed array filter of a predicate over a numeric
 // column, or nil when its shape has none (mixed-kind comparisons, LIKE).
 func rawNumFilter(c *dataset.Column, zone *ZoneData, e minisql.Expr) vecFilter {
 	numRange := func(lo, hi float64) vecFilter {
-		return &numRangeFilter{ints: c.Ints(), floats: c.Floats(), col: c, zone: zone, lo: lo, hi: hi}
+		return &numRangeFilter{col: c, zone: zone, lo: lo, hi: hi}
 	}
 	switch x := e.(type) {
 	case *minisql.Between:
@@ -523,7 +514,7 @@ func rawNumFilter(c *dataset.Column, zone *ZoneData, e minisql.Expr) vecFilter {
 		case minisql.CmpEq:
 			return numRange(v, v)
 		case minisql.CmpNe:
-			return &numNeFilter{ints: c.Ints(), floats: c.Floats(), col: c, zone: zone, val: v}
+			return &numNeFilter{col: c, zone: zone, val: v}
 		case minisql.CmpLt:
 			return numRange(math.Inf(-1), math.Nextafter(v, math.Inf(-1)))
 		case minisql.CmpLe:
@@ -535,8 +526,6 @@ func rawNumFilter(c *dataset.Column, zone *ZoneData, e minisql.Expr) vecFilter {
 		}
 	case *minisql.In:
 		f := &numSetFilter{
-			ints:   c.Ints(),
-			floats: c.Floats(),
 			col:    c,
 			zone:   zone,
 			want:   make(map[float64]bool, len(x.Vals)),

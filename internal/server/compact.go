@@ -61,8 +61,8 @@ func (d *Dataset) refreshUnsorted() {
 //  3. a fresh reader (Reopen detects the new inode and opens its own
 //     descriptor) and writer open over the new generation, and the successor
 //     stack swaps into the registry exactly like an append swap;
-//  4. only the superseded generation's descriptor is kept (its Reader, with
-//     every block it loaded, is the collector's once its queries finish), and
+//  4. only the superseded generation's descriptor is kept (its Reader is the
+//     collector's once its queries finish), and
 //     the descriptor of the generation before it is closed: compactions are
 //     minutes apart, so every query that started against it is long
 //     finished — bounding retained descriptors (and unlinked-inode disk) to
@@ -106,7 +106,7 @@ func (r *Registry) Compact(name string, cols []string) (*Dataset, compact.Result
 		d.ctr.compactFails.Add(1)
 		return nil, res, err
 	}
-	nd, err := r.swapSuccessor(d, fresh, w, d.packR.Detach(), nil, func(c *dsCounters) {
+	nd, err := r.swapSuccessor(d, fresh, w, d.packR.Detach(), func(c *dsCounters) {
 		c.compactions.Add(1)
 		c.generation.Add(1)
 		c.rowsRewritten.Add(int64(res.Rows))

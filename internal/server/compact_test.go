@@ -62,8 +62,9 @@ NAME | X      | Y         | Z
 	// Dirty the file: 4500 appended rows cross a segment boundary, so at
 	// least one sealed segment holds only out-of-range values. They arrive in
 	// three appends with a query behind each, so the snapshot the compaction
-	// replaces is an adopted one with loaded segments to its name.
+	// replaces is a reopened one its query has read segments of.
 	var before queryEnvelope
+	var scanned int64
 	for b := 0; b < 3; b++ {
 		batch := make([][]any, 1500)
 		for i := range batch {
@@ -72,14 +73,15 @@ NAME | X      | Y         | Z
 		if _, resp, raw := appendRows(t, ts.URL, "sales", batch); resp.StatusCode != http.StatusOK {
 			t.Fatalf("append status %d: %s", resp.StatusCode, raw)
 		}
+		scanned = reg.Get("sales").Stats().SegmentsScanned
 		before = postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: query})
 	}
 	if got := reg.Get("sales").ctr.unsortedSegs.Load(); got == 0 {
 		t.Fatal("append left the unsorted-segments gauge at 0; the fixture no longer disorders the file")
 	}
-	adopted := reg.Get("sales").packR
-	if loads := adopted.SegmentLoads(); loads != 1 {
-		t.Fatalf("the third append's snapshot read %d segments from disk, want only its rewritten tail", loads)
+	appended := reg.Get("sales").packR
+	if loads, want := appended.SegmentLoads(), reg.Get("sales").Stats().SegmentsScanned-scanned; loads != want || loads == 0 {
+		t.Fatalf("the third append's snapshot read %d segments from disk, want the %d its query scanned", loads, want)
 	}
 
 	out, resp, raw := postCompact(t, ts.URL, "sales", CompactRequest{Cols: []string{"product", "year"}})
@@ -94,10 +96,10 @@ NAME | X      | Y         | Z
 	}
 
 	// The new generation is another inode with the rows in another order:
-	// nothing of the old snapshot may be adopted, so the reader starts cold
-	// and the query below reads its segments from the new file.
+	// the reader opens it cold, and the query below reads its segments from
+	// the new file.
 	compacted := reg.Get("sales").packR
-	if compacted == adopted || compacted.SegmentLoads() != 0 {
+	if compacted == appended || compacted.SegmentLoads() != 0 {
 		t.Fatalf("post-compaction reader starts with %d segments read, want a cold open", compacted.SegmentLoads())
 	}
 

@@ -206,7 +206,7 @@ var timingField = regexp.MustCompile(`"(queryTimeMs|processTimeMs)":[^,}]*`)
 
 // ledgerStatsKeys are the /stats members the ledger pins, in output order.
 var ledgerStatsKeys = []string{
-	"queries", "rowsScanned", "segmentsScanned", "segmentsSkipped", "segmentLoads",
+	"queries", "rowsScanned", "segmentsScanned", "segmentsSkipped",
 	"skipProvenance", "pool",
 }
 

@@ -32,8 +32,8 @@ var wallClockSeries = regexp.MustCompile(`^(zen_compaction_last_duration_seconds
 // metricsGoldenServer serves the ledger fixture twice, as a CSV ("sales")
 // and as an uncompacted .zpack ("packed"), at one process worker, and runs a
 // fixed sequence over both: the ledger script cold and warm, a refused
-// request, then an append and a compaction on the .zpack and an idle release
-// of the CSV, each followed by a query.
+// request, then an append and a compaction on the .zpack, each followed by a
+// query, and a last query of the CSV.
 func metricsGoldenServer(t *testing.T) (*httptest.Server, *Registry) {
 	t.Helper()
 	dir := t.TempDir()
@@ -84,7 +84,6 @@ func metricsGoldenServer(t *testing.T) (*httptest.Server, *Registry) {
 	query("packed")
 	send("/datasets/packed/compact", CompactRequest{Cols: []string{"city"}}, http.StatusOK)
 	query("packed")
-	reg.release("sales")
 	query("sales")
 	return ts, reg
 }

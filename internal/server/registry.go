@@ -4,8 +4,9 @@
 // wrapped in a per-dataset result cache and a request coalescer so that
 // concurrent interactive traffic over one dataset shares scans and reuses
 // prior work instead of multiplying cold scans. Every dataset is served from
-// a zpack file through a lazy zpack.Reader: a .zpack as it is, a CSV or a
-// generated table from its spill, an unnamed file holding the same bytes.
+// a zpack file through a zpack.Reader, which scans read each segment from: a
+// .zpack as it is, a CSV or a generated table from its spill, an unnamed file
+// holding the same bytes.
 //
 // Stacking, per dataset, bottom to top:
 //
@@ -91,9 +92,7 @@ type Config struct {
 // zpack snapshot shares the predecessor's column arrays and the load state of
 // every unchanged segment (zpack.Reader.Reopen); the store, result cache,
 // coalescer and session around it are rebuilt, so nothing computed over the
-// shorter table is ever served for the longer one. An idle dataset is
-// released the same way (Registry.release): its successor is the same
-// snapshot with nothing loaded, and keeps its result cache.
+// shorter table is ever served for the longer one.
 type Dataset struct {
 	name    string
 	backend string
@@ -164,16 +163,6 @@ type dsCounters struct {
 	clusterCol     atomic.Pointer[string]
 	unsortedSegs   atomic.Int64
 	lastAppendNano atomic.Int64
-
-	// released counts the blocks the snapshots that idle sweeps dropped had
-	// in place (Registry.release), over every generation.
-	released atomic.Int64
-
-	// The idle sweep's view of the dataset (Registry.sweepIdle), under the
-	// registry's sweepMu: the store's query count at the previous sweep, and
-	// how many sweeps in a row have found it unchanged.
-	sweepQueries int64
-	idleRuns     int
 }
 
 // recordProcess folds one execution's process-phase counters into the
@@ -203,10 +192,10 @@ func (d *Dataset) Opt() zexec.OptLevel { return d.opt }
 // Segments returns the zone-map segment count of the dataset's store.
 func (d *Dataset) Segments() int { return d.store.Stats().Segments }
 
-// ResidentBytes returns the memory the dataset's loaded column data holds:
-// the blocks its reader has in place now, at their width in memory
-// (zpack.Reader.ResidentBytes).
-func (d *Dataset) ResidentBytes() int64 { return d.packR.ResidentBytes() }
+// TableBytes returns the memory the dataset's table takes at memory width:
+// every row of every column, which the server reads a segment at a time and
+// never holds, and the dictionaries, which it does (dataset.Table.SizeAt).
+func (d *Dataset) TableBytes() int64 { return d.table.SizeAt(d.table.NumRows()) }
 
 // Appendable reports whether POST /datasets/{name}/append can extend this
 // dataset (datasets served from a .zpack file only).
@@ -223,27 +212,19 @@ func (d *Dataset) Appendable() bool { return d.packW.Load() != nil }
 type DatasetStats struct {
 	Backend string `json:"backend"`
 	Rows    int    `json:"rows"`
-	// TableBytes is what the column arrays (off the Go heap) and the
-	// dictionaries (on it) hold; ResidentBytes is the part of it in place now,
-	// the blocks the dataset's reader has loaded, at memory width.
-	TableBytes    int64 `json:"tableBytes" metric:"zen_dataset_table_bytes,gauge" help:"Memory the dataset's column arrays (off the Go heap) and dictionaries (on it) hold (dataset.Table.SizeBytes)."`
-	ResidentBytes int64 `json:"residentBytes" metric:"zen_dataset_resident_bytes,gauge" help:"Memory the dataset's loaded column data holds: the blocks in place now, at memory width."`
+	// TableBytes is what the table takes at memory width: the column arrays
+	// were every row in place, and the dictionaries. The server holds only
+	// the dictionaries; a scan reads each segment it visits from the file.
+	TableBytes int64 `json:"tableBytes" metric:"zen_dataset_table_bytes,gauge" help:"Memory the dataset's table takes at memory width: its column arrays with every row in place (the server reads them a segment at a time and holds none) and its dictionaries (dataset.Table.SizeAt)."`
 	// Engine counters are cumulative over the real store, so cache hits
 	// leave RowsScanned untouched — the visible win of the cache.
 	// SegmentsSkipped counts segments the zone maps proved empty and never
-	// scanned; SegmentsScanned are the ones that were actually visited, and
-	// SegmentLoads, summed over the dataset's snapshots, the distinct segments
-	// each snapshot's store has visited at least once (for zpack, read from
-	// disk then, unless an earlier snapshot of the append lineage had loaded
-	// them). BlocksReleased counts the (segment, column) blocks that the
-	// snapshots idle sweeps dropped had in place, to be read again by the
-	// next scan that needs them.
+	// scanned; SegmentsScanned are the ones that were actually visited, each
+	// read from the file by the scan job that visited it.
 	Queries         int64         `json:"queries"`
 	RowsScanned     int64         `json:"rowsScanned" metric:"zen_rows_scanned_total,counter" help:"Rows the store scanned (cache hits scan nothing)."`
 	SegmentsScanned int64         `json:"segmentsScanned" metric:"zen_segments_scanned_total,counter" help:"Zone-map segments the column store visited."`
 	SegmentsSkipped int64         `json:"segmentsSkipped" metric:"zen_segments_skipped_total,counter" help:"Zone-map segments proved empty and never scanned."`
-	SegmentLoads    int64         `json:"segmentLoads,omitempty" metric:"zen_segments_loaded_total,counter" help:"Distinct segments each snapshot of the dataset materialized, summed (zpack: read from disk)."`
-	BlocksReleased  int64         `json:"blocksReleased,omitempty" metric:"zen_blocks_released_total,counter" help:"Blocks in place in the snapshots idle sweeps released (zpack), read again by the next scan that needs them."`
 	Cache           CacheStats    `json:"cache"`
 	Coalesce        BatchStats    `json:"coalesce"`
 	Process         ProcessTotals `json:"process"`
@@ -349,14 +330,11 @@ func (d *Dataset) Stats() DatasetStats {
 		Compaction:      compaction,
 		Backend:         d.backend,
 		Rows:            d.table.NumRows(),
-		TableBytes:      d.table.SizeBytes(),
-		ResidentBytes:   d.ResidentBytes(),
+		TableBytes:      d.TableBytes(),
 		Queries:         st.Queries,
 		RowsScanned:     st.RowsScanned,
 		SegmentsScanned: st.SegmentsScanned,
 		SegmentsSkipped: st.SegmentsSkipped,
-		SegmentLoads:    st.SegmentLoads,
-		BlocksReleased:  d.ctr.released.Load(),
 		Cache:           d.cache.Stats(),
 		Coalesce:        d.bat.stats(),
 		SkipProvenance:  skipProvenance(st.SkipProvenance),
@@ -392,9 +370,6 @@ type Registry struct {
 	// and probes don't route traffic into the swap.
 	ready atomic.Bool
 	swaps atomic.Int64
-
-	// sweepMu serializes idle sweeps (sweepIdle).
-	sweepMu sync.Mutex
 }
 
 // SetReady marks the registry ready (or not) for /readyz. Call with true
@@ -439,9 +414,9 @@ func backendName(name string) (string, error) {
 }
 
 // AddZpack registers a persistent zpack dataset under name: the file's
-// footer is read, the table opens lazily, and the store is the column
-// executor over the reader's segment source — warm start, no CSV parse, no
-// data deserialized until queries touch it. The file also opens for append,
+// footer is read, and the store is the column executor over the reader's
+// segment source — warm start, no CSV parse, no data read until a query
+// scans it. The file also opens for append,
 // backing POST /datasets/{name}/append.
 func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 	if name == "" {
@@ -476,9 +451,9 @@ func (r *Registry) AddZpack(name, path string, cfg Config) (*Dataset, error) {
 // — around a zpack reader's table, registered as name, answering from cache,
 // or from a new cache when it is nil. The store is the column executor over
 // the reader's segments, cut into fragments over the same reader, so a file
-// is never rewritten and lazily-skipped segments are still never read from
-// disk. Every swap rebuilds through this constructor, so appended segments
-// land in the tail fragment or in new ones after it.
+// is never rewritten and zone-map-skipped segments are never read from disk.
+// Every swap rebuilds through this constructor, so appended segments land in
+// the tail fragment or in new ones after it.
 func newDataset(name string, reader *zpack.Reader, backend string, cfg Config, cache *ResultCache) (*Dataset, error) {
 	t := reader.Table()
 	t.Name = name
@@ -546,7 +521,7 @@ func (r *Registry) add(d *Dataset) (*Dataset, error) {
 
 // LoadCSV registers a CSV file under name. The decoded chunks are spilled to
 // an unnamed file (zpack.Spill) and served from it as a .zpack is, without
-// appends or compaction: only the blocks queries read are resident, and no
+// appends or compaction: scans read the blocks they need from it, and no
 // table is stitched. The spill goes to the CSV's directory, or, where that
 // takes none (read-only, full), to os.TempDir(); where neither does, LoadCSV
 // fails.
@@ -596,9 +571,9 @@ func (d *Dataset) Spilled() bool { return d.packPath == "" }
 // snapshot-consistent:
 //
 //  1. rows are appended and flushed to the file (durable before visible);
-//  2. the reader reopens over the extended footer, adopting the old reader's
-//     loaded segments (committed blocks are append-only, so the old reader
-//     stays valid, and the new one only ever writes rows the old cannot see);
+//  2. the reader reopens over the extended footer, reading nothing else
+//     (committed blocks are append-only, so the old reader stays valid for
+//     the scans still running on it);
 //  3. a fresh stack (store, cache, coalescer, session) is built around the
 //     new snapshot, inheriting the predecessor's cumulative counters, with
 //     the old cache's entries counted as evicted;
@@ -649,53 +624,27 @@ func (r *Registry) Append(name string, rows []dataset.Row) (*Dataset, error) {
 		// append API without client-supplied request IDs.
 		return nil, err
 	}
-	return r.swapSuccessor(d, fresh, w, d.packRetired, nil, func(c *dsCounters) {
+	return r.swapSuccessor(d, fresh, w, d.packRetired, func(c *dsCounters) {
 		c.lastAppendNano.Store(nowNano())
 	})
 }
 
-// release swaps the named dataset's successor over the unloaded twin of its
-// snapshot (zpack.Reader.Unloaded) into the registry, if it still has
-// blocks in place. The successor answers from the same result cache: same
-// data, same keys. Scans still running on the old snapshot, and results
-// still cached from it, keep what they read; once nothing reaches the old
-// snapshot's arrays the collector unmaps them. release takes appendMu only if
-// it is free, so the GC hook that runs it never waits behind an append or a
-// compaction: a busy lock skips the release.
-func (r *Registry) release(name string) {
-	if !r.appendMu.TryLock() {
-		return
-	}
-	defer r.appendMu.Unlock()
-	d := r.Get(name)
-	if d == nil || d.ResidentBytes() == 0 {
-		return
-	}
-	twin, blocks := d.packR.Unloaded()
-	// The twin owns the descriptor from here on. Should the swap fail, d
-	// serves on through it, and the os.File closes once unreachable.
-	r.swapSuccessor(d, twin, d.packW.Load(), d.packRetired, d.cache, func(c *dsCounters) {
-		c.released.Add(int64(blocks))
-	})
-}
-
-// swapSuccessor builds d's successor around a reader of d's file (reopened,
-// or d's unloaded twin) and its writer, under d's name, backend and config,
-// and swaps it into the registry. retired becomes the successor's
-// packRetired. The successor answers from cache when it is not nil (a
-// release: the data is d's), from a fresh cache otherwise. note records the
-// caller's counters before the unsorted-segments gauge, which reads them, is
-// refreshed. Callers hold appendMu.
+// swapSuccessor builds d's successor around a reopened reader of d's file
+// and its writer, under d's name, backend and config, with a fresh result
+// cache, and swaps it into the registry. retired becomes the successor's
+// packRetired. note records the caller's counters before the
+// unsorted-segments gauge, which reads them, is refreshed. Callers hold
+// appendMu.
 //
 // Counter continuity: every /stats and /metrics counter stays exact and
 // monotonic across the swap. HTTP, process and compaction counters, the
-// engine counters (rows and segments scanned, skipped and loaded, plans,
-// skip provenance) and the coalescer counters are shared
+// engine counters (rows and segments scanned and skipped, plans, skip
+// provenance) and the coalescer counters are shared
 // cells the successor adopts from d, so what queries still running on d add
 // lands in them too; a fresh cache inherits d's counters, with d's entries
 // counted as evictions. Only the session's history restarts.
-func (r *Registry) swapSuccessor(d *Dataset, fresh *zpack.Reader, w *zpack.Writer, retired io.Closer, cache *ResultCache, note func(*dsCounters)) (*Dataset, error) {
-	nd, err := newDataset(d.name, fresh, d.backend, d.cfg, cache)
+func (r *Registry) swapSuccessor(d *Dataset, fresh *zpack.Reader, w *zpack.Writer, retired io.Closer, note func(*dsCounters)) (*Dataset, error) {
+	nd, err := newDataset(d.name, fresh, d.backend, d.cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -704,9 +653,7 @@ func (r *Registry) swapSuccessor(d *Dataset, fresh *zpack.Reader, w *zpack.Write
 	nd.packW.Store(w)
 	nd.ctr = d.ctr
 	nd.bat.ctr = d.bat.ctr
-	if cache == nil {
-		nd.cache.InheritStats(d.cache)
-	}
+	nd.cache.InheritStats(d.cache)
 	note(nd.ctr)
 	nd.refreshUnsorted()
 	r.mu.Lock()

@@ -168,9 +168,9 @@ func TestDrillAllocGuard(t *testing.T) {
 // schema from CSV — four categorical columns, four integer ones with few
 // distinct values, two floats — packs into at most 28 bytes a row (80 when
 // every code was an int32 and every integer an int64 with an int32 copy
-// beside it), and registering it leaves little live on the Go heap, where the
-// arrays are not: the zone maps, the dictionaries and their indexes, the
-// caches' empty shells.
+// beside it), and registering it leaves little live on the Go heap, since
+// the server holds no array of it: the zone maps, the dictionaries and their
+// indexes, the caches' empty shells.
 func TestTableSizeGuard(t *testing.T) {
 	cfg := guardSales()
 	path := filepath.Join(t.TempDir(), "sales.csv")
@@ -194,7 +194,7 @@ func TestTableSizeGuard(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	size := ds.Table().SizeBytes()
+	size := ds.TableBytes()
 	if per := float64(size) / float64(cfg.Rows); per > 28 {
 		t.Errorf("the table holds %.1f B/row, want <= 28", per)
 	}

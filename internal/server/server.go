@@ -467,7 +467,7 @@ type DatasetInfo struct {
 	Name       string       `json:"name"`
 	Backend    string       `json:"backend"`
 	Rows       int          `json:"rows"`
-	TableBytes int64        `json:"tableBytes"` // dataset.Table.SizeBytes: column arrays and dictionaries
+	TableBytes int64        `json:"tableBytes"` // Dataset.TableBytes: the table at memory width
 	Segments   int          `json:"segments"`
 	Appendable bool         `json:"appendable"`
 	Opt        string       `json:"opt"`
@@ -484,7 +484,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 			Name:       d.name,
 			Backend:    d.backend,
 			Rows:       d.table.NumRows(),
-			TableBytes: d.table.SizeBytes(),
+			TableBytes: d.TableBytes(),
 			Segments:   d.Segments(),
 			Appendable: d.Appendable(),
 			Opt:        d.Opt().String(),

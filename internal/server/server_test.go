@@ -380,8 +380,8 @@ func TestDatasetsEndpoint(t *testing.T) {
 		t.Errorf("dataset info = %+v", d)
 	}
 	// One source for "how big is the table": what the table itself says.
-	if ds := reg.Get("sales"); d.TableBytes <= 0 || d.TableBytes != ds.Table().SizeBytes() {
-		t.Errorf("tableBytes = %d, want the table's SizeBytes %d", d.TableBytes, ds.Table().SizeBytes())
+	if ds := reg.Get("sales"); d.TableBytes <= 0 || d.TableBytes != ds.TableBytes() {
+		t.Errorf("tableBytes = %d, want the table's %d", d.TableBytes, ds.TableBytes())
 	}
 	// An in-memory table takes no appends.
 	if d.Appendable {

@@ -45,8 +45,8 @@ func assertOnlyFile(t *testing.T, dir, name string) {
 // TestLoadCSVSpills: a CSV is served from its spill beside it — every
 // ledger request answered with the bytes the same table registered through
 // AddTable answers, in one fragment and in three, nothing left in the CSV's
-// directory while it serves or after, and only the columns queries read
-// resident.
+// directory while it serves or after, and no block read before a query nor
+// kept after one.
 func TestLoadCSVSpills(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
 	dir := t.TempDir()
@@ -82,15 +82,17 @@ func TestLoadCSVSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.ResidentBytes() != 0 {
-		t.Fatalf("resident %d bytes before any query", d.ResidentBytes())
+	if n := d.packR.SegmentLoads(); n != 0 {
+		t.Fatalf("%d segments read before any query", n)
 	}
 	ts := httptest.NewServer(New(reg))
 	defer ts.Close()
 	postQuery(t, ts.URL+"/query", QueryRequest{Dataset: "sales", ZQL: "NAME | X | Y\n*f1 | 'year' | 'revenue'"})
-	// year: eight values, a byte a row; revenue: eight bytes a row.
-	if got, want := d.ResidentBytes(), int64(d.Table().NumRows()*(1+8)); got != want {
-		t.Fatalf("resident %d bytes after a year/revenue query, want %d (table %d)", got, want, d.Table().SizeBytes())
+	if got, want := d.packR.SegmentLoads(), int64(d.Segments()); got != want {
+		t.Fatalf("%d segment reads for a year/revenue query, want %d", got, want)
+	}
+	if n := d.Table().Column("year").Len(); n != 0 {
+		t.Fatalf("the served table holds %d year cells after a query, want none", n)
 	}
 }
 
@@ -120,8 +122,8 @@ func TestLoadCSVSpillsToTheTempDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Spilled() || d.ResidentBytes() != 0 {
-		t.Fatalf("spilled to TMPDIR: spilled %v, resident %d", d.Spilled(), d.ResidentBytes())
+	if !d.Spilled() || d.packR.SegmentLoads() != 0 {
+		t.Fatalf("spilled to TMPDIR: spilled %v, %d segments read", d.Spilled(), d.packR.SegmentLoads())
 	}
 	assertNoFile(t, tmp)
 	if d, err = beside.LoadCSV("sales", csvPath, cfg); err != nil || !d.Spilled() {
@@ -138,9 +140,9 @@ func TestLoadCSVSpillsToTheTempDir(t *testing.T) {
 }
 
 // TestAddTableServesASpill: a table registered through AddTable is served
-// from a spill in os.TempDir(), as a CSV is: nothing resident before its
-// first query, every ledger request answered with the bytes LoadCSV of the
-// same table answers, and its blocks released at the fourth idle sweep.
+// from a spill in os.TempDir(), as a CSV is: nothing read before its first
+// query, and every ledger request answered with the bytes LoadCSV of the
+// same table answers.
 func TestAddTableServesASpill(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one process worker
 	csvPath := filepath.Join(t.TempDir(), "sales.csv")
@@ -153,8 +155,8 @@ func TestAddTableServesASpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Spilled() || d.Appendable() || d.ResidentBytes() != 0 {
-		t.Fatalf("spilled %v, appendable %v, %d bytes resident before any query", d.Spilled(), d.Appendable(), d.ResidentBytes())
+	if !d.Spilled() || d.Appendable() || d.packR.SegmentLoads() != 0 {
+		t.Fatalf("spilled %v, appendable %v, %d segments read before any query", d.Spilled(), d.Appendable(), d.packR.SegmentLoads())
 	}
 	assertNoFile(t, tmp)
 	if _, err := loaded.LoadCSV("sales", csvPath, cfg); err != nil {
@@ -162,17 +164,6 @@ func TestAddTableServesASpill(t *testing.T) {
 	}
 	compareScripts(t, added, loaded)
 
-	if added.Get("sales").ResidentBytes() == 0 {
-		t.Fatal("nothing resident after the ledger script")
-	}
-	added.sweepIdle() // the script's scans: not idle
-	for i := 1; i <= idleSweeps; i++ {
-		added.sweepIdle()
-		d := added.Get("sales")
-		if released := d.Stats().BlocksReleased; (released > 0) != (i == idleSweeps) || (d.ResidentBytes() == 0) != (i == idleSweeps) {
-			t.Fatalf("idle sweep %d: %d blocks released, %d bytes resident", i, released, d.ResidentBytes())
-		}
-	}
 }
 
 // assertNoFile fails unless dir is empty.

@@ -8,14 +8,19 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
-	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/client"
+	"repro/internal/dataset"
+	"repro/internal/engine"
 )
+
+const yearRevenue = "NAME | X | Y\n*f1 | 'year' | 'revenue'"
 
 // swapQueries read every column of the test table between them, through a
 // fixed slice, a '*' enumeration, a process phase and a plain trend.
@@ -31,41 +36,70 @@ func answer(t *testing.T, reg *Registry, zql string) ([]byte, error) {
 	return encodePayload(t, EncodeResult(res)), nil
 }
 
-// TestReleaseSwapsUnderConcurrentScans races scanners of a zpack dataset
-// cut into several fragments, every query a scan, against a loop of releases
-// that swap it for its unloaded twin and collect now and then: every answer
-// is the one the dataset gave before any release.
-func TestReleaseSwapsUnderConcurrentScans(t *testing.T) {
+// TestAppendSwapsUnderConcurrentScans races scanners of a zpack dataset cut
+// into several fragments, every query a scan, against appends that swap its
+// snapshot: every answer is byte for byte what engine.NewColumnStore over the
+// same rows answers, whichever snapshot the scanner met, and no scan keeps a
+// block to hand on or give back.
+func TestAppendSwapsUnderConcurrentScans(t *testing.T) {
 	smallFragments(t, 1)
 	_, reg, _ := newZpackServer(t, Config{CacheEntries: -1})
-	want := make([][]byte, len(swapQueries))
-	for i, q := range swapQueries {
-		b, err := answer(t, reg, q)
+	base := testTable()
+	const batches, batchRows = 6, 700
+	var appended []dataset.Row
+	for b := 0; b < batches*batchRows; b++ {
+		row := base.Row((b * 7) % base.NumRows())
+		row[len(row)-1] = dataset.FV(float64(b%97) / 3) // revenue, non-dyadic
+		appended = append(appended, row)
+	}
+
+	// want answers query k over the first rows rows, through the in-memory
+	// column store, once per (rows, k).
+	var mu sync.Mutex
+	wants := map[[2]int][]byte{}
+	want := func(rows, k int) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		if b, ok := wants[[2]int{rows, k}]; ok {
+			return b
+		}
+		tb := testTable()
+		for _, row := range appended[:rows-tb.NumRows()] {
+			tb.AppendRow(row...)
+		}
+		s, err := client.OpenDB(engine.NewColumnStore(tb), tb.Name, client.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = b
+		res, err := s.Query(swapQueries[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := encodePayload(t, EncodeResult(res))
+		wants[[2]int{rows, k}] = b
+		return b
 	}
 
 	stop := make(chan struct{})
-	var releaser sync.WaitGroup
-	releaser.Add(1)
+	var appender sync.WaitGroup
+	var appendsDone atomic.Bool
+	appender.Add(1)
 	go func() {
-		defer releaser.Done()
-		for i := 1; ; i++ {
+		defer appender.Done()
+		defer appendsDone.Store(true)
+		for b := 0; b < batches; b++ {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-time.After(20 * time.Millisecond):
 			}
-			reg.release("sales")
-			if i%8 == 0 {
-				runtime.GC()
+			if _, err := reg.Append("sales", appended[b*batchRows:(b+1)*batchRows]); err != nil {
+				t.Error(err)
+				return
 			}
-			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	const scanners, rounds = 4, 10
+	const scanners, rounds = 4, 12
 	var wg sync.WaitGroup
 	errs := make(chan string, scanners)
 	for g := 0; g < scanners; g++ {
@@ -73,11 +107,18 @@ func TestReleaseSwapsUnderConcurrentScans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < rounds; i++ {
+			// Every scanner runs its rounds, and goes on until the last
+			// append has swapped in.
+			for i := 0; i < rounds || !appendsDone.Load(); i++ {
 				k := rng.Intn(len(swapQueries))
-				got, err := answer(t, reg, swapQueries[k])
-				if err != nil || !bytes.Equal(got, want[k]) {
-					errs <- fmt.Sprintf("scanner %d round %d query %d: %v\n%.300s\nwant\n%.300s", g, i, k, err, got, want[k])
+				d := reg.Get("sales")
+				res, err := d.Session().Query(swapQueries[k])
+				if err != nil {
+					errs <- fmt.Sprintf("scanner %d round %d query %d: %v", g, i, k, err)
+					return
+				}
+				if got, w := encodePayload(t, EncodeResult(res)), want(d.Table().NumRows(), k); !bytes.Equal(got, w) {
+					errs <- fmt.Sprintf("scanner %d round %d query %d over %d rows:\n%.300s\nwant\n%.300s", g, i, k, d.Table().NumRows(), got, w)
 					return
 				}
 			}
@@ -85,67 +126,42 @@ func TestReleaseSwapsUnderConcurrentScans(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	releaser.Wait()
+	appender.Wait()
 	close(errs)
 	for e := range errs {
 		t.Error(e)
 	}
-	if reg.Get("sales").Stats().BlocksReleased == 0 {
-		t.Error("no release dropped a block")
+	if got, want := reg.Get("sales").Table().NumRows(), base.NumRows()+batches*batchRows; got != want && !t.Failed() {
+		t.Errorf("%d rows served after the appends, want %d", got, want)
 	}
 }
 
-// TestReleaseCachedResultStillEncodes: a release keeps the result cache, and
-// a cached categorical result holds the dictionary it decodes through, not
-// the released snapshot's arrays: after the release and collections it reads
-// as before, and the repeated request, a cache hit, answers the same bytes.
-func TestReleaseCachedResultStillEncodes(t *testing.T) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+// TestCompactionDropsTheOldGeneration: a compaction keeps only the
+// superseded generation's descriptor, so once nothing reads that generation
+// a collection takes its Reader, and nothing of it but the descriptor
+// outlives the cutover.
+func TestCompactionDropsTheOldGeneration(t *testing.T) {
 	_, reg, _ := newZpackServer(t, Config{})
-	first, err := answer(t, reg, risingQuery)
-	if err != nil {
+	if _, err := answer(t, reg, risingQuery); err != nil {
 		t.Fatal(err)
 	}
-	cached := cachedRows(reg)
-	if !strings.Contains(cached, "product") {
-		t.Fatalf("no categorical result cached:\n%.300s", cached)
+	// A finalizer on what only the old Reader reaches: the Reader itself
+	// is in a cycle (its raw columns' DistinctSorted hooks), which a
+	// finalizer would keep from being collected.
+	var collected atomic.Bool
+	runtime.SetFinalizer(reg.Get("sales").packR.Zone("revenue"), func(*engine.ZoneData) { collected.Store(true) })
+	if _, _, err := reg.Compact("sales", []string{"product"}); err != nil {
+		t.Fatal(err)
 	}
-	scans := reg.Get("sales").Stats().RowsScanned
-	reg.release("sales")
-	if reg.Get("sales").ResidentBytes() != 0 {
-		t.Fatal("the release left blocks in place")
+	if _, err := answer(t, reg, risingQuery); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for deadline := time.Now().Add(10 * time.Second); !collected.Load(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("10 s after the compaction the old generation's Reader is still reachable")
+		}
 		runtime.GC()
 	}
-	if got := cachedRows(reg); got != cached {
-		t.Errorf("the cache after the release reads\n%.300s\nwant\n%.300s", got, cached)
-	}
-	again, err := answer(t, reg, risingQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, first) {
-		t.Errorf("after the release the query answers\n%.300s\nwant\n%.300s", again, first)
-	}
-	if got := reg.Get("sales").Stats().RowsScanned; got != scans {
-		t.Errorf("the repeat scanned %d rows, want every result from the kept cache", got-scans)
-	}
-}
-
-// cachedRows renders every result the sales dataset's cache holds, cell by
-// cell, by key.
-func cachedRows(reg *Registry) string {
-	c := reg.Get("sales").cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lines []string
-	for key, el := range c.items {
-		res := el.Value.(*cacheEntry).res
-		lines = append(lines, fmt.Sprintf("%s %v %v", key, res.Cols, res.Rows()))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }
 
 // counterSeries scrapes /metrics and returns every sample of a counter
@@ -189,8 +205,8 @@ func statsCounters(t *testing.T, url string) map[string]int64 {
 	s := st.Datasets["sales"]
 	out := map[string]int64{
 		"queries": s.Queries, "rowsScanned": s.RowsScanned, "segmentsScanned": s.SegmentsScanned,
-		"segmentsSkipped": s.SegmentsSkipped, "segmentLoads": s.SegmentLoads, "blocksReleased": s.BlocksReleased,
-		"cache.hits": s.Cache.Hits, "cache.misses": s.Cache.Misses, "cache.evictions": s.Cache.Evictions,
+		"segmentsSkipped": s.SegmentsSkipped,
+		"cache.hits":      s.Cache.Hits, "cache.misses": s.Cache.Misses, "cache.evictions": s.Cache.Evictions,
 		"coalesce.submissions": s.Coalesce.Submissions, "coalesce.batches": s.Coalesce.Batches,
 		"coalesce.coalesced": s.Coalesce.Coalesced,
 	}
@@ -200,10 +216,10 @@ func statsCounters(t *testing.T, url string) map[string]int64 {
 	return out
 }
 
-// TestCountersSurviveEverySwap: an append, a compaction and a release each
-// swap the dataset's store, coalescer and, but for the release, cache; no
-// /stats counter and no /metrics counter series ever goes down across them,
-// and the engine counters keep counting from where they were.
+// TestCountersSurviveEverySwap: an append and a compaction each swap the
+// dataset's store, coalescer and cache; no /stats counter and no /metrics
+// counter series ever goes down across them, and the engine counters keep
+// counting from where they were.
 func TestCountersSurviveEverySwap(t *testing.T) {
 	smallFragments(t, 1)
 	ts, reg, _ := newZpackServer(t, Config{})
@@ -216,7 +232,7 @@ func TestCountersSurviveEverySwap(t *testing.T) {
 	}
 	work()
 	stats, series := statsCounters(t, ts.URL), counterSeries(t, ts.URL)
-	if stats["rowsScanned"] == 0 || stats["segmentLoads"] == 0 || stats["coalesce.batches"] == 0 {
+	if stats["rowsScanned"] == 0 || stats["segmentsScanned"] == 0 || stats["coalesce.batches"] == 0 {
 		t.Fatalf("the first queries counted nothing: %v", stats)
 	}
 	check := func(step string) {
@@ -248,12 +264,6 @@ func TestCountersSurviveEverySwap(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"release", func() {
-			reg.release("sales")
-			if reg.Get("sales").ResidentBytes() != 0 {
-				t.Fatal("the release left blocks in place")
-			}
-		}},
 	}
 	for _, s := range steps {
 		before := reg.Get("sales")
@@ -265,7 +275,7 @@ func TestCountersSurviveEverySwap(t *testing.T) {
 		scanned := stats["rowsScanned"]
 		work()
 		check(s.name + ", then queries")
-		if stats["rowsScanned"] <= scanned && s.name != "release" {
+		if stats["rowsScanned"] <= scanned {
 			t.Errorf("after the %s the queries scanned nothing", s.name)
 		}
 	}

@@ -210,9 +210,9 @@ func (ex *executor) evalSet(s *zql.SetExpr, kind elemKind, attrCtx string, deriv
 
 // starElements expands `*`: all attributes (for attribute positions) or all
 // values of the context attribute (for value positions). Value enumeration
-// reads the column's full data; a lazily-backed column (zpack) signals a
-// failed materialization by panicking, which is recovered here into a query
-// error rather than an incomplete value set.
+// reads the column's full data; a file-backed column (zpack) signals a
+// failed read by panicking, which is recovered here into a query error
+// rather than an incomplete value set.
 func (ex *executor) starElements(kind elemKind, attrCtx string) (out []element, err error) {
 	defer func() {
 		if r := recover(); r != nil {

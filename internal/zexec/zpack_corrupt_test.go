@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -30,16 +31,23 @@ func mustParseZQL(t *testing.T, src string) *zql.Query {
 }
 
 // corruptFloatBlock flips one byte of the block that holds tbl's column col
-// in the one-segment zpack file at path: a float column's block is its values,
-// little-endian, byte for byte.
+// in the one-segment zpack file at path.
 func corruptFloatBlock(t *testing.T, path string, tbl *dataset.Table, col string) {
+	t.Helper()
+	corruptFloatRows(t, path, tbl, col, 0, tbl.NumRows())
+}
+
+// corruptFloatRows flips one byte of the block that holds rows [lo, hi) of
+// tbl's column col — one segment's — in the zpack file at path: a float
+// column's block is its values, little-endian, byte for byte.
+func corruptFloatRows(t *testing.T, path string, tbl *dataset.Table, col string, lo, hi int) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var block []byte
-	for _, v := range tbl.Column(col).Floats() {
+	for _, v := range tbl.Column(col).Floats()[lo:hi] {
 		block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
 	}
 	at := bytes.Index(raw, block)
@@ -52,17 +60,17 @@ func corruptFloatBlock(t *testing.T, path string, tbl *dataset.Table, col string
 	}
 }
 
-// enumerateWeight is a ZQL query whose axis `*` expansion must materialize
-// the weight column (float values have no footer dictionary); its scans read
+// enumerateWeight is a ZQL query whose axis `*` expansion must read the
+// weight column (float values have no footer dictionary); its scans read
 // year, sales and weight.
 const enumerateWeight = `
 NAME | X      | Y       | Z
 *f1  | 'year' | 'sales' | v1 <- 'weight'.*`
 
-// TestZpackCorruptEnumerationErrors pins the loud-failure contract for lazy
-// datasets: when a block the query reads is corrupt — here the weight block
-// its enumeration materializes — the query fails with a zpack error instead
-// of silently enumerating over missing values.
+// TestZpackCorruptEnumerationErrors pins the loud-failure contract for
+// file-backed datasets: when a block the query reads is corrupt — here the
+// weight block its enumeration reads — the query fails with a zpack error
+// instead of silently enumerating over missing values.
 func TestZpackCorruptEnumerationErrors(t *testing.T) {
 	tbl := fixtureSales()
 	path := buildZpack(t, tbl)
@@ -109,6 +117,60 @@ func TestZpackCorruptUnreadBlockLeavesQueriesCorrect(t *testing.T) {
 	}
 	if err := r.Verify(); err == nil || !strings.Contains(err.Error(), `column "size": block checksum mismatch`) {
 		t.Fatalf("verify: %v; want the size block's checksum mismatch", err)
+	}
+}
+
+// TestZpackCorruptBlockFailsEveryRead: a scan reads every block it needs
+// from the file and checks it on every read, so a flipped byte in one block —
+// the revenue of a year-clustered file's middle segment — fails every query
+// that reads the block, on each attempt, naming the segment and the column,
+// while a query whose year filter the zone maps route around the segment
+// answers as the intact table does, before the failures and after them.
+func TestZpackCorruptBlockFailsEveryRead(t *testing.T) {
+	const S = engine.SegmentSize
+	src := workload.Sales(workload.SalesConfig{Rows: 3 * S, Products: 20, Years: 12, Cities: 5, Seed: 4})
+	order := make([]int, src.NumRows())
+	for i := range order {
+		order[i] = i
+	}
+	year := src.Column("year")
+	sort.SliceStable(order, func(a, b int) bool { return year.Int(order[a]) < year.Int(order[b]) })
+	tbl := src.Gather(order)
+	tbl.Name = "sales"
+	path := buildZpack(t, tbl)
+	corruptFloatRows(t, path, tbl, "revenue", S, 2*S)
+	r, err := zpack.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	db, mem := engine.NewColumnStoreFromSource(r), engine.NewColumnStore(tbl)
+	routed := mustParseZQL(t, fmt.Sprintf(`
+NAME | X       | Y         | Z                 | CONSTRAINTS
+*f1  | 'month' | 'revenue' | v1 <- 'product'.* | year < %d`, tbl.Column("year").Int(S)))
+	want, err := Run(routed, mem, Options{Table: "sales", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := mustParseZQL(t, "NAME | X | Y\n*f1 | 'year' | 'revenue'")
+	for attempt := 0; attempt < 3; attempt++ {
+		got, err := Run(routed, db, Options{Table: "sales", Seed: 1})
+		if err != nil {
+			t.Fatalf("attempt %d: a query the zone maps route around the corrupt segment failed: %v", attempt, err)
+		}
+		if g, w := encodeResult(got), encodeResult(want); g != w {
+			t.Fatalf("attempt %d: routed answer differs:\n got %s\nwant %s", attempt, clip(g), clip(w))
+		}
+		_, err = Run(full, db, Options{Table: "sales", Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), `zpack: segment 1 column "revenue": block checksum mismatch`) {
+			t.Fatalf("attempt %d: a scan of the corrupt revenue block: %v; want its checksum mismatch, naming segment 1", attempt, err)
+		}
+	}
+	if got := db.Stats().SegmentsSkipped; got == 0 {
+		t.Fatal("the routed query skipped no segment")
+	}
+	if err := r.Verify(); err == nil || !strings.Contains(err.Error(), `segment 1 column "revenue"`) {
+		t.Fatalf("verify: %v; want the revenue block of segment 1", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package zpack is the persistent columnar segment store: a versioned,
 // checksummed on-disk format that serializes ColumnStore segments — column
 // data, zone maps, dictionaries — plus a footer index, so a dataset opens by
-// reading the footer and loads segments lazily on first touch. Zone-map
-// skipping works without ever deserializing skipped segments, and a server
+// reading the footer, and a scan reads the blocks of each segment it visits.
+// Zone-map skipping works without ever reading skipped segments, and a server
 // restart over .zpack files reaches ready without re-parsing CSV.
 //
 // File layout (all integers little-endian; docs/FORMAT.md is the normative

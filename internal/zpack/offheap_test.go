@@ -102,25 +102,3 @@ func TestOffHeapReopenAcrossACodeWidth(t *testing.T) {
 	checkHeapGrowth(t, "a Reopen across a code width", before, nr.Table())
 	runtime.KeepAlive(src)
 }
-
-// TestOffHeapUnloadedTwin: a loaded reader's unloaded twin shares its
-// footer, zone maps and dictionaries and presizes its arrays off the heap,
-// so making it grows the live Go heap by less than a tenth of the table.
-func TestOffHeapUnloadedTwin(t *testing.T) {
-	path, _ := offHeapFile(t, 500)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.LoadAll(); err != nil {
-		t.Fatal(err)
-	}
-	before := heapLive()
-	u, _ := r.Unloaded()
-	defer u.Close()
-	checkHeapGrowth(t, "an unloaded twin", before, u.Table())
-	if p := u.Table().Column("product"); &p.Dict()[0] != &r.Table().Column("product").Dict()[0] {
-		t.Error("the twin copied the product dictionary")
-	}
-	runtime.KeepAlive(r)
-}

@@ -40,8 +40,8 @@ func TestSpillIsAnUnnamedBuild(t *testing.T) {
 				t.Fatalf("%d rows: spill %s, Build %s", tc.rows, got, want)
 			}
 		}
-		if r.ResidentBytes() != 0 {
-			t.Fatalf("%d rows: a fresh spill has %d bytes loaded", tc.rows, r.ResidentBytes())
+		if r.SegmentLoads() != 0 {
+			t.Fatalf("%d rows: a fresh spill has read %d segments", tc.rows, r.SegmentLoads())
 		}
 		if err := r.LoadAll(); err != nil {
 			t.Fatal(err)

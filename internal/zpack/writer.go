@@ -489,8 +489,8 @@ func Build(path string, src Source) error {
 }
 
 // Spill writes src, as Build would, to a file in dir that is unlinked as soon
-// as it is created, and returns a lazy Reader over it: the blocks a scan does
-// not read stay on disk instead of in memory. Only the Reader's descriptor
+// as it is created, and returns a Reader over it: scans read the blocks they
+// need from it, and nothing of the table stays in memory. Only the Reader's descriptor
 // keeps the file alive, so its space is freed at Close or when the process
 // exits, however it exits, and it is not synced: nothing can read it after a
 // crash. A spilled Reader is read-only: it is never appended to, reopened or
@@ -527,13 +527,12 @@ func spill(f *os.File, ch *dataset.Chunks) (*Reader, error) {
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
-	r, err := newReader(f, "", nil)
+	r, err := newReader(f, "")
 	if err != nil {
 		return nil, err
 	}
 	// The merged dictionaries rather than the footer's copies of them: the
-	// same values, and a table as big as the stitched one whether it spilled
-	// or not.
+	// same values, held once.
 	for j, c := range r.table.Columns() {
 		c.ShareDicts(ch.Dicts().Columns()[j])
 	}
