@@ -334,7 +334,7 @@ func (s *BitmapStore) planAccess(p *Plan, cache bitmapCache) (access, error) {
 // drain feeds the plan's matching rows of [lo, hi) into sink in ascending
 // order, and returns how many rows it visited: the candidates in the range,
 // or the whole range when there is no bitmap.
-func (a access) drain(lo, hi int, sink rowSink) (n int64) {
+func (a access) drain(lo, hi int, sink *planSink) (n int64) {
 	visit := func(v uint32) {
 		if n++; a.pred == nil || a.pred(int(v)) {
 			sink.add(int(v))
@@ -379,8 +379,9 @@ func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			sinks[k] = plans[pi].newSink(s.t)
-			n := acc[pi].drain(lo, hi, sinks[k])
+			sink := plans[pi].newSink(s.t)
+			sinks[k] = sink
+			n := acc[pi].drain(lo, hi, sink)
 			s.stats.rowsScanned.Add(n)
 			visited += n
 		}

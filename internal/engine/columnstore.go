@@ -469,8 +469,9 @@ const maxFlatSlots = 1 << 16
 
 // newColSink picks the accumulator for a plan over the rows of seg (nil for
 // a sink that meets no row): the flat dictionary-code sink when every GROUP
-// BY key is an unbinned dictionary-coded column, categorical or integer, and
-// the combined key space is small, the generic hash sink otherwise.
+// BY key is an unbinned dictionary-coded column, categorical or integer, the
+// combined key space is small and no item is a representative cell, the
+// generic hash sink otherwise.
 func newColSink(p *Plan, seg *dataset.Table) rowSink {
 	if !p.aggregates() {
 		return p.newSink(seg) // projection: nothing to accumulate
@@ -487,8 +488,12 @@ func newColSink(p *Plan, seg *dataset.Table) rowSink {
 		}
 		slots *= card[k]
 	}
-	fs := &flatSink{groupAcc: newGroupAcc(p, seg), slots: make([]int32, slots), card: card, keys: make([]*dataset.Column, len(p.keyCol))}
-	fs.most = slots
+	acc := newGroupAcc(p, seg)
+	if slices.ContainsFunc(acc.cells, func(c cellCol) bool { return c.key < 0 }) {
+		return p.newSink(seg)
+	}
+	fs := &flatSink{groupAcc: acc, slots: make([]int32, slots), keys: make([]*dataset.Column, len(p.keyCol))}
+	fs.most, fs.words, fs.card = slots, 1, card
 	for i := range fs.slots {
 		fs.slots[i] = -1
 	}
@@ -504,36 +509,17 @@ func newColSink(p *Plan, seg *dataset.Table) rowSink {
 
 // flatSink is the vectorized aggregation sink: the combined dictionary code
 // of a row's group keys (keys) indexes a flat slot array instead of hashing a
-// key buffer. Groups are still numbered in first-seen order, so results stay
-// byte-identical to the hash sink's.
+// key buffer. A group keeps that code as its one word, and finish decodes
+// its keys from it. Groups are still numbered in first-seen order, so results
+// stay byte-identical to the hash sink's.
 type flatSink struct {
 	groupAcc
 	slots []int32           // combined key code -> group number, -1 = unseen
-	slot  []int32           // group number -> its combined key code
-	card  []int             // per key column, its dictionary's size
 	keys  []*dataset.Column // per GROUP BY key, its column in the sink's table
 	// sum is the raw float column of a plan grouped by one or two keys whose
 	// one aggregate is its SUM or AVG, which addSel folds as it meets each
 	// row; else nil.
 	sum *dataset.Column
-}
-
-func (s *flatSink) add(i int) {
-	slot := s.slotAt(i)
-	g := s.slots[slot]
-	if g < 0 {
-		g = s.firstSeen(slot, i)
-	}
-	s.fold(g, i)
-}
-
-// slotAt computes a row's combined key code.
-func (s *flatSink) slotAt(i int) int {
-	slot := 0
-	for k, c := range s.keys {
-		slot = slot*s.card[k] + int(c.Code(i))
-	}
-	return slot
 }
 
 // selScratch is addSel's working set for one segment: the selected rows,
@@ -598,7 +584,7 @@ func (s *flatSink) addSel(sel []uint64, lo, hi int) {
 	for j, slot := range gids {
 		g := s.slots[slot]
 		if g < 0 {
-			g = s.firstSeen(int(slot), int(rows[j]))
+			g = s.firstSeen(int(slot))
 		}
 		gids[j] = g
 	}
@@ -654,26 +640,25 @@ func foldPass[A, B dataset.Code](s *flatSink, a []A, b []B, cardB int, sel []uin
 			slot := int(a[i])*cardB + int(b[i])
 			g := slots[slot]
 			if g < 0 {
-				g = s.firstSeen(slot, i)
+				g = s.firstSeen(slot)
 			}
 			// The one aggregate of group g: acc(g, 0), spelled out for the
 			// hot loop.
 			acc := &s.groups[g>>groupChunkBits].aggs[g&groupChunkMask]
-			acc.sum += sum[i]
+			acc.v += sum[i]
 			acc.count++
 		}
 	}
 }
 
-// firstSeen numbers the group of a slot first met at row i. It is kept out
-// of foldPass's loop: inlined there, the rare path's registers spill the
-// common path's on every row.
+// firstSeen numbers the group of a slot first met, its word the slot. It is
+// kept out of foldPass's loop: inlined there, the rare path's registers spill
+// the common path's on every row.
 //
 //go:noinline
-func (s *flatSink) firstSeen(slot, i int) int32 {
-	g := s.newGroup(i)
+func (s *flatSink) firstSeen(slot int) int32 {
+	g := s.addGroup(uint64(slot))
 	s.slots[slot] = g
-	s.slot = append(s.slot, int32(slot))
 	return g
 }
 
@@ -682,12 +667,11 @@ func (s *flatSink) firstSeen(slot, i int) int32 {
 // dictionaries, so a group's slot is the same in each fragment's sink.
 func (s *flatSink) mergeFrom(other rowSink) {
 	o := other.(*flatSink)
-	for og, slot := range o.slot {
+	for og := range o.n {
+		slot := o.groups[og>>groupChunkBits].cells[og&groupChunkMask]
 		g := s.slots[slot]
 		if g < 0 {
-			g = s.newGroupFrom(&o.groupAcc, og)
-			s.slots[slot] = g
-			s.slot = append(s.slot, slot)
+			g = s.firstSeen(int(slot))
 		}
 		s.absorb(g, &o.groupAcc, og)
 	}

@@ -131,58 +131,51 @@ func binValue(v float64, width float64) float64 {
 	return math.Floor(v/width) * width
 }
 
-// aggState accumulates one aggregate over one group.
+// aggState accumulates one aggregate over one group in 16 bytes: the value
+// word v is the sum for SUM and AVG, the extremum for MIN and MAX, and unused
+// for COUNT. Which it is, the aggregate's function says (add, merge).
 type aggState struct {
-	sum   float64
+	v     float64
 	count int64
-	min   float64
-	max   float64
 }
 
-func (a *aggState) add(v float64) {
-	if a.count == 0 {
-		a.min, a.max = v, v
-	} else {
-		// NaN is the identity for MIN/MAX: a NaN cell never displaces a real
-		// bound AND a real value always displaces a NaN seed. Both directions
-		// are needed to keep the fold associative — otherwise a fragment whose
-		// first matching cell is NaN would swallow its later real values,
-		// diverging from the sequential fold.
-		if v < a.min || (math.IsNaN(a.min) && !math.IsNaN(v)) {
-			a.min = v
+// add folds cell x into an accumulator of function f. A sum starts from 0
+// (a first cell of -0 sums to +0), an extremum from the first cell. NaN is
+// the identity for MIN/MAX: a NaN cell never displaces a real bound AND a
+// real value always displaces a NaN seed. Both directions keep the fold
+// associative — else a fragment whose first matching cell is NaN would
+// swallow its later real values, diverging from the sequential fold.
+func (a *aggState) add(f minisql.AggFunc, x float64) {
+	switch f {
+	case minisql.AggSum, minisql.AggAvg:
+		a.v += x
+	case minisql.AggMin:
+		if a.count == 0 || x < a.v || (a.v != a.v && x == x) {
+			a.v = x
 		}
-		if v > a.max || (math.IsNaN(a.max) && !math.IsNaN(v)) {
-			a.max = v
+	case minisql.AggMax:
+		if a.count == 0 || x > a.v || (a.v != a.v && x == x) {
+			a.v = x
 		}
 	}
-	a.sum += v
 	a.count++
 }
 
-// merge folds a later partial accumulation into a: a's rows all precede o's
-// (fragments cover ascending rows), so the fold mirrors add's semantics — an
-// empty side is the identity, min/max comparisons match add's (NaN is the
-// MIN/MAX identity in both directions), and sums add. Summation order
-// differs from one sequential fold only at fragment boundaries, which the
-// table fixes: a sum's bits depend on where those lie, never on the workers
-// or the store.
+// merge folds a later partial accumulation of the same aggregate into a: a's
+// rows all precede o's (fragments cover ascending rows), so the fold mirrors
+// add's semantics — an empty side is the identity, an extremum meets add's
+// comparisons, and sums add. Summation order differs from one sequential fold
+// only at fragment boundaries, which the table fixes: a sum's bits depend on
+// where those lie, never on the workers or the store.
 // Across different boundaries SUM/AVG agree bit for bit only when the
 // column's values accumulate exactly (integers, quarters); COUNT/MIN/MAX
 // always do.
-func (a *aggState) merge(o *aggState) {
-	if o.count == 0 {
-		return
-	}
-	if a.count == 0 {
+func (a *aggState) merge(f minisql.AggFunc, o *aggState) {
+	switch n := a.count; {
+	case n == 0:
 		*a = *o
-		return
+	case o.count > 0:
+		a.add(f, o.v)
+		a.count = n + o.count
 	}
-	if o.min < a.min || (math.IsNaN(a.min) && !math.IsNaN(o.min)) {
-		a.min = o.min
-	}
-	if o.max > a.max || (math.IsNaN(a.max) && !math.IsNaN(o.max)) {
-		a.max = o.max
-	}
-	a.sum += o.sum
-	a.count += o.count
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -16,7 +17,11 @@ import (
 
 // foldAlikeQueries cover every way a store folds a plan: grouped SUM, AVG,
 // MIN, MAX and COUNT (flat and hash sinks, index and residual access), an
-// aggregate without GROUP BY, and a projection cut by ORDER BY … LIMIT.
+// aggregate without GROUP BY, a projection cut by ORDER BY … LIMIT, coded
+// keys beside a representative cell (the hash sink) ordered in place, MIN and
+// MAX over a measure whose every fragment starts with a NaN cell, and an
+// int-keyed flat sink decoded from its key codes, cut by ORDER BY … DESC
+// LIMIT.
 var foldAlikeQueries = []string{
 	"SELECT product, SUM(revenue) AS s, AVG(profit) AS a, MIN(profit) AS lo, MAX(revenue) AS hi, COUNT(*) AS n FROM sales GROUP BY product",
 	"SELECT year, SUM(revenue) AS s FROM sales WHERE city = 'c3' GROUP BY year",
@@ -24,10 +29,18 @@ var foldAlikeQueries = []string{
 	"SELECT city, SUM(profit) AS p, MIN(revenue) AS lo FROM sales WHERE profit > 0 AND revenue < 900 GROUP BY city",
 	"SELECT SUM(revenue) AS s, AVG(profit) AS a, MAX(profit) AS hi, COUNT(*) AS n FROM sales WHERE profit > -20",
 	"SELECT product, revenue, profit FROM sales WHERE year = 2005 ORDER BY revenue DESC LIMIT 25",
+	"SELECT product, city, SUM(revenue) AS s, COUNT(*) AS n FROM sales WHERE year < 2008 GROUP BY product ORDER BY product DESC",
+	foldAlikeNaNQuery,
+	"SELECT year, product, MAX(revenue) AS hi, COUNT(*) AS n FROM sales WHERE city = 'c1' GROUP BY year, product ORDER BY year DESC, product LIMIT 30",
 }
 
+// foldAlikeNaNQuery folds score, NaN on every fourth row: every city has
+// real scores beside its NaN ones, so no MIN or MAX of it may be NaN.
+const foldAlikeNaNQuery = "SELECT city, MIN(score) AS lo, MAX(score) AS hi, MIN(profit) AS plo FROM sales GROUP BY city"
+
 // foldAlikeTable is a sales table of n rows whose measures are arbitrary
-// finite floats: their sums round differently in every summation order.
+// finite floats: their sums round differently in every summation order. Its
+// score is NaN on every fourth row, the first of every fragment among them.
 func foldAlikeTable(n int) *dataset.Table {
 	tb := dataset.NewTable("sales", []dataset.Field{
 		{Name: "product", Kind: dataset.KindString},
@@ -35,15 +48,21 @@ func foldAlikeTable(n int) *dataset.Table {
 		{Name: "year", Kind: dataset.KindInt},
 		{Name: "revenue", Kind: dataset.KindFloat},
 		{Name: "profit", Kind: dataset.KindFloat},
+		{Name: "score", Kind: dataset.KindFloat},
 	})
-	rng := rand.New(rand.NewSource(52))
-	for range n {
+	rng, scores := rand.New(rand.NewSource(52)), rand.New(rand.NewSource(53))
+	for i := range n {
+		score := scores.NormFloat64() * 10
+		if i%4 == 0 {
+			score = math.NaN()
+		}
 		tb.AppendRow(
 			dataset.SV(fmt.Sprintf("p%d", rng.Intn(40))),
 			dataset.SV(fmt.Sprintf("c%d", rng.Intn(7))),
 			dataset.IV(int64(2000+rng.Intn(10))),
 			dataset.FV(rng.Float64()*1000),
 			dataset.FV(rng.NormFloat64()*50),
+			dataset.FV(score),
 		)
 	}
 	return tb
@@ -100,12 +119,27 @@ func TestStoresFoldAlike(t *testing.T) {
 				}
 				if want == nil {
 					want = got // the row store at width 1
+					noNaN(t, want[slices.Index(foldAlikeQueries, foldAlikeNaNQuery)])
 					continue
 				}
 				for i := range got {
 					label := fmt.Sprintf("%d rows, %s at width %d, %s", rows, s.name, width, foldAlikeQueries[i])
 					sameBits(t, label, got[i], want[i])
 				}
+			}
+		}
+	}
+}
+
+// noNaN fails if a float cell of res is NaN: NaN is the identity of MIN and
+// MAX, so a NaN seed gives way to the first real value, in a fold and in a
+// merge of fragments.
+func noNaN(t *testing.T, res *engine.Result) {
+	t.Helper()
+	for i := range res.Len() {
+		for j := range res.Cols {
+			if v := res.Value(i, j); v.Kind == dataset.KindFloat && math.IsNaN(v.F) {
+				t.Errorf("%s: cell (%d, %s) is NaN", foldAlikeNaNQuery, i, res.Cols[j])
 			}
 		}
 	}

@@ -223,11 +223,12 @@ func sameVectorBits(a, b *Result) error {
 }
 
 // TestAddSelEqualsAddLoop: feeding a sink a segment's selection at once gives,
-// bit for bit, what feeding it the same rows one at a time gives — group
-// order, COUNT, SUM, AVG, MIN and MAX over float, raw int, coded int and
-// string cells, with NaN and both zeros among them, first in their group and
-// not; over no, one, two and three keys, and a lone float SUM or AVG — for
-// the flat sink, and the flat sink agrees with the hash sink.
+// bit for bit, what feeding it the same rows one at a time (addSel over a
+// one-row range) gives — group order, COUNT, SUM, AVG, MIN and MAX over
+// float, raw int, coded int and string cells, with NaN and both zeros among
+// them, first in their group and not; over no, one, two and three keys, and a
+// lone float SUM or AVG — for the flat sink, and the flat sink agrees with
+// the hash sink.
 func TestAddSelEqualsAddLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tb := dataset.NewTable("t", []dataset.Field{
@@ -275,7 +276,7 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 				bySel.addSel(nil, lo, hi)
 				hashed.addSel(nil, lo, hi)
 				for i := lo; i < hi; i++ {
-					byAdd.add(i)
+					byAdd.addSel(nil, i, i+1)
 				}
 				continue
 			case 1: // sparse
@@ -293,13 +294,13 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 			hashed.addSel(sel, lo, hi)
 			for i := lo; i < hi; i++ {
 				if sel[(i-lo)>>6]&(1<<(uint(i-lo)&63)) != 0 {
-					byAdd.add(i)
+					byAdd.addSel(nil, i, i+1)
 				}
 			}
 		}
 		got, want, hash := bySel.finish(), byAdd.finish(), hashed.finish()
 		if err := sameVectorBits(got, want); err != nil {
-			t.Errorf("%s: addSel vs add: %v", sql, err)
+			t.Errorf("%s: addSel vs one row at a time: %v", sql, err)
 		}
 		if err := sameVectorBits(got, hash); err != nil {
 			t.Errorf("%s: flat sink vs hash sink: %v", sql, err)

@@ -140,16 +140,15 @@ func (p *Plan) ExecuteContext(ctx context.Context) (*Result, error) {
 }
 
 // rowSink is the push interface both sink kinds implement: matching rows go
-// in — one at a time (add), or a scanned segment's selection at once (addSel)
-// — so a batch executor can feed many plans from one shared scan; a later
+// in a segment's selection at a time (addSel; a planSink's add takes one), so
+// a batch executor can feed many plans from one shared scan; a later
 // fragment's sink of the same plan folds in; the result relation comes out.
 // Rows are row numbers of the table the sink was made over (newSink): the
 // store's table, or the segment a column-store scan job has read. A sink
-// takes what it keeps of a row — a group's key and representative cells, a
-// projection's cells — when it meets the row, so mergeFrom and finish read no
-// table, and no row number outlives its segment.
+// takes what it keeps of a row — a group's key code or cells, a projection's
+// cells — when it meets the row, so mergeFrom and finish read no table, and
+// no row number outlives its segment.
 type rowSink interface {
-	add(i int)
 	// addSel adds the rows of [lo, hi) whose bit (row - lo) is set in sel,
 	// or all of them when sel is nil, in ascending order.
 	addSel(sel []uint64, lo, hi int)
@@ -157,10 +156,10 @@ type rowSink interface {
 	finish() *Result
 }
 
-// numReader reads a column's cells as the float64s Column.Float returns,
-// whatever the column's layout: a cell at a time (at), or the cells of a list
-// of rows in one typed loop (gather). It reads the column's arrays at each
-// call, so it follows a scan job's segment as the job refills it.
+// numReader reads the cells of a list of rows of a column as the float64s
+// Column.Float returns, whatever the column's layout, in one typed loop
+// (gather). It reads the column's arrays at each call, so it follows a scan
+// job's segment as the job refills it.
 type numReader struct {
 	col *dataset.Column
 	lut []float64 // a Coded int column: each dictionary value as a float64
@@ -175,13 +174,6 @@ func newNumReader(c *dataset.Column) numReader {
 		}
 	}
 	return r
-}
-
-func (r *numReader) at(i int) float64 {
-	if r.col.Field.Kind == dataset.KindFloat {
-		return r.col.Floats()[i]
-	}
-	return r.col.Float(i)
 }
 
 // gather returns the cells at rows, in buf's storage.
@@ -225,11 +217,10 @@ const (
 	groupChunkMask = 1<<groupChunkBits - 1
 )
 
-// groupChunk is a run of up to 256 consecutive groups: each one's cells of
-// the non-aggregate items, len(groupAcc.cells) per group, and its
-// accumulators, len(groupAcc.vals) per group. A chunk is allocated at its
-// full size and never grows, so no cell or accumulator is ever copied however
-// many groups follow.
+// groupChunk is a run of up to 256 consecutive groups: each one's words,
+// groupAcc.words per group, and its accumulators, len(groupAcc.vals) per
+// group. A chunk is allocated at its full size and never grows, so no word or
+// accumulator is ever copied however many groups follow.
 type groupChunk struct {
 	cells []uint64
 	aggs  []aggState
@@ -243,6 +234,7 @@ type cellCol struct {
 	bin  float64
 	kind dataset.Kind // of the output: a binned item is a float
 	dict dataset.Dictionary
+	key  int // the GROUP BY key the item is, or -1: a representative
 }
 
 // bits returns the item's cell at row i: a dictionary code, an int, or a
@@ -259,18 +251,20 @@ func (c *cellCol) bits(i int) uint64 {
 	return math.Float64bits(c.col.Floats()[i])
 }
 
-// groupAcc is what every sink accumulates and finish consumes: the cells of
-// the plan's non-aggregate items — a projection's for every matching row in
-// scan order (a group of no accumulators per row), an aggregation's for each
-// group in first-seen order — beside each group's accumulators.
+// groupAcc is what every sink accumulates and finish consumes: each group's
+// words in first-seen order — a flatSink's combined key code, or the cells of
+// the plan's non-aggregate items (a projection's for every matching row, a
+// group of no accumulators per row) — beside each group's accumulators.
 type groupAcc struct {
 	p      *Plan
 	cells  []cellCol         // per non-aggregate select item, in select order
+	words  int               // words a group keeps: len(cells), or a flatSink's 1
 	groups []groupChunk      // group g in chunk g>>groupChunkBits
 	n      int               // groups, or a projection's rows
 	fns    []minisql.AggFunc // per aggregate, its function
 	vals   []numReader       // per aggregate, its column's cells; unused for COUNT(*)
 	most   int               // bound on the groups there can be, when the sink knows one; else 0
+	card   []int             // a flatSink's: per key column, its dictionary's size
 	// empty: the lone group of an aggregate without GROUP BY over no rows,
 	// whose non-aggregate cells are the one NULL.
 	empty bool
@@ -298,7 +292,8 @@ func newGroupAcc(p *Plan, t *dataset.Table) groupAcc {
 			continue
 		}
 		c := p.selCol[j]
-		cc := cellCol{col: p.column(t, c), bin: sel.Bin, kind: c.Field.Kind}
+		cc := cellCol{col: p.column(t, c), bin: sel.Bin, kind: c.Field.Kind,
+			key: slices.Index(p.q.GroupBy, minisql.GroupKey{Col: sel.Col, Bin: sel.Bin})}
 		switch {
 		case sel.Bin > 0:
 			cc.kind = dataset.KindFloat
@@ -307,6 +302,7 @@ func newGroupAcc(p *Plan, t *dataset.Table) groupAcc {
 		}
 		a.cells = append(a.cells, cc)
 	}
+	a.words = len(a.cells)
 	if t != nil {
 		for k, c := range p.aggCol {
 			if c != nil {
@@ -331,17 +327,15 @@ func (a *groupAcc) newGroup(i int) int32 {
 // newGroupFrom appends group og of a later fragment's accumulation, its
 // accumulators empty: the group's first row lies in that fragment.
 func (a *groupAcc) newGroupFrom(o *groupAcc, og int) int32 {
-	g := a.addGroup()
-	ch, nc := &a.groups[len(a.groups)-1], len(a.cells)
-	at := (og & groupChunkMask) * nc
-	ch.cells = append(ch.cells, o.groups[og>>groupChunkBits].cells[at:at+nc]...)
-	return g
+	at := (og & groupChunkMask) * a.words
+	return a.addGroup(o.groups[og>>groupChunkBits].cells[at : at+a.words]...)
 }
 
-// addGroup appends a group with no cells and empty accumulators. A full
-// chunk is followed by a new one of 256 groups, or of as many as the sink's
-// bound leaves: never presized past the groups that can still come.
-func (a *groupAcc) addGroup() int32 {
+// addGroup appends a group with the given words (a.words of them, or none
+// for the caller to append) and empty accumulators. A full chunk is followed
+// by a new one of 256 groups, or of as many as the sink's bound leaves: never
+// presized past the groups that can still come.
+func (a *groupAcc) addGroup(words ...uint64) int32 {
 	g := a.n
 	if g&groupChunkMask == 0 {
 		size := 1 << groupChunkBits
@@ -349,11 +343,12 @@ func (a *groupAcc) addGroup() int32 {
 			size = min(size, a.most-g)
 		}
 		a.groups = append(a.groups, groupChunk{
-			cells: make([]uint64, 0, size*len(a.cells)),
+			cells: make([]uint64, 0, size*a.words),
 			aggs:  make([]aggState, 0, size*len(a.vals)),
 		})
 	}
 	ch := &a.groups[len(a.groups)-1]
+	ch.cells = append(ch.cells, words...)
 	ch.aggs = ch.aggs[:len(ch.aggs)+len(a.vals)]
 	a.n++
 	return int32(g)
@@ -368,9 +363,9 @@ func (a *groupAcc) acc(g int32, k int) *aggState {
 func (a *groupAcc) fold(g int32, i int) {
 	for k, c := range a.p.aggCol {
 		if c == nil {
-			a.acc(g, k).add(0) // COUNT(*): only count matters
+			a.acc(g, k).add(a.fns[k], 0) // COUNT(*): only count matters
 		} else {
-			a.acc(g, k).add(a.vals[k].at(i))
+			a.acc(g, k).add(a.fns[k], a.vals[k].col.Float(i))
 		}
 	}
 }
@@ -392,29 +387,16 @@ func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
 			continue
 		}
 		vals := a.vals[k].gather(rows, buf)
-		switch fn {
-		case minisql.AggSum, minisql.AggAvg:
+		if fn != minisql.AggSum && fn != minisql.AggAvg {
 			for j, g := range gids {
-				s := a.acc(g, k)
-				s.sum += vals[j]
-				s.count++
+				a.acc(g, k).add(fn, vals[j])
 			}
-		case minisql.AggMin:
-			for j, g := range gids {
-				s, v := a.acc(g, k), vals[j]
-				if s.count == 0 || v < s.min || (s.min != s.min && v == v) {
-					s.min = v
-				}
-				s.count++
-			}
-		case minisql.AggMax:
-			for j, g := range gids {
-				s, v := a.acc(g, k), vals[j]
-				if s.count == 0 || v > s.max || (s.max != s.max && v == v) {
-					s.max = v
-				}
-				s.count++
-			}
+			continue
+		}
+		for j, g := range gids {
+			s := a.acc(g, k)
+			s.v += vals[j]
+			s.count++
 		}
 	}
 }
@@ -423,7 +405,7 @@ func (a *groupAcc) foldRows(rows, gids []int32, buf []float64) {
 // which keeps its cells: the globally earlier representative.
 func (a *groupAcc) absorb(g int32, o *groupAcc, og int) {
 	for k := range a.vals {
-		a.acc(g, k).merge(o.acc(int32(og), k))
+		a.acc(g, k).merge(a.fns[k], o.acc(int32(og), k))
 	}
 }
 
@@ -528,7 +510,7 @@ func (s *planSink) mergeFrom(other rowSink) {
 // finish emits the result relation, then applies ordering and LIMIT. It is
 // where all sinks meet, which keeps the back-ends byte-identical: only the way
 // matching rows are produced differs. It reads no table: every cell it emits
-// was taken when the sink met its row.
+// was taken, or decoded from a key code taken, when the sink met its row.
 func (a *groupAcc) finish() *Result {
 	p := a.p
 	// An aggregate with no GROUP BY always yields exactly one row, even over
@@ -555,7 +537,8 @@ func (a *groupAcc) finish() *Result {
 }
 
 // cellVector emits non-aggregate item k of every group (or projected row),
-// or the one NULL cell of an aggregate over no rows.
+// or the one NULL cell of an aggregate over no rows; a flatSink's keys are
+// decoded from each group's combined code.
 func (a *groupAcc) cellVector(k int) Vector {
 	c := &a.cells[k]
 	if a.empty {
@@ -570,9 +553,20 @@ func (a *groupAcc) cellVector(k int) Vector {
 	default:
 		v.Floats = make([]float64, a.n)
 	}
-	nc := len(a.cells)
+	at, div, card, ints := k, uint64(1), uint64(0), []int64(nil)
+	if a.card != nil {
+		at, card, ints = 0, uint64(a.card[c.key]), a.p.keyCol[c.key].IntDict()
+		for _, n := range a.card[c.key+1:] {
+			div *= uint64(n)
+		}
+	}
 	for g := range a.n {
-		b := a.groups[g>>groupChunkBits].cells[(g&groupChunkMask)*nc+k]
+		b := a.groups[g>>groupChunkBits].cells[(g&groupChunkMask)*a.words+at]
+		if card > 0 {
+			if b = b / div % card; ints != nil {
+				b = uint64(ints[b])
+			}
+		}
 		switch c.kind {
 		case dataset.KindString:
 			v.Codes[g] = int32(uint32(b))
@@ -583,14 +577,6 @@ func (a *groupAcc) cellVector(k int) Vector {
 		}
 	}
 	return v
-}
-
-func gatherRows[T any](src []T, rows []int32) []T {
-	out := make([]T, len(rows))
-	for g, i := range rows {
-		out[g] = src[i]
-	}
-	return out
 }
 
 // aggVector emits aggregate ai of every group: COUNT as ints, the others as
@@ -609,14 +595,10 @@ func (a *groupAcc) aggVector(f minisql.AggFunc, ai int) Vector {
 		switch s := a.acc(int32(g), ai); {
 		case s.count == 0:
 			v.null = true
-		case f == minisql.AggSum:
-			v.Floats[g] = s.sum
 		case f == minisql.AggAvg:
-			v.Floats[g] = s.sum / float64(s.count)
-		case f == minisql.AggMin:
-			v.Floats[g] = s.min
-		case f == minisql.AggMax:
-			v.Floats[g] = s.max
+			v.Floats[g] = s.v / float64(s.count)
+		default:
+			v.Floats[g] = s.v
 		}
 	}
 	return v

@@ -27,8 +27,33 @@ import (
 
 type refGroup struct {
 	keyVals  []dataset.Value
-	aggs     []aggState
+	aggs     []refAgg
 	firstRow int
+}
+
+// refAgg is the accumulator the engine's one-word aggState replaced: every
+// aggregate's sum, count, min and max, kept whatever the function.
+type refAgg struct {
+	sum   float64
+	count int64
+	min   float64
+	max   float64
+}
+
+func (a *refAgg) add(v float64) {
+	if a.count == 0 {
+		a.min, a.max = v, v
+	} else {
+		// NaN is the identity for MIN/MAX in both directions.
+		if v < a.min || (math.IsNaN(a.min) && !math.IsNaN(v)) {
+			a.min = v
+		}
+		if v > a.max || (math.IsNaN(a.max) && !math.IsNaN(v)) {
+			a.max = v
+		}
+	}
+	a.sum += v
+	a.count++
 }
 
 func refCellValue(c *dataset.Column, bin float64, i int) dataset.Value {
@@ -40,7 +65,7 @@ func refCellValue(c *dataset.Column, bin float64, i int) dataset.Value {
 
 // refAggValue emits the aggregate. Over an empty match set COUNT is 0 and
 // every other aggregate is NULL (SQL semantics).
-func refAggValue(a *aggState, f minisql.AggFunc) dataset.Value {
+func refAggValue(a *refAgg, f minisql.AggFunc) dataset.Value {
 	if f == minisql.AggCount {
 		return dataset.IV(a.count)
 	}
@@ -95,7 +120,7 @@ func refExecute(t testing.TB, tb *dataset.Table, q *minisql.Query) []dataset.Row
 		}
 		g, ok := groups[string(key)]
 		if !ok {
-			g = &refGroup{keyVals: make([]dataset.Value, len(p.keyCol)), aggs: make([]aggState, len(p.aggCol)), firstRow: i}
+			g = &refGroup{keyVals: make([]dataset.Value, len(p.keyCol)), aggs: make([]refAgg, len(p.aggCol)), firstRow: i}
 			for k, c := range p.keyCol {
 				g.keyVals[k] = refCellValue(c, q.GroupBy[k].Bin, i)
 			}
@@ -123,7 +148,7 @@ func refExecute(t testing.TB, tb *dataset.Table, q *minisql.Query) []dataset.Row
 func refFinishGroups(p *Plan, groupList []*refGroup) []dataset.Row {
 	q := p.q
 	if len(q.GroupBy) == 0 && len(groupList) == 0 {
-		groupList = append(groupList, &refGroup{aggs: make([]aggState, len(p.aggCol)), firstRow: -1})
+		groupList = append(groupList, &refGroup{aggs: make([]refAgg, len(p.aggCol)), firstRow: -1})
 	}
 	var rows []dataset.Row
 	for _, g := range groupList {

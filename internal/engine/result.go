@@ -82,7 +82,9 @@ func (r *Result) SizeBytes() int64 {
 
 // orderAndLimit sorts the rows by the ORDER BY columns (stably, so ties keep
 // the executor's first-seen order) and truncates to limit (< 0: no limit).
-// Only a permutation moves during the sort; the vectors are gathered once.
+// Only a permutation moves during the sort; then the vectors are permuted in
+// place, or, when the limit cuts them, their kept rows are copied out:
+// SizeBytes counts capacity, and a cached result must pin only its rows.
 func (r *Result) orderAndLimit(cols []int, order []minisql.OrderItem, limit int) {
 	var perm []int32
 	if len(cols) > 0 && r.n > 1 { // so no key ever meets the NULL cell
@@ -96,10 +98,40 @@ func (r *Result) orderAndLimit(cols []int, order []minisql.OrderItem, limit int)
 	}
 	if limit >= 0 && limit < r.n {
 		r.n = limit
+	} else if perm != nil {
+		r.permute(perm)
+		return
 	}
 	for j := range r.Vecs {
 		v := &r.Vecs[j]
 		v.Codes, v.Ints, v.Floats = pick(v.Codes, perm, r.n), pick(v.Ints, perm, r.n), pick(v.Floats, perm, r.n)
+	}
+}
+
+// permute reorders the vectors in place so that row i is the old row
+// perm[i]: it walks each cycle of perm once, swapping the cells of every
+// vector along it, and marks the rows it has placed by complementing their
+// entries of perm.
+func (r *Result) permute(perm []int32) {
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
+		}
+		j := i
+		for k := int(perm[j]); k != i; j, k = k, int(perm[k]) {
+			for x := range r.Vecs {
+				switch v := &r.Vecs[x]; {
+				case v.Codes != nil:
+					v.Codes[j], v.Codes[k] = v.Codes[k], v.Codes[j]
+				case v.Ints != nil:
+					v.Ints[j], v.Ints[k] = v.Ints[k], v.Ints[j]
+				default:
+					v.Floats[j], v.Floats[k] = v.Floats[k], v.Floats[j]
+				}
+			}
+			perm[j] = ^perm[j]
+		}
+		perm[j] = ^perm[j]
 	}
 }
 
@@ -228,7 +260,11 @@ func pick[T any](src []T, perm []int32, keep int) []T {
 	case perm == nil:
 		return src[:keep]
 	}
-	return gatherRows(src, perm[:keep])
+	out := make([]T, keep)
+	for g, i := range perm[:keep] {
+		out[g] = src[i]
+	}
+	return out
 }
 
 // comparator orders two cells the way dataset.Value.Compare does: numerics

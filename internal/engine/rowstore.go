@@ -71,12 +71,12 @@ const scanBlock = 4096
 type eqDispatch struct {
 	codes dataset.Codes
 	col   *dataset.Column // owns codes: keeps their mapping alive
-	route [][]rowSink     // dictionary code -> sinks that want the row
+	route [][]*planSink   // dictionary code -> sinks that want the row
 }
 
 // routeRows feeds each row of [lo, hi) to the sinks its code routes to; route
 // has one entry per dictionary code.
-func routeRows(pc dataset.Codes, lo, hi int, route [][]rowSink) {
+func routeRows(pc dataset.Codes, lo, hi int, route [][]*planSink) {
 	switch {
 	case pc.U16 != nil:
 		routeCodes(pc.U16, lo, hi, route)
@@ -87,7 +87,7 @@ func routeRows(pc dataset.Codes, lo, hi int, route [][]rowSink) {
 	}
 }
 
-func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
+func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]*planSink) {
 	for i := lo; i < hi; i++ {
 		for _, sink := range route[codes[i]] {
 			sink.add(i)
@@ -102,35 +102,36 @@ func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]rowSink) {
 func (s *RowStore) scanFragment(ctx context.Context, plans []*Plan, f int, idx []int, sp *trace.Span) ([]rowSink, error) {
 	lo, hi := s.bounds(f)
 	sp.SetInt("rows", int64(hi-lo))
-	sinks := make([]rowSink, len(idx))
+	sinks, own := make([]rowSink, len(idx)), make([]*planSink, len(idx))
 	for k, pi := range idx {
-		sinks[k] = plans[pi].newSink(s.t)
+		own[k] = plans[pi].newSink(s.t)
+		sinks[k] = own[k]
 	}
 	// Factor single-equality plans into per-column dispatch tables; the rest
 	// keep their compiled predicates.
 	var dispatches []*eqDispatch
 	byCol := make(map[string]*eqDispatch)
 	var restPreds []rowPredicate
-	var restSinks []rowSink
+	var restSinks []*planSink
 	for k, pi := range idx {
 		p := plans[pi]
 		if cmp, ok := p.q.Where.(*minisql.Compare); ok && cmp.Op == minisql.CmpEq && cmp.Val.Kind == dataset.KindString {
 			if c := s.t.Column(cmp.Col); c != nil && c.Field.Kind == dataset.KindString {
 				d := byCol[cmp.Col]
 				if d == nil {
-					d = &eqDispatch{codes: c.Codes(), col: c, route: make([][]rowSink, c.Cardinality())}
+					d = &eqDispatch{codes: c.Codes(), col: c, route: make([][]*planSink, c.Cardinality())}
 					byCol[cmp.Col] = d
 					dispatches = append(dispatches, d)
 				}
 				// An unseen value matches no rows; the sink still finishes.
 				if code := c.CodeOf(cmp.Val.S); code >= 0 {
-					d.route[code] = append(d.route[code], sinks[k])
+					d.route[code] = append(d.route[code], own[k])
 				}
 				continue
 			}
 		}
 		restPreds = append(restPreds, p.pred)
-		restSinks = append(restSinks, sinks[k])
+		restSinks = append(restSinks, own[k])
 	}
 	for blo := lo; blo < hi; blo += scanBlock {
 		if err := ctx.Err(); err != nil {
