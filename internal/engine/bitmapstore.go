@@ -369,9 +369,9 @@ func (s *BitmapStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 		}
 		acc[i] = a
 	}
-	scan := func(ctx context.Context, plans []*Plan, f int, idx []int, sp *trace.Span) ([]rowSink, error) {
+	scan := func(ctx context.Context, plans []*Plan, f int, idx []int, sp *trace.Span) ([]*planSink, error) {
 		lo, hi := s.bounds(f)
-		sinks := make([]rowSink, len(idx))
+		sinks := make([]*planSink, len(idx))
 		var visited int64
 		for k, pi := range idx {
 			// Cancellation point: a plan's drain over the fragment is

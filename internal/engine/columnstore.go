@@ -22,9 +22,8 @@ const segmentSize = SegmentSize
 // precomputed zone maps — min/max per numeric column and a dictionary-code
 // presence bitset per categorical column. Predicates are compiled (at
 // Prepare time) into vecFilters that evaluate a whole segment into a
-// selection bitmap, skipping segments the zone maps prove empty, and
-// group-by aggregation over categorical keys runs through flat per-group
-// accumulator arrays indexed by dictionary code instead of a hash map.
+// selection bitmap, skipping segments the zone maps prove empty, and the
+// aggregation sink (planSink) folds each segment's selection at once.
 //
 // ExecuteBatch mirrors the bitmap store's conjunct factoring: plans sharing
 // top-level WHERE conjuncts (the repeated constraints of a ZQL request
@@ -243,7 +242,7 @@ func (s *ColumnStore) ExecuteBatch(ctx context.Context, plans []*Plan) ([]*Resul
 // is returned; sinks may then hold partial data and must be discarded. The
 // context is checked once per segment: a cancelled scan stops at the next
 // segment boundary and returns ctx.Err().
-func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx []int, sp *trace.Span) ([]rowSink, error) {
+func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx []int, sp *trace.Span) ([]*planSink, error) {
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 	f := s.frags[fi]
@@ -376,15 +375,12 @@ func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx [
 		sp.SetInt("segments", segsScanned)
 		sp.SetInt("segmentsSkipped", skipped)
 	}
-	sinks := make([]rowSink, len(idx))
-	for k, pi := range idx {
-		if job != nil {
-			sinks[k] = job.sinks[k]
-		} else {
-			sinks[k] = newColSink(plans[pi], nil) // the job read no segment
-		}
+	// A job that read no segment returns sinks that meet no row; compiling
+	// no conjunct cannot fail.
+	if job == nil {
+		job, _ = newScanJob(s, plans, idx, nil, nil)
 	}
-	return sinks, loadErr
+	return job.sinks, loadErr
 }
 
 // scanJob is a scan job's compilation against the scratch segment it reads
@@ -394,11 +390,11 @@ func (s *ColumnStore) scanInto(ctx context.Context, plans []*Plan, fi int, idx [
 type scanJob struct {
 	filters []vecFilter
 	preds   []rowPredicate
-	sinks   []rowSink
+	sinks   []*planSink
 }
 
 func newScanJob(s *ColumnStore, plans []*Plan, idx []int, exprs []minisql.Expr, seg *dataset.Table) (*scanJob, error) {
-	j := &scanJob{filters: make([]vecFilter, len(exprs)), preds: make([]rowPredicate, len(exprs)), sinks: make([]rowSink, len(idx))}
+	j := &scanJob{filters: make([]vecFilter, len(exprs)), preds: make([]rowPredicate, len(exprs)), sinks: make([]*planSink, len(idx))}
 	for i, e := range exprs {
 		var err error
 		if j.filters[i], err = compileVec(s.zones, seg, e); err != nil {
@@ -409,7 +405,7 @@ func newScanJob(s *ColumnStore, plans []*Plan, idx []int, exprs []minisql.Expr, 
 		}
 	}
 	for k, pi := range idx {
-		j.sinks[k] = newColSink(plans[pi], seg)
+		j.sinks[k] = plans[pi].newSink(seg)
 	}
 	return j, nil
 }
@@ -459,220 +455,5 @@ func filterBits(sel []uint64, n int, pred rowPredicate) {
 			}
 			word &= word - 1
 		}
-	}
-}
-
-// maxFlatSlots bounds the combined key space (product of the group-key
-// cardinalities) the flat accumulator path will allocate; beyond it the
-// generic hash sink takes over.
-const maxFlatSlots = 1 << 16
-
-// newColSink picks the accumulator for a plan over the rows of seg (nil for
-// a sink that meets no row): the flat dictionary-code sink when every GROUP
-// BY key is an unbinned dictionary-coded column, categorical or integer, the
-// combined key space is small and no item is a representative cell, the
-// generic hash sink otherwise.
-func newColSink(p *Plan, seg *dataset.Table) rowSink {
-	if !p.aggregates() {
-		return p.newSink(seg) // projection: nothing to accumulate
-	}
-	slots := 1
-	card := make([]int, len(p.keyCol))
-	for k, c := range p.keyCol {
-		if p.q.GroupBy[k].Bin != 0 || !c.Coded() {
-			return p.newSink(seg)
-		}
-		card[k] = max(c.Cardinality(), 1)
-		if slots > maxFlatSlots/card[k] {
-			return p.newSink(seg)
-		}
-		slots *= card[k]
-	}
-	acc := newGroupAcc(p, seg)
-	if slices.ContainsFunc(acc.cells, func(c cellCol) bool { return c.key < 0 }) {
-		return p.newSink(seg)
-	}
-	fs := &flatSink{groupAcc: acc, slots: make([]int32, slots), keys: make([]*dataset.Column, len(p.keyCol))}
-	fs.most, fs.words, fs.card = slots, 1, card
-	for i := range fs.slots {
-		fs.slots[i] = -1
-	}
-	for k, c := range p.keyCol {
-		fs.keys[k] = p.column(seg, c)
-	}
-	if c := p.aggCol; len(c) == 1 && c[0] != nil && c[0].Field.Kind == dataset.KindFloat &&
-		(fs.fns[0] == minisql.AggSum || fs.fns[0] == minisql.AggAvg) && (len(card) == 1 || len(card) == 2) {
-		fs.sum = p.column(seg, c[0])
-	}
-	return fs
-}
-
-// flatSink is the vectorized aggregation sink: the combined dictionary code
-// of a row's group keys (keys) indexes a flat slot array instead of hashing a
-// key buffer. A group keeps that code as its one word, and finish decodes
-// its keys from it. Groups are still numbered in first-seen order, so results
-// stay byte-identical to the hash sink's.
-type flatSink struct {
-	groupAcc
-	slots []int32           // combined key code -> group number, -1 = unseen
-	keys  []*dataset.Column // per GROUP BY key, its column in the sink's table
-	// sum is the raw float column of a plan grouped by one or two keys whose
-	// one aggregate is its SUM or AVG, which addSel folds as it meets each
-	// row; else nil.
-	sum *dataset.Column
-}
-
-// selScratch is addSel's working set for one segment: the selected rows,
-// their slots and then groups, and one aggregate's cells.
-type selScratch struct {
-	rows, gids [segmentSize]int32
-	vals       [segmentSize]float64
-}
-
-// selScratchPool recycles it: a batch has a sink per plan per job, far
-// more than ever run at once.
-var selScratchPool = sync.Pool{New: func() any { return new(selScratch) }}
-
-// addSel is add for a segment's selection at once. A plan whose one
-// aggregate is a SUM or AVG of a raw float column, grouped by one or two
-// keys — the series every task and drill-down asks for — takes one pass
-// over the selected rows (foldPass). Any other goes in passes: the selected
-// rows, their combined key codes from the packed key columns, their groups,
-// and then the aggregates a column each (foldRows). Either way new groups
-// are numbered in row order, as add numbers them, and every accumulator
-// meets its cells in row order with add's arithmetic, so every result bit
-// is add's.
-func (s *flatSink) addSel(sel []uint64, lo, hi int) {
-	if s.sum != nil {
-		kc := s.keys
-		if len(kc) == 1 {
-			// One key: the pass's second key is the first again with a
-			// cardinality of 0, so the combined code is the first's.
-			foldPassFirst(s, kc[0].Codes(), kc[0].Codes(), 0, sel, lo, hi)
-		} else {
-			foldPassFirst(s, kc[0].Codes(), kc[1].Codes(), s.card[1], sel, lo, hi)
-		}
-		return
-	}
-	sc := selScratchPool.Get().(*selScratch)
-	defer selScratchPool.Put(sc)
-	rows := sc.rows[:0]
-	if sel == nil {
-		for i := lo; i < hi; i++ {
-			rows = append(rows, int32(i))
-		}
-	} else {
-		for w := 0; w < (hi-lo+63)/64; w++ {
-			base := int32(lo + w<<6)
-			for word := sel[w]; word != 0; word &= word - 1 {
-				rows = append(rows, base+int32(bits.TrailingZeros64(word)))
-			}
-		}
-	}
-	gids := sc.gids[:len(rows)]
-	clear(gids)
-	for k, c := range s.keys {
-		switch pc := c.Codes(); {
-		case pc.U16 != nil:
-			combineCodes(pc.U16, rows, gids, int32(s.card[k]))
-		case pc.U32 != nil:
-			combineCodes(pc.U32, rows, gids, int32(s.card[k]))
-		default:
-			combineCodes(pc.U8, rows, gids, int32(s.card[k]))
-		}
-	}
-	for j, slot := range gids {
-		g := s.slots[slot]
-		if g < 0 {
-			g = s.firstSeen(int(slot))
-		}
-		gids[j] = g
-	}
-	s.foldRows(rows, gids, sc.vals[:])
-}
-
-// combineCodes appends one key column to the combined key codes of rows.
-func combineCodes[W dataset.Code](codes []W, rows, slots []int32, card int32) {
-	for j, i := range rows {
-		slots[j] = slots[j]*card + int32(codes[i])
-	}
-}
-
-// foldPassFirst picks the pass for the first key's code width.
-func foldPassFirst(s *flatSink, a, b dataset.Codes, cardB int, sel []uint64, lo, hi int) {
-	switch {
-	case a.U16 != nil:
-		foldPassSecond(s, a.U16, b, cardB, sel, lo, hi)
-	case a.U32 != nil:
-		foldPassSecond(s, a.U32, b, cardB, sel, lo, hi)
-	default:
-		foldPassSecond(s, a.U8, b, cardB, sel, lo, hi)
-	}
-}
-
-// foldPassSecond picks the pass for the second key's code width.
-func foldPassSecond[A dataset.Code](s *flatSink, a []A, b dataset.Codes, cardB int, sel []uint64, lo, hi int) {
-	switch {
-	case b.U16 != nil:
-		foldPass(s, a, b.U16, cardB, sel, lo, hi)
-	case b.U32 != nil:
-		foldPass(s, a, b.U32, cardB, sel, lo, hi)
-	default:
-		foldPass(s, a, b.U8, cardB, sel, lo, hi)
-	}
-}
-
-// foldPass is addSel's one pass: row i's slot is a[i]*cardB + b[i], its
-// group the slot's, and its cell of s.sum goes into the group's one
-// accumulator.
-func foldPass[A, B dataset.Code](s *flatSink, a []A, b []B, cardB int, sel []uint64, lo, hi int) {
-	slots, sum := s.slots, s.sum.Floats()
-	for w := 0; w < (hi-lo+63)/64; w++ {
-		word := ^uint64(0) // no selection: every row
-		if sel != nil {
-			word = sel[w]
-		} else if left := hi - lo - w<<6; left < 64 {
-			word = 1<<uint(left) - 1
-		}
-		base := lo + w<<6
-		for ; word != 0; word &= word - 1 {
-			i := base + bits.TrailingZeros64(word)
-			slot := int(a[i])*cardB + int(b[i])
-			g := slots[slot]
-			if g < 0 {
-				g = s.firstSeen(slot)
-			}
-			// The one aggregate of group g: acc(g, 0), spelled out for the
-			// hot loop.
-			acc := &s.groups[g>>groupChunkBits].aggs[g&groupChunkMask]
-			acc.v += sum[i]
-			acc.count++
-		}
-	}
-}
-
-// firstSeen numbers the group of a slot first met, its word the slot. It is
-// kept out of foldPass's loop: inlined there, the rare path's registers spill
-// the common path's on every row.
-//
-//go:noinline
-func (s *flatSink) firstSeen(slot int) int32 {
-	g := s.addGroup(uint64(slot))
-	s.slots[slot] = g
-	return g
-}
-
-// mergeFrom folds a later fragment's partial accumulation into s (the order
-// argument is executeFragments' gather). Every segment shares the table's
-// dictionaries, so a group's slot is the same in each fragment's sink.
-func (s *flatSink) mergeFrom(other rowSink) {
-	o := other.(*flatSink)
-	for og := range o.n {
-		slot := o.groups[og>>groupChunkBits].cells[og&groupChunkMask]
-		g := s.slots[slot]
-		if g < 0 {
-			g = s.firstSeen(int(slot))
-		}
-		s.absorb(g, &o.groupAcc, og)
 	}
 }

@@ -243,21 +243,22 @@ func TestColumnStoreBatchConjunctSharing(t *testing.T) {
 }
 
 // TestColumnStoreFlatSinkFallback drives group-by shapes on both sides of
-// the flat-accumulator eligibility line (binned keys, numeric keys, empty
-// group) against the row store.
+// the sink's direct-lookup line (coded keys indexed by their combined code;
+// binned and float keys, one word each, hashed; an empty group) against the
+// row store.
 func TestColumnStoreFlatSinkFallback(t *testing.T) {
 	tb := salesTable()
 	row := NewRowStore(tb)
 	col := NewColumnStore(tb)
 	for _, sql := range []string{
-		// Flat path: categorical keys.
+		// Direct lookup: categorical keys.
 		"SELECT product, location, COUNT(*) AS n FROM sales GROUP BY product, location ORDER BY product, location",
-		// Flat path: int key with a build-time dictionary encoding (year has
+		// Direct lookup: int key with a build-time dictionary encoding (year has
 		// 6 distinct values, far under maxIntCodeCardinality).
 		"SELECT year, SUM(sales) AS s FROM sales GROUP BY year ORDER BY year",
-		// Generic path: binned key.
+		// Hashed lookup: binned key.
 		"SELECT BIN(sales, 250) AS b, COUNT(*) AS n FROM sales GROUP BY BIN(sales, 250) ORDER BY b",
-		// Generic path: float key.
+		// Hashed lookup: float key.
 		"SELECT sales, COUNT(*) AS n FROM sales GROUP BY sales ORDER BY sales LIMIT 9",
 		// Aggregate with no GROUP BY over an empty match set.
 		"SELECT SUM(profit) AS s, COUNT(*) AS n FROM sales WHERE product = 'absent'",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -24,8 +25,12 @@ import (
 // sides of the packed layout's boundaries: c0 around 256 entries (one- and
 // two-byte codes), n below 256, between, and past the 4096 an int dictionary
 // holds (raw int64s), so every width, the raw fallback and — over the small
-// dictionaries — the all-true fold meet the reference.
-func fuzzTable(rng *rand.Rand) *dataset.Table {
+// dictionaries — the all-true fold meet the reference. wide draws, apart
+// from rng so that a seed's other draws stay as they were, a table whose c0
+// (about 262 entries) and coded n (300) combine past the 65 536 codes a sink
+// indexes directly, so GROUP BY c0, n meets the hashed lookup of a combined
+// key.
+func fuzzTable(rng, wide *rand.Rand) *dataset.Table {
 	t := dataset.NewTable("t", []dataset.Field{
 		{Name: "c0", Kind: dataset.KindString},
 		{Name: "c1", Kind: dataset.KindString},
@@ -37,6 +42,9 @@ func fuzzTable(rng *rand.Rand) *dataset.Table {
 	card0 := []int{1 + rng.Intn(12), 250 + rng.Intn(12)}[rng.Intn(2)]
 	card1 := 1 + rng.Intn(5)
 	cardN := []int{50, 50, 300, 2 * dataset.MaxIntDictCardinality}[rng.Intn(4)]
+	if wide.Intn(4) == 0 {
+		card0, cardN = 262, 300
+	}
 	for i := 0; i < rows; i++ {
 		f := float64(rng.Intn(400)-100) / 4
 		if rng.Intn(40) == 0 {
@@ -117,8 +125,12 @@ func fuzzConjunct(rng *rand.Rand) minisql.Expr {
 	}
 }
 
-// fuzzQuery builds one random query over the fuzz table schema.
-func fuzzQuery(rng *rand.Rand) *minisql.Query {
+// fuzzQuery builds one random query over the fuzz table schema. rep draws,
+// apart from rng so that a seed's other draws stay as they were, whether an
+// aggregate also selects a representative cell: a column that is no GROUP BY
+// key, whose value at the group's first row the query asserts is the
+// group's.
+func fuzzQuery(rng, rep *rand.Rand) *minisql.Query {
 	q := &minisql.Query{From: "t", Limit: -1}
 	nconj := rng.Intn(5)
 	if nconj == 1 {
@@ -142,7 +154,8 @@ func fuzzQuery(rng *rand.Rand) *minisql.Query {
 			}
 		}
 	}
-	switch rng.Intn(4) {
+	shape := rng.Intn(4)
+	switch shape {
 	case 0: // plain projection, scan order
 		q.Select = []minisql.SelectItem{{Col: "c0"}, {Col: "n"}, {Col: "f"}}
 	case 1: // global aggregate
@@ -162,6 +175,13 @@ func fuzzQuery(rng *rand.Rand) *minisql.Query {
 			q.Select = append(q.Select, minisql.SelectItem{Col: gk.Col, Bin: gk.Bin})
 		}
 		addAggs()
+	}
+	if shape > 0 && rep.Intn(3) == 0 {
+		col := []string{"c0", "c1", "n", "f"}[rep.Intn(4)]
+		if !slices.Contains(q.GroupBy, minisql.GroupKey{Col: col}) {
+			at := rep.Intn(len(q.Select) + 1)
+			q.Select = slices.Insert(q.Select, at, minisql.SelectItem{Col: col})
+		}
 	}
 	if rng.Intn(3) == 0 {
 		q.Limit = rng.Intn(20)
@@ -207,12 +227,12 @@ func fuzzVariants(tb *dataset.Table) []fuzzVariant {
 func diffOne(t *testing.T, dataSeed, querySeed int64) {
 	t.Helper()
 	drng := rand.New(rand.NewSource(dataSeed))
-	tb := fuzzTable(drng)
+	tb := fuzzTable(drng, rand.New(rand.NewSource(dataSeed^0x3a1de)))
 
-	qrng := rand.New(rand.NewSource(querySeed))
+	qrng, rrng := rand.New(rand.NewSource(querySeed)), rand.New(rand.NewSource(querySeed^0x5e1ec7))
 	queries := make([]*minisql.Query, 4)
 	for i := range queries {
-		queries[i] = fuzzQuery(qrng)
+		queries[i] = fuzzQuery(qrng, rrng)
 	}
 
 	// The fuzzer's own queries carry no ORDER BY; a second generator (so the

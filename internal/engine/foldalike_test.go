@@ -16,12 +16,11 @@ import (
 )
 
 // foldAlikeQueries cover every way a store folds a plan: grouped SUM, AVG,
-// MIN, MAX and COUNT (flat and hash sinks, index and residual access), an
-// aggregate without GROUP BY, a projection cut by ORDER BY … LIMIT, coded
-// keys beside a representative cell (the hash sink) ordered in place, MIN and
-// MAX over a measure whose every fragment starts with a NaN cell, and an
-// int-keyed flat sink decoded from its key codes, cut by ORDER BY … DESC
-// LIMIT.
+// MIN, MAX and COUNT (index and residual access), an aggregate without
+// GROUP BY, a projection cut by ORDER BY … LIMIT, coded keys beside a
+// representative cell ordered in place, MIN and MAX over a measure whose
+// every fragment starts with a NaN cell, and int keys decoded from their
+// combined key code, cut by ORDER BY … DESC LIMIT.
 var foldAlikeQueries = []string{
 	"SELECT product, SUM(revenue) AS s, AVG(profit) AS a, MIN(profit) AS lo, MAX(revenue) AS hi, COUNT(*) AS n FROM sales GROUP BY product",
 	"SELECT year, SUM(revenue) AS s FROM sales WHERE city = 'c3' GROUP BY year",

@@ -223,12 +223,12 @@ func sameVectorBits(a, b *Result) error {
 }
 
 // TestAddSelEqualsAddLoop: feeding a sink a segment's selection at once gives,
-// bit for bit, what feeding it the same rows one at a time (addSel over a
-// one-row range) gives — group order, COUNT, SUM, AVG, MIN and MAX over
-// float, raw int, coded int and string cells, with NaN and both zeros among
-// them, first in their group and not; over no, one, two and three keys, and a
-// lone float SUM or AVG — for the flat sink, and the flat sink agrees with
-// the hash sink.
+// bit for bit, what feeding it the same rows one at a time gives — group
+// order, COUNT, SUM, AVG, MIN and MAX over float, raw int, coded int and
+// string cells, with NaN and both zeros among them, first in their group and
+// not; over no, one, two and three keys, a representative cell, and a lone
+// float SUM or AVG — and a sink that looks the same key codes up in its
+// hashed table (hashAll) agrees with the one indexing them directly.
 func TestAddSelEqualsAddLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tb := dataset.NewTable("t", []dataset.Field{
@@ -254,6 +254,9 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 		"SELECT k8, SUM(v) AS sv FROM t GROUP BY k8",
 		// Three keys: in passes.
 		"SELECT k8, num, m, SUM(v) AS sv, COUNT(*) AS n FROM t GROUP BY k8, m, num",
+		// A representative cell: the group's first row's.
+		"SELECT k8, raw, SUM(v) AS sv FROM t GROUP BY k8",
+		"SELECT k16, raw, v, MAX(v) AS hi FROM t GROUP BY k16",
 	} {
 		q, err := minisql.Parse(sql)
 		if err != nil {
@@ -263,10 +266,11 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bySel, byAdd, hashed := newColSink(p, tb), newColSink(p, tb), rowSink(p.newSink(tb))
-		if _, flat := bySel.(*flatSink); !flat {
-			t.Fatalf("%s: not a flat-sink plan", sql)
+		bySel, byAdd, hashed := p.newSink(tb), p.newSink(tb), p.newSink(tb)
+		if bySel.slots == nil {
+			t.Fatalf("%s: not a direct plan", sql)
 		}
+		hashed.hashAll()
 		sel := newSegBits()
 		for seg := 0; seg*segmentSize < rows; seg++ {
 			lo, hi := seg*segmentSize, min(rows, (seg+1)*segmentSize)
@@ -276,7 +280,7 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 				bySel.addSel(nil, lo, hi)
 				hashed.addSel(nil, lo, hi)
 				for i := lo; i < hi; i++ {
-					byAdd.addSel(nil, i, i+1)
+					byAdd.add(i)
 				}
 				continue
 			case 1: // sparse
@@ -294,7 +298,7 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 			hashed.addSel(sel, lo, hi)
 			for i := lo; i < hi; i++ {
 				if sel[(i-lo)>>6]&(1<<(uint(i-lo)&63)) != 0 {
-					byAdd.addSel(nil, i, i+1)
+					byAdd.add(i)
 				}
 			}
 		}
@@ -303,7 +307,19 @@ func TestAddSelEqualsAddLoop(t *testing.T) {
 			t.Errorf("%s: addSel vs one row at a time: %v", sql, err)
 		}
 		if err := sameVectorBits(got, hash); err != nil {
-			t.Errorf("%s: flat sink vs hash sink: %v", sql, err)
+			t.Errorf("%s: direct vs hashed lookup: %v", sql, err)
+		}
+		if 4*hashed.n > 3*len(hashed.table) {
+			t.Errorf("%s: %d groups in a hashed table of %d entries", sql, hashed.n, len(hashed.table))
 		}
 	}
+}
+
+// hashAll makes s look its keys up in its hashed table, as a combined key
+// space past maxDirectKeys does: the same key words, the other lookup. The
+// table starts at its smallest, so the test's groups double it several
+// times.
+func (s *planSink) hashAll() {
+	s.slots, s.sum, s.most = nil, nil, 0
+	s.table, s.shift = make([]int32, 1<<minTableBits), 64-minTableBits
 }

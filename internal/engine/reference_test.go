@@ -111,9 +111,12 @@ func refExecute(t testing.TB, tb *dataset.Table, q *minisql.Query) []dataset.Row
 		}
 		var key []byte
 		for k, c := range p.keyCol {
-			if c.Field.Kind == dataset.KindString && q.GroupBy[k].Bin == 0 {
+			switch {
+			case c.Field.Kind == dataset.KindString && q.GroupBy[k].Bin == 0:
 				key = strconv.AppendInt(key, int64(c.Code(i)), 10)
-			} else {
+			case c.Field.Kind == dataset.KindInt && q.GroupBy[k].Bin == 0:
+				key = strconv.AppendInt(key, c.Int(i), 10) // an int, not its nearest float
+			default:
 				key = strconv.AppendUint(key, math.Float64bits(refCellValue(c, q.GroupBy[k].Bin, i).Float()), 16)
 			}
 			key = append(key, '|')
@@ -326,5 +329,37 @@ func TestReferenceGoldenCorpusSQL(t *testing.T) {
 	}
 	if statements < 50 || rows == 0 {
 		t.Fatalf("replayed %d statements producing %d rows", statements, rows)
+	}
+}
+
+// TestIntKeysPastFloatPrecision: an int GROUP BY key groups by the int, on
+// every store and in the reference, coded or raw: 2^53 and 2^53+1, which
+// round to one float64, are two groups, each reporting its own value.
+func TestIntKeysPastFloatPrecision(t *testing.T) {
+	for _, raw := range []bool{false, true} {
+		tb := dataset.NewTable("t", []dataset.Field{{Name: "k", Kind: dataset.KindInt}, {Name: "v", Kind: dataset.KindFloat}})
+		if raw {
+			tb.Column("k").SetRawInts()
+		}
+		for i := 0; i < 2*SegmentSize+7; i++ {
+			tb.AppendRow(dataset.IV(1<<53+int64(i%2)), dataset.FV(float64(i%5)))
+		}
+		q, err := minisql.Parse("SELECT k, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY k ORDER BY k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refExecute(t, tb, q)
+		if len(want) != 2 || want[1][0].I != 1<<53+1 {
+			t.Fatalf("raw=%v: reference gives %v, want the groups 2^53 and 2^53+1", raw, want)
+		}
+		for _, db := range allStores(tb) {
+			res, err := execQuery(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameRows(res.Rows(), want); err != nil {
+				t.Errorf("raw=%v %s: %v", raw, db.Name(), err)
+			}
+		}
 	}
 }

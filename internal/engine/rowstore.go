@@ -99,13 +99,12 @@ func routeCodes[W dataset.Code](codes []W, lo, hi int, route [][]*planSink) {
 // plans plans[idx[k]], the k-th into the k-th sink it returns, counting each
 // block's rows as it scans them. The context is checked once per scan block:
 // a cancelled scan stops at the next block boundary and returns ctx.Err().
-func (s *RowStore) scanFragment(ctx context.Context, plans []*Plan, f int, idx []int, sp *trace.Span) ([]rowSink, error) {
+func (s *RowStore) scanFragment(ctx context.Context, plans []*Plan, f int, idx []int, sp *trace.Span) ([]*planSink, error) {
 	lo, hi := s.bounds(f)
 	sp.SetInt("rows", int64(hi-lo))
-	sinks, own := make([]rowSink, len(idx)), make([]*planSink, len(idx))
+	sinks := make([]*planSink, len(idx))
 	for k, pi := range idx {
-		own[k] = plans[pi].newSink(s.t)
-		sinks[k] = own[k]
+		sinks[k] = plans[pi].newSink(s.t)
 	}
 	// Factor single-equality plans into per-column dispatch tables; the rest
 	// keep their compiled predicates.
@@ -125,13 +124,13 @@ func (s *RowStore) scanFragment(ctx context.Context, plans []*Plan, f int, idx [
 				}
 				// An unseen value matches no rows; the sink still finishes.
 				if code := c.CodeOf(cmp.Val.S); code >= 0 {
-					d.route[code] = append(d.route[code], own[k])
+					d.route[code] = append(d.route[code], sinks[k])
 				}
 				continue
 			}
 		}
 		restPreds = append(restPreds, p.pred)
-		restSinks = append(restSinks, own[k])
+		restSinks = append(restSinks, sinks[k])
 	}
 	for blo := lo; blo < hi; blo += scanBlock {
 		if err := ctx.Err(); err != nil {

@@ -37,8 +37,8 @@ func shardMetrics(rows int) *dataset.Table {
 	return t
 }
 
-// shardQueries exercises every sink and merge path: the flat dictionary-code
-// sink (string and dictionary-int keys), the hash sink (binned keys),
+// shardQueries exercises every sink and merge path: the direct lookup
+// (string and dictionary-int keys), the hashed one (binned keys),
 // projections with and without ordering, aggregates without GROUP BY, empty
 // match sets, and non-grouped representative columns.
 var shardQueries = []string{

@@ -75,7 +75,7 @@ func BenchmarkAddSel(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("aggs=%d", len(p.aggCol)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink := newColSink(p, tb)
+				sink := p.newSink(tb)
 				for lo := 0; lo < tb.NumRows(); lo += segmentSize {
 					sink.addSel(sel, lo, min(lo+segmentSize, tb.NumRows()))
 				}

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/minisql"
+	"repro/internal/workload"
 	"repro/internal/zexec"
 )
 
@@ -148,6 +152,43 @@ func TestFig75SelectivityCrossover(t *testing.T) {
 		m := scanned[key{g, "10%"}]
 		if m["bitmapstore"] == 0 || m["bitmapstore"] >= m["rowstore"] {
 			t.Errorf("groups=%d sel=10%%: the bitmap store tested %d rows, the row store %d: want fewer", g, m["bitmapstore"], m["rowstore"])
+		}
+	}
+}
+
+// TestFig75AllocGuard counts what one execution of Figure 7.5's query
+// allocates on every store along the figure's group-count axis
+// (Fig75Groups), over ScaleSmall's 200 000 rows, with and without its 10 %
+// predicate: testing.AllocsPerRun, not time, so it holds on any machine. A
+// sink keeps its groups in chunks of 256 with two allocations each, so a
+// bound of a few hundred plus one allocation per 128 groups is met with room;
+// a sink that allocates per group fails it — the string-keyed map plans past
+// 65 536 combined key codes once fell to took 87 788 allocations at 100 000
+// groups.
+func TestFig75AllocGuard(t *testing.T) {
+	for _, groups := range Fig75Groups {
+		tb := workload.GroupSweep(ScaleSmall.sweepRows(), max(groups/10, 2), 10, 13)
+		for _, db := range []engine.DB{engine.NewRowStore(tb), engine.NewBitmapStore(tb), engine.NewColumnStore(tb)} {
+			for _, where := range []string{"", " WHERE p1 = 'yes'"} {
+				q, err := minisql.Parse("SELECT x, SUM(y) AS s, z FROM sweep" + where + " GROUP BY z, x ORDER BY z, x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := db.Prepare(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s groups=%d%s", db.Name(), groups, where)
+				allocs := testing.AllocsPerRun(2, func() {
+					if _, err := p.Execute(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				})
+				t.Logf("%s: %.0f allocations an execution", name, allocs)
+				if bound := 300 + float64(groups)/128; allocs > bound {
+					t.Errorf("%s: %.0f allocations an execution, want <= %.0f", name, allocs, bound)
+				}
+			}
 		}
 	}
 }
