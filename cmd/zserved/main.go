@@ -60,7 +60,7 @@ func main() {
 		// -backend stays only because the benchmark module passes it; the
 		// next change to the benchmark deletes it.
 		backend   = flag.String("backend", "column", "name /datasets reports for the one executor served: column, or auto (another name for it); the row and bitmap baselines run in zenvisage -backend")
-		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget; a tenth of both holds results on probation until their first hit (0 means the default, 1024; negative disables)")
+		cache     = flag.Int("cache", server.DefaultCacheEntries, "result cache entries per dataset, each adding 24 KiB to its byte budget; a tenth of both holds results on probation until their first hit, a result over 24 KiB only until the next result arrives (0 means the default, 1024; negative disables)")
 		optName   = flag.String("opt", "intertask", "default optimization level: noopt, intraline, intratask, intertask (or o0..o3)")
 		metric    = flag.String("metric", "euclidean", "distance metric D: euclidean, dtw, kl, emd (raw- prefix skips normalization)")
 		seed      = flag.Int64("seed", 42, "seed for R (k-means) determinism")

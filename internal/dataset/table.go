@@ -306,21 +306,6 @@ func (c *Column) allocate(n, capacity int, offHeap bool) {
 	}
 }
 
-// extend returns the length-n continuation of a presized array, n >=
-// len(prev). With alias set it is a re-slice of prev's backing array (the
-// caller has checked cap(prev) >= n, and shares prev's mapping): holders of
-// prev keep their shorter view, and rows past len(prev) are invisible to
-// them. Otherwise it is fresh zeroed storage off the Go heap, returned with
-// its mapping, with a quarter of headroom — grown like append, so a lineage
-// of small extensions reallocates a logarithmic number of times — and the
-// caller copies over whichever rows of prev it may safely read.
-func extend[T element](prev []T, n int, alias bool) ([]T, *mapping) {
-	if alias {
-		return prev[:n], nil
-	}
-	return newArray[T](n, n+n/4, true)
-}
-
 // capRows returns how many rows the column's storage can hold in place.
 func (c *Column) capRows() int {
 	switch {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -95,10 +96,8 @@ func ColumnSkipTotals(m map[SkipAttr]int64) map[string]int64 {
 // in first-seen order.
 func exprColumns(e minisql.Expr, into []string) []string {
 	add := func(col string) []string {
-		for _, c := range into {
-			if c == col {
-				return into
-			}
+		if slices.Contains(into, col) {
+			return into
 		}
 		return append(into, col)
 	}

@@ -170,21 +170,24 @@ const bucketSortMin = 64
 // bucketSortMin rows, for float keys (NaN ties with every number, so that
 // order is not transitive), for ints beyond ±2^53 (the comparator ties some
 // of them) and for keys spanning more than bucketSpanPerRow buckets a row.
+// Every key is checked before any is numbered, and each pass numbers its
+// key into the same array.
 func (r *Result) bucketSort(perm []int32, cols []int, order []minisql.OrderItem) bool {
 	if r.n < bucketSortMin {
 		return false
 	}
-	keys := make([][]uint32, len(cols))
-	spans := make([]int, len(cols))
+	keys, most := make([]bucketKey, len(cols)), 0
 	for k, j := range cols {
-		if keys[k], spans[k] = r.Vecs[j].buckets(r.n, order[k].Desc); keys[k] == nil {
+		if keys[k] = r.Vecs[j].bucketKey(r.n); keys[k].span == 0 {
 			return false
 		}
+		most = max(most, keys[k].span)
 	}
-	tmp := make([]int32, r.n)
-	counts := make([]int32, slices.Max(spans)+1)
+	key, tmp := make([]uint32, r.n), make([]int32, r.n)
+	counts := make([]int32, most+1)
 	for k := len(cols) - 1; k >= 0; k-- {
-		key, count := keys[k], counts[:spans[k]+1]
+		r.Vecs[cols[k]].fillBuckets(key, keys[k], order[k].Desc)
+		count := counts[:keys[k].span+1]
 		clear(count)
 		for _, i := range perm {
 			count[key[i]+1]++
@@ -208,48 +211,59 @@ func (r *Result) bucketSort(perm []int32, cols []int, order []minisql.OrderItem)
 // array must not dwarf the rows it sorts.
 const bucketSpanPerRow = 16
 
-// buckets numbers each of the first n cells by its place in the
-// comparator's order (reversed for desc): dense from 0, equal cells equal.
-// It returns the bucket of every cell and the number of buckets, or nil
-// when the vector has no such numbering or it spans more than
-// bucketSpanPerRow*n buckets.
-func (v *Vector) buckets(n int, desc bool) ([]uint32, int) {
+// bucketKey numbers a vector's cells in the comparator's order, dense from
+// 0 and equal cells equal: a cell's bucket is its dictionary rank, or its
+// int value, less lo.
+type bucketKey struct {
+	rank []uint64 // a categorical key's dictionary ranks; nil for an int key
+	lo   int64
+	span int // the number of buckets; 0 when the key has no numbering
+}
+
+// bucketKey returns the numbering of the first n cells, or a zero span when
+// the vector has none or it spans more than bucketSpanPerRow*n buckets.
+func (v *Vector) bucketKey(n int) bucketKey {
 	const exact = 1 << 53 // ints within ±2^53 convert to float64 exactly
-	var b []uint32
-	var lo, hi int64
+	var b bucketKey
+	var hi int64
 	switch v.Kind {
 	case dataset.KindString:
-		rank := dataset.DictRanks(v.Dict.Entries())
-		lo, hi = int64(rank[v.Codes[0]]), int64(rank[v.Codes[0]])
+		b.rank = dataset.DictRanks(v.Dict.Entries())
+		b.lo, hi = int64(b.rank[v.Codes[0]]), int64(b.rank[v.Codes[0]])
 		for _, c := range v.Codes[:n] {
-			lo, hi = min(lo, int64(rank[c])), max(hi, int64(rank[c]))
-		}
-		if hi-lo >= int64(bucketSpanPerRow*n) {
-			return nil, 0
-		}
-		b = make([]uint32, n)
-		for i, c := range v.Codes[:n] {
-			b[i] = uint32(int64(rank[c]) - lo)
+			b.lo, hi = min(b.lo, int64(b.rank[c])), max(hi, int64(b.rank[c]))
 		}
 	case dataset.KindInt:
-		lo, hi = slices.Min(v.Ints[:n]), slices.Max(v.Ints[:n])
-		if lo < -exact || hi > exact || hi-lo >= int64(bucketSpanPerRow*n) {
-			return nil, 0
-		}
-		b = make([]uint32, n)
-		for i, x := range v.Ints[:n] {
-			b[i] = uint32(x - lo)
+		if b.lo, hi = slices.Min(v.Ints[:n]), slices.Max(v.Ints[:n]); b.lo < -exact || hi > exact {
+			return bucketKey{}
 		}
 	default:
-		return nil, 0
+		return bucketKey{}
 	}
-	span := int(hi - lo + 1)
-	if desc {
-		for i := range b {
-			b[i] = uint32(span-1) - b[i]
+	if hi-b.lo >= int64(bucketSpanPerRow*n) {
+		return bucketKey{}
+	}
+	b.span = int(hi - b.lo + 1)
+	return b
+}
+
+// fillBuckets writes the bucket of each of the first len(dst) cells into
+// dst, in reverse order for desc.
+func (v *Vector) fillBuckets(dst []uint32, b bucketKey, desc bool) {
+	if b.rank != nil {
+		for i, c := range v.Codes[:len(dst)] {
+			dst[i] = uint32(int64(b.rank[c]) - b.lo)
+		}
+	} else {
+		for i, x := range v.Ints[:len(dst)] {
+			dst[i] = uint32(x - b.lo)
 		}
 	}
-	return b, span
+	if desc {
+		for i := range dst {
+			dst[i] = uint32(b.span-1) - dst[i]
+		}
+	}
 }
 
 // pick keeps the first keep cells of src, taken in perm's order if there is one.

@@ -23,7 +23,6 @@ const arrayToBitmapThreshold = 4096
 
 const (
 	bitmapWords = 1 << 10 // 65536 bits / 64
-	chunkSize   = 1 << 16
 )
 
 // container is one 2^16-value chunk of a bitmap.

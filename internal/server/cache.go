@@ -18,12 +18,15 @@ import (
 // A result earns its slot (S3-FIFO, Yang et al., SOSP 2023: most keys are
 // asked for once). It enters a probation FIFO of at most a tenth of the
 // entries and a tenth of the byte budget, which always keeps its newest
-// entry, so an immediate repeat of any admitted result hits. A hit moves it
-// to the main LRU. A result that falls out of probation unhit is dropped and
-// its key's hash joins a ghost ring of the last capacity such drops; a later
-// miss whose hash is there goes straight to main. The ghost only ever
-// promotes: Get matches the full key, so a hash collision cannot serve a
-// wrong result.
+// entry, so an immediate repeat of any admitted result hits. Only that
+// newest entry may be larger than an average one (cacheBytesPerEntry): a
+// large result leaves probation when the next result arrives, so big
+// one-off results pin one result's bytes, not a tenth of the budget. A hit
+// moves a result to the main LRU. A result that falls out of probation
+// unhit is dropped and its key's hash joins a ghost ring of the last
+// capacity such drops; a later miss whose hash is there goes straight to
+// main. The ghost only ever promotes: Get matches the full key, so a hash
+// collision cannot serve a wrong result.
 //
 // Cached *engine.Result values are shared between requests and MUST be
 // treated as read-only by every consumer; the zexec splitter and the JSON
@@ -112,12 +115,13 @@ func (c *ResultCache) Get(key string) (*engine.Result, bool) {
 }
 
 // Put stores a result under key: on probation, or in main when the ghost
-// remembers the key. It then drops the oldest probation entries past
-// probation's share into the ghost, and evicts least recently used main
-// entries while the cache exceeds its entry capacity or its byte budget. A
-// single result bigger than the whole budget is counted (oversize) and not
-// cached at all — pinning the entire budget for one query would evict
-// everything else for no aggregate gain.
+// remembers the key. It then drops into the ghost the probation entry
+// behind a result it put there if that one is larger than an average entry,
+// and the oldest probation entries past probation's share, and evicts least
+// recently used main entries while the cache exceeds its entry capacity or
+// its byte budget. A single result bigger than the whole budget is counted
+// (oversize) and not cached at all — pinning the entire budget for one
+// query would evict everything else for no aggregate gain.
 func (c *ResultCache) Put(key string, res *engine.Result) {
 	if c.cap <= 0 {
 		return
@@ -129,27 +133,29 @@ func (c *ResultCache) Put(key string, res *engine.Result) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.bytes += bytes - e.bytes
-		if !e.main {
-			c.probBytes += bytes - e.bytes
-		}
-		e.res, e.bytes = res, bytes
-		c.queue(e).MoveToFront(el)
-	} else {
+	el, ok := c.items[key]
+	if !ok {
 		_, seen := c.inGhost[maphash.String(c.seed, key)]
-		e := &cacheEntry{key: key, res: res, bytes: bytes, main: seen}
-		if !seen {
-			c.probBytes += bytes
-		}
-		c.items[key] = c.queue(e).PushFront(e)
-		c.bytes += bytes
+		e := &cacheEntry{key: key, main: seen}
+		el = c.queue(e).PushFront(e)
+		c.items[key] = el
+	}
+	e := el.Value.(*cacheEntry)
+	c.bytes += bytes - e.bytes
+	if !e.main {
+		c.probBytes += bytes - e.bytes
+	}
+	e.res, e.bytes = res, bytes
+	c.queue(e).MoveToFront(el)
+	// Only the newest result may wait on probation past an average entry's
+	// size, so a one-off large result leaves when the next result arrives.
+	// Every probation Put keeps this so: only the entry behind can be large.
+	if older := el.Next(); !e.main && older != nil && older.Value.(*cacheEntry).bytes > cacheBytesPerEntry {
+		c.remember(c.evict(older).key)
 	}
 	probCap, probBudget := (c.cap+9)/10, c.budget/10
 	for c.probation.Len() > 1 && (c.probation.Len() > probCap || c.probBytes > probBudget) {
-		e := c.evict(c.probation.Back())
-		c.remember(maphash.String(c.seed, e.key))
+		c.remember(c.evict(c.probation.Back()).key)
 	}
 	// Probation now fits its share, or holds one result within the budget;
 	// either way, what is over the bounds is in main.
@@ -180,7 +186,8 @@ func (c *ResultCache) evict(el *list.Element) *cacheEntry {
 
 // remember adds a dropped key's hash to the ghost ring, forgetting the
 // oldest once the ring holds capacity hashes.
-func (c *ResultCache) remember(h uint64) {
+func (c *ResultCache) remember(key string) {
+	h := maphash.String(c.seed, key)
 	if len(c.ghost) < c.cap {
 		c.ghost = append(c.ghost, h)
 	} else {

@@ -191,20 +191,98 @@ func TestResultCacheGhostBounded(t *testing.T) {
 	}
 }
 
-// TestResultCacheLargeResultRepeats: a result bigger than probation's byte
-// share but within the budget displaces the rest of probation, and an
-// immediate repeat still hits.
+// TestResultCacheLargeResultRepeats: the newest result waits on probation
+// whatever its size, so an immediate repeat hits: one larger than an
+// average entry, which leaves a small result beside it, and one larger than
+// probation's byte share, which displaces the rest of probation.
 func TestResultCacheLargeResultRepeats(t *testing.T) {
-	const capacity = 10
-	c := NewResultCache(capacity)
-	c.Put("small", sizedResult("small", 8<<10))
-	large := int64(capacity * cacheBytesPerEntry * 9 / 10)
-	c.Put("large", sizedResult("large", large))
-	if s := c.Stats(); s.Entries != 1 || s.Bytes != large {
-		t.Errorf("after the large Put: %+v, want the large result alone", s)
+	const capacity = 64
+	for _, large := range []int64{2 * cacheBytesPerEntry, capacity * cacheBytesPerEntry / 2} {
+		c := NewResultCache(capacity)
+		c.Put("small", sizedResult("small", 8<<10))
+		c.Put("large", sizedResult("large", large))
+		entries, bytes := 2, large+8<<10
+		if large > c.budget/10 {
+			entries, bytes = 1, large
+		}
+		if s := c.Stats(); s.Entries != entries || s.Bytes != bytes {
+			t.Errorf("after a %d-byte Put: %+v, want %d entries in %d bytes", large, s, entries, bytes)
+		}
+		if r, ok := c.Get("large"); !ok || r.Cols[0] != "large" {
+			t.Errorf("an immediate repeat of a %d-byte result should hit", large)
+		}
 	}
-	if r, ok := c.Get("large"); !ok || r.Cols[0] != "large" {
-		t.Error("an immediate repeat of a large result should hit")
+}
+
+// TestResultCacheLargeFloodPinsTheNewest: a flood of distinct results
+// larger than an average entry, each within probation's byte share, pins
+// only the newest one; every other leaves as a counted eviction.
+func TestResultCacheLargeFloodPinsTheNewest(t *testing.T) {
+	const capacity = 64
+	c := NewResultCache(capacity)
+	for i := 0; i < 10*capacity; i++ {
+		key := fmt.Sprint("large", i)
+		size := int64(cacheBytesPerEntry + (i%4+1)*8<<10)
+		c.Put(key, sizedResult(key, size))
+		if s := c.Stats(); s.Entries != 1 || s.Bytes != size || s.Evictions != int64(i) {
+			t.Fatalf("after %d large one-off results: %+v, want the newest alone (%d bytes) and %d evictions",
+				i+1, s, size, i)
+		}
+	}
+}
+
+// TestResultCacheLargeInterleaved: for large results A, B, A, A the second
+// ask of A misses once, since B's arrival dropped A into the ghost; its
+// Put goes straight to main through the ghost, and the third ask hits.
+func TestResultCacheLargeInterleaved(t *testing.T) {
+	c := NewResultCache(64)
+	ask := func(key string) bool {
+		if _, ok := c.Get(key); ok {
+			return true
+		}
+		c.Put(key, sizedResult(key, 2*cacheBytesPerEntry))
+		return false
+	}
+	for i, step := range []struct {
+		key string
+		hit bool
+	}{{"A", false}, {"B", false}, {"A", false}, {"A", true}} {
+		if got := ask(step.key); got != step.hit {
+			t.Fatalf("ask %d (%s): hit %v, want %v", i+1, step.key, got, step.hit)
+		}
+	}
+	if !c.items["A"].Value.(*cacheEntry).main {
+		t.Error("A returning from the ghost should have gone straight to main")
+	}
+}
+
+// TestResultCacheSmallResultsKeepTheWindow: results no larger than an
+// average entry (small0 is exactly that size) keep probation's window of
+// ⌈capacity/10⌉ entries, and a large result passing through drops only
+// itself.
+func TestResultCacheSmallResultsKeepTheWindow(t *testing.T) {
+	const capacity = 64
+	probCap := (capacity + 9) / 10
+	c := NewResultCache(capacity)
+	for i := 0; i < probCap-1; i++ {
+		key, size := fmt.Sprint("small", i), int64(16<<10)
+		if i == 0 {
+			size = cacheBytesPerEntry
+		}
+		c.Put(key, sizedResult(key, size))
+	}
+	c.Put("large", sizedResult("large", cacheBytesPerEntry+8))
+	c.Put("last", sizedResult("last", 16<<10))
+	if s := c.Stats(); s.Entries != probCap || s.Evictions != 1 {
+		t.Errorf("after %d small results and a large one: %+v, want %d entries and 1 eviction", probCap, s, probCap)
+	}
+	for i := 0; i < probCap-1; i++ {
+		if _, ok := c.Get(fmt.Sprint("small", i)); !ok {
+			t.Errorf("small%d should still be on probation", i)
+		}
+	}
+	if _, ok := c.Get("large"); ok {
+		t.Error("the large result should have left when the next result arrived")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/dataset"
@@ -70,6 +71,41 @@ func TestResultSizeGuard(t *testing.T) {
 	}
 	if grown := float64(after.HeapAlloc) - float64(before.HeapAlloc); grown > 7<<20 {
 		t.Errorf("a full 256-entry cache holds %.1f MB of heap, want <= 7", grown/(1<<20))
+	}
+}
+
+// TestOneOffTasksPinOneResult: twenty distinct task /spec posts over the
+// guard's sales table, each asking for a one-off 10 000-group result
+// larger than an average cache entry, leave the result cache holding at
+// most one result's bytes, the newest one's. While probation kept its
+// window for large results too, three of them (0.6 MB) stayed.
+func TestOneOffTasksPinOneResult(t *testing.T) {
+	reg := NewRegistry()
+	ds, err := reg.AddTable(workload.Sales(guardSales()), Config{Backend: "auto", CacheEntries: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(reg))
+	defer ts.Close()
+	drawn := make([]float64, 20)
+	for i := range drawn {
+		drawn[i] = float64(i)
+	}
+	tasks := []string{"similar", "dissimilar", "representative", "outliers", "rising"}
+	for i := 0; i < 20; i++ {
+		postQuery(t, ts.URL+"/spec", SpecRequest{Dataset: "sales", Spec: SpecJSON{
+			X: "year", Y: "revenue", Z: "product", Task: tasks[i%len(tasks)], K: 10, Drawn: drawn,
+			Filters: []FilterJSON{{Attr: "weight", Op: ">=", Value: strconv.Itoa(i)}},
+		}})
+	}
+	st := ds.cache.Stats()
+	newest := ds.cache.probation.Front().Value.(*cacheEntry).bytes
+	t.Logf("after 20 one-off tasks: %d entries in %d bytes; the newest result is %d bytes", st.Entries, st.Bytes, newest)
+	if st.Hits != 0 || newest <= cacheBytesPerEntry {
+		t.Fatalf("%d hits, newest result %d bytes: want one-off results larger than %d", st.Hits, newest, cacheBytesPerEntry)
+	}
+	if st.Bytes > newest {
+		t.Errorf("the cache pins %d bytes after 20 one-off tasks, want <= one result's %d", st.Bytes, newest)
 	}
 }
 

@@ -2,6 +2,7 @@ package zexec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/vis"
@@ -34,7 +35,7 @@ func (ex *executor) loopGroups(vars []string) ([][]string, error) {
 		// variable iterates alone over its own binding.
 		all := true
 		for _, gv := range g.vars {
-			if !contains(vars, gv) {
+			if !slices.Contains(vars, gv) {
 				all = false
 				break
 			}
@@ -50,15 +51,6 @@ func (ex *executor) loopGroups(vars []string) ([][]string, error) {
 		}
 	}
 	return out, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // loopSpace returns the space of base's dimensions followed by one per

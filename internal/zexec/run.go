@@ -2,6 +2,7 @@ package zexec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -155,7 +156,7 @@ func (ex *executor) admit() (batch []*rowState, progress bool, err error) {
 func (ex *executor) waitsOn(rs *rowState) []string {
 	var missing []string
 	need := func(name string, have bool) {
-		if !have && !contains(missing, name) {
+		if !have && !slices.Contains(missing, name) {
 			missing = append(missing, name)
 		}
 	}
@@ -329,7 +330,7 @@ func (ex *executor) runRowProcesses(rs *rowState) error {
 // row's own process declarations (earlier in the same cell).
 func declaredBySameRow(r *zql.Row, name string) bool {
 	for _, d := range r.Process {
-		if contains(d.OutVars, name) {
+		if slices.Contains(d.OutVars, name) {
 			return true
 		}
 	}
